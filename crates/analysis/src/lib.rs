@@ -17,7 +17,7 @@
 //! | `teardown-pair` | every `pub fn create_*`/`provision_*` in `crates/core`/`crates/comm` has a `remove_*`/`delete_*`/`teardown_*`/`destroy_*` twin in the same module; every `pub fn insert_*` has an `evict_*` twin |
 //! | `no-unwrap` | no `.unwrap()`, bare/undocumented `.expect(..)`, `panic!`, `unreachable!`, `todo!`, `unimplemented!` in non-test library code |
 //! | `lock-across-blocking` | a live `.lock()` guard must not be held across `.wait*(`/`.recv*(`/`sleep(` (condvar waits that consume the guard are recognized and allowed) |
-//! | `retry-idempotent` | a `RetryPolicy` `.run(..)` closure must not call non-idempotent channel ops (`receive_wait`, `take_visible`, `poll`, `poll_and_stash`, `settle_receives`, `delete_batch`, `enqueue`) — a retried attempt repeats its calls, so only idempotent ops may sit inside one |
+//! | `retry-idempotent` | a `RetryPolicy` `.run(..)` closure — or one handed to the channel engine's `.retried(..)` wrapper around it — must not call non-idempotent channel ops (`take_visible`, `poll`, `settle_receives`, `delete_batch`, `enqueue`) — a retried attempt repeats its calls, so only idempotent ops may sit inside one |
 //!
 //! Escape hatch: a comment containing `fsd_lint::allow(lint-name)` (optionally
 //! a comma-separated list, optionally followed by `: reason`) suppresses those
@@ -1023,32 +1023,31 @@ fn lint_lock_across_blocking(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
 /// receives that pop messages, visibility takes, deletes, scheduler
 /// enqueues — would double their effect on retry.
 fn lint_retry_idempotent(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
-    const NON_IDEMPOTENT: [&str; 7] = [
-        "receive_wait",
+    const NON_IDEMPOTENT: [&str; 5] = [
         "take_visible",
         "poll",
-        "poll_and_stash",
         "settle_receives",
         "delete_batch",
         "enqueue",
     ];
     let toks = ctx.toks;
     for i in 0..toks.len() {
-        if ctx.test[i] || !toks[i].is_word("run") {
+        let (run, retried) = (toks[i].is_word("run"), toks[i].is_word("retried"));
+        if ctx.test[i] || !(run || retried) {
             continue;
         }
         if i == 0 || !toks[i - 1].is_sym('.') || !toks.get(i + 1).is_some_and(|t| t.is_sym('(')) {
             continue;
         }
-        // Receiver must be retry-ish: a `retry` field/binding or a
-        // `RetryPolicy` constructor within the few tokens leading up to
-        // the `.run(` (e.g. `self.opts.retry.run(` or
-        // `RetryPolicy::default().run(`).
+        // `.retried(` is the channel engine's wrapper around the policy.
+        // A `.run(` receiver must be retry-ish: a `retry` field/binding or
+        // a `RetryPolicy` constructor within the few tokens leading up to
+        // it (e.g. `self.opts.retry.run(` or `RetryPolicy::default().run(`).
         let lookback_start = i.saturating_sub(8);
         let retry_ish = toks[lookback_start..i]
             .iter()
             .any(|t| t.is_word("retry") || t.is_word("RetryPolicy"));
-        if !retry_ish {
+        if run && !retry_ish {
             continue;
         }
         let close = matching_close(toks, i + 1);

@@ -9,8 +9,16 @@ fn good_retry_over_put(opts: &Opts, lane: &mut VClock, store: &ObjectStore, key:
 
 fn good_receive_outside_policy(lane: &mut VClock, env: &CloudEnv, q: u32) {
     // Consuming receives are fine outside a retry closure.
-    let msgs = env.queue(q).receive_wait(lane, 10);
+    let msgs = env.queue(q).take_visible(10);
     let _ = msgs;
+}
+
+fn good_retried_get(cx: &Core, clock: &mut VClock, store: &ObjectStore, key: &str) {
+    // A GET is a pure read: safe under the engine's retry wrapper.
+    let body = cx.retried(clock, "get", || key.to_string(), |clock| {
+        store.get("b", key, clock)
+    });
+    let _ = body;
 }
 
 fn good_unrelated_run(runner: &Runner, lane: &mut VClock) {

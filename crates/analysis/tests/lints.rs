@@ -141,7 +141,11 @@ fn retry_idempotent_flags_consuming_ops_in_retry_closures() {
     let bad = include_str!("fixtures/bad_retry_idempotent.rs");
     assert_eq!(
         findings(bad, "crates/core/src/fixture.rs"),
-        vec![("retry-idempotent", 3), ("retry-idempotent", 10)]
+        vec![
+            ("retry-idempotent", 3),
+            ("retry-idempotent", 10),
+            ("retry-idempotent", 17)
+        ]
     );
     let good = include_str!("fixtures/good_retry_idempotent.rs");
     assert_eq!(findings(good, "crates/core/src/fixture.rs"), vec![]);

@@ -1,8 +1,8 @@
 //! # fsd-bench — the benchmark harness
 //!
 //! One binary per table/figure of the paper's evaluation (Section VI), plus
-//! criterion microbenches. Binaries print the same rows/series the paper
-//! reports; run them with `--paper-scale` to use the published parameter
+//! the `machine` host benchmark (`src/bin/machine/README.md`). Binaries
+//! print the same rows/series the paper reports; run them with `--paper-scale` to use the published parameter
 //! grid (N up to 65536, L = 120, 10 000-sample batches — slow and
 //! memory-hungry) or at the reduced default scale that preserves the
 //! shapes (who wins, crossovers).

@@ -21,6 +21,7 @@
 //! scheduling.
 
 use crate::fault::{ApiClass, FaultPlane};
+use crate::grace::wait_for_producers;
 use crate::latency::{Jitter, LatencyModel};
 use crate::message::CommError;
 use crate::meter::ServiceMeter;
@@ -28,11 +29,6 @@ use crate::time::{VClock, VirtualTime};
 use parking_lot::{Condvar, Mutex};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
-use std::time::Duration;
-
-/// Real-time grace used by [`DirectNet::fetch`] before giving up and
-/// letting the caller take the (virtual-time) idle-wait escape hatch.
-const REAL_WAIT_LONG: Duration = Duration::from_millis(150);
 
 /// One frame delivered over a punched connection.
 #[derive(Clone)]
@@ -164,20 +160,10 @@ impl DirectNet {
     pub fn fetch(&self, flow: u64, dst: usize, tag: &str, known: usize) -> Vec<DirectFrame> {
         let key = (flow, dst, tag.to_string());
         let mut state = self.state.lock();
-        let grab = |s: &NetState| s.mailboxes.get(&key).cloned().unwrap_or_default();
-        let mut found = grab(&state);
-        if found.len() <= known {
-            let deadline = std::time::Instant::now() + REAL_WAIT_LONG;
-            while found.len() <= known {
-                let timeout = deadline.saturating_duration_since(std::time::Instant::now());
-                if timeout.is_zero() {
-                    break;
-                }
-                self.cond.wait_for(&mut state, timeout);
-                found = grab(&state);
-            }
-        }
-        found
+        wait_for_producers(&self.cond, &mut state, |s| {
+            s.mailboxes.get(&key).map_or(0, Vec::len) > known
+        });
+        state.mailboxes.get(&key).cloned().unwrap_or_default()
     }
 
     /// Joins the receiver's clock against frame stamps: a blocked receiver

@@ -27,6 +27,7 @@
 mod direct;
 mod env;
 mod fault;
+mod grace;
 mod latency;
 mod message;
 mod meter;

@@ -12,6 +12,7 @@
 //! between workers whose clocks have drifted apart).
 
 use crate::fault::{ApiClass, FaultPlane};
+use crate::grace::wait_for_producers;
 use crate::latency::{Jitter, LatencyModel};
 use crate::message::CommError;
 use crate::meter::ServiceMeter;
@@ -25,19 +26,17 @@ use std::time::Duration;
 /// while producer threads catch up; virtual cost is modeled separately).
 const REAL_WAIT: Duration = Duration::from_millis(2);
 
-/// Real-time grace used by [`ObjectStore::list_wait`] before giving up and
-/// returning an empty (billed) scan.
-const REAL_WAIT_LONG: Duration = Duration::from_millis(150);
-
 #[derive(Clone)]
 struct StoredObject {
     bytes: Arc<[u8]>,
     available_at: VirtualTime,
 }
 
+type Buckets = HashMap<String, BTreeMap<String, StoredObject>>;
+
 /// The object storage service.
 pub struct ObjectStore {
-    buckets: Mutex<HashMap<String, BTreeMap<String, StoredObject>>>,
+    buckets: Mutex<Buckets>,
     cond: Condvar,
     meter: Arc<ServiceMeter>,
     latency: LatencyModel,
@@ -211,7 +210,7 @@ impl ObjectStore {
                 bucket: bucket.to_string(),
             });
         }
-        let collect = |buckets: &HashMap<String, BTreeMap<String, StoredObject>>| {
+        let collect = |buckets: &Buckets| {
             buckets[bucket]
                 .range(prefix.to_string()..)
                 .take_while(|(k, _)| k.starts_with(prefix))
@@ -225,97 +224,6 @@ impl ObjectStore {
             keys = collect(&buckets);
         }
         Ok(keys)
-    }
-
-    /// The FSI scan primitive: LIST with continuous-rescan billing.
-    ///
-    /// FSD-Inf-Object workers scan their prefix in a tight multi-threaded
-    /// loop until **new** files appear. Objects persist after being
-    /// processed, so the caller passes `known` — how many keys under the
-    /// prefix it has already handled; a listing is only *productive* when
-    /// more keys than that exist. Unproductive scans block briefly in real
-    /// time (letting producer threads run) and bill a single LIST.
-    ///
-    /// When the earliest unseen object is stamped `gap` ahead of the
-    /// caller's clock, the continuous scan loop it models is billed as
-    /// `ceil(gap / scan_interval)` LIST requests and the clock advances to
-    /// the stamp (`scan_interval` defaults to the LIST round trip —
-    /// back-to-back scanning).
-    ///
-    /// Returns `(visible keys, billed LISTs)`.
-    pub fn list_wait(
-        &self,
-        bucket: &str,
-        prefix: &str,
-        clock: &mut VClock,
-        scan_interval_us: Option<u64>,
-        known: usize,
-    ) -> Result<(Vec<String>, u64), CommError> {
-        let interval = scan_interval_us.unwrap_or(self.latency.s3_list_us).max(1);
-        let mut buckets = self.buckets.lock();
-        if !buckets.contains_key(bucket) {
-            return Err(CommError::NoSuchBucket {
-                bucket: bucket.to_string(),
-            });
-        }
-        let matches = |buckets: &HashMap<String, BTreeMap<String, StoredObject>>| {
-            buckets[bucket]
-                .range(prefix.to_string()..)
-                .take_while(|(k, _)| k.starts_with(prefix))
-                .map(|(k, o)| (k.clone(), o.available_at))
-                .collect::<Vec<(String, VirtualTime)>>()
-        };
-        let mut found = matches(&buckets);
-        if found.len() <= known {
-            // Nothing new yet: real-time grace for producers (notified on
-            // every PUT), then re-check.
-            let deadline = std::time::Instant::now() + REAL_WAIT_LONG;
-            while found.len() <= known {
-                let timeout = deadline.saturating_duration_since(std::time::Instant::now());
-                if timeout.is_zero() {
-                    break;
-                }
-                self.cond.wait_for(&mut buckets, timeout);
-                found = matches(&buckets);
-            }
-        }
-        drop(buckets);
-        let now = clock.now();
-        let visible = |found: &[(String, VirtualTime)], now: VirtualTime| {
-            found
-                .iter()
-                .filter(|(_, t)| *t <= now)
-                .map(|(k, _)| k.clone())
-                .collect::<Vec<_>>()
-        };
-        if found.len() <= known {
-            // Still nothing new: one empty-ish scan, caller loops.
-            self.meter.record_s3_list(clock.flow());
-            clock.advance_micros(self.jitter.apply(self.latency.s3_list_us));
-            return Ok((visible(&found, clock.now()), 1));
-        }
-        let vis_now = found.iter().filter(|(_, t)| *t <= now).count();
-        let scans = if vis_now > known {
-            // New keys are already visible: a single productive scan.
-            1
-        } else {
-            // New keys exist but are stamped in the virtual future: model
-            // the continuous re-scan loop until the earliest one lands.
-            let earliest = found
-                .iter()
-                .filter(|(_, t)| *t > now)
-                .map(|(_, t)| *t)
-                .min()
-                .expect("future key exists");
-            let gap = earliest.as_micros().saturating_sub(now.as_micros());
-            clock.observe(earliest);
-            1 + gap / interval
-        };
-        for _ in 0..scans {
-            self.meter.record_s3_list(clock.flow());
-        }
-        clock.advance_micros(self.jitter.apply(self.latency.s3_list_us));
-        Ok((visible(&found, clock.now()), scans))
     }
 
     /// Raw scan for the deterministic channel receive path: blocks briefly
@@ -337,26 +245,23 @@ impl ObjectStore {
                 bucket: bucket.to_string(),
             });
         }
-        let matches = |buckets: &HashMap<String, BTreeMap<String, StoredObject>>| {
-            buckets[bucket]
-                .range(prefix.to_string()..)
-                .take_while(|(k, _)| k.starts_with(prefix))
-                .map(|(k, o)| (k.clone(), o.available_at))
-                .collect::<Vec<(String, VirtualTime)>>()
-        };
-        let mut found = matches(&buckets);
-        if found.len() <= known {
-            let deadline = std::time::Instant::now() + REAL_WAIT_LONG;
-            while found.len() <= known {
-                let timeout = deadline.saturating_duration_since(std::time::Instant::now());
-                if timeout.is_zero() {
-                    break;
-                }
-                self.cond.wait_for(&mut buckets, timeout);
-                found = matches(&buckets);
-            }
+        fn under<'a>(
+            buckets: &'a Buckets,
+            bucket: &str,
+            prefix: &'a str,
+        ) -> impl Iterator<Item = (&'a String, &'a StoredObject)> {
+            let keys = buckets.get(bucket).into_iter();
+            keys.flat_map(move |b| {
+                b.range(prefix.to_string()..)
+                    .take_while(move |(k, _)| k.starts_with(prefix))
+            })
         }
-        Ok(found)
+        wait_for_producers(&self.cond, &mut buckets, |b| {
+            under(b, bucket, prefix).count() > known
+        });
+        Ok(under(&buckets, bucket, prefix)
+            .map(|(k, o)| (k.clone(), o.available_at))
+            .collect())
     }
 
     /// Bills one unproductive LIST (the liveness escape hatch of the
@@ -581,61 +486,70 @@ mod tests {
         assert_eq!(snap.s3_list_requests, 1);
     }
 
+    /// The production scan: raw key scan, then settle the billed rescan
+    /// sequence from the stamps. Returns `(keys surfaced, billed LISTs)`.
+    fn scan_and_settle(
+        s: &ObjectStore,
+        prefix: &str,
+        reader: &mut VClock,
+        interval_us: Option<u64>,
+    ) -> (usize, u64) {
+        let found = s.scan_keys("b", prefix, 0).expect("scan");
+        let stamps: Vec<VirtualTime> = found.iter().map(|(_, t)| *t).collect();
+        (found.len(), s.settle_scans(reader, interval_us, &stamps))
+    }
+
     #[test]
-    fn list_wait_bills_scan_rounds_for_future_objects() {
+    fn settle_bills_rescans_for_future_objects() {
         let s = store();
         s.create_bucket("b");
         let mut writer = VClock::starting_at(VirtualTime::from_secs_f64(1.0));
         s.put("b", "5/3/1_3.dat", &b"x"[..], &mut writer)
             .expect("put");
         let stamp = writer.now();
-        let before = s.meter.snapshot().s3_list_requests;
-        // Reader 1s of virtual time behind; scan interval 100ms → ~10 scans.
-        let mut reader = VClock::starting_at(
-            stamp
-                .as_micros()
-                .checked_sub(1_000_000)
-                .map(VirtualTime)
-                .unwrap(),
-        );
-        let (keys, billed) = s
-            .list_wait("b", "5/3/", &mut reader, Some(100_000), 0)
-            .expect("list");
-        assert_eq!(keys.len(), 1);
-        assert!(billed >= 10);
-        let scans = s.meter.snapshot().s3_list_requests - before;
-        assert!(
-            (10..=11).contains(&scans),
-            "expected ~10 scans, billed {scans}"
-        );
+        // Reader 1s of virtual time behind; scan interval 100ms → 10
+        // rescans while the object is in flight, then the productive one.
+        let mut reader = VClock::starting_at(VirtualTime(stamp.as_micros() - 1_000_000));
+        let (keys, billed) = scan_and_settle(&s, "5/3/", &mut reader, Some(100_000));
+        assert_eq!(keys, 1, "the raw scan applies no visibility filter");
+        assert_eq!(billed, 11);
+        assert_eq!(s.meter.snapshot().s3_list_requests, 11);
         assert!(reader.now() >= stamp);
     }
 
     #[test]
-    fn list_wait_single_scan_when_ready() {
+    fn settle_single_scan_when_ready() {
         let s = store();
         s.create_bucket("b");
         let mut writer = VClock::default();
         s.put("b", "k.dat", &b"x"[..], &mut writer).expect("put");
-        let before = s.meter.snapshot().s3_list_requests;
         let mut reader = VClock::starting_at(VirtualTime::from_secs_f64(10.0));
-        let (keys, billed) = s.list_wait("b", "", &mut reader, None, 0).expect("list");
-        assert_eq!(keys.len(), 1);
+        let (keys, billed) = scan_and_settle(&s, "", &mut reader, None);
+        assert_eq!(keys, 1);
         assert_eq!(billed, 1);
-        assert_eq!(s.meter.snapshot().s3_list_requests - before, 1);
+        assert_eq!(s.meter.snapshot().s3_list_requests, 1);
     }
 
     #[test]
-    fn list_wait_empty_when_nothing_arrives() {
+    fn drought_scans_nothing_and_empty_scan_bills_one_list() {
         let s = store();
         s.create_bucket("b");
         let mut reader = VClock::default();
-        let (keys, billed) = s
-            .list_wait("b", "none/", &mut reader, None, 0)
-            .expect("list");
-        assert!(keys.is_empty());
-        assert_eq!(billed, 1);
+        // No producer within the real-time grace: the scan moves no clock
+        // and bills nothing; the caller's drought bill is one LIST.
+        assert!(s.scan_keys("b", "none/", 0).expect("scan").is_empty());
+        assert_eq!(reader.now(), VirtualTime::ZERO);
+        assert_eq!(s.meter.snapshot().s3_list_requests, 0);
+        s.empty_scan(&mut reader);
         assert_eq!(s.meter.snapshot().s3_list_requests, 1);
+        assert!(reader.now() > VirtualTime::ZERO);
+        // Settling an empty stamp set still costs the scan that proved it.
+        assert_eq!(s.settle_scans(&mut reader, None, &[]), 1);
+        assert_eq!(s.meter.snapshot().s3_list_requests, 2);
+        assert!(matches!(
+            s.scan_keys("ghost", "", 0),
+            Err(CommError::NoSuchBucket { .. })
+        ));
     }
 
     #[test]

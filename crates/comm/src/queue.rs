@@ -15,6 +15,7 @@
 //!   hook re-queues them, modeling visibility-timeout expiry.
 
 use crate::fault::{ApiClass, FaultPlane};
+use crate::grace::wait_for_producers;
 use crate::latency::{Jitter, LatencyModel};
 use crate::message::{quota, Message, QueuedMessage, ReceivedMessage};
 use crate::meter::ServiceMeter;
@@ -42,12 +43,6 @@ const SHORT_POLL_VISIBILITY: f64 = 0.7;
 /// returning empty. Real time is never load-bearing — this only prevents
 /// busy-spinning while producer threads catch up.
 const REAL_WAIT: Duration = Duration::from_millis(2);
-
-/// Real-time grace used by [`SqsQueue::receive_wait`]: producers that take
-/// longer than this in *real* time cause a billed empty long poll, which is
-/// harmless (the algorithm just polls again) but keeps stuck runs moving
-/// toward their virtual timeout.
-const REAL_WAIT_LONG: Duration = Duration::from_millis(150);
 
 /// Cap on consecutive injected receive/delete failures modeled inside one
 /// [`SqsQueue::settle_receives`] round. Bounds the settle loop even under
@@ -192,80 +187,6 @@ impl SqsQueue {
         out
     }
 
-    /// The FSI receive primitive: blocks (briefly, in real time) until
-    /// messages are visible, then returns up to 10 — billing the number of
-    /// long-poll rounds the consumer *would* have issued while waiting in
-    /// virtual time: `max(1, ceil(virtual_gap / W))` calls, where
-    /// `virtual_gap` is how far ahead of the consumer's clock the earliest
-    /// returned message was stamped. This decouples the billed call count
-    /// `Q` from real-thread scheduling, keeping the cost model reproducible.
-    ///
-    /// Returns empty only when no producer showed up within the real-time
-    /// grace period — in that case one empty long poll is billed and the
-    /// clock advances by the full wait `W` (exactly AWS semantics), letting
-    /// the caller re-check its timeout budget.
-    pub fn receive_wait(&self, clock: &mut VClock, wait_secs: f64) -> (Vec<ReceivedMessage>, u64) {
-        let wait_us = VirtualTime::from_secs_f64(wait_secs).as_micros().max(1);
-        let mut inner = self.inner.lock();
-        if inner.visible.is_empty() {
-            // Real-time grace for producer threads; not billed by itself.
-            let deadline = std::time::Instant::now() + REAL_WAIT_LONG;
-            while inner.visible.is_empty() {
-                let timeout = deadline.saturating_duration_since(std::time::Instant::now());
-                if timeout.is_zero() {
-                    break;
-                }
-                self.cond.wait_for(&mut inner, timeout);
-            }
-        }
-        if inner.visible.is_empty() {
-            drop(inner);
-            self.meter.record_sqs_call(clock.flow(), 0, true);
-            clock.advance_micros(self.jitter.apply(self.latency.sqs_poll_us));
-            clock.advance_micros(wait_us);
-            return (Vec::new(), 1);
-        }
-        let mut out = Vec::new();
-        let mut taken_bytes = 0usize;
-        while out.len() < quota::MAX_BATCH_MESSAGES {
-            let Some(qm) = inner.visible.pop_front() else {
-                break;
-            };
-            let handle = self.next_handle.fetch_add(1, Ordering::Relaxed);
-            taken_bytes += qm.message.len();
-            inner.in_flight.insert(
-                handle,
-                QueuedMessage {
-                    available_at: qm.available_at,
-                    message: qm.message.clone(),
-                },
-            );
-            out.push(ReceivedMessage {
-                handle,
-                available_at: qm.available_at,
-                message: qm.message,
-            });
-        }
-        drop(inner);
-        // Bill the virtual long-poll rounds spent waiting for the earliest
-        // returned message, then the round that returned data.
-        let earliest = out.iter().map(|m| m.available_at).min().expect("non-empty");
-        let gap = earliest.as_micros().saturating_sub(clock.now().as_micros());
-        let rounds = 1 + gap / wait_us;
-        for _ in 0..rounds - 1 {
-            self.meter.record_sqs_call(clock.flow(), 0, true);
-        }
-        self.meter
-            .record_sqs_call(clock.flow(), out.len() as u64, false);
-        clock.advance_micros(
-            self.jitter
-                .apply(self.latency.sqs_poll_total_us(taken_bytes)),
-        );
-        let latest = out.iter().map(|m| m.available_at).max().expect("non-empty");
-        clock.observe(latest);
-        (out, rounds)
-    }
-
     /// Raw destructive take for the deterministic channel receive path:
     /// blocks briefly in *real* time for producers, then removes and
     /// returns up to `max` visible messages — **no billing, no clock
@@ -275,16 +196,7 @@ impl SqsQueue {
     /// timing from real-thread batching entirely.
     pub fn take_visible(&self, max: usize) -> Vec<ReceivedMessage> {
         let mut inner = self.inner.lock();
-        if inner.visible.is_empty() {
-            let deadline = std::time::Instant::now() + REAL_WAIT_LONG;
-            while inner.visible.is_empty() {
-                let timeout = deadline.saturating_duration_since(std::time::Instant::now());
-                if timeout.is_zero() {
-                    break;
-                }
-                self.cond.wait_for(&mut inner, timeout);
-            }
-        }
+        wait_for_producers(&self.cond, &mut inner, |q| !q.visible.is_empty());
         let mut out = Vec::new();
         while out.len() < max {
             let Some(qm) = inner.visible.pop_front() else {
@@ -594,63 +506,62 @@ mod tests {
         assert_eq!(t.join().expect("join"), b"wake");
     }
 
+    /// The production receive: raw take, then settle the billed long-poll
+    /// sequence from the taken stamps. Returns `(messages, billed calls)`.
+    fn take_and_settle(q: &SqsQueue, clock: &mut VClock, wait_secs: f64) -> (usize, u64) {
+        let got = q.take_visible(quota::MAX_BATCH_MESSAGES);
+        let taken: Vec<(VirtualTime, usize)> = got
+            .iter()
+            .map(|m| (m.available_at, m.message.len()))
+            .collect();
+        (got.len(), q.settle_receives(clock, wait_secs, &taken))
+    }
+
     #[test]
-    fn receive_wait_bills_virtual_rounds_for_future_stamps() {
-        let meter = Arc::new(ServiceMeter::new());
-        let q = SqsQueue::new(
-            "q".into(),
-            meter.clone(),
-            LatencyModel::deterministic(),
-            Arc::new(Jitter::new(1, 0.0)),
-            Arc::new(FaultPlane::disabled()),
-        );
-        // Message stamped 5s into the consumer's future; W = 2s → consumer
-        // would have issued 2 empty polls + 1 successful one.
+    fn settle_bills_virtual_rounds_for_future_stamps() {
+        let q = queue();
+        // Message stamped 5s into the consumer's future; W = 2s → the
+        // consumer would have issued 2 empty polls, then the productive
+        // receive and its delete.
         q.enqueue(VirtualTime::from_secs_f64(5.0), msg(1, b"later"));
         let mut clock = VClock::default();
-        let (got, rounds) = q.receive_wait(&mut clock, 2.0);
-        assert_eq!(got.len(), 1);
-        assert_eq!(rounds, 3);
-        let s = meter.snapshot();
-        assert_eq!(s.sqs_api_calls, 3, "expected 2 empty rounds + 1 delivery");
+        let (got, calls) = take_and_settle(&q, &mut clock, 2.0);
+        assert_eq!(got, 1);
+        assert_eq!(calls, 4, "2 empty rounds + 1 delivery + 1 delete");
+        let s = q.meter.snapshot();
+        assert_eq!(s.sqs_api_calls, 4);
         assert_eq!(s.sqs_empty_polls, 2);
+        assert_eq!(s.sqs_messages, 1);
         assert!(clock.now() >= VirtualTime::from_secs_f64(5.0));
+        assert_eq!(q.visible_len(), 0, "the take is destructive");
     }
 
     #[test]
-    fn receive_wait_single_round_for_ready_messages() {
-        let meter = Arc::new(ServiceMeter::new());
-        let q = SqsQueue::new(
-            "q".into(),
-            meter.clone(),
-            LatencyModel::deterministic(),
-            Arc::new(Jitter::new(1, 0.0)),
-            Arc::new(FaultPlane::disabled()),
-        );
+    fn settle_single_round_for_ready_messages() {
+        let q = queue();
         q.enqueue(VirtualTime::ZERO, msg(1, b"now"));
-        let mut clock = VClock::starting_at(VirtualTime::from_secs_f64(1.0));
-        let (got, rounds) = q.receive_wait(&mut clock, 2.0);
-        assert_eq!(got.len(), 1);
-        assert_eq!(rounds, 1);
-        assert_eq!(meter.snapshot().sqs_api_calls, 1);
+        let start = VirtualTime::from_secs_f64(1.0);
+        let mut clock = VClock::starting_at(start);
+        let (got, calls) = take_and_settle(&q, &mut clock, 2.0);
+        assert_eq!(got, 1);
+        assert_eq!(calls, 2, "one receive + its delete");
+        assert_eq!(q.meter.snapshot().sqs_empty_polls, 0);
+        // No wait: only the two round trips elapse.
+        assert!(clock.now() < start.plus_micros(1_000_000));
     }
 
     #[test]
-    fn receive_wait_empty_bills_one_and_advances_w() {
-        let meter = Arc::new(ServiceMeter::new());
-        let q = SqsQueue::new(
-            "q".into(),
-            meter.clone(),
-            LatencyModel::deterministic(),
-            Arc::new(Jitter::new(1, 0.0)),
-            Arc::new(FaultPlane::disabled()),
-        );
+    fn drought_takes_nothing_and_empty_poll_bills_one_wait() {
+        let q = queue();
         let mut clock = VClock::default();
-        let (got, rounds) = q.receive_wait(&mut clock, 2.0);
-        assert!(got.is_empty());
-        assert_eq!(rounds, 1);
-        assert_eq!(meter.snapshot().sqs_api_calls, 1);
-        assert_eq!(meter.snapshot().sqs_empty_polls, 1);
+        // No producer within the real-time grace: the take moves no clock
+        // and bills nothing; the caller's drought bill is one empty poll.
+        assert!(q.take_visible(quota::MAX_BATCH_MESSAGES).is_empty());
+        assert_eq!(clock.now(), VirtualTime::ZERO);
+        assert_eq!(q.meter.snapshot().sqs_api_calls, 0);
+        q.empty_poll(&mut clock, 2.0);
+        assert_eq!(q.meter.snapshot().sqs_api_calls, 1);
+        assert_eq!(q.meter.snapshot().sqs_empty_polls, 1);
         assert!(clock.now() >= VirtualTime::from_secs_f64(2.0));
     }
 

@@ -28,6 +28,7 @@
 //! back to an independent load).
 
 use crate::fault::{ApiClass, FaultPlane};
+use crate::grace::wait_for_producers;
 use crate::latency::{Jitter, LatencyModel};
 use crate::message::CommError;
 use crate::meter::ServiceMeter;
@@ -35,11 +36,6 @@ use crate::time::{VClock, VirtualTime};
 use parking_lot::{Condvar, Mutex};
 use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::Duration;
-
-/// Real-time grace used by [`WeightNet::fetch`] before returning whatever
-/// has arrived so far (virtual timing never depends on this).
-const REAL_WAIT_LONG: Duration = Duration::from_millis(150);
 
 /// Payload of one weight-stream frame.
 #[derive(Clone)]
@@ -186,21 +182,10 @@ impl WeightNet {
     pub fn fetch(&self, flow: u64, hop: usize, known: usize) -> Vec<WeightFrame> {
         let key = (flow, hop);
         let mut state = self.mailboxes.lock();
-        let grab =
-            |s: &HashMap<(u64, usize), Vec<WeightFrame>>| s.get(&key).cloned().unwrap_or_default();
-        let mut found = grab(&state);
-        if found.len() <= known {
-            let deadline = std::time::Instant::now() + REAL_WAIT_LONG;
-            while found.len() <= known {
-                let timeout = deadline.saturating_duration_since(std::time::Instant::now());
-                if timeout.is_zero() {
-                    break;
-                }
-                self.cond.wait_for(&mut state, timeout);
-                found = grab(&state);
-            }
-        }
-        found
+        wait_for_producers(&self.cond, &mut state, |s| {
+            s.get(&key).map_or(0, Vec::len) > known
+        });
+        state.get(&key).cloned().unwrap_or_default()
     }
 
     /// Tears down one hop's mailbox (the receiver calls this once its

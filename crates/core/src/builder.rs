@@ -7,10 +7,10 @@
 //! partitioned and staged at build time (so first requests skip the offline
 //! step, exactly the "a priori, not per request" discipline of §III).
 
+use crate::channel::ChannelOptions;
 use crate::engine::{EngineConfig, Variant};
 use crate::pool::{WallClock, WarmPoolConfig};
 use crate::provider::{ChannelProvider, ChannelRegistry};
-use crate::queue_channel::ChannelOptions;
 use crate::service::FsdService;
 use fsd_comm::CloudConfig;
 use fsd_faas::ComputeModel;

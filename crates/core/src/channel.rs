@@ -1,18 +1,58 @@
 //! The fully serverless communication channel abstraction.
 //!
-//! Both FSI algorithms share one shape: per layer, each worker *sends* row
+//! The FSI algorithms share one shape: per layer, each worker *sends* row
 //! blocks to a set of targets, computes its local product, then *receives*
 //! until every expected source has delivered. [`FsiChannel`] captures that
-//! shape; [`QueueChannel`](crate::QueueChannel) (Algorithm 1) and
-//! [`ObjectChannel`](crate::ObjectChannel) (Algorithm 2) implement it over
-//! pub-sub/queueing and object storage respectively.
+//! shape. The crate implements it once — the channel engine in
+//! `carrier/mod.rs` — and runs that engine over four interchangeable
+//! carriers: pub-sub/queueing (Algorithm 1), object storage (Algorithm 2),
+//! their size-switched hybrid, and punched direct links.
 //!
 //! Collectives (`barrier`, `reduce`) are built on the same primitives using
 //! reserved tags, exactly as the paper layers them on its channels.
 
+use fsd_comm::quota;
 use fsd_faas::{FaasError, WorkerCtx};
 use fsd_sparse::SparseRows;
 use std::collections::HashMap;
+
+/// Tuning knobs shared by every built-in transport.
+#[derive(Debug, Clone, Copy)]
+pub struct ChannelOptions {
+    /// Long-poll wait `W` in seconds.
+    pub long_poll_secs: f64,
+    /// Whether payloads are compressed (ablation lever; paper uses ZLIB).
+    pub compression: bool,
+    /// Object channel: write 0-byte `.nul` markers for empty sends instead
+    /// of `.dat` files the receiver must GET (ablation lever; paper §III-C2).
+    pub nul_markers: bool,
+    /// Queue channel: pack messages into multi-message publish batches
+    /// (ablation lever; `false` = one message per publish, inflating `S`).
+    pub packing: bool,
+    /// Hybrid channel: per-target payloads whose serialized
+    /// (pre-compression) size exceeds this many bytes are spilled to
+    /// object storage and replaced in-queue by a pointer record; at or
+    /// below it they ride the queue inline. Defaults to one publish quota
+    /// — anything that would not fit a single message spills.
+    pub spill_threshold: usize,
+    /// Retry policy for transient communication faults on the idempotent
+    /// operations (publish / PUT / GET / direct send). Enabled by default;
+    /// with no faults injected it changes nothing.
+    pub retry: crate::retry::RetryPolicy,
+}
+
+impl Default for ChannelOptions {
+    fn default() -> Self {
+        ChannelOptions {
+            long_poll_secs: 2.0,
+            compression: true,
+            nul_markers: true,
+            packing: true,
+            spill_threshold: quota::MAX_PUBLISH_BYTES,
+            retry: crate::retry::RetryPolicy::default(),
+        }
+    }
+}
 
 /// Message class carried in the `layer` attribute / key segment.
 ///
@@ -35,20 +75,25 @@ const TAG_BARRIER_RELEASE: u32 = 0xFFFE_0000;
 const TAG_REDUCE: u32 = 0xFFFD_0000;
 
 impl Tag {
-    /// Encodes into the 32-bit attribute field.
-    pub fn encode(self) -> u32 {
-        match self {
-            Tag::Layer(k) => {
-                assert!(
-                    k < TAG_BARRIER_RELEASE,
-                    "layer index collides with control tags"
-                );
-                k
-            }
-            Tag::BarrierArrive(r) => TAG_BARRIER_ARRIVE | (r & 0xFFFF),
-            Tag::BarrierRelease(r) => TAG_BARRIER_RELEASE | (r & 0xFFFF),
-            Tag::Reduce(b) => TAG_REDUCE | (b & 0xFFFF),
+    /// Encodes into the 32-bit attribute field. Control tags carry 16 bits
+    /// of round/batch and layers must stay below the lowest control base;
+    /// a value that does not fit is an error (surfaced by the channel's
+    /// `send_layer`/`receive_round`), never a silent alias of another tag.
+    pub fn encode(self) -> Result<u32, FaasError> {
+        let (base, value, limit) = match self {
+            Tag::Layer(k) => (0, k, TAG_REDUCE),
+            Tag::BarrierArrive(r) => (TAG_BARRIER_ARRIVE, r, 1 << 16),
+            Tag::BarrierRelease(r) => (TAG_BARRIER_RELEASE, r, 1 << 16),
+            Tag::Reduce(b) => (TAG_REDUCE, b, 1 << 16),
+        };
+        if value >= limit {
+            return Err(FaasError::comm(
+                "tag",
+                self.key_segment(),
+                format!("{value} does not fit the tag field (limit {limit})"),
+            ));
         }
+        Ok(base | value)
     }
 
     /// Decodes from the attribute field.
@@ -74,43 +119,22 @@ impl Tag {
 
 /// Tracks which sources have completed delivery for one `(tag, receiver)`.
 ///
-/// Queue channel: a source is complete when all `total_chunks` byte strings
-/// have arrived (the count travels as a message attribute). Object channel:
-/// a source is complete when its single `.dat`/`.nul` file has been seen.
+/// Queue-fed carriers: a source is complete when all `total_chunks` byte
+/// strings have arrived (the count travels as a message attribute).
+/// Object and direct carriers: a source is complete when its single
+/// `.dat`/`.nul` file or frame has been seen (one chunk of one).
 #[derive(Debug, Default)]
 pub struct RecvTracker {
-    pending: HashMap<u32, ChunkState>,
-    initial: usize,
-}
-
-#[derive(Debug, Clone, Copy)]
-struct ChunkState {
-    expected: Option<u32>,
-    got: u32,
+    /// Chunks received so far from each source that still owes data.
+    pending: HashMap<u32, u32>,
 }
 
 impl RecvTracker {
     /// Tracker expecting one delivery from each listed source.
     pub fn expecting(sources: impl IntoIterator<Item = u32>) -> RecvTracker {
-        let pending: HashMap<u32, ChunkState> = sources
-            .into_iter()
-            .map(|s| {
-                (
-                    s,
-                    ChunkState {
-                        expected: None,
-                        got: 0,
-                    },
-                )
-            })
-            .collect();
-        let initial = pending.len();
-        RecvTracker { pending, initial }
-    }
-
-    /// Number of sources that have fully delivered so far.
-    pub fn completed(&self) -> usize {
-        self.initial - self.pending.len()
+        RecvTracker {
+            pending: sources.into_iter().map(|s| (s, 0)).collect(),
+        }
     }
 
     /// Whether every source has fully delivered.
@@ -118,33 +142,23 @@ impl RecvTracker {
         self.pending.is_empty()
     }
 
-    /// Number of sources still outstanding.
-    pub fn outstanding(&self) -> usize {
-        self.pending.len()
-    }
-
-    /// Whether `source` still owes data (object channel ignores duplicate
-    /// `.dat` files from completed sources — the paper's redundant-read
+    /// Whether `source` still owes data (the object carrier ignores `.dat`
+    /// files from completed sources — the paper's redundant-read
     /// optimization).
     pub fn is_pending(&self, source: u32) -> bool {
         self.pending.contains_key(&source)
     }
 
-    /// Records one received chunk from `source` announcing `total_chunks`.
-    /// Unknown sources are ignored (stale redeliveries).
+    /// Records one received chunk from `source` announcing `total_chunks`
+    /// (0 counts as 1: an empty send still produces one message). Unknown
+    /// sources are ignored (stale redeliveries).
     pub fn record_chunk(&mut self, source: u32, total_chunks: u32) {
-        if let Some(state) = self.pending.get_mut(&source) {
-            state.expected = Some(total_chunks.max(1));
-            state.got += 1;
-            if state.got >= state.expected.expect("just set") {
+        if let Some(got) = self.pending.get_mut(&source) {
+            *got += 1;
+            if *got >= total_chunks.max(1) {
                 self.pending.remove(&source);
             }
         }
-    }
-
-    /// Marks a source fully complete (object channel: file observed).
-    pub fn complete(&mut self, source: u32) {
-        self.pending.remove(&source);
     }
 }
 
@@ -277,7 +291,7 @@ mod tests {
             Tag::Reduce(0),
             Tag::Reduce(3),
         ] {
-            assert_eq!(Tag::decode(tag.encode()), tag, "{tag:?}");
+            assert_eq!(Tag::decode(tag.encode().expect("fits")), tag, "{tag:?}");
         }
     }
 
@@ -296,16 +310,32 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "collides")]
-    fn absurd_layer_index_rejected() {
-        Tag::Layer(0xFFFF_0001).encode();
+    fn tags_that_do_not_fit_are_errors_not_aliases() {
+        // 16 bits of round/batch: 65 535 round-trips, 65 536 used to alias 0.
+        let last = Tag::Reduce(65_535);
+        assert_eq!(Tag::decode(last.encode().expect("fits")), last);
+        for tag in [
+            Tag::Reduce(65_536),
+            Tag::BarrierArrive(65_536),
+            Tag::BarrierRelease(u32::MAX),
+            Tag::Layer(0xFFFF_0001),
+            // Below the old assert's bound, but decodes as `Reduce(5)`.
+            Tag::Layer(0xFFFD_0005),
+        ] {
+            let err = tag.encode().expect_err("must not fit");
+            assert!(
+                matches!(err, FaasError::Comm(ref f) if f.op == "tag"),
+                "{err}"
+            );
+        }
+        let top = Tag::Layer(0xFFFC_FFFF);
+        assert_eq!(Tag::decode(top.encode().expect("fits")), top);
     }
 
     #[test]
     fn tracker_multi_chunk_source() {
         let mut t = RecvTracker::expecting([1u32, 2]);
         assert!(!t.done());
-        assert_eq!(t.outstanding(), 2);
         t.record_chunk(1, 3);
         t.record_chunk(1, 3);
         assert!(t.is_pending(1));
@@ -320,9 +350,7 @@ mod tests {
         let mut t = RecvTracker::expecting([5u32]);
         t.record_chunk(9, 1);
         assert!(!t.done());
-        t.complete(9);
-        assert!(!t.done());
-        t.complete(5);
+        t.record_chunk(5, 1);
         assert!(t.done());
     }
 

@@ -4,8 +4,8 @@
 //! module defines what goes in (requests, [`EngineConfig`]) and what comes
 //! out ([`InferenceReport`]).
 
+use crate::channel::ChannelOptions;
 use crate::cost::CostBreakdown;
-use crate::queue_channel::ChannelOptions;
 use fsd_comm::{CloudConfig, MeterSnapshot, VirtualTime};
 use fsd_faas::{ComputeModel, LambdaSnapshot, MAX_MEMORY_MB};
 use fsd_partition::PartitionScheme;
@@ -235,9 +235,6 @@ pub struct InferenceReport {
     pub cost_actual: CostBreakdown,
     /// Cost from the application's own metrics (§VI-F validation).
     pub cost_predicted: CostBreakdown,
-    /// The inference result of the first batch.
-    #[deprecated(since = "0.2.0", note = "use first_output() or the outputs vec")]
-    pub output: SparseRows,
     /// Results of every batch, in order (never empty).
     pub outputs: Vec<SparseRows>,
     /// Total samples across batches.

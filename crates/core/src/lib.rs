@@ -2,19 +2,23 @@
 //!
 //! The paper's primary contribution, faithfully reproduced:
 //!
-//! * **FSI Algorithms 1 & 2** ([`worker`] + the two channels): intra-layer
+//! * **FSI Algorithms 1 & 2** ([`worker`] + one channel engine): intra-layer
 //!   model parallelism over disconnected FaaS instances, with communication
-//!   overlapped against the local sparse product;
-//! * **[`QueueChannel`]** — pub-sub + per-worker queues, byte-string
-//!   chunking by NNZ heuristic, ≤10-message/≤256 KiB publish batching,
-//!   service-side filter fan-out, long polling;
-//! * **[`ObjectChannel`]** — one object per (source, target) pair, multiple
-//!   buckets, `.nul` markers, redundant-read avoidance;
-//! * **[`HybridChannel`]** — queue control plane with payloads above
-//!   [`ChannelOptions::spill_threshold`] spilled to object storage behind
-//!   in-queue pointer records (the paper's deployed mixed regime);
-//! * **[`DirectChannel`]** — FMI-style NAT-punched direct exchange, zero
-//!   per-message API cost after the pairwise handshake;
+//!   overlapped against the local sparse product. The engine (pack → frame
+//!   → lane-send / drain → track → settle, behind [`FsiChannel`]) is written
+//!   once and runs over four carriers, selected by [`Variant`] through the
+//!   [`ChannelRegistry`]:
+//!   * **queue** — pub-sub + per-worker queues, byte-string chunking by NNZ
+//!     heuristic, ≤10-message/≤256 KiB publish batching, service-side
+//!     filter fan-out, long polling;
+//!   * **object** — one object per (source, target) pair, multiple buckets,
+//!     `.nul` markers, redundant-read avoidance;
+//!   * **hybrid** — the queue carrier plus the object carrier: payloads
+//!     above [`ChannelOptions::spill_threshold`] are spilled to object
+//!     storage behind in-queue pointer records (the paper's deployed mixed
+//!     regime);
+//!   * **direct** — FMI-style NAT-punched direct exchange, zero per-message
+//!     API cost after the pairwise handshake;
 //! * **hierarchical launch** — `worker_invoke_children` b-ary tree;
 //! * **multicast weight streaming** — [`EngineConfig::stream_weights`]:
 //!   λScale-style cold starts where rank 0 fetches each weight block once
@@ -62,17 +66,14 @@
 
 mod artifacts;
 mod builder;
+mod carrier;
 pub mod channel;
 pub mod cost;
-mod direct_channel;
 mod engine;
 mod error;
 mod health;
-mod hybrid_channel;
-mod object_channel;
 mod pool;
 mod provider;
-mod queue_channel;
 mod recommend;
 mod retry;
 mod service;
@@ -88,22 +89,15 @@ pub use artifacts::{
     stage_partitioned_model, LayerSlot, WorkerArtifacts, ARTIFACT_BUCKET,
 };
 pub use builder::ServiceBuilder;
-pub use channel::{barrier, reduce, FsiChannel, RecvTracker, Tag};
-pub use direct_channel::DirectChannel;
+pub use channel::{barrier, reduce, ChannelOptions, FsiChannel, RecvTracker, Tag};
 pub use engine::{
     BatchedRequest, EngineConfig, InferenceReport, InferenceRequest, LaunchPath, Variant,
     WorkerReport,
 };
 pub use error::FsdError;
 pub use health::{BreakerState, HealthSnapshot, TransportHealthSnapshot};
-pub use hybrid_channel::HybridChannel;
-pub use object_channel::ObjectChannel;
 pub use pool::{ManualClock, SystemClock, WallClock, WarmPoolConfig, WarmPoolStats};
-pub use provider::{
-    ChannelProvider, ChannelRegistry, DirectChannelProvider, HybridChannelProvider,
-    ObjectChannelProvider, QueueChannelProvider,
-};
-pub use queue_channel::{ChannelOptions, QueueChannel};
+pub use provider::{ChannelProvider, ChannelRegistry};
 pub use retry::RetryPolicy;
 
 pub use recommend::{

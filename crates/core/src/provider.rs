@@ -1,19 +1,16 @@
 //! Channel providers: uniform construction of communication backends.
 //!
-//! The engine used to hard-match `Variant::Queue`/`Variant::Object` onto
-//! concrete channel constructors; adding a transport meant editing the
-//! engine. [`ChannelProvider`] inverts that: each backend registers under a
-//! name in a [`ChannelRegistry`], the service looks the name up per request
-//! and provisions a **request-scoped** channel instance (FMI-style uniform
-//! channel interface). Custom transports plug in through
+//! Each backend registers under a name in a [`ChannelRegistry`]; the
+//! service looks the name up per request and provisions a
+//! **request-scoped** channel instance (FMI-style uniform channel
+//! interface). The four built-in transports are one provider type — the
+//! channel engine bound to a different carrier (see `carrier/mod.rs`) —
+//! and custom transports plug in through
 //! `ServiceBuilder::register_channel` without touching the request path.
 
-use crate::channel::FsiChannel;
-use crate::direct_channel::DirectChannel;
+use crate::carrier::{DirectCarrier, Engine, HybridCarrier, ObjectCarrier, QueueCarrier};
+use crate::channel::{ChannelOptions, FsiChannel};
 use crate::engine::Variant;
-use crate::hybrid_channel::HybridChannel;
-use crate::object_channel::ObjectChannel;
-use crate::queue_channel::{ChannelOptions, QueueChannel};
 use fsd_comm::CloudEnv;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -34,33 +31,16 @@ pub trait ChannelProvider: Send + Sync {
     ) -> Arc<dyn FsiChannel>;
 }
 
-/// Provider for the pub-sub/queueing channel (FSI Algorithm 1).
-#[derive(Debug, Default, Clone, Copy)]
-pub struct QueueChannelProvider;
-
-impl ChannelProvider for QueueChannelProvider {
-    fn name(&self) -> &'static str {
-        "queue"
-    }
-
-    fn provision(
-        &self,
-        env: &Arc<CloudEnv>,
-        n_workers: u32,
-        opts: ChannelOptions,
-        flow: u64,
-    ) -> Arc<dyn FsiChannel> {
-        QueueChannel::setup_scoped(env.clone(), n_workers, opts, flow)
-    }
+/// Provider of one built-in transport: the channel engine over the
+/// variant's carrier.
+struct Builtin {
+    name: &'static str,
+    bind: fn(&Arc<CloudEnv>, u32, ChannelOptions, u64) -> Arc<dyn FsiChannel>,
 }
 
-/// Provider for the object-storage channel (FSI Algorithm 2).
-#[derive(Debug, Default, Clone, Copy)]
-pub struct ObjectChannelProvider;
-
-impl ChannelProvider for ObjectChannelProvider {
+impl ChannelProvider for Builtin {
     fn name(&self) -> &'static str {
-        "object"
+        self.name
     }
 
     fn provision(
@@ -70,49 +50,7 @@ impl ChannelProvider for ObjectChannelProvider {
         opts: ChannelOptions,
         flow: u64,
     ) -> Arc<dyn FsiChannel> {
-        ObjectChannel::setup_scoped(env.clone(), n_workers, opts, flow)
-    }
-}
-
-/// Provider for the hybrid channel: queue control plane with payloads
-/// above [`ChannelOptions::spill_threshold`] spilled to object storage.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct HybridChannelProvider;
-
-impl ChannelProvider for HybridChannelProvider {
-    fn name(&self) -> &'static str {
-        "hybrid"
-    }
-
-    fn provision(
-        &self,
-        env: &Arc<CloudEnv>,
-        n_workers: u32,
-        opts: ChannelOptions,
-        flow: u64,
-    ) -> Arc<dyn FsiChannel> {
-        HybridChannel::setup_scoped(env.clone(), n_workers, opts, flow)
-    }
-}
-
-/// Provider for the FMI-style direct-exchange channel (NAT-punched
-/// pairwise connections, zero per-message API cost).
-#[derive(Debug, Default, Clone, Copy)]
-pub struct DirectChannelProvider;
-
-impl ChannelProvider for DirectChannelProvider {
-    fn name(&self) -> &'static str {
-        "direct"
-    }
-
-    fn provision(
-        &self,
-        env: &Arc<CloudEnv>,
-        n_workers: u32,
-        opts: ChannelOptions,
-        flow: u64,
-    ) -> Arc<dyn FsiChannel> {
-        DirectChannel::setup_scoped(env.clone(), n_workers, opts, flow)
+        (self.bind)(env, n_workers, opts, flow)
     }
 }
 
@@ -132,26 +70,22 @@ impl ChannelRegistry {
     /// A registry holding the built-in transports, assembled by iterating
     /// [`Variant::ALL`] with an exhaustive match: a new variant with a
     /// channel fails to compile (and fails the `variant-exhaustive` lint)
-    /// right here until its provider is wired in, so the registry list can
+    /// right here until its carrier is wired in, so the registry list can
     /// never drift from the enum.
     pub fn with_builtins() -> ChannelRegistry {
         let mut r = ChannelRegistry::empty();
         for v in Variant::ALL {
-            let provider: Option<Arc<dyn ChannelProvider>> = match v {
-                Variant::Serial | Variant::Auto => None,
-                Variant::Queue => Some(Arc::new(QueueChannelProvider)),
-                Variant::Object => Some(Arc::new(ObjectChannelProvider)),
-                Variant::Hybrid => Some(Arc::new(HybridChannelProvider)),
-                Variant::Direct => Some(Arc::new(DirectChannelProvider)),
+            let bind = match v {
+                Variant::Serial | Variant::Auto => continue,
+                Variant::Queue => Engine::<QueueCarrier>::bind,
+                Variant::Object => Engine::<ObjectCarrier>::bind,
+                Variant::Hybrid => Engine::<HybridCarrier>::bind,
+                Variant::Direct => Engine::<DirectCarrier>::bind,
             };
-            if let Some(p) = provider {
-                debug_assert_eq!(
-                    Some(p.name()),
-                    v.channel_name(),
-                    "provider registered under a name different from its variant's channel_name"
-                );
-                r.register(p);
-            }
+            let name = v
+                .channel_name()
+                .expect("variants with a carrier name a channel");
+            r.register(Arc::new(Builtin { name, bind }));
         }
         r
     }
@@ -250,9 +184,11 @@ mod tests {
 
     #[test]
     fn registration_replaces_by_name() {
+        let builtins = ChannelRegistry::with_builtins();
+        let queue = builtins.get("queue").expect("queue");
         let mut r = ChannelRegistry::empty();
-        r.register(Arc::new(QueueChannelProvider));
-        r.register(Arc::new(QueueChannelProvider));
-        assert_eq!(r.names().len(), 1);
+        r.register(queue.clone());
+        r.register(queue.clone());
+        assert_eq!(r.names(), vec!["queue"]);
     }
 }

@@ -496,7 +496,6 @@ impl FsdService {
         let cost_predicted = self
             .cost
             .predicted(&lambda, &client, root_out.artifact_gets, 0);
-        #[allow(deprecated)]
         Ok(InferenceReport {
             variant: resolved,
             workers: p,
@@ -509,7 +508,6 @@ impl FsdService {
             client,
             cost_actual,
             cost_predicted,
-            output: outputs[0].clone(),
             outputs,
             samples,
             work_done: root_out.work_done,
@@ -881,24 +879,6 @@ impl FsdService {
         }
         self.env.faults().inject(fault);
         true
-    }
-
-    /// Failure injection (tests/chaos): arms a kill switch on worker
-    /// `rank` of one *parked* tree matching the shape, so the next request
-    /// routed into it loses that instance mid-request. Returns whether a
-    /// parked tree matched.
-    #[deprecated(
-        note = "use FsdService::inject_fault(FsdService::warm_worker_fault(..)) — the \
-                unified fault-plane surface"
-    )]
-    pub fn inject_warm_failure(
-        &self,
-        variant: Variant,
-        workers: u32,
-        memory_mb: u32,
-        rank: u32,
-    ) -> bool {
-        self.inject_fault(Self::warm_worker_fault(variant, workers, memory_mb, rank))
     }
 
     /// The single §IV-C resolution point: resolves a (possibly
@@ -1404,7 +1384,7 @@ mod tests {
 
     #[test]
     fn hybrid_spilling_requests_stay_correct_and_clean() {
-        use crate::queue_channel::ChannelOptions;
+        use crate::channel::ChannelOptions;
         let spec = DnnSpec {
             neurons: 64,
             layers: 3,

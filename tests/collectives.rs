@@ -1,25 +1,31 @@
-//! Collectives (barrier / reduce) over both serverless channels, at
+//! Collectives (barrier / reduce) over the serverless channels, at
 //! varying worker counts — the MPI-style primitives of §II-B objective 6.
 
 use fsd_inference::comm::{CloudConfig, CloudEnv, VirtualTime};
-use fsd_inference::core::{
-    barrier, reduce, ChannelOptions, ChannelRegistry, FsiChannel, ObjectChannel, QueueChannel,
-};
+use fsd_inference::core::{barrier, reduce, ChannelOptions, ChannelRegistry, FsiChannel};
 use fsd_inference::faas::{ComputeModel, FaasPlatform, FunctionConfig};
 use fsd_inference::sparse::SparseRows;
 use std::sync::Arc;
 
 mod common;
 
-/// Builds the env-selected channel (flow 0) through the provider registry
-/// — the same construction path the service uses per request.
-fn selected_channel(env: &Arc<CloudEnv>, p: u32) -> Arc<dyn FsiChannel> {
-    let variant = common::test_variant();
-    let name = variant.channel_name().expect("matrix selects channels");
+/// Builds the named built-in channel (flow 0) through the provider
+/// registry — the same construction path the service uses per request.
+fn channel(env: &Arc<CloudEnv>, name: &str, p: u32) -> Arc<dyn FsiChannel> {
     ChannelRegistry::with_builtins()
         .get(name)
-        .unwrap_or_else(|| panic!("no provider for {variant}"))
+        .unwrap_or_else(|| panic!("no provider for {name}"))
         .provision(env, p, ChannelOptions::default(), 0)
+}
+
+/// The channel the CI matrix selected.
+fn selected_channel(env: &Arc<CloudEnv>, p: u32) -> Arc<dyn FsiChannel> {
+    let variant = common::test_variant();
+    channel(
+        env,
+        variant.channel_name().expect("matrix selects channels"),
+        p,
+    )
 }
 
 fn rows_for(rank: u32) -> SparseRows {
@@ -75,7 +81,7 @@ fn run_collective(
 fn reduce_collects_every_workers_rows_queue() {
     for p in [2u32, 4, 7] {
         let env = CloudEnv::new(CloudConfig::deterministic(p as u64));
-        let ch = QueueChannel::setup(env.clone(), p, ChannelOptions::default());
+        let ch = channel(&env, "queue", p);
         let (rows, _) = run_collective(env, ch, p);
         let expected_ids: Vec<u32> = (0..p).map(|m| m * 5).collect();
         assert_eq!(rows.ids(), &expected_ids[..], "queue P={p}");
@@ -93,7 +99,7 @@ fn reduce_collects_every_workers_rows_queue() {
 fn reduce_collects_every_workers_rows_object() {
     for p in [2u32, 5] {
         let env = CloudEnv::new(CloudConfig::deterministic(100 + p as u64));
-        let ch = ObjectChannel::setup(env.clone(), p, ChannelOptions::default());
+        let ch = channel(&env, "object", p);
         let (rows, _) = run_collective(env, ch, p);
         assert_eq!(rows.n_rows(), p as usize, "object P={p}");
     }
@@ -147,7 +153,7 @@ fn barrier_synchronizes_staggered_workers() {
     // nobody passes it until the slowest arrives, so finish times cluster.
     let p = 4u32;
     let env = CloudEnv::new(CloudConfig::deterministic(200));
-    let ch = QueueChannel::setup(env.clone(), p, ChannelOptions::default());
+    let ch = channel(&env, "queue", p);
     let (_, finishes) = run_collective(env, ch, p);
     let min = finishes.iter().min().expect("non-empty").as_secs_f64();
     let max = finishes.iter().max().expect("non-empty").as_secs_f64();
@@ -163,7 +169,7 @@ fn barrier_synchronizes_staggered_workers() {
 #[test]
 fn single_worker_collectives_are_noops() {
     let env = CloudEnv::new(CloudConfig::deterministic(300));
-    let ch = QueueChannel::setup(env.clone(), 1, ChannelOptions::default());
+    let ch = channel(&env, "queue", 1);
     let platform = FaasPlatform::new(env.clone(), ComputeModel::default());
     let (out, _) = platform
         .invoke(
@@ -187,7 +193,7 @@ fn single_worker_collectives_are_noops() {
 fn consecutive_barrier_rounds_do_not_collide() {
     let p = 3u32;
     let env = CloudEnv::new(CloudConfig::deterministic(400));
-    let ch = QueueChannel::setup(env.clone(), p, ChannelOptions::default());
+    let ch = channel(&env, "queue", p);
     let platform = FaasPlatform::new(env, ComputeModel::default());
     let mut handles = Vec::new();
     for m in 0..p {

@@ -3,7 +3,8 @@
 //! enforcement under arbitrary traffic patterns.
 
 use fsd_inference::comm::{
-    bucket_name, quota, CloudConfig, CloudEnv, Message, MessageAttributes, VClock, VirtualTime,
+    bucket_name, quota, CloudConfig, CloudEnv, Message, MessageAttributes, PollKind, VClock,
+    VirtualTime,
 };
 use fsd_inference::core::{ChannelOptions, ChannelRegistry, RecvTracker, Tag};
 use fsd_inference::faas::{ComputeModel, FaasError, FaasPlatform, FunctionConfig, WorkerCtx};
@@ -73,7 +74,7 @@ proptest! {
         let mut clock = VClock::default();
         let mut got: Vec<(u32, Vec<u8>)> = Vec::new();
         while got.len() < bodies.len() {
-            let (msgs, _) = q.receive_wait(&mut clock, 1.0);
+            let msgs = q.poll(&mut clock, PollKind::Long { wait_secs: 1.0 });
             prop_assert!(!msgs.is_empty(), "queue lost messages");
             prop_assert!(msgs.len() <= quota::MAX_BATCH_MESSAGES);
             let handles: Vec<u64> = msgs.iter().map(|m| m.handle).collect();

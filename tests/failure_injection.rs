@@ -37,11 +37,11 @@ fn visibility_timeout_redelivers_undeleted_messages() {
     let q = env.queue("crash-test");
     q.enqueue(VirtualTime::ZERO, msg(1, b"precious"));
     let mut clock = VClock::default();
-    let (got, _) = q.receive_wait(&mut clock, 1.0);
+    let got = q.poll(&mut clock, PollKind::Long { wait_secs: 1.0 });
     assert_eq!(got.len(), 1);
     // Consumer "crashes" here — no delete. Expiry returns it to the queue.
     q.requeue_in_flight();
-    let (again, _) = q.receive_wait(&mut clock, 1.0);
+    let again = q.poll(&mut clock, PollKind::Long { wait_secs: 1.0 });
     assert_eq!(again.len(), 1);
     assert_eq!(again[0].message.body, b"precious");
     assert_ne!(
