@@ -13,11 +13,16 @@
 //!   `env.reset_channels()` wipe (which was a shared-state bug under
 //!   concurrency);
 //! * channels are provisioned per request through the
-//!   [`ChannelRegistry`](crate::ChannelRegistry) and torn down when the
-//!   request's worker tree has been joined.
+//!   [`ChannelRegistry`](crate::ChannelRegistry) and torn down once the
+//!   request's work item has run on its worker tree (after the tree's
+//!   instances are joined, if the item failed).
+//!
+//! There is one launch path for distributed requests (`run_pass`): acquire
+//! a worker tree — a warm-pool checkout, else a launch billed to the
+//! request — run the request on it as one work item, release the tree.
+//! Without a pool the tree simply lives for that one item.
 
 use crate::artifacts::{stage_full_model, stage_inputs, stage_partitioned_model, ARTIFACT_BUCKET};
-use crate::channel::FsiChannel;
 use crate::cost::CostModel;
 use crate::engine::{
     BatchedRequest, EngineConfig, InferenceReport, InferenceRequest, LaunchPath, Variant,
@@ -26,20 +31,19 @@ use crate::engine::{
 use crate::error::FsdError;
 use crate::health::{HealthBoard, HealthSnapshot};
 use crate::pool::{SystemClock, TreePool, WallClock, WarmPoolConfig, WarmPoolStats};
-use crate::provider::ChannelRegistry;
+use crate::provider::{ChannelProvider, ChannelRegistry};
 use crate::recommend::{self, Recommendation, WorkloadProfile};
-use crate::stats::ChannelStatsSnapshot;
 use crate::warm::{TreeKey, TreeParams, WorkItem, WorkerTree};
 use crate::weight_cache::WeightCache;
-use crate::worker::{run_serial, run_worker, WorkerOutput, WorkerParams};
-use fsd_comm::{ApiClass, CloudEnv, FaultKind, MeterSnapshot, TargetedFault, VClock, VirtualTime};
-use fsd_faas::{launch, FaasError, FaasPlatform, FunctionConfig, InvocationReport, LambdaSnapshot};
+use crate::worker::{run_serial, RunOutput};
+use fsd_comm::{ApiClass, CloudEnv, FaultKind, MeterSnapshot, TargetedFault, VirtualTime};
+use fsd_faas::{FaasError, FaasPlatform, FunctionConfig, LambdaSnapshot};
 use fsd_model::SparseDnn;
 use fsd_partition::{partition_model, CommPlan, Partition};
 use fsd_sparse::codec;
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Offline staging state shared by all requests (read-mostly).
@@ -97,8 +101,8 @@ pub struct FsdService {
     stage_lock: Mutex<()>,
     /// Request counter; its successor is the request's flow id.
     requests: AtomicU64,
-    /// The warm-tree pool (`ServiceBuilder::warm_pool`); `None` keeps the
-    /// original launch-per-request behavior. `Arc` so the background
+    /// The warm-tree pool (`ServiceBuilder::warm_pool`); without one every
+    /// request's tree lives for that request only. `Arc` so the background
     /// reaper thread can hold the pool without borrowing the service.
     pool: Option<Arc<TreePool>>,
     /// Per-transport error-rate scoreboard + circuit breakers; drives
@@ -256,22 +260,6 @@ impl FsdService {
         &self.weight_cache
     }
 
-    /// The request-independent launch parameters of a persistent tree of
-    /// `n_workers × memory_mb` instances — the single construction point,
-    /// so every launch path agrees on streaming mode and shares the one
-    /// weight cache.
-    fn tree_params(&self, n_workers: u32, memory_mb: u32) -> TreeParams {
-        TreeParams {
-            n_workers,
-            branching: self.cfg.branching,
-            memory_mb,
-            model_key: self.model_key.clone(),
-            spec: *self.dnn.spec(),
-            stream: self.cfg.stream_weights,
-            cache: self.weight_cache.clone(),
-        }
-    }
-
     /// The partition used for `P` workers (staging it if needed). `P ≤ 1`
     /// returns the degenerate 1-way partition.
     pub fn partition(&self, p: u32) -> Arc<Partition> {
@@ -377,68 +365,59 @@ impl FsdService {
         if req.batches.is_empty() {
             return Err(FsdError::EmptyRequest);
         }
-        let resolved = self.resolve_variant(req);
-        let p = if resolved == Variant::Serial {
-            1
-        } else {
-            req.workers.max(1)
-        };
-        if resolved == Variant::Serial {
+        let Some(key) = self.tree_key(req) else {
+            // Serial: one instance holds the whole model; no tree, no channel.
             self.prepare(1);
-        } else {
-            // Distributed paths read per-worker artifacts even when the
-            // tree degenerates to one worker, so stage a partition for
-            // any P ≥ 1.
-            self.ensure_partition(p);
-        }
-
-        // The flow id namespaces everything this request touches.
-        let flow = self.requests.fetch_add(1, Ordering::Relaxed) + 1;
-        let input_key = format!("inputs/req{flow}");
-        let partition = if resolved == Variant::Serial {
-            None
-        } else {
-            Some(self.state.read().partitions[&p].partition.clone())
+            let flow = self.stage_request(req, None);
+            let ran = self.launch_serial(flow, req.batches.len());
+            return self.finalize_report(Variant::Serial, 1, req, flow, ran.map_err(Into::into));
         };
-        for (b, batch) in req.batches.iter().enumerate() {
-            stage_inputs(
-                &self.env,
-                &format!("{input_key}/b{b}"),
-                batch,
-                partition.as_deref(),
-            );
-        }
-
-        // Requests arrive at the origin of their own virtual timeline. The
-        // billing window is the request's *flow*: every worker launched
-        // below carries the flow on its clock, so the service meters bucket
-        // this request's events separately from concurrent neighbors'
-        // (offline staging uses unbilled writes and never shows up).
-        let samples: usize = req.batches.iter().map(|b| b.width()).sum();
-        let widths: Vec<usize> = req.batches.iter().map(|b| b.width()).collect();
-
-        let launched = self.execute(resolved, p, req.memory_mb, &input_key, &widths, flow);
-        self.finalize_report(resolved, p, samples, &input_key, flow, launched)
+        self.run_pass(key, std::slice::from_ref(req))
+            .pop()
+            .expect("one result per member")
     }
 
-    /// The shared request-teardown tail of [`FsdService::submit_batched`]
-    /// and [`FsdService::submit_coalesced`]: deletes the request's input
+    /// The tree shape a (non-empty) request runs on once its variant is
+    /// resolved; `None` when that is Serial, which runs no tree.
+    fn tree_key(&self, req: &BatchedRequest) -> Option<TreeKey> {
+        let variant = self.resolve_variant(req);
+        variant.channel_name().map(|_| TreeKey {
+            variant,
+            workers: req.workers.max(1),
+            memory_mb: req.memory_mb,
+        })
+    }
+
+    /// Accepts a request: allocates its flow id — which namespaces
+    /// everything the request touches and is its billing window on every
+    /// meter (offline staging uses unbilled writes and never shows up) —
+    /// and stages its input batches under [`input_key`].
+    fn stage_request(&self, req: &BatchedRequest, partition: Option<&Partition>) -> u64 {
+        let flow = self.requests.fetch_add(1, Ordering::Relaxed) + 1;
+        for (b, batch) in req.batches.iter().enumerate() {
+            let key = format!("{}/b{b}", input_key(flow));
+            stage_inputs(&self.env, &key, batch, partition);
+        }
+        flow
+    }
+
+    /// The shared request-teardown tail: deletes the request's input
     /// artifacts, harvests and releases its flow-scoped billing windows
     /// (success or not — a long-lived service must not accrete per-flow
-    /// buckets), and assembles the [`InferenceReport`].
+    /// buckets), and assembles the [`InferenceReport`]. Every instance
+    /// that could still bill `flow` must have been joined by now.
     fn finalize_report(
         &self,
         resolved: Variant,
         p: u32,
-        samples: usize,
-        input_key: &str,
+        req: &BatchedRequest,
         flow: u64,
-        launched: ExecuteResult,
+        ran: Result<RunOutput, FsdError>,
     ) -> Result<InferenceReport, FsdError> {
         // Feed the transport scoreboard: a communication failure marks the
         // transport unhealthy; compute-side errors (OOM, timeout, missing
         // output) say nothing about it and are not recorded.
-        match &launched {
+        match &ran {
             Ok(_) => self.health.record(resolved, true),
             Err(FsdError::Comm(_)) => self.health.record(resolved, false),
             Err(_) => {}
@@ -448,14 +427,13 @@ impl FsdService {
         // not); remove them so a long-lived service does not accrete state.
         self.env
             .object_store()
-            .delete_prefix(ARTIFACT_BUCKET, &format!("{input_key}/"));
-        // Streamed launches close their flow's weight mailboxes after the
-        // last rank joins; repeat here unconditionally so an attempt that
-        // died before joining cannot leak parked frames past release.
+            .delete_prefix(ARTIFACT_BUCKET, &format!("{}/", input_key(flow)));
+        // A streamed tree closes its launch flow's weight mailboxes when it
+        // shuts down; a parked tree has not yet, so close them here too.
         self.env.weight_net().close_flow(flow);
         let comm = self.env.release_flow(flow);
         let lambda: LambdaSnapshot = self.platform.lambda_meter().release_flow(flow);
-        let (root_out, reports, client, launch_path) = match launched {
+        let run = match ran {
             Ok(run) => run,
             Err(e) => {
                 // The attempt failed but its calls were made and billed
@@ -470,7 +448,8 @@ impl FsdService {
                 return Err(e);
             }
         };
-        let per_worker: Vec<WorkerReport> = reports
+        let per_worker: Vec<WorkerReport> = run
+            .reports
             .iter()
             .map(|(rank, r)| WorkerReport {
                 rank: *rank,
@@ -488,29 +467,28 @@ impl FsdService {
             .ok_or(FsdError::NoWorkerReports)?;
         let latency =
             VirtualTime::from_micros(last_finish.as_micros().saturating_sub(arrival.as_micros()));
-        let outputs = root_out.final_batches.ok_or(FsdError::MissingOutput)?;
-        if outputs.is_empty() {
+        if run.final_batches.is_empty() {
             return Err(FsdError::MissingOutput);
         }
         let cost_actual = self.cost.actual(&lambda, &comm);
         let cost_predicted = self
             .cost
-            .predicted(&lambda, &client, root_out.artifact_gets, 0);
+            .predicted(&lambda, &run.client, run.artifact_gets, 0);
         Ok(InferenceReport {
             variant: resolved,
             workers: p,
-            launch: launch_path,
+            launch: run.launch,
             arrival,
             latency,
             per_worker,
             comm,
             lambda,
-            client,
+            client: run.client,
             cost_actual,
             cost_predicted,
-            outputs,
-            samples,
-            work_done: root_out.work_done,
+            outputs: run.final_batches,
+            samples: req.batches.iter().map(|b| b.width()).sum(),
+            work_done: run.work_done,
         })
     }
 
@@ -537,173 +515,167 @@ impl FsdService {
         &self,
         reqs: &[BatchedRequest],
     ) -> Vec<Result<InferenceReport, FsdError>> {
-        if reqs.len() <= 1 {
-            return reqs.iter().map(|r| self.submit_batched(r)).collect();
-        }
-        let shape_of = |r: &BatchedRequest| -> Option<(Variant, u32, u32)> {
+        let shape_of = |r: &BatchedRequest| {
             if r.batches.is_empty() {
                 return None;
             }
-            let v = self.resolve_variant(r);
-            v.channel_name().map(|_| (v, r.workers.max(1), r.memory_mb))
+            self.tree_key(r)
         };
-        let Some(shared_shape) = shape_of(&reqs[0]) else {
-            return reqs.iter().map(|r| self.submit_batched(r)).collect();
-        };
-        if reqs[1..].iter().any(|r| shape_of(r) != Some(shared_shape)) {
-            return reqs.iter().map(|r| self.submit_batched(r)).collect();
+        match reqs.first().and_then(shape_of) {
+            Some(key) if reqs[1..].iter().all(|r| shape_of(r) == Some(key)) => {
+                self.run_pass(key, reqs)
+            }
+            _ => reqs.iter().map(|r| self.submit_batched(r)).collect(),
         }
-        let (routed, p, memory_mb) = shared_shape;
-        let name = routed.channel_name().expect("channel shape checked above");
+    }
+
+    /// The one launch path. Runs `reqs` — all resolved to shape `key`, at
+    /// least one — back to back on one worker tree: acquire it for the
+    /// first member (pool checkout, else a launch billed to that member's
+    /// flow), run each member as one [`WorkItem`], release the tree (pool
+    /// check-in or discard; without a pool, drop — which joins every
+    /// instance) and only then close the last member's flow window, so no
+    /// instance can bill a released flow. A pool-less single request is
+    /// the degenerate pass: a tree that lives for one work item.
+    fn run_pass(
+        &self,
+        key: TreeKey,
+        reqs: &[BatchedRequest],
+    ) -> Vec<Result<InferenceReport, FsdError>> {
+        let name = key
+            .variant
+            .channel_name()
+            .expect("a tree shape's variant names a channel");
         let Some(provider) = self.registry.get(name) else {
-            // No provider registered: every member fails exactly as its
-            // sequential submission would.
-            return reqs.iter().map(|r| self.submit_batched(r)).collect();
+            let unknown = || FsdError::UnknownChannel {
+                name: name.to_string(),
+            };
+            return reqs.iter().map(|_| Err(unknown())).collect();
         };
+        let p = key.workers;
+        // Distributed paths read per-worker artifacts even when the tree
+        // degenerates to one worker, so a partition is staged for any P.
         self.ensure_partition(p);
         let partition = self.state.read().partitions[&p].partition.clone();
-        let key = TreeKey {
-            variant: routed,
-            workers: p,
-            memory_mb,
-        };
-
-        let mut results: Vec<Result<InferenceReport, FsdError>> = Vec::with_capacity(reqs.len());
-        // Acquired lazily on the first member so a cold launch is billed
-        // to that member's flow; the `bool` records a warm checkout.
-        let mut tree_slot: Option<(WorkerTree, bool)> = None;
+        let mut results = Vec::with_capacity(reqs.len());
+        let mut tree: Option<WorkerTree> = None;
         for (i, req) in reqs.iter().enumerate() {
-            let flow = self.requests.fetch_add(1, Ordering::Relaxed) + 1;
-            let input_key = format!("inputs/req{flow}");
-            for (b, batch) in req.batches.iter().enumerate() {
-                stage_inputs(
-                    &self.env,
-                    &format!("{input_key}/b{b}"),
-                    batch,
-                    Some(&partition),
-                );
+            let flow = self.stage_request(req, Some(&partition));
+            let ran = self.run_member(provider.as_ref(), key, req, flow, &mut tree);
+            let rest = &reqs[i + 1..];
+            if let Some(tree) = tree.take_if(|_| rest.is_empty()) {
+                self.release_tree(tree, false);
             }
-            let samples: usize = req.batches.iter().map(|b| b.width()).sum();
-            let widths: Vec<usize> = req.batches.iter().map(|b| b.width()).collect();
-            if tree_slot.is_none() {
-                match self.acquire_coalition_tree(key, flow) {
-                    Ok(acquired) => tree_slot = Some(acquired),
-                    Err(e) => {
-                        // The launch failed before any member ran: this
-                        // member reports the error, the rest fall back to
-                        // sequential execution (each pays its own launch).
-                        results.push(self.finalize_report(
-                            routed,
-                            p,
-                            samples,
-                            &input_key,
-                            flow,
-                            Err(e),
-                        ));
-                        results.extend(reqs[i + 1..].iter().map(|r| self.submit_batched(r)));
-                        return results;
-                    }
-                }
-            }
-            let (tree, from_warm_checkout) =
-                tree_slot.as_mut().expect("coalition tree acquired above");
-            // Member 0 of a cold launch pays the launch bill; every other
-            // member lands on the already-resident tree: one control-plane
-            // hop, billed (begin_request) under its own flow.
-            let warm = *from_warm_checkout || i > 0;
-            let channel = provider.provision(&self.env, p, self.cfg.channel, flow);
-            let dispatch_at = VirtualTime::from_micros(
-                self.env.jitter().apply(self.env.latency().lambda_invoke_us),
-            );
-            let item = WorkItem {
-                warm,
-                flow,
-                input_key: input_key.clone(),
-                batch_widths: widths.clone(),
-                channel: channel.clone(),
-                dispatch_at,
-            };
-            let ran = tree.run(item);
-            // Harvest request-local stats, then release the member's
-            // queues/subscriptions/objects — error or not.
-            let client = channel.stats().snapshot();
-            channel.teardown();
-            match ran {
-                Ok(out) => {
-                    let root_out = WorkerOutput {
-                        rank: 0,
-                        final_batches: Some(out.final_batches),
-                        subtree_reports: Vec::new(),
-                        artifact_gets: out.artifact_gets,
-                        work_done: out.work_done,
-                    };
-                    let path = if warm {
-                        LaunchPath::WarmHit
-                    } else {
-                        LaunchPath::ColdStart
-                    };
-                    results.push(self.finalize_report(
-                        routed,
-                        p,
-                        samples,
-                        &input_key,
-                        flow,
-                        Ok((root_out, out.reports, client, path)),
-                    ));
-                }
-                Err(e) => {
-                    // A worker died mid-pass: the tree may be poisoned —
-                    // never reuse it. This member reports the error; the
-                    // remaining members run sequentially.
-                    let (dead, _) = tree_slot.take().expect("coalition tree held");
-                    match &self.pool {
-                        Some(pool) => pool.discard(dead),
-                        None => drop(dead), // Drop shuts the tree down.
-                    }
-                    results.push(self.finalize_report(
-                        routed,
-                        p,
-                        samples,
-                        &input_key,
-                        flow,
-                        Err(e.into()),
-                    ));
-                    results.extend(reqs[i + 1..].iter().map(|r| self.submit_batched(r)));
-                    return results;
-                }
-            }
-        }
-        if let Some((tree, _)) = tree_slot {
-            match &self.pool {
-                // Checkin at pass teardown: the tree parks for the next
-                // matching request (or coalition).
-                Some(pool) => pool.checkin(tree),
-                None => drop(tree),
+            let failed = ran.is_err();
+            results.push(self.finalize_report(key.variant, p, req, flow, ran));
+            if failed {
+                // The tree is gone (never reuse a possibly poisoned one):
+                // this member reports the error, the rest run sequentially,
+                // each on a tree of its own.
+                results.extend(rest.iter().map(|r| self.submit_batched(r)));
+                break;
             }
         }
         results
     }
 
-    /// Acquires the single tree a coalesced pass runs on: a warm-pool
-    /// checkout when a matching tree is parked, otherwise a cold launch of
-    /// a persistent tree billed to `flow` (the first member). Returns the
-    /// tree and whether it came from a warm checkout.
-    fn acquire_coalition_tree(
+    /// Runs one member of a pass on the tree in `slot`, acquiring it first
+    /// if the slot is empty. A member that lands on a resident tree — a
+    /// pool checkout, or one an earlier member of the pass left in the
+    /// slot — is `warm`: one control-plane hop, billed under its own flow.
+    /// Only the member whose flow launched the tree pays the launch bill.
+    /// On failure the tree is taken out of the slot and discarded (joined)
+    /// *before* the member's channel is torn down, so no straggler touches
+    /// a torn-down channel.
+    fn run_member(
         &self,
+        provider: &dyn ChannelProvider,
         key: TreeKey,
+        req: &BatchedRequest,
         flow: u64,
-    ) -> Result<(WorkerTree, bool), FsdError> {
-        if let Some(tree) = self.pool.as_ref().and_then(|pool| pool.checkout(key)) {
-            return Ok((tree, true));
+        slot: &mut Option<WorkerTree>,
+    ) -> Result<RunOutput, FsdError> {
+        let mut warm = true;
+        if slot.is_none() {
+            *slot = self.pool.as_ref().and_then(|pool| pool.checkout(key));
         }
-        let params = self.tree_params(key.workers, key.memory_mb);
+        let tree = match slot {
+            Some(tree) => tree,
+            None => {
+                warm = false;
+                slot.insert(self.new_tree(key, flow)?)
+            }
+        };
+        let channel = provider.provision(&self.env, key.workers, self.cfg.channel, flow);
+        // One control-plane hop routes a request into a resident tree.
+        let dispatch_at =
+            VirtualTime::from_micros(self.env.jitter().apply(self.env.latency().lambda_invoke_us));
+        let ran = tree.run(WorkItem {
+            warm,
+            flow,
+            input_key: input_key(flow),
+            batch_widths: req.batches.iter().map(|b| b.width()).collect(),
+            channel: channel.clone(),
+            dispatch_at,
+        });
+        if ran.is_err() {
+            self.release_tree(slot.take().expect("the tree that just ran"), true);
+        }
+        // Release the member's queues/subscriptions/objects — error or not.
+        channel.teardown();
+        Ok(ran?)
+    }
+
+    /// Retires a tree its pass is done with. Without a pool it is dropped,
+    /// which joins every instance; with one it is parked for the next
+    /// request of its shape — or, after a `failed` run, discarded (never
+    /// reuse a possibly poisoned tree) and, under
+    /// `ServiceBuilder::regenerate_poisoned`, replaced: best-effort, since
+    /// a failed relaunch should leave the shape cold rather than error the
+    /// request a second time.
+    fn release_tree(&self, tree: WorkerTree, failed: bool) {
+        let Some(pool) = &self.pool else {
+            return drop(tree);
+        };
+        if !failed {
+            return pool.checkin(tree);
+        }
+        let key = tree.key();
+        pool.discard(tree);
+        if self.regenerate_poisoned {
+            if let Ok(fresh) = self.new_tree(key, 0) {
+                pool.record_regenerated();
+                pool.checkin(fresh);
+            }
+        }
+    }
+
+    /// Launches a tree of shape `key` billed to `flow`: a request's own
+    /// flow, or 0 (unattributed, like offline staging) for trees launched
+    /// ahead of or on behalf of traffic — pre-warms and regenerations.
+    /// The single construction point, so every tree agrees on streaming
+    /// mode, shares the one weight cache and is counted by the pool.
+    fn new_tree(&self, key: TreeKey, flow: u64) -> Result<WorkerTree, FaasError> {
+        let params = TreeParams {
+            n_workers: key.workers,
+            branching: self.cfg.branching,
+            memory_mb: key.memory_mb,
+            model_key: self.model_key.clone(),
+            spec: *self.dnn.spec(),
+            stream: self.cfg.stream_weights,
+            cache: self.weight_cache.clone(),
+        };
         let generation = self.pool.as_ref().map_or(0, |pool| pool.generation());
         let tree = WorkerTree::launch(&self.platform, key, generation, params, flow)?;
         if let Some(pool) = &self.pool {
             pool.record_created();
-            pool.note_in_use(key);
+            if flow != 0 {
+                // A request's tree is in service from birth; the others go
+                // straight to the shelf.
+                pool.note_in_use(key);
+            }
         }
-        Ok((tree, false))
+        Ok(tree)
     }
 
     /// Launches a warm tree for `(variant, workers, memory_mb)` ahead of
@@ -713,7 +685,7 @@ impl FsdService {
     ///
     /// # Panics
     /// If the service was built without `warm_pool`, or `variant` is not a
-    /// channel variant (`Queue`/`Object`/`Hybrid`) — both are
+    /// channel variant (`Queue`/`Object`/`Hybrid`/`Direct`) — both are
     /// configuration bugs.
     pub fn prewarm_tree(
         &self,
@@ -729,17 +701,13 @@ impl FsdService {
             .pool
             .as_ref()
             .expect("prewarm_tree requires ServiceBuilder::warm_pool");
-        let p = workers.max(1);
-        self.ensure_partition(p);
         let key = TreeKey {
             variant,
-            workers: p,
+            workers: workers.max(1),
             memory_mb,
         };
-        let params = self.tree_params(p, memory_mb);
-        let tree = WorkerTree::launch(&self.platform, key, pool.generation(), params, 0)?;
-        pool.record_created();
-        pool.checkin(tree);
+        self.ensure_partition(key.workers);
+        pool.checkin(self.new_tree(key, 0)?);
         Ok(())
     }
 
@@ -935,175 +903,11 @@ impl FsdService {
         }
     }
 
-    /// Dispatches a resolved request to its execution path.
-    fn execute(
-        &self,
-        variant: Variant,
-        p: u32,
-        memory_mb: u32,
-        input_key: &str,
-        widths: &[usize],
-        flow: u64,
-    ) -> ExecuteResult {
-        match variant {
-            Variant::Serial => {
-                let (out, report) = self.launch_serial(input_key, widths.len(), flow)?;
-                Ok((
-                    out,
-                    vec![(0u32, report)],
-                    ChannelStatsSnapshot::default(),
-                    LaunchPath::ColdStart,
-                ))
-            }
-            // fsd_lint::allow(no-unwrap): submit_batched resolves Auto via
-            // resolve_variant before calling execute; reaching here is a bug.
-            Variant::Auto => unreachable!("Auto resolves before execution"),
-            routed @ (Variant::Queue | Variant::Object | Variant::Hybrid | Variant::Direct) => {
-                let name = routed
-                    .channel_name()
-                    .expect("routed variants name a channel");
-                let provider = self
-                    .registry
-                    .get(name)
-                    .ok_or_else(|| FsdError::UnknownChannel {
-                        name: name.to_string(),
-                    })?;
-                let channel = provider.provision(&self.env, p, self.cfg.channel, flow);
-                if let Some(pool) = &self.pool {
-                    return self.execute_pooled(
-                        pool, routed, channel, p, memory_mb, input_key, widths, flow,
-                    );
-                }
-                let launched =
-                    self.launch_tree(channel.clone(), p, memory_mb, input_key, widths, flow);
-                // Harvest request-local stats, then release the request's
-                // queues/subscriptions/objects — error or not.
-                let client = channel.stats().snapshot();
-                channel.teardown();
-                let (out, reports) = launched?;
-                Ok((out, reports, client, LaunchPath::ColdStart))
-            }
-        }
-    }
-
-    /// Runs a routed request through the warm-tree pool: a matching parked
-    /// tree is checked out (warm hit — no invocations, no cold starts, no
-    /// launch rounds, no weight loads); a miss falls back to a cold launch
-    /// of a *persistent* tree that the teardown then checks in. Either way
-    /// the data channel is provisioned and torn down per request, so flow
-    /// namespacing and billing disjointness are identical to the one-shot
-    /// path.
-    #[allow(clippy::too_many_arguments)]
-    fn execute_pooled(
-        &self,
-        pool: &TreePool,
-        routed: Variant,
-        channel: Arc<dyn FsiChannel>,
-        p: u32,
-        memory_mb: u32,
-        input_key: &str,
-        widths: &[usize],
-        flow: u64,
-    ) -> ExecuteResult {
-        let key = TreeKey {
-            variant: routed,
-            workers: p,
-            memory_mb,
-        };
-        let (mut tree, warm) = match pool.checkout(key) {
-            Some(tree) => (tree, true),
-            None => {
-                // Cold fallback. With branching = 1 the "tree" launch
-                // degrades to a serial invocation chain of P rounds
-                // (documented in `fsd_faas::launch`); assert the documented
-                // equivalence so the fallback never silently pays a
-                // different launch bill than the model predicts.
-                debug_assert!(
-                    self.cfg.branching > 1 || launch::launch_rounds(p as usize, 1) == p as usize,
-                    "branching=1 launch must degrade to a P-round serial loop"
-                );
-                let params = self.tree_params(p, memory_mb);
-                let tree =
-                    WorkerTree::launch(&self.platform, key, pool.generation(), params, flow)?;
-                pool.record_created();
-                pool.note_in_use(key);
-                (tree, false)
-            }
-        };
-        // One control-plane hop routes a request into a live tree.
-        let dispatch_at =
-            VirtualTime::from_micros(self.env.jitter().apply(self.env.latency().lambda_invoke_us));
-        let item = WorkItem {
-            warm,
-            flow,
-            input_key: input_key.to_string(),
-            batch_widths: widths.to_vec(),
-            channel: channel.clone(),
-            dispatch_at,
-        };
-        let ran = tree.run(item);
-        // Harvest request-local stats, then release the request's
-        // queues/subscriptions/objects — error or not.
-        let client = channel.stats().snapshot();
-        channel.teardown();
-        match ran {
-            Ok(out) => {
-                // Checkin at request teardown: the tree parks for the next
-                // matching request (or is discarded if the shelf is full).
-                pool.checkin(tree);
-                let root_out = WorkerOutput {
-                    rank: 0,
-                    final_batches: Some(out.final_batches),
-                    subtree_reports: Vec::new(),
-                    artifact_gets: out.artifact_gets,
-                    work_done: out.work_done,
-                };
-                let path = if warm {
-                    LaunchPath::WarmHit
-                } else {
-                    LaunchPath::ColdStart
-                };
-                Ok((root_out, out.reports, client, path))
-            }
-            Err(e) => {
-                // A worker died mid-request: the tree is evicted, never
-                // checked back in, and the error surfaces to the caller
-                // (the scheduler releases the slot as for any failure).
-                pool.discard(tree);
-                if self.regenerate_poisoned {
-                    self.regenerate_tree(pool, key);
-                }
-                Err(e.into())
-            }
-        }
-    }
-
-    /// Relaunches and parks a fresh tree of `key`'s shape after a poisoned
-    /// one was discarded (`ServiceBuilder::regenerate_poisoned`). Billed to
-    /// the unattributed flow exactly like a pre-warm — the failed request
-    /// already paid for its own launch, and the replacement serves whoever
-    /// comes next. Best-effort: a failed relaunch (e.g. a persistent
-    /// injected launch fault) leaves the shape cold rather than erroring
-    /// the request a second time.
-    fn regenerate_tree(&self, pool: &TreePool, key: TreeKey) {
-        let params = self.tree_params(key.workers, key.memory_mb);
-        if let Ok(tree) = WorkerTree::launch(&self.platform, key, pool.generation(), params, 0) {
-            pool.record_created();
-            pool.record_regenerated();
-            pool.checkin(tree);
-        }
-    }
-
-    /// Coordinator (128 MB) + serial worker at the maximum memory.
-    fn launch_serial(
-        &self,
-        input_key: &str,
-        n_batches: usize,
-        flow: u64,
-    ) -> Result<(WorkerOutput, InvocationReport), FaasError> {
+    /// Coordinator (128 MB) + one serial worker holding the whole model.
+    fn launch_serial(&self, flow: u64, n_batches: usize) -> Result<RunOutput, FaasError> {
         let spec = *self.dnn.spec();
         let model_key = self.model_key.clone();
-        let input_key = input_key.to_string();
+        let input_key = input_key(flow);
         let platform = self.platform.clone();
         let serial_memory = self.cfg.serial_memory_mb;
         let coordinator = self.platform.invoke(
@@ -1123,159 +927,16 @@ impl FsdService {
             },
         );
         let ((out, report), _coord_report) = coordinator.join()?;
-        Ok((out, report))
-    }
-
-    /// Coordinator + hierarchical worker tree over a channel.
-    fn launch_tree(
-        &self,
-        channel: Arc<dyn FsiChannel>,
-        p: u32,
-        memory_mb: u32,
-        input_key: &str,
-        widths: &[usize],
-        flow: u64,
-    ) -> Result<(WorkerOutput, Vec<(u32, InvocationReport)>), FaasError> {
-        if self.cfg.stream_weights {
-            return self.launch_tree_flat(channel, p, memory_mb, input_key, widths, flow);
-        }
-        let params = WorkerParams {
-            n_workers: p,
-            branching: self.cfg.branching,
-            memory_mb,
-            model_key: self.model_key.clone(),
-            input_key: input_key.to_string(),
-            spec: *self.dnn.spec(),
-            batch_widths: widths.to_vec(),
-            stream: false,
-            cache: self.weight_cache.clone(),
-            abort: Arc::new(AtomicBool::new(false)),
-        };
-        let platform = self.platform.clone();
-        let coordinator = self.platform.invoke(
-            FunctionConfig::coordinator().for_flow(flow),
-            VirtualTime::ZERO,
-            move |ctx| {
-                ctx.charge_work(10_000); // request parsing
-                let at = ctx.now();
-                let inv = platform.invoke(
-                    FunctionConfig::worker("fsd-worker-0", params.memory_mb).for_flow(flow),
-                    at,
-                    move |worker_ctx| run_worker(worker_ctx, channel, 0, params),
-                );
-                inv.join()
-            },
-        );
-        let ((root_out, root_report), _coord) = coordinator.join()?;
-        let mut reports = vec![(0u32, root_report)];
-        reports.extend(root_out.subtree_reports.iter().copied());
-        Ok((root_out, reports))
-    }
-
-    /// Streamed cold start: FaaSNet-style flat, controller-driven
-    /// provisioning. The always-on control plane (this service — FaaSNet's
-    /// "function manager") invokes every rank directly instead of routing
-    /// the launch through a coordinator function that must itself cold
-    /// start first. Total invocations are `P` (the hierarchical launch
-    /// pays `1 + P`), each dispatch costs the controller one sequential
-    /// API round trip, and the launch-tree topology is used to multicast
-    /// weight blocks instead of invocations.
-    fn launch_tree_flat(
-        &self,
-        channel: Arc<dyn FsiChannel>,
-        p: u32,
-        memory_mb: u32,
-        input_key: &str,
-        widths: &[usize],
-        flow: u64,
-    ) -> Result<(WorkerOutput, Vec<(u32, InvocationReport)>), FaasError> {
-        let params = WorkerParams {
-            n_workers: p,
-            branching: self.cfg.branching,
-            memory_mb,
-            model_key: self.model_key.clone(),
-            input_key: input_key.to_string(),
-            spec: *self.dnn.spec(),
-            batch_widths: widths.to_vec(),
-            stream: true,
-            cache: self.weight_cache.clone(),
-            abort: Arc::new(AtomicBool::new(false)),
-        };
-        // The controller's dispatch clock: invokes are issued one API
-        // round trip apart (the instance-side invoke latency itself is
-        // charged inside `FaasPlatform::invoke`, exactly as on every
-        // other path).
-        let mut dispatch = VClock::default();
-        dispatch.set_flow(flow);
-        let mut invocations = Vec::with_capacity(p as usize);
-        for rank in 0..p {
-            if rank > 0 {
-                let lat = self.env.latency().lambda_invoke_us;
-                let jittered = self.env.jitter().apply(lat);
-                dispatch.advance_micros(jittered);
-            }
-            let at = dispatch.now();
-            let channel_r = channel.clone();
-            let params_r = params.clone();
-            let inv = self.platform.invoke(
-                FunctionConfig::worker(format!("fsd-worker-{rank}"), memory_mb).for_flow(flow),
-                at,
-                move |worker_ctx| run_worker(worker_ctx, channel_r, rank, params_r),
-            );
-            if inv.launch_error().is_some() {
-                // A refused rank tears the whole request; raise the
-                // abort flag so already-running peers unwedge from
-                // their stream-drain loops instead of waiting for
-                // frames that will never arrive.
-                params.abort.store(true, Ordering::Relaxed);
-            }
-            invocations.push((rank, inv));
-        }
-        let mut reports = Vec::with_capacity(p as usize);
-        let mut root_out = None;
-        let mut peer_gets = 0u64;
-        let mut peer_work = 0u64;
-        let mut first_err = None;
-        for (rank, inv) in invocations {
-            match inv.join() {
-                Ok((out, report)) => {
-                    debug_assert_eq!(out.rank, rank);
-                    reports.push((rank, report));
-                    if rank == 0 {
-                        root_out = Some(out);
-                    } else {
-                        peer_gets += out.artifact_gets;
-                        peer_work += out.work_done;
-                    }
-                }
-                Err(e) => {
-                    first_err.get_or_insert(e);
-                }
-            }
-        }
-        // Every rank is joined: any weight frames still parked in this
-        // flow's mailboxes belong to torn streams, not to a live reader.
-        // Drop them so the residue audit stays clean.
-        self.env.weight_net().close_flow(flow);
-        if let Some(e) = first_err {
-            return Err(e);
-        }
-        let mut root = root_out.expect("rank 0 joined without error");
-        root.artifact_gets += peer_gets;
-        root.work_done += peer_work;
-        Ok((root, reports))
+        let mut run = RunOutput::new(LaunchPath::ColdStart);
+        run.absorb(0, out, report);
+        Ok(run)
     }
 }
 
-type ExecuteResult = Result<
-    (
-        WorkerOutput,
-        Vec<(u32, InvocationReport)>,
-        ChannelStatsSnapshot,
-        LaunchPath,
-    ),
-    FsdError,
->;
+/// The staged-input prefix of request `flow` (batch `b` under `…/b{b}`).
+fn input_key(flow: u64) -> String {
+    format!("inputs/req{flow}")
+}
 
 #[cfg(test)]
 mod tests {

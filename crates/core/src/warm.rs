@@ -1,51 +1,60 @@
-//! Warm worker trees: keep-alive instances that serve many requests.
+//! Worker trees: the one way a distributed request runs.
 //!
-//! The one-shot path pays the full launch bill on every request —
-//! coordinator invoke + cold start, `launch_rounds(P, b)` hierarchical
-//! tree-invocation rounds, per-worker weight loads, then teardown. A
-//! [`WorkerTree`] pays that bill **once**: the same hierarchical launch
-//! brings up `P` keep-alive instances ([`FunctionConfig::keep_alive`]),
-//! each of which loads its weight/map artifacts and then parks in a serve
-//! loop on a long-lived control channel. Successive requests are routed
-//! into the parked tree as [`WorkItem`]s — each carrying its own flow id,
-//! input prefix and a freshly provisioned (flow-namespaced) data channel —
-//! so a warm hit skips the invoke round trips, the cold starts, the launch
-//! rounds *and* the weight loads, paying only one control-plane hop
-//! (λScale-style request routing into model-loaded instances).
+//! A [`WorkerTree`] is `P` keep-alive instances
+//! ([`FunctionConfig::keep_alive`]) brought up by one launch — the paper's
+//! coordinator → hierarchical `worker_invoke_children` cascade of
+//! `launch_rounds(P, b)` rounds, or, with `stream_weights`, flat
+//! controller-driven provisioning — each of which loads its weight/map
+//! artifacts once and then parks in a serve loop on a control channel.
+//! Requests are routed into the tree as [`WorkItem`]s, each carrying its
+//! own flow id, input prefix and a freshly provisioned (flow-namespaced)
+//! data channel.
+//!
+//! A cold request is merely the first item on a tree it launched itself
+//! (`warm = false`): the instances stay on their launch timeline, so that
+//! item's window covers cold start → result and pays the whole launch
+//! bill — invocations, launch rounds, weight loads. Every later item
+//! (`warm = true`) jumps onto its own timeline one control-plane hop after
+//! arrival and pays none of it (λScale-style request routing into
+//! model-loaded instances). Without a warm pool the tree is dropped — and
+//! every instance joined — after that first item; with one it is parked
+//! for the next request of its shape.
 //!
 //! Billing stays per-flow disjoint across reuse: every work item opens its
 //! own metering window on the instance ([`WorkerCtx::begin_request`] /
-//! [`WorkerCtx::finish_request`]), and the per-request data channel
-//! namespaces all service traffic by the request's flow exactly as on the
-//! cold path. Parked (idle) time is never billed, mirroring the fact that
-//! idle provisioned instances bill differently from execution and keeping
-//! the cost model's request windows comparable between paths.
+//! [`WorkerCtx::finish_request`], which also applies the exit-time limit
+//! check), and the per-request data channel namespaces all service traffic
+//! by the request's flow. Parked (idle) time is never billed.
 //!
-//! Failure containment: if any instance dies mid-request it raises the
-//! tree's poison flag; peers observe it at their next limit check and fail
-//! fast, the collector surfaces the first error, and the pool evicts the
-//! tree instead of checking it back in.
+//! Failure containment: a dying instance reports its error to the tree
+//! owner and *then* raises the tree's poison flag; peers observe it at
+//! their next limit check and fail fast, so the first error the owner
+//! collects is the root cause, and the tree is discarded instead of
+//! parked.
+//!
+//! [`WorkerCtx::begin_request`]: fsd_faas::WorkerCtx::begin_request
+//! [`WorkerCtx::finish_request`]: fsd_faas::WorkerCtx::finish_request
 
-use crate::artifacts::load_worker_artifacts;
+use crate::artifacts::{load_worker_artifacts, WorkerArtifacts};
 use crate::channel::FsiChannel;
-use crate::engine::Variant;
+use crate::engine::{LaunchPath, Variant};
 use crate::weight_cache::WeightCache;
-use crate::worker::run_batches;
-use fsd_comm::{CloudEnv, VClock, VirtualTime};
+use crate::worker::{run_batches, RunOutput, WorkerOutput};
+use fsd_comm::{CloudEnv, VirtualTime};
 use fsd_faas::{launch, FaasError, FaasPlatform, FunctionConfig, Invocation, InvocationReport};
 use fsd_model::DnnSpec;
-use fsd_sparse::SparseRows;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel as mpsc_channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 
-/// The shape a warm tree can serve: requests match on the resolved
-/// variant, worker count and per-worker memory. `Ord` gives predictors and
-/// pool policies a canonical shape order for deterministic iteration.
+/// The shape a worker tree serves: requests match on the resolved variant,
+/// worker count and per-worker memory. `Ord` gives predictors and pool
+/// policies a canonical shape order for deterministic iteration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TreeKey {
-    /// Resolved channel variant (never `Serial`/`Auto` — Serial runs no
-    /// tree and Auto resolves before the pool is consulted).
+    /// Resolved channel variant — `Queue`, `Object`, `Hybrid` or `Direct`
+    /// (never `Serial`/`Auto`: Serial runs no tree and Auto resolves
+    /// before a tree is acquired).
     pub variant: Variant,
     /// Worker count `P`.
     pub workers: u32,
@@ -53,8 +62,7 @@ pub struct TreeKey {
     pub memory_mb: u32,
 }
 
-/// Launch-time parameters of a persistent tree (the request-independent
-/// subset of the old `WorkerParams`).
+/// Launch-time (request-independent) parameters of a tree.
 #[derive(Clone)]
 pub(crate) struct TreeParams {
     pub n_workers: u32,
@@ -63,19 +71,19 @@ pub(crate) struct TreeParams {
     pub model_key: String,
     pub spec: DnnSpec,
     /// λScale-style streamed cold launch: instances are provisioned flat
-    /// by the coordinator and weights arrive multicast from rank 0.
+    /// by the control plane and weights arrive multicast from rank 0.
     pub stream: bool,
     /// The service-wide weight-block cache streamed loads read through.
     pub cache: Arc<WeightCache>,
 }
 
-/// One request routed into a parked tree.
+/// One request routed into a tree.
 #[derive(Clone)]
 pub(crate) struct WorkItem {
-    /// `false` for the creating request of an on-demand tree: the workers
-    /// continue on their launch timeline (so the creating request pays —
-    /// and measures — the full cold-start bill), `true` for every routed
-    /// (warm-hit) request.
+    /// `false` for the first item of a tree launched for this request: the
+    /// instances continue on their launch timeline (so the request pays —
+    /// and measures — the full cold-start bill); `true` for every request
+    /// routed into an already-resident tree.
     pub warm: bool,
     /// The request's flow id (billing + channel namespacing).
     pub flow: u64,
@@ -85,37 +93,20 @@ pub(crate) struct WorkItem {
     pub batch_widths: Vec<usize>,
     /// The request-scoped data channel (provisioned for `flow`).
     pub channel: Arc<dyn FsiChannel>,
-    /// Virtual instant (on the request's own timeline) at which the parked
-    /// workers receive the item — one control-plane hop after arrival.
+    /// Virtual instant (on the request's own timeline) at which resident
+    /// instances receive a `warm` item — one control-plane hop after
+    /// arrival.
     pub dispatch_at: VirtualTime,
 }
 
-/// What one worker reports back per work item.
-pub(crate) struct WarmWorkerOut {
-    pub report: InvocationReport,
-    pub artifact_gets: u64,
-    pub work_done: u64,
-    pub final_batches: Option<Vec<SparseRows>>,
-}
+type WorkResult = (u32, Result<(WorkerOutput, InvocationReport), FaasError>);
 
-type WorkResult = (u32, Result<WarmWorkerOut, FaasError>);
-
-/// Everything the service needs to assemble an `InferenceReport` from one
-/// tree run.
-pub(crate) struct TreeRunOutput {
-    pub final_batches: Vec<SparseRows>,
-    /// `(rank, report)` sorted by rank.
-    pub reports: Vec<(u32, InvocationReport)>,
-    pub artifact_gets: u64,
-    pub work_done: u64,
-}
-
-/// Shared plumbing cloned into every serve-loop instance.
+/// Shared plumbing cloned into every instance of a tree.
 #[derive(Clone)]
 struct ServeShared {
     params: TreeParams,
-    /// Flow the hierarchical launch bills to (the creating request, or 0
-    /// for build-time pre-warmed trees).
+    /// Flow the launch bills to (the creating request, or 0 for pre-warmed
+    /// trees).
     launch_flow: u64,
     /// Per-rank control receivers, taken exactly once by their rank.
     controls: Arc<Mutex<Vec<Option<Receiver<WorkItem>>>>>,
@@ -127,45 +118,101 @@ struct ServeShared {
     poison: Arc<AtomicBool>,
 }
 
-/// The keep-alive serve loop run by every instance of a warm tree.
+impl ServeShared {
+    /// Reports `rank`'s death to the tree owner, *then* poisons the tree —
+    /// in that order, so no peer can observe the poison and get its
+    /// secondary `"abort"` into the result channel ahead of the root
+    /// cause (Release here pairs with the Acquire in `check_limits`).
+    fn fail(&self, rank: u32, e: FaasError) -> FaasError {
+        let _ = self.results.send((rank, Err(e.clone())));
+        self.poison.store(true, Ordering::Release);
+        e
+    }
+
+    /// Invokes keep-alive instance `rank` at virtual time `at` and hands
+    /// its join handle to the tree owner. A refused launch (an injected
+    /// Invoke fault, known synchronously) is returned *and* reported as
+    /// the rank's death, so peers unwedge instead of polling collectives
+    /// for an instance that never existed.
+    fn spawn_rank(
+        &self,
+        platform: &Arc<FaasPlatform>,
+        rank: u32,
+        at: VirtualTime,
+    ) -> Result<(), FaasError> {
+        let cfg = FunctionConfig::worker(format!("fsd-worker-{rank}"), self.params.memory_mb)
+            .for_flow(self.launch_flow)
+            .keep_alive();
+        let shared = self.clone();
+        let inv = platform.invoke(cfg, at, move |ctx| serve_worker(ctx, rank, shared));
+        let refused = inv.launch_error();
+        let _ = self.handles.send(inv);
+        refused.map_or(Ok(()), |e| Err(self.fail(rank, e)))
+    }
+
+    /// Starts the launch in the shape `params.stream` selects (see
+    /// [`WorkerTree::launch`]). Consumes this copy of the plumbing: the
+    /// tree owner joins instances until the last sender is gone.
+    fn seed(self, platform: &Arc<FaasPlatform>) -> Result<(), FaasError> {
+        if self.params.stream {
+            let env = platform.env();
+            let mut at = VirtualTime::ZERO;
+            let mut root = Ok(());
+            for rank in 0..self.params.n_workers {
+                if rank > 0 {
+                    let lat = env.latency().lambda_invoke_us;
+                    at = at.plus_micros(env.jitter().apply(lat));
+                }
+                let spawned = self.spawn_rank(platform, rank, at);
+                if rank == 0 {
+                    // No multicast source: a refused root fails the launch.
+                    root = spawned;
+                }
+            }
+            return root;
+        }
+        let platform_c = platform.clone();
+        let coordinator = platform.invoke(
+            FunctionConfig::coordinator().for_flow(self.launch_flow),
+            VirtualTime::ZERO,
+            move |ctx| {
+                ctx.charge_work(10_000); // request parsing
+                self.spawn_rank(&platform_c, 0, ctx.now())
+            },
+        );
+        coordinator.join().map(|_| ())
+    }
+}
+
+/// What every instance of a tree runs: launch its subtree, load its
+/// artifacts, then serve work items until the control channel closes.
 fn serve_worker(
     ctx: &mut fsd_faas::WorkerCtx,
     rank: u32,
     shared: ServeShared,
 ) -> Result<(), FaasError> {
-    let p = shared.params.n_workers;
-    // --- hierarchical launch, exactly as the one-shot path (streamed
-    // launches are provisioned flat by the coordinator: the tree carries
-    // weight state, not invocations) --------------------------------------
-    let children = if shared.params.stream {
-        Vec::new()
-    } else {
-        launch::children_of(rank as usize, shared.params.branching, p as usize)
-    };
-    for child in children {
-        let lat = ctx.env().latency().lambda_invoke_us;
-        let jittered = ctx.env().jitter().apply(lat);
-        ctx.clock_mut().advance_micros(jittered);
-        let cfg = FunctionConfig::worker(format!("fsd-warm-{child}"), shared.params.memory_mb)
-            .for_flow(shared.launch_flow)
-            .keep_alive();
-        let shared_c = shared.clone();
-        let at = ctx.now();
-        let inv = ctx.platform().clone().invoke(cfg, at, move |child_ctx| {
-            serve_worker(child_ctx, child as u32, shared_c)
-        });
-        // A refused launch (injected Invoke fault) is known synchronously:
-        // poison the tree and report the dead rank so peers unwedge instead
-        // of polling collectives for an instance that never existed.
-        if let Some(e) = inv.launch_error() {
-            shared.poison.store(true, Ordering::Relaxed);
-            let _ = shared.results.send((child as u32, Err(e)));
-        }
-        // Hand the join handle to the tree owner for shutdown.
-        let _ = shared.handles.send(inv);
-    }
+    let params = &shared.params;
+    let p = params.n_workers;
     // A dying peer must be able to unwedge this instance mid-poll.
     ctx.set_abort(shared.poison.clone());
+
+    // --- worker_invoke_children(): the hierarchical launch. Streamed
+    // launches are provisioned flat — their tree carries weight state,
+    // not invocations — so no instance launches children there.
+    let mut launched = Ok(());
+    if !params.stream {
+        let platform = ctx.platform().clone();
+        for child in launch::children_of(rank as usize, params.branching, p as usize) {
+            // The (async) Invoke API call costs the parent one round trip.
+            let lat = ctx.env().latency().lambda_invoke_us;
+            let jittered = ctx.env().jitter().apply(lat);
+            ctx.clock_mut().advance_micros(jittered);
+            launched = launched.and(shared.spawn_rank(&platform, child as u32, ctx.now()));
+        }
+    }
+    // The subtree below a refused child will never exist and the
+    // collectives could only wedge: die now, before loading anything.
+    launched?;
 
     let control = shared
         .controls
@@ -176,92 +223,76 @@ fn serve_worker(
         .expect("each rank takes its control receiver exactly once");
 
     // --- load weights and maps once; they stay resident while parked -----
-    let loaded = if shared.params.stream {
+    let layers = params.spec.layers;
+    let loaded = if params.stream {
         crate::weight_stream::stream_load(
             ctx,
-            &shared.params.cache,
-            &shared.params.model_key,
+            &params.cache,
+            &params.model_key,
             rank,
             p,
-            shared.params.spec.layers,
-            shared.params.branching,
+            layers,
+            params.branching,
         )
     } else {
-        load_worker_artifacts(
-            ctx,
-            &shared.params.model_key,
-            p,
-            rank,
-            shared.params.spec.layers,
-        )
+        load_worker_artifacts(ctx, &params.model_key, p, rank, layers)
     };
-    let mut art = match loaded {
-        Ok(art) => art,
-        Err(e) => {
-            shared.poison.store(true, Ordering::Relaxed);
-            let _ = shared.results.send((rank, Err(e.clone())));
-            return Err(e);
-        }
-    };
-    let launch_gets = art.n_gets;
+    let mut art = loaded.map_err(|e| shared.fail(rank, e))?;
 
     // --- the serve loop: park until the control channel closes -----------
     while let Ok(item) = control.recv() {
-        if shared.kills[rank as usize].load(Ordering::Relaxed) {
-            let e = FaasError::comm(
-                "instance",
-                format!("fsd-warm-{rank}"),
-                "keep-alive instance terminated",
-            );
-            shared.poison.store(true, Ordering::Relaxed);
-            let _ = shared.results.send((rank, Err(e.clone())));
-            return Err(e);
-        }
-        if item.warm {
-            // A routed request: jump onto its timeline, one control hop in.
-            ctx.begin_request(item.flow, item.dispatch_at);
-        }
-        match run_batches(
-            ctx,
-            &item.channel,
-            rank,
-            p,
-            &shared.params.spec,
-            &mut art,
-            &item.input_key,
-            &item.batch_widths,
-        ) {
-            Ok(out) => {
-                let report = ctx.finish_request();
-                // The creating (cold) request also pays the launch-time
-                // artifact GETs, exactly like the one-shot path.
-                let artifact_gets = out.artifact_gets + if item.warm { 0 } else { launch_gets };
-                let _ = shared.results.send((
-                    rank,
-                    Ok(WarmWorkerOut {
-                        report,
-                        artifact_gets,
-                        work_done: out.work_done,
-                        final_batches: out.final_batches,
-                    }),
-                ));
+        match serve_item(ctx, rank, &shared, &mut art, &item) {
+            Ok(done) => {
+                let _ = shared.results.send((rank, Ok(done)));
             }
-            Err(e) => {
-                shared.poison.store(true, Ordering::Relaxed);
-                let _ = shared.results.send((rank, Err(e.clone())));
-                return Err(e);
-            }
+            Err(e) => return Err(shared.fail(rank, e)),
         }
     }
     Ok(())
 }
 
-/// A persistent coordinator + `P`-worker tree parked in serve loops.
+/// Runs one work item on a loaded instance inside its own billing window.
+fn serve_item(
+    ctx: &mut fsd_faas::WorkerCtx,
+    rank: u32,
+    shared: &ServeShared,
+    art: &mut WorkerArtifacts,
+    item: &WorkItem,
+) -> Result<(WorkerOutput, InvocationReport), FaasError> {
+    if shared.kills[rank as usize].load(Ordering::Relaxed) {
+        return Err(FaasError::comm(
+            "instance",
+            format!("fsd-worker-{rank}"),
+            "keep-alive instance terminated",
+        ));
+    }
+    if item.warm {
+        // A routed request: jump onto its timeline, one control hop in.
+        ctx.begin_request(item.flow, item.dispatch_at);
+    }
+    let mut out = run_batches(
+        ctx,
+        &item.channel,
+        rank,
+        shared.params.n_workers,
+        &shared.params.spec,
+        art,
+        &item.input_key,
+        &item.batch_widths,
+    )?;
+    if !item.warm {
+        // The creating request also pays the launch-time loads.
+        out.artifact_gets += art.n_gets;
+    }
+    Ok((out, ctx.finish_request()?))
+}
+
+/// `P` keep-alive instances parked in serve loops.
 ///
-/// Created by the pool's cold path (or a build-time pre-warm), driven with
+/// Launched for a request (or a pre-warm), driven with
 /// [`WorkerTree::run`], and eventually [`WorkerTree::shutdown`] — also
-/// invoked on drop, so an evicted or discarded tree never leaks its
-/// instance threads.
+/// invoked on drop, so a finished, evicted or discarded tree never leaks
+/// its instance threads.
 pub(crate) struct WorkerTree {
     key: TreeKey,
     generation: u64,
@@ -280,11 +311,20 @@ pub(crate) struct WorkerTree {
 }
 
 impl WorkerTree {
-    /// Launches a persistent tree: coordinator invoke (billed to `flow`),
-    /// hierarchical `worker_invoke_children` launch of `P` keep-alive
-    /// instances, each loading its artifacts before parking. Returns as
-    /// soon as the coordinator has seeded the launch — workers still
-    /// booting simply pick queued work items up when they are ready.
+    /// Launches a tree billed to `flow`, in one of two shapes. The
+    /// **cascade** (the paper's launch): a coordinator function invokes
+    /// rank 0 and every rank invokes its `children_of` — `1 + P`
+    /// invocations over `launch_rounds(P, b)` rounds. **Flat**
+    /// (`params.stream`, FaaSNet-style): the always-on control plane
+    /// dispatches every rank itself, one sequential API round trip apart —
+    /// no coordinator to cold-start first, `P` invocations — and the tree
+    /// topology multicasts weights instead of invocations.
+    ///
+    /// Returns as soon as the launch is seeded; instances still booting
+    /// pick queued work items up when they are ready. A refused
+    /// coordinator or rank 0 fails the launch (whatever did start is
+    /// joined); any other refused rank surfaces from the next
+    /// [`WorkerTree::run`].
     pub(crate) fn launch(
         platform: &Arc<FaasPlatform>,
         key: TreeKey,
@@ -293,113 +333,43 @@ impl WorkerTree {
         flow: u64,
     ) -> Result<WorkerTree, FaasError> {
         let p = params.n_workers;
-        let (result_tx, result_rx) = mpsc_channel();
-        let (handle_tx, handle_rx) = mpsc_channel();
-        let mut control_txs = Vec::with_capacity(p as usize);
-        let mut control_rxs = Vec::with_capacity(p as usize);
-        for _ in 0..p {
-            let (tx, rx) = mpsc_channel();
-            control_txs.push(tx);
-            control_rxs.push(Some(rx));
-        }
+        let stream = params.stream;
+        let (result_tx, results) = mpsc_channel();
+        let (handle_tx, handles) = mpsc_channel();
+        let (controls, control_rxs) = (0..p)
+            .map(|_| {
+                let (tx, rx) = mpsc_channel();
+                (tx, Some(rx))
+            })
+            .unzip();
         let kills: Vec<Arc<AtomicBool>> =
             (0..p).map(|_| Arc::new(AtomicBool::new(false))).collect();
         let shared = ServeShared {
-            params: params.clone(),
+            params,
             launch_flow: flow,
             controls: Arc::new(Mutex::new(control_rxs)),
             results: result_tx,
-            handles: handle_tx.clone(),
+            handles: handle_tx,
             kills: Arc::new(kills.clone()),
             poison: Arc::new(AtomicBool::new(false)),
         };
-        let poison = shared.poison.clone();
-        let memory_mb = params.memory_mb;
-        let stream = params.stream;
-        if stream {
-            // FaaSNet-style flat, controller-driven provisioning: the
-            // always-on control plane (FaaSNet's "function manager")
-            // dispatches every rank directly — no coordinator function to
-            // cold-start first, so the tree costs `P` invocations where
-            // the cascade pays `1 + P` — and the tree topology is used to
-            // multicast weights instead of invocations.
-            let env = platform.env();
-            let mut dispatch = VClock::default();
-            dispatch.set_flow(flow);
-            let mut refused_root = None;
-            for rank in 0..p {
-                if rank > 0 {
-                    // Each async Invoke call costs the controller one
-                    // sequential API round trip, as it costs a parent on
-                    // the hierarchical path.
-                    let lat = env.latency().lambda_invoke_us;
-                    let jittered = env.jitter().apply(lat);
-                    dispatch.advance_micros(jittered);
-                }
-                let cfg = FunctionConfig::worker(format!("fsd-warm-{rank}"), memory_mb)
-                    .for_flow(flow)
-                    .keep_alive();
-                let shared_r = shared.clone();
-                let at = dispatch.now();
-                let inv = platform.clone().invoke(cfg, at, move |worker_ctx| {
-                    serve_worker(worker_ctx, rank, shared_r)
-                });
-                if let Some(e) = inv.launch_error() {
-                    if rank == 0 {
-                        // No multicast source: the build fails.
-                        refused_root.get_or_insert(e);
-                    } else {
-                        // A refused non-root rank poisons the tree;
-                        // peers unwedge through their limit checks.
-                        shared.poison.store(true, Ordering::Relaxed);
-                        let _ = shared.results.send((rank, Err(e)));
-                    }
-                }
-                let _ = handle_tx.send(inv);
-            }
-            if let Some(e) = refused_root {
-                return Err(e);
-            }
-        } else {
-            let platform_c = platform.clone();
-            let shared_c = shared.clone();
-            let coordinator = platform.invoke(
-                FunctionConfig::coordinator().for_flow(flow),
-                VirtualTime::ZERO,
-                move |ctx| {
-                    ctx.charge_work(10_000); // request parsing
-                    let at = ctx.now();
-                    let cfg = FunctionConfig::worker("fsd-warm-0", memory_mb)
-                        .for_flow(flow)
-                        .keep_alive();
-                    let inv = platform_c.invoke(cfg, at, move |worker_ctx| {
-                        serve_worker(worker_ctx, 0, shared_c)
-                    });
-                    // Surface a refused rank-0 launch as a failed tree build
-                    // (the handle still goes to the owner for cleanup).
-                    let refused = inv.launch_error();
-                    let _ = handle_tx.send(inv);
-                    match refused {
-                        Some(e) => Err(e),
-                        None => Ok(()),
-                    }
-                },
-            );
-            coordinator.join()?;
-        }
-        Ok(WorkerTree {
+        // Built before anything is invoked: dropping it on a failed launch
+        // joins whatever did start.
+        let tree = WorkerTree {
             key,
             generation,
-            controls: control_txs,
+            controls,
             kills,
-            poison,
-            results: result_rx,
-            handles: handle_rx,
+            poison: shared.poison.clone(),
+            results,
+            handles,
             joined: false,
             env: platform.env().clone(),
             launch_flow: flow,
             stream,
-        })
+        };
+        shared.seed(platform)?;
+        Ok(tree)
     }
 
     /// The shape this tree serves.
@@ -413,7 +383,7 @@ impl WorkerTree {
     }
 
     /// Whether an instance of this tree has died (the tree must not be
-    /// checked back in).
+    /// parked).
     pub(crate) fn is_poisoned(&self) -> bool {
         self.poison.load(Ordering::Relaxed)
     }
@@ -426,59 +396,41 @@ impl WorkerTree {
         }
     }
 
-    /// Routes one request into the parked tree and collects every worker's
-    /// result. The first worker error poisons the tree and is returned
-    /// immediately (peers unwedge through the poison flag).
-    pub(crate) fn run(&mut self, item: WorkItem) -> Result<TreeRunOutput, FaasError> {
-        for control in &self.controls {
-            if control.send(item.clone()).is_err() {
-                self.poison.store(true, Ordering::Relaxed);
-                return Err(FaasError::comm(
-                    "tree",
-                    format!("fsd-warm-tree-p{}", self.key.workers),
-                    "a keep-alive instance hung up its control channel",
-                ));
-            }
+    /// Routes one request into the tree and collects every instance's
+    /// result. The first error collected — the root cause, see
+    /// `ServeShared::fail` — is returned immediately; peers unwedge
+    /// through the poison flag and the tree must be discarded.
+    pub(crate) fn run(&mut self, item: WorkItem) -> Result<RunOutput, FaasError> {
+        let ran = self.collect(&item);
+        if ran.is_err() {
+            self.poison.store(true, Ordering::Release);
         }
-        let mut reports: Vec<(u32, InvocationReport)> = Vec::with_capacity(self.controls.len());
-        let mut final_batches = None;
-        let mut artifact_gets = 0u64;
-        let mut work_done = 0u64;
+        ran
+    }
+
+    fn collect(&self, item: &WorkItem) -> Result<RunOutput, FaasError> {
+        for control in &self.controls {
+            // An instance that hung up has reported its death first; the
+            // result channel below holds the root cause.
+            let _ = control.send(item.clone());
+        }
+        let mut run = RunOutput::new(if item.warm {
+            LaunchPath::WarmHit
+        } else {
+            LaunchPath::ColdStart
+        });
         for _ in 0..self.controls.len() {
-            match self.results.recv() {
-                Ok((rank, Ok(out))) => {
-                    reports.push((rank, out.report));
-                    artifact_gets += out.artifact_gets;
-                    work_done += out.work_done;
-                    if rank == 0 {
-                        final_batches = out.final_batches;
-                    }
-                }
-                Ok((_rank, Err(e))) => {
-                    self.poison.store(true, Ordering::Relaxed);
-                    return Err(e);
-                }
-                Err(_) => {
-                    self.poison.store(true, Ordering::Relaxed);
-                    return Err(FaasError::comm(
-                        "tree",
-                        format!("fsd-warm-tree-p{}", self.key.workers),
-                        "worker tree hung up mid-request",
-                    ));
-                }
-            }
+            let (rank, result) = self.results.recv().map_err(|_| {
+                let tree = format!("fsd-tree-p{}", self.key.workers);
+                FaasError::comm("tree", tree, "worker tree hung up mid-request")
+            })?;
+            let (out, report) = result?;
+            run.absorb(rank, out, report);
         }
         // Arrival order races across real threads; rank order is canonical.
-        reports.sort_unstable_by_key(|(rank, _)| *rank);
-        let final_batches = final_batches.ok_or_else(|| {
-            FaasError::comm("tree", "rank 0", "root worker returned no final output")
-        })?;
-        Ok(TreeRunOutput {
-            final_batches,
-            reports,
-            artifact_gets,
-            work_done,
-        })
+        run.reports.sort_unstable_by_key(|(rank, _)| *rank);
+        run.client = item.channel.stats().snapshot();
+        Ok(run)
     }
 
     /// Closes the control channels and joins every instance. Safe to call
@@ -493,15 +445,12 @@ impl WorkerTree {
         // Stop serve loops (they exit once queued items are drained)…
         self.controls.clear();
         // …and make sure nothing can park in a poll forever.
-        self.poison.store(true, Ordering::Relaxed);
-        for _ in 0..self.kills.len() {
-            match self.handles.recv() {
-                // Poisoned / killed instances legitimately return errors.
-                Ok(handle) => {
-                    let _ = handle.join();
-                }
-                Err(_) => break,
-            }
+        self.poison.store(true, Ordering::Release);
+        // Every live instance holds a handle sender, so this ends once the
+        // last of them — fewer than `P` after a refused launch — has exited.
+        for handle in self.handles.iter() {
+            // Poisoned / killed instances legitimately return errors.
+            let _ = handle.join();
         }
         // Every instance has joined: no receiver is left for any weight
         // frame still parked under the launch flow (aborted streams,

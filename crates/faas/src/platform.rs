@@ -29,8 +29,8 @@ pub struct FunctionConfig {
     pub flow: u64,
     /// Keep-alive instance: the body outlives a single request (a warm
     /// worker parked in a serve loop). The platform then skips the
-    /// exit-time duration billing and limit check — the body is expected
-    /// to meter each request it serves through
+    /// exit-time duration billing and limit check — the body meters (and
+    /// limit-checks) each request it serves through
     /// [`WorkerCtx::begin_request`] / [`WorkerCtx::finish_request`].
     pub keep_alive: bool,
 }
@@ -354,9 +354,9 @@ impl FaasPlatform {
             };
             let out = body(&mut ctx)?;
             if cfg.keep_alive {
-                // A keep-alive body meters every request it served through
-                // begin_request/finish_request; its idle lifetime is not
-                // billed (and not limit-checked) at exit.
+                // A keep-alive body meters and limit-checks every request
+                // it served through begin_request/finish_request; its idle
+                // lifetime is neither billed nor checked at exit.
                 let finished = ctx.clock.now();
                 return Ok((
                     out,
@@ -449,13 +449,15 @@ impl WorkerCtx {
         self.peak_mem_bytes = self.mem_bytes;
     }
 
-    /// Closes the current request window: bills the window's
-    /// MB-milliseconds to the window's flow and returns its
-    /// [`InvocationReport`]. On a kept-alive instance this is the *only*
-    /// duration billing (the platform skips exit billing); on the window
-    /// opened at launch it covers cold start → now, exactly like a
-    /// one-shot invocation.
-    pub fn finish_request(&mut self) -> InvocationReport {
+    /// Closes the current request window the way the platform closes a
+    /// function at exit: re-checks the limits (a window that crossed its
+    /// memory or runtime limit in its last step fails, unbilled), then
+    /// bills the window's MB-milliseconds to the window's flow and returns
+    /// its [`InvocationReport`]. On a kept-alive instance this is the
+    /// *only* duration billing and exit check (the platform skips both);
+    /// the window opened at launch covers cold start → now.
+    pub fn finish_request(&mut self) -> Result<InvocationReport, FaasError> {
+        self.check_limits()?;
         let finished = self.clock.now();
         let elapsed_ms = ((finished
             .as_micros()
@@ -466,13 +468,13 @@ impl WorkerCtx {
         self.platform
             .meter
             .record_mb_ms(self.cfg.flow, billed_ms * self.cfg.memory_mb as u64);
-        InvocationReport {
+        Ok(InvocationReport {
             started: self.started,
             finished,
             billed_ms,
             peak_mem_bytes: self.peak_mem_bytes,
             memory_mb: self.cfg.memory_mb,
-        }
+        })
     }
 
     /// Installs a cooperative abort flag; once raised,
@@ -522,7 +524,10 @@ impl WorkerCtx {
     /// function exit.
     pub fn check_limits(&self) -> Result<(), FaasError> {
         if let Some(flag) = &self.abort {
-            if flag.load(std::sync::atomic::Ordering::Relaxed) {
+            // Acquire pairs with the Release store of whoever raised the
+            // flag: what they did first (report the root cause) is visible
+            // before this instance acts on the abort.
+            if flag.load(std::sync::atomic::Ordering::Acquire) {
                 return Err(FaasError::comm(
                     "abort",
                     self.cfg.name.clone(),
@@ -623,6 +628,24 @@ mod tests {
             })
             .join();
         assert!(matches!(res, Err(FaasError::OutOfMemory { .. })));
+    }
+
+    #[test]
+    fn keep_alive_window_is_limit_checked_when_it_closes() {
+        let p = platform();
+        let res = p
+            .invoke(
+                FunctionConfig::worker("warm", 128).for_flow(3).keep_alive(),
+                VirtualTime::ZERO,
+                |ctx| {
+                    ctx.track_alloc(600 * 1024 * 1024);
+                    ctx.finish_request()
+                },
+            )
+            .join();
+        assert!(matches!(res, Err(FaasError::OutOfMemory { .. })));
+        // Like a one-shot function killed at exit, the window never bills.
+        assert_eq!(p.lambda_meter().flow_snapshot(3).mb_ms, 0);
     }
 
     #[test]
@@ -777,11 +800,11 @@ mod tests {
                 |ctx| {
                     // Window 1: the launch window (flow 7, covers cold start).
                     ctx.charge_work(25_000_000);
-                    let r1 = ctx.finish_request();
+                    let r1 = ctx.finish_request()?;
                     // Window 2: a warm request on its own timeline.
                     ctx.begin_request(9, VirtualTime::from_micros(30_000));
                     ctx.charge_work(25_000_000);
-                    let r2 = ctx.finish_request();
+                    let r2 = ctx.finish_request()?;
                     Ok((r1, r2))
                 },
             )
@@ -818,10 +841,10 @@ mod tests {
                     ctx.track_alloc(80 * 1024 * 1024); // resident weights
                     ctx.track_alloc(100 * 1024 * 1024); // request-1 scratch
                     ctx.track_free(100 * 1024 * 1024);
-                    let peak1 = ctx.finish_request().peak_mem_bytes;
+                    let peak1 = ctx.finish_request()?.peak_mem_bytes;
                     ctx.begin_request(2, VirtualTime::ZERO);
                     ctx.check_limits()?; // fresh window: timeout restarted
-                    let peak2 = ctx.finish_request().peak_mem_bytes;
+                    let peak2 = ctx.finish_request()?.peak_mem_bytes;
                     Ok((peak1, peak2))
                 },
             )

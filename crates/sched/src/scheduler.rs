@@ -1973,7 +1973,7 @@ mod tests {
     fn failure_causes_classify_and_gate_retry() {
         let crash = FsdError::Comm(fsd_faas::CommFailure {
             op: "instance",
-            resource: "fsd-warm-1".into(),
+            resource: "fsd-worker-1".into(),
             detail: "keep-alive instance terminated".into(),
         });
         assert_eq!(FailureCause::of(&crash), FailureCause::InstanceCrash);

@@ -3,7 +3,11 @@
 //! shelf, survive worker death without wedging the scheduler, and keep
 //! per-flow billing disjoint across tree reuse.
 
-use fsd_inference::core::{FsdService, InferenceRequest, LaunchPath, ServiceBuilder, Variant};
+use fsd_inference::comm::{ApiClass, TargetedFault};
+use fsd_inference::core::{
+    BatchedRequest, FsdError, FsdService, InferenceReport, InferenceRequest, LaunchPath,
+    ServiceBuilder, Variant,
+};
 use fsd_inference::model::{generate_dnn, generate_inputs, DnnSpec, InputSpec};
 use fsd_inference::sched::{Priority, Scheduler, SchedulerConfig};
 use fsd_sparse::SparseRows;
@@ -56,54 +60,115 @@ fn request(inputs: &SparseRows, variant: Variant, workers: u32) -> InferenceRequ
     }
 }
 
+/// Everything a launch must reproduce whichever way its tree was acquired:
+/// the virtual timeline, both bills, both cost views, the work and the
+/// full rank-ordered per-worker record.
+fn launch_fingerprint(r: &InferenceReport) -> impl PartialEq + std::fmt::Debug {
+    let per_worker: Vec<_> = r
+        .per_worker
+        .iter()
+        .map(|w| (w.rank, w.started, w.finished, w.billed_ms, w.peak_mem_bytes))
+        .collect();
+    (
+        (r.launch, r.latency, r.lambda, r.comm),
+        (r.cost_actual, r.cost_predicted, r.work_done),
+        (per_worker, r.outputs.clone()),
+    )
+}
+
+fn assert_clean(service: &FsdService, what: &str) {
+    service.env().assert_no_residue();
+    assert_eq!(service.env().meter().tracked_flows(), 0, "{what}");
+    assert_eq!(
+        service.platform().lambda_meter().tracked_flows(),
+        0,
+        "{what}"
+    );
+}
+
+/// There is one launch path: a pool-less request, a pooled cold miss and
+/// member 0 of a pool-less coalition all launch a tree for their own flow
+/// and must be indistinguishable — on every transport, in both launch
+/// shapes (cascade, streamed/flat) and at P ∈ {1, 3, 8} — while a warm hit
+/// on the parked tree skips the launch bill and still matches the outputs.
 #[test]
 fn warm_hits_skip_launch_and_match_cold_outputs_on_both_channels() {
     let _guard = engine_guard();
-    for (variant, seed) in [(Variant::Queue, 41), (Variant::Object, 42)] {
-        let (service, inputs, expected) = pooled_service(seed, 4, u64::MAX);
-        // Reference: the same request on an identically seeded pool-less
-        // service (the original one-shot launch path).
-        let oneshot = {
-            let dnn = Arc::new(generate_dnn(&spec(seed)));
-            let service = ServiceBuilder::new(dnn).deterministic(seed).build();
-            service
-                .submit(&request(&inputs, variant, 3))
-                .expect("one-shot runs")
-        };
-        let cold = service
-            .submit(&request(&inputs, variant, 3))
-            .expect("cold run");
-        let warm = service
-            .submit(&request(&inputs, variant, 3))
-            .expect("warm run");
+    let seed = 41;
+    let dnn = Arc::new(generate_dnn(&spec(seed)));
+    let inputs = generate_inputs(spec(seed).neurons, &InputSpec::scaled(10, seed));
+    let expected = dnn.serial_inference(&inputs);
+    let build = |stream: bool, pool: bool| {
+        let b = ServiceBuilder::new(dnn.clone())
+            .deterministic(seed)
+            .weight_streaming(stream);
+        if pool { b.warm_pool(4, u64::MAX) } else { b }.build()
+    };
+    for stream in [false, true] {
+        for variant in [
+            Variant::Queue,
+            Variant::Object,
+            Variant::Hybrid,
+            Variant::Direct,
+        ] {
+            for p in [1u32, 3, 8] {
+                let what = format!("{variant} P={p} stream={stream}");
+                let req = request(&inputs, variant, p);
+                let batched = BatchedRequest {
+                    variant,
+                    workers: p,
+                    memory_mb: req.memory_mb,
+                    batches: vec![inputs.clone()],
+                };
+                let (poolless, pooled, coalition) = (
+                    build(stream, false),
+                    build(stream, true),
+                    build(stream, false),
+                );
+                let oneshot = poolless.submit(&req).expect("pool-less run");
+                let cold = pooled.submit(&req).expect("cold run");
+                let warm = pooled.submit(&req).expect("warm run");
+                let mut members = coalition.submit_coalesced(&[batched.clone(), batched]);
+                let follower = members.pop().expect("two members").expect("member 1");
+                let leader = members.pop().expect("two members").expect("member 0");
 
-        assert_eq!(cold.launch, LaunchPath::ColdStart, "{variant}");
-        assert_eq!(warm.launch, LaunchPath::WarmHit, "{variant}");
-        // Identical outputs across all three paths, equal to ground truth.
-        assert_eq!(cold.first_output(), &expected, "{variant}");
-        assert_eq!(warm.outputs, cold.outputs, "{variant}");
-        assert_eq!(oneshot.outputs, cold.outputs, "{variant}");
-        // The cold path pays the launch bill (coordinator + P workers,
-        // exactly like the one-shot path); the warm path invokes nothing.
-        assert_eq!(cold.lambda.invocations, 4, "{variant}");
-        assert_eq!(oneshot.lambda.invocations, 4, "{variant}");
-        assert_eq!(warm.lambda.invocations, 0, "{variant}");
-        assert!(warm.lambda.mb_ms > 0, "{variant}: execution still bills");
-        // And skips its latency: launch-to-first-output strictly below.
-        assert!(
-            warm.latency < cold.latency,
-            "{variant}: warm {} must beat cold {}",
-            warm.latency,
-            cold.latency
-        );
-        // No leaked per-request resources on either path.
-        assert_eq!(service.env().queue_count(), 0, "{variant}");
-        assert_eq!(service.env().meter().tracked_flows(), 0, "{variant}");
-        assert_eq!(
-            service.platform().lambda_meter().tracked_flows(),
-            0,
-            "{variant}"
-        );
+                assert_eq!(cold.first_output(), &expected, "{what}");
+                assert_eq!(cold.launch, LaunchPath::ColdStart, "{what}");
+                assert!(
+                    cold.per_worker.iter().map(|w| w.rank).eq(0..p),
+                    "{what}: per_worker must come back in rank order"
+                );
+                // The launch bill: coordinator + P ranks down the cascade,
+                // P ranks flat when weights are streamed.
+                let launched = if stream { p } else { p + 1 };
+                assert_eq!(cold.lambda.invocations, launched as u64, "{what}");
+                // §VI-F on the launch path: the client-side prediction sees
+                // every GET the instances issued.
+                let err = cold.cost_actual.relative_error(&cold.cost_predicted);
+                assert!(err < 1e-3, "{what}: predicted cost off by {err:.5}");
+                let reference = launch_fingerprint(&cold);
+                assert_eq!(launch_fingerprint(&oneshot), reference, "{what}: pool-less");
+                assert_eq!(launch_fingerprint(&leader), reference, "{what}: member 0");
+
+                // Landing on the resident tree invokes nothing and skips
+                // the launch latency, for the same answer.
+                for hit in [&warm, &follower] {
+                    assert_eq!(hit.launch, LaunchPath::WarmHit, "{what}");
+                    assert_eq!(hit.lambda.invocations, 0, "{what}");
+                    assert!(hit.lambda.mb_ms > 0, "{what}: execution still bills");
+                    assert_eq!(hit.outputs, cold.outputs, "{what}");
+                    assert!(
+                        hit.latency < cold.latency,
+                        "{what}: warm {} must beat cold {}",
+                        hit.latency,
+                        cold.latency
+                    );
+                }
+                for service in [&poolless, &pooled, &coalition] {
+                    assert_clean(service, &what);
+                }
+            }
+        }
     }
 }
 
@@ -357,6 +422,42 @@ fn dead_worker_evicts_the_tree_without_wedging_the_scheduler() {
     assert_eq!(service.platform().lambda_meter().tracked_flows(), 0);
     sched.shutdown();
     sched.drain();
+}
+
+/// A dying instance reports its own error *before* it poisons the tree,
+/// so what the request surfaces is the root cause (`"instance"`), never a
+/// peer's secondary `"abort"` that won a race into the result channel.
+#[test]
+fn the_first_error_a_request_reports_is_the_root_cause() {
+    let _guard = engine_guard();
+    let op_of = |res: Result<InferenceReport, FsdError>| match res {
+        Err(FsdError::Comm(failure)) => failure.op,
+        other => panic!("expected a comm failure, got {other:?}"),
+    };
+    let (pooled, inputs, _) = pooled_service(48, 2, u64::MAX);
+    let poolless = ServiceBuilder::new(Arc::new(generate_dnn(&spec(48))))
+        .deterministic(48)
+        .build();
+    for rep in 0..50 {
+        // A rank of a parked tree killed as the next request lands on it.
+        pooled
+            .submit(&request(&inputs, Variant::Queue, 3))
+            .expect("cold run parks the tree");
+        assert!(pooled.inject_fault(FsdService::warm_worker_fault(Variant::Queue, 3, 1769, 1)));
+        let killed = pooled.submit(&request(&inputs, Variant::Queue, 3));
+        assert_eq!(op_of(killed), "instance", "rep {rep}: killed rank");
+        // A launch refused two levels down the cascade (rank 6 is a child
+        // of rank 1 at P=8, b=4): rank 0 only ever hears of it second-hand.
+        poolless.inject_fault(TargetedFault::first(
+            ApiClass::InstanceLaunch,
+            "fsd-worker-6",
+        ));
+        let refused = poolless.submit(&request(&inputs, Variant::Queue, 8));
+        assert_eq!(op_of(refused), "instance", "rep {rep}: refused launch");
+    }
+    for service in [&*pooled, &poolless] {
+        assert_clean(service, "failed requests release everything");
+    }
 }
 
 #[test]
