@@ -17,7 +17,8 @@
 //! | `teardown-pair` | every `pub fn create_*`/`provision_*` in `crates/core`/`crates/comm` has a `remove_*`/`delete_*`/`teardown_*`/`destroy_*` twin in the same module; every `pub fn insert_*` has an `evict_*` twin |
 //! | `no-unwrap` | no `.unwrap()`, bare/undocumented `.expect(..)`, `panic!`, `unreachable!`, `todo!`, `unimplemented!` in non-test library code |
 //! | `lock-across-blocking` | a live `.lock()` guard must not be held across `.wait*(`/`.recv*(`/`sleep(` (condvar waits that consume the guard are recognized and allowed) |
-//! | `retry-idempotent` | a `RetryPolicy` `.run(..)` closure — or one handed to the channel engine's `.retried(..)` wrapper around it — must not call non-idempotent channel ops (`take_visible`, `poll`, `settle_receives`, `delete_batch`, `enqueue`) — a retried attempt repeats its calls, so only idempotent ops may sit inside one |
+//! | `retry-idempotent` | a `RetryPolicy` `.run(..)` closure — or one handed to the channel engine's `.retried(..)` wrapper around it — must not call non-idempotent channel ops (`take_visible`, `settle_receives`, `enqueue`) — a retried attempt repeats its calls, so only idempotent ops may sit inside one |
+//! | `real-wait` | in non-test `crates/comm/src`, real time (`wait_for(`, `wait_until(`, `sleep(`, `Instant::now`) appears only in `mailbox.rs` — the one producer-grace wait; everything else settles from virtual stamps |
 //!
 //! Escape hatch: a comment containing `fsd_lint::allow(lint-name)` (optionally
 //! a comma-separated list, optionally followed by `: reason`) suppresses those
@@ -46,8 +47,11 @@ pub const LINT_LOCK_BLOCKING: &str = "lock-across-blocking";
 /// Lint name: non-idempotent op inside a `RetryPolicy::run` closure.
 pub const LINT_RETRY_IDEMPOTENT: &str = "retry-idempotent";
 
+/// Lint name: real-time wait or clock read in `crates/comm` outside `mailbox.rs`.
+pub const LINT_REAL_TIME: &str = "real-wait";
+
 /// Every lint this binary knows about, in diagnostic-name form.
-pub const ALL_LINTS: [&str; 7] = [
+pub const ALL_LINTS: [&str; 8] = [
     LINT_VARIANT_EXHAUSTIVE,
     LINT_BILLING_PAIR,
     LINT_RAW_CHANNEL_NAME,
@@ -55,6 +59,7 @@ pub const ALL_LINTS: [&str; 7] = [
     LINT_NO_UNWRAP,
     LINT_LOCK_BLOCKING,
     LINT_RETRY_IDEMPOTENT,
+    LINT_REAL_TIME,
 ];
 
 /// A single diagnostic: `path:line: [lint] message`.
@@ -1023,13 +1028,7 @@ fn lint_lock_across_blocking(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
 /// receives that pop messages, visibility takes, deletes, scheduler
 /// enqueues — would double their effect on retry.
 fn lint_retry_idempotent(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
-    const NON_IDEMPOTENT: [&str; 5] = [
-        "take_visible",
-        "poll",
-        "settle_receives",
-        "delete_batch",
-        "enqueue",
-    ];
+    const NON_IDEMPOTENT: [&str; 3] = ["take_visible", "settle_receives", "enqueue"];
     let toks = ctx.toks;
     for i in 0..toks.len() {
         let (run, retried) = (toks[i].is_word("run"), toks[i].is_word("retried"));
@@ -1072,6 +1071,43 @@ fn lint_retry_idempotent(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
     }
 }
 
+/// Lint 8: `real-wait`.
+///
+/// The simulated services settle every virtual effect from stamps; real
+/// time enters `crates/comm` only through the producer-grace wait in
+/// `mailbox.rs`. A real-time wait or clock read anywhere else in the crate
+/// would make a receive's result depend on thread timing again.
+fn lint_real_wait(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
+    let path = &ctx.cfg.path;
+    if !path.starts_with("crates/comm/src/") || path.ends_with("/mailbox.rs") {
+        return;
+    }
+    let toks = ctx.toks;
+    for (i, t) in toks.iter().enumerate() {
+        if ctx.test[i] || t.kind != Kind::Word {
+            continue;
+        }
+        let waits = matches!(t.text.as_str(), "wait_for" | "wait_until" | "sleep")
+            && toks.get(i + 1).is_some_and(|n| n.is_sym('('));
+        let reads_clock = t.is_word("now")
+            && i >= 3
+            && toks[i - 1].is_sym(':')
+            && toks[i - 2].is_sym(':')
+            && toks[i - 3].is_word("Instant");
+        if waits || reads_clock {
+            ctx.push(
+                out,
+                t.line,
+                LINT_REAL_TIME,
+                format!(
+                    "real time (`{}`) in crates/comm outside mailbox.rs; wait through `mailbox::wait_for_producers` and settle timing from virtual stamps",
+                    t.text
+                ),
+            );
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Entry points
 // ---------------------------------------------------------------------------
@@ -1096,6 +1132,7 @@ pub fn lint_source(src: &str, cfg: &LintConfig) -> Vec<Finding> {
         lint_no_unwrap(&ctx, &mut out);
         lint_lock_across_blocking(&ctx, &mut out);
         lint_retry_idempotent(&ctx, &mut out);
+        lint_real_wait(&ctx, &mut out);
     }
     out.sort();
     out

@@ -1,13 +1,13 @@
-fn bad_retry_over_receive(opts: &Opts, lane: &mut VClock, env: &CloudEnv, q: u32) {
+fn bad_retry_over_settle(opts: &Opts, lane: &mut VClock, env: &CloudEnv, q: u32) {
     let (res, retries) = opts.retry.run(lane, |lane| {
-        env.queue(q).poll(lane, PollKind::Short)
+        env.queue(q).settle_receives(lane, 2.0, &[])
     });
     let _ = (res, retries);
 }
 
-fn bad_retry_over_delete(lane: &mut VClock, env: &CloudEnv, q: u32, handles: Vec<u64>) {
+fn bad_retry_over_enqueue(lane: &mut VClock, env: &CloudEnv, q: u32, m: Message) {
     let (res, _) = RetryPolicy::default().run(lane, |lane| {
-        env.queue(q).delete_batch(lane, &handles)
+        env.queue(q).enqueue(lane.now(), m.clone())
     });
     let _ = res;
 }

@@ -152,6 +152,21 @@ fn retry_idempotent_flags_consuming_ops_in_retry_closures() {
 }
 
 #[test]
+fn real_wait_confines_real_time_in_comm_to_the_mailbox() {
+    let bad = include_str!("fixtures/bad_real_wait.rs");
+    assert_eq!(
+        findings(bad, "crates/comm/src/queue.rs"),
+        vec![("real-wait", 3), ("real-wait", 7), ("real-wait", 11)]
+    );
+    // The same code is the mailbox's to own, and no business of this lint
+    // outside `crates/comm`.
+    assert_eq!(findings(bad, "crates/comm/src/mailbox.rs"), vec![]);
+    assert_eq!(findings(bad, "crates/faas/src/fixture.rs"), vec![]);
+    let good = include_str!("fixtures/good_real_wait.rs");
+    assert_eq!(findings(good, "crates/comm/src/queue.rs"), vec![]);
+}
+
+#[test]
 fn allow_comment_silences_only_the_named_line() {
     let src = include_str!("fixtures/allow_escape_hatch.rs");
     // The documented panic! is silenced; the undocumented unwrap is not.

@@ -14,20 +14,19 @@
 //! The punch is the only step the fault plane intercepts
 //! ([`ApiClass::DirectPunch`]); established connections never drop
 //! in-model. Frames are stamped with the sender's virtual clock; the
-//! receive path mirrors the object store's deterministic split — a free
-//! real-time-grace [`DirectNet::fetch`], then [`DirectNet::settle_recv`]
-//! joins the receiver's clock against the stamps — so billing (here:
-//! byte/message accounting only) and timing never depend on real-thread
-//! scheduling.
+//! receive path is the crate's one protocol — a free real-time-grace
+//! [`DirectNet::fetch`] from the shared `crate::mailbox`, then
+//! [`DirectNet::settle_recv`] joins the receiver's clock against the
+//! stamps — so billing (here: byte/message accounting only) and timing
+//! never depend on real-thread scheduling.
 
-use crate::fault::{ApiClass, FaultPlane};
-use crate::grace::wait_for_producers;
-use crate::latency::{Jitter, LatencyModel};
+use crate::env::Region;
+use crate::fault::ApiClass;
+use crate::mailbox::Mailbox;
 use crate::message::CommError;
-use crate::meter::ServiceMeter;
 use crate::time::{VClock, VirtualTime};
-use parking_lot::{Condvar, Mutex};
-use std::collections::{HashMap, HashSet};
+use parking_lot::Mutex;
+use std::collections::HashSet;
 use std::sync::Arc;
 
 /// One frame delivered over a punched connection.
@@ -41,45 +40,26 @@ pub struct DirectFrame {
     pub available_at: VirtualTime,
 }
 
-#[derive(Default)]
-struct NetState {
+/// The direct-exchange fabric of one region: punched connections and
+/// per-(flow, receiver, tag) mailboxes.
+pub struct DirectNet {
     /// Punched outbound connections, keyed `(flow, src, dst)`. Directed:
     /// each endpoint runs its *own* hole punch through the rendezvous, so
     /// who pays a handshake (and which clock the fault plane draws
     /// against) is a pure function of the sender's lane — never of which
     /// of two concurrent workers reached a shared pair first.
-    connections: HashSet<(u64, usize, usize)>,
-    /// Undrained frames, keyed `(flow, receiver, tag)`. Frames persist
-    /// until [`DirectNet::close_flow`] — receivers track how many they
-    /// have consumed, exactly like object-channel prefix scans.
-    mailboxes: HashMap<(u64, usize, String), Vec<DirectFrame>>,
-}
-
-/// The direct-exchange fabric of one region: punched connections and
-/// per-(flow, receiver, tag) mailboxes.
-pub struct DirectNet {
-    state: Mutex<NetState>,
-    cond: Condvar,
-    meter: Arc<ServiceMeter>,
-    latency: LatencyModel,
-    jitter: Arc<Jitter>,
-    faults: Arc<FaultPlane>,
+    connections: Mutex<HashSet<(u64, usize, usize)>>,
+    /// Undrained frames, keyed `(flow, receiver, tag)`.
+    mailboxes: Mailbox<(u64, usize, String), DirectFrame>,
+    region: Region,
 }
 
 impl DirectNet {
-    pub(crate) fn new(
-        meter: Arc<ServiceMeter>,
-        latency: LatencyModel,
-        jitter: Arc<Jitter>,
-        faults: Arc<FaultPlane>,
-    ) -> DirectNet {
+    pub(crate) fn new(region: Region) -> DirectNet {
         DirectNet {
-            state: Mutex::new(NetState::default()),
-            cond: Condvar::new(),
-            meter,
-            latency,
-            jitter,
-            faults,
+            connections: Mutex::new(HashSet::new()),
+            mailboxes: Mailbox::new(),
+            region,
         }
     }
 
@@ -90,37 +70,34 @@ impl DirectNet {
     /// what the fault plane injects under [`ApiClass::DirectPunch`].
     pub fn punch(&self, clock: &mut VClock, src: usize, dst: usize) -> Result<(), CommError> {
         let flow = clock.flow();
-        let key = (flow, src, dst);
-        if self.state.lock().connections.contains(&key) {
+        if self.is_connected(flow, src, dst) {
             return Ok(());
         }
+        let region = &self.region;
         let resource = format!("f{flow}/{src}-{dst}");
-        let dur = self.jitter.apply(self.latency.direct_punch_us);
-        if let Some(kind) = self
+        let fault = region
             .faults
-            .check(ApiClass::DirectPunch, flow, clock.now(), &resource)
-        {
-            self.meter.record_direct_punch(flow, false);
-            clock.advance_micros(dur);
+            .check(ApiClass::DirectPunch, flow, clock.now(), &resource);
+        region.elapse(clock, region.latency.direct_punch_us);
+        region.meter.record_direct_punch(flow, fault.is_none());
+        if let Some(kind) = fault {
             return Err(kind.to_error(format!("direct:punch {resource}")));
         }
-        clock.advance_micros(dur);
-        self.meter.record_direct_punch(flow, true);
-        self.state.lock().connections.insert(key);
+        self.connections.lock().insert((flow, src, dst));
         Ok(())
     }
 
     /// Whether `src`'s outbound connection to `dst` is punched for `flow`.
     pub fn is_connected(&self, flow: u64, src: usize, dst: usize) -> bool {
-        self.state.lock().connections.contains(&(flow, src, dst))
+        self.connections.lock().contains(&(flow, src, dst))
     }
 
     /// Sends one frame from `src` to `dst` under `tag`, punching the
     /// outbound connection first if needed (the first send in a direction
     /// pays the handshake; a retried send re-attempts the punch). The
-    /// frame is stamped with
-    /// the sender's clock after the transfer — unlike the managed
-    /// services there is no billed API call, only bytes on the wire.
+    /// frame is stamped with the sender's clock after the transfer —
+    /// unlike the managed services there is no billed API call, only
+    /// bytes on the wire.
     pub fn send(
         &self,
         clock: &mut VClock,
@@ -131,24 +108,16 @@ impl DirectNet {
     ) -> Result<(), CommError> {
         self.punch(clock, src, dst)?;
         let body = body.into();
-        clock.advance_micros(
-            self.jitter
-                .apply(self.latency.direct_send_total_us(body.len())),
-        );
+        let region = &self.region;
+        region.elapse(clock, region.latency.direct_send_total_us(body.len()));
         let flow = clock.flow();
-        self.meter.record_direct_send(flow, 1, body.len() as u64);
+        region.meter.record_direct_send(flow, 1, body.len() as u64);
         let frame = DirectFrame {
             src,
             body,
             available_at: clock.now(),
         };
-        self.state
-            .lock()
-            .mailboxes
-            .entry((flow, dst, tag.to_string()))
-            .or_default()
-            .push(frame);
-        self.cond.notify_all();
+        self.mailboxes.post((flow, dst, tag.to_string()), frame);
         Ok(())
     }
 
@@ -158,12 +127,7 @@ impl DirectNet {
     /// no visibility filter**. The caller later settles timing from the
     /// stamps with [`DirectNet::settle_recv`].
     pub fn fetch(&self, flow: u64, dst: usize, tag: &str, known: usize) -> Vec<DirectFrame> {
-        let key = (flow, dst, tag.to_string());
-        let mut state = self.state.lock();
-        wait_for_producers(&self.cond, &mut state, |s| {
-            s.mailboxes.get(&key).map_or(0, Vec::len) > known
-        });
-        state.mailboxes.get(&key).cloned().unwrap_or_default()
+        self.mailboxes.fetch(&(flow, dst, tag.to_string()), known)
     }
 
     /// Joins the receiver's clock against frame stamps: a blocked receiver
@@ -174,7 +138,8 @@ impl DirectNet {
         for s in stamps {
             clock.observe(*s);
         }
-        clock.advance_micros(self.jitter.apply(self.latency.direct_latency_us));
+        self.region
+            .elapse(clock, self.region.latency.direct_latency_us);
     }
 
     /// The liveness escape hatch when a producer has really not shown up
@@ -182,63 +147,46 @@ impl DirectNet {
     /// elapses on the receiver's clock (so `receive_all` walks toward its
     /// deadline), again with no billed call.
     pub fn idle_wait(&self, clock: &mut VClock) {
-        clock.advance_micros(self.jitter.apply(self.latency.direct_punch_us / 2));
+        self.region
+            .elapse(clock, self.region.latency.direct_punch_us / 2);
     }
 
     /// Tears down everything the flow holds: punched connections and
     /// undrained mailboxes. Returns `(connections, frames)` dropped.
     pub fn close_flow(&self, flow: u64) -> (usize, usize) {
-        let mut state = self.state.lock();
-        let conns_before = state.connections.len();
-        state.connections.retain(|&(f, _, _)| f != flow);
-        let conns = conns_before - state.connections.len();
-        let mut frames = 0usize;
-        state.mailboxes.retain(|&(f, _, _), v| {
-            if f == flow {
-                frames += v.len();
-                false
-            } else {
-                true
-            }
-        });
-        drop(state);
-        self.cond.notify_all();
-        (conns, frames)
+        let mut connections = self.connections.lock();
+        let before = connections.len();
+        connections.retain(|&(f, _, _)| f != flow);
+        let conns = before - connections.len();
+        drop(connections);
+        (conns, self.mailboxes.close(|&(f, _, _)| f == flow))
     }
 
     /// Live punched connections across all flows (residue audit).
     pub fn connection_count(&self) -> usize {
-        self.state.lock().connections.len()
+        self.connections.lock().len()
     }
 
     /// Undrained frames across all flows (residue audit).
     pub fn undrained_frames(&self) -> usize {
-        self.state.lock().mailboxes.values().map(Vec::len).sum()
+        self.mailboxes.len()
     }
 
     /// Drops all connections and mailboxes (between benchmark
     /// repetitions; never while a request is in flight).
     pub fn reset(&self) {
-        let mut state = self.state.lock();
-        state.connections.clear();
-        state.mailboxes.clear();
-        drop(state);
-        self.cond.notify_all();
+        self.connections.lock().clear();
+        self.mailboxes.clear();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::{FaultPlan, TargetedFault};
+    use crate::fault::TargetedFault;
 
     fn net() -> DirectNet {
-        DirectNet::new(
-            Arc::new(ServiceMeter::new()),
-            LatencyModel::deterministic(),
-            Arc::new(Jitter::new(3, 0.0)),
-            Arc::new(FaultPlane::disabled()),
-        )
+        DirectNet::new(Region::deterministic())
     }
 
     #[test]
@@ -247,35 +195,31 @@ mod tests {
         let mut clock = VClock::default().with_flow(7);
         n.punch(&mut clock, 2, 5).expect("punch");
         let after_first = clock.now();
-        assert_eq!(after_first.as_micros(), n.latency.direct_punch_us);
+        assert_eq!(after_first.as_micros(), n.region.latency.direct_punch_us);
         assert!(n.is_connected(7, 2, 5));
         // Re-punching the same direction is free…
         n.punch(&mut clock, 2, 5).expect("repunch");
         assert_eq!(clock.now(), after_first);
-        assert_eq!(n.meter.snapshot().direct_punches, 1);
+        assert_eq!(n.region.meter.snapshot().direct_punches, 1);
         assert_eq!(n.connection_count(), 1);
         // …but the reverse direction is its own outbound hole punch.
         assert!(!n.is_connected(7, 5, 2));
         n.punch(&mut clock, 5, 2).expect("reverse punch");
-        assert_eq!(n.meter.snapshot().direct_punches, 2);
+        assert_eq!(n.region.meter.snapshot().direct_punches, 2);
         assert_eq!(n.connection_count(), 2);
     }
 
     #[test]
     fn punch_fault_fails_billed_and_elapsed() {
-        let n = DirectNet::new(
-            Arc::new(ServiceMeter::new()),
-            LatencyModel::deterministic(),
-            Arc::new(Jitter::new(3, 0.0)),
-            Arc::new(FaultPlane::new(Some(FaultPlan::new(1)))),
-        );
-        n.faults
+        let n = net();
+        n.region
+            .faults
             .inject(TargetedFault::first(ApiClass::DirectPunch, "f9/"));
         let mut clock = VClock::default().with_flow(9);
         let err = n.punch(&mut clock, 0, 1).expect_err("injected punch fault");
         assert!(err.is_retryable());
-        assert_eq!(clock.now().as_micros(), n.latency.direct_punch_us);
-        assert_eq!(n.meter.snapshot().direct_punch_failures, 1);
+        assert_eq!(clock.now().as_micros(), n.region.latency.direct_punch_us);
+        assert_eq!(n.region.meter.snapshot().direct_punch_failures, 1);
         assert!(!n.is_connected(9, 0, 1));
         // The schedule is one-shot: the retry punches through.
         n.punch(&mut clock, 0, 1).expect("retry succeeds");
@@ -288,7 +232,7 @@ mod tests {
         let mut clock = VClock::default().with_flow(4);
         n.send(&mut clock, 1, 2, "L0", &b"payload"[..])
             .expect("send");
-        let snap = n.meter.snapshot();
+        let snap = n.region.meter.snapshot();
         assert_eq!(snap.direct_punches, 1);
         assert_eq!(snap.direct_messages, 1);
         assert_eq!(snap.direct_bytes, 7);
@@ -300,9 +244,13 @@ mod tests {
         // A second send in the same direction pays no second punch; the
         // reverse direction pays its own.
         n.send(&mut clock, 1, 2, "L1", &b"x"[..]).expect("send");
-        assert_eq!(n.meter.snapshot().direct_punches, 1);
+        assert_eq!(n.region.meter.snapshot().direct_punches, 1);
         n.send(&mut clock, 2, 1, "L1", &b"y"[..]).expect("send");
-        assert_eq!(n.meter.snapshot().direct_punches, 2);
+        assert_eq!(n.region.meter.snapshot().direct_punches, 2);
+        // Mailboxes are keyed by (flow, receiver, tag).
+        assert_eq!(n.fetch(4, 2, "L0", 0).len(), 1);
+        assert_eq!(n.fetch(4, 1, "L1", 0).len(), 1);
+        assert!(n.fetch(5, 2, "L0", 0).is_empty());
     }
 
     #[test]
@@ -320,7 +268,7 @@ mod tests {
         n.settle_recv(&mut late, &stamps);
         assert_eq!(
             late.now().as_micros(),
-            VirtualTime::from_secs_f64(100.0).as_micros() + n.latency.direct_latency_us
+            VirtualTime::from_secs_f64(100.0).as_micros() + n.region.latency.direct_latency_us
         );
     }
 
@@ -330,42 +278,6 @@ mod tests {
         let mut clock = VClock::default();
         n.idle_wait(&mut clock);
         assert!(clock.now() > VirtualTime::ZERO);
-    }
-
-    #[test]
-    fn fetch_honors_known_and_returns_everything() {
-        let n = net();
-        let mut clock = VClock::default().with_flow(2);
-        n.send(&mut clock, 0, 3, "L5", &b"a"[..]).expect("send");
-        n.send(&mut clock, 1, 3, "L5", &b"b"[..]).expect("send");
-        // known=2: nothing new — returns after the grace with both frames.
-        let frames = n.fetch(2, 3, "L5", 2);
-        assert_eq!(frames.len(), 2);
-        // Other tags and receivers are isolated.
-        assert!(n.fetch(2, 3, "L6", 0).is_empty());
-        assert!(n.fetch(2, 4, "L5", 0).is_empty());
-    }
-
-    #[test]
-    fn concurrent_senders_wake_a_fetching_receiver() {
-        let n = Arc::new(net());
-        let reader = {
-            let n = n.clone();
-            std::thread::spawn(move || n.fetch(1, 9, "L0", 1))
-        };
-        let mut handles = Vec::new();
-        for src in 0..2usize {
-            let n = n.clone();
-            handles.push(std::thread::spawn(move || {
-                let mut clock = VClock::default().with_flow(1);
-                n.send(&mut clock, src, 9, "L0", &b"z"[..]).expect("send");
-            }));
-        }
-        for h in handles {
-            h.join().expect("sender");
-        }
-        let frames = reader.join().expect("reader");
-        assert_eq!(frames.len(), 2);
     }
 
     #[test]

@@ -8,6 +8,7 @@ use crate::object::ObjectStore;
 use crate::pubsub::PubSub;
 use crate::queue::SqsQueue;
 use crate::stream::WeightNet;
+use crate::time::VClock;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -57,13 +58,45 @@ impl CloudConfig {
     }
 }
 
+/// What every service of a region shares: the billing meter, the latency
+/// model, the jitter stream and the fault plane.
+#[derive(Clone)]
+pub(crate) struct Region {
+    pub(crate) meter: Arc<ServiceMeter>,
+    pub(crate) latency: LatencyModel,
+    pub(crate) jitter: Arc<Jitter>,
+    pub(crate) faults: Arc<FaultPlane>,
+}
+
+impl Region {
+    fn new(config: &CloudConfig) -> Region {
+        Region {
+            meter: Arc::new(ServiceMeter::new()),
+            latency: config.latency,
+            jitter: Arc::new(Jitter::new(config.seed, config.latency.jitter)),
+            faults: Arc::new(FaultPlane::new(config.faults)),
+        }
+    }
+
+    /// A jitter-free region with no fault plan (standalone service tests;
+    /// targeted faults can still be injected on `faults`).
+    #[cfg(test)]
+    pub(crate) fn deterministic() -> Region {
+        Region::new(&CloudConfig::deterministic(1))
+    }
+
+    /// The one way a service call takes virtual time: advances `clock` by
+    /// `base_us` under a fresh jitter draw.
+    pub(crate) fn elapse(&self, clock: &mut VClock, base_us: u64) {
+        clock.advance_micros(self.jitter.apply(base_us));
+    }
+}
+
 /// One simulated cloud region holding all communication services. Shared
 /// (via `Arc`) by every FaaS worker thread in a run.
 pub struct CloudEnv {
     config: CloudConfig,
-    meter: Arc<ServiceMeter>,
-    jitter: Arc<Jitter>,
-    faults: Arc<FaultPlane>,
+    region: Region,
     pubsub: PubSub,
     store: ObjectStore,
     direct: DirectNet,
@@ -75,46 +108,18 @@ impl CloudEnv {
     /// Brings up a region: pre-creates topics and buckets (named
     /// `bucket-{i}`), mirroring the paper's pre-created resources.
     pub fn new(config: CloudConfig) -> Arc<CloudEnv> {
-        let meter = Arc::new(ServiceMeter::new());
-        let jitter = Arc::new(Jitter::new(config.seed, config.latency.jitter));
-        let faults = Arc::new(FaultPlane::new(config.faults));
-        let pubsub = PubSub::new(
-            config.n_topics,
-            meter.clone(),
-            config.latency,
-            jitter.clone(),
-            faults.clone(),
-        );
-        let store = ObjectStore::new(
-            meter.clone(),
-            config.latency,
-            jitter.clone(),
-            faults.clone(),
-        );
+        let region = Region::new(&config);
+        let store = ObjectStore::new(region.clone());
         for i in 0..config.n_buckets {
             store.create_bucket(&bucket_name(i));
         }
-        let direct = DirectNet::new(
-            meter.clone(),
-            config.latency,
-            jitter.clone(),
-            faults.clone(),
-        );
-        let weights = WeightNet::new(
-            meter.clone(),
-            config.latency,
-            jitter.clone(),
-            faults.clone(),
-        );
         Arc::new(CloudEnv {
             config,
-            meter,
-            jitter,
-            faults,
-            pubsub,
+            pubsub: PubSub::new(config.n_topics, region.clone()),
             store,
-            direct,
-            weights,
+            direct: DirectNet::new(region.clone()),
+            weights: WeightNet::new(region.clone()),
+            region,
             queues: Mutex::new(HashMap::new()),
         })
     }
@@ -131,34 +136,34 @@ impl CloudEnv {
 
     /// The shared billing meter.
     pub fn meter(&self) -> &ServiceMeter {
-        &self.meter
+        &self.region.meter
     }
 
     /// Convenience: snapshot of the billing meter.
     pub fn snapshot(&self) -> MeterSnapshot {
-        self.meter.snapshot()
+        self.region.meter.snapshot()
     }
 
     /// Convenience: the billing events attributed to one request flow.
     pub fn flow_snapshot(&self, flow: u64) -> MeterSnapshot {
-        self.meter.flow_snapshot(flow)
+        self.region.meter.flow_snapshot(flow)
     }
 
     /// Convenience: removes a flow's billing bucket, returning its final
     /// window (request teardown).
     pub fn release_flow(&self, flow: u64) -> MeterSnapshot {
-        self.meter.release_flow(flow)
+        self.region.meter.release_flow(flow)
     }
 
     /// The deterministic jitter stream (shared by FaaS timing too).
     pub fn jitter(&self) -> &Arc<Jitter> {
-        &self.jitter
+        &self.region.jitter
     }
 
     /// The region's fault-injection plane (inert unless a plan or a
     /// targeted schedule is armed).
     pub fn faults(&self) -> &FaultPlane {
-        &self.faults
+        &self.region.faults
     }
 
     /// The pub-sub service.
@@ -187,15 +192,7 @@ impl CloudEnv {
         self.queues
             .lock()
             .entry(name.to_string())
-            .or_insert_with(|| {
-                Arc::new(SqsQueue::new(
-                    name.to_string(),
-                    self.meter.clone(),
-                    self.config.latency,
-                    self.jitter.clone(),
-                    self.faults.clone(),
-                ))
-            })
+            .or_insert_with(|| Arc::new(SqsQueue::new(name.to_string(), self.region.clone())))
             .clone()
     }
 
@@ -226,42 +223,30 @@ impl CloudEnv {
     /// after teardown.
     pub fn residue_report(&self) -> Vec<String> {
         let mut residue = Vec::new();
-        let queues = self.queue_count();
-        if queues > 0 {
-            residue.push(format!("{queues} live queue(s)"));
-        }
-        for t in 0..self.pubsub.n_topics() {
-            let subs = self.pubsub.subscription_count(t);
-            if subs > 0 {
-                residue.push(format!(
-                    "{subs} subscription(s) on {}",
-                    crate::pubsub::topic_name(t)
-                ));
+        let mut note = |count: usize, what: &str| {
+            if count > 0 {
+                residue.push(format!("{count} {what}"));
             }
+        };
+        note(self.queue_count(), "live queue(s)");
+        for t in 0..self.pubsub.n_topics() {
+            let on = format!("subscription(s) on {}", crate::pubsub::topic_name(t));
+            note(self.pubsub.subscription_count(t), &on);
         }
         for i in 0..self.config.n_buckets {
             let name = bucket_name(i);
-            let objects = self.store.object_count(&name);
-            if objects > 0 {
-                residue.push(format!("{objects} object(s) in {name}"));
-            }
+            note(
+                self.store.object_count(&name),
+                &format!("object(s) in {name}"),
+            );
         }
-        let conns = self.direct.connection_count();
-        if conns > 0 {
-            residue.push(format!("{conns} punched direct connection(s)"));
-        }
-        let frames = self.direct.undrained_frames();
-        if frames > 0 {
-            residue.push(format!("{frames} undrained direct frame(s)"));
-        }
-        let weight_frames = self.weights.undrained_frames();
-        if weight_frames > 0 {
-            residue.push(format!("{weight_frames} undrained weight frame(s)"));
-        }
-        let flows = self.meter.tracked_flows();
-        if flows > 0 {
-            residue.push(format!("{flows} tracked billing flow(s)"));
-        }
+        note(
+            self.direct.connection_count(),
+            "punched direct connection(s)",
+        );
+        note(self.direct.undrained_frames(), "undrained direct frame(s)");
+        note(self.weights.undrained_frames(), "undrained weight frame(s)");
+        note(self.region.meter.tracked_flows(), "tracked billing flow(s)");
         residue
     }
 
@@ -302,7 +287,6 @@ pub fn bucket_name(i: usize) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::time::VClock;
 
     #[test]
     fn env_precreates_buckets_and_topics() {
@@ -359,8 +343,7 @@ mod tests {
         env.object_store()
             .put(&bucket_name(1), "k", &b"v"[..], &mut clock)
             .expect("put");
-        let q = env.queue("w0");
-        q.poll(&mut clock, crate::queue::PollKind::Short);
+        env.queue("w0").empty_poll(&mut clock, 1.0);
         let snap = env.snapshot();
         assert_eq!(snap.s3_put_requests, 1);
         assert_eq!(snap.sqs_api_calls, 1);

@@ -140,10 +140,8 @@ impl Jitter {
         (us as f64 * factor).round().max(0.0) as u64
     }
 
-    /// A fresh deterministic uniform draw in `[0, 1)`, independent of the
-    /// jitter half-width (used for sampling decisions such as short-poll
-    /// visibility).
-    pub fn unit(&self) -> f64 {
+    /// A fresh deterministic uniform draw in `[0, 1)`.
+    fn unit(&self) -> f64 {
         let n = self
             .state
             .fetch_add(0x9E37_79B9_7F4A_7C15, Ordering::Relaxed);

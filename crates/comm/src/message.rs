@@ -55,19 +55,10 @@ impl Message {
     }
 }
 
-/// A message as it sits in a queue: stamped with the virtual time at which
-/// it becomes visible to consumers.
+/// A message as it sits in a queue — and as a take hands it to the
+/// consumer: stamped with the virtual time at which it becomes visible.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QueuedMessage {
-    pub available_at: VirtualTime,
-    pub message: Message,
-}
-
-/// A message handed to a consumer by a poll, with the receipt handle needed
-/// to delete it.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ReceivedMessage {
-    pub handle: u64,
     pub available_at: VirtualTime,
     pub message: Message,
 }

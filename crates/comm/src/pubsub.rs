@@ -8,52 +8,36 @@
 //! worker's dedicated queue. Messages whose target has no subscription are
 //! silently dropped — exact SNS filter semantics.
 
-use crate::fault::{ApiClass, FaultPlane};
-use crate::latency::{Jitter, LatencyModel};
+use crate::env::Region;
+use crate::fault::ApiClass;
 use crate::message::{quota, CommError, Message};
-use crate::meter::ServiceMeter;
 use crate::queue::SqsQueue;
 use crate::time::VClock;
 use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-struct Topic {
-    /// Filter policy: `(flow, target)` attributes → subscribed queue.
-    subs: RwLock<HashMap<(u64, u32), Arc<SqsQueue>>>,
-}
+/// One topic's filter policy: `(flow, target)` attributes → subscribed queue.
+type Topic = RwLock<HashMap<(u64, u32), Arc<SqsQueue>>>;
 
 /// The pub-sub service: a fixed set of pre-created topics (the paper
 /// pre-creates all communication resources to keep them off the inference
 /// critical path — they carry no idle cost).
 pub struct PubSub {
     topics: Vec<Topic>,
-    meter: Arc<ServiceMeter>,
-    latency: LatencyModel,
-    jitter: Arc<Jitter>,
-    faults: Arc<FaultPlane>,
+    region: Region,
 }
 
 impl PubSub {
-    pub(crate) fn new(
-        n_topics: usize,
-        meter: Arc<ServiceMeter>,
-        latency: LatencyModel,
-        jitter: Arc<Jitter>,
-        faults: Arc<FaultPlane>,
-    ) -> PubSub {
-        let topics = (0..n_topics.max(1))
-            .map(|_| Topic {
-                subs: RwLock::new(HashMap::new()),
-            })
-            .collect();
-        PubSub {
-            topics,
-            meter,
-            latency,
-            jitter,
-            faults,
-        }
+    pub(crate) fn new(n_topics: usize, region: Region) -> PubSub {
+        let topics = (0..n_topics.max(1)).map(|_| Topic::default()).collect();
+        PubSub { topics, region }
+    }
+
+    fn topic(&self, topic: usize) -> Result<&Topic, CommError> {
+        self.topics
+            .get(topic)
+            .ok_or(CommError::NoSuchTopic { topic })
     }
 
     /// Number of parallel topics.
@@ -72,28 +56,22 @@ impl PubSub {
         target: u32,
         queue: Arc<SqsQueue>,
     ) -> Result<(), CommError> {
-        let t = self
-            .topics
-            .get(topic)
-            .ok_or(CommError::NoSuchTopic { topic })?;
-        t.subs.write().insert((flow, target), queue);
+        let t = self.topic(topic)?;
+        t.write().insert((flow, target), queue);
         Ok(())
     }
 
     /// Removes the `(flow, target)` filter-policy subscription from `topic`
     /// (request teardown). Unknown subscriptions are ignored.
     pub fn unsubscribe(&self, topic: usize, flow: u64, target: u32) -> Result<(), CommError> {
-        let t = self
-            .topics
-            .get(topic)
-            .ok_or(CommError::NoSuchTopic { topic })?;
-        t.subs.write().remove(&(flow, target));
+        let t = self.topic(topic)?;
+        t.write().remove(&(flow, target));
         Ok(())
     }
 
     /// Number of live subscriptions on `topic` (diagnostics/tests).
     pub fn subscription_count(&self, topic: usize) -> usize {
-        self.topics.get(topic).map_or(0, |t| t.subs.read().len())
+        self.topics.get(topic).map_or(0, |t| t.read().len())
     }
 
     /// One `PublishBatch` call: validates quotas, advances the caller's
@@ -108,10 +86,7 @@ impl PubSub {
         clock: &mut VClock,
         messages: Vec<Message>,
     ) -> Result<u64, CommError> {
-        let t = self
-            .topics
-            .get(topic)
-            .ok_or(CommError::NoSuchTopic { topic })?;
+        let t = self.topic(topic)?;
         if messages.len() > quota::MAX_BATCH_MESSAGES {
             return Err(CommError::TooManyMessages {
                 got: messages.len(),
@@ -123,35 +98,40 @@ impl PubSub {
         }
         // Billed in 64 KiB increments, minimum one request per batch.
         let billed = (total.div_ceil(quota::BILLING_INCREMENT)).max(1) as u64;
-        // Injected publish failure: the API call is billed and takes the
-        // full round trip (AWS bills failed requests), but nothing is
-        // delivered — the batch is all-or-nothing, so a retry republishes
-        // it whole and cannot double-deliver.
-        if let Some(kind) = self.faults.check(
+        let Region {
+            meter,
+            latency,
+            jitter,
+            faults,
+        } = &self.region;
+        let fault = faults.check(
             ApiClass::TopicPublish,
             clock.flow(),
             clock.now(),
             &topic_name(topic),
-        ) {
-            self.meter.record_sns_publish(clock.flow(), billed);
-            clock.advance_micros(self.jitter.apply(self.latency.sns_publish_total_us(total)));
+        );
+        meter.record_sns_publish(clock.flow(), billed);
+        self.region
+            .elapse(clock, latency.sns_publish_total_us(total));
+        // Injected publish failure: the API call is billed and takes the
+        // full round trip (AWS bills failed requests), but nothing is
+        // delivered — the batch is all-or-nothing, so a retry republishes
+        // it whole and cannot double-deliver.
+        if let Some(kind) = fault {
             return Err(kind.to_error(format!("sns:publish {}", topic_name(topic))));
         }
-        self.meter.record_sns_publish(clock.flow(), billed);
-        clock.advance_micros(self.jitter.apply(self.latency.sns_publish_total_us(total)));
 
         // Service-side distribution: each message becomes visible in its
         // target queue after an independent delivery delay.
-        let subs = t.subs.read();
+        let subs = t.read();
         for msg in messages {
             if let Some(queue) = subs.get(&(msg.attributes.flow, msg.attributes.target)) {
-                let mut delay = self.jitter.apply(self.latency.sns_delivery_us);
+                let mut delay = jitter.apply(latency.sns_delivery_us);
                 // Injected delivery fault: SNS retries queue delivery
                 // internally, so the message is *delayed*, never lost — a
                 // lost delivery after a successful publish would be
                 // unrecoverable for the receiver (no failed call to retry).
-                if self
-                    .faults
+                if faults
                     .check(
                         ApiClass::QueueSend,
                         msg.attributes.flow,
@@ -160,14 +140,13 @@ impl PubSub {
                     )
                     .is_some()
                 {
-                    delay += self.latency.sns_delivery_us.max(1) * 4;
+                    delay += latency.sns_delivery_us.max(1) * 4;
                 }
                 let available_at = clock.now().plus_micros(delay);
                 // Delivery is attributed to the *message's* flow — the
                 // service-side fan-out belongs to the request that published
                 // the message, whatever clock carried the API call.
-                self.meter
-                    .record_sns_delivery(msg.attributes.flow, msg.len() as u64);
+                meter.record_sns_delivery(msg.attributes.flow, msg.len() as u64);
                 queue.enqueue(available_at, msg);
             }
             // No matching filter policy: dropped, exactly like SNS.
@@ -187,26 +166,15 @@ pub fn topic_name(topic: usize) -> String {
 mod tests {
     use super::*;
     use crate::message::MessageAttributes;
-    use crate::queue::PollKind;
-    use crate::time::VirtualTime;
 
-    fn plane() -> Arc<FaultPlane> {
-        Arc::new(FaultPlane::disabled())
+    /// A queue on the pub-sub's own region (one shared meter).
+    fn queue(ps: &PubSub, name: &str) -> Arc<SqsQueue> {
+        Arc::new(SqsQueue::new(name.into(), ps.region.clone()))
     }
 
     fn setup(n_topics: usize) -> (PubSub, Arc<SqsQueue>, Arc<SqsQueue>) {
-        let meter = Arc::new(ServiceMeter::new());
-        let jitter = Arc::new(Jitter::new(3, 0.0));
-        let lat = LatencyModel::deterministic();
-        let ps = PubSub::new(n_topics, meter.clone(), lat, jitter.clone(), plane());
-        let q0 = Arc::new(SqsQueue::new(
-            "q0".into(),
-            meter.clone(),
-            lat,
-            jitter.clone(),
-            plane(),
-        ));
-        let q1 = Arc::new(SqsQueue::new("q1".into(), meter, lat, jitter, plane()));
+        let ps = PubSub::new(n_topics, Region::deterministic());
+        let (q0, q1) = (queue(&ps, "q0"), queue(&ps, "q1"));
         ps.subscribe(0, 0, 0, q0.clone()).expect("subscribe q0");
         ps.subscribe(0, 0, 1, q1.clone()).expect("subscribe q1");
         (ps, q0, q1)
@@ -244,9 +212,7 @@ mod tests {
         .expect("publish");
         assert_eq!(q0.visible_len(), 2);
         assert_eq!(q1.visible_len(), 1);
-        let mut c = VClock::starting_at(VirtualTime::from_secs_f64(10.0));
-        let got = q1.poll(&mut c, PollKind::Long { wait_secs: 1.0 });
-        assert_eq!(got[0].message.body, b"to-1");
+        assert_eq!(q1.take_visible(1)[0].message.body, b"to-1");
     }
 
     #[test]
@@ -286,18 +252,8 @@ mod tests {
 
     #[test]
     fn billing_in_64k_increments() {
-        let meter = Arc::new(ServiceMeter::new());
-        let jitter = Arc::new(Jitter::new(3, 0.0));
-        let lat = LatencyModel::deterministic();
-        let ps = PubSub::new(1, meter.clone(), lat, jitter.clone(), plane());
-        let q = Arc::new(SqsQueue::new(
-            "q".into(),
-            meter.clone(),
-            lat,
-            jitter,
-            plane(),
-        ));
-        ps.subscribe(0, 0, 0, q).expect("subscribe");
+        let (ps, _q0, _q1) = setup(1);
+        let meter = &ps.region.meter;
         let mut clock = VClock::default();
         // Tiny batch: 1 billed request.
         let b = ps
@@ -320,11 +276,11 @@ mod tests {
     #[test]
     fn delivery_bytes_metered_only_for_matches() {
         let (ps, _q0, _q1) = setup(1);
-        let meter_before = ps.meter.snapshot();
+        let meter_before = ps.region.meter.snapshot();
         let mut clock = VClock::default();
         ps.publish_batch(0, &mut clock, vec![msg(0, b"match"), msg(9, b"drop-me")])
             .expect("publish");
-        let d = ps.meter.snapshot().since(&meter_before);
+        let d = ps.region.meter.snapshot().since(&meter_before);
         assert_eq!(d.sns_delivered_bytes, 5);
     }
 
@@ -335,10 +291,8 @@ mod tests {
         ps.publish_batch(0, &mut clock, vec![msg(0, b"timed")])
             .expect("publish");
         let publish_done = clock.now();
-        let mut c = VClock::default();
-        let got = q0.poll(&mut c, PollKind::Long { wait_secs: 1.0 });
         assert!(
-            got[0].available_at > publish_done,
+            q0.take_visible(1)[0].available_at > publish_done,
             "delivery must add topic→queue delay"
         );
     }
@@ -361,18 +315,8 @@ mod tests {
     fn flows_are_isolated_on_shared_topics() {
         // Two concurrent requests subscribe the same worker rank (target 0)
         // on the same topic; each flow's messages reach only its own queue.
-        let meter = Arc::new(ServiceMeter::new());
-        let jitter = Arc::new(Jitter::new(3, 0.0));
-        let lat = LatencyModel::deterministic();
-        let ps = PubSub::new(1, meter.clone(), lat, jitter.clone(), plane());
-        let qa = Arc::new(SqsQueue::new(
-            "flow-a".into(),
-            meter.clone(),
-            lat,
-            jitter.clone(),
-            plane(),
-        ));
-        let qb = Arc::new(SqsQueue::new("flow-b".into(), meter, lat, jitter, plane()));
+        let ps = PubSub::new(1, Region::deterministic());
+        let (qa, qb) = (queue(&ps, "flow-a"), queue(&ps, "flow-b"));
         ps.subscribe(0, 1, 0, qa.clone()).expect("subscribe flow 1");
         ps.subscribe(0, 2, 0, qb.clone()).expect("subscribe flow 2");
         let mut clock = VClock::default();
@@ -382,19 +326,8 @@ mod tests {
             .expect("publish");
         assert_eq!(qa.visible_len(), 1);
         assert_eq!(qb.visible_len(), 1);
-        let mut c = VClock::starting_at(VirtualTime::from_secs_f64(1.0));
-        assert_eq!(
-            qa.poll(&mut c, PollKind::Long { wait_secs: 0.1 })[0]
-                .message
-                .body,
-            b"for-a"
-        );
-        assert_eq!(
-            qb.poll(&mut c, PollKind::Long { wait_secs: 0.1 })[0]
-                .message
-                .body,
-            b"for-b"
-        );
+        assert_eq!(qa.take_visible(1)[0].message.body, b"for-a");
+        assert_eq!(qb.take_visible(1)[0].message.body, b"for-b");
     }
 
     #[test]

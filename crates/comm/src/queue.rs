@@ -1,94 +1,55 @@
-//! SQS-like message queues with long/short polling.
+//! SQS-like message queues.
 //!
 //! Each FSD-Inference worker owns a dedicated queue (one queue per consumer
 //! avoids consumer-side filtering entirely — Section III-A). Semantics
-//! modeled after SQS:
+//! modeled after SQS, through the crate's one receive protocol — a raw
+//! [`SqsQueue::take_visible`], then [`SqsQueue::settle_receives`] over the
+//! taken stamps:
 //!
 //! * `ReceiveMessage` returns at most 10 messages per call;
-//! * **long polling** (`W > 0`) visits "all servers": every visible message
-//!   is eligible, and an empty response costs the full wait `W`;
-//! * **short polling** (`W = 0`) samples a subset of servers: each visible
-//!   message is seen with fixed probability, so polls can return
-//!   empty-handed even when messages exist (the behaviour the paper's
-//!   analysis found strictly worse);
-//! * received messages become *in flight* until deleted; a failure-injection
-//!   hook re-queues them, modeling visibility-timeout expiry.
+//! * **long polling** (`W > 0`, Algorithm 1) is *modelled by the settle*:
+//!   a receive returns as soon as the earliest message lands and takes
+//!   everything visible at that instant, an empty response costs the full
+//!   wait `W`, and every productive receive is followed by its
+//!   `DeleteMessageBatch`;
+//! * **short polling** (`W = 0`, subset-of-servers sampling) is not
+//!   modelled: the paper's analysis found it strictly worse, and nothing
+//!   in the system selects it;
+//! * the take is destructive — there is no in-flight state. An injected
+//!   receive or delete failure is re-billed inside the settle, which is
+//!   what a visibility-timeout redelivery would cost the consumer.
 
-use crate::fault::{ApiClass, FaultPlane};
-use crate::grace::wait_for_producers;
-use crate::latency::{Jitter, LatencyModel};
-use crate::message::{quota, Message, QueuedMessage, ReceivedMessage};
-use crate::meter::ServiceMeter;
+use crate::env::Region;
+use crate::fault::ApiClass;
+use crate::mailbox::wait_for_producers;
+use crate::message::{quota, Message, QueuedMessage};
 use crate::time::{VClock, VirtualTime};
 use parking_lot::{Condvar, Mutex};
-use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-use std::time::Duration;
-
-/// How a receive call polls the queue.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum PollKind {
-    /// Long polling with wait parameter `W` (seconds of virtual time).
-    Long { wait_secs: f64 },
-    /// Short polling: immediate response, may miss visible messages.
-    Short,
-}
-
-/// Probability that short polling sees any given message (subset-of-servers
-/// model). Deterministic per queue seed.
-const SHORT_POLL_VISIBILITY: f64 = 0.7;
-
-/// How long a poll blocks in *real* time waiting for producers before
-/// returning empty. Real time is never load-bearing — this only prevents
-/// busy-spinning while producer threads catch up.
-const REAL_WAIT: Duration = Duration::from_millis(2);
+use std::collections::VecDeque;
 
 /// Cap on consecutive injected receive/delete failures modeled inside one
 /// [`SqsQueue::settle_receives`] round. Bounds the settle loop even under
 /// a pathological 100% fault rate; in that regime the visibility timeout
 /// would expire and redeliver the batch anyway, which is exactly what the
 /// capped re-settle models.
-const MAX_SETTLE_RETRIES: u32 = 8;
-
-struct QueueInner {
-    visible: VecDeque<QueuedMessage>,
-    in_flight: HashMap<u64, QueuedMessage>,
-}
+const MAX_SETTLE_RETRIES: u64 = 8;
 
 /// A single simulated queue.
 pub struct SqsQueue {
     name: String,
-    inner: Mutex<QueueInner>,
+    visible: Mutex<VecDeque<QueuedMessage>>,
     cond: Condvar,
-    next_handle: AtomicU64,
-    meter: Arc<ServiceMeter>,
-    latency: LatencyModel,
-    jitter: Arc<Jitter>,
-    faults: Arc<FaultPlane>,
+    region: Region,
 }
 
 impl SqsQueue {
     /// Creates a queue bound to an environment's meter/latency/jitter.
-    pub(crate) fn new(
-        name: String,
-        meter: Arc<ServiceMeter>,
-        latency: LatencyModel,
-        jitter: Arc<Jitter>,
-        faults: Arc<FaultPlane>,
-    ) -> SqsQueue {
+    pub(crate) fn new(name: String, region: Region) -> SqsQueue {
         SqsQueue {
             name,
-            inner: Mutex::new(QueueInner {
-                visible: VecDeque::new(),
-                in_flight: HashMap::new(),
-            }),
+            visible: Mutex::new(VecDeque::new()),
             cond: Condvar::new(),
-            next_handle: AtomicU64::new(1),
-            meter,
-            latency,
-            jitter,
-            faults,
+            region,
         }
     }
 
@@ -100,116 +61,39 @@ impl SqsQueue {
     /// Enqueues a message stamped with its virtual availability time.
     /// Called by the pub-sub fan-out (and directly by tests).
     pub fn enqueue(&self, available_at: VirtualTime, message: Message) {
-        let mut inner = self.inner.lock();
-        inner.visible.push_back(QueuedMessage {
+        self.visible.lock().push_back(QueuedMessage {
             available_at,
             message,
         });
-        drop(inner);
         self.cond.notify_all();
     }
 
     /// Number of currently visible messages (diagnostics/tests).
     pub fn visible_len(&self) -> usize {
-        self.inner.lock().visible.len()
-    }
-
-    /// Number of in-flight (received, undeleted) messages.
-    pub fn in_flight_len(&self) -> usize {
-        self.inner.lock().in_flight.len()
-    }
-
-    /// One `ReceiveMessage` call. Advances `clock` by the poll round trip
-    /// (plus the wait `W` when a long poll comes back empty) and joins the
-    /// clock against the returned messages' availability stamps.
-    pub fn poll(&self, clock: &mut VClock, kind: PollKind) -> Vec<ReceivedMessage> {
-        let mut inner = self.inner.lock();
-        if inner.visible.is_empty() {
-            if let PollKind::Long { .. } = kind {
-                // Block briefly in real time so producer threads can run;
-                // virtual cost is accounted below regardless.
-                self.cond.wait_for(&mut inner, REAL_WAIT);
-            }
-        }
-        let mut out = Vec::new();
-        let mut taken_bytes = 0usize;
-        let mut kept: VecDeque<QueuedMessage> = VecDeque::new();
-        while let Some(qm) = inner.visible.pop_front() {
-            if out.len() == quota::MAX_BATCH_MESSAGES {
-                kept.push_back(qm);
-                continue;
-            }
-            let seen = match kind {
-                PollKind::Long { .. } => true,
-                // Deterministic subset-of-servers sampling.
-                PollKind::Short => self.jitter.unit() < SHORT_POLL_VISIBILITY,
-            };
-            if seen {
-                let handle = self.next_handle.fetch_add(1, Ordering::Relaxed);
-                taken_bytes += qm.message.len();
-                inner.in_flight.insert(
-                    handle,
-                    QueuedMessage {
-                        available_at: qm.available_at,
-                        message: qm.message.clone(),
-                    },
-                );
-                out.push(ReceivedMessage {
-                    handle,
-                    available_at: qm.available_at,
-                    message: qm.message,
-                });
-            } else {
-                kept.push_back(qm);
-            }
-        }
-        inner.visible = kept;
-        drop(inner);
-
-        self.meter
-            .record_sqs_call(clock.flow(), out.len() as u64, out.is_empty());
-        clock.advance_micros(
-            self.jitter
-                .apply(self.latency.sqs_poll_total_us(taken_bytes)),
-        );
-        if out.is_empty() {
-            if let PollKind::Long { wait_secs } = kind {
-                clock.advance_micros(VirtualTime::from_secs_f64(wait_secs).as_micros());
-            }
-        } else {
-            let latest = out
-                .iter()
-                .map(|m| m.available_at)
-                .max()
-                .expect("non-empty poll result");
-            clock.observe(latest);
-        }
-        out
+        self.visible.lock().len()
     }
 
     /// Raw destructive take for the deterministic channel receive path:
     /// blocks briefly in *real* time for producers, then removes and
-    /// returns up to `max` visible messages — **no billing, no clock
-    /// movement**. The caller later reconstructs the billed long-poll
-    /// sequence from the returned availability stamps with
+    /// returns up to `max` visible messages in FIFO order — **no billing,
+    /// no clock movement**. The caller later reconstructs the billed
+    /// long-poll sequence from the returned availability stamps with
     /// [`SqsQueue::settle_receives`], which is what decouples billing and
     /// timing from real-thread batching entirely.
-    pub fn take_visible(&self, max: usize) -> Vec<ReceivedMessage> {
-        let mut inner = self.inner.lock();
-        wait_for_producers(&self.cond, &mut inner, |q| !q.visible.is_empty());
-        let mut out = Vec::new();
-        while out.len() < max {
-            let Some(qm) = inner.visible.pop_front() else {
-                break;
-            };
-            let handle = self.next_handle.fetch_add(1, Ordering::Relaxed);
-            out.push(ReceivedMessage {
-                handle,
-                available_at: qm.available_at,
-                message: qm.message,
-            });
-        }
-        out
+    pub fn take_visible(&self, max: usize) -> Vec<QueuedMessage> {
+        let mut visible = self.visible.lock();
+        wait_for_producers(&self.cond, &mut visible, |q| !q.is_empty());
+        let n = max.min(visible.len());
+        visible.drain(..n).collect()
+    }
+
+    /// Bills one SQS round trip of `rtt_us`: a receive that came back
+    /// `empty`, or a delete / productive receive of `messages`.
+    fn bill(&self, clock: &mut VClock, messages: u64, empty: bool, rtt_us: u64) {
+        self.region
+            .meter
+            .record_sqs_call(clock.flow(), messages, empty);
+        self.region.elapse(clock, rtt_us);
     }
 
     /// Bills one empty long poll (timeout after the full wait `W`) —
@@ -217,9 +101,27 @@ impl SqsQueue {
     /// producer has really not shown up within the real-time grace: the
     /// consumer's virtual clock keeps moving toward its timeout budget.
     pub fn empty_poll(&self, clock: &mut VClock, wait_secs: f64) {
-        self.meter.record_sqs_call(clock.flow(), 0, true);
-        clock.advance_micros(self.jitter.apply(self.latency.sqs_poll_us));
+        self.bill(clock, 0, true, self.region.latency.sqs_poll_us);
         clock.advance_micros(VirtualTime::from_secs_f64(wait_secs).as_micros().max(1));
+    }
+
+    /// Bills the injected failures of one `class` round trip at the
+    /// clock's instant — each a billed call that achieved nothing — until
+    /// the fault plane lets the call through (at most
+    /// [`MAX_SETTLE_RETRIES`]). Returns the number of failed calls.
+    fn bill_faults(&self, clock: &mut VClock, class: ApiClass, empty: bool, rtt_us: u64) -> u64 {
+        let mut failed = 0u64;
+        while failed < MAX_SETTLE_RETRIES
+            && self
+                .region
+                .faults
+                .check(class, clock.flow(), clock.now(), &self.name)
+                .is_some()
+        {
+            self.bill(clock, 0, empty, rtt_us);
+            failed += 1;
+        }
+        failed
     }
 
     /// Reconstructs — deterministically, from virtual stamps alone — the
@@ -240,6 +142,7 @@ impl SqsQueue {
         wait_secs: f64,
         taken: &[(VirtualTime, usize)],
     ) -> u64 {
+        let latency = self.region.latency;
         let wait_us = VirtualTime::from_secs_f64(wait_secs).as_micros().max(1);
         let mut msgs: Vec<(VirtualTime, usize)> = taken.to_vec();
         msgs.sort_unstable();
@@ -250,36 +153,17 @@ impl SqsQueue {
             if next.as_micros() > clock.now().as_micros().saturating_add(wait_us) {
                 // The poll would have timed out empty before this message
                 // became visible.
-                self.meter.record_sqs_call(clock.flow(), 0, true);
+                self.empty_poll(clock, wait_secs);
                 calls += 1;
-                clock.advance_micros(self.jitter.apply(self.latency.sqs_poll_us));
-                clock.advance_micros(wait_us);
                 continue;
             }
             // Long polling returns as soon as the earliest message lands;
             // the round takes everything visible at that instant (≤ 10).
             clock.observe(next);
             // Injected receive failure: the `ReceiveMessage` round trip
-            // is billed but returns nothing; the messages stay governed
-            // by the visibility machinery and the next round re-settles
-            // them — retries here are *never* a blind re-call.
-            let mut retries = 0u32;
-            while retries < MAX_SETTLE_RETRIES
-                && self
-                    .faults
-                    .check(
-                        ApiClass::QueueReceive,
-                        clock.flow(),
-                        clock.now(),
-                        &self.name,
-                    )
-                    .is_some()
-            {
-                self.meter.record_sqs_call(clock.flow(), 0, true);
-                calls += 1;
-                clock.advance_micros(self.jitter.apply(self.latency.sqs_poll_us));
-                retries += 1;
-            }
+            // is billed but returns nothing, and the next one collects the
+            // same messages — retries here are *never* a blind re-call.
+            calls += self.bill_faults(clock, ApiClass::QueueReceive, true, latency.sqs_poll_us);
             let mut batch_bytes = 0usize;
             let mut n = 0u64;
             while i < msgs.len() && msgs[i].0 <= clock.now() && n < quota::MAX_BATCH_MESSAGES as u64
@@ -288,83 +172,32 @@ impl SqsQueue {
                 n += 1;
                 i += 1;
             }
-            self.meter.record_sqs_call(clock.flow(), n, false);
-            calls += 1;
-            clock.advance_micros(
-                self.jitter
-                    .apply(self.latency.sqs_poll_total_us(batch_bytes)),
-            );
+            self.bill(clock, n, false, latency.sqs_poll_total_us(batch_bytes));
             // Injected delete failure: the `DeleteMessageBatch` is billed
-            // and retried with the same receipt handles (idempotent).
-            let mut retries = 0u32;
-            while retries < MAX_SETTLE_RETRIES
-                && self
-                    .faults
-                    .check(ApiClass::QueueDelete, clock.flow(), clock.now(), &self.name)
-                    .is_some()
-            {
-                self.meter.record_sqs_call(clock.flow(), 0, false);
-                calls += 1;
-                clock.advance_micros(self.jitter.apply(self.latency.sqs_delete_us));
-                retries += 1;
-            }
+            // and retried for the same batch (idempotent).
+            calls += self.bill_faults(clock, ApiClass::QueueDelete, false, latency.sqs_delete_us);
             // Algorithm 1 line 15: delete the polled batch.
-            self.meter.record_sqs_call(clock.flow(), 0, false);
-            calls += 1;
-            clock.advance_micros(self.jitter.apply(self.latency.sqs_delete_us));
+            self.bill(clock, 0, false, latency.sqs_delete_us);
+            calls += 2;
         }
         calls
     }
 
-    /// One `DeleteMessageBatch` call for up to 10 receipt handles.
-    pub fn delete_batch(&self, clock: &mut VClock, handles: &[u64]) {
-        assert!(
-            handles.len() <= quota::MAX_BATCH_MESSAGES,
-            "delete batch too large"
-        );
-        let mut inner = self.inner.lock();
-        for h in handles {
-            inner.in_flight.remove(h);
-        }
-        drop(inner);
-        self.meter.record_sqs_call(clock.flow(), 0, false);
-        clock.advance_micros(self.jitter.apply(self.latency.sqs_delete_us));
-    }
-
-    /// Failure injection: every in-flight message's visibility timeout
-    /// "expires" and it returns to the queue (as after a consumer crash).
-    pub fn requeue_in_flight(&self) {
-        let mut inner = self.inner.lock();
-        let handles: Vec<u64> = inner.in_flight.keys().copied().collect();
-        for h in handles {
-            let qm = inner.in_flight.remove(&h).expect("handle just listed");
-            inner.visible.push_back(qm);
-        }
-        drop(inner);
-        self.cond.notify_all();
-    }
-
     /// Drops all queue state (between benchmark repetitions).
     pub fn purge(&self) {
-        let mut inner = self.inner.lock();
-        inner.visible.clear();
-        inner.in_flight.clear();
+        self.visible.lock().clear();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::TargetedFault;
     use crate::message::MessageAttributes;
+    use std::sync::Arc;
 
     fn queue() -> SqsQueue {
-        SqsQueue::new(
-            "q-test".into(),
-            Arc::new(ServiceMeter::new()),
-            LatencyModel::deterministic(),
-            Arc::new(Jitter::new(1, 0.0)),
-            Arc::new(FaultPlane::disabled()),
-        )
+        SqsQueue::new("q-test".into(), Region::deterministic())
     }
 
     fn msg(source: u32, body: &[u8]) -> Message {
@@ -381,140 +214,56 @@ mod tests {
         }
     }
 
-    #[test]
-    fn poll_returns_enqueued_messages_and_advances_clock() {
-        let q = queue();
-        q.enqueue(VirtualTime::from_micros(500), msg(1, b"hello"));
-        let mut clock = VClock::default();
-        let got = q.poll(&mut clock, PollKind::Long { wait_secs: 1.0 });
-        assert_eq!(got.len(), 1);
-        assert_eq!(got[0].message.body, b"hello");
-        // Clock advanced by poll RTT and joined to the availability stamp.
-        assert!(clock.now().as_micros() >= 8_000);
-    }
-
-    #[test]
-    fn poll_joins_clock_to_future_message_stamp() {
-        let q = queue();
-        q.enqueue(VirtualTime::from_secs_f64(5.0), msg(1, b"late"));
-        let mut clock = VClock::default();
-        q.poll(&mut clock, PollKind::Long { wait_secs: 2.0 });
-        assert!(
-            clock.now() >= VirtualTime::from_secs_f64(5.0),
-            "clock not pulled forward"
-        );
-    }
-
-    #[test]
-    fn empty_long_poll_costs_the_wait() {
-        let q = queue();
-        let mut clock = VClock::default();
-        let got = q.poll(&mut clock, PollKind::Long { wait_secs: 3.0 });
-        assert!(got.is_empty());
-        assert!(clock.now() >= VirtualTime::from_secs_f64(3.0));
-    }
-
-    #[test]
-    fn empty_short_poll_returns_immediately() {
-        let q = queue();
-        let mut clock = VClock::default();
-        let got = q.poll(&mut clock, PollKind::Short);
-        assert!(got.is_empty());
-        assert!(clock.now() < VirtualTime::from_secs_f64(0.5));
-    }
-
-    #[test]
-    fn poll_caps_at_ten_messages() {
-        let q = queue();
-        for i in 0..25 {
-            q.enqueue(VirtualTime::ZERO, msg(i, b"x"));
-        }
-        let mut clock = VClock::default();
-        let got = q.poll(&mut clock, PollKind::Long { wait_secs: 1.0 });
-        assert_eq!(got.len(), 10);
-        assert_eq!(q.visible_len(), 15);
-        assert_eq!(q.in_flight_len(), 10);
-    }
-
-    #[test]
-    fn delete_batch_removes_in_flight() {
-        let q = queue();
-        for i in 0..5 {
-            q.enqueue(VirtualTime::ZERO, msg(i, b"x"));
-        }
-        let mut clock = VClock::default();
-        let got = q.poll(&mut clock, PollKind::Long { wait_secs: 1.0 });
-        let handles: Vec<u64> = got.iter().map(|m| m.handle).collect();
-        q.delete_batch(&mut clock, &handles);
-        assert_eq!(q.in_flight_len(), 0);
-        assert_eq!(q.visible_len(), 0);
-    }
-
-    #[test]
-    fn requeue_in_flight_redelivers() {
-        let q = queue();
-        q.enqueue(VirtualTime::ZERO, msg(1, b"again"));
-        let mut clock = VClock::default();
-        let got = q.poll(&mut clock, PollKind::Long { wait_secs: 1.0 });
-        assert_eq!(got.len(), 1);
-        q.requeue_in_flight();
-        let got2 = q.poll(&mut clock, PollKind::Long { wait_secs: 1.0 });
-        assert_eq!(got2.len(), 1);
-        assert_eq!(got2[0].message.body, b"again");
-        // A fresh receipt handle is issued on redelivery.
-        assert_ne!(got[0].handle, got2[0].handle);
-    }
-
-    #[test]
-    fn meter_counts_polls_and_empties() {
-        let meter = Arc::new(ServiceMeter::new());
-        let q = SqsQueue::new(
-            "q".into(),
-            meter.clone(),
-            LatencyModel::deterministic(),
-            Arc::new(Jitter::new(1, 0.0)),
-            Arc::new(FaultPlane::disabled()),
-        );
-        let mut clock = VClock::default();
-        q.poll(&mut clock, PollKind::Long { wait_secs: 0.1 });
-        q.enqueue(VirtualTime::ZERO, msg(0, b"x"));
-        let got = q.poll(&mut clock, PollKind::Long { wait_secs: 0.1 });
-        q.delete_batch(&mut clock, &[got[0].handle]);
-        let s = meter.snapshot();
-        assert_eq!(s.sqs_api_calls, 3);
-        assert_eq!(s.sqs_empty_polls, 1);
-        assert_eq!(s.sqs_messages, 1);
-    }
-
-    #[test]
-    fn blocked_long_poll_wakes_on_enqueue() {
-        let q = Arc::new(queue());
-        let q2 = q.clone();
-        let t = std::thread::spawn(move || {
-            let mut clock = VClock::default();
-            // Poll until the message arrives (bounded by the test harness).
-            for _ in 0..10_000 {
-                let got = q2.poll(&mut clock, PollKind::Long { wait_secs: 0.5 });
-                if !got.is_empty() {
-                    return got[0].message.body.clone();
-                }
-            }
-            Vec::new()
-        });
-        std::thread::sleep(Duration::from_millis(5));
-        q.enqueue(VirtualTime::from_micros(10), msg(3, b"wake"));
-        assert_eq!(t.join().expect("join"), b"wake");
-    }
-
     /// The production receive: raw take, then settle the billed long-poll
     /// sequence from the taken stamps. Returns `(messages, billed calls)`.
-    fn take_and_settle(q: &SqsQueue, clock: &mut VClock, wait_secs: f64) -> (usize, u64) {
+    fn take_and_settle(
+        q: &SqsQueue,
+        clock: &mut VClock,
+        wait_secs: f64,
+    ) -> (Vec<QueuedMessage>, u64) {
         let got = q.take_visible(quota::MAX_BATCH_MESSAGES);
         let taken: Vec<(VirtualTime, usize)> = got
             .iter()
             .map(|m| (m.available_at, m.message.len()))
             .collect();
-        (got.len(), q.settle_receives(clock, wait_secs, &taken))
+        let calls = q.settle_receives(clock, wait_secs, &taken);
+        (got, calls)
+    }
+
+    #[test]
+    fn take_and_settled_rounds_cap_at_ten_messages() {
+        let q = queue();
+        for i in 0..25 {
+            q.enqueue(VirtualTime::ZERO, msg(i, b"x"));
+        }
+        let got = q.take_visible(quota::MAX_BATCH_MESSAGES);
+        assert_eq!(got.len(), 10);
+        assert_eq!(q.visible_len(), 15);
+        let sources: Vec<u32> = got.iter().map(|m| m.message.attributes.source).collect();
+        assert_eq!(sources, (0..10).collect::<Vec<u32>>(), "FIFO");
+        // However the 25 were physically taken, the settled sequence is
+        // three receives of ≤ 10, each with its delete.
+        let mut clock = VClock::default();
+        let calls = q.settle_receives(&mut clock, 1.0, &[(VirtualTime::ZERO, 1); 25]);
+        assert_eq!(calls, 6);
+        assert_eq!(q.region.meter.snapshot().sqs_messages, 25);
+    }
+
+    #[test]
+    fn blocked_take_wakes_on_enqueue() {
+        let q = Arc::new(queue());
+        let q2 = q.clone();
+        let t = std::thread::spawn(move || {
+            // Take until the message arrives (bounded by the test harness).
+            for _ in 0..10_000 {
+                if let Some(m) = q2.take_visible(1).pop() {
+                    return m.message.body;
+                }
+            }
+            Vec::new()
+        });
+        q.enqueue(VirtualTime::from_micros(10), msg(3, b"wake"));
+        assert_eq!(t.join().expect("join"), b"wake");
     }
 
     #[test]
@@ -526,9 +275,9 @@ mod tests {
         q.enqueue(VirtualTime::from_secs_f64(5.0), msg(1, b"later"));
         let mut clock = VClock::default();
         let (got, calls) = take_and_settle(&q, &mut clock, 2.0);
-        assert_eq!(got, 1);
+        assert_eq!(got.len(), 1);
         assert_eq!(calls, 4, "2 empty rounds + 1 delivery + 1 delete");
-        let s = q.meter.snapshot();
+        let s = q.region.meter.snapshot();
         assert_eq!(s.sqs_api_calls, 4);
         assert_eq!(s.sqs_empty_polls, 2);
         assert_eq!(s.sqs_messages, 1);
@@ -543,11 +292,33 @@ mod tests {
         let start = VirtualTime::from_secs_f64(1.0);
         let mut clock = VClock::starting_at(start);
         let (got, calls) = take_and_settle(&q, &mut clock, 2.0);
-        assert_eq!(got, 1);
+        assert_eq!(got.len(), 1);
+        assert_eq!(got[0].message.body, b"now");
         assert_eq!(calls, 2, "one receive + its delete");
-        assert_eq!(q.meter.snapshot().sqs_empty_polls, 0);
+        assert_eq!(q.region.meter.snapshot().sqs_empty_polls, 0);
         // No wait: only the two round trips elapse.
+        assert!(clock.now() >= start.plus_micros(8_000));
         assert!(clock.now() < start.plus_micros(1_000_000));
+    }
+
+    #[test]
+    fn injected_receive_and_delete_failures_are_billed_and_lose_nothing() {
+        let q = queue();
+        for class in [ApiClass::QueueReceive, ApiClass::QueueDelete] {
+            q.region
+                .faults
+                .inject(TargetedFault::first(class, "q-test"));
+        }
+        q.enqueue(VirtualTime::ZERO, msg(1, b"precious"));
+        let mut clock = VClock::default();
+        let (got, calls) = take_and_settle(&q, &mut clock, 1.0);
+        assert_eq!(got[0].message.body, b"precious");
+        assert_eq!(calls, 4, "failed receive, receive, failed delete, delete");
+        let s = q.region.meter.snapshot();
+        assert_eq!(
+            (s.sqs_api_calls, s.sqs_empty_polls, s.sqs_messages),
+            (4, 1, 1)
+        );
     }
 
     #[test]
@@ -558,10 +329,10 @@ mod tests {
         // and bills nothing; the caller's drought bill is one empty poll.
         assert!(q.take_visible(quota::MAX_BATCH_MESSAGES).is_empty());
         assert_eq!(clock.now(), VirtualTime::ZERO);
-        assert_eq!(q.meter.snapshot().sqs_api_calls, 0);
+        assert_eq!(q.region.meter.snapshot().sqs_api_calls, 0);
         q.empty_poll(&mut clock, 2.0);
-        assert_eq!(q.meter.snapshot().sqs_api_calls, 1);
-        assert_eq!(q.meter.snapshot().sqs_empty_polls, 1);
+        assert_eq!(q.region.meter.snapshot().sqs_api_calls, 1);
+        assert_eq!(q.region.meter.snapshot().sqs_empty_polls, 1);
         assert!(clock.now() >= VirtualTime::from_secs_f64(2.0));
     }
 
@@ -569,11 +340,9 @@ mod tests {
     fn purge_clears_everything() {
         let q = queue();
         q.enqueue(VirtualTime::ZERO, msg(0, b"x"));
-        let mut clock = VClock::default();
-        q.poll(&mut clock, PollKind::Long { wait_secs: 0.1 });
         q.enqueue(VirtualTime::ZERO, msg(1, b"y"));
+        assert_eq!(q.take_visible(1).len(), 1);
         q.purge();
         assert_eq!(q.visible_len(), 0);
-        assert_eq!(q.in_flight_len(), 0);
     }
 }

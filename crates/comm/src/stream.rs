@@ -8,7 +8,8 @@
 //! launch cascade (`fsd_faas::launch::children_of`) is already that tree;
 //! this module is the fabric the weight blocks ride on.
 //!
-//! The model mirrors [`crate::direct`]: frames move at direct-exchange
+//! The model mirrors `crate::direct` — both are policies over the one
+//! `crate::mailbox` fabric: frames move at direct-exchange
 //! bandwidth with **zero per-frame API cost**, are stamped with the
 //! sender's virtual clock after the transfer (so forwarded bytes are
 //! billed — as [`crate::meter::MeterSnapshot::weight_bytes`] — to the
@@ -27,14 +28,11 @@
 //! (the sender emits [`WeightPayload::Abort`] and every descendant falls
 //! back to an independent load).
 
-use crate::fault::{ApiClass, FaultPlane};
-use crate::grace::wait_for_producers;
-use crate::latency::{Jitter, LatencyModel};
+use crate::env::Region;
+use crate::fault::ApiClass;
+use crate::mailbox::Mailbox;
 use crate::message::CommError;
-use crate::meter::ServiceMeter;
 use crate::time::{VClock, VirtualTime};
-use parking_lot::{Condvar, Mutex};
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Payload of one weight-stream frame.
@@ -71,38 +69,16 @@ pub struct WeightFrame {
 /// The weight-multicast fabric of one region: per-`(flow, hop)` mailboxes
 /// of in-flight weight frames.
 pub struct WeightNet {
-    mailboxes: Mutex<HashMap<(u64, usize), Vec<WeightFrame>>>,
-    cond: Condvar,
-    meter: Arc<ServiceMeter>,
-    latency: LatencyModel,
-    jitter: Arc<Jitter>,
-    faults: Arc<FaultPlane>,
+    mailboxes: Mailbox<(u64, usize), WeightFrame>,
+    region: Region,
 }
 
 impl WeightNet {
-    pub(crate) fn new(
-        meter: Arc<ServiceMeter>,
-        latency: LatencyModel,
-        jitter: Arc<Jitter>,
-        faults: Arc<FaultPlane>,
-    ) -> WeightNet {
+    pub(crate) fn new(region: Region) -> WeightNet {
         WeightNet {
-            mailboxes: Mutex::new(HashMap::new()),
-            cond: Condvar::new(),
-            meter,
-            latency,
-            jitter,
-            faults,
+            mailboxes: Mailbox::new(),
+            region,
         }
-    }
-
-    fn push(&self, flow: u64, hop: usize, frame: WeightFrame) {
-        self.mailboxes
-            .lock()
-            .entry((flow, hop))
-            .or_default()
-            .push(frame);
-        self.cond.notify_all();
     }
 
     /// Sends one weight block to `hop`, addressed to `dst`, on the
@@ -120,30 +96,34 @@ impl WeightNet {
         body: Arc<[u8]>,
     ) -> Result<(), CommError> {
         let flow = clock.flow();
-        let fault = self
+        let region = &self.region;
+        let fault = region
             .faults
             .check(ApiClass::WeightStream, flow, clock.now(), key);
-        clock.advance_micros(
-            self.jitter
-                .apply(self.latency.direct_send_total_us(body.len())),
-        );
+        region.elapse(clock, region.latency.direct_send_total_us(body.len()));
         if let Some(kind) = fault {
             return Err(kind.to_error(format!("weight-stream:{key}")));
         }
-        self.meter.record_weight_send(flow, 1, body.len() as u64);
-        self.push(
-            flow,
-            hop,
+        let bytes = body.len() as u64;
+        let key = key.to_string();
+        self.post(clock, hop, dst, WeightPayload::Block { key, body }, bytes);
+        Ok(())
+    }
+
+    /// Lands one frame in `hop`'s mailbox, stamped with the sender's clock
+    /// and metered to the sender's flow.
+    fn post(&self, clock: &VClock, hop: usize, dst: usize, payload: WeightPayload, bytes: u64) {
+        let flow = clock.flow();
+        self.region.meter.record_weight_send(flow, 1, bytes);
+        let available_at = clock.now();
+        self.mailboxes.post(
+            (flow, hop),
             WeightFrame {
                 dst,
-                payload: WeightPayload::Block {
-                    key: key.to_string(),
-                    body,
-                },
-                available_at: clock.now(),
+                payload,
+                available_at,
             },
         );
-        Ok(())
     }
 
     /// Marks `hop`'s stream complete: every block for its subtree has
@@ -160,18 +140,9 @@ impl WeightNet {
     }
 
     fn send_control(&self, clock: &mut VClock, hop: usize, payload: WeightPayload) {
-        clock.advance_micros(self.jitter.apply(self.latency.direct_latency_us));
-        let flow = clock.flow();
-        self.meter.record_weight_send(flow, 1, 0);
-        self.push(
-            flow,
-            hop,
-            WeightFrame {
-                dst: hop,
-                payload,
-                available_at: clock.now(),
-            },
-        );
+        self.region
+            .elapse(clock, self.region.latency.direct_latency_us);
+        self.post(clock, hop, hop, payload, 0);
     }
 
     /// Raw mailbox read for the deterministic receive path: blocks
@@ -180,70 +151,41 @@ impl WeightNet {
     /// receiver settles timing lazily by observing frame stamps as the
     /// blocks are actually decoded (execute-while-load).
     pub fn fetch(&self, flow: u64, hop: usize, known: usize) -> Vec<WeightFrame> {
-        let key = (flow, hop);
-        let mut state = self.mailboxes.lock();
-        wait_for_producers(&self.cond, &mut state, |s| {
-            s.get(&key).map_or(0, Vec::len) > known
-        });
-        state.get(&key).cloned().unwrap_or_default()
+        self.mailboxes.fetch(&(flow, hop), known)
     }
 
     /// Tears down one hop's mailbox (the receiver calls this once its
     /// stream has ended — each hop has exactly one receiver, so a drained
     /// mailbox is dead weight). Returns the number of frames dropped.
     pub fn close_hop(&self, flow: u64, hop: usize) -> usize {
-        let frames = self
-            .mailboxes
-            .lock()
-            .remove(&(flow, hop))
-            .map_or(0, |v| v.len());
-        self.cond.notify_all();
-        frames
+        self.mailboxes.close(|&key| key == (flow, hop))
     }
 
     /// Tears down every mailbox the flow holds. Returns the number of
     /// frames dropped.
     pub fn close_flow(&self, flow: u64) -> usize {
-        let mut state = self.mailboxes.lock();
-        let mut frames = 0usize;
-        state.retain(|&(f, _), v| {
-            if f == flow {
-                frames += v.len();
-                false
-            } else {
-                true
-            }
-        });
-        drop(state);
-        self.cond.notify_all();
-        frames
+        self.mailboxes.close(|&(f, _)| f == flow)
     }
 
     /// Undrained frames across all flows (residue audit).
     pub fn undrained_frames(&self) -> usize {
-        self.mailboxes.lock().values().map(Vec::len).sum()
+        self.mailboxes.len()
     }
 
     /// Drops every mailbox (between benchmark repetitions; never while a
     /// launch is in flight).
     pub fn reset(&self) {
-        self.mailboxes.lock().clear();
-        self.cond.notify_all();
+        self.mailboxes.clear();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::{FaultPlan, TargetedFault};
+    use crate::fault::TargetedFault;
 
     fn net() -> WeightNet {
-        WeightNet::new(
-            Arc::new(ServiceMeter::new()),
-            LatencyModel::deterministic(),
-            Arc::new(Jitter::new(3, 0.0)),
-            Arc::new(FaultPlane::new(None)),
-        )
+        WeightNet::new(Region::deterministic())
     }
 
     #[test]
@@ -258,17 +200,20 @@ mod tests {
             Arc::from(&b"weights"[..]),
         )
         .expect("send");
-        let snap = n.meter.snapshot();
+        let snap = n.region.meter.snapshot();
         assert_eq!(snap.weight_frames, 1);
         assert_eq!(snap.weight_bytes, 7);
-        assert_eq!(n.meter.flow_snapshot(7).weight_bytes, 7);
+        assert_eq!(n.region.meter.flow_snapshot(7).weight_bytes, 7);
         assert_eq!(
             clock.now().as_micros(),
-            n.latency.direct_send_total_us(7),
+            n.region.latency.direct_send_total_us(7),
             "transfer elapses on the sender's lane"
         );
         let frames = n.fetch(7, 1, 0);
         assert_eq!(frames.len(), 1);
+        // Mailboxes are keyed by (flow, hop), not by destination rank.
+        assert!(n.fetch(7, 3, 0).is_empty());
+        assert!(n.fetch(8, 1, 0).is_empty());
         assert_eq!(frames[0].dst, 3);
         assert_eq!(frames[0].available_at, clock.now());
         match &frames[0].payload {
@@ -278,7 +223,7 @@ mod tests {
             }
             _ => panic!("expected a block"),
         }
-        n.meter.release_flow(7);
+        n.region.meter.release_flow(7);
     }
 
     #[test]
@@ -287,7 +232,7 @@ mod tests {
         let mut clock = VClock::default().with_flow(2);
         n.send_end(&mut clock, 5);
         n.send_abort(&mut clock, 5);
-        let snap = n.meter.snapshot();
+        let snap = n.region.meter.snapshot();
         assert_eq!(snap.weight_frames, 2);
         assert_eq!(snap.weight_bytes, 0);
         let frames = n.fetch(2, 5, 1);
@@ -299,13 +244,9 @@ mod tests {
 
     #[test]
     fn injected_fault_elapses_but_delivers_and_bills_nothing() {
-        let n = WeightNet::new(
-            Arc::new(ServiceMeter::new()),
-            LatencyModel::deterministic(),
-            Arc::new(Jitter::new(3, 0.0)),
-            Arc::new(FaultPlane::new(Some(FaultPlan::new(1)))),
-        );
-        n.faults
+        let n = net();
+        n.region
+            .faults
             .inject(TargetedFault::first(ApiClass::WeightStream, "w2/L1"));
         let mut clock = VClock::default().with_flow(9);
         let err = n
@@ -313,42 +254,13 @@ mod tests {
             .expect_err("injected stream fault");
         assert!(err.is_retryable());
         assert!(clock.now() > VirtualTime::ZERO, "failed transfer elapses");
-        assert_eq!(n.meter.snapshot().weight_frames, 0);
+        assert_eq!(n.region.meter.snapshot().weight_frames, 0);
         assert_eq!(n.undrained_frames(), 0);
         // The schedule is one-shot: a later frame moves again.
         n.send_block(&mut clock, 2, 2, "model/p4/w2/L1", Arc::from(&b"x"[..]))
             .expect("retry succeeds");
         assert_eq!(n.undrained_frames(), 1);
-        n.meter.release_flow(9);
-    }
-
-    #[test]
-    fn fetch_honors_known_and_isolates_hops() {
-        let n = net();
-        let mut clock = VClock::default().with_flow(4);
-        n.send_block(&mut clock, 1, 1, "a", Arc::from(&b"a"[..]))
-            .expect("send");
-        n.send_block(&mut clock, 1, 1, "b", Arc::from(&b"b"[..]))
-            .expect("send");
-        assert_eq!(n.fetch(4, 1, 2).len(), 2);
-        assert!(n.fetch(4, 2, 0).is_empty());
-        assert!(n.fetch(5, 1, 0).is_empty());
-        n.meter.release_flow(4);
-    }
-
-    #[test]
-    fn concurrent_sender_wakes_a_fetching_receiver() {
-        let n = Arc::new(net());
-        let reader = {
-            let n = n.clone();
-            std::thread::spawn(move || n.fetch(1, 6, 0))
-        };
-        let mut clock = VClock::default().with_flow(1);
-        n.send_block(&mut clock, 6, 6, "k", Arc::from(&b"z"[..]))
-            .expect("send");
-        let frames = reader.join().expect("reader");
-        assert_eq!(frames.len(), 1);
-        n.meter.release_flow(1);
+        n.region.meter.release_flow(9);
     }
 
     #[test]
@@ -366,7 +278,7 @@ mod tests {
         assert_eq!(n.close_hop(2, 1), 1, "a drained hop's mailbox dies");
         n.reset();
         assert_eq!(n.undrained_frames(), 0);
-        n.meter.release_flow(1);
-        n.meter.release_flow(2);
+        n.region.meter.release_flow(1);
+        n.region.meter.release_flow(2);
     }
 }

@@ -9,7 +9,7 @@
 
 use crate::channel::ChannelOptions;
 use crate::engine::{EngineConfig, Variant};
-use crate::pool::{WallClock, WarmPoolConfig};
+use crate::pool::WarmPoolConfig;
 use crate::provider::{ChannelProvider, ChannelRegistry};
 use crate::service::FsdService;
 use fsd_comm::CloudConfig;
@@ -26,9 +26,6 @@ pub struct ServiceBuilder {
     prewarm: Vec<u32>,
     warm_pool: Option<WarmPoolConfig>,
     prewarm_trees: Vec<(Variant, u32, u32)>,
-    wall_clock: Option<Arc<dyn WallClock>>,
-    reap_interval: Option<std::time::Duration>,
-    regenerate_poisoned: bool,
 }
 
 impl ServiceBuilder {
@@ -42,9 +39,6 @@ impl ServiceBuilder {
             prewarm: Vec::new(),
             warm_pool: None,
             prewarm_trees: Vec::new(),
-            wall_clock: None,
-            reap_interval: None,
-            regenerate_poisoned: false,
         }
     }
 
@@ -148,11 +142,7 @@ impl ServiceBuilder {
     /// Serial requests run no tree and do not age the shelf (`u64::MAX`
     /// never evicts). `max_trees = 0` disables the pool.
     pub fn warm_pool(mut self, max_trees: usize, idle_ttl: u64) -> ServiceBuilder {
-        self.warm_pool = Some(WarmPoolConfig {
-            max_trees,
-            idle_ttl,
-            wall_idle_ms: self.warm_pool.and_then(|w| w.wall_idle_ms),
-        });
+        self.warm_pool = Some(WarmPoolConfig::new(max_trees, idle_ttl));
         self
     }
 
@@ -165,59 +155,7 @@ impl ServiceBuilder {
     /// `warm_pool(max, ttl)` when a predictive scheduler fronts the
     /// service.
     pub fn auto_warm_pool(mut self, shapes: usize, burst_depth: usize) -> ServiceBuilder {
-        let wall_idle_ms = self.warm_pool.and_then(|w| w.wall_idle_ms);
-        self.warm_pool = Some(WarmPoolConfig {
-            wall_idle_ms,
-            ..WarmPoolConfig::auto(shapes, burst_depth)
-        });
-        self
-    }
-
-    /// Adds a **wall-clock** idle TTL to the warm pool: a parked tree that
-    /// sits idle for `wall_idle_ms` real milliseconds is evicted by the
-    /// next reaper pass (`FsdService::reap_warm_trees`, or the background
-    /// reaper). Complements the tick TTL, which only advances with
-    /// distributed traffic — a long-lived deployment wants idle trees
-    /// gone even when no traffic ticks the pool. Call after
-    /// [`ServiceBuilder::warm_pool`] / [`ServiceBuilder::auto_warm_pool`].
-    ///
-    /// # Panics
-    /// At [`ServiceBuilder::build`] if no warm pool was configured.
-    pub fn warm_pool_wall_ttl(mut self, wall_idle_ms: u64) -> ServiceBuilder {
-        let mut cfg = self.warm_pool.unwrap_or(WarmPoolConfig::new(0, u64::MAX));
-        cfg.wall_idle_ms = Some(wall_idle_ms);
-        self.warm_pool = Some(cfg);
-        self
-    }
-
-    /// Injects the clock the wall-clock TTL ages trees against.
-    /// Production keeps the default [`crate::SystemClock`]; deterministic
-    /// harnesses inject a [`crate::ManualClock`] and advance it
-    /// explicitly, so wall-TTL eviction replays bit-identically.
-    pub fn warm_pool_clock(mut self, clock: Arc<dyn WallClock>) -> ServiceBuilder {
-        self.wall_clock = Some(clock);
-        self
-    }
-
-    /// Auto-heals the warm pool after a mid-request worker crash: when a
-    /// checked-out tree comes back poisoned and is discarded, a fresh tree
-    /// of the same shape is immediately relaunched and parked, billed to
-    /// the unattributed flow exactly like a pre-warm. Off by default —
-    /// failure-injection harnesses usually want to observe the cold-start
-    /// recovery, and an idle shape should not be relaunched speculatively
-    /// unless the deployment opts in. Requires an enabled warm pool to
-    /// have any effect.
-    pub fn regenerate_poisoned(mut self) -> ServiceBuilder {
-        self.regenerate_poisoned = true;
-        self
-    }
-
-    /// Spawns a background reaper thread that calls
-    /// `FsdService::reap_warm_trees` every `interval`. The thread is
-    /// stopped and joined when the service drops. Only meaningful
-    /// together with [`ServiceBuilder::warm_pool_wall_ttl`].
-    pub fn background_reaper(mut self, interval: std::time::Duration) -> ServiceBuilder {
-        self.reap_interval = Some(interval);
+        self.warm_pool = Some(WarmPoolConfig::auto(shapes, burst_depth));
         self
     }
 
@@ -247,20 +185,7 @@ impl ServiceBuilder {
             self.prewarm_trees.is_empty() || self.warm_pool.is_some_and(|w| w.max_trees > 0),
             "prewarm_tree requires an enabled warm_pool (max_trees >= 1)"
         );
-        assert!(
-            self.warm_pool
-                .is_none_or(|w| w.wall_idle_ms.is_none() || w.max_trees > 0),
-            "warm_pool_wall_ttl requires an enabled warm_pool (max_trees >= 1)"
-        );
-        let service = FsdService::assemble(
-            self.dnn,
-            self.cfg,
-            self.registry,
-            self.warm_pool,
-            self.wall_clock,
-            self.reap_interval,
-            self.regenerate_poisoned,
-        );
+        let service = FsdService::assemble(self.dnn, self.cfg, self.registry, self.warm_pool);
         for p in self.prewarm {
             service.prepare(p);
         }

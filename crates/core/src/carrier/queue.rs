@@ -168,7 +168,7 @@ impl Carrier for QueueCarrier {
 
     fn take(&self, cx: &Cx, _known: usize) -> Result<Vec<Arrival<Vec<u8>>>, FaasError> {
         let msgs = self.queues[cx.rank as usize].take_visible(quota::MAX_BATCH_MESSAGES);
-        let arrival = |msg: fsd_comm::ReceivedMessage| Arrival {
+        let arrival = |msg: fsd_comm::QueuedMessage| Arrival {
             tag: msg.message.attributes.layer,
             stamp: msg.available_at,
             src: msg.message.attributes.source,

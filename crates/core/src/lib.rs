@@ -96,7 +96,7 @@ pub use engine::{
 };
 pub use error::FsdError;
 pub use health::{BreakerState, HealthSnapshot, TransportHealthSnapshot};
-pub use pool::{ManualClock, SystemClock, WallClock, WarmPoolConfig, WarmPoolStats};
+pub use pool::{WarmPoolConfig, WarmPoolStats};
 pub use provider::{ChannelProvider, ChannelRegistry};
 pub use retry::RetryPolicy;
 

@@ -18,16 +18,6 @@
 //! deterministic under a deterministic request sequence — the property
 //! every load-replay test relies on.
 //!
-//! **Wall-clock elasticity.** Long-lived deployments also want trees to
-//! age out by *real* idle time, independent of traffic: a tree parked for
-//! an hour is waste even if no distributed request ever ticked the pool.
-//! [`WarmPoolConfig::wall_idle_ms`] enables a second, wall-clock TTL
-//! enforced by [`TreePool::reap`] against an injectable [`WallClock`] —
-//! production uses [`SystemClock`] (and typically a background reaper
-//! thread, see `ServiceBuilder::background_reaper`), while deterministic
-//! harnesses inject a [`ManualClock`] and drive `reap` explicitly, keeping
-//! replays bit-identical.
-//!
 //! **Invalidation.** [`TreePool::invalidate`] bumps the pool generation;
 //! parked trees from older generations are shut down lazily at the next
 //! pool operation (and eagerly by `invalidate` itself). Call it when the
@@ -39,68 +29,6 @@ use fsd_faas::lockorder;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Instant;
-
-/// A monotonic millisecond clock the pool ages parked trees against.
-///
-/// Production uses [`SystemClock`]; deterministic harnesses inject a
-/// [`ManualClock`] and advance it explicitly, so wall-TTL eviction becomes
-/// a pure function of the test script.
-pub trait WallClock: Send + Sync {
-    /// Milliseconds since an arbitrary (per-clock) origin; must never
-    /// decrease.
-    fn now_ms(&self) -> u64;
-}
-
-/// The real monotonic clock ([`Instant`]-based).
-pub struct SystemClock {
-    origin: Instant,
-}
-
-impl SystemClock {
-    /// A clock whose origin is "now".
-    pub fn new() -> SystemClock {
-        SystemClock {
-            origin: Instant::now(),
-        }
-    }
-}
-
-impl Default for SystemClock {
-    fn default() -> Self {
-        SystemClock::new()
-    }
-}
-
-impl WallClock for SystemClock {
-    fn now_ms(&self) -> u64 {
-        self.origin.elapsed().as_millis() as u64
-    }
-}
-
-/// A test clock that only moves when told to.
-#[derive(Default)]
-pub struct ManualClock {
-    ms: AtomicU64,
-}
-
-impl ManualClock {
-    /// A clock at origin zero.
-    pub fn new() -> ManualClock {
-        ManualClock::default()
-    }
-
-    /// Advances the clock by `ms` milliseconds.
-    pub fn advance_ms(&self, ms: u64) {
-        self.ms.fetch_add(ms, Ordering::Relaxed);
-    }
-}
-
-impl WallClock for ManualClock {
-    fn now_ms(&self) -> u64 {
-        self.ms.load(Ordering::Relaxed)
-    }
-}
 
 /// Builder-facing pool configuration.
 #[derive(Debug, Clone, Copy)]
@@ -111,19 +39,14 @@ pub struct WarmPoolConfig {
     /// Idle ticks (subsequent checkout attempts) after which a parked tree
     /// is evicted. `u64::MAX` never evicts.
     pub idle_ttl: u64,
-    /// Wall-clock idle milliseconds after which a reaper pass
-    /// (`FsdService::reap_warm_trees`) evicts a parked tree; `None`
-    /// disables the wall-clock path.
-    pub wall_idle_ms: Option<u64>,
 }
 
 impl WarmPoolConfig {
-    /// A tick-TTL-only configuration (the PR-3 shape).
+    /// A shelf of `max_trees` whose trees age out after `idle_ttl` ticks.
     pub fn new(max_trees: usize, idle_ttl: u64) -> WarmPoolConfig {
         WarmPoolConfig {
             max_trees,
             idle_ttl,
-            wall_idle_ms: None,
         }
     }
 
@@ -135,11 +58,7 @@ impl WarmPoolConfig {
     /// `ServiceBuilder::auto_warm_pool` and the `sched` predictor share.
     pub fn auto(shapes: usize, burst_depth: usize) -> WarmPoolConfig {
         let max_trees = (shapes * burst_depth).max(1);
-        WarmPoolConfig {
-            max_trees,
-            idle_ttl: 4 * max_trees as u64,
-            wall_idle_ms: None,
-        }
+        WarmPoolConfig::new(max_trees, 4 * max_trees as u64)
     }
 }
 
@@ -154,8 +73,6 @@ pub struct WarmPoolStats {
     pub created: u64,
     /// Parked trees evicted by the idle tick-TTL.
     pub evicted_ttl: u64,
-    /// Parked trees evicted by the wall-clock reaper.
-    pub evicted_wall: u64,
     /// Parked trees of the least-recently-used shape evicted to make room
     /// for a checkin on a full shelf.
     pub evicted_lru: u64,
@@ -166,9 +83,6 @@ pub struct WarmPoolStats {
     pub evicted_stale: u64,
     /// Poisoned trees discarded at checkin (a worker died).
     pub discarded_poisoned: u64,
-    /// Replacement trees launched and parked after a poisoned discard
-    /// (`ServiceBuilder::regenerate_poisoned`).
-    pub regenerated: u64,
     /// Currently parked trees.
     pub idle: usize,
 }
@@ -176,7 +90,6 @@ pub struct WarmPoolStats {
 struct Parked {
     tree: WorkerTree,
     parked_at_tick: u64,
-    parked_at_ms: u64,
 }
 
 #[derive(Default)]
@@ -185,18 +98,15 @@ struct Counters {
     misses: u64,
     created: u64,
     evicted_ttl: u64,
-    evicted_wall: u64,
     evicted_lru: u64,
     evicted_shape: u64,
     evicted_stale: u64,
     discarded_poisoned: u64,
-    regenerated: u64,
 }
 
 /// The pool itself; owned by the service, shared by all request threads.
 pub(crate) struct TreePool {
     cfg: WarmPoolConfig,
-    clock: std::sync::Arc<dyn WallClock>,
     tick: AtomicU64,
     generation: AtomicU64,
     shelf: Mutex<Vec<Parked>>,
@@ -208,10 +118,9 @@ pub(crate) struct TreePool {
 }
 
 impl TreePool {
-    pub(crate) fn new(cfg: WarmPoolConfig, clock: std::sync::Arc<dyn WallClock>) -> TreePool {
+    pub(crate) fn new(cfg: WarmPoolConfig) -> TreePool {
         TreePool {
             cfg,
-            clock,
             tick: AtomicU64::new(0),
             generation: AtomicU64::new(0),
             shelf: Mutex::new(Vec::new()),
@@ -277,11 +186,6 @@ impl TreePool {
         self.counters.lock().created += 1;
     }
 
-    /// Records a replacement launch after a poisoned discard.
-    pub(crate) fn record_regenerated(&self) {
-        self.counters.lock().regenerated += 1;
-    }
-
     /// Marks a cold-launched request tree as in service for its shape
     /// (checked-out trees are marked by `checkout` itself).
     pub(crate) fn note_in_use(&self, key: TreeKey) {
@@ -319,7 +223,6 @@ impl TreePool {
             return;
         }
         let parked_at_tick = self.tick.load(Ordering::Relaxed);
-        let parked_at_ms = self.clock.now_ms();
         let victim = {
             let _shelf_ord = lockorder::acquire(lockorder::rank::POOL_SHELF, "pool.shelf");
             let mut shelf = self.shelf.lock();
@@ -335,7 +238,6 @@ impl TreePool {
             shelf.push(Parked {
                 tree,
                 parked_at_tick,
-                parked_at_ms,
             });
             victim
         };
@@ -420,40 +322,6 @@ impl TreePool {
         n
     }
 
-    /// Evicts parked trees whose wall-clock idle time exceeds
-    /// `wall_idle_ms` (no-op when the wall TTL is disabled). Returns how
-    /// many trees were dropped. Driven by the service's background reaper
-    /// thread in production, or explicitly by harnesses holding a
-    /// [`ManualClock`].
-    pub(crate) fn reap(&self) -> usize {
-        let Some(ttl_ms) = self.cfg.wall_idle_ms else {
-            return 0;
-        };
-        let now_ms = self.clock.now_ms();
-        let drained: Vec<WorkerTree> = {
-            let _shelf_ord = lockorder::acquire(lockorder::rank::POOL_SHELF, "pool.shelf");
-            let mut shelf = self.shelf.lock();
-            let mut kept = Vec::with_capacity(shelf.len());
-            let mut evicted = Vec::new();
-            for parked in shelf.drain(..) {
-                if now_ms.saturating_sub(parked.parked_at_ms) > ttl_ms {
-                    evicted.push(parked.tree);
-                } else {
-                    kept.push(parked);
-                }
-            }
-            *shelf = kept;
-            let _counters_ord = lockorder::acquire(lockorder::rank::POOL_COUNTERS, "pool.counters");
-            self.counters.lock().evicted_wall += evicted.len() as u64;
-            evicted
-        };
-        let n = drained.len();
-        for mut tree in drained {
-            tree.shutdown();
-        }
-        n
-    }
-
     /// Bumps the generation and eagerly shuts every parked tree down.
     /// Returns how many trees were dropped.
     pub(crate) fn invalidate(&self) -> usize {
@@ -495,12 +363,10 @@ impl TreePool {
             misses: counters.misses,
             created: counters.created,
             evicted_ttl: counters.evicted_ttl,
-            evicted_wall: counters.evicted_wall,
             evicted_lru: counters.evicted_lru,
             evicted_shape: counters.evicted_shape,
             evicted_stale: counters.evicted_stale,
             discarded_poisoned: counters.discarded_poisoned,
-            regenerated: counters.regenerated,
             idle,
         }
     }

@@ -30,7 +30,7 @@ use crate::engine::{
 };
 use crate::error::FsdError;
 use crate::health::{HealthBoard, HealthSnapshot};
-use crate::pool::{SystemClock, TreePool, WallClock, WarmPoolConfig, WarmPoolStats};
+use crate::pool::{TreePool, WarmPoolConfig, WarmPoolStats};
 use crate::provider::{ChannelProvider, ChannelRegistry};
 use crate::recommend::{self, Recommendation, WorkloadProfile};
 use crate::warm::{TreeKey, TreeParams, WorkItem, WorkerTree};
@@ -102,16 +102,11 @@ pub struct FsdService {
     /// Request counter; its successor is the request's flow id.
     requests: AtomicU64,
     /// The warm-tree pool (`ServiceBuilder::warm_pool`); without one every
-    /// request's tree lives for that request only. `Arc` so the background
-    /// reaper thread can hold the pool without borrowing the service.
-    pool: Option<Arc<TreePool>>,
+    /// request's tree lives for that request only.
+    pool: Option<TreePool>,
     /// Per-transport error-rate scoreboard + circuit breakers; drives
     /// graceful degradation of [`Variant::Auto`] routing.
     health: HealthBoard,
-    /// Whether a pool tree poisoned mid-request is immediately relaunched
-    /// and re-parked (`ServiceBuilder::regenerate_poisoned`), billed to the
-    /// unattributed flow like a pre-warm.
-    regenerate_poisoned: bool,
     /// Process-wide weight-block cache for streamed cold starts
     /// (`EngineConfig::stream_weights`); idle — and never consulted —
     /// otherwise. Invalidated alongside the warm pool.
@@ -122,9 +117,6 @@ pub struct FsdService {
     /// the exact partition `global == Σ successful reports + failed bill`
     /// holds even under retries.
     failed_bill: Mutex<FailedAttemptBill>,
-    /// The background wall-clock reaper, if one was requested; held only
-    /// for its `Drop` (stop + join).
-    _reaper: Option<Reaper>,
 }
 
 /// What failed request attempts have been billed service-wide: the comm
@@ -140,68 +132,15 @@ pub struct FailedAttemptBill {
     pub lambda: LambdaSnapshot,
 }
 
-/// A background thread that periodically [`TreePool::reap`]s idle trees
-/// by wall-clock TTL. Stopped (condvar-signalled, then joined) when the
-/// service drops, so a service never leaks its reaper.
-struct Reaper {
-    stop: Arc<(Mutex<bool>, parking_lot::Condvar)>,
-    handle: Option<std::thread::JoinHandle<()>>,
-}
-
-impl Reaper {
-    fn spawn(pool: Arc<TreePool>, interval: std::time::Duration) -> Reaper {
-        let stop = Arc::new((Mutex::new(false), parking_lot::Condvar::new()));
-        let stop_c = stop.clone();
-        let handle = std::thread::spawn(move || loop {
-            let (lock, cvar) = &*stop_c;
-            let mut stopped = lock.lock();
-            if !*stopped {
-                cvar.wait_for(&mut stopped, interval);
-            }
-            if *stopped {
-                return;
-            }
-            drop(stopped);
-            pool.reap();
-        });
-        Reaper {
-            stop,
-            handle: Some(handle),
-        }
-    }
-}
-
-impl Drop for Reaper {
-    fn drop(&mut self) {
-        let (lock, cvar) = &*self.stop;
-        *lock.lock() = true;
-        cvar.notify_all();
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
-        }
-    }
-}
-
 impl FsdService {
     pub(crate) fn assemble(
         dnn: Arc<SparseDnn>,
         cfg: EngineConfig,
         registry: ChannelRegistry,
         warm: Option<WarmPoolConfig>,
-        clock: Option<Arc<dyn WallClock>>,
-        reap_interval: Option<std::time::Duration>,
-        regenerate_poisoned: bool,
     ) -> FsdService {
         let env = CloudEnv::new(cfg.cloud);
         let platform = FaasPlatform::new(env.clone(), cfg.compute);
-        let clock = clock.unwrap_or_else(|| Arc::new(SystemClock::new()));
-        let pool = warm
-            .filter(|w| w.max_trees > 0)
-            .map(|w| Arc::new(TreePool::new(w, clock)));
-        let reaper = match (&pool, reap_interval) {
-            (Some(pool), Some(interval)) => Some(Reaper::spawn(pool.clone(), interval)),
-            _ => None,
-        };
         FsdService {
             env,
             platform,
@@ -213,12 +152,10 @@ impl FsdService {
             state: RwLock::new(StagedState::default()),
             stage_lock: Mutex::new(()),
             requests: AtomicU64::new(0),
-            pool,
+            pool: warm.filter(|w| w.max_trees > 0).map(TreePool::new),
             health: HealthBoard::new(),
             weight_cache: Arc::new(WeightCache::new()),
             failed_bill: Mutex::new(FailedAttemptBill::default()),
-            regenerate_poisoned,
-            _reaper: reaper,
         }
     }
 
@@ -629,30 +566,18 @@ impl FsdService {
     /// Retires a tree its pass is done with. Without a pool it is dropped,
     /// which joins every instance; with one it is parked for the next
     /// request of its shape — or, after a `failed` run, discarded (never
-    /// reuse a possibly poisoned tree) and, under
-    /// `ServiceBuilder::regenerate_poisoned`, replaced: best-effort, since
-    /// a failed relaunch should leave the shape cold rather than error the
-    /// request a second time.
+    /// reuse a possibly poisoned tree).
     fn release_tree(&self, tree: WorkerTree, failed: bool) {
-        let Some(pool) = &self.pool else {
-            return drop(tree);
-        };
-        if !failed {
-            return pool.checkin(tree);
-        }
-        let key = tree.key();
-        pool.discard(tree);
-        if self.regenerate_poisoned {
-            if let Ok(fresh) = self.new_tree(key, 0) {
-                pool.record_regenerated();
-                pool.checkin(fresh);
-            }
+        match &self.pool {
+            None => drop(tree),
+            Some(pool) if failed => pool.discard(tree),
+            Some(pool) => pool.checkin(tree),
         }
     }
 
     /// Launches a tree of shape `key` billed to `flow`: a request's own
     /// flow, or 0 (unattributed, like offline staging) for trees launched
-    /// ahead of or on behalf of traffic — pre-warms and regenerations.
+    /// ahead of traffic — pre-warms.
     /// The single construction point, so every tree agrees on streaming
     /// mode, shares the one weight cache and is counted by the pool.
     fn new_tree(&self, key: TreeKey, flow: u64) -> Result<WorkerTree, FaasError> {
@@ -763,16 +688,6 @@ impl FsdService {
             memory_mb,
         };
         self.pool.as_ref().map_or(0, |p| p.evict_shape(key))
-    }
-
-    /// Runs one wall-clock reaper pass: evicts parked trees whose real
-    /// idle time exceeds `WarmPoolConfig::wall_idle_ms`. Returns how many
-    /// trees were dropped; 0 without a pool or without a wall TTL. The
-    /// background reaper (`ServiceBuilder::background_reaper`) calls this
-    /// on an interval; deterministic harnesses inject a
-    /// [`crate::ManualClock`] and call it explicitly.
-    pub fn reap_warm_trees(&self) -> usize {
-        self.pool.as_ref().map_or(0, |p| p.reap())
     }
 
     /// Per-transport health scoreboard (error-rate EWMAs and breaker

@@ -56,6 +56,17 @@ fn get_varint(buf: &[u8], pos: &mut usize) -> Result<u64, WireError> {
     }
 }
 
+/// Reads an untrusted element count and refuses it — before anything is
+/// allocated for it — unless what remains of `buf` can still hold that
+/// many elements of at least `min_bytes` each.
+fn get_count(buf: &[u8], pos: &mut usize, min_bytes: usize) -> Result<usize, WireError> {
+    let n = get_varint(buf, pos)?;
+    usize::try_from(n)
+        .ok()
+        .filter(|&n| n <= (buf.len() - *pos) / min_bytes)
+        .ok_or(WireError::Truncated)
+}
+
 /// Serializes a CSR matrix (weight block: local rows, global columns).
 pub fn encode_csr(m: &CsrMatrix) -> Vec<u8> {
     let (indptr, indices, values) = m.parts();
@@ -83,15 +94,19 @@ pub fn encode_csr(m: &CsrMatrix) -> Vec<u8> {
 /// Deserializes a buffer from [`encode_csr`].
 pub fn decode_csr(buf: &[u8]) -> Result<CsrMatrix, WireError> {
     let mut pos = 0usize;
-    let rows = get_varint(buf, &mut pos)? as usize;
+    let rows = get_count(buf, &mut pos, 1)?;
     let cols = get_varint(buf, &mut pos)? as usize;
     let mut indptr = Vec::with_capacity(rows + 1);
     indptr.push(0usize);
+    let mut nnz = 0usize;
     for _ in 0..rows {
-        let n = get_varint(buf, &mut pos)? as usize;
-        indptr.push(indptr.last().expect("non-empty") + n);
+        // Every nonzero still owes a column byte and 4 value bytes.
+        nnz += get_count(buf, &mut pos, 5)?;
+        if nnz > (buf.len() - pos) / 5 {
+            return Err(WireError::Truncated);
+        }
+        indptr.push(nnz);
     }
-    let nnz = *indptr.last().expect("non-empty");
     let mut indices = Vec::with_capacity(nnz);
     for r in 0..rows {
         let n = indptr[r + 1] - indptr[r];
@@ -149,14 +164,14 @@ pub fn encode_maps(maps: &[Vec<(u32, Vec<u32>)>]) -> Vec<u8> {
 /// Deserializes a buffer from [`encode_maps`].
 pub fn decode_maps(buf: &[u8]) -> Result<LayerMaps, WireError> {
     let mut pos = 0usize;
-    let n_layers = get_varint(buf, &mut pos)? as usize;
+    let n_layers = get_count(buf, &mut pos, 1)?;
     let mut maps = Vec::with_capacity(n_layers);
     for _ in 0..n_layers {
-        let n_peers = get_varint(buf, &mut pos)? as usize;
+        let n_peers = get_count(buf, &mut pos, 2)?;
         let mut layer = Vec::with_capacity(n_peers);
         for _ in 0..n_peers {
             let peer = get_varint(buf, &mut pos)? as u32;
-            let n_rows = get_varint(buf, &mut pos)? as usize;
+            let n_rows = get_count(buf, &mut pos, 1)?;
             let mut rows = Vec::with_capacity(n_rows);
             let mut prev = 0u32;
             for i in 0..n_rows {
@@ -197,7 +212,7 @@ pub fn encode_ids(ids: &[u32]) -> Vec<u8> {
 /// Deserializes a buffer from [`encode_ids`].
 pub fn decode_ids(buf: &[u8]) -> Result<Vec<u32>, WireError> {
     let mut pos = 0usize;
-    let n = get_varint(buf, &mut pos)? as usize;
+    let n = get_count(buf, &mut pos, 1)?;
     let mut ids = Vec::with_capacity(n);
     let mut prev = 0u32;
     for i in 0..n {
@@ -253,6 +268,21 @@ mod tests {
         for cut in 0..buf.len() {
             assert!(decode_csr(&buf[..cut]).is_err(), "prefix {cut} decoded");
         }
+    }
+
+    #[test]
+    fn counts_the_buffer_cannot_hold_are_refused_before_allocating() {
+        // 2^60 rows, then 2^60 nonzeros in one row, from a few bytes.
+        let mut rows = Vec::new();
+        put_varint(&mut rows, 1 << 60);
+        rows.push(1);
+        assert_eq!(decode_csr(&rows).err(), Some(WireError::Truncated));
+        let mut nnz = vec![1, 1];
+        put_varint(&mut nnz, 1 << 60);
+        assert_eq!(decode_csr(&nnz).err(), Some(WireError::Truncated));
+        // The same prefix opens the map and id-list decoders.
+        assert_eq!(decode_maps(&rows).err(), Some(WireError::Truncated));
+        assert_eq!(decode_ids(&rows).err(), Some(WireError::Truncated));
     }
 
     #[test]

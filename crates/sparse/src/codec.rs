@@ -117,6 +117,12 @@ pub fn decode(buf: &[u8]) -> Result<SparseRows, CodecError> {
         };
         prev_id = Some(id);
         let nnz = get_varint(buf, &mut pos)? as usize;
+        // Untrusted count: each nonzero still needs ≥ 1 column byte and 4
+        // value bytes, so a larger claim cannot be met — refuse it before
+        // reserving for it.
+        if nnz > (buf.len() - pos) / 5 {
+            return Err(CodecError::Truncated);
+        }
         cols.clear();
         cols.reserve(nnz);
         let mut prev_c: Option<u32> = None;
@@ -254,6 +260,20 @@ mod tests {
         assert_eq!(
             decode(&buf),
             Err(CodecError::Corrupt("column out of range"))
+        );
+    }
+
+    #[test]
+    fn decode_rejects_a_row_count_the_buffer_cannot_hold() {
+        // width 4, one row, id 0, claiming 2^32 - 1 nonzeros in no bytes:
+        // refused before 2 × 16 GiB are reserved for it.
+        let mut buf = vec![4, 1, 0];
+        put_varint(&mut buf, u32::MAX);
+        assert_eq!(decode(&buf), Err(CodecError::Truncated));
+        // One nonzero's worth of bytes does not cover a claim of two.
+        assert_eq!(
+            decode(&[4, 1, 0, 2, 0, 0, 0, 0, 0]),
+            Err(CodecError::Truncated)
         );
     }
 

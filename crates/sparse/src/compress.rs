@@ -165,21 +165,36 @@ pub fn decompress(buf: &[u8]) -> Result<Vec<u8>, CompressError> {
         return Err(CompressError::BadMagic);
     }
     let mut pos = 2usize;
-    let raw_len = get_varint(buf, &mut pos)? as usize;
+    // The header is untrusted: no frame `compress` emits expands a byte of
+    // input into more than one maximal match, so a larger claim is
+    // rejected before anything is allocated for it.
+    let raw_len = usize::try_from(get_varint(buf, &mut pos)?)
+        .ok()
+        .filter(|&n| n <= (buf.len() - pos).saturating_mul(MAX_MATCH))
+        .ok_or(CompressError::LengthMismatch)?;
     let mut out = Vec::with_capacity(raw_len);
+    // A token's length, refused as soon as it would carry the output past
+    // the declared `raw_len` — before a single byte of it is expanded.
+    let token_len = |out: &Vec<u8>, len: u64, extra: usize| {
+        usize::try_from(len)
+            .ok()
+            .and_then(|len| len.checked_add(extra))
+            .filter(|&len| len <= raw_len - out.len())
+            .ok_or(CompressError::LengthMismatch)
+    };
     while pos < buf.len() {
         let tag = buf[pos];
         pos += 1;
         match tag {
             0x00 => {
-                let len = get_varint(buf, &mut pos)? as usize;
+                let len = token_len(&out, get_varint(buf, &mut pos)?, 0)?;
                 let end = pos.checked_add(len).ok_or(CompressError::Truncated)?;
                 let bytes = buf.get(pos..end).ok_or(CompressError::Truncated)?;
                 out.extend_from_slice(bytes);
                 pos = end;
             }
             0x01 => {
-                let len = get_varint(buf, &mut pos)? as usize + MIN_MATCH;
+                let len = token_len(&out, get_varint(buf, &mut pos)?, MIN_MATCH)?;
                 let dist = get_varint(buf, &mut pos)? as usize;
                 if dist == 0 || dist > out.len() {
                     return Err(CompressError::BadMatch);
@@ -301,5 +316,24 @@ mod tests {
         put_varint(&mut buf, 2);
         buf.extend_from_slice(b"ab");
         assert_eq!(decompress(&buf), Err(CompressError::LengthMismatch));
+    }
+
+    #[test]
+    fn rejects_lengths_the_frame_cannot_hold_before_acting_on_them() {
+        // A header claiming 2^64 - 1 bytes: refused, not allocated.
+        let mut huge = MAGIC.to_vec();
+        put_varint(&mut huge, u64::MAX);
+        assert_eq!(decompress(&huge), Err(CompressError::LengthMismatch));
+        // A match of 2^62 bytes against a 5-byte header — or one whose
+        // length overflows `usize` once MIN_MATCH is added: refused, not
+        // expanded byte by byte until memory runs out.
+        for match_len in [1 << 62, u64::MAX] {
+            let mut bomb = MAGIC.to_vec();
+            put_varint(&mut bomb, 5);
+            bomb.extend_from_slice(&[0x00, 1, b'a', 0x01]);
+            put_varint(&mut bomb, match_len);
+            put_varint(&mut bomb, 1);
+            assert_eq!(decompress(&bomb), Err(CompressError::LengthMismatch));
+        }
     }
 }

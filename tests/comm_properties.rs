@@ -3,8 +3,7 @@
 //! enforcement under arbitrary traffic patterns.
 
 use fsd_inference::comm::{
-    bucket_name, quota, CloudConfig, CloudEnv, Message, MessageAttributes, PollKind, VClock,
-    VirtualTime,
+    bucket_name, quota, CloudConfig, CloudEnv, Message, MessageAttributes, VClock, VirtualTime,
 };
 use fsd_inference::core::{ChannelOptions, ChannelRegistry, RecvTracker, Tag};
 use fsd_inference::faas::{ComputeModel, FaasError, FaasPlatform, FunctionConfig, WorkerCtx};
@@ -73,15 +72,19 @@ proptest! {
         }
         let mut clock = VClock::default();
         let mut got: Vec<(u32, Vec<u8>)> = Vec::new();
+        let mut billed = 0u64;
+        let mut takes = 0u64;
         while got.len() < bodies.len() {
-            let msgs = q.poll(&mut clock, PollKind::Long { wait_secs: 1.0 });
+            let msgs = q.take_visible(quota::MAX_BATCH_MESSAGES);
             prop_assert!(!msgs.is_empty(), "queue lost messages");
             prop_assert!(msgs.len() <= quota::MAX_BATCH_MESSAGES);
-            let handles: Vec<u64> = msgs.iter().map(|m| m.handle).collect();
+            let taken: Vec<(VirtualTime, usize)> =
+                msgs.iter().map(|m| (m.available_at, m.message.len())).collect();
+            billed += q.settle_receives(&mut clock, 1.0, &taken);
+            takes += 1;
             for m in msgs {
                 got.push((m.message.attributes.source, m.message.body));
             }
-            q.delete_batch(&mut clock, &handles);
         }
         // Exactly once, order preserved (single consumer, FIFO).
         prop_assert_eq!(got.len(), bodies.len());
@@ -90,7 +93,14 @@ proptest! {
             prop_assert_eq!(body, &bodies[i]);
         }
         prop_assert_eq!(q.visible_len(), 0);
-        prop_assert_eq!(q.in_flight_len(), 0);
+        // Billed calls = receives + their deletes: the first long poll
+        // returns the moment message 0 lands, alone; by then every other
+        // stamp has passed, so each later receive carries a whole take.
+        let receives = takes + u64::from(bodies.len() > 1);
+        prop_assert_eq!(billed, 2 * receives);
+        prop_assert_eq!(env.snapshot().sqs_api_calls, billed);
+        prop_assert_eq!(env.snapshot().sqs_empty_polls, 0);
+        prop_assert_eq!(env.snapshot().sqs_messages, bodies.len() as u64);
     }
 
     #[test]

@@ -289,85 +289,6 @@ fn lru_under_pressure_evicts_the_least_recently_used_shape() {
 }
 
 #[test]
-fn wall_clock_reaper_evicts_by_real_idle_time_with_an_injected_clock() {
-    let _guard = engine_guard();
-    use fsd_inference::core::ManualClock;
-    let spec = spec(49);
-    let dnn = Arc::new(generate_dnn(&spec));
-    let inputs = generate_inputs(spec.neurons, &InputSpec::scaled(10, 49));
-    let clock = Arc::new(ManualClock::new());
-    let service = ServiceBuilder::new(dnn)
-        .deterministic(49)
-        .warm_pool(4, u64::MAX)
-        .warm_pool_wall_ttl(1_000)
-        .warm_pool_clock(clock.clone())
-        .build();
-    let req = request(&inputs, Variant::Queue, 2);
-    service.submit(&req).expect("parks a tree");
-    // Young tree: a reaper pass keeps it, and it still serves warm.
-    assert_eq!(service.reap_warm_trees(), 0);
-    assert_eq!(
-        service.submit(&req).expect("warm").launch,
-        LaunchPath::WarmHit
-    );
-    // Idle past the wall TTL: the reaper evicts it. The tick TTL is
-    // u64::MAX, so only the wall-clock path can be responsible.
-    clock.advance_ms(1_500);
-    assert_eq!(service.reap_warm_trees(), 1);
-    let stats = service.warm_pool_stats().expect("pool enabled");
-    assert_eq!(stats.evicted_wall, 1, "{stats:?}");
-    assert_eq!(stats.idle, 0);
-    assert_eq!(
-        service.submit(&req).expect("re-launches").launch,
-        LaunchPath::ColdStart
-    );
-}
-
-#[test]
-fn background_reaper_evicts_without_explicit_reap_calls() {
-    let _guard = engine_guard();
-    use fsd_inference::core::ManualClock;
-    use std::time::Duration;
-    let spec = spec(50);
-    let dnn = Arc::new(generate_dnn(&spec));
-    let inputs = generate_inputs(spec.neurons, &InputSpec::scaled(10, 50));
-    // The injected manual clock controls *aging*; the background thread
-    // only controls *when passes run*, so the test is timing-tolerant:
-    // nothing can be evicted before the clock is advanced, and after it
-    // is, some pass within the polling horizon must evict.
-    let clock = Arc::new(ManualClock::new());
-    let service = ServiceBuilder::new(dnn)
-        .deterministic(50)
-        .warm_pool(4, u64::MAX)
-        .warm_pool_wall_ttl(100)
-        .warm_pool_clock(clock.clone())
-        .background_reaper(Duration::from_millis(5))
-        .build();
-    let req = request(&inputs, Variant::Queue, 2);
-    service.submit(&req).expect("parks a tree");
-    std::thread::sleep(Duration::from_millis(30));
-    assert_eq!(
-        service.warm_pool_stats().expect("pool").evicted_wall,
-        0,
-        "a frozen clock must never age trees"
-    );
-    clock.advance_ms(500);
-    let deadline = std::time::Instant::now() + Duration::from_secs(5);
-    loop {
-        if service.warm_pool_stats().expect("pool").evicted_wall >= 1 {
-            break;
-        }
-        assert!(
-            std::time::Instant::now() < deadline,
-            "background reaper never ran: {:?}",
-            service.warm_pool_stats()
-        );
-        std::thread::sleep(Duration::from_millis(5));
-    }
-    assert_eq!(service.warm_pool_stats().expect("pool").idle, 0);
-}
-
-#[test]
 fn dead_worker_evicts_the_tree_without_wedging_the_scheduler() {
     let _guard = engine_guard();
     let (service, inputs, expected) = pooled_service(46, 4, u64::MAX);
