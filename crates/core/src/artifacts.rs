@@ -393,11 +393,23 @@ pub fn load_input_share(
     p: u32,
     m: u32,
 ) -> Result<SparseRows, FaasError> {
-    let inputs = codec::decode(&fetch(ctx, &input_worker_key(input_key, p, m))?)
+    let mut inputs = SparseRows::new(0);
+    load_input_share_into(ctx, input_key, p, m, &mut inputs)?;
+    Ok(inputs)
+}
+
+/// [`load_input_share`] into a block whose buffers are reused.
+pub(crate) fn load_input_share_into(
+    ctx: &mut WorkerCtx,
+    input_key: &str,
+    p: u32,
+    m: u32,
+    inputs: &mut SparseRows,
+) -> Result<(), FaasError> {
+    codec::decode_into(&fetch(ctx, &input_worker_key(input_key, p, m))?, inputs)
         .map_err(|e| FaasError::comm("decode", "inputs", e))?;
     ctx.track_alloc(inputs.mem_bytes());
-    ctx.check_limits()?;
-    Ok(inputs)
+    ctx.check_limits()
 }
 
 /// Loads the full model (FSD-Inf-Serial path; inputs are fetched per batch).

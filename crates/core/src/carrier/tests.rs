@@ -150,7 +150,7 @@ fn barrier_and_reduce_work_over_every_transport() {
                 move |ctx| {
                     barrier(ch.as_ref(), ctx, m, 3, 0)?;
                     let mine = rows(&[m * 10]);
-                    reduce(ch.as_ref(), ctx, m, 3, mine, 0)
+                    reduce(ch.as_ref(), ctx, m, 3, &mine, 0)
                 },
             ));
         }

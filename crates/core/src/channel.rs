@@ -249,29 +249,28 @@ pub fn barrier(
 }
 
 /// Reduce to worker 0 (paper line `reduce(P_0, x^L_m)`): every worker ships
-/// its final rows for batch `batch` to the root, which merges them into the
-/// inference result.
+/// its final rows for batch `batch` to the root, which merges them — in one
+/// pass, into an exact-capacity block — into the inference result.
 pub fn reduce(
     channel: &dyn FsiChannel,
     ctx: &mut WorkerCtx,
     me: u32,
     n_workers: u32,
-    mine: SparseRows,
+    mine: &SparseRows,
     batch: u32,
 ) -> Result<Option<SparseRows>, FaasError> {
     if n_workers <= 1 {
-        return Ok(Some(mine));
+        return Ok(Some(mine.clone()));
     }
     if me == 0 {
         let mut tracker = RecvTracker::expecting(1..n_workers);
         let blocks = channel.receive_all(ctx, Tag::Reduce(batch), 0, &mut tracker)?;
-        let mut out = mine;
-        for (_, block) in blocks {
-            out.merge(&block);
-        }
-        Ok(Some(out))
+        let parts: Vec<&SparseRows> = std::iter::once(mine)
+            .chain(blocks.iter().map(|(_, block)| block))
+            .collect();
+        Ok(Some(SparseRows::merge_all(&parts)))
     } else {
-        channel.send_layer(ctx, Tag::Reduce(batch), me, &[(0, mine)])?;
+        channel.send_layer(ctx, Tag::Reduce(batch), me, &[(0, mine.clone())])?;
         Ok(None)
     }
 }

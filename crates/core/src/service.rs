@@ -35,7 +35,7 @@ use crate::provider::{ChannelProvider, ChannelRegistry};
 use crate::recommend::{self, Recommendation, WorkloadProfile};
 use crate::warm::{TreeKey, TreeParams, WorkItem, WorkerTree};
 use crate::weight_cache::WeightCache;
-use crate::worker::{run_serial, RunOutput};
+use crate::worker::{run_serial, RunOutput, WorkspacePool};
 use fsd_comm::{ApiClass, CloudEnv, FaultKind, MeterSnapshot, TargetedFault, VirtualTime};
 use fsd_faas::{FaasError, FaasPlatform, FunctionConfig, LambdaSnapshot};
 use fsd_model::SparseDnn;
@@ -111,6 +111,8 @@ pub struct FsdService {
     /// (`EngineConfig::stream_weights`); idle — and never consulted —
     /// otherwise. Invalidated alongside the warm pool.
     weight_cache: Arc<WeightCache>,
+    /// Layer-loop buffers every tree's ranks check out per work item.
+    workspaces: Arc<WorkspacePool>,
     /// Bills accrued by request attempts that *failed* (AWS semantics:
     /// failed calls are billed). `finalize_report` folds each failed
     /// attempt's flow-scoped meters in here when it releases the flow, so
@@ -155,6 +157,7 @@ impl FsdService {
             pool: warm.filter(|w| w.max_trees > 0).map(TreePool::new),
             health: HealthBoard::new(),
             weight_cache: Arc::new(WeightCache::new()),
+            workspaces: Arc::default(),
             failed_bill: Mutex::new(FailedAttemptBill::default()),
         }
     }
@@ -589,6 +592,7 @@ impl FsdService {
             spec: *self.dnn.spec(),
             stream: self.cfg.stream_weights,
             cache: self.weight_cache.clone(),
+            workspaces: self.workspaces.clone(),
         };
         let generation = self.pool.as_ref().map_or(0, |pool| pool.generation());
         let tree = WorkerTree::launch(&self.platform, key, generation, params, flow)?;

@@ -39,7 +39,7 @@ use crate::artifacts::{load_worker_artifacts, WorkerArtifacts};
 use crate::channel::FsiChannel;
 use crate::engine::{LaunchPath, Variant};
 use crate::weight_cache::WeightCache;
-use crate::worker::{run_batches, RunOutput, WorkerOutput};
+use crate::worker::{run_batches, RunOutput, WorkerOutput, WorkspacePool};
 use fsd_comm::{CloudEnv, VirtualTime};
 use fsd_faas::{launch, FaasError, FaasPlatform, FunctionConfig, Invocation, InvocationReport};
 use fsd_model::DnnSpec;
@@ -75,6 +75,8 @@ pub(crate) struct TreeParams {
     pub stream: bool,
     /// The service-wide weight-block cache streamed loads read through.
     pub cache: Arc<WeightCache>,
+    /// The service-wide layer-loop buffers, checked out per work item.
+    pub workspaces: Arc<WorkspacePool>,
 }
 
 /// One request routed into a tree.
@@ -277,6 +279,7 @@ fn serve_item(
         shared.params.n_workers,
         &shared.params.spec,
         art,
+        &shared.params.workspaces,
         &item.input_key,
         &item.batch_widths,
     )?;

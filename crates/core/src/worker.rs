@@ -14,13 +14,14 @@
 //! paper builds in. [`run_serial`] is the same loop with every
 //! communication step removed (one instance, no tree).
 
-use crate::artifacts::{load_full_model, load_input_share};
+use crate::artifacts::{load_full_model, load_input_share_into, WorkerArtifacts};
 use crate::channel::{barrier, reduce, FsiChannel, RecvTracker, Tag};
 use crate::engine::LaunchPath;
 use crate::stats::ChannelStatsSnapshot;
 use fsd_faas::{FaasError, InvocationReport, WorkerCtx};
 use fsd_model::DnnSpec;
 use fsd_sparse::{codec, layer_forward_reference, LayerAccumulator, SparseRows};
+use parking_lot::Mutex;
 use std::sync::Arc;
 
 /// What one instance produced for one request's batches.
@@ -81,6 +82,48 @@ fn layer_tag(spec: &DnnSpec, batch: usize, k: usize) -> Tag {
     Tag::Layer((batch * spec.layers + k) as u32)
 }
 
+/// The buffers one rank's layer loop works in: the dense accumulator and
+/// the two activation blocks it ping-pongs between (`x^k` is read while
+/// `x^{k+1}` is finalized into the other, then they swap). They are grown
+/// once and then reused across layers, batches and — through the
+/// [`WorkspacePool`] — requests, instead of being paged in afresh 24 times
+/// a request.
+pub(crate) struct Workspace {
+    acc: LayerAccumulator,
+    x: SparseRows,
+    next: SparseRows,
+    sends: Vec<(u32, SparseRows)>,
+}
+
+/// A service's idle [`Workspace`]s. A rank checks one out per work item, so
+/// what stays allocated is bounded by the ranks *running*, not by the
+/// instances parked in warm trees.
+#[derive(Default)]
+pub(crate) struct WorkspacePool {
+    idle: Mutex<Vec<Workspace>>,
+}
+
+impl WorkspacePool {
+    /// Idle workspaces kept; one checked in beyond that is freed.
+    const MAX_IDLE: usize = 16;
+
+    fn checkout(&self) -> Workspace {
+        self.idle.lock().pop().unwrap_or_else(|| Workspace {
+            acc: LayerAccumulator::new(0, 0),
+            x: SparseRows::new(0),
+            next: SparseRows::new(0),
+            sends: Vec::new(),
+        })
+    }
+
+    fn checkin(&self, ws: Workspace) {
+        let mut idle = self.idle.lock();
+        if idle.len() < Self::MAX_IDLE {
+            idle.push(ws);
+        }
+    }
+}
+
 /// Runs every batch of one request through an already-loaded worker: per
 /// batch, the layer loop of Algorithms 1 & 2 followed by a barrier + reduce
 /// to rank 0. A keep-alive instance runs *exactly* this per work item,
@@ -93,17 +136,26 @@ pub(crate) fn run_batches(
     rank: u32,
     n_workers: u32,
     spec: &DnnSpec,
-    art: &mut crate::artifacts::WorkerArtifacts,
+    art: &mut WorkerArtifacts,
+    workspaces: &WorkspacePool,
     input_key: &str,
     batch_widths: &[usize],
 ) -> Result<WorkerOutput, FaasError> {
+    // A failed item drops its workspace instead of checking it in.
+    let mut ws = workspaces.checkout();
+    let Workspace {
+        acc,
+        x,
+        next,
+        sends,
+    } = &mut ws;
     let mut artifact_gets = 0u64;
     let mut work_done = 0u64;
     let mut final_batches: Vec<SparseRows> = Vec::new();
     for (b, &width) in batch_widths.iter().enumerate() {
-        let mut x = load_input_share(ctx, &format!("{input_key}/b{b}"), n_workers, rank)?;
+        load_input_share_into(ctx, &format!("{input_key}/b{b}"), n_workers, rank, x)?;
         artifact_gets += 1;
-        let mut acc = LayerAccumulator::new(art.owned.len(), width);
+        acc.reshape(art.owned.len(), width);
         ctx.track_alloc(art.owned.len() * width * 4);
         ctx.check_limits()?;
 
@@ -114,59 +166,62 @@ pub(crate) fn run_batches(
             art.ensure_layer(ctx, k)?;
             let tag = layer_tag(spec, b, k);
             // Sends: extract and ship the rows each target needs.
-            let sends: Vec<(u32, SparseRows)> = art.send[k]
-                .iter()
-                .map(|(target, rows)| (*target, x.extract(rows)))
-                .collect();
-            channel.send_layer(ctx, tag, rank, &sends)?;
-            drop(sends);
+            sends.resize_with(art.send[k].len(), || (0, SparseRows::new(0)));
+            for (slot, (target, rows)) in sends.iter_mut().zip(&art.send[k]) {
+                slot.0 = *target;
+                x.extract_into(rows, &mut slot.1);
+            }
+            channel.send_layer(ctx, tag, rank, sends)?;
 
             // Local product overlaps with inbound communication: its
             // compute time is charged *now* (before polling), while the
-            // numeric accumulation is deferred and done over the merged,
-            // id-sorted input set — so the f32 summation order (and hence
-            // the result) is bit-identical to the serial ground truth.
-            let local_work = art.weight(k).matched_work(&x);
+            // numeric accumulation is deferred and done over the whole
+            // input set in ascending id — so the f32 summation order (and
+            // hence the result) is bit-identical to the serial ground truth.
+            let local_work = art.weight(k).matched_work(x);
             ctx.charge_work(local_work);
             work_done += local_work;
 
             // Receive until every expected source delivered, charging each
             // block's accumulate work as it arrives (still overlapped).
+            let mut arrived: Vec<SparseRows> = Vec::new();
             let mut tracker = RecvTracker::expecting(art.recv[k].iter().map(|(s, _)| *s));
             while !tracker.done() {
                 ctx.check_limits()?;
-                let blocks = channel.receive_round(ctx, tag, rank, &mut tracker)?;
-                for (_, block) in blocks {
+                for (_, block) in channel.receive_round(ctx, tag, rank, &mut tracker)? {
                     let w = art.weight(k).matched_work(&block);
                     ctx.charge_work(w);
                     work_done += w;
                     ctx.track_alloc(block.mem_bytes());
-                    x.merge(&block);
+                    arrived.push(block);
                 }
             }
 
             // One deterministic accumulation over all inputs (work already
-            // charged above), then the activation x^k = f(z^k).
+            // charged above), then the activation x^k = f(z^k). The block
+            // that merging the arrivals into `x` would give is never built;
+            // the memory model is still fed its size.
+            let inputs: Vec<&SparseRows> = std::iter::once(&*x).chain(&arrived).collect();
             acc.reset(art.owned.len());
-            acc.accumulate(art.weight(k), &x);
-            let old_mem = x.mem_bytes();
-            let (next, fw) = acc.finalize(&art.owned, spec.bias, spec.clip);
+            acc.accumulate_parts(art.weight(k), &inputs);
+            let old_mem = SparseRows::merged_mem_bytes(&inputs);
+            let fw = acc.finalize_into(&art.owned, spec.bias, spec.clip, next);
             ctx.charge_work(fw);
             work_done += fw;
             ctx.track_free(old_mem);
             ctx.track_alloc(next.mem_bytes());
-            x = next;
+            std::mem::swap(x, next);
             ctx.check_limits()?;
         }
 
         // --- synchronize and reduce this batch to rank 0 ----------------
         barrier(channel.as_ref(), ctx, rank, n_workers, b as u32)?;
-        let batch_mem = x.mem_bytes();
         if let Some(out) = reduce(channel.as_ref(), ctx, rank, n_workers, x, b as u32)? {
             final_batches.push(out);
         }
-        ctx.track_free(batch_mem + art.owned.len() * width * 4);
+        ctx.track_free(x.mem_bytes() + art.owned.len() * width * 4);
     }
+    workspaces.checkin(ws);
     Ok(WorkerOutput {
         final_batches: if rank == 0 { Some(final_batches) } else { None },
         artifact_gets,

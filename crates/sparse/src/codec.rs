@@ -99,10 +99,19 @@ pub fn encode(block: &SparseRows) -> Vec<u8> {
 
 /// Deserializes a buffer produced by [`encode`].
 pub fn decode(buf: &[u8]) -> Result<SparseRows, CodecError> {
+    let mut block = SparseRows::new(0);
+    decode_into(buf, &mut block)?;
+    Ok(block)
+}
+
+/// [`decode`] into a caller-owned block, whose buffers are reused (its
+/// previous content is dropped; after an error it holds the rows decoded
+/// up to the fault).
+pub fn decode_into(buf: &[u8], block: &mut SparseRows) -> Result<(), CodecError> {
     let mut pos = 0usize;
     let width = get_varint(buf, &mut pos)? as usize;
     let n_rows = get_varint(buf, &mut pos)? as usize;
-    let mut block = SparseRows::new(width);
+    block.clear(width);
     let mut prev_id: Option<u32> = None;
     let mut cols: Vec<u32> = Vec::new();
     let mut vals: Vec<f32> = Vec::new();
@@ -154,7 +163,7 @@ pub fn decode(buf: &[u8]) -> Result<SparseRows, CodecError> {
     if pos != buf.len() {
         return Err(CodecError::TrailingBytes);
     }
-    Ok(block)
+    Ok(())
 }
 
 /// Exact encoded size without materializing the buffer; used to pack
@@ -202,6 +211,15 @@ mod tests {
         let buf = encode(&b);
         let back = decode(&buf).expect("decodes");
         assert_eq!(back, b);
+    }
+
+    #[test]
+    fn decode_into_reuses_a_block_of_any_shape() {
+        let mut into = SparseRows::from_rows(9, [(4u32, vec![1u32, 8], vec![1.0f32, 2.0])]);
+        for b in [block(), SparseRows::new(64), block()] {
+            decode_into(&encode(&b), &mut into).expect("decodes");
+            assert_eq!(into, b);
+        }
     }
 
     #[test]

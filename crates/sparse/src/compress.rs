@@ -20,6 +20,12 @@ const MIN_MATCH: usize = 4;
 const MAX_MATCH: usize = 1 << 12;
 const HASH_BITS: u32 = 15;
 const CHAIN_LIMIT: usize = 32;
+/// Empty `head` slot. Positions are stored as `u32`, so one that would
+/// equal it must never be indexed.
+const EMPTY: u32 = u32::MAX;
+/// First position [`compress`] does not index or search: at or past it a
+/// `u32` position would wrap or alias [`EMPTY`].
+const POSITION_LIMIT: usize = u32::MAX as usize;
 
 /// Errors produced while decompressing.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -85,16 +91,56 @@ fn hash4(data: &[u8]) -> usize {
     (v.wrapping_mul(0x9E37_79B1) >> (32 - HASH_BITS)) as usize
 }
 
+/// Length of the common prefix of `data[c..]` and `data[i..]` (`c < i`),
+/// up to `max_len`, compared eight bytes at a time.
+#[inline]
+fn match_len(data: &[u8], c: usize, i: usize, max_len: usize) -> usize {
+    let (a, b) = (&data[c..c + max_len], &data[i..i + max_len]);
+    let mut l = 0usize;
+    for (x, y) in a.chunks_exact(8).zip(b.chunks_exact(8)) {
+        let x = u64::from_le_bytes(x.try_into().expect("8-byte chunk"));
+        let y = u64::from_le_bytes(y.try_into().expect("8-byte chunk"));
+        if x != y {
+            return l + ((x ^ y).trailing_zeros() / 8) as usize;
+        }
+        l += 8;
+    }
+    while l < max_len && a[l] == b[l] {
+        l += 1;
+    }
+    l
+}
+
 /// Compresses `data`. The output is never more than a few bytes per 2^12
 /// input bytes larger than `data` (incompressible input degrades to literal
 /// runs with varint framing).
 pub fn compress(data: &[u8]) -> Vec<u8> {
+    compress_below(data, POSITION_LIMIT)
+}
+
+/// [`compress`], indexing and searching only positions below `limit`:
+/// whatever lies at or past it (and is not covered by a match that started
+/// before it) goes out as literals. Frames shorter than `limit` do not
+/// depend on it.
+fn compress_below(data: &[u8], limit: usize) -> Vec<u8> {
     let mut out = Vec::with_capacity(data.len() / 2 + 16);
     out.extend_from_slice(&MAGIC);
     put_varint(&mut out, data.len() as u64);
 
-    let mut head = vec![u32::MAX; 1 << HASH_BITS];
-    let mut chain = vec![u32::MAX; data.len()];
+    let mut head = vec![EMPTY; 1 << HASH_BITS];
+    // `chain[p & mask]` is the previous position with `p`'s hash, kept in
+    // a ring of `WINDOW` entries. The ring is exact, not a heuristic: the
+    // search at `i` follows `chain[c]` only for candidates that passed the
+    // `i - c > WINDOW` test, those positions `i - WINDOW .. i` fall into
+    // `WINDOW` distinct slots, and the one position that shares a slot with
+    // the oldest of them is `i` itself, indexed after the search. A
+    // candidate is always an indexed position, so its slot was written
+    // before it is read, whatever it held at first.
+    let mask = data.len().next_power_of_two().min(WINDOW) - 1;
+    let mut chain = vec![0u32; mask + 1];
+    // One past the last position that has MIN_MATCH bytes to hash and a
+    // `u32` form that cannot alias `EMPTY`.
+    let indexable = (data.len() + 1).saturating_sub(MIN_MATCH).min(limit);
 
     let mut lit_start = 0usize;
     let mut i = 0usize;
@@ -107,33 +153,33 @@ pub fn compress(data: &[u8]) -> Vec<u8> {
         }
     };
 
-    while i + MIN_MATCH <= data.len() {
+    while i < indexable {
         let h = hash4(&data[i..]);
+        let max_len = (data.len() - i).min(MAX_MATCH);
         let mut candidate = head[h];
         let mut best_len = 0usize;
         let mut best_dist = 0usize;
         let mut steps = 0usize;
-        while candidate != u32::MAX && steps < CHAIN_LIMIT {
+        // Greedy longest match, first found wins ties. Once `best_len` is
+        // `max_len` no later candidate can beat it.
+        while candidate != EMPTY && steps < CHAIN_LIMIT && best_len < max_len {
             let c = candidate as usize;
             if i - c > WINDOW {
                 break;
             }
-            let max_len = (data.len() - i).min(MAX_MATCH);
-            let mut l = 0usize;
-            while l < max_len && data[c + l] == data[i + l] {
-                l += 1;
-            }
-            if l > best_len {
-                best_len = l;
-                best_dist = i - c;
-                if l >= MAX_MATCH {
-                    break;
+            // Only a longer match replaces the best one, and a longer match
+            // agrees with `data[i..]` at offset `best_len`.
+            if data[c + best_len] == data[i + best_len] {
+                let l = match_len(data, c, i, max_len);
+                if l > best_len {
+                    best_len = l;
+                    best_dist = i - c;
                 }
             }
-            candidate = chain[c];
+            candidate = chain[c & mask];
             steps += 1;
         }
-        chain[i] = head[h];
+        chain[i & mask] = head[h];
         head[h] = i as u32;
         if best_len >= MIN_MATCH {
             flush_literals(&mut out, lit_start, i);
@@ -141,13 +187,10 @@ pub fn compress(data: &[u8]) -> Vec<u8> {
             put_varint(&mut out, (best_len - MIN_MATCH) as u64);
             put_varint(&mut out, best_dist as u64);
             // Index the skipped positions so later matches can reference them.
-            let end = (i + best_len).min(data.len().saturating_sub(MIN_MATCH - 1));
-            let mut j = i + 1;
-            while j < end {
+            for j in i + 1..(i + best_len).min(indexable) {
                 let h = hash4(&data[j..]);
-                chain[j] = head[h];
+                chain[j & mask] = head[h];
                 head[h] = j as u32;
-                j += 1;
             }
             i += best_len;
             lit_start = i;
@@ -215,9 +258,196 @@ pub fn decompress(buf: &[u8]) -> Result<Vec<u8>, CompressError> {
     Ok(out)
 }
 
+/// The compressor this module shipped before its match search was
+/// rewritten — byte-wise match measurement, a `4 × len`-byte chain — kept
+/// as the oracle [`compress`] must equal byte for byte.
+#[cfg(test)]
+fn compress_reference(data: &[u8]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(data.len() / 2 + 16);
+    out.extend_from_slice(&MAGIC);
+    put_varint(&mut out, data.len() as u64);
+
+    let mut head = vec![u32::MAX; 1 << HASH_BITS];
+    let mut chain = vec![u32::MAX; data.len()];
+
+    let mut lit_start = 0usize;
+    let mut i = 0usize;
+
+    let flush_literals = |out: &mut Vec<u8>, from: usize, to: usize| {
+        if to > from {
+            out.push(0x00);
+            put_varint(out, (to - from) as u64);
+            out.extend_from_slice(&data[from..to]);
+        }
+    };
+
+    while i + MIN_MATCH <= data.len() {
+        let h = hash4(&data[i..]);
+        let mut candidate = head[h];
+        let mut best_len = 0usize;
+        let mut best_dist = 0usize;
+        let mut steps = 0usize;
+        while candidate != u32::MAX && steps < CHAIN_LIMIT {
+            let c = candidate as usize;
+            if i - c > WINDOW {
+                break;
+            }
+            let max_len = (data.len() - i).min(MAX_MATCH);
+            let mut l = 0usize;
+            while l < max_len && data[c + l] == data[i + l] {
+                l += 1;
+            }
+            if l > best_len {
+                best_len = l;
+                best_dist = i - c;
+                if l >= MAX_MATCH {
+                    break;
+                }
+            }
+            candidate = chain[c];
+            steps += 1;
+        }
+        chain[i] = head[h];
+        head[h] = i as u32;
+        if best_len >= MIN_MATCH {
+            flush_literals(&mut out, lit_start, i);
+            out.push(0x01);
+            put_varint(&mut out, (best_len - MIN_MATCH) as u64);
+            put_varint(&mut out, best_dist as u64);
+            let end = (i + best_len).min(data.len().saturating_sub(MIN_MATCH - 1));
+            let mut j = i + 1;
+            while j < end {
+                let h = hash4(&data[j..]);
+                chain[j] = head[h];
+                head[h] = j as u32;
+                j += 1;
+            }
+            i += best_len;
+            lit_start = i;
+        } else {
+            i += 1;
+        }
+    }
+    flush_literals(&mut out, lit_start, data.len());
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testkit::Rng;
+
+    /// A seeded input mixing what frames are made of and what stresses the
+    /// search: byte runs, back-references (up to 140 000 bytes back, so
+    /// beyond the window and around the ring), f32-like words and noise.
+    fn mixed_input(rng: &mut Rng, len: usize) -> Vec<u8> {
+        let mut data = Vec::with_capacity(len + 4096);
+        while data.len() < len {
+            let longest = if rng.below(8) == 0 { 6000 } else { 300 };
+            let n = 1 + rng.below(longest);
+            match rng.below(4) {
+                0 => {
+                    let b = rng.below(256) as u8;
+                    data.extend(std::iter::repeat_n(b, n));
+                }
+                1 if !data.is_empty() => {
+                    let back = 1 + rng.below(data.len().min(140_000));
+                    let from = data.len() - back;
+                    for k in 0..n {
+                        data.push(data[from + k]);
+                    }
+                }
+                2 => {
+                    for _ in 0..n.div_ceil(4) {
+                        let v = (rng.below(6) as f32) * 0.25 + 1.0;
+                        data.extend_from_slice(&v.to_le_bytes());
+                    }
+                }
+                _ => data.extend((0..n).map(|_| rng.below(256) as u8)),
+            }
+        }
+        data.truncate(len);
+        data
+    }
+
+    #[test]
+    fn equals_the_reference_compressor_byte_for_byte() {
+        let mut rng = Rng::new(0xC0DEC);
+        // Every short length, then 420 seeded ones up to 500 000 bytes:
+        // past 2^16 the chain ring wraps, several times over at the top.
+        let mut lengths: Vec<usize> = (0..=40).collect();
+        lengths.extend((0..400).map(|_| rng.below(6000)));
+        lengths.extend((0..14).map(|_| 60_000 + rng.below(240_000)));
+        lengths.extend([65_535, 65_536, 65_537, 131_072, 400_000, 500_000]);
+        for len in lengths {
+            let data = mixed_input(&mut rng, len);
+            let frame = compress(&data);
+            assert!(
+                frame == compress_reference(&data),
+                "frame differs at len {len}"
+            );
+            assert!(decompress(&frame).expect("ok") == data, "len {len}");
+        }
+    }
+
+    #[test]
+    fn equals_the_reference_on_encoded_row_blocks() {
+        use crate::{codec, SparseRows};
+        let mut rng = Rng::new(7);
+        for (width, rows, density) in [(8, 40, 90), (32, 400, 30), (256, 300, 55), (256, 900, 8)] {
+            let mut block = SparseRows::new(width);
+            for id in 0..rows as u32 {
+                let cols: Vec<u32> = (0..width as u32)
+                    .filter(|_| rng.below(100) < density)
+                    .collect();
+                let vals: Vec<f32> = cols
+                    .iter()
+                    .map(|_| (1 + rng.below(128)) as f32 * 0.25)
+                    .collect();
+                block.push_row(id * 3 + rng.below(3) as u32, &cols, &vals);
+            }
+            let encoded = codec::encode(&block);
+            let frame = compress(&encoded);
+            assert!(frame == compress_reference(&encoded), "width {width}");
+            assert_eq!(decompress(&frame).expect("ok"), encoded);
+        }
+    }
+
+    #[test]
+    fn positions_at_the_limit_are_neither_indexed_nor_searched() {
+        // In production the limit is u32::MAX — the first position whose
+        // `u32` form would alias `EMPTY` — and only a ≥ 4 GiB input reaches
+        // it; a small limit shows the same cut.
+        let data: Vec<u8> = b"0123456789abcdef".repeat(64);
+        assert_eq!(compress_below(&data, usize::MAX), compress(&data));
+        assert_eq!(compress_below(&data, data.len()), compress(&data));
+        for limit in [0, 1, 16, 17, 40, 500, data.len() - 2] {
+            let frame = compress_below(&data, limit);
+            assert_eq!(decompress(&frame).expect("ok"), data, "limit {limit}");
+            // Nothing at or past the limit starts a match or is matched
+            // against.
+            let mut pos = 2;
+            get_varint(&frame, &mut pos).expect("raw length");
+            let mut produced = 0usize;
+            while pos < frame.len() {
+                let tag = frame[pos];
+                pos += 1;
+                let len = get_varint(&frame, &mut pos).expect("len") as usize;
+                if tag == 0x00 {
+                    pos += len;
+                    produced += len;
+                } else {
+                    let dist = get_varint(&frame, &mut pos).expect("dist") as usize;
+                    assert!(produced < limit, "match starts at {produced} ≥ {limit}");
+                    assert!(produced - dist < limit, "match source ≥ {limit}");
+                    produced += len + MIN_MATCH;
+                }
+            }
+        }
+        // With nothing indexable the frame is one literal run.
+        let literal = compress_below(&data, 0);
+        assert_eq!(literal.len(), 2 + 2 + 1 + 2 + data.len());
+    }
 
     #[test]
     fn roundtrip_empty() {

@@ -28,6 +28,8 @@ pub mod compress;
 mod csr;
 mod ops;
 mod rows;
+#[cfg(test)]
+mod testkit;
 
 pub use csr::{CsrError, CsrMatrix};
 pub use ops::{layer_forward_reference, ColMajorBlock, LayerAccumulator};

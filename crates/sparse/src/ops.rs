@@ -133,10 +133,24 @@ impl ColMajorBlock {
 /// Holds `n_local_rows x width` floats; `accumulate` scatters incoming
 /// activation blocks into it and `finalize` produces the next layer's sparse
 /// activations. Reused across layers via [`LayerAccumulator::reset`].
+///
+/// **Dense/scatter switch.** An input row holding at least `width / 4`
+/// entries is first scattered into a `width`-long dense scratch row, and
+/// each of its fan-out rows then takes a straight `dst[c] += wt * dense[c]`
+/// over every column, which the compiler vectorises; a sparser row keeps
+/// the per-entry scatter `dst[cols[i]] += wt * vals[i]`. The two give the
+/// same bits: per cell they add the same products in the same order, and
+/// the dense loop only adds `wt * 0.0 = ±0.0` on top, which leaves every
+/// nonzero sum as it is and turns no `+0.0` cell (cells start at `+0.0` and
+/// a round-to-nearest sum is `-0.0` only when both terms are) into anything
+/// else — so no `z != 0.0` test downstream changes either. This holds for
+/// finite weights, which is what layers hold.
 pub struct LayerAccumulator {
     width: usize,
     n_rows: usize,
     data: Vec<f32>,
+    /// One densified input row (all zero between rows).
+    dense: Vec<f32>,
 }
 
 impl LayerAccumulator {
@@ -146,6 +160,7 @@ impl LayerAccumulator {
             width,
             n_rows,
             data: vec![0.0; n_rows * width],
+            dense: vec![0.0; width],
         }
     }
 
@@ -157,18 +172,38 @@ impl LayerAccumulator {
         self.data.resize(n_rows * self.width, 0.0);
     }
 
+    /// [`LayerAccumulator::reset`] to another batch width as well, keeping
+    /// the buffers.
+    pub fn reshape(&mut self, n_rows: usize, width: usize) {
+        self.width = width;
+        self.dense.clear();
+        self.dense.resize(width, 0.0);
+        self.reset(n_rows);
+    }
+
     /// `z += W_block[:, rows(x)] · x` for an incoming activation block.
     ///
     /// Returns the number of multiply-add operations performed — the work
     /// unit count consumed by the FaaS virtual-clock compute model.
     pub fn accumulate(&mut self, w: &ColMajorBlock, x: &SparseRows) -> u64 {
+        self.accumulate_parts(w, &[x])
+    }
+
+    /// [`LayerAccumulator::accumulate`] over the block that merging `parts`
+    /// would give (ids must not collide), without building it: rows are
+    /// taken in ascending global id across all parts, so every cell sees
+    /// the same f32 summation order as after a merge.
+    pub fn accumulate_parts(&mut self, w: &ColMajorBlock, parts: &[&SparseRows]) -> u64 {
         assert_eq!(w.n_local_rows, self.n_rows, "weight block shape mismatch");
-        assert_eq!(x.width(), self.width, "activation width mismatch");
+        for x in parts {
+            assert_eq!(x.width(), self.width, "activation width mismatch");
+        }
+        let width = self.width;
         let mut work = 0u64;
         // Both id lists are sorted; walk them together instead of binary
         // searching per row (x blocks are usually dense in w's needed set).
         let mut wpos = 0usize;
-        for (gid, cols, vals) in x.iter() {
+        for (gid, cols, vals) in SparseRows::ascending(parts) {
             while wpos < w.in_ids.len() && w.in_ids[wpos] < gid {
                 wpos += 1;
             }
@@ -180,11 +215,28 @@ impl LayerAccumulator {
             }
             let s = w.indptr[wpos];
             let e = w.indptr[wpos + 1];
-            for (&out_row, &wt) in w.out_rows[s..e].iter().zip(&w.weights[s..e]) {
-                let base = out_row as usize * self.width;
-                let dst = &mut self.data[base..base + self.width];
+            let fanout = w.out_rows[s..e].iter().zip(&w.weights[s..e]);
+            if cols.len() >= width / 4 {
                 for (&c, &v) in cols.iter().zip(vals) {
-                    dst[c as usize] += wt * v;
+                    self.dense[c as usize] = v;
+                }
+                for (&out_row, &wt) in fanout {
+                    let base = out_row as usize * width;
+                    let dst = &mut self.data[base..base + width];
+                    for (d, &v) in dst.iter_mut().zip(&self.dense) {
+                        *d += wt * v;
+                    }
+                }
+                for &c in cols {
+                    self.dense[c as usize] = 0.0;
+                }
+            } else {
+                for (&out_row, &wt) in fanout {
+                    let base = out_row as usize * width;
+                    let dst = &mut self.data[base..base + width];
+                    for (&c, &v) in cols.iter().zip(vals) {
+                        dst[c as usize] += wt * v;
+                    }
                 }
             }
             work += (e - s) as u64 * cols.len() as u64;
@@ -197,34 +249,34 @@ impl LayerAccumulator {
     ///
     /// Returns `(activations, work_units)`.
     pub fn finalize(&self, owned: &[u32], bias: f32, clip: f32) -> (SparseRows, u64) {
-        assert_eq!(owned.len(), self.n_rows, "owned ids/rows mismatch");
         let mut out = SparseRows::new(self.width);
-        let mut cols = Vec::with_capacity(self.width);
-        let mut vals = Vec::with_capacity(self.width);
-        for (local, &gid) in owned.iter().enumerate() {
-            cols.clear();
-            vals.clear();
-            let row = &self.data[local * self.width..(local + 1) * self.width];
-            for (c, &z) in row.iter().enumerate() {
-                // Bias applies only to positions that received any input in
-                // the Graph Challenge kernel? No: Y = ReLU(W·X + b) applies the
-                // bias uniformly, but an all-zero input column stays zero
-                // because the sample itself is absent. We follow the
-                // benchmark's sparse convention: bias is added where z != 0.
-                if z != 0.0 {
-                    let y = (z + bias).clamp(0.0, clip);
-                    if y > 0.0 {
-                        cols.push(c as u32);
-                        vals.push(y);
-                    }
-                }
-            }
-            if !cols.is_empty() {
-                out.push_row(gid, &cols, &vals);
-            }
-        }
-        let work = (self.n_rows * self.width) as u64;
+        let work = self.finalize_into(owned, bias, clip, &mut out);
         (out, work)
+    }
+
+    /// [`LayerAccumulator::finalize`] into a caller-owned block, whose
+    /// buffers are reused (its previous content is dropped). Returns the
+    /// work units.
+    pub fn finalize_into(&self, owned: &[u32], bias: f32, clip: f32, out: &mut SparseRows) -> u64 {
+        assert_eq!(owned.len(), self.n_rows, "owned ids/rows mismatch");
+        out.clear(self.width);
+        for (&gid, row) in owned.iter().zip(self.data.chunks_exact(self.width.max(1))) {
+            // The benchmark's sparse convention: the bias is added where
+            // `z != 0`, so a sample absent from a row stays absent.
+            // Branch-free compaction: every cell is stored, and the cursor
+            // moves on only past the ones that survive.
+            out.push_row_with(gid, |cols, vals| {
+                let mut kept = 0usize;
+                for (c, &z) in row.iter().enumerate() {
+                    let y = (z + bias).clamp(0.0, clip);
+                    cols[kept] = c as u32;
+                    vals[kept] = y;
+                    kept += usize::from((z != 0.0) & (y > 0.0));
+                }
+                kept
+            });
+        }
+        (self.n_rows * self.width) as u64
     }
 
     /// Raw view of the accumulator (tests).
@@ -253,9 +305,206 @@ pub fn layer_forward_reference(
     (out, work)
 }
 
+/// The kernels this module shipped before they were rewritten — per-entry
+/// scatter for every row, branchy `finalize` through temporary rows — kept
+/// as the oracles the new ones must equal bit for bit.
+#[cfg(test)]
+impl LayerAccumulator {
+    fn accumulate_reference(&mut self, w: &ColMajorBlock, x: &SparseRows) -> u64 {
+        assert_eq!(w.n_local_rows, self.n_rows, "weight block shape mismatch");
+        assert_eq!(x.width(), self.width, "activation width mismatch");
+        let mut work = 0u64;
+        let mut wpos = 0usize;
+        for (gid, cols, vals) in x.iter() {
+            while wpos < w.in_ids.len() && w.in_ids[wpos] < gid {
+                wpos += 1;
+            }
+            if wpos == w.in_ids.len() {
+                break;
+            }
+            if w.in_ids[wpos] != gid {
+                continue;
+            }
+            let s = w.indptr[wpos];
+            let e = w.indptr[wpos + 1];
+            for (&out_row, &wt) in w.out_rows[s..e].iter().zip(&w.weights[s..e]) {
+                let base = out_row as usize * self.width;
+                let dst = &mut self.data[base..base + self.width];
+                for (&c, &v) in cols.iter().zip(vals) {
+                    dst[c as usize] += wt * v;
+                }
+            }
+            work += (e - s) as u64 * cols.len() as u64;
+        }
+        work
+    }
+
+    fn finalize_reference(&self, owned: &[u32], bias: f32, clip: f32) -> (SparseRows, u64) {
+        assert_eq!(owned.len(), self.n_rows, "owned ids/rows mismatch");
+        let mut out = SparseRows::new(self.width);
+        let mut cols = Vec::with_capacity(self.width);
+        let mut vals = Vec::with_capacity(self.width);
+        for (local, &gid) in owned.iter().enumerate() {
+            cols.clear();
+            vals.clear();
+            let row = &self.data[local * self.width..(local + 1) * self.width];
+            for (c, &z) in row.iter().enumerate() {
+                if z != 0.0 {
+                    let y = (z + bias).clamp(0.0, clip);
+                    if y > 0.0 {
+                        cols.push(c as u32);
+                        vals.push(y);
+                    }
+                }
+            }
+            if !cols.is_empty() {
+                out.push_row(gid, &cols, &vals);
+            }
+        }
+        let work = (self.n_rows * self.width) as u64;
+        (out, work)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testkit::Rng;
+
+    const N_IN: u32 = 48;
+    const N_OUT: usize = 20;
+
+    /// A layer over `N_IN` inputs whose weights are small signed dyadic
+    /// numbers, so that products are exact and sums often cancel to 0.0.
+    fn random_layer(rng: &mut Rng) -> CsrMatrix {
+        let mut trips = Vec::new();
+        for r in 0..N_OUT as u32 {
+            for c in 0..N_IN {
+                if rng.below(4) == 0 {
+                    let wt = [1.0f32, -1.0, 0.5, -0.5, 2.0, -2.0][rng.below(6)];
+                    trips.push((r, c, wt));
+                }
+            }
+        }
+        CsrMatrix::from_triplets(N_OUT, N_IN as usize, trips).expect("valid")
+    }
+
+    /// Rows for about three quarters of the input ids, each column present
+    /// with probability `density` %; values include negatives and `-0.0`.
+    fn random_rows(rng: &mut Rng, width: usize, density: usize) -> SparseRows {
+        let mut x = SparseRows::new(width);
+        for id in 0..N_IN {
+            if rng.below(4) == 0 {
+                continue;
+            }
+            let cols: Vec<u32> = (0..width as u32)
+                .filter(|_| rng.below(100) < density)
+                .collect();
+            let vals: Vec<f32> = cols
+                .iter()
+                .map(|_| [1.0f32, -1.0, 2.0, -2.0, 0.5, -0.0][rng.below(6)])
+                .collect();
+            x.push_row(id, &cols, &vals);
+        }
+        x
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|f| f.to_bits()).collect()
+    }
+
+    fn assert_same_block(a: &SparseRows, b: &SparseRows, what: &str) {
+        assert_eq!(a.width(), b.width(), "{what}");
+        assert_eq!(a.ids(), b.ids(), "{what}");
+        for (ra, rb) in a.iter().zip(b.iter()) {
+            assert_eq!(ra.1, rb.1, "{what}: columns of row {}", ra.0);
+            assert_eq!(bits(ra.2), bits(rb.2), "{what}: values of row {}", ra.0);
+        }
+    }
+
+    #[test]
+    fn kernels_equal_their_references_bit_for_bit() {
+        let mut rng = Rng::new(22);
+        let owned: Vec<u32> = (0..N_OUT as u32).map(|r| r * 5 + 2).collect();
+        let mut recycled = SparseRows::new(3);
+        for width in [1usize, 7, 8, 32, 256] {
+            for density in [0usize, 3, 10, 24, 26, 50, 90, 100] {
+                let w = random_layer(&mut rng);
+                let block = ColMajorBlock::from_layer(&w, &(0..N_OUT as u32).collect::<Vec<_>>());
+                let x = random_rows(&mut rng, width, density);
+                let what = format!("width {width}, density {density} %");
+
+                // Dense-row path == scatter path.
+                let mut old = LayerAccumulator::new(N_OUT, width);
+                let mut new = LayerAccumulator::new(N_OUT, width);
+                let work = old.accumulate_reference(&block, &x);
+                assert_eq!(new.accumulate(&block, &x), work, "{what}");
+                assert_eq!(bits(new.as_slice()), bits(old.as_slice()), "{what}");
+                assert!(new.dense.iter().all(|v| v.to_bits() == 0), "{what}");
+
+                // The parts of a block, in any order == the merged block.
+                let n_parts = 1 + rng.below(4);
+                let mut parts = vec![SparseRows::new(width); n_parts];
+                for (id, cols, vals) in x.iter() {
+                    parts[rng.below(n_parts)].push_row(id, cols, vals);
+                }
+                parts.rotate_left(rng.below(n_parts));
+                let mut merged = SparseRows::new(width);
+                for part in &parts {
+                    merged.merge(part);
+                }
+                assert_eq!(merged, x, "{what}");
+                let refs: Vec<&SparseRows> = parts.iter().collect();
+                assert_eq!(SparseRows::merge_all(&refs), x, "{what}");
+                let mut split = LayerAccumulator::new(N_OUT, width);
+                assert_eq!(split.accumulate_parts(&block, &refs), work, "{what}");
+                assert_eq!(bits(split.as_slice()), bits(old.as_slice()), "{what}");
+
+                // `finalize` == its reference, also into a used buffer, on
+                // what was accumulated plus a few planted `-0.0` cells.
+                for k in 0..new.data.len().min(5) {
+                    let cell = rng.below(new.data.len());
+                    new.data[cell] = if k % 2 == 0 { -0.0 } else { 0.0 };
+                }
+                for (bias, clip) in [(-0.75f32, 2.0f32), (0.0, 32.0), (0.5, 1.0)] {
+                    let (expect, units) = new.finalize_reference(&owned, bias, clip);
+                    let (got, got_units) = new.finalize(&owned, bias, clip);
+                    assert_eq!(got_units, units, "{what}");
+                    assert_same_block(&got, &expect, &what);
+                    assert_eq!(got, expect, "{what}");
+                    assert_eq!(new.finalize_into(&owned, bias, clip, &mut recycled), units);
+                    assert_same_block(&recycled, &expect, &what);
+                    assert_eq!(recycled, expect, "{what}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn sums_that_cancel_and_negative_zero_cells_are_dropped() {
+        // Two inputs with opposite weights into one output row: column 0
+        // cancels to exactly 0.0 (dropped although the bias is positive),
+        // column 1 does not.
+        let w = CsrMatrix::from_triplets(1, 2, [(0, 0, 1.0), (0, 1, -1.0)]).expect("valid");
+        let block = ColMajorBlock::from_layer(&w, &[0]);
+        for width in [2usize, 8, 9] {
+            let x = SparseRows::from_rows(
+                width,
+                [
+                    (0u32, vec![0u32, 1], vec![3.0f32, 5.0]),
+                    (1, vec![0, 1], vec![3.0, 1.0]),
+                ],
+            );
+            let mut acc = LayerAccumulator::new(1, width);
+            acc.accumulate(&block, &x);
+            assert_eq!(acc.as_slice()[..2], [0.0, 4.0]);
+            let (out, _) = acc.finalize(&[9], 0.5, 32.0);
+            assert_eq!(out.row_by_id(9), Some((&[1u32][..], &[4.5f32][..])));
+            // A `-0.0` cell is `== 0.0`: absent, like a cell never touched.
+            acc.data[1] = -0.0;
+            assert!(acc.finalize(&[9], 0.5, 32.0).0.is_empty());
+        }
+    }
 
     /// 3x3 layer:
     /// [1 0 2]

@@ -71,6 +71,38 @@ impl SparseRows {
         self.indptr.push(self.indices.len());
     }
 
+    /// Empties the block for reuse at `width`, keeping its buffers.
+    pub fn clear(&mut self, width: usize) {
+        self.width = width;
+        self.ids.clear();
+        self.indptr.clear();
+        self.indptr.push(0);
+        self.indices.clear();
+        self.values.clear();
+    }
+
+    /// Appends row `id` by letting `fill` write its entries straight into
+    /// `width` spare slots at the end of the block; `fill` returns how many
+    /// leading slots it kept (columns strictly increasing, as everywhere).
+    /// A row that keeps nothing is not recorded at all.
+    pub(crate) fn push_row_with(
+        &mut self,
+        id: u32,
+        fill: impl FnOnce(&mut [u32], &mut [f32]) -> usize,
+    ) {
+        debug_assert!(self.ids.last().is_none_or(|&last| id > last));
+        let base = self.indices.len();
+        self.indices.resize(base + self.width, 0);
+        self.values.resize(base + self.width, 0.0);
+        let kept = fill(&mut self.indices[base..], &mut self.values[base..]);
+        self.indices.truncate(base + kept);
+        self.values.truncate(base + kept);
+        if kept > 0 {
+            self.ids.push(id);
+            self.indptr.push(base + kept);
+        }
+    }
+
     /// Number of columns (batch width).
     #[inline]
     pub fn width(&self) -> usize {
@@ -128,11 +160,19 @@ impl SparseRows {
     ///
     /// This is the `extract_rows` primitive of FSI Algorithms 1 & 2.
     pub fn extract(&self, wanted: &[u32]) -> SparseRows {
+        let mut out = SparseRows::new(self.width);
+        self.extract_into(wanted, &mut out);
+        out
+    }
+
+    /// [`SparseRows::extract`] into a caller-owned block, whose buffers are
+    /// reused (its previous content is dropped).
+    pub fn extract_into(&self, wanted: &[u32], out: &mut SparseRows) {
         debug_assert!(
             wanted.windows(2).all(|w| w[0] < w[1]),
             "wanted ids must be sorted"
         );
-        let mut out = SparseRows::new(self.width);
+        out.clear(self.width);
         let mut pos = 0usize;
         for &id in wanted {
             // Both lists are sorted: advance a cursor instead of re-searching.
@@ -147,7 +187,6 @@ impl SparseRows {
                 out.push_row(gid, cols, vals);
             }
         }
-        out
     }
 
     /// Count of nonzeros that `extract` would ship for `wanted` — the NNZ
@@ -190,30 +229,61 @@ impl SparseRows {
                 .extend(other.indptr[1..].iter().map(|&p| p + base));
             return;
         }
-        let mut merged = SparseRows::new(self.width);
-        let (mut i, mut j) = (0usize, 0usize);
-        loop {
-            let take_self = match (self.ids.get(i), other.ids.get(j)) {
-                (Some(a), Some(b)) => {
-                    assert_ne!(a, b, "duplicate row id {a} in merge");
-                    a < b
+        *self = SparseRows::merge_all(&[self, other]);
+    }
+
+    /// The rows of all `parts` in ascending global id order — the order a
+    /// chain of [`SparseRows::merge`] calls would leave them in, without
+    /// building the merged block. Panics on an id two parts share.
+    pub(crate) fn ascending<'a>(
+        parts: &'a [&'a SparseRows],
+    ) -> impl Iterator<Item = (u32, &'a [u32], &'a [f32])> + 'a {
+        let mut cursors = vec![0usize; parts.len()];
+        std::iter::from_fn(move || {
+            let mut next: Option<(u32, usize)> = None;
+            for (p, part) in parts.iter().enumerate() {
+                let Some(&id) = part.ids.get(cursors[p]) else {
+                    continue;
+                };
+                match next {
+                    Some((lowest, _)) if lowest <= id => {
+                        assert_ne!(lowest, id, "duplicate row id {id} in merge");
+                    }
+                    _ => next = Some((id, p)),
                 }
-                (Some(_), None) => true,
-                (None, Some(_)) => false,
-                (None, None) => break,
-            };
-            let (id, cols, vals) = if take_self {
-                let r = self.row_at(i);
-                i += 1;
-                r
-            } else {
-                let r = other.row_at(j);
-                j += 1;
-                r
-            };
-            merged.push_row(id, cols, vals);
+            }
+            let (_, p) = next?;
+            cursors[p] += 1;
+            Some(parts[p].row_at(cursors[p] - 1))
+        })
+    }
+
+    /// Merges any number of blocks in one pass into an exact-capacity
+    /// block: equal to folding [`SparseRows::merge`] over `parts`, without
+    /// rebuilding the growing result once per part. Ids must not collide.
+    pub fn merge_all(parts: &[&SparseRows]) -> SparseRows {
+        let width = parts.first().map_or(0, |p| p.width);
+        assert!(
+            parts.iter().all(|p| p.width == width),
+            "width mismatch in merge"
+        );
+        let n_rows = parts.iter().map(|p| p.n_rows()).sum();
+        let nnz = parts.iter().map(|p| p.nnz()).sum();
+        let mut out = SparseRows {
+            width,
+            ids: Vec::with_capacity(n_rows),
+            indptr: Vec::with_capacity(n_rows + 1),
+            indices: Vec::with_capacity(nnz),
+            values: Vec::with_capacity(nnz),
+        };
+        out.indptr.push(0);
+        for (id, cols, vals) in SparseRows::ascending(parts) {
+            out.ids.push(id);
+            out.indices.extend_from_slice(cols);
+            out.values.extend_from_slice(vals);
+            out.indptr.push(out.indices.len());
         }
-        *self = merged;
+        out
     }
 
     /// Splits this block into chunks of at most `max_nnz` stored entries
@@ -244,6 +314,13 @@ impl SparseRows {
             + self.indptr.len() * std::mem::size_of::<usize>()
             + self.indices.len() * 4
             + self.values.len() * 4
+    }
+
+    /// [`SparseRows::mem_bytes`] of the block [`SparseRows::merge_all`]
+    /// would build from `parts` (they share one leading `indptr` entry).
+    pub fn merged_mem_bytes(parts: &[&SparseRows]) -> usize {
+        let sum: usize = parts.iter().map(|p| p.mem_bytes()).sum();
+        sum - parts.len().saturating_sub(1) * std::mem::size_of::<usize>()
     }
 
     /// Densifies to a `n x width` row-major buffer where row order follows
@@ -377,6 +454,39 @@ mod tests {
         let mut a = block();
         let b = SparseRows::from_rows(4, [(5u32, vec![0u32], vec![1.0f32])]);
         a.merge(&b);
+    }
+
+    #[test]
+    fn merge_all_equals_a_chain_of_merges_in_rows_and_footprint() {
+        let a = SparseRows::from_rows(4, [(1u32, vec![0u32], vec![1.0f32])]);
+        let b = SparseRows::from_rows(
+            4,
+            [(0u32, vec![1u32], vec![2.0f32]), (3, vec![2], vec![3.0])],
+        );
+        let empty = SparseRows::new(4);
+        for parts in [
+            vec![&a, &b, &empty],
+            vec![&empty, &b],
+            vec![&block(), &a, &empty, &b],
+            vec![&empty],
+        ] {
+            let mut chained = SparseRows::new(4);
+            for part in &parts {
+                chained.merge(part);
+            }
+            let merged = SparseRows::merge_all(&parts);
+            assert_eq!(merged, chained);
+            assert_eq!(SparseRows::merged_mem_bytes(&parts), chained.mem_bytes());
+            assert_eq!(merged.indices.capacity(), merged.nnz());
+        }
+        assert!(SparseRows::merge_all(&[]).is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "duplicate row id")]
+    fn merge_all_rejects_duplicates() {
+        let b = SparseRows::from_rows(4, [(5u32, vec![0u32], vec![1.0f32])]);
+        SparseRows::merge_all(&[&block(), &SparseRows::new(4), &b]);
     }
 
     #[test]

@@ -58,7 +58,7 @@ fn run_collective(
                 ctx.charge_work(m as u64 * 100_000_000);
                 barrier(channel.as_ref(), ctx, m, p, 0)?;
                 let after_barrier = ctx.now();
-                let out = reduce(channel.as_ref(), ctx, m, p, rows_for(m), 0)?;
+                let out = reduce(channel.as_ref(), ctx, m, p, &rows_for(m), 0)?;
                 Ok((out, after_barrier))
             },
         ));
@@ -177,7 +177,7 @@ fn single_worker_collectives_are_noops() {
             VirtualTime::ZERO,
             move |ctx| {
                 barrier(ch.as_ref(), ctx, 0, 1, 0)?;
-                reduce(ch.as_ref(), ctx, 0, 1, rows_for(0), 0)
+                reduce(ch.as_ref(), ctx, 0, 1, &rows_for(0), 0)
             },
         )
         .join()

@@ -490,3 +490,71 @@ fn larger_batches_cost_more_but_amortize_per_sample() {
         small.per_sample_ms()
     );
 }
+
+/// The modelled footprint of one fixed P=8 request per transport, pinned
+/// from the commit before the worker stopped materialising the merged
+/// activation block: `run_batches` feeds `track_alloc`/`track_free` the
+/// byte counts that block *would* have had, so per-worker peak memory — and
+/// the work units, wire bytes and billed calls around it — must not move.
+#[test]
+fn modelled_footprint_of_a_fixed_request_is_pinned_per_transport() {
+    let _guard = engine_guard();
+    let spec = DnnSpec {
+        neurons: 256,
+        layers: 6,
+        nnz_per_row: 8,
+        bias: -0.25,
+        clip: 32.0,
+        seed: 22,
+    };
+    let dnn = Arc::new(generate_dnn(&spec));
+    let inputs = generate_inputs(spec.neurons, &InputSpec::scaled(32, 22));
+    let expected = dnn.serial_inference(&inputs);
+    let service = ServiceBuilder::new(dnn).deterministic(22).build();
+    for (variant, pinned) in PINNED_FOOTPRINTS {
+        let report = service
+            .submit(&InferenceRequest {
+                variant,
+                workers: 8,
+                memory_mb: 1769,
+                inputs: inputs.clone(),
+            })
+            .unwrap_or_else(|e| panic!("{variant}: {e}"));
+        assert_eq!(report.first_output(), &expected, "{variant}");
+        let c = &report.comm;
+        let peaks: Vec<usize> = report.per_worker.iter().map(|w| w.peak_mem_bytes).collect();
+        let got = format!(
+            "work={} latency_us={} peaks={peaks:?} bytes={} calls={} pre={}",
+            report.work_done,
+            report.latency.as_micros(),
+            c.sns_delivered_bytes + c.s3_put_bytes + c.s3_get_bytes + c.direct_bytes,
+            c.sns_publish_requests
+                + (c.sqs_api_calls - c.sqs_empty_polls)
+                + c.s3_put_requests
+                + c.s3_get_requests
+                + c.direct_messages,
+            report.client.bytes_precompress,
+        );
+        assert_eq!(got, pinned, "{variant}");
+    }
+}
+
+/// Taken at `921aed7` (three runs, identical).
+const PINNED_FOOTPRINTS: [(Variant, &str); 4] = [
+    (
+        Variant::Queue,
+        "work=186475 latency_us=2022533 peaks=[32320, 33656, 33008, 34892, 33344, 32312, 32468, 33268] bytes=176234 calls=429 pre=111927",
+    ),
+    (
+        Variant::Object,
+        "work=186475 latency_us=2626543 peaks=[32320, 33656, 33008, 34892, 33344, 32312, 32468, 33268] bytes=278096 calls=727 pre=111861",
+    ),
+    (
+        Variant::Hybrid,
+        "work=186475 latency_us=2022703 peaks=[32320, 33656, 33008, 34892, 33344, 32312, 32468, 33268] bytes=176574 calls=429 pre=111927",
+    ),
+    (
+        Variant::Direct,
+        "work=186475 latency_us=1484015 peaks=[32320, 33656, 33008, 34892, 33344, 32312, 32468, 33268] bytes=176003 calls=420 pre=111861",
+    ),
+];
