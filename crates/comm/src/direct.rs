@@ -142,15 +142,6 @@ impl DirectNet {
             .elapse(clock, self.region.latency.direct_latency_us);
     }
 
-    /// The liveness escape hatch when a producer has really not shown up
-    /// within the real-time grace: one blocking-receive timeout slice
-    /// elapses on the receiver's clock (so `receive_all` walks toward its
-    /// deadline), again with no billed call.
-    pub fn idle_wait(&self, clock: &mut VClock) {
-        self.region
-            .elapse(clock, self.region.latency.direct_punch_us / 2);
-    }
-
     /// Tears down everything the flow holds: punched connections and
     /// undrained mailboxes. Returns `(connections, frames)` dropped.
     pub fn close_flow(&self, flow: u64) -> (usize, usize) {
@@ -270,14 +261,6 @@ mod tests {
             late.now().as_micros(),
             VirtualTime::from_secs_f64(100.0).as_micros() + n.region.latency.direct_latency_us
         );
-    }
-
-    #[test]
-    fn idle_wait_moves_the_clock() {
-        let n = net();
-        let mut clock = VClock::default();
-        n.idle_wait(&mut clock);
-        assert!(clock.now() > VirtualTime::ZERO);
     }
 
     #[test]

@@ -23,9 +23,9 @@
 //! reconstructs, from the stamps alone, the call sequence the paper's
 //! receive loops (Alg. 1 long-poll + delete, Alg. 2 prefix rescan) would
 //! have issued, bills it and advances the clock through it. A receive
-//! bills and moves a clock only in `settle_*` (or in the one-round drought
-//! bills `empty_poll` / `empty_scan` / `idle_wait`), so billing and
-//! virtual time are functions of the workload, never of thread timing.
+//! bills and moves a clock only in `settle_*` — a take that comes back
+//! empty bills nothing — so billing and virtual time are functions of the
+//! workload, never of thread timing.
 //!
 //! ```
 //! use fsd_comm::{bucket_name, CloudConfig, CloudEnv, VClock};

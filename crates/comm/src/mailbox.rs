@@ -4,10 +4,12 @@
 //! `ObjectStore::scan_keys`, `DirectNet::fetch`, `WeightNet::fetch`) may
 //! run before its producer thread has. Each of them blocks in
 //! [`wait_for_producers`], in *real* time, until the producer shows up or
-//! the grace elapses. Real time is never load-bearing: every virtual
-//! effect is settled later from the stamps, and a receive that comes back
-//! empty-handed after the grace only bills one drought round so a stuck
-//! run keeps walking toward its virtual timeout.
+//! the grace elapses. Real time never reaches a bill or a clock: every
+//! virtual effect is settled later from the stamps, and a receive that
+//! comes back empty-handed after the grace bills nothing — its caller
+//! re-checks its abort flag and asks again. Every expected producer
+//! either posts or fails, and a failure poisons its tree, so the wait
+//! always ends.
 //!
 //! [`Mailbox`] is the fabric FMI-style direct exchange and λScale-style
 //! weight multicast share: a sender stamps a frame with its virtual clock
@@ -24,7 +26,8 @@ use std::hash::Hash;
 use std::time::{Duration, Instant};
 
 /// How long a raw receive waits for producer threads before handing back
-/// whatever is there.
+/// whatever is there — how often a waiting receiver re-checks its abort
+/// flag.
 const PRODUCER_GRACE: Duration = Duration::from_millis(150);
 
 /// Blocks on `cond` until `ready` holds for the guarded state or

@@ -199,11 +199,9 @@ impl ObjectStore {
             .collect())
     }
 
-    /// Bills one LIST round trip: the liveness escape hatch of the
-    /// deterministic receive path when a producer has really not shown up
-    /// within the real-time grace, and each scan of
+    /// Bills one LIST round trip: each scan of
     /// [`ObjectStore::settle_scans`].
-    pub fn empty_scan(&self, clock: &mut VClock) {
+    pub(crate) fn empty_scan(&self, clock: &mut VClock) {
         self.region.meter.record_s3_list(clock.flow());
         self.region.elapse(clock, self.region.latency.s3_list_us);
     }
@@ -472,7 +470,7 @@ mod tests {
         s.create_bucket("b");
         let mut reader = VClock::default();
         // No producer within the real-time grace: the scan moves no clock
-        // and bills nothing; the caller's drought bill is one LIST.
+        // and bills nothing. One LIST bills one call and its round trip.
         assert!(s.scan_keys("b", "none/", 0).expect("scan").is_empty());
         assert_eq!(reader.now(), VirtualTime::ZERO);
         assert_eq!(s.region.meter.snapshot().s3_list_requests, 0);

@@ -96,11 +96,10 @@ impl SqsQueue {
         self.region.elapse(clock, rtt_us);
     }
 
-    /// Bills one empty long poll (timeout after the full wait `W`) —
-    /// the liveness escape hatch of the deterministic receive path when a
-    /// producer has really not shown up within the real-time grace: the
-    /// consumer's virtual clock keeps moving toward its timeout budget.
-    pub fn empty_poll(&self, clock: &mut VClock, wait_secs: f64) {
+    /// Bills one empty long poll (timeout after the full wait `W`): the
+    /// round [`SqsQueue::settle_receives`] reconstructs while the next
+    /// stamp is still more than `W` in the consumer's virtual future.
+    pub(crate) fn empty_poll(&self, clock: &mut VClock, wait_secs: f64) {
         self.bill(clock, 0, true, self.region.latency.sqs_poll_us);
         clock.advance_micros(VirtualTime::from_secs_f64(wait_secs).as_micros().max(1));
     }
@@ -326,7 +325,8 @@ mod tests {
         let q = queue();
         let mut clock = VClock::default();
         // No producer within the real-time grace: the take moves no clock
-        // and bills nothing; the caller's drought bill is one empty poll.
+        // and bills nothing. An empty poll (the settle's timeout round)
+        // bills one call and the full wait.
         assert!(q.take_visible(quota::MAX_BATCH_MESSAGES).is_empty());
         assert_eq!(clock.now(), VirtualTime::ZERO);
         assert_eq!(q.region.meter.snapshot().sqs_api_calls, 0);

@@ -94,11 +94,6 @@ impl Carrier for DirectCarrier {
         Ok(found.into_iter().map(arrival).collect())
     }
 
-    /// One blocking-receive timeout slice elapses; nothing is billed.
-    fn idle(&self, cx: &Cx, clock: &mut VClock) {
-        cx.env.direct().idle_wait(clock);
-    }
-
     fn order(a: &Arrival<Frame>, b: &Arrival<Frame>) -> Ordering {
         (a.stamp, a.src).cmp(&(b.stamp, b.src))
     }

@@ -166,10 +166,6 @@ impl Carrier for HybridCarrier {
         self.queue.take(cx, known)
     }
 
-    fn idle(&self, cx: &Cx, clock: &mut VClock) {
-        self.queue.idle(cx, clock);
-    }
-
     fn order(a: &Arrival<Vec<u8>>, b: &Arrival<Vec<u8>>) -> Ordering {
         QueueCarrier::order(a, b)
     }

@@ -11,17 +11,16 @@
 //!   put running under the retry policy ([`Core::retried`]);
 //! * **receive** — a raw *take* of new arrivals with **no billing and no
 //!   clock movement**, stashed per `(receiver, tag)` while the tracker
-//!   fills; a *drought bill* when producers have really not shown up
-//!   within the real-time grace (so a stuck run still walks toward its
-//!   virtual timeout); and, once the tag completes, the whole arrival set
-//!   is sorted by stamp, *settled* (the billed receive sequence is
-//!   reconstructed from the stamps alone) and opened + decoded — so
-//!   per-request timing and billing never depend on how real threads
-//!   happened to batch the arrivals.
+//!   fills (a take with nothing new is an empty round: the caller
+//!   re-checks its limits and asks again); once the tag completes, the
+//!   whole arrival set is sorted by stamp, *settled* (the billed receive
+//!   sequence is reconstructed from the stamps alone) and opened +
+//!   decoded — so per-request timing and billing never depend on how
+//!   real threads happened to batch the arrivals, or on how late they ran.
 //!
 //! A [`Carrier`] supplies only what differs between transports: its
-//! service resources, its framing, one put, one raw take, its drought
-//! bill, its settle call, its sort key, and how a stored body is opened.
+//! service resources, its framing, one put, one raw take, its settle
+//! call, its sort key, and how a stored body is opened.
 //! [`QueueCarrier`], [`ObjectCarrier`] and [`DirectCarrier`] are the three
 //! fabrics; [`HybridCarrier`] owns no fabric code — it composes the queue
 //! and object carriers behind a size predicate and a 1-byte frame tag.
@@ -194,8 +193,6 @@ pub(crate) trait Carrier: Send + Sync + Sized + 'static {
     /// Raw take for `(cx.rank, cx.tag)`: waits (real time only) for
     /// producers, bills nothing, moves no clock.
     fn take(&self, cx: &Cx, known: usize) -> Result<Vec<Arrival<Self::Body>>, FaasError>;
-    /// Bills one unproductive receive round.
-    fn idle(&self, cx: &Cx, clock: &mut VClock);
     /// Deterministic processing order of a completed set.
     fn order(a: &Arrival<Self::Body>, b: &Arrival<Self::Body>) -> Ordering;
     /// Reconstructs and bills the receive sequence that collected `raw`.
@@ -331,7 +328,6 @@ impl<C: Carrier> FsiChannel for Engine<C> {
         if !tracker.done() {
             let arrivals = self.carrier.take(&cx, known)?;
             if arrivals.len() <= known {
-                self.carrier.idle(&cx, ctx.clock_mut());
                 return Ok(Vec::new());
             }
             let mut inboxes = self.inboxes.lock();

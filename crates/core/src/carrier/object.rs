@@ -142,11 +142,6 @@ impl Carrier for ObjectCarrier {
         Ok(found.into_iter().map(arrival).collect())
     }
 
-    fn idle(&self, cx: &Cx, clock: &mut VClock) {
-        cx.env.object_store().empty_scan(clock);
-        cx.stats.add(&cx.stats.s3_lists, 1);
-    }
-
     fn order(a: &Arrival<String>, b: &Arrival<String>) -> Ordering {
         (a.stamp, &a.body).cmp(&(b.stamp, &b.body))
     }

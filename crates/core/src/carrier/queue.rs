@@ -178,11 +178,6 @@ impl Carrier for QueueCarrier {
         Ok(msgs.into_iter().map(arrival).collect())
     }
 
-    fn idle(&self, cx: &Cx, clock: &mut VClock) {
-        self.queues[cx.rank as usize].empty_poll(clock, cx.opts.long_poll_secs);
-        cx.stats.add(&cx.stats.sqs_calls, 1);
-    }
-
     fn order(a: &Arrival<Vec<u8>>, b: &Arrival<Vec<u8>>) -> Ordering {
         (a.stamp, a.src, a.body.len()).cmp(&(b.stamp, b.src, b.body.len()))
     }

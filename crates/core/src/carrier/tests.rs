@@ -8,6 +8,7 @@ use fsd_comm::{bucket_name, CloudConfig, CloudEnv, VirtualTime};
 use fsd_faas::{ComputeModel, FaasError, FaasPlatform, FunctionConfig, WorkerCtx};
 use fsd_sparse::SparseRows;
 use std::sync::Arc;
+use std::time::Duration;
 
 const TRANSPORTS: [&str; 4] = ["queue", "object", "hybrid", "direct"];
 
@@ -210,6 +211,56 @@ fn scoped_flows_are_isolated() {
         assert_eq!(total_object_count(&env), 0, "{name}");
         assert_eq!(env.direct().connection_count(), 0, "{name}");
         assert_eq!(env.direct().undrained_frames(), 0, "{name}");
+    }
+}
+
+#[test]
+fn a_late_producer_thread_moves_no_bill_and_no_clock() {
+    // The receiver enters its receive loop first and its producer thread
+    // sends 400 ms of real time later — more than twice the take's
+    // producer grace. Virtual time and billing are functions of the
+    // workload, so the receiver must end exactly where it does when the
+    // producer sent first: same clock, same channel counters, same flow
+    // meter. The lateness under test is real time, so a sleep makes it;
+    // a receiver scheduled later still can only make the runs agree.
+    const FLOW: u64 = 5;
+    let run = |name: &str, late: bool| {
+        let env = CloudEnv::new(CloudConfig::deterministic(51));
+        let ch = provision(name, &env, 2, ChannelOptions::default(), FLOW);
+        let send = {
+            let (env, ch) = (env.clone(), ch.clone());
+            move || {
+                with_ctx_in(env, FLOW, move |ctx| {
+                    ch.send_layer(ctx, Tag::Layer(0), 0, &[(1, rows(&[4, 9]))])
+                })
+            }
+        };
+        let receive = {
+            let ch = ch.clone();
+            move |ctx: &mut WorkerCtx| {
+                let mut tracker = RecvTracker::expecting([0u32]);
+                let got = ch.receive_all(ctx, Tag::Layer(0), 1, &mut tracker)?;
+                assert_eq!(got.len(), 1);
+                Ok(ctx.now())
+            }
+        };
+        let received_at = if late {
+            let producer = std::thread::spawn(move || {
+                std::thread::sleep(Duration::from_millis(400));
+                send()
+            });
+            let at = with_ctx_in(env.clone(), FLOW, receive);
+            producer.join().expect("producer");
+            at
+        } else {
+            send();
+            with_ctx_in(env.clone(), FLOW, receive)
+        };
+        let meter = env.meter().flow_snapshot(FLOW);
+        (received_at, ch.stats().snapshot(), meter)
+    };
+    for name in TRANSPORTS {
+        assert_eq!(run(name, true), run(name, false), "{name}");
     }
 }
 

@@ -25,10 +25,8 @@
 //! resident, so it must never serve a request for newer weights.
 
 use crate::warm::{TreeKey, WorkerTree};
-use fsd_faas::lockorder;
 use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Builder-facing pool configuration.
 #[derive(Debug, Clone, Copy)]
@@ -92,115 +90,115 @@ struct Parked {
     parked_at_tick: u64,
 }
 
+/// Everything the pool knows, under its one lock: a read such as
+/// [`TreePool::live_of`] sees parked and in-service trees at one instant.
 #[derive(Default)]
-struct Counters {
-    hits: u64,
-    misses: u64,
-    created: u64,
-    evicted_ttl: u64,
-    evicted_lru: u64,
-    evicted_shape: u64,
-    evicted_stale: u64,
-    discarded_poisoned: u64,
-}
-
-/// The pool itself; owned by the service, shared by all request threads.
-pub(crate) struct TreePool {
-    cfg: WarmPoolConfig,
-    tick: AtomicU64,
-    generation: AtomicU64,
-    shelf: Mutex<Vec<Parked>>,
+struct PoolState {
+    tick: u64,
+    generation: u64,
+    shelf: Vec<Parked>,
     /// Trees currently checked out (or cold-launched for a request),
     /// per shape — the predictor counts these toward a shape's standing
     /// so a burst's own checkouts don't trigger redundant pre-warms.
-    in_use: Mutex<HashMap<TreeKey, usize>>,
-    counters: Mutex<Counters>,
+    in_use: HashMap<TreeKey, usize>,
+    /// The counters; `idle` is filled in by [`TreePool::stats`].
+    stats: WarmPoolStats,
+}
+
+impl PoolState {
+    fn mark_in_use(&mut self, key: TreeKey) {
+        *self.in_use.entry(key).or_insert(0) += 1;
+    }
+
+    /// Drops one in-service mark for `key` (checkin or discard).
+    /// Saturating: a build-time pre-warm's checkin has no matching mark.
+    fn release_in_use(&mut self, key: TreeKey) {
+        if let Some(n) = self.in_use.get_mut(&key) {
+            *n -= 1;
+            if *n == 0 {
+                self.in_use.remove(&key);
+            }
+        }
+    }
+
+    fn idle_of(&self, key: TreeKey) -> usize {
+        let generation = self.generation;
+        self.shelf
+            .iter()
+            .filter(|p| p.tree.key() == key && p.tree.generation() == generation)
+            .count()
+    }
+}
+
+/// The pool itself; owned by the service, shared by all request threads.
+/// Trees leave the lock before they are shut down.
+pub(crate) struct TreePool {
+    cfg: WarmPoolConfig,
+    state: Mutex<PoolState>,
 }
 
 impl TreePool {
     pub(crate) fn new(cfg: WarmPoolConfig) -> TreePool {
         TreePool {
             cfg,
-            tick: AtomicU64::new(0),
-            generation: AtomicU64::new(0),
-            shelf: Mutex::new(Vec::new()),
-            in_use: Mutex::new(HashMap::new()),
-            counters: Mutex::new(Counters::default()),
+            state: Mutex::new(PoolState::default()),
         }
     }
 
     /// The current pool generation (new trees must carry it).
     pub(crate) fn generation(&self) -> u64 {
-        self.generation.load(Ordering::Relaxed)
+        self.state.lock().generation
     }
 
     /// Checks a matching tree out (most recently parked first). Returns
     /// `None` on a miss — the caller cold-launches and later checks the
     /// new tree in.
     pub(crate) fn checkout(&self, key: TreeKey) -> Option<WorkerTree> {
-        let now_tick = self.tick.fetch_add(1, Ordering::Relaxed) + 1;
-        let generation = self.generation();
-        let mut expired: Vec<WorkerTree> = Vec::new();
-        let picked = {
-            let _shelf_ord = lockorder::acquire(lockorder::rank::POOL_SHELF, "pool.shelf");
-            let mut shelf = self.shelf.lock();
-            let _counters_ord = lockorder::acquire(lockorder::rank::POOL_COUNTERS, "pool.counters");
-            let mut counters = self.counters.lock();
+        let (picked, expired) = {
+            let mut state = self.state.lock();
+            state.tick += 1;
+            let (now_tick, generation) = (state.tick, state.generation);
+            let PoolState { shelf, stats, .. } = &mut *state;
             // Age out stale / expired trees first, keeping the survivors.
-            let mut survivors: Vec<Parked> = Vec::with_capacity(shelf.len());
-            for parked in shelf.drain(..) {
-                if parked.tree.generation() != generation {
-                    counters.evicted_stale += 1;
-                    expired.push(parked.tree);
-                } else if now_tick.saturating_sub(parked.parked_at_tick) > self.cfg.idle_ttl {
-                    counters.evicted_ttl += 1;
-                    expired.push(parked.tree);
-                } else {
-                    survivors.push(parked);
-                }
-            }
-            *shelf = survivors;
-            let found = shelf.iter().rposition(|p| p.tree.key() == key);
-            match found {
+            let expired: Vec<Parked> = shelf
+                .extract_if(.., |parked| {
+                    if parked.tree.generation() != generation {
+                        stats.evicted_stale += 1;
+                    } else if now_tick.saturating_sub(parked.parked_at_tick) > self.cfg.idle_ttl {
+                        stats.evicted_ttl += 1;
+                    } else {
+                        return false;
+                    }
+                    true
+                })
+                .collect();
+            let picked = match shelf.iter().rposition(|p| p.tree.key() == key) {
                 Some(i) => {
-                    counters.hits += 1;
+                    stats.hits += 1;
                     Some(shelf.remove(i).tree)
                 }
                 None => {
-                    counters.misses += 1;
+                    stats.misses += 1;
                     None
                 }
+            };
+            if picked.is_some() {
+                state.mark_in_use(key);
             }
+            (picked, expired)
         };
-        for mut tree in expired {
-            tree.shutdown();
-        }
-        if picked.is_some() {
-            *self.in_use.lock().entry(key).or_insert(0) += 1;
-        }
+        shut_down(expired);
         picked
     }
 
-    /// Records a newly created tree (cold launch or pre-warm).
-    pub(crate) fn record_created(&self) {
-        self.counters.lock().created += 1;
-    }
-
-    /// Marks a cold-launched request tree as in service for its shape
-    /// (checked-out trees are marked by `checkout` itself).
-    pub(crate) fn note_in_use(&self, key: TreeKey) {
-        *self.in_use.lock().entry(key).or_insert(0) += 1;
-    }
-
-    /// Drops one in-service mark for `key` (checkin or discard).
-    /// Saturating: a build-time pre-warm's checkin has no matching mark.
-    fn release_in_use(&self, key: TreeKey) {
-        let mut in_use = self.in_use.lock();
-        if let Some(n) = in_use.get_mut(&key) {
-            *n -= 1;
-            if *n == 0 {
-                in_use.remove(&key);
-            }
+    /// Records a newly created tree (cold launch or pre-warm). A tree
+    /// launched for a request is `in_use` from birth (checked-out trees
+    /// are marked by `checkout` itself).
+    pub(crate) fn record_created(&self, key: TreeKey, in_use: bool) {
+        let mut state = self.state.lock();
+        state.stats.created += 1;
+        if in_use {
+            state.mark_in_use(key);
         }
     }
 
@@ -209,40 +207,32 @@ impl TreePool {
     /// of the least-recently-used *shape* is evicted to make room, because
     /// the tree being checked in just served traffic and is therefore the
     /// hottest tree of its shape.
-    pub(crate) fn checkin(&self, mut tree: WorkerTree) {
-        self.release_in_use(tree.key());
-        if tree.is_poisoned() {
-            self.counters.lock().discarded_poisoned += 1;
-            tree.shutdown();
-            return;
-        }
-        if tree.generation() != self.generation() {
-            let _counters_ord = lockorder::acquire(lockorder::rank::POOL_COUNTERS, "pool.counters");
-            self.counters.lock().evicted_stale += 1;
-            tree.shutdown();
-            return;
-        }
-        let parked_at_tick = self.tick.load(Ordering::Relaxed);
-        let victim = {
-            let _shelf_ord = lockorder::acquire(lockorder::rank::POOL_SHELF, "pool.shelf");
-            let mut shelf = self.shelf.lock();
-            let victim = if shelf.len() >= self.cfg.max_trees {
-                let i = Self::lru_shape_victim(&shelf);
-                let _counters_ord =
-                    lockorder::acquire(lockorder::rank::POOL_COUNTERS, "pool.counters");
-                self.counters.lock().evicted_lru += 1;
-                Some(shelf.remove(i).tree)
+    pub(crate) fn checkin(&self, tree: WorkerTree) {
+        let retired = {
+            let mut state = self.state.lock();
+            state.release_in_use(tree.key());
+            if tree.is_poisoned() {
+                state.stats.discarded_poisoned += 1;
+                Some(tree)
+            } else if tree.generation() != state.generation {
+                state.stats.evicted_stale += 1;
+                Some(tree)
             } else {
-                None
-            };
-            shelf.push(Parked {
-                tree,
-                parked_at_tick,
-            });
-            victim
+                let victim = (state.shelf.len() >= self.cfg.max_trees).then(|| {
+                    let i = Self::lru_shape_victim(&state.shelf);
+                    state.stats.evicted_lru += 1;
+                    state.shelf.remove(i).tree
+                });
+                let parked_at_tick = state.tick;
+                state.shelf.push(Parked {
+                    tree,
+                    parked_at_tick,
+                });
+                victim
+            }
         };
-        if let Some(mut victim) = victim {
-            victim.shutdown();
+        if let Some(mut tree) = retired {
+            tree.shutdown();
         }
     }
 
@@ -270,21 +260,19 @@ impl TreePool {
 
     /// Discards a tree without parking it (failed request teardown).
     pub(crate) fn discard(&self, mut tree: WorkerTree) {
-        self.release_in_use(tree.key());
-        if tree.is_poisoned() {
-            self.counters.lock().discarded_poisoned += 1;
+        {
+            let mut state = self.state.lock();
+            state.release_in_use(tree.key());
+            if tree.is_poisoned() {
+                state.stats.discarded_poisoned += 1;
+            }
         }
         tree.shutdown();
     }
 
     /// Parked trees currently matching `key` (predictor sizing input).
     pub(crate) fn idle_of(&self, key: TreeKey) -> usize {
-        let generation = self.generation();
-        self.shelf
-            .lock()
-            .iter()
-            .filter(|p| p.tree.key() == key && p.tree.generation() == generation)
-            .count()
+        self.state.lock().idle_of(key)
     }
 
     /// Trees of shape `key` that exist at all — parked or serving a
@@ -292,54 +280,47 @@ impl TreePool {
     /// target against *this* count, so checkouts by the burst's own
     /// requests don't look like missing capacity.
     pub(crate) fn live_of(&self, key: TreeKey) -> usize {
-        self.idle_of(key) + self.in_use.lock().get(&key).copied().unwrap_or(0)
+        let state = self.state.lock();
+        state.idle_of(key) + state.in_use.get(&key).copied().unwrap_or(0)
     }
 
     /// Evicts every parked tree of shape `key` (predictor decisions).
     /// Returns how many trees were dropped.
     pub(crate) fn evict_shape(&self, key: TreeKey) -> usize {
-        let drained: Vec<WorkerTree> = {
-            let _shelf_ord = lockorder::acquire(lockorder::rank::POOL_SHELF, "pool.shelf");
-            let mut shelf = self.shelf.lock();
-            let mut kept = Vec::with_capacity(shelf.len());
-            let mut evicted = Vec::new();
-            for parked in shelf.drain(..) {
-                if parked.tree.key() == key {
-                    evicted.push(parked.tree);
-                } else {
-                    kept.push(parked);
-                }
-            }
-            *shelf = kept;
-            let _counters_ord = lockorder::acquire(lockorder::rank::POOL_COUNTERS, "pool.counters");
-            self.counters.lock().evicted_shape += evicted.len() as u64;
+        let evicted: Vec<Parked> = {
+            let mut state = self.state.lock();
+            let evicted: Vec<Parked> = state
+                .shelf
+                .extract_if(.., |p| p.tree.key() == key)
+                .collect();
+            state.stats.evicted_shape += evicted.len() as u64;
             evicted
         };
-        let n = drained.len();
-        for mut tree in drained {
-            tree.shutdown();
-        }
+        let n = evicted.len();
+        shut_down(evicted);
         n
     }
 
     /// Bumps the generation and eagerly shuts every parked tree down.
     /// Returns how many trees were dropped.
     pub(crate) fn invalidate(&self) -> usize {
-        self.generation.fetch_add(1, Ordering::Relaxed);
-        let drained: Vec<Parked> = std::mem::take(&mut *self.shelf.lock());
+        let drained = {
+            let mut state = self.state.lock();
+            state.generation += 1;
+            let drained = std::mem::take(&mut state.shelf);
+            state.stats.evicted_stale += drained.len() as u64;
+            drained
+        };
         let n = drained.len();
-        self.counters.lock().evicted_stale += n as u64;
-        for mut parked in drained {
-            parked.tree.shutdown();
-        }
+        shut_down(drained);
         n
     }
 
     /// Arms the kill switch of `rank` on one parked tree of shape `key`
     /// (failure injection / chaos hook). Returns whether a tree matched.
     pub(crate) fn arm_kill(&self, key: TreeKey, rank: u32) -> bool {
-        let shelf = self.shelf.lock();
-        match shelf.iter().rev().find(|p| p.tree.key() == key) {
+        let state = self.state.lock();
+        match state.shelf.iter().rev().find(|p| p.tree.key() == key) {
             Some(parked) => {
                 parked.tree.kill_worker(rank);
                 true
@@ -350,34 +331,17 @@ impl TreePool {
 
     /// Point-in-time counters.
     pub(crate) fn stats(&self) -> WarmPoolStats {
-        // Lock order: shelf before counters, matching `checkout` — enforced
-        // by the debug-assertions lockorder registry.
-        let idle = {
-            let _shelf_ord = lockorder::acquire(lockorder::rank::POOL_SHELF, "pool.shelf");
-            self.shelf.lock().len()
-        };
-        let _counters_ord = lockorder::acquire(lockorder::rank::POOL_COUNTERS, "pool.counters");
-        let counters = self.counters.lock();
+        let state = self.state.lock();
         WarmPoolStats {
-            hits: counters.hits,
-            misses: counters.misses,
-            created: counters.created,
-            evicted_ttl: counters.evicted_ttl,
-            evicted_lru: counters.evicted_lru,
-            evicted_shape: counters.evicted_shape,
-            evicted_stale: counters.evicted_stale,
-            discarded_poisoned: counters.discarded_poisoned,
-            idle,
+            idle: state.shelf.len(),
+            ..state.stats
         }
     }
 }
 
-impl Drop for TreePool {
-    fn drop(&mut self) {
-        let drained: Vec<Parked> = std::mem::take(&mut *self.shelf.lock());
-        for parked in drained {
-            // WorkerTree::drop shuts the instances down.
-            drop(parked);
-        }
+/// Shuts down trees that have already left the pool's lock.
+fn shut_down(parked: Vec<Parked>) {
+    for mut p in parked {
+        p.tree.shutdown();
     }
 }

@@ -597,12 +597,9 @@ impl FsdService {
         let generation = self.pool.as_ref().map_or(0, |pool| pool.generation());
         let tree = WorkerTree::launch(&self.platform, key, generation, params, flow)?;
         if let Some(pool) = &self.pool {
-            pool.record_created();
-            if flow != 0 {
-                // A request's tree is in service from birth; the others go
-                // straight to the shelf.
-                pool.note_in_use(key);
-            }
+            // A request's tree is in service from birth; the others go
+            // straight to the shelf.
+            pool.record_created(key, flow != 0);
         }
         Ok(tree)
     }

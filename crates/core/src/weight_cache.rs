@@ -22,7 +22,6 @@
 //! tree. A retire *without* a purge leaves stale blocks resident; the
 //! residue audit ([`WeightCache::residue_report`]) flags them as leaks.
 
-use fsd_faas::lockorder::{self, rank};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -89,26 +88,18 @@ impl WeightCache {
         }
     }
 
-    fn lock(&self) -> (lockorder::OrderToken, parking_lot::MutexGuard<'_, BlockMap>) {
-        (
-            lockorder::acquire(rank::WEIGHT_CACHE, "weight.cache"),
-            self.map.lock(),
-        )
-    }
-
     /// The live generation. Loads capture it once at load start and pass
     /// it back to [`WeightCache::insert_block`], so a load that straddles
     /// an invalidation can never repopulate the cache with blocks fetched
     /// for retired artifacts.
     pub fn generation(&self) -> u64 {
-        let (_ord, map) = self.lock();
-        map.generation
+        self.map.lock().generation
     }
 
     /// Looks `key` up, returning the block only if it is live (tagged with
     /// the current generation). Counts a hit or a miss.
     pub fn lookup(&self, key: &str) -> Option<Arc<[u8]>> {
-        let (_ord, map) = self.lock();
+        let map = self.map.lock();
         match map.blocks.get(key) {
             Some(block) if block.generation == map.generation => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
@@ -125,7 +116,7 @@ impl WeightCache {
     /// start. Returns `false` (and drops the block) when that generation
     /// has since been retired — the concurrent-invalidation case.
     pub fn insert_block(&self, key: &str, body: Arc<[u8]>, generation: u64) -> bool {
-        let (_ord, mut map) = self.lock();
+        let mut map = self.map.lock();
         if generation != map.generation {
             self.stale_rejected.fetch_add(1, Ordering::Relaxed);
             return false;
@@ -140,7 +131,7 @@ impl WeightCache {
     /// [`WeightCache::insert_block`]). Returns whether a block was
     /// resident.
     pub fn evict_block(&self, key: &str) -> bool {
-        let (_ord, mut map) = self.lock();
+        let mut map = self.map.lock();
         let existed = map.blocks.remove(key).is_some();
         if existed {
             self.evicted.fetch_add(1, Ordering::Relaxed);
@@ -154,14 +145,14 @@ impl WeightCache {
     /// the two are split so the residue audit can detect a retire whose
     /// sweep was forgotten. Returns the new generation.
     pub fn retire_generation(&self) -> u64 {
-        let (_ord, mut map) = self.lock();
+        let mut map = self.map.lock();
         map.generation += 1;
         map.generation
     }
 
     /// Sweeps out every stale block. Returns how many were dropped.
     pub fn purge_stale(&self) -> usize {
-        let (_ord, mut map) = self.lock();
+        let mut map = self.map.lock();
         let generation = map.generation;
         let before = map.blocks.len();
         map.blocks.retain(|_, b| b.generation == generation);
@@ -179,8 +170,7 @@ impl WeightCache {
 
     /// Blocks currently resident (live and stale).
     pub fn len(&self) -> usize {
-        let (_ord, map) = self.lock();
-        map.blocks.len()
+        self.map.lock().blocks.len()
     }
 
     /// Whether the cache holds no blocks at all.
@@ -194,7 +184,7 @@ impl WeightCache {
     /// report means a retire ran without its sweep (or a block was planted
     /// behind the cache's back).
     pub fn residue_report(&self) -> Vec<String> {
-        let (_ord, map) = self.lock();
+        let map = self.map.lock();
         let generation = map.generation;
         let mut stale: Vec<&String> = map
             .blocks

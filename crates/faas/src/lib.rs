@@ -28,7 +28,6 @@
 
 mod compute;
 pub mod launch;
-pub mod lockorder;
 mod platform;
 
 pub use compute::{ComputeModel, MAX_MEMORY_MB, MAX_TIMEOUT_SECS, MB_PER_VCPU, MIN_MEMORY_MB};

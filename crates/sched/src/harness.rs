@@ -1,11 +1,12 @@
 //! The deterministic load-test driver.
 //!
-//! [`replay`] pushes a seeded arrival trace through a **manual-dispatch**
-//! scheduler from a single driver thread. Every scheduler-state mutation —
+//! [`replay_fleet`] pushes a seeded arrival trace through a
+//! **manual-dispatch** scheduler from a single driver thread ([`replay`]
+//! is its one-model case). Every scheduler-state mutation —
 //! enqueue, admission ([`Scheduler::dispatch`]) and slot release (ticket
 //! harvest) — happens on that thread in a fixed protocol, so the admission
 //! order, the rejection set and every per-request report are pure
-//! functions of `(trace, scheduler config, model)`. Execution itself still
+//! functions of `(trace, scheduler config, models)`. Execution itself still
 //! fans out over real threads (each admitted request launches its own
 //! coordinator + worker tree), which is exactly what makes the replay a
 //! *load* test rather than a unit test: up to `global_cap` whole worker
@@ -122,131 +123,41 @@ fn digest_report(report: &fsd_core::InferenceReport) -> RunDigest {
     }
 }
 
-/// Replays `trace` against `model` on a manual-dispatch scheduler.
+/// Replays `trace` against `model` on a manual-dispatch scheduler: the
+/// one-model case of [`replay_fleet`], with each outcome's priority class
+/// read back from the trace.
 ///
 /// # Panics
-/// If the scheduler is not in manual dispatch mode with admission
-/// recording (`SchedulerConfig::manual()`), if `model` is not registered,
-/// or if an enqueue fails with anything but backpressure.
+/// As [`replay_fleet`]: if the scheduler is not in manual dispatch mode
+/// with admission recording (`SchedulerConfig::manual()`), if `model` is
+/// not registered, or if an enqueue fails with anything but backpressure.
 pub fn replay(sched: &Scheduler, model: &str, trace: &[Arrival]) -> ReplayReport {
-    assert!(
-        sched.is_manual(),
-        "replay needs SchedulerConfig::manual(): admissions must only \
-         happen on this driver thread"
-    );
-    let service = sched
-        .service(model)
-        // fsd_lint::allow(no-unwrap): replay is a test/bench driver — a
-        // misconfigured trace must fail fast (documented under # Panics).
-        .unwrap_or_else(|| panic!("model {model:?} not registered"))
-        .clone();
-    let neurons = service.dnn().spec().neurons;
-    let global_cap = sched.global_cap();
-
-    let mut tickets: HashMap<u64, (usize, Ticket)> = HashMap::new();
-    let mut rejected = Vec::new();
-    let mut outcomes = Vec::new();
-    let mut harvested = 0usize;
-
-    let harvest_next = |sched: &Scheduler,
-                        tickets: &mut HashMap<u64, (usize, Ticket)>,
-                        harvested: &mut usize,
-                        outcomes: &mut Vec<ReplayOutcome>|
-     -> bool {
-        let log = sched.admission_log();
-        if *harvested >= log.len() {
-            return false;
-        }
-        let seq = log[*harvested];
-        *harvested += 1;
-        let (trace_index, ticket) = tickets.remove(&seq).expect("admitted ticket is held");
-        let priority = ticket.priority();
-        let result = ticket
-            .wait()
-            .map(|r| digest_report(&r))
-            .map_err(|e| e.to_string());
-        outcomes.push(ReplayOutcome {
-            seq,
-            trace_index,
-            priority,
-            result,
-        });
-        true
-    };
-
-    let mut i = 0usize;
-    while i < trace.len() {
-        // One arrival-instant group.
-        let t = trace[i].at;
-        let group_end = trace[i..]
-            .iter()
-            .position(|a| a.at != t)
-            .map_or(trace.len(), |off| i + off);
-
-        // The virtual gap before this instant lets the backlog drain.
-        while sched.inflight() >= global_cap
-            && harvest_next(sched, &mut tickets, &mut harvested, &mut outcomes)
-        {}
-
-        for (idx, a) in trace.iter().enumerate().take(group_end).skip(i) {
-            let req = BatchedRequest {
-                variant: a.variant,
-                workers: a.workers,
-                memory_mb: a.memory_mb,
-                batches: vec![generate_inputs(
-                    neurons,
-                    &InputSpec::scaled(a.width, a.input_seed),
-                )],
-            };
-            match sched.enqueue_at(model, a.priority, a.at, req) {
-                Ok(ticket) => {
-                    tickets.insert(ticket.seq(), (idx, ticket));
-                }
-                Err(FsdError::Overloaded { retry_after }) => {
-                    assert!(
-                        retry_after > fsd_comm::VirtualTime::ZERO,
-                        "backpressure must carry a positive retry hint"
-                    );
-                    rejected.push(idx);
-                }
-                // fsd_lint::allow(no-unwrap): fail fast on non-backpressure
-                // errors — documented under # Panics.
-                Err(e) => panic!("replay enqueue failed: {e}"),
-            }
-        }
-        sched.dispatch();
-        i = group_end;
-    }
-
-    // Drain: keep admitting and harvesting until the system is empty.
-    loop {
-        sched.dispatch();
-        if harvest_next(sched, &mut tickets, &mut harvested, &mut outcomes) {
-            continue;
-        }
-        if sched.queued() == 0 && sched.inflight() == 0 {
-            break;
-        }
-    }
-    assert!(tickets.is_empty(), "every accepted ticket was harvested");
-
-    let admission_order = sched.admission_log();
+    let fleet: Vec<FleetArrival> = trace
+        .iter()
+        .map(|a| FleetArrival {
+            model: 0,
+            arrival: a.clone(),
+        })
+        .collect();
+    let report = replay_fleet(sched, &[model], &fleet);
+    let outcomes: Vec<ReplayOutcome> = report
+        .outcomes
+        .into_iter()
+        .map(|o| ReplayOutcome {
+            seq: o.seq,
+            trace_index: o.trace_index,
+            priority: trace[o.trace_index].priority,
+            result: o.result,
+        })
+        .collect();
     let class_of: HashMap<u64, Priority> = outcomes.iter().map(|o| (o.seq, o.priority)).collect();
-    let admitted_classes = admission_order.iter().map(|s| class_of[s]).collect();
-    let mut stats = sched.stats();
-    // The latency EWMAs fold completions in the order real threads
-    // finished — advisory backoff signals, deliberately outside the
-    // deterministic contract. Everything else in the report is a pure
-    // function of (trace, config, model).
-    stats.ewma_latency = fsd_comm::VirtualTime::ZERO;
-    stats.ewma_cold_latency = fsd_comm::VirtualTime::ZERO;
-    stats.ewma_warm_latency = fsd_comm::VirtualTime::ZERO;
+    let admitted_classes = report.admission_order.iter().map(|s| class_of[s]).collect();
     ReplayReport {
-        admission_order,
+        admission_order: report.admission_order,
         admitted_classes,
-        rejected,
+        rejected: report.rejected,
         outcomes,
-        stats,
+        stats: report.stats,
     }
 }
 
@@ -286,7 +197,7 @@ pub struct FleetReplayReport {
 }
 
 /// Replays a multi-model fleet trace against a manual-dispatch scheduler:
-/// the driver protocol of [`replay`], with each arrival routed to
+/// the driver protocol of the module docs, with each arrival routed to
 /// `models[a.model]` and stamped with its virtual arrival instant
 /// ([`Scheduler::enqueue_at`]) so continuous batching coalesces as a pure
 /// function of the trace.
@@ -411,8 +322,10 @@ pub fn replay_fleet(
     assert!(tickets.is_empty(), "every accepted ticket was harvested");
 
     let mut stats = sched.stats();
-    // Same carve-out as `replay`: the latency EWMAs depend on thread
-    // finish order and sit outside the deterministic contract.
+    // The latency EWMAs fold completions in the order real threads
+    // finished — advisory backoff signals, deliberately outside the
+    // deterministic contract. Everything else in the report is a pure
+    // function of (trace, config, models).
     stats.ewma_latency = fsd_comm::VirtualTime::ZERO;
     stats.ewma_cold_latency = fsd_comm::VirtualTime::ZERO;
     stats.ewma_warm_latency = fsd_comm::VirtualTime::ZERO;

@@ -10,15 +10,7 @@
 use fsd_inference::core::{FsdService, InferenceRequest, ServiceBuilder, Variant};
 use fsd_inference::model::{generate_dnn, generate_inputs, DnnSpec, InputSpec};
 use fsd_inference::sparse::SparseRows;
-use std::sync::{Arc, Mutex, MutexGuard};
-
-/// Serialized with the other engine suites: each of these tests spawns
-/// many real threads itself.
-static ENGINE_LOCK: Mutex<()> = Mutex::new(());
-
-fn engine_guard() -> MutexGuard<'static, ()> {
-    ENGINE_LOCK.lock().unwrap_or_else(|p| p.into_inner())
-}
+use std::sync::Arc;
 
 fn service_with_inputs(seed: u64) -> (Arc<FsdService>, Vec<SparseRows>) {
     let spec = DnnSpec {
@@ -78,7 +70,6 @@ fn request_mix(batches: &[SparseRows]) -> Vec<InferenceRequest> {
 
 #[test]
 fn concurrent_mixed_requests_match_sequential_outputs() {
-    let _guard = engine_guard();
     let (service, batches) = service_with_inputs(41);
     let requests = request_mix(&batches);
 
@@ -158,7 +149,6 @@ fn concurrent_mixed_requests_match_sequential_outputs() {
 
 #[test]
 fn same_variant_concurrency_does_not_cross_deliver() {
-    let _guard = engine_guard();
     // The regression the flow-scoped redesign fixes: multiple simultaneous
     // Queue requests used to overwrite each other's filter-policy
     // subscriptions (same ranks, same topics) and share the same queues.
@@ -198,7 +188,6 @@ fn same_variant_concurrency_does_not_cross_deliver() {
 
 #[test]
 fn concurrent_billing_windows_are_request_local_and_disjoint() {
-    let _guard = engine_guard();
     // Per-flow metering: `InferenceReport::comm`/`lambda` must be
     // request-local deltas, not windows over a shared global meter. Run the
     // same mix sequentially (fresh service) and concurrently (another fresh
@@ -272,7 +261,6 @@ fn concurrent_billing_windows_are_request_local_and_disjoint() {
 
 #[test]
 fn auto_requests_can_run_concurrently() {
-    let _guard = engine_guard();
     let (service, batches) = service_with_inputs(47);
     let expected: Vec<SparseRows> = batches
         .iter()

@@ -14,16 +14,8 @@ use fsd_inference::sched::{
     trace, Arrival, BatchingConfig, Priority, Scheduler, SchedulerBuilder, SchedulerConfig,
 };
 use std::collections::{HashMap, HashSet};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::Arc;
 use std::time::Duration;
-
-/// Serialized with the other engine suites: every replay spawns real
-/// worker threads.
-static ENGINE_LOCK: Mutex<()> = Mutex::new(());
-
-fn engine_guard() -> MutexGuard<'static, ()> {
-    ENGINE_LOCK.lock().unwrap_or_else(|p| p.into_inner())
-}
 
 fn spec(seed: u64) -> DnnSpec {
     DnnSpec {
@@ -52,7 +44,6 @@ fn compatible_requests(neurons: usize, n: usize, seed: u64) -> Vec<BatchedReques
 
 #[test]
 fn coalesced_pass_outputs_are_bit_identical_to_sequential() {
-    let _guard = engine_guard();
     let spec = spec(37);
     let dnn = Arc::new(generate_dnn(&spec));
     let fresh = || {
@@ -96,7 +87,6 @@ fn coalesced_pass_outputs_are_bit_identical_to_sequential() {
 
 #[test]
 fn coalesced_billing_partitions_the_global_meters() {
-    let _guard = engine_guard();
     let spec = spec(38);
     let dnn = Arc::new(generate_dnn(&spec));
     let svc = Arc::new(
@@ -150,7 +140,6 @@ fn fresh_batched_scheduler(seed: u64, cfg: SchedulerConfig) -> Scheduler {
 
 #[test]
 fn batched_bursty_replays_are_bit_identical() {
-    let _guard = engine_guard();
     let trace = trace::bursty(3, 8, 400_000, 41);
     let cfg = SchedulerConfig::default().global_cap(2).queue_capacity(64);
     let run = || {
@@ -188,7 +177,6 @@ fn batched_bursty_replays_are_bit_identical() {
 
 #[test]
 fn interactive_stays_bounded_while_batch_coalitions_drain() {
-    let _guard = engine_guard();
     // Adversarial instant: 24 same-shape Batch requests enqueued *before*
     // 4 Interactive ones, all sharing one arrival time. Without the
     // fairness rule the Batch head would widen into max_batch coalitions
@@ -260,7 +248,6 @@ fn interactive_stays_bounded_while_batch_coalitions_drain() {
 
 #[test]
 fn shutdown_resolves_queued_tickets_within_a_bound() {
-    let _guard = engine_guard();
     let dnn = Arc::new(generate_dnn(&spec(44)));
     let svc = Arc::new(ServiceBuilder::new(dnn).deterministic(44).build());
     // Manual mode with no dispatch calls: every accepted ticket stays

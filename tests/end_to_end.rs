@@ -5,19 +5,9 @@
 use fsd_inference::core::{FsdError, FsdService, InferenceRequest, ServiceBuilder, Variant};
 use fsd_inference::model::{generate_dnn, generate_inputs, DnnSpec, InputSpec};
 use fsd_inference::partition::PartitionScheme;
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::Arc;
 
 mod common;
-
-/// Engine runs spawn many threads and rely on short real-time grace
-/// periods inside the simulated services; running them concurrently with
-/// other engine tests starves producers and inflates (virtual) waiting.
-/// Serialize them.
-static ENGINE_LOCK: Mutex<()> = Mutex::new(());
-
-fn engine_guard() -> MutexGuard<'static, ()> {
-    ENGINE_LOCK.lock().unwrap_or_else(|p| p.into_inner())
-}
 
 fn small_spec(seed: u64) -> DnnSpec {
     DnnSpec {
@@ -38,7 +28,6 @@ fn service_for(spec: &DnnSpec, seed: u64) -> (FsdService, fsd_inference::sparse:
 
 #[test]
 fn serial_variant_matches_ground_truth() {
-    let _guard = engine_guard();
     let spec = small_spec(1);
     let (service, inputs) = service_for(&spec, 1);
     let expected = service.dnn().serial_inference(&inputs);
@@ -60,7 +49,6 @@ fn serial_variant_matches_ground_truth() {
 
 #[test]
 fn queue_variant_matches_ground_truth_at_various_p() {
-    let _guard = engine_guard();
     let spec = small_spec(2);
     let (service, inputs) = service_for(&spec, 2);
     let expected = service.dnn().serial_inference(&inputs);
@@ -89,7 +77,6 @@ fn queue_variant_matches_ground_truth_at_various_p() {
 
 #[test]
 fn object_variant_matches_ground_truth_at_various_p() {
-    let _guard = engine_guard();
     let spec = small_spec(3);
     let (service, inputs) = service_for(&spec, 3);
     let expected = service.dnn().serial_inference(&inputs);
@@ -116,7 +103,6 @@ fn object_variant_matches_ground_truth_at_various_p() {
 
 #[test]
 fn hybrid_variant_matches_ground_truth_at_various_p() {
-    let _guard = engine_guard();
     let spec = small_spec(14);
     let (service, inputs) = service_for(&spec, 14);
     let expected = service.dnn().serial_inference(&inputs);
@@ -151,7 +137,6 @@ fn hybrid_variant_matches_ground_truth_at_various_p() {
 /// and flow-scoped cleanup must hold identically on every channel.
 #[test]
 fn env_selected_variant_matches_ground_truth() {
-    let _guard = engine_guard();
     let variant = common::test_variant();
     let spec = small_spec(15);
     let (service, inputs) = service_for(&spec, 15);
@@ -190,7 +175,6 @@ fn env_selected_variant_matches_ground_truth() {
 
 #[test]
 fn all_variants_agree_with_each_other() {
-    let _guard = engine_guard();
     let spec = small_spec(4);
     let (service, inputs) = service_for(&spec, 4);
     let serial = service
@@ -223,7 +207,6 @@ fn all_variants_agree_with_each_other() {
 
 #[test]
 fn random_partitioning_still_correct_but_ships_more() {
-    let _guard = engine_guard();
     let spec = small_spec(5);
     let dnn = Arc::new(generate_dnn(&spec));
     let inputs = generate_inputs(spec.neurons, &InputSpec::scaled(24, 5));
@@ -255,7 +238,6 @@ fn random_partitioning_still_correct_but_ships_more() {
 
 #[test]
 fn serial_oom_on_oversized_model() {
-    let _guard = engine_guard();
     // A model whose CSR footprint (~170 MB) exceeds the serial instance's
     // memory — the paper's N=65536 case, where neither FSD-Inf-Serial nor
     // Sage-SL-Inf could load the model. The service's serial memory is
@@ -309,7 +291,6 @@ fn serial_oom_on_oversized_model() {
 
 #[test]
 fn timeout_kills_underprovisioned_runs() {
-    let _guard = engine_guard();
     // Extremely slow compute model → the 15-minute virtual limit binds
     // (the paper hit this with FSD-Inf-Queue, N = 65536, P = 8).
     let spec = small_spec(7);
@@ -337,7 +318,6 @@ fn timeout_kills_underprovisioned_runs() {
 
 #[test]
 fn cost_model_validation_predicted_vs_actual() {
-    let _guard = engine_guard();
     // §VI-F: application-side predicted charges vs service-side metered
     // charges must agree tightly for both channels.
     let spec = small_spec(8);
@@ -363,7 +343,6 @@ fn cost_model_validation_predicted_vs_actual() {
 
 #[test]
 fn report_latency_covers_all_workers() {
-    let _guard = engine_guard();
     let spec = small_spec(9);
     let (service, inputs) = service_for(&spec, 9);
     let report = service
@@ -392,7 +371,6 @@ fn report_latency_covers_all_workers() {
 
 #[test]
 fn deterministic_reruns_under_deterministic_config() {
-    let _guard = engine_guard();
     // Latency components driven by virtual time must reproduce across runs
     // (thread scheduling may alter poll batching; outputs and core compute
     // must not change).
@@ -421,7 +399,6 @@ fn deterministic_reruns_under_deterministic_config() {
 
 #[test]
 fn service_recommendation_follows_model_size() {
-    let _guard = engine_guard();
     // A small model that fits one instance comfortably -> Serial.
     let (service, _) = service_for(&small_spec(12), 12);
     let rec = service.recommend(4, 8);
@@ -434,7 +411,6 @@ fn service_recommendation_follows_model_size() {
 
 #[test]
 fn auto_variant_runs_the_recommended_path() {
-    let _guard = engine_guard();
     // §IV-C end to end: an Auto request on a small model resolves to
     // Serial, runs, and reports the resolved variant.
     let spec = small_spec(13);
@@ -454,7 +430,6 @@ fn auto_variant_runs_the_recommended_path() {
 
 #[test]
 fn larger_batches_cost_more_but_amortize_per_sample() {
-    let _guard = engine_guard();
     let spec = small_spec(11);
     let dnn = Arc::new(generate_dnn(&spec));
     let small_in = generate_inputs(spec.neurons, &InputSpec::scaled(8, 11));
@@ -498,7 +473,6 @@ fn larger_batches_cost_more_but_amortize_per_sample() {
 /// the work units, wire bytes and billed calls around it — must not move.
 #[test]
 fn modelled_footprint_of_a_fixed_request_is_pinned_per_transport() {
-    let _guard = engine_guard();
     let spec = DnnSpec {
         neurons: 256,
         layers: 6,

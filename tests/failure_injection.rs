@@ -6,17 +6,10 @@
 use fsd_inference::comm::{CloudConfig, LatencyModel, VirtualTime};
 use fsd_inference::core::{InferenceRequest, ServiceBuilder, Variant};
 use fsd_inference::model::{generate_dnn, generate_inputs, DnnSpec, InputSpec};
-use std::sync::{Arc, Mutex, MutexGuard};
-
-static ENGINE_LOCK: Mutex<()> = Mutex::new(());
-
-fn engine_guard() -> MutexGuard<'static, ()> {
-    ENGINE_LOCK.lock().unwrap_or_else(|p| p.into_inner())
-}
+use std::sync::Arc;
 
 #[test]
 fn jittered_latencies_do_not_affect_results() {
-    let _guard = engine_guard();
     // Full-noise region (default 15 % jitter): latencies vary, outputs
     // must not.
     let spec = DnnSpec {
@@ -55,7 +48,6 @@ fn jittered_latencies_do_not_affect_results() {
 
 #[test]
 fn slow_channel_region_still_correct() {
-    let _guard = engine_guard();
     // A degraded region: 10x service latencies. Runs slower, same result.
     let spec = DnnSpec {
         neurons: 96,
@@ -125,7 +117,6 @@ fn corrupted_payload_surfaces_as_comm_error() {
 
 #[test]
 fn scheduler_failed_request_releases_slot_and_does_not_wedge_the_queue() {
-    let _guard = engine_guard();
     // The scheduler's failure story: a request that dies mid-flight must
     // release its concurrency slot and let the backlog keep draining. The
     // "broken" model's compute is so slow that any request blows the 900 s
@@ -216,7 +207,6 @@ fn scheduler_failed_request_releases_slot_and_does_not_wedge_the_queue() {
 
 #[test]
 fn breaker_trips_degrades_auto_and_recovers_via_half_open_probes() {
-    let _guard = engine_guard();
     // The transport scoreboard end to end: targeted NAT-punch refusals
     // fail enough direct requests to trip its breaker, Auto routing
     // degrades direct → hybrid while the breaker is open, and once the
@@ -301,7 +291,6 @@ fn breaker_trips_degrades_auto_and_recovers_via_half_open_probes() {
 
 #[test]
 fn crash_mid_coalition_fails_one_member_and_finishes_the_rest() {
-    let _guard = engine_guard();
     // A warm-tree instance dying *mid-coalition* must fail only the member
     // it was serving; the tree is discarded and the remaining members
     // finish on a fresh launch.
@@ -370,7 +359,6 @@ fn crash_mid_coalition_fails_one_member_and_finishes_the_rest() {
 
 #[test]
 fn cold_start_skew_does_not_break_early_layers() {
-    let _guard = engine_guard();
     // Exaggerated cold starts stagger worker launch times wildly; early
     // senders' messages must wait safely for late-starting receivers.
     let spec = DnnSpec {

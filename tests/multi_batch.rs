@@ -6,13 +6,7 @@ use fsd_inference::core::{
     BatchedRequest, FsdError, FsdService, InferenceRequest, ServiceBuilder, Variant,
 };
 use fsd_inference::model::{generate_dnn, generate_inputs, DnnSpec, InputSpec};
-use std::sync::{Arc, Mutex, MutexGuard};
-
-static ENGINE_LOCK: Mutex<()> = Mutex::new(());
-
-fn engine_guard() -> MutexGuard<'static, ()> {
-    ENGINE_LOCK.lock().unwrap_or_else(|p| p.into_inner())
-}
+use std::sync::Arc;
 
 fn setup(seed: u64) -> (FsdService, Vec<fsd_inference::sparse::SparseRows>) {
     let spec = DnnSpec {
@@ -40,7 +34,6 @@ fn setup(seed: u64) -> (FsdService, Vec<fsd_inference::sparse::SparseRows>) {
 
 #[test]
 fn batched_outputs_match_per_batch_ground_truth() {
-    let _guard = engine_guard();
     let (service, batches) = setup(21);
     let expected: Vec<_> = batches
         .iter()
@@ -66,7 +59,6 @@ fn batched_outputs_match_per_batch_ground_truth() {
 
 #[test]
 fn batching_amortizes_launch_and_weight_loads() {
-    let _guard = engine_guard();
     let (service, batches) = setup(22);
     // Three batches in one tree…
     let together = service
@@ -105,7 +97,6 @@ fn batching_amortizes_launch_and_weight_loads() {
 
 #[test]
 fn single_batch_request_is_equivalent_to_submit() {
-    let _guard = engine_guard();
     let (service, batches) = setup(23);
     let single = service
         .submit(&InferenceRequest {

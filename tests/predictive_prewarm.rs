@@ -18,15 +18,7 @@ use fsd_inference::sched::harness::{replay, ReplayReport};
 use fsd_inference::sched::{
     trace, Arrival, PredictorConfig, Scheduler, SchedulerBuilder, SchedulerConfig,
 };
-use std::sync::{Arc, Mutex, MutexGuard};
-
-/// Serialized with the other engine suites: every replay spawns real
-/// worker threads.
-static ENGINE_LOCK: Mutex<()> = Mutex::new(());
-
-fn engine_guard() -> MutexGuard<'static, ()> {
-    ENGINE_LOCK.lock().unwrap_or_else(|p| p.into_inner())
-}
+use std::sync::Arc;
 
 const SEED: u64 = 29;
 
@@ -80,7 +72,6 @@ fn run(predictive: bool) -> ReplayReport {
 
 #[test]
 fn predictor_beats_reactive_warm_hit_rate_on_the_bursty_trace() {
-    let _guard = engine_guard();
     let reactive = run(false);
     let predictive = run(true);
 
@@ -135,7 +126,6 @@ fn predictor_beats_reactive_warm_hit_rate_on_the_bursty_trace() {
 
 #[test]
 fn predictive_replays_are_bit_identical() {
-    let _guard = engine_guard();
     let first = run(true);
     for attempt in 1..3 {
         let again = run(true);
@@ -163,7 +153,6 @@ fn predictive_replays_are_bit_identical() {
 /// *nothing* about pre-warming.
 #[test]
 fn rejected_flood_arrivals_do_not_inflate_prewarm_targets() {
-    let _guard = engine_guard();
     let run_flood = |n: usize| {
         let dnn = Arc::new(generate_dnn(&spec()));
         let service = Arc::new(
@@ -207,7 +196,6 @@ fn rejected_flood_arrivals_do_not_inflate_prewarm_targets() {
 
 #[test]
 fn quiescence_evicts_prewarmed_trees_on_drain_ticks() {
-    let _guard = engine_guard();
     use fsd_inference::core::{BatchedRequest, Variant};
     use fsd_inference::model::{generate_inputs, InputSpec};
     use fsd_inference::sched::Priority;

@@ -13,15 +13,7 @@
 use fsd_inference::core::{FsdService, InferenceRequest, ServiceBuilder, Variant};
 use fsd_inference::model::{generate_dnn, generate_inputs, DnnSpec, InputSpec};
 use fsd_sparse::SparseRows;
-use std::sync::{Arc, Mutex, MutexGuard};
-
-/// Serialized with the other engine suites: every request spawns real
-/// worker threads.
-static ENGINE_LOCK: Mutex<()> = Mutex::new(());
-
-fn engine_guard() -> MutexGuard<'static, ()> {
-    ENGINE_LOCK.lock().unwrap_or_else(|p| p.into_inner())
-}
+use std::sync::Arc;
 
 fn spec(seed: u64) -> DnnSpec {
     DnnSpec {
@@ -57,7 +49,6 @@ fn audit(service: &FsdService, label: &str) {
 
 #[test]
 fn every_variant_leaves_zero_residue() {
-    let _guard = engine_guard();
     for (i, variant) in [
         Variant::Serial,
         Variant::Queue,
@@ -86,7 +77,6 @@ fn every_variant_leaves_zero_residue() {
 
 #[test]
 fn repeated_requests_accumulate_no_residue() {
-    let _guard = engine_guard();
     let (service, inputs) = service_for(42);
     for rep in 0..3 {
         service
@@ -103,7 +93,6 @@ fn repeated_requests_accumulate_no_residue() {
 
 #[test]
 fn warm_pool_release_leaves_zero_residue() {
-    let _guard = engine_guard();
     let s = spec(7);
     let dnn = Arc::new(generate_dnn(&s));
     let inputs = generate_inputs(s.neurons, &InputSpec::scaled(10, 7));
@@ -233,7 +222,6 @@ fn audit_detects_leaked_weight_stream_state() {
 
 #[test]
 fn streamed_requests_leave_zero_residue() {
-    let _guard = engine_guard();
     let s = spec(97);
     let dnn = Arc::new(generate_dnn(&s));
     let inputs = generate_inputs(s.neurons, &InputSpec::scaled(10, 97));

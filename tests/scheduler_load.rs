@@ -20,15 +20,7 @@ use fsd_inference::model::{generate_dnn, generate_inputs, DnnSpec, InputSpec};
 use fsd_inference::sched::harness::{replay, ReplayReport};
 use fsd_inference::sched::{trace, Arrival, Priority, Scheduler, SchedulerConfig};
 use fsd_inference::{core::ServiceBuilder, sched::SchedulerBuilder};
-use std::sync::{Arc, Mutex, MutexGuard};
-
-/// Serialized with the other engine suites: each replay spawns many real
-/// threads itself.
-static ENGINE_LOCK: Mutex<()> = Mutex::new(());
-
-fn engine_guard() -> MutexGuard<'static, ()> {
-    ENGINE_LOCK.lock().unwrap_or_else(|p| p.into_inner())
-}
+use std::sync::Arc;
 
 /// A fresh single-model scheduler in harness mode. Every parallelism the
 /// traces use is pre-warmed so replays race on nothing but the request
@@ -144,7 +136,6 @@ fn assert_invariants(report: &ReplayReport, cfg: &SchedulerConfig) {
 
 #[test]
 fn auto_under_the_scheduler_routes_like_sequential_and_matches_outputs() {
-    let _guard = engine_guard();
     // `Variant::Auto` resolves through the §IV-C rules per request; the
     // scheduler must not change that. Run mixed-size Auto requests twice —
     // sequentially against a bare service, then concurrently through an
@@ -223,7 +214,6 @@ fn auto_under_the_scheduler_routes_like_sequential_and_matches_outputs() {
 
 #[test]
 fn steady_trace_is_deterministic_and_unthrottled() {
-    let _guard = engine_guard();
     let cfg = SchedulerConfig::default()
         .global_cap(3)
         .queue_capacity(8)
@@ -244,7 +234,6 @@ fn steady_trace_is_deterministic_and_unthrottled() {
 
 #[test]
 fn warm_pool_replays_are_deterministic_and_all_warm() {
-    let _guard = engine_guard();
     use fsd_inference::core::{LaunchPath, Variant};
     let cfg = SchedulerConfig::default()
         .global_cap(3)
@@ -281,7 +270,6 @@ fn warm_pool_replays_are_deterministic_and_all_warm() {
 
 #[test]
 fn bursty_trace_interleaves_classes_by_weight() {
-    let _guard = engine_guard();
     let cfg = SchedulerConfig::default()
         .global_cap(2)
         .queue_capacity(12)
@@ -316,7 +304,6 @@ fn bursty_trace_interleaves_classes_by_weight() {
 
 #[test]
 fn large_p_flood_trips_backpressure_without_starving() {
-    let _guard = engine_guard();
     let cfg = SchedulerConfig::default()
         .global_cap(3)
         .queue_capacity(4)

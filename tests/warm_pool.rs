@@ -11,15 +11,7 @@ use fsd_inference::core::{
 use fsd_inference::model::{generate_dnn, generate_inputs, DnnSpec, InputSpec};
 use fsd_inference::sched::{Priority, Scheduler, SchedulerConfig};
 use fsd_sparse::SparseRows;
-use std::sync::{Arc, Mutex, MutexGuard};
-
-/// Serialized with the other engine suites: every request spawns real
-/// worker threads.
-static ENGINE_LOCK: Mutex<()> = Mutex::new(());
-
-fn engine_guard() -> MutexGuard<'static, ()> {
-    ENGINE_LOCK.lock().unwrap_or_else(|p| p.into_inner())
-}
+use std::sync::Arc;
 
 fn spec(seed: u64) -> DnnSpec {
     DnnSpec {
@@ -93,7 +85,6 @@ fn assert_clean(service: &FsdService, what: &str) {
 /// on the parked tree skips the launch bill and still matches the outputs.
 #[test]
 fn warm_hits_skip_launch_and_match_cold_outputs_on_both_channels() {
-    let _guard = engine_guard();
     let seed = 41;
     let dnn = Arc::new(generate_dnn(&spec(seed)));
     let inputs = generate_inputs(spec(seed).neurons, &InputSpec::scaled(10, seed));
@@ -174,7 +165,6 @@ fn warm_hits_skip_launch_and_match_cold_outputs_on_both_channels() {
 
 #[test]
 fn warm_p50_is_strictly_below_cold_p50_under_the_deterministic_clock() {
-    let _guard = engine_guard();
     let (service, inputs, _) = pooled_service(43, 2, u64::MAX);
     let req = request(&inputs, Variant::Queue, 3);
     let mut cold_us = Vec::new();
@@ -203,7 +193,6 @@ fn warm_p50_is_strictly_below_cold_p50_under_the_deterministic_clock() {
 
 #[test]
 fn idle_ttl_evicts_parked_trees() {
-    let _guard = engine_guard();
     // TTL of 2 pool ticks (checkout attempts).
     let (service, inputs, _) = pooled_service(44, 4, 2);
     let queue_req = request(&inputs, Variant::Queue, 2);
@@ -230,7 +219,6 @@ fn idle_ttl_evicts_parked_trees() {
 
 #[test]
 fn full_shelf_evicts_the_lru_shape_instead_of_rejecting_the_checkin() {
-    let _guard = engine_guard();
     // Shelf of one: a checkin on a full shelf evicts the
     // least-recently-used shape to park the (hotter) incoming tree.
     let (service, inputs, _) = pooled_service(45, 1, u64::MAX);
@@ -256,7 +244,6 @@ fn full_shelf_evicts_the_lru_shape_instead_of_rejecting_the_checkin() {
 
 #[test]
 fn lru_under_pressure_evicts_the_least_recently_used_shape() {
-    let _guard = engine_guard();
     // Shelf of two, three shapes. Use order: Q2, O2, then Q3. At Q3's
     // checkin the shelf holds {Q2, O2}; Q2 is the least recently used
     // shape, so it is the victim — O2 and Q3 stay warm.
@@ -290,7 +277,6 @@ fn lru_under_pressure_evicts_the_least_recently_used_shape() {
 
 #[test]
 fn dead_worker_evicts_the_tree_without_wedging_the_scheduler() {
-    let _guard = engine_guard();
     let (service, inputs, expected) = pooled_service(46, 4, u64::MAX);
     let sched = Scheduler::wrap(service.clone(), SchedulerConfig::default().global_cap(2));
     let req = || fsd_inference::core::BatchedRequest {
@@ -350,7 +336,6 @@ fn dead_worker_evicts_the_tree_without_wedging_the_scheduler() {
 /// peer's secondary `"abort"` that won a race into the result channel.
 #[test]
 fn the_first_error_a_request_reports_is_the_root_cause() {
-    let _guard = engine_guard();
     let op_of = |res: Result<InferenceReport, FsdError>| match res {
         Err(FsdError::Comm(failure)) => failure.op,
         other => panic!("expected a comm failure, got {other:?}"),
@@ -383,7 +368,6 @@ fn the_first_error_a_request_reports_is_the_root_cause() {
 
 #[test]
 fn billing_stays_per_flow_disjoint_across_tree_reuse() {
-    let _guard = engine_guard();
     let spec = spec(47);
     let dnn = Arc::new(generate_dnn(&spec));
     let inputs = generate_inputs(spec.neurons, &InputSpec::scaled(10, 47));

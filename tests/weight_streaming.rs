@@ -16,15 +16,7 @@ use fsd_inference::comm::{ApiClass, TargetedFault};
 use fsd_inference::core::{FsdService, InferenceRequest, LaunchPath, ServiceBuilder};
 use fsd_inference::model::{generate_dnn, generate_inputs, DnnSpec, InputSpec};
 use fsd_sparse::SparseRows;
-use std::sync::{Arc, Mutex, MutexGuard};
-
-/// Serialized with the other engine suites: every request spawns real
-/// worker threads.
-static ENGINE_LOCK: Mutex<()> = Mutex::new(());
-
-fn engine_guard() -> MutexGuard<'static, ()> {
-    ENGINE_LOCK.lock().unwrap_or_else(|p| p.into_inner())
-}
+use std::sync::Arc;
 
 const LAYERS: usize = 3;
 
@@ -74,7 +66,6 @@ fn weight_objects(p: u64) -> u64 {
 
 #[test]
 fn streamed_cold_start_is_bit_identical_and_faster_than_independent_loads() {
-    let _guard = engine_guard();
     // P=4 exercises the flat relay-free tree (branching 4); P=8 forces a
     // two-level cascade where ranks 1–4 relay frames to ranks 5–7.
     for (p, seed) in [(4u32, 61u64), (8, 62)] {
@@ -130,7 +121,6 @@ fn streamed_cold_start_is_bit_identical_and_faster_than_independent_loads() {
 
 #[test]
 fn forwarded_frames_bill_to_the_requesting_flow_and_partition_exactly() {
-    let _guard = engine_guard();
     let (_, streamed, inputs, expected) = paired_services(63);
     let report = streamed.submit(&request(&inputs, 4)).expect("cold run");
     assert_eq!(report.first_output(), &expected);
@@ -155,7 +145,6 @@ fn forwarded_frames_bill_to_the_requesting_flow_and_partition_exactly() {
 
 #[test]
 fn shared_cache_serves_repeat_cold_starts_until_invalidated() {
-    let _guard = engine_guard();
     let seed = 64;
     let spec = spec(seed);
     let dnn = Arc::new(generate_dnn(&spec));
@@ -227,7 +216,6 @@ fn shared_cache_serves_repeat_cold_starts_until_invalidated() {
 
 #[test]
 fn mid_stream_fault_falls_back_to_cache_without_extra_fetches_or_billing() {
-    let _guard = engine_guard();
     let (_, clean, inputs, expected) = paired_services(65);
     let baseline = clean.submit(&request(&inputs, 4)).expect("clean run");
 
@@ -265,7 +253,6 @@ fn mid_stream_fault_falls_back_to_cache_without_extra_fetches_or_billing() {
 
 #[test]
 fn refused_rank_launch_fails_the_request_cleanly_and_recovers() {
-    let _guard = engine_guard();
     let (_, streamed, inputs, expected) = paired_services(66);
     // Flat provisioning invokes every rank by name; refuse rank 2's launch
     // permanently. The abort flag must unwedge the peers' drain loops and
@@ -295,7 +282,6 @@ fn refused_rank_launch_fails_the_request_cleanly_and_recovers() {
 
 #[test]
 fn concurrent_streamed_requests_survive_cache_invalidation_races() {
-    let _guard = engine_guard();
     let seed = 67;
     let spec = spec(seed);
     let dnn = Arc::new(generate_dnn(&spec));
