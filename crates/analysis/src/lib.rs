@@ -18,7 +18,7 @@
 //! | `no-unwrap` | no `.unwrap()`, bare/undocumented `.expect(..)`, `panic!`, `unreachable!`, `todo!`, `unimplemented!` in non-test library code |
 //! | `lock-across-blocking` | a live `.lock()` guard must not be held across `.wait*(`/`.recv*(`/`sleep(` (condvar waits that consume the guard are recognized and allowed) |
 //! | `retry-idempotent` | a `RetryPolicy` `.run(..)` closure — or one handed to the channel engine's `.retried(..)` wrapper around it — must not call non-idempotent channel ops (`take_visible`, `settle_receives`, `enqueue`) — a retried attempt repeats its calls, so only idempotent ops may sit inside one |
-//! | `real-wait` | in non-test `crates/comm/src`, real time (`wait_for(`, `wait_until(`, `sleep(`, `Instant::now`) appears only in `mailbox.rs` — the one producer-grace wait; everything else settles from virtual stamps |
+//! | `real-wait` | in non-test `crates/{comm,core,faas,sched}/src`, real time (`wait_for(`, `wait_until(`, `sleep(`, `Instant::now`) appears only in `comm/src/mailbox.rs` — the one producer-grace wait; everything else settles from virtual stamps or waits untimed for a notify |
 //!
 //! Escape hatch: a comment containing `fsd_lint::allow(lint-name)` (optionally
 //! a comma-separated list, optionally followed by `: reason`) suppresses those
@@ -47,7 +47,8 @@ pub const LINT_LOCK_BLOCKING: &str = "lock-across-blocking";
 /// Lint name: non-idempotent op inside a `RetryPolicy::run` closure.
 pub const LINT_RETRY_IDEMPOTENT: &str = "retry-idempotent";
 
-/// Lint name: real-time wait or clock read in `crates/comm` outside `mailbox.rs`.
+/// Lint name: real-time wait or clock read in the comm, core, faas or sched
+/// crates outside `comm/src/mailbox.rs`.
 pub const LINT_REAL_TIME: &str = "real-wait";
 
 /// Every lint this binary knows about, in diagnostic-name form.
@@ -105,6 +106,8 @@ impl LintConfig {
             || p.contains("/tests/")
             || p.contains("/benches/")
             || p.contains("/examples/")
+            // A `tests.rs` module file is the body of a `#[cfg(test)] mod tests;`.
+            || p.ends_with("/tests.rs")
     }
 
     fn is_bin_path(&self) -> bool {
@@ -897,7 +900,9 @@ fn lint_lock_across_blocking(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
     ];
     let mut i = 0usize;
     while i < toks.len() {
-        if !toks[i].is_word("let") || ctx.test[i] {
+        // `if let` / `while let` bind a pattern for a block, not a guard.
+        let conditional = i > 0 && (toks[i - 1].is_word("if") || toks[i - 1].is_word("while"));
+        if !toks[i].is_word("let") || ctx.test[i] || conditional {
             i += 1;
             continue;
         }
@@ -1073,13 +1078,18 @@ fn lint_retry_idempotent(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
 
 /// Lint 8: `real-wait`.
 ///
-/// The simulated services settle every virtual effect from stamps; real
-/// time enters `crates/comm` only through the producer-grace wait in
-/// `mailbox.rs`. A real-time wait or clock read anywhere else in the crate
-/// would make a receive's result depend on thread timing again.
+/// The simulated services settle every virtual effect from stamps, and
+/// every other wait blocks untimed until the state change it waits for is
+/// notified; real time enters only through the producer-grace wait in
+/// `comm/src/mailbox.rs`. A real-time wait or clock read anywhere else in
+/// the comm, core, faas or sched crates would make a result depend on
+/// thread timing again, or hide a missed notify behind a poll.
 fn lint_real_wait(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
     let path = &ctx.cfg.path;
-    if !path.starts_with("crates/comm/src/") || path.ends_with("/mailbox.rs") {
+    let scoped = ["comm", "core", "faas", "sched"]
+        .iter()
+        .any(|c| path.starts_with(&format!("crates/{c}/src/")));
+    if !scoped || path == "crates/comm/src/mailbox.rs" {
         return;
     }
     let toks = ctx.toks;
@@ -1100,7 +1110,7 @@ fn lint_real_wait(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
                 t.line,
                 LINT_REAL_TIME,
                 format!(
-                    "real time (`{}`) in crates/comm outside mailbox.rs; wait through `mailbox::wait_for_producers` and settle timing from virtual stamps",
+                    "real time (`{}`) outside comm/src/mailbox.rs; settle timing from virtual stamps and wait untimed for a notify",
                     t.text
                 ),
             );

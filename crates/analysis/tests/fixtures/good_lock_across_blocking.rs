@@ -17,3 +17,15 @@ pub fn park(&self) {
         }
     }
 }
+
+pub fn stamp_then_park(&self, key: Option<u64>) {
+    if let Some(key) = key {
+        let mut stamped = self.stamped.lock();
+        stamped.insert(key);
+    }
+    self.settle();
+    let mut stopped = self.lock.lock();
+    while !*stopped {
+        self.cvar.wait(&mut stopped);
+    }
+}

@@ -27,6 +27,14 @@ fn findings(src: &str, path: &str) -> Vec<(&'static str, u32)> {
         .collect()
 }
 
+/// [`findings`] restricted to one lint.
+fn findings_of(lint: &str, src: &str, path: &str) -> Vec<(&'static str, u32)> {
+    findings(src, path)
+        .into_iter()
+        .filter(|f| f.0 == lint)
+        .collect()
+}
+
 #[test]
 fn variant_exhaustive_flags_catch_alls_and_gaps() {
     let bad = include_str!("fixtures/bad_variant_match.rs");
@@ -127,13 +135,18 @@ fn no_unwrap_exempts_tests_benches_and_bins() {
 
 #[test]
 fn lock_across_blocking_flags_live_guards() {
+    // The fixtures' `sleep(` also trips `real-wait` under crates/core.
+    let lint = "lock-across-blocking";
     let bad = include_str!("fixtures/bad_lock_across_blocking.rs");
     assert_eq!(
-        findings(bad, "crates/core/src/fixture.rs"),
-        vec![("lock-across-blocking", 4), ("lock-across-blocking", 10)]
+        findings_of(lint, bad, "crates/core/src/fixture.rs"),
+        vec![(lint, 4), (lint, 10)]
     );
     let good = include_str!("fixtures/good_lock_across_blocking.rs");
-    assert_eq!(findings(good, "crates/core/src/fixture.rs"), vec![]);
+    assert_eq!(
+        findings_of(lint, good, "crates/core/src/fixture.rs"),
+        vec![]
+    );
 }
 
 #[test]
@@ -158,10 +171,24 @@ fn real_wait_confines_real_time_in_comm_to_the_mailbox() {
         findings(bad, "crates/comm/src/queue.rs"),
         vec![("real-wait", 3), ("real-wait", 7), ("real-wait", 11)]
     );
-    // The same code is the mailbox's to own, and no business of this lint
-    // outside `crates/comm`.
+    // The same code is flagged across the faas, core and sched crates
+    // too: their waits are untimed.
+    for path in [
+        "crates/faas/src/fixture.rs",
+        "crates/core/src/fixture.rs",
+        "crates/sched/src/scheduler.rs",
+    ] {
+        assert_eq!(
+            findings(bad, path),
+            vec![("real-wait", 3), ("real-wait", 7), ("real-wait", 11)],
+            "{path} is in scope"
+        );
+    }
+    // It is the comm mailbox's to own, a `tests.rs` module's to use, and
+    // no business of this lint in other crates.
     assert_eq!(findings(bad, "crates/comm/src/mailbox.rs"), vec![]);
-    assert_eq!(findings(bad, "crates/faas/src/fixture.rs"), vec![]);
+    assert_eq!(findings(bad, "crates/core/src/carrier/tests.rs"), vec![]);
+    assert_eq!(findings(bad, "crates/partition/src/fixture.rs"), vec![]);
     let good = include_str!("fixtures/good_real_wait.rs");
     assert_eq!(findings(good, "crates/comm/src/queue.rs"), vec![]);
 }

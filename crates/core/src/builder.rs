@@ -1,11 +1,10 @@
 //! [`ServiceBuilder`]: typed construction of an [`FsdService`].
 //!
-//! The builder replaces the old `FsdInference::new(dnn, EngineConfig)`
-//! two-argument constructor with named, composable configuration — cloud
-//! region, compute model, channel tuning, partition scheme, custom channel
-//! providers, and a pre-warm list of worker counts whose artifacts are
-//! partitioned and staged at build time (so first requests skip the offline
-//! step, exactly the "a priori, not per request" discipline of §III).
+//! Named, composable configuration — cloud region, compute model, channel
+//! tuning, partition scheme, custom channel providers, and a pre-warm list
+//! of worker counts whose artifacts are partitioned and staged at build
+//! time (so first requests skip the offline step, exactly the "a priori,
+//! not per request" discipline of §III).
 
 use crate::channel::ChannelOptions;
 use crate::engine::{EngineConfig, Variant};

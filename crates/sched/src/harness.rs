@@ -128,9 +128,9 @@ fn digest_report(report: &fsd_core::InferenceReport) -> RunDigest {
 /// read back from the trace.
 ///
 /// # Panics
-/// As [`replay_fleet`]: if the scheduler is not in manual dispatch mode
-/// with admission recording (`SchedulerConfig::manual()`), if `model` is
-/// not registered, or if an enqueue fails with anything but backpressure.
+/// As [`replay_fleet`]: if the scheduler is not in manual dispatch mode,
+/// if `model` is not registered, or if an enqueue fails with anything but
+/// backpressure.
 pub fn replay(sched: &Scheduler, model: &str, trace: &[Arrival]) -> ReplayReport {
     let fleet: Vec<FleetArrival> = trace
         .iter()
@@ -202,11 +202,13 @@ pub struct FleetReplayReport {
 /// ([`Scheduler::enqueue_at`]) so continuous batching coalesces as a pure
 /// function of the trace.
 ///
+/// The admission order and groups come from [`Scheduler::dispatch`]'s
+/// return values, so the replay needs no admission recording.
+///
 /// # Panics
-/// If the scheduler is not in manual dispatch mode with admission
-/// recording, if a trace entry's model index is out of range or the name
-/// is not registered, or if an enqueue fails with anything but
-/// backpressure.
+/// If the scheduler is not in manual dispatch mode, if a trace entry's
+/// model index is out of range or the name is not registered, or if an
+/// enqueue fails with anything but backpressure.
 pub fn replay_fleet(
     sched: &Scheduler,
     models: &[&str],
@@ -233,36 +235,14 @@ pub fn replay_fleet(
         .collect();
     let global_cap = sched.global_cap();
 
-    let mut tickets: HashMap<u64, (usize, FleetArrival, Ticket)> = HashMap::new();
-    let mut rejected = Vec::new();
-    let mut outcomes = Vec::new();
-    let mut harvested = 0usize;
-
-    let harvest_next = |sched: &Scheduler,
-                        tickets: &mut HashMap<u64, (usize, FleetArrival, Ticket)>,
-                        harvested: &mut usize,
-                        outcomes: &mut Vec<FleetOutcome>|
-     -> bool {
-        let log = sched.admission_log();
-        if *harvested >= log.len() {
-            return false;
-        }
-        let seq = log[*harvested];
-        *harvested += 1;
-        let (trace_index, a, ticket) = tickets.remove(&seq).expect("admitted ticket is held");
-        let result = ticket
-            .wait()
-            .map(|r| digest_report(&r))
-            .map_err(|e| e.to_string());
-        outcomes.push(FleetOutcome {
-            seq,
-            model: a.model,
-            trace_index,
-            arrival_us: a.arrival.at.as_micros(),
-            result,
-        });
-        true
+    let mut driver = Driver {
+        sched,
+        tickets: HashMap::new(),
+        admission_order: Vec::new(),
+        admission_groups: Vec::new(),
+        outcomes: Vec::new(),
     };
+    let mut rejected = Vec::new();
 
     let mut i = 0usize;
     while i < trace.len() {
@@ -274,9 +254,7 @@ pub fn replay_fleet(
             .map_or(trace.len(), |off| i + off);
 
         // The virtual gap before this instant lets the backlog drain.
-        while sched.inflight() >= global_cap
-            && harvest_next(sched, &mut tickets, &mut harvested, &mut outcomes)
-        {}
+        while sched.inflight() >= global_cap && driver.harvest_next() {}
 
         for (idx, fa) in trace.iter().enumerate().take(group_end).skip(i) {
             let a = &fa.arrival;
@@ -291,7 +269,9 @@ pub fn replay_fleet(
             };
             match sched.enqueue_at(models[fa.model], a.priority, a.at, req) {
                 Ok(ticket) => {
-                    tickets.insert(ticket.seq(), (idx, fa.clone(), ticket));
+                    driver
+                        .tickets
+                        .insert(ticket.seq(), (idx, fa.clone(), ticket));
                 }
                 Err(FsdError::Overloaded { retry_after }) => {
                     assert!(
@@ -305,21 +285,24 @@ pub fn replay_fleet(
                 Err(e) => panic!("replay_fleet enqueue failed: {e}"),
             }
         }
-        sched.dispatch();
+        driver.dispatch();
         i = group_end;
     }
 
     // Drain: keep admitting and harvesting until the system is empty.
     loop {
-        sched.dispatch();
-        if harvest_next(sched, &mut tickets, &mut harvested, &mut outcomes) {
+        driver.dispatch();
+        if driver.harvest_next() {
             continue;
         }
         if sched.queued() == 0 && sched.inflight() == 0 {
             break;
         }
     }
-    assert!(tickets.is_empty(), "every accepted ticket was harvested");
+    assert!(
+        driver.tickets.is_empty(),
+        "every accepted ticket was harvested"
+    );
 
     let mut stats = sched.stats();
     // The latency EWMAs fold completions in the order real threads
@@ -330,10 +313,54 @@ pub fn replay_fleet(
     stats.ewma_cold_latency = fsd_comm::VirtualTime::ZERO;
     stats.ewma_warm_latency = fsd_comm::VirtualTime::ZERO;
     FleetReplayReport {
-        admission_order: sched.admission_log(),
-        admission_groups: sched.admission_groups(),
+        admission_order: driver.admission_order,
+        admission_groups: driver.admission_groups,
         rejected,
-        outcomes,
+        outcomes: driver.outcomes,
         stats,
+    }
+}
+
+/// The replay driver's admission bookkeeping, built from what
+/// [`Scheduler::dispatch`] returns.
+struct Driver<'a> {
+    sched: &'a Scheduler,
+    /// Accepted, not yet harvested: seq → (trace index, arrival, ticket).
+    tickets: HashMap<u64, (usize, FleetArrival, Ticket)>,
+    admission_order: Vec<u64>,
+    admission_groups: Vec<Vec<u64>>,
+    /// One per harvested ticket, so its length is the harvest cursor into
+    /// `admission_order`.
+    outcomes: Vec<FleetOutcome>,
+}
+
+impl Driver<'_> {
+    /// Runs one admission pass and records the passes it admitted.
+    fn dispatch(&mut self) {
+        for group in self.sched.dispatch() {
+            self.admission_order.extend_from_slice(&group);
+            self.admission_groups.push(group);
+        }
+    }
+
+    /// Harvests the earliest-admitted ticket not yet harvested; `false`
+    /// if every admitted ticket has been.
+    fn harvest_next(&mut self) -> bool {
+        let Some(&seq) = self.admission_order.get(self.outcomes.len()) else {
+            return false;
+        };
+        let (trace_index, a, ticket) = self.tickets.remove(&seq).expect("admitted ticket is held");
+        let result = ticket
+            .wait()
+            .map(|r| digest_report(&r))
+            .map_err(|e| e.to_string());
+        self.outcomes.push(FleetOutcome {
+            seq,
+            model: a.model,
+            trace_index,
+            arrival_us: a.arrival.at.as_micros(),
+            result,
+        });
+        true
     }
 }

@@ -9,17 +9,21 @@
 //! per class so the admission order is a pure function of the enqueue
 //! sequence).
 //!
-//! Two dispatch modes share every code path except *when* admission runs:
+//! There is one admission engine: admission runs only in
+//! `dispatch_locked`, and a slot is released only by
+//! `SchedState::release`, once per admitted member — an execution pass's
+//! slot frees on its last member's release, so a coalition of `k` tickets
+//! frees exactly one slot. The two modes differ only in who pumps it:
 //!
-//! * **auto** (production): admission runs inside `enqueue` and at each
-//!   request completion; completions release their concurrency slot
-//!   immediately.
-//! * **manual** (deterministic harnesses): admission runs only inside
-//!   explicit [`Scheduler::dispatch`] calls, and a slot is released when
-//!   the ticket's result is harvested by [`Ticket::wait`]. With a single
-//!   driver thread every scheduler-state mutation is then totally ordered
-//!   by that thread, so the admission sequence is reproducible bit for bit
-//!   while execution still spreads over real worker threads.
+//! * **manual** (deterministic harnesses): the driver calls
+//!   [`Scheduler::dispatch`], and [`Ticket::wait`] releases the ticket's
+//!   share when it harvests the result. With a single driver thread every
+//!   scheduler-state mutation is then totally ordered by that thread, so
+//!   the admission sequence is reproducible bit for bit while execution
+//!   still spreads over real worker threads.
+//! * **auto** (production): `enqueue` pumps; when a pass finishes, its
+//!   executor releases the delivered tickets' shares on their behalf and
+//!   then pumps.
 
 use crate::predictor::{Predictor, PredictorConfig, PrewarmDecision};
 use fsd_comm::{quota, VirtualTime};
@@ -28,9 +32,7 @@ use fsd_core::{
 };
 use parking_lot::{Condvar, Mutex};
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Request priority classes, drained by weighted FIFO.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -218,8 +220,9 @@ pub struct SchedulerConfig {
     pub weights: [u32; Priority::COUNT],
     /// Worker count used to derive per-model caps a priori (§IV-C).
     pub typical_workers: u32,
-    /// Manual dispatch: admission only happens in [`Scheduler::dispatch`]
-    /// and slots release on harvest — the deterministic-harness mode.
+    /// Manual dispatch: the caller pumps admission with
+    /// [`Scheduler::dispatch`] and each ticket's harvest releases its slot
+    /// share — the deterministic-harness mode.
     pub manual_dispatch: bool,
     /// Record the admission order (seq numbers) for harnesses/tests.
     pub record_admissions: bool,
@@ -305,7 +308,7 @@ impl SchedulerConfig {
 }
 
 /// Point-in-time scheduler statistics.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SchedStatsSnapshot {
     /// Requests accepted into a queue.
     pub enqueued: u64,
@@ -397,35 +400,29 @@ struct Pending {
     retries_left: u32,
 }
 
-/// Result cell shared between the executor thread and the ticket holder.
-struct TicketCell {
-    result: Option<Result<InferenceReport, FsdError>>,
-}
-
-/// The concurrency slot an admitted execution pass holds, shared by every
-/// coalition member's ticket: in manual mode the slot is released when the
-/// **last** member is harvested, so a coalition of `k` tickets frees
-/// exactly one global/model slot (not `k`).
-struct SlotHold {
-    remaining: AtomicUsize,
-}
-
 struct TicketShared {
     seq: u64,
     priority: Priority,
     model: usize,
-    cell: Mutex<TicketCell>,
+    /// Set once, by the executor or by shutdown; taken by the holder.
+    result: Mutex<Option<Result<InferenceReport, FsdError>>>,
     done: Condvar,
-    /// Set at admission; taken (once) at harvest. `None` for tickets that
-    /// never got a slot — e.g. cancelled at shutdown while still queued.
-    slot: Mutex<Option<Arc<SlotHold>>>,
+}
+
+impl TicketShared {
+    /// Sets the result and wakes the ticket holder.
+    fn resolve(&self, result: Result<InferenceReport, FsdError>) {
+        *self.result.lock() = Some(result);
+        self.done.notify_all();
+    }
 }
 
 /// Handle to an accepted request; [`Ticket::wait`] blocks for the result.
 ///
-/// In manual-dispatch mode the request's concurrency slot is released when
-/// the result is harvested here, so a driver that never waits its tickets
-/// would pin slots forever — harnesses must harvest every ticket.
+/// In manual-dispatch mode the harvest here releases the request's share
+/// of its concurrency slot, so a driver that never waits its tickets would
+/// pin slots forever — harnesses must harvest every ticket. In auto mode
+/// the executor has already released it on the ticket's behalf.
 pub struct Ticket {
     shared: Arc<TicketShared>,
     core: Arc<SchedulerCore>,
@@ -455,7 +452,7 @@ impl Ticket {
 
     /// Whether the result is ready (a `wait` would not block).
     pub fn is_done(&self) -> bool {
-        self.shared.cell.lock().result.is_some()
+        self.shared.result.lock().is_some()
     }
 
     /// Blocks until the request finishes and returns its result. Queued
@@ -464,37 +461,17 @@ impl Ticket {
     /// instead of hanging.
     pub fn wait(self) -> Result<InferenceReport, FsdError> {
         let result = {
-            let mut cell = self.shared.cell.lock();
+            let mut result = self.shared.result.lock();
             loop {
-                if let Some(r) = cell.result.take() {
+                if let Some(r) = result.take() {
                     break r;
                 }
-                self.shared
-                    .done
-                    .wait_for(&mut cell, Duration::from_millis(50));
+                self.shared.done.wait(&mut result);
             }
         };
-        self.core.on_harvest(&self.shared);
+        self.core.on_harvest(self.shared.seq);
         result
     }
-}
-
-#[derive(Default)]
-struct Counters {
-    enqueued: u64,
-    admitted: [u64; Priority::COUNT],
-    rejected: [u64; Priority::COUNT],
-    completed: u64,
-    failed: u64,
-    failed_by: [u64; FailureCause::COUNT],
-    retried: u64,
-    warm_hits: u64,
-    cold_starts: u64,
-    prewarmed: u64,
-    predictor_evicted: u64,
-    cancelled: u64,
-    coalitions: u64,
-    coalesced: u64,
 }
 
 /// Dense index of a launch path into the per-path EWMA array.
@@ -505,6 +482,7 @@ fn path_index(path: LaunchPath) -> usize {
     }
 }
 
+#[derive(Default)]
 struct SchedState {
     queues: [VecDeque<Pending>; Priority::COUNT],
     /// Smooth-WRR credit per class; grows while a class is backlogged,
@@ -512,14 +490,19 @@ struct SchedState {
     credits: [i64; Priority::COUNT],
     inflight_global: usize,
     inflight_model: Vec<usize>,
-    max_inflight_global: usize,
-    max_inflight_model: Vec<usize>,
+    /// Admitted passes still holding their slot: pass id → (model,
+    /// members yet to release).
+    passes: HashMap<u64, (usize, usize)>,
+    /// Admitted member seq → the pass whose slot it shares.
+    pass_of: HashMap<u64, u64>,
+    next_pass: u64,
     next_seq: u64,
     shutting_down: bool,
-    counters: Counters,
-    admission_log: Vec<u64>,
-    /// Admission groups aligned with `admission_log`: one inner vec per
-    /// admitted execution pass (coalitions keep their members together).
+    /// The counters and high-water marks; [`Scheduler::stats`] fills in
+    /// the live fields.
+    stats: SchedStatsSnapshot,
+    /// One inner vec of seq numbers per admitted execution pass
+    /// (coalitions keep their members together), when recording.
     admission_groups: Vec<Vec<u64>>,
     /// Smoothed observed latency per launch path, indexed by
     /// [`path_index`] (cold starts and warm hits regress separately — a
@@ -529,12 +512,63 @@ struct SchedState {
 }
 
 impl SchedState {
+    fn new(models: usize) -> SchedState {
+        SchedState {
+            inflight_model: vec![0; models],
+            stats: SchedStatsSnapshot {
+                max_inflight_per_model: vec![0; models],
+                ..SchedStatsSnapshot::default()
+            },
+            ..SchedState::default()
+        }
+    }
+
+    /// Gives one admitted execution pass — `members`, all of `model` — a
+    /// global and a model slot. Each member returns its share through
+    /// [`SchedState::release`].
+    fn occupy(&mut self, model: usize, members: &[u64]) {
+        let pass = self.next_pass;
+        self.next_pass += 1;
+        self.passes.insert(pass, (model, members.len()));
+        for &seq in members {
+            self.pass_of.insert(seq, pass);
+        }
+        self.inflight_global += 1;
+        self.inflight_model[model] += 1;
+        self.stats.max_inflight = self.stats.max_inflight.max(self.inflight_global);
+        let peak = &mut self.stats.max_inflight_per_model[model];
+        *peak = (*peak).max(self.inflight_model[model]);
+    }
+
+    /// Returns `seq`'s share of its pass's slot — the only place a slot is
+    /// freed. The pass's last share frees its global and model slot and
+    /// returns `true`; a seq with no share held (never admitted, or
+    /// already released) frees nothing.
+    fn release(&mut self, seq: u64) -> bool {
+        let Some(pass) = self.pass_of.remove(&seq) else {
+            return false;
+        };
+        let (model, left) = self
+            .passes
+            .get_mut(&pass)
+            .expect("a pass holds its slot until its last member releases");
+        *left -= 1;
+        if *left > 0 {
+            return false;
+        }
+        let model = *model;
+        self.passes.remove(&pass);
+        self.inflight_global -= 1;
+        self.inflight_model[model] -= 1;
+        true
+    }
+
     /// The path-mix-weighted latency estimate `retry_after` hints use:
     /// each path's EWMA weighted by how many completions took it. 0.0
     /// before the first completion.
     fn blended_latency_us(&self) -> f64 {
-        let cold_n = self.counters.cold_starts as f64;
-        let warm_n = self.counters.warm_hits as f64;
+        let cold_n = self.stats.cold_starts as f64;
+        let warm_n = self.stats.warm_hits as f64;
         let total = cold_n + warm_n;
         if total == 0.0 {
             return 0.0;
@@ -547,16 +581,13 @@ struct SchedulerCore {
     cfg: SchedulerConfig,
     models: Vec<ModelEntry>,
     by_name: HashMap<String, usize>,
-    /// Per-model arrival-history miners (`Some` iff `cfg.predictor`).
-    /// Locked independently of `state`: predictor decisions launch trees,
-    /// which must never happen under the scheduler lock.
+    /// Per-model arrival-history miners (`Some` iff `cfg.predictor`). A
+    /// model's predictor lock is held while its decisions apply, so
+    /// concurrent enqueues never read the same pre-launch
+    /// `warm_live_trees` count and launch duplicate trees (a pre-warm in
+    /// flight is not yet visible as live). Lock order: predictor → state,
+    /// never the reverse — the launches must not run under `state`.
     predictors: Vec<Option<Mutex<Predictor>>>,
-    /// Serializes decision *application* per model: concurrent enqueues
-    /// would otherwise read the same pre-launch `warm_live_trees` count
-    /// and launch duplicate trees (a pre-warm in flight is not yet
-    /// visible as live). Held across the launches; never taken together
-    /// with `state` or a predictor lock.
-    prewarm_apply: Vec<Mutex<()>>,
     state: Mutex<SchedState>,
     /// Signaled on completions, harvests and queue transitions (drain).
     idle: Condvar,
@@ -631,7 +662,8 @@ impl SchedulerCore {
         let Some(predictor) = &self.predictors[model] else {
             return;
         };
-        let decisions = predictor.lock().observe(resolved);
+        let mut predictor = predictor.lock();
+        let decisions = predictor.observe(resolved);
         self.apply_decisions(model, &decisions, true);
     }
 
@@ -641,23 +673,22 @@ impl SchedulerCore {
     /// topping those dips up would over-provision (and make pool contents
     /// depend on dispatch timing instead of the arrival history).
     fn apply_standing_evictions(&self) {
-        for model in 0..self.models.len() {
-            let Some(predictor) = &self.predictors[model] else {
+        for (model, predictor) in self.predictors.iter().enumerate() {
+            let Some(predictor) = predictor else {
                 continue;
             };
-            let decisions = predictor.lock().decisions();
-            self.apply_decisions(model, &decisions, false);
+            let predictor = predictor.lock();
+            self.apply_decisions(model, &predictor.decisions(), false);
         }
     }
 
     /// Applies a decision set against the model's warm pool: evictions
     /// always, pre-warms (up to target, counting what is already parked)
     /// only when `prewarm` is set. Idempotent — re-applying an already
-    /// satisfied decision set is a no-op.
+    /// satisfied decision set is a no-op. Callers hold the model's
+    /// predictor lock, so every top-up reads live counts that include the
+    /// previous applier's launches.
     fn apply_decisions(&self, model: usize, decisions: &[PrewarmDecision], prewarm: bool) {
-        // One applier per model at a time, so every top-up reads live
-        // counts that include the previous applier's launches.
-        let _applying = self.prewarm_apply[model].lock();
         let service = &self.models[model].service;
         let mut prewarmed = 0u64;
         let mut evicted = 0u64;
@@ -692,34 +723,19 @@ impl SchedulerCore {
         }
         if prewarmed > 0 || evicted > 0 {
             let mut state = self.state.lock();
-            state.counters.prewarmed += prewarmed;
-            state.counters.predictor_evicted += evicted;
+            state.stats.prewarmed += prewarmed;
+            state.stats.predictor_evicted += evicted;
         }
     }
-    /// Releases a harvested ticket's slot (manual mode only; in auto mode
-    /// the slot was already released at completion). A coalition's slot is
-    /// shared by every member ticket and releases only when the **last**
-    /// member is harvested — a coalition of `k` tickets frees one slot.
-    fn on_harvest(&self, shared: &TicketShared) {
-        if !self.cfg.manual_dispatch {
-            return;
+
+    /// Releases a harvested ticket's slot share, waking `drain` if that
+    /// freed the slot. A no-op in auto mode, where the executor released
+    /// it on the ticket's behalf, and for tickets cancelled while queued.
+    fn on_harvest(&self, seq: u64) {
+        let freed = self.state.lock().release(seq);
+        if freed {
+            self.idle.notify_all();
         }
-        // Take the hold before touching scheduler state: slot mutexes are
-        // leaf locks, never held while waiting on `state`.
-        let hold = shared.slot.lock().take();
-        let Some(hold) = hold else {
-            // Never admitted (cancelled at shutdown while queued): no slot
-            // to release.
-            return;
-        };
-        if hold.remaining.fetch_sub(1, Ordering::AcqRel) != 1 {
-            return;
-        }
-        let mut state = self.state.lock();
-        state.inflight_global = state.inflight_global.saturating_sub(1);
-        state.inflight_model[shared.model] = state.inflight_model[shared.model].saturating_sub(1);
-        drop(state);
-        self.idle.notify_all();
     }
 
     /// Backpressure hint: how long (virtual time) the current backlog
@@ -742,7 +758,7 @@ impl SchedulerCore {
         };
         let waves = (backlog as f64 / self.cfg.global_cap.max(1) as f64).ceil();
         let seed = self.models[0].service.env().config().seed;
-        let draw = state.counters.rejected.iter().sum::<u64>();
+        let draw = state.stats.total_rejected();
         let unit = fsd_comm::unit_from(fsd_comm::mix64(
             seed.rotate_left(17) ^ draw.wrapping_mul(0x9E37_79B9_7F4A_7C15),
         ));
@@ -828,33 +844,31 @@ impl SchedulerCore {
             }
             // The whole group holds ONE concurrency slot: its members run
             // as a single tree pass.
-            state.inflight_global += 1;
-            state.inflight_model[model] += 1;
-            state.max_inflight_global = state.max_inflight_global.max(state.inflight_global);
-            state.max_inflight_model[model] =
-                state.max_inflight_model[model].max(state.inflight_model[model]);
-            state.counters.admitted[winner] += group.len() as u64;
+            let seqs: Vec<u64> = group.iter().map(|m| m.ticket.seq).collect();
+            state.occupy(model, &seqs);
+            state.stats.admitted[winner] += group.len() as u64;
             if group.len() > 1 {
-                state.counters.coalitions += 1;
-                state.counters.coalesced += group.len() as u64;
-            }
-            let hold = Arc::new(SlotHold {
-                remaining: AtomicUsize::new(group.len()),
-            });
-            for member in &group {
-                *member.ticket.slot.lock() = Some(hold.clone());
+                state.stats.coalitions += 1;
+                state.stats.coalesced += group.len() as u64;
             }
             if self.cfg.record_admissions {
-                for member in &group {
-                    state.admission_log.push(member.ticket.seq);
-                }
-                state
-                    .admission_groups
-                    .push(group.iter().map(|m| m.ticket.seq).collect());
+                state.admission_groups.push(seqs);
             }
             admitted.push(group);
         }
         admitted
+    }
+
+    /// One admission pass: admits what the caps allow, spawns it, and
+    /// returns the admitted passes' seq numbers in admission order.
+    fn pump(self: &Arc<Self>) -> Vec<Vec<u64>> {
+        let admitted = self.dispatch_locked(&mut self.state.lock());
+        let seqs = admitted
+            .iter()
+            .map(|group| group.iter().map(|m| m.ticket.seq).collect())
+            .collect();
+        self.spawn(admitted);
+        seqs
     }
 
     /// Spawns one executor thread per admitted group: a singleton runs
@@ -892,10 +906,10 @@ impl SchedulerCore {
                 {
                     match result {
                         Ok(report) => {
-                            state.counters.completed += 1;
+                            state.stats.completed += 1;
                             match report.launch {
-                                LaunchPath::WarmHit => state.counters.warm_hits += 1,
-                                LaunchPath::ColdStart => state.counters.cold_starts += 1,
+                                LaunchPath::WarmHit => state.stats.warm_hits += 1,
+                                LaunchPath::ColdStart => state.stats.cold_starts += 1,
                             }
                             let l = report.latency.as_micros() as f64;
                             let e = &mut state.ewma_latency_us[path_index(report.launch)];
@@ -909,21 +923,11 @@ impl SchedulerCore {
                         Err(e) => {
                             let cause = FailureCause::of(&e);
                             if retries_left > 0 && cause.is_retryable() && !state.shutting_down {
-                                // Manual mode: this member's share of the
-                                // pass slot must release *before* the
-                                // re-admission assigns a fresh hold, or the
-                                // old slot leaks and wedges the caps.
-                                if core.cfg.manual_dispatch {
-                                    if let Some(hold) = ticket.slot.lock().take() {
-                                        if hold.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-                                            state.inflight_global =
-                                                state.inflight_global.saturating_sub(1);
-                                            state.inflight_model[model] =
-                                                state.inflight_model[model].saturating_sub(1);
-                                        }
-                                    }
-                                }
-                                state.counters.retried += 1;
+                                // This member's share of the pass slot
+                                // returns before its re-admission takes a
+                                // fresh one, or the old slot leaks.
+                                state.release(ticket.seq);
+                                state.stats.retried += 1;
                                 let class = ticket.priority.index();
                                 state.queues[class].push_front(Pending {
                                     ticket,
@@ -933,8 +937,8 @@ impl SchedulerCore {
                                     retries_left: retries_left - 1,
                                 });
                             } else {
-                                state.counters.failed += 1;
-                                state.counters.failed_by[cause.index()] += 1;
+                                state.stats.failed += 1;
+                                state.stats.failed_by[cause.index()] += 1;
                                 deliver.push((ticket, Err(e)));
                             }
                         }
@@ -943,13 +947,15 @@ impl SchedulerCore {
                 let follow_up = if core.cfg.manual_dispatch {
                     Vec::new()
                 } else {
-                    // Auto mode: success or error, the group's single slot
-                    // releases as soon as the pass finishes and pulls in
-                    // the next request(s) — a failing pass must never
+                    // Auto mode pumps here: success or error, the
+                    // delivered tickets' shares release on their behalf as
+                    // soon as the pass finishes, and the freed slot pulls
+                    // in the next request(s) — a failing pass must never
                     // wedge the queue. Requeued retries sit at their class
-                    // head and are picked up by this same dispatch pass.
-                    state.inflight_global -= 1;
-                    state.inflight_model[model] -= 1;
+                    // head and are picked up by this same pass.
+                    for (ticket, _) in &deliver {
+                        state.release(ticket.seq);
+                    }
                     core.dispatch_locked(&mut state)
                 };
                 drop(state);
@@ -957,10 +963,7 @@ impl SchedulerCore {
                 core.spawn(follow_up);
 
                 for (ticket, result) in deliver {
-                    let mut cell = ticket.cell.lock();
-                    cell.result = Some(result);
-                    drop(cell);
-                    ticket.done.notify_all();
+                    ticket.resolve(result);
                 }
             });
         }
@@ -1048,21 +1051,7 @@ impl SchedulerBuilder {
                 models,
                 by_name,
                 predictors,
-                prewarm_apply: (0..n).map(|_| Mutex::new(())).collect(),
-                state: Mutex::new(SchedState {
-                    queues: Default::default(),
-                    credits: [0; Priority::COUNT],
-                    inflight_global: 0,
-                    inflight_model: vec![0; n],
-                    max_inflight_global: 0,
-                    max_inflight_model: vec![0; n],
-                    next_seq: 0,
-                    shutting_down: false,
-                    counters: Counters::default(),
-                    admission_log: Vec::new(),
-                    admission_groups: Vec::new(),
-                    ewma_latency_us: [0.0; 2],
-                }),
+                state: Mutex::new(SchedState::new(n)),
                 idle: Condvar::new(),
             }),
         }
@@ -1194,19 +1183,18 @@ impl Scheduler {
             return Err(FsdError::ShuttingDown);
         }
         if state.queues[class].len() >= self.core.cfg.queue_capacity {
-            state.counters.rejected[class] += 1;
+            state.stats.rejected[class] += 1;
             let retry_after = self.core.retry_after(&state);
             return Err(FsdError::Overloaded { retry_after });
         }
         state.next_seq += 1;
-        state.counters.enqueued += 1;
+        state.stats.enqueued += 1;
         let shared = Arc::new(TicketShared {
             seq: state.next_seq,
             priority,
             model: model_idx,
-            cell: Mutex::new(TicketCell { result: None }),
+            result: Mutex::new(None),
             done: Condvar::new(),
-            slot: Mutex::new(None),
         });
         state.queues[class].push_back(Pending {
             ticket: shared.clone(),
@@ -1229,25 +1217,22 @@ impl Scheduler {
             self.core.drive_predictor(model_idx, resolved);
             if self.core.cfg.batching.is_some() {
                 let mut state = self.core.state.lock();
+                // Searched from the back, where the entry was just pushed.
                 // If auto-mode admission already raced the request out of
                 // the queue it dispatched solo — correct either way.
                 if let Some(pending) = state.queues[class]
                     .iter_mut()
+                    .rev()
                     .find(|p| p.ticket.seq == shared.seq)
                 {
                     pending.shape = resolved;
                 }
             }
         }
-        let admitted = if self.core.cfg.manual_dispatch {
-            Vec::new()
-        } else {
-            let mut state = self.core.state.lock();
-            let admitted = self.core.dispatch_locked(&mut state);
-            drop(state);
-            admitted
-        };
-        self.core.spawn(admitted);
+        // Auto mode pumps on every enqueue.
+        if !self.core.cfg.manual_dispatch {
+            self.core.pump();
+        }
         Ok(Ticket {
             shared,
             core: self.core.clone(),
@@ -1264,20 +1249,16 @@ impl Scheduler {
         self.enqueue(&name, priority, req)
     }
 
-    /// Runs one admission pass, spawning every request the caps allow.
-    /// Returns how many were admitted. The manual-dispatch driver's pump;
-    /// harmless (and normally a no-op) in auto mode. With predictive
-    /// pre-warming enabled this is also the drain tick: standing
-    /// quiescence evictions are applied first, so a draining system
-    /// converges back to zero warm trees.
-    pub fn dispatch(&self) -> usize {
+    /// Runs one admission pass, spawning every execution pass the caps
+    /// allow, and returns the admitted passes as seq numbers in admission
+    /// order (one inner vec per pass; a coalition's members share one).
+    /// The manual-dispatch driver's pump; harmless (and normally a no-op)
+    /// in auto mode. With predictive pre-warming enabled this is also the
+    /// drain tick: standing quiescence evictions are applied first, so a
+    /// draining system converges back to zero warm trees.
+    pub fn dispatch(&self) -> Vec<Vec<u64>> {
         self.core.apply_standing_evictions();
-        let mut state = self.core.state.lock();
-        let admitted = self.core.dispatch_locked(&mut state);
-        drop(state);
-        let n = admitted.len();
-        self.core.spawn(admitted);
-        n
+        self.core.pump()
     }
 
     /// Stops intake: subsequent `enqueue` calls fail with
@@ -1293,14 +1274,11 @@ impl Scheduler {
             for queue in &mut state.queues {
                 cancelled.extend(queue.drain(..).map(|p| p.ticket));
             }
-            state.counters.cancelled += cancelled.len() as u64;
+            state.stats.cancelled += cancelled.len() as u64;
             cancelled
         };
         for ticket in cancelled {
-            let mut cell = ticket.cell.lock();
-            cell.result = Some(Err(FsdError::ShuttingDown));
-            drop(cell);
-            ticket.done.notify_all();
+            ticket.resolve(Err(FsdError::ShuttingDown));
         }
         self.core.idle.notify_all();
     }
@@ -1312,9 +1290,7 @@ impl Scheduler {
     pub fn drain(&self) {
         let mut state = self.core.state.lock();
         while state.inflight_global > 0 || state.queues.iter().any(|q| !q.is_empty()) {
-            self.core
-                .idle
-                .wait_for(&mut state, Duration::from_millis(50));
+            self.core.idle.wait(&mut state);
         }
     }
 
@@ -1337,7 +1313,7 @@ impl Scheduler {
     /// The admission order (seq numbers) recorded so far. Empty unless
     /// `record_admissions` is set.
     pub fn admission_log(&self) -> Vec<u64> {
-        self.core.state.lock().admission_log.clone()
+        self.core.state.lock().admission_groups.concat()
     }
 
     /// The admission *groups* recorded so far: one inner vec of seq
@@ -1353,27 +1329,12 @@ impl Scheduler {
     pub fn stats(&self) -> SchedStatsSnapshot {
         let state = self.core.state.lock();
         SchedStatsSnapshot {
-            enqueued: state.counters.enqueued,
-            admitted: state.counters.admitted,
-            rejected: state.counters.rejected,
-            completed: state.counters.completed,
-            failed: state.counters.failed,
-            failed_by: state.counters.failed_by,
-            retried: state.counters.retried,
-            warm_hits: state.counters.warm_hits,
-            cold_starts: state.counters.cold_starts,
-            prewarmed: state.counters.prewarmed,
-            predictor_evicted: state.counters.predictor_evicted,
-            cancelled: state.counters.cancelled,
-            coalitions: state.counters.coalitions,
-            coalesced: state.counters.coalesced,
             queued: state.queues.iter().map(VecDeque::len).sum(),
             inflight: state.inflight_global,
-            max_inflight: state.max_inflight_global,
-            max_inflight_per_model: state.max_inflight_model.clone(),
             ewma_latency: VirtualTime::from_micros(state.blended_latency_us().round() as u64),
             ewma_cold_latency: VirtualTime::from_micros(state.ewma_latency_us[0].round() as u64),
             ewma_warm_latency: VirtualTime::from_micros(state.ewma_latency_us[1].round() as u64),
+            ..state.stats.clone()
         }
     }
 }
@@ -1967,6 +1928,89 @@ mod tests {
         assert_eq!(stats.failed_by, [0; FailureCause::COUNT]);
         assert_eq!(stats.completed, 2);
         assert_eq!(stats.inflight, 0, "retry must not leak a slot");
+    }
+
+    #[test]
+    fn a_pass_frees_one_slot_on_its_last_release() {
+        let mut state = SchedState::new(2);
+        state.occupy(1, &[4, 5, 6]);
+        assert_eq!((state.inflight_global, state.inflight_model[1]), (1, 1));
+        assert!(!state.release(4));
+        assert!(!state.release(6));
+        assert_eq!(state.inflight_global, 1, "the pass holds its slot");
+        assert!(state.release(5), "the k-th release frees the slot");
+        assert_eq!(state.inflight_global, 0);
+        assert_eq!(state.inflight_model, vec![0, 0]);
+        assert!(!state.release(5), "a second release frees nothing");
+        assert!(!state.release(99), "an unknown seq frees nothing");
+        assert_eq!(state.inflight_global, 0);
+        assert_eq!(state.stats.max_inflight, 1);
+        assert_eq!(state.stats.max_inflight_per_model, vec![0, 1]);
+    }
+
+    #[test]
+    fn a_retried_coalition_member_returns_its_share_before_readmission() {
+        let spec = DnnSpec {
+            neurons: 64,
+            layers: 2,
+            nnz_per_row: 8,
+            bias: -0.25,
+            clip: 32.0,
+            seed: 16,
+        };
+        let dnn = Arc::new(generate_dnn(&spec));
+        let inputs = generate_inputs(spec.neurons, &InputSpec::scaled(8, 16));
+        let expected = dnn.serial_inference(&inputs);
+        let svc = Arc::new(
+            ServiceBuilder::new(dnn)
+                .deterministic(16)
+                .warm_pool(2, u64::MAX)
+                .build(),
+        );
+        let sched = Scheduler::wrap(
+            svc.clone(),
+            SchedulerConfig::default()
+                .manual()
+                .global_cap(1)
+                .batched(BatchingConfig::default()),
+        );
+        let req = request(&inputs, Variant::Queue, 2);
+        // Seq 1 parks a tree; arm a kill on one of its workers.
+        let parker = sched
+            .enqueue_default(Priority::Interactive, req.clone())
+            .expect("accepted");
+        sched.dispatch();
+        parker.wait().expect("cold run parks a tree");
+        assert!(svc.inject_fault(FsdService::warm_worker_fault(Variant::Queue, 2, 1769, 1)));
+        let mut tickets: Vec<Ticket> = (0..3)
+            .map(|_| {
+                sched
+                    .enqueue_with_retries(DEFAULT_MODEL, Priority::Interactive, req.clone(), 1)
+                    .expect("accepted")
+            })
+            .collect();
+        // The coalition lands on the armed tree: its head loses the
+        // instance and is requeued, the followers finish. Harvesting them
+        // returns the last two shares, so the head's rerun can take the
+        // one slot.
+        assert_eq!(sched.dispatch(), vec![vec![2, 3, 4]]);
+        let head = tickets.remove(0);
+        for follower in tickets {
+            let report = follower.wait().expect("followers run");
+            assert_eq!(report.first_output(), &expected);
+        }
+        assert_eq!(sched.dispatch(), vec![vec![2]]);
+        let report = head.wait().expect("the retry recovers the crash");
+        assert_eq!(report.first_output(), &expected);
+        assert_eq!(
+            sched.admission_groups(),
+            vec![vec![1], vec![2, 3, 4], vec![2]]
+        );
+        let stats = sched.stats();
+        assert_eq!(stats.retried, 1);
+        assert_eq!(stats.completed, 4);
+        assert_eq!(stats.inflight, 0, "retry must not leak a slot");
+        assert_eq!(stats.max_inflight, 1);
     }
 
     #[test]

@@ -89,7 +89,8 @@ impl WaitTimeoutResult {
     }
 }
 
-/// A condition variable with parking_lot's `wait_for(&mut guard, dur)` API.
+/// A condition variable with parking_lot's `wait(&mut guard)` and
+/// `wait_for(&mut guard, dur)` API.
 pub struct Condvar {
     inner: std::sync::Condvar,
 }
@@ -110,6 +111,18 @@ impl Condvar {
     /// Wakes one thread blocked on this condition variable.
     pub fn notify_one(&self) {
         self.inner.notify_one();
+    }
+
+    /// Blocks on the condvar until notified, releasing `guard` while
+    /// waiting and reacquiring it before returning. Wakeups may be
+    /// spurious: callers re-check their condition in a loop.
+    pub fn wait<T>(&self, guard: &mut MutexGuard<'_, T>) {
+        let std_guard = guard.inner.take().expect("guard present before wait");
+        guard.inner = Some(
+            self.inner
+                .wait(std_guard)
+                .unwrap_or_else(|p| p.into_inner()),
+        );
     }
 
     /// Blocks on the condvar for at most `timeout`, releasing `guard` while
@@ -243,6 +256,22 @@ mod tests {
             }
         });
         std::thread::sleep(Duration::from_millis(5));
+        *pair.0.lock() = true;
+        pair.1.notify_all();
+        t.join().expect("waiter finishes");
+    }
+
+    #[test]
+    fn untimed_condvar_wait_wakes_on_notify() {
+        let pair = Arc::new((Mutex::new(false), Condvar::new()));
+        let pair2 = pair.clone();
+        let t = std::thread::spawn(move || {
+            let (m, c) = &*pair2;
+            let mut guard = m.lock();
+            while !*guard {
+                c.wait(&mut guard);
+            }
+        });
         *pair.0.lock() = true;
         pair.1.notify_all();
         t.join().expect("waiter finishes");

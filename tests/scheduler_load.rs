@@ -16,16 +16,23 @@
 //! interleave across classes, and — in the flood — bounded queues
 //! rejecting with backpressure.
 
+use fsd_inference::core::{FsdService, ServiceBuilder};
 use fsd_inference::model::{generate_dnn, generate_inputs, DnnSpec, InputSpec};
 use fsd_inference::sched::harness::{replay, ReplayReport};
+use fsd_inference::sched::SchedulerBuilder;
 use fsd_inference::sched::{trace, Arrival, Priority, Scheduler, SchedulerConfig};
-use fsd_inference::{core::ServiceBuilder, sched::SchedulerBuilder};
 use std::sync::Arc;
 
-/// A fresh single-model scheduler in harness mode. Every parallelism the
-/// traces use is pre-warmed so replays race on nothing but the request
-/// path.
+/// A fresh single-model scheduler in harness mode.
 fn fresh_scheduler(seed: u64, cfg: SchedulerConfig) -> Scheduler {
+    SchedulerBuilder::new(cfg.manual())
+        .model("m", fresh_service(seed))
+        .build()
+}
+
+/// A fresh service. Every parallelism the traces use is pre-warmed so
+/// replays race on nothing but the request path.
+fn fresh_service(seed: u64) -> Arc<FsdService> {
     let spec = DnnSpec {
         neurons: 72,
         layers: 3,
@@ -35,17 +42,14 @@ fn fresh_scheduler(seed: u64, cfg: SchedulerConfig) -> Scheduler {
         seed,
     };
     let dnn = Arc::new(generate_dnn(&spec));
-    let service = Arc::new(
+    Arc::new(
         ServiceBuilder::new(dnn)
             .deterministic(seed)
             .prewarm(1)
             .prewarm(2)
             .prewarm(4)
             .build(),
-    );
-    SchedulerBuilder::new(cfg.manual())
-        .model("m", service)
-        .build()
+    )
 }
 
 /// A harness-mode scheduler over a **warm-pooled** service: every
@@ -266,6 +270,37 @@ fn warm_pool_replays_are_deterministic_and_all_warm() {
     assert_eq!(warm, 8, "the steady trace carries 8 Queue requests");
     assert_eq!(report.stats.warm_hits, 8);
     assert_eq!(report.stats.cold_starts, 4);
+}
+
+#[test]
+fn replays_need_manual_dispatch_but_not_admission_recording() {
+    // The driver harvests in the order `dispatch` returned admissions, so
+    // a manual scheduler that records nothing still replays to completion,
+    // and to the same admissions and outcomes as a recording one.
+    let cfg = SchedulerConfig {
+        manual_dispatch: true,
+        record_admissions: false,
+        ..SchedulerConfig::default().global_cap(2)
+    };
+    let trace = trace::steady(4, 250_000, 29);
+    let (done, finished) = std::sync::mpsc::channel();
+    let replayed = trace.clone();
+    std::thread::spawn(move || {
+        let sched = SchedulerBuilder::new(cfg)
+            .model("m", fresh_service(29))
+            .build();
+        done.send(replay(&sched, "m", &replayed))
+            .expect("test waits");
+    });
+    let report = finished
+        .recv_timeout(std::time::Duration::from_secs(120))
+        .expect("an unrecorded manual replay must finish");
+    assert_eq!(report.admission_order.len(), 4);
+    assert_eq!(report.outcomes.len(), 4);
+    assert_invariants(&report, &cfg);
+    let recorded = replay(&fresh_scheduler(29, cfg), "m", &trace);
+    assert_eq!(report.admission_order, recorded.admission_order);
+    assert_eq!(report.outcomes, recorded.outcomes);
 }
 
 #[test]
