@@ -22,7 +22,7 @@
 
 use fsd_bench::Table;
 use fsd_comm::{ApiClass, CloudConfig, CloudEnv, FaultPlan, VirtualTime};
-use fsd_core::{ChannelOptions, ChannelRegistry, RecvTracker, Tag, Variant};
+use fsd_core::{ChannelOptions, RecvTracker, Tag, Transport, Variant};
 use fsd_faas::{ComputeModel, FaasPlatform, FunctionConfig};
 use fsd_sparse::{codec, SparseRows};
 use std::fmt::Write as _;
@@ -76,10 +76,12 @@ fn measure_with(variant: Variant, rows: &SparseRows, seed: u64, punch_fail_rate:
         );
     }
     let env = CloudEnv::new(config);
-    let channel = ChannelRegistry::with_builtins()
-        .get(variant.channel_name().expect("channel variant"))
-        .expect("builtin provider")
-        .provision(&env, FANOUT + 1, ChannelOptions::default(), 0);
+    let channel = Transport::of(variant).expect("channel variant").provision(
+        &env,
+        FANOUT + 1,
+        ChannelOptions::default(),
+        0,
+    );
     let platform = FaasPlatform::new(env, ComputeModel::default());
     let ch_send = channel.clone();
     let sent = rows.clone();

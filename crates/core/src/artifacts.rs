@@ -7,6 +7,7 @@
 //! measured run (the paper attributes serial's slow small-model latency to
 //! exactly this unpartitioned-weight read).
 
+use crate::weight_cache::WeightCache;
 use crate::wire;
 use fsd_comm::{CloudEnv, VClock, VirtualTime};
 use fsd_faas::{FaasError, WorkerCtx};
@@ -230,17 +231,13 @@ impl WorkerArtifacts {
     }
 }
 
-fn fetch(ctx: &mut WorkerCtx, key: &str) -> Result<Vec<u8>, FaasError> {
+/// Artifact GET on the worker's own clock, charging the decode of the
+/// bytes it returns.
+fn fetch(ctx: &mut WorkerCtx, key: &str) -> Result<Arc<[u8]>, FaasError> {
     let env = ctx.env().clone();
-    // Artifact GETs are pure reads; a transient fault here would otherwise
-    // kill the whole worker before inference even starts, so the default
-    // retry policy wraps this single funnel.
-    let (res, _) = crate::retry::RetryPolicy::default().run(ctx.clock_mut(), |clock| {
-        env.object_store().get(ARTIFACT_BUCKET, key, clock)
-    });
-    let body = res.map_err(|e| FaasError::comm("artifact", key, e))?;
+    let body = fetch_encoded(&env, ctx.clock_mut(), key)?;
     ctx.charge_bytes(body.len() as u64, ARTIFACT_DECODE_BPS);
-    Ok(body.to_vec())
+    Ok(body)
 }
 
 /// Retry-wrapped artifact GET against an arbitrary clock, returning the
@@ -253,6 +250,9 @@ pub(crate) fn fetch_encoded(
     clock: &mut VClock,
     key: &str,
 ) -> Result<Arc<[u8]>, FaasError> {
+    // Artifact GETs are pure reads; a transient fault here would otherwise
+    // kill the whole worker before inference even starts, so the default
+    // retry policy wraps this single funnel.
     let (res, _) = crate::retry::RetryPolicy::default().run(clock, |clock| {
         env.object_store().get(ARTIFACT_BUCKET, key, clock)
     });
@@ -338,35 +338,52 @@ pub(crate) fn assemble_streamed(
 
 /// Loads a distributed worker's artifacts, charging GET latencies, decode
 /// work and resident memory against the FaaS context.
+///
+/// `cache` selects the GET. `None` GETs every object (retry-wrapped).
+/// `Some` reads cache-first — a resident block costs no GET and no
+/// transfer wait, only its decode — and inserts every miss, which keeps a
+/// streamed launch's fallback load (see `weight_stream`) at exactly one
+/// GET per object globally.
 pub fn load_worker_artifacts(
     ctx: &mut WorkerCtx,
     model_key: &str,
     p: u32,
     m: u32,
     n_layers: usize,
+    cache: Option<&WeightCache>,
 ) -> Result<WorkerArtifacts, FaasError> {
     let mut n_gets = 0u64;
-    let owned = wire::decode_ids(&fetch(ctx, &worker_owned_key(model_key, p, m))?)
+    let mut get = |ctx: &mut WorkerCtx, key: &str| -> Result<Arc<[u8]>, FaasError> {
+        if let Some(body) = cache.and_then(|c| c.lookup(key)) {
+            ctx.charge_bytes(body.len() as u64, ARTIFACT_DECODE_BPS);
+            return Ok(body);
+        }
+        let insert = cache.map(|c| (c, c.generation()));
+        let body = fetch(ctx, key)?;
+        n_gets += 1;
+        if let Some((cache, generation)) = insert {
+            cache.insert_block(key, body.clone(), generation);
+        }
+        Ok(body)
+    };
+    let owned = wire::decode_ids(&get(ctx, &worker_owned_key(model_key, p, m))?)
         .map_err(|e| FaasError::comm("decode", "owned ids", e))?;
-    n_gets += 1;
     let local_ids: Vec<u32> = (0..owned.len() as u32).collect();
     let mut weights = Vec::with_capacity(n_layers);
     let mut mem = owned.len() * 4;
     for k in 0..n_layers {
-        let sub = wire::decode_csr(&fetch(ctx, &worker_layer_key(model_key, p, m, k))?)
+        let sub = wire::decode_csr(&get(ctx, &worker_layer_key(model_key, p, m, k))?)
             .map_err(|e| FaasError::comm("decode", format!("layer {k}"), e))?;
-        n_gets += 1;
         // The sub-block's rows are local (0..owned); columns stay global.
         let block = ColMajorBlock::from_layer(&sub, &local_ids);
         ctx.charge_work(block.nnz() as u64 * 2); // transpose construction
         mem += block.mem_bytes();
         weights.push(LayerSlot::Ready(block));
     }
-    let send = wire::decode_maps(&fetch(ctx, &worker_send_key(model_key, p, m))?)
+    let send = wire::decode_maps(&get(ctx, &worker_send_key(model_key, p, m))?)
         .map_err(|e| FaasError::comm("decode", "send maps", e))?;
-    let recv = wire::decode_maps(&fetch(ctx, &worker_recv_key(model_key, p, m))?)
+    let recv = wire::decode_maps(&get(ctx, &worker_recv_key(model_key, p, m))?)
         .map_err(|e| FaasError::comm("decode", "recv maps", e))?;
-    n_gets += 2;
     mem += send
         .iter()
         .chain(recv.iter())
@@ -476,7 +493,7 @@ mod tests {
                     FunctionConfig::worker("w", 4096),
                     VirtualTime::ZERO,
                     move |ctx| {
-                        let art = load_worker_artifacts(ctx, "m1", 4, m, 3)?;
+                        let art = load_worker_artifacts(ctx, "m1", 4, m, 3, None)?;
                         let share = load_input_share(ctx, "i1", 4, m)?;
                         assert_eq!(art.owned, part.owned(m));
                         assert_eq!(art.weights.len(), 3);
@@ -551,7 +568,7 @@ mod tests {
             .invoke(
                 FunctionConfig::worker("w", 1024),
                 VirtualTime::ZERO,
-                |ctx| load_worker_artifacts(ctx, "ghost", 4, 0, 3).map(|_| ()),
+                |ctx| load_worker_artifacts(ctx, "ghost", 4, 0, 3, None).map(|_| ()),
             )
             .join();
         assert!(matches!(res, Err(FaasError::Comm(_))));

@@ -1,7 +1,7 @@
 //! [`ServiceBuilder`]: typed construction of an [`FsdService`].
 //!
 //! Named, composable configuration — cloud region, compute model, channel
-//! tuning, partition scheme, custom channel providers, and a pre-warm list
+//! tuning, partition scheme, warm pool, and a pre-warm list
 //! of worker counts whose artifacts are partitioned and staged at build
 //! time (so first requests skip the offline step, exactly the "a priori,
 //! not per request" discipline of §III).
@@ -9,7 +9,6 @@
 use crate::channel::ChannelOptions;
 use crate::engine::{EngineConfig, Variant};
 use crate::pool::WarmPoolConfig;
-use crate::provider::{ChannelProvider, ChannelRegistry};
 use crate::service::FsdService;
 use fsd_comm::CloudConfig;
 use fsd_faas::ComputeModel;
@@ -21,20 +20,19 @@ use std::sync::Arc;
 pub struct ServiceBuilder {
     dnn: Arc<SparseDnn>,
     cfg: EngineConfig,
-    registry: ChannelRegistry,
     prewarm: Vec<u32>,
     warm_pool: Option<WarmPoolConfig>,
     prewarm_trees: Vec<(Variant, u32, u32)>,
 }
 
 impl ServiceBuilder {
-    /// Starts a builder for `dnn` with default configuration and the
-    /// built-in queue/object channel providers.
+    /// Starts a builder for `dnn` with default configuration. Every
+    /// [`Variant`] with a channel is served by its built-in transport
+    /// ([`crate::Transport::of`]).
     pub fn new(dnn: Arc<SparseDnn>) -> ServiceBuilder {
         ServiceBuilder {
             dnn,
             cfg: EngineConfig::default(),
-            registry: ChannelRegistry::with_builtins(),
             prewarm: Vec::new(),
             warm_pool: None,
             prewarm_trees: Vec::new(),
@@ -110,20 +108,6 @@ impl ServiceBuilder {
         self
     }
 
-    /// Registers a custom channel provider (replacing any provider already
-    /// registered under the same name).
-    pub fn register_channel(mut self, provider: Arc<dyn ChannelProvider>) -> ServiceBuilder {
-        self.registry.register(provider);
-        self
-    }
-
-    /// Drops all registered channel providers (test hook for exercising
-    /// the unknown-channel path; a real deployment keeps the builtins).
-    pub fn clear_channels(mut self) -> ServiceBuilder {
-        self.registry = ChannelRegistry::empty();
-        self
-    }
-
     /// Adds a worker count whose partition/artifacts are staged at build
     /// time. May be called repeatedly; duplicates are fine (staging is
     /// idempotent).
@@ -184,7 +168,7 @@ impl ServiceBuilder {
             self.prewarm_trees.is_empty() || self.warm_pool.is_some_and(|w| w.max_trees > 0),
             "prewarm_tree requires an enabled warm_pool (max_trees >= 1)"
         );
-        let service = FsdService::assemble(self.dnn, self.cfg, self.registry, self.warm_pool);
+        let service = FsdService::assemble(self.dnn, self.cfg, self.warm_pool);
         for p in self.prewarm {
             service.prepare(p);
         }
@@ -226,10 +210,6 @@ mod tests {
         assert_eq!(service.config().seed, 9);
         assert_eq!(service.config().scheme, PartitionScheme::Block);
         assert_eq!(service.config().serial_memory_mb, 512);
-        assert_eq!(
-            service.channel_names(),
-            vec!["direct", "hybrid", "object", "queue"]
-        );
     }
 
     #[test]

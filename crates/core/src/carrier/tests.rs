@@ -3,14 +3,20 @@
 
 use super::{Carrier, Engine};
 use crate::channel::{barrier, reduce, ChannelOptions, FsiChannel, RecvTracker, Tag};
-use crate::provider::ChannelRegistry;
+use crate::engine::Variant;
+use crate::transport::Transport;
 use fsd_comm::{bucket_name, CloudConfig, CloudEnv, VirtualTime};
 use fsd_faas::{ComputeModel, FaasError, FaasPlatform, FunctionConfig, WorkerCtx};
 use fsd_sparse::SparseRows;
 use std::sync::Arc;
 use std::time::Duration;
 
-const TRANSPORTS: [&str; 4] = ["queue", "object", "hybrid", "direct"];
+const TRANSPORTS: [Variant; 4] = [
+    Variant::Queue,
+    Variant::Object,
+    Variant::Hybrid,
+    Variant::Direct,
+];
 
 /// Runs `body` inside one simulated worker invocation (flow 0).
 pub(super) fn with_ctx<T: Send + 'static>(
@@ -85,23 +91,22 @@ fn merged(blocks: Vec<(u32, SparseRows)>, width: usize) -> SparseRows {
 }
 
 fn provision(
-    name: &str,
+    variant: Variant,
     env: &Arc<CloudEnv>,
     n_workers: u32,
     opts: ChannelOptions,
     flow: u64,
 ) -> Arc<dyn FsiChannel> {
-    ChannelRegistry::with_builtins()
-        .get(name)
+    Transport::of(variant)
         .expect("built-in transport")
         .provision(env, n_workers, opts, flow)
 }
 
 #[test]
 fn send_receive_roundtrip() {
-    for (seed, name) in TRANSPORTS.into_iter().enumerate() {
+    for (seed, variant) in TRANSPORTS.into_iter().enumerate() {
         let env = CloudEnv::new(CloudConfig::deterministic(seed as u64 + 1));
-        let ch = provision(name, &env, 2, ChannelOptions::default(), 0);
+        let ch = provision(variant, &env, 2, ChannelOptions::default(), 0);
         let ch2 = ch.clone();
         let sent = rows(&[3, 8]);
         let sent2 = sent.clone();
@@ -112,17 +117,17 @@ fn send_receive_roundtrip() {
             let mut tracker = RecvTracker::expecting([0u32]);
             ch.receive_all(ctx, Tag::Layer(2), 1, &mut tracker)
         });
-        assert_eq!(got.len(), 1, "{name}");
-        assert_eq!(got[0].0, 0, "{name}");
-        assert_eq!(got[0].1, sent, "{name}");
+        assert_eq!(got.len(), 1, "{variant}");
+        assert_eq!(got[0].0, 0, "{variant}");
+        assert_eq!(got[0].1, sent, "{variant}");
     }
 }
 
 #[test]
 fn empty_send_completes_tracker_without_rows() {
-    for (seed, name) in TRANSPORTS.into_iter().enumerate() {
+    for (seed, variant) in TRANSPORTS.into_iter().enumerate() {
         let env = CloudEnv::new(CloudConfig::deterministic(seed as u64 + 11));
-        let ch = provision(name, &env, 2, ChannelOptions::default(), 0);
+        let ch = provision(variant, &env, 2, ChannelOptions::default(), 0);
         let ch2 = ch.clone();
         with_ctx(env.clone(), move |ctx| {
             ch2.send_layer(ctx, Tag::Layer(0), 0, &[(1, SparseRows::new(4))])
@@ -131,16 +136,16 @@ fn empty_send_completes_tracker_without_rows() {
             let mut tracker = RecvTracker::expecting([0u32]);
             ch.receive_all(ctx, Tag::Layer(0), 1, &mut tracker)
         });
-        assert!(got.is_empty(), "{name}");
-        assert_eq!(env.snapshot().direct_bytes, 0, "{name}: 0-byte marker");
+        assert!(got.is_empty(), "{variant}");
+        assert_eq!(env.snapshot().direct_bytes, 0, "{variant}: 0-byte marker");
     }
 }
 
 #[test]
 fn barrier_and_reduce_work_over_every_transport() {
-    for (seed, name) in TRANSPORTS.into_iter().enumerate() {
+    for (seed, variant) in TRANSPORTS.into_iter().enumerate() {
         let env = CloudEnv::new(CloudConfig::deterministic(seed as u64 + 21));
-        let ch = provision(name, &env, 3, ChannelOptions::default(), 0);
+        let ch = provision(variant, &env, 3, ChannelOptions::default(), 0);
         let platform = FaasPlatform::new(env, ComputeModel::default());
         let mut handles = Vec::new();
         for m in 0..3u32 {
@@ -160,8 +165,8 @@ fn barrier_and_reduce_work_over_every_transport() {
             .map(|h| h.join().expect("worker ok").0)
             .collect();
         let root = outs.iter().flatten().next().expect("root produced output");
-        assert_eq!(root.ids(), &[0, 10, 20], "{name}");
-        assert_eq!(outs.iter().filter(|o| o.is_some()).count(), 1, "{name}");
+        assert_eq!(root.ids(), &[0, 10, 20], "{variant}");
+        assert_eq!(outs.iter().filter(|o| o.is_some()).count(), 1, "{variant}");
     }
 }
 
@@ -171,7 +176,7 @@ fn scoped_flows_are_isolated() {
     // flows: each receiver sees only its own flow's payloads (large enough
     // to spill on the hybrid carrier), and teardown releases exactly that
     // flow's resources.
-    for (seed, name) in TRANSPORTS.into_iter().enumerate() {
+    for (seed, variant) in TRANSPORTS.into_iter().enumerate() {
         let env = CloudEnv::new(CloudConfig::deterministic(seed as u64 + 31));
         let opts = ChannelOptions {
             spill_threshold: 1024,
@@ -181,7 +186,7 @@ fn scoped_flows_are_isolated() {
         let flows: Vec<(Arc<dyn FsiChannel>, SparseRows)> = [(1, 8), (2, 12)]
             .into_iter()
             .map(|(flow, kib)| {
-                let ch = provision(name, &env, 2, opts, flow);
+                let ch = provision(variant, &env, 2, opts, flow);
                 let (ch2, sent) = (ch.clone(), big_rows(kib * 1024));
                 let sent2 = sent.clone();
                 with_ctx_in(env.clone(), flow, move |ctx| {
@@ -196,21 +201,21 @@ fn scoped_flows_are_isolated() {
                 let mut tracker = RecvTracker::expecting([0u32]);
                 ch.receive_all(ctx, Tag::Layer(0), 1, &mut tracker)
             });
-            assert_eq!(&merged(got, sent.width()), sent, "{name}: flow {flow}");
+            assert_eq!(&merged(got, sent.width()), sent, "{variant}: flow {flow}");
         }
         let (a, b) = (&flows[0].0, &flows[1].0);
 
         let queues = env.queue_count();
         a.teardown();
-        assert_eq!(env.queue_count(), queues / 2, "{name}");
+        assert_eq!(env.queue_count(), queues / 2, "{variant}");
         b.teardown();
-        assert_eq!(env.queue_count(), 0, "{name}");
+        assert_eq!(env.queue_count(), 0, "{variant}");
         for t in 0..env.pubsub().n_topics() {
-            assert_eq!(env.pubsub().subscription_count(t), 0, "{name}");
+            assert_eq!(env.pubsub().subscription_count(t), 0, "{variant}");
         }
-        assert_eq!(total_object_count(&env), 0, "{name}");
-        assert_eq!(env.direct().connection_count(), 0, "{name}");
-        assert_eq!(env.direct().undrained_frames(), 0, "{name}");
+        assert_eq!(total_object_count(&env), 0, "{variant}");
+        assert_eq!(env.direct().connection_count(), 0, "{variant}");
+        assert_eq!(env.direct().undrained_frames(), 0, "{variant}");
     }
 }
 
@@ -224,9 +229,9 @@ fn a_late_producer_thread_moves_no_bill_and_no_clock() {
     // meter. The lateness under test is real time, so a sleep makes it;
     // a receiver scheduled later still can only make the runs agree.
     const FLOW: u64 = 5;
-    let run = |name: &str, late: bool| {
+    let run = |variant: Variant, late: bool| {
         let env = CloudEnv::new(CloudConfig::deterministic(51));
-        let ch = provision(name, &env, 2, ChannelOptions::default(), FLOW);
+        let ch = provision(variant, &env, 2, ChannelOptions::default(), FLOW);
         let send = {
             let (env, ch) = (env.clone(), ch.clone());
             move || {
@@ -259,8 +264,8 @@ fn a_late_producer_thread_moves_no_bill_and_no_clock() {
         let meter = env.meter().flow_snapshot(FLOW);
         (received_at, ch.stats().snapshot(), meter)
     };
-    for name in TRANSPORTS {
-        assert_eq!(run(name, true), run(name, false), "{name}");
+    for variant in TRANSPORTS {
+        assert_eq!(run(variant, true), run(variant, false), "{variant}");
     }
 }
 
@@ -269,9 +274,9 @@ fn tags_that_do_not_fit_surface_as_comm_errors() {
     // The engine is the only place a tag is encoded: a round/batch past
     // the 16-bit field or a layer inside the control range must come back
     // from the channel as an error, not panic a worker or alias round 0.
-    for name in TRANSPORTS {
+    for variant in TRANSPORTS {
         let env = CloudEnv::new(CloudConfig::deterministic(41));
-        let ch = provision(name, &env, 2, ChannelOptions::default(), 0);
+        let ch = provision(variant, &env, 2, ChannelOptions::default(), 0);
         let (sent, received) = with_ctx(env, move |ctx| {
             let sent = ch.send_layer(ctx, Tag::Reduce(65_536), 1, &[(0, rows(&[1]))]);
             let mut tracker = RecvTracker::expecting([1u32]);
@@ -282,7 +287,7 @@ fn tags_that_do_not_fit_surface_as_comm_errors() {
             let err = res.expect_err("tag must not fit");
             assert!(
                 matches!(err, FaasError::Comm(ref f) if f.op == "tag"),
-                "{name}: {err}"
+                "{variant}: {err}"
             );
         }
     }

@@ -164,7 +164,7 @@ impl RecvTracker {
 
 /// A fully serverless point-to-point channel for FSI.
 ///
-/// Channels are **request-scoped**: [`crate::ChannelProvider`] builds one
+/// Channels are **request-scoped**: [`crate::Transport::provision`] builds one
 /// instance per inference flow, so client-side statistics and service
 /// resources (queues, subscriptions, object prefixes) belong to exactly one
 /// request and concurrent requests never share mutable channel state.

@@ -37,10 +37,10 @@ pub enum Variant {
 
 impl Variant {
     /// Every variant, in declaration order. Compile-time companion of the
-    /// enum: registry assembly ([`crate::provider::ChannelRegistry::with_builtins`])
-    /// and exhaustiveness-sensitive sweeps iterate this so their coverage
-    /// can never drift from the enum definition. Keep in sync when adding
-    /// a variant — the `variant-exhaustive` lint flags every match site.
+    /// enum: the channel-name inverse ([`Variant::from_channel_name`]) and
+    /// exhaustiveness-sensitive sweeps iterate this so their coverage can
+    /// never drift from the enum definition. Keep in sync when adding a
+    /// variant — the `variant-exhaustive` lint flags every match site.
     pub const ALL: [Variant; 6] = [
         Variant::Serial,
         Variant::Queue,
@@ -50,9 +50,10 @@ impl Variant {
         Variant::Auto,
     ];
 
-    /// The channel-provider name this variant runs on; `None` for variants
-    /// that use no communication channel (Serial) or that resolve into
-    /// another variant first (Auto).
+    /// The name of the channel this variant runs on — the one place
+    /// service names are written; `None` for variants that use no
+    /// communication channel (Serial) or that resolve into another variant
+    /// first (Auto).
     pub fn channel_name(self) -> Option<&'static str> {
         match self {
             Variant::Serial | Variant::Auto => None,
@@ -61,6 +62,13 @@ impl Variant {
             Variant::Hybrid => Some("hybrid"),
             Variant::Direct => Some("direct"),
         }
+    }
+
+    /// The variant whose [`Variant::channel_name`] is `name`.
+    pub fn from_channel_name(name: &str) -> Option<Variant> {
+        Variant::ALL
+            .into_iter()
+            .find(|v| v.channel_name() == Some(name))
     }
 }
 
@@ -275,16 +283,6 @@ impl InferenceReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn variant_channel_names() {
-        assert_eq!(Variant::Queue.channel_name(), Some("queue"));
-        assert_eq!(Variant::Object.channel_name(), Some("object"));
-        assert_eq!(Variant::Hybrid.channel_name(), Some("hybrid"));
-        assert_eq!(Variant::Direct.channel_name(), Some("direct"));
-        assert_eq!(Variant::Serial.channel_name(), None);
-        assert_eq!(Variant::Auto.channel_name(), None);
-    }
 
     #[test]
     fn variant_displays() {

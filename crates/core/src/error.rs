@@ -3,7 +3,7 @@
 //! Everything a request can die of is enumerated here: the two FaaS limits
 //! the paper designs against, structured communication failures (wrapping
 //! [`CommFailure`] rather than a formatted string), and the service-level
-//! conditions (empty request, unknown channel, missing output). Deep engine
+//! conditions (empty request, missing output, scheduler admission). Deep engine
 //! plumbing keeps using [`fsd_faas::FaasError`] — function bodies run under
 //! the FaaS platform and must speak its error type — and the service maps
 //! it at the boundary via `From`.
@@ -32,11 +32,6 @@ pub enum FsdError {
     Comm(CommFailure),
     /// The request carried no batches.
     EmptyRequest,
-    /// The requested variant has no registered channel provider.
-    UnknownChannel {
-        /// The provider name the variant resolved to.
-        name: String,
-    },
     /// The run completed but the root worker produced no final output
     /// (an engine invariant violation, surfaced instead of masked).
     MissingOutput,
@@ -78,9 +73,6 @@ impl std::fmt::Display for FsdError {
             }
             FsdError::Comm(failure) => write!(f, "communication failure: {failure}"),
             FsdError::EmptyRequest => write!(f, "request carried no batches"),
-            FsdError::UnknownChannel { name } => {
-                write!(f, "no channel provider registered under {name:?}")
-            }
             FsdError::MissingOutput => write!(f, "root worker returned no final output"),
             FsdError::NoWorkerReports => write!(f, "run produced no worker reports"),
             FsdError::Overloaded { retry_after } => {
@@ -156,11 +148,6 @@ mod tests {
     #[test]
     fn displays_are_informative() {
         assert!(FsdError::EmptyRequest.to_string().contains("no batches"));
-        assert!(FsdError::UnknownChannel {
-            name: "warp".into()
-        }
-        .to_string()
-        .contains("warp"));
         assert!(FsdError::MissingOutput
             .to_string()
             .contains("no final output"));

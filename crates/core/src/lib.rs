@@ -6,8 +6,8 @@
 //!   model parallelism over disconnected FaaS instances, with communication
 //!   overlapped against the local sparse product. The engine (pack → frame
 //!   → lane-send / drain → track → settle, behind [`FsiChannel`]) is written
-//!   once and runs over four carriers, selected by [`Variant`] through the
-//!   [`ChannelRegistry`]:
+//!   once and runs over four carriers, each [`Variant`] bound to its
+//!   carrier by one exhaustive match ([`Transport::of`]):
 //!   * **queue** — pub-sub + per-worker queues, byte-string chunking by NNZ
 //!     heuristic, ≤10-message/≤256 KiB publish batching, service-side
 //!     filter fan-out, long polling;
@@ -35,8 +35,7 @@
 //! path takes `&self`, so one `Arc<FsdService>` serves concurrent requests
 //! from many threads; per-request state (input keys, channels, queues,
 //! object prefixes) is namespaced by a flow id and torn down after each
-//! run. Channel backends plug in through [`ChannelProvider`] /
-//! [`ChannelRegistry`]. Errors are the structured [`FsdError`].
+//! run. Errors are the structured [`FsdError`].
 //!
 //! With [`ServiceBuilder::warm_pool`], launched worker trees stay parked
 //! between requests of the same `(variant, P, memory)` shape and matching
@@ -73,11 +72,11 @@ mod engine;
 mod error;
 mod health;
 mod pool;
-mod provider;
 mod recommend;
 mod retry;
 mod service;
 mod stats;
+mod transport;
 mod warm;
 mod weight_cache;
 mod weight_stream;
@@ -97,8 +96,8 @@ pub use engine::{
 pub use error::FsdError;
 pub use health::{BreakerState, HealthSnapshot, TransportHealthSnapshot};
 pub use pool::{WarmPoolConfig, WarmPoolStats};
-pub use provider::{ChannelProvider, ChannelRegistry};
 pub use retry::RetryPolicy;
+pub use transport::{ChannelRegistry, Transport};
 
 pub use recommend::{
     channel_variant, fits_instance, fits_single_instance, recommend_variant, Recommendation,

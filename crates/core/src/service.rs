@@ -12,8 +12,8 @@
 //!   channel state and nothing ever needs the old global
 //!   `env.reset_channels()` wipe (which was a shared-state bug under
 //!   concurrency);
-//! * channels are provisioned per request through the
-//!   [`ChannelRegistry`](crate::ChannelRegistry) and torn down once the
+//! * channels are provisioned per request by the variant's
+//!   [`Transport`](crate::Transport) and torn down once the
 //!   request's work item has run on its worker tree (after the tree's
 //!   instances are joined, if the item failed).
 //!
@@ -31,8 +31,8 @@ use crate::engine::{
 use crate::error::FsdError;
 use crate::health::{HealthBoard, HealthSnapshot};
 use crate::pool::{TreePool, WarmPoolConfig, WarmPoolStats};
-use crate::provider::{ChannelProvider, ChannelRegistry};
 use crate::recommend::{self, Recommendation, WorkloadProfile};
+use crate::transport::Transport;
 use crate::warm::{TreeKey, TreeParams, WorkItem, WorkerTree};
 use crate::weight_cache::WeightCache;
 use crate::worker::{run_serial, RunOutput, WorkspacePool};
@@ -94,7 +94,6 @@ pub struct FsdService {
     cfg: EngineConfig,
     cost: CostModel,
     model_key: String,
-    registry: ChannelRegistry,
     state: RwLock<StagedState>,
     /// Serializes offline staging so a (model, P) pair is partitioned and
     /// written exactly once; requests that find it staged never take this.
@@ -138,7 +137,6 @@ impl FsdService {
     pub(crate) fn assemble(
         dnn: Arc<SparseDnn>,
         cfg: EngineConfig,
-        registry: ChannelRegistry,
         warm: Option<WarmPoolConfig>,
     ) -> FsdService {
         let env = CloudEnv::new(cfg.cloud);
@@ -150,7 +148,6 @@ impl FsdService {
             cfg,
             cost: CostModel::default(),
             model_key: "model".to_string(),
-            registry,
             state: RwLock::new(StagedState::default()),
             stage_lock: Mutex::new(()),
             requests: AtomicU64::new(0),
@@ -181,11 +178,6 @@ impl FsdService {
     /// The configuration the service was built with.
     pub fn config(&self) -> &EngineConfig {
         &self.cfg
-    }
-
-    /// The channel providers this service can route to.
-    pub fn channel_names(&self) -> Vec<&'static str> {
-        self.registry.names()
     }
 
     /// Requests accepted so far (diagnostics).
@@ -482,16 +474,7 @@ impl FsdService {
         key: TreeKey,
         reqs: &[BatchedRequest],
     ) -> Vec<Result<InferenceReport, FsdError>> {
-        let name = key
-            .variant
-            .channel_name()
-            .expect("a tree shape's variant names a channel");
-        let Some(provider) = self.registry.get(name) else {
-            let unknown = || FsdError::UnknownChannel {
-                name: name.to_string(),
-            };
-            return reqs.iter().map(|_| Err(unknown())).collect();
-        };
+        let transport = Transport::of(key.variant).expect("a tree shape's variant has a transport");
         let p = key.workers;
         // Distributed paths read per-worker artifacts even when the tree
         // degenerates to one worker, so a partition is staged for any P.
@@ -501,7 +484,7 @@ impl FsdService {
         let mut tree: Option<WorkerTree> = None;
         for (i, req) in reqs.iter().enumerate() {
             let flow = self.stage_request(req, Some(&partition));
-            let ran = self.run_member(provider.as_ref(), key, req, flow, &mut tree);
+            let ran = self.run_member(transport, key, req, flow, &mut tree);
             let rest = &reqs[i + 1..];
             if let Some(tree) = tree.take_if(|_| rest.is_empty()) {
                 self.release_tree(tree, false);
@@ -529,7 +512,7 @@ impl FsdService {
     /// a torn-down channel.
     fn run_member(
         &self,
-        provider: &dyn ChannelProvider,
+        transport: Transport,
         key: TreeKey,
         req: &BatchedRequest,
         flow: u64,
@@ -546,7 +529,7 @@ impl FsdService {
                 slot.insert(self.new_tree(key, flow)?)
             }
         };
-        let channel = provider.provision(&self.env, key.workers, self.cfg.channel, flow);
+        let channel = transport.provision(&self.env, key.workers, self.cfg.channel, flow);
         // One control-plane hop routes a request into a resident tree.
         let dispatch_at =
             VirtualTime::from_micros(self.env.jitter().apply(self.env.latency().lambda_invoke_us));
@@ -737,12 +720,8 @@ impl FsdService {
     pub fn inject_fault(&self, fault: TargetedFault) -> bool {
         if let Some(spec) = fault.resource_contains.strip_prefix("warm:") {
             let mut parts = spec.split(':');
-            let variant = match parts.next() {
-                Some("queue") => Variant::Queue,
-                Some("object") => Variant::Object,
-                Some("hybrid") => Variant::Hybrid,
-                Some("direct") => Variant::Direct,
-                _ => return false,
+            let Some(variant) = parts.next().and_then(Variant::from_channel_name) else {
+                return false;
             };
             let (Some(workers), Some(memory_mb), Some(rank)) = (
                 parts.next().and_then(|s| s.parse::<u32>().ok()),
@@ -890,36 +869,6 @@ mod tests {
             batches: vec![],
         });
         assert_eq!(res.unwrap_err(), FsdError::EmptyRequest);
-    }
-
-    #[test]
-    fn unknown_channel_is_an_error() {
-        let spec = DnnSpec {
-            neurons: 48,
-            layers: 2,
-            nnz_per_row: 6,
-            bias: -0.25,
-            clip: 32.0,
-            seed: 2,
-        };
-        let dnn = Arc::new(generate_dnn(&spec));
-        let inputs = generate_inputs(spec.neurons, &InputSpec::scaled(6, 2));
-        let service = ServiceBuilder::new(dnn)
-            .deterministic(2)
-            .clear_channels()
-            .build();
-        let res = service.submit(&InferenceRequest {
-            variant: Variant::Queue,
-            workers: 2,
-            memory_mb: 1769,
-            inputs,
-        });
-        assert_eq!(
-            res.unwrap_err(),
-            FsdError::UnknownChannel {
-                name: "queue".into()
-            }
-        );
     }
 
     #[test]

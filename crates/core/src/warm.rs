@@ -237,7 +237,7 @@ fn serve_worker(
             params.branching,
         )
     } else {
-        load_worker_artifacts(ctx, &params.model_key, p, rank, layers)
+        load_worker_artifacts(ctx, &params.model_key, p, rank, layers, None)
     };
     let mut art = loaded.map_err(|e| shared.fail(rank, e))?;
 

@@ -11,48 +11,41 @@
 //! nothing reads or writes it, which keeps the committed non-streaming
 //! baselines bit-stable.
 //!
-//! Invalidation is generation-tagged: [`WeightCache::retire_generation`]
-//! bumps the live generation (every resident block becomes stale and
-//! invisible to lookups, and in-flight loads that started under the old
-//! generation can no longer insert), and [`WeightCache::purge_stale`]
-//! sweeps the stale blocks out. [`WeightCache::invalidate`] does both,
-//! and `FsdService::invalidate_warm_trees` wires it to the warm-pool
+//! [`WeightCache::invalidate`] bumps the generation and empties the map in
+//! one critical section, so a stale block is never resident; a load that
+//! started under the old generation loses its insert rights (it passes its
+//! starting generation back to [`WeightCache::insert_block`]), so a load
+//! straddling an invalidation cannot write stale blocks back.
+//! `FsdService::invalidate_warm_trees` wires it to the warm-pool
 //! generation bump — re-staged model weights must never be served from a
-//! stale cache, exactly as they must never be served by a stale warm
-//! tree. A retire *without* a purge leaves stale blocks resident; the
-//! residue audit ([`WeightCache::residue_report`]) flags them as leaks.
+//! stale cache, exactly as they must never be served by a stale warm tree.
 
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// The generation-tagged block map. Generation lives under the same lock
-/// as the blocks so an insert can never race an invalidation: a tag is
-/// compared and the map mutated in one critical section.
+/// The block map and its generation, under one lock so an insert can
+/// never race an invalidation: the generation is compared and the map
+/// mutated in one critical section.
 struct BlockMap {
     generation: u64,
-    blocks: HashMap<String, CachedBlock>,
-}
-
-struct CachedBlock {
-    body: Arc<[u8]>,
-    generation: u64,
+    blocks: HashMap<String, Arc<[u8]>>,
 }
 
 /// Counter snapshot of one [`WeightCache`] (diagnostics/tests/benches).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct WeightCacheStats {
-    /// Lookups served from a live (current-generation) block.
+    /// Lookups served from a resident block.
     pub hits: u64,
-    /// Lookups that found nothing live.
+    /// Lookups that found nothing resident.
     pub misses: u64,
     /// Blocks accepted by [`WeightCache::insert_block`].
     pub inserts: u64,
     /// Inserts rejected because their load began under a generation that
     /// was retired mid-load.
     pub stale_rejected: u64,
-    /// Blocks removed by [`WeightCache::evict_block`] or a stale sweep.
+    /// Blocks removed by [`WeightCache::evict_block`] or an invalidation.
     pub evicted: u64,
 }
 
@@ -96,16 +89,14 @@ impl WeightCache {
         self.map.lock().generation
     }
 
-    /// Looks `key` up, returning the block only if it is live (tagged with
-    /// the current generation). Counts a hit or a miss.
+    /// Looks `key` up. Counts a hit or a miss.
     pub fn lookup(&self, key: &str) -> Option<Arc<[u8]>> {
-        let map = self.map.lock();
-        match map.blocks.get(key) {
-            Some(block) if block.generation == map.generation => {
+        match self.map.lock().blocks.get(key) {
+            Some(body) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(block.body.clone())
+                Some(body.clone())
             }
-            _ => {
+            None => {
                 self.misses.fetch_add(1, Ordering::Relaxed);
                 None
             }
@@ -121,15 +112,13 @@ impl WeightCache {
             self.stale_rejected.fetch_add(1, Ordering::Relaxed);
             return false;
         }
-        map.blocks
-            .insert(key.to_string(), CachedBlock { body, generation });
+        map.blocks.insert(key.to_string(), body);
         self.inserts.fetch_add(1, Ordering::Relaxed);
         true
     }
 
-    /// Evicts one block regardless of generation (teardown twin of
-    /// [`WeightCache::insert_block`]). Returns whether a block was
-    /// resident.
+    /// Evicts one block (teardown twin of [`WeightCache::insert_block`]).
+    /// Returns whether a block was resident.
     pub fn evict_block(&self, key: &str) -> bool {
         let mut map = self.map.lock();
         let existed = map.blocks.remove(key).is_some();
@@ -139,36 +128,19 @@ impl WeightCache {
         existed
     }
 
-    /// Bumps the live generation: every resident block becomes stale
-    /// (invisible to lookups) and every in-flight load loses its insert
-    /// rights. Callers must follow with [`WeightCache::purge_stale`] —
-    /// the two are split so the residue audit can detect a retire whose
-    /// sweep was forgotten. Returns the new generation.
-    pub fn retire_generation(&self) -> u64 {
+    /// Bumps the generation — every in-flight load loses its insert
+    /// rights — and drops every resident block, in one critical section.
+    /// Returns how many blocks were dropped.
+    pub fn invalidate(&self) -> usize {
         let mut map = self.map.lock();
         map.generation += 1;
-        map.generation
-    }
-
-    /// Sweeps out every stale block. Returns how many were dropped.
-    pub fn purge_stale(&self) -> usize {
-        let mut map = self.map.lock();
-        let generation = map.generation;
-        let before = map.blocks.len();
-        map.blocks.retain(|_, b| b.generation == generation);
-        let dropped = before - map.blocks.len();
+        let dropped = map.blocks.len();
+        map.blocks.clear();
         self.evicted.fetch_add(dropped as u64, Ordering::Relaxed);
         dropped
     }
 
-    /// Full invalidation: retire the generation, then sweep. Returns how
-    /// many blocks were dropped.
-    pub fn invalidate(&self) -> usize {
-        self.retire_generation();
-        self.purge_stale()
-    }
-
-    /// Blocks currently resident (live and stale).
+    /// Blocks currently resident.
     pub fn len(&self) -> usize {
         self.map.lock().blocks.len()
     }
@@ -176,27 +148,6 @@ impl WeightCache {
     /// Whether the cache holds no blocks at all.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Leak audit: stale-generation blocks still resident, as
-    /// human-readable descriptions. Empty means clean — after an
-    /// [`WeightCache::invalidate`] nothing stale may linger; a non-empty
-    /// report means a retire ran without its sweep (or a block was planted
-    /// behind the cache's back).
-    pub fn residue_report(&self) -> Vec<String> {
-        let map = self.map.lock();
-        let generation = map.generation;
-        let mut stale: Vec<&String> = map
-            .blocks
-            .iter()
-            .filter(|(_, b)| b.generation != generation)
-            .map(|(k, _)| k)
-            .collect();
-        stale.sort();
-        stale
-            .into_iter()
-            .map(|k| format!("stale weight-cache block `{k}`"))
-            .collect()
     }
 
     /// Counter snapshot.
@@ -237,12 +188,12 @@ mod tests {
     }
 
     #[test]
-    fn invalidation_hides_and_sweeps_old_generations() {
+    fn invalidation_empties_the_cache() {
         let cache = WeightCache::new();
         let generation = cache.generation();
         assert!(cache.insert_block("k", body("old"), generation));
         assert_eq!(cache.invalidate(), 1);
-        assert!(cache.lookup("k").is_none(), "stale blocks never hit");
+        assert!(cache.lookup("k").is_none(), "invalidated blocks never hit");
         assert!(cache.is_empty());
         // The new generation serves fresh inserts normally.
         assert!(cache.insert_block("k", body("new"), cache.generation()));
@@ -260,19 +211,6 @@ mod tests {
         );
         assert!(cache.is_empty());
         assert_eq!(cache.stats().stale_rejected, 1);
-    }
-
-    #[test]
-    fn residue_audit_flags_retire_without_sweep() {
-        let cache = WeightCache::new();
-        assert!(cache.insert_block("model/p4/w1/L2", body("x"), cache.generation()));
-        assert!(cache.residue_report().is_empty());
-        cache.retire_generation();
-        let residue = cache.residue_report();
-        assert_eq!(residue.len(), 1);
-        assert!(residue[0].contains("model/p4/w1/L2"), "{residue:?}");
-        assert_eq!(cache.purge_stale(), 1);
-        assert!(cache.residue_report().is_empty());
     }
 
     #[test]
@@ -303,7 +241,6 @@ mod tests {
         }
         invalidator.join().expect("invalidator");
         cache.invalidate();
-        assert!(cache.is_empty(), "final invalidate leaves nothing live");
-        assert!(cache.residue_report().is_empty());
+        assert!(cache.is_empty(), "final invalidate leaves nothing resident");
     }
 }

@@ -38,15 +38,13 @@
 //! non-streaming path's.
 
 use crate::artifacts::{
-    assemble_streamed, fetch_encoded, worker_layer_key, worker_owned_key, worker_recv_key,
-    worker_send_key, StreamedArtifacts, StreamedPart, WorkerArtifacts, ARTIFACT_DECODE_BPS,
+    assemble_streamed, fetch_encoded, load_worker_artifacts, worker_layer_key, worker_owned_key,
+    worker_recv_key, worker_send_key, StreamedArtifacts, StreamedPart, WorkerArtifacts,
 };
 use crate::weight_cache::WeightCache;
-use crate::wire;
 use fsd_comm::{VClock, VirtualTime, WeightPayload};
 use fsd_faas::launch::{children_of, hop_toward};
 use fsd_faas::{FaasError, WorkerCtx};
-use fsd_sparse::ColMajorBlock;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -247,7 +245,7 @@ fn receive_load(
     env.weight_net().close_hop(flow, rank as usize);
     match drained? {
         Some(parts) => assemble_streamed(ctx, parts),
-        None => cached_fallback_load(ctx, cache, model_key, p, rank, n_layers),
+        None => load_worker_artifacts(ctx, model_key, p, rank, n_layers, Some(cache)),
     }
 }
 
@@ -348,84 +346,4 @@ fn drain_stream(
     // re-reads them for free).
     ctx.track_free(bytes);
     Ok(None)
-}
-
-/// Independent load used when the stream dies: identical decode/work/memory
-/// charges to [`crate::artifacts::load_worker_artifacts`], but each object
-/// is read through the shared cache first — blocks the dead stream's source
-/// already fetched cost no GET and no transfer wait.
-fn cached_fallback_load(
-    ctx: &mut WorkerCtx,
-    cache: &WeightCache,
-    model_key: &str,
-    p: u32,
-    m: u32,
-    n_layers: usize,
-) -> Result<WorkerArtifacts, FaasError> {
-    let mut n_gets = 0u64;
-    let owned_body = cached_fetch(ctx, cache, &worker_owned_key(model_key, p, m), &mut n_gets)?;
-    let owned =
-        wire::decode_ids(&owned_body).map_err(|e| FaasError::comm("decode", "owned ids", e))?;
-    let local_ids: Vec<u32> = (0..owned.len() as u32).collect();
-    let mut weights = Vec::with_capacity(n_layers);
-    let mut mem = owned.len() * 4;
-    for k in 0..n_layers {
-        let body = cached_fetch(
-            ctx,
-            cache,
-            &worker_layer_key(model_key, p, m, k),
-            &mut n_gets,
-        )?;
-        let sub = wire::decode_csr(&body)
-            .map_err(|e| FaasError::comm("decode", format!("layer {k}"), e))?;
-        let block = ColMajorBlock::from_layer(&sub, &local_ids);
-        ctx.charge_work(block.nnz() as u64 * 2); // transpose construction
-        mem += block.mem_bytes();
-        weights.push(crate::artifacts::LayerSlot::Ready(block));
-    }
-    let send_body = cached_fetch(ctx, cache, &worker_send_key(model_key, p, m), &mut n_gets)?;
-    let send =
-        wire::decode_maps(&send_body).map_err(|e| FaasError::comm("decode", "send maps", e))?;
-    let recv_body = cached_fetch(ctx, cache, &worker_recv_key(model_key, p, m), &mut n_gets)?;
-    let recv =
-        wire::decode_maps(&recv_body).map_err(|e| FaasError::comm("decode", "recv maps", e))?;
-    mem += send
-        .iter()
-        .chain(recv.iter())
-        .flatten()
-        .map(|(_, r)| 8 + r.len() * 4)
-        .sum::<usize>();
-    ctx.track_alloc(mem);
-    ctx.check_limits()?;
-    Ok(WorkerArtifacts {
-        owned,
-        weights,
-        send,
-        recv,
-        n_gets,
-        mem_bytes: mem,
-    })
-}
-
-/// Cache-first artifact read for the fallback path: a hit is resident
-/// memory (no GET, no transfer — only the decode the caller charges); a
-/// miss GETs on the worker's own clock and populates the cache, keeping
-/// the global exactly-once-GET invariant.
-fn cached_fetch(
-    ctx: &mut WorkerCtx,
-    cache: &WeightCache,
-    key: &str,
-    n_gets: &mut u64,
-) -> Result<Arc<[u8]>, FaasError> {
-    if let Some(body) = cache.lookup(key) {
-        ctx.charge_bytes(body.len() as u64, ARTIFACT_DECODE_BPS);
-        return Ok(body);
-    }
-    let env = ctx.env().clone();
-    let generation = cache.generation();
-    let body = fetch_encoded(&env, ctx.clock_mut(), key)?;
-    *n_gets += 1;
-    cache.insert_block(key, body.clone(), generation);
-    ctx.charge_bytes(body.len() as u64, ARTIFACT_DECODE_BPS);
-    Ok(body)
 }

@@ -202,12 +202,13 @@ impl BatchingConfig {
 
     /// Sets the maximum coalition size (clamped to ≥ 1).
     pub fn max_batch(mut self, max_batch: usize) -> BatchingConfig {
-        self.max_batch = max_batch.max(1);
+        self.max_batch = max_batch;
         self
     }
 }
 
-/// Scheduler tuning knobs.
+/// Scheduler tuning knobs. [`SchedulerBuilder::build`] clamps every count
+/// and weight to ≥ 1, however it was set.
 #[derive(Debug, Clone, Copy)]
 pub struct SchedulerConfig {
     /// Maximum concurrently executing requests across all models.
@@ -254,26 +255,26 @@ impl Default for SchedulerConfig {
 impl SchedulerConfig {
     /// Sets the global in-flight cap.
     pub fn global_cap(mut self, cap: usize) -> SchedulerConfig {
-        self.global_cap = cap.max(1);
+        self.global_cap = cap;
         self
     }
 
     /// Sets the per-class queue bound. Clamped to ≥ 1 (a zero-capacity
     /// queue would reject every request, even on an idle scheduler).
     pub fn queue_capacity(mut self, cap: usize) -> SchedulerConfig {
-        self.queue_capacity = cap.max(1);
+        self.queue_capacity = cap;
         self
     }
 
     /// Sets the weighted-FIFO shares (Interactive, Batch).
     pub fn weights(mut self, interactive: u32, batch: u32) -> SchedulerConfig {
-        self.weights = [interactive.max(1), batch.max(1)];
+        self.weights = [interactive, batch];
         self
     }
 
     /// Sets the worker count used for §IV-C cap derivation.
     pub fn typical_workers(mut self, p: u32) -> SchedulerConfig {
-        self.typical_workers = p.max(1);
+        self.typical_workers = p;
         self
     }
 
@@ -756,7 +757,7 @@ impl SchedulerCore {
         } else {
             DEFAULT_LATENCY_US
         };
-        let waves = (backlog as f64 / self.cfg.global_cap.max(1) as f64).ceil();
+        let waves = (backlog as f64 / self.cfg.global_cap as f64).ceil();
         let seed = self.models[0].service.env().config().seed;
         let draw = state.stats.total_rejected();
         let unit = fsd_comm::unit_from(fsd_comm::mix64(
@@ -801,7 +802,7 @@ impl SchedulerCore {
             let mut round_weight = 0i64;
             for (i, &is_backlogged) in backlogged.iter().enumerate() {
                 if is_backlogged {
-                    let w = self.cfg.weights[i].max(1) as i64;
+                    let w = self.cfg.weights[i] as i64;
                     state.credits[i] += w;
                     round_weight += w;
                 }
@@ -826,10 +827,9 @@ impl SchedulerCore {
                 if let (Some(key), false) = (group[0].shape, interactive_waiting) {
                     let head_arrival = group[0].arrival.as_micros();
                     let window = batching.window.as_micros();
-                    let max_batch = batching.max_batch.max(1);
                     let queue = &mut state.queues[winner];
                     let mut i = 0;
-                    while i < queue.len() && group.len() < max_batch {
+                    while i < queue.len() && group.len() < batching.max_batch {
                         let member = &queue[i];
                         let joins = member.ticket.model == model
                             && member.shape == Some(key)
@@ -1011,7 +1011,10 @@ impl SchedulerBuilder {
         self
     }
 
-    /// Assembles the scheduler.
+    /// Assembles the scheduler. Every count and weight of the
+    /// configuration is clamped to ≥ 1 here, once — whether it came from a
+    /// setter or a struct literal — since a zero cap or queue bound would
+    /// admit nothing and a zero weight would starve its class.
     ///
     /// # Panics
     /// If no model was registered or a name repeats.
@@ -1020,7 +1023,18 @@ impl SchedulerBuilder {
             !self.models.is_empty(),
             "scheduler needs at least one registered model"
         );
-        let typical = self.cfg.typical_workers;
+        let cfg = SchedulerConfig {
+            global_cap: self.cfg.global_cap.max(1),
+            queue_capacity: self.cfg.queue_capacity.max(1),
+            weights: self.cfg.weights.map(|w| w.max(1)),
+            typical_workers: self.cfg.typical_workers.max(1),
+            batching: self.cfg.batching.map(|b| BatchingConfig {
+                max_batch: b.max_batch.max(1),
+                ..b
+            }),
+            ..self.cfg
+        };
+        let typical = cfg.typical_workers;
         let mut models = Vec::with_capacity(self.models.len());
         let mut by_name = HashMap::new();
         for (name, service, cap) in self.models {
@@ -1034,7 +1048,7 @@ impl SchedulerBuilder {
         let predictors = models
             .iter()
             .map(|m| {
-                self.cfg.predictor.map(|pc| {
+                cfg.predictor.map(|pc| {
                     assert!(
                         m.service.warm_pool_stats().is_some(),
                         "predictive pre-warming requires model {:?} to have a \
@@ -1047,7 +1061,7 @@ impl SchedulerBuilder {
             .collect();
         Scheduler {
             core: Arc::new(SchedulerCore {
-                cfg: self.cfg,
+                cfg,
                 models,
                 by_name,
                 predictors,
@@ -1394,6 +1408,46 @@ mod tests {
         assert_eq!(stats.completed, 1);
         assert_eq!(stats.total_admitted(), 1);
         assert_eq!(stats.inflight, 0);
+    }
+
+    #[test]
+    fn a_zeroed_config_still_serves() {
+        // Public fields bypass the setters, so zeros set by struct literal
+        // must be clamped at build: a zero global cap admits nothing (the
+        // untimed wait would hang), a zero queue bound rejects everything.
+        let zeroed_admission = SchedulerConfig {
+            global_cap: 0,
+            weights: [0, 0],
+            typical_workers: 0,
+            batching: Some(BatchingConfig {
+                max_batch: 0,
+                ..BatchingConfig::default()
+            }),
+            ..SchedulerConfig::default()
+        };
+        let zeroed_queue = SchedulerConfig {
+            queue_capacity: 0,
+            ..SchedulerConfig::default()
+        };
+        for cfg in [zeroed_admission, zeroed_queue] {
+            let (svc, inputs, expected) = service(6);
+            let sched = Scheduler::wrap(svc, cfg);
+            let (tx, rx) = std::sync::mpsc::channel();
+            let client = sched.clone();
+            let submitter = std::thread::spawn(move || {
+                let served = client
+                    .enqueue_default(Priority::Interactive, request(&inputs, Variant::Serial, 1))
+                    .and_then(Ticket::wait);
+                let _ = tx.send(served);
+            });
+            let report = rx
+                .recv_timeout(std::time::Duration::from_secs(30))
+                .unwrap_or_else(|_| panic!("{cfg:?} never served its request"))
+                .expect("runs");
+            submitter.join().expect("submitter thread");
+            assert_eq!(report.first_output(), &expected);
+            assert_eq!(sched.global_cap(), cfg.global_cap.max(1));
+        }
     }
 
     #[test]

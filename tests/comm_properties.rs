@@ -5,7 +5,7 @@
 use fsd_inference::comm::{
     bucket_name, quota, CloudConfig, CloudEnv, Message, MessageAttributes, VClock, VirtualTime,
 };
-use fsd_inference::core::{ChannelOptions, ChannelRegistry, RecvTracker, Tag};
+use fsd_inference::core::{ChannelOptions, RecvTracker, Tag, Transport};
 use fsd_inference::faas::{ComputeModel, FaasError, FaasPlatform, FunctionConfig, WorkerCtx};
 use fsd_inference::sparse::SparseRows;
 use proptest::prelude::*;
@@ -153,9 +153,8 @@ proptest! {
         // carried them.
         let env = CloudEnv::new(CloudConfig::deterministic(seed));
         let variant = common::test_variant();
-        let channel = ChannelRegistry::with_builtins()
-            .get(variant.channel_name().expect("channel variant"))
-            .expect("builtin provider")
+        let channel = Transport::of(variant)
+            .expect("channel variant")
             .provision(&env, 2, ChannelOptions { spill_threshold: 512, ..ChannelOptions::default() }, 0);
         let mut sent = SparseRows::new(64);
         for (pos, &(id_off, nnz)) in rows.iter().enumerate() {

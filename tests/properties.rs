@@ -4,7 +4,7 @@
 //! arbitrary models/batches/parallelism.
 
 use fsd_inference::core::wire;
-use fsd_inference::core::{ChannelOptions, ChannelRegistry, RecvTracker, Tag};
+use fsd_inference::core::{ChannelOptions, RecvTracker, Tag, Transport, Variant};
 use fsd_inference::model::{generate_dnn, generate_inputs, DnnSpec, InputSpec};
 use fsd_inference::partition::{partition_model, CommPlan, Hypergraph, PartitionScheme};
 use fsd_inference::sparse::{codec, compress, CsrMatrix, SparseRows};
@@ -234,9 +234,8 @@ proptest! {
         for (threshold, spills) in [(wire, false), (wire + 1, false), (wire / 8, true), (0, true)] {
             let env = CloudEnv::new(CloudConfig::deterministic(seed));
             let opts = ChannelOptions { spill_threshold: threshold, ..ChannelOptions::default() };
-            let registry = ChannelRegistry::with_builtins();
-            let queue = registry.get("queue").expect("queue").provision(&env, 2, opts, 1);
-            let hybrid = registry.get("hybrid").expect("hybrid").provision(&env, 2, opts, 2);
+            let queue = Transport::of(Variant::Queue).expect("queue").provision(&env, 2, opts, 1);
+            let hybrid = Transport::of(Variant::Hybrid).expect("hybrid").provision(&env, 2, opts, 2);
             let (q2, h2) = (queue.clone(), hybrid.clone());
             let (block_q, block_h) = (block.clone(), block.clone());
             with_worker_ctx(env.clone(), move |ctx| {
