@@ -18,7 +18,7 @@
 //! | `no-unwrap` | no `.unwrap()`, bare/undocumented `.expect(..)`, `panic!`, `unreachable!`, `todo!`, `unimplemented!` in non-test library code |
 //! | `lock-across-blocking` | a live `.lock()` guard must not be held across `.wait*(`/`.recv*(`/`sleep(` (condvar waits that consume the guard are recognized and allowed) |
 //! | `retry-idempotent` | a `RetryPolicy` `.run(..)` closure — or one handed to the channel engine's `.retried(..)` wrapper around it — must not call non-idempotent channel ops (`take_visible`, `settle_receives`, `enqueue`) — a retried attempt repeats its calls, so only idempotent ops may sit inside one |
-//! | `real-wait` | in non-test `crates/{comm,core,faas,sched}/src`, real time (`wait_for(`, `wait_until(`, `sleep(`, `Instant::now`) appears only in `comm/src/mailbox.rs` — the one producer-grace wait; everything else settles from virtual stamps or waits untimed for a notify |
+//! | `real-wait` | in non-test `crates/{comm,core,faas,sched}/src`, real time (`wait_for(`, `wait_until(`, `sleep(`, `Instant::now`) never appears — every effect settles from virtual stamps and every wait is untimed, ended by a notify (a raw receive's by its producer's post or its tree's poison) |
 //!
 //! Escape hatch: a comment containing `fsd_lint::allow(lint-name)` (optionally
 //! a comma-separated list, optionally followed by `: reason`) suppresses those
@@ -48,7 +48,7 @@ pub const LINT_LOCK_BLOCKING: &str = "lock-across-blocking";
 pub const LINT_RETRY_IDEMPOTENT: &str = "retry-idempotent";
 
 /// Lint name: real-time wait or clock read in the comm, core, faas or sched
-/// crates outside `comm/src/mailbox.rs`.
+/// crates.
 pub const LINT_REAL_TIME: &str = "real-wait";
 
 /// Every lint this binary knows about, in diagnostic-name form.
@@ -1079,17 +1079,17 @@ fn lint_retry_idempotent(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
 /// Lint 8: `real-wait`.
 ///
 /// The simulated services settle every virtual effect from stamps, and
-/// every other wait blocks untimed until the state change it waits for is
-/// notified; real time enters only through the producer-grace wait in
-/// `comm/src/mailbox.rs`. A real-time wait or clock read anywhere else in
-/// the comm, core, faas or sched crates would make a result depend on
-/// thread timing again, or hide a missed notify behind a poll.
+/// every wait blocks untimed until the state change it waits for is
+/// notified — a raw receive until its producer posts or its tree's poison
+/// wakes it. A real-time wait or clock read anywhere in the comm, core,
+/// faas or sched crates would make a result depend on thread timing
+/// again, or hide a missed notify behind a poll.
 fn lint_real_wait(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
     let path = &ctx.cfg.path;
     let scoped = ["comm", "core", "faas", "sched"]
         .iter()
         .any(|c| path.starts_with(&format!("crates/{c}/src/")));
-    if !scoped || path == "crates/comm/src/mailbox.rs" {
+    if !scoped {
         return;
     }
     let toks = ctx.toks;
@@ -1110,7 +1110,7 @@ fn lint_real_wait(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
                 t.line,
                 LINT_REAL_TIME,
                 format!(
-                    "real time (`{}`) outside comm/src/mailbox.rs; settle timing from virtual stamps and wait untimed for a notify",
+                    "real time (`{}`) in the serving stack; settle timing from virtual stamps and wait untimed for a notify",
                     t.text
                 ),
             );

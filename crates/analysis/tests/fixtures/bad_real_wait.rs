@@ -1,5 +1,5 @@
-fn bad_second_grace(cond: &Condvar, guard: &mut MutexGuard<'_, State>) {
-    // A private real-time wait next to the shared one.
+fn bad_grace(cond: &Condvar, guard: &mut MutexGuard<'_, State>) {
+    // A real-time wait where an untimed one belongs.
     cond.wait_for(guard, Duration::from_millis(2));
 }
 

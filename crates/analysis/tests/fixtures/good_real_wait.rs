@@ -1,7 +1,7 @@
 use std::time::Instant;
 
 fn good_take(&self, max: usize) -> Vec<QueuedMessage> {
-    // The one real-time wait is the shared producer grace.
+    // The shared fabric wait is untimed: a post or an abort ends it.
     let mut visible = self.visible.lock();
     wait_for_producers(&self.cond, &mut visible, |q| !q.is_empty());
     let n = max.min(visible.len());

@@ -14,7 +14,7 @@
 //! The punch is the only step the fault plane intercepts
 //! ([`ApiClass::DirectPunch`]); established connections never drop
 //! in-model. Frames are stamped with the sender's virtual clock; the
-//! receive path is the crate's one protocol — a free real-time-grace
+//! receive path is the crate's one protocol — a free, untimed
 //! [`DirectNet::fetch`] from the shared `crate::mailbox`, then
 //! [`DirectNet::settle_recv`] joins the receiver's clock against the
 //! stamps — so billing (here: byte/message accounting only) and timing
@@ -121,13 +121,18 @@ impl DirectNet {
         Ok(())
     }
 
-    /// Raw mailbox read for the deterministic receive path: blocks briefly
-    /// in *real* time while no more than `known` frames sit under
-    /// `(flow, dst, tag)`, then returns every frame — **no clock movement,
-    /// no visibility filter**. The caller later settles timing from the
+    /// Raw mailbox read for the deterministic receive path: waits while no
+    /// more than `known` frames sit under `(flow, dst, tag)` and the caller
+    /// is not aborted, then returns every frame — **no clock movement, no
+    /// visibility filter**. The caller later settles timing from the
     /// stamps with [`DirectNet::settle_recv`].
     pub fn fetch(&self, flow: u64, dst: usize, tag: &str, known: usize) -> Vec<DirectFrame> {
         self.mailboxes.fetch(&(flow, dst, tag.to_string()), known)
+    }
+
+    /// Wakes every receiver parked in [`DirectNet::fetch`].
+    pub(crate) fn wake_receivers(&self) {
+        self.mailboxes.wake_receivers();
     }
 
     /// Joins the receiver's clock against frame stamps: a blocked receiver
@@ -175,6 +180,7 @@ impl DirectNet {
 mod tests {
     use super::*;
     use crate::fault::TargetedFault;
+    use crate::mailbox::on_aborted_thread;
 
     fn net() -> DirectNet {
         DirectNet::new(Region::deterministic())
@@ -238,10 +244,11 @@ mod tests {
         assert_eq!(n.region.meter.snapshot().direct_punches, 1);
         n.send(&mut clock, 2, 1, "L1", &b"y"[..]).expect("send");
         assert_eq!(n.region.meter.snapshot().direct_punches, 2);
-        // Mailboxes are keyed by (flow, receiver, tag).
+        // Mailboxes are keyed by (flow, receiver, tag); an aborted receiver
+        // gets another flow's box back empty instead of waiting on it.
         assert_eq!(n.fetch(4, 2, "L0", 0).len(), 1);
         assert_eq!(n.fetch(4, 1, "L1", 0).len(), 1);
-        assert!(n.fetch(5, 2, "L0", 0).is_empty());
+        assert!(on_aborted_thread(|| n.fetch(5, 2, "L0", 0)).is_empty());
     }
 
     #[test]

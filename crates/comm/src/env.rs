@@ -208,6 +208,21 @@ impl CloudEnv {
         self.queues.lock().len()
     }
 
+    /// Wakes every receiver parked in a raw receive of the region — on
+    /// every live queue, the object store and both mailboxes — so that one
+    /// whose abort flag is raised ([`crate::install_abort`]) returns. Call
+    /// it after raising a flag: a receiver whose producer died has nothing
+    /// else to wake it.
+    pub fn wake_receivers(&self) {
+        let queues: Vec<Arc<SqsQueue>> = self.queues.lock().values().cloned().collect();
+        for queue in queues {
+            queue.wake_receivers();
+        }
+        self.store.wake_receivers();
+        self.direct.wake_receivers();
+        self.weights.wake_receivers();
+    }
+
     /// Leak audit: everything per-request still alive in the region, as
     /// human-readable descriptions. Empty means clean.
     ///
@@ -287,6 +302,8 @@ pub fn bucket_name(i: usize) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::time::Duration;
 
     #[test]
     fn env_precreates_buckets_and_topics() {
@@ -334,6 +351,55 @@ mod tests {
         env.reset_channels();
         assert_eq!(q.visible_len(), 0);
         assert_eq!(env.object_store().object_count(&bucket_name(0)), 0);
+    }
+
+    #[test]
+    fn raising_the_flag_and_waking_returns_every_parked_receiver_empty() {
+        type Take = Box<dyn FnOnce(&CloudEnv) -> usize + Send>;
+        let env = CloudEnv::new(CloudConfig::deterministic(1));
+        let queue = env.queue("w");
+        let takes: [(&str, Take); 4] = [
+            (
+                "queue take",
+                Box::new(move |_| queue.take_visible(10).len()),
+            ),
+            (
+                "object scan",
+                Box::new(|env| {
+                    let store = env.object_store();
+                    store
+                        .scan_keys(&bucket_name(0), "none/", 0)
+                        .expect("bucket")
+                        .len()
+                }),
+            ),
+            (
+                "direct fetch",
+                Box::new(|env| env.direct().fetch(1, 0, "L0", 0).len()),
+            ),
+            (
+                "weight fetch",
+                Box::new(|env| env.weight_net().fetch(1, 0, 0).len()),
+            ),
+        ];
+        for (fabric, take) in takes {
+            let flag = Arc::new(AtomicBool::new(false));
+            let receiver = {
+                let (env, flag) = (env.clone(), flag.clone());
+                std::thread::spawn(move || {
+                    crate::install_abort(flag);
+                    take(&env)
+                })
+            };
+            // Parked or not yet started, the receiver must come back; the
+            // pause only lets the assert catch one that did not wait.
+            std::thread::sleep(Duration::from_millis(50));
+            assert!(!receiver.is_finished(), "{fabric}: nothing to take parks");
+            flag.store(true, Ordering::Release);
+            env.wake_receivers();
+            assert_eq!(receiver.join().expect(fabric), 0, "{fabric}");
+        }
+        assert_eq!(env.snapshot(), MeterSnapshot::default(), "no bills");
     }
 
     #[test]

@@ -16,8 +16,11 @@
 //! **One receive protocol: raw take → settle from stamps.** Every fabric
 //! receives in two steps. The *take* ([`SqsQueue::take_visible`],
 //! [`ObjectStore::scan_keys`], [`DirectNet::fetch`], [`WeightNet::fetch`])
-//! waits a short real-time grace for producer threads and hands back
-//! stamped payloads — no billing, no clock movement, no visibility filter.
+//! waits, untimed, for producer threads and hands back stamped payloads —
+//! no billing, no clock movement, no visibility filter. Only an abort ends
+//! the wait early: a function instance installs its tree's poison flag
+//! ([`install_abort`]), and whoever raises it calls
+//! [`CloudEnv::wake_receivers`].
 //! The *settle* ([`SqsQueue::settle_receives`],
 //! [`ObjectStore::settle_scans`], [`DirectNet::settle_recv`]) then
 //! reconstructs, from the stamps alone, the call sequence the paper's
@@ -59,6 +62,7 @@ pub use fault::{
     TargetedFault,
 };
 pub use latency::{Jitter, LatencyModel};
+pub use mailbox::install_abort;
 pub use message::{quota, CommError, Message, MessageAttributes, QueuedMessage};
 pub use meter::{MeterSnapshot, ServiceMeter};
 pub use object::ObjectStore;

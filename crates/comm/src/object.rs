@@ -17,11 +17,12 @@
 
 use crate::env::Region;
 use crate::fault::ApiClass;
-use crate::mailbox::wait_for_producers;
+use crate::mailbox::{wait_for_producers, wake_parked};
 use crate::message::CommError;
 use crate::time::{VClock, VirtualTime};
 use parking_lot::{Condvar, Mutex};
 use std::collections::{BTreeMap, HashMap};
+use std::ops::Bound;
 use std::sync::Arc;
 
 #[derive(Clone)]
@@ -163,40 +164,43 @@ impl ObjectStore {
             .elapse(clock, self.region.latency.s3_get_total_us(bytes));
     }
 
-    /// Raw scan for the deterministic channel receive path: blocks briefly
-    /// in *real* time while no more than `known` keys match, then returns
-    /// every matching `(key, availability stamp)` — **no billing, no clock
-    /// movement, no visibility filter**. The caller later reconstructs the
-    /// billed continuous-rescan sequence from the stamps with
-    /// [`ObjectStore::settle_scans`], decoupling billing and timing from
-    /// real-thread scheduling.
+    /// Raw scan for the deterministic channel receive path: waits while no
+    /// more than `known` keys match, the bucket exists and the caller is
+    /// not aborted, then returns every matching `(key, availability
+    /// stamp)` — **no billing, no clock movement, no visibility filter** —
+    /// or no-such-bucket if the bucket is gone. The caller later
+    /// reconstructs the billed continuous-rescan sequence from the stamps
+    /// with [`ObjectStore::settle_scans`], decoupling billing and timing
+    /// from real-thread scheduling.
     pub fn scan_keys(
         &self,
         bucket: &str,
         prefix: &str,
         known: usize,
     ) -> Result<Vec<(String, VirtualTime)>, CommError> {
-        let mut buckets = self.buckets.lock();
-        if !buckets.contains_key(bucket) {
-            return Err(no_such_bucket(bucket));
-        }
         fn under<'a>(
-            buckets: &'a Buckets,
-            bucket: &str,
+            keys: &'a BTreeMap<String, StoredObject>,
             prefix: &'a str,
         ) -> impl Iterator<Item = (&'a String, &'a StoredObject)> {
-            let keys = buckets.get(bucket).into_iter();
-            keys.flat_map(move |b| {
-                b.range(prefix.to_string()..)
-                    .take_while(move |(k, _)| k.starts_with(prefix))
-            })
+            keys.range::<str, _>((Bound::Included(prefix), Bound::Unbounded))
+                .take_while(move |(k, _)| k.starts_with(prefix))
         }
+        let mut buckets = self.buckets.lock();
+        // Every PUT wakes every parked scanner: count no further than the
+        // one key past `known` that ends the wait.
         wait_for_producers(&self.cond, &mut buckets, |b| {
-            under(b, bucket, prefix).count() > known
+            b.get(bucket)
+                .is_none_or(|keys| under(keys, prefix).nth(known).is_some())
         });
-        Ok(under(&buckets, bucket, prefix)
+        let keys = buckets.get(bucket).ok_or_else(|| no_such_bucket(bucket))?;
+        Ok(under(keys, prefix)
             .map(|(k, o)| (k.clone(), o.available_at))
             .collect())
+    }
+
+    /// Wakes every receiver parked in [`ObjectStore::scan_keys`].
+    pub(crate) fn wake_receivers(&self) {
+        wake_parked(&self.buckets, &self.cond);
     }
 
     /// Bills one LIST round trip: each scan of
@@ -289,6 +293,7 @@ fn no_such_bucket(bucket: &str) -> CommError {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mailbox::on_aborted_thread;
 
     fn store() -> ObjectStore {
         ObjectStore::new(Region::deterministic())
@@ -327,6 +332,23 @@ mod tests {
         ));
         assert!(matches!(
             s.scan_keys("ghost", "", 0),
+            Err(CommError::NoSuchBucket { .. })
+        ));
+    }
+
+    #[test]
+    fn removing_the_bucket_ends_a_parked_scan_with_no_such_bucket() {
+        let s = Arc::new(store());
+        s.create_bucket("b");
+        let scanner = {
+            let s = s.clone();
+            std::thread::spawn(move || s.scan_keys("b", "k/", 0))
+        };
+        // Parked or not yet started, the scanner must end with the error.
+        std::thread::sleep(std::time::Duration::from_millis(50));
+        s.remove_bucket("b");
+        assert!(matches!(
+            scanner.join().expect("scanner"),
             Err(CommError::NoSuchBucket { .. })
         ));
     }
@@ -465,13 +487,18 @@ mod tests {
     }
 
     #[test]
-    fn drought_scans_nothing_and_empty_scan_bills_one_list() {
+    fn aborted_scan_returns_what_is_there_and_empty_scan_bills_one_list() {
         let s = store();
         s.create_bucket("b");
+        let mut writer = VClock::default();
+        s.put("b", "some/k", &b"x"[..], &mut writer).expect("put");
         let mut reader = VClock::default();
-        // No producer within the real-time grace: the scan moves no clock
-        // and bills nothing. One LIST bills one call and its round trip.
-        assert!(s.scan_keys("b", "none/", 0).expect("scan").is_empty());
+        // An aborted receiver does not wait: it scans what is there, moves
+        // no clock and bills nothing. One LIST bills one call and its
+        // round trip.
+        let scan = |prefix| on_aborted_thread(|| s.scan_keys("b", prefix, 0).expect("scan"));
+        assert!(scan("none/").is_empty());
+        assert_eq!(scan("some/").len(), 1);
         assert_eq!(reader.now(), VirtualTime::ZERO);
         assert_eq!(s.region.meter.snapshot().s3_list_requests, 0);
         s.empty_scan(&mut reader);

@@ -21,7 +21,7 @@
 
 use crate::env::Region;
 use crate::fault::ApiClass;
-use crate::mailbox::wait_for_producers;
+use crate::mailbox::{wait_for_producers, wake_parked};
 use crate::message::{quota, Message, QueuedMessage};
 use crate::time::{VClock, VirtualTime};
 use parking_lot::{Condvar, Mutex};
@@ -74,10 +74,10 @@ impl SqsQueue {
     }
 
     /// Raw destructive take for the deterministic channel receive path:
-    /// blocks briefly in *real* time for producers, then removes and
-    /// returns up to `max` visible messages in FIFO order — **no billing,
-    /// no clock movement**. The caller later reconstructs the billed
-    /// long-poll sequence from the returned availability stamps with
+    /// waits until a message is visible or the caller is aborted, then
+    /// removes and returns up to `max` visible messages in FIFO order —
+    /// **no billing, no clock movement**. The caller later reconstructs the
+    /// billed long-poll sequence from the returned availability stamps with
     /// [`SqsQueue::settle_receives`], which is what decouples billing and
     /// timing from real-thread batching entirely.
     pub fn take_visible(&self, max: usize) -> Vec<QueuedMessage> {
@@ -85,6 +85,11 @@ impl SqsQueue {
         wait_for_producers(&self.cond, &mut visible, |q| !q.is_empty());
         let n = max.min(visible.len());
         visible.drain(..n).collect()
+    }
+
+    /// Wakes every receiver parked in [`SqsQueue::take_visible`].
+    pub(crate) fn wake_receivers(&self) {
+        wake_parked(&self.visible, &self.cond);
     }
 
     /// Bills one SQS round trip of `rtt_us`: a receive that came back
@@ -192,6 +197,7 @@ impl SqsQueue {
 mod tests {
     use super::*;
     use crate::fault::TargetedFault;
+    use crate::mailbox::on_aborted_thread;
     use crate::message::MessageAttributes;
     use std::sync::Arc;
 
@@ -252,17 +258,12 @@ mod tests {
     fn blocked_take_wakes_on_enqueue() {
         let q = Arc::new(queue());
         let q2 = q.clone();
-        let t = std::thread::spawn(move || {
-            // Take until the message arrives (bounded by the test harness).
-            for _ in 0..10_000 {
-                if let Some(m) = q2.take_visible(1).pop() {
-                    return m.message.body;
-                }
-            }
-            Vec::new()
-        });
+        // One take waits for the message, however late it is enqueued.
+        let t = std::thread::spawn(move || q2.take_visible(1));
         q.enqueue(VirtualTime::from_micros(10), msg(3, b"wake"));
-        assert_eq!(t.join().expect("join"), b"wake");
+        let got = t.join().expect("join");
+        assert_eq!(got.len(), 1);
+        assert_eq!(got[0].message.body, b"wake");
     }
 
     #[test]
@@ -321,13 +322,16 @@ mod tests {
     }
 
     #[test]
-    fn drought_takes_nothing_and_empty_poll_bills_one_wait() {
+    fn aborted_take_returns_what_is_there_and_empty_poll_bills_one_wait() {
         let q = queue();
         let mut clock = VClock::default();
-        // No producer within the real-time grace: the take moves no clock
-        // and bills nothing. An empty poll (the settle's timeout round)
-        // bills one call and the full wait.
-        assert!(q.take_visible(quota::MAX_BATCH_MESSAGES).is_empty());
+        // An aborted receiver does not wait: it takes what is there — here
+        // nothing — moves no clock and bills nothing. An empty poll (the
+        // settle's timeout round) bills one call and the full wait.
+        let take = || q.take_visible(quota::MAX_BATCH_MESSAGES);
+        assert!(on_aborted_thread(take).is_empty());
+        q.enqueue(VirtualTime::ZERO, msg(1, b"there"));
+        assert_eq!(on_aborted_thread(take).len(), 1);
         assert_eq!(clock.now(), VirtualTime::ZERO);
         assert_eq!(q.region.meter.snapshot().sqs_api_calls, 0);
         q.empty_poll(&mut clock, 2.0);

@@ -14,8 +14,8 @@
 //! sender's virtual clock after the transfer (so forwarded bytes are
 //! billed — as [`crate::meter::MeterSnapshot::weight_bytes`] — to the
 //! *forwarding* flow's lane, and chaos replays stay bit-identical under
-//! any thread interleaving), and the receive path is a free
-//! real-time-grace [`WeightNet::fetch`] whose timing is settled later by
+//! any thread interleaving), and the receive path is a free, untimed
+//! [`WeightNet::fetch`] whose timing is settled later by
 //! observing the per-frame stamps — which is exactly what makes λScale's
 //! execute-while-load expressible: a worker's clock only waits for the
 //! layers it actually touches.
@@ -145,13 +145,18 @@ impl WeightNet {
         self.post(clock, hop, hop, payload, 0);
     }
 
-    /// Raw mailbox read for the deterministic receive path: blocks
-    /// briefly in *real* time while no more than `known` frames sit under
-    /// `(flow, hop)`, then returns every frame — no clock movement. The
+    /// Raw mailbox read for the deterministic receive path: waits while
+    /// no more than `known` frames sit under `(flow, hop)` and the caller
+    /// is not aborted, then returns every frame — no clock movement. The
     /// receiver settles timing lazily by observing frame stamps as the
     /// blocks are actually decoded (execute-while-load).
     pub fn fetch(&self, flow: u64, hop: usize, known: usize) -> Vec<WeightFrame> {
         self.mailboxes.fetch(&(flow, hop), known)
+    }
+
+    /// Wakes every receiver parked in [`WeightNet::fetch`].
+    pub(crate) fn wake_receivers(&self) {
+        self.mailboxes.wake_receivers();
     }
 
     /// Tears down one hop's mailbox (the receiver calls this once its
@@ -183,6 +188,7 @@ impl WeightNet {
 mod tests {
     use super::*;
     use crate::fault::TargetedFault;
+    use crate::mailbox::on_aborted_thread;
 
     fn net() -> WeightNet {
         WeightNet::new(Region::deterministic())
@@ -211,9 +217,10 @@ mod tests {
         );
         let frames = n.fetch(7, 1, 0);
         assert_eq!(frames.len(), 1);
-        // Mailboxes are keyed by (flow, hop), not by destination rank.
-        assert!(n.fetch(7, 3, 0).is_empty());
-        assert!(n.fetch(8, 1, 0).is_empty());
+        // Mailboxes are keyed by (flow, hop), not by destination rank: an
+        // aborted receiver gets the other boxes back empty.
+        assert!(on_aborted_thread(|| n.fetch(7, 3, 0)).is_empty());
+        assert!(on_aborted_thread(|| n.fetch(8, 1, 0)).is_empty());
         assert_eq!(frames[0].dst, 3);
         assert_eq!(frames[0].available_at, clock.now());
         match &frames[0].payload {

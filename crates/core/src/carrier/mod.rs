@@ -11,7 +11,8 @@
 //!   put running under the retry policy ([`Core::retried`]);
 //! * **receive** — a raw *take* of new arrivals with **no billing and no
 //!   clock movement**, stashed per `(receiver, tag)` while the tracker
-//!   fills (a take with nothing new is an empty round: the caller
+//!   fills (a round with nothing new for the tag — an aborted take, or
+//!   a queue take of other tags' messages — is empty: the caller
 //!   re-checks its limits and asks again); once the tag completes, the
 //!   whole arrival set is sorted by stamp, *settled* (the billed receive
 //!   sequence is reconstructed from the stamps alone) and opened +
@@ -190,8 +191,9 @@ pub(crate) trait Carrier: Send + Sync + Sized + 'static {
     fn frame(&self, cx: &Cx, ctx: &mut WorkerCtx, sends: &Sends) -> Vec<Vec<Self::Parcel>>;
     /// Ships one parcel on a lane clock and counts it.
     fn put(&self, cx: &Cx, lane: &mut VClock, parcel: &Self::Parcel) -> Result<(), FaasError>;
-    /// Raw take for `(cx.rank, cx.tag)`: waits (real time only) for
-    /// producers, bills nothing, moves no clock.
+    /// Raw take for `(cx.rank, cx.tag)`: waits, untimed, until a producer
+    /// posts or the calling instance is aborted; bills nothing, moves no
+    /// clock.
     fn take(&self, cx: &Cx, known: usize) -> Result<Vec<Arrival<Self::Body>>, FaasError>;
     /// Deterministic processing order of a completed set.
     fn order(a: &Arrival<Self::Body>, b: &Arrival<Self::Body>) -> Ordering;

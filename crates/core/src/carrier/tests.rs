@@ -222,8 +222,8 @@ fn scoped_flows_are_isolated() {
 #[test]
 fn a_late_producer_thread_moves_no_bill_and_no_clock() {
     // The receiver enters its receive loop first and its producer thread
-    // sends 400 ms of real time later — more than twice the take's
-    // producer grace. Virtual time and billing are functions of the
+    // sends 400 ms of real time later, while the receiver is parked in its
+    // take. Virtual time and billing are functions of the
     // workload, so the receiver must end exactly where it does when the
     // producer sent first: same clock, same channel counters, same flow
     // meter. The lateness under test is real time, so a sleep makes it;

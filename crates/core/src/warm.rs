@@ -27,10 +27,11 @@
 //! by the request's flow. Parked (idle) time is never billed.
 //!
 //! Failure containment: a dying instance reports its error to the tree
-//! owner and *then* raises the tree's poison flag; peers observe it at
-//! their next limit check and fail fast, so the first error the owner
-//! collects is the root cause, and the tree is discarded instead of
-//! parked.
+//! owner and *then* raises the tree's poison flag, which also wakes every
+//! receiver parked in a fabric wait of the region; a peer waiting for the
+//! dead instance's frames returns empty-handed, and every peer fails fast
+//! at its next limit check, so the first error the owner collects is the
+//! root cause, and the tree is discarded instead of parked.
 //!
 //! [`WorkerCtx::begin_request`]: fsd_faas::WorkerCtx::begin_request
 //! [`WorkerCtx::finish_request`]: fsd_faas::WorkerCtx::finish_request
@@ -103,6 +104,25 @@ pub(crate) struct WorkItem {
 
 type WorkResult = (u32, Result<(WorkerOutput, InvocationReport), FaasError>);
 
+/// A tree's poison flag (every instance's abort flag) and the region whose
+/// receivers raising it must wake.
+#[derive(Clone)]
+struct Poison {
+    flag: Arc<AtomicBool>,
+    env: Arc<CloudEnv>,
+}
+
+impl Poison {
+    /// The one way a tree is poisoned: raises the flag (Release pairs with
+    /// the Acquire of every abort check), then wakes every receiver parked
+    /// in a fabric wait, so one waiting for a producer that will never
+    /// post returns and fails its next limit check.
+    fn raise(&self) {
+        self.flag.store(true, Ordering::Release);
+        self.env.wake_receivers();
+    }
+}
+
 /// Shared plumbing cloned into every instance of a tree.
 #[derive(Clone)]
 struct ServeShared {
@@ -116,18 +136,18 @@ struct ServeShared {
     handles: Sender<Invocation<()>>,
     /// Per-rank kill switches (failure injection / chaos hooks).
     kills: Arc<Vec<Arc<AtomicBool>>>,
-    /// Tree-wide poison flag; raised by the first dying instance.
-    poison: Arc<AtomicBool>,
+    /// Tree-wide poison; raised by the first dying instance.
+    poison: Poison,
 }
 
 impl ServeShared {
     /// Reports `rank`'s death to the tree owner, *then* poisons the tree —
     /// in that order, so no peer can observe the poison and get its
     /// secondary `"abort"` into the result channel ahead of the root
-    /// cause (Release here pairs with the Acquire in `check_limits`).
+    /// cause.
     fn fail(&self, rank: u32, e: FaasError) -> FaasError {
         let _ = self.results.send((rank, Err(e.clone())));
-        self.poison.store(true, Ordering::Release);
+        self.poison.raise();
         e
     }
 
@@ -195,8 +215,8 @@ fn serve_worker(
 ) -> Result<(), FaasError> {
     let params = &shared.params;
     let p = params.n_workers;
-    // A dying peer must be able to unwedge this instance mid-poll.
-    ctx.set_abort(shared.poison.clone());
+    // A dying peer must be able to unwedge this instance mid-receive.
+    ctx.set_abort(shared.poison.flag.clone());
 
     // --- worker_invoke_children(): the hierarchical launch. Streamed
     // launches are provisioned flat — their tree carries weight state,
@@ -301,14 +321,13 @@ pub(crate) struct WorkerTree {
     generation: u64,
     controls: Vec<Sender<WorkItem>>,
     kills: Vec<Arc<AtomicBool>>,
-    poison: Arc<AtomicBool>,
+    poison: Poison,
     results: Receiver<WorkResult>,
     handles: Receiver<Invocation<()>>,
     joined: bool,
-    /// Region handle + launch flow for stream-mode teardown: once every
-    /// instance has joined, any weight frames still parked in the launch
-    /// flow's mailboxes (e.g. after an abort) have no receiver left.
-    env: Arc<CloudEnv>,
+    /// Launch flow for stream-mode teardown: once every instance has
+    /// joined, any weight frames still parked in its mailboxes (e.g. after
+    /// an abort) have no receiver left.
     launch_flow: u64,
     stream: bool,
 }
@@ -354,7 +373,10 @@ impl WorkerTree {
             results: result_tx,
             handles: handle_tx,
             kills: Arc::new(kills.clone()),
-            poison: Arc::new(AtomicBool::new(false)),
+            poison: Poison {
+                flag: Arc::new(AtomicBool::new(false)),
+                env: platform.env().clone(),
+            },
         };
         // Built before anything is invoked: dropping it on a failed launch
         // joins whatever did start.
@@ -367,7 +389,6 @@ impl WorkerTree {
             results,
             handles,
             joined: false,
-            env: platform.env().clone(),
             launch_flow: flow,
             stream,
         };
@@ -388,7 +409,7 @@ impl WorkerTree {
     /// Whether an instance of this tree has died (the tree must not be
     /// parked).
     pub(crate) fn is_poisoned(&self) -> bool {
-        self.poison.load(Ordering::Relaxed)
+        self.poison.flag.load(Ordering::Relaxed)
     }
 
     /// Arms the kill switch of one rank: the instance terminates at its
@@ -402,11 +423,11 @@ impl WorkerTree {
     /// Routes one request into the tree and collects every instance's
     /// result. The first error collected — the root cause, see
     /// `ServeShared::fail` — is returned immediately; peers unwedge
-    /// through the poison flag and the tree must be discarded.
+    /// through the poison and the tree must be discarded.
     pub(crate) fn run(&mut self, item: WorkItem) -> Result<RunOutput, FaasError> {
         let ran = self.collect(&item);
         if ran.is_err() {
-            self.poison.store(true, Ordering::Release);
+            self.poison.raise();
         }
         ran
     }
@@ -437,9 +458,9 @@ impl WorkerTree {
     }
 
     /// Closes the control channels and joins every instance. Safe to call
-    /// more than once. A poisoned tree's stragglers exit through the
-    /// poison-raised abort in their limit checks, so this returns in real
-    /// time even after a failure.
+    /// more than once. A poisoned tree's stragglers are woken out of their
+    /// receives and exit through the abort in their limit checks, so this
+    /// returns even after a failure.
     pub(crate) fn shutdown(&mut self) {
         if self.joined {
             return;
@@ -447,8 +468,8 @@ impl WorkerTree {
         self.joined = true;
         // Stop serve loops (they exit once queued items are drained)…
         self.controls.clear();
-        // …and make sure nothing can park in a poll forever.
-        self.poison.store(true, Ordering::Release);
+        // …and make sure nothing can stay parked in a receive.
+        self.poison.raise();
         // Every live instance holds a handle sender, so this ends once the
         // last of them — fewer than `P` after a refused launch — has exited.
         for handle in self.handles.iter() {
@@ -460,7 +481,7 @@ impl WorkerTree {
         // frames addressed to a rank that died booting) — drop them so
         // the residue audit stays clean.
         if self.stream {
-            self.env.weight_net().close_flow(self.launch_flow);
+            self.poison.env.weight_net().close_flow(self.launch_flow);
         }
     }
 }

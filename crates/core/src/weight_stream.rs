@@ -284,7 +284,7 @@ fn drain_stream(
         ctx.check_limits()?;
         let frames = net.fetch(flow, rank as usize, known);
         if frames.len() <= known {
-            continue; // real-time grace expired; re-check limits and wait on
+            continue; // aborted: the limit check above now fails
         }
         let fresh = frames[known..].to_vec();
         known = frames.len();

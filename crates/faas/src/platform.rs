@@ -479,9 +479,13 @@ impl WorkerCtx {
 
     /// Installs a cooperative abort flag; once raised,
     /// [`WorkerCtx::check_limits`] fails with a structured `"abort"` comm
-    /// failure. Warm trees use this so the death of one peer tears the
-    /// whole request down in real time instead of virtual-timeout time.
+    /// failure. The flag also becomes this instance thread's abort flag in
+    /// `fsd_comm` ([`fsd_comm::install_abort`]), so a raw receive parked
+    /// for a producer returns once whoever raises it wakes the region's
+    /// receivers. Warm trees use this so the death of one peer tears the
+    /// whole request down instead of leaving its receivers waiting.
     pub fn set_abort(&mut self, flag: Arc<std::sync::atomic::AtomicBool>) {
+        fsd_comm::install_abort(flag.clone());
         self.abort = Some(flag);
     }
 

@@ -8,7 +8,6 @@
 
 use std::fmt;
 use std::sync::TryLockError;
-use std::time::Duration;
 
 /// A mutual-exclusion lock with parking_lot's `lock() -> guard` API.
 pub struct Mutex<T: ?Sized> {
@@ -78,19 +77,8 @@ impl<T: ?Sized> std::ops::DerefMut for MutexGuard<'_, T> {
     }
 }
 
-/// Result of a timed condition-variable wait.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WaitTimeoutResult(bool);
-
-impl WaitTimeoutResult {
-    /// Whether the wait ended because the timeout elapsed.
-    pub fn timed_out(&self) -> bool {
-        self.0
-    }
-}
-
-/// A condition variable with parking_lot's `wait(&mut guard)` and
-/// `wait_for(&mut guard, dur)` API.
+/// A condition variable with parking_lot's `wait(&mut guard)` API. There
+/// is no timed wait: every wait in the workspace ends on a notify.
 pub struct Condvar {
     inner: std::sync::Condvar,
 }
@@ -123,25 +111,6 @@ impl Condvar {
                 .wait(std_guard)
                 .unwrap_or_else(|p| p.into_inner()),
         );
-    }
-
-    /// Blocks on the condvar for at most `timeout`, releasing `guard` while
-    /// waiting and reacquiring it before returning.
-    pub fn wait_for<T>(
-        &self,
-        guard: &mut MutexGuard<'_, T>,
-        timeout: Duration,
-    ) -> WaitTimeoutResult {
-        let std_guard = guard.inner.take().expect("guard present before wait");
-        let (std_guard, res) = match self.inner.wait_timeout(std_guard, timeout) {
-            Ok((g, r)) => (g, WaitTimeoutResult(r.timed_out())),
-            Err(p) => {
-                let (g, r) = p.into_inner();
-                (g, WaitTimeoutResult(r.timed_out()))
-            }
-        };
-        guard.inner = Some(std_guard);
-        res
     }
 }
 
@@ -245,23 +214,6 @@ mod tests {
     }
 
     #[test]
-    fn condvar_wakes_waiter() {
-        let pair = Arc::new((Mutex::new(false), Condvar::new()));
-        let pair2 = pair.clone();
-        let t = std::thread::spawn(move || {
-            let (m, c) = &*pair2;
-            let mut guard = m.lock();
-            while !*guard {
-                c.wait_for(&mut guard, Duration::from_millis(50));
-            }
-        });
-        std::thread::sleep(Duration::from_millis(5));
-        *pair.0.lock() = true;
-        pair.1.notify_all();
-        t.join().expect("waiter finishes");
-    }
-
-    #[test]
     fn untimed_condvar_wait_wakes_on_notify() {
         let pair = Arc::new((Mutex::new(false), Condvar::new()));
         let pair2 = pair.clone();
@@ -275,15 +227,6 @@ mod tests {
         *pair.0.lock() = true;
         pair.1.notify_all();
         t.join().expect("waiter finishes");
-    }
-
-    #[test]
-    fn condvar_times_out() {
-        let m = Mutex::new(());
-        let c = Condvar::new();
-        let mut g = m.lock();
-        let res = c.wait_for(&mut g, Duration::from_millis(1));
-        assert!(res.timed_out());
     }
 
     #[test]

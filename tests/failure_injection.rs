@@ -3,6 +3,8 @@
 //! and corrupted payload handling. Correctness must never depend on
 //! fair-weather timing.
 
+mod common;
+
 use fsd_inference::comm::{CloudConfig, LatencyModel, VirtualTime};
 use fsd_inference::core::{InferenceRequest, ServiceBuilder, Variant};
 use fsd_inference::model::{generate_dnn, generate_inputs, DnnSpec, InputSpec};
@@ -117,92 +119,94 @@ fn corrupted_payload_surfaces_as_comm_error() {
 
 #[test]
 fn scheduler_failed_request_releases_slot_and_does_not_wedge_the_queue() {
-    // The scheduler's failure story: a request that dies mid-flight must
-    // release its concurrency slot and let the backlog keep draining. The
-    // "broken" model's compute is so slow that any request blows the 900 s
-    // FaaS runtime limit (a mid-execution kill, not an admission reject).
-    use fsd_inference::core::{BatchedRequest, FsdError, ServiceBuilder};
-    use fsd_inference::faas::ComputeModel;
-    use fsd_inference::sched::{Priority, SchedulerBuilder, SchedulerConfig};
+    common::watchdog(|| {
+        // The scheduler's failure story: a request that dies mid-flight must
+        // release its concurrency slot and let the backlog keep draining. The
+        // "broken" model's compute is so slow that any request blows the 900 s
+        // FaaS runtime limit (a mid-execution kill, not an admission reject).
+        use fsd_inference::core::{BatchedRequest, FsdError, ServiceBuilder};
+        use fsd_inference::faas::ComputeModel;
+        use fsd_inference::sched::{Priority, SchedulerBuilder, SchedulerConfig};
 
-    let spec = DnnSpec {
-        neurons: 64,
-        layers: 2,
-        nnz_per_row: 8,
-        bias: -0.25,
-        clip: 32.0,
-        seed: 35,
-    };
-    let dnn = Arc::new(generate_dnn(&spec));
-    let inputs = generate_inputs(spec.neurons, &InputSpec::scaled(8, 35));
-    let expected = dnn.serial_inference(&inputs);
-    let good = Arc::new(ServiceBuilder::new(dnn.clone()).deterministic(35).build());
-    let broken = Arc::new(
-        ServiceBuilder::new(dnn)
-            .deterministic(35)
-            .compute(ComputeModel {
-                units_per_sec_per_vcpu: 1e-3, // ~3 hours of virtual time per unit
-                parallel_fraction: 0.85,
-            })
-            .build(),
-    );
-
-    // Global cap 1: if the failing request held its slot, nothing behind it
-    // could ever run and every wait below would hang.
-    let sched = SchedulerBuilder::new(SchedulerConfig::default().global_cap(1))
-        .model("broken", broken.clone())
-        .model("good", good)
-        .build();
-    let request = |inputs: &fsd_inference::sparse::SparseRows| BatchedRequest {
-        variant: Variant::Serial,
-        workers: 1,
-        memory_mb: 1769,
-        batches: vec![inputs.clone()],
-    };
-    let doomed = sched
-        .enqueue("broken", Priority::Interactive, request(&inputs))
-        .expect("admission accepts it — the failure is mid-flight");
-    let survivors: Vec<_> = (0..3)
-        .map(|i| {
-            let class = if i == 1 {
-                Priority::Batch
-            } else {
-                Priority::Interactive
-            };
-            sched
-                .enqueue("good", class, request(&inputs))
-                .expect("accepted behind the doomed request")
-        })
-        .collect();
-
-    match doomed.wait() {
-        Err(FsdError::Timeout { elapsed, limit }) => {
-            assert!(elapsed > limit, "kill fired past the limit")
-        }
-        other => panic!("expected a mid-flight timeout, got {other:?}"),
-    }
-    for (i, t) in survivors.into_iter().enumerate() {
-        let report = t
-            .wait()
-            .unwrap_or_else(|e| panic!("survivor {i} wedged: {e}"));
-        assert_eq!(
-            report.first_output(),
-            &expected,
-            "survivor {i} wrong output"
+        let spec = DnnSpec {
+            neurons: 64,
+            layers: 2,
+            nnz_per_row: 8,
+            bias: -0.25,
+            clip: 32.0,
+            seed: 35,
+        };
+        let dnn = Arc::new(generate_dnn(&spec));
+        let inputs = generate_inputs(spec.neurons, &InputSpec::scaled(8, 35));
+        let expected = dnn.serial_inference(&inputs);
+        let good = Arc::new(ServiceBuilder::new(dnn.clone()).deterministic(35).build());
+        let broken = Arc::new(
+            ServiceBuilder::new(dnn)
+                .deterministic(35)
+                .compute(ComputeModel {
+                    units_per_sec_per_vcpu: 1e-3, // ~3 hours of virtual time per unit
+                    parallel_fraction: 0.85,
+                })
+                .build(),
         );
-    }
 
-    let stats = sched.stats();
-    assert_eq!(stats.failed, 1, "exactly the doomed request failed");
-    assert_eq!(stats.completed, 3, "the backlog drained past the failure");
-    assert_eq!(stats.inflight, 0, "the failed request released its slot");
-    assert_eq!(stats.queued, 0);
-    assert!(stats.max_inflight <= 1);
-    // The failed request tore down its flow state like any other: no
-    // per-flow meter buckets or request resources survive it.
-    assert_eq!(broken.env().meter().tracked_flows(), 0);
-    assert_eq!(broken.platform().lambda_meter().tracked_flows(), 0);
-    assert_eq!(broken.env().queue_count(), 0);
+        // Global cap 1: if the failing request held its slot, nothing behind it
+        // could ever run and every wait below would hang.
+        let sched = SchedulerBuilder::new(SchedulerConfig::default().global_cap(1))
+            .model("broken", broken.clone())
+            .model("good", good)
+            .build();
+        let request = |inputs: &fsd_inference::sparse::SparseRows| BatchedRequest {
+            variant: Variant::Serial,
+            workers: 1,
+            memory_mb: 1769,
+            batches: vec![inputs.clone()],
+        };
+        let doomed = sched
+            .enqueue("broken", Priority::Interactive, request(&inputs))
+            .expect("admission accepts it — the failure is mid-flight");
+        let survivors: Vec<_> = (0..3)
+            .map(|i| {
+                let class = if i == 1 {
+                    Priority::Batch
+                } else {
+                    Priority::Interactive
+                };
+                sched
+                    .enqueue("good", class, request(&inputs))
+                    .expect("accepted behind the doomed request")
+            })
+            .collect();
+
+        match doomed.wait() {
+            Err(FsdError::Timeout { elapsed, limit }) => {
+                assert!(elapsed > limit, "kill fired past the limit")
+            }
+            other => panic!("expected a mid-flight timeout, got {other:?}"),
+        }
+        for (i, t) in survivors.into_iter().enumerate() {
+            let report = t
+                .wait()
+                .unwrap_or_else(|e| panic!("survivor {i} wedged: {e}"));
+            assert_eq!(
+                report.first_output(),
+                &expected,
+                "survivor {i} wrong output"
+            );
+        }
+
+        let stats = sched.stats();
+        assert_eq!(stats.failed, 1, "exactly the doomed request failed");
+        assert_eq!(stats.completed, 3, "the backlog drained past the failure");
+        assert_eq!(stats.inflight, 0, "the failed request released its slot");
+        assert_eq!(stats.queued, 0);
+        assert!(stats.max_inflight <= 1);
+        // The failed request tore down its flow state like any other: no
+        // per-flow meter buckets or request resources survive it.
+        assert_eq!(broken.env().meter().tracked_flows(), 0);
+        assert_eq!(broken.platform().lambda_meter().tracked_flows(), 0);
+        assert_eq!(broken.env().queue_count(), 0);
+    });
 }
 
 #[test]
@@ -291,70 +295,72 @@ fn breaker_trips_degrades_auto_and_recovers_via_half_open_probes() {
 
 #[test]
 fn crash_mid_coalition_fails_one_member_and_finishes_the_rest() {
-    // A warm-tree instance dying *mid-coalition* must fail only the member
-    // it was serving; the tree is discarded and the remaining members
-    // finish on a fresh launch.
-    use fsd_inference::core::{BatchedRequest, FsdService};
+    common::watchdog(|| {
+        // A warm-tree instance dying *mid-coalition* must fail only the member
+        // it was serving; the tree is discarded and the remaining members
+        // finish on a fresh launch.
+        use fsd_inference::core::{BatchedRequest, FsdService};
 
-    let spec = DnnSpec {
-        neurons: 96,
-        layers: 2,
-        nnz_per_row: 8,
-        bias: -0.25,
-        clip: 32.0,
-        seed: 37,
-    };
-    let dnn = Arc::new(generate_dnn(&spec));
-    let inputs = generate_inputs(spec.neurons, &InputSpec::scaled(8, 37));
-    let expected = dnn.serial_inference(&inputs);
-    let service = ServiceBuilder::new(dnn)
-        .deterministic(37)
-        .warm_pool(2, u64::MAX)
-        .build();
-    let req = || BatchedRequest {
-        variant: Variant::Queue,
-        workers: 2,
-        memory_mb: 1769,
-        batches: vec![inputs.clone()],
-    };
-    // Park a tree, then arm a mid-request kill on its rank 1 through the
-    // unified fault surface.
-    service
-        .submit_batched(&req())
-        .expect("cold run parks the tree");
-    assert!(
-        service.inject_fault(FsdService::warm_worker_fault(Variant::Queue, 2, 1769, 1)),
-        "a parked tree must match the injection shape"
-    );
+        let spec = DnnSpec {
+            neurons: 96,
+            layers: 2,
+            nnz_per_row: 8,
+            bias: -0.25,
+            clip: 32.0,
+            seed: 37,
+        };
+        let dnn = Arc::new(generate_dnn(&spec));
+        let inputs = generate_inputs(spec.neurons, &InputSpec::scaled(8, 37));
+        let expected = dnn.serial_inference(&inputs);
+        let service = ServiceBuilder::new(dnn)
+            .deterministic(37)
+            .warm_pool(2, u64::MAX)
+            .build();
+        let req = || BatchedRequest {
+            variant: Variant::Queue,
+            workers: 2,
+            memory_mb: 1769,
+            batches: vec![inputs.clone()],
+        };
+        // Park a tree, then arm a mid-request kill on its rank 1 through the
+        // unified fault surface.
+        service
+            .submit_batched(&req())
+            .expect("cold run parks the tree");
+        assert!(
+            service.inject_fault(FsdService::warm_worker_fault(Variant::Queue, 2, 1769, 1)),
+            "a parked tree must match the injection shape"
+        );
 
-    let results = service.submit_coalesced(&[req(), req(), req()]);
-    assert_eq!(results.len(), 3);
-    let failed: Vec<usize> = results
-        .iter()
-        .enumerate()
-        .filter(|(_, r)| r.is_err())
-        .map(|(i, _)| i)
-        .collect();
-    assert_eq!(
-        failed,
-        vec![0],
-        "exactly the member served by the dying instance fails: {results:?}"
-    );
-    for (i, r) in results.iter().enumerate().skip(1) {
-        let report = r
-            .as_ref()
-            .unwrap_or_else(|e| panic!("member {i} wedged: {e}"));
-        assert_eq!(report.first_output(), &expected, "member {i} wrong output");
-    }
-    let stats = service.warm_pool_stats().expect("pool enabled");
-    assert_eq!(stats.discarded_poisoned, 1, "{stats:?}");
-    // The poisoned tree is never re-shelved; the surviving members park
-    // exactly one fresh replacement.
-    assert_eq!(stats.idle, 1, "{stats:?}");
-    // Success or failure, every member released its flow-scoped state.
-    service.env().assert_no_residue();
-    assert_eq!(service.env().meter().tracked_flows(), 0);
-    assert_eq!(service.platform().lambda_meter().tracked_flows(), 0);
+        let results = service.submit_coalesced(&[req(), req(), req()]);
+        assert_eq!(results.len(), 3);
+        let failed: Vec<usize> = results
+            .iter()
+            .enumerate()
+            .filter(|(_, r)| r.is_err())
+            .map(|(i, _)| i)
+            .collect();
+        assert_eq!(
+            failed,
+            vec![0],
+            "exactly the member served by the dying instance fails: {results:?}"
+        );
+        for (i, r) in results.iter().enumerate().skip(1) {
+            let report = r
+                .as_ref()
+                .unwrap_or_else(|e| panic!("member {i} wedged: {e}"));
+            assert_eq!(report.first_output(), &expected, "member {i} wrong output");
+        }
+        let stats = service.warm_pool_stats().expect("pool enabled");
+        assert_eq!(stats.discarded_poisoned, 1, "{stats:?}");
+        // The poisoned tree is never re-shelved; the surviving members park
+        // exactly one fresh replacement.
+        assert_eq!(stats.idle, 1, "{stats:?}");
+        // Success or failure, every member released its flow-scoped state.
+        service.env().assert_no_residue();
+        assert_eq!(service.env().meter().tracked_flows(), 0);
+        assert_eq!(service.platform().lambda_meter().tracked_flows(), 0);
+    });
 }
 
 #[test]

@@ -3,6 +3,8 @@
 //! shelf, survive worker death without wedging the scheduler, and keep
 //! per-flow billing disjoint across tree reuse.
 
+mod common;
+
 use fsd_inference::comm::{ApiClass, TargetedFault};
 use fsd_inference::core::{
     BatchedRequest, FsdError, FsdService, InferenceReport, InferenceRequest, LaunchPath,
@@ -277,58 +279,60 @@ fn lru_under_pressure_evicts_the_least_recently_used_shape() {
 
 #[test]
 fn dead_worker_evicts_the_tree_without_wedging_the_scheduler() {
-    let (service, inputs, expected) = pooled_service(46, 4, u64::MAX);
-    let sched = Scheduler::wrap(service.clone(), SchedulerConfig::default().global_cap(2));
-    let req = || fsd_inference::core::BatchedRequest {
-        variant: Variant::Queue,
-        workers: 3,
-        memory_mb: 1769,
-        batches: vec![inputs.clone()],
-    };
-    // Park a tree, then arm a mid-request kill on one of its workers.
-    sched
-        .enqueue_default(Priority::Interactive, req())
-        .expect("accepted")
-        .wait()
-        .expect("cold run parks the tree");
-    assert!(
-        service.inject_fault(FsdService::warm_worker_fault(Variant::Queue, 3, 1769, 1)),
-        "a parked tree must match the injection shape"
-    );
-    // The next matching request loses worker 1 mid-request: the request
-    // fails, the tree is evicted (not checked back in)…
-    let err = sched
-        .enqueue_default(Priority::Interactive, req())
-        .expect("accepted")
-        .wait()
-        .expect_err("a dying instance must fail the request");
-    let msg = err.to_string();
-    assert!(
-        msg.contains("terminated") || msg.contains("poisoned") || msg.contains("abort"),
-        "unexpected failure detail: {msg}"
-    );
-    let stats = service.warm_pool_stats().expect("pool enabled");
-    assert_eq!(stats.discarded_poisoned, 1, "{stats:?}");
-    assert_eq!(stats.idle, 0, "the poisoned tree must not be re-shelved");
-    // …the slot is released and the scheduler keeps serving: a fresh
-    // request cold-launches a replacement tree and succeeds.
-    assert_eq!(sched.inflight(), 0, "failure must release its slot");
-    let recovered = sched
-        .enqueue_default(Priority::Interactive, req())
-        .expect("accepted")
-        .wait()
-        .expect("scheduler must keep serving after the eviction");
-    assert_eq!(recovered.launch, LaunchPath::ColdStart);
-    assert_eq!(recovered.first_output(), &expected);
-    let sstats = sched.stats();
-    assert_eq!(sstats.failed, 1);
-    assert_eq!(sstats.completed, 2);
-    assert_eq!(sstats.inflight, 0);
-    // Even the failed request released its billing windows.
-    assert_eq!(service.env().meter().tracked_flows(), 0);
-    assert_eq!(service.platform().lambda_meter().tracked_flows(), 0);
-    sched.shutdown();
-    sched.drain();
+    common::watchdog(|| {
+        let (service, inputs, expected) = pooled_service(46, 4, u64::MAX);
+        let sched = Scheduler::wrap(service.clone(), SchedulerConfig::default().global_cap(2));
+        let req = || fsd_inference::core::BatchedRequest {
+            variant: Variant::Queue,
+            workers: 3,
+            memory_mb: 1769,
+            batches: vec![inputs.clone()],
+        };
+        // Park a tree, then arm a mid-request kill on one of its workers.
+        sched
+            .enqueue_default(Priority::Interactive, req())
+            .expect("accepted")
+            .wait()
+            .expect("cold run parks the tree");
+        assert!(
+            service.inject_fault(FsdService::warm_worker_fault(Variant::Queue, 3, 1769, 1)),
+            "a parked tree must match the injection shape"
+        );
+        // The next matching request loses worker 1 mid-request: the request
+        // fails, the tree is evicted (not checked back in)…
+        let err = sched
+            .enqueue_default(Priority::Interactive, req())
+            .expect("accepted")
+            .wait()
+            .expect_err("a dying instance must fail the request");
+        let msg = err.to_string();
+        assert!(
+            msg.contains("terminated") || msg.contains("poisoned") || msg.contains("abort"),
+            "unexpected failure detail: {msg}"
+        );
+        let stats = service.warm_pool_stats().expect("pool enabled");
+        assert_eq!(stats.discarded_poisoned, 1, "{stats:?}");
+        assert_eq!(stats.idle, 0, "the poisoned tree must not be re-shelved");
+        // …the slot is released and the scheduler keeps serving: a fresh
+        // request cold-launches a replacement tree and succeeds.
+        assert_eq!(sched.inflight(), 0, "failure must release its slot");
+        let recovered = sched
+            .enqueue_default(Priority::Interactive, req())
+            .expect("accepted")
+            .wait()
+            .expect("scheduler must keep serving after the eviction");
+        assert_eq!(recovered.launch, LaunchPath::ColdStart);
+        assert_eq!(recovered.first_output(), &expected);
+        let sstats = sched.stats();
+        assert_eq!(sstats.failed, 1);
+        assert_eq!(sstats.completed, 2);
+        assert_eq!(sstats.inflight, 0);
+        // Even the failed request released its billing windows.
+        assert_eq!(service.env().meter().tracked_flows(), 0);
+        assert_eq!(service.platform().lambda_meter().tracked_flows(), 0);
+        sched.shutdown();
+        sched.drain();
+    });
 }
 
 /// A dying instance reports its own error *before* it poisons the tree,
@@ -336,34 +340,36 @@ fn dead_worker_evicts_the_tree_without_wedging_the_scheduler() {
 /// peer's secondary `"abort"` that won a race into the result channel.
 #[test]
 fn the_first_error_a_request_reports_is_the_root_cause() {
-    let op_of = |res: Result<InferenceReport, FsdError>| match res {
-        Err(FsdError::Comm(failure)) => failure.op,
-        other => panic!("expected a comm failure, got {other:?}"),
-    };
-    let (pooled, inputs, _) = pooled_service(48, 2, u64::MAX);
-    let poolless = ServiceBuilder::new(Arc::new(generate_dnn(&spec(48))))
-        .deterministic(48)
-        .build();
-    for rep in 0..50 {
-        // A rank of a parked tree killed as the next request lands on it.
-        pooled
-            .submit(&request(&inputs, Variant::Queue, 3))
-            .expect("cold run parks the tree");
-        assert!(pooled.inject_fault(FsdService::warm_worker_fault(Variant::Queue, 3, 1769, 1)));
-        let killed = pooled.submit(&request(&inputs, Variant::Queue, 3));
-        assert_eq!(op_of(killed), "instance", "rep {rep}: killed rank");
-        // A launch refused two levels down the cascade (rank 6 is a child
-        // of rank 1 at P=8, b=4): rank 0 only ever hears of it second-hand.
-        poolless.inject_fault(TargetedFault::first(
-            ApiClass::InstanceLaunch,
-            "fsd-worker-6",
-        ));
-        let refused = poolless.submit(&request(&inputs, Variant::Queue, 8));
-        assert_eq!(op_of(refused), "instance", "rep {rep}: refused launch");
-    }
-    for service in [&*pooled, &poolless] {
-        assert_clean(service, "failed requests release everything");
-    }
+    common::watchdog(|| {
+        let op_of = |res: Result<InferenceReport, FsdError>| match res {
+            Err(FsdError::Comm(failure)) => failure.op,
+            other => panic!("expected a comm failure, got {other:?}"),
+        };
+        let (pooled, inputs, _) = pooled_service(48, 2, u64::MAX);
+        let poolless = ServiceBuilder::new(Arc::new(generate_dnn(&spec(48))))
+            .deterministic(48)
+            .build();
+        for rep in 0..50 {
+            // A rank of a parked tree killed as the next request lands on it.
+            pooled
+                .submit(&request(&inputs, Variant::Queue, 3))
+                .expect("cold run parks the tree");
+            assert!(pooled.inject_fault(FsdService::warm_worker_fault(Variant::Queue, 3, 1769, 1)));
+            let killed = pooled.submit(&request(&inputs, Variant::Queue, 3));
+            assert_eq!(op_of(killed), "instance", "rep {rep}: killed rank");
+            // A launch refused two levels down the cascade (rank 6 is a child
+            // of rank 1 at P=8, b=4): rank 0 only ever hears of it second-hand.
+            poolless.inject_fault(TargetedFault::first(
+                ApiClass::InstanceLaunch,
+                "fsd-worker-6",
+            ));
+            let refused = poolless.submit(&request(&inputs, Variant::Queue, 8));
+            assert_eq!(op_of(refused), "instance", "rep {rep}: refused launch");
+        }
+        for service in [&*pooled, &poolless] {
+            assert_clean(service, "failed requests release everything");
+        }
+    });
 }
 
 #[test]

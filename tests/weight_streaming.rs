@@ -216,68 +216,72 @@ fn shared_cache_serves_repeat_cold_starts_until_invalidated() {
 
 #[test]
 fn mid_stream_fault_falls_back_to_cache_without_extra_fetches_or_billing() {
-    let (_, clean, inputs, expected) = paired_services(65);
-    let baseline = clean.submit(&request(&inputs, 4)).expect("clean run");
+    common::watchdog(|| {
+        let (_, clean, inputs, expected) = paired_services(65);
+        let baseline = clean.submit(&request(&inputs, 4)).expect("clean run");
 
-    let (_, faulted, inputs, _) = paired_services(65);
-    // Kill the very first forwarded frame permanently: the source aborts
-    // the cascade and every receiver falls back to loading through the
-    // shared cache — which already holds everything the source fetched
-    // before the fault, so no block is ever fetched twice.
-    faulted
-        .env()
-        .faults()
-        .inject(TargetedFault::first(ApiClass::WeightStream, "").permanent());
-    let report = faulted
-        .submit(&request(&inputs, 4))
-        .expect("a torn stream must degrade, not fail the request");
-    assert_eq!(report.launch, LaunchPath::ColdStart);
-    assert_eq!(report.first_output(), &expected);
-    assert_eq!(report.outputs, baseline.outputs, "fallback changes nothing");
-    // Exactly-once even through the fault: blocks the source had already
-    // cached are not re-fetched by the falling-back receivers, and blocks
-    // it never reached are fetched by exactly one receiver each.
-    assert_eq!(
-        report.comm.s3_get_requests, baseline.comm.s3_get_requests,
-        "the fallback must not double-fetch any artifact"
-    );
-    // The request succeeded, so nothing landed in the failed-attempt bill
-    // and the flow windows all closed.
-    let failed = faulted.failed_attempt_bill();
-    assert_eq!(failed.lambda.invocations, 0);
-    assert_eq!(failed.comm.weight_frames, 0);
-    assert_eq!(faulted.env().meter().tracked_flows(), 0);
-    assert_eq!(faulted.platform().lambda_meter().tracked_flows(), 0);
-    faulted.env().assert_no_residue();
+        let (_, faulted, inputs, _) = paired_services(65);
+        // Kill the very first forwarded frame permanently: the source aborts
+        // the cascade and every receiver falls back to loading through the
+        // shared cache — which already holds everything the source fetched
+        // before the fault, so no block is ever fetched twice.
+        faulted
+            .env()
+            .faults()
+            .inject(TargetedFault::first(ApiClass::WeightStream, "").permanent());
+        let report = faulted
+            .submit(&request(&inputs, 4))
+            .expect("a torn stream must degrade, not fail the request");
+        assert_eq!(report.launch, LaunchPath::ColdStart);
+        assert_eq!(report.first_output(), &expected);
+        assert_eq!(report.outputs, baseline.outputs, "fallback changes nothing");
+        // Exactly-once even through the fault: blocks the source had already
+        // cached are not re-fetched by the falling-back receivers, and blocks
+        // it never reached are fetched by exactly one receiver each.
+        assert_eq!(
+            report.comm.s3_get_requests, baseline.comm.s3_get_requests,
+            "the fallback must not double-fetch any artifact"
+        );
+        // The request succeeded, so nothing landed in the failed-attempt bill
+        // and the flow windows all closed.
+        let failed = faulted.failed_attempt_bill();
+        assert_eq!(failed.lambda.invocations, 0);
+        assert_eq!(failed.comm.weight_frames, 0);
+        assert_eq!(faulted.env().meter().tracked_flows(), 0);
+        assert_eq!(faulted.platform().lambda_meter().tracked_flows(), 0);
+        faulted.env().assert_no_residue();
+    });
 }
 
 #[test]
 fn refused_rank_launch_fails_the_request_cleanly_and_recovers() {
-    let (_, streamed, inputs, expected) = paired_services(66);
-    // Flat provisioning invokes every rank by name; refuse rank 2's launch
-    // permanently. The abort flag must unwedge the peers' drain loops and
-    // the request must fail without leaking flows or parked frames.
-    streamed
-        .env()
-        .faults()
-        .inject(TargetedFault::first(ApiClass::InstanceLaunch, "fsd-worker-2").permanent());
-    let err = streamed
-        .submit(&request(&inputs, 4))
-        .expect_err("a refused rank must fail the streamed request");
-    let msg = err.to_string();
-    assert!(
-        msg.contains("faulted") || msg.contains("abort") || msg.contains("instance"),
-        "unexpected failure detail: {msg}"
-    );
-    // The failed attempt was billed (AWS semantics) into the accumulator.
-    assert!(streamed.failed_attempt_bill().lambda.invocations > 0);
-    assert_eq!(streamed.env().meter().tracked_flows(), 0);
-    assert_eq!(streamed.platform().lambda_meter().tracked_flows(), 0);
-    streamed.env().assert_no_residue();
-    // The fault was one-shot: the next request streams normally.
-    let recovered = streamed.submit(&request(&inputs, 4)).expect("recovers");
-    assert_eq!(recovered.first_output(), &expected);
-    streamed.env().assert_no_residue();
+    common::watchdog(|| {
+        let (_, streamed, inputs, expected) = paired_services(66);
+        // Flat provisioning invokes every rank by name; refuse rank 2's launch
+        // permanently. The abort flag must unwedge the peers' drain loops and
+        // the request must fail without leaking flows or parked frames.
+        streamed
+            .env()
+            .faults()
+            .inject(TargetedFault::first(ApiClass::InstanceLaunch, "fsd-worker-2").permanent());
+        let err = streamed
+            .submit(&request(&inputs, 4))
+            .expect_err("a refused rank must fail the streamed request");
+        let msg = err.to_string();
+        assert!(
+            msg.contains("faulted") || msg.contains("abort") || msg.contains("instance"),
+            "unexpected failure detail: {msg}"
+        );
+        // The failed attempt was billed (AWS semantics) into the accumulator.
+        assert!(streamed.failed_attempt_bill().lambda.invocations > 0);
+        assert_eq!(streamed.env().meter().tracked_flows(), 0);
+        assert_eq!(streamed.platform().lambda_meter().tracked_flows(), 0);
+        streamed.env().assert_no_residue();
+        // The fault was one-shot: the next request streams normally.
+        let recovered = streamed.submit(&request(&inputs, 4)).expect("recovers");
+        assert_eq!(recovered.first_output(), &expected);
+        streamed.env().assert_no_residue();
+    });
 }
 
 #[test]
