@@ -284,6 +284,8 @@ pub struct FaultPlane {
     targeted: Mutex<Vec<TargetedState>>,
     /// Count of unfired targeted entries — lock-free fast path.
     armed: AtomicUsize,
+    /// Per-class counters stay atomics, unlike the meters': the
+    /// probabilistic path that bumps them takes no lock.
     checks: [AtomicU64; ApiClass::COUNT],
     injected: [AtomicU64; ApiClass::COUNT],
 }

@@ -5,7 +5,10 @@
 //! ([`SqsQueue`]), S3-like object storage ([`ObjectStore`]), FMI-style
 //! direct exchange ([`DirectNet`]) and λScale-style weight multicast
 //! ([`WeightNet`]) — all sharing one billing meter ([`ServiceMeter`]) and a
-//! deterministic latency/jitter model ([`LatencyModel`]).
+//! deterministic latency/jitter model ([`LatencyModel`]). The meter is a
+//! [`FlowLedger`]: a total and one window per request flow, both written
+//! by each event in one critical section; the Lambda meter in `fsd-faas`
+//! is the same ledger over its own counters.
 //!
 //! **Timing model.** Latencies are *modeled in virtual time*, not slept:
 //! each worker carries a [`VClock`]; payloads are stamped with virtual
@@ -64,7 +67,7 @@ pub use fault::{
 pub use latency::{Jitter, LatencyModel};
 pub use mailbox::install_abort;
 pub use message::{quota, CommError, Message, MessageAttributes, QueuedMessage};
-pub use meter::{MeterSnapshot, ServiceMeter};
+pub use meter::{FlowLedger, MeterSnapshot, ServiceMeter};
 pub use object::ObjectStore;
 pub use pubsub::{topic_name, PubSub};
 pub use queue::SqsQueue;

@@ -1,112 +1,134 @@
 //! Billing meters — the simulation's "AWS Cost & Usage report".
 //!
-//! Every simulated service increments these counters as API events happen,
+//! Every simulated service records its API events here as they happen,
 //! *independently* of the cost model's predictions (Section IV of the
 //! paper). Cost-model validation (§VI-F) compares the two.
 //!
-//! Counters exist at two granularities:
+//! A meter is a [`FlowLedger`]: one counter struct kept at two
+//! granularities under one lock —
 //!
-//! * **global** — everything billed in the region since it came up;
+//! * **total** — everything billed since the meter came up;
 //! * **per flow** — the same events bucketed by the request flow id that
-//!   caused them (flow `0` is "unattributed" and is only counted
-//!   globally). Per-flow windows are what make `InferenceReport::comm`
+//!   caused them (flow `0` is "unattributed" and is only counted in the
+//!   total). Per-flow windows are what make `InferenceReport::comm`
 //!   request-local under concurrent load: two overlapping requests each
 //!   see exactly their own traffic instead of a shared global delta.
+//!
+//! [`FlowLedger::record`] applies an event to the total and to its flow's
+//! window in one critical section, so the two halves of one event are
+//! never observed apart: at any instant the total equals the live windows
+//! plus the released ones plus the unattributed events. The service meter
+//! ([`ServiceMeter`]) and the Lambda meter (`fsd_faas::LambdaMeter`) are
+//! both this ledger, over [`MeterSnapshot`] and `LambdaSnapshot`.
 
 use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Thread-safe counters of billable service events.
+/// A counter struct `S` kept as a running total plus one window per
+/// request flow, under one lock (see the module docs).
 #[derive(Debug, Default)]
-pub struct ServiceMeter {
+pub struct FlowLedger<S> {
+    inner: Mutex<Ledger<S>>,
+}
+
+#[derive(Debug, Default)]
+struct Ledger<S> {
+    total: S,
+    /// Windows of flows not yet released (flow 0 never has one).
+    flows: HashMap<u64, S>,
+}
+
+impl<S: Copy + Default> FlowLedger<S> {
+    /// Fresh ledger, all zeros and no windows.
+    pub fn new() -> FlowLedger<S> {
+        FlowLedger::default()
+    }
+
+    /// Applies the event `f` to the total and, unless `flow` is 0, to the
+    /// flow's window (creating it), in one critical section.
+    pub fn record(&self, flow: u64, f: impl Fn(&mut S)) {
+        let mut ledger = self.inner.lock();
+        f(&mut ledger.total);
+        if flow != 0 {
+            f(ledger.flows.entry(flow).or_default());
+        }
+    }
+
+    /// Copies the total.
+    pub fn snapshot(&self) -> S {
+        self.inner.lock().total
+    }
+
+    /// The events attributed to `flow` so far (zeros for unknown flows).
+    pub fn flow_snapshot(&self, flow: u64) -> S {
+        self.inner
+            .lock()
+            .flows
+            .get(&flow)
+            .copied()
+            .unwrap_or_default()
+    }
+
+    /// Removes `flow`'s window and returns it (request teardown — a
+    /// long-lived service must not accrete one window per request ever
+    /// served). The total keeps the released flow's history.
+    pub fn release_flow(&self, flow: u64) -> S {
+        self.inner.lock().flows.remove(&flow).unwrap_or_default()
+    }
+
+    /// Number of flows currently holding a window (leak checks in tests).
+    pub fn tracked_flows(&self) -> usize {
+        self.inner.lock().flows.len()
+    }
+}
+
+/// The region's service meter: every billable event of the simulated
+/// services, in total and per flow.
+pub type ServiceMeter = FlowLedger<MeterSnapshot>;
+
+/// Counters of billable service events (a total or one flow's window).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct MeterSnapshot {
     /// SNS billed publish requests (64 KiB increments, min 1 per batch).
-    sns_publish_requests: AtomicU64,
+    pub sns_publish_requests: u64,
     /// Raw SNS `PublishBatch` API calls (un-billed unit, for diagnostics).
-    sns_publish_batches: AtomicU64,
+    pub sns_publish_batches: u64,
     /// Bytes delivered from topics into queues (`Z` in the cost model).
-    sns_delivered_bytes: AtomicU64,
+    pub sns_delivered_bytes: u64,
     /// SQS API calls: receives + deletes (`Q` in the cost model).
-    sqs_api_calls: AtomicU64,
+    pub sqs_api_calls: u64,
     /// SQS receive calls that returned no messages (long-poll timeouts).
-    sqs_empty_polls: AtomicU64,
+    pub sqs_empty_polls: u64,
     /// Messages delivered through queues.
-    sqs_messages: AtomicU64,
+    pub sqs_messages: u64,
     /// S3 PUT requests (`V`).
-    s3_put_requests: AtomicU64,
+    pub s3_put_requests: u64,
     /// S3 GET requests (`R`).
-    s3_get_requests: AtomicU64,
+    pub s3_get_requests: u64,
     /// S3 LIST requests (`L`).
-    s3_list_requests: AtomicU64,
+    pub s3_list_requests: u64,
     /// Bytes written to object storage.
-    s3_put_bytes: AtomicU64,
+    pub s3_put_bytes: u64,
     /// Bytes read from object storage.
-    s3_get_bytes: AtomicU64,
+    pub s3_get_bytes: u64,
     /// Direct-exchange punch attempts (successful handshakes).
-    direct_punches: AtomicU64,
+    pub direct_punches: u64,
     /// Direct-exchange punch attempts that failed.
-    direct_punch_failures: AtomicU64,
+    pub direct_punch_failures: u64,
     /// Frames delivered over punched direct connections.
-    direct_messages: AtomicU64,
+    pub direct_messages: u64,
     /// Bytes moved over punched direct connections (un-billed — direct's
     /// whole point is zero per-message API cost; tracked for validation).
-    direct_bytes: AtomicU64,
+    pub direct_bytes: u64,
     /// Weight-stream frames forwarded down the launch cascade.
-    weight_frames: AtomicU64,
+    pub weight_frames: u64,
     /// Weight bytes forwarded down the launch cascade (un-billed in
     /// dollars — intra-flow transfer like direct — but attributed to the
     /// *forwarding* flow so chaos replays and per-flow windows stay exact).
-    weight_bytes: AtomicU64,
-    /// The same events bucketed per request flow (flow 0 excluded).
-    flows: Mutex<HashMap<u64, MeterSnapshot>>,
-}
-
-/// A point-in-time copy of the meters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MeterSnapshot {
-    pub sns_publish_requests: u64,
-    pub sns_publish_batches: u64,
-    pub sns_delivered_bytes: u64,
-    pub sqs_api_calls: u64,
-    pub sqs_empty_polls: u64,
-    pub sqs_messages: u64,
-    pub s3_put_requests: u64,
-    pub s3_get_requests: u64,
-    pub s3_list_requests: u64,
-    pub s3_put_bytes: u64,
-    pub s3_get_bytes: u64,
-    pub direct_punches: u64,
-    pub direct_punch_failures: u64,
-    pub direct_messages: u64,
-    pub direct_bytes: u64,
-    pub weight_frames: u64,
     pub weight_bytes: u64,
 }
 
 impl MeterSnapshot {
-    /// Difference `self − earlier`, for windowed measurements.
-    pub fn since(&self, earlier: &MeterSnapshot) -> MeterSnapshot {
-        MeterSnapshot {
-            sns_publish_requests: self.sns_publish_requests - earlier.sns_publish_requests,
-            sns_publish_batches: self.sns_publish_batches - earlier.sns_publish_batches,
-            sns_delivered_bytes: self.sns_delivered_bytes - earlier.sns_delivered_bytes,
-            sqs_api_calls: self.sqs_api_calls - earlier.sqs_api_calls,
-            sqs_empty_polls: self.sqs_empty_polls - earlier.sqs_empty_polls,
-            sqs_messages: self.sqs_messages - earlier.sqs_messages,
-            s3_put_requests: self.s3_put_requests - earlier.s3_put_requests,
-            s3_get_requests: self.s3_get_requests - earlier.s3_get_requests,
-            s3_list_requests: self.s3_list_requests - earlier.s3_list_requests,
-            s3_put_bytes: self.s3_put_bytes - earlier.s3_put_bytes,
-            s3_get_bytes: self.s3_get_bytes - earlier.s3_get_bytes,
-            direct_punches: self.direct_punches - earlier.direct_punches,
-            direct_punch_failures: self.direct_punch_failures - earlier.direct_punch_failures,
-            direct_messages: self.direct_messages - earlier.direct_messages,
-            direct_bytes: self.direct_bytes - earlier.direct_bytes,
-            weight_frames: self.weight_frames - earlier.weight_frames,
-            weight_bytes: self.weight_bytes - earlier.weight_bytes,
-        }
-    }
-
     /// Element-wise sum (aggregating per-flow windows).
     pub fn plus(&self, other: &MeterSnapshot) -> MeterSnapshot {
         MeterSnapshot {
@@ -132,149 +154,70 @@ impl MeterSnapshot {
 }
 
 impl ServiceMeter {
-    /// Fresh meter, all zeros.
-    pub fn new() -> ServiceMeter {
-        ServiceMeter::default()
-    }
-
-    /// Applies `f` to the flow's bucket (creating it), unless `flow` is 0.
-    fn with_flow(&self, flow: u64, f: impl FnOnce(&mut MeterSnapshot)) {
-        if flow == 0 {
-            return;
-        }
-        f(self.flows.lock().entry(flow).or_default());
-    }
-
     pub(crate) fn record_sns_publish(&self, flow: u64, billed_requests: u64) {
-        self.sns_publish_batches.fetch_add(1, Ordering::Relaxed);
-        self.sns_publish_requests
-            .fetch_add(billed_requests, Ordering::Relaxed);
-        self.with_flow(flow, |s| {
+        self.record(flow, |s| {
             s.sns_publish_batches += 1;
             s.sns_publish_requests += billed_requests;
         });
     }
 
     pub(crate) fn record_sns_delivery(&self, flow: u64, bytes: u64) {
-        self.sns_delivered_bytes.fetch_add(bytes, Ordering::Relaxed);
-        self.with_flow(flow, |s| s.sns_delivered_bytes += bytes);
+        self.record(flow, |s| s.sns_delivered_bytes += bytes);
     }
 
     pub(crate) fn record_sqs_call(&self, flow: u64, messages: u64, empty: bool) {
-        self.sqs_api_calls.fetch_add(1, Ordering::Relaxed);
-        self.sqs_messages.fetch_add(messages, Ordering::Relaxed);
-        if empty {
-            self.sqs_empty_polls.fetch_add(1, Ordering::Relaxed);
-        }
-        self.with_flow(flow, |s| {
+        self.record(flow, |s| {
             s.sqs_api_calls += 1;
             s.sqs_messages += messages;
-            if empty {
-                s.sqs_empty_polls += 1;
-            }
+            s.sqs_empty_polls += u64::from(empty);
         });
     }
 
     pub(crate) fn record_s3_put(&self, flow: u64, bytes: u64) {
-        self.s3_put_requests.fetch_add(1, Ordering::Relaxed);
-        self.s3_put_bytes.fetch_add(bytes, Ordering::Relaxed);
-        self.with_flow(flow, |s| {
+        self.record(flow, |s| {
             s.s3_put_requests += 1;
             s.s3_put_bytes += bytes;
         });
     }
 
     pub(crate) fn record_s3_get(&self, flow: u64, bytes: u64) {
-        self.s3_get_requests.fetch_add(1, Ordering::Relaxed);
-        self.s3_get_bytes.fetch_add(bytes, Ordering::Relaxed);
-        self.with_flow(flow, |s| {
+        self.record(flow, |s| {
             s.s3_get_requests += 1;
             s.s3_get_bytes += bytes;
         });
     }
 
     pub(crate) fn record_s3_list(&self, flow: u64) {
-        self.s3_list_requests.fetch_add(1, Ordering::Relaxed);
-        self.with_flow(flow, |s| s.s3_list_requests += 1);
+        self.record(flow, |s| s.s3_list_requests += 1);
     }
 
     pub(crate) fn record_direct_punch(&self, flow: u64, ok: bool) {
-        if ok {
-            self.direct_punches.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.direct_punch_failures.fetch_add(1, Ordering::Relaxed);
-        }
-        self.with_flow(flow, |s| {
-            if ok {
-                s.direct_punches += 1;
-            } else {
-                s.direct_punch_failures += 1;
-            }
+        self.record(flow, |s| {
+            s.direct_punches += u64::from(ok);
+            s.direct_punch_failures += u64::from(!ok);
         });
     }
 
     pub(crate) fn record_direct_send(&self, flow: u64, messages: u64, bytes: u64) {
-        self.direct_messages.fetch_add(messages, Ordering::Relaxed);
-        self.direct_bytes.fetch_add(bytes, Ordering::Relaxed);
-        self.with_flow(flow, |s| {
+        self.record(flow, |s| {
             s.direct_messages += messages;
             s.direct_bytes += bytes;
         });
     }
 
     pub(crate) fn record_weight_send(&self, flow: u64, frames: u64, bytes: u64) {
-        self.weight_frames.fetch_add(frames, Ordering::Relaxed);
-        self.weight_bytes.fetch_add(bytes, Ordering::Relaxed);
-        self.with_flow(flow, |s| {
+        self.record(flow, |s| {
             s.weight_frames += frames;
             s.weight_bytes += bytes;
         });
-    }
-
-    /// Copies the current global counters.
-    pub fn snapshot(&self) -> MeterSnapshot {
-        MeterSnapshot {
-            sns_publish_requests: self.sns_publish_requests.load(Ordering::Relaxed),
-            sns_publish_batches: self.sns_publish_batches.load(Ordering::Relaxed),
-            sns_delivered_bytes: self.sns_delivered_bytes.load(Ordering::Relaxed),
-            sqs_api_calls: self.sqs_api_calls.load(Ordering::Relaxed),
-            sqs_empty_polls: self.sqs_empty_polls.load(Ordering::Relaxed),
-            sqs_messages: self.sqs_messages.load(Ordering::Relaxed),
-            s3_put_requests: self.s3_put_requests.load(Ordering::Relaxed),
-            s3_get_requests: self.s3_get_requests.load(Ordering::Relaxed),
-            s3_list_requests: self.s3_list_requests.load(Ordering::Relaxed),
-            s3_put_bytes: self.s3_put_bytes.load(Ordering::Relaxed),
-            s3_get_bytes: self.s3_get_bytes.load(Ordering::Relaxed),
-            direct_punches: self.direct_punches.load(Ordering::Relaxed),
-            direct_punch_failures: self.direct_punch_failures.load(Ordering::Relaxed),
-            direct_messages: self.direct_messages.load(Ordering::Relaxed),
-            direct_bytes: self.direct_bytes.load(Ordering::Relaxed),
-            weight_frames: self.weight_frames.load(Ordering::Relaxed),
-            weight_bytes: self.weight_bytes.load(Ordering::Relaxed),
-        }
-    }
-
-    /// The events attributed to `flow` so far (zeros for unknown flows).
-    pub fn flow_snapshot(&self, flow: u64) -> MeterSnapshot {
-        self.flows.lock().get(&flow).copied().unwrap_or_default()
-    }
-
-    /// Removes `flow`'s bucket and returns its final window (request
-    /// teardown — a long-lived service must not accrete one bucket per
-    /// request ever served).
-    pub fn release_flow(&self, flow: u64) -> MeterSnapshot {
-        self.flows.lock().remove(&flow).unwrap_or_default()
-    }
-
-    /// Number of flows currently holding a bucket (leak checks in tests).
-    pub fn tracked_flows(&self) -> usize {
-        self.flows.lock().len()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::{Arc, Barrier};
 
     #[test]
     fn records_accumulate() {
@@ -310,21 +253,6 @@ mod tests {
         assert_eq!(s.weight_frames, 2);
         assert_eq!(s.weight_bytes, 700);
         assert_eq!(m.tracked_flows(), 0, "flow 0 is never bucketed");
-    }
-
-    #[test]
-    fn since_computes_window() {
-        let m = ServiceMeter::new();
-        m.record_s3_put(0, 100);
-        let a = m.snapshot();
-        m.record_s3_put(0, 250);
-        m.record_s3_list(0);
-        let b = m.snapshot();
-        let d = b.since(&a);
-        assert_eq!(d.s3_put_requests, 1);
-        assert_eq!(d.s3_put_bytes, 250);
-        assert_eq!(d.s3_list_requests, 1);
-        assert_eq!(d.sqs_api_calls, 0);
     }
 
     #[test]
@@ -371,7 +299,7 @@ mod tests {
 
     #[test]
     fn concurrent_increments_are_not_lost() {
-        let m = std::sync::Arc::new(ServiceMeter::new());
+        let m = Arc::new(ServiceMeter::new());
         let mut handles = Vec::new();
         for t in 0..8u64 {
             let m = m.clone();
@@ -388,5 +316,75 @@ mod tests {
         assert_eq!(m.snapshot().sqs_messages, 8000);
         assert_eq!(m.flow_snapshot(1).sqs_api_calls, 4000);
         assert_eq!(m.flow_snapshot(2).sqs_api_calls, 4000);
+    }
+
+    /// Eight recorders hit flows 0, 1 and 2 while a ninth thread keeps
+    /// releasing flow 2: every event lands in the total and in exactly one
+    /// of {flow 0, a live window, a released window}, for every field.
+    #[test]
+    fn total_partitions_into_unattributed_live_and_released_windows() {
+        let m = Arc::new(ServiceMeter::new());
+        let stop = Arc::new(AtomicBool::new(false));
+        let start = Arc::new(Barrier::new(9));
+        let releaser = {
+            let (m, stop, start) = (m.clone(), stop.clone(), start.clone());
+            std::thread::spawn(move || {
+                let mut released = MeterSnapshot::default();
+                start.wait();
+                loop {
+                    let last = stop.load(Ordering::Acquire);
+                    released = released.plus(&m.release_flow(2));
+                    if last {
+                        return released;
+                    }
+                    std::thread::yield_now();
+                }
+            })
+        };
+        let recorders: Vec<_> = (0..8u64)
+            .map(|t| {
+                let (m, start) = (m.clone(), start.clone());
+                std::thread::spawn(move || {
+                    start.wait();
+                    // The flow-0 events, which reach no window, are
+                    // replayed into a private meter by the thread that
+                    // made them.
+                    let unattributed = ServiceMeter::new();
+                    for i in 0..600u64 {
+                        let event = |meter: &ServiceMeter, flow| match i % 9 {
+                            0 => meter.record_sns_publish(flow, 1 + i % 4),
+                            1 => meter.record_sns_delivery(flow, i),
+                            2 => meter.record_sqs_call(flow, i % 5, i % 2 == 0),
+                            3 => meter.record_s3_put(flow, i * 3),
+                            4 => meter.record_s3_get(flow, i * 7),
+                            5 => meter.record_s3_list(flow),
+                            6 => meter.record_direct_punch(flow, i % 4 != 0),
+                            7 => meter.record_direct_send(flow, 1 + i % 3, i * 11),
+                            _ => meter.record_weight_send(flow, 1 + i % 2, i * 13),
+                        };
+                        let flow = (t + i) % 3;
+                        event(&m, flow);
+                        if flow == 0 {
+                            event(&unattributed, 0);
+                        }
+                    }
+                    unattributed.snapshot()
+                })
+            })
+            .collect();
+        let mut expected = MeterSnapshot::default();
+        for r in recorders {
+            expected = expected.plus(&r.join().expect("recorder"));
+        }
+        stop.store(true, Ordering::Release);
+        let released = releaser.join().expect("releaser");
+        expected = expected
+            .plus(&released)
+            .plus(&m.flow_snapshot(1))
+            .plus(&m.flow_snapshot(2));
+        let total = m.snapshot();
+        assert_eq!(total, expected, "field by field");
+        assert_eq!(m.tracked_flows(), 1, "flow 2's last window was released");
+        assert!(total.sns_publish_requests > 0 && total.weight_bytes > 0);
     }
 }

@@ -73,11 +73,11 @@ impl Carrier for DirectCarrier {
             || format!("f{}/{tag_key}", cx.flow),
             send,
         )?;
-        if !punched_before {
-            cx.stats.add(&cx.stats.direct_punches, 1);
-        }
-        cx.stats.add(&cx.stats.direct_msgs, 1);
-        cx.stats.add(&cx.stats.direct_bytes, body.len() as u64);
+        cx.stats.add(|s| {
+            s.direct_punches += u64::from(!punched_before);
+            s.direct_msgs += 1;
+            s.direct_bytes += body.len() as u64;
+        });
         Ok(())
     }
 

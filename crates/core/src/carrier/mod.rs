@@ -74,7 +74,7 @@ impl Core {
         let encoded = codec::encode(rows);
         ctx.charge_bytes(encoded.len() as u64, ENCODE_BPS);
         self.stats
-            .add(&self.stats.bytes_precompress, encoded.len() as u64);
+            .add(|s| s.bytes_precompress += encoded.len() as u64);
         if self.opts.compression {
             let compressed = compress::compress(&encoded);
             ctx.charge_bytes(encoded.len() as u64, COMPRESS_BPS);
@@ -112,7 +112,7 @@ impl Core {
         attempt: impl FnMut(&mut VClock) -> Result<T, CommError>,
     ) -> Result<T, FaasError> {
         let (res, retries) = self.opts.retry.run(clock, attempt);
-        self.stats.add(&self.stats.retries, retries);
+        self.stats.add(|s| s.retries += retries);
         res.map_err(|e| FaasError::comm(op, resource(), e))
     }
 }

@@ -62,7 +62,7 @@ impl ObjectCarrier {
         let (store, bucket) = (cx.env.object_store(), self.bucket_for(cx.rank));
         let get = |clock: &mut VClock| store.get(&bucket, key, clock);
         let body = cx.retried(clock, "get", || key.to_string(), get)?;
-        cx.stats.add(&cx.stats.s3_gets, 1);
+        cx.stats.add(|s| s.s3_gets += 1);
         Ok(body)
     }
 }
@@ -117,8 +117,10 @@ impl Carrier for ObjectCarrier {
         let store = cx.env.object_store();
         let write = |lane: &mut VClock| store.put(&put.bucket, &put.key, put.body.clone(), lane);
         cx.retried(lane, "put", || put.key.clone(), write)?;
-        cx.stats.add(&cx.stats.s3_puts, 1);
-        cx.stats.add(&cx.stats.s3_bytes_put, put.body.len() as u64);
+        cx.stats.add(|s| {
+            s.s3_puts += 1;
+            s.s3_bytes_put += put.body.len() as u64;
+        });
         Ok(())
     }
 
@@ -149,7 +151,7 @@ impl Carrier for ObjectCarrier {
     fn settle(&self, cx: &Cx, clock: &mut VClock, raw: &[Arrival<String>]) {
         let stamps: Vec<VirtualTime> = raw.iter().map(|a| a.stamp).collect();
         let scans = cx.env.object_store().settle_scans(clock, None, &stamps);
-        cx.stats.add(&cx.stats.s3_lists, scans);
+        cx.stats.add(|s| s.s3_lists += scans);
     }
 
     fn open<'a>(&self, cx: &Cx, clock: &mut VClock, key: &'a String) -> Opened<'a> {

@@ -159,10 +159,12 @@ impl Carrier for QueueCarrier {
         let publish = |lane: &mut VClock| pubsub.publish_batch(topic, lane, batch.clone());
         let billed = cx.retried(lane, "publish", || topic_name(topic), publish)?;
         let bytes: u64 = batch.iter().map(|m| m.len() as u64).sum();
-        cx.stats.add(&cx.stats.sns_billed, billed);
-        cx.stats.add(&cx.stats.sns_batches, 1);
-        cx.stats.add(&cx.stats.messages, batch.len() as u64);
-        cx.stats.add(&cx.stats.bytes_sent, bytes);
+        cx.stats.add(|s| {
+            s.sns_billed += billed;
+            s.sns_batches += 1;
+            s.messages += batch.len() as u64;
+            s.bytes_sent += bytes;
+        });
         Ok(())
     }
 
@@ -187,7 +189,7 @@ impl Carrier for QueueCarrier {
             raw.iter().map(|a| (a.stamp, a.body.len())).collect();
         let queue = &self.queues[cx.rank as usize];
         let rounds = queue.settle_receives(clock, cx.opts.long_poll_secs, &billing);
-        cx.stats.add(&cx.stats.sqs_calls, rounds);
+        cx.stats.add(|s| s.sqs_calls += rounds);
     }
 
     fn open<'a>(&self, _cx: &Cx, _clock: &mut VClock, body: &'a Vec<u8>) -> Opened<'a> {

@@ -5,47 +5,17 @@
 //! charges against the AWS Cost & Usage report. [`ChannelStats`] plays the
 //! application-side role here: channels count the work they believe they
 //! did, the service meters (`fsd_comm::ServiceMeter`) independently count
-//! what was billed.
+//! what was billed. The counters live once, in [`ChannelStatsSnapshot`],
+//! behind one lock; a carrier updates all the counters of one channel
+//! operation in one [`ChannelStats::add`].
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use parking_lot::Mutex;
 
-/// Atomic client-side counters, aggregated across all workers of a run.
+/// Client-side counters, aggregated across all workers of a run.
 #[derive(Debug, Default)]
-pub struct ChannelStats {
-    /// Billed SNS publish requests (client's own 64 KiB accounting): `S`.
-    pub sns_billed: AtomicU64,
-    /// `PublishBatch` API calls issued.
-    pub sns_batches: AtomicU64,
-    /// Messages handed to the pub-sub service.
-    pub messages: AtomicU64,
-    /// Payload bytes shipped through pub-sub (= SNS→SQS transfer): `Z`.
-    pub bytes_sent: AtomicU64,
-    /// SQS API calls (receive rounds + deletes): `Q`.
-    pub sqs_calls: AtomicU64,
-    /// Object PUT requests: `V`.
-    pub s3_puts: AtomicU64,
-    /// Object GET requests: `R`.
-    pub s3_gets: AtomicU64,
-    /// Object LIST requests: `L`.
-    pub s3_lists: AtomicU64,
-    /// Bytes written to object storage (diagnostics; not billed by S3).
-    pub s3_bytes_put: AtomicU64,
-    /// Pre-compression payload bytes (compression-effectiveness metric).
-    pub bytes_precompress: AtomicU64,
-    /// Direct-exchange punch handshakes performed.
-    pub direct_punches: AtomicU64,
-    /// Frames shipped over punched direct connections.
-    pub direct_msgs: AtomicU64,
-    /// Payload bytes shipped over punched direct connections (un-billed).
-    pub direct_bytes: AtomicU64,
-    /// Retries performed on idempotent ops after transient faults. Failed
-    /// attempts are billed by the service meters, so under injected faults
-    /// the service-side counts exceed these client-side logical counts by
-    /// design (AWS semantics).
-    pub retries: AtomicU64,
-}
+pub struct ChannelStats(Mutex<ChannelStatsSnapshot>);
 
-/// Plain-data snapshot of [`ChannelStats`].
+/// The client-side counters of one channel.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ChannelStatsSnapshot {
     /// Billed SNS publish requests (client's own 64 KiB accounting): `S`.
@@ -74,7 +44,10 @@ pub struct ChannelStatsSnapshot {
     pub direct_msgs: u64,
     /// Payload bytes shipped over punched direct connections (un-billed).
     pub direct_bytes: u64,
-    /// Retries performed on idempotent ops after transient faults.
+    /// Retries performed on idempotent ops after transient faults. Failed
+    /// attempts are billed by the service meters, so under injected faults
+    /// the service-side counts exceed these client-side logical counts by
+    /// design (AWS semantics).
     pub retries: u64,
 }
 
@@ -84,28 +57,14 @@ impl ChannelStats {
         ChannelStats::default()
     }
 
-    pub(crate) fn add(&self, field: &AtomicU64, n: u64) {
-        field.fetch_add(n, Ordering::Relaxed);
+    /// Applies one channel operation's counts, in one critical section.
+    pub(crate) fn add(&self, f: impl FnOnce(&mut ChannelStatsSnapshot)) {
+        f(&mut self.0.lock());
     }
 
     /// Copies the counters.
     pub fn snapshot(&self) -> ChannelStatsSnapshot {
-        ChannelStatsSnapshot {
-            sns_billed: self.sns_billed.load(Ordering::Relaxed),
-            sns_batches: self.sns_batches.load(Ordering::Relaxed),
-            messages: self.messages.load(Ordering::Relaxed),
-            bytes_sent: self.bytes_sent.load(Ordering::Relaxed),
-            sqs_calls: self.sqs_calls.load(Ordering::Relaxed),
-            s3_puts: self.s3_puts.load(Ordering::Relaxed),
-            s3_gets: self.s3_gets.load(Ordering::Relaxed),
-            s3_lists: self.s3_lists.load(Ordering::Relaxed),
-            s3_bytes_put: self.s3_bytes_put.load(Ordering::Relaxed),
-            bytes_precompress: self.bytes_precompress.load(Ordering::Relaxed),
-            direct_punches: self.direct_punches.load(Ordering::Relaxed),
-            direct_msgs: self.direct_msgs.load(Ordering::Relaxed),
-            direct_bytes: self.direct_bytes.load(Ordering::Relaxed),
-            retries: self.retries.load(Ordering::Relaxed),
-        }
+        *self.0.lock()
     }
 }
 
@@ -127,9 +86,11 @@ mod tests {
     #[test]
     fn snapshot_reflects_adds() {
         let s = ChannelStats::new();
-        s.add(&s.sns_billed, 4);
-        s.add(&s.messages, 10);
-        s.add(&s.bytes_sent, 1000);
+        s.add(|c| {
+            c.sns_billed += 4;
+            c.messages += 10;
+        });
+        s.add(|c| c.bytes_sent += 1000);
         let snap = s.snapshot();
         assert_eq!(snap.sns_billed, 4);
         assert_eq!(snap.messages, 10);
@@ -141,8 +102,10 @@ mod tests {
     fn compression_ratio() {
         let s = ChannelStats::new();
         assert_eq!(s.snapshot().compression_ratio(), 1.0);
-        s.add(&s.bytes_precompress, 4000);
-        s.add(&s.bytes_sent, 1000);
+        s.add(|c| {
+            c.bytes_precompress += 4000;
+            c.bytes_sent += 1000;
+        });
         assert!((s.snapshot().compression_ratio() - 4.0).abs() < 1e-9);
     }
 }

@@ -19,21 +19,26 @@
 //! `FsdService::invalidate_warm_trees` wires it to the warm-pool
 //! generation bump — re-staged model weights must never be served from a
 //! stale cache, exactly as they must never be served by a stale warm tree.
+//!
+//! The counters ([`WeightCacheStats`]) live beside the map under the same
+//! lock, so each operation counts itself in the critical section it
+//! already takes.
 
 use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// The block map and its generation, under one lock so an insert can
-/// never race an invalidation: the generation is compared and the map
-/// mutated in one critical section.
+/// The block map, its generation and its counters, under one lock so an
+/// insert can never race an invalidation: the generation is compared and
+/// the map mutated in one critical section.
+#[derive(Default)]
 struct BlockMap {
     generation: u64,
     blocks: HashMap<String, Arc<[u8]>>,
+    stats: WeightCacheStats,
 }
 
-/// Counter snapshot of one [`WeightCache`] (diagnostics/tests/benches).
+/// The counters of one [`WeightCache`] (diagnostics/tests/benches).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct WeightCacheStats {
     /// Lookups served from a resident block.
@@ -50,35 +55,15 @@ pub struct WeightCacheStats {
 }
 
 /// Process-wide shared weight-block cache (see the module docs).
+#[derive(Default)]
 pub struct WeightCache {
     map: Mutex<BlockMap>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    inserts: AtomicU64,
-    stale_rejected: AtomicU64,
-    evicted: AtomicU64,
-}
-
-impl Default for WeightCache {
-    fn default() -> Self {
-        WeightCache::new()
-    }
 }
 
 impl WeightCache {
     /// An empty cache at generation 0.
     pub fn new() -> WeightCache {
-        WeightCache {
-            map: Mutex::new(BlockMap {
-                generation: 0,
-                blocks: HashMap::new(),
-            }),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            inserts: AtomicU64::new(0),
-            stale_rejected: AtomicU64::new(0),
-            evicted: AtomicU64::new(0),
-        }
+        WeightCache::default()
     }
 
     /// The live generation. Loads capture it once at load start and pass
@@ -91,16 +76,13 @@ impl WeightCache {
 
     /// Looks `key` up. Counts a hit or a miss.
     pub fn lookup(&self, key: &str) -> Option<Arc<[u8]>> {
-        match self.map.lock().blocks.get(key) {
-            Some(body) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(body.clone())
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
+        let mut map = self.map.lock();
+        let found = map.blocks.get(key).cloned();
+        match found {
+            Some(_) => map.stats.hits += 1,
+            None => map.stats.misses += 1,
         }
+        found
     }
 
     /// Inserts a fetched block under the generation its load captured at
@@ -109,11 +91,11 @@ impl WeightCache {
     pub fn insert_block(&self, key: &str, body: Arc<[u8]>, generation: u64) -> bool {
         let mut map = self.map.lock();
         if generation != map.generation {
-            self.stale_rejected.fetch_add(1, Ordering::Relaxed);
+            map.stats.stale_rejected += 1;
             return false;
         }
         map.blocks.insert(key.to_string(), body);
-        self.inserts.fetch_add(1, Ordering::Relaxed);
+        map.stats.inserts += 1;
         true
     }
 
@@ -122,9 +104,7 @@ impl WeightCache {
     pub fn evict_block(&self, key: &str) -> bool {
         let mut map = self.map.lock();
         let existed = map.blocks.remove(key).is_some();
-        if existed {
-            self.evicted.fetch_add(1, Ordering::Relaxed);
-        }
+        map.stats.evicted += u64::from(existed);
         existed
     }
 
@@ -136,7 +116,7 @@ impl WeightCache {
         map.generation += 1;
         let dropped = map.blocks.len();
         map.blocks.clear();
-        self.evicted.fetch_add(dropped as u64, Ordering::Relaxed);
+        map.stats.evicted += dropped as u64;
         dropped
     }
 
@@ -152,13 +132,7 @@ impl WeightCache {
 
     /// Counter snapshot.
     pub fn stats(&self) -> WeightCacheStats {
-        WeightCacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            inserts: self.inserts.load(Ordering::Relaxed),
-            stale_rejected: self.stale_rejected.load(Ordering::Relaxed),
-            evicted: self.evicted.load(Ordering::Relaxed),
-        }
+        self.map.lock().stats
     }
 }
 

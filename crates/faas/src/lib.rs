@@ -5,7 +5,11 @@
 //! ([`ComputeModel`]), and enforcement of the two limits that shape the
 //! paper's entire design space — instance memory and the 15-minute
 //! runtime cap ([`FaasError`]). Billing follows Lambda: a per-invocation
-//! request charge plus MB-milliseconds of execution ([`LambdaMeter`]).
+//! request charge plus MB-milliseconds of execution ([`LambdaMeter`], the
+//! same per-flow ledger as the service meter, `fsd_comm::FlowLedger`, over
+//! [`LambdaSnapshot`]). An invoke bills its request up front; a window's
+//! duration is billed only when it closes ([`WorkerCtx::finish_request`],
+//! which the platform also runs when a one-shot function exits).
 //!
 //! The [`launch`] module implements the paper's hierarchical
 //! `worker_invoke_children` tree: every worker derives its rank and its

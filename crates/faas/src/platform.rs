@@ -7,10 +7,7 @@
 //! MB-milliseconds of execution).
 
 use crate::compute::{ComputeModel, MAX_MEMORY_MB, MAX_TIMEOUT_SECS, MIN_MEMORY_MB};
-use fsd_comm::{CloudEnv, VClock, VirtualTime};
-use parking_lot::Mutex;
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use fsd_comm::{CloudEnv, FlowLedger, VClock, VirtualTime};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
@@ -180,61 +177,18 @@ pub struct InvocationReport {
     pub memory_mb: u32,
 }
 
-/// Lambda billing counters: global totals plus per-flow windows (flow 0 is
-/// unattributed and only counted globally).
-#[derive(Debug, Default)]
-pub struct LambdaMeter {
-    invocations: AtomicU64,
-    mb_ms: AtomicU64,
-    flows: Mutex<HashMap<u64, LambdaSnapshot>>,
-}
+/// Lambda billing: a [`FlowLedger`] of [`LambdaSnapshot`] — a global total
+/// plus per-flow windows (flow 0 is unattributed and only counted in the
+/// total), each event written to both in one critical section.
+pub type LambdaMeter = FlowLedger<LambdaSnapshot>;
 
-/// Snapshot of [`LambdaMeter`].
+/// Lambda billing counters (the total or one flow's window).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LambdaSnapshot {
     /// Total invocation requests.
     pub invocations: u64,
     /// Total billed MB·milliseconds.
     pub mb_ms: u64,
-}
-
-impl LambdaMeter {
-    /// Copies the global counters.
-    pub fn snapshot(&self) -> LambdaSnapshot {
-        LambdaSnapshot {
-            invocations: self.invocations.load(Ordering::Relaxed),
-            mb_ms: self.mb_ms.load(Ordering::Relaxed),
-        }
-    }
-
-    fn record_invocation(&self, flow: u64) {
-        self.invocations.fetch_add(1, Ordering::Relaxed);
-        if flow != 0 {
-            self.flows.lock().entry(flow).or_default().invocations += 1;
-        }
-    }
-
-    fn record_mb_ms(&self, flow: u64, mb_ms: u64) {
-        self.mb_ms.fetch_add(mb_ms, Ordering::Relaxed);
-        if flow != 0 {
-            self.flows.lock().entry(flow).or_default().mb_ms += mb_ms;
-        }
-    }
-
-    /// The billing attributed to `flow` so far (zeros for unknown flows).
-    pub fn flow_snapshot(&self, flow: u64) -> LambdaSnapshot {
-        self.flows.lock().get(&flow).copied().unwrap_or_default()
-    }
-
-    /// Removes `flow`'s window and returns it (request teardown).
-    pub fn release_flow(&self, flow: u64) -> LambdaSnapshot {
-        self.flows.lock().remove(&flow).unwrap_or_default()
-    }
-
-    /// Number of flows currently holding a window (leak checks in tests).
-    pub fn tracked_flows(&self) -> usize {
-        self.flows.lock().len()
-    }
 }
 
 /// The platform: shared cloud environment plus compute model and billing.
@@ -301,6 +255,8 @@ impl FaasPlatform {
     /// Invokes `cfg` asynchronously at virtual time `at`. The instance
     /// suffers the invoke round trip plus a cold start before `body` runs
     /// with a [`WorkerCtx`]. Returns immediately with an [`Invocation`].
+    // fsd_lint::allow(billing-pair): the launch window has no
+    // begin_request — it opens when the instance's `WorkerCtx` is built.
     pub fn invoke<T, F>(
         self: &Arc<Self>,
         cfg: FunctionConfig,
@@ -311,7 +267,7 @@ impl FaasPlatform {
         T: Send + 'static,
         F: FnOnce(&mut WorkerCtx) -> Result<T, FaasError> + Send + 'static,
     {
-        self.meter.record_invocation(cfg.flow);
+        self.meter.record(cfg.flow, |s| s.invocations += 1);
         // Injected launch fault: the invoke request is billed (Lambda
         // charges the request even when the instance fails to start) and
         // the round trip is suffered, but the body never runs. Drawn on
@@ -345,7 +301,7 @@ impl FaasPlatform {
             let started = clock.now();
             let mut ctx = WorkerCtx {
                 platform: platform.clone(),
-                cfg: cfg.clone(),
+                cfg,
                 clock,
                 started,
                 mem_bytes: 0,
@@ -353,40 +309,22 @@ impl FaasPlatform {
                 abort: None,
             };
             let out = body(&mut ctx)?;
-            if cfg.keep_alive {
-                // A keep-alive body meters and limit-checks every request
-                // it served through begin_request/finish_request; its idle
-                // lifetime is neither billed nor checked at exit.
-                let finished = ctx.clock.now();
-                return Ok((
-                    out,
-                    InvocationReport {
-                        started,
-                        finished,
-                        billed_ms: 0,
-                        peak_mem_bytes: ctx.peak_mem_bytes,
-                        memory_mb: cfg.memory_mb,
-                    },
-                ));
+            if !ctx.cfg.keep_alive {
+                // A one-shot function's only window — opened by building
+                // `ctx` above — closes at exit.
+                return Ok((out, ctx.finish_request()?));
             }
-            ctx.check_limits()?;
-            let finished = ctx.clock.now();
-            let elapsed_ms =
-                ((finished.as_micros() - started.as_micros()) as f64 / 1000.0).ceil() as u64;
-            let billed_ms = elapsed_ms.max(1);
-            platform
-                .meter
-                .record_mb_ms(cfg.flow, billed_ms * cfg.memory_mb as u64);
-            Ok((
-                out,
-                InvocationReport {
-                    started,
-                    finished,
-                    billed_ms,
-                    peak_mem_bytes: ctx.peak_mem_bytes,
-                    memory_mb: cfg.memory_mb,
-                },
-            ))
+            // A keep-alive body meters and limit-checks every request it
+            // served through begin_request/finish_request; its idle
+            // lifetime is neither billed nor checked at exit.
+            let report = InvocationReport {
+                started,
+                finished: ctx.clock.now(),
+                billed_ms: 0,
+                peak_mem_bytes: ctx.peak_mem_bytes,
+                memory_mb: ctx.cfg.memory_mb,
+            };
+            Ok((out, report))
         });
         Invocation {
             handle,
@@ -449,13 +387,14 @@ impl WorkerCtx {
         self.peak_mem_bytes = self.mem_bytes;
     }
 
-    /// Closes the current request window the way the platform closes a
-    /// function at exit: re-checks the limits (a window that crossed its
-    /// memory or runtime limit in its last step fails, unbilled), then
-    /// bills the window's MB-milliseconds to the window's flow and returns
-    /// its [`InvocationReport`]. On a kept-alive instance this is the
-    /// *only* duration billing and exit check (the platform skips both);
-    /// the window opened at launch covers cold start → now.
+    /// Closes the current request window — the one billing-window close,
+    /// which the platform also runs when a one-shot function exits:
+    /// re-checks the limits (a window that crossed its memory or runtime
+    /// limit in its last step fails, unbilled), then bills the window's
+    /// MB-milliseconds (ceiled, at least 1 ms) to the window's flow and
+    /// returns its [`InvocationReport`]. On a kept-alive instance this is
+    /// the *only* duration billing and exit check (the platform skips
+    /// both); the window opened at launch covers cold start → now.
     pub fn finish_request(&mut self) -> Result<InvocationReport, FaasError> {
         self.check_limits()?;
         let finished = self.clock.now();
@@ -465,9 +404,10 @@ impl WorkerCtx {
             / 1000.0)
             .ceil() as u64;
         let billed_ms = elapsed_ms.max(1);
+        let mb_ms = billed_ms * self.cfg.memory_mb as u64;
         self.platform
             .meter
-            .record_mb_ms(self.cfg.flow, billed_ms * self.cfg.memory_mb as u64);
+            .record(self.cfg.flow, |s| s.mb_ms += mb_ms);
         Ok(InvocationReport {
             started: self.started,
             finished,
@@ -890,6 +830,7 @@ mod tests {
     #[test]
     fn injected_launch_fault_bills_the_request_but_never_runs_the_body() {
         use fsd_comm::{ApiClass, TargetedFault};
+        use std::sync::atomic::{AtomicU64, Ordering};
         let p = platform();
         p.env()
             .faults()
