@@ -2,11 +2,12 @@
 //!
 //! [`replay_fleet`] pushes a seeded arrival trace through a
 //! **manual-dispatch** scheduler from a single driver thread ([`replay`]
-//! is its one-model case). Every scheduler-state mutation —
-//! enqueue, admission ([`Scheduler::dispatch`]) and slot release (ticket
-//! harvest) — happens on that thread in a fixed protocol, so the admission
-//! order, the rejection set and every per-request report are pure
-//! functions of `(trace, scheduler config, models)`. Execution itself still
+//! is its one-model case). Enqueue, admission ([`Scheduler::dispatch`])
+//! and every slot release (ticket harvest) happen on that thread in a
+//! fixed protocol, so the admission order, the rejection set and every
+//! per-request report are pure functions of `(trace, scheduler config,
+//! models)` — bar the latency EWMAs, which executor threads fold in real
+//! finishing order, so the report zeroes them. Execution itself still
 //! fans out over real threads (each admitted request launches its own
 //! coordinator + worker tree), which is exactly what makes the replay a
 //! *load* test rather than a unit test: up to `global_cap` whole worker
@@ -25,12 +26,13 @@
 //! After the last group the driver drains: dispatch / harvest in admission
 //! order until nothing is queued or running.
 
-use crate::scheduler::{Priority, SchedStatsSnapshot, Scheduler, Ticket};
+use crate::config::{Priority, SchedStatsSnapshot};
+use crate::scheduler::{Scheduler, Ticket};
 use crate::trace::{Arrival, FleetArrival};
 use fsd_core::{BatchedRequest, FsdError, LaunchPath, Variant};
 use fsd_model::{generate_inputs, InputSpec};
 use fsd_sparse::codec;
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 
 /// The deterministic digest of one completed request.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -53,48 +55,6 @@ pub struct RunDigest {
     pub s3_put_requests: u64,
     /// Request-local Lambda invocations.
     pub invocations: u64,
-}
-
-/// Outcome of one accepted request.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ReplayOutcome {
-    /// Scheduler sequence number.
-    pub seq: u64,
-    /// Index into the replayed trace.
-    pub trace_index: usize,
-    /// Priority class.
-    pub priority: Priority,
-    /// The run's digest, or the error's display string.
-    pub result: Result<RunDigest, String>,
-}
-
-/// Everything a replay observed; two replays of the same trace against
-/// identically configured schedulers must compare equal.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ReplayReport {
-    /// Seq numbers in admission order.
-    pub admission_order: Vec<u64>,
-    /// Priority class of each admission, aligned with `admission_order`.
-    pub admitted_classes: Vec<Priority>,
-    /// Trace indices rejected with backpressure, in arrival order.
-    pub rejected: Vec<usize>,
-    /// Per-request outcomes in admission order.
-    pub outcomes: Vec<ReplayOutcome>,
-    /// Final scheduler statistics.
-    pub stats: SchedStatsSnapshot,
-}
-
-impl ReplayReport {
-    /// Seq → trace-index admission pairs restricted to one class, in
-    /// admission order (FIFO-within-class assertions).
-    pub fn admissions_of(&self, class: Priority) -> Vec<u64> {
-        self.admission_order
-            .iter()
-            .zip(&self.admitted_classes)
-            .filter(|(_, c)| **c == class)
-            .map(|(s, _)| *s)
-            .collect()
-    }
 }
 
 fn fnv1a(digest: &mut u64, bytes: &[u8]) {
@@ -124,14 +84,13 @@ fn digest_report(report: &fsd_core::InferenceReport) -> RunDigest {
 }
 
 /// Replays `trace` against `model` on a manual-dispatch scheduler: the
-/// one-model case of [`replay_fleet`], with each outcome's priority class
-/// read back from the trace.
+/// one-model case of [`replay_fleet`].
 ///
 /// # Panics
 /// As [`replay_fleet`]: if the scheduler is not in manual dispatch mode,
 /// if `model` is not registered, or if an enqueue fails with anything but
 /// backpressure.
-pub fn replay(sched: &Scheduler, model: &str, trace: &[Arrival]) -> ReplayReport {
+pub fn replay(sched: &Scheduler, model: &str, trace: &[Arrival]) -> FleetReplayReport {
     let fleet: Vec<FleetArrival> = trace
         .iter()
         .map(|a| FleetArrival {
@@ -139,26 +98,7 @@ pub fn replay(sched: &Scheduler, model: &str, trace: &[Arrival]) -> ReplayReport
             arrival: a.clone(),
         })
         .collect();
-    let report = replay_fleet(sched, &[model], &fleet);
-    let outcomes: Vec<ReplayOutcome> = report
-        .outcomes
-        .into_iter()
-        .map(|o| ReplayOutcome {
-            seq: o.seq,
-            trace_index: o.trace_index,
-            priority: trace[o.trace_index].priority,
-            result: o.result,
-        })
-        .collect();
-    let class_of: HashMap<u64, Priority> = outcomes.iter().map(|o| (o.seq, o.priority)).collect();
-    let admitted_classes = report.admission_order.iter().map(|s| class_of[s]).collect();
-    ReplayReport {
-        admission_order: report.admission_order,
-        admitted_classes,
-        rejected: report.rejected,
-        outcomes,
-        stats: report.stats,
-    }
+    replay_fleet(sched, &[model], &fleet)
 }
 
 /// Outcome of one accepted fleet request.
@@ -170,6 +110,8 @@ pub struct FleetOutcome {
     pub model: usize,
     /// Index into the replayed trace.
     pub trace_index: usize,
+    /// Priority class.
+    pub priority: Priority,
     /// Stamped virtual arrival instant (µs) — with the per-run latency in
     /// the digest, everything a virtual-makespan model needs.
     pub arrival_us: u64,
@@ -177,23 +119,32 @@ pub struct FleetOutcome {
     pub result: Result<RunDigest, String>,
 }
 
-/// Everything a fleet replay observed (the multi-model analogue of
-/// [`ReplayReport`]), plus the admission groups continuous batching
-/// formed. Two replays of the same fleet trace against identically
-/// configured schedulers must compare equal.
+/// Everything a replay observed. Two replays of the same trace against
+/// identically configured schedulers must compare equal.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FleetReplayReport {
-    /// Seq numbers in admission order.
-    pub admission_order: Vec<u64>,
-    /// Seq numbers grouped per execution pass: a multi-member group is a
-    /// coalition that ran as one tree pass.
+    /// Seq numbers grouped per execution pass, in admission order: a
+    /// multi-member group is a coalition that ran as one tree pass.
     pub admission_groups: Vec<Vec<u64>>,
     /// Trace indices rejected with backpressure, in arrival order.
     pub rejected: Vec<usize>,
-    /// Per-request outcomes in admission order.
+    /// Per-request outcomes in admission order (the driver harvests in
+    /// admission order, so their seqs are the flattened groups).
     pub outcomes: Vec<FleetOutcome>,
     /// Final scheduler statistics.
     pub stats: SchedStatsSnapshot,
+}
+
+impl FleetReplayReport {
+    /// Seq numbers of one class's admissions, in admission order
+    /// (FIFO-within-class assertions).
+    pub fn admissions_of(&self, class: Priority) -> Vec<u64> {
+        self.outcomes
+            .iter()
+            .filter(|o| o.priority == class)
+            .map(|o| o.seq)
+            .collect()
+    }
 }
 
 /// Replays a multi-model fleet trace against a manual-dispatch scheduler:
@@ -201,9 +152,6 @@ pub struct FleetReplayReport {
 /// `models[a.model]` and stamped with its virtual arrival instant
 /// ([`Scheduler::enqueue_at`]) so continuous batching coalesces as a pure
 /// function of the trace.
-///
-/// The admission order and groups come from [`Scheduler::dispatch`]'s
-/// return values, so the replay needs no admission recording.
 ///
 /// # Panics
 /// If the scheduler is not in manual dispatch mode, if a trace entry's
@@ -238,7 +186,7 @@ pub fn replay_fleet(
     let mut driver = Driver {
         sched,
         tickets: HashMap::new(),
-        admission_order: Vec::new(),
+        unharvested: VecDeque::new(),
         admission_groups: Vec::new(),
         outcomes: Vec::new(),
     };
@@ -313,7 +261,6 @@ pub fn replay_fleet(
     stats.ewma_cold_latency = fsd_comm::VirtualTime::ZERO;
     stats.ewma_warm_latency = fsd_comm::VirtualTime::ZERO;
     FleetReplayReport {
-        admission_order: driver.admission_order,
         admission_groups: driver.admission_groups,
         rejected,
         outcomes: driver.outcomes,
@@ -327,10 +274,9 @@ struct Driver<'a> {
     sched: &'a Scheduler,
     /// Accepted, not yet harvested: seq → (trace index, arrival, ticket).
     tickets: HashMap<u64, (usize, FleetArrival, Ticket)>,
-    admission_order: Vec<u64>,
+    /// Admitted, not yet harvested, in admission order.
+    unharvested: VecDeque<u64>,
     admission_groups: Vec<Vec<u64>>,
-    /// One per harvested ticket, so its length is the harvest cursor into
-    /// `admission_order`.
     outcomes: Vec<FleetOutcome>,
 }
 
@@ -338,7 +284,7 @@ impl Driver<'_> {
     /// Runs one admission pass and records the passes it admitted.
     fn dispatch(&mut self) {
         for group in self.sched.dispatch() {
-            self.admission_order.extend_from_slice(&group);
+            self.unharvested.extend(&group);
             self.admission_groups.push(group);
         }
     }
@@ -346,7 +292,7 @@ impl Driver<'_> {
     /// Harvests the earliest-admitted ticket not yet harvested; `false`
     /// if every admitted ticket has been.
     fn harvest_next(&mut self) -> bool {
-        let Some(&seq) = self.admission_order.get(self.outcomes.len()) else {
+        let Some(seq) = self.unharvested.pop_front() else {
             return false;
         };
         let (trace_index, a, ticket) = self.tickets.remove(&seq).expect("admitted ticket is held");
@@ -358,6 +304,7 @@ impl Driver<'_> {
             seq,
             model: a.model,
             trace_index,
+            priority: a.arrival.priority,
             arrival_us: a.arrival.at.as_micros(),
             result,
         });

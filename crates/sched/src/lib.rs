@@ -1,9 +1,9 @@
 //! # fsd-sched — admission control in front of [`FsdService`](fsd_core::FsdService)
 //!
-//! PR 1 made the service accept concurrent `&self` requests, but nothing
-//! bounded or ordered that concurrency: every caller raced straight into
+//! The service accepts concurrent `&self` requests, but nothing in it
+//! bounds or orders that concurrency: every caller races straight into
 //! the engine, so a burst of large-`P` requests could starve small ones
-//! and there was no backpressure story. This crate adds the explicit
+//! and there is no backpressure story. This crate adds the explicit
 //! scheduling layer that serverless serving systems live or die on
 //! (λScale's request admission/routing trees; FMI's "saturated but not
 //! oversubscribed" communication fabric):
@@ -29,12 +29,20 @@
 //!   a predicted burst lands on already-parked trees; quiet shapes are
 //!   evicted, converging an idle system back to zero pre-warms.
 //!
+//! Inside, the scheduler is a pure admission engine (`admission`: class
+//! queues, SWRR, caps, coalescing, the pass table and completion
+//! bookkeeping — no service call, thread or lock) wrapped by the
+//! [`Scheduler`] front end (intake, tickets, predictor glue, executor
+//! threads); [`FailureCause`] and the `retry_after` hint live in `retry`,
+//! the configuration and [`SchedStatsSnapshot`] in `config`.
+//!
 //! The second half of the crate is a **deterministic load-test harness**:
-//! [`trace`] generates seeded arrival traces (steady / bursty / flood) and
-//! [`harness::replay`] drives them through a manual-dispatch scheduler so
-//! that every admission decision happens on the driver thread — same seed
-//! ⇒ identical admission order and identical reports, while execution
-//! still fans out across real worker threads.
+//! [`trace`] generates seeded arrival traces (steady / bursty / flood /
+//! fleet) and [`harness::replay_fleet`] ([`harness::replay`] for one
+//! model) drives them through a manual-dispatch scheduler so that every
+//! admission decision happens on the driver thread — same seed ⇒ identical
+//! admission order and identical reports, while execution still fans out
+//! across real worker threads.
 //!
 //! ```
 //! use fsd_core::{BatchedRequest, ServiceBuilder, Variant};
@@ -62,14 +70,16 @@
 //! ```
 #![forbid(unsafe_code)]
 
+mod admission;
+mod config;
 pub mod harness;
 pub mod predictor;
+mod retry;
 mod scheduler;
 pub mod trace;
 
+pub use config::{derive_model_cap, BatchingConfig, Priority, SchedStatsSnapshot, SchedulerConfig};
 pub use predictor::{Predictor, PredictorConfig, PrewarmDecision};
-pub use scheduler::{
-    derive_model_cap, BatchingConfig, FailureCause, Priority, SchedStatsSnapshot, Scheduler,
-    SchedulerBuilder, SchedulerConfig, Ticket, DEFAULT_MODEL,
-};
+pub use retry::FailureCause;
+pub use scheduler::{Scheduler, SchedulerBuilder, Ticket, DEFAULT_MODEL};
 pub use trace::{Arrival, FleetArrival};

@@ -139,11 +139,6 @@ impl Predictor {
         }
     }
 
-    /// The configuration in force.
-    pub fn config(&self) -> PredictorConfig {
-        self.cfg
-    }
-
     /// Arrivals observed so far.
     pub fn observed(&self) -> u64 {
         self.seq

@@ -5,7 +5,7 @@
 //! so the same seed replays the same workload in tests, benchmarks and
 //! bug reports.
 
-use crate::scheduler::Priority;
+use crate::config::Priority;
 use fsd_comm::VirtualTime;
 use fsd_core::Variant;
 use rand::rngs::StdRng;

@@ -31,11 +31,10 @@ fn main() {
     // 2. The admission-controlled scheduler in front of it: at most 3
     //    requests execute at once, interactive traffic gets a 3:1 share
     //    over batch, and each class buffers at most 4 waiting requests.
-    let mut cfg = SchedulerConfig::default()
+    let cfg = SchedulerConfig::default()
         .global_cap(3)
         .queue_capacity(4)
         .weights(3, 1);
-    cfg.record_admissions = true; // so we can print the admission order
     let sched = Scheduler::wrap(service.clone(), cfg);
     println!(
         "scheduler: global cap {}, per-model cap {} (derived from §IV-C), queues of 4",
@@ -89,11 +88,7 @@ fn main() {
     sched.shutdown();
     sched.drain();
     let stats = sched.stats();
-    println!(
-        "admitted {:?} (interactive, batch) in order {:?}",
-        stats.admitted,
-        sched.admission_log(),
-    );
+    println!("admitted {:?} (interactive, batch)", stats.admitted);
     println!(
         "rejected {:?}, peak concurrency {}/{}",
         stats.rejected,

@@ -142,21 +142,17 @@ fn fresh_batched_scheduler(seed: u64, cfg: SchedulerConfig) -> Scheduler {
 fn batched_bursty_replays_are_bit_identical() {
     let trace = trace::bursty(3, 8, 400_000, 41);
     let cfg = SchedulerConfig::default().global_cap(2).queue_capacity(64);
-    let run = || {
-        let sched = fresh_batched_scheduler(41, cfg);
-        let report = replay(&sched, "m", &trace);
-        let groups = sched.admission_groups();
-        (report, groups)
-    };
-    let (first, groups) = run();
+    let run = || replay(&fresh_batched_scheduler(41, cfg), "m", &trace);
+    let first = run();
     for run_i in 1..3 {
-        let (again, groups_again) = run();
-        assert_eq!(first, again, "run {run_i}: batched replay diverged");
+        let again = run();
         assert_eq!(
-            groups, groups_again,
+            first.admission_groups, again.admission_groups,
             "run {run_i}: coalition formation diverged"
         );
+        assert_eq!(first, again, "run {run_i}: batched replay diverged");
     }
+    let groups = &first.admission_groups;
     assert!(first.rejected.is_empty(), "generous queues must not reject");
     assert_eq!(first.stats.failed, 0);
     assert!(
@@ -167,7 +163,7 @@ fn batched_bursty_replays_are_bit_identical() {
     // A coalition never spans priority classes.
     let class_of: HashMap<u64, Priority> =
         first.outcomes.iter().map(|o| (o.seq, o.priority)).collect();
-    for group in &groups {
+    for group in groups {
         assert!(
             group.iter().all(|s| class_of[s] == class_of[&group[0]]),
             "coalition spans classes: {group:?}"
@@ -203,7 +199,7 @@ fn interactive_stays_bounded_while_batch_coalitions_drain() {
         .weights(3, 1);
     let sched = fresh_batched_scheduler(43, cfg);
     let report = replay(&sched, "m", &arrivals);
-    let groups = sched.admission_groups();
+    let groups = &report.admission_groups;
     assert!(report.rejected.is_empty());
     assert_eq!(report.stats.failed, 0);
 
@@ -219,7 +215,7 @@ fn interactive_stays_bounded_while_batch_coalitions_drain() {
     // Interactive request is still queued — Interactive preempts the
     // window close (Batch heads may still run solo in their SWRR turns).
     let mut interactive_seen = 0usize;
-    for group in &groups {
+    for group in groups {
         if interactive.contains(&group[0]) {
             interactive_seen += group.len();
         } else if group.len() > 1 {

@@ -14,7 +14,7 @@
 
 use fsd_inference::core::ServiceBuilder;
 use fsd_inference::model::{generate_dnn, DnnSpec};
-use fsd_inference::sched::harness::{replay, ReplayReport};
+use fsd_inference::sched::harness::{replay, FleetReplayReport};
 use fsd_inference::sched::{
     trace, Arrival, PredictorConfig, Scheduler, SchedulerBuilder, SchedulerConfig,
 };
@@ -66,7 +66,7 @@ fn fresh_scheduler(predictive: bool) -> Scheduler {
     SchedulerBuilder::new(cfg).model("m", service).build()
 }
 
-fn run(predictive: bool) -> ReplayReport {
+fn run(predictive: bool) -> FleetReplayReport {
     replay(&fresh_scheduler(predictive), "m", &bursty_trace())
 }
 
@@ -108,7 +108,7 @@ fn predictor_beats_reactive_warm_hit_rate_on_the_bursty_trace() {
 
     // Mean virtual latency drops with the hit rate: warm hits skip the
     // whole launch bill.
-    let mean = |r: &ReplayReport| {
+    let mean = |r: &FleetReplayReport| {
         let (sum, n) = r
             .outcomes
             .iter()
@@ -130,7 +130,7 @@ fn predictive_replays_are_bit_identical() {
     for attempt in 1..3 {
         let again = run(true);
         assert_eq!(
-            first.admission_order, again.admission_order,
+            first.admission_groups, again.admission_groups,
             "run {attempt}: admission order diverged"
         );
         assert_eq!(
@@ -178,7 +178,7 @@ fn rejected_flood_arrivals_do_not_inflate_prewarm_targets() {
     assert!(large.stats.total_rejected() > small.stats.total_rejected());
     // The accepted prefix is identical, so the admitted work is identical…
     assert_eq!(small.stats.total_admitted(), large.stats.total_admitted());
-    assert_eq!(small.admission_order, large.admission_order);
+    assert_eq!(small.admission_groups, large.admission_groups);
     // …and so must be the predictor's output: rejected arrivals are
     // invisible to it, no matter how many there are.
     assert!(

@@ -7,9 +7,11 @@
 //! requires the replays to be **identical**: same admission order, same
 //! rejection set, same per-request reports (variant, latency, outputs
 //! digest, request-local billing). Determinism holds even though every
-//! admitted request executes on real worker-tree threads, because all
-//! scheduler-state mutations happen on the driver thread and all request
-//! state (flows, meters, virtual clocks) is request-local.
+//! admitted request executes on real worker-tree threads, because enqueue,
+//! admission and slot release happen on the driver thread and all request
+//! state (flows, meters, virtual clocks) is request-local; executor threads
+//! only fold completions into counters and latency EWMAs, and the report
+//! zeroes the EWMAs.
 //!
 //! On top of reproducibility, each trace asserts the scheduler's
 //! invariants: caps never exceeded, FIFO within a class, weighted
@@ -18,7 +20,7 @@
 
 use fsd_inference::core::{FsdService, ServiceBuilder};
 use fsd_inference::model::{generate_dnn, generate_inputs, DnnSpec, InputSpec};
-use fsd_inference::sched::harness::{replay, ReplayReport};
+use fsd_inference::sched::harness::{replay, FleetReplayReport};
 use fsd_inference::sched::SchedulerBuilder;
 use fsd_inference::sched::{trace, Arrival, Priority, Scheduler, SchedulerConfig};
 use std::sync::Arc;
@@ -86,17 +88,17 @@ fn fresh_pooled_scheduler(seed: u64, cfg: SchedulerConfig) -> Scheduler {
 
 /// Replays `trace` three times against fresh schedulers; asserts the runs
 /// are identical and returns the (canonical) first report.
-fn replay_thrice(seed: u64, cfg: SchedulerConfig, trace: &[Arrival]) -> ReplayReport {
+fn replay_thrice(seed: u64, cfg: SchedulerConfig, trace: &[Arrival]) -> FleetReplayReport {
     replay_thrice_with(|| fresh_scheduler(seed, cfg), trace)
 }
 
 /// [`replay_thrice`] over an arbitrary scheduler factory.
-fn replay_thrice_with(fresh: impl Fn() -> Scheduler, trace: &[Arrival]) -> ReplayReport {
+fn replay_thrice_with(fresh: impl Fn() -> Scheduler, trace: &[Arrival]) -> FleetReplayReport {
     let first = replay(&fresh(), "m", trace);
     for run in 1..3 {
         let again = replay(&fresh(), "m", trace);
         assert_eq!(
-            first.admission_order, again.admission_order,
+            first.admission_groups, again.admission_groups,
             "run {run}: admission order diverged"
         );
         assert_eq!(
@@ -113,7 +115,7 @@ fn replay_thrice_with(fresh: impl Fn() -> Scheduler, trace: &[Arrival]) -> Repla
 }
 
 /// Shared invariants every trace must satisfy.
-fn assert_invariants(report: &ReplayReport, cfg: &SchedulerConfig) {
+fn assert_invariants(report: &FleetReplayReport, cfg: &SchedulerConfig) {
     assert!(
         report.stats.max_inflight <= cfg.global_cap,
         "global cap {} exceeded: {}",
@@ -274,33 +276,56 @@ fn warm_pool_replays_are_deterministic_and_all_warm() {
 
 #[test]
 fn replays_need_manual_dispatch_but_not_admission_recording() {
-    // The driver harvests in the order `dispatch` returned admissions, so
-    // a manual scheduler that records nothing still replays to completion,
-    // and to the same admissions and outcomes as a recording one.
-    let cfg = SchedulerConfig {
-        manual_dispatch: true,
-        record_admissions: false,
-        ..SchedulerConfig::default().global_cap(2)
-    };
+    // An auto-dispatch scheduler admits on executor threads too, so its
+    // admission order is not the driver's to replay.
     let trace = trace::steady(4, 250_000, 29);
+    let auto = SchedulerBuilder::new(SchedulerConfig::default())
+        .model("m", fresh_service(29))
+        .build();
+    let refused =
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| replay(&auto, "m", &trace)))
+            .expect_err("an auto-dispatch replay must be refused");
+    let message = refused
+        .downcast_ref::<String>()
+        .map(String::as_str)
+        .or_else(|| refused.downcast_ref::<&str>().copied())
+        .unwrap_or_default();
+    assert!(
+        message.contains("replay_fleet needs SchedulerConfig::manual()"),
+        "unexpected refusal: {message}"
+    );
+
+    // The driver harvests in the order `dispatch` returned admissions and
+    // never reads the admission record: a second replay on the same
+    // scheduler reports only its own admissions, although the record
+    // holds both runs.
+    let cfg = SchedulerConfig::default().global_cap(2);
     let (done, finished) = std::sync::mpsc::channel();
     let replayed = trace.clone();
     std::thread::spawn(move || {
-        let sched = SchedulerBuilder::new(cfg)
-            .model("m", fresh_service(29))
-            .build();
-        done.send(replay(&sched, "m", &replayed))
+        let sched = fresh_scheduler(29, cfg);
+        let first = replay(&sched, "m", &replayed);
+        let second = replay(&sched, "m", &replayed);
+        done.send((first, second, sched.admission_log()))
             .expect("test waits");
     });
-    let report = finished
+    let (first, second, log) = finished
         .recv_timeout(std::time::Duration::from_secs(120))
-        .expect("an unrecorded manual replay must finish");
-    assert_eq!(report.admission_order.len(), 4);
-    assert_eq!(report.outcomes.len(), 4);
-    assert_invariants(&report, &cfg);
-    let recorded = replay(&fresh_scheduler(29, cfg), "m", &trace);
-    assert_eq!(report.admission_order, recorded.admission_order);
-    assert_eq!(report.outcomes, recorded.outcomes);
+        .expect("a manual replay must finish");
+    for report in [&first, &second] {
+        assert_eq!(report.outcomes.len(), 4);
+        let groups: Vec<u64> = report.admission_groups.concat();
+        let harvested: Vec<u64> = report.outcomes.iter().map(|o| o.seq).collect();
+        assert_eq!(groups, harvested, "harvest follows dispatch order");
+    }
+    // Stats are cumulative, so only the first report is checked whole.
+    assert_invariants(&first, &cfg);
+    assert_eq!(log.len(), 8, "the record holds both replays");
+    assert_eq!(log[..4], first.admission_groups.concat()[..]);
+    assert_eq!(log[4..], second.admission_groups.concat()[..]);
+    let fresh = replay(&fresh_scheduler(29, cfg), "m", &trace);
+    assert_eq!(first.admission_groups, fresh.admission_groups);
+    assert_eq!(first.outcomes, fresh.outcomes);
 }
 
 #[test]
@@ -318,22 +343,21 @@ fn bursty_trace_interleaves_classes_by_weight() {
     // interleave them from the start: batch service begins within the
     // first weight-window instead of after the interactive backlog.
     let window = 1 + cfg.weights[0] as usize;
+    let head: Vec<Priority> = report.outcomes[..window]
+        .iter()
+        .map(|o| o.priority)
+        .collect();
     assert!(
-        report.admitted_classes[..window].contains(&Priority::Batch),
-        "batch starved at the head: {:?}",
-        &report.admitted_classes[..window]
+        head.contains(&Priority::Batch),
+        "batch starved at the head: {head:?}"
     );
     assert!(
-        report.admitted_classes[..window].contains(&Priority::Interactive),
+        head.contains(&Priority::Interactive),
         "interactive missing from the head window"
     );
     // Weighted share over the saturated phase: interactive may lead, but
     // batch throughput stays within its configured proportion.
-    let batch_admitted = report
-        .admitted_classes
-        .iter()
-        .filter(|c| **c == Priority::Batch)
-        .count();
+    let batch_admitted = report.admissions_of(Priority::Batch).len();
     assert_eq!(batch_admitted, 6, "2 bursts × 3 batch arrivals each");
 }
 
@@ -367,7 +391,7 @@ fn large_p_flood_trips_backpressure_without_starving() {
 
     // Interactive arrivals kept being admitted despite the batch-heavy
     // flood, and every accepted large-P request ran to completion.
-    assert!(report.admitted_classes.contains(&Priority::Interactive));
+    assert!(!report.admissions_of(Priority::Interactive).is_empty());
     assert_eq!(report.stats.failed, 0);
     for outcome in &report.outcomes {
         let digest = outcome.result.as_ref().expect("accepted flood runs");
