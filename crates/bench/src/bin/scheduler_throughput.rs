@@ -53,8 +53,10 @@ fn fresh_service() -> Arc<FsdService> {
 }
 
 /// A service whose warm pool is pre-warmed past the concurrency cap for
-/// every distributed shape the bursty trace produces, so each such
-/// request is a warm hit.
+/// the four channel shapes the bursty trace produces, so each such
+/// request is a warm hit. Its Serial requests are not pre-warmed: a miss
+/// cold-launches their one-rank tree, which then parks on the full shelf
+/// by evicting a spare tree of the least-recently-used shape.
 fn fresh_pooled_service(cap: usize) -> Arc<FsdService> {
     use fsd_core::Variant;
     let mut builder = service_builder().warm_pool(4 * cap, u64::MAX);
@@ -234,7 +236,8 @@ fn main() {
     ));
 
     // Part 3: the same bursty trace with the warm-tree pool pre-warmed —
-    // distributed requests skip cold start + launch rounds entirely.
+    // requests that land on a parked tree skip cold start + launch rounds
+    // entirely.
     let cap = 4usize;
     let mut t = Table::new(&[
         "pool",

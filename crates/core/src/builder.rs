@@ -120,10 +120,10 @@ impl ServiceBuilder {
     /// stay parked between requests of the same `(variant, P, memory)`
     /// shape, so matching requests skip cold start, launch rounds and
     /// weight loads entirely ([`crate::LaunchPath::WarmHit`]). A parked
-    /// tree that sits out `idle_ttl` subsequent *distributed* requests is
-    /// evicted — the pool clock ticks once per Queue/Object checkout;
-    /// Serial requests run no tree and do not age the shelf (`u64::MAX`
-    /// never evicts). `max_trees = 0` disables the pool.
+    /// tree that sits out `idle_ttl` subsequent requests is evicted — the
+    /// pool clock ticks once per checkout, of any variant, Serial's
+    /// one-rank tree included (`u64::MAX` never evicts). `max_trees = 0`
+    /// disables the pool.
     pub fn warm_pool(mut self, max_trees: usize, idle_ttl: u64) -> ServiceBuilder {
         self.warm_pool = Some(WarmPoolConfig::new(max_trees, idle_ttl));
         self
@@ -219,8 +219,8 @@ mod tests {
             .prewarm(3)
             .prewarm(1)
             .build();
-        // Partitioned artifacts for P=3 and the full model are already in
-        // the artifact bucket; no request has run.
+        // Partitioned artifacts for P=3 and P=1 are already in the
+        // artifact bucket; no request has run.
         assert_eq!(service.requests_served(), 0);
         let staged = service.env().object_store().object_count(ARTIFACT_BUCKET);
         assert!(staged > 0, "prewarm must stage artifacts");

@@ -51,9 +51,9 @@ impl Variant {
     ];
 
     /// The name of the channel this variant runs on — the one place
-    /// service names are written; `None` for variants that use no
-    /// communication channel (Serial) or that resolve into another variant
-    /// first (Auto).
+    /// service names are written; `None` for Serial, whose one-rank tree
+    /// never uses its channel and names no service resource, and for Auto,
+    /// which resolves into another variant first.
     pub fn channel_name(self) -> Option<&'static str> {
         match self {
             Variant::Serial | Variant::Auto => None,
@@ -91,8 +91,8 @@ impl std::fmt::Display for Variant {
 pub enum LaunchPath {
     /// The request paid the full launch bill: coordinator invoke + cold
     /// start, the hierarchical `launch_rounds(P, b)` tree invocations and
-    /// per-worker weight loads (also reported by Serial runs and any
-    /// request of a service without a warm pool). With
+    /// per-worker weight loads (every request of a service without a warm
+    /// pool, and a pool miss — Serial's one-rank tree included). With
     /// [`EngineConfig::stream_weights`] the bill shrinks — instances are
     /// provisioned flat and weights are multicast/cached instead of
     /// independently fetched — but the path still reports `ColdStart`.
@@ -173,9 +173,11 @@ impl EngineConfig {
 pub struct InferenceRequest {
     /// Execution variant ([`Variant::Auto`] routes per request).
     pub variant: Variant,
-    /// Worker count `P` (ignored for Serial).
+    /// Worker count `P` (Serial runs one rank whatever is asked).
     pub workers: u32,
-    /// Per-worker memory MB (Serial uses the 10 GB maximum, as the paper).
+    /// Per-worker memory MB (Serial runs at
+    /// [`EngineConfig::serial_memory_mb`], Lambda's 10 GB maximum by
+    /// default, as the paper).
     pub memory_mb: u32,
     /// The input batch.
     pub inputs: SparseRows,
@@ -188,9 +190,10 @@ pub struct InferenceRequest {
 pub struct BatchedRequest {
     /// Execution variant ([`Variant::Auto`] routes per request).
     pub variant: Variant,
-    /// Worker count `P` (ignored for Serial).
+    /// Worker count `P` (Serial runs one rank whatever is asked).
     pub workers: u32,
-    /// Per-worker memory MB.
+    /// Per-worker memory MB (Serial runs at
+    /// [`EngineConfig::serial_memory_mb`]).
     pub memory_mb: u32,
     /// The successive input batches.
     pub batches: Vec<SparseRows>,

@@ -84,8 +84,8 @@ pub mod wire;
 pub mod worker;
 
 pub use artifacts::{
-    load_full_model, load_input_share, load_worker_artifacts, stage_full_model, stage_inputs,
-    stage_partitioned_model, LayerSlot, WorkerArtifacts, ARTIFACT_BUCKET,
+    load_input_share, load_worker_artifacts, stage_inputs, stage_partitioned_model, LayerSlot,
+    WorkerArtifacts, ARTIFACT_BUCKET,
 };
 pub use builder::ServiceBuilder;
 pub use channel::{barrier, reduce, ChannelOptions, FsiChannel, RecvTracker, Tag};

@@ -13,8 +13,8 @@
 //! no global virtual "now" to age idle trees against. The pool instead
 //! counts **ticks**: every checkout attempt advances the pool clock by
 //! one. `idle_ttl` is therefore "evict a tree that sat out this many
-//! subsequent *distributed* requests" — Serial requests run no tree,
-//! never reach the pool, and do not age the shelf. Tick counting is
+//! subsequent requests" — Serial ones included, since a Serial request
+//! checks out its one-rank tree like any other. Tick counting is
 //! deterministic under a deterministic request sequence — the property
 //! every load-replay test relies on.
 //!

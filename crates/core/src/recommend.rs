@@ -104,7 +104,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn small_models_run_serial() {
+    fn small_models_route_to_serial() {
         let w = WorkloadProfile {
             model_bytes: 100 * 1024 * 1024,
             workers: 8,

@@ -17,16 +17,16 @@
 //!   request's work item has run on its worker tree (after the tree's
 //!   instances are joined, if the item failed).
 //!
-//! There is one launch path for distributed requests (`run_pass`): acquire
-//! a worker tree — a warm-pool checkout, else a launch billed to the
-//! request — run the request on it as one work item, release the tree.
-//! Without a pool the tree simply lives for that one item.
+//! There is one launch path (`run_pass`): acquire a worker tree — a
+//! warm-pool checkout, else a launch billed to the request — run the
+//! request on it as one work item, release the tree. Without a pool the
+//! tree simply lives for that one item. FSD-Inf-Serial is the one-rank
+//! tree ([`FsdService::tree_key`]).
 
-use crate::artifacts::{stage_full_model, stage_inputs, stage_partitioned_model, ARTIFACT_BUCKET};
+use crate::artifacts::{stage_inputs, stage_partitioned_model, ARTIFACT_BUCKET};
 use crate::cost::CostModel;
 use crate::engine::{
-    BatchedRequest, EngineConfig, InferenceReport, InferenceRequest, LaunchPath, Variant,
-    WorkerReport,
+    BatchedRequest, EngineConfig, InferenceReport, InferenceRequest, Variant, WorkerReport,
 };
 use crate::error::FsdError;
 use crate::health::{HealthBoard, HealthSnapshot};
@@ -35,9 +35,9 @@ use crate::recommend::{self, Recommendation, WorkloadProfile};
 use crate::transport::Transport;
 use crate::warm::{TreeKey, TreeParams, WorkItem, WorkerTree};
 use crate::weight_cache::WeightCache;
-use crate::worker::{run_serial, RunOutput, WorkspacePool};
+use crate::worker::{RunOutput, WorkspacePool};
 use fsd_comm::{ApiClass, CloudEnv, FaultKind, MeterSnapshot, TargetedFault, VirtualTime};
-use fsd_faas::{FaasError, FaasPlatform, FunctionConfig, LambdaSnapshot};
+use fsd_faas::{FaasError, FaasPlatform, LambdaSnapshot};
 use fsd_model::SparseDnn;
 use fsd_partition::{partition_model, CommPlan, Partition};
 use fsd_sparse::codec;
@@ -46,15 +46,9 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Offline staging state shared by all requests (read-mostly).
-#[derive(Default)]
-struct StagedState {
-    /// Whether the unpartitioned model artifacts are staged (Serial path).
-    full_staged: bool,
-    /// Partitions (and their communication plans) staged per worker
-    /// count `P`.
-    partitions: HashMap<u32, StagedPartition>,
-}
+/// Offline staging state shared by all requests (read-mostly):
+/// partitions (and their communication plans) staged per worker count `P`.
+type StagedState = HashMap<u32, StagedPartition>;
 
 /// One staged `P`-way partitioning: the partition plus the communication
 /// plan built from it (cached so the recommender never rebuilds it on the
@@ -196,45 +190,27 @@ impl FsdService {
     /// returns the degenerate 1-way partition.
     pub fn partition(&self, p: u32) -> Arc<Partition> {
         let p = p.max(1);
-        self.ensure_partition(p);
-        self.state.read().partitions[&p].partition.clone()
+        self.prepare(p);
+        self.state.read()[&p].partition.clone()
     }
 
-    /// Offline step: partition for `P` workers and stage the artifacts.
+    /// Offline step: partition for `P` workers (any `P`; `P ≤ 1` is the
+    /// 1-way partition a Serial tree loads) and stage the artifacts.
     /// Idempotent and safe under concurrency; done "a priori, not per
-    /// request" (paper §III). `p <= 1` stages the unpartitioned model
-    /// (the Serial path).
+    /// request" (paper §III).
     pub fn prepare(&self, p: u32) {
-        if p <= 1 {
-            if self.state.read().full_staged {
-                return;
-            }
-            let _staging = self.stage_lock.lock();
-            if self.state.read().full_staged {
-                return;
-            }
-            stage_full_model(&self.env, &self.model_key, &self.dnn);
-            self.state.write().full_staged = true;
-            return;
-        }
-        self.ensure_partition(p);
-    }
-
-    /// Stages the `P`-way partition (any `P ≥ 1`) — the distributed paths
-    /// need per-worker artifacts even for a degenerate one-worker tree.
-    fn ensure_partition(&self, p: u32) {
         let p = p.max(1);
-        if self.state.read().partitions.contains_key(&p) {
+        if self.state.read().contains_key(&p) {
             return;
         }
         let _staging = self.stage_lock.lock();
-        if self.state.read().partitions.contains_key(&p) {
+        if self.state.read().contains_key(&p) {
             return;
         }
         let part = partition_model(&self.dnn, p as usize, self.cfg.scheme, self.cfg.seed);
         let plan = CommPlan::build(&self.dnn, &part);
         stage_partitioned_model(&self.env, &self.model_key, &self.dnn, &part, &plan);
-        self.state.write().partitions.insert(
+        self.state.write().insert(
             p,
             StagedPartition {
                 partition: Arc::new(part),
@@ -262,8 +238,8 @@ impl FsdService {
                 },
             };
         }
-        self.ensure_partition(p);
-        let plan = self.state.read().partitions[&p].plan.clone();
+        self.prepare(p);
+        let plan = self.state.read()[&p].plan.clone();
         let pairs = plan.total_pairs().max(1);
         let bytes_per_pair_layer =
             (plan.total_row_sends() as usize * est_bytes_per_row) / pairs as usize;
@@ -297,34 +273,68 @@ impl FsdService {
         if req.batches.is_empty() {
             return Err(FsdError::EmptyRequest);
         }
-        let Some(key) = self.tree_key(req) else {
-            // Serial: one instance holds the whole model; no tree, no channel.
-            self.prepare(1);
-            let flow = self.stage_request(req, None);
-            let ran = self.launch_serial(flow, req.batches.len());
-            return self.finalize_report(Variant::Serial, 1, req, flow, ran.map_err(Into::into));
-        };
-        self.run_pass(key, std::slice::from_ref(req))
+        self.run_pass(self.key_of(req), std::slice::from_ref(req))
             .pop()
             .expect("one result per member")
     }
 
-    /// The tree shape a (non-empty) request runs on once its variant is
-    /// resolved; `None` when that is Serial, which runs no tree.
-    fn tree_key(&self, req: &BatchedRequest) -> Option<TreeKey> {
-        let variant = self.resolve_variant(req);
-        variant.channel_name().map(|_| TreeKey {
+    /// The worker tree a request asking for shape `requested` runs on,
+    /// with `est_bytes_per_row` the wire-bytes-per-row estimate
+    /// [`Variant::Auto`] resolves by ([`FsdService::resolve`]). A channel
+    /// variant runs on `requested.workers` ranks (at least one) of
+    /// `requested.memory_mb`; FSD-Inf-Serial — one instance holding the
+    /// whole model — is the one-rank tree at
+    /// [`EngineConfig::serial_memory_mb`], whatever `P` and memory were
+    /// asked for. The execution path, the scheduler's coalescing key and
+    /// predictor, pre-warms and fault targeting all key trees through
+    /// here, so a parked tree is always the one its requests check out.
+    pub fn tree_key(&self, requested: TreeKey, est_bytes_per_row: usize) -> TreeKey {
+        let variant = self.resolve(requested.variant, requested.workers, est_bytes_per_row);
+        if variant == Variant::Serial {
+            return TreeKey {
+                variant,
+                workers: 1,
+                memory_mb: self.cfg.serial_memory_mb,
+            };
+        }
+        TreeKey {
             variant,
-            workers: req.workers.max(1),
+            workers: requested.workers.max(1),
+            memory_mb: requested.memory_mb,
+        }
+    }
+
+    /// [`FsdService::tree_key`] of a non-empty request; `Auto` resolves on
+    /// its first batch's wire bytes per row, a proxy for the intermediate
+    /// activations the layers will exchange.
+    fn key_of(&self, req: &BatchedRequest) -> TreeKey {
+        let requested = TreeKey {
+            variant: req.variant,
+            workers: req.workers,
             memory_mb: req.memory_mb,
-        })
+        };
+        let first = &req.batches[0];
+        let est_bytes_per_row = codec::encoded_size(first) / first.n_rows().max(1);
+        self.tree_key(requested, est_bytes_per_row)
+    }
+
+    /// [`FsdService::tree_key`] of a shape named by its parts, with the
+    /// a-priori bytes-per-row estimate (the pool's inspection, eviction
+    /// and pre-warm calls).
+    fn shape(&self, variant: Variant, workers: u32, memory_mb: u32) -> TreeKey {
+        let requested = TreeKey {
+            variant,
+            workers,
+            memory_mb,
+        };
+        self.tree_key(requested, self.est_bytes_per_row())
     }
 
     /// Accepts a request: allocates its flow id — which namespaces
     /// everything the request touches and is its billing window on every
     /// meter (offline staging uses unbilled writes and never shows up) —
     /// and stages its input batches under [`input_key`].
-    fn stage_request(&self, req: &BatchedRequest, partition: Option<&Partition>) -> u64 {
+    fn stage_request(&self, req: &BatchedRequest, partition: &Partition) -> u64 {
         let flow = self.requests.fetch_add(1, Ordering::Relaxed) + 1;
         for (b, batch) in req.batches.iter().enumerate() {
             let key = format!("{}/b{b}", input_key(flow));
@@ -432,27 +442,20 @@ impl FsdService {
     /// billing windows and reports stay exactly as disjoint as sequential
     /// [`FsdService::submit_batched`] calls (the meters bucket each
     /// member's events under its own flow id), but members after the first
-    /// pay one control-plane hop ([`LaunchPath::WarmHit`]) instead of the
-    /// launch bill. Results are returned in member order.
+    /// pay one control-plane hop ([`crate::LaunchPath::WarmHit`]) instead
+    /// of the launch bill. Results are returned in member order.
     ///
-    /// Members must all resolve (via [`FsdService::resolve_variant`]) to
-    /// the same `(variant, workers, memory_mb)` channel shape — the
-    /// scheduler's coalition formation guarantees this. If any member does
-    /// not, or the shared shape is Serial (which runs no tree), the whole
-    /// set falls back to sequential `submit_batched` calls. A member
-    /// failure mid-pass discards the (possibly poisoned) tree, reports the
-    /// error for that member only, and finishes the remaining members on
-    /// the sequential path.
+    /// Members must all run on the same tree ([`FsdService::tree_key`]) —
+    /// the scheduler's coalition formation guarantees this. If any member
+    /// does not, or is empty, the whole set falls back to sequential
+    /// `submit_batched` calls. A member failure mid-pass discards the
+    /// (possibly poisoned) tree, reports the error for that member only,
+    /// and finishes the remaining members on the sequential path.
     pub fn submit_coalesced(
         &self,
         reqs: &[BatchedRequest],
     ) -> Vec<Result<InferenceReport, FsdError>> {
-        let shape_of = |r: &BatchedRequest| {
-            if r.batches.is_empty() {
-                return None;
-            }
-            self.tree_key(r)
-        };
+        let shape_of = |r: &BatchedRequest| (!r.batches.is_empty()).then(|| self.key_of(r));
         match reqs.first().and_then(shape_of) {
             Some(key) if reqs[1..].iter().all(|r| shape_of(r) == Some(key)) => {
                 self.run_pass(key, reqs)
@@ -476,14 +479,11 @@ impl FsdService {
     ) -> Vec<Result<InferenceReport, FsdError>> {
         let transport = Transport::of(key.variant).expect("a tree shape's variant has a transport");
         let p = key.workers;
-        // Distributed paths read per-worker artifacts even when the tree
-        // degenerates to one worker, so a partition is staged for any P.
-        self.ensure_partition(p);
-        let partition = self.state.read().partitions[&p].partition.clone();
+        let partition = self.partition(p);
         let mut results = Vec::with_capacity(reqs.len());
         let mut tree: Option<WorkerTree> = None;
         for (i, req) in reqs.iter().enumerate() {
-            let flow = self.stage_request(req, Some(&partition));
+            let flow = self.stage_request(req, &partition);
             let ran = self.run_member(transport, key, req, flow, &mut tree);
             let rest = &reqs[i + 1..];
             if let Some(tree) = tree.take_if(|_| rest.is_empty()) {
@@ -589,33 +589,25 @@ impl FsdService {
 
     /// Launches a warm tree for `(variant, workers, memory_mb)` ahead of
     /// traffic and parks it in the pool, so the *first* matching request
-    /// is already a [`LaunchPath::WarmHit`]. The launch runs on the
-    /// unattributed flow (0), mirroring offline staging.
+    /// is already a [`crate::LaunchPath::WarmHit`]. The shape is keyed by
+    /// [`FsdService::tree_key`] (`prewarm_tree(Serial, 4, 1769)` parks the
+    /// one-rank Serial tree). The launch runs on the unattributed flow (0),
+    /// mirroring offline staging.
     ///
     /// # Panics
-    /// If the service was built without `warm_pool`, or `variant` is not a
-    /// channel variant (`Queue`/`Object`/`Hybrid`/`Direct`) — both are
-    /// configuration bugs.
+    /// If the service was built without `warm_pool` — a configuration bug.
     pub fn prewarm_tree(
         &self,
         variant: Variant,
         workers: u32,
         memory_mb: u32,
     ) -> Result<(), FsdError> {
-        assert!(
-            variant.channel_name().is_some(),
-            "prewarm_tree needs a channel variant (Queue/Object/Hybrid/Direct), got {variant}"
-        );
         let pool = self
             .pool
             .as_ref()
             .expect("prewarm_tree requires ServiceBuilder::warm_pool");
-        let key = TreeKey {
-            variant,
-            workers: workers.max(1),
-            memory_mb,
-        };
-        self.ensure_partition(key.workers);
+        let key = self.shape(variant, workers, memory_mb);
+        self.prepare(key.workers);
         pool.checkin(self.new_tree(key, 0)?);
         Ok(())
     }
@@ -637,14 +629,10 @@ impl FsdService {
         self.pool.as_ref().map_or(0, |p| p.invalidate())
     }
 
-    /// Parked warm trees currently matching `(variant, workers, memory)`.
-    /// 0 without a pool.
+    /// Parked warm trees currently matching `(variant, workers, memory)`
+    /// (keyed by [`FsdService::tree_key`]). 0 without a pool.
     pub fn warm_idle_trees(&self, variant: Variant, workers: u32, memory_mb: u32) -> usize {
-        let key = TreeKey {
-            variant,
-            workers: workers.max(1),
-            memory_mb,
-        };
+        let key = self.shape(variant, workers, memory_mb);
         self.pool.as_ref().map_or(0, |p| p.idle_of(key))
     }
 
@@ -654,11 +642,7 @@ impl FsdService {
     /// not read as missing capacity, or every in-flight request would
     /// trigger a redundant pre-warm.
     pub fn warm_live_trees(&self, variant: Variant, workers: u32, memory_mb: u32) -> usize {
-        let key = TreeKey {
-            variant,
-            workers: workers.max(1),
-            memory_mb,
-        };
+        let key = self.shape(variant, workers, memory_mb);
         self.pool.as_ref().map_or(0, |p| p.live_of(key))
     }
 
@@ -666,11 +650,7 @@ impl FsdService {
     /// traffic of this shape has gone quiet). Returns how many trees were
     /// dropped; 0 without a pool.
     pub fn evict_warm_trees(&self, variant: Variant, workers: u32, memory_mb: u32) -> usize {
-        let key = TreeKey {
-            variant,
-            workers: workers.max(1),
-            memory_mb,
-        };
+        let key = self.shape(variant, workers, memory_mb);
         self.pool.as_ref().map_or(0, |p| p.evict_shape(key))
     }
 
@@ -692,18 +672,19 @@ impl FsdService {
     /// tree": a [`TargetedFault`] whose resource predicate
     /// [`FsdService::inject_fault`] recognizes and routes to the pool's
     /// kill switches instead of the comm plane. Build it here, inject it
-    /// there — one injection surface for every fault in the system.
+    /// there — one injection surface for every fault in the system. The
+    /// `{variant}` segment is the variant's `Display` name, which
+    /// `inject_fault` inverts over [`Variant::ALL`].
     pub fn warm_worker_fault(
         variant: Variant,
         workers: u32,
         memory_mb: u32,
         rank: u32,
     ) -> TargetedFault {
-        let name = variant.channel_name().unwrap_or("serial");
         TargetedFault {
             class: ApiClass::InstanceLaunch,
             nth: 1,
-            resource_contains: format!("warm:{name}:{}:{memory_mb}:{rank}", workers.max(1)),
+            resource_contains: format!("warm:{variant}:{workers}:{memory_mb}:{rank}"),
             kind: FaultKind::Transient,
         }
     }
@@ -711,16 +692,17 @@ impl FsdService {
     /// Failure injection (tests/chaos), one surface for the whole system:
     /// a `resource_contains` of the form `warm:{variant}:{P}:{mem}:{rank}`
     /// (build it with [`FsdService::warm_worker_fault`]) arms the kill
-    /// switch of worker `rank` on one *parked* tree of that shape, so the
-    /// next request routed into it loses the instance mid-request; any
-    /// other fault is installed on the region's
-    /// [`fsd_comm::FaultPlane`] targeted schedule. Returns whether the
+    /// switch of worker `rank` on one *parked* tree of that shape (keyed by
+    /// [`FsdService::tree_key`]), so the next request routed into it loses
+    /// the instance mid-request; any other fault is installed on the
+    /// region's [`fsd_comm::FaultPlane`] targeted schedule. Returns whether the
     /// fault was armed (a warm target with no matching parked tree, or an
     /// unparseable warm predicate, reports `false`).
     pub fn inject_fault(&self, fault: TargetedFault) -> bool {
         if let Some(spec) = fault.resource_contains.strip_prefix("warm:") {
             let mut parts = spec.split(':');
-            let Some(variant) = parts.next().and_then(Variant::from_channel_name) else {
+            let named = |name: &str| Variant::ALL.into_iter().find(|v| v.to_string() == name);
+            let Some(variant) = parts.next().and_then(named) else {
                 return false;
             };
             let (Some(workers), Some(memory_mb), Some(rank)) = (
@@ -730,11 +712,7 @@ impl FsdService {
             ) else {
                 return false;
             };
-            let key = TreeKey {
-                variant,
-                workers: workers.max(1),
-                memory_mb,
-            };
+            let key = self.shape(variant, workers, memory_mb);
             return self
                 .pool
                 .as_ref()
@@ -747,9 +725,9 @@ impl FsdService {
     /// The single §IV-C resolution point: resolves a (possibly
     /// [`Variant::Auto`]) variant for `workers` ranks and an estimated
     /// wire-bytes-per-row. Explicit variants pass through unchanged. The
-    /// execution path ([`FsdService::resolve_variant`]), the scheduler's
-    /// admission-cap derivation and its predictor all route through here,
-    /// so caps and execution can never disagree on where a request runs.
+    /// execution path and the scheduler's intake ([`FsdService::tree_key`])
+    /// and its admission-cap derivation all route through here, so caps
+    /// and execution can never disagree on where a request runs.
     pub fn resolve(&self, variant: Variant, workers: u32, est_bytes_per_row: usize) -> Variant {
         match variant {
             // Auto routing consults the circuit breakers: a recommendation
@@ -777,54 +755,12 @@ impl FsdService {
         self.dnn.spec().nnz_per_row.max(1) * 8
     }
 
-    /// Resolves [`Variant::Auto`] into a concrete variant for this request
-    /// via [`FsdService::resolve`]; the per-pair volume estimate comes
-    /// from the request's own first batch (wire bytes per row as a proxy
-    /// for the intermediate activations the layers will exchange). Public
-    /// as a planning hook: the scheduler (and tests) can ask where a
-    /// request *would* route without executing it.
+    /// Resolves [`Variant::Auto`] into a concrete variant for this
+    /// (non-empty) request — the variant of its [`FsdService::tree_key`].
+    /// Public as a planning hook: the scheduler (and tests) can ask where
+    /// a request *would* route without executing it.
     pub fn resolve_variant(&self, req: &BatchedRequest) -> Variant {
-        match req.variant {
-            Variant::Auto => {
-                let first = &req.batches[0];
-                let est_bytes_per_row = codec::encoded_size(first) / first.n_rows().max(1);
-                self.resolve(Variant::Auto, req.workers, est_bytes_per_row)
-            }
-            v @ (Variant::Serial
-            | Variant::Queue
-            | Variant::Object
-            | Variant::Hybrid
-            | Variant::Direct) => v,
-        }
-    }
-
-    /// Coordinator (128 MB) + one serial worker holding the whole model.
-    fn launch_serial(&self, flow: u64, n_batches: usize) -> Result<RunOutput, FaasError> {
-        let spec = *self.dnn.spec();
-        let model_key = self.model_key.clone();
-        let input_key = input_key(flow);
-        let platform = self.platform.clone();
-        let serial_memory = self.cfg.serial_memory_mb;
-        let coordinator = self.platform.invoke(
-            FunctionConfig::coordinator().for_flow(flow),
-            VirtualTime::ZERO,
-            move |ctx| {
-                ctx.charge_work(10_000); // request parsing
-                let at = ctx.now();
-                let inv = platform.invoke(
-                    FunctionConfig::worker("fsd-serial", serial_memory).for_flow(flow),
-                    at,
-                    move |worker_ctx| {
-                        run_serial(worker_ctx, &model_key, &input_key, &spec, n_batches)
-                    },
-                );
-                inv.join()
-            },
-        );
-        let ((out, report), _coord_report) = coordinator.join()?;
-        let mut run = RunOutput::new(LaunchPath::ColdStart);
-        run.absorb(0, out, report);
-        Ok(run)
+        self.key_of(req).variant
     }
 }
 
@@ -982,6 +918,32 @@ mod tests {
         );
         assert_eq!(report.workers, 1);
         assert_eq!(report.first_output(), &expected);
+    }
+
+    #[test]
+    fn serial_is_one_rank_on_both_launch_shapes() {
+        // The cascade invokes a coordinator and rank 0; a streamed launch
+        // provisions rank 0 flat, with no coordinator.
+        for (stream, invocations) in [(false, 2), (true, 1)] {
+            let (base, inputs, expected) = small_service(8);
+            let service = ServiceBuilder::new(base.dnn().clone())
+                .deterministic(8)
+                .weight_streaming(stream)
+                .build();
+            let report = service
+                .submit(&InferenceRequest {
+                    variant: Variant::Serial,
+                    workers: 4,
+                    memory_mb: 512,
+                    inputs,
+                })
+                .expect("serial runs");
+            assert_eq!(report.first_output(), &expected, "stream={stream}");
+            assert_eq!(report.workers, 1);
+            assert_eq!(report.per_worker[0].memory_mb, fsd_faas::MAX_MEMORY_MB);
+            assert_eq!(report.lambda.invocations, invocations, "stream={stream}");
+            service.env().assert_no_residue();
+        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
-//! Worker trees: the one way a distributed request runs.
+//! Worker trees: the one way a request runs.
 //!
-//! A [`WorkerTree`] is `P` keep-alive instances
+//! A [`WorkerTree`] is `P` keep-alive instances (FSD-Inf-Serial: one)
 //! ([`FunctionConfig::keep_alive`]) brought up by one launch — the paper's
 //! coordinator → hierarchical `worker_invoke_children` cascade of
 //! `launch_rounds(P, b)` rounds, or, with `stream_weights`, flat
@@ -51,11 +51,12 @@ use std::sync::{Arc, Mutex};
 /// The shape a worker tree serves: requests match on the resolved variant,
 /// worker count and per-worker memory. `Ord` gives predictors and pool
 /// policies a canonical shape order for deterministic iteration.
+/// `FsdService::tree_key` maps a requested shape to the tree it runs on;
+/// a Serial tree is `{ Serial, 1, EngineConfig::serial_memory_mb }`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TreeKey {
-    /// Resolved channel variant — `Queue`, `Object`, `Hybrid` or `Direct`
-    /// (never `Serial`/`Auto`: Serial runs no tree and Auto resolves
-    /// before a tree is acquired).
+    /// Resolved variant — never `Auto`, which resolves before a tree is
+    /// acquired.
     pub variant: Variant,
     /// Worker count `P`.
     pub workers: u32,

@@ -1,9 +1,9 @@
 //! The FSI worker routine (Algorithms 1 & 2, channel-generic).
 //!
-//! There is one launch path — every distributed request runs on a
-//! `WorkerTree` (`warm.rs`) of keep-alive instances, whether that tree
-//! lives for one work item (no pool) or many — and this module is what an
-//! instance of it does *per request*: per inference batch (paper Fig. 1:
+//! There is one launch path — every request runs on a `WorkerTree`
+//! (`warm.rs`) of keep-alive instances, whether that tree lives for one
+//! work item (no pool) or many — and this module is what an instance of it
+//! does *per request*: per inference batch (paper Fig. 1:
 //! "Batch 1 … Batch n, SYNC"), per layer, a worker sends its owed rows,
 //! computes the local product to overlap communication with computation,
 //! receives and accumulates inbound rows until its receive map is
@@ -11,16 +11,17 @@
 //! delivers that batch's result to rank 0. Launching the tree and loading
 //! weight/map artifacts happen once per instance in `warm.rs` and amortize
 //! across batches and requests — the data-parallel batch processing the
-//! paper builds in. [`run_serial`] is the same loop with every
-//! communication step removed (one instance, no tree).
+//! paper builds in. FSD-Inf-Serial is the one-rank tree: its send and
+//! receive maps are empty and its collectives return at once, so the same
+//! loop runs with every communication step removed.
 
-use crate::artifacts::{load_full_model, load_input_share_into, WorkerArtifacts};
+use crate::artifacts::{load_input_share_into, WorkerArtifacts};
 use crate::channel::{barrier, reduce, FsiChannel, RecvTracker, Tag};
 use crate::engine::LaunchPath;
 use crate::stats::ChannelStatsSnapshot;
 use fsd_faas::{FaasError, InvocationReport, WorkerCtx};
 use fsd_model::DnnSpec;
-use fsd_sparse::{codec, layer_forward_reference, LayerAccumulator, SparseRows};
+use fsd_sparse::{LayerAccumulator, SparseRows};
 use parking_lot::Mutex;
 use std::sync::Arc;
 
@@ -34,8 +35,8 @@ pub struct WorkerOutput {
     pub work_done: u64,
 }
 
-/// What one whole run — every instance of a tree, or the single Serial
-/// instance — hands the service to assemble an `InferenceReport` from.
+/// What one whole run — every instance of a tree — hands the service to
+/// assemble an `InferenceReport` from.
 pub(crate) struct RunOutput {
     /// Rank 0's final activations per batch.
     pub final_batches: Vec<SparseRows>,
@@ -227,55 +228,4 @@ pub(crate) fn run_batches(
         artifact_gets,
         work_done,
     })
-}
-
-/// FSD-Inf-Serial: one instance, whole model, no communication (Algorithm 1
-/// with all communication steps removed), batches processed back to back.
-pub fn run_serial(
-    ctx: &mut WorkerCtx,
-    model_key: &str,
-    input_key: &str,
-    spec: &DnnSpec,
-    n_batches: usize,
-) -> Result<WorkerOutput, FaasError> {
-    let (layers, mut artifact_gets, _mem) = load_full_model(ctx, model_key, spec.layers)?;
-    let mut work_done = 0u64;
-    let mut final_batches = Vec::with_capacity(n_batches);
-    for b in 0..n_batches {
-        let mut x = load_full_inputs(ctx, &format!("{input_key}/b{b}"))?;
-        artifact_gets += 1;
-        for w in &layers {
-            let (next, work) = layer_forward_reference(w, &x, spec.bias, spec.clip);
-            ctx.charge_work(work);
-            work_done += work;
-            let old = x.mem_bytes();
-            ctx.track_free(old);
-            ctx.track_alloc(next.mem_bytes());
-            x = next;
-            ctx.check_limits()?;
-        }
-        final_batches.push(x);
-    }
-    Ok(WorkerOutput {
-        final_batches: Some(final_batches),
-        artifact_gets,
-        work_done,
-    })
-}
-
-/// Fetches the full (unpartitioned) input block for one batch.
-fn load_full_inputs(ctx: &mut WorkerCtx, input_key: &str) -> Result<SparseRows, FaasError> {
-    let env = ctx.env().clone();
-    let body = env
-        .object_store()
-        .get(
-            crate::artifacts::ARTIFACT_BUCKET,
-            &format!("{input_key}/full"),
-            ctx.clock_mut(),
-        )
-        .map_err(|e| FaasError::comm("get", input_key, e))?;
-    let inputs = codec::decode(&body).map_err(|e| FaasError::comm("decode", "inputs", e))?;
-    ctx.track_alloc(inputs.mem_bytes());
-    ctx.check_limits()?;
-    Ok(inputs)
 }

@@ -45,13 +45,17 @@ pub enum PartitionScheme {
 }
 
 /// Partitions a model with the chosen scheme; the single entry point used
-/// by the inference engine and the benchmark harness.
+/// by the inference engine and the benchmark harness. One part (or none)
+/// is the whole model under every scheme, built without a hypergraph.
 pub fn partition_model(
     dnn: &fsd_model::SparseDnn,
     n_parts: usize,
     scheme: PartitionScheme,
     seed: u64,
 ) -> Partition {
+    if n_parts <= 1 {
+        return Partition::new(1, vec![0; dnn.spec().neurons]);
+    }
     match scheme {
         PartitionScheme::Hgp => {
             let h = Hypergraph::from_dnn(dnn);
@@ -82,6 +86,24 @@ mod tests {
             assert_eq!(p.n_vertices(), 128, "{scheme:?}");
             let covered: usize = (0..4).map(|q| p.owned(q).len()).sum();
             assert_eq!(covered, 128, "{scheme:?}");
+        }
+    }
+
+    #[test]
+    fn one_part_is_the_whole_model_under_every_scheme() {
+        let dnn = generate_dnn(&DnnSpec::scaled(128, 4));
+        let whole = Partition::new(1, vec![0; 128]);
+        for scheme in [
+            PartitionScheme::Hgp,
+            PartitionScheme::Random,
+            PartitionScheme::Block,
+        ] {
+            for n_parts in [0, 1] {
+                let p = partition_model(&dnn, n_parts, scheme, 4);
+                assert_eq!(p.assignment(), whole.assignment(), "{scheme:?}");
+                assert_eq!(p.n_parts(), 1, "{scheme:?}");
+                assert_eq!(p.owned(0), whole.owned(0), "{scheme:?}");
+            }
         }
     }
 

@@ -35,8 +35,8 @@ pub(crate) struct Member<T> {
     arrival: VirtualTime,
     /// The resolved coalescing shape, stamped after acceptance
     /// ([`SchedState::set_shape`]): `Some(key)` may join a coalition of the
-    /// same key; `None` (Serial-resolved, empty, or not yet resolved)
-    /// always dispatches solo.
+    /// same key; `None` (an empty request, or not yet resolved) always
+    /// dispatches solo.
     shape: Option<TreeKey>,
     /// Remaining retry budget: a retryable failure with budget left
     /// re-enters its class queue at the head instead of resolving the

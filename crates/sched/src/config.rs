@@ -232,8 +232,8 @@ pub struct SchedStatsSnapshot {
     /// Completed requests served by a warm tree (the admission path found
     /// a matching parked tree in the service's warm pool).
     pub warm_hits: u64,
-    /// Completed requests that paid the full launch bill (including all
-    /// Serial runs and every request of a pool-less service).
+    /// Completed requests that paid the full launch bill (every pool miss,
+    /// and every request of a pool-less service).
     pub cold_starts: u64,
     /// Trees pre-warmed by predictor decisions.
     pub prewarmed: u64,

@@ -116,8 +116,8 @@ pub struct Predictor {
     cfg: PredictorConfig,
     /// Total arrivals observed (the predictor's event clock).
     seq: u64,
-    /// The most recent `cfg.window` arrivals; `None` marks a request that
-    /// runs no tree (Serial) but still advances the window.
+    /// The most recent `cfg.window` arrivals; `None` marks an empty
+    /// request, which runs no tree but still advances the window.
     window: VecDeque<Option<TreeKey>>,
     /// Last arrival seq per shape ever seen (bounded by distinct shapes).
     last_seen: BTreeMap<TreeKey, u64>,
@@ -144,8 +144,8 @@ impl Predictor {
         self.seq
     }
 
-    /// Records one arrival (`None` for requests that run no worker tree,
-    /// e.g. Serial — they advance the event clock without competing for
+    /// Records one arrival (`None` for an empty request, which runs no
+    /// worker tree — it advances the event clock without competing for
     /// warm capacity) and returns the updated decision set.
     pub fn observe(&mut self, shape: Option<TreeKey>) -> Vec<PrewarmDecision> {
         self.seq += 1;
@@ -250,7 +250,7 @@ mod tests {
     }
 
     #[test]
-    fn serial_arrivals_advance_the_clock_but_claim_no_capacity() {
+    fn empty_arrivals_advance_the_clock_but_claim_no_capacity() {
         let mut p = Predictor::new(PredictorConfig::default());
         let d = p.observe(None);
         assert!(d.is_empty(), "no shape, no decision: {d:?}");

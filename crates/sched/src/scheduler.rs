@@ -128,29 +128,6 @@ struct SchedulerCore {
 }
 
 impl SchedulerCore {
-    /// The warm-tree shape an accepted request will run as — its
-    /// coalescing key and what the predictor observes — from the shape it
-    /// asked for (`Auto` still unresolved) and the wire bytes per row of
-    /// its first batch. `None` for requests that run no tree: Serial, and
-    /// empty requests whatever their variant (they fail with
-    /// `EmptyRequest`) — they advance the predictor's clock without
-    /// claiming warm capacity, and never coalesce. `Auto` resolves through
-    /// `FsdService::resolve` — the same resolver the execution path uses,
-    /// so predicted shapes always match the trees requests actually run
-    /// on. Resolution may stage partitions — only ever paid for accepted
-    /// requests.
-    fn resolve_shape(
-        service: &FsdService,
-        requested: TreeKey,
-        est_bytes_per_row: Option<usize>,
-    ) -> Option<TreeKey> {
-        let variant = service.resolve(requested.variant, requested.workers, est_bytes_per_row?);
-        variant.channel_name().map(|_| TreeKey {
-            variant,
-            ..requested
-        })
-    }
-
     /// Feeds one **accepted** arrival's resolved shape to the model's
     /// predictor and applies the resulting decision set (pre-warms +
     /// evictions). Runs on the enqueueing thread — in manual mode that is
@@ -483,13 +460,16 @@ impl Scheduler {
         // queue: the per-row payload estimate is pure computation (no
         // staging), cheap even on the backpressure fast path; the
         // potentially expensive `Auto` resolution runs only after
-        // acceptance and outside the scheduler lock.
+        // acceptance and outside the scheduler lock. An empty request has
+        // no estimate and so no shape: it fails with `EmptyRequest`,
+        // advances the predictor's clock without claiming warm capacity,
+        // and never coalesces.
         let need_shape =
             self.core.predictors[model_idx].is_some() || self.core.cfg.batching.is_some();
         let shape = need_shape.then(|| {
             let requested = TreeKey {
                 variant: req.variant,
-                workers: req.workers.max(1),
+                workers: req.workers,
                 memory_mb: req.memory_mb,
             };
             let est = req
@@ -507,8 +487,12 @@ impl Scheduler {
             max_retries,
             req,
         )?;
-        // Resolve the shape only for *accepted* requests (rejected
-        // arrivals must never inflate pre-warm targets), then feed the
+        // Resolve the shape — the tree the request will run on, through
+        // the same `FsdService::tree_key` the execution path uses, so
+        // predicted and coalescing shapes always match the trees requests
+        // actually run on — only for *accepted* requests (resolution may
+        // stage partitions, and rejected arrivals must never inflate
+        // pre-warm targets), then feed the
         // predictor — pre-warm *before* admission, so trees predicted for
         // this arrival's burst are parked by the time the request (and its
         // burst peers) are admitted; in manual mode the same ordering
@@ -516,7 +500,7 @@ impl Scheduler {
         // and stamp the coalescing shape back onto the queued entry.
         if let Some((requested, est)) = shape {
             let service = &self.core.models[model_idx].service;
-            let resolved = SchedulerCore::resolve_shape(service, requested, est);
+            let resolved = est.map(|est| service.tree_key(requested, est));
             self.core.drive_predictor(model_idx, resolved);
             if self.core.cfg.batching.is_some() {
                 self.core.state.lock().set_shape(priority, seq, resolved);

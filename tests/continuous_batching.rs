@@ -243,6 +243,31 @@ fn interactive_stays_bounded_while_batch_coalitions_drain() {
 }
 
 #[test]
+fn same_burst_serial_requests_form_one_coalition() {
+    // Three Serial Batch arrivals at one instant, asking for different P:
+    // all run on the one-rank tree, so they coalesce into one pass that
+    // pays one launch.
+    let arrivals: Vec<Arrival> = (0..3u32)
+        .map(|i| Arrival {
+            at: fsd_inference::comm::VirtualTime::ZERO,
+            priority: Priority::Batch,
+            variant: Variant::Serial,
+            workers: 1 + i,
+            memory_mb: 1769,
+            width: 4 + i as usize,
+            input_seed: 45 + u64::from(i),
+        })
+        .collect();
+    let cfg = SchedulerConfig::default().global_cap(1).queue_capacity(8);
+    let report = replay(&fresh_batched_scheduler(45, cfg), "m", &arrivals);
+    assert_eq!(report.stats.failed, 0);
+    let sizes: Vec<usize> = report.admission_groups.iter().map(Vec::len).collect();
+    assert_eq!(sizes, [3], "{:?}", report.admission_groups);
+    assert_eq!(report.stats.coalitions, 1);
+    assert_eq!((report.stats.cold_starts, report.stats.warm_hits), (1, 2));
+}
+
+#[test]
 fn shutdown_resolves_queued_tickets_within_a_bound() {
     let dnn = Arc::new(generate_dnn(&spec(44)));
     let svc = Arc::new(ServiceBuilder::new(dnn).deterministic(44).build());

@@ -45,6 +45,13 @@ fn serial_variant_matches_ground_truth() {
     assert_eq!(report.comm.sns_publish_requests, 0);
     assert_eq!(report.comm.sqs_api_calls, 0);
     assert_eq!(report.comm.s3_put_requests, 0);
+    // Its one-rank tree's channel provisions nothing and leaves nothing.
+    let env = service.env();
+    assert_eq!(env.queue_count(), 0);
+    for t in 0..env.pubsub().n_topics() {
+        assert_eq!(env.pubsub().subscription_count(t), 0, "topic {t}");
+    }
+    env.assert_no_residue();
 }
 
 #[test]

@@ -74,11 +74,15 @@ fn fresh_pooled_scheduler(seed: u64, cfg: SchedulerConfig) -> Scheduler {
         .deterministic(seed)
         .prewarm(1)
         .prewarm(2)
-        .warm_pool(2 * cfg.global_cap, u64::MAX);
+        .warm_pool(3 * cfg.global_cap, u64::MAX);
     for p in [1u32, 2] {
         for _ in 0..cfg.global_cap {
             builder = builder.prewarm_tree(Variant::Queue, p, 1769);
         }
+    }
+    // Serial's one-rank tree, whatever P the trace asks for.
+    for _ in 0..cfg.global_cap {
+        builder = builder.prewarm_tree(Variant::Serial, 1, 1769);
     }
     let service = Arc::new(builder.build());
     SchedulerBuilder::new(cfg.manual())
@@ -250,28 +254,20 @@ fn warm_pool_replays_are_deterministic_and_all_warm() {
     assert_invariants(&report, &cfg);
     assert!(report.rejected.is_empty(), "steady trace must not reject");
     assert_eq!(report.stats.failed, 0);
-    // With the pool pre-warmed past the concurrency cap, every distributed
-    // request is a warm hit — zero invocations, label included in the
-    // bit-identical digests — while Serial requests stay cold.
-    let mut warm = 0;
+    // With the pool pre-warmed past the concurrency cap for every shape,
+    // every request is a warm hit — zero invocations, label included in
+    // the bit-identical digests — Serial ones on their one-rank trees.
+    let mut serial = 0;
     for outcome in &report.outcomes {
         let digest = outcome.result.as_ref().expect("steady requests succeed");
-        match digest.variant {
-            Variant::Queue => {
-                assert_eq!(digest.launch, LaunchPath::WarmHit, "{digest:?}");
-                assert_eq!(digest.invocations, 0, "warm hits invoke nothing");
-                warm += 1;
-            }
-            _ => {
-                assert_eq!(digest.launch, LaunchPath::ColdStart, "{digest:?}");
-                assert!(digest.invocations > 0);
-            }
-        }
+        assert_eq!(digest.launch, LaunchPath::WarmHit, "{digest:?}");
+        assert_eq!(digest.invocations, 0, "warm hits invoke nothing");
         assert!(digest.latency_us > 0);
+        serial += usize::from(digest.variant == Variant::Serial);
     }
-    assert_eq!(warm, 8, "the steady trace carries 8 Queue requests");
-    assert_eq!(report.stats.warm_hits, 8);
-    assert_eq!(report.stats.cold_starts, 4);
+    assert_eq!(serial, 4, "the steady trace carries 4 Serial requests");
+    assert_eq!(report.stats.warm_hits, 12);
+    assert_eq!(report.stats.cold_starts, 0);
 }
 
 #[test]

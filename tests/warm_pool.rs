@@ -434,3 +434,52 @@ fn billing_stays_per_flow_disjoint_across_tree_reuse() {
     assert_eq!(stats.misses, 0);
     assert_eq!(stats.idle, 2, "both trees were checked back in");
 }
+
+#[test]
+fn serial_requests_check_out_their_one_rank_tree() {
+    let (service, inputs, expected) = pooled_service(52, 2, u64::MAX);
+    let cold = service
+        .submit(&request(&inputs, Variant::Serial, 4))
+        .expect("cold serial run");
+    assert_eq!(cold.launch, LaunchPath::ColdStart);
+    assert_eq!((cold.variant, cold.workers), (Variant::Serial, 1));
+    assert_eq!(cold.first_output(), &expected);
+    // Whatever P it asks for, a Serial request runs on the one-rank tree
+    // the first one parked.
+    let warm = service
+        .submit(&request(&inputs, Variant::Serial, 1))
+        .expect("warm serial run");
+    assert_eq!(warm.launch, LaunchPath::WarmHit);
+    assert_eq!(warm.lambda.invocations, 0, "warm hits invoke nothing");
+    assert_eq!(warm.outputs, cold.outputs);
+    let stats = service.warm_pool_stats().expect("pool enabled");
+    assert_eq!(
+        (stats.hits, stats.misses, stats.created, stats.idle),
+        (1, 1, 1, 1)
+    );
+    assert_eq!(service.warm_idle_trees(Variant::Serial, 8, 512), 1);
+    assert_clean(&service, "serial warm hit");
+}
+
+#[test]
+fn a_killed_serial_tree_is_discarded_and_the_next_request_cold_launches() {
+    common::watchdog(|| {
+        let (service, inputs, expected) = pooled_service(53, 2, u64::MAX);
+        let serial = || request(&inputs, Variant::Serial, 1);
+        service.submit(&serial()).expect("cold run parks the tree");
+        assert!(
+            service.inject_fault(FsdService::warm_worker_fault(Variant::Serial, 1, 1769, 0)),
+            "the parked one-rank tree must match the injection shape"
+        );
+        service
+            .submit(&serial())
+            .expect_err("the killed rank must fail the request");
+        let stats = service.warm_pool_stats().expect("pool enabled");
+        assert_eq!(stats.discarded_poisoned, 1, "{stats:?}");
+        assert_eq!(stats.idle, 0, "the poisoned tree must not be re-shelved");
+        let recovered = service.submit(&serial()).expect("a fresh tree serves");
+        assert_eq!(recovered.launch, LaunchPath::ColdStart);
+        assert_eq!(recovered.first_output(), &expected);
+        assert_clean(&service, "after a killed serial tree");
+    });
+}
