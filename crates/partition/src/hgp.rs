@@ -12,8 +12,19 @@
 //! Quality is below PaToH's but the objective and constraint are identical;
 //! the paper's Table III only requires HGP ≫ random partitioning, which this
 //! implementation achieves by a wide margin on DNN hypergraphs.
+//!
+//! **Cost.** One FM sweep is `O(pins × P)`: a vertex's best move is one pass
+//! over its nets that reads each net's `Λ` row once. A vertex's best move is
+//! cached and recomputed only after a move touches one of its nets.
+//!
+//! **Bit-identity.** The partition is a pure function of (hypergraph, P,
+//! config): every step is integer or `f64` work in a fixed order, with the
+//! RNG drawn only for the matching and initial-partition orders. A best move
+//! is the highest gain, ties to the lowest part. `partition_model`'s
+//! partitions at the benchmark shapes are pinned by digest in the crate's
+//! tests; a faster partitioner must keep them.
 
-use crate::hypergraph::Hypergraph;
+use crate::hypergraph::{Hypergraph, Span};
 use crate::partition::Partition;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -62,32 +73,37 @@ pub fn partition_hypergraph(h: &Hypergraph, cfg: &HgpConfig) -> Partition {
     let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0x48_47_50_2d_44_4e_4e_21);
 
     // --- Phase 1: coarsen ---------------------------------------------
-    let mut levels: Vec<(Hypergraph, Vec<u32>)> = Vec::new(); // (fine graph, fine->coarse map)
-    let mut current = h.clone();
+    // levels[i] = (graph i+1, map from graph i's vertices to it); graph 0 is h.
+    let mut levels: Vec<(Hypergraph, Vec<u32>)> = Vec::new();
     let target = (cfg.coarsen_to_per_part * cfg.n_parts).max(2 * cfg.n_parts);
-    while current.n_vertices() > target {
-        let map = match_heavy_connectivity(&current, cfg, &mut rng);
-        let coarse = contract(&current, &map);
+    loop {
+        let current = levels.last().map_or(h, |(g, _)| g);
+        if current.n_vertices() <= target {
+            break;
+        }
+        let map = match_heavy_connectivity(current, cfg, &mut rng);
+        let coarse = contract(current, &map);
         let reduction = 1.0 - coarse.n_vertices() as f64 / current.n_vertices() as f64;
-        let fine = std::mem::replace(&mut current, coarse);
-        levels.push((fine, map));
+        levels.push((coarse, map));
         if reduction < 0.05 {
             break; // matching stalled; further levels would waste time
         }
     }
 
     // --- Phase 2: initial partition at the coarsest level ---------------
-    let mut assignment = greedy_initial(&current, cfg, &mut rng);
-    refine_fm(&current, &mut assignment, cfg);
+    let coarsest = levels.last().map_or(h, |(g, _)| g);
+    let mut assignment = greedy_initial(coarsest, cfg, &mut rng);
+    refine_fm(coarsest, &mut assignment, cfg);
 
     // --- Phase 3: project back + refine at every level ------------------
-    while let Some((fine, map)) = levels.pop() {
-        let mut fine_assignment = vec![0u32; fine.n_vertices()];
-        for v in 0..fine.n_vertices() {
-            fine_assignment[v] = assignment[map[v] as usize];
-        }
-        assignment = fine_assignment;
-        refine_fm(&fine, &mut assignment, cfg);
+    for i in (0..levels.len()).rev() {
+        let fine = if i == 0 { h } else { &levels[i - 1].0 };
+        assignment = levels[i]
+            .1
+            .iter()
+            .map(|&c| assignment[c as usize])
+            .collect();
+        refine_fm(fine, &mut assignment, cfg);
     }
 
     // Multi-start: DNN hypergraphs are locality-heavy, so an FM-refined
@@ -115,6 +131,16 @@ fn match_heavy_connectivity(h: &Hypergraph, cfg: &HgpConfig, rng: &mut StdRng) -
     // Sparse scoring scratch: neighbour -> accumulated score, with a reset list.
     let mut score = vec![0f64; n];
     let mut touched: Vec<u32> = Vec::new();
+    // Per-level constants, hoisted out of the pin loop: each net's score
+    // and each vertex's weight damping.
+    let net_score: Vec<f64> = (0..h.n_nets() as u32)
+        .map(|e| h.net_weight(e) as f64 / (h.net(e).len() - 1) as f64)
+        .collect();
+    let damping: Vec<f64> = h
+        .vertex_weights()
+        .iter()
+        .map(|&w| (1.0 + w as f64).ln().max(1.0))
+        .collect();
     for &v in &order {
         if cluster[v as usize] != u32::MAX {
             continue;
@@ -125,7 +151,7 @@ fn match_heavy_connectivity(h: &Hypergraph, cfg: &HgpConfig, rng: &mut StdRng) -
             if pins.len() > cfg.max_scored_net {
                 continue;
             }
-            let s = h.net_weight(e) as f64 / (pins.len() - 1) as f64;
+            let s = net_score[e as usize];
             for &u in pins {
                 if u == v || cluster[u as usize] != u32::MAX {
                     continue;
@@ -141,7 +167,7 @@ fn match_heavy_connectivity(h: &Hypergraph, cfg: &HgpConfig, rng: &mut StdRng) -
             let s = score[u as usize];
             score[u as usize] = 0.0;
             // Avoid gigantic clusters: prefer light partners on near-ties.
-            let adj = s / (1.0 + h.vertex_weight(u) as f64).ln().max(1.0);
+            let adj = s / damping[u as usize];
             if best.is_none_or(|(_, bs)| adj > bs) {
                 best = Some((u, adj));
             }
@@ -164,11 +190,14 @@ fn contract(h: &Hypergraph, cluster: &[u32]) -> Hypergraph {
         weights[cluster[v] as usize] =
             weights[cluster[v] as usize].saturating_add(h.vertex_weight(v as u32));
     }
-    let nets = (0..h.n_nets() as u32).map(|e| {
-        let pins: Vec<u32> = h.net(e).iter().map(|&p| cluster[p as usize]).collect();
-        (pins, h.net_weight(e))
-    });
-    Hypergraph::from_nets(n_coarse, weights, nets)
+    let mut pins = Vec::with_capacity(h.n_pins());
+    let mut spans = Vec::with_capacity(h.n_nets());
+    for e in 0..h.n_nets() as u32 {
+        let start = pins.len();
+        pins.extend(h.net(e).iter().map(|&p| cluster[p as usize]));
+        spans.push(Span::new(start, pins.len(), h.net_weight(e)));
+    }
+    Hypergraph::from_spans(n_coarse, weights, pins, spans)
 }
 
 /// Greedy initial partitioning: vertices in descending weight order go to
@@ -232,24 +261,19 @@ fn refine_fm(h: &Hypergraph, assignment: &mut [u32], cfg: &HgpConfig) {
     let p = cfg.n_parts;
     let total = h.total_weight();
     let cap = (((total as f64) * (1.0 + cfg.epsilon)) / p as f64).ceil() as u64;
-    let n_nets = h.n_nets();
 
-    let mut lambda = vec![0u32; n_nets * p];
+    let mut lambda = lambda_of(h, assignment, p);
     let mut loads = vec![0u64; p];
     for v in 0..h.n_vertices() {
         loads[assignment[v] as usize] += h.vertex_weight(v as u32) as u64;
     }
-    for e in 0..n_nets {
-        for &u in h.net(e as u32) {
-            lambda[e * p + assignment[u as usize] as usize] += 1;
-        }
-    }
+    let mut cache = MoveCache::new(p, h.n_vertices());
 
     for _pass in 0..cfg.fm_passes {
         // Collect boundary vertices with their currently-best move.
         let mut moves: Vec<(i64, u32, u32)> = Vec::new(); // (gain, v, target)
         for v in 0..h.n_vertices() as u32 {
-            if let Some((gain, target)) = best_move(h, &lambda, assignment, v, p) {
+            if let Some((gain, target)) = cache.cached_move(h, &lambda, assignment, v) {
                 if gain > 0 {
                     moves.push((gain, v, target));
                 }
@@ -262,7 +286,7 @@ fn refine_fm(h: &Hypergraph, assignment: &mut [u32], cfg: &HgpConfig) {
         let mut improved = false;
         for (_, v, _) in moves {
             // Re-evaluate: earlier moves this pass may have changed the gain.
-            let Some((gain, target)) = best_move(h, &lambda, assignment, v, p) else {
+            let Some((gain, target)) = cache.cached_move(h, &lambda, assignment, v) else {
                 continue;
             };
             if gain <= 0 {
@@ -282,6 +306,7 @@ fn refine_fm(h: &Hypergraph, assignment: &mut [u32], cfg: &HgpConfig) {
                 lambda[base + src] -= 1;
                 lambda[base + target as usize] += 1;
             }
+            cache.invalidate(h, v);
             improved = true;
         }
         if !improved {
@@ -290,65 +315,229 @@ fn refine_fm(h: &Hypergraph, assignment: &mut [u32], cfg: &HgpConfig) {
     }
 }
 
-/// The best single-vertex move for `v`: highest connectivity-1 gain over all
-/// target parts that appear in `v`'s nets. Returns `None` for interior
-/// vertices (all nets single-part).
-fn best_move(
-    h: &Hypergraph,
-    lambda: &[u32],
-    assignment: &[u32],
-    v: u32,
-    p: usize,
-) -> Option<(i64, u32)> {
-    let src = assignment[v as usize] as usize;
-    // Gain of leaving src: nets where v is src's only pin stop spanning src.
-    let mut leave_gain = 0i64;
-    let mut is_boundary = false;
-    for &e in h.nets_of(v) {
-        let base = e as usize * p;
-        if lambda[base + src] == 1 {
-            leave_gain += h.net_weight(e) as i64;
-        }
-        // boundary if any net has pins outside src
-        let pins = h.net(e).len() as u32;
-        if lambda[base + src] < pins {
-            is_boundary = true;
+/// `Λ(e, part)`: the pins of net `e` in each part, one row of `p` per net.
+fn lambda_of(h: &Hypergraph, assignment: &[u32], p: usize) -> Vec<u32> {
+    let mut lambda = vec![0u32; h.n_nets() * p];
+    for e in 0..h.n_nets() {
+        for &u in h.net(e as u32) {
+            lambda[e * p + assignment[u as usize] as usize] += 1;
         }
     }
-    if !is_boundary {
-        return None;
-    }
-    // Candidate targets: distinct parts present in v's nets (besides src).
-    let mut candidates: Vec<u32> = Vec::with_capacity(8);
-    for &e in h.nets_of(v) {
-        let base = e as usize * p;
-        for t in 0..p {
-            if t != src && lambda[base + t] > 0 && !candidates.contains(&(t as u32)) {
-                candidates.push(t as u32);
-            }
+    lambda
+}
+
+/// Each vertex's best move during one [`refine_fm`] call, plus the per-part
+/// scratch [`MoveCache::best_move`] fills and leaves zeroed.
+struct MoveCache {
+    /// `conn[t]`: weight of the current vertex's nets with a pin in part `t`.
+    conn: Vec<i64>,
+    /// Whether part `t` has a pin in one of the current vertex's nets —
+    /// separate from `conn` because a zero-weight net still makes `t` a
+    /// candidate.
+    seen: Vec<bool>,
+    /// `best[v]`: `v`'s best move, valid while `fresh[v]`.
+    best: Vec<Option<(i64, u32)>>,
+    fresh: Vec<bool>,
+}
+
+impl MoveCache {
+    fn new(p: usize, n: usize) -> MoveCache {
+        MoveCache {
+            conn: vec![0; p],
+            seen: vec![false; p],
+            best: vec![None; n],
+            fresh: vec![false; n],
         }
     }
-    let mut best: Option<(i64, u32)> = None;
-    for &t in &candidates {
-        // Arrival cost: nets of v with no pin in t gain a new part.
-        let mut gain = leave_gain;
+
+    /// [`MoveCache::best_move`], recomputed only when a move since the last
+    /// call touched one of `v`'s nets.
+    fn cached_move(
+        &mut self,
+        h: &Hypergraph,
+        lambda: &[u32],
+        assignment: &[u32],
+        v: u32,
+    ) -> Option<(i64, u32)> {
+        if !self.fresh[v as usize] {
+            self.best[v as usize] = self.best_move(h, lambda, assignment, v);
+            self.fresh[v as usize] = true;
+        }
+        self.best[v as usize]
+    }
+
+    /// Moving `v` changes `Λ` only on `v`'s nets, and a best move reads `Λ`
+    /// only on its own vertex's nets, so exactly those nets' pins go stale.
+    fn invalidate(&mut self, h: &Hypergraph, v: u32) {
         for &e in h.nets_of(v) {
-            if lambda[e as usize * p + t as usize] == 0 {
-                gain -= h.net_weight(e) as i64;
+            for &u in h.net(e) {
+                self.fresh[u as usize] = false;
             }
         }
-        if best.is_none_or(|(bg, bt)| gain > bg || (gain == bg && t < bt)) {
-            best = Some((gain, t));
-        }
     }
-    best
+
+    /// The best single-vertex move for `v`: highest connectivity-1 gain over
+    /// all target parts that appear in `v`'s nets, ties to the lowest part.
+    /// Returns `None` for interior vertices (all nets single-part).
+    ///
+    /// One pass over `v`'s nets (`O(|nets(v)| · P)`): moving to `t` gains
+    /// the weight of the nets `v` alone keeps in `src` and pays for the nets
+    /// with no pin in `t`, `gain(t) = leave_gain − (W_v − conn[t])`.
+    fn best_move(
+        &mut self,
+        h: &Hypergraph,
+        lambda: &[u32],
+        assignment: &[u32],
+        v: u32,
+    ) -> Option<(i64, u32)> {
+        let p = self.conn.len();
+        let src = assignment[v as usize] as usize;
+        let mut leave_gain = 0i64;
+        let mut w_v = 0i64;
+        for &e in h.nets_of(v) {
+            let w = h.net_weight(e) as i64;
+            let row = &lambda[e as usize * p..(e as usize + 1) * p];
+            w_v += w;
+            if row[src] == 1 {
+                leave_gain += w;
+            }
+            for ((conn, seen), &pins_in_t) in self.conn.iter_mut().zip(&mut self.seen).zip(row) {
+                *conn += if pins_in_t > 0 { w } else { 0 };
+                *seen |= pins_in_t > 0;
+            }
+        }
+        let mut best: Option<(i64, u32)> = None;
+        for t in 0..p {
+            if self.seen[t] && t != src {
+                let gain = leave_gain - (w_v - self.conn[t]);
+                if best.is_none_or(|(bg, _)| gain > bg) {
+                    best = Some((gain, t as u32));
+                }
+            }
+            self.conn[t] = 0;
+            self.seen[t] = false;
+        }
+        best
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hypergraph::random_nets;
     use crate::partition::random_partition;
     use fsd_model::{generate_dnn, DnnSpec};
+    use rand::Rng;
+
+    /// The per-candidate rescan `MoveCache::best_move` replaced: its oracle.
+    fn best_move_reference(
+        h: &Hypergraph,
+        lambda: &[u32],
+        assignment: &[u32],
+        v: u32,
+        p: usize,
+    ) -> Option<(i64, u32)> {
+        let src = assignment[v as usize] as usize;
+        let mut leave_gain = 0i64;
+        let mut is_boundary = false;
+        for &e in h.nets_of(v) {
+            let base = e as usize * p;
+            if lambda[base + src] == 1 {
+                leave_gain += h.net_weight(e) as i64;
+            }
+            let pins = h.net(e).len() as u32;
+            if lambda[base + src] < pins {
+                is_boundary = true;
+            }
+        }
+        if !is_boundary {
+            return None;
+        }
+        let mut candidates: Vec<u32> = Vec::with_capacity(8);
+        for &e in h.nets_of(v) {
+            let base = e as usize * p;
+            for t in 0..p {
+                if t != src && lambda[base + t] > 0 && !candidates.contains(&(t as u32)) {
+                    candidates.push(t as u32);
+                }
+            }
+        }
+        let mut best: Option<(i64, u32)> = None;
+        for &t in &candidates {
+            let mut gain = leave_gain;
+            for &e in h.nets_of(v) {
+                if lambda[e as usize * p + t as usize] == 0 {
+                    gain -= h.net_weight(e) as i64;
+                }
+            }
+            if best.is_none_or(|(bg, bt)| gain > bg || (gain == bg && t < bt)) {
+                best = Some((gain, t));
+            }
+        }
+        best
+    }
+
+    /// A random hypergraph and an assignment over a random window of the
+    /// `p` parts, so interior vertices and tied gains both occur.
+    fn random_case(rng: &mut StdRng, p: usize) -> (Hypergraph, Vec<u32>) {
+        let n = rng.gen_range(1..48usize);
+        let h = Hypergraph::from_nets(n, vec![1; n], random_nets(rng, n));
+        let width = rng.gen_range(1..p as u32 + 1);
+        let offset = rng.gen_range(0..p as u32 - width + 1);
+        let assignment = (0..n).map(|_| offset + rng.gen_range(0..width)).collect();
+        (h, assignment)
+    }
+
+    const PART_COUNTS: [usize; 7] = [2, 3, 5, 8, 42, 65, 100];
+
+    #[test]
+    fn best_move_equals_the_rescan_reference_for_every_vertex() {
+        let mut rng = StdRng::seed_from_u64(0xBE57);
+        for p in PART_COUNTS {
+            let mut cache = MoveCache::new(p, 0);
+            for case in 0..60 {
+                let (h, assignment) = random_case(&mut rng, p);
+                let lambda = lambda_of(&h, &assignment, p);
+                for v in 0..h.n_vertices() as u32 {
+                    assert_eq!(
+                        cache.best_move(&h, &lambda, &assignment, v),
+                        best_move_reference(&h, &lambda, &assignment, v, p),
+                        "P = {p}, case {case}, vertex {v}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn cached_moves_stay_equal_to_the_reference_as_vertices_move() {
+        let mut rng = StdRng::seed_from_u64(0xCAC4E);
+        for p in PART_COUNTS {
+            for case in 0..20 {
+                let (h, mut assignment) = random_case(&mut rng, p);
+                let mut lambda = lambda_of(&h, &assignment, p);
+                let n = h.n_vertices();
+                let mut cache = MoveCache::new(p, n);
+                for step in 0..2 * n {
+                    for u in 0..n as u32 {
+                        assert_eq!(
+                            cache.cached_move(&h, &lambda, &assignment, u),
+                            best_move_reference(&h, &lambda, &assignment, u, p),
+                            "P = {p}, case {case}, step {step}, vertex {u}"
+                        );
+                    }
+                    let v = rng.gen_range(0..n as u32);
+                    let (src, target) = (assignment[v as usize], rng.gen_range(0..p as u32));
+                    assignment[v as usize] = target;
+                    for &e in h.nets_of(v) {
+                        lambda[e as usize * p + src as usize] -= 1;
+                        lambda[e as usize * p + target as usize] += 1;
+                    }
+                    cache.invalidate(&h, v);
+                }
+            }
+        }
+    }
 
     fn ring_hypergraph(n: usize) -> Hypergraph {
         // Nets {i, i+1}: a ring. Optimal P-way cut = P (contiguous arcs).

@@ -8,7 +8,6 @@
 //! connectivity-1 objective *is* the communication volume.
 
 use fsd_model::SparseDnn;
-use std::collections::HashMap;
 
 /// An undirected hypergraph with weighted vertices and nets, stored in CSR
 /// form both ways (nets → pins and vertex → incident nets).
@@ -27,46 +26,81 @@ impl Hypergraph {
     /// Builds a hypergraph from explicit nets. Pins may arrive unsorted;
     /// duplicates within a net are removed, single-pin nets are dropped
     /// (they can never be cut), and identical nets are merged by summing
-    /// weights.
+    /// weights (saturating at `u32::MAX`).
     pub fn from_nets(
         n_vertices: usize,
         vertex_weight: Vec<u32>,
         nets: impl IntoIterator<Item = (Vec<u32>, u32)>,
     ) -> Hypergraph {
-        assert_eq!(vertex_weight.len(), n_vertices, "vertex weight length");
-        let mut merged: HashMap<Vec<u32>, u32> = HashMap::new();
-        for (mut pins, w) in nets {
-            pins.sort_unstable();
-            pins.dedup();
-            if pins.len() < 2 {
-                continue;
-            }
-            debug_assert!(
-                pins.iter().all(|&p| (p as usize) < n_vertices),
-                "pin out of range"
-            );
-            *merged.entry(pins).or_insert(0) += w;
-        }
-        // Deterministic net order regardless of hash iteration order.
-        let mut net_list: Vec<(Vec<u32>, u32)> = merged.into_iter().collect();
-        net_list.sort_unstable();
-
-        let mut net_ptr = Vec::with_capacity(net_list.len() + 1);
         let mut pins = Vec::new();
-        let mut net_weight = Vec::with_capacity(net_list.len());
+        let mut spans = Vec::new();
+        for (net, weight) in nets {
+            let start = pins.len();
+            pins.extend_from_slice(&net);
+            spans.push(Span::new(start, pins.len(), weight));
+        }
+        Hypergraph::from_spans(n_vertices, vertex_weight, pins, spans)
+    }
+
+    /// [`Hypergraph::from_nets`] over nets already laid out in one flat pin
+    /// buffer: each span is sorted and deduplicated in place, spans under
+    /// two pins are dropped, the rest are put in lexicographic pin order and
+    /// equal neighbours merged — the nets and weights a map from pin list to
+    /// summed weight gives, without one allocation per net.
+    pub(crate) fn from_spans(
+        n_vertices: usize,
+        vertex_weight: Vec<u32>,
+        mut pins: Vec<u32>,
+        mut spans: Vec<Span>,
+    ) -> Hypergraph {
+        assert_eq!(vertex_weight.len(), n_vertices, "vertex weight length");
+        spans.retain_mut(|span| {
+            let net = &mut pins[span.start..span.end];
+            net.sort_unstable();
+            let mut len = usize::from(!net.is_empty());
+            for i in 1..net.len() {
+                if net[i] != net[len - 1] {
+                    net[len] = net[i];
+                    len += 1;
+                }
+            }
+            if len < 2 {
+                return false;
+            }
+            debug_assert!((net[len - 1] as usize) < n_vertices, "pin out of range");
+            span.end = span.start + len;
+            (span.first, span.second) = (net[0], net[1]);
+            true
+        });
+
+        spans.sort_unstable_by(|a, b| {
+            (a.first, a.second)
+                .cmp(&(b.first, b.second))
+                .then_with(|| a.pins(&pins).cmp(b.pins(&pins)))
+        });
+
+        let mut net_ptr = Vec::with_capacity(spans.len() + 1);
+        let mut net_pins = Vec::with_capacity(pins.len());
+        let mut net_weight: Vec<u32> = Vec::with_capacity(spans.len());
         net_ptr.push(0usize);
-        for (p, w) in &net_list {
-            pins.extend_from_slice(p);
-            net_ptr.push(pins.len());
-            net_weight.push(*w);
+        for (i, span) in spans.iter().enumerate() {
+            let net = span.pins(&pins);
+            if i > 0 && spans[i - 1].pins(&pins) == net {
+                let w = net_weight.last_mut().expect("span 0 opened a net");
+                *w = w.saturating_add(span.weight);
+            } else {
+                net_pins.extend_from_slice(net);
+                net_ptr.push(net_pins.len());
+                net_weight.push(span.weight);
+            }
         }
 
-        let (vtx_ptr, vtx_nets) = invert(n_vertices, &net_ptr, &pins);
+        let (vtx_ptr, vtx_nets) = invert(n_vertices, &net_ptr, &net_pins);
         Hypergraph {
             n_vertices,
             vertex_weight,
             net_ptr,
-            pins,
+            pins: net_pins,
             net_weight,
             vtx_ptr,
             vtx_nets,
@@ -86,22 +120,33 @@ impl Hypergraph {
                 *w += layer.row_nnz(r) as u32;
             }
         }
-        let nets = dnn.layers().iter().flat_map(|layer| {
-            let t = layer.transpose();
-            (0..n)
-                .filter_map(move |j| {
-                    let (consumers, _) = t.row(j);
-                    if consumers.is_empty() {
-                        return None;
-                    }
-                    let mut pins = Vec::with_capacity(consumers.len() + 1);
+        // One net per nonempty column `j` of each layer: `j`, then its
+        // consumers in ascending row order — a transpose without values.
+        let mut pins = Vec::new();
+        let mut spans = Vec::new();
+        let mut next = vec![0usize; n];
+        for layer in dnn.layers() {
+            let mut column_len = vec![0usize; n];
+            for &c in layer.parts().1 {
+                column_len[c as usize] += 1;
+            }
+            for (j, &len) in column_len.iter().enumerate() {
+                if len > 0 {
+                    let start = pins.len();
                     pins.push(j as u32);
-                    pins.extend_from_slice(consumers);
-                    Some((pins, 1u32))
-                })
-                .collect::<Vec<_>>()
-        });
-        Hypergraph::from_nets(n, vweight, nets)
+                    next[j] = pins.len();
+                    pins.resize(pins.len() + len, 0);
+                    spans.push(Span::new(start, pins.len(), 1));
+                }
+            }
+            for (r, cols, _) in layer.iter_rows() {
+                for &c in cols {
+                    pins[next[c as usize]] = r as u32;
+                    next[c as usize] += 1;
+                }
+            }
+        }
+        Hypergraph::from_spans(n, vweight, pins, spans)
     }
 
     /// Number of vertices.
@@ -178,6 +223,34 @@ impl Hypergraph {
     }
 }
 
+/// One net of a flat pin buffer under construction: pins `start..end` with
+/// a weight. `first`/`second` hold the two smallest pins once the span is
+/// sorted, so the net sort mostly compares them without touching the buffer.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Span {
+    start: usize,
+    end: usize,
+    weight: u32,
+    first: u32,
+    second: u32,
+}
+
+impl Span {
+    pub(crate) fn new(start: usize, end: usize, weight: u32) -> Span {
+        Span {
+            start,
+            end,
+            weight,
+            first: 0,
+            second: 0,
+        }
+    }
+
+    fn pins<'a>(&self, buf: &'a [u32]) -> &'a [u32] {
+        &buf[self.start..self.end]
+    }
+}
+
 /// Builds the vertex → nets CSR from the nets → pins CSR.
 fn invert(n_vertices: usize, net_ptr: &[usize], pins: &[u32]) -> (Vec<usize>, Vec<u32>) {
     let mut counts = vec![0usize; n_vertices + 1];
@@ -198,10 +271,141 @@ fn invert(n_vertices: usize, net_ptr: &[usize], pins: &[u32]) -> (Vec<usize>, Ve
     (vtx_ptr, vtx_nets)
 }
 
+/// Random nets over `n` vertices for the equivalence tests: unsorted pins
+/// with duplicates, empty and single-pin nets, repeated nets (permuted) and
+/// zero, small and near-`u32::MAX` weights.
+#[cfg(test)]
+pub(crate) fn random_nets(rng: &mut rand::rngs::StdRng, n: usize) -> Vec<(Vec<u32>, u32)> {
+    use rand::seq::SliceRandom;
+    use rand::Rng;
+    let mut nets: Vec<(Vec<u32>, u32)> = Vec::new();
+    for _ in 0..rng.gen_range(0..3 * n + 2) {
+        let weight = match rng.gen_range(0..10u32) {
+            0 => 0,
+            9 => u32::MAX - rng.gen_range(0..3u32),
+            _ => rng.gen_range(1..4u32),
+        };
+        let mut pins = if !nets.is_empty() && rng.gen_range(0..5u32) == 0 {
+            nets[rng.gen_range(0..nets.len())].0.clone()
+        } else {
+            // A narrow pin range makes duplicate pins and equal prefixes common.
+            let lo = rng.gen_range(0..n as u32);
+            let hi = rng.gen_range(lo + 1..n as u32 + 1);
+            (0..rng.gen_range(0..9usize))
+                .map(|_| rng.gen_range(lo..hi))
+                .collect()
+        };
+        pins.shuffle(rng);
+        nets.push((pins, weight));
+    }
+    nets
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use fsd_model::{generate_dnn, DnnSpec};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use std::collections::HashMap;
+
+    /// The hash-map construction `from_nets` replaced: the oracle for
+    /// [`Hypergraph::from_spans`].
+    fn from_nets_reference(
+        n_vertices: usize,
+        vertex_weight: Vec<u32>,
+        nets: impl IntoIterator<Item = (Vec<u32>, u32)>,
+    ) -> Hypergraph {
+        let mut merged: HashMap<Vec<u32>, u32> = HashMap::new();
+        for (mut pins, w) in nets {
+            pins.sort_unstable();
+            pins.dedup();
+            if pins.len() < 2 {
+                continue;
+            }
+            let total = merged.entry(pins).or_insert(0);
+            *total = total.saturating_add(w);
+        }
+        let mut net_list: Vec<(Vec<u32>, u32)> = merged.into_iter().collect();
+        net_list.sort_unstable();
+
+        let mut net_ptr = vec![0usize];
+        let mut pins = Vec::new();
+        let mut net_weight = Vec::new();
+        for (p, w) in &net_list {
+            pins.extend_from_slice(p);
+            net_ptr.push(pins.len());
+            net_weight.push(*w);
+        }
+        let (vtx_ptr, vtx_nets) = invert(n_vertices, &net_ptr, &pins);
+        Hypergraph {
+            n_vertices,
+            vertex_weight,
+            net_ptr,
+            pins,
+            net_weight,
+            vtx_ptr,
+            vtx_nets,
+        }
+    }
+
+    fn assert_same(h: &Hypergraph, reference: &Hypergraph, case: &str) {
+        assert_eq!(h.n_vertices, reference.n_vertices, "{case}: n_vertices");
+        assert_eq!(
+            h.vertex_weight, reference.vertex_weight,
+            "{case}: vertex_weight"
+        );
+        assert_eq!(h.net_ptr, reference.net_ptr, "{case}: net_ptr");
+        assert_eq!(h.pins, reference.pins, "{case}: pins");
+        assert_eq!(h.net_weight, reference.net_weight, "{case}: net_weight");
+        assert_eq!(h.vtx_ptr, reference.vtx_ptr, "{case}: vtx_ptr");
+        assert_eq!(h.vtx_nets, reference.vtx_nets, "{case}: vtx_nets");
+    }
+
+    #[test]
+    fn from_nets_equals_the_hash_map_reference() {
+        let mut rng = StdRng::seed_from_u64(0x5EED);
+        for case in 0..400 {
+            let n = rng.gen_range(1..48usize);
+            let weights: Vec<u32> = (0..n).map(|_| rng.gen_range(0..5u32)).collect();
+            let nets = random_nets(&mut rng, n);
+            let h = Hypergraph::from_nets(n, weights.clone(), nets.clone());
+            let reference = from_nets_reference(n, weights, nets);
+            assert_same(&h, &reference, &format!("case {case} (n = {n})"));
+        }
+    }
+
+    #[test]
+    fn from_dnn_equals_the_transpose_reference() {
+        for (neurons, seed) in [(32, 1), (64, 7), (128, 42)] {
+            let dnn = generate_dnn(&DnnSpec::scaled(neurons, seed));
+            let weights = Hypergraph::from_dnn(&dnn).vertex_weight;
+            let nets = dnn.layers().iter().flat_map(|layer| {
+                let t = layer.transpose();
+                (0..neurons)
+                    .filter(|&j| !t.row(j).0.is_empty())
+                    .map(|j| {
+                        let mut pins = vec![j as u32];
+                        pins.extend_from_slice(t.row(j).0);
+                        (pins, 1u32)
+                    })
+                    .collect::<Vec<_>>()
+            });
+            let reference = from_nets_reference(neurons, weights, nets);
+            assert_same(
+                &Hypergraph::from_dnn(&dnn),
+                &reference,
+                &format!("N = {neurons}"),
+            );
+        }
+    }
+
+    #[test]
+    fn merged_net_weights_saturate() {
+        let h = Hypergraph::from_nets(2, vec![1, 1], [(vec![0, 1], u32::MAX - 1), (vec![1, 0], 5)]);
+        assert_eq!(h.n_nets(), 1);
+        assert_eq!(h.net_weight(0), u32::MAX);
+    }
 
     fn tiny() -> Hypergraph {
         // 4 vertices; nets {0,1}, {1,2,3}, {0,1} (duplicate, merged).

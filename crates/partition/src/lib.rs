@@ -107,6 +107,33 @@ mod tests {
         }
     }
 
+    /// FNV-1a 64 over the assignment, one `u64` word per entry.
+    fn digest(p: &Partition) -> u64 {
+        p.assignment().iter().fold(0xcbf2_9ce4_8422_2325, |h, &a| {
+            (h ^ a as u64).wrapping_mul(0x100_0000_01b3)
+        })
+    }
+
+    fn hgp_digest(neurons: usize, n_parts: usize) -> u64 {
+        let dnn = generate_dnn(&DnnSpec::scaled(neurons, 42));
+        digest(&partition_model(&dnn, n_parts, PartitionScheme::Hgp, 42))
+    }
+
+    // A partitioner change must keep these: every committed bench baseline
+    // and the serving stack's virtual numbers follow from the partition.
+    #[test]
+    fn hgp_partitions_are_pinned() {
+        assert_eq!(hgp_digest(64, 2), 0xeccb_7ecb_ad56_df60);
+        assert_eq!(hgp_digest(256, 8), 0xfb0d_ae01_99c8_89a5);
+    }
+
+    #[test]
+    #[cfg_attr(debug_assertions, ignore = "slow in debug; runs in release")]
+    fn hgp_partitions_at_the_benchmark_shapes_are_pinned() {
+        assert_eq!(hgp_digest(1024, 8), 0xe7f3_3ac1_01de_3d25);
+        assert_eq!(hgp_digest(4096, 2), 0x1856_f46d_e928_6b25);
+    }
+
     #[test]
     fn hgp_beats_random_in_plan_volume() {
         let dnn = generate_dnn(&DnnSpec::scaled(256, 3));

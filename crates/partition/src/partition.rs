@@ -86,8 +86,12 @@ impl Partition {
 
 /// Random balanced partition — the paper's "RP" baseline (PaToH's random
 /// scheme): a seeded shuffle dealt round-robin, so part sizes differ by at
-/// most one vertex but content is random.
+/// most one vertex but content is random. One part or none is the one-part
+/// partition.
 pub fn random_partition(n_vertices: usize, n_parts: usize, seed: u64) -> Partition {
+    if n_parts <= 1 {
+        return Partition::new(1, vec![0; n_vertices]);
+    }
     let mut order: Vec<u32> = (0..n_vertices as u32).collect();
     let mut rng = StdRng::seed_from_u64(seed ^ RANDOM_SEED_SALT);
     order.shuffle(&mut rng);
@@ -102,9 +106,12 @@ const RANDOM_SEED_SALT: u64 = 0xB10C_0000_0000_0001;
 
 /// Contiguous block partition balanced by vertex weight: part boundaries are
 /// chosen so cumulative weight is as even as possible while keeping vertex
-/// ranges contiguous.
+/// ranges contiguous. One part or none is the one-part partition.
 pub fn block_partition(weights: &[u32], n_parts: usize) -> Partition {
     let n = weights.len();
+    if n_parts <= 1 {
+        return Partition::new(1, vec![0; n]);
+    }
     let total: u64 = weights.iter().map(|&w| w as u64).sum();
     let mut assignment = vec![0u32; n];
     let mut acc = 0u64;
@@ -161,6 +168,11 @@ mod tests {
     }
 
     #[test]
+    fn random_partition_of_zero_parts_is_one_part() {
+        assert_eq!(random_partition(5, 0, 9), Partition::new(1, vec![0; 5]));
+    }
+
+    #[test]
     fn random_partition_is_not_contiguous() {
         let p = random_partition(1000, 4, 3);
         // A contiguous partition has exactly n_parts-1 boundaries; random has many.
@@ -181,6 +193,14 @@ mod tests {
             p.imbalance(&weights) < 0.05,
             "imbalance {}",
             p.imbalance(&weights)
+        );
+    }
+
+    #[test]
+    fn block_partition_of_zero_parts_is_one_part() {
+        assert_eq!(
+            block_partition(&[3, 1, 4], 0),
+            Partition::new(1, vec![0; 3])
         );
     }
 
