@@ -14,8 +14,7 @@
 //! implementation achieves by a wide margin on DNN hypergraphs.
 //!
 //! **Cost.** One FM sweep is `O(pins × P)`: a vertex's best move is one pass
-//! over its nets that reads each net's `Λ` row once. A vertex's best move is
-//! cached and recomputed only after a move touches one of its nets.
+//! over its nets that reads each net's `Λ` row once.
 //!
 //! **Bit-identity.** The partition is a pure function of (hypergraph, P,
 //! config): every step is integer or `f64` work in a fixed order, with the
@@ -131,16 +130,6 @@ fn match_heavy_connectivity(h: &Hypergraph, cfg: &HgpConfig, rng: &mut StdRng) -
     // Sparse scoring scratch: neighbour -> accumulated score, with a reset list.
     let mut score = vec![0f64; n];
     let mut touched: Vec<u32> = Vec::new();
-    // Per-level constants, hoisted out of the pin loop: each net's score
-    // and each vertex's weight damping.
-    let net_score: Vec<f64> = (0..h.n_nets() as u32)
-        .map(|e| h.net_weight(e) as f64 / (h.net(e).len() - 1) as f64)
-        .collect();
-    let damping: Vec<f64> = h
-        .vertex_weights()
-        .iter()
-        .map(|&w| (1.0 + w as f64).ln().max(1.0))
-        .collect();
     for &v in &order {
         if cluster[v as usize] != u32::MAX {
             continue;
@@ -151,7 +140,7 @@ fn match_heavy_connectivity(h: &Hypergraph, cfg: &HgpConfig, rng: &mut StdRng) -
             if pins.len() > cfg.max_scored_net {
                 continue;
             }
-            let s = net_score[e as usize];
+            let s = h.net_weight(e) as f64 / (pins.len() - 1) as f64;
             for &u in pins {
                 if u == v || cluster[u as usize] != u32::MAX {
                     continue;
@@ -167,7 +156,7 @@ fn match_heavy_connectivity(h: &Hypergraph, cfg: &HgpConfig, rng: &mut StdRng) -
             let s = score[u as usize];
             score[u as usize] = 0.0;
             // Avoid gigantic clusters: prefer light partners on near-ties.
-            let adj = s / damping[u as usize];
+            let adj = s / (1.0 + h.vertex_weight(u) as f64).ln().max(1.0);
             if best.is_none_or(|(_, bs)| adj > bs) {
                 best = Some((u, adj));
             }
@@ -267,13 +256,13 @@ fn refine_fm(h: &Hypergraph, assignment: &mut [u32], cfg: &HgpConfig) {
     for v in 0..h.n_vertices() {
         loads[assignment[v] as usize] += h.vertex_weight(v as u32) as u64;
     }
-    let mut cache = MoveCache::new(p, h.n_vertices());
+    let mut scratch = MoveScratch::new(p);
 
     for _pass in 0..cfg.fm_passes {
         // Collect boundary vertices with their currently-best move.
         let mut moves: Vec<(i64, u32, u32)> = Vec::new(); // (gain, v, target)
         for v in 0..h.n_vertices() as u32 {
-            if let Some((gain, target)) = cache.cached_move(h, &lambda, assignment, v) {
+            if let Some((gain, target)) = scratch.best_move(h, &lambda, assignment, v) {
                 if gain > 0 {
                     moves.push((gain, v, target));
                 }
@@ -286,7 +275,7 @@ fn refine_fm(h: &Hypergraph, assignment: &mut [u32], cfg: &HgpConfig) {
         let mut improved = false;
         for (_, v, _) in moves {
             // Re-evaluate: earlier moves this pass may have changed the gain.
-            let Some((gain, target)) = cache.cached_move(h, &lambda, assignment, v) else {
+            let Some((gain, target)) = scratch.best_move(h, &lambda, assignment, v) else {
                 continue;
             };
             if gain <= 0 {
@@ -306,7 +295,6 @@ fn refine_fm(h: &Hypergraph, assignment: &mut [u32], cfg: &HgpConfig) {
                 lambda[base + src] -= 1;
                 lambda[base + target as usize] += 1;
             }
-            cache.invalidate(h, v);
             improved = true;
         }
         if !improved {
@@ -326,53 +314,22 @@ fn lambda_of(h: &Hypergraph, assignment: &[u32], p: usize) -> Vec<u32> {
     lambda
 }
 
-/// Each vertex's best move during one [`refine_fm`] call, plus the per-part
-/// scratch [`MoveCache::best_move`] fills and leaves zeroed.
-struct MoveCache {
+/// The per-part scratch [`MoveScratch::best_move`] fills and leaves zeroed,
+/// allocated once per [`refine_fm`] call.
+struct MoveScratch {
     /// `conn[t]`: weight of the current vertex's nets with a pin in part `t`.
     conn: Vec<i64>,
     /// Whether part `t` has a pin in one of the current vertex's nets —
     /// separate from `conn` because a zero-weight net still makes `t` a
     /// candidate.
     seen: Vec<bool>,
-    /// `best[v]`: `v`'s best move, valid while `fresh[v]`.
-    best: Vec<Option<(i64, u32)>>,
-    fresh: Vec<bool>,
 }
 
-impl MoveCache {
-    fn new(p: usize, n: usize) -> MoveCache {
-        MoveCache {
+impl MoveScratch {
+    fn new(p: usize) -> MoveScratch {
+        MoveScratch {
             conn: vec![0; p],
             seen: vec![false; p],
-            best: vec![None; n],
-            fresh: vec![false; n],
-        }
-    }
-
-    /// [`MoveCache::best_move`], recomputed only when a move since the last
-    /// call touched one of `v`'s nets.
-    fn cached_move(
-        &mut self,
-        h: &Hypergraph,
-        lambda: &[u32],
-        assignment: &[u32],
-        v: u32,
-    ) -> Option<(i64, u32)> {
-        if !self.fresh[v as usize] {
-            self.best[v as usize] = self.best_move(h, lambda, assignment, v);
-            self.fresh[v as usize] = true;
-        }
-        self.best[v as usize]
-    }
-
-    /// Moving `v` changes `Λ` only on `v`'s nets, and a best move reads `Λ`
-    /// only on its own vertex's nets, so exactly those nets' pins go stale.
-    fn invalidate(&mut self, h: &Hypergraph, v: u32) {
-        for &e in h.nets_of(v) {
-            for &u in h.net(e) {
-                self.fresh[u as usize] = false;
-            }
         }
     }
 
@@ -429,7 +386,7 @@ mod tests {
     use fsd_model::{generate_dnn, DnnSpec};
     use rand::Rng;
 
-    /// The per-candidate rescan `MoveCache::best_move` replaced: its oracle.
+    /// The per-candidate rescan `MoveScratch::best_move` replaced: its oracle.
     fn best_move_reference(
         h: &Hypergraph,
         lambda: &[u32],
@@ -494,46 +451,16 @@ mod tests {
     fn best_move_equals_the_rescan_reference_for_every_vertex() {
         let mut rng = StdRng::seed_from_u64(0xBE57);
         for p in PART_COUNTS {
-            let mut cache = MoveCache::new(p, 0);
+            let mut scratch = MoveScratch::new(p);
             for case in 0..60 {
                 let (h, assignment) = random_case(&mut rng, p);
                 let lambda = lambda_of(&h, &assignment, p);
                 for v in 0..h.n_vertices() as u32 {
                     assert_eq!(
-                        cache.best_move(&h, &lambda, &assignment, v),
+                        scratch.best_move(&h, &lambda, &assignment, v),
                         best_move_reference(&h, &lambda, &assignment, v, p),
                         "P = {p}, case {case}, vertex {v}"
                     );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn cached_moves_stay_equal_to_the_reference_as_vertices_move() {
-        let mut rng = StdRng::seed_from_u64(0xCAC4E);
-        for p in PART_COUNTS {
-            for case in 0..20 {
-                let (h, mut assignment) = random_case(&mut rng, p);
-                let mut lambda = lambda_of(&h, &assignment, p);
-                let n = h.n_vertices();
-                let mut cache = MoveCache::new(p, n);
-                for step in 0..2 * n {
-                    for u in 0..n as u32 {
-                        assert_eq!(
-                            cache.cached_move(&h, &lambda, &assignment, u),
-                            best_move_reference(&h, &lambda, &assignment, u, p),
-                            "P = {p}, case {case}, step {step}, vertex {u}"
-                        );
-                    }
-                    let v = rng.gen_range(0..n as u32);
-                    let (src, target) = (assignment[v as usize], rng.gen_range(0..p as u32));
-                    assignment[v as usize] = target;
-                    for &e in h.nets_of(v) {
-                        lambda[e as usize * p + src as usize] -= 1;
-                        lambda[e as usize * p + target as usize] += 1;
-                    }
-                    cache.invalidate(&h, v);
                 }
             }
         }

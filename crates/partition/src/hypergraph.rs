@@ -23,30 +23,13 @@ pub struct Hypergraph {
 }
 
 impl Hypergraph {
-    /// Builds a hypergraph from explicit nets. Pins may arrive unsorted;
-    /// duplicates within a net are removed, single-pin nets are dropped
-    /// (they can never be cut), and identical nets are merged by summing
-    /// weights (saturating at `u32::MAX`).
-    pub fn from_nets(
-        n_vertices: usize,
-        vertex_weight: Vec<u32>,
-        nets: impl IntoIterator<Item = (Vec<u32>, u32)>,
-    ) -> Hypergraph {
-        let mut pins = Vec::new();
-        let mut spans = Vec::new();
-        for (net, weight) in nets {
-            let start = pins.len();
-            pins.extend_from_slice(&net);
-            spans.push(Span::new(start, pins.len(), weight));
-        }
-        Hypergraph::from_spans(n_vertices, vertex_weight, pins, spans)
-    }
-
-    /// [`Hypergraph::from_nets`] over nets already laid out in one flat pin
-    /// buffer: each span is sorted and deduplicated in place, spans under
-    /// two pins are dropped, the rest are put in lexicographic pin order and
-    /// equal neighbours merged — the nets and weights a map from pin list to
-    /// summed weight gives, without one allocation per net.
+    /// Builds a hypergraph from nets laid out in one flat pin buffer. Pins
+    /// may arrive unsorted: each span is sorted and deduplicated in place,
+    /// spans under two pins are dropped (they can never be cut), the rest
+    /// are put in lexicographic pin order and identical nets merged by
+    /// summing weights (saturating at `u32::MAX`) — the nets and weights a
+    /// map from pin list to summed weight gives, without one allocation per
+    /// net.
     pub(crate) fn from_spans(
         n_vertices: usize,
         vertex_weight: Vec<u32>,
@@ -69,15 +52,10 @@ impl Hypergraph {
             }
             debug_assert!((net[len - 1] as usize) < n_vertices, "pin out of range");
             span.end = span.start + len;
-            (span.first, span.second) = (net[0], net[1]);
             true
         });
 
-        spans.sort_unstable_by(|a, b| {
-            (a.first, a.second)
-                .cmp(&(b.first, b.second))
-                .then_with(|| a.pins(&pins).cmp(b.pins(&pins)))
-        });
+        spans.sort_unstable_by(|a, b| a.pins(&pins).cmp(b.pins(&pins)));
 
         let mut net_ptr = Vec::with_capacity(spans.len() + 1);
         let mut net_pins = Vec::with_capacity(pins.len());
@@ -224,26 +202,17 @@ impl Hypergraph {
 }
 
 /// One net of a flat pin buffer under construction: pins `start..end` with
-/// a weight. `first`/`second` hold the two smallest pins once the span is
-/// sorted, so the net sort mostly compares them without touching the buffer.
+/// a weight.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct Span {
     start: usize,
     end: usize,
     weight: u32,
-    first: u32,
-    second: u32,
 }
 
 impl Span {
     pub(crate) fn new(start: usize, end: usize, weight: u32) -> Span {
-        Span {
-            start,
-            end,
-            weight,
-            first: 0,
-            second: 0,
-        }
+        Span { start, end, weight }
     }
 
     fn pins<'a>(&self, buf: &'a [u32]) -> &'a [u32] {
@@ -269,6 +238,26 @@ fn invert(n_vertices: usize, net_ptr: &[usize], pins: &[u32]) -> (Vec<usize>, Ve
         }
     }
     (vtx_ptr, vtx_nets)
+}
+
+#[cfg(test)]
+impl Hypergraph {
+    /// [`Hypergraph::from_spans`] over one `Vec` per net, the form the tests
+    /// write nets in.
+    pub(crate) fn from_nets(
+        n_vertices: usize,
+        vertex_weight: Vec<u32>,
+        nets: impl IntoIterator<Item = (Vec<u32>, u32)>,
+    ) -> Hypergraph {
+        let mut pins = Vec::new();
+        let mut spans = Vec::new();
+        for (net, weight) in nets {
+            let start = pins.len();
+            pins.extend_from_slice(&net);
+            spans.push(Span::new(start, pins.len(), weight));
+        }
+        Hypergraph::from_spans(n_vertices, vertex_weight, pins, spans)
+    }
 }
 
 /// Random nets over `n` vertices for the equivalence tests: unsorted pins
