@@ -167,13 +167,6 @@ impl DirectNet {
     pub fn undrained_frames(&self) -> usize {
         self.mailboxes.len()
     }
-
-    /// Drops all connections and mailboxes (between benchmark
-    /// repetitions; never while a request is in flight).
-    pub fn reset(&self) {
-        self.connections.lock().clear();
-        self.mailboxes.clear();
-    }
 }
 
 #[cfg(test)]
@@ -285,7 +278,5 @@ mod tests {
         assert_eq!(n.undrained_frames(), 1);
         assert!(!n.is_connected(1, 0, 1));
         assert!(n.is_connected(2, 0, 1));
-        n.reset();
-        assert_eq!(n.connection_count() + n.undrained_frames(), 0);
     }
 }

@@ -13,32 +13,24 @@ use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// Configuration of a simulated cloud region.
-#[derive(Debug, Clone, Copy)]
+/// Parallel pub-sub topics every region pre-creates (the paper uses 10).
+pub const N_TOPICS: usize = 10;
+
+/// Object-storage buckets every region pre-creates, named
+/// [`bucket_name`]`(0..N_BUCKETS)` (the paper uses 10).
+pub const N_BUCKETS: usize = 10;
+
+/// Configuration of a simulated cloud region. Its shape — [`N_TOPICS`]
+/// topics and [`N_BUCKETS`] buckets — is fixed, as the paper fixes it.
+#[derive(Debug, Clone, Copy, Default)]
 pub struct CloudConfig {
     /// Service latency/bandwidth model.
     pub latency: LatencyModel,
     /// Seed for the deterministic jitter stream.
     pub seed: u64,
-    /// Number of parallel pub-sub topics (the paper uses 10).
-    pub n_topics: usize,
-    /// Number of object-storage buckets (the paper uses 10).
-    pub n_buckets: usize,
     /// Optional seeded fault-injection plan (chaos testing). `None`
     /// draws nothing and adds no overhead.
     pub faults: Option<FaultPlan>,
-}
-
-impl Default for CloudConfig {
-    fn default() -> Self {
-        CloudConfig {
-            latency: LatencyModel::default(),
-            seed: 0,
-            n_topics: 10,
-            n_buckets: 10,
-            faults: None,
-        }
-    }
 }
 
 impl CloudConfig {
@@ -110,12 +102,12 @@ impl CloudEnv {
     pub fn new(config: CloudConfig) -> Arc<CloudEnv> {
         let region = Region::new(&config);
         let store = ObjectStore::new(region.clone());
-        for i in 0..config.n_buckets {
+        for i in 0..N_BUCKETS {
             store.create_bucket(&bucket_name(i));
         }
         Arc::new(CloudEnv {
             config,
-            pubsub: PubSub::new(config.n_topics, region.clone()),
+            pubsub: PubSub::new(N_TOPICS, region.clone()),
             store,
             direct: DirectNet::new(region.clone()),
             weights: WeightNet::new(region.clone()),
@@ -248,7 +240,7 @@ impl CloudEnv {
             let on = format!("subscription(s) on {}", crate::pubsub::topic_name(t));
             note(self.pubsub.subscription_count(t), &on);
         }
-        for i in 0..self.config.n_buckets {
+        for i in 0..N_BUCKETS {
             let name = bucket_name(i);
             note(
                 self.store.object_count(&name),
@@ -276,22 +268,6 @@ impl CloudEnv {
             residue.join("; ")
         );
     }
-
-    /// Purges all queues and intermediate objects (between repetitions).
-    ///
-    /// Test/benchmark utility only: it wipes state globally, so it must
-    /// never run while any request is in flight. The serving path isolates
-    /// requests by flow id and tears down per-request resources instead.
-    pub fn reset_channels(&self) {
-        for q in self.queues.lock().values() {
-            q.purge();
-        }
-        for i in 0..self.config.n_buckets {
-            self.store.delete_prefix(&bucket_name(i), "");
-        }
-        self.direct.reset();
-        self.weights.reset();
-    }
 }
 
 /// Canonical bucket naming: `bucket-{i}` as in the paper's examples.
@@ -308,8 +284,8 @@ mod tests {
     #[test]
     fn env_precreates_buckets_and_topics() {
         let env = CloudEnv::new(CloudConfig::deterministic(1));
-        assert_eq!(env.pubsub().n_topics(), 10);
-        for i in 0..10 {
+        assert_eq!(env.pubsub().n_topics(), N_TOPICS);
+        for i in 0..N_BUCKETS {
             assert!(
                 env.object_store().bucket_exists(&bucket_name(i)),
                 "bucket {i}"
@@ -324,33 +300,6 @@ mod tests {
         let b = env.queue("worker-3");
         assert!(Arc::ptr_eq(&a, &b));
         assert_eq!(a.name(), "worker-3");
-    }
-
-    #[test]
-    fn reset_channels_clears_state() {
-        let env = CloudEnv::new(CloudConfig::deterministic(1));
-        let q = env.queue("w");
-        q.enqueue(
-            crate::time::VirtualTime::ZERO,
-            crate::message::Message {
-                attributes: crate::message::MessageAttributes {
-                    flow: 0,
-                    source: 0,
-                    target: 0,
-                    layer: 0,
-                    total_chunks: 1,
-                    batch: 0,
-                },
-                body: vec![1],
-            },
-        );
-        let mut clock = VClock::default();
-        env.object_store()
-            .put(&bucket_name(0), "x", &b"y"[..], &mut clock)
-            .expect("put");
-        env.reset_channels();
-        assert_eq!(q.visible_len(), 0);
-        assert_eq!(env.object_store().object_count(&bucket_name(0)), 0);
     }
 
     #[test]

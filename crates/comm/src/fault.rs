@@ -1,6 +1,6 @@
 //! Seeded fault injection for the simulated cloud services.
 //!
-//! Real SQS/SNS/S3/Lambda APIs fail transiently and throttle; the paper's
+//! Real SQS/SNS/S3/Lambda APIs fail transiently; the paper's
 //! design (and every retry/degradation layer above it) has to survive
 //! that. This module models those failures *deterministically*: every
 //! injection decision is a pure hash of the plan seed, the API class, the
@@ -11,14 +11,16 @@
 //!
 //! Two surfaces:
 //!
-//! * a [`FaultPlan`] on `CloudConfig` — `Copy`, per-class transient /
-//!   throttle probabilities plus optional burst windows;
+//! * a [`FaultPlan`] on `CloudConfig` — `Copy`, one transient-failure
+//!   probability per API class (a throttle is handled exactly like a
+//!   transient failure by every retry path, so it is not a second kind);
 //! * runtime [`TargetedFault`] schedules installed on the live
-//!   [`FaultPlane`] — "fail the Nth call of this class whose resource
+//!   [`FaultPlane`] — "fail the next call of this class whose resource
 //!   name matches" — for surgical tests (e.g. killing one warm worker).
 //!
-//! Targeted schedules use a per-entry match counter, so they are meant
-//! for sequential test scenarios, not for races between concurrent flows.
+//! A targeted schedule fires on the first matching call in real order, so
+//! it is meant for sequential test scenarios, not for races between
+//! concurrent flows.
 
 use crate::latency::splitmix;
 use crate::message::CommError;
@@ -98,10 +100,8 @@ impl ApiClass {
 /// What kind of failure an injection produces.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultKind {
-    /// 5xx-class transient service failure — retryable immediately.
+    /// 5xx/429-class transient service failure — retryable after backoff.
     Transient,
-    /// 429-class throttle — retryable after backoff.
-    Throttle,
     /// Permanent failure (targeted schedules only) — not retryable.
     Permanent,
 }
@@ -112,38 +112,8 @@ impl FaultKind {
         let api = api.into();
         match self {
             FaultKind::Transient => CommError::Unavailable { api },
-            FaultKind::Throttle => CommError::Throttled { api },
             FaultKind::Permanent => CommError::Faulted { api },
         }
-    }
-}
-
-/// Per-class fault probabilities and burst gating.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct ClassFaults {
-    /// Per-op probability of a transient failure, `[0, 1]`.
-    pub transient: f64,
-    /// Per-op probability of a throttle, `[0, 1]` (drawn after transient).
-    pub throttle: f64,
-    /// Burst period in virtual microseconds; `0` means faults are active
-    /// at all times.
-    pub burst_period_us: u64,
-    /// Active window at the start of each burst period. Outside the
-    /// window no probabilistic faults fire for this class.
-    pub burst_len_us: u64,
-}
-
-impl ClassFaults {
-    /// Whether this class can ever inject probabilistically.
-    #[inline]
-    pub fn is_enabled(&self) -> bool {
-        self.transient > 0.0 || self.throttle > 0.0
-    }
-
-    /// Whether the burst gate is open at virtual time `now`.
-    #[inline]
-    fn burst_open(&self, now: VirtualTime) -> bool {
-        self.burst_period_us == 0 || now.as_micros() % self.burst_period_us < self.burst_len_us
     }
 }
 
@@ -155,8 +125,9 @@ pub struct FaultPlan {
     /// Seed of the decision hash chain (independent of the latency
     /// jitter seed so fault schedules can vary while timing stays fixed).
     pub seed: u64,
-    /// Per-class settings, indexed by [`ApiClass::index`].
-    pub classes: [ClassFaults; ApiClass::COUNT],
+    /// Per-op probability of a transient failure, `[0, 1]`, indexed by
+    /// [`ApiClass::index`].
+    pub transient: [f64; ApiClass::COUNT],
 }
 
 impl FaultPlan {
@@ -164,59 +135,36 @@ impl FaultPlan {
     pub fn new(seed: u64) -> FaultPlan {
         FaultPlan {
             seed,
-            classes: [ClassFaults::default(); ApiClass::COUNT],
+            transient: [0.0; ApiClass::COUNT],
         }
     }
 
     /// A plan injecting transient failures at `rate` on every class.
     pub fn uniform_transient(seed: u64, rate: f64) -> FaultPlan {
-        let mut plan = FaultPlan::new(seed);
-        for c in plan.classes.iter_mut() {
-            c.transient = rate;
+        FaultPlan {
+            seed,
+            transient: [rate; ApiClass::COUNT],
         }
-        plan
-    }
-
-    /// Replaces one class's settings.
-    pub fn with_class(mut self, class: ApiClass, faults: ClassFaults) -> FaultPlan {
-        self.classes[class.index()] = faults;
-        self
     }
 
     /// Sets one class's transient-failure probability.
     pub fn with_transient(mut self, class: ApiClass, rate: f64) -> FaultPlan {
-        self.classes[class.index()].transient = rate;
-        self
-    }
-
-    /// Sets one class's throttle probability.
-    pub fn with_throttle(mut self, class: ApiClass, rate: f64) -> FaultPlan {
-        self.classes[class.index()].throttle = rate;
-        self
-    }
-
-    /// Gates one class behind a burst window (`len` active out of every
-    /// `period` virtual microseconds).
-    pub fn with_burst(mut self, class: ApiClass, period_us: u64, len_us: u64) -> FaultPlan {
-        self.classes[class.index()].burst_period_us = period_us;
-        self.classes[class.index()].burst_len_us = len_us;
+        self.transient[class.index()] = rate;
         self
     }
 
     /// Whether any class can inject.
     pub fn is_enabled(&self) -> bool {
-        self.classes.iter().any(|c| c.is_enabled())
+        self.transient.iter().any(|&rate| rate > 0.0)
     }
 }
 
-/// A one-shot targeted fault: fail the `nth` call (1-based) of `class`
-/// whose resource name contains `resource_contains` (empty matches all).
+/// A one-shot targeted fault: fail the first call of `class` whose
+/// resource name contains `resource_contains` (empty matches all).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TargetedFault {
     /// API class to intercept.
     pub class: ApiClass,
-    /// Which matching call fails (1-based; `0` is treated as `1`).
-    pub nth: u64,
     /// Substring predicate over the resource name (queue name, object
     /// key, topic name, function name). Empty matches every call.
     pub resource_contains: String,
@@ -229,7 +177,6 @@ impl TargetedFault {
     pub fn first(class: ApiClass, resource_contains: impl Into<String>) -> TargetedFault {
         TargetedFault {
             class,
-            nth: 1,
             resource_contains: resource_contains.into(),
             kind: FaultKind::Transient,
         }
@@ -240,17 +187,10 @@ impl TargetedFault {
         self.kind = FaultKind::Permanent;
         self
     }
-
-    /// Same predicate, but failing the `nth` match instead of the first.
-    pub fn nth_match(mut self, nth: u64) -> TargetedFault {
-        self.nth = nth;
-        self
-    }
 }
 
 struct TargetedState {
     fault: TargetedFault,
-    seen: u64,
     fired: bool,
 }
 
@@ -322,7 +262,6 @@ impl FaultPlane {
     pub fn inject(&self, fault: TargetedFault) {
         self.targeted.lock().push(TargetedState {
             fault,
-            seen: 0,
             fired: false,
         });
         self.armed.fetch_add(1, Ordering::Relaxed);
@@ -335,8 +274,8 @@ impl FaultPlane {
 
     /// The injection decision for one API call: `class` op by `flow` at
     /// virtual time `now` on `resource`. Pure in (plan seed, class, flow,
-    /// now, resource) for the probabilistic path; targeted schedules
-    /// consume their match counter. Returns the fault to inject, if any.
+    /// now, resource) for the probabilistic path; a targeted schedule is
+    /// consumed by its first match. Returns the fault to inject, if any.
     pub fn check(
         &self,
         class: ApiClass,
@@ -360,30 +299,20 @@ impl FaultPlane {
                 {
                     continue;
                 }
-                t.seen += 1;
-                if t.seen >= t.fault.nth.max(1) {
-                    t.fired = true;
-                    self.armed.fetch_sub(1, Ordering::Relaxed);
-                    self.injected[i].fetch_add(1, Ordering::Relaxed);
-                    return Some(t.fault.kind);
-                }
+                t.fired = true;
+                self.armed.fetch_sub(1, Ordering::Relaxed);
+                self.injected[i].fetch_add(1, Ordering::Relaxed);
+                return Some(t.fault.kind);
             }
         }
         let plan = self.plan.as_ref()?;
-        let cf = &plan.classes[i];
-        if !cf.is_enabled() || !cf.burst_open(now) {
+        let rate = plan.transient[i];
+        let fires = rate > 0.0 && decision_unit(plan.seed, class, flow, now, resource) < rate;
+        if !fires {
             return None;
         }
-        let u = decision_unit(plan.seed, class, flow, now, resource);
-        let kind = if u < cf.transient {
-            FaultKind::Transient
-        } else if u < cf.transient + cf.throttle {
-            FaultKind::Throttle
-        } else {
-            return None;
-        };
         self.injected[i].fetch_add(1, Ordering::Relaxed);
-        Some(kind)
+        Some(FaultKind::Transient)
     }
 
     /// Current statistics.
@@ -512,58 +441,9 @@ mod tests {
     }
 
     #[test]
-    fn burst_window_gates_injection() {
-        let plan = FaultPlan::new(1)
-            .with_transient(ApiClass::TopicPublish, 1.0)
-            .with_burst(ApiClass::TopicPublish, 1000, 200);
-        let plane = FaultPlane::new(Some(plan));
-        // Inside the window: always fires (rate 1.0).
-        assert!(plane
-            .check(
-                ApiClass::TopicPublish,
-                1,
-                VirtualTime::from_micros(2100),
-                "t"
-            )
-            .is_some());
-        // Outside the window: never fires.
-        assert_eq!(
-            plane.check(
-                ApiClass::TopicPublish,
-                1,
-                VirtualTime::from_micros(2500),
-                "t"
-            ),
-            None
-        );
-    }
-
-    #[test]
-    fn throttle_band_sits_above_transient() {
-        let plan = FaultPlan::new(5)
-            .with_transient(ApiClass::QueueReceive, 0.15)
-            .with_throttle(ApiClass::QueueReceive, 0.15);
-        let plane = FaultPlane::new(Some(plan));
-        let (mut transients, mut throttles) = (0, 0);
-        for t in 0..4000u64 {
-            match plane.check(
-                ApiClass::QueueReceive,
-                2,
-                VirtualTime::from_micros(t * 313),
-                "q",
-            ) {
-                Some(FaultKind::Transient) => transients += 1,
-                Some(FaultKind::Throttle) => throttles += 1,
-                _ => {}
-            }
-        }
-        assert!(transients > 300 && throttles > 300);
-    }
-
-    #[test]
-    fn targeted_fault_fires_on_nth_match_once() {
+    fn targeted_fault_fires_on_first_match_once() {
         let plane = FaultPlane::disabled();
-        plane.inject(TargetedFault::first(ApiClass::ObjectGet, "f3/").nth_match(3));
+        plane.inject(TargetedFault::first(ApiClass::ObjectGet, "f3/"));
         assert!(plane.is_active());
         assert_eq!(plane.pending_targets(), 1);
         let now = VirtualTime::ZERO;
@@ -571,22 +451,56 @@ mod tests {
         assert_eq!(plane.check(ApiClass::ObjectGet, 1, now, "f4/x"), None);
         // Wrong class never counts.
         assert_eq!(plane.check(ApiClass::ObjectPut, 1, now, "f3/x"), None);
-        assert_eq!(plane.check(ApiClass::ObjectGet, 1, now, "f3/a"), None);
-        assert_eq!(plane.check(ApiClass::ObjectGet, 1, now, "f3/b"), None);
         assert_eq!(
-            plane.check(ApiClass::ObjectGet, 1, now, "f3/c"),
+            plane.check(ApiClass::ObjectGet, 1, now, "f3/a"),
             Some(FaultKind::Transient)
         );
         // One-shot: consumed after firing.
-        assert_eq!(plane.check(ApiClass::ObjectGet, 1, now, "f3/d"), None);
+        assert_eq!(plane.check(ApiClass::ObjectGet, 1, now, "f3/b"), None);
         assert_eq!(plane.pending_targets(), 0);
         assert_eq!(plane.stats().injected_for(ApiClass::ObjectGet), 1);
+    }
+
+    /// The whole decision stream over a fixed grid, folded into one FNV-1a
+    /// digest: a uniform plan, and a per-class plan with two targeted
+    /// schedules armed. Any change to the draw, the rate comparison or the
+    /// targeted matching moves it.
+    #[test]
+    fn fault_decision_stream_is_pinned() {
+        const RESOURCES: [&str; 4] = ["", "q", "f9/key-3", "bucket-7/L2/x"];
+        let uniform = FaultPlane::new(Some(FaultPlan::uniform_transient(7, 0.3)));
+        let per_class = FaultPlane::new(Some(
+            FaultPlan::new(11)
+                .with_transient(ApiClass::ObjectGet, 0.2)
+                .with_transient(ApiClass::TopicPublish, 0.5),
+        ));
+        per_class.inject(TargetedFault::first(ApiClass::ObjectGet, "f9/"));
+        per_class.inject(TargetedFault::first(ApiClass::QueueSend, "").permanent());
+        let mut digest = 0xcbf2_9ce4_8422_2325u64;
+        for plane in [&uniform, &per_class] {
+            for class in ApiClass::ALL {
+                for flow in [0u64, 1, 3, 42] {
+                    for t in 0..64u64 {
+                        for resource in RESOURCES {
+                            let now = VirtualTime::from_micros(t * 131);
+                            let outcome = match plane.check(class, flow, now, resource) {
+                                None => 0u8,
+                                Some(FaultKind::Transient) => 1,
+                                Some(FaultKind::Permanent) => 2,
+                            };
+                            digest ^= outcome as u64;
+                            digest = digest.wrapping_mul(0x100_0000_01b3);
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(digest, 0xf0f7_f367_09f6_1bc5, "decision stream moved");
     }
 
     #[test]
     fn fault_kinds_map_to_errors() {
         assert!(FaultKind::Transient.to_error("x").is_retryable());
-        assert!(FaultKind::Throttle.to_error("x").is_retryable());
         assert!(!FaultKind::Permanent.to_error("x").is_retryable());
     }
 }

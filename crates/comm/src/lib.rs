@@ -59,10 +59,9 @@ mod stream;
 mod time;
 
 pub use direct::{DirectFrame, DirectNet};
-pub use env::{bucket_name, CloudConfig, CloudEnv};
+pub use env::{bucket_name, CloudConfig, CloudEnv, N_BUCKETS, N_TOPICS};
 pub use fault::{
-    mix64, unit_from, ApiClass, ClassFaults, FaultKind, FaultPlan, FaultPlane, FaultStatsSnapshot,
-    TargetedFault,
+    mix64, unit_from, ApiClass, FaultKind, FaultPlan, FaultPlane, FaultStatsSnapshot, TargetedFault,
 };
 pub use latency::{Jitter, LatencyModel};
 pub use mailbox::install_abort;

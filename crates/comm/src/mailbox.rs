@@ -128,12 +128,6 @@ impl<K: Hash + Eq, F: Clone> Mailbox<K, F> {
     pub(crate) fn len(&self) -> usize {
         self.boxes.lock().values().map(Vec::len).sum()
     }
-
-    /// Drops every box (between benchmark repetitions; never while a
-    /// request is in flight).
-    pub(crate) fn clear(&self) {
-        self.boxes.lock().clear();
-    }
 }
 
 /// Runs `body` on a fresh thread whose abort flag is already raised, so
@@ -240,7 +234,5 @@ mod tests {
         assert_eq!(m.close(|k| k.0 == 1), 3);
         assert_eq!(m.len(), 1);
         assert_eq!(m.fetch(&(2, 0), 0).len(), 1);
-        m.clear();
-        assert_eq!(m.len(), 0);
     }
 }

@@ -76,10 +76,8 @@ pub enum CommError {
     NoSuchBucket { bucket: String },
     /// GET on a key that does not exist (or is not yet visible).
     NoSuchKey { key: String },
-    /// Injected 5xx-class transient service failure; retryable.
+    /// Injected 5xx/429-class transient service failure; retryable.
     Unavailable { api: String },
-    /// Injected 429-class throttle; retryable after backoff.
-    Throttled { api: String },
     /// Injected permanent failure (targeted fault schedule); not
     /// retryable.
     Faulted { api: String },
@@ -88,13 +86,10 @@ pub enum CommError {
 impl CommError {
     /// Whether a bounded retry of the same call may succeed. Quota and
     /// missing-resource errors are logic errors — retrying them burns
-    /// billed calls for nothing — so only injected transient/throttle
-    /// failures qualify.
+    /// billed calls for nothing — so only injected transient failures
+    /// qualify.
     pub fn is_retryable(&self) -> bool {
-        matches!(
-            self,
-            CommError::Unavailable { .. } | CommError::Throttled { .. }
-        )
+        matches!(self, CommError::Unavailable { .. })
     }
 }
 
@@ -121,7 +116,6 @@ impl std::fmt::Display for CommError {
             CommError::Unavailable { api } => {
                 write!(f, "{api}: service unavailable (injected transient fault)")
             }
-            CommError::Throttled { api } => write!(f, "{api}: throttled (injected fault)"),
             CommError::Faulted { api } => write!(f, "{api}: permanent injected fault"),
         }
     }

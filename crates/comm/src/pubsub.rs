@@ -30,7 +30,7 @@ pub struct PubSub {
 
 impl PubSub {
     pub(crate) fn new(n_topics: usize, region: Region) -> PubSub {
-        let topics = (0..n_topics.max(1)).map(|_| Topic::default()).collect();
+        let topics = (0..n_topics).map(|_| Topic::default()).collect();
         PubSub { topics, region }
     }
 

@@ -187,7 +187,7 @@ impl SqsQueue {
         calls
     }
 
-    /// Drops all queue state (between benchmark repetitions).
+    /// Drops all queue state (teardown of a removed queue).
     pub fn purge(&self) {
         self.visible.lock().clear();
     }

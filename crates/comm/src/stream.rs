@@ -176,12 +176,6 @@ impl WeightNet {
     pub fn undrained_frames(&self) -> usize {
         self.mailboxes.len()
     }
-
-    /// Drops every mailbox (between benchmark repetitions; never while a
-    /// launch is in flight).
-    pub fn reset(&self) {
-        self.mailboxes.clear();
-    }
 }
 
 #[cfg(test)]
@@ -283,7 +277,6 @@ mod tests {
         assert_eq!(n.close_flow(1), 1);
         assert_eq!(n.undrained_frames(), 1);
         assert_eq!(n.close_hop(2, 1), 1, "a drained hop's mailbox dies");
-        n.reset();
         assert_eq!(n.undrained_frames(), 0);
         n.region.meter.release_flow(1);
         n.region.meter.release_flow(2);

@@ -8,6 +8,7 @@
 //! exactly this weight read — FSD-Inf-Serial's one rank loads the 1-way
 //! partition, i.e. the whole model).
 
+use crate::retry::RetryPolicy;
 use crate::weight_cache::WeightCache;
 use crate::wire;
 use fsd_comm::{CloudEnv, VClock, VirtualTime};
@@ -218,7 +219,7 @@ pub(crate) fn fetch_encoded(
     // Artifact GETs are pure reads; a transient fault here would otherwise
     // kill the whole worker before inference even starts, so the default
     // retry policy wraps this single funnel.
-    let (res, _) = crate::retry::RetryPolicy::default().run(clock, |clock| {
+    let (res, _) = RetryPolicy.run(clock, |clock| {
         env.object_store().get(ARTIFACT_BUCKET, key, clock)
     });
     res.map_err(|e| FaasError::comm("artifact", key, e))

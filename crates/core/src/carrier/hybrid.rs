@@ -345,7 +345,7 @@ mod tests {
         });
         // Corrupt the spilled object: overwrite it with a body whose
         // length disagrees with the pointer record's advertised size.
-        let bucket = bucket_name(1 % env.config().n_buckets);
+        let bucket = bucket_name(1 % fsd_comm::N_BUCKETS);
         env.object_store()
             .put_offline(&bucket, "f0/L0/1/0_1.c0.dat", &b"truncated"[..])
             .expect("overwrite spilled object");

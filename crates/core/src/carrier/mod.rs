@@ -27,6 +27,7 @@
 //! and object carriers behind a size predicate and a 1-byte frame tag.
 
 use crate::channel::{ChannelOptions, FsiChannel, RecvTracker, Tag};
+use crate::retry::RetryPolicy;
 use crate::stats::ChannelStats;
 use fsd_comm::{CloudEnv, CommError, VClock, VirtualTime};
 use fsd_faas::{FaasError, WorkerCtx};
@@ -111,7 +112,7 @@ impl Core {
         resource: impl FnOnce() -> String,
         attempt: impl FnMut(&mut VClock) -> Result<T, CommError>,
     ) -> Result<T, FaasError> {
-        let (res, retries) = self.opts.retry.run(clock, attempt);
+        let (res, retries) = RetryPolicy.run(clock, attempt);
         self.stats.add(|s| s.retries += retries);
         res.map_err(|e| FaasError::comm(op, resource(), e))
     }

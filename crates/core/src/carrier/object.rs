@@ -12,7 +12,7 @@
 //! redundant-read optimization).
 
 use super::{Arrival, Carrier, Core, Cx, Opened, Sends, Wire};
-use fsd_comm::{bucket_name, VClock, VirtualTime};
+use fsd_comm::{bucket_name, VClock, VirtualTime, N_BUCKETS};
 use fsd_faas::{FaasError, WorkerCtx};
 use std::cmp::Ordering;
 use std::sync::Arc;
@@ -20,9 +20,7 @@ use std::sync::Arc;
 /// Every key lives under a `f{flow}/` namespace of the environment's
 /// pre-created buckets, so concurrent requests share them without LIST
 /// scans ever surfacing each other's files.
-pub(crate) struct ObjectCarrier {
-    n_buckets: usize,
-}
+pub(crate) struct ObjectCarrier;
 
 /// One object to write.
 pub(crate) struct ObjectPut {
@@ -34,7 +32,7 @@ pub(crate) struct ObjectPut {
 impl ObjectCarrier {
     /// Bucket for a target worker: `bucket-{n % B}` (k-fold API limit).
     fn bucket_for(&self, target: u32) -> String {
-        bucket_name(target as usize % self.n_buckets)
+        bucket_name(target as usize % N_BUCKETS)
     }
 
     /// Prefix a target scans for a tag: `f{flow}/{tag}/{target}/`.
@@ -85,17 +83,15 @@ impl Carrier for ObjectCarrier {
     const DESTRUCTIVE_TAKE: bool = false;
     const DECODE_BEFORE_SETTLE: bool = false;
 
-    fn bind(core: &Core) -> ObjectCarrier {
-        ObjectCarrier {
-            n_buckets: core.env.config().n_buckets.max(1),
-        }
+    fn bind(_core: &Core) -> ObjectCarrier {
+        ObjectCarrier
     }
 
     /// Deletes this flow's namespaced objects from every bucket (offline
     /// housekeeping; deletes are free on the billing model, as on S3).
     fn release(&self, core: &Core) {
         let (store, flow_prefix) = (core.env.object_store(), format!("f{}/", core.flow));
-        for i in 0..self.n_buckets {
+        for i in 0..N_BUCKETS {
             store.delete_prefix(&bucket_name(i), &flow_prefix);
         }
     }

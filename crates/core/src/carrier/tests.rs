@@ -68,7 +68,7 @@ pub(super) fn big_rows(bytes: usize) -> SparseRows {
 }
 
 pub(super) fn total_object_count(env: &Arc<CloudEnv>) -> usize {
-    (0..env.config().n_buckets)
+    (0..fsd_comm::N_BUCKETS)
         .map(|i| env.object_store().object_count(&bucket_name(i)))
         .sum()
 }

@@ -16,7 +16,10 @@ use fsd_faas::{FaasError, WorkerCtx};
 use fsd_sparse::SparseRows;
 use std::collections::HashMap;
 
-/// Tuning knobs shared by every built-in transport.
+/// Tuning knobs shared by every built-in transport. Transient faults on
+/// the idempotent operations (publish / PUT / GET / direct send) are
+/// retried under the one fixed [`RetryPolicy`](crate::RetryPolicy); with
+/// no faults injected it changes nothing.
 #[derive(Debug, Clone, Copy)]
 pub struct ChannelOptions {
     /// Long-poll wait `W` in seconds.
@@ -35,10 +38,6 @@ pub struct ChannelOptions {
     /// below it they ride the queue inline. Defaults to one publish quota
     /// — anything that would not fit a single message spills.
     pub spill_threshold: usize,
-    /// Retry policy for transient communication faults on the idempotent
-    /// operations (publish / PUT / GET / direct send). Enabled by default;
-    /// with no faults injected it changes nothing.
-    pub retry: crate::retry::RetryPolicy,
 }
 
 impl Default for ChannelOptions {
@@ -49,7 +48,6 @@ impl Default for ChannelOptions {
             nul_markers: true,
             packing: true,
             spill_threshold: quota::MAX_PUBLISH_BYTES,
-            retry: crate::retry::RetryPolicy::default(),
         }
     }
 }

@@ -54,9 +54,11 @@ impl WarmPoolConfig {
     /// spans four shelf turnovers so a shape survives the other shapes'
     /// bursts between its own. This is the sizing
     /// `ServiceBuilder::auto_warm_pool` and the `sched` predictor share.
+    /// Both products saturate, so an oversized prediction means an
+    /// unbounded shelf that never ages out, never a wrapped small one.
     pub fn auto(shapes: usize, burst_depth: usize) -> WarmPoolConfig {
-        let max_trees = (shapes * burst_depth).max(1);
-        WarmPoolConfig::new(max_trees, 4 * max_trees as u64)
+        let max_trees = shapes.saturating_mul(burst_depth).max(1);
+        WarmPoolConfig::new(max_trees, (max_trees as u64).saturating_mul(4))
     }
 }
 
@@ -343,5 +345,19 @@ impl TreePool {
 fn shut_down(parked: Vec<Parked>) {
     for mut p in parked {
         p.tree.shutdown();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn auto_sizing_saturates_instead_of_wrapping() {
+        let small = WarmPoolConfig::auto(3, 2);
+        assert_eq!((small.max_trees, small.idle_ttl), (6, 24));
+        let huge = WarmPoolConfig::auto(usize::MAX, 2);
+        assert_eq!(huge.max_trees, usize::MAX);
+        assert_eq!(huge.idle_ttl, u64::MAX);
     }
 }

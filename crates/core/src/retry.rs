@@ -1,8 +1,11 @@
 //! Bounded retry with exponential backoff and seeded jitter.
 //!
 //! Transient service faults (see `fsd_comm::FaultPlan`) surface as
-//! [`CommError::Unavailable`] / [`CommError::Throttled`]; this module gives
-//! the channels a uniform, deterministic recovery loop around them.
+//! [`CommError::Unavailable`]; this module gives the channels one
+//! deterministic recovery loop around them, under one fixed policy — as a
+//! deployment runs every AWS call under one SDK retry configuration:
+//! 4 attempts, backoff doubling from 10 ms up to 160 ms, jittered by ±25 %
+//! (the constants below).
 //!
 //! **Idempotence contract.** A retry loop may wrap only operations that are
 //! all-or-nothing in the communication model:
@@ -26,49 +29,28 @@
 
 use fsd_comm::{mix64, unit_from, CommError, VClock};
 
-/// Retry policy for transient communication faults. `Copy`, carried by
-/// [`crate::ChannelOptions`]; the default is enabled (4 bounded attempts)
-/// and adds **zero** behavior change when no faults are injected, because
-/// retries only trigger on retryable [`CommError`]s.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RetryPolicy {
-    /// Total attempts (first try included). `1` disables retrying.
-    pub max_attempts: u32,
-    /// Backoff before the first retry, in virtual microseconds.
-    pub base_backoff_us: u64,
-    /// Backoff ceiling (exponential doubling is clamped here).
-    pub max_backoff_us: u64,
-    /// Jitter half-width as a fraction of the backoff (0.25 ⇒ ±25%).
-    pub jitter: f64,
-}
+/// Total attempts, the first included.
+const MAX_ATTEMPTS: u32 = 4;
+/// Backoff before the first retry, in virtual microseconds.
+const BASE_BACKOFF_US: u64 = 10_000;
+/// Backoff ceiling (exponential doubling is clamped here).
+const MAX_BACKOFF_US: u64 = 160_000;
+/// Jitter half-width as a fraction of the backoff (0.25 ⇒ ±25%).
+const JITTER: f64 = 0.25;
 
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_attempts: 4,
-            base_backoff_us: 10_000,
-            max_backoff_us: 160_000,
-            jitter: 0.25,
-        }
-    }
-}
+/// The retry policy for transient communication faults. It changes
+/// nothing when no faults are injected, because retries only trigger on
+/// retryable [`CommError`]s.
+#[derive(Debug, Clone, Copy)]
+pub struct RetryPolicy;
 
 impl RetryPolicy {
-    /// A policy that never retries (single attempt).
-    pub fn none() -> RetryPolicy {
-        RetryPolicy {
-            max_attempts: 1,
-            ..RetryPolicy::default()
-        }
-    }
-
     /// The jittered backoff before retry number `attempt` (1-based), drawn
     /// deterministically from the clock position so replays are identical.
-    fn backoff_us(&self, clock: &VClock, attempt: u32) -> u64 {
-        let exp = self
-            .base_backoff_us
+    fn backoff_us(self, clock: &VClock, attempt: u32) -> u64 {
+        let exp = BASE_BACKOFF_US
             .saturating_mul(1u64 << (attempt - 1).min(16))
-            .min(self.max_backoff_us);
+            .min(MAX_BACKOFF_US);
         let h = mix64(
             clock
                 .flow()
@@ -77,29 +59,28 @@ impl RetryPolicy {
                 .wrapping_mul(0x9E37_79B9_7F4A_7C15)
                 ^ attempt as u64,
         );
-        let factor = 1.0 - self.jitter + 2.0 * self.jitter * unit_from(h);
+        let factor = 1.0 - JITTER + 2.0 * JITTER * unit_from(h);
         ((exp as f64) * factor).round() as u64
     }
 
-    /// Runs `op` under this policy: retries on retryable [`CommError`]s
-    /// (transient/throttle faults), advancing `clock` by the jittered
-    /// backoff between attempts. Returns the final outcome plus the number
-    /// of retries performed (0 on first-attempt success), which callers
-    /// fold into their client-side stats.
+    /// Runs `op` under the policy: retries on retryable [`CommError`]s,
+    /// advancing `clock` by the jittered backoff between attempts. Returns
+    /// the final outcome plus the number of retries performed (0 on
+    /// first-attempt success), which callers fold into their client-side
+    /// stats.
     ///
     /// `op` receives the clock so every attempt — including failed ones —
     /// bills its latency and charges at the attempt's own virtual instant.
     pub fn run<T>(
-        &self,
+        self,
         clock: &mut VClock,
         mut op: impl FnMut(&mut VClock) -> Result<T, CommError>,
     ) -> (Result<T, CommError>, u64) {
-        let attempts = self.max_attempts.max(1);
         let mut retries = 0u64;
         loop {
             match op(clock) {
                 Ok(v) => return (Ok(v), retries),
-                Err(e) if e.is_retryable() && (retries as u32) < attempts - 1 => {
+                Err(e) if e.is_retryable() && (retries as u32) < MAX_ATTEMPTS - 1 => {
                     retries += 1;
                     clock.advance_micros(self.backoff_us(clock, retries as u32));
                 }
@@ -121,7 +102,7 @@ mod tests {
     #[test]
     fn first_attempt_success_is_free() {
         let mut c = clock();
-        let (res, retries) = RetryPolicy::default().run(&mut c, |_| Ok::<_, CommError>(42));
+        let (res, retries) = RetryPolicy.run(&mut c, |_| Ok::<_, CommError>(42));
         assert_eq!(res.expect("ok"), 42);
         assert_eq!(retries, 0);
         assert_eq!(c.now(), VirtualTime::ZERO, "no backoff on success");
@@ -131,7 +112,7 @@ mod tests {
     fn transient_errors_are_retried_with_backoff() {
         let mut c = clock();
         let mut calls = 0u32;
-        let (res, retries) = RetryPolicy::default().run(&mut c, |_| {
+        let (res, retries) = RetryPolicy.run(&mut c, |_| {
             calls += 1;
             if calls < 3 {
                 Err(CommError::Unavailable { api: "x".into() })
@@ -148,7 +129,7 @@ mod tests {
     fn permanent_errors_are_not_retried() {
         let mut c = clock();
         let mut calls = 0u32;
-        let (res, retries) = RetryPolicy::default().run(&mut c, |_| {
+        let (res, retries) = RetryPolicy.run(&mut c, |_| {
             calls += 1;
             Err::<(), _>(CommError::Faulted { api: "x".into() })
         });
@@ -161,43 +142,29 @@ mod tests {
     fn attempts_are_bounded() {
         let mut c = clock();
         let mut calls = 0u32;
-        let policy = RetryPolicy::default();
-        let (res, retries) = policy.run(&mut c, |_| {
-            calls += 1;
-            Err::<(), _>(CommError::Throttled { api: "x".into() })
-        });
-        assert!(res.is_err());
-        assert_eq!(calls, policy.max_attempts);
-        assert_eq!(retries, (policy.max_attempts - 1) as u64);
-    }
-
-    #[test]
-    fn none_policy_never_retries() {
-        let mut c = clock();
-        let mut calls = 0u32;
-        let (res, _) = RetryPolicy::none().run(&mut c, |_| {
+        let (res, retries) = RetryPolicy.run(&mut c, |_| {
             calls += 1;
             Err::<(), _>(CommError::Unavailable { api: "x".into() })
         });
         assert!(res.is_err());
-        assert_eq!(calls, 1);
+        assert_eq!(calls, MAX_ATTEMPTS);
+        assert_eq!(retries, (MAX_ATTEMPTS - 1) as u64);
     }
 
     #[test]
     fn backoff_is_deterministic_and_bounded() {
-        let policy = RetryPolicy::default();
         let c = clock();
         for attempt in 1..=3 {
-            let a = policy.backoff_us(&c, attempt);
-            let b = policy.backoff_us(&c, attempt);
+            let a = RetryPolicy.backoff_us(&c, attempt);
+            let b = RetryPolicy.backoff_us(&c, attempt);
             assert_eq!(a, b, "same clock position ⇒ same jitter");
-            let exp = (policy.base_backoff_us << (attempt - 1)).min(policy.max_backoff_us) as f64;
-            assert!((a as f64) >= exp * (1.0 - policy.jitter) - 1.0);
-            assert!((a as f64) <= exp * (1.0 + policy.jitter) + 1.0);
+            let exp = (BASE_BACKOFF_US << (attempt - 1)).min(MAX_BACKOFF_US) as f64;
+            assert!((a as f64) >= exp * (1.0 - JITTER) - 1.0);
+            assert!((a as f64) <= exp * (1.0 + JITTER) + 1.0);
         }
         // Doubling: attempt 2's band sits above attempt 1's.
-        let a1 = policy.backoff_us(&c, 1) as f64;
-        let a2 = policy.backoff_us(&c, 2) as f64;
-        assert!(a2 > a1 * (1.0 - 2.0 * policy.jitter));
+        let a1 = RetryPolicy.backoff_us(&c, 1) as f64;
+        let a2 = RetryPolicy.backoff_us(&c, 2) as f64;
+        assert!(a2 > a1 * (1.0 - 2.0 * JITTER));
     }
 }

@@ -9,9 +9,8 @@
 //! * the request counter is atomic and doubles as the **flow id** that
 //!   namespaces all per-request service resources — input keys, queues,
 //!   filter policies and object prefixes — so requests never share mutable
-//!   channel state and nothing ever needs the old global
-//!   `env.reset_channels()` wipe (which was a shared-state bug under
-//!   concurrency);
+//!   channel state and nothing ever needs a global wipe of the region
+//!   (which would be a shared-state bug under concurrency);
 //! * channels are provisioned per request by the variant's
 //!   [`Transport`](crate::Transport) and torn down once the
 //!   request's work item has run on its worker tree (after the tree's
@@ -683,7 +682,6 @@ impl FsdService {
     ) -> TargetedFault {
         TargetedFault {
             class: ApiClass::InstanceLaunch,
-            nth: 1,
             resource_contains: format!("warm:{variant}:{workers}:{memory_mb}:{rank}"),
             kind: FaultKind::Transient,
         }
@@ -832,7 +830,7 @@ mod tests {
         assert_eq!(service.env().queue_count(), 0);
         assert_eq!(service.env().pubsub().subscription_count(0), 0);
         // Object-channel teardown removed the flow-namespaced objects.
-        for i in 0..service.env().config().n_buckets {
+        for i in 0..fsd_comm::N_BUCKETS {
             assert_eq!(
                 service
                     .env()
@@ -888,7 +886,7 @@ mod tests {
         // objects are all gone after teardown.
         assert_eq!(service.env().queue_count(), 0);
         assert_eq!(service.env().pubsub().subscription_count(0), 0);
-        for i in 0..service.env().config().n_buckets {
+        for i in 0..fsd_comm::N_BUCKETS {
             assert_eq!(
                 service
                     .env()

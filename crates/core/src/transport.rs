@@ -134,7 +134,7 @@ mod tests {
                 "hybrid subscriptions leaked on topic {t}"
             );
         }
-        for i in 0..env.config().n_buckets {
+        for i in 0..fsd_comm::N_BUCKETS {
             assert_eq!(
                 env.object_store().object_count(&fsd_comm::bucket_name(i)),
                 0,

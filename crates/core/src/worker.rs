@@ -183,19 +183,19 @@ pub(crate) fn run_batches(
             ctx.charge_work(local_work);
             work_done += local_work;
 
-            // Receive until every expected source delivered, charging each
-            // block's accumulate work as it arrives (still overlapped).
-            let mut arrived: Vec<SparseRows> = Vec::new();
+            // Receive until every expected source delivered, then charge
+            // each block's accumulate work (still overlapped). A receive
+            // round returns a tag's blocks only in the round that completes
+            // it, so charging after the loop is charging as they arrive:
+            // the same clock at every poll, the same per-block order.
             let mut tracker = RecvTracker::expecting(art.recv[k].iter().map(|(s, _)| *s));
-            while !tracker.done() {
-                ctx.check_limits()?;
-                for (_, block) in channel.receive_round(ctx, tag, rank, &mut tracker)? {
-                    let w = art.weight(k).matched_work(&block);
-                    ctx.charge_work(w);
-                    work_done += w;
-                    ctx.track_alloc(block.mem_bytes());
-                    arrived.push(block);
-                }
+            let mut arrived: Vec<SparseRows> = Vec::new();
+            for (_, block) in channel.receive_all(ctx, tag, rank, &mut tracker)? {
+                let w = art.weight(k).matched_work(&block);
+                ctx.charge_work(w);
+                work_done += w;
+                ctx.track_alloc(block.mem_bytes());
+                arrived.push(block);
             }
 
             // One deterministic accumulation over all inputs (work already

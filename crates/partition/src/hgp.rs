@@ -17,7 +17,7 @@
 //! over its nets that reads each net's `Λ` row once.
 //!
 //! **Bit-identity.** The partition is a pure function of (hypergraph, P,
-//! config): every step is integer or `f64` work in a fixed order, with the
+//! seed): every step is integer or `f64` work in a fixed order, with the
 //! RNG drawn only for the matching and initial-partition orders. A best move
 //! is the highest gain, ties to the lowest part. `partition_model`'s
 //! partitions at the benchmark shapes are pinned by digest in the crate's
@@ -29,58 +29,42 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
-/// Configuration for [`partition_hypergraph`].
-#[derive(Debug, Clone, Copy)]
-pub struct HgpConfig {
-    /// Number of parts (FaaS workers) `P`.
-    pub n_parts: usize,
-    /// Allowed load imbalance ε: every part's weight ≤ `(1+ε)·total/P`.
-    pub epsilon: f64,
-    /// RNG seed (matching order, tie-breaks).
-    pub seed: u64,
-    /// Stop coarsening when at most `coarsen_to_per_part · n_parts`
-    /// vertices remain.
-    pub coarsen_to_per_part: usize,
-    /// Maximum FM passes per uncoarsening level.
-    pub fm_passes: usize,
-    /// Nets larger than this are ignored during coarsening scoring (they
-    /// carry little locality signal and cost quadratic work).
-    pub max_scored_net: usize,
+/// Allowed load imbalance ε: every part's weight ≤ `(1+ε)·total/P`.
+const EPSILON: f64 = 0.10;
+/// Stop coarsening when at most `COARSEN_TO_PER_PART · P` vertices remain.
+const COARSEN_TO_PER_PART: usize = 30;
+/// Maximum FM passes per uncoarsening level.
+const FM_PASSES: usize = 4;
+/// Nets larger than this are ignored during coarsening scoring (they
+/// carry little locality signal and cost quadratic work).
+const MAX_SCORED_NET: usize = 64;
+
+/// The balance cap under [`EPSILON`]: the heaviest load a part may carry.
+fn part_cap(h: &Hypergraph, p: usize) -> u64 {
+    (((h.total_weight() as f64) * (1.0 + EPSILON)) / p as f64).ceil() as u64
 }
 
-impl HgpConfig {
-    /// Defaults used throughout the paper reproduction: ε = 10 %, 4 FM
-    /// passes, coarsen to ~30 vertices per part.
-    pub fn new(n_parts: usize, seed: u64) -> HgpConfig {
-        HgpConfig {
-            n_parts,
-            epsilon: 0.10,
-            seed,
-            coarsen_to_per_part: 30,
-            fm_passes: 4,
-            max_scored_net: 64,
-        }
-    }
-}
-
-/// Runs the full multilevel pipeline on `h`.
-pub fn partition_hypergraph(h: &Hypergraph, cfg: &HgpConfig) -> Partition {
-    assert!(cfg.n_parts > 0, "need at least one part");
-    if cfg.n_parts == 1 {
+/// Runs the full multilevel pipeline on `h`, splitting it into `n_parts`
+/// parts (FaaS workers) `P`; `seed` drives the matching and
+/// initial-partition orders. The tuning is fixed: ε = 10 %, 4 FM passes,
+/// coarsen to ~30 vertices per part.
+pub fn partition_hypergraph(h: &Hypergraph, n_parts: usize, seed: u64) -> Partition {
+    assert!(n_parts > 0, "need at least one part");
+    if n_parts == 1 {
         return Partition::new(1, vec![0; h.n_vertices()]);
     }
-    let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0x48_47_50_2d_44_4e_4e_21);
+    let mut rng = StdRng::seed_from_u64(seed ^ 0x48_47_50_2d_44_4e_4e_21);
 
     // --- Phase 1: coarsen ---------------------------------------------
     // levels[i] = (graph i+1, map from graph i's vertices to it); graph 0 is h.
     let mut levels: Vec<(Hypergraph, Vec<u32>)> = Vec::new();
-    let target = (cfg.coarsen_to_per_part * cfg.n_parts).max(2 * cfg.n_parts);
+    let target = (COARSEN_TO_PER_PART * n_parts).max(2 * n_parts);
     loop {
         let current = levels.last().map_or(h, |(g, _)| g);
         if current.n_vertices() <= target {
             break;
         }
-        let map = match_heavy_connectivity(current, cfg, &mut rng);
+        let map = match_heavy_connectivity(current, &mut rng);
         let coarse = contract(current, &map);
         let reduction = 1.0 - coarse.n_vertices() as f64 / current.n_vertices() as f64;
         levels.push((coarse, map));
@@ -91,8 +75,8 @@ pub fn partition_hypergraph(h: &Hypergraph, cfg: &HgpConfig) -> Partition {
 
     // --- Phase 2: initial partition at the coarsest level ---------------
     let coarsest = levels.last().map_or(h, |(g, _)| g);
-    let mut assignment = greedy_initial(coarsest, cfg, &mut rng);
-    refine_fm(coarsest, &mut assignment, cfg);
+    let mut assignment = greedy_initial(coarsest, n_parts, &mut rng);
+    refine_fm(coarsest, &mut assignment, n_parts);
 
     // --- Phase 3: project back + refine at every level ------------------
     for i in (0..levels.len()).rev() {
@@ -102,26 +86,26 @@ pub fn partition_hypergraph(h: &Hypergraph, cfg: &HgpConfig) -> Partition {
             .iter()
             .map(|&c| assignment[c as usize])
             .collect();
-        refine_fm(fine, &mut assignment, cfg);
+        refine_fm(fine, &mut assignment, n_parts);
     }
 
     // Multi-start: DNN hypergraphs are locality-heavy, so an FM-refined
     // contiguous seed is a strong second candidate (PaToH similarly runs
     // multiple starts). Keep whichever cut is lower.
-    let mut block = crate::partition::block_partition(h.vertex_weights(), cfg.n_parts)
+    let mut block = crate::partition::block_partition(h.vertex_weights(), n_parts)
         .assignment()
         .to_vec();
-    refine_fm(h, &mut block, cfg);
-    if h.connectivity_cost(&block, cfg.n_parts) < h.connectivity_cost(&assignment, cfg.n_parts) {
+    refine_fm(h, &mut block, n_parts);
+    if h.connectivity_cost(&block, n_parts) < h.connectivity_cost(&assignment, n_parts) {
         assignment = block;
     }
-    Partition::new(cfg.n_parts, assignment)
+    Partition::new(n_parts, assignment)
 }
 
 /// Heavy-connectivity matching: each unmatched vertex merges with the
 /// unmatched neighbour sharing the largest `Σ w(e)/(|e|−1)` over common
 /// nets. Returns the fine→coarse cluster map.
-fn match_heavy_connectivity(h: &Hypergraph, cfg: &HgpConfig, rng: &mut StdRng) -> Vec<u32> {
+fn match_heavy_connectivity(h: &Hypergraph, rng: &mut StdRng) -> Vec<u32> {
     let n = h.n_vertices();
     let mut order: Vec<u32> = (0..n as u32).collect();
     order.shuffle(rng);
@@ -137,7 +121,7 @@ fn match_heavy_connectivity(h: &Hypergraph, cfg: &HgpConfig, rng: &mut StdRng) -
         touched.clear();
         for &e in h.nets_of(v) {
             let pins = h.net(e);
-            if pins.len() > cfg.max_scored_net {
+            if pins.len() > MAX_SCORED_NET {
                 continue;
             }
             let s = h.net_weight(e) as f64 / (pins.len() - 1) as f64;
@@ -192,11 +176,9 @@ fn contract(h: &Hypergraph, cluster: &[u32]) -> Hypergraph {
 /// Greedy initial partitioning: vertices in descending weight order go to
 /// the feasible part with the strongest attraction (net weight already
 /// placed there), tie-broken by lightest load.
-fn greedy_initial(h: &Hypergraph, cfg: &HgpConfig, rng: &mut StdRng) -> Vec<u32> {
+fn greedy_initial(h: &Hypergraph, p: usize, rng: &mut StdRng) -> Vec<u32> {
     let n = h.n_vertices();
-    let p = cfg.n_parts;
-    let total = h.total_weight();
-    let cap = (((total as f64) * (1.0 + cfg.epsilon)) / p as f64).ceil() as u64;
+    let cap = part_cap(h, p);
     let mut order: Vec<u32> = (0..n as u32).collect();
     order.shuffle(rng);
     order.sort_by_key(|&v| std::cmp::Reverse(h.vertex_weight(v)));
@@ -245,11 +227,9 @@ fn greedy_initial(h: &Hypergraph, cfg: &HgpConfig, rng: &mut StdRng) -> Vec<u32>
 /// Per pass: compute `Λ(e, part)` pin counts, walk boundary vertices in
 /// descending best-gain order, apply each still-valid positive-gain move
 /// that keeps balance, updating `Λ` incrementally. Stops when a pass yields
-/// no improvement or `cfg.fm_passes` is reached.
-fn refine_fm(h: &Hypergraph, assignment: &mut [u32], cfg: &HgpConfig) {
-    let p = cfg.n_parts;
-    let total = h.total_weight();
-    let cap = (((total as f64) * (1.0 + cfg.epsilon)) / p as f64).ceil() as u64;
+/// no improvement or [`FM_PASSES`] is reached.
+fn refine_fm(h: &Hypergraph, assignment: &mut [u32], p: usize) {
+    let cap = part_cap(h, p);
 
     let mut lambda = lambda_of(h, assignment, p);
     let mut loads = vec![0u64; p];
@@ -258,7 +238,7 @@ fn refine_fm(h: &Hypergraph, assignment: &mut [u32], cfg: &HgpConfig) {
     }
     let mut scratch = MoveScratch::new(p);
 
-    for _pass in 0..cfg.fm_passes {
+    for _pass in 0..FM_PASSES {
         // Collect boundary vertices with their currently-best move.
         let mut moves: Vec<(i64, u32, u32)> = Vec::new(); // (gain, v, target)
         for v in 0..h.n_vertices() as u32 {
@@ -475,7 +455,7 @@ mod tests {
     #[test]
     fn single_part_is_trivial() {
         let h = ring_hypergraph(16);
-        let p = partition_hypergraph(&h, &HgpConfig::new(1, 0));
+        let p = partition_hypergraph(&h, 1, 0);
         assert!(p.assignment().iter().all(|&a| a == 0));
         assert_eq!(h.connectivity_cost(p.assignment(), 1), 0);
     }
@@ -483,22 +463,20 @@ mod tests {
     #[test]
     fn ring_is_cut_near_optimally() {
         let h = ring_hypergraph(256);
-        let cfg = HgpConfig::new(4, 7);
-        let p = partition_hypergraph(&h, &cfg);
+        let p = partition_hypergraph(&h, 4, 7);
         let cost = h.connectivity_cost(p.assignment(), 4);
         // Optimum is 8 (each boundary cuts two {i,i+1} nets); accept ≤ 3x.
         assert!(cost <= 24, "ring cut {cost} far from optimal 8");
-        assert!(p.imbalance(h.vertex_weights()) <= cfg.epsilon + 0.05);
+        assert!(p.imbalance(h.vertex_weights()) <= EPSILON + 0.05);
     }
 
     #[test]
     fn respects_balance_constraint() {
         let h = ring_hypergraph(300);
         for parts in [2usize, 5, 8] {
-            let cfg = HgpConfig::new(parts, 3);
-            let p = partition_hypergraph(&h, &cfg);
+            let p = partition_hypergraph(&h, parts, 3);
             assert!(
-                p.imbalance(h.vertex_weights()) <= cfg.epsilon + 0.05,
+                p.imbalance(h.vertex_weights()) <= EPSILON + 0.05,
                 "{parts} parts imbalance {}",
                 p.imbalance(h.vertex_weights())
             );
@@ -508,8 +486,8 @@ mod tests {
     #[test]
     fn deterministic_per_seed() {
         let h = ring_hypergraph(128);
-        let a = partition_hypergraph(&h, &HgpConfig::new(4, 11));
-        let b = partition_hypergraph(&h, &HgpConfig::new(4, 11));
+        let a = partition_hypergraph(&h, 4, 11);
+        let b = partition_hypergraph(&h, 4, 11);
         assert_eq!(a, b);
     }
 
@@ -526,7 +504,7 @@ mod tests {
         let dnn = generate_dnn(&spec);
         let h = Hypergraph::from_dnn(&dnn);
         let parts = 8;
-        let hgp = partition_hypergraph(&h, &HgpConfig::new(parts, 5));
+        let hgp = partition_hypergraph(&h, parts, 5);
         let rnd = random_partition(h.n_vertices(), parts, 5);
         let hgp_cost = h.connectivity_cost(hgp.assignment(), parts);
         let rnd_cost = h.connectivity_cost(rnd.assignment(), parts);
@@ -540,7 +518,7 @@ mod tests {
     #[test]
     fn all_vertices_assigned_exactly_once() {
         let h = ring_hypergraph(97); // prime size exercises uneven splits
-        let p = partition_hypergraph(&h, &HgpConfig::new(5, 1));
+        let p = partition_hypergraph(&h, 5, 1);
         assert_eq!(p.n_vertices(), 97);
         let total: usize = (0..5).map(|q| p.owned(q).len()).sum();
         assert_eq!(total, 97);

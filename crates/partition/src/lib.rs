@@ -13,11 +13,11 @@
 //!
 //! ```
 //! use fsd_model::{generate_dnn, DnnSpec};
-//! use fsd_partition::{CommPlan, Hypergraph, HgpConfig, partition_hypergraph};
+//! use fsd_partition::{CommPlan, Hypergraph, partition_hypergraph};
 //!
 //! let dnn = generate_dnn(&DnnSpec::scaled(128, 1));
 //! let h = Hypergraph::from_dnn(&dnn);
-//! let part = partition_hypergraph(&h, &HgpConfig::new(4, 1));
+//! let part = partition_hypergraph(&h, 4, 1);
 //! let plan = CommPlan::build(&dnn, &part);
 //! assert!(plan.total_row_sends() > 0);
 //! ```
@@ -29,7 +29,7 @@ mod hypergraph;
 mod partition;
 
 pub use commplan::{CommPlan, LayerPlan};
-pub use hgp::{partition_hypergraph, HgpConfig};
+pub use hgp::partition_hypergraph;
 pub use hypergraph::Hypergraph;
 pub use partition::{block_partition, random_partition, Partition};
 
@@ -59,7 +59,7 @@ pub fn partition_model(
     match scheme {
         PartitionScheme::Hgp => {
             let h = Hypergraph::from_dnn(dnn);
-            partition_hypergraph(&h, &HgpConfig::new(n_parts, seed))
+            partition_hypergraph(&h, n_parts, seed)
         }
         PartitionScheme::Random => random_partition(dnn.spec().neurons, n_parts, seed),
         PartitionScheme::Block => {

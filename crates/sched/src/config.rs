@@ -4,7 +4,7 @@
 
 use crate::predictor::PredictorConfig;
 use crate::retry::FailureCause;
-use fsd_comm::{quota, VirtualTime};
+use fsd_comm::{quota, VirtualTime, N_TOPICS};
 use fsd_core::{FsdService, Variant};
 
 /// Request priority classes, drained by weighted FIFO.
@@ -45,24 +45,27 @@ impl std::fmt::Display for Priority {
 /// governed by the global cap.
 const MAX_DERIVED_CAP: usize = 32;
 
-/// Derives a per-model concurrency cap from the §IV-C recommendation's
-/// predicted channel load: each in-flight tree is predicted to push
-/// `workers × bytes_per_pair_layer` through the shared communication
-/// fabric per layer, and the region offers `n_topics` parallel channels of
-/// a few publish quotas each (the same "a few quotas per pair" saturation
-/// multiple the recommender uses). Models the recommender routes to
-/// Serial use no channel; their concurrency is compute-bound and the
-/// global cap governs. Routing runs through the service's own resolver
-/// (`FsdService::recommend` with its a-priori
-/// `FsdService::est_bytes_per_row`), so admission caps and execution can
-/// never disagree on a model's variant.
-pub fn derive_model_cap(service: &FsdService, typical_workers: u32) -> usize {
-    let rec = service.recommend(typical_workers.max(1), service.est_bytes_per_row());
+/// The tree size per-model caps are derived at, a priori (§IV-C).
+const TYPICAL_WORKERS: u32 = 3;
+
+/// Derives a per-model concurrency cap from the §IV-C recommendation for
+/// a typical 3-worker tree and its predicted channel load: each in-flight
+/// tree is predicted to push `workers × bytes_per_pair_layer` through the
+/// shared communication fabric per layer, and the region offers
+/// [`N_TOPICS`] parallel channels of a few publish quotas each (the same
+/// "a few quotas per pair" saturation multiple the recommender uses).
+/// Models the recommender routes to Serial use no channel; their
+/// concurrency is compute-bound and the global cap governs. Routing runs
+/// through the service's own resolver (`FsdService::recommend` with its
+/// a-priori `FsdService::est_bytes_per_row`), so admission caps and
+/// execution can never disagree on a model's variant.
+pub fn derive_model_cap(service: &FsdService) -> usize {
+    let rec = service.recommend(TYPICAL_WORKERS, service.est_bytes_per_row());
     match rec.variant {
         Variant::Serial => MAX_DERIVED_CAP,
         Variant::Queue | Variant::Object | Variant::Hybrid | Variant::Direct | Variant::Auto => {
             let per_tree = rec.profile.workers as usize * rec.profile.bytes_per_pair_layer.max(1);
-            let budget = service.env().config().n_topics * quota::MAX_PUBLISH_BYTES * 4;
+            let budget = N_TOPICS * quota::MAX_PUBLISH_BYTES * 4;
             (budget / per_tree).clamp(1, MAX_DERIVED_CAP)
         }
     }
@@ -126,8 +129,6 @@ pub struct SchedulerConfig {
     /// Weighted-FIFO shares, indexed by [`Priority::index`]. Zero weights
     /// are clamped to 1 (a zero-weight class would starve).
     pub weights: [u32; Priority::COUNT],
-    /// Worker count used to derive per-model caps a priori (§IV-C).
-    pub typical_workers: u32,
     /// Manual dispatch — the deterministic-harness mode: the caller pumps
     /// admission with [`Scheduler::dispatch`](crate::Scheduler::dispatch),
     /// each ticket's harvest releases its slot share, and the admission
@@ -149,7 +150,6 @@ impl Default for SchedulerConfig {
             global_cap: 8,
             queue_capacity: 64,
             weights: [3, 1],
-            typical_workers: 3,
             manual_dispatch: false,
             predictor: None,
             batching: None,
@@ -304,7 +304,7 @@ mod tests {
         );
         // A model the recommender routes to Serial uses no channel: cap is
         // the derived maximum and the global cap governs.
-        assert_eq!(derive_model_cap(&svc, 3), MAX_DERIVED_CAP);
+        assert_eq!(derive_model_cap(&svc), MAX_DERIVED_CAP);
         let sched = Scheduler::wrap(svc, SchedulerConfig::default());
         assert_eq!(sched.model_cap(DEFAULT_MODEL), Some(MAX_DERIVED_CAP));
     }
@@ -385,7 +385,7 @@ mod tests {
                 }),
             )
         };
-        let cap = derive_model_cap(&svc, 3);
+        let cap = derive_model_cap(&svc);
         assert!((1..=MAX_DERIVED_CAP).contains(&cap));
         for (k, expected_side) in [
             (row_nnz_for(hi / 2), Variant::Queue),

@@ -272,7 +272,7 @@ impl SchedulerBuilder {
     }
 
     /// Registers a model whose concurrency cap is derived from the §IV-C
-    /// recommendation ([`derive_model_cap`] at `cfg.typical_workers`).
+    /// recommendation ([`derive_model_cap`]).
     pub fn model(mut self, name: impl Into<String>, service: Arc<FsdService>) -> SchedulerBuilder {
         self.models.push((name.into(), service, None));
         self
@@ -305,7 +305,6 @@ impl SchedulerBuilder {
             global_cap: self.cfg.global_cap.max(1),
             queue_capacity: self.cfg.queue_capacity.max(1),
             weights: self.cfg.weights.map(|w| w.max(1)),
-            typical_workers: self.cfg.typical_workers.max(1),
             batching: self.cfg.batching.map(|b| BatchingConfig {
                 max_batch: b.max_batch.max(1),
                 ..b
@@ -316,7 +315,7 @@ impl SchedulerBuilder {
         let mut caps = Vec::with_capacity(self.models.len());
         let mut by_name = HashMap::new();
         for (name, service, cap) in self.models {
-            caps.push(cap.unwrap_or_else(|| derive_model_cap(&service, cfg.typical_workers)));
+            caps.push(cap.unwrap_or_else(|| derive_model_cap(&service)));
             let previous = by_name.insert(name.clone(), models.len());
             assert!(previous.is_none(), "model {name:?} registered twice");
             models.push(ModelEntry { name, service });

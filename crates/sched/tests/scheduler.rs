@@ -643,7 +643,6 @@ fn a_zeroed_config_still_serves() {
     let zeroed_admission = SchedulerConfig {
         global_cap: 0,
         weights: [0, 0],
-        typical_workers: 0,
         batching: Some(BatchingConfig {
             max_batch: 0,
             ..BatchingConfig::default()

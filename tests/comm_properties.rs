@@ -181,7 +181,7 @@ proptest! {
         // Teardown leaves the region exactly as found, on every transport.
         channel.teardown();
         prop_assert_eq!(env.queue_count(), 0);
-        for i in 0..env.config().n_buckets {
+        for i in 0..fsd_inference::comm::N_BUCKETS {
             prop_assert_eq!(env.object_store().object_count(&bucket_name(i)), 0);
         }
     }

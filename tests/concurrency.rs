@@ -3,9 +3,9 @@
 //! The API redesign's acceptance test: request state (input keys, channel
 //! queues, filter policies, object prefixes) is flow-scoped, so concurrent
 //! requests — including several on the *same* channel variant, the case
-//! that used to collide on shared queues and the global
-//! `reset_channels()` wipe — must produce byte-identical outputs to the
-//! same requests run sequentially.
+//! that used to collide on shared queues and a global wipe of the region
+//! between requests — must produce byte-identical outputs to the same
+//! requests run sequentially.
 
 use fsd_inference::core::{FsdService, InferenceRequest, ServiceBuilder, Variant};
 use fsd_inference::model::{generate_dnn, generate_inputs, DnnSpec, InputSpec};
@@ -134,7 +134,7 @@ fn concurrent_mixed_requests_match_sequential_outputs() {
             "leaked filter policies on topic {t}"
         );
     }
-    for i in 0..service.env().config().n_buckets {
+    for i in 0..fsd_inference::comm::N_BUCKETS {
         assert_eq!(
             service
                 .env()

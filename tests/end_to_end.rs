@@ -168,7 +168,7 @@ fn env_selected_variant_matches_ground_truth() {
     // Whatever the transport held on the region is gone after teardown.
     assert_eq!(service.env().queue_count(), 0, "{variant} leaked queues");
     assert_eq!(service.env().pubsub().subscription_count(0), 0);
-    for i in 0..service.env().config().n_buckets {
+    for i in 0..fsd_inference::comm::N_BUCKETS {
         assert_eq!(
             service
                 .env()

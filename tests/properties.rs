@@ -274,7 +274,7 @@ proptest! {
             for t in 0..env.pubsub().n_topics() {
                 prop_assert_eq!(env.pubsub().subscription_count(t), 0);
             }
-            for i in 0..env.config().n_buckets {
+            for i in 0..fsd_inference::comm::N_BUCKETS {
                 prop_assert_eq!(env.object_store().object_count(&bucket_name(i)), 0);
             }
         }
@@ -550,7 +550,7 @@ proptest! {
             prop_assert_eq!(service.env().pubsub().subscription_count(t), 0,
                 "leaked filter policies on topic {}", t);
         }
-        for i in 0..service.env().config().n_buckets {
+        for i in 0..fsd_inference::comm::N_BUCKETS {
             prop_assert_eq!(
                 service.env().object_store().object_count(&fsd_inference::comm::bucket_name(i)),
                 0, "leaked objects in bucket {}", i);
