@@ -23,7 +23,9 @@
 //! Frames are addressed hop-by-hop: a mailbox is keyed `(flow, hop)` and
 //! each frame names its final destination rank, so an interior worker of
 //! a deep tree keeps its own blocks and relays the rest toward their
-//! destination on its own lane. [`ApiClass::WeightStream`] faults
+//! destination on its own lane. A hop is whatever number the caller
+//! gives its receiver; a caller running several trees on one flow gives
+//! each tree its own hops. [`ApiClass::WeightStream`] faults
 //! intercept block sends; a faulted send kills the stream below that hop
 //! (the sender emits [`WeightPayload::Abort`] and every descendant falls
 //! back to an independent load).
@@ -58,7 +60,7 @@ pub enum WeightPayload {
 #[derive(Clone)]
 pub struct WeightFrame {
     /// Final destination rank. Relays forward frames whose `dst` is not
-    /// their own rank; control frames carry the hop's own rank.
+    /// their own rank; control frames carry the hop they were sent to.
     pub dst: usize,
     /// Payload.
     pub payload: WeightPayload,

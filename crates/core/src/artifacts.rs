@@ -6,11 +6,13 @@
 //! own artifacts — those requests and transfer times are part of the
 //! measured run (the paper attributes serial's slow small-model latency to
 //! exactly this weight read — FSD-Inf-Serial's one rank loads the 1-way
-//! partition, i.e. the whole model).
+//! partition, i.e. the whole model). A worker's artifact set is [`Part`]:
+//! staging writes it, the eager loader GETs it, and a streamed cold start
+//! (`weight_stream`) multicasts it into a [`PartStore`].
 
 use crate::retry::RetryPolicy;
 use crate::weight_cache::WeightCache;
-use crate::wire;
+use crate::wire::{self, LayerMaps};
 use fsd_comm::{CloudEnv, VClock, VirtualTime};
 use fsd_faas::{FaasError, WorkerCtx};
 use fsd_model::SparseDnn;
@@ -20,27 +22,36 @@ use std::sync::Arc;
 
 /// Bucket holding model and input artifacts (distinct from the
 /// intermediate-result buckets so channel LIST scans never see them).
-pub const ARTIFACT_BUCKET: &str = "fsd-artifacts";
+pub(crate) const ARTIFACT_BUCKET: &str = "fsd-artifacts";
 
 /// Artifact parsing throughput (bytes/second on one full vCPU).
-pub(crate) const ARTIFACT_DECODE_BPS: f64 = 200e6;
+const ARTIFACT_DECODE_BPS: f64 = 200e6;
 
-/// Key layout helpers. The `worker_*` ones are crate-visible: the
-/// weight-streaming source enumerates every rank's keys to build its
-/// multicast manifest, and receivers enumerate their own to classify
-/// incoming frames.
-pub(crate) fn worker_layer_key(model: &str, p: u32, m: u32, k: usize) -> String {
-    format!("{model}/p{p}/w{m}/L{k}")
+/// One artifact object of a worker's partition.
+#[derive(Clone, Copy)]
+pub(crate) enum Part {
+    /// Global row ids the worker owns (sorted).
+    Owned,
+    /// The worker's row block of layer `k` (local rows, global columns).
+    Layer(usize),
+    /// Per-layer send maps `[(target, rows)]`.
+    Send,
+    /// Per-layer recv maps `[(source, rows)]`.
+    Recv,
 }
-pub(crate) fn worker_owned_key(model: &str, p: u32, m: u32) -> String {
-    format!("{model}/p{p}/w{m}/owned")
+
+impl Part {
+    /// The object key of this part of worker `m` of a `p`-way partition.
+    pub(crate) fn key(self, model: &str, p: u32, m: u32) -> String {
+        match self {
+            Part::Owned => format!("{model}/p{p}/w{m}/owned"),
+            Part::Layer(k) => format!("{model}/p{p}/w{m}/L{k}"),
+            Part::Send => format!("{model}/p{p}/w{m}/send"),
+            Part::Recv => format!("{model}/p{p}/w{m}/recv"),
+        }
+    }
 }
-pub(crate) fn worker_send_key(model: &str, p: u32, m: u32) -> String {
-    format!("{model}/p{p}/w{m}/send")
-}
-pub(crate) fn worker_recv_key(model: &str, p: u32, m: u32) -> String {
-    format!("{model}/p{p}/w{m}/recv")
-}
+
 fn input_worker_key(input: &str, p: u32, m: u32) -> String {
     format!("{input}/p{p}/w{m}")
 }
@@ -48,7 +59,7 @@ fn input_worker_key(input: &str, p: u32, m: u32) -> String {
 /// Stages the partitioned model for `P = partition.n_parts()` workers:
 /// per-worker weight blocks (rows owned, global columns), ownership lists
 /// and per-layer send/recv maps.
-pub fn stage_partitioned_model(
+pub(crate) fn stage_partitioned_model(
     env: &CloudEnv,
     model_key: &str,
     dnn: &SparseDnn,
@@ -59,49 +70,31 @@ pub fn stage_partitioned_model(
     let p = partition.n_parts() as u32;
     let store = env.object_store();
     for m in 0..p {
-        let owned = partition.owned(m);
-        store
-            .put_offline(
-                ARTIFACT_BUCKET,
-                &worker_owned_key(model_key, p, m),
-                wire::encode_ids(owned),
-            )
-            .expect("bucket exists");
-        for (k, layer) in dnn.layers().iter().enumerate() {
-            let sub = layer.select_rows(owned);
+        let put = |part: Part, body: Vec<u8>| {
             store
-                .put_offline(
-                    ARTIFACT_BUCKET,
-                    &worker_layer_key(model_key, p, m, k),
-                    wire::encode_csr(&sub),
-                )
+                .put_offline(ARTIFACT_BUCKET, &part.key(model_key, p, m), body)
                 .expect("bucket exists");
+        };
+        let owned = partition.owned(m);
+        put(Part::Owned, wire::encode_ids(owned));
+        for (k, layer) in dnn.layers().iter().enumerate() {
+            put(Part::Layer(k), wire::encode_csr(&layer.select_rows(owned)));
         }
-        let send: Vec<Vec<(u32, Vec<u32>)>> = (0..plan.n_layers())
-            .map(|k| plan.layer(k).send[m as usize].clone())
-            .collect();
-        let recv: Vec<Vec<(u32, Vec<u32>)>> = (0..plan.n_layers())
-            .map(|k| plan.layer(k).recv[m as usize].clone())
-            .collect();
-        store
-            .put_offline(
-                ARTIFACT_BUCKET,
-                &worker_send_key(model_key, p, m),
-                wire::encode_maps(&send),
-            )
-            .expect("bucket exists");
-        store
-            .put_offline(
-                ARTIFACT_BUCKET,
-                &worker_recv_key(model_key, p, m),
-                wire::encode_maps(&recv),
-            )
-            .expect("bucket exists");
+        let layers = || (0..plan.n_layers()).map(|k| plan.layer(k));
+        let send: LayerMaps = layers().map(|l| l.send[m as usize].clone()).collect();
+        let recv: LayerMaps = layers().map(|l| l.recv[m as usize].clone()).collect();
+        put(Part::Send, wire::encode_maps(&send));
+        put(Part::Recv, wire::encode_maps(&recv));
     }
 }
 
 /// Stages an input batch as one share per worker of `partition`.
-pub fn stage_inputs(env: &CloudEnv, input_key: &str, inputs: &SparseRows, partition: &Partition) {
+pub(crate) fn stage_inputs(
+    env: &CloudEnv,
+    input_key: &str,
+    inputs: &SparseRows,
+    partition: &Partition,
+) {
     env.object_store().create_bucket(ARTIFACT_BUCKET);
     let store = env.object_store();
     let p = partition.n_parts() as u32;
@@ -121,61 +114,47 @@ pub fn stage_inputs(env: &CloudEnv, input_key: &str, inputs: &SparseRows, partit
 /// bytes a streamed cold start received (λScale execute-while-load —
 /// layers decode lazily as compute reaches them, so first-layer compute
 /// overlaps later-layer transfer).
-pub enum LayerSlot {
+enum LayerSlot {
     /// Decoded column-major block, ready for the kernel.
     Ready(ColMajorBlock),
-    /// Encoded bytes delivered by the weight stream, not yet decoded.
-    Pending {
-        /// The wire-encoded CSR sub-block.
-        body: Arc<[u8]>,
-        /// Virtual time the bytes finished arriving on this instance
-        /// ([`VirtualTime::ZERO`] for blocks served from the process-wide
-        /// weight cache: they are already resident memory).
-        available_at: VirtualTime,
-    },
+    /// Encoded bytes delivered by the weight stream, not yet decoded, and
+    /// the virtual time they finished arriving on this instance.
+    Pending(Delivered),
 }
 
 /// Everything one distributed worker loads before inference starts
-/// (inputs are fetched separately, per batch — see [`load_input_share`]).
-pub struct WorkerArtifacts {
+/// (inputs are fetched separately, per batch — see
+/// [`load_input_share_into`]).
+pub(crate) struct WorkerArtifacts {
     /// Global row ids this worker owns (sorted).
     pub owned: Vec<u32>,
     /// Per-layer weight blocks. Eager loads fill every slot
     /// [`LayerSlot::Ready`]; streamed loads leave slots
     /// [`LayerSlot::Pending`] until [`WorkerArtifacts::ensure_layer`]
     /// decodes them on first use.
-    pub weights: Vec<LayerSlot>,
+    weights: Vec<LayerSlot>,
     /// Per-layer send maps `[(target, rows)]`.
-    pub send: Vec<Vec<(u32, Vec<u32>)>>,
+    pub send: LayerMaps,
     /// Per-layer recv maps `[(source, rows)]`.
-    pub recv: Vec<Vec<(u32, Vec<u32>)>>,
+    pub recv: LayerMaps,
     /// Number of artifact GET requests issued (cost-model input).
     pub n_gets: u64,
-    /// Tracked resident bytes for the FaaS memory model.
-    pub mem_bytes: usize,
 }
 
 impl WorkerArtifacts {
     /// Decodes layer `k` if it is still [`LayerSlot::Pending`]: waits (in
-    /// virtual time) for the bytes to finish arriving, then charges the
-    /// same decode bytes and transpose work an eager load charges — so a
-    /// streamed load's decoded blocks, outputs and work totals are
-    /// bit-identical to an independent load's. No-op on ready slots.
-    pub fn ensure_layer(&mut self, ctx: &mut WorkerCtx, k: usize) -> Result<(), FaasError> {
-        let (body, available_at) = match &self.weights[k] {
-            LayerSlot::Ready(_) => return Ok(()),
-            LayerSlot::Pending { body, available_at } => (body.clone(), *available_at),
+    /// virtual time) for the bytes to finish arriving, then runs the eager
+    /// load's layer decode — so a streamed load's decoded blocks, outputs
+    /// and work totals are bit-identical to an independent load's. No-op
+    /// on ready slots.
+    pub(crate) fn ensure_layer(&mut self, ctx: &mut WorkerCtx, k: usize) -> Result<(), FaasError> {
+        let LayerSlot::Pending((body, available_at)) = &self.weights[k] else {
+            return Ok(());
         };
-        ctx.clock_mut().observe(available_at);
-        ctx.charge_bytes(body.len() as u64, ARTIFACT_DECODE_BPS);
-        let sub = wire::decode_csr(&body)
-            .map_err(|e| FaasError::comm("decode", format!("layer {k}"), e))?;
-        let local_ids: Vec<u32> = (0..self.owned.len() as u32).collect();
-        let block = ColMajorBlock::from_layer(&sub, &local_ids);
-        ctx.charge_work(block.nnz() as u64 * 2); // transpose construction
+        ctx.clock_mut().observe(*available_at);
+        let block = decode_layer(ctx, body, self.owned.len(), k)?;
         ctx.track_free(body.len());
         ctx.track_alloc(block.mem_bytes());
-        self.mem_bytes = self.mem_bytes.saturating_sub(body.len()) + block.mem_bytes();
         ctx.check_limits()?;
         self.weights[k] = LayerSlot::Ready(block);
         Ok(())
@@ -183,10 +162,10 @@ impl WorkerArtifacts {
 
     /// The decoded block of layer `k`. Panics if the slot is still
     /// pending — call [`WorkerArtifacts::ensure_layer`] first.
-    pub fn weight(&self, k: usize) -> &ColMajorBlock {
+    pub(crate) fn weight(&self, k: usize) -> &ColMajorBlock {
         match &self.weights[k] {
             LayerSlot::Ready(block) => block,
-            LayerSlot::Pending { .. } => {
+            LayerSlot::Pending(_) => {
                 // fsd_lint::allow(no-unwrap): load-order invariant — the
                 // batch loop decodes slot k (`ensure_layer`) before any read
                 // of it, so a pending slot here is a library bug, not a
@@ -197,20 +176,46 @@ impl WorkerArtifacts {
     }
 }
 
-/// Artifact GET on the worker's own clock, charging the decode of the
-/// bytes it returns.
-fn fetch(ctx: &mut WorkerCtx, key: &str) -> Result<Arc<[u8]>, FaasError> {
-    let env = ctx.env().clone();
-    let body = fetch_encoded(&env, ctx.clock_mut(), key)?;
+/// Charges the decode of `body` on the worker's clock, then decodes it.
+fn decode<T, E: std::fmt::Display>(
+    ctx: &mut WorkerCtx,
+    body: &[u8],
+    what: &str,
+    parse: impl FnOnce(&[u8]) -> Result<T, E>,
+) -> Result<T, FaasError> {
     ctx.charge_bytes(body.len() as u64, ARTIFACT_DECODE_BPS);
-    Ok(body)
+    parse(body).map_err(|e| FaasError::comm("decode", what, e))
+}
+
+/// The one layer decode of eager and streamed loads: the CSR sub-block
+/// (rows local to the worker's `n_owned`, columns global), transposed into
+/// a column-major block whose construction is charged as work.
+fn decode_layer(
+    ctx: &mut WorkerCtx,
+    body: &[u8],
+    n_owned: usize,
+    k: usize,
+) -> Result<ColMajorBlock, FaasError> {
+    let sub = decode(ctx, body, &format!("layer {k}"), wire::decode_csr)?;
+    let local_ids: Vec<u32> = (0..n_owned as u32).collect();
+    let block = ColMajorBlock::from_layer(&sub, &local_ids);
+    ctx.charge_work(block.nnz() as u64 * 2); // transpose construction
+    Ok(block)
+}
+
+/// Resident bytes of a worker's decoded send/recv maps.
+fn maps_mem(send: &LayerMaps, recv: &LayerMaps) -> usize {
+    send.iter()
+        .chain(recv)
+        .flatten()
+        .map(|(_, rows)| 8 + rows.len() * 4)
+        .sum()
 }
 
 /// Retry-wrapped artifact GET against an arbitrary clock, returning the
 /// encoded bytes without charging decode time. The streaming source uses
-/// this with its pipelined fetch-slot clocks; decode is charged later, on
-/// whichever instance actually decodes ([`WorkerArtifacts::ensure_layer`]
-/// / [`assemble_streamed`]).
+/// this with its pipelined fetch-slot clocks; decode is charged by
+/// whichever instance actually decodes.
 pub(crate) fn fetch_encoded(
     env: &CloudEnv,
     clock: &mut VClock,
@@ -225,92 +230,99 @@ pub(crate) fn fetch_encoded(
     res.map_err(|e| FaasError::comm("artifact", key, e))
 }
 
-/// One artifact object as the weight stream delivered it: encoded bytes
-/// plus the virtual time they finished arriving ([`VirtualTime::ZERO`]
-/// when served from resident cache memory).
-pub(crate) struct StreamedPart {
-    pub body: Arc<[u8]>,
-    pub available_at: VirtualTime,
+/// Encoded bytes as a weight stream delivered them, and the virtual time
+/// they finished arriving ([`VirtualTime::ZERO`] when served from resident
+/// cache memory).
+type Delivered = (Arc<[u8]>, VirtualTime);
+
+/// One worker's parts as its weight stream delivers them, in any order,
+/// until [`assemble_streamed`] consumes them.
+pub(crate) struct PartStore {
+    /// Each part, its key, and its bytes once delivered: the maps first,
+    /// then the layers.
+    parts: Vec<(Part, String, Option<Delivered>)>,
+    /// Raw bytes stored so far (the caller tracks each as it arrives).
+    pub bytes: usize,
 }
 
-/// A worker's full artifact set in streamed form, before assembly.
-/// `n_gets` is the GET requests *this instance* issued (the multicast
-/// source counts its fetches; pure receivers count zero unless they fell
-/// back to direct loads).
-pub(crate) struct StreamedArtifacts {
-    pub owned: StreamedPart,
-    pub send: StreamedPart,
-    pub recv: StreamedPart,
-    pub layers: Vec<StreamedPart>,
-    pub n_gets: u64,
+impl PartStore {
+    /// An empty store for worker `m` of a `p`-way, `n_layers`-layer model.
+    pub(crate) fn new(model: &str, p: u32, m: u32, n_layers: usize) -> PartStore {
+        let parts = [Part::Owned, Part::Send, Part::Recv]
+            .into_iter()
+            .chain((0..n_layers).map(Part::Layer))
+            .map(|part| (part, part.key(model, p, m), None))
+            .collect();
+        PartStore { parts, bytes: 0 }
+    }
+
+    /// Stores the part whose key is `key`.
+    pub(crate) fn put(&mut self, key: &str, body: Arc<[u8]>, available_at: VirtualTime) {
+        self.bytes += body.len();
+        if let Some((.., slot)) = self.parts.iter_mut().find(|(_, k, _)| k == key) {
+            *slot = Some((body, available_at));
+        }
+    }
+
+    /// Whether every part has arrived.
+    pub(crate) fn is_complete(&self) -> bool {
+        self.parts.iter().all(|(.., delivered)| delivered.is_some())
+    }
 }
 
-/// Assembles [`WorkerArtifacts`] from streamed parts: ownership and
-/// send/recv maps decode eagerly (the serve loop needs them before the
-/// first batch), weight layers stay [`LayerSlot::Pending`] for lazy
-/// decode. The caller must already have `track_alloc`ed every raw body as
-/// it arrived; this converts the map bodies to their decoded forms in the
-/// memory tracker and leaves layer bodies resident.
+/// Assembles [`WorkerArtifacts`] from a complete [`PartStore`]: ownership
+/// and send/recv maps decode eagerly (the serve loop needs them before the
+/// first batch), weight layers stay [`LayerSlot::Pending`] for lazy decode.
+/// The caller must already have `track_alloc`ed every raw body as it
+/// arrived; this converts the map bodies to their decoded forms in the
+/// memory tracker and leaves layer bodies resident. `n_gets` is the GET
+/// requests *this instance* issued.
 pub(crate) fn assemble_streamed(
     ctx: &mut WorkerCtx,
-    parts: StreamedArtifacts,
+    store: PartStore,
+    n_gets: u64,
 ) -> Result<WorkerArtifacts, FaasError> {
-    let StreamedArtifacts {
-        owned,
-        send,
-        recv,
-        layers,
-        n_gets,
-    } = parts;
-    ctx.clock_mut().observe(owned.available_at);
-    ctx.charge_bytes(owned.body.len() as u64, ARTIFACT_DECODE_BPS);
-    let owned_ids =
-        wire::decode_ids(&owned.body).map_err(|e| FaasError::comm("decode", "owned ids", e))?;
-    ctx.clock_mut().observe(send.available_at);
-    ctx.charge_bytes(send.body.len() as u64, ARTIFACT_DECODE_BPS);
-    let send_maps =
-        wire::decode_maps(&send.body).map_err(|e| FaasError::comm("decode", "send maps", e))?;
-    ctx.clock_mut().observe(recv.available_at);
-    ctx.charge_bytes(recv.body.len() as u64, ARTIFACT_DECODE_BPS);
-    let recv_maps =
-        wire::decode_maps(&recv.body).map_err(|e| FaasError::comm("decode", "recv maps", e))?;
-    let decoded_mem = owned_ids.len() * 4
-        + send_maps
-            .iter()
-            .chain(recv_maps.iter())
-            .flatten()
-            .map(|(_, r)| 8 + r.len() * 4)
-            .sum::<usize>();
-    ctx.track_free(owned.body.len() + send.body.len() + recv.body.len());
-    ctx.track_alloc(decoded_mem);
-    let mem = decoded_mem + layers.iter().map(|l| l.body.len()).sum::<usize>();
-    let weights = layers
-        .into_iter()
-        .map(|l| LayerSlot::Pending {
-            body: l.body,
-            available_at: l.available_at,
-        })
-        .collect();
+    let (mut owned, mut send, mut recv) = (Vec::new(), Vec::new(), Vec::new());
+    let mut weights = Vec::with_capacity(store.parts.len());
+    let mut map_bytes = 0;
+    for (part, key, delivered) in store.parts {
+        let (body, available_at) =
+            delivered.ok_or_else(|| FaasError::comm("stream", key, "part never arrived"))?;
+        if let Part::Layer(_) = part {
+            weights.push(LayerSlot::Pending((body, available_at)));
+            continue;
+        }
+        ctx.clock_mut().observe(available_at);
+        match part {
+            Part::Owned => owned = decode(ctx, &body, "owned ids", wire::decode_ids)?,
+            Part::Send => send = decode(ctx, &body, "send maps", wire::decode_maps)?,
+            Part::Recv => recv = decode(ctx, &body, "recv maps", wire::decode_maps)?,
+            Part::Layer(_) => {}
+        }
+        map_bytes += body.len();
+    }
+    ctx.track_free(map_bytes);
+    ctx.track_alloc(owned.len() * 4 + maps_mem(&send, &recv));
     ctx.check_limits()?;
     Ok(WorkerArtifacts {
-        owned: owned_ids,
+        owned,
         weights,
-        send: send_maps,
-        recv: recv_maps,
+        send,
+        recv,
         n_gets,
-        mem_bytes: mem,
     })
 }
 
 /// Loads a distributed worker's artifacts, charging GET latencies, decode
-/// work and resident memory against the FaaS context.
+/// work and resident memory against the FaaS context, part by part: GET,
+/// then decode, then track.
 ///
 /// `cache` selects the GET. `None` GETs every object (retry-wrapped).
 /// `Some` reads cache-first — a resident block costs no GET and no
 /// transfer wait, only its decode — and inserts every miss, which keeps a
 /// streamed launch's fallback load (see `weight_stream`) at exactly one
 /// GET per object globally.
-pub fn load_worker_artifacts(
+pub(crate) fn load_worker_artifacts(
     ctx: &mut WorkerCtx,
     model_key: &str,
     p: u32,
@@ -319,50 +331,38 @@ pub fn load_worker_artifacts(
     cache: Option<&WeightCache>,
 ) -> Result<WorkerArtifacts, FaasError> {
     let mut n_gets = 0u64;
-    let mut get = |ctx: &mut WorkerCtx, key: &str| -> Result<Arc<[u8]>, FaasError> {
-        if let Some(body) = cache.and_then(|c| c.lookup(key)) {
-            ctx.charge_bytes(body.len() as u64, ARTIFACT_DECODE_BPS);
+    let mut get = |ctx: &mut WorkerCtx, part: Part| -> Result<Arc<[u8]>, FaasError> {
+        let key = part.key(model_key, p, m);
+        if let Some(body) = cache.and_then(|c| c.lookup(&key)) {
             return Ok(body);
         }
         let insert = cache.map(|c| (c, c.generation()));
-        let body = fetch(ctx, key)?;
+        let env = ctx.env().clone();
+        let body = fetch_encoded(&env, ctx.clock_mut(), &key)?;
         n_gets += 1;
         if let Some((cache, generation)) = insert {
-            cache.insert_block(key, body.clone(), generation);
+            cache.insert_block(&key, body.clone(), generation);
         }
         Ok(body)
     };
-    let owned = wire::decode_ids(&get(ctx, &worker_owned_key(model_key, p, m))?)
-        .map_err(|e| FaasError::comm("decode", "owned ids", e))?;
-    let local_ids: Vec<u32> = (0..owned.len() as u32).collect();
+    let body = get(ctx, Part::Owned)?;
+    let owned = decode(ctx, &body, "owned ids", wire::decode_ids)?;
+    ctx.track_alloc(owned.len() * 4);
     let mut weights = Vec::with_capacity(n_layers);
-    let mut mem = owned.len() * 4;
-    ctx.track_alloc(mem);
     for k in 0..n_layers {
-        let sub = wire::decode_csr(&get(ctx, &worker_layer_key(model_key, p, m, k))?)
-            .map_err(|e| FaasError::comm("decode", format!("layer {k}"), e))?;
-        // The sub-block's rows are local (0..owned); columns stay global.
-        let block = ColMajorBlock::from_layer(&sub, &local_ids);
-        ctx.charge_work(block.nnz() as u64 * 2); // transpose construction
-        mem += block.mem_bytes();
+        let body = get(ctx, Part::Layer(k))?;
+        let block = decode_layer(ctx, &body, owned.len(), k)?;
         // Tracked as it loads: an instance too small for its blocks dies
         // mid-load, as a real one would.
         ctx.track_alloc(block.mem_bytes());
         ctx.check_limits()?;
         weights.push(LayerSlot::Ready(block));
     }
-    let send = wire::decode_maps(&get(ctx, &worker_send_key(model_key, p, m))?)
-        .map_err(|e| FaasError::comm("decode", "send maps", e))?;
-    let recv = wire::decode_maps(&get(ctx, &worker_recv_key(model_key, p, m))?)
-        .map_err(|e| FaasError::comm("decode", "recv maps", e))?;
-    let maps_mem = send
-        .iter()
-        .chain(recv.iter())
-        .flatten()
-        .map(|(_, r)| 8 + r.len() * 4)
-        .sum::<usize>();
-    mem += maps_mem;
-    ctx.track_alloc(maps_mem);
+    let body = get(ctx, Part::Send)?;
+    let send = decode(ctx, &body, "send maps", wire::decode_maps)?;
+    let body = get(ctx, Part::Recv)?;
+    let recv = decode(ctx, &body, "recv maps", wire::decode_maps)?;
+    ctx.track_alloc(maps_mem(&send, &recv));
     ctx.check_limits()?;
     Ok(WorkerArtifacts {
         owned,
@@ -370,24 +370,11 @@ pub fn load_worker_artifacts(
         send,
         recv,
         n_gets,
-        mem_bytes: mem,
     })
 }
 
-/// Loads one worker's share of one input batch (a GET + decode, tracked
-/// against the FaaS memory model).
-pub fn load_input_share(
-    ctx: &mut WorkerCtx,
-    input_key: &str,
-    p: u32,
-    m: u32,
-) -> Result<SparseRows, FaasError> {
-    let mut inputs = SparseRows::new(0);
-    load_input_share_into(ctx, input_key, p, m, &mut inputs)?;
-    Ok(inputs)
-}
-
-/// [`load_input_share`] into a block whose buffers are reused.
+/// Loads one worker's share of one input batch into a block whose buffers
+/// are reused (a GET + decode, tracked against the FaaS memory model).
 pub(crate) fn load_input_share_into(
     ctx: &mut WorkerCtx,
     input_key: &str,
@@ -395,8 +382,9 @@ pub(crate) fn load_input_share_into(
     m: u32,
     inputs: &mut SparseRows,
 ) -> Result<(), FaasError> {
-    codec::decode_into(&fetch(ctx, &input_worker_key(input_key, p, m))?, inputs)
-        .map_err(|e| FaasError::comm("decode", "inputs", e))?;
+    let env = ctx.env().clone();
+    let body = fetch_encoded(&env, ctx.clock_mut(), &input_worker_key(input_key, p, m))?;
+    decode(ctx, &body, "inputs", |b| codec::decode_into(b, inputs))?;
     ctx.track_alloc(inputs.mem_bytes());
     ctx.check_limits()
 }
@@ -404,7 +392,7 @@ pub(crate) fn load_input_share_into(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fsd_comm::{CloudConfig, VirtualTime};
+    use fsd_comm::CloudConfig;
     use fsd_faas::{ComputeModel, FaasPlatform, FunctionConfig};
     use fsd_model::{generate_dnn, generate_inputs, DnnSpec, InputSpec};
     use fsd_partition::{partition_model, PartitionScheme};
@@ -442,7 +430,8 @@ mod tests {
                     VirtualTime::ZERO,
                     move |ctx| {
                         let art = load_worker_artifacts(ctx, "m1", 4, m, 3, None)?;
-                        let share = load_input_share(ctx, "i1", 4, m)?;
+                        let mut share = SparseRows::new(0);
+                        load_input_share_into(ctx, "i1", 4, m, &mut share)?;
                         assert_eq!(art.owned, part.owned(m));
                         assert_eq!(art.weights.len(), 3);
                         assert_eq!(art.send.len(), 3);
@@ -450,7 +439,6 @@ mod tests {
                         assert_eq!(art.recv[2], plan.layer(2).recv[m as usize]);
                         assert_eq!(share, inputs.extract(part.owned(m)));
                         assert!(art.n_gets >= 5);
-                        assert!(art.mem_bytes > 0);
                         Ok(art.n_gets)
                     },
                 )

@@ -83,10 +83,6 @@ mod weight_stream;
 pub mod wire;
 pub mod worker;
 
-pub use artifacts::{
-    load_input_share, load_worker_artifacts, stage_inputs, stage_partitioned_model, LayerSlot,
-    WorkerArtifacts, ARTIFACT_BUCKET,
-};
 pub use builder::ServiceBuilder;
 pub use channel::{barrier, reduce, ChannelOptions, FsiChannel, RecvTracker, Tag};
 pub use engine::{

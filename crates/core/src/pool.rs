@@ -18,11 +18,11 @@
 //! deterministic under a deterministic request sequence — the property
 //! every load-replay test relies on.
 //!
-//! **Invalidation.** [`TreePool::invalidate`] bumps the pool generation;
-//! parked trees from older generations are shut down lazily at the next
-//! pool operation (and eagerly by `invalidate` itself). Call it when the
-//! model's staged artifacts change — a warm tree keeps its weights
-//! resident, so it must never serve a request for newer weights.
+//! **Invalidation.** [`TreePool::invalidate`] bumps the pool generation
+//! and shuts every parked tree down; a tree in service at the bump is
+//! shut down at its checkin instead of parked. Call it when the model's
+//! staged artifacts change — a warm tree keeps its weights resident, so it
+//! must never serve a request for newer weights.
 
 use crate::warm::{TreeKey, WorkerTree};
 use parking_lot::Mutex;
@@ -124,11 +124,7 @@ impl PoolState {
     }
 
     fn idle_of(&self, key: TreeKey) -> usize {
-        let generation = self.generation;
-        self.shelf
-            .iter()
-            .filter(|p| p.tree.key() == key && p.tree.generation() == generation)
-            .count()
+        self.shelf.iter().filter(|p| p.tree.key() == key).count()
     }
 }
 
@@ -159,21 +155,17 @@ impl TreePool {
         let (picked, expired) = {
             let mut state = self.state.lock();
             state.tick += 1;
-            let (now_tick, generation) = (state.tick, state.generation);
+            let now_tick = state.tick;
             let PoolState { shelf, stats, .. } = &mut *state;
-            // Age out stale / expired trees first, keeping the survivors.
+            // Age out expired trees first, keeping the survivors. No stale
+            // tree is ever parked: `invalidate` drains the shelf under this
+            // lock and `checkin` shuts a stale tree down instead.
             let expired: Vec<Parked> = shelf
                 .extract_if(.., |parked| {
-                    if parked.tree.generation() != generation {
-                        stats.evicted_stale += 1;
-                    } else if now_tick.saturating_sub(parked.parked_at_tick) > self.cfg.idle_ttl {
-                        stats.evicted_ttl += 1;
-                    } else {
-                        return false;
-                    }
-                    true
+                    now_tick.saturating_sub(parked.parked_at_tick) > self.cfg.idle_ttl
                 })
                 .collect();
+            stats.evicted_ttl += expired.len() as u64;
             let picked = match shelf.iter().rposition(|p| p.tree.key() == key) {
                 Some(i) => {
                     stats.hits += 1;

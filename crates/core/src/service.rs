@@ -369,8 +369,9 @@ impl FsdService {
         self.env
             .object_store()
             .delete_prefix(ARTIFACT_BUCKET, &format!("{}/", input_key(flow)));
-        // A streamed tree closes its launch flow's weight mailboxes when it
-        // shuts down; a parked tree has not yet, so close them here too.
+        // A streamed tree closes its own weight mailboxes when it shuts
+        // down; one parked after this request has not yet, so close the
+        // request flow's here too (no other tree streams on it).
         self.env.weight_net().close_flow(flow);
         let comm = self.env.release_flow(flow);
         let lambda: LambdaSnapshot = self.platform.lambda_meter().release_flow(flow);

@@ -44,9 +44,15 @@ use crate::worker::{run_batches, RunOutput, WorkerOutput, WorkspacePool};
 use fsd_comm::{CloudEnv, VirtualTime};
 use fsd_faas::{launch, FaasError, FaasPlatform, FunctionConfig, Invocation, InvocationReport};
 use fsd_model::DnnSpec;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::ops::Range;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel as mpsc_channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
+
+/// The next unused weight-stream hop. Each streamed launch takes `P`
+/// consecutive hops for its mailboxes (see `weight_stream`), so two trees
+/// streaming on one flow — pre-warms all bill to flow 0 — never share one.
+static NEXT_HOP: AtomicUsize = AtomicUsize::new(0);
 
 /// The shape a worker tree serves: requests match on the resolved variant,
 /// worker count and per-worker memory. `Ord` gives predictors and pool
@@ -131,6 +137,9 @@ struct ServeShared {
     /// Flow the launch bills to (the creating request, or 0 for pre-warmed
     /// trees).
     launch_flow: u64,
+    /// The launch's weight-stream mailboxes (rank `r` reads
+    /// `hops.start + r`); empty for a cascade launch.
+    hops: Range<usize>,
     /// Per-rank control receivers, taken exactly once by their rank.
     controls: Arc<Mutex<Vec<Option<Receiver<WorkItem>>>>>,
     results: Sender<WorkResult>,
@@ -246,19 +255,10 @@ fn serve_worker(
         .expect("each rank takes its control receiver exactly once");
 
     // --- load weights and maps once; they stay resident while parked -----
-    let layers = params.spec.layers;
     let loaded = if params.stream {
-        crate::weight_stream::stream_load(
-            ctx,
-            &params.cache,
-            &params.model_key,
-            rank,
-            p,
-            layers,
-            params.branching,
-        )
+        crate::weight_stream::stream_load(ctx, params, rank, shared.hops.start)
     } else {
-        load_worker_artifacts(ctx, &params.model_key, p, rank, layers, None)
+        load_worker_artifacts(ctx, &params.model_key, p, rank, params.spec.layers, None)
     };
     let mut art = loaded.map_err(|e| shared.fail(rank, e))?;
 
@@ -326,11 +326,11 @@ pub(crate) struct WorkerTree {
     results: Receiver<WorkResult>,
     handles: Receiver<Invocation<()>>,
     joined: bool,
-    /// Launch flow for stream-mode teardown: once every instance has
-    /// joined, any weight frames still parked in its mailboxes (e.g. after
-    /// an abort) have no receiver left.
+    /// Launch flow and weight-stream mailboxes for teardown: once every
+    /// instance has joined, any weight frames still parked in them (e.g.
+    /// after an abort) have no receiver left.
     launch_flow: u64,
-    stream: bool,
+    hops: Range<usize>,
 }
 
 impl WorkerTree {
@@ -356,7 +356,12 @@ impl WorkerTree {
         flow: u64,
     ) -> Result<WorkerTree, FaasError> {
         let p = params.n_workers;
-        let stream = params.stream;
+        let hops = if params.stream {
+            let start = NEXT_HOP.fetch_add(p as usize, Ordering::Relaxed);
+            start..start + p as usize
+        } else {
+            0..0
+        };
         let (result_tx, results) = mpsc_channel();
         let (handle_tx, handles) = mpsc_channel();
         let (controls, control_rxs) = (0..p)
@@ -370,6 +375,7 @@ impl WorkerTree {
         let shared = ServeShared {
             params,
             launch_flow: flow,
+            hops: hops.clone(),
             controls: Arc::new(Mutex::new(control_rxs)),
             results: result_tx,
             handles: handle_tx,
@@ -391,7 +397,7 @@ impl WorkerTree {
             handles,
             joined: false,
             launch_flow: flow,
-            stream,
+            hops,
         };
         shared.seed(platform)?;
         Ok(tree)
@@ -478,11 +484,13 @@ impl WorkerTree {
             let _ = handle.join();
         }
         // Every instance has joined: no receiver is left for any weight
-        // frame still parked under the launch flow (aborted streams,
+        // frame still parked in this tree's mailboxes (aborted streams,
         // frames addressed to a rank that died booting) — drop them so
-        // the residue audit stays clean.
-        if self.stream {
-            self.poison.env.weight_net().close_flow(self.launch_flow);
+        // the residue audit stays clean. Other trees on the same flow keep
+        // theirs.
+        let net = self.poison.env.weight_net();
+        for hop in self.hops.clone() {
+            net.close_hop(self.launch_flow, hop);
         }
     }
 }

@@ -6,11 +6,29 @@
 //! object storage exactly once (through the service-wide
 //! [`crate::WeightCache`], so repeat launches skip even that) and pushes
 //! the encoded blocks down the launch tree over the
-//! [`fsd_comm::WeightNet`] fabric. Interior ranks keep their own blocks
-//! and relay the rest toward their destinations on their own lane clocks;
-//! layer blocks stay encoded until compute first touches them
+//! [`fsd_comm::WeightNet`] fabric. Layer blocks stay encoded until compute
+//! first touches them
 //! ([`crate::artifacts::WorkerArtifacts::ensure_layer`]) — λScale's
 //! execute-while-load.
+//!
+//! # One relay loop
+//!
+//! Every rank, the source included, handles its stream with the same
+//! [`Relay`]: it keeps a block addressed to itself (tracking its bytes),
+//! forwards any other block one hop toward its destination on its own
+//! lane clock, stops forwarding once a send fails, and at the end of the
+//! stream sends each child End — or Abort, if the stream aborted or this
+//! rank stopped forwarding. Only the items differ: the source's come from
+//! the manifest, through the cache or a GET; a receiver's come from its
+//! mailbox.
+//!
+//! # Mailbox namespace
+//!
+//! The fabric keys a mailbox `(flow, hop)`, and every tree launched ahead
+//! of traffic bills to flow 0. So each streamed launch takes its own range
+//! of `P` hops (`WorkerTree::launch`), and rank `r` reads hop
+//! `hops + r`: trees streaming at once never read or close each other's
+//! frames, and a tree's shutdown closes only its own hops.
 //!
 //! # Timing model
 //!
@@ -28,24 +46,29 @@
 //! # Failure semantics
 //!
 //! Control frames are never faulted, so the stream's outcome always
-//! reaches the subtree. A faulted block send aborts the sender's whole
-//! subtree ([`WeightPayload::Abort`]); aborted receivers fall back to a
-//! cache-assisted independent load. Because the source inserts every
-//! fetched block into the shared cache *before* sending it, fallback
-//! loads miss only blocks the source never fetched — each owned by
-//! exactly one receiver — so every artifact object is GET'd at most once
-//! globally, fault or no fault, and the run's total GET count equals the
-//! non-streaming path's.
+//! reaches the subtree. A rank whose block send fails stops forwarding
+//! and, at the end of its own stream, sends its children Abort
+//! ([`WeightPayload::Abort`]) instead of End; aborted receivers fall back
+//! to a cache-assisted independent load. By then the source has fetched
+//! every block it ever will — inserting each into the shared cache before
+//! sending it, and fetching nothing for others once its own send failed —
+//! so a fallback misses only blocks the source never fetched, each owned
+//! by exactly one receiver. Every artifact object is therefore GET'd at
+//! most once globally, fault or no fault, by an instance thread timing
+//! does not choose, and the run's total GET count equals the
+//! non-streaming path's. Deferring the abort moves no clock: the lane is
+//! idle after the failed send, and a receiver never observes a control
+//! frame's stamp. Only a failed source GET — the source's death — aborts
+//! at once.
 
 use crate::artifacts::{
-    assemble_streamed, fetch_encoded, load_worker_artifacts, worker_layer_key, worker_owned_key,
-    worker_recv_key, worker_send_key, StreamedArtifacts, StreamedPart, WorkerArtifacts,
+    assemble_streamed, fetch_encoded, load_worker_artifacts, Part, PartStore, WorkerArtifacts,
 };
+use crate::warm::TreeParams;
 use crate::weight_cache::WeightCache;
-use fsd_comm::{VClock, VirtualTime, WeightPayload};
+use fsd_comm::{VClock, VirtualTime, WeightNet, WeightPayload};
 use fsd_faas::launch::{children_of, hop_toward};
 use fsd_faas::{FaasError, WorkerCtx};
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Concurrent GET connections the multicast source pipelines its
@@ -53,297 +76,188 @@ use std::sync::Arc;
 /// fetch lands on the earliest-free one).
 const FETCH_SLOTS: usize = 8;
 
-/// Which artifact object of one worker a key denotes.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Part {
-    Owned,
-    Send,
-    Recv,
-    Layer(usize),
-}
-
-/// Accumulates one worker's streamed parts as frames arrive.
-struct Stash {
-    owned: Option<StreamedPart>,
-    send: Option<StreamedPart>,
-    recv: Option<StreamedPart>,
-    layers: Vec<Option<StreamedPart>>,
-    bytes: usize,
-}
-
-impl Stash {
-    fn new(n_layers: usize) -> Stash {
-        Stash {
-            owned: None,
-            send: None,
-            recv: None,
-            layers: (0..n_layers).map(|_| None).collect(),
-            bytes: 0,
-        }
-    }
-
-    fn put(&mut self, part: Part, body: Arc<[u8]>, available_at: VirtualTime) {
-        self.bytes += body.len();
-        let slot = StreamedPart { body, available_at };
-        match part {
-            Part::Owned => self.owned = Some(slot),
-            Part::Send => self.send = Some(slot),
-            Part::Recv => self.recv = Some(slot),
-            Part::Layer(k) => self.layers[k] = Some(slot),
-        }
-    }
-
-    /// Converts to assembly input if every part arrived.
-    fn complete(self, n_gets: u64) -> Option<StreamedArtifacts> {
-        let layers: Option<Vec<StreamedPart>> = self.layers.into_iter().collect();
-        Some(StreamedArtifacts {
-            owned: self.owned?,
-            send: self.send?,
-            recv: self.recv?,
-            layers: layers?,
-            n_gets,
-        })
-    }
-}
-
-/// The per-worker entry point of a streamed cold launch: rank 0 runs the
-/// multicast source, every other rank drains (and relays) its stream.
-/// Returns artifacts whose layer slots decode lazily; outputs are
-/// bit-identical to [`crate::artifacts::load_worker_artifacts`].
+/// The per-worker entry point of a streamed cold launch whose ranks read
+/// the mailboxes `hops..hops + P`: rank 0 runs the multicast source,
+/// every other rank drains (and relays) its stream. Returns artifacts
+/// whose layer slots decode lazily; outputs are bit-identical to
+/// [`crate::artifacts::load_worker_artifacts`].
 pub(crate) fn stream_load(
     ctx: &mut WorkerCtx,
-    cache: &WeightCache,
-    model_key: &str,
+    params: &TreeParams,
     rank: u32,
-    p: u32,
-    n_layers: usize,
-    branching: usize,
+    hops: usize,
 ) -> Result<WorkerArtifacts, FaasError> {
+    let (model, p, n_layers) = (&params.model_key, params.n_workers, params.spec.layers);
+    let env = ctx.env().clone();
+    let mut relay = Relay {
+        net: env.weight_net(),
+        lane: *ctx.clock_mut(),
+        rank: rank as usize,
+        branching: params.branching,
+        hops,
+        children: children_of(rank as usize, params.branching, p as usize),
+        live: true,
+        own: PartStore::new(model, p, rank, n_layers),
+    };
     if rank == 0 {
-        source_load(ctx, cache, model_key, p, n_layers, branching)
-    } else {
-        receive_load(ctx, cache, model_key, rank, p, n_layers, branching)
+        let n_gets = relay.source(ctx, &params.cache, model, p, n_layers)?;
+        return assemble_streamed(ctx, relay.own, n_gets);
     }
-}
-
-/// Rank 0: fetch every rank's artifacts once (cache-first), multicast the
-/// foreign ones down the launch tree, keep its own for lazy decode.
-fn source_load(
-    ctx: &mut WorkerCtx,
-    cache: &WeightCache,
-    model_key: &str,
-    p: u32,
-    n_layers: usize,
-    branching: usize,
-) -> Result<WorkerArtifacts, FaasError> {
-    let env = ctx.env().clone();
-    let net = env.weight_net();
-    let generation = cache.generation();
-    let children = children_of(0, branching, p as usize);
-
-    // Maps first (rank-major) so every receiver can assemble as soon as
-    // its maps land; then layers layer-major so layer-0 compute overlaps
-    // layer-1+ transfer tree-wide.
-    let mut manifest: Vec<(String, u32, Part)> = Vec::with_capacity(p as usize * (3 + n_layers));
-    for m in 0..p {
-        manifest.push((worker_owned_key(model_key, p, m), m, Part::Owned));
-        manifest.push((worker_send_key(model_key, p, m), m, Part::Send));
-        manifest.push((worker_recv_key(model_key, p, m), m, Part::Recv));
-    }
-    for k in 0..n_layers {
-        for m in 0..p {
-            manifest.push((worker_layer_key(model_key, p, m, k), m, Part::Layer(k)));
-        }
-    }
-
-    let base = *ctx.clock_mut();
-    let mut slots: Vec<VClock> = vec![base; FETCH_SLOTS];
-    let mut fwd = base;
-    let mut own = Stash::new(n_layers);
-    let mut n_gets = 0u64;
-    let mut relaying = true;
-
-    for (key, dst, part) in manifest {
-        if dst != 0 && !relaying {
-            continue; // a dead subtree loads for itself; don't fetch for it
-        }
-        let (body, available_at) = match cache.lookup(&key) {
-            // Resident process memory: no GET, no transfer, no wait.
-            Some(body) => (body, VirtualTime::ZERO),
-            None => {
-                let slot = slots
-                    .iter_mut()
-                    .enumerate()
-                    .min_by_key(|(i, c)| (c.now(), *i))
-                    .map(|(_, c)| c)
-                    .expect("FETCH_SLOTS > 0");
-                let body = match fetch_encoded(&env, slot, &key) {
-                    Ok(body) => body,
-                    Err(e) => {
-                        // The source itself is dead; its descendants must
-                        // not wait on a stream that will never finish.
-                        for &child in &children {
-                            net.send_abort(&mut fwd, child);
-                        }
-                        return Err(e);
-                    }
-                };
-                n_gets += 1;
-                cache.insert_block(&key, body.clone(), generation);
-                (body, slot.now())
-            }
-        };
-        if dst == 0 {
-            ctx.track_alloc(body.len());
-            own.put(part, body, available_at);
-        } else {
-            // A block cannot leave before it has arrived; the forward lane
-            // then serializes the outbound transfer.
-            fwd.observe(available_at);
-            let hop = hop_toward(0, dst as usize, branching);
-            if net
-                .send_block(&mut fwd, hop, dst as usize, &key, body)
-                .is_err()
-            {
-                // The fabric below is suspect: abort the whole multicast
-                // and let every receiver fall back to the shared cache.
-                relaying = false;
-                for &child in &children {
-                    net.send_abort(&mut fwd, child);
-                }
-            }
-        }
-    }
-    if relaying {
-        for &child in &children {
-            net.send_end(&mut fwd, child);
-        }
-    }
-    let parts = own
-        .complete(n_gets)
-        .expect("source manifest covers every own part");
-    assemble_streamed(ctx, parts)
-}
-
-/// Rank > 0: drain the stream, keeping own blocks and relaying the rest
-/// toward their destinations; on abort (or a torn stream) fall back to a
-/// cache-assisted independent load.
-fn receive_load(
-    ctx: &mut WorkerCtx,
-    cache: &WeightCache,
-    model_key: &str,
-    rank: u32,
-    p: u32,
-    n_layers: usize,
-    branching: usize,
-) -> Result<WorkerArtifacts, FaasError> {
-    let env = ctx.env().clone();
     let flow = ctx.config().flow;
-    let drained = drain_stream(ctx, model_key, rank, p, n_layers, branching);
+    let ended = relay.drain(ctx, flow);
     // This hop's mailbox has exactly one receiver — this worker — so it is
     // dead weight from here on, whatever the outcome.
-    env.weight_net().close_hop(flow, rank as usize);
-    match drained? {
-        Some(parts) => assemble_streamed(ctx, parts),
-        None => load_worker_artifacts(ctx, model_key, p, rank, n_layers, Some(cache)),
+    relay.net.close_hop(flow, hops + rank as usize);
+    if ended? && relay.own.is_complete() {
+        // A receiver issued zero GETs — everything came over the fabric.
+        return assemble_streamed(ctx, relay.own, 0);
     }
+    // Aborted, or ended torn: the raw frames collected so far are
+    // discarded (the shared cache still holds everything the source
+    // fetched, so the fallback re-reads them for free).
+    ctx.track_free(relay.own.bytes);
+    load_worker_artifacts(ctx, model, p, rank, n_layers, Some(&params.cache))
 }
 
-/// The receive loop proper. `Ok(None)` means the stream aborted (or ended
-/// torn) and the caller must fall back.
-fn drain_stream(
-    ctx: &mut WorkerCtx,
-    model_key: &str,
-    rank: u32,
-    p: u32,
-    n_layers: usize,
+/// One rank's side of the stream: its own parts as they arrive, and its
+/// relay lane toward its children.
+struct Relay<'a> {
+    net: &'a WeightNet,
+    /// Relaying rides its own lane: forwarding a late block must never
+    /// stall this worker's compute, and vice versa.
+    lane: VClock,
+    rank: usize,
     branching: usize,
-) -> Result<Option<StreamedArtifacts>, FaasError> {
-    let env = ctx.env().clone();
-    let net = env.weight_net();
-    let flow = ctx.config().flow;
-    let children = children_of(rank as usize, branching, p as usize);
+    /// First hop of this launch's mailbox namespace.
+    hops: usize,
+    children: Vec<usize>,
+    /// Cleared once a forward fails: the subtree below is cut off.
+    live: bool,
+    own: PartStore,
+}
 
-    let mut expect: HashMap<String, Part> = HashMap::with_capacity(3 + n_layers);
-    expect.insert(worker_owned_key(model_key, p, rank), Part::Owned);
-    expect.insert(worker_send_key(model_key, p, rank), Part::Send);
-    expect.insert(worker_recv_key(model_key, p, rank), Part::Recv);
-    for k in 0..n_layers {
-        expect.insert(worker_layer_key(model_key, p, rank, k), Part::Layer(k));
+impl Relay<'_> {
+    /// Keeps a block addressed to this rank; forwards any other toward
+    /// its destination while the subtree is live.
+    fn block(
+        &mut self,
+        ctx: &mut WorkerCtx,
+        dst: usize,
+        key: &str,
+        body: Arc<[u8]>,
+        available_at: VirtualTime,
+    ) {
+        if dst == self.rank {
+            ctx.track_alloc(body.len());
+            self.own.put(key, body, available_at);
+        } else if self.live {
+            // A block cannot leave before it has arrived; the lane then
+            // serializes the outbound transfer.
+            self.lane.observe(available_at);
+            let hop = self.hops + hop_toward(self.rank, dst, self.branching);
+            if self
+                .net
+                .send_block(&mut self.lane, hop, dst, key, body)
+                .is_err()
+            {
+                // Everything below this hop is cut off; its abort waits for
+                // the end of the stream (see the module docs), and this
+                // rank keeps collecting its own blocks.
+                self.live = false;
+            }
+        }
     }
 
-    let mut stash = Stash::new(n_layers);
-    // Relaying rides its own lane: forwarding a late block must never
-    // stall this worker's compute, and vice versa.
-    let mut relay = *ctx.clock_mut();
-    let mut relaying = true;
-    let mut known = 0usize;
-    let ended = 'drain: loop {
-        // A poisoned launch (peer death, coordinator teardown) must
-        // unwedge this loop — the source may never send another frame.
-        ctx.check_limits()?;
-        let frames = net.fetch(flow, rank as usize, known);
-        if frames.len() <= known {
-            continue; // aborted: the limit check above now fails
+    /// Closes every child's stream — End if the stream ended and this rank
+    /// relayed all of it, Abort otherwise — and returns whether it ended.
+    fn finish(&mut self, ended: bool) -> bool {
+        let end = ended && self.live;
+        for &child in &self.children {
+            let hop = self.hops + child;
+            if end {
+                self.net.send_end(&mut self.lane, hop);
+            } else {
+                self.net.send_abort(&mut self.lane, hop);
+            }
         }
-        let fresh = frames[known..].to_vec();
-        known = frames.len();
-        for frame in fresh {
-            match frame.payload {
-                WeightPayload::Block { key, body } => {
-                    if frame.dst == rank as usize {
-                        if let Some(&part) = expect.get(key.as_str()) {
-                            ctx.track_alloc(body.len());
-                            stash.put(part, body, frame.available_at);
-                        }
-                    } else if relaying {
-                        relay.observe(frame.available_at);
-                        let hop = hop_toward(rank as usize, frame.dst, branching);
-                        if net
-                            .send_block(&mut relay, hop, frame.dst, &key, body)
-                            .is_err()
-                        {
-                            // Everything below this hop is cut off; tell the
-                            // subtree now and keep collecting own frames.
-                            relaying = false;
-                            for &child in &children {
-                                net.send_abort(&mut relay, child);
-                            }
-                        }
-                    }
+        ended
+    }
+
+    /// Rank 0's items: every rank's parts, each fetched once (cache-first,
+    /// on the earliest-free fetch slot) and inserted into the cache before
+    /// it is relayed. Returns the GETs issued.
+    fn source(
+        &mut self,
+        ctx: &mut WorkerCtx,
+        cache: &WeightCache,
+        model: &str,
+        p: u32,
+        n_layers: usize,
+    ) -> Result<u64, FaasError> {
+        let env = ctx.env().clone();
+        let generation = cache.generation();
+        // Maps first (rank-major) so every receiver can assemble as soon as
+        // its maps land; then layers layer-major so layer-0 compute overlaps
+        // layer-1+ transfer tree-wide.
+        let maps = (0..p).flat_map(|m| [Part::Owned, Part::Send, Part::Recv].map(|part| (part, m)));
+        let layers = (0..n_layers).flat_map(|k| (0..p).map(move |m| (Part::Layer(k), m)));
+        let mut slots = [self.lane; FETCH_SLOTS];
+        let mut n_gets = 0u64;
+        for (part, m) in maps.chain(layers) {
+            if m != 0 && !self.live {
+                continue; // a dead subtree loads for itself; don't fetch for it
+            }
+            let key = part.key(model, p, m);
+            let (body, available_at) = match cache.lookup(&key) {
+                // Resident process memory: no GET, no transfer, no wait.
+                Some(body) => (body, VirtualTime::ZERO),
+                None => {
+                    let slot = slots
+                        .iter_mut()
+                        .enumerate()
+                        .min_by_key(|(i, c)| (c.now(), *i))
+                        .map(|(_, c)| c)
+                        .expect("FETCH_SLOTS > 0");
+                    let body = fetch_encoded(&env, slot, &key).inspect_err(|_| {
+                        // The source itself is dead; its descendants must
+                        // not wait on a stream that will never finish.
+                        self.finish(false);
+                    })?;
+                    n_gets += 1;
+                    cache.insert_block(&key, body.clone(), generation);
+                    (body, slot.now())
                 }
-                WeightPayload::End => {
-                    if relaying {
-                        for &child in &children {
-                            net.send_end(&mut relay, child);
-                        }
+            };
+            self.block(ctx, m as usize, &key, body, available_at);
+        }
+        self.finish(true);
+        Ok(n_gets)
+    }
+
+    /// A receiver's items: its mailbox's frames, until End or Abort.
+    /// Returns whether the stream ended rather than aborted.
+    fn drain(&mut self, ctx: &mut WorkerCtx, flow: u64) -> Result<bool, FaasError> {
+        let mailbox = self.hops + self.rank;
+        let mut known = 0usize;
+        loop {
+            // A poisoned launch (peer death, coordinator teardown) must
+            // unwedge this loop — the source may never send another frame.
+            ctx.check_limits()?;
+            let frames = self.net.fetch(flow, mailbox, known);
+            if frames.len() <= known {
+                continue; // aborted: the limit check above now fails
+            }
+            let seen = known;
+            known = frames.len();
+            for frame in frames.into_iter().skip(seen) {
+                match frame.payload {
+                    WeightPayload::Block { key, body } => {
+                        self.block(ctx, frame.dst, &key, body, frame.available_at)
                     }
-                    break 'drain true;
-                }
-                WeightPayload::Abort => {
-                    if relaying {
-                        for &child in &children {
-                            net.send_abort(&mut relay, child);
-                        }
-                    }
-                    break 'drain false;
+                    WeightPayload::End => return Ok(self.finish(true)),
+                    WeightPayload::Abort => return Ok(self.finish(false)),
                 }
             }
         }
-    };
-    let bytes = stash.bytes;
-    if ended {
-        // A receiver issued zero GETs — everything came over the fabric.
-        if let Some(parts) = stash.complete(0) {
-            return Ok(Some(parts));
-        }
-        // End arrived but parts are missing — a torn stream; fall back.
-        ctx.track_free(bytes);
-        return Ok(None);
     }
-    // Aborted: the raw frames collected so far are discarded (the shared
-    // cache still holds everything the source fetched, so the fallback
-    // re-reads them for free).
-    ctx.track_free(bytes);
-    Ok(None)
 }

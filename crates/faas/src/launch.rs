@@ -70,18 +70,6 @@ pub fn hop_toward(from: usize, dst: usize, branching: usize) -> usize {
     }
 }
 
-/// Every rank in `root`'s subtree (including `root`), in BFS order — the
-/// set of destinations whose weight blocks travel through `root`.
-pub fn subtree_of(root: usize, branching: usize, total: usize) -> Vec<usize> {
-    let mut out = vec![root];
-    let mut i = 0;
-    while i < out.len() {
-        out.extend(children_of(out[i], branching, total));
-        i += 1;
-    }
-    out
-}
-
 /// Number of sequential invocation rounds to populate the whole tree —
 /// the launch critical path (tree height + 1 initial invocation).
 ///
@@ -173,16 +161,5 @@ mod tests {
     #[should_panic(expected = "not in the subtree")]
     fn hop_toward_rejects_foreign_destinations() {
         hop_toward(2, 1, 4);
-    }
-
-    #[test]
-    fn subtree_enumerates_descendants() {
-        assert_eq!(subtree_of(0, 4, 8), vec![0, 1, 2, 3, 4, 5, 6, 7]);
-        assert_eq!(subtree_of(1, 4, 8), vec![1, 5, 6, 7]);
-        assert_eq!(subtree_of(3, 4, 8), vec![3]);
-        // Every dst in a subtree routes through that subtree's root.
-        for &dst in &subtree_of(1, 4, 62)[1..] {
-            assert_eq!(hop_toward(0, dst, 4), 1);
-        }
     }
 }

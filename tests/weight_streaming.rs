@@ -12,8 +12,8 @@
 mod common;
 
 use common::test_variant;
-use fsd_inference::comm::{ApiClass, TargetedFault};
-use fsd_inference::core::{FsdService, InferenceRequest, LaunchPath, ServiceBuilder};
+use fsd_inference::comm::{ApiClass, CloudConfig, FaultPlan, TargetedFault};
+use fsd_inference::core::{FsdService, InferenceRequest, LaunchPath, ServiceBuilder, Variant};
 use fsd_inference::model::{generate_dnn, generate_inputs, DnnSpec, InputSpec};
 use fsd_sparse::SparseRows;
 use std::sync::Arc;
@@ -332,3 +332,171 @@ fn concurrent_streamed_requests_survive_cache_invalidation_races() {
     assert_eq!(service.env().meter().tracked_flows(), 0);
     service.env().assert_no_residue();
 }
+
+/// One streamed P = 8 Queue cold start (branching 4: rank 1 relays for
+/// ranks 5–7) rendered as the numbers the refactor lock pins.
+fn streamed_footprint(report: &fsd_inference::core::InferenceReport) -> String {
+    let c = &report.comm;
+    let ranks: Vec<String> = report
+        .per_worker
+        .iter()
+        .map(|w| format!("{}:{}", w.finished.as_micros(), w.peak_mem_bytes))
+        .collect();
+    format!(
+        "latency_us={} frames={} bytes={} gets={} ranks=[{}]",
+        report.latency.as_micros(),
+        c.weight_frames,
+        c.weight_bytes,
+        c.s3_get_requests,
+        ranks.join(" ")
+    )
+}
+
+#[test]
+fn streamed_relay_footprint_is_pinned_for_cold_and_warm_caches() {
+    let seed = 68;
+    let spec = spec(seed);
+    let dnn = Arc::new(generate_dnn(&spec));
+    let inputs = generate_inputs(spec.neurons, &InputSpec::scaled(10, seed));
+    let expected = dnn.serial_inference(&inputs);
+    let service = ServiceBuilder::new(dnn)
+        .deterministic(seed)
+        .weight_streaming(true)
+        .build();
+    let req = InferenceRequest {
+        variant: Variant::Queue,
+        ..request(&inputs, 8)
+    };
+    // No pool: the second request cold-starts again, but every weight
+    // block is already in the shared cache.
+    for (cache, pinned) in PINNED_RELAY_FOOTPRINTS {
+        let report = service
+            .submit(&req)
+            .unwrap_or_else(|e| panic!("{cache}: {e}"));
+        assert_eq!(report.launch, LaunchPath::ColdStart, "{cache}");
+        assert_eq!(report.first_output(), &expected, "{cache}");
+        assert_eq!(streamed_footprint(&report), pinned, "{cache}");
+    }
+    service.env().assert_no_residue();
+}
+
+/// Taken at `5d0ea8e` (three runs, identical), before the multicast
+/// source and the receivers shared one relay loop.
+const PINNED_RELAY_FOOTPRINTS: [(&str, &str); 2] = [
+    (
+        "cold cache",
+        "latency_us=904085 frames=67 bytes=11658 gets=56 ranks=[904085:5016 843064:4748 843063:4968 843064:4840 843064:4936 843064:4740 843068:4984 843063:5060]",
+    ),
+    (
+        "warm cache",
+        "latency_us=904085 frames=67 bytes=11658 gets=8 ranks=[904085:5016 843064:4748 843063:4968 843064:4840 843064:4936 843064:4740 843068:4984 843063:5060]",
+    ),
+];
+
+#[test]
+fn interior_relay_fault_falls_back_below_it_with_gets_exactly_once() {
+    common::watchdog(|| {
+        let seed = 69;
+        let spec = spec(seed);
+        let dnn = Arc::new(generate_dnn(&spec));
+        let inputs = generate_inputs(spec.neurons, &InputSpec::scaled(10, seed));
+        let expected = dnn.serial_inference(&inputs);
+        let build = |faults: Option<FaultPlan>| {
+            let mut cloud = CloudConfig::deterministic(seed);
+            cloud.faults = faults;
+            ServiceBuilder::new(dnn.clone())
+                .deterministic(seed)
+                .cloud(cloud)
+                .weight_streaming(true)
+                .build()
+        };
+        let clean = build(None).submit(&request(&inputs, 8)).expect("clean run");
+        // P = 8, branching 4: rank 0 sends to ranks 1–4, rank 1 forwards
+        // to ranks 5–7. Under this plan the one injected fault is rank 1's
+        // first forward (`w5/owned` to hop 5; checked once, on every
+        // transport, by logging each faulted `send_block` with its hop):
+        // rank 1 stops relaying and, when its own stream ends, aborts
+        // ranks 5–7. By then the source has cached every block, so their
+        // fallback loads GET nothing.
+        let faulted = build(Some(
+            FaultPlan::new(RELAY_FAULT_SEED)
+                .with_transient(ApiClass::WeightStream, RELAY_FAULT_RATE),
+        ));
+        let report = faulted
+            .submit(&request(&inputs, 8))
+            .expect("a torn relay must degrade, not fail the request");
+        assert_eq!(
+            faulted
+                .env()
+                .faults()
+                .stats()
+                .injected_for(ApiClass::WeightStream),
+            1
+        );
+        assert_eq!(report.first_output(), &expected);
+        assert_eq!(report.outputs, clean.outputs);
+        assert_eq!(
+            report.comm.s3_get_requests, clean.comm.s3_get_requests,
+            "the fallback must not double-fetch any artifact"
+        );
+        assert!(report.comm.weight_frames < clean.comm.weight_frames);
+        faulted.env().assert_no_residue();
+    });
+}
+
+const RELAY_FAULT_SEED: u64 = 4;
+const RELAY_FAULT_RATE: f64 = 0.03;
+
+#[test]
+fn twin_streamed_prewarms_on_the_unattributed_flow_both_serve() {
+    common::watchdog(|| {
+        let seed = 1;
+        let spec = spec(seed);
+        let dnn = Arc::new(generate_dnn(&spec));
+        let inputs = generate_inputs(spec.neurons, &InputSpec::scaled(10, seed));
+        let expected = dnn.serial_inference(&inputs);
+        // Both pre-warms launch on flow 0 and stream at once: each tree
+        // must read, and close, only its own hops' mailboxes.
+        let service = ServiceBuilder::new(dnn)
+            .deterministic(seed)
+            .weight_streaming(true)
+            .warm_pool(4, u64::MAX)
+            .prewarm_tree(Variant::Queue, 8, 1769)
+            .prewarm_tree(Variant::Queue, 8, 1769)
+            .build();
+        let req = InferenceRequest {
+            variant: Variant::Queue,
+            ..request(&inputs, 8)
+        };
+        // Whether one tree's receiver could drop its twin's frames depends
+        // on how their threads interleave, so the pair is relaunched and
+        // raced many times.
+        for round in 0..ROUNDS {
+            if round > 0 {
+                service.invalidate_warm_trees();
+                for _ in 0..2 {
+                    service
+                        .prewarm_tree(Variant::Queue, 8, 1769)
+                        .expect("pre-warm");
+                }
+            }
+            // Two requests at once check out both trees.
+            std::thread::scope(|s| {
+                let served = [(); 2].map(|()| s.spawn(|| service.submit(&req)));
+                for handle in served {
+                    let report = handle
+                        .join()
+                        .expect("no panic")
+                        .expect("a warm tree serves");
+                    assert_eq!(report.launch, LaunchPath::WarmHit);
+                    assert_eq!(report.first_output(), &expected);
+                }
+            });
+            assert_eq!(service.env().weight_net().undrained_frames(), 0);
+        }
+        service.invalidate_warm_trees();
+        service.env().assert_no_residue();
+    });
+}
+
+const ROUNDS: usize = 100;
