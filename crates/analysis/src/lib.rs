@@ -19,6 +19,7 @@
 //! | `lock-across-blocking` | a live `.lock()` guard must not be held across `.wait*(`/`.recv*(`/`sleep(` (condvar waits that consume the guard are recognized and allowed) |
 //! | `retry-idempotent` | a `RetryPolicy` `.run(..)` closure — or one handed to the channel engine's `.retried(..)` wrapper around it — must not call non-idempotent channel ops (`take_visible`, `settle_receives`, `enqueue`) — a retried attempt repeats its calls, so only idempotent ops may sit inside one |
 //! | `real-wait` | in non-test `crates/{comm,core,faas,sched}/src`, real time (`wait_for(`, `wait_until(`, `sleep(`, `Instant::now`) never appears — every effect settles from virtual stamps and every wait is untimed, ended by a notify (a raw receive's by its producer's post or its tree's poison) |
+//! | `byte-reader` | in non-test `crates/{sparse,core,comm}/src`, `from_le_bytes` and any `fn` whose name contains `varint` appear only in `crates/sparse/src/bytes.rs` — every byte format decodes through its one bounds-checked `Reader` |
 //!
 //! Escape hatch: a comment containing `fsd_lint::allow(lint-name)` (optionally
 //! a comma-separated list, optionally followed by `: reason`) suppresses those
@@ -51,8 +52,11 @@ pub const LINT_RETRY_IDEMPOTENT: &str = "retry-idempotent";
 /// crates.
 pub const LINT_REAL_TIME: &str = "real-wait";
 
+/// Lint name: a byte decoder outside the shared `fsd_sparse::bytes` reader.
+pub const LINT_BYTE_READER: &str = "byte-reader";
+
 /// Every lint this binary knows about, in diagnostic-name form.
-pub const ALL_LINTS: [&str; 8] = [
+pub const ALL_LINTS: [&str; 9] = [
     LINT_VARIANT_EXHAUSTIVE,
     LINT_BILLING_PAIR,
     LINT_RAW_CHANNEL_NAME,
@@ -61,6 +65,7 @@ pub const ALL_LINTS: [&str; 8] = [
     LINT_LOCK_BLOCKING,
     LINT_RETRY_IDEMPOTENT,
     LINT_REAL_TIME,
+    LINT_BYTE_READER,
 ];
 
 /// A single diagnostic: `path:line: [lint] message`.
@@ -1118,6 +1123,43 @@ fn lint_real_wait(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
     }
 }
 
+/// Lint 9: `byte-reader`.
+///
+/// Every byte format of the sparse, core and comm crates — activation
+/// blocks, LZ frames, staged artifacts, hybrid pointer records — decodes
+/// through `fsd_sparse::bytes::Reader`, whose reads are bounds-checked and
+/// whose varints refuse overflow and overlong forms. A `from_le_bytes` or
+/// a varint function anywhere else is a second decoder that can panic or
+/// silently wrap on untrusted bytes.
+fn lint_byte_reader(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
+    let path = &ctx.cfg.path;
+    let scoped = ["sparse", "core", "comm"]
+        .iter()
+        .any(|c| path.starts_with(&format!("crates/{c}/src/")));
+    if !scoped || path == "crates/sparse/src/bytes.rs" {
+        return;
+    }
+    let toks = ctx.toks;
+    for (i, t) in toks.iter().enumerate() {
+        if ctx.test[i] || t.kind != Kind::Word {
+            continue;
+        }
+        let reads_le = t.text == "from_le_bytes";
+        let varint_fn = t.text.contains("varint") && i > 0 && toks[i - 1].is_word("fn");
+        if reads_le || varint_fn {
+            ctx.push(
+                out,
+                t.line,
+                LINT_BYTE_READER,
+                format!(
+                    "`{}` outside crates/sparse/src/bytes.rs; decode bytes through `fsd_sparse::bytes::Reader`",
+                    t.text
+                ),
+            );
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Entry points
 // ---------------------------------------------------------------------------
@@ -1143,6 +1185,7 @@ pub fn lint_source(src: &str, cfg: &LintConfig) -> Vec<Finding> {
         lint_lock_across_blocking(&ctx, &mut out);
         lint_retry_idempotent(&ctx, &mut out);
         lint_real_wait(&ctx, &mut out);
+        lint_byte_reader(&ctx, &mut out);
     }
     out.sort();
     out

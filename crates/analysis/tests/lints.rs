@@ -191,6 +191,29 @@ fn real_wait_flags_real_time_anywhere_in_the_serving_stack() {
 }
 
 #[test]
+fn byte_reader_keeps_byte_decoding_in_the_shared_reader() {
+    let bad = include_str!("fixtures/bad_byte_reader.rs");
+    for path in [
+        "crates/sparse/src/codec.rs",
+        "crates/core/src/wire.rs",
+        "crates/core/src/carrier/hybrid.rs",
+        "crates/comm/src/fixture.rs",
+    ] {
+        assert_eq!(
+            findings(bad, path),
+            vec![("byte-reader", 2), ("byte-reader", 17)],
+            "{path} is in scope"
+        );
+    }
+    // The shared reader itself, test modules and other crates are exempt.
+    assert_eq!(findings(bad, "crates/sparse/src/bytes.rs"), vec![]);
+    assert_eq!(findings(bad, "crates/core/src/carrier/tests.rs"), vec![]);
+    assert_eq!(findings(bad, "crates/faas/src/fixture.rs"), vec![]);
+    let good = include_str!("fixtures/good_byte_reader.rs");
+    assert_eq!(findings(good, "crates/core/src/carrier/hybrid.rs"), vec![]);
+}
+
+#[test]
 fn allow_comment_silences_only_the_named_line() {
     let src = include_str!("fixtures/allow_escape_hatch.rs");
     // The documented panic! is silenced; the undocumented unwrap is not.

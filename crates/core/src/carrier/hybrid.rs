@@ -22,6 +22,10 @@
 //! 0x01  pointer: [0x01][key_len: u32 LE][key bytes][payload_len: u64 LE]
 //! ```
 //!
+//! A pointer record is read through `fsd_sparse::bytes::Reader`, the one
+//! bounds-checked reader every byte format shares: a truncated record, a
+//! key that is not UTF-8 or bytes after the record are refused.
+//!
 //! Spilled objects live under the flow namespace
 //! (`f{flow}/{tag}/{target}/…`), so teardown removes them together with
 //! the flow's queues and subscriptions. The PUT lane pool joins before the
@@ -33,6 +37,7 @@ use super::queue::chunk_bodies;
 use super::{Arrival, Carrier, Core, Cx, ObjectCarrier, Opened, QueueCarrier, Sends, Wire};
 use fsd_comm::{quota, Message, VClock};
 use fsd_faas::{FaasError, WorkerCtx};
+use fsd_sparse::bytes::{DecodeError, Reader};
 use fsd_sparse::codec;
 use std::cmp::Ordering;
 
@@ -66,28 +71,25 @@ fn frame_pointer(key: &str, payload_len: u64) -> Vec<u8> {
     framed
 }
 
-/// Parses a framed body (strict: truncated or unknown frames are errors).
+/// Parses a framed body (strict: truncated or unknown frames, and bytes
+/// after a pointer record, are errors).
 fn parse_frame(body: &[u8]) -> Result<Frame<'_>, FaasError> {
-    match body.first() {
-        Some(&FRAME_INLINE) => Ok(Frame::Inline(&body[1..])),
-        Some(&FRAME_POINTER) => {
-            let rest = &body[1..];
-            if rest.len() < 4 {
-                return Err(FaasError::comm("frame", "", "truncated pointer record"));
-            }
-            let key_len = u32::from_le_bytes(rest[..4].try_into().expect("4 bytes")) as usize;
-            let rest = &rest[4..];
-            if rest.len() < key_len + 8 {
-                return Err(FaasError::comm("frame", "", "truncated pointer key"));
-            }
-            let key = std::str::from_utf8(&rest[..key_len])
-                .map_err(|e| FaasError::comm("frame", "", e.to_string()))?;
-            let payload_len =
-                u64::from_le_bytes(rest[key_len..key_len + 8].try_into().expect("8 bytes"));
-            Ok(Frame::Pointer { key, payload_len })
-        }
+    let mut r = Reader::new(body);
+    match r.u8() {
+        Ok(FRAME_INLINE) => Ok(Frame::Inline(&body[1..])),
+        Ok(FRAME_POINTER) => parse_pointer(r).map_err(|e| FaasError::comm("frame", "", e)),
         _ => Err(FaasError::comm("frame", "", "unknown hybrid frame tag")),
     }
+}
+
+/// The pointer record after its tag: `[key_len u32][key][payload_len u64]`.
+fn parse_pointer(mut r: Reader<'_>) -> Result<Frame<'_>, DecodeError> {
+    let key_len = r.u32_le()? as usize;
+    let key = std::str::from_utf8(r.take(key_len)?)
+        .map_err(|_| DecodeError::Corrupt("pointer key is not UTF-8"))?;
+    let payload_len = r.u64_le()?;
+    r.finish()?;
+    Ok(Frame::Pointer { key, payload_len })
 }
 
 /// The queue carrier (under its own queue names) plus the object carrier.
@@ -217,6 +219,36 @@ mod tests {
         assert!(parse_frame(&[0x02, 0, 0]).is_err(), "unknown tag");
         assert!(parse_frame(&[FRAME_POINTER, 9]).is_err(), "truncated");
         assert!(parse_frame(&[]).is_err(), "empty body");
+    }
+
+    /// The exact bytes of both frames: a pointer record's size is billed
+    /// as a publish, so a changed byte would move hybrid latencies.
+    #[test]
+    fn frame_formats_are_locked() {
+        assert_eq!(frame_inline(vec![7, 8, 9]), vec![0, 7, 8, 9]);
+        assert_eq!(
+            frame_pointer("f1/L0/1/0_1.c0.dat", 300),
+            vec![
+                1, 18, 0, 0, 0, 102, 49, 47, 76, 48, 47, 49, 47, 48, 95, 49, 46, 99, 48, 46, 100,
+                97, 116, 44, 1, 0, 0, 0, 0, 0, 0
+            ]
+        );
+    }
+
+    #[test]
+    fn pointer_prefixes_are_refused_and_no_mutation_panics() {
+        let frame = frame_pointer("f3/L2/1/0_1.c0.dat", 70_000);
+        for cut in 0..frame.len() {
+            assert!(parse_frame(&frame[..cut]).is_err(), "prefix {cut} parsed");
+        }
+        // Every single-byte overwrite, and every key length.
+        for at in 0..frame.len() {
+            for byte in 0..=255u8 {
+                let mut bytes = frame.clone();
+                bytes[at] = byte;
+                let _ = parse_frame(&bytes);
+            }
+        }
     }
 
     #[test]

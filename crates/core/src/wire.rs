@@ -2,70 +2,12 @@
 //!
 //! Weight blocks, communication maps and input shares are staged in the
 //! object store offline and fetched by workers at start-up. Formats mirror
-//! the activation codec (`fsd_sparse::codec`): LEB128 varints for structure,
-//! raw little-endian `f32` for values.
+//! the activation codec (`fsd_sparse::codec`) and share its reader and
+//! writers (`fsd_sparse::bytes`): LEB128 varints for structure, ascending
+//! id runs for rows and columns, raw little-endian `f32` for values.
 
+use fsd_sparse::bytes::{put_ascending, put_f32s, put_varint, DecodeError, Reader};
 use fsd_sparse::CsrMatrix;
-
-/// Decoding errors for staged artifacts.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum WireError {
-    /// Buffer ended mid-field.
-    Truncated,
-    /// Structure violates invariants (bad lengths, unsorted columns, ...).
-    Corrupt(&'static str),
-}
-
-impl std::fmt::Display for WireError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            WireError::Truncated => write!(f, "artifact buffer truncated"),
-            WireError::Corrupt(w) => write!(f, "artifact corrupt: {w}"),
-        }
-    }
-}
-
-impl std::error::Error for WireError {}
-
-fn put_varint(out: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let byte = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            out.push(byte);
-            return;
-        }
-        out.push(byte | 0x80);
-    }
-}
-
-fn get_varint(buf: &[u8], pos: &mut usize) -> Result<u64, WireError> {
-    let mut v: u64 = 0;
-    let mut shift = 0u32;
-    loop {
-        let &byte = buf.get(*pos).ok_or(WireError::Truncated)?;
-        *pos += 1;
-        v |= ((byte & 0x7f) as u64) << shift;
-        if byte & 0x80 == 0 {
-            return Ok(v);
-        }
-        shift += 7;
-        if shift > 63 {
-            return Err(WireError::Corrupt("varint overflow"));
-        }
-    }
-}
-
-/// Reads an untrusted element count and refuses it — before anything is
-/// allocated for it — unless what remains of `buf` can still hold that
-/// many elements of at least `min_bytes` each.
-fn get_count(buf: &[u8], pos: &mut usize, min_bytes: usize) -> Result<usize, WireError> {
-    let n = get_varint(buf, pos)?;
-    usize::try_from(n)
-        .ok()
-        .filter(|&n| n <= (buf.len() - *pos) / min_bytes)
-        .ok_or(WireError::Truncated)
-}
 
 /// Serializes a CSR matrix (weight block: local rows, global columns).
 pub fn encode_csr(m: &CsrMatrix) -> Vec<u8> {
@@ -77,65 +19,37 @@ pub fn encode_csr(m: &CsrMatrix) -> Vec<u8> {
         put_varint(&mut out, (indptr[r + 1] - indptr[r]) as u64);
     }
     for r in 0..m.rows() {
-        let row = &indices[indptr[r]..indptr[r + 1]];
-        let mut prev = 0u32;
-        for (i, &c) in row.iter().enumerate() {
-            let d = if i == 0 { c } else { c - prev - 1 };
-            put_varint(&mut out, d as u64);
-            prev = c;
-        }
+        put_ascending(&mut out, &indices[indptr[r]..indptr[r + 1]]);
     }
-    for &v in values {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
+    put_f32s(&mut out, values);
     out
 }
 
 /// Deserializes a buffer from [`encode_csr`].
-pub fn decode_csr(buf: &[u8]) -> Result<CsrMatrix, WireError> {
-    let mut pos = 0usize;
-    let rows = get_count(buf, &mut pos, 1)?;
-    let cols = get_varint(buf, &mut pos)? as usize;
+pub fn decode_csr(buf: &[u8]) -> Result<CsrMatrix, DecodeError> {
+    let mut r = Reader::new(buf);
+    let rows = r.count(1)?;
+    let cols = usize::try_from(r.varint()?).map_err(|_| DecodeError::Overflow)?;
     let mut indptr = Vec::with_capacity(rows + 1);
     indptr.push(0usize);
     let mut nnz = 0usize;
     for _ in 0..rows {
         // Every nonzero still owes a column byte and 4 value bytes.
-        nnz += get_count(buf, &mut pos, 5)?;
-        if nnz > (buf.len() - pos) / 5 {
-            return Err(WireError::Truncated);
+        nnz += r.count(5)?;
+        if nnz > r.remaining() / 5 {
+            return Err(DecodeError::Truncated);
         }
         indptr.push(nnz);
     }
     let mut indices = Vec::with_capacity(nnz);
-    for r in 0..rows {
-        let n = indptr[r + 1] - indptr[r];
-        let mut prev = 0u32;
-        for i in 0..n {
-            let d = get_varint(buf, &mut pos)? as u32;
-            let c = if i == 0 {
-                d
-            } else {
-                prev.checked_add(d)
-                    .and_then(|v| v.checked_add(1))
-                    .ok_or(WireError::Corrupt("column overflow"))?
-            };
-            prev = c;
-            indices.push(c);
-        }
+    for w in indptr.windows(2) {
+        r.ascending_into(w[1] - w[0], &mut indices)?;
     }
     let mut values = Vec::with_capacity(nnz);
-    for _ in 0..nnz {
-        let end = pos + 4;
-        let bytes = buf.get(pos..end).ok_or(WireError::Truncated)?;
-        values.push(f32::from_le_bytes(bytes.try_into().expect("4 bytes")));
-        pos = end;
-    }
-    if pos != buf.len() {
-        return Err(WireError::Corrupt("trailing bytes"));
-    }
+    r.f32s_into(nnz, &mut values)?;
+    r.finish()?;
     CsrMatrix::new(rows, cols, indptr, indices, values)
-        .map_err(|_| WireError::Corrupt("invalid CSR"))
+        .map_err(|_| DecodeError::Corrupt("invalid CSR"))
 }
 
 /// One worker's per-layer communication map: `[(peer, rows)]` per layer.
@@ -148,51 +62,32 @@ pub fn encode_maps(maps: &[Vec<(u32, Vec<u32>)>]) -> Vec<u8> {
     for layer in maps {
         put_varint(&mut out, layer.len() as u64);
         for (peer, rows) in layer {
-            put_varint(&mut out, *peer as u64);
+            put_varint(&mut out, u64::from(*peer));
             put_varint(&mut out, rows.len() as u64);
-            let mut prev = 0u32;
-            for (i, &r) in rows.iter().enumerate() {
-                let d = if i == 0 { r } else { r - prev - 1 };
-                put_varint(&mut out, d as u64);
-                prev = r;
-            }
+            put_ascending(&mut out, rows);
         }
     }
     out
 }
 
 /// Deserializes a buffer from [`encode_maps`].
-pub fn decode_maps(buf: &[u8]) -> Result<LayerMaps, WireError> {
-    let mut pos = 0usize;
-    let n_layers = get_count(buf, &mut pos, 1)?;
+pub fn decode_maps(buf: &[u8]) -> Result<LayerMaps, DecodeError> {
+    let mut r = Reader::new(buf);
+    let n_layers = r.count(1)?;
     let mut maps = Vec::with_capacity(n_layers);
     for _ in 0..n_layers {
-        let n_peers = get_count(buf, &mut pos, 2)?;
+        let n_peers = r.count(2)?;
         let mut layer = Vec::with_capacity(n_peers);
         for _ in 0..n_peers {
-            let peer = get_varint(buf, &mut pos)? as u32;
-            let n_rows = get_count(buf, &mut pos, 1)?;
-            let mut rows = Vec::with_capacity(n_rows);
-            let mut prev = 0u32;
-            for i in 0..n_rows {
-                let d = get_varint(buf, &mut pos)? as u32;
-                let r = if i == 0 {
-                    d
-                } else {
-                    prev.checked_add(d)
-                        .and_then(|v| v.checked_add(1))
-                        .ok_or(WireError::Corrupt("row overflow"))?
-                };
-                prev = r;
-                rows.push(r);
-            }
+            let peer = r.varint_u32()?;
+            let n_rows = r.count(1)?;
+            let mut rows = Vec::new();
+            r.ascending_into(n_rows, &mut rows)?;
             layer.push((peer, rows));
         }
         maps.push(layer);
     }
-    if pos != buf.len() {
-        return Err(WireError::Corrupt("trailing bytes"));
-    }
+    r.finish()?;
     Ok(maps)
 }
 
@@ -200,42 +95,78 @@ pub fn decode_maps(buf: &[u8]) -> Result<LayerMaps, WireError> {
 pub fn encode_ids(ids: &[u32]) -> Vec<u8> {
     let mut out = Vec::with_capacity(4 + ids.len() * 2);
     put_varint(&mut out, ids.len() as u64);
-    let mut prev = 0u32;
-    for (i, &r) in ids.iter().enumerate() {
-        let d = if i == 0 { r } else { r - prev - 1 };
-        put_varint(&mut out, d as u64);
-        prev = r;
-    }
+    put_ascending(&mut out, ids);
     out
 }
 
 /// Deserializes a buffer from [`encode_ids`].
-pub fn decode_ids(buf: &[u8]) -> Result<Vec<u32>, WireError> {
-    let mut pos = 0usize;
-    let n = get_count(buf, &mut pos, 1)?;
-    let mut ids = Vec::with_capacity(n);
-    let mut prev = 0u32;
-    for i in 0..n {
-        let d = get_varint(buf, &mut pos)? as u32;
-        let r = if i == 0 {
-            d
-        } else {
-            prev.checked_add(d)
-                .and_then(|v| v.checked_add(1))
-                .ok_or(WireError::Corrupt("id overflow"))?
-        };
-        prev = r;
-        ids.push(r);
-    }
-    if pos != buf.len() {
-        return Err(WireError::Corrupt("trailing bytes"));
-    }
+pub fn decode_ids(buf: &[u8]) -> Result<Vec<u32>, DecodeError> {
+    let mut r = Reader::new(buf);
+    let n = r.count(1)?;
+    let mut ids = Vec::new();
+    r.ascending_into(n, &mut ids)?;
+    r.finish()?;
     Ok(ids)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// 64-bit FNV-1a of `bytes`.
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
+        })
+    }
+
+    /// The exact bytes each encoder writes for fixed inputs. Staged
+    /// artifacts are these encodings, and their sizes drive every GET
+    /// time and bill, so a changed byte moves the cold-start numbers.
+    #[test]
+    fn formats_are_locked() {
+        let m = CsrMatrix::from_triplets(
+            3,
+            70_000,
+            [(0, 5, 1.5), (0, 69_999, -2.0), (2, 0, 3.25), (2, 200, 0.5)],
+        )
+        .expect("valid");
+        assert_eq!(
+            encode_csr(&m),
+            vec![
+                3, 240, 162, 4, 2, 0, 2, 5, 233, 162, 4, 0, 199, 1, 0, 0, 192, 63, 0, 0, 0, 192, 0,
+                0, 80, 64, 0, 0, 0, 63
+            ]
+        );
+        let big = CsrMatrix::from_triplets(
+            64,
+            1 << 20,
+            (0..64u32).flat_map(|r| {
+                (0..r % 9).map(move |k| {
+                    (
+                        r,
+                        (r * 7919 + k * 104_729) % (1 << 20),
+                        r as f32 - k as f32 * 0.5,
+                    )
+                })
+            }),
+        )
+        .expect("valid");
+        let big = encode_csr(&big);
+        assert_eq!((big.len(), fnv1a(&big)), (1830, 0xce30256152fa4d0e));
+        let maps = vec![
+            vec![(1u32, vec![0u32, 5, 9]), (300, vec![2, 20_000])],
+            vec![],
+        ];
+        assert_eq!(
+            encode_maps(&maps),
+            vec![2, 2, 1, 3, 0, 4, 3, 172, 2, 2, 2, 157, 156, 1, 0]
+        );
+        assert_eq!(
+            encode_ids(&[5, 6, 7, 1000, 4_000_000]),
+            vec![5, 5, 0, 0, 224, 7, 151, 138, 244, 1]
+        );
+    }
 
     #[test]
     fn csr_roundtrip() {
@@ -276,13 +207,24 @@ mod tests {
         let mut rows = Vec::new();
         put_varint(&mut rows, 1 << 60);
         rows.push(1);
-        assert_eq!(decode_csr(&rows).err(), Some(WireError::Truncated));
+        assert_eq!(decode_csr(&rows).err(), Some(DecodeError::Truncated));
         let mut nnz = vec![1, 1];
         put_varint(&mut nnz, 1 << 60);
-        assert_eq!(decode_csr(&nnz).err(), Some(WireError::Truncated));
+        assert_eq!(decode_csr(&nnz).err(), Some(DecodeError::Truncated));
         // The same prefix opens the map and id-list decoders.
-        assert_eq!(decode_maps(&rows).err(), Some(WireError::Truncated));
-        assert_eq!(decode_ids(&rows).err(), Some(WireError::Truncated));
+        assert_eq!(decode_maps(&rows).err(), Some(DecodeError::Truncated));
+        assert_eq!(decode_ids(&rows).err(), Some(DecodeError::Truncated));
+    }
+
+    #[test]
+    fn deltas_past_u32_are_refused_not_wrapped() {
+        // One id whose delta is 2^32 + 3.
+        assert!(decode_ids(&[0x01, 0x83, 0x80, 0x80, 0x80, 0x10]).is_err());
+        // One id whose 10-byte varint sets bit 64.
+        let mut bit_64 = vec![0x01, 0x85];
+        bit_64.extend([0x80; 8]);
+        bit_64.push(0x02);
+        assert!(decode_ids(&bit_64).is_err());
     }
 
     #[test]

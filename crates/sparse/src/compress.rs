@@ -12,7 +12,11 @@
 //! Frame format:
 //! `magic 'L','Z' | raw_len varint | { token }*` where a token is either
 //! `0x00, len varint, bytes` (literal run) or `0x01, len-4 varint, dist
-//! varint` (match of `len >= 4` bytes at `dist >= 1` back).
+//! varint` (match of `len >= 4` bytes at `dist >= 1` back). Varints are
+//! written by [`crate::bytes::put_varint`] and every frame is read through
+//! the shared [`crate::bytes::Reader`].
+
+use crate::bytes::{put_varint, DecodeError, Reader};
 
 const MAGIC: [u8; 2] = [b'L', b'Z'];
 const WINDOW: usize = 1 << 16;
@@ -27,66 +31,10 @@ const EMPTY: u32 = u32::MAX;
 /// `u32` position would wrap or alias [`EMPTY`].
 const POSITION_LIMIT: usize = u32::MAX as usize;
 
-/// Errors produced while decompressing.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum CompressError {
-    /// Missing or wrong magic bytes.
-    BadMagic,
-    /// Input ended mid-token.
-    Truncated,
-    /// A match referenced data before the start of the output.
-    BadMatch,
-    /// Decompressed length disagrees with the header.
-    LengthMismatch,
-}
-
-impl std::fmt::Display for CompressError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            CompressError::BadMagic => write!(f, "bad magic"),
-            CompressError::Truncated => write!(f, "compressed buffer truncated"),
-            CompressError::BadMatch => write!(f, "match distance out of range"),
-            CompressError::LengthMismatch => write!(f, "decompressed length mismatch"),
-        }
-    }
-}
-
-impl std::error::Error for CompressError {}
-
-#[inline]
-fn put_varint(out: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let byte = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            out.push(byte);
-            return;
-        }
-        out.push(byte | 0x80);
-    }
-}
-
-#[inline]
-fn get_varint(buf: &[u8], pos: &mut usize) -> Result<u64, CompressError> {
-    let mut v: u64 = 0;
-    let mut shift = 0u32;
-    loop {
-        let &byte = buf.get(*pos).ok_or(CompressError::Truncated)?;
-        *pos += 1;
-        v |= ((byte & 0x7f) as u64) << shift;
-        if byte & 0x80 == 0 {
-            return Ok(v);
-        }
-        shift += 7;
-        if shift > 63 {
-            return Err(CompressError::Truncated);
-        }
-    }
-}
-
 #[inline]
 fn hash4(data: &[u8]) -> usize {
     // Fibonacci hashing of the next 4 bytes.
+    // fsd_lint::allow(byte-reader): hashes the compressor's own input
     let v = u32::from_le_bytes([data[0], data[1], data[2], data[3]]);
     (v.wrapping_mul(0x9E37_79B1) >> (32 - HASH_BITS)) as usize
 }
@@ -98,7 +46,9 @@ fn match_len(data: &[u8], c: usize, i: usize, max_len: usize) -> usize {
     let (a, b) = (&data[c..c + max_len], &data[i..i + max_len]);
     let mut l = 0usize;
     for (x, y) in a.chunks_exact(8).zip(b.chunks_exact(8)) {
+        // fsd_lint::allow(byte-reader): compares the compressor's own input
         let x = u64::from_le_bytes(x.try_into().expect("8-byte chunk"));
+        // fsd_lint::allow(byte-reader): compares the compressor's own input
         let y = u64::from_le_bytes(y.try_into().expect("8-byte chunk"));
         if x != y {
             return l + ((x ^ y).trailing_zeros() / 8) as usize;
@@ -203,18 +153,20 @@ fn compress_below(data: &[u8], limit: usize) -> Vec<u8> {
 }
 
 /// Decompresses a buffer produced by [`compress`].
-pub fn decompress(buf: &[u8]) -> Result<Vec<u8>, CompressError> {
-    if buf.len() < 2 || buf[..2] != MAGIC {
-        return Err(CompressError::BadMagic);
+pub fn decompress(buf: &[u8]) -> Result<Vec<u8>, DecodeError> {
+    const LENGTH_MISMATCH: DecodeError = DecodeError::Corrupt("length mismatch");
+    let mut r = Reader::new(buf);
+    if r.take(2) != Ok(&MAGIC[..]) {
+        return Err(DecodeError::Corrupt("bad magic"));
     }
-    let mut pos = 2usize;
     // The header is untrusted: no frame `compress` emits expands a byte of
     // input into more than one maximal match, so a larger claim is
     // rejected before anything is allocated for it.
-    let raw_len = usize::try_from(get_varint(buf, &mut pos)?)
+    let raw_len = r.varint()?;
+    let raw_len = usize::try_from(raw_len)
         .ok()
-        .filter(|&n| n <= (buf.len() - pos).saturating_mul(MAX_MATCH))
-        .ok_or(CompressError::LengthMismatch)?;
+        .filter(|&n| n <= r.remaining().saturating_mul(MAX_MATCH))
+        .ok_or(LENGTH_MISMATCH)?;
     let mut out = Vec::with_capacity(raw_len);
     // A token's length, refused as soon as it would carry the output past
     // the declared `raw_len` — before a single byte of it is expanded.
@@ -223,25 +175,20 @@ pub fn decompress(buf: &[u8]) -> Result<Vec<u8>, CompressError> {
             .ok()
             .and_then(|len| len.checked_add(extra))
             .filter(|&len| len <= raw_len - out.len())
-            .ok_or(CompressError::LengthMismatch)
+            .ok_or(LENGTH_MISMATCH)
     };
-    while pos < buf.len() {
-        let tag = buf[pos];
-        pos += 1;
-        match tag {
+    while r.remaining() > 0 {
+        match r.u8()? {
             0x00 => {
-                let len = token_len(&out, get_varint(buf, &mut pos)?, 0)?;
-                let end = pos.checked_add(len).ok_or(CompressError::Truncated)?;
-                let bytes = buf.get(pos..end).ok_or(CompressError::Truncated)?;
-                out.extend_from_slice(bytes);
-                pos = end;
+                let len = token_len(&out, r.varint()?, 0)?;
+                out.extend_from_slice(r.take(len)?);
             }
             0x01 => {
-                let len = token_len(&out, get_varint(buf, &mut pos)?, MIN_MATCH)?;
-                let dist = get_varint(buf, &mut pos)? as usize;
-                if dist == 0 || dist > out.len() {
-                    return Err(CompressError::BadMatch);
-                }
+                let len = token_len(&out, r.varint()?, MIN_MATCH)?;
+                let dist = usize::try_from(r.varint()?)
+                    .ok()
+                    .filter(|&d| d != 0 && d <= out.len())
+                    .ok_or(DecodeError::Corrupt("match distance out of range"))?;
                 let start = out.len() - dist;
                 // Overlapping copies are the LZ77 RLE idiom; copy byte-wise.
                 for k in 0..len {
@@ -249,11 +196,11 @@ pub fn decompress(buf: &[u8]) -> Result<Vec<u8>, CompressError> {
                     out.push(b);
                 }
             }
-            _ => return Err(CompressError::Truncated),
+            _ => return Err(DecodeError::Corrupt("unknown token")),
         }
     }
     if out.len() != raw_len {
-        return Err(CompressError::LengthMismatch);
+        return Err(LENGTH_MISMATCH);
     }
     Ok(out)
 }
@@ -335,7 +282,7 @@ fn compress_reference(data: &[u8]) -> Vec<u8> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testkit::Rng;
+    use crate::testkit::{fnv1a, Rng};
 
     /// A seeded input mixing what frames are made of and what stresses the
     /// search: byte runs, back-references (up to 140 000 bytes back, so
@@ -426,18 +373,17 @@ mod tests {
             assert_eq!(decompress(&frame).expect("ok"), data, "limit {limit}");
             // Nothing at or past the limit starts a match or is matched
             // against.
-            let mut pos = 2;
-            get_varint(&frame, &mut pos).expect("raw length");
+            let mut r = Reader::new(&frame[2..]);
+            r.varint().expect("raw length");
             let mut produced = 0usize;
-            while pos < frame.len() {
-                let tag = frame[pos];
-                pos += 1;
-                let len = get_varint(&frame, &mut pos).expect("len") as usize;
+            while r.remaining() > 0 {
+                let tag = r.u8().expect("tag");
+                let len = r.varint().expect("len") as usize;
                 if tag == 0x00 {
-                    pos += len;
+                    r.take(len).expect("literal run");
                     produced += len;
                 } else {
-                    let dist = get_varint(&frame, &mut pos).expect("dist") as usize;
+                    let dist = r.varint().expect("dist") as usize;
                     assert!(produced < limit, "match starts at {produced} ≥ {limit}");
                     assert!(produced - dist < limit, "match source ≥ {limit}");
                     produced += len + MIN_MATCH;
@@ -447,6 +393,30 @@ mod tests {
         // With nothing indexable the frame is one literal run.
         let literal = compress_below(&data, 0);
         assert_eq!(literal.len(), 2 + 2 + 1 + 2 + data.len());
+    }
+
+    /// The exact frames [`compress`] writes for fixed inputs: literal runs,
+    /// overlapping and windowed matches, multi-byte lengths and distances.
+    #[test]
+    fn format_is_locked() {
+        assert_eq!(compress(b""), vec![76, 90, 0]);
+        assert_eq!(
+            compress(b"abcabcabcabcabc-xyzxyzxyz!"),
+            vec![76, 90, 26, 0, 3, 97, 98, 99, 1, 8, 3, 0, 4, 45, 120, 121, 122, 1, 2, 3, 0, 1, 33]
+        );
+        let mixed = compress(&mixed_input(&mut Rng::new(0x10C), 200_000));
+        assert_eq!((mixed.len(), fnv1a(&mixed)), (92215, 0x349919abf63bf1a4));
+    }
+
+    #[test]
+    fn rejects_a_raw_length_past_64_bits() {
+        // A raw length of 2^64 + 5 over a frame that inflates to 5 bytes.
+        let mut frame = MAGIC.to_vec();
+        frame.push(0x85);
+        frame.extend([0x80; 8]);
+        frame.push(0x02);
+        frame.extend([0x00, 0x05, 1, 2, 3, 4, 5]);
+        assert!(decompress(&frame).is_err());
     }
 
     #[test]
@@ -514,8 +484,11 @@ mod tests {
 
     #[test]
     fn rejects_bad_magic() {
-        assert_eq!(decompress(b"XY\x00"), Err(CompressError::BadMagic));
-        assert_eq!(decompress(b""), Err(CompressError::BadMagic));
+        assert_eq!(
+            decompress(b"XY\x00"),
+            Err(DecodeError::Corrupt("bad magic"))
+        );
+        assert_eq!(decompress(b""), Err(DecodeError::Corrupt("bad magic")));
     }
 
     #[test]
@@ -534,7 +507,10 @@ mod tests {
         buf.push(0x01); // match token with nothing in the window
         put_varint(&mut buf, 0);
         put_varint(&mut buf, 5);
-        assert_eq!(decompress(&buf), Err(CompressError::BadMatch));
+        assert_eq!(
+            decompress(&buf),
+            Err(DecodeError::Corrupt("match distance out of range"))
+        );
     }
 
     #[test]
@@ -545,7 +521,10 @@ mod tests {
         buf.push(0x00);
         put_varint(&mut buf, 2);
         buf.extend_from_slice(b"ab");
-        assert_eq!(decompress(&buf), Err(CompressError::LengthMismatch));
+        assert_eq!(
+            decompress(&buf),
+            Err(DecodeError::Corrupt("length mismatch"))
+        );
     }
 
     #[test]
@@ -553,7 +532,10 @@ mod tests {
         // A header claiming 2^64 - 1 bytes: refused, not allocated.
         let mut huge = MAGIC.to_vec();
         put_varint(&mut huge, u64::MAX);
-        assert_eq!(decompress(&huge), Err(CompressError::LengthMismatch));
+        assert_eq!(
+            decompress(&huge),
+            Err(DecodeError::Corrupt("length mismatch"))
+        );
         // A match of 2^62 bytes against a 5-byte header — or one whose
         // length overflows `usize` once MIN_MATCH is added: refused, not
         // expanded byte by byte until memory runs out.
@@ -563,7 +545,10 @@ mod tests {
             bomb.extend_from_slice(&[0x00, 1, b'a', 0x01]);
             put_varint(&mut bomb, match_len);
             put_varint(&mut bomb, 1);
-            assert_eq!(decompress(&bomb), Err(CompressError::LengthMismatch));
+            assert_eq!(
+                decompress(&bomb),
+                Err(DecodeError::Corrupt("length mismatch"))
+            );
         }
     }
 }

@@ -9,7 +9,7 @@ use std::fmt;
 
 /// A sparse matrix in CSR format with `f32` values.
 ///
-/// Invariants (checked by [`CsrMatrix::validate`], upheld by constructors):
+/// Invariants (checked by [`CsrMatrix::new`], upheld by every constructor):
 /// * `indptr.len() == rows + 1`, `indptr[0] == 0`, non-decreasing,
 ///   `indptr[rows] == indices.len() == values.len()`;
 /// * column indices within each row are strictly increasing and `< cols`.
@@ -129,7 +129,7 @@ impl CsrMatrix {
     }
 
     /// Checks every CSR invariant; cheap relative to matrix construction.
-    pub fn validate(&self) -> Result<(), CsrError> {
+    fn validate(&self) -> Result<(), CsrError> {
         if self.indptr.len() != self.rows + 1 || self.indptr[0] != 0 {
             return Err(CsrError::BadIndptr);
         }
@@ -271,32 +271,6 @@ impl CsrMatrix {
         }
         out
     }
-
-    /// Builds from a dense row-major buffer, keeping entries with `|v| > 0`.
-    pub fn from_dense(rows: usize, cols: usize, data: &[f32]) -> CsrMatrix {
-        assert_eq!(data.len(), rows * cols, "dense buffer shape mismatch");
-        let mut indptr = Vec::with_capacity(rows + 1);
-        let mut indices = Vec::new();
-        let mut values = Vec::new();
-        indptr.push(0);
-        for r in 0..rows {
-            for c in 0..cols {
-                let v = data[r * cols + c];
-                if v != 0.0 {
-                    indices.push(c as u32);
-                    values.push(v);
-                }
-            }
-            indptr.push(indices.len());
-        }
-        CsrMatrix {
-            rows,
-            cols,
-            indptr,
-            indices,
-            values,
-        }
-    }
 }
 
 impl fmt::Debug for CsrMatrix {
@@ -417,12 +391,9 @@ mod tests {
     }
 
     #[test]
-    fn dense_roundtrip() {
-        let m = sample();
-        let d = m.to_dense();
+    fn to_dense_is_row_major() {
+        let d = sample().to_dense();
         assert_eq!(d, vec![1.0, 0.0, 2.0, 0.0, 0.0, 0.0, 3.0, 4.0, 0.0]);
-        let back = CsrMatrix::from_dense(3, 3, &d);
-        assert_eq!(back, m);
     }
 
     #[test]

@@ -9,6 +9,9 @@
 //! * [`ColMajorBlock`] / [`LayerAccumulator`] — the distributed MVP/MMP
 //!   kernels of FSI Algorithms 1 & 2, structured so the local product can be
 //!   overlapped with communication;
+//! * [`bytes`] — the one bounds-checked [`bytes::Reader`] and the varint,
+//!   id-run and `f32` writers every byte format (row blocks, LZ frames,
+//!   staged artifacts, hybrid pointer records) is built from;
 //! * [`codec`] — delta-varint wire format for row blocks;
 //! * [`compress`] — LZ77-style lossless byte compressor (the paper's ZLIB
 //!   role).
@@ -23,6 +26,7 @@
 //! ```
 #![forbid(unsafe_code)]
 
+pub mod bytes;
 pub mod codec;
 pub mod compress;
 mod csr;

@@ -69,19 +69,6 @@ impl ColMajorBlock {
         }
     }
 
-    /// Number of local output rows this block produces.
-    #[inline]
-    pub fn n_local_rows(&self) -> usize {
-        self.n_local_rows
-    }
-
-    /// Global input row ids this worker needs for the layer — the basis of
-    /// the receive maps built by the partitioner.
-    #[inline]
-    pub fn needed_inputs(&self) -> &[u32] {
-        &self.in_ids
-    }
-
     /// Total stored weights.
     #[inline]
     pub fn nnz(&self) -> usize {
@@ -116,15 +103,6 @@ impl ColMajorBlock {
             work += (self.indptr[wpos + 1] - self.indptr[wpos]) as u64 * cols.len() as u64;
         }
         work
-    }
-
-    /// The `(local output rows, weights)` fan-out of global input row `j`,
-    /// or `None` if no owned row consumes it.
-    pub fn fanout(&self, j: u32) -> Option<(&[u32], &[f32])> {
-        let pos = self.in_ids.binary_search(&j).ok()?;
-        let s = self.indptr[pos];
-        let e = self.indptr[pos + 1];
-        Some((&self.out_rows[s..e], &self.weights[s..e]))
     }
 }
 
@@ -374,6 +352,16 @@ mod tests {
     const N_IN: u32 = 48;
     const N_OUT: usize = 20;
 
+    impl ColMajorBlock {
+        /// The `(local output rows, weights)` fan-out of global input row
+        /// `j`, or `None` if no owned row consumes it.
+        fn fanout(&self, j: u32) -> Option<(&[u32], &[f32])> {
+            let pos = self.in_ids.binary_search(&j).ok()?;
+            let (s, e) = (self.indptr[pos], self.indptr[pos + 1]);
+            Some((&self.out_rows[s..e], &self.weights[s..e]))
+        }
+    }
+
     /// A layer over `N_IN` inputs whose weights are small signed dyadic
     /// numbers, so that products are exact and sums often cancel to 0.0.
     fn random_layer(rng: &mut Rng) -> CsrMatrix {
@@ -541,8 +529,8 @@ mod tests {
     fn col_major_block_structure() {
         let b = ColMajorBlock::from_layer(&w(), &[0, 2]);
         // Inputs needed: cols of rows 0 and 2 = {0, 2}.
-        assert_eq!(b.needed_inputs(), &[0, 2]);
-        assert_eq!(b.n_local_rows(), 2);
+        assert_eq!(b.in_ids, &[0, 2]);
+        assert_eq!(b.n_local_rows, 2);
         assert_eq!(b.nnz(), 4);
         let (outs, wts) = b.fanout(0).expect("input 0 present");
         assert_eq!(outs, &[0, 1]); // local rows for global rows 0 and 2
@@ -553,8 +541,8 @@ mod tests {
     #[test]
     fn empty_block() {
         let b = ColMajorBlock::from_layer(&w(), &[]);
-        assert_eq!(b.n_local_rows(), 0);
-        assert!(b.needed_inputs().is_empty());
+        assert_eq!(b.n_local_rows, 0);
+        assert!(b.in_ids.is_empty());
         assert_eq!(b.nnz(), 0);
     }
 

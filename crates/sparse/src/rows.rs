@@ -135,7 +135,7 @@ impl SparseRows {
 
     /// Row by position (not id): `(global_id, cols, vals)`.
     #[inline]
-    pub fn row_at(&self, pos: usize) -> (u32, &[u32], &[f32]) {
+    fn row_at(&self, pos: usize) -> (u32, &[u32], &[f32]) {
         let s = self.indptr[pos];
         let e = self.indptr[pos + 1];
         (self.ids[pos], &self.indices[s..e], &self.values[s..e])

@@ -22,3 +22,10 @@ impl Rng {
         (self.next() % n as u64) as usize
     }
 }
+
+/// 64-bit FNV-1a of `bytes`: the digest the format locks pin.
+pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
+    })
+}

@@ -167,6 +167,124 @@ proptest! {
     }
 }
 
+/// Up to three seeded one-byte edits of `valid`: each overwrites, deletes
+/// or inserts a byte at a random position.
+fn mutate(valid: &[u8], seed: u64) -> Vec<u8> {
+    let mut state = seed;
+    let mut below = move |n: usize| {
+        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        ((z ^ (z >> 31)) % n as u64) as usize
+    };
+    let mut bytes = valid.to_vec();
+    for _ in 0..1 + below(3) {
+        let at = below(bytes.len() + 1);
+        let byte = below(256) as u8;
+        match below(3) {
+            0 if at < bytes.len() => bytes[at] = byte,
+            1 if at < bytes.len() => {
+                bytes.remove(at);
+            }
+            _ => bytes.insert(at, byte),
+        }
+    }
+    bytes
+}
+
+/// Drives `decode` over adversarial bytes built from `valid`, one valid
+/// encoding: every strict prefix must be refused, and neither 32 seeded
+/// mutations of it nor `noise` may panic. Returns each input that decoded,
+/// with its value, for the caller's canonical-form check.
+fn probe_decoder<T, E>(
+    valid: &[u8],
+    noise: Vec<u8>,
+    seed: u64,
+    decode: impl Fn(&[u8]) -> Result<T, E>,
+) -> Result<Vec<(Vec<u8>, T)>, String> {
+    for cut in 0..valid.len() {
+        prop_assert!(
+            decode(&valid[..cut]).is_err(),
+            "prefix {} of {} decoded",
+            cut,
+            valid.len()
+        );
+    }
+    let mutants = (0..32).map(|k| mutate(valid, seed.wrapping_add(k)));
+    let inputs = mutants.chain([noise]);
+    Ok(inputs
+        .filter_map(|bytes| decode(&bytes).ok().map(|value| (bytes, value)))
+        .collect())
+}
+
+// Decoders over adversarial bytes: valid encodings of generated values,
+// mutated and truncated, plus arbitrary byte vectors. No decoder panics,
+// none accepts a strict prefix, and the activation codec and the artifact
+// formats accept only the one canonical encoding of each value:
+// `encode(decode(b)) == b` whenever `decode(b)` succeeds.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn codec_decoder_refuses_malformed_and_non_canonical_bytes(
+        block in sparse_rows_strategy(12, 300),
+        noise in proptest::collection::vec(any::<u8>(), 0..64),
+        seed in any::<u64>(),
+    ) {
+        for (bytes, block) in probe_decoder(&codec::encode(&block), noise, seed, codec::decode)? {
+            prop_assert_eq!(codec::encode(&block), bytes, "non-canonical block decoded");
+        }
+    }
+
+    #[test]
+    fn lz_decoder_refuses_malformed_frames(
+        data in proptest::collection::vec(0u8..4, 0..200),
+        noise in proptest::collection::vec(any::<u8>(), 0..64),
+        seed in any::<u64>(),
+    ) {
+        // Many token sequences inflate to the same bytes: no canonical form.
+        probe_decoder(&compress::compress(&data), noise, seed, compress::decompress)?;
+    }
+
+    #[test]
+    fn artifact_decoders_refuse_malformed_and_non_canonical_bytes(
+        triplets in proptest::collection::btree_map(
+            (0u32..12, 0u32..70_000), -10.0f32..10.0, 0..32,
+        ),
+        maps in proptest::collection::vec(
+            proptest::collection::vec(
+                (0u32..300, proptest::collection::btree_set(0u32..70_000, 0..8)),
+                0..4,
+            ),
+            0..4,
+        ),
+        ids in proptest::collection::btree_set(0u32..70_000, 0..24),
+        noise in proptest::collection::vec(any::<u8>(), 0..64),
+        seed in any::<u64>(),
+    ) {
+        let m = CsrMatrix::from_triplets(
+            12, 70_000, triplets.into_iter().map(|((r, c), v)| (r, c, v)),
+        ).expect("valid");
+        let maps: Vec<Vec<(u32, Vec<u32>)>> = maps
+            .into_iter()
+            .map(|layer| layer.into_iter().map(|(p, rows)| (p, rows.into_iter().collect())).collect())
+            .collect();
+        let ids: Vec<u32> = ids.into_iter().collect();
+        let csr = wire::encode_csr(&m);
+        for (bytes, m) in probe_decoder(&csr, noise.clone(), seed, wire::decode_csr)? {
+            prop_assert_eq!(wire::encode_csr(&m), bytes, "non-canonical CSR decoded");
+        }
+        let maps = wire::encode_maps(&maps);
+        for (bytes, maps) in probe_decoder(&maps, noise.clone(), seed, wire::decode_maps)? {
+            prop_assert_eq!(wire::encode_maps(&maps), bytes, "non-canonical maps decoded");
+        }
+        for (bytes, ids) in probe_decoder(&wire::encode_ids(&ids), noise, seed, wire::decode_ids)? {
+            prop_assert_eq!(wire::encode_ids(&ids), bytes, "non-canonical ids decoded");
+        }
+    }
+}
+
 // Distributed == serial equality over random configurations. Engine runs
 // spawn real threads, so keep the case count small and the models tiny.
 proptest! {
