@@ -28,51 +28,19 @@
 //! FSD_FAULT_SEED=7 cargo run --release -p fsd-bench --bin chaos_soak
 //! ```
 
-use fsd_bench::Table;
+use fsd_bench::gate::{self, Val};
+use fsd_bench::{row, small_dnn, Table, SEED};
 use fsd_comm::{CloudConfig, FaultPlan, MeterSnapshot, VirtualTime};
-use fsd_core::{BatchedRequest, FailedAttemptBill, FsdService, ServiceBuilder};
-use fsd_model::{generate_dnn, generate_inputs, DnnSpec, InputSpec, SparseDnn};
+use fsd_core::{FailedAttemptBill, FsdService, ServiceBuilder};
+use fsd_model::SparseDnn;
 use fsd_sched::{trace, Arrival, Scheduler, SchedulerConfig, Ticket, DEFAULT_MODEL};
-use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Workload seed — fixed, so the fault seed is the only moving part.
-const SEED: u64 = 42;
 /// Per-operation transient fault probability in the chaos run.
 const FAULT_RATE: f64 = 0.05;
 /// Scheduler-level retry budget per request (on top of channel retries).
 const RETRY_BUDGET: u32 = 6;
-
-fn fault_seed() -> u64 {
-    std::env::var("FSD_FAULT_SEED")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(SEED)
-}
-
-fn dnn_spec() -> DnnSpec {
-    DnnSpec {
-        neurons: 64,
-        layers: 2,
-        nnz_per_row: 8,
-        bias: -0.25,
-        clip: 32.0,
-        seed: SEED,
-    }
-}
-
-fn request_for(dnn: &SparseDnn, a: &Arrival) -> BatchedRequest {
-    BatchedRequest {
-        variant: a.variant,
-        workers: a.workers,
-        memory_mb: a.memory_mb,
-        batches: vec![generate_inputs(
-            dnn.spec().neurons,
-            &InputSpec::scaled(a.width, a.input_seed),
-        )],
-    }
-}
 
 /// Everything a soak run must reproduce bit-for-bit on replay.
 #[derive(Debug, PartialEq)]
@@ -109,11 +77,12 @@ fn soak(dnn: &Arc<SparseDnn>, arrivals: &[Arrival], plan: Option<FaultPlan>) -> 
         service.clone(),
         SchedulerConfig::default().global_cap(1).queue_capacity(256),
     );
+    let neurons = dnn.spec().neurons;
     let tickets: Vec<Ticket> = arrivals
         .iter()
         .map(|a| {
             sched
-                .enqueue_with_retries(DEFAULT_MODEL, a.priority, request_for(dnn, a), RETRY_BUDGET)
+                .enqueue_with_retries(DEFAULT_MODEL, a.priority, a.request(neurons), RETRY_BUDGET)
                 .expect("generous queues must not reject")
         })
         .collect();
@@ -128,13 +97,9 @@ fn soak(dnn: &Arc<SparseDnn>, arrivals: &[Arrival], plan: Option<FaultPlan>) -> 
             .expect("the retry budget must absorb every injected fault");
         // Faults must never corrupt payloads: every answer is still the
         // exact serial reference for its input.
-        let inputs = generate_inputs(
-            dnn.spec().neurons,
-            &InputSpec::scaled(a.width, a.input_seed),
-        );
         assert_eq!(
             report.first_output(),
-            &dnn.serial_inference(&inputs),
+            &dnn.serial_inference(&a.request(neurons).batches[0]),
             "faulted run must still produce the serial-reference output"
         );
         total_latency_us += report.latency.as_micros();
@@ -192,8 +157,12 @@ fn soak(dnn: &Arc<SparseDnn>, arrivals: &[Arrival], plan: Option<FaultPlan>) -> 
 }
 
 fn main() {
-    let fault_seed = fault_seed();
-    let dnn = Arc::new(generate_dnn(&dnn_spec()));
+    let fault_seed = fsd_bench::fault_seed(std::env::var_os("FSD_FAULT_SEED").as_deref())
+        .unwrap_or_else(|e| {
+            eprintln!("chaos_soak: {e}");
+            std::process::exit(2)
+        });
+    let dnn = small_dnn(64, 2, SEED);
     let arrivals = trace::bursty(6, 8, 300_000, SEED);
     let plan = FaultPlan::uniform_transient(fault_seed, FAULT_RATE);
 
@@ -268,23 +237,18 @@ fn main() {
     // Machine-readable emission for the CI bench-regression gate. Only
     // the fault-free latency is gated (the chaos run's latency moves with
     // FSD_FAULT_SEED); the success rate is gated for both modes.
-    let mut json = String::from("{\n  \"bench\": \"chaos_soak\",\n  \"soak\": [\n");
-    let _ = writeln!(
-        json,
-        "    {{\"mode\": \"fault_free\", \"fault_free_mean_latency_us\": {}, \
-         \"success_rate_pct\": {:.1}}},",
-        baseline.mean_latency_us,
-        success_pct(&baseline),
-    );
-    let _ = writeln!(
-        json,
-        "    {{\"mode\": \"faulted\", \"injected\": {}, \"retried\": {}, \
-         \"success_rate_pct\": {:.1}}}",
-        chaos.injected,
-        chaos.retried,
-        success_pct(&chaos),
-    );
-    json.push_str("  ]\n}\n");
-    std::fs::write("BENCH_chaos_soak.json", &json).expect("write BENCH_chaos_soak.json");
-    println!("wrote BENCH_chaos_soak.json");
+    let soak = vec![
+        row!(
+            mode: "fault_free",
+            fault_free_mean_latency_us: baseline.mean_latency_us,
+            success_rate_pct: Val::Fixed(success_pct(&baseline), 1),
+        ),
+        row!(
+            mode: "faulted",
+            injected: chaos.injected,
+            retried: chaos.retried,
+            success_rate_pct: Val::Fixed(success_pct(&chaos), 1),
+        ),
+    ];
+    gate::emit("chaos_soak", &[], &[("soak", soak)]);
 }

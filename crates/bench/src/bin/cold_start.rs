@@ -22,37 +22,23 @@
 //! cargo run --release -p fsd-bench --bin cold_start
 //! ```
 
-use fsd_bench::{gate, workload_with_batch, Scale, Table};
-use fsd_core::{InferenceRequest, LaunchPath, ServiceBuilder, Variant};
-use fsd_model::{generate_inputs, InputSpec};
-use std::fmt::Write as _;
-
-const SEED: u64 = 42;
-const SAMPLES: usize = 9;
-
-/// Percentile over a sorted sample set (nearest-rank).
-fn percentile(sorted_us: &[u64], p: f64) -> u64 {
-    let rank = ((p / 100.0) * sorted_us.len() as f64).ceil().max(1.0) as usize;
-    sorted_us[rank.min(sorted_us.len()) - 1]
-}
-
-struct SizeResult {
-    neurons: usize,
-    workers: u32,
-    samples: usize,
-    off_p50_us: u64,
-    off_p99_us: u64,
-    miss_p50_us: u64,
-    miss_p99_us: u64,
-    hit_p50_us: u64,
-    hit_p99_us: u64,
-}
+use fsd_bench::{gate, percentile, row, varied_samples, Scale, Table, SAMPLES, SEED};
+use fsd_core::{LaunchPath, ServiceBuilder, Variant};
 
 fn main() {
     let scale = Scale::from_args();
     // P = 4 (comparable to the committed warm-pool baselines) and P = 8
     // (a two-level cascade, so relay forwarding is on the measured path).
     let worker_grid = [scale.worker_grid()[1], scale.worker_grid()[2]];
+    // The acceptance gate: at the committed warm-pool baseline's shape
+    // (reduced scale, workers = 4) the streamed cold start must undercut
+    // the recorded eager cold p50 by at least 20%. Without a checked-out
+    // baseline (ad-hoc runs outside the repo root) the in-run off p50
+    // stands in, which the relative assertions below already cover.
+    let baseline =
+        std::fs::read_to_string("bench-baselines/BENCH_warm_pool.json").unwrap_or_default();
+    let base_neurons = gate::extract(&baseline, "neurons");
+    let base_cold = gate::extract(&baseline, "cold_p50_us");
     let mut table = Table::new(&[
         "neurons",
         "P",
@@ -62,56 +48,41 @@ fn main() {
         "drop miss",
         "drop hit",
     ]);
-    let mut results = Vec::new();
+    let mut sizes = Vec::new();
     for &neurons in &scale.neuron_grid() {
         for &workers in &worker_grid {
-            let memory_mb = scale.worker_memory_mb(neurons);
-            let base_batch = scale.batch().min(64);
-            let w = workload_with_batch(scale, neurons, base_batch, SEED);
-            let eager = ServiceBuilder::new(w.dnn.clone())
-                .config(scale.engine_config(SEED))
-                .warm_pool(2, u64::MAX)
-                .build();
-            let streamed = ServiceBuilder::new(w.dnn.clone())
-                .config(scale.engine_config(SEED))
-                .weight_streaming(true)
-                .warm_pool(2, u64::MAX)
-                .build();
+            // The warm-pool bench's samples, so the off path reproduces
+            // its cold distribution.
+            let (dnn, samples) = varied_samples(scale, neurons, workers);
+            let pooled = || {
+                ServiceBuilder::new(dnn.clone())
+                    .config(scale.engine_config(SEED))
+                    .warm_pool(2, u64::MAX)
+            };
+            let eager = pooled().build();
+            let streamed = pooled().weight_streaming(true).build();
             let mut off_us = Vec::with_capacity(SAMPLES);
             let mut miss_us = Vec::with_capacity(SAMPLES);
             let mut hit_us = Vec::with_capacity(SAMPLES);
-            for s in 0..SAMPLES {
-                // Distinct inputs per sample (same scheme as the warm-pool
-                // bench, so the off path reproduces its cold distribution):
-                // the deterministic clock would otherwise collapse every
-                // percentile onto one value.
-                let width = (base_batch / 2 + s * base_batch / (2 * SAMPLES)).max(1);
-                let inputs = generate_inputs(neurons, &InputSpec::scaled(width, SEED + s as u64));
-                let expected = w.dnn.serial_inference(&inputs);
-                let req = InferenceRequest {
-                    variant: Variant::Queue,
-                    workers,
-                    memory_mb,
-                    inputs,
-                };
+            for (req, expected) in &samples {
                 // Stream off: drop the parked tree, full hierarchical
                 // cascade with independent weight loads.
                 eager.invalidate_warm_trees();
-                let off = eager.submit(&req).expect("stream-off cold run");
+                let off = eager.submit(req).expect("stream-off cold run");
                 assert_eq!(off.launch, LaunchPath::ColdStart);
-                assert_eq!(off.first_output(), &expected, "off output wrong");
+                assert_eq!(off.first_output(), expected, "off output wrong");
                 off_us.push(off.latency.as_micros());
                 // Stream miss: tree AND cache dropped — rank 0 refetches
                 // everything and multicasts it.
                 streamed.invalidate_warm_trees();
-                let miss = streamed.submit(&req).expect("stream-miss cold run");
+                let miss = streamed.submit(req).expect("stream-miss cold run");
                 assert_eq!(miss.launch, LaunchPath::ColdStart);
                 assert_eq!(miss.outputs, off.outputs, "miss output diverged");
                 miss_us.push(miss.latency.as_micros());
                 // Stream hit: trees evicted, cache kept — the relaunch is
                 // still a ColdStart but streams out of memory.
-                streamed.evict_warm_trees(Variant::Queue, workers, memory_mb);
-                let hit = streamed.submit(&req).expect("stream-hit cold run");
+                streamed.evict_warm_trees(Variant::Queue, workers, req.memory_mb);
+                let hit = streamed.submit(req).expect("stream-hit cold run");
                 assert_eq!(hit.launch, LaunchPath::ColdStart);
                 assert_eq!(hit.outputs, off.outputs, "hit output diverged");
                 hit_us.push(hit.latency.as_micros());
@@ -119,51 +90,60 @@ fn main() {
             off_us.sort_unstable();
             miss_us.sort_unstable();
             hit_us.sort_unstable();
-            let r = SizeResult {
-                neurons,
-                workers,
-                samples: off_us.len(),
-                off_p50_us: percentile(&off_us, 50.0),
-                off_p99_us: percentile(&off_us, 99.0),
-                miss_p50_us: percentile(&miss_us, 50.0),
-                miss_p99_us: percentile(&miss_us, 99.0),
-                hit_p50_us: percentile(&hit_us, 50.0),
-                hit_p99_us: percentile(&hit_us, 99.0),
-            };
+            let [off_p50, off_p99] = [50.0, 99.0].map(|p| percentile(&off_us, p));
+            let [miss_p50, miss_p99] = [50.0, 99.0].map(|p| percentile(&miss_us, p));
+            let [hit_p50, hit_p99] = [50.0, 99.0].map(|p| percentile(&hit_us, p));
             assert!(
-                r.miss_p50_us < r.off_p50_us,
+                miss_p50 < off_p50,
                 "streaming must beat independent loads (N={neurons}, P={workers}): \
-                 miss {} >= off {}",
-                r.miss_p50_us,
-                r.off_p50_us
+                 miss {miss_p50} >= off {off_p50}"
             );
             assert!(
-                r.hit_p50_us <= r.miss_p50_us,
+                hit_p50 <= miss_p50,
                 "a cached stream must not lose to a fetching one \
-                 (N={neurons}, P={workers}): hit {} > miss {}",
-                r.hit_p50_us,
-                r.miss_p50_us
+                 (N={neurons}, P={workers}): hit {hit_p50} > miss {miss_p50}"
             );
             assert!(
-                r.off_p50_us < r.off_p99_us,
+                off_p50 < off_p99,
                 "varied samples must spread the distribution (N={neurons}, P={workers})"
             );
+            if scale == Scale::Scaled && workers == 4 {
+                let committed = base_neurons
+                    .iter()
+                    .position(|&n| n == neurons as f64)
+                    .and_then(|i| base_cold.get(i).copied());
+                let (reference, source) = match committed {
+                    Some(v) => (v, "committed"),
+                    None => (off_p50 as f64, "in-run"),
+                };
+                for (what, p50) in [("streamed", miss_p50), ("cached streamed", hit_p50)] {
+                    assert!(
+                        (p50 as f64) <= 0.8 * reference,
+                        "N={neurons}: {what} cold p50 {p50}us must drop >=20% below the \
+                         {source} eager cold p50 {reference}us"
+                    );
+                }
+            }
             table.row(vec![
                 neurons.to_string(),
                 workers.to_string(),
-                format!("{:.1}ms", r.off_p50_us as f64 / 1000.0),
-                format!("{:.1}ms", r.miss_p50_us as f64 / 1000.0),
-                format!("{:.1}ms", r.hit_p50_us as f64 / 1000.0),
-                format!(
-                    "{:.1}%",
-                    100.0 * (1.0 - r.miss_p50_us as f64 / r.off_p50_us as f64)
-                ),
-                format!(
-                    "{:.1}%",
-                    100.0 * (1.0 - r.hit_p50_us as f64 / r.off_p50_us as f64)
-                ),
+                format!("{:.1}ms", off_p50 as f64 / 1000.0),
+                format!("{:.1}ms", miss_p50 as f64 / 1000.0),
+                format!("{:.1}ms", hit_p50 as f64 / 1000.0),
+                format!("{:.1}%", 100.0 * (1.0 - miss_p50 as f64 / off_p50 as f64)),
+                format!("{:.1}%", 100.0 * (1.0 - hit_p50 as f64 / off_p50 as f64)),
             ]);
-            results.push(r);
+            sizes.push(row!(
+                neurons: neurons,
+                workers: workers,
+                samples: off_us.len(),
+                off_p50_us: off_p50,
+                off_p99_us: off_p99,
+                miss_p50_us: miss_p50,
+                miss_p99_us: miss_p99,
+                hit_p50_us: hit_p50,
+                hit_p99_us: hit_p99,
+            ));
         }
     }
     table.print(&format!(
@@ -171,74 +151,10 @@ fn main() {
          FSD-Inf-Queue"
     ));
 
-    // The acceptance gate: at the committed warm-pool baseline's shape
-    // (reduced scale, workers = 4) the streamed cold start must undercut
-    // the recorded eager cold p50 by at least 20%. Without a checked-out
-    // baseline (ad-hoc runs outside the repo root) the in-run off p50
-    // stands in, which the relative assertions above already cover.
-    if scale == Scale::Scaled {
-        let baseline = std::fs::read_to_string("bench-baselines/BENCH_warm_pool.json").ok();
-        let (base_neurons, base_cold) = match &baseline {
-            Some(json) => (
-                gate::extract(json, "neurons"),
-                gate::extract(json, "cold_p50_us"),
-            ),
-            None => (Vec::new(), Vec::new()),
-        };
-        for r in results.iter().filter(|r| r.workers == 4) {
-            let committed = base_neurons
-                .iter()
-                .position(|&n| n == r.neurons as f64)
-                .and_then(|i| base_cold.get(i).copied());
-            let (reference, source) = match committed {
-                Some(v) => (v, "committed"),
-                None => (r.off_p50_us as f64, "in-run"),
-            };
-            let ceiling = 0.8 * reference;
-            assert!(
-                (r.miss_p50_us as f64) <= ceiling,
-                "N={}: streamed cold p50 {}us must drop >=20% below the {} \
-                 eager cold p50 {}us",
-                r.neurons,
-                r.miss_p50_us,
-                source,
-                reference
-            );
-            assert!(
-                (r.hit_p50_us as f64) <= ceiling,
-                "N={}: cached streamed cold p50 {}us must drop >=20% below the {} \
-                 eager cold p50 {}us",
-                r.neurons,
-                r.hit_p50_us,
-                source,
-                reference
-            );
-        }
-    }
-
     // Machine-readable emission for the CI bench-regression gate.
-    let mut json = String::from("{\n  \"bench\": \"cold_start\",\n  \"samples_per_path\": ");
-    let _ = write!(json, "{SAMPLES},\n  \"sizes\": [\n");
-    for (i, r) in results.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "    {{\"neurons\": {}, \"workers\": {}, \"samples\": {}, \
-             \"off_p50_us\": {}, \"off_p99_us\": {}, \
-             \"miss_p50_us\": {}, \"miss_p99_us\": {}, \
-             \"hit_p50_us\": {}, \"hit_p99_us\": {}}}{}",
-            r.neurons,
-            r.workers,
-            r.samples,
-            r.off_p50_us,
-            r.off_p99_us,
-            r.miss_p50_us,
-            r.miss_p99_us,
-            r.hit_p50_us,
-            r.hit_p99_us,
-            if i + 1 < results.len() { "," } else { "" },
-        );
-    }
-    json.push_str("  ]\n}\n");
-    std::fs::write("BENCH_cold_start.json", &json).expect("write BENCH_cold_start.json");
-    println!("wrote BENCH_cold_start.json");
+    gate::emit(
+        "cold_start",
+        &[("samples_per_path", SAMPLES.into())],
+        &[("sizes", sizes)],
+    );
 }

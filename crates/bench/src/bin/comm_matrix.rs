@@ -20,12 +20,11 @@
 //! cargo run --release -p fsd-bench --bin comm_matrix
 //! ```
 
-use fsd_bench::Table;
+use fsd_bench::{gate, percentile, row, Table};
 use fsd_comm::{ApiClass, CloudConfig, CloudEnv, FaultPlan, VirtualTime};
 use fsd_core::{ChannelOptions, RecvTracker, Tag, Transport, Variant};
 use fsd_faas::{ComputeModel, FaasPlatform, FunctionConfig};
 use fsd_sparse::{codec, SparseRows};
-use std::fmt::Write as _;
 
 const SEED: u64 = 77;
 const SAMPLES: usize = 5;
@@ -60,15 +59,11 @@ fn payload(total_nnz: usize, seed: u64) -> SparseRows {
 }
 
 /// Slowest-receiver virtual time for `ROUNDS` fan-outs of `rows` (worker
-/// 0 → every other rank) over `variant` in a fresh deterministic region.
-fn measure(variant: Variant, rows: &SparseRows, seed: u64) -> u64 {
-    measure_with(variant, rows, seed, 0.0)
-}
-
-/// [`measure`] with a seeded transient failure rate on the direct
-/// transport's NAT punches ([`ApiClass::DirectPunch`]). Failed handshakes
-/// are retried by the channel; they cost time, never payloads.
-fn measure_with(variant: Variant, rows: &SparseRows, seed: u64, punch_fail_rate: f64) -> u64 {
+/// 0 → every other rank) over `variant` in a fresh deterministic region,
+/// with a seeded transient failure rate on the direct transport's NAT
+/// punches ([`ApiClass::DirectPunch`]). Failed handshakes are retried by
+/// the channel; they cost time, never payloads.
+fn measure(variant: Variant, rows: &SparseRows, seed: u64, punch_fail_rate: f64) -> u64 {
     let mut config = CloudConfig::deterministic(seed);
     if punch_fail_rate > 0.0 {
         config = config.with_faults(
@@ -126,20 +121,16 @@ fn measure_with(variant: Variant, rows: &SparseRows, seed: u64, punch_fail_rate:
     slowest
 }
 
-fn p50(samples: &mut [u64]) -> u64 {
+/// Median over `SAMPLES` seeded fan-outs of `total_nnz`-nonzero payloads.
+fn p50(variant: Variant, total_nnz: usize, punch_fail_rate: f64) -> u64 {
+    let mut samples: Vec<u64> = (0..SAMPLES)
+        .map(|s| {
+            let rows = payload(total_nnz, SEED + s as u64);
+            measure(variant, &rows, SEED + 100 * s as u64, punch_fail_rate)
+        })
+        .collect();
     samples.sort_unstable();
-    samples[(samples.len() - 1) / 2]
-}
-
-struct SweepResult {
-    label: &'static str,
-    payload_nnz: usize,
-    wire_bytes: usize,
-    spilled: bool,
-    queue_p50_us: u64,
-    object_p50_us: u64,
-    hybrid_p50_us: u64,
-    direct_p50_us: u64,
+    percentile(&samples, 50.0)
 }
 
 fn main() {
@@ -160,74 +151,55 @@ fn main() {
         "hybrid p50",
         "direct p50",
     ]);
-    let mut results = Vec::new();
+    let mut sweep_rows = Vec::new();
     for (label, total_nnz) in sweeps {
         let wire_bytes = codec::encoded_size(&payload(total_nnz, SEED));
         let spilled = wire_bytes > threshold;
-        let mut per_variant = [0u64; 4];
-        for (vi, variant) in [
+        let p50s = [
             Variant::Queue,
             Variant::Object,
             Variant::Hybrid,
             Variant::Direct,
         ]
-        .into_iter()
-        .enumerate()
-        {
-            let mut samples: Vec<u64> = (0..SAMPLES)
-                .map(|s| {
-                    let rows = payload(total_nnz, SEED + s as u64);
-                    measure(variant, &rows, SEED + 100 * s as u64)
-                })
-                .collect();
-            per_variant[vi] = p50(&mut samples);
-        }
-        let r = SweepResult {
-            label,
-            payload_nnz: total_nnz,
-            wire_bytes,
-            spilled,
-            queue_p50_us: per_variant[0],
-            object_p50_us: per_variant[1],
-            hybrid_p50_us: per_variant[2],
-            direct_p50_us: per_variant[3],
-        };
+        .map(|variant| p50(variant, total_nnz, 0.0));
+        let [queue, object, hybrid, direct] = p50s;
         // The hybrid contract the §IV-C bands are built on.
-        if r.spilled {
+        if spilled {
             assert!(
-                r.hybrid_p50_us <= r.queue_p50_us,
-                "{label}: spilled hybrid p50 {} must not exceed queue p50 {}",
-                r.hybrid_p50_us,
-                r.queue_p50_us
+                hybrid <= queue,
+                "{label}: spilled hybrid p50 {hybrid} must not exceed queue p50 {queue}"
             );
         } else {
             assert!(
-                r.hybrid_p50_us <= r.object_p50_us,
-                "{label}: inline hybrid p50 {} must not exceed object p50 {}",
-                r.hybrid_p50_us,
-                r.object_p50_us
+                hybrid <= object,
+                "{label}: inline hybrid p50 {hybrid} must not exceed object p50 {object}"
             );
             // The direct contract behind the §IV-C Direct band: on
             // small/mid inline payloads, zero per-message API cost must
             // beat the cheapest managed transport.
             assert!(
-                r.direct_p50_us <= r.queue_p50_us,
-                "{label}: inline direct p50 {} must not exceed queue p50 {}",
-                r.direct_p50_us,
-                r.queue_p50_us
+                direct <= queue,
+                "{label}: inline direct p50 {direct} must not exceed queue p50 {queue}"
             );
         }
-        table.row(vec![
+        let mut cells = vec![
             label.to_string(),
-            r.payload_nnz.to_string(),
-            format!("{:.0} KiB", r.wire_bytes as f64 / 1024.0),
-            if r.spilled { "spill" } else { "inline" }.to_string(),
-            format!("{:.1}ms", r.queue_p50_us as f64 / 1000.0),
-            format!("{:.1}ms", r.object_p50_us as f64 / 1000.0),
-            format!("{:.1}ms", r.hybrid_p50_us as f64 / 1000.0),
-            format!("{:.1}ms", r.direct_p50_us as f64 / 1000.0),
-        ]);
-        results.push(r);
+            total_nnz.to_string(),
+            format!("{:.0} KiB", wire_bytes as f64 / 1024.0),
+            if spilled { "spill" } else { "inline" }.to_string(),
+        ];
+        cells.extend(p50s.map(|us| format!("{:.1}ms", us as f64 / 1000.0)));
+        table.row(cells);
+        sweep_rows.push(row!(
+            label: label,
+            payload_nnz: total_nnz,
+            wire_bytes: wire_bytes,
+            spilled: spilled,
+            queue_p50_us: queue,
+            object_p50_us: object,
+            hybrid_p50_us: hybrid,
+            direct_p50_us: direct,
+        ));
     }
     table.print(&format!(
         "Channel matrix — 1→{FANOUT} layer fan-out, {ROUNDS} layers, {SAMPLES} seeded samples, \
@@ -239,29 +211,22 @@ fn main() {
     // rate on the small inline payload. Every handshake refusal is billed,
     // elapsed and retried, so latency may only climb with the rate —
     // payloads are conserved at every point (asserted inside `measure`).
-    let punch_rates: [f64; 3] = [0.0, 0.1, 0.3];
     let mut punch_table = Table::new(&["punch fail rate", "direct p50"]);
-    let mut punch_results: Vec<(u32, u64)> = Vec::new();
-    for rate in punch_rates {
-        let mut samples: Vec<u64> = (0..SAMPLES)
-            .map(|s| {
-                let rows = payload(2_000, SEED + s as u64);
-                measure_with(Variant::Direct, &rows, SEED + 100 * s as u64, rate)
-            })
-            .collect();
-        let v = p50(&mut samples);
-        punch_table.row(vec![
-            format!("{:.0}%", rate * 100.0),
-            format!("{:.1}ms", v as f64 / 1000.0),
-        ]);
-        punch_results.push(((rate * 100.0) as u32, v));
-    }
-    let fault_free = punch_results[0].1;
-    for &(rate_pct, v) in &punch_results[1..] {
+    let mut punch_rows = Vec::new();
+    let mut fault_free = None;
+    for rate in [0.0, 0.1, 0.3] {
+        let v = p50(Variant::Direct, 2_000, rate);
+        let fault_free = *fault_free.get_or_insert(v);
+        let rate_pct = (rate * 100.0) as u32;
         assert!(
             v >= fault_free,
             "punch failures can only add retry time: {rate_pct}% p50 {v} < fault-free {fault_free}"
         );
+        punch_table.row(vec![
+            format!("{:.0}%", rate * 100.0),
+            format!("{:.1}ms", v as f64 / 1000.0),
+        ]);
+        punch_rows.push(row!(punch_fail_rate_pct: rate_pct, direct_punch_p50_us: v));
     }
     punch_table.print(&format!(
         "Direct under punch faults — small payload, 1→{FANOUT} fan-out, {ROUNDS} layers, \
@@ -269,38 +234,13 @@ fn main() {
     ));
 
     // Machine-readable emission for the CI bench-regression gate.
-    let mut json = String::from("{\n  \"bench\": \"comm_matrix\",\n");
-    let _ = write!(
-        json,
-        "  \"samples\": {SAMPLES},\n  \"rounds\": {ROUNDS},\n  \
-         \"spill_threshold\": {threshold},\n  \"sweeps\": [\n"
+    gate::emit(
+        "comm_matrix",
+        &[
+            ("samples", SAMPLES.into()),
+            ("rounds", ROUNDS.into()),
+            ("spill_threshold", threshold.into()),
+        ],
+        &[("sweeps", sweep_rows), ("punch_sweeps", punch_rows)],
     );
-    for (i, r) in results.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "    {{\"label\": \"{}\", \"payload_nnz\": {}, \"wire_bytes\": {}, \
-             \"spilled\": {}, \"queue_p50_us\": {}, \"object_p50_us\": {}, \
-             \"hybrid_p50_us\": {}, \"direct_p50_us\": {}}}{}",
-            r.label,
-            r.payload_nnz,
-            r.wire_bytes,
-            r.spilled,
-            r.queue_p50_us,
-            r.object_p50_us,
-            r.hybrid_p50_us,
-            r.direct_p50_us,
-            if i + 1 < results.len() { "," } else { "" },
-        );
-    }
-    json.push_str("  ],\n  \"punch_sweeps\": [\n");
-    for (i, (rate_pct, v)) in punch_results.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "    {{\"punch_fail_rate_pct\": {rate_pct}, \"direct_punch_p50_us\": {v}}}{}",
-            if i + 1 < punch_results.len() { "," } else { "" },
-        );
-    }
-    json.push_str("  ]\n}\n");
-    std::fs::write("BENCH_comm_matrix.json", &json).expect("write BENCH_comm_matrix.json");
-    println!("wrote BENCH_comm_matrix.json");
 }

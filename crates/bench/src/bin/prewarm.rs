@@ -21,46 +21,20 @@
 //! cargo run --release -p fsd-bench --bin prewarm
 //! ```
 
-use fsd_core::{FsdService, ServiceBuilder};
-use fsd_model::{generate_dnn, DnnSpec};
+use fsd_bench::{gate, mean_latency_us, row, small_dnn, Table, SEED};
+use fsd_core::ServiceBuilder;
 use fsd_sched::harness::replay;
 use fsd_sched::{trace, PredictorConfig, Scheduler, SchedulerBuilder, SchedulerConfig};
-use std::fmt::Write as _;
 use std::sync::Arc;
 
-const SEED: u64 = 42;
-
-#[derive(Clone, Copy, PartialEq)]
-enum Mode {
-    Off,
-    Reactive,
-    Predictive,
-}
-
-impl Mode {
-    fn name(self) -> &'static str {
-        match self {
-            Mode::Off => "off",
-            Mode::Reactive => "reactive",
-            Mode::Predictive => "predictive",
-        }
-    }
-}
-
-fn fresh_service(mode: Mode) -> Arc<FsdService> {
-    let spec = DnnSpec {
-        neurons: 128,
-        layers: 4,
-        nnz_per_row: 8,
-        bias: -0.25,
-        clip: 32.0,
-        seed: SEED,
-    };
-    let mut builder = ServiceBuilder::new(Arc::new(generate_dnn(&spec)))
+/// A manual-dispatch scheduler at `global_cap = 1` over a fresh service,
+/// configured for `mode` (`off`, `reactive` or `predictive`).
+fn fresh_scheduler(mode: &str) -> Scheduler {
+    let mut builder = ServiceBuilder::new(small_dnn(128, 4, SEED))
         .deterministic(SEED)
         .prewarm(1)
         .prewarm(2);
-    if mode != Mode::Off {
+    if mode != "off" {
         // The bursty trace carries five shapes — Queue/Object × P ∈ {1, 2}
         // and Serial's one-rank tree — bursting up to two deep. A shelf
         // sized for four of them still never evicts a tree a later
@@ -68,36 +42,23 @@ fn fresh_service(mode: Mode) -> Arc<FsdService> {
         // exactly the five shapes' first arrivals.
         builder = builder.auto_warm_pool(4, 2);
     }
-    Arc::new(builder.build())
-}
-
-fn fresh_scheduler(mode: Mode) -> Scheduler {
     let mut cfg = SchedulerConfig::default()
         .global_cap(1)
         .queue_capacity(64)
         .manual();
-    if mode == Mode::Predictive {
+    if mode == "predictive" {
         // Window of one burst (8 arrivals): in-window counts equal the
         // burst depth per shape instead of double-counting across bursts.
         cfg = cfg.predictive(PredictorConfig::default().window(8).max_warm(8));
     }
     SchedulerBuilder::new(cfg)
-        .model("m", fresh_service(mode))
+        .model("m", Arc::new(builder.build()))
         .build()
-}
-
-struct Row {
-    mode: &'static str,
-    warm_hits: u64,
-    cold_starts: u64,
-    hit_rate_pct: u64,
-    prewarmed: u64,
-    mean_latency_us: u64,
 }
 
 fn main() {
     let arrivals = trace::bursty(4, 8, 400_000, SEED);
-    let mut table = fsd_bench::Table::new(&[
+    let mut table = Table::new(&[
         "pool",
         "warm hits",
         "cold starts",
@@ -105,35 +66,34 @@ fn main() {
         "prewarmed",
         "mean virt latency",
     ]);
-    let mut rows = Vec::new();
-    for mode in [Mode::Off, Mode::Reactive, Mode::Predictive] {
+    let mut modes = Vec::new();
+    // (warm hits, mean latency µs) per mode, for the acceptance criterion.
+    let mut runs = Vec::new();
+    for mode in ["off", "reactive", "predictive"] {
         let sched = fresh_scheduler(mode);
         let report = replay(&sched, "m", &arrivals);
         assert!(report.rejected.is_empty(), "generous queues never reject");
         assert_eq!(report.stats.failed, 0);
-        let (sum_us, n) = report
-            .outcomes
-            .iter()
-            .filter_map(|o| o.result.as_ref().ok())
-            .fold((0u64, 0u64), |(s, n), d| (s + d.latency_us, n + 1));
-        let launched = report.stats.warm_hits + report.stats.cold_starts;
-        let row = Row {
-            mode: mode.name(),
-            warm_hits: report.stats.warm_hits,
-            cold_starts: report.stats.cold_starts,
-            hit_rate_pct: 100 * report.stats.warm_hits / launched.max(1),
-            prewarmed: report.stats.prewarmed,
-            mean_latency_us: sum_us / n.max(1),
-        };
+        let stats = &report.stats;
+        let hit_rate_pct = 100 * stats.warm_hits / (stats.warm_hits + stats.cold_starts).max(1);
+        let mean_latency_us = mean_latency_us(&report);
         table.row(vec![
-            row.mode.to_string(),
-            row.warm_hits.to_string(),
-            row.cold_starts.to_string(),
-            format!("{}%", row.hit_rate_pct),
-            row.prewarmed.to_string(),
-            format!("{:.1}ms", row.mean_latency_us as f64 / 1000.0),
+            mode.to_string(),
+            stats.warm_hits.to_string(),
+            stats.cold_starts.to_string(),
+            format!("{hit_rate_pct}%"),
+            stats.prewarmed.to_string(),
+            format!("{:.1}ms", mean_latency_us as f64 / 1000.0),
         ]);
-        rows.push(row);
+        modes.push(row!(
+            mode: mode,
+            warm_hits: stats.warm_hits,
+            cold_starts: stats.cold_starts,
+            hit_rate_pct: hit_rate_pct,
+            prewarmed: stats.prewarmed,
+            mean_latency_us: mean_latency_us,
+        ));
+        runs.push((stats.warm_hits, mean_latency_us));
     }
     table.print(&format!(
         "Predictive pre-warming — bursty trace ({} requests), manual replay, global_cap=1",
@@ -143,37 +103,19 @@ fn main() {
     // The acceptance criterion, enforced on every bench run: the
     // predictor's hit rate strictly beats reactive-only, which in turn
     // beats no pool at all.
-    let (off, reactive, predictive) = (&rows[0], &rows[1], &rows[2]);
-    assert_eq!(off.warm_hits, 0, "a pool-less run cannot hit warm");
+    let [off, reactive, predictive] = [runs[0], runs[1], runs[2]];
+    assert_eq!(off.0, 0, "a pool-less run cannot hit warm");
     assert!(
-        predictive.warm_hits > reactive.warm_hits,
+        predictive.0 > reactive.0,
         "predicted-burst hit rate must beat reactive-only: {} vs {}",
-        predictive.warm_hits,
-        reactive.warm_hits
+        predictive.0,
+        reactive.0
     );
     assert!(
-        predictive.mean_latency_us < reactive.mean_latency_us
-            && reactive.mean_latency_us < off.mean_latency_us,
+        predictive.1 < reactive.1 && reactive.1 < off.1,
         "latency must fall with the hit rate"
     );
 
     // Machine-readable emission for the CI bench-regression gate.
-    let mut json = String::from("{\n  \"bench\": \"prewarm\",\n  \"modes\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "    {{\"mode\": \"{}\", \"warm_hits\": {}, \"cold_starts\": {}, \
-             \"hit_rate_pct\": {}, \"prewarmed\": {}, \"mean_latency_us\": {}}}{}",
-            r.mode,
-            r.warm_hits,
-            r.cold_starts,
-            r.hit_rate_pct,
-            r.prewarmed,
-            r.mean_latency_us,
-            if i + 1 < rows.len() { "," } else { "" },
-        );
-    }
-    json.push_str("  ]\n}\n");
-    std::fs::write("BENCH_prewarm.json", &json).expect("write BENCH_prewarm.json");
-    println!("wrote BENCH_prewarm.json");
+    gate::emit("prewarm", &[], &[("modes", modes)]);
 }

@@ -17,39 +17,27 @@
 //! cargo run --release -p fsd-bench --bin scheduler_throughput
 //! ```
 
-use fsd_bench::Table;
+use fsd_bench::gate::{self, Val};
+use fsd_bench::{mean_latency_us, row, small_dnn, Table, SEED};
 use fsd_comm::VirtualTime;
-use fsd_core::{BatchedRequest, FsdError, FsdService, ServiceBuilder};
-use fsd_model::{generate_dnn, generate_inputs, DnnSpec, InputSpec};
+use fsd_core::{FsdError, ServiceBuilder};
 use fsd_sched::{
-    harness, trace, Arrival, BatchingConfig, Scheduler, SchedulerBuilder, SchedulerConfig, Ticket,
-    DEFAULT_MODEL,
+    harness, trace, Arrival, BatchingConfig, SchedStatsSnapshot, Scheduler, SchedulerBuilder,
+    SchedulerConfig, Ticket, DEFAULT_MODEL,
 };
 use std::collections::HashMap;
-use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Instant;
 
-const SEED: u64 = 42;
+/// Neurons of the single-model parts' model.
+const NEURONS: usize = 128;
 
 fn service_builder() -> ServiceBuilder {
-    let spec = DnnSpec {
-        neurons: 128,
-        layers: 4,
-        nnz_per_row: 8,
-        bias: -0.25,
-        clip: 32.0,
-        seed: SEED,
-    };
-    ServiceBuilder::new(Arc::new(generate_dnn(&spec)))
+    ServiceBuilder::new(small_dnn(NEURONS, 4, SEED))
         .deterministic(SEED)
         .prewarm(1)
         .prewarm(2)
         .prewarm(4)
-}
-
-fn fresh_service() -> Arc<FsdService> {
-    Arc::new(service_builder().build())
 }
 
 /// A service whose warm pool is pre-warmed past the concurrency cap for
@@ -57,7 +45,7 @@ fn fresh_service() -> Arc<FsdService> {
 /// request is a warm hit. Its Serial requests are not pre-warmed: a miss
 /// cold-launches their one-rank tree, which then parks on the full shelf
 /// by evicting a spare tree of the least-recently-used shape.
-fn fresh_pooled_service(cap: usize) -> Arc<FsdService> {
+fn pooled_builder(cap: usize) -> ServiceBuilder {
     use fsd_core::Variant;
     let mut builder = service_builder().warm_pool(4 * cap, u64::MAX);
     for variant in [Variant::Queue, Variant::Object] {
@@ -67,19 +55,7 @@ fn fresh_pooled_service(cap: usize) -> Arc<FsdService> {
             }
         }
     }
-    Arc::new(builder.build())
-}
-
-fn request_for(service: &FsdService, a: &Arrival) -> BatchedRequest {
-    BatchedRequest {
-        variant: a.variant,
-        workers: a.workers,
-        memory_mb: a.memory_mb,
-        batches: vec![generate_inputs(
-            service.dnn().spec().neurons,
-            &InputSpec::scaled(a.width, a.input_seed),
-        )],
-    }
+    builder
 }
 
 /// Deterministic virtual makespan of a fleet replay: list-schedule the
@@ -115,22 +91,32 @@ struct RunResult {
     accepted: usize,
     rejected: usize,
     wall_ms: f64,
-    max_inflight: usize,
     mean_virtual_latency: VirtualTime,
     last_retry_hint: VirtualTime,
-    warm_hits: u64,
-    cold_starts: u64,
+    stats: SchedStatsSnapshot,
 }
 
-/// Enqueues the whole trace (auto dispatch), waits every ticket, and
-/// reports wall-clock + scheduler statistics.
-fn drive(sched: &Scheduler, service: &FsdService, arrivals: &[Arrival]) -> RunResult {
+/// Enqueues the whole trace through an auto-dispatch scheduler over the
+/// built service, waits every ticket, and reports wall-clock + scheduler
+/// statistics.
+fn drive(
+    service: ServiceBuilder,
+    global_cap: usize,
+    queue_cap: usize,
+    arrivals: &[Arrival],
+) -> RunResult {
+    let sched = Scheduler::wrap(
+        Arc::new(service.build()),
+        SchedulerConfig::default()
+            .global_cap(global_cap)
+            .queue_capacity(queue_cap),
+    );
     let started = Instant::now();
     let mut tickets: Vec<Ticket> = Vec::with_capacity(arrivals.len());
     let mut rejected = 0usize;
     let mut last_retry_hint = VirtualTime::ZERO;
     for a in arrivals {
-        match sched.enqueue_default(a.priority, request_for(service, a)) {
+        match sched.enqueue_default(a.priority, a.request(NEURONS)) {
             Ok(t) => tickets.push(t),
             Err(FsdError::Overloaded { retry_after }) => {
                 rejected += 1;
@@ -147,16 +133,13 @@ fn drive(sched: &Scheduler, service: &FsdService, arrivals: &[Arrival]) -> RunRe
     }
     sched.shutdown();
     sched.drain();
-    let stats = sched.stats();
     RunResult {
         accepted,
         rejected,
         wall_ms: started.elapsed().as_secs_f64() * 1000.0,
-        max_inflight: stats.max_inflight,
         mean_virtual_latency: VirtualTime::from_micros(total_latency_us / accepted.max(1) as u64),
         last_retry_hint,
-        warm_hits: stats.warm_hits,
-        cold_starts: stats.cold_starts,
+        stats: sched.stats(),
     }
 }
 
@@ -164,8 +147,9 @@ fn main() {
     // Virtual-time metrics are deterministic (per-request private
     // timelines, seeded jitter) and feed the CI bench-regression gate;
     // wall-clock numbers are printed but never emitted.
-    let mut cap_rows: Vec<(usize, u64)> = Vec::new();
-    let mut pool_rows: Vec<(&str, u64, u64, u64)> = Vec::new();
+    let mut caps = Vec::new();
+    let mut mean_us_by_cap = HashMap::new();
+    let mut pool_rows = Vec::new();
 
     // Part 1: throughput vs global concurrency cap on a bursty trace.
     let arrivals = trace::bursty(4, 8, 400_000, SEED);
@@ -178,22 +162,17 @@ fn main() {
         "mean virt latency",
     ]);
     for cap in [1usize, 2, 4, 8] {
-        let service = fresh_service();
-        let sched = Scheduler::wrap(
-            service.clone(),
-            SchedulerConfig::default()
-                .global_cap(cap)
-                .queue_capacity(256),
-        );
-        let r = drive(&sched, &service, &arrivals);
+        let r = drive(service_builder(), cap, 256, &arrivals);
         assert_eq!(r.rejected, 0, "generous queues must not reject");
-        cap_rows.push((cap, r.mean_virtual_latency.as_micros()));
+        let mean_us = r.mean_virtual_latency.as_micros();
+        mean_us_by_cap.insert(cap, mean_us);
+        caps.push(row!(global_cap: cap, bursty_mean_latency_us: mean_us));
         t.row(vec![
             cap.to_string(),
             r.accepted.to_string(),
             format!("{:.1}", r.wall_ms),
             format!("{:.1}", r.accepted as f64 / (r.wall_ms / 1000.0)),
-            r.max_inflight.to_string(),
+            r.stats.max_inflight.to_string(),
             r.mean_virtual_latency.to_string(),
         ]);
     }
@@ -213,14 +192,7 @@ fn main() {
         "wall ms",
     ]);
     for queue_cap in [4usize, 8, 16] {
-        let service = fresh_service();
-        let sched = Scheduler::wrap(
-            service.clone(),
-            SchedulerConfig::default()
-                .global_cap(4)
-                .queue_capacity(queue_cap),
-        );
-        let r = drive(&sched, &service, &flood);
+        let r = drive(service_builder(), 4, queue_cap, &flood);
         t.row(vec![
             queue_cap.to_string(),
             r.accepted.to_string(),
@@ -248,28 +220,23 @@ fn main() {
     ]);
     for pooled in [false, true] {
         let service = if pooled {
-            fresh_pooled_service(cap)
+            pooled_builder(cap)
         } else {
-            fresh_service()
+            service_builder()
         };
-        let sched = Scheduler::wrap(
-            service.clone(),
-            SchedulerConfig::default()
-                .global_cap(cap)
-                .queue_capacity(256),
-        );
-        let r = drive(&sched, &service, &arrivals);
+        let r = drive(service, cap, 256, &arrivals);
         assert_eq!(r.rejected, 0, "generous queues must not reject");
-        pool_rows.push((
-            if pooled { "warm" } else { "off" },
-            r.warm_hits,
-            r.cold_starts,
-            r.mean_virtual_latency.as_micros(),
+        let mode = if pooled { "warm" } else { "off" };
+        pool_rows.push(row!(
+            mode: mode,
+            warm_hits: r.stats.warm_hits,
+            cold_starts: r.stats.cold_starts,
+            bursty_mean_latency_us: r.mean_virtual_latency.as_micros(),
         ));
         t.row(vec![
-            if pooled { "warm" } else { "off" }.to_string(),
-            r.warm_hits.to_string(),
-            r.cold_starts.to_string(),
+            mode.to_string(),
+            r.stats.warm_hits.to_string(),
+            r.stats.cold_starts.to_string(),
             r.mean_virtual_latency.to_string(),
             format!("{:.1}", r.wall_ms),
         ]);
@@ -285,9 +252,8 @@ fn main() {
     // shared tree passes, so every follower lands warm on its coalition's
     // resident tree without any pre-warmed pool.
     let started = Instant::now();
-    let service = fresh_service();
     let sched = Scheduler::wrap(
-        service.clone(),
+        Arc::new(service_builder().build()),
         SchedulerConfig::default()
             .global_cap(cap)
             .queue_capacity(256)
@@ -299,27 +265,13 @@ fn main() {
         report.rejected.is_empty(),
         "generous queues must not reject"
     );
-    let total_batched_us: u64 = report
-        .outcomes
-        .iter()
-        .map(|o| {
-            o.result
-                .as_ref()
-                .expect("batched replay request runs")
-                .latency_us
-        })
-        .sum();
-    let batched_mean_us = total_batched_us / report.outcomes.len().max(1) as u64;
+    let batched_mean_us = mean_latency_us(&report);
     let batched_stats = report.stats.clone();
     assert!(
         batched_stats.coalesced > 0,
         "the bursty trace must form at least one coalition"
     );
-    let unbatched_mean_us = cap_rows
-        .iter()
-        .find(|(c, _)| *c == cap)
-        .expect("cap row from part 1")
-        .1;
+    let unbatched_mean_us = mean_us_by_cap[&cap];
     assert!(
         batched_mean_us <= unbatched_mean_us,
         "batched bursty mean {batched_mean_us}us must not exceed the \
@@ -361,7 +313,8 @@ fn main() {
     const FLEET_MODELS: usize = 4;
     let fleet_trace = trace::fleet(FLEET_MODELS, 10, 8, 400_000, SEED);
     let fleet_names: Vec<String> = (0..FLEET_MODELS).map(|m| format!("m{m}")).collect();
-    let mut fleet_rows: Vec<(usize, usize, u64, f64)> = Vec::new();
+    let mut fleet = Vec::new();
+    let mut prev: Option<(usize, f64)> = None;
     let mut t = Table::new(&[
         "global cap",
         "accepted",
@@ -381,16 +334,8 @@ fn main() {
         );
         let mut services = Vec::new();
         for (m, name) in fleet_names.iter().enumerate() {
-            let spec = DnnSpec {
-                neurons: 64,
-                layers: 2,
-                nnz_per_row: 8,
-                bias: -0.25,
-                clip: 32.0,
-                seed: SEED + m as u64,
-            };
             let service = Arc::new(
-                ServiceBuilder::new(Arc::new(generate_dnn(&spec)))
+                ServiceBuilder::new(small_dnn(64, 2, SEED + m as u64))
                     .deterministic(SEED + m as u64)
                     .warm_pool(16, u64::MAX)
                     .build(),
@@ -447,7 +392,20 @@ fn main() {
         let makespan_us = virtual_makespan_us(&report, cap);
         let throughput =
             report.outcomes.len() as f64 / (makespan_us as f64 / 1_000_000.0).max(f64::EPSILON);
-        fleet_rows.push((cap, report.outcomes.len(), makespan_us, throughput));
+        if let Some((prev_cap, prev_rps)) = prev {
+            assert!(
+                throughput > prev_rps,
+                "fleet throughput must strictly rise with the cap: \
+                 cap {prev_cap} gave {prev_rps:.2} req/s, cap {cap} gave {throughput:.2} req/s",
+            );
+        }
+        prev = Some((cap, throughput));
+        fleet.push(row!(
+            global_cap: cap,
+            accepted: report.outcomes.len(),
+            fleet_makespan_us: makespan_us,
+            fleet_throughput_rps: Val::Fixed(throughput, 2),
+        ));
         t.row(vec![
             cap.to_string(),
             report.outcomes.len().to_string(),
@@ -462,56 +420,22 @@ fn main() {
          batching on: virtual throughput rises with the global cap",
         fleet_trace.len(),
     ));
-    for pair in fleet_rows.windows(2) {
-        assert!(
-            pair[1].3 > pair[0].3,
-            "fleet throughput must strictly rise with the cap: \
-             cap {} gave {:.2} req/s, cap {} gave {:.2} req/s",
-            pair[0].0,
-            pair[0].3,
-            pair[1].0,
-            pair[1].3,
-        );
-    }
-
     // Machine-readable emission for the CI bench-regression gate —
     // deterministic virtual-time metrics only.
-    let mut json = String::from("{\n  \"bench\": \"scheduler_throughput\",\n  \"caps\": [\n");
-    for (i, (cap, mean_us)) in cap_rows.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "    {{\"global_cap\": {cap}, \"bursty_mean_latency_us\": {mean_us}}}{}",
-            if i + 1 < cap_rows.len() { "," } else { "" },
-        );
-    }
-    json.push_str("  ],\n  \"pool\": [\n");
-    for (i, (mode, warm_hits, cold_starts, mean_us)) in pool_rows.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "    {{\"mode\": \"{mode}\", \"warm_hits\": {warm_hits}, \
-             \"cold_starts\": {cold_starts}, \"bursty_mean_latency_us\": {mean_us}}}{}",
-            if i + 1 < pool_rows.len() { "," } else { "" },
-        );
-    }
-    json.push_str("  ],\n  \"batched\": [\n");
-    let _ = writeln!(
-        json,
-        "    {{\"mode\": \"batched\", \"coalitions\": {}, \"coalesced\": {}, \
-         \"bursty_mean_latency_us\": {batched_mean_us}}}",
-        batched_stats.coalitions, batched_stats.coalesced,
+    let batched = vec![row!(
+        mode: "batched",
+        coalitions: batched_stats.coalitions,
+        coalesced: batched_stats.coalesced,
+        bursty_mean_latency_us: batched_mean_us,
+    )];
+    gate::emit(
+        "scheduler_throughput",
+        &[],
+        &[
+            ("caps", caps),
+            ("pool", pool_rows),
+            ("batched", batched),
+            ("fleet", fleet),
+        ],
     );
-    json.push_str("  ],\n  \"fleet\": [\n");
-    for (i, (fleet_cap, accepted, makespan_us, throughput)) in fleet_rows.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "    {{\"global_cap\": {fleet_cap}, \"accepted\": {accepted}, \
-             \"fleet_makespan_us\": {makespan_us}, \
-             \"fleet_throughput_rps\": {throughput:.2}}}{}",
-            if i + 1 < fleet_rows.len() { "," } else { "" },
-        );
-    }
-    json.push_str("  ]\n}\n");
-    std::fs::write("BENCH_scheduler_throughput.json", &json)
-        .expect("write BENCH_scheduler_throughput.json");
-    println!("wrote BENCH_scheduler_throughput.json");
 }

@@ -15,29 +15,8 @@
 //! cargo run --release -p fsd-bench --bin warm_pool
 //! ```
 
-use fsd_bench::{workload_with_batch, Scale, Table};
-use fsd_core::{InferenceRequest, LaunchPath, ServiceBuilder, Variant};
-use fsd_model::{generate_inputs, InputSpec};
-use std::fmt::Write as _;
-
-const SEED: u64 = 42;
-const SAMPLES: usize = 9;
-
-/// Percentile over a sorted sample set (nearest-rank).
-fn percentile(sorted_us: &[u64], p: f64) -> u64 {
-    let rank = ((p / 100.0) * sorted_us.len() as f64).ceil().max(1.0) as usize;
-    sorted_us[rank.min(sorted_us.len()) - 1]
-}
-
-struct SizeResult {
-    neurons: usize,
-    workers: u32,
-    samples: usize,
-    cold_p50_us: u64,
-    cold_p99_us: u64,
-    warm_p50_us: u64,
-    warm_p99_us: u64,
-}
+use fsd_bench::{gate, percentile, row, varied_samples, Scale, Table, SAMPLES, SEED};
+use fsd_core::{LaunchPath, ServiceBuilder};
 
 fn main() {
     let scale = Scale::from_args();
@@ -50,102 +29,68 @@ fn main() {
         "warm p99",
         "speedup p50",
     ]);
-    let mut results = Vec::new();
+    let mut sizes = Vec::new();
     for &neurons in &scale.neuron_grid() {
         let workers = scale.worker_grid()[1];
-        let memory_mb = scale.worker_memory_mb(neurons);
-        let base_batch = scale.batch().min(64);
-        let w = workload_with_batch(scale, neurons, base_batch, SEED);
-        let service = ServiceBuilder::new(w.dnn.clone())
+        let (dnn, samples) = varied_samples(scale, neurons, workers);
+        let service = ServiceBuilder::new(dnn)
             .config(scale.engine_config(SEED))
             .warm_pool(2, u64::MAX)
             .prewarm(workers)
             .build();
         let mut cold_us = Vec::with_capacity(SAMPLES);
         let mut warm_us = Vec::with_capacity(SAMPLES);
-        for s in 0..SAMPLES {
-            // Distinct inputs per sample: the virtual clock is
-            // deterministic, so identical requests would collapse every
-            // percentile onto one value (the p50 == p99 bug this fixes).
-            // Varying width and seed spreads real work across samples
-            // while cold and warm still see byte-identical inputs.
-            let width = (base_batch / 2 + s * base_batch / (2 * SAMPLES)).max(1);
-            let inputs = generate_inputs(neurons, &InputSpec::scaled(width, SEED + s as u64));
-            let expected = w.dnn.serial_inference(&inputs);
-            let req = InferenceRequest {
-                variant: Variant::Queue,
-                workers,
-                memory_mb,
-                inputs,
-            };
+        for (req, expected) in &samples {
             service.invalidate_warm_trees();
-            let cold = service.submit(&req).expect("cold run");
+            let cold = service.submit(req).expect("cold run");
             assert_eq!(cold.launch, LaunchPath::ColdStart);
-            assert_eq!(cold.first_output(), &expected, "cold output wrong");
+            assert_eq!(cold.first_output(), expected, "cold output wrong");
             cold_us.push(cold.latency.as_micros());
-            let warm = service.submit(&req).expect("warm run");
+            let warm = service.submit(req).expect("warm run");
             assert_eq!(warm.launch, LaunchPath::WarmHit);
-            assert_eq!(warm.first_output(), &expected, "warm output wrong");
+            assert_eq!(warm.first_output(), expected, "warm output wrong");
             warm_us.push(warm.latency.as_micros());
         }
         cold_us.sort_unstable();
         warm_us.sort_unstable();
-        assert_eq!(cold_us.len(), SAMPLES);
-        let r = SizeResult {
-            neurons,
-            workers,
-            samples: cold_us.len(),
-            cold_p50_us: percentile(&cold_us, 50.0),
-            cold_p99_us: percentile(&cold_us, 99.0),
-            warm_p50_us: percentile(&warm_us, 50.0),
-            warm_p99_us: percentile(&warm_us, 99.0),
-        };
+        let [cold_p50, cold_p99] = [50.0, 99.0].map(|p| percentile(&cold_us, p));
+        let [warm_p50, warm_p99] = [50.0, 99.0].map(|p| percentile(&warm_us, p));
         assert!(
-            r.warm_p50_us < r.cold_p50_us,
+            warm_p50 < cold_p50,
             "warm p50 must be strictly below cold p50 (N={neurons})"
         );
         assert!(
-            r.cold_p50_us < r.cold_p99_us,
+            cold_p50 < cold_p99,
             "varied samples must spread the distribution (N={neurons}): \
-             p50 {} == p99 {}",
-            r.cold_p50_us,
-            r.cold_p99_us
+             p50 {cold_p50} == p99 {cold_p99}"
         );
         table.row(vec![
             neurons.to_string(),
             workers.to_string(),
-            format!("{:.1}ms", r.cold_p50_us as f64 / 1000.0),
-            format!("{:.1}ms", r.cold_p99_us as f64 / 1000.0),
-            format!("{:.1}ms", r.warm_p50_us as f64 / 1000.0),
-            format!("{:.1}ms", r.warm_p99_us as f64 / 1000.0),
-            format!("{:.2}x", r.cold_p50_us as f64 / r.warm_p50_us as f64),
+            format!("{:.1}ms", cold_p50 as f64 / 1000.0),
+            format!("{:.1}ms", cold_p99 as f64 / 1000.0),
+            format!("{:.1}ms", warm_p50 as f64 / 1000.0),
+            format!("{:.1}ms", warm_p99 as f64 / 1000.0),
+            format!("{:.2}x", cold_p50 as f64 / warm_p50 as f64),
         ]);
-        results.push(r);
+        sizes.push(row!(
+            neurons: neurons,
+            workers: workers,
+            samples: cold_us.len(),
+            cold_p50_us: cold_p50,
+            cold_p99_us: cold_p99,
+            warm_p50_us: warm_p50,
+            warm_p99_us: warm_p99,
+        ));
     }
     table.print(&format!(
         "Warm pool — launch-to-first-output, {SAMPLES} varied samples per path, FSD-Inf-Queue"
     ));
 
     // Machine-readable emission for the CI bench-regression gate.
-    let mut json = String::from("{\n  \"bench\": \"warm_pool\",\n  \"samples_per_path\": ");
-    let _ = write!(json, "{SAMPLES},\n  \"sizes\": [\n");
-    for (i, r) in results.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "    {{\"neurons\": {}, \"workers\": {}, \"samples\": {}, \
-             \"cold_p50_us\": {}, \"cold_p99_us\": {}, \
-             \"warm_p50_us\": {}, \"warm_p99_us\": {}}}{}",
-            r.neurons,
-            r.workers,
-            r.samples,
-            r.cold_p50_us,
-            r.cold_p99_us,
-            r.warm_p50_us,
-            r.warm_p99_us,
-            if i + 1 < results.len() { "," } else { "" },
-        );
-    }
-    json.push_str("  ]\n}\n");
-    std::fs::write("BENCH_warm_pool.json", &json).expect("write BENCH_warm_pool.json");
-    println!("wrote BENCH_warm_pool.json");
+    gate::emit(
+        "warm_pool",
+        &[("samples_per_path", SAMPLES.into())],
+        &[("sizes", sizes)],
+    );
 }

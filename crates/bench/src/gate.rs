@@ -1,11 +1,11 @@
 //! The bench-regression gate: compare freshly emitted `BENCH_*.json`
 //! metrics against committed baselines with a relative tolerance.
 //!
-//! The bench binaries emit flat, hand-written JSON (the workspace builds
-//! offline — no serde), so the gate reads metrics with a minimal
-//! extractor: every `"key": <number>` occurrence of a metric key, in file
-//! order. Baseline and fresh runs of the same binary emit the same rows
-//! in the same order, so an elementwise comparison is sound.
+//! The bench binaries emit flat JSON through one writer, [`emit`] (the
+//! workspace builds offline — no serde), so the gate reads metrics with a
+//! minimal extractor: every `"key": <number>` occurrence of a metric key,
+//! in file order. Baseline and fresh runs of the same binary emit the same
+//! rows in the same order, so an elementwise comparison is sound.
 //!
 //! Two metric directions exist:
 //!
@@ -17,7 +17,7 @@
 //! Used by the `bench_gate` binary, which CI runs after regenerating the
 //! JSONs in `--release`.
 
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 
 /// Metrics the gate checks per bench file, with their direction.
 pub const GATED: &[(&str, &[(&str, Direction)])] = &[
@@ -76,6 +76,78 @@ pub enum Direction {
     LowerIsBetter,
     /// Rate-like: regression = fresh below baseline.
     HigherIsBetter,
+}
+
+/// One value of a bench JSON row or scalar line.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Val {
+    /// A bare integer.
+    Int(u64),
+    /// A float with a fixed number of decimals.
+    Fixed(f64, usize),
+    /// `true` / `false`.
+    Bool(bool),
+    /// A quoted string (labels only: nothing is escaped).
+    Str(&'static str),
+}
+
+impl fmt::Display for Val {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match *self {
+            Val::Int(v) => write!(f, "{v}"),
+            Val::Fixed(v, decimals) => write!(f, "{v:.decimals$}"),
+            Val::Bool(v) => write!(f, "{v}"),
+            Val::Str(v) => write!(f, "\"{v}\""),
+        }
+    }
+}
+
+macro_rules! val_from {
+    ($($t:ty => $variant:ident),*) => {
+        $(impl From<$t> for Val {
+            fn from(v: $t) -> Val {
+                Val::$variant(v as _)
+            }
+        })*
+    };
+}
+val_from!(u64 => Int, usize => Int, u32 => Int, bool => Bool, &'static str => Str);
+
+/// One row of a section: keys and values in emission order.
+pub type Row = Vec<(&'static str, Val)>;
+
+/// Builds a [`Row`]: `row!(neurons: n, label: "small")`.
+#[macro_export]
+macro_rules! row {
+    ($($key:ident: $val:expr),* $(,)?) => {
+        vec![$((stringify!($key), $crate::gate::Val::from($val))),*]
+    };
+}
+
+/// The document [`emit`] writes.
+fn render(bench: &str, scalars: &[(&str, Val)], sections: &[(&str, Vec<Row>)]) -> String {
+    let mut lines = vec![format!("  \"bench\": \"{bench}\"")];
+    lines.extend(scalars.iter().map(|(key, v)| format!("  \"{key}\": {v}")));
+    for (key, rows) in sections {
+        let rows: Vec<String> = rows
+            .iter()
+            .map(|row| {
+                let cells: Vec<String> = row.iter().map(|(k, v)| format!("\"{k}\": {v}")).collect();
+                format!("    {{{}}}", cells.join(", "))
+            })
+            .collect();
+        lines.push(format!("  \"{key}\": [\n{}\n  ]", rows.join(",\n")));
+    }
+    format!("{{\n{}\n}}\n", lines.join(",\n"))
+}
+
+/// Writes `BENCH_<bench>.json` into the working directory: the `"bench"`
+/// line, the scalar lines, then each named section with one row per line.
+pub fn emit(bench: &str, scalars: &[(&str, Val)], sections: &[(&str, Vec<Row>)]) {
+    let path = format!("BENCH_{bench}.json");
+    std::fs::write(&path, render(bench, scalars, sections))
+        .expect("write BENCH_*.json into the working directory");
+    println!("wrote {path}");
 }
 
 /// Extracts every `"key": <number>` value from `json`, in file order.
@@ -228,6 +300,9 @@ mod tests {
   "sizes": [
     {"neurons": 256, "workers": 4, "warm_p50_us": 100, "cold_p50_us": 200},
     {"neurons": 1024, "workers": 4, "warm_p50_us": 300, "cold_p50_us": 600}
+  ],
+  "rates": [
+    {"mode": "warm", "spilled": false, "hit_rate_pct": 99.5, "rps": 28.89}
   ]
 }
 "#;
@@ -283,6 +358,52 @@ mod tests {
             &[1.0],
             0.25,
         );
+    }
+
+    /// [`SAMPLE`] is what the writer emits: two sections, one a single
+    /// row, holding integers, strings, a bool and `{:.1}` / `{:.2}` floats,
+    /// and every number it writes reads back in order.
+    #[test]
+    fn render_writes_the_sample() {
+        let sizes = vec![
+            row!(neurons: 256u64, workers: 4u32, warm_p50_us: 100u64, cold_p50_us: 200u64),
+            row!(neurons: 1024u64, workers: 4u32, warm_p50_us: 300u64, cold_p50_us: 600u64),
+        ];
+        let rates = vec![row!(
+            mode: "warm",
+            spilled: false,
+            hit_rate_pct: Val::Fixed(99.46, 1),
+            rps: Val::Fixed(28.886, 2),
+        )];
+        let scalars = [("samples_per_path", 9u64.into())];
+        let json = render("warm_pool", &scalars, &[("sizes", sizes), ("rates", rates)]);
+        assert_eq!(json, SAMPLE);
+        assert_eq!(extract(&json, "samples_per_path"), vec![9.0]);
+        assert_eq!(extract(&json, "hit_rate_pct"), vec![99.5]);
+        assert_eq!(extract(&json, "rps"), vec![28.89]);
+    }
+
+    /// The committed baselines and [`GATED`] name the same files and keys,
+    /// so a bin renamed away from its baseline fails here.
+    #[test]
+    fn baselines_match_the_gated_list() {
+        let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../bench-baselines");
+        for &(file, keys) in GATED {
+            let json = std::fs::read_to_string(dir.join(file))
+                .unwrap_or_else(|e| panic!("gated {file} has no baseline: {e}"));
+            for &(key, _) in keys {
+                assert!(!extract(&json, key).is_empty(), "{file} lacks {key}");
+            }
+        }
+        for entry in std::fs::read_dir(&dir).expect("bench-baselines/") {
+            let name = entry.expect("baseline entry").file_name();
+            let name = name.to_str().expect("UTF-8 baseline name");
+            let lock = name.starts_with("BENCH_chaos_soak.seed");
+            assert!(
+                lock || GATED.iter().any(|&(file, _)| file == name),
+                "{name} is neither gated nor a chaos-soak seed lock"
+            );
+        }
     }
 
     #[test]

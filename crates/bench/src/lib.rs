@@ -6,6 +6,14 @@
 //! grid (N up to 65536, L = 120, 10 000-sample batches — slow and
 //! memory-hungry) or at the reduced default scale that preserves the
 //! shapes (who wins, crossovers).
+//!
+//! The six gated bins share one copy of their plumbing: [`percentile`]
+//! (nearest-rank, every reported p50/p99), [`varied_samples`] (the launch
+//! benches' inputs, so `cold_start`'s stream-off path reproduces
+//! `warm_pool`'s cold path), [`small_dnn`], [`mean_latency_us`],
+//! [`fault_seed`], and [`gate::emit`] with [`row!`], the one writer of the
+//! `BENCH_*.json` format [`gate::extract`] reads. Trace requests come from
+//! `fsd_sched`'s `Arrival::request`, as in the scheduler's replay harness.
 #![forbid(unsafe_code)]
 
 use fsd_core::{
@@ -13,8 +21,16 @@ use fsd_core::{
 };
 use fsd_faas::ComputeModel;
 use fsd_model::{generate_dnn, generate_inputs, DnnSpec, InputSpec, SparseDnn};
+use fsd_sched::harness::{FleetOutcome, FleetReplayReport};
 use fsd_sparse::SparseRows;
+use std::ffi::OsStr;
 use std::sync::Arc;
+
+/// The seed of every bench workload but `comm_matrix`'s.
+pub const SEED: u64 = 42;
+
+/// Samples per path of the launch benches ([`varied_samples`]).
+pub const SAMPLES: usize = 9;
 
 /// Experiment scale, selected by the `--paper-scale` flag.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -28,13 +44,27 @@ pub enum Scale {
 }
 
 impl Scale {
-    /// Parses process arguments (`--paper-scale` selects [`Scale::Paper`]).
+    /// Parses the process arguments with [`Scale::parse`]; on an unknown
+    /// argument prints a usage line and exits with status 2.
     pub fn from_args() -> Scale {
-        if std::env::args().any(|a| a == "--paper-scale") {
-            Scale::Paper
-        } else {
-            Scale::Scaled
-        }
+        let mut args = std::env::args();
+        let bin = args.next().unwrap_or_default();
+        Scale::parse(args).unwrap_or_else(|arg| {
+            eprintln!("unknown argument {arg:?}\nusage: {bin} [--paper-scale]");
+            std::process::exit(2)
+        })
+    }
+
+    /// The scale the arguments after the program name select:
+    /// `--paper-scale` selects [`Scale::Paper`], no argument
+    /// [`Scale::Scaled`]. Any other argument is returned as the error, so
+    /// a misspelt flag cannot run the reduced grid unnoticed.
+    pub fn parse(args: impl IntoIterator<Item = String>) -> Result<Scale, String> {
+        args.into_iter()
+            .try_fold(Scale::Scaled, |_, arg| match arg.as_str() {
+                "--paper-scale" => Ok(Scale::Paper),
+                _ => Err(arg),
+            })
     }
 
     /// The neuron-count grid.
@@ -111,7 +141,6 @@ impl Scale {
 
 /// A prepared workload: model + inputs + ground truth.
 pub struct Workload {
-    pub spec: DnnSpec,
     pub dnn: Arc<SparseDnn>,
     pub inputs: SparseRows,
     pub expected: SparseRows,
@@ -119,16 +148,7 @@ pub struct Workload {
 
 /// Builds the workload for one neuron count.
 pub fn workload(scale: Scale, neurons: usize, seed: u64) -> Workload {
-    let spec = scale.spec(neurons, seed);
-    let dnn = Arc::new(generate_dnn(&spec));
-    let inputs = generate_inputs(spec.neurons, &InputSpec::scaled(scale.batch(), seed));
-    let expected = dnn.serial_inference(&inputs);
-    Workload {
-        spec,
-        dnn,
-        inputs,
-        expected,
-    }
+    workload_with_batch(scale, neurons, scale.batch(), seed)
 }
 
 /// Like [`workload`] but with an explicit batch size.
@@ -138,7 +158,6 @@ pub fn workload_with_batch(scale: Scale, neurons: usize, batch: usize, seed: u64
     let inputs = generate_inputs(spec.neurons, &InputSpec::scaled(batch, seed));
     let expected = dnn.serial_inference(&inputs);
     Workload {
-        spec,
         dnn,
         inputs,
         expected,
@@ -172,19 +191,72 @@ pub fn run_checked(
     report
 }
 
-/// Median of three runs by latency (the paper reports medians of 3).
-pub fn median_of_3(
-    service: &FsdService,
-    workload: &Workload,
-    variant: Variant,
+/// The varied-sample scheme of the launch benches (`warm_pool`,
+/// `cold_start`): the model for `neurons` at `scale`, and [`SAMPLES`]
+/// single-batch FSD-Inf-Queue requests at P = `workers`, each with its
+/// serial-reference output. The virtual clock is deterministic, so
+/// identical requests would collapse every percentile onto one value:
+/// with `base = scale.batch().min(64)`, sample `s` is
+/// `base/2 + s·base/(2·SAMPLES)` samples wide with input seed `SEED + s`.
+pub fn varied_samples(
+    scale: Scale,
+    neurons: usize,
     workers: u32,
-    memory_mb: u32,
-) -> InferenceReport {
-    let mut runs: Vec<InferenceReport> = (0..3)
-        .map(|_| run_checked(service, workload, variant, workers, memory_mb))
+) -> (Arc<SparseDnn>, Vec<(InferenceRequest, SparseRows)>) {
+    let dnn = Arc::new(generate_dnn(&scale.spec(neurons, SEED)));
+    let base = scale.batch().min(64);
+    let samples = (0..SAMPLES)
+        .map(|s| {
+            let width = (base / 2 + s * base / (2 * SAMPLES)).max(1);
+            let inputs = generate_inputs(neurons, &InputSpec::scaled(width, SEED + s as u64));
+            let expected = dnn.serial_inference(&inputs);
+            let request = InferenceRequest {
+                variant: Variant::Queue,
+                workers,
+                memory_mb: scale.worker_memory_mb(neurons),
+                inputs,
+            };
+            (request, expected)
+        })
         .collect();
-    runs.sort_by_key(|a| a.latency);
-    runs.swap_remove(1)
+    (dnn, samples)
+}
+
+/// Mean virtual latency (µs) of a replay in which every request ran.
+pub fn mean_latency_us(report: &FleetReplayReport) -> u64 {
+    let latency = |o: &FleetOutcome| o.result.as_ref().expect("replayed request runs").latency_us;
+    report.outcomes.iter().map(latency).sum::<u64>() / report.outcomes.len().max(1) as u64
+}
+
+/// Nearest-rank percentile `p` (0–100) of an ascending sample set.
+pub fn percentile(sorted: &[u64], p: f64) -> u64 {
+    let rank = ((p / 100.0) * sorted.len() as f64).ceil().max(1.0) as usize;
+    sorted[rank.min(sorted.len()) - 1]
+}
+
+/// The small model of the serving benches (`prewarm`, `chaos_soak`,
+/// `scheduler_throughput`): eight nonzeros per row, bias −0.25, clip 32,
+/// so their cost is launches and queueing rather than kernels.
+pub fn small_dnn(neurons: usize, layers: usize, seed: u64) -> Arc<SparseDnn> {
+    Arc::new(generate_dnn(&DnnSpec {
+        neurons,
+        layers,
+        nnz_per_row: 8,
+        bias: -0.25,
+        clip: 32.0,
+        seed,
+    }))
+}
+
+/// The chaos soak's fault-plane seed from the value of `FSD_FAULT_SEED`:
+/// [`SEED`] when unset. A set value that is not a decimal `u64` is an
+/// error naming it — it must not run the seed-42 soak under its label.
+pub fn fault_seed(value: Option<&OsStr>) -> Result<u64, String> {
+    let Some(value) = value else { return Ok(SEED) };
+    value
+        .to_str()
+        .and_then(|v| v.parse().ok())
+        .ok_or_else(|| format!("FSD_FAULT_SEED={value:?} is not a u64 seed"))
 }
 
 /// Fresh service over a deterministic region for a workload at a scale.
@@ -301,6 +373,40 @@ mod tests {
     fn usd_formatting() {
         assert_eq!(usd(1.5), "$1.50");
         assert_eq!(usd(0.000012), "$0.000012");
+    }
+
+    #[test]
+    fn scale_parse_rejects_unknown_arguments() {
+        let parse = |args: &[&str]| Scale::parse(args.iter().map(|a| a.to_string()));
+        assert_eq!(parse(&[]), Ok(Scale::Scaled));
+        assert_eq!(parse(&["--paper-scale"]), Ok(Scale::Paper));
+        for bad in ["--paper_scale", "--paperscale"] {
+            assert_eq!(parse(&["--paper-scale", bad]), Err(bad.to_string()));
+        }
+    }
+
+    #[test]
+    fn fault_seed_rejects_what_is_not_a_u64() {
+        assert_eq!(fault_seed(None), Ok(SEED));
+        assert_eq!(fault_seed(Some(OsStr::new("7"))), Ok(7));
+        for bad in ["0x7", "", "seven"] {
+            let err = fault_seed(Some(OsStr::new(bad))).unwrap_err();
+            assert!(err.contains(&format!("{bad:?}")), "{err}");
+        }
+    }
+
+    #[test]
+    fn percentile_is_nearest_rank() {
+        for n in 1..=100usize {
+            let sorted: Vec<u64> = (10..10 + n as u64).collect();
+            if n <= 16 {
+                // `comm_matrix`'s former lower median.
+                assert_eq!(percentile(&sorted, 50.0), sorted[(n - 1) / 2]);
+            }
+            // Rank ⌈0.99·n⌉ is n below 100 samples; at 100 it is the 99th.
+            let p99 = if n < 100 { n - 1 } else { 98 };
+            assert_eq!(percentile(&sorted, 99.0), sorted[p99], "n = {n}");
+        }
     }
 
     #[test]

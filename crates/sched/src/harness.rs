@@ -29,8 +29,7 @@
 use crate::config::{Priority, SchedStatsSnapshot};
 use crate::scheduler::{Scheduler, Ticket};
 use crate::trace::{Arrival, FleetArrival};
-use fsd_core::{BatchedRequest, FsdError, LaunchPath, Variant};
-use fsd_model::{generate_inputs, InputSpec};
+use fsd_core::{FsdError, LaunchPath, Variant};
 use fsd_sparse::codec;
 use std::collections::{HashMap, VecDeque};
 
@@ -206,15 +205,7 @@ pub fn replay_fleet(
 
         for (idx, fa) in trace.iter().enumerate().take(group_end).skip(i) {
             let a = &fa.arrival;
-            let req = BatchedRequest {
-                variant: a.variant,
-                workers: a.workers,
-                memory_mb: a.memory_mb,
-                batches: vec![generate_inputs(
-                    neurons[fa.model],
-                    &InputSpec::scaled(a.width, a.input_seed),
-                )],
-            };
+            let req = a.request(neurons[fa.model]);
             match sched.enqueue_at(models[fa.model], a.priority, a.at, req) {
                 Ok(ticket) => {
                     driver

@@ -7,14 +7,15 @@
 
 use crate::config::Priority;
 use fsd_comm::VirtualTime;
-use fsd_core::Variant;
+use fsd_core::{BatchedRequest, Variant};
+use fsd_model::{generate_inputs, InputSpec};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// One request arrival in a load trace. The inputs themselves are not
-/// materialized here — `width`/`input_seed` describe how the driver
-/// generates them against the model under test, which keeps traces
-/// model-agnostic.
+/// materialized here — `width`/`input_seed` describe how
+/// [`Arrival::request`] generates them against the model under test,
+/// which keeps traces model-agnostic.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Arrival {
     /// Virtual arrival time (traces are sorted by this).
@@ -31,6 +32,22 @@ pub struct Arrival {
     pub width: usize,
     /// Seed for deterministic input generation.
     pub input_seed: u64,
+}
+
+impl Arrival {
+    /// The request this arrival stands for against a model of `neurons`
+    /// neurons: one batch of `width` inputs generated from `input_seed`.
+    pub fn request(&self, neurons: usize) -> BatchedRequest {
+        BatchedRequest {
+            variant: self.variant,
+            workers: self.workers,
+            memory_mb: self.memory_mb,
+            batches: vec![generate_inputs(
+                neurons,
+                &InputSpec::scaled(self.width, self.input_seed),
+            )],
+        }
+    }
 }
 
 fn arrival(
