@@ -7,7 +7,7 @@
 //! lint passes that work on the token stream plus a little shape recovery
 //! (brace matching, `#[cfg(test)]` region tracking, match-arm splitting).
 //!
-//! Launch lints (all deny-by-default; see `ALL_LINTS`):
+//! Lints (all deny-by-default):
 //!
 //! | lint | invariant |
 //! |------|-----------|
@@ -20,10 +20,12 @@
 //! | `retry-idempotent` | a `RetryPolicy` `.run(..)` closure — or one handed to the channel engine's `.retried(..)` wrapper around it — must not call non-idempotent channel ops (`take_visible`, `settle_receives`, `enqueue`) — a retried attempt repeats its calls, so only idempotent ops may sit inside one |
 //! | `real-wait` | in non-test `crates/{comm,core,faas,sched}/src`, real time (`wait_for(`, `wait_until(`, `sleep(`, `Instant::now`) never appears — every effect settles from virtual stamps and every wait is untimed, ended by a notify (a raw receive's by its producer's post or its tree's poison) |
 //! | `byte-reader` | in non-test `crates/{sparse,core,comm}/src`, `from_le_bytes` and any `fn` whose name contains `varint` appear only in `crates/sparse/src/bytes.rs` — every byte format decodes through its one bounds-checked `Reader` |
+//! | `orphan-pub` | every bare-`pub` `fn`/`const`/`static` of non-test library code (`crates/*/src` outside `src/bin/`) is named by another file's non-test code — library, bin or example; tests, comments and `use` lines do not count |
 //!
-//! Escape hatch: a comment containing `fsd_lint::allow(lint-name)` (optionally
-//! a comma-separated list, optionally followed by `: reason`) suppresses those
-//! lints on the comment's line and the next source line.
+//! Escape hatch: a comment containing `fsd_lint::allow(lint-name): reason`
+//! (optionally a comma-separated list of lints) suppresses those lints on the
+//! comment's line and the next source line. The reason is required: an allow
+//! without one suppresses nothing and is itself reported.
 
 #![forbid(unsafe_code)]
 
@@ -34,29 +36,32 @@ use std::io;
 use std::path::{Path, PathBuf};
 
 /// Lint name: non-exhaustive `match` over `Variant`.
-pub const LINT_VARIANT_EXHAUSTIVE: &str = "variant-exhaustive";
+const LINT_VARIANT_EXHAUSTIVE: &str = "variant-exhaustive";
 /// Lint name: unbalanced `begin_request`/`finish_request` in a function body.
-pub const LINT_BILLING_PAIR: &str = "billing-pair";
+const LINT_BILLING_PAIR: &str = "billing-pair";
 /// Lint name: raw channel-name string literal outside a `*_name` helper.
-pub const LINT_RAW_CHANNEL_NAME: &str = "raw-channel-name";
+const LINT_RAW_CHANNEL_NAME: &str = "raw-channel-name";
 /// Lint name: `create_*`/`provision_*`/`insert_*` without a teardown twin.
-pub const LINT_TEARDOWN_PAIR: &str = "teardown-pair";
+const LINT_TEARDOWN_PAIR: &str = "teardown-pair";
 /// Lint name: `unwrap`/undocumented `expect`/`panic!`-family in library code.
-pub const LINT_NO_UNWRAP: &str = "no-unwrap";
+const LINT_NO_UNWRAP: &str = "no-unwrap";
 /// Lint name: mutex guard held across a blocking call.
-pub const LINT_LOCK_BLOCKING: &str = "lock-across-blocking";
+const LINT_LOCK_BLOCKING: &str = "lock-across-blocking";
 /// Lint name: non-idempotent op inside a `RetryPolicy::run` closure.
-pub const LINT_RETRY_IDEMPOTENT: &str = "retry-idempotent";
+const LINT_RETRY_IDEMPOTENT: &str = "retry-idempotent";
 
 /// Lint name: real-time wait or clock read in the comm, core, faas or sched
 /// crates.
-pub const LINT_REAL_TIME: &str = "real-wait";
+const LINT_REAL_TIME: &str = "real-wait";
 
 /// Lint name: a byte decoder outside the shared `fsd_sparse::bytes` reader.
-pub const LINT_BYTE_READER: &str = "byte-reader";
+const LINT_BYTE_READER: &str = "byte-reader";
+
+/// Lint name: a public item no other file's non-test code names.
+const LINT_ORPHAN_PUB: &str = "orphan-pub";
 
 /// Every lint this binary knows about, in diagnostic-name form.
-pub const ALL_LINTS: [&str; 9] = [
+const ALL_LINTS: [&str; 10] = [
     LINT_VARIANT_EXHAUSTIVE,
     LINT_BILLING_PAIR,
     LINT_RAW_CHANNEL_NAME,
@@ -66,6 +71,7 @@ pub const ALL_LINTS: [&str; 9] = [
     LINT_RETRY_IDEMPOTENT,
     LINT_REAL_TIME,
     LINT_BYTE_READER,
+    LINT_ORPHAN_PUB,
 ];
 
 /// A single diagnostic: `path:line: [lint] message`.
@@ -75,7 +81,7 @@ pub struct Finding {
     pub file: String,
     /// 1-based source line of the diagnostic anchor.
     pub line: u32,
-    /// One of [`ALL_LINTS`].
+    /// The lint's diagnostic name, e.g. `no-unwrap`.
     pub lint: &'static str,
     /// Human-readable explanation of the violated invariant.
     pub message: String,
@@ -91,37 +97,28 @@ impl fmt::Display for Finding {
     }
 }
 
-/// Per-file lint configuration.
-#[derive(Debug, Clone, Default)]
-pub struct LintConfig {
-    /// The full variant set of the workspace `Variant` enum. Empty disables
-    /// the `variant-exhaustive` lint (e.g. before discovery has run).
-    pub variants: Vec<String>,
-    /// Workspace-relative path of the file; drives path-scoped rules
-    /// (test/bench exemptions, core/comm-only lints) and diagnostics.
-    pub path: String,
+/// Integration tests, bench harnesses and `tests.rs` modules (the body of a
+/// `#[cfg(test)] mod tests;`): never linted, never a caller.
+fn is_test_file(p: &str) -> bool {
+    p.starts_with("tests/")
+        || p.starts_with("benches/")
+        || p.contains("/tests/")
+        || p.contains("/benches/")
+        || p.ends_with("/tests.rs")
 }
 
-impl LintConfig {
-    fn is_test_path(&self) -> bool {
-        let p = &self.path;
-        p.starts_with("tests/")
-            || p.starts_with("benches/")
-            || p.starts_with("examples/")
-            || p.contains("/tests/")
-            || p.contains("/benches/")
-            || p.contains("/examples/")
-            // A `tests.rs` module file is the body of a `#[cfg(test)] mod tests;`.
-            || p.ends_with("/tests.rs")
-    }
+/// Examples are callers, but not linted as library code.
+fn is_example(p: &str) -> bool {
+    p.starts_with("examples/") || p.contains("/examples/")
+}
 
-    fn is_bin_path(&self) -> bool {
-        self.path.contains("/src/bin/")
-    }
+fn is_bin_path(p: &str) -> bool {
+    p.contains("/src/bin/")
+}
 
-    fn is_core_or_comm(&self) -> bool {
-        self.path.starts_with("crates/core/") || self.path.starts_with("crates/comm/")
-    }
+/// Library code: a crate's `src/`, outside its bins and test modules.
+fn is_library(p: &str) -> bool {
+    p.starts_with("crates/") && p.contains("/src/") && !is_bin_path(p) && !is_test_file(p)
 }
 
 // ---------------------------------------------------------------------------
@@ -155,36 +152,43 @@ impl Tok {
     }
 }
 
-/// Lines on which each lint is suppressed via `fsd_lint::allow(..)` comments.
+/// Lines on which each lint is suppressed via `fsd_lint::allow(..): reason`
+/// comments.
 type Allows = BTreeMap<u32, BTreeSet<String>>;
 
-fn parse_allow_names(comment: &str) -> Vec<String> {
-    let Some(start) = comment.find("fsd_lint::allow(") else {
-        return Vec::new();
-    };
+/// `(comment line, lint names)` of each allow that gives no reason.
+type Unreasoned = Vec<(u32, Vec<String>)>;
+
+/// The lint names of an `fsd_lint::allow(..)` directive in `comment`, and
+/// whether a `: reason` follows them.
+fn parse_allow(comment: &str) -> Option<(Vec<String>, bool)> {
+    let start = comment.find("fsd_lint::allow(")?;
     let rest = &comment[start + "fsd_lint::allow(".len()..];
-    let Some(end) = rest.find(')') else {
-        return Vec::new();
-    };
-    rest[..end]
+    let end = rest.find(')')?;
+    let names: Vec<String> = rest[..end]
         .split(',')
         .map(|n| n.trim().to_string())
         .filter(|n| !n.is_empty())
-        .collect()
+        .collect();
+    let reasoned = rest[end + 1..]
+        .trim_start()
+        .strip_prefix(':')
+        .is_some_and(|r| !r.trim().is_empty());
+    (!names.is_empty()).then_some((names, reasoned))
 }
 
 fn allowed(allows: &Allows, line: u32, lint: &str) -> bool {
-    allows
-        .get(&line)
-        .is_some_and(|s| s.contains(lint) || s.contains("all"))
+    allows.get(&line).is_some_and(|s| s.contains(lint))
 }
 
-fn lex(src: &str) -> (Vec<Tok>, Allows) {
+/// Lexes `src` into tokens, the lines its reasoned allows cover, and its
+/// allows that give no reason (which suppress nothing).
+fn lex(src: &str) -> (Vec<Tok>, Allows, Unreasoned) {
     let bytes: Vec<char> = src.chars().collect();
     let mut toks = Vec::new();
-    // (comment line, lint names) — resolved to an Allows map after lexing,
-    // once token positions are known.
-    let mut directives: Vec<(u32, Vec<String>)> = Vec::new();
+    // (comment line, lint names, reasoned) — resolved to an Allows map after
+    // lexing, once token positions are known.
+    let mut directives: Vec<(u32, Vec<String>, bool)> = Vec::new();
     let mut i = 0usize;
     let mut line = 1u32;
     let n = bytes.len();
@@ -209,9 +213,8 @@ fn lex(src: &str) -> (Vec<Tok>, Allows) {
                 i += 1;
             }
             let text: String = bytes[start..i].iter().collect();
-            let names = parse_allow_names(&text);
-            if !names.is_empty() {
-                directives.push((line, names));
+            if let Some((names, reasoned)) = parse_allow(&text) {
+                directives.push((line, names, reasoned));
             }
             continue;
         }
@@ -236,9 +239,8 @@ fn lex(src: &str) -> (Vec<Tok>, Allows) {
                 }
             }
             let text: String = bytes[start..i.min(n)].iter().collect();
-            let names = parse_allow_names(&text);
-            if !names.is_empty() {
-                directives.push((start_line, names));
+            if let Some((names, reasoned)) = parse_allow(&text) {
+                directives.push((start_line, names, reasoned));
             }
             continue;
         }
@@ -388,7 +390,12 @@ fn lex(src: &str) -> (Vec<Tok>, Allows) {
     // A directive covers its own line (trailing comments) and the line of
     // the next code token after it, however many comment lines intervene.
     let mut allows = Allows::new();
-    for (cline, names) in directives {
+    let mut bare = Vec::new();
+    for (cline, names, reasoned) in directives {
+        if !reasoned {
+            bare.push((cline, names));
+            continue;
+        }
         let mut lines = vec![cline];
         if let Some(next) = toks.iter().find(|t| t.line > cline) {
             lines.push(next.line);
@@ -397,7 +404,7 @@ fn lex(src: &str) -> (Vec<Tok>, Allows) {
             allows.entry(l).or_default().extend(names.iter().cloned());
         }
     }
-    (toks, allows)
+    (toks, allows, bare)
 }
 
 // ---------------------------------------------------------------------------
@@ -524,18 +531,22 @@ fn fn_context(toks: &[Tok]) -> Vec<Option<String>> {
 // Lint passes
 // ---------------------------------------------------------------------------
 
+/// One lexed source file.
 struct FileCtx<'a> {
-    toks: &'a [Tok],
-    test: &'a [bool],
-    allows: &'a Allows,
-    cfg: &'a LintConfig,
+    /// Workspace-relative path; drives path-scoped rules and diagnostics.
+    path: &'a str,
+    toks: Vec<Tok>,
+    test: Vec<bool>,
+    allows: Allows,
+    /// Allows with no `: reason`: they suppress nothing and are reported.
+    bare: Unreasoned,
 }
 
 impl FileCtx<'_> {
     fn push(&self, out: &mut Vec<Finding>, line: u32, lint: &'static str, message: String) {
-        if !allowed(self.allows, line, lint) {
+        if !allowed(&self.allows, line, lint) {
             out.push(Finding {
-                file: self.cfg.path.clone(),
+                file: self.path.to_string(),
                 line,
                 lint,
                 message,
@@ -545,12 +556,12 @@ impl FileCtx<'_> {
 }
 
 /// Lint 1: `variant-exhaustive`.
-fn lint_variant_exhaustive(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
-    if ctx.cfg.variants.is_empty() {
+fn lint_variant_exhaustive(ctx: &FileCtx<'_>, variants: &[String], out: &mut Vec<Finding>) {
+    if variants.is_empty() {
         return;
     }
-    let toks = ctx.toks;
-    let full: BTreeSet<&str> = ctx.cfg.variants.iter().map(String::as_str).collect();
+    let toks = &ctx.toks;
+    let full: BTreeSet<&str> = variants.iter().map(String::as_str).collect();
     for i in 0..toks.len() {
         if !toks[i].is_word("match") || ctx.test[i] {
             continue;
@@ -673,7 +684,7 @@ fn lint_variant_exhaustive(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
 
 /// Lint 2: `billing-pair`.
 fn lint_billing_pair(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
-    let toks = ctx.toks;
+    let toks = &ctx.toks;
     let mut i = 0usize;
     while i < toks.len() {
         if toks[i].is_word("fn") && !ctx.test[i] {
@@ -735,7 +746,7 @@ fn lint_billing_pair(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
 
 /// Lint 3: `raw-channel-name`.
 fn lint_raw_channel_name(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
-    let fns = fn_context(ctx.toks);
+    let fns = fn_context(&ctx.toks);
     for (i, t) in ctx.toks.iter().enumerate() {
         if t.kind != Kind::Str || ctx.test[i] {
             continue;
@@ -773,10 +784,10 @@ fn lint_raw_channel_name(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
 
 /// Lint 4: `teardown-pair` (scoped to `crates/core` and `crates/comm`).
 fn lint_teardown_pair(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
-    if !ctx.cfg.is_core_or_comm() {
+    if !(ctx.path.starts_with("crates/core/") || ctx.path.starts_with("crates/comm/")) {
         return;
     }
-    let toks = ctx.toks;
+    let toks = &ctx.toks;
     // Collect `pub fn <name>` along with the token index of the name.
     let mut pub_fns: Vec<(String, u32, usize)> = Vec::new();
     for i in 0..toks.len() {
@@ -831,10 +842,10 @@ fn lint_teardown_pair(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
 
 /// Lint 5: `no-unwrap`.
 fn lint_no_unwrap(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
-    if ctx.cfg.is_bin_path() {
+    if is_bin_path(ctx.path) {
         return; // CLI binaries may fail fast on bad input.
     }
-    let toks = ctx.toks;
+    let toks = &ctx.toks;
     for i in 0..toks.len() {
         if ctx.test[i] {
             continue;
@@ -893,7 +904,7 @@ fn lint_no_unwrap(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
 
 /// Lint 6: `lock-across-blocking`.
 fn lint_lock_across_blocking(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
-    let toks = ctx.toks;
+    let toks = &ctx.toks;
     const BLOCKING: [&str; 7] = [
         "wait",
         "wait_for",
@@ -1039,7 +1050,7 @@ fn lint_lock_across_blocking(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
 /// enqueues — would double their effect on retry.
 fn lint_retry_idempotent(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
     const NON_IDEMPOTENT: [&str; 3] = ["take_visible", "settle_receives", "enqueue"];
-    let toks = ctx.toks;
+    let toks = &ctx.toks;
     for i in 0..toks.len() {
         let (run, retried) = (toks[i].is_word("run"), toks[i].is_word("retried"));
         if ctx.test[i] || !(run || retried) {
@@ -1090,14 +1101,14 @@ fn lint_retry_idempotent(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
 /// faas or sched crates would make a result depend on thread timing
 /// again, or hide a missed notify behind a poll.
 fn lint_real_wait(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
-    let path = &ctx.cfg.path;
+    let path = ctx.path;
     let scoped = ["comm", "core", "faas", "sched"]
         .iter()
         .any(|c| path.starts_with(&format!("crates/{c}/src/")));
     if !scoped {
         return;
     }
-    let toks = ctx.toks;
+    let toks = &ctx.toks;
     for (i, t) in toks.iter().enumerate() {
         if ctx.test[i] || t.kind != Kind::Word {
             continue;
@@ -1132,14 +1143,14 @@ fn lint_real_wait(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
 /// a varint function anywhere else is a second decoder that can panic or
 /// silently wrap on untrusted bytes.
 fn lint_byte_reader(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
-    let path = &ctx.cfg.path;
+    let path = ctx.path;
     let scoped = ["sparse", "core", "comm"]
         .iter()
         .any(|c| path.starts_with(&format!("crates/{c}/src/")));
     if !scoped || path == "crates/sparse/src/bytes.rs" {
         return;
     }
-    let toks = ctx.toks;
+    let toks = &ctx.toks;
     for (i, t) in toks.iter().enumerate() {
         if ctx.test[i] || t.kind != Kind::Word {
             continue;
@@ -1160,41 +1171,143 @@ fn lint_byte_reader(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
     }
 }
 
+/// Lint 10: `orphan-pub`.
+///
+/// A bare-`pub` `fn`, `const` or `static` of library code that no other
+/// file names outside tests, comments and `use` lines has no caller, so it
+/// is deleted, made private or made `#[cfg(test)]`. Types are not indexed:
+/// signatures keep them reachable. The match is by name, so it errs toward
+/// silence — any same-named identifier in a caller file counts.
+fn lint_orphan_pub(files: &[FileCtx<'_>], out: &mut Vec<Finding>) {
+    // Each identifier a caller names, with the indices of the files naming it.
+    let mut named: BTreeMap<&str, BTreeSet<usize>> = BTreeMap::new();
+    for (f, file) in files.iter().enumerate() {
+        if is_test_file(file.path) {
+            continue;
+        }
+        let mut in_use = false;
+        for (t, &test) in file.toks.iter().zip(&file.test) {
+            in_use |= t.is_word("use");
+            if in_use {
+                in_use = !t.is_sym(';');
+            } else if t.kind == Kind::Word && !test {
+                named.entry(&t.text).or_default().insert(f);
+            }
+        }
+    }
+    for (f, file) in files.iter().enumerate() {
+        if !is_library(file.path) {
+            continue;
+        }
+        let toks = &file.toks;
+        for i in 0..toks.len() {
+            if !toks[i].is_word("pub") || file.test[i] {
+                continue;
+            }
+            // Skip qualifiers: `pub const fn`, `pub unsafe extern "C" fn`.
+            let mut j = i + 1;
+            while toks.get(j).is_some_and(|t| {
+                t.kind == Kind::Str
+                    || t.is_word("unsafe")
+                    || t.is_word("async")
+                    || t.is_word("extern")
+                    || (t.is_word("const") && toks.get(j + 1).is_some_and(|n| n.is_word("fn")))
+            }) {
+                j += 1;
+            }
+            let Some(kind) = toks
+                .get(j)
+                .filter(|t| t.is_word("fn") || t.is_word("const") || t.is_word("static"))
+            else {
+                continue;
+            };
+            if toks.get(j + 1).is_some_and(|t| t.is_word("mut")) {
+                j += 1;
+            }
+            let Some(name) = toks.get(j + 1).filter(|t| t.kind == Kind::Word) else {
+                continue;
+            };
+            let called = named
+                .get(name.text.as_str())
+                .is_some_and(|callers| callers.iter().any(|&g| g != f));
+            if !called {
+                file.push(
+                    out,
+                    toks[i].line,
+                    LINT_ORPHAN_PUB,
+                    format!(
+                        "pub {} {} is named by no other file outside tests, comments and `use` lines; delete it, make it private or #[cfg(test)]",
+                        kind.text, name.text
+                    ),
+                );
+            }
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Entry points
 // ---------------------------------------------------------------------------
 
-/// Lint a single source string under `cfg`. This is the unit the fixture
-/// tests drive directly; `lint_workspace` calls it per file.
-pub fn lint_source(src: &str, cfg: &LintConfig) -> Vec<Finding> {
-    let (toks, allows) = lex(src);
-    let test = test_mask(&toks);
-    let ctx = FileCtx {
-        toks: &toks,
-        test: &test,
-        allows: &allows,
-        cfg,
-    };
+/// Lint a set of `(workspace-relative path, source)` files: every per-file
+/// pass over each file that is neither a test nor an example, then the
+/// cross-file `orphan-pub` pass over the set. The `Variant` enum is
+/// discovered from whichever file declares it, so the exhaustiveness lint
+/// self-updates when a variant lands.
+// fsd_lint::allow(orphan-pub): the fixture tests inject their file sets here
+pub fn lint_files(files: &[(String, String)]) -> Vec<Finding> {
+    let ctxs: Vec<FileCtx<'_>> = files
+        .iter()
+        .map(|(path, src)| {
+            let (toks, allows, bare) = lex(src);
+            let test = test_mask(&toks);
+            FileCtx {
+                path,
+                toks,
+                test,
+                allows,
+                bare,
+            }
+        })
+        .collect();
+    let variants = ctxs
+        .iter()
+        .find_map(|c| discover_variants(&c.toks))
+        .unwrap_or_default();
     let mut out = Vec::new();
-    if !cfg.is_test_path() {
-        lint_variant_exhaustive(&ctx, &mut out);
-        lint_billing_pair(&ctx, &mut out);
-        lint_raw_channel_name(&ctx, &mut out);
-        lint_teardown_pair(&ctx, &mut out);
-        lint_no_unwrap(&ctx, &mut out);
-        lint_lock_across_blocking(&ctx, &mut out);
-        lint_retry_idempotent(&ctx, &mut out);
-        lint_real_wait(&ctx, &mut out);
-        lint_byte_reader(&ctx, &mut out);
+    for ctx in &ctxs {
+        if is_test_file(ctx.path) || is_example(ctx.path) {
+            continue;
+        }
+        for (line, names) in &ctx.bare {
+            for &lint in ALL_LINTS.iter().filter(|l| names.iter().any(|n| n == *l)) {
+                out.push(Finding {
+                    file: ctx.path.to_string(),
+                    line: *line,
+                    lint,
+                    message: format!(
+                        "fsd_lint::allow({lint}) gives no `: reason`, so it suppresses nothing"
+                    ),
+                });
+            }
+        }
+        lint_variant_exhaustive(ctx, &variants, &mut out);
+        lint_billing_pair(ctx, &mut out);
+        lint_raw_channel_name(ctx, &mut out);
+        lint_teardown_pair(ctx, &mut out);
+        lint_no_unwrap(ctx, &mut out);
+        lint_lock_across_blocking(ctx, &mut out);
+        lint_retry_idempotent(ctx, &mut out);
+        lint_real_wait(ctx, &mut out);
+        lint_byte_reader(ctx, &mut out);
     }
+    lint_orphan_pub(&ctxs, &mut out);
     out.sort();
     out
 }
 
-/// Extract the variant names of `pub enum Variant { ... }` from a source
-/// string, if the file defines it.
-pub fn discover_variants_in(src: &str) -> Option<Vec<String>> {
-    let (toks, _) = lex(src);
+/// The variant names of `enum Variant { ... }`, if `toks` declares it.
+fn discover_variants(toks: &[Tok]) -> Option<Vec<String>> {
     for i in 0..toks.len() {
         if toks[i].is_word("enum") && toks.get(i + 1).is_some_and(|t| t.is_word("Variant")) {
             // Find the body brace.
@@ -1205,7 +1318,7 @@ pub fn discover_variants_in(src: &str) -> Option<Vec<String>> {
             if j >= toks.len() {
                 return None;
             }
-            let close = matching_close(&toks, j);
+            let close = matching_close(toks, j);
             let mut names = Vec::new();
             let mut depth = 0i32;
             for k in j..=close {
@@ -1249,7 +1362,7 @@ fn should_skip_dir(name: &str) -> bool {
 /// Recursively collect workspace `.rs` files (skipping `target`, `.git`,
 /// `fixtures`, and the vendored `shims`), returned as root-relative paths in
 /// deterministic order.
-pub fn collect_rs_files(root: &Path) -> io::Result<Vec<PathBuf>> {
+fn collect_rs_files(root: &Path) -> io::Result<Vec<PathBuf>> {
     let mut out = Vec::new();
     let mut stack = vec![root.to_path_buf()];
     while let Some(dir) = stack.pop() {
@@ -1277,30 +1390,12 @@ pub fn collect_rs_files(root: &Path) -> io::Result<Vec<PathBuf>> {
     Ok(out)
 }
 
-/// Lint every workspace source file under `root`. Discovers the `Variant`
-/// enum automatically so the exhaustiveness lint self-updates when new
-/// variants land.
+/// Lint every workspace source file under `root` with [`lint_files`].
 pub fn lint_workspace(root: &Path) -> io::Result<Vec<Finding>> {
-    let files = collect_rs_files(root)?;
-    let mut variants = Vec::new();
-    let mut sources: Vec<(String, String)> = Vec::new();
-    for rel in &files {
-        let src = fs::read_to_string(root.join(rel))?;
-        if variants.is_empty() {
-            if let Some(v) = discover_variants_in(&src) {
-                variants = v;
-            }
-        }
-        sources.push((rel.to_string_lossy().replace('\\', "/"), src));
+    let mut files = Vec::new();
+    for rel in collect_rs_files(root)? {
+        let src = fs::read_to_string(root.join(&rel))?;
+        files.push((rel.to_string_lossy().replace('\\', "/"), src));
     }
-    let mut out = Vec::new();
-    for (path, src) in &sources {
-        let cfg = LintConfig {
-            variants: variants.clone(),
-            path: path.clone(),
-        };
-        out.extend(lint_source(src, &cfg));
-    }
-    out.sort();
-    Ok(out)
+    Ok(lint_files(&files))
 }

@@ -1,0 +1,14 @@
+// BAD: each item is named only where a caller does not count.
+pub fn named_by_a_test_file() {}
+
+pub fn named_by_a_cfg_test_block() {}
+
+pub fn named_by_a_tests_module() {}
+
+pub const NAMED_BY_A_COMMENT: u32 = 1;
+
+pub static NAMED_BY_A_PUB_USE: u32 = 2;
+
+pub const fn named_only_here() -> u32 {
+    NAMED_BY_A_COMMENT + NAMED_BY_A_PUB_USE
+}

@@ -1,0 +1,23 @@
+// GOOD: every indexed item has a caller that counts.
+pub fn named_by_a_bin() {}
+
+pub fn named_by_an_example() {}
+
+pub const NAMED_BY_A_LIBRARY_FILE: u32 = 1;
+
+// Not indexed: crate-visible items, types and trait-impl methods.
+pub(crate) fn crate_visible_only() {}
+
+pub struct Shape;
+
+impl Default for Shape {
+    fn default() -> Shape {
+        Shape
+    }
+}
+
+// fsd_lint::allow(orphan-pub): integration-test inspection surface
+pub fn inspected_by_integration_tests() {}
+
+#[cfg(test)]
+pub fn test_helper() {}

@@ -3,26 +3,29 @@
 //! The fixtures live in `tests/fixtures/` — a directory the workspace
 //! walker skips, so committed bad code never fails the real lint run.
 
-use fsd_analysis::{lint_source, LintConfig};
+use fsd_analysis::{lint_files, Finding};
 
-fn variants() -> Vec<String> {
-    ["Serial", "Queue", "Object", "Hybrid", "Direct", "Auto"]
+/// The `Variant` enum every fixture set is linted beside, as the
+/// workspace's `engine.rs` is.
+const ENGINE: &str = "pub enum Variant { Serial, Queue, Object, Hybrid, Direct, Auto }";
+
+/// Every finding of `files` linted as one set beside the `Variant` enum.
+fn lint_set(files: &[(&str, &str)]) -> Vec<Finding> {
+    let mut set: Vec<(String, String)> = files
         .iter()
-        .map(|s| s.to_string())
-        .collect()
+        .map(|&(p, src)| (p.to_string(), src.to_string()))
+        .collect();
+    set.push(("crates/core/src/engine.rs".into(), ENGINE.into()));
+    lint_files(&set)
 }
 
-fn cfg(path: &str) -> LintConfig {
-    LintConfig {
-        variants: variants(),
-        path: path.to_string(),
-    }
-}
-
-/// `(lint, line)` pairs of every finding, in sorted order.
+/// `(lint, line)` pairs of every per-file finding of `src` linted alone at
+/// `path`. A lone file names none of its own `pub` items elsewhere, so
+/// `orphan-pub` is left to its own multi-file fixtures.
 fn findings(src: &str, path: &str) -> Vec<(&'static str, u32)> {
-    lint_source(src, &cfg(path))
+    lint_set(&[(path, src)])
         .into_iter()
+        .filter(|f| f.file == path && f.lint != "orphan-pub")
         .map(|f| (f.lint, f.line))
         .collect()
 }
@@ -49,7 +52,11 @@ fn variant_exhaustive_flags_catch_alls_and_gaps() {
 #[test]
 fn variant_exhaustive_reports_missing_variant_names() {
     let bad = include_str!("fixtures/bad_variant_match.rs");
-    let out = lint_source(bad, &cfg("crates/core/src/fixture.rs"));
+    let path = "crates/core/src/fixture.rs";
+    let out: Vec<Finding> = lint_set(&[(path, bad)])
+        .into_iter()
+        .filter(|f| f.file == path && f.lint == "variant-exhaustive")
+        .collect();
     assert!(
         out[0].message.contains("Auto")
             && out[0].message.contains("Hybrid")
@@ -217,8 +224,67 @@ fn byte_reader_keeps_byte_decoding_in_the_shared_reader() {
 fn allow_comment_silences_only_the_named_line() {
     let src = include_str!("fixtures/allow_escape_hatch.rs");
     // The documented panic! is silenced; the undocumented unwrap is not.
+    // An allow with no reason, or naming `all`, suppresses nothing, and the
+    // reasonless one is reported on its own line.
     assert_eq!(
         findings(src, "crates/core/src/fixture.rs"),
-        vec![("no-unwrap", 11)]
+        vec![
+            ("no-unwrap", 11),
+            ("no-unwrap", 16),
+            ("no-unwrap", 17),
+            ("no-unwrap", 23)
+        ]
     );
+}
+
+#[test]
+fn orphan_pub_flags_items_only_tests_comments_and_reexports_name() {
+    let lib = "crates/core/src/fixture.rs";
+    let bad = include_str!("fixtures/bad_orphan_pub.rs");
+    let callers = [
+        (lib, bad),
+        (
+            "crates/core/tests/it.rs",
+            "fn t() { named_by_a_test_file(); }",
+        ),
+        (
+            "crates/core/src/other.rs",
+            "pub use crate::fixture::NAMED_BY_A_PUB_USE;\n\
+             // NAMED_BY_A_COMMENT\n\
+             #[cfg(test)]\n\
+             mod tests {\n    fn t() { super::named_by_a_cfg_test_block(); }\n}\n",
+        ),
+        (
+            "crates/core/src/carrier/tests.rs",
+            "fn t() { named_by_a_tests_module(); }",
+        ),
+    ];
+    let lint = "orphan-pub";
+    let out: Vec<(String, &str, u32)> = lint_set(&callers)
+        .into_iter()
+        .map(|f| (f.file, f.lint, f.line))
+        .collect();
+    assert_eq!(
+        out,
+        [2, 4, 6, 8, 10, 12].map(|line| (lib.to_string(), lint, line))
+    );
+}
+
+#[test]
+fn orphan_pub_counts_bins_examples_and_other_library_files() {
+    let good = include_str!("fixtures/good_orphan_pub.rs");
+    let set = [
+        ("crates/core/src/fixture.rs", good),
+        (
+            "crates/bench/src/bin/tool.rs",
+            "fn main() { fixture::named_by_a_bin(); }\npub fn bins_are_not_indexed() {}",
+        ),
+        ("examples/demo.rs", "fn main() { named_by_an_example(); }"),
+        (
+            "crates/sched/src/caller.rs",
+            "fn f() -> u32 { NAMED_BY_A_LIBRARY_FILE }",
+        ),
+        ("tests/it.rs", "pub fn test_files_are_not_indexed() {}"),
+    ];
+    assert_eq!(lint_set(&set), vec![]);
 }

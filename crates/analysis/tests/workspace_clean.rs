@@ -33,10 +33,21 @@ fn variant_enum_is_discovered_from_the_workspace() {
         .to_path_buf();
     let engine = std::fs::read_to_string(root.join("crates/core/src/engine.rs"))
         .expect("engine.rs readable");
-    let variants = fsd_analysis::discover_variants_in(&engine).expect("Variant enum found");
+    // A match naming one variant, linted beside the real enum: the
+    // diagnostic lists every other variant the declaration has.
+    let probe = "fn route(v: Variant) -> u32 { match v { Variant::Serial => 0 } }";
+    let files = [
+        ("crates/core/src/engine.rs".to_string(), engine),
+        ("crates/core/src/probe.rs".to_string(), probe.to_string()),
+    ];
+    let messages: Vec<String> = fsd_analysis::lint_files(&files)
+        .into_iter()
+        .filter(|f| f.file == "crates/core/src/probe.rs")
+        .map(|f| f.message)
+        .collect();
     assert_eq!(
-        variants,
-        vec!["Serial", "Queue", "Object", "Hybrid", "Direct", "Auto"],
+        messages,
+        vec!["match over Variant must name every variant explicitly (unnamed variants: Auto, Direct, Hybrid, Object, Queue)"],
         "discovered variant set must track the enum declaration"
     );
 }

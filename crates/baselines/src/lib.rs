@@ -20,5 +20,5 @@ pub use hspff::{run_hspff, HpcConfig};
 pub use sagemaker::{run_sagemaker, SageConfig};
 pub use server::{
     job_scoped_instance, run_server, BaselineError, InstanceType, PlatformReport, ServerKind,
-    ServerTimings, C5_12XLARGE, C5_2XLARGE, C5_9XLARGE,
+    ServerTimings, C5_12XLARGE,
 };

@@ -26,14 +26,14 @@ pub struct InstanceType {
 }
 
 /// `c5.2xlarge` — 8 vCPU / 16 GiB.
-pub const C5_2XLARGE: InstanceType = InstanceType {
+pub(crate) const C5_2XLARGE: InstanceType = InstanceType {
     name: "c5.2xlarge",
     vcpus: 8,
     mem_gib: 16,
     hourly_usd: 0.34,
 };
 /// `c5.9xlarge` — 36 vCPU / 72 GiB.
-pub const C5_9XLARGE: InstanceType = InstanceType {
+const C5_9XLARGE: InstanceType = InstanceType {
     name: "c5.9xlarge",
     vcpus: 36,
     mem_gib: 72,

@@ -68,7 +68,7 @@ impl DirectNet {
     /// handshake round trip elapses whether or not it succeeds — the
     /// rendezvous relay does its work either way — and failed punches are
     /// what the fault plane injects under [`ApiClass::DirectPunch`].
-    pub fn punch(&self, clock: &mut VClock, src: usize, dst: usize) -> Result<(), CommError> {
+    fn punch(&self, clock: &mut VClock, src: usize, dst: usize) -> Result<(), CommError> {
         let flow = clock.flow();
         if self.is_connected(flow, src, dst) {
             return Ok(());

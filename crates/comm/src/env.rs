@@ -196,6 +196,7 @@ impl CloudEnv {
     }
 
     /// Number of live queues in the region (diagnostics/tests).
+    // fsd_lint::allow(orphan-pub): integration-test inspection surface (residue checks)
     pub fn queue_count(&self) -> usize {
         self.queues.lock().len()
     }

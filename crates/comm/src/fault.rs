@@ -154,7 +154,7 @@ impl FaultPlan {
     }
 
     /// Whether any class can inject.
-    pub fn is_enabled(&self) -> bool {
+    fn is_enabled(&self) -> bool {
         self.transient.iter().any(|&rate| rate > 0.0)
     }
 }
@@ -183,6 +183,7 @@ impl TargetedFault {
     }
 
     /// Same schedule, but the injected failure is permanent.
+    // fsd_lint::allow(orphan-pub): integration-test fault-injection surface
     pub fn permanent(mut self) -> TargetedFault {
         self.kind = FaultKind::Permanent;
         self
@@ -208,11 +209,6 @@ impl FaultStatsSnapshot {
     /// Total faults injected across all classes.
     pub fn injected_total(&self) -> u64 {
         self.injected.iter().sum()
-    }
-
-    /// Faults injected for one class.
-    pub fn injected_for(&self, class: ApiClass) -> u64 {
-        self.injected[class.index()]
     }
 }
 
@@ -253,11 +249,6 @@ impl FaultPlane {
         self.plan.as_ref()
     }
 
-    /// Whether anything (plan or targeted schedule) can currently inject.
-    pub fn is_active(&self) -> bool {
-        self.plan.is_some() || self.armed.load(Ordering::Relaxed) > 0
-    }
-
     /// Installs a targeted fault schedule.
     pub fn inject(&self, fault: TargetedFault) {
         self.targeted.lock().push(TargetedState {
@@ -265,11 +256,6 @@ impl FaultPlane {
             fired: false,
         });
         self.armed.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Number of installed-but-unfired targeted faults.
-    pub fn pending_targets(&self) -> usize {
-        self.armed.load(Ordering::Relaxed)
     }
 
     /// The injection decision for one API call: `class` op by `flow` at
@@ -376,7 +362,7 @@ mod tests {
             }
         }
         assert_eq!(plane.stats().checks.iter().sum::<u64>(), 0);
-        assert!(!plane.is_active());
+        assert!(plane.plan().is_none());
     }
 
     #[test]
@@ -444,8 +430,7 @@ mod tests {
     fn targeted_fault_fires_on_first_match_once() {
         let plane = FaultPlane::disabled();
         plane.inject(TargetedFault::first(ApiClass::ObjectGet, "f3/"));
-        assert!(plane.is_active());
-        assert_eq!(plane.pending_targets(), 1);
+        assert_eq!(plane.armed.load(Ordering::Relaxed), 1);
         let now = VirtualTime::ZERO;
         // Non-matching resource never counts.
         assert_eq!(plane.check(ApiClass::ObjectGet, 1, now, "f4/x"), None);
@@ -457,8 +442,8 @@ mod tests {
         );
         // One-shot: consumed after firing.
         assert_eq!(plane.check(ApiClass::ObjectGet, 1, now, "f3/b"), None);
-        assert_eq!(plane.pending_targets(), 0);
-        assert_eq!(plane.stats().injected_for(ApiClass::ObjectGet), 1);
+        assert_eq!(plane.armed.load(Ordering::Relaxed), 0);
+        assert_eq!(plane.stats().injected[ApiClass::ObjectGet.index()], 1);
     }
 
     /// The whole decision stream over a fixed grid, folded into one FNV-1a

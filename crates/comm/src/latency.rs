@@ -78,7 +78,7 @@ impl LatencyModel {
     }
 
     /// Transfer time for `bytes` at `bps`, in microseconds.
-    pub fn transfer_us(bytes: usize, bps: u64) -> u64 {
+    fn transfer_us(bytes: usize, bps: u64) -> u64 {
         if bps == 0 {
             return 0;
         }

@@ -58,13 +58,15 @@ impl ObjectStore {
     /// Removes a bucket and everything in it (idempotent) — the teardown
     /// twin of [`ObjectStore::create_bucket`]. Like creation, bucket
     /// lifecycle is an offline control-plane operation and is not billed.
+    // fsd_lint::allow(orphan-pub): the teardown twin teardown-pair demands of create_bucket
     pub fn remove_bucket(&self, name: &str) {
         self.buckets.lock().remove(name);
         self.cond.notify_all();
     }
 
     /// Whether a bucket exists.
-    pub fn bucket_exists(&self, name: &str) -> bool {
+    #[cfg(test)]
+    pub(crate) fn bucket_exists(&self, name: &str) -> bool {
         self.buckets.lock().contains_key(name)
     }
 

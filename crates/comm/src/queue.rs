@@ -69,6 +69,7 @@ impl SqsQueue {
     }
 
     /// Number of currently visible messages (diagnostics/tests).
+    // fsd_lint::allow(orphan-pub): integration-test inspection surface
     pub fn visible_len(&self) -> usize {
         self.visible.lock().len()
     }

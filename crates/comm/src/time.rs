@@ -23,12 +23,6 @@ impl VirtualTime {
         VirtualTime(us)
     }
 
-    /// Builds from (possibly fractional) milliseconds.
-    #[inline]
-    pub fn from_millis_f64(ms: f64) -> VirtualTime {
-        VirtualTime((ms * 1_000.0).round().max(0.0) as u64)
-    }
-
     /// Builds from (possibly fractional) seconds.
     #[inline]
     pub fn from_secs_f64(s: f64) -> VirtualTime {
@@ -143,14 +137,12 @@ mod tests {
     #[test]
     fn conversions_roundtrip() {
         assert_eq!(VirtualTime::from_micros(1500).as_micros(), 1500);
-        assert_eq!(VirtualTime::from_millis_f64(1.5).as_micros(), 1500);
         assert_eq!(VirtualTime::from_secs_f64(0.0015).as_micros(), 1500);
         assert!((VirtualTime::from_micros(2_500_000).as_secs_f64() - 2.5).abs() < 1e-9);
     }
 
     #[test]
     fn negative_durations_clamp_to_zero() {
-        assert_eq!(VirtualTime::from_millis_f64(-5.0), VirtualTime::ZERO);
         assert_eq!(VirtualTime::from_secs_f64(-1.0), VirtualTime::ZERO);
     }
 

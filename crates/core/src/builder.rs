@@ -13,7 +13,6 @@ use crate::service::FsdService;
 use fsd_comm::CloudConfig;
 use fsd_faas::ComputeModel;
 use fsd_model::SparseDnn;
-use fsd_partition::PartitionScheme;
 use std::sync::Arc;
 
 /// Builds an [`FsdService`] over a model.
@@ -67,12 +66,6 @@ impl ServiceBuilder {
     /// Sets the launch-tree branching factor.
     pub fn branching(mut self, branching: usize) -> ServiceBuilder {
         self.cfg.branching = branching;
-        self
-    }
-
-    /// Sets the partitioning scheme for distributed variants.
-    pub fn partition_scheme(mut self, scheme: PartitionScheme) -> ServiceBuilder {
-        self.cfg.scheme = scheme;
         self
     }
 
@@ -186,6 +179,7 @@ mod tests {
     use super::*;
     use crate::artifacts::ARTIFACT_BUCKET;
     use fsd_model::{generate_dnn, DnnSpec};
+    use fsd_partition::PartitionScheme;
 
     fn dnn(seed: u64) -> Arc<SparseDnn> {
         Arc::new(generate_dnn(&DnnSpec {
@@ -201,9 +195,12 @@ mod tests {
     #[test]
     fn builder_threads_config_through() {
         let service = ServiceBuilder::new(dnn(1))
+            .config(EngineConfig {
+                scheme: PartitionScheme::Block,
+                ..EngineConfig::default()
+            })
             .deterministic(9)
             .branching(2)
-            .partition_scheme(PartitionScheme::Block)
             .serial_memory_mb(512)
             .build();
         assert_eq!(service.config().branching, 2);
@@ -221,7 +218,6 @@ mod tests {
             .build();
         // Partitioned artifacts for P=3 and P=1 are already in the
         // artifact bucket; no request has run.
-        assert_eq!(service.requests_served(), 0);
         let staged = service.env().object_store().object_count(ARTIFACT_BUCKET);
         assert!(staged > 0, "prewarm must stage artifacts");
         // Preparing again is a no-op.

@@ -83,26 +83,20 @@ pub struct CostModel {
 
 impl CostModel {
     /// `C_λ` from billing counters.
-    pub fn lambda_cost(&self, snap: &LambdaSnapshot) -> f64 {
+    fn lambda_cost(&self, snap: &LambdaSnapshot) -> f64 {
         snap.invocations as f64 * self.prices.lambda_invoke
             + snap.mb_ms as f64 * self.prices.lambda_mb_ms
     }
 
-    /// `C_λ` from the closed form `P·C_inv + P·T̄·M·C_run` (Eq. 4).
-    pub fn lambda_cost_closed_form(&self, p: u64, avg_runtime_s: f64, memory_mb: u32) -> f64 {
-        p as f64 * self.prices.lambda_invoke
-            + p as f64 * avg_runtime_s * 1000.0 * memory_mb as f64 * self.prices.lambda_mb_ms
-    }
-
     /// `C_SNS + C_SQS` (Eqs. 5–6).
-    pub fn queue_comms(&self, s: u64, z: u64, q: u64) -> f64 {
+    fn queue_comms(&self, s: u64, z: u64, q: u64) -> f64 {
         s as f64 * self.prices.sns_publish
             + z as f64 * self.prices.sns_byte
             + q as f64 * self.prices.sqs_api
     }
 
     /// `C_S3` (Eq. 7).
-    pub fn object_comms(&self, v: u64, r: u64, l: u64) -> f64 {
+    fn object_comms(&self, v: u64, r: u64, l: u64) -> f64 {
         v as f64 * self.prices.s3_put
             + r as f64 * self.prices.s3_get
             + l as f64 * self.prices.s3_list
@@ -163,8 +157,9 @@ mod tests {
     #[test]
     fn closed_form_matches_meter_form() {
         let m = CostModel::default();
-        // 10 workers, 2.5 s average, 2048 MB.
-        let closed = m.lambda_cost_closed_form(10, 2.5, 2048);
+        // `C_λ = P·C_inv + P·T̄·M·C_run` (Eq. 4): 10 workers, 2.5 s
+        // average, 2048 MB.
+        let closed = 10.0 * m.prices.lambda_invoke + 10.0 * 2500.0 * 2048.0 * m.prices.lambda_mb_ms;
         let snap = LambdaSnapshot {
             invocations: 10,
             mb_ms: 10 * 2500 * 2048,

@@ -54,7 +54,7 @@ impl Variant {
     /// service names are written; `None` for Serial, whose one-rank tree
     /// never uses its channel and names no service resource, and for Auto,
     /// which resolves into another variant first.
-    pub fn channel_name(self) -> Option<&'static str> {
+    pub(crate) fn channel_name(self) -> Option<&'static str> {
         match self {
             Variant::Serial | Variant::Auto => None,
             Variant::Queue => Some("queue"),
@@ -64,7 +64,8 @@ impl Variant {
         }
     }
 
-    /// The variant whose [`Variant::channel_name`] is `name`.
+    /// The variant whose channel is named `name` (`"queue"`, `"object"`,
+    /// `"hybrid"` or `"direct"`).
     pub fn from_channel_name(name: &str) -> Option<Variant> {
         Variant::ALL
             .into_iter()
@@ -227,10 +228,8 @@ pub struct InferenceReport {
     /// Whether the run paid the launch bill ([`LaunchPath::ColdStart`]) or
     /// was routed into a warm tree ([`LaunchPath::WarmHit`]).
     pub launch: LaunchPath,
-    /// Virtual time the request arrived — the origin of the measurement
-    /// window [`InferenceReport::latency`] is derived from.
-    pub arrival: VirtualTime,
-    /// End-to-end query latency: request arrival → root holds the result.
+    /// End-to-end query latency: request arrival (virtual time zero) →
+    /// the last rank finishes.
     pub latency: VirtualTime,
     /// Per-worker runtime facts, indexed by rank.
     pub per_worker: Vec<WorkerReport>,
@@ -268,18 +267,6 @@ impl InferenceReport {
     /// Per-sample cost in dollars (Figure 6 metric).
     pub fn per_sample_cost(&self) -> f64 {
         self.cost_actual.total() / self.samples.max(1) as f64
-    }
-
-    /// Average worker runtime `T̄` in seconds (cost model Eq. 4).
-    pub fn avg_worker_runtime_s(&self) -> f64 {
-        if self.per_worker.is_empty() {
-            return 0.0;
-        }
-        self.per_worker
-            .iter()
-            .map(|w| (w.finished.as_micros() - w.started.as_micros()) as f64 / 1e6)
-            .sum::<f64>()
-            / self.per_worker.len() as f64
     }
 }
 

@@ -80,7 +80,8 @@ pub struct HealthSnapshot {
 impl HealthSnapshot {
     /// The snapshot for `variant`, or `None` for Serial/Auto, which carry
     /// no transport health.
-    pub fn for_variant(&self, variant: Variant) -> Option<TransportHealthSnapshot> {
+    #[cfg(test)]
+    fn for_variant(&self, variant: Variant) -> Option<TransportHealthSnapshot> {
         match variant {
             Variant::Queue => Some(self.queue),
             Variant::Object => Some(self.object),
@@ -156,7 +157,7 @@ impl HealthBoard {
     /// One routing consult for `variant`: drains an open breaker's cooldown
     /// (transitioning to half-open at zero) and returns the state the
     /// router should act on. Serial/Auto always read as closed.
-    pub fn consult(&self, variant: Variant) -> BreakerState {
+    fn consult(&self, variant: Variant) -> BreakerState {
         let Some(i) = slot_index(variant) else {
             return BreakerState::Closed;
         };

@@ -96,8 +96,7 @@ pub use retry::RetryPolicy;
 pub use transport::{ChannelRegistry, Transport};
 
 pub use recommend::{
-    channel_variant, fits_instance, fits_single_instance, recommend_variant, Recommendation,
-    WorkloadProfile,
+    channel_variant, fits_instance, recommend_variant, Recommendation, WorkloadProfile,
 };
 pub use service::{FailedAttemptBill, FsdService};
 pub use stats::{ChannelStats, ChannelStatsSnapshot};

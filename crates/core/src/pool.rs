@@ -113,7 +113,6 @@ impl PoolState {
     }
 
     /// Drops one in-service mark for `key` (checkin or discard).
-    /// Saturating: a build-time pre-warm's checkin has no matching mark.
     fn release_in_use(&mut self, key: TreeKey) {
         if let Some(n) = self.in_use.get_mut(&key) {
             *n -= 1;
@@ -200,11 +199,15 @@ impl TreePool {
     /// stale. A full shelf no longer rejects the newcomer: a parked tree
     /// of the least-recently-used *shape* is evicted to make room, because
     /// the tree being checked in just served traffic and is therefore the
-    /// hottest tree of its shape.
-    pub(crate) fn checkin(&self, tree: WorkerTree) {
+    /// hottest tree of its shape. A tree that served a request holds an
+    /// in-service mark (`in_use`) and drops it here; a pre-warm holds none,
+    /// so parking it leaves the marks of running requests alone.
+    pub(crate) fn checkin(&self, tree: WorkerTree, in_use: bool) {
         let retired = {
             let mut state = self.state.lock();
-            state.release_in_use(tree.key());
+            if in_use {
+                state.release_in_use(tree.key());
+            }
             if tree.is_poisoned() {
                 state.stats.discarded_poisoned += 1;
                 Some(tree)

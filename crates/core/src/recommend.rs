@@ -72,7 +72,7 @@ pub fn fits_instance(model_bytes: usize, memory_mb: u32) -> bool {
 
 /// Whether a model fits one maximum-memory instance with the §IV-C
 /// headroom fraction (the Serial-eligibility test).
-pub fn fits_single_instance(model_bytes: usize) -> bool {
+fn fits_single_instance(model_bytes: usize) -> bool {
     fits_instance(model_bytes, MAX_MEMORY_MB)
 }
 

@@ -173,11 +173,6 @@ impl FsdService {
         &self.cfg
     }
 
-    /// Requests accepted so far (diagnostics).
-    pub fn requests_served(&self) -> u64 {
-        self.requests.load(Ordering::Relaxed)
-    }
-
     /// The service-wide weight-block cache streamed cold starts read
     /// through (inspection/tests; empty and idle unless
     /// [`EngineConfig::stream_weights`] is on).
@@ -363,7 +358,6 @@ impl FsdService {
             Err(FsdError::Comm(_)) => self.health.record(resolved, false),
             Err(_) => {}
         }
-        let arrival = VirtualTime::ZERO;
         // Per-request input artifacts are dead after the run (success or
         // not); remove them so a long-lived service does not accrete state.
         self.env
@@ -402,13 +396,13 @@ impl FsdService {
                 memory_mb: r.memory_mb,
             })
             .collect();
-        let last_finish = per_worker
+        // Every request arrives at virtual time zero, so its latency is the
+        // last rank's finish.
+        let latency = per_worker
             .iter()
             .map(|w| w.finished)
             .max()
             .ok_or(FsdError::NoWorkerReports)?;
-        let latency =
-            VirtualTime::from_micros(last_finish.as_micros().saturating_sub(arrival.as_micros()));
         if run.final_batches.is_empty() {
             return Err(FsdError::MissingOutput);
         }
@@ -420,7 +414,6 @@ impl FsdService {
             variant: resolved,
             workers: p,
             launch: run.launch,
-            arrival,
             latency,
             per_worker,
             comm,
@@ -557,7 +550,7 @@ impl FsdService {
         match &self.pool {
             None => drop(tree),
             Some(pool) if failed => pool.discard(tree),
-            Some(pool) => pool.checkin(tree),
+            Some(pool) => pool.checkin(tree, true),
         }
     }
 
@@ -608,7 +601,7 @@ impl FsdService {
             .expect("prewarm_tree requires ServiceBuilder::warm_pool");
         let key = self.shape(variant, workers, memory_mb);
         self.prepare(key.workers);
-        pool.checkin(self.new_tree(key, 0)?);
+        pool.checkin(self.new_tree(key, 0)?, false);
         Ok(())
     }
 
@@ -631,6 +624,7 @@ impl FsdService {
 
     /// Parked warm trees currently matching `(variant, workers, memory)`
     /// (keyed by [`FsdService::tree_key`]). 0 without a pool.
+    // fsd_lint::allow(orphan-pub): integration-test inspection surface (per-shape shelf)
     pub fn warm_idle_trees(&self, variant: Variant, workers: u32, memory_mb: u32) -> usize {
         let key = self.shape(variant, workers, memory_mb);
         self.pool.as_ref().map_or(0, |p| p.idle_of(key))
@@ -656,6 +650,7 @@ impl FsdService {
 
     /// Per-transport health scoreboard (error-rate EWMAs and breaker
     /// states) — inspection/tests.
+    // fsd_lint::allow(orphan-pub): integration-test inspection surface (breaker states)
     pub fn health_snapshot(&self) -> HealthSnapshot {
         self.health.snapshot()
     }
@@ -675,6 +670,7 @@ impl FsdService {
     /// there — one injection surface for every fault in the system. The
     /// `{variant}` segment is the variant's `Display` name, which
     /// `inject_fault` inverts over [`Variant::ALL`].
+    // fsd_lint::allow(orphan-pub): integration-test fault-injection surface
     pub fn warm_worker_fault(
         variant: Variant,
         workers: u32,
@@ -697,6 +693,7 @@ impl FsdService {
     /// region's [`fsd_comm::FaultPlane`] targeted schedule. Returns whether the
     /// fault was armed (a warm target with no matching parked tree, or an
     /// unparseable warm predicate, reports `false`).
+    // fsd_lint::allow(orphan-pub): integration-test fault-injection surface
     pub fn inject_fault(&self, fault: TargetedFault) -> bool {
         if let Some(spec) = fault.resource_contains.strip_prefix("warm:") {
             let mut parts = spec.split(':');
@@ -752,14 +749,6 @@ impl FsdService {
     /// refines it with the request's own first batch.
     pub fn est_bytes_per_row(&self) -> usize {
         self.dnn.spec().nnz_per_row.max(1) * 8
-    }
-
-    /// Resolves [`Variant::Auto`] into a concrete variant for this
-    /// (non-empty) request — the variant of its [`FsdService::tree_key`].
-    /// Public as a planning hook: the scheduler (and tests) can ask where
-    /// a request *would* route without executing it.
-    pub fn resolve_variant(&self, req: &BatchedRequest) -> Variant {
-        self.key_of(req).variant
     }
 }
 
@@ -825,7 +814,7 @@ mod tests {
                 .expect("runs");
             assert_eq!(report.first_output(), &expected);
         }
-        assert_eq!(service.requests_served(), 4);
+        assert_eq!(service.requests.load(Ordering::Relaxed), 4);
         // Queue-channel teardown removed the per-request queues and
         // filter policies.
         assert_eq!(service.env().queue_count(), 0);
@@ -978,6 +967,24 @@ mod tests {
     }
 
     #[test]
+    fn a_runtime_prewarm_leaves_a_running_requests_mark_alone() {
+        let (service, _, _) = small_service(23);
+        let service = ServiceBuilder::new(service.dnn.clone())
+            .deterministic(23)
+            .warm_pool(4, u64::MAX)
+            .build();
+        let key = service.shape(Variant::Queue, 2, 1769);
+        let pool = service.pool.as_ref().expect("warm pool configured");
+        // A request of the shape is running on a tree created for it…
+        pool.record_created(key, true);
+        // …when a pre-warm of the same shape parks a second tree.
+        service
+            .prewarm_tree(Variant::Queue, 2, 1769)
+            .expect("pre-warm launches");
+        assert_eq!(service.warm_live_trees(Variant::Queue, 2, 1769), 2);
+    }
+
+    #[test]
     fn warm_pool_reuses_trees_and_labels_paths() {
         let spec = DnnSpec {
             neurons: 64,
@@ -1035,7 +1042,7 @@ mod tests {
     }
 
     #[test]
-    fn latency_derives_from_arrival() {
+    fn latency_is_the_last_ranks_finish() {
         let (service, inputs, _) = small_service(5);
         let report = service
             .submit(&InferenceRequest {
@@ -1045,16 +1052,12 @@ mod tests {
                 inputs,
             })
             .expect("runs");
-        assert_eq!(report.arrival, VirtualTime::ZERO);
         let last = report
             .per_worker
             .iter()
             .map(|w| w.finished)
             .max()
             .expect("workers");
-        assert_eq!(
-            report.latency.as_micros(),
-            last.as_micros() - report.arrival.as_micros()
-        );
+        assert_eq!(report.latency, last);
     }
 }

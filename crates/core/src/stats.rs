@@ -68,17 +68,6 @@ impl ChannelStats {
     }
 }
 
-impl ChannelStatsSnapshot {
-    /// Achieved compression ratio (pre / post), 1.0 when nothing was sent.
-    pub fn compression_ratio(&self) -> f64 {
-        let post = self.bytes_sent + self.s3_bytes_put + self.direct_bytes;
-        if post == 0 {
-            return 1.0;
-        }
-        self.bytes_precompress as f64 / post as f64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -96,16 +85,5 @@ mod tests {
         assert_eq!(snap.messages, 10);
         assert_eq!(snap.bytes_sent, 1000);
         assert_eq!(snap.sqs_calls, 0);
-    }
-
-    #[test]
-    fn compression_ratio() {
-        let s = ChannelStats::new();
-        assert_eq!(s.snapshot().compression_ratio(), 1.0);
-        s.add(|c| {
-            c.bytes_precompress += 4000;
-            c.bytes_sent += 1000;
-        });
-        assert!((s.snapshot().compression_ratio() - 4.0).abs() < 1e-9);
     }
 }

@@ -49,7 +49,7 @@ impl Transport {
 }
 
 /// Name-keyed access to the built-in transports, for callers holding a
-/// [`Variant::channel_name`] rather than a variant.
+/// channel name ([`Variant::from_channel_name`]) rather than a variant.
 pub struct ChannelRegistry;
 
 impl ChannelRegistry {

@@ -101,6 +101,7 @@ impl WeightCache {
 
     /// Evicts one block (teardown twin of [`WeightCache::insert_block`]).
     /// Returns whether a block was resident.
+    // fsd_lint::allow(orphan-pub): the teardown twin teardown-pair demands of insert_block
     pub fn evict_block(&self, key: &str) -> bool {
         let mut map = self.map.lock();
         let existed = map.blocks.remove(key).is_some();

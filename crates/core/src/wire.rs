@@ -188,7 +188,7 @@ mod tests {
 
     #[test]
     fn csr_roundtrip_empty() {
-        let m = CsrMatrix::zeros(3, 7);
+        let m = CsrMatrix::from_triplets(3, 7, []).expect("valid");
         assert_eq!(decode_csr(&encode_csr(&m)).expect("decodes"), m);
     }
 

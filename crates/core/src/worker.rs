@@ -79,8 +79,21 @@ impl RunOutput {
 /// Batch-aware layer tag: tags must be distinct across batches so early
 /// arrivals stash correctly and object keys never collide with a previous
 /// batch's persisted files.
-fn layer_tag(spec: &DnnSpec, batch: usize, k: usize) -> Tag {
-    Tag::Layer((batch * spec.layers + k) as u32)
+fn layer_tag(spec: &DnnSpec, batch: usize, k: usize) -> Result<Tag, FaasError> {
+    let index = batch as u128 * spec.layers as u128 + k as u128;
+    tag_field(index, "L").map(Tag::Layer)
+}
+
+/// `value` as a 32-bit tag field, or [`Tag::encode`]'s `"tag"` error —
+/// never a silent wrap onto an earlier tag.
+fn tag_field(value: u128, segment: &str) -> Result<u32, FaasError> {
+    u32::try_from(value).map_err(|_| {
+        FaasError::comm(
+            "tag",
+            format!("{segment}{value}"),
+            format!("{value} does not fit the tag field"),
+        )
+    })
 }
 
 /// The buffers one rank's layer loop works in: the dense accumulator and
@@ -165,7 +178,7 @@ pub(crate) fn run_batches(
             // Streamed cold starts leave layers encoded until compute
             // reaches them (execute-while-load); eager loads no-op here.
             art.ensure_layer(ctx, k)?;
-            let tag = layer_tag(spec, b, k);
+            let tag = layer_tag(spec, b, k)?;
             // Sends: extract and ship the rows each target needs.
             sends.resize_with(art.send[k].len(), || (0, SparseRows::new(0)));
             for (slot, (target, rows)) in sends.iter_mut().zip(&art.send[k]) {
@@ -216,8 +229,9 @@ pub(crate) fn run_batches(
         }
 
         // --- synchronize and reduce this batch to rank 0 ----------------
-        barrier(channel.as_ref(), ctx, rank, n_workers, b as u32)?;
-        if let Some(out) = reduce(channel.as_ref(), ctx, rank, n_workers, x, b as u32)? {
+        let round = tag_field(b as u128, "R")?;
+        barrier(channel.as_ref(), ctx, rank, n_workers, round)?;
+        if let Some(out) = reduce(channel.as_ref(), ctx, rank, n_workers, x, round)? {
             final_batches.push(out);
         }
         ctx.track_free(x.mem_bytes() + art.owned.len() * width * 4);
@@ -228,4 +242,23 @@ pub(crate) fn run_batches(
         artifact_gets,
         work_done,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_layer_index_past_32_bits_is_a_tag_error_not_a_wrap() {
+        let spec = DnnSpec {
+            layers: 1 << 31,
+            ..DnnSpec::scaled(64, 1)
+        };
+        assert_eq!(layer_tag(&spec, 0, 5).ok(), Some(Tag::Layer(5)));
+        // Batch 2 starts at 2^32, which wrapped to `Tag::Layer(0)`.
+        match layer_tag(&spec, 2, 0) {
+            Err(FaasError::Comm(failure)) => assert_eq!(failure.op, "tag"),
+            other => panic!("expected a tag error, got {other:?}"),
+        }
+    }
 }

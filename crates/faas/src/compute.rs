@@ -7,7 +7,7 @@
 //! kernels; this model converts units to simulated seconds.
 
 /// AWS-published memory-to-vCPU ratio (MB per vCPU).
-pub const MB_PER_VCPU: f64 = 1769.0;
+const MB_PER_VCPU: f64 = 1769.0;
 
 /// Lambda memory floor/ceiling (MB) at the time of the paper.
 pub const MIN_MEMORY_MB: u32 = 128;

@@ -30,7 +30,7 @@ pub fn children_of(rank: usize, branching: usize, total: usize) -> Vec<usize> {
 }
 
 /// Parent of `rank` (`None` for the root).
-pub fn parent_of(rank: usize, branching: usize) -> Option<usize> {
+fn parent_of(rank: usize, branching: usize) -> Option<usize> {
     if rank == 0 {
         None
     } else {
@@ -39,7 +39,7 @@ pub fn parent_of(rank: usize, branching: usize) -> Option<usize> {
 }
 
 /// Depth of `rank` in the tree (root = 0).
-pub fn depth_of(rank: usize, branching: usize) -> usize {
+fn depth_of(rank: usize, branching: usize) -> usize {
     let mut d = 0;
     let mut r = rank;
     while let Some(p) = parent_of(r, branching) {

@@ -27,7 +27,7 @@ impl DnnSpec {
     /// The bias the paper applies for each Graph Challenge neuron count
     /// (−0.30, −0.35, −0.40, −0.45 for N = 1024 … 65536). Other sizes
     /// interpolate on `log2(N)`.
-    pub fn bias_for_neurons(neurons: usize) -> f32 {
+    fn bias_for_neurons(neurons: usize) -> f32 {
         match neurons {
             1024 => -0.30,
             4096 => -0.35,

@@ -124,24 +124,6 @@ impl CommPlan {
             .map(|s| s.len() as u64)
             .sum()
     }
-
-    /// Approximate heap bytes of the maps a single worker must hold.
-    pub fn worker_map_bytes(&self, m: u32) -> usize {
-        self.layers
-            .iter()
-            .map(|l| {
-                let s: usize = l.send[m as usize]
-                    .iter()
-                    .map(|(_, r)| 8 + r.len() * 4)
-                    .sum();
-                let r: usize = l.recv[m as usize]
-                    .iter()
-                    .map(|(_, r)| 8 + r.len() * 4)
-                    .sum();
-                s + r
-            })
-            .sum()
-    }
 }
 
 #[cfg(test)]
@@ -271,15 +253,5 @@ mod tests {
             block.total_row_sends(),
             random.total_row_sends()
         );
-    }
-
-    #[test]
-    fn worker_map_bytes_positive_for_communicating_workers() {
-        let dnn = dnn();
-        let part = random_partition(64, 4, 1);
-        let plan = CommPlan::build(&dnn, &part);
-        for m in 0..4 {
-            assert!(plan.worker_map_bytes(m) > 0);
-        }
     }
 }

@@ -370,12 +370,20 @@ mod tests {
             let dnn = generate_dnn(&DnnSpec::scaled(neurons, seed));
             let weights = Hypergraph::from_dnn(&dnn).vertex_weight;
             let nets = dnn.layers().iter().flat_map(|layer| {
-                let t = layer.transpose();
-                (0..neurons)
-                    .filter(|&j| !t.row(j).0.is_empty())
-                    .map(|j| {
+                // The transpose's rows: each input's consumers, ascending.
+                let mut consumers = vec![Vec::new(); neurons];
+                for r in 0..layer.rows() {
+                    for &j in layer.row(r).0 {
+                        consumers[j as usize].push(r as u32);
+                    }
+                }
+                consumers
+                    .into_iter()
+                    .enumerate()
+                    .filter(|(_, rows)| !rows.is_empty())
+                    .map(|(j, rows)| {
                         let mut pins = vec![j as u32];
-                        pins.extend_from_slice(t.row(j).0);
+                        pins.extend(rows);
                         (pins, 1u32)
                     })
                     .collect::<Vec<_>>()

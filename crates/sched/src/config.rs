@@ -266,11 +266,6 @@ pub struct SchedStatsSnapshot {
 }
 
 impl SchedStatsSnapshot {
-    /// Total admitted across classes.
-    pub fn total_admitted(&self) -> u64 {
-        self.admitted.iter().sum()
-    }
-
     /// Total rejected across classes.
     pub fn total_rejected(&self) -> u64 {
         self.rejected.iter().sum()
@@ -399,13 +394,8 @@ mod tests {
                 memory_mb: 1769,
                 batches: vec![inputs],
             };
-            let planned = svc.resolve_variant(&req);
+            let planned = svc.resolve(Variant::Auto, 3, est);
             assert_eq!(planned, expected_side, "est {est} landed off-band");
-            assert_eq!(
-                planned,
-                svc.resolve(Variant::Auto, 3, est),
-                "plan diverged from the shared resolver"
-            );
             let report = svc.submit_batched(&req).expect("auto runs");
             assert_eq!(
                 report.variant, planned,

@@ -134,18 +134,6 @@ pub struct FleetReplayReport {
     pub stats: SchedStatsSnapshot,
 }
 
-impl FleetReplayReport {
-    /// Seq numbers of one class's admissions, in admission order
-    /// (FIFO-within-class assertions).
-    pub fn admissions_of(&self, class: Priority) -> Vec<u64> {
-        self.outcomes
-            .iter()
-            .filter(|o| o.priority == class)
-            .map(|o| o.seq)
-            .collect()
-    }
-}
-
 /// Replays a multi-model fleet trace against a manual-dispatch scheduler:
 /// the driver protocol of the module docs, with each arrival routed to
 /// `models[a.model]` and stamped with its virtual arrival instant

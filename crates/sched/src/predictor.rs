@@ -71,21 +71,9 @@ impl PredictorConfig {
         self
     }
 
-    /// Sets the burst threshold (clamped to ≥ 1).
-    pub fn burst_threshold(mut self, threshold: usize) -> PredictorConfig {
-        self.burst_threshold = threshold.max(1);
-        self
-    }
-
     /// Sets the global warm-target budget.
     pub fn max_warm(mut self, max_warm: usize) -> PredictorConfig {
         self.max_warm = max_warm;
-        self
-    }
-
-    /// Sets the quiescence horizon (clamped to ≥ 1 arrival).
-    pub fn quiet_after(mut self, quiet_after: u64) -> PredictorConfig {
-        self.quiet_after = quiet_after.max(1);
         self
     }
 }
@@ -137,11 +125,6 @@ impl Predictor {
             window: VecDeque::new(),
             last_seen: BTreeMap::new(),
         }
-    }
-
-    /// Arrivals observed so far.
-    pub fn observed(&self) -> u64 {
-        self.seq
     }
 
     /// Records one arrival (`None` for an empty request, which runs no
@@ -241,7 +224,7 @@ mod tests {
 
     #[test]
     fn burst_raises_the_target_to_observed_depth() {
-        let mut p = Predictor::new(PredictorConfig::default().burst_threshold(2));
+        let mut p = Predictor::new(PredictorConfig::default());
         let s = shape(Variant::Queue, 1);
         p.observe(Some(s));
         p.observe(Some(s));
@@ -254,12 +237,15 @@ mod tests {
         let mut p = Predictor::new(PredictorConfig::default());
         let d = p.observe(None);
         assert!(d.is_empty(), "no shape, no decision: {d:?}");
-        assert_eq!(p.observed(), 1);
+        assert_eq!(p.seq, 1);
     }
 
     #[test]
     fn targets_never_exceed_the_budget() {
-        let mut p = Predictor::new(PredictorConfig::default().max_warm(3).burst_threshold(1));
+        let mut p = Predictor::new(PredictorConfig {
+            burst_threshold: 1,
+            ..PredictorConfig::default().max_warm(3)
+        });
         let a = shape(Variant::Queue, 1);
         let b = shape(Variant::Queue, 2);
         let c = shape(Variant::Object, 1);
@@ -285,10 +271,10 @@ mod tests {
         // window 8 and quiet_after 8: a shape 8 arrivals quiet is retired
         // exactly as its last window slot expires, so the eviction is
         // emitted while the shape is still nameable.
-        let cfg = PredictorConfig::default()
-            .window(8)
-            .quiet_after(8)
-            .burst_threshold(2);
+        let cfg = PredictorConfig {
+            quiet_after: 8,
+            ..PredictorConfig::default().window(8)
+        };
         let mut p = Predictor::new(cfg);
         let a = shape(Variant::Queue, 1);
         let b = shape(Variant::Object, 2);

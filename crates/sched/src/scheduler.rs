@@ -259,7 +259,7 @@ impl SchedulerCore {
 /// Builds a [`Scheduler`] over one or more registered models.
 pub struct SchedulerBuilder {
     cfg: SchedulerConfig,
-    models: Vec<(String, Arc<FsdService>, Option<usize>)>,
+    models: Vec<(String, Arc<FsdService>)>,
 }
 
 impl SchedulerBuilder {
@@ -274,18 +274,7 @@ impl SchedulerBuilder {
     /// Registers a model whose concurrency cap is derived from the §IV-C
     /// recommendation ([`derive_model_cap`]).
     pub fn model(mut self, name: impl Into<String>, service: Arc<FsdService>) -> SchedulerBuilder {
-        self.models.push((name.into(), service, None));
-        self
-    }
-
-    /// Registers a model with an explicit concurrency cap.
-    pub fn model_with_cap(
-        mut self,
-        name: impl Into<String>,
-        service: Arc<FsdService>,
-        cap: usize,
-    ) -> SchedulerBuilder {
-        self.models.push((name.into(), service, Some(cap.max(1))));
+        self.models.push((name.into(), service));
         self
     }
 
@@ -314,8 +303,8 @@ impl SchedulerBuilder {
         let mut models = Vec::with_capacity(self.models.len());
         let mut caps = Vec::with_capacity(self.models.len());
         let mut by_name = HashMap::new();
-        for (name, service, cap) in self.models {
-            caps.push(cap.unwrap_or_else(|| derive_model_cap(&service)));
+        for (name, service) in self.models {
+            caps.push(derive_model_cap(&service));
             let previous = by_name.insert(name.clone(), models.len());
             assert!(previous.is_none(), "model {name:?} registered twice");
             models.push(ModelEntry { name, service });
@@ -440,7 +429,7 @@ impl Scheduler {
     }
 
     /// The full intake path: explicit arrival stamp *and* retry budget.
-    pub fn enqueue_full(
+    fn enqueue_full(
         &self,
         model: &str,
         priority: Priority,

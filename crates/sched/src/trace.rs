@@ -69,29 +69,6 @@ fn arrival(
     }
 }
 
-/// A steady trickle: `n` arrivals spaced `gap_us` apart, mostly
-/// interactive with every fourth request batch, small worker counts.
-/// Under any sane capacity this trace sees no backpressure.
-pub fn steady(n: usize, gap_us: u64, seed: u64) -> Vec<Arrival> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    (0..n)
-        .map(|i| {
-            let priority = if i % 4 == 3 {
-                Priority::Batch
-            } else {
-                Priority::Interactive
-            };
-            let variant = if i % 3 == 0 {
-                Variant::Serial
-            } else {
-                Variant::Queue
-            };
-            let workers = 1 + (i % 2) as u32;
-            arrival(&mut rng, i as u64 * gap_us, priority, variant, workers, i)
-        })
-        .collect()
-}
-
 /// Bursts of simultaneous arrivals: `bursts` groups of `burst_size`
 /// requests, each group sharing one arrival instant, groups `gap_us`
 /// apart. Each burst mixes both classes and both channel variants.
@@ -217,11 +194,10 @@ mod tests {
 
     #[test]
     fn traces_are_deterministic_per_seed() {
-        assert_eq!(steady(20, 1000, 7), steady(20, 1000, 7));
         assert_eq!(bursty(3, 8, 50_000, 7), bursty(3, 8, 50_000, 7));
         assert_eq!(flood(16, 4, 7), flood(16, 4, 7));
         assert_eq!(fleet(4, 5, 6, 100_000, 7), fleet(4, 5, 6, 100_000, 7));
-        assert_ne!(steady(20, 1000, 7), steady(20, 1000, 8));
+        assert_ne!(bursty(3, 8, 50_000, 7), bursty(3, 8, 50_000, 8));
         assert_ne!(fleet(4, 5, 6, 100_000, 7), fleet(4, 5, 6, 100_000, 8));
     }
 

@@ -8,8 +8,7 @@ use fsd_comm::VirtualTime;
 use fsd_core::{BatchedRequest, FsdError, FsdService, LaunchPath, ServiceBuilder, Variant};
 use fsd_model::{generate_dnn, generate_inputs, DnnSpec, InputSpec};
 use fsd_sched::{
-    BatchingConfig, FailureCause, Priority, Scheduler, SchedulerBuilder, SchedulerConfig, Ticket,
-    DEFAULT_MODEL,
+    BatchingConfig, FailureCause, Priority, Scheduler, SchedulerConfig, Ticket, DEFAULT_MODEL,
 };
 use fsd_sparse::SparseRows;
 use std::collections::HashMap;
@@ -63,7 +62,7 @@ fn wrap_serves_a_request_end_to_end() {
     let stats = sched.stats();
     assert_eq!(stats.enqueued, 1);
     assert_eq!(stats.completed, 1);
-    assert_eq!(stats.total_admitted(), 1);
+    assert_eq!(stats.admitted.iter().sum::<u64>(), 1);
     assert_eq!(stats.inflight, 0);
 }
 
@@ -234,45 +233,6 @@ fn global_cap_is_never_exceeded() {
         "cap 2 exceeded: {}",
         stats.max_inflight
     );
-    assert_eq!(stats.completed, 6);
-}
-
-#[test]
-fn per_model_cap_constrains_only_that_model() {
-    let (svc_a, inputs_a, _) = service(6);
-    let (svc_b, inputs_b, _) = service(7);
-    let sched = SchedulerBuilder::new(SchedulerConfig::default().global_cap(4))
-        .model_with_cap("a", svc_a, 1)
-        .model_with_cap("b", svc_b, 4)
-        .build();
-    let mut tickets = Vec::new();
-    for _ in 0..3 {
-        tickets.push(
-            sched
-                .enqueue(
-                    "a",
-                    Priority::Interactive,
-                    request(&inputs_a, Variant::Serial, 1),
-                )
-                .expect("accepted"),
-        );
-        tickets.push(
-            sched
-                .enqueue(
-                    "b",
-                    Priority::Interactive,
-                    request(&inputs_b, Variant::Serial, 1),
-                )
-                .expect("accepted"),
-        );
-    }
-    for t in tickets {
-        t.wait().expect("runs");
-    }
-    let stats = sched.stats();
-    assert_eq!(stats.max_inflight_per_model.len(), 2);
-    assert!(stats.max_inflight_per_model[0] <= 1, "model a cap violated");
-    assert!(stats.max_inflight <= 4);
     assert_eq!(stats.completed, 6);
 }
 

@@ -70,20 +70,10 @@ impl CsrMatrix {
         Ok(m)
     }
 
-    /// An empty matrix with the given shape.
-    pub fn zeros(rows: usize, cols: usize) -> Self {
-        CsrMatrix {
-            rows,
-            cols,
-            indptr: vec![0; rows + 1],
-            indices: Vec::new(),
-            values: Vec::new(),
-        }
-    }
-
     /// Builds a matrix from `(row, col, value)` triplets. Duplicate
     /// coordinates are summed; zero-valued entries are kept (the sparsity
     /// pattern is structural, as in the Graph Challenge DNNs).
+    // fsd_lint::allow(orphan-pub): integration-test injection surface (the matrices property tests feed in)
     pub fn from_triplets(
         rows: usize,
         cols: usize,
@@ -207,36 +197,6 @@ impl CsrMatrix {
             + self.values.len() * 4
     }
 
-    /// The transpose, as a new CSR matrix (i.e. CSC of `self`).
-    pub fn transpose(&self) -> CsrMatrix {
-        let mut counts = vec![0usize; self.cols + 1];
-        for &c in &self.indices {
-            counts[c as usize + 1] += 1;
-        }
-        for i in 0..self.cols {
-            counts[i + 1] += counts[i];
-        }
-        let indptr = counts.clone();
-        let mut indices = vec![0u32; self.nnz()];
-        let mut values = vec![0f32; self.nnz()];
-        for r in 0..self.rows {
-            let (cols, vals) = self.row(r);
-            for (&c, &v) in cols.iter().zip(vals) {
-                let slot = counts[c as usize];
-                indices[slot] = r as u32;
-                values[slot] = v;
-                counts[c as usize] += 1;
-            }
-        }
-        CsrMatrix {
-            rows: self.cols,
-            cols: self.rows,
-            indptr,
-            indices,
-            values,
-        }
-    }
-
     /// Extracts the sub-matrix of the given rows (in the given order) as a
     /// new CSR matrix with the same column space.
     pub fn select_rows(&self, rows: &[u32]) -> CsrMatrix {
@@ -349,8 +309,8 @@ mod tests {
     }
 
     #[test]
-    fn zeros_has_no_entries() {
-        let m = CsrMatrix::zeros(4, 7);
+    fn shaped_empty_matrix_has_no_entries() {
+        let m = CsrMatrix::from_triplets(4, 7, []).expect("valid");
         assert_eq!(m.nnz(), 0);
         assert_eq!(m.rows(), 4);
         assert!(m.validate().is_ok());
@@ -360,24 +320,6 @@ mod tests {
     fn empty_matrix_is_valid() {
         let m = CsrMatrix::from_triplets(0, 0, []).expect("valid");
         assert_eq!(m.nnz(), 0);
-        assert!(m.validate().is_ok());
-    }
-
-    #[test]
-    fn transpose_roundtrip() {
-        let m = sample();
-        let t = m.transpose();
-        assert_eq!(t.rows(), 3);
-        assert_eq!(t.row(0), (&[0u32, 2][..], &[1.0f32, 3.0][..]));
-        assert_eq!(t.row(1), (&[2u32][..], &[4.0f32][..]));
-        assert_eq!(t.row(2), (&[0u32][..], &[2.0f32][..]));
-        let tt = t.transpose();
-        assert_eq!(tt, m);
-    }
-
-    #[test]
-    fn transpose_preserves_validity() {
-        let m = sample().transpose();
         assert!(m.validate().is_ok());
     }
 
@@ -398,7 +340,7 @@ mod tests {
 
     #[test]
     fn mem_bytes_is_positive_and_scales() {
-        let small = CsrMatrix::zeros(1, 1);
+        let small = CsrMatrix::from_triplets(1, 1, []).expect("valid");
         let big = sample();
         assert!(big.mem_bytes() > small.mem_bytes());
     }

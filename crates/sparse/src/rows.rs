@@ -142,6 +142,7 @@ impl SparseRows {
     }
 
     /// Looks a row up by global id (binary search).
+    // fsd_lint::allow(orphan-pub): integration-test inspection surface
     pub fn row_by_id(&self, id: u32) -> Option<(&[u32], &[f32])> {
         let pos = self.ids.binary_search(&id).ok()?;
         let s = self.indptr[pos];

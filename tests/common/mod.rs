@@ -23,11 +23,7 @@ pub fn test_variant() -> Variant {
         return Variant::Queue;
     }
     Variant::from_channel_name(&name).unwrap_or_else(|| {
-        let names: Vec<&str> = Variant::ALL
-            .into_iter()
-            .filter_map(Variant::channel_name)
-            .collect();
-        panic!("FSD_TEST_VARIANT={name:?}: expected {}", names.join(" | "))
+        panic!("FSD_TEST_VARIANT={name:?}: expected queue | object | hybrid | direct")
     })
 }
 

@@ -144,7 +144,6 @@ fn concurrent_mixed_requests_match_sequential_outputs() {
             "leaked intermediate objects in bucket {i}"
         );
     }
-    assert_eq!(service.requests_served(), 16, "8 sequential + 8 concurrent");
 }
 
 #[test]

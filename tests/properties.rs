@@ -426,11 +426,11 @@ proptest! {
                 _ => Some(TreeKey { variant: Variant::Object, workers: p, memory_mb: 1769 }),
             }
         };
-        let cfg = PredictorConfig::default()
-            .window(window)
-            .burst_threshold(burst_threshold)
-            .max_warm(max_warm)
-            .quiet_after(quiet_after);
+        let cfg = PredictorConfig {
+            burst_threshold,
+            quiet_after,
+            ..PredictorConfig::default().window(window).max_warm(max_warm)
+        };
 
         let mut a = Predictor::new(cfg);
         let mut b = Predictor::new(cfg);
@@ -472,7 +472,10 @@ proptest! {
             workers: 1 + (i % 3) as u32,
             memory_mb: 1769,
         };
-        let cfg = PredictorConfig::default().quiet_after(quiet_after);
+        let cfg = PredictorConfig {
+            quiet_after,
+            ..PredictorConfig::default()
+        };
         let mut p = Predictor::new(cfg);
         let mut seen = std::collections::BTreeSet::new();
         for &i in &arrivals {
@@ -654,7 +657,7 @@ proptest! {
         }
         // Conservation: every enqueue attempt is accounted exactly once.
         prop_assert_eq!(stats.enqueued, accepted);
-        prop_assert_eq!(stats.total_admitted(), accepted);
+        prop_assert_eq!(stats.admitted.iter().sum::<u64>(), accepted);
         prop_assert_eq!(stats.total_rejected(), rejections);
         prop_assert_eq!(stats.completed, accepted);
         prop_assert_eq!(stats.failed, 0);

@@ -153,15 +153,15 @@ fn audit_detects_planted_leaks() {
     let mut clock = fsd_inference::comm::VClock::default();
     clock.set_flow(77);
     env.direct()
-        .punch(&mut clock, 0, 1)
-        .expect("punch succeeds without faults");
+        .send(&mut clock, 0, 1, "leak", &b"x"[..])
+        .expect("send succeeds without faults");
     let report = env.residue_report();
     assert!(
         report.iter().any(|r| r.contains("direct connection")),
         "planted direct connection not reported: {report:?}"
     );
     env.direct().close_flow(77);
-    // The punch billed on flow 77, opening a per-flow meter bucket — the
+    // The send billed on flow 77, opening a per-flow meter bucket — the
     // audit counts that as residue too, so release it like teardown would.
     env.meter().release_flow(77);
     env.assert_no_residue();
@@ -236,13 +236,14 @@ fn remove_bucket_is_create_buckets_teardown_twin() {
     let (service, _) = service_for(5);
     let store = service.env().object_store();
     store.create_bucket("transient");
-    assert!(store.bucket_exists("transient"));
     let mut clock = fsd_inference::comm::VClock::default();
     store
         .put("transient", "k", &b"v"[..], &mut clock)
         .expect("put into transient bucket");
     store.remove_bucket("transient");
-    assert!(!store.bucket_exists("transient"));
+    store
+        .put("transient", "k", &b"v"[..], &mut clock)
+        .expect_err("the removed bucket is gone");
     // Idempotent, like create_bucket.
     store.remove_bucket("transient");
 }

@@ -426,11 +426,7 @@ fn interior_relay_fault_falls_back_below_it_with_gets_exactly_once() {
             .submit(&request(&inputs, 8))
             .expect("a torn relay must degrade, not fail the request");
         assert_eq!(
-            faulted
-                .env()
-                .faults()
-                .stats()
-                .injected_for(ApiClass::WeightStream),
+            faulted.env().faults().stats().injected[ApiClass::WeightStream.index()],
             1
         );
         assert_eq!(report.first_output(), &expected);
