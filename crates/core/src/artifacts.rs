@@ -142,17 +142,22 @@ pub(crate) struct WorkerArtifacts {
 }
 
 impl WorkerArtifacts {
-    /// Decodes layer `k` if it is still [`LayerSlot::Pending`]: waits (in
-    /// virtual time) for the bytes to finish arriving, then runs the eager
-    /// load's layer decode — so a streamed load's decoded blocks, outputs
-    /// and work totals are bit-identical to an independent load's. No-op
-    /// on ready slots.
-    pub(crate) fn ensure_layer(&mut self, ctx: &mut WorkerCtx, k: usize) -> Result<(), FaasError> {
+    /// Decodes layer `k` of a `neurons`-wide model if it is still
+    /// [`LayerSlot::Pending`]: waits (in virtual time) for the bytes to
+    /// finish arriving, then runs the eager load's layer decode — so a
+    /// streamed load's decoded blocks, outputs and work totals are
+    /// bit-identical to an independent load's. No-op on ready slots.
+    pub(crate) fn ensure_layer(
+        &mut self,
+        ctx: &mut WorkerCtx,
+        k: usize,
+        neurons: usize,
+    ) -> Result<(), FaasError> {
         let LayerSlot::Pending((body, available_at)) = &self.weights[k] else {
             return Ok(());
         };
         ctx.clock_mut().observe(*available_at);
-        let block = decode_layer(ctx, body, self.owned.len(), k)?;
+        let block = decode_layer(ctx, body, self.owned.len(), neurons, k)?;
         ctx.track_free(body.len());
         ctx.track_alloc(block.mem_bytes());
         ctx.check_limits()?;
@@ -188,15 +193,28 @@ fn decode<T, E: std::fmt::Display>(
 }
 
 /// The one layer decode of eager and streamed loads: the CSR sub-block
-/// (rows local to the worker's `n_owned`, columns global), transposed into
-/// a column-major block whose construction is charged as work.
+/// (rows local to the worker's `n_owned`, columns global to the
+/// `neurons`-wide model), transposed into a column-major block whose
+/// construction is charged as work. A block of any other shape fails the
+/// instance before the transpose reads a row past it or sizes a table by
+/// its column count.
 fn decode_layer(
     ctx: &mut WorkerCtx,
     body: &[u8],
     n_owned: usize,
+    neurons: usize,
     k: usize,
 ) -> Result<ColMajorBlock, FaasError> {
-    let sub = decode(ctx, body, &format!("layer {k}"), wire::decode_csr)?;
+    let what = format!("layer {k}");
+    let sub = decode(ctx, body, &what, wire::decode_csr)?;
+    if (sub.rows(), sub.cols()) != (n_owned, neurons) {
+        let detail = format!(
+            "block is {} x {}, expected {n_owned} x {neurons}",
+            sub.rows(),
+            sub.cols()
+        );
+        return Err(FaasError::comm("decode", what, detail));
+    }
     let local_ids: Vec<u32> = (0..n_owned as u32).collect();
     let block = ColMajorBlock::from_layer(&sub, &local_ids);
     ctx.charge_work(block.nnz() as u64 * 2); // transpose construction
@@ -328,6 +346,7 @@ pub(crate) fn load_worker_artifacts(
     p: u32,
     m: u32,
     n_layers: usize,
+    neurons: usize,
     cache: Option<&WeightCache>,
 ) -> Result<WorkerArtifacts, FaasError> {
     let mut n_gets = 0u64;
@@ -351,7 +370,7 @@ pub(crate) fn load_worker_artifacts(
     let mut weights = Vec::with_capacity(n_layers);
     for k in 0..n_layers {
         let body = get(ctx, Part::Layer(k))?;
-        let block = decode_layer(ctx, &body, owned.len(), k)?;
+        let block = decode_layer(ctx, &body, owned.len(), neurons, k)?;
         // Tracked as it loads: an instance too small for its blocks dies
         // mid-load, as a real one would.
         ctx.track_alloc(block.mem_bytes());
@@ -396,6 +415,7 @@ mod tests {
     use fsd_faas::{ComputeModel, FaasPlatform, FunctionConfig};
     use fsd_model::{generate_dnn, generate_inputs, DnnSpec, InputSpec};
     use fsd_partition::{partition_model, PartitionScheme};
+    use fsd_sparse::CsrMatrix;
     use std::sync::Arc;
 
     fn setup() -> (Arc<CloudEnv>, SparseDnn, Partition, CommPlan, SparseRows) {
@@ -429,7 +449,7 @@ mod tests {
                     FunctionConfig::worker("w", 4096),
                     VirtualTime::ZERO,
                     move |ctx| {
-                        let art = load_worker_artifacts(ctx, "m1", 4, m, 3, None)?;
+                        let art = load_worker_artifacts(ctx, "m1", 4, m, 3, 64, None)?;
                         let mut share = SparseRows::new(0);
                         load_input_share_into(ctx, "i1", 4, m, &mut share)?;
                         assert_eq!(art.owned, part.owned(m));
@@ -449,6 +469,44 @@ mod tests {
     }
 
     #[test]
+    fn a_mis_shaped_layer_block_fails_the_load() {
+        let (env, dnn, part, plan, _) = setup();
+        stage_partitioned_model(&env, "m1", &dnn, &part, &plan);
+        let owned = part.owned(1);
+        let block = dnn.layers()[0].select_rows(owned);
+        let (indptr, indices, values) = block.parts();
+        let short = dnn.layers()[0].select_rows(&owned[..owned.len() - 1]);
+        let wide = CsrMatrix::new(
+            owned.len(),
+            65,
+            indptr.to_vec(),
+            indices.to_vec(),
+            values.to_vec(),
+        )
+        .expect("valid");
+        let platform = FaasPlatform::new(env.clone(), ComputeModel::default());
+        for bad in [short, wide] {
+            let key = Part::Layer(0).key("m1", 4, 1);
+            env.object_store()
+                .put_offline(ARTIFACT_BUCKET, &key, wire::encode_csr(&bad))
+                .expect("bucket exists");
+            let res = platform
+                .invoke(
+                    FunctionConfig::worker("w", 4096),
+                    VirtualTime::ZERO,
+                    |ctx| load_worker_artifacts(ctx, "m1", 4, 1, 3, 64, None).map(|_| ()),
+                )
+                .join();
+            match res {
+                Err(FaasError::Comm(failure)) => {
+                    assert_eq!((failure.op, &*failure.resource), ("decode", "layer 0"));
+                }
+                other => panic!("{} x {} block: {other:?}", bad.rows(), bad.cols()),
+            }
+        }
+    }
+
+    #[test]
     fn one_rank_load_of_oversized_model_ooms_mid_load() {
         let (env, dnn, ..) = setup();
         let whole = partition_model(&dnn, 1, PartitionScheme::Block, 1);
@@ -463,7 +521,7 @@ mod tests {
                 VirtualTime::ZERO,
                 move |ctx| {
                     ctx.track_alloc(128 * 1024 * 1024 - 64 * 4);
-                    load_worker_artifacts(ctx, "m1", 1, 0, 3, None).map(|_| ())
+                    load_worker_artifacts(ctx, "m1", 1, 0, 3, 64, None).map(|_| ())
                 },
             )
             .join();
@@ -479,7 +537,7 @@ mod tests {
             .invoke(
                 FunctionConfig::worker("w", 1024),
                 VirtualTime::ZERO,
-                |ctx| load_worker_artifacts(ctx, "ghost", 4, 0, 3, None).map(|_| ()),
+                |ctx| load_worker_artifacts(ctx, "ghost", 4, 0, 3, 64, None).map(|_| ()),
             )
             .join();
         assert!(matches!(res, Err(FaasError::Comm(_))));

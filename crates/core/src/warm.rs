@@ -258,7 +258,15 @@ fn serve_worker(
     let loaded = if params.stream {
         crate::weight_stream::stream_load(ctx, params, rank, shared.hops.start)
     } else {
-        load_worker_artifacts(ctx, &params.model_key, p, rank, params.spec.layers, None)
+        load_worker_artifacts(
+            ctx,
+            &params.model_key,
+            p,
+            rank,
+            params.spec.layers,
+            params.spec.neurons,
+            None,
+        )
     };
     let mut art = loaded.map_err(|e| shared.fail(rank, e))?;
 

@@ -116,7 +116,8 @@ pub(crate) fn stream_load(
     // discarded (the shared cache still holds everything the source
     // fetched, so the fallback re-reads them for free).
     ctx.track_free(relay.own.bytes);
-    load_worker_artifacts(ctx, model, p, rank, n_layers, Some(&params.cache))
+    let neurons = params.spec.neurons;
+    load_worker_artifacts(ctx, model, p, rank, n_layers, neurons, Some(&params.cache))
 }
 
 /// One rank's side of the stream: its own parts as they arrive, and its

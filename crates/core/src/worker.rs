@@ -177,7 +177,7 @@ pub(crate) fn run_batches(
         for k in 0..spec.layers {
             // Streamed cold starts leave layers encoded until compute
             // reaches them (execute-while-load); eager loads no-op here.
-            art.ensure_layer(ctx, k)?;
+            art.ensure_layer(ctx, k, spec.neurons)?;
             let tag = layer_tag(spec, b, k)?;
             // Sends: extract and ship the rows each target needs.
             sends.resize_with(art.send[k].len(), || (0, SparseRows::new(0)));

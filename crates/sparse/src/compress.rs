@@ -9,6 +9,24 @@
 //! payloads produced by [`crate::codec`] — which is all the role zlib plays
 //! in FSD-Inference.
 //!
+//! **The frame-sized index.** The head table has `2^bits` buckets, `bits =
+//! clamp(ceil_log2(len), 4, HASH_BITS)`, so a frame of a few hundred bytes
+//! fills a table of about its own size instead of 2^`HASH_BITS` slots. A
+//! position whose full hash is `h` goes in bucket `h >> (HASH_BITS -
+//! bits)`. The search from a position with hash `h` walks its bucket's
+//! chain and passes every bucket-mate whose full hash is not `h` without
+//! counting it against `CHAIN_LIMIT`. What remains is exactly the chain a
+//! 2^`HASH_BITS` table holds for `h`, in the same order, so the search
+//! compares the same candidates, stops at the same step and writes the
+//! same frame. A bucket chain, like a hash chain, only goes back in
+//! position, so the `i - c > WINDOW` cut stays valid whichever candidate
+//! meets it first, and the chain ring's argument (at its definition)
+//! holds for bucket chains unchanged. Frames of more than 2^14 bytes
+//! take the full table, whose search has no bucket-mate check at all.
+//! (A 2^`HASH_BITS` table is 128 KiB to allocate and fill for every
+//! frame; on the sub-2 KB frames of a cold launch that cost more than the
+//! search.)
+//!
 //! Frame format:
 //! `magic 'L','Z' | raw_len varint | { token }*` where a token is either
 //! `0x00, len varint, bytes` (literal run) or `0x01, len-4 varint, dist
@@ -73,12 +91,30 @@ pub fn compress(data: &[u8]) -> Vec<u8> {
 /// before it) goes out as literals. Frames shorter than `limit` do not
 /// depend on it.
 fn compress_below(data: &[u8], limit: usize) -> Vec<u8> {
+    // The frame-sized index (module doc): at least one bucket per input
+    // byte, up to 2^HASH_BITS. A full-size table shares no bucket, so it
+    // gets a copy of the search without the bucket-mate check.
+    let bits = data
+        .len()
+        .next_power_of_two()
+        .trailing_zeros()
+        .clamp(4, HASH_BITS);
+    match HASH_BITS - bits {
+        0 => lz::<false>(data, limit, 0),
+        shift => lz::<true>(data, limit, shift),
+    }
+}
+
+/// The LZ pass of [`compress_below`] over a head table of
+/// `2^(HASH_BITS - shift)` buckets, each shared by `2^shift` hashes when
+/// `SHARED`.
+fn lz<const SHARED: bool>(data: &[u8], limit: usize, shift: u32) -> Vec<u8> {
     let mut out = Vec::with_capacity(data.len() / 2 + 16);
     out.extend_from_slice(&MAGIC);
     put_varint(&mut out, data.len() as u64);
 
-    let mut head = vec![EMPTY; 1 << HASH_BITS];
-    // `chain[p & mask]` is the previous position with `p`'s hash, kept in
+    let mut head = vec![EMPTY; 1 << (HASH_BITS - shift)];
+    // `chain[p & mask]` is the previous position in `p`'s bucket, kept in
     // a ring of `WINDOW` entries. The ring is exact, not a heuristic: the
     // search at `i` follows `chain[c]` only for candidates that passed the
     // `i - c > WINDOW` test, those positions `i - WINDOW .. i` fall into
@@ -106,7 +142,7 @@ fn compress_below(data: &[u8], limit: usize) -> Vec<u8> {
     while i < indexable {
         let h = hash4(&data[i..]);
         let max_len = (data.len() - i).min(MAX_MATCH);
-        let mut candidate = head[h];
+        let mut candidate = head[h >> shift];
         let mut best_len = 0usize;
         let mut best_dist = 0usize;
         let mut steps = 0usize;
@@ -116,6 +152,13 @@ fn compress_below(data: &[u8], limit: usize) -> Vec<u8> {
             let c = candidate as usize;
             if i - c > WINDOW {
                 break;
+            }
+            // A bucket-mate with another hash is no candidate of a
+            // 2^HASH_BITS table: pass it without counting a step. (Equal
+            // bytes mean an equal hash, and comparing them is cheaper.)
+            if SHARED && data[c..c + 4] != data[i..i + 4] && hash4(&data[c..]) != h {
+                candidate = chain[c & mask];
+                continue;
             }
             // Only a longer match replaces the best one, and a longer match
             // agrees with `data[i..]` at offset `best_len`.
@@ -129,8 +172,8 @@ fn compress_below(data: &[u8], limit: usize) -> Vec<u8> {
             candidate = chain[c & mask];
             steps += 1;
         }
-        chain[i & mask] = head[h];
-        head[h] = i as u32;
+        chain[i & mask] = head[h >> shift];
+        head[h >> shift] = i as u32;
         if best_len >= MIN_MATCH {
             flush_literals(&mut out, lit_start, i);
             out.push(0x01);
@@ -138,9 +181,9 @@ fn compress_below(data: &[u8], limit: usize) -> Vec<u8> {
             put_varint(&mut out, best_dist as u64);
             // Index the skipped positions so later matches can reference them.
             for j in i + 1..(i + best_len).min(indexable) {
-                let h = hash4(&data[j..]);
-                chain[j & mask] = head[h];
-                head[h] = j as u32;
+                let b = hash4(&data[j..]) >> shift;
+                chain[j & mask] = head[b];
+                head[b] = j as u32;
             }
             i += best_len;
             lit_start = i;
@@ -358,6 +401,48 @@ mod tests {
             assert!(frame == compress_reference(&encoded), "width {width}");
             assert_eq!(decompress(&frame).expect("ok"), encoded);
         }
+    }
+
+    #[test]
+    fn equals_the_reference_where_the_head_table_changes_size() {
+        // Both sides of every head-table size step (16 to 2^15 buckets),
+        // and of the window and ring sizes 2^16 and 2^17.
+        let mut rng = Rng::new(0x2B175);
+        for k in 2..=17 {
+            for len in [(1usize << k) - 1, 1 << k, (1 << k) + 1] {
+                let data = mixed_input(&mut rng, len);
+                assert!(compress(&data) == compress_reference(&data), "len {len}");
+            }
+        }
+    }
+
+    #[test]
+    fn bucket_mates_with_another_hash_do_not_use_up_the_chain() {
+        // `[T][w1]…[w40][T]`, 168 bytes, so a 2^8-bucket head table. Every
+        // `w` shares T's bucket but not its full hash: the search from the
+        // second T passes all 40 before it reaches the first — more than
+        // CHAIN_LIMIT, were they counted as steps.
+        let t = *b"Tmrk";
+        let h = hash4(&t);
+        let shift = HASH_BITS - 8;
+        let mut rng = Rng::new(0xB0C4E7);
+        let mut data = t.to_vec();
+        let mut mates = 0;
+        while mates < 40 {
+            let w = (rng.next() as u32).to_le_bytes();
+            if hash4(&w) != h && hash4(&w) >> shift == h >> shift {
+                data.extend_from_slice(&w);
+                mates += 1;
+            }
+        }
+        data.extend_from_slice(&t);
+        assert_eq!(data.len().next_power_of_two(), 1 << 8);
+        let frame = compress(&data);
+        assert_eq!(frame, compress_reference(&data));
+        // The frame ends with the second T as a match: 4 bytes, 164 back.
+        let mut tail = vec![0x01, 0];
+        put_varint(&mut tail, 164);
+        assert!(frame.ends_with(&tail), "{frame:?}");
     }
 
     #[test]

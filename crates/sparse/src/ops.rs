@@ -32,33 +32,48 @@ pub struct ColMajorBlock {
 impl ColMajorBlock {
     /// Builds the block for local output rows `owned` (global ids, defining
     /// local indices by position) from the full layer matrix `w`.
+    ///
+    /// A counting-sort transpose, O(nnz + cols): one pass counts each
+    /// column's entries (a prefix sum turns the counts into start offsets),
+    /// a second walks the owned rows in local order and scatters each entry
+    /// to its column's cursor. Entries therefore land in ascending column,
+    /// then ascending local row: the order of a sort by `(column, local)`,
+    /// whose keys are unique because a CSR row holds each column once. So
+    /// every field, weight bits included, equals a sort-based transpose's
+    /// (`from_layer_reference`, the test oracle).
     pub fn from_layer(w: &CsrMatrix, owned: &[u32]) -> ColMajorBlock {
-        // Gather (input_id, local_out, weight) triplets, then sort by input id.
-        let mut trips: Vec<(u32, u32, f32)> = Vec::new();
+        // `next[c + 1]` counts column `c`; after the prefix sum `next[c]` is
+        // where column `c` starts, and after the scatter where it ends.
+        let mut next = vec![0usize; w.cols() + 1];
+        for &gid in owned {
+            for &c in w.row(gid as usize).0 {
+                next[c as usize + 1] += 1;
+            }
+        }
+        for c in 1..next.len() {
+            next[c] += next[c - 1];
+        }
+        let nnz = next[w.cols()];
+        let mut out_rows = vec![0u32; nnz];
+        let mut weights = vec![0f32; nnz];
         for (local, &gid) in owned.iter().enumerate() {
             let (cols, vals) = w.row(gid as usize);
             for (&c, &v) in cols.iter().zip(vals) {
-                trips.push((c, local as u32, v));
+                let at = &mut next[c as usize];
+                out_rows[*at] = local as u32;
+                weights[*at] = v;
+                *at += 1;
             }
         }
-        trips.sort_unstable_by_key(|&(c, l, _)| (c, l));
         let mut in_ids = Vec::new();
         let mut indptr = vec![0usize];
-        let mut out_rows = Vec::with_capacity(trips.len());
-        let mut weights = Vec::with_capacity(trips.len());
-        for (c, l, v) in trips {
-            if in_ids.last() != Some(&c) {
-                if !in_ids.is_empty() {
-                    indptr.push(out_rows.len());
-                }
-                in_ids.push(c);
+        let mut start = 0usize;
+        for (c, &end) in next[..w.cols()].iter().enumerate() {
+            if end > start {
+                in_ids.push(c as u32);
+                indptr.push(end);
             }
-            out_rows.push(l);
-            weights.push(v);
-        }
-        indptr.push(out_rows.len());
-        if in_ids.is_empty() {
-            indptr = vec![0];
+            start = end;
         }
         ColMajorBlock {
             n_local_rows: owned.len(),
@@ -283,6 +298,48 @@ pub fn layer_forward_reference(
     (out, work)
 }
 
+/// The sort-based transpose [`ColMajorBlock::from_layer`] replaced —
+/// gather `(column, local, weight)` triplets, sort by `(column, local)` —
+/// kept as the oracle it must equal field for field.
+#[cfg(test)]
+impl ColMajorBlock {
+    fn from_layer_reference(w: &CsrMatrix, owned: &[u32]) -> ColMajorBlock {
+        let mut trips: Vec<(u32, u32, f32)> = Vec::new();
+        for (local, &gid) in owned.iter().enumerate() {
+            let (cols, vals) = w.row(gid as usize);
+            for (&c, &v) in cols.iter().zip(vals) {
+                trips.push((c, local as u32, v));
+            }
+        }
+        trips.sort_unstable_by_key(|&(c, l, _)| (c, l));
+        let mut in_ids = Vec::new();
+        let mut indptr = vec![0usize];
+        let mut out_rows = Vec::with_capacity(trips.len());
+        let mut weights = Vec::with_capacity(trips.len());
+        for (c, l, v) in trips {
+            if in_ids.last() != Some(&c) {
+                if !in_ids.is_empty() {
+                    indptr.push(out_rows.len());
+                }
+                in_ids.push(c);
+            }
+            out_rows.push(l);
+            weights.push(v);
+        }
+        indptr.push(out_rows.len());
+        if in_ids.is_empty() {
+            indptr = vec![0];
+        }
+        ColMajorBlock {
+            n_local_rows: owned.len(),
+            in_ids,
+            indptr,
+            out_rows,
+            weights,
+        }
+    }
+}
+
 /// The kernels this module shipped before they were rewritten — per-entry
 /// scatter for every row, branchy `finalize` through temporary rows — kept
 /// as the oracles the new ones must equal bit for bit.
@@ -464,6 +521,46 @@ mod tests {
                     assert_same_block(&recycled, &expect, &what);
                     assert_eq!(recycled, expect, "{what}");
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn from_layer_equals_its_sort_reference_field_for_field() {
+        let mut rng = Rng::new(0x7A5);
+        for (n, nnz_per_row) in [(48usize, 3usize), (1024, 8), (4096, 8)] {
+            // About a quarter of the rows hold no entry, and the top eighth
+            // of the columns is never used.
+            let used_cols = n - n / 8;
+            let mut trips = Vec::new();
+            for r in 0..n as u32 {
+                if rng.below(4) == 0 {
+                    continue;
+                }
+                for _ in 0..nnz_per_row {
+                    let wt = [1.0f32, -0.5, 0.25, -0.0, 3.0e-3][rng.below(5)];
+                    trips.push((r, rng.below(used_cols) as u32, wt));
+                }
+            }
+            let w = CsrMatrix::from_triplets(n, n, trips).expect("valid");
+            let in_order: Vec<u32> = (0..n as u32).collect();
+            let mut shuffled: Vec<u32> = in_order
+                .iter()
+                .copied()
+                .filter(|_| rng.below(3) != 0)
+                .collect();
+            for k in (1..shuffled.len()).rev() {
+                shuffled.swap(k, rng.below(k + 1));
+            }
+            for owned in [&[][..], &in_order[..1], &in_order, &shuffled] {
+                let what = format!("N {n}, {} owned rows", owned.len());
+                let got = ColMajorBlock::from_layer(&w, owned);
+                let want = ColMajorBlock::from_layer_reference(&w, owned);
+                assert_eq!(got.n_local_rows, want.n_local_rows, "{what}");
+                assert_eq!(got.in_ids, want.in_ids, "{what}");
+                assert_eq!(got.indptr, want.indptr, "{what}");
+                assert_eq!(got.out_rows, want.out_rows, "{what}");
+                assert_eq!(bits(&got.weights), bits(&want.weights), "{what}");
             }
         }
     }
