@@ -15,10 +15,10 @@
 //!   failures delivered) and returns the exact serial-reference output;
 //! * ×3 bit-identical faulted replays (per-request latency + billing
 //!   fingerprints, scheduler counters, fault-plane stats, global meters);
-//! * zero cloud residue after drain (`CloudEnv::assert_no_residue`);
-//! * exact billing partition: the global comm + Lambda meters must equal
-//!   the sum of the per-flow request digests even though failed attempts
-//!   are billed and retries add calls;
+//! * a clean `Scheduler::audit` after drain: zero cloud residue and an
+//!   exact billing partition — the global comm + Lambda meters equal the
+//!   per-flow request digests plus the failed-attempt bill, even though
+//!   failed attempts are billed and retries add calls;
 //! * the fault-free run injects nothing and retries nothing.
 //!
 //! `FSD_FAULT_SEED` selects the fault-plane seed (CI sweeps several); the
@@ -31,7 +31,7 @@
 use fsd_bench::gate::{self, Val};
 use fsd_bench::{row, small_dnn, Table, SEED};
 use fsd_comm::{CloudConfig, FaultPlan, MeterSnapshot, VirtualTime};
-use fsd_core::{FailedAttemptBill, FsdService, ServiceBuilder};
+use fsd_core::{Bill, FsdService, ServiceBuilder};
 use fsd_model::SparseDnn;
 use fsd_sched::{trace, Arrival, Scheduler, SchedulerConfig, Ticket, DEFAULT_MODEL};
 use std::sync::Arc;
@@ -54,14 +54,14 @@ struct SoakRun {
     global_comm: MeterSnapshot,
     global_invocations: u64,
     /// What the failed (retried-away) attempts were billed.
-    failed_bill: FailedAttemptBill,
+    failed_bill: Bill,
     mean_latency_us: u64,
 }
 
 /// One full soak: enqueue the whole trace with a retry budget through an
 /// auto-dispatch scheduler at `global_cap(1)` (serial admission keeps the
 /// flow-id sequence — and therefore the injection schedule — replayable),
-/// wait every ticket, then audit billing partition and residue.
+/// wait every ticket, then audit the scheduler and its service.
 fn soak(dnn: &Arc<SparseDnn>, arrivals: &[Arrival], plan: Option<FaultPlan>) -> SoakRun {
     let mut cloud = CloudConfig::deterministic(SEED);
     if let Some(plan) = plan {
@@ -88,8 +88,6 @@ fn soak(dnn: &Arc<SparseDnn>, arrivals: &[Arrival], plan: Option<FaultPlan>) -> 
         .collect();
 
     let mut fingerprints = Vec::with_capacity(arrivals.len());
-    let mut per_flow_comm = MeterSnapshot::default();
-    let mut per_flow_invocations = 0u64;
     let mut total_latency_us = 0u64;
     for (t, a) in tickets.into_iter().zip(arrivals) {
         let report = t
@@ -103,8 +101,6 @@ fn soak(dnn: &Arc<SparseDnn>, arrivals: &[Arrival], plan: Option<FaultPlan>) -> 
             "faulted run must still produce the serial-reference output"
         );
         total_latency_us += report.latency.as_micros();
-        per_flow_comm = per_flow_comm.plus(&report.comm);
-        per_flow_invocations += report.lambda.invocations;
         fingerprints.push((
             report.latency.as_micros(),
             report.comm.sqs_api_calls,
@@ -116,30 +112,7 @@ fn soak(dnn: &Arc<SparseDnn>, arrivals: &[Arrival], plan: Option<FaultPlan>) -> 
     sched.shutdown();
     sched.drain();
 
-    // Exact billing partition: failed attempts are billed (the service
-    // folds their harvested flow windows into `failed_attempt_bill`), so
-    // the successful per-request digests plus the failed-attempt bill must
-    // reproduce the region's global meters even after retries.
-    let global_comm = service.env().meter().snapshot();
-    let global_invocations = service.platform().lambda_meter().snapshot().invocations;
-    let failed_bill = service.failed_attempt_bill();
-    assert_eq!(
-        per_flow_comm.plus(&failed_bill.comm),
-        global_comm,
-        "per-flow comm + failed-attempt bill must partition the global meter exactly"
-    );
-    assert_eq!(
-        per_flow_invocations + failed_bill.lambda.invocations,
-        global_invocations,
-        "per-flow + failed-attempt invocations must partition the global Lambda meter"
-    );
-    // And nothing may leak — queues, subscriptions, objects, flows.
-    service.env().assert_no_residue();
-    assert_eq!(
-        service.env().meter().tracked_flows(),
-        0,
-        "leaked comm flows"
-    );
+    assert_eq!(sched.audit(), Vec::<String>::new());
 
     let stats = sched.stats();
     assert_eq!(stats.failed, 0, "zero terminal failures required");
@@ -149,9 +122,9 @@ fn soak(dnn: &Arc<SparseDnn>, arrivals: &[Arrival], plan: Option<FaultPlan>) -> 
         retried: stats.retried,
         failed: stats.failed,
         injected: service.env().faults().stats().injected_total(),
-        global_comm,
-        global_invocations,
-        failed_bill,
+        global_comm: service.env().snapshot(),
+        global_invocations: service.platform().lambda_snapshot().invocations,
+        failed_bill: service.failed_attempt_bill(),
         mean_latency_us: total_latency_us / arrivals.len().max(1) as u64,
     }
 }
@@ -174,7 +147,7 @@ fn main() {
     assert_eq!(baseline.retried, 0, "no faults, no retries");
     assert_eq!(
         baseline.failed_bill,
-        FailedAttemptBill::default(),
+        Bill::default(),
         "a fault-free run must bill no failed attempts"
     );
 

@@ -9,15 +9,16 @@
 //!
 //! * **total** — everything billed since the meter came up;
 //! * **per flow** — the same events bucketed by the request flow id that
-//!   caused them (flow `0` is "unattributed" and is only counted in the
-//!   total). Per-flow windows are what make `InferenceReport::comm`
-//!   request-local under concurrent load: two overlapping requests each
-//!   see exactly their own traffic instead of a shared global delta.
+//!   caused them; flow `0` is the **unattributed** window (work launched
+//!   ahead of traffic, such as pre-warms), which is never released.
+//!   Per-flow windows are what make `InferenceReport::comm` request-local
+//!   under concurrent load: two overlapping requests each see exactly
+//!   their own traffic instead of a shared global delta.
 //!
 //! [`FlowLedger::record`] applies an event to the total and to its flow's
 //! window in one critical section, so the two halves of one event are
 //! never observed apart: at any instant the total equals the live windows
-//! plus the released ones plus the unattributed events. The service meter
+//! plus the released ones plus the unattributed window. The service meter
 //! ([`ServiceMeter`]) and the Lambda meter (`fsd_faas::LambdaMeter`) are
 //! both this ledger, over [`MeterSnapshot`] and `LambdaSnapshot`.
 
@@ -34,6 +35,8 @@ pub struct FlowLedger<S> {
 #[derive(Debug, Default)]
 struct Ledger<S> {
     total: S,
+    /// Flow 0's window: never released, never tracked.
+    unattributed: S,
     /// Windows of flows not yet released (flow 0 never has one).
     flows: HashMap<u64, S>,
 }
@@ -44,19 +47,26 @@ impl<S: Copy + Default> FlowLedger<S> {
         FlowLedger::default()
     }
 
-    /// Applies the event `f` to the total and, unless `flow` is 0, to the
-    /// flow's window (creating it), in one critical section.
+    /// Applies the event `f` to the total and to the flow's window
+    /// (creating it; flow 0's is the unattributed window), in one critical
+    /// section.
     pub fn record(&self, flow: u64, f: impl Fn(&mut S)) {
         let mut ledger = self.inner.lock();
         f(&mut ledger.total);
-        if flow != 0 {
-            f(ledger.flows.entry(flow).or_default());
+        match flow {
+            0 => f(&mut ledger.unattributed),
+            _ => f(ledger.flows.entry(flow).or_default()),
         }
     }
 
     /// Copies the total.
     pub fn snapshot(&self) -> S {
         self.inner.lock().total
+    }
+
+    /// Copies the unattributed (flow 0) window.
+    pub fn unattributed(&self) -> S {
+        self.inner.lock().unattributed
     }
 
     /// The events attributed to `flow` so far (zeros for unknown flows).
@@ -252,7 +262,8 @@ mod tests {
         assert_eq!(s.direct_bytes, 900);
         assert_eq!(s.weight_frames, 2);
         assert_eq!(s.weight_bytes, 700);
-        assert_eq!(m.tracked_flows(), 0, "flow 0 is never bucketed");
+        assert_eq!(m.tracked_flows(), 0, "flow 0 is never tracked");
+        assert_eq!(m.unattributed(), s, "flow 0 bills its own window");
     }
 
     #[test]
@@ -262,7 +273,7 @@ mod tests {
         m.record_s3_put(2, 40);
         m.record_s3_put(2, 60);
         m.record_sqs_call(1, 3, false);
-        m.record_sns_publish(0, 2); // unattributed: global only
+        m.record_sns_publish(0, 2); // unattributed: no flow window
         let f1 = m.flow_snapshot(1);
         let f2 = m.flow_snapshot(2);
         assert_eq!(f1.s3_put_requests, 1);
@@ -271,15 +282,10 @@ mod tests {
         assert_eq!(f2.s3_put_requests, 2);
         assert_eq!(f2.s3_put_bytes, 100);
         assert_eq!(f2.sqs_api_calls, 0);
-        // Per-flow windows are disjoint and sum (with unattributed events)
-        // to the global counters.
-        let global = m.snapshot();
-        let summed = f1.plus(&f2);
-        assert_eq!(summed.s3_put_requests, global.s3_put_requests);
-        assert_eq!(summed.s3_put_bytes, global.s3_put_bytes);
-        assert_eq!(summed.sqs_api_calls, global.sqs_api_calls);
-        assert_eq!(global.sns_publish_requests, 2);
-        assert_eq!(summed.sns_publish_requests, 0);
+        // Per-flow windows are disjoint and sum, with the unattributed
+        // window, to the total.
+        assert_eq!(m.unattributed().sns_publish_requests, 2);
+        assert_eq!(m.snapshot(), f1.plus(&f2).plus(&m.unattributed()));
     }
 
     #[test]
@@ -346,39 +352,30 @@ mod tests {
                 let (m, start) = (m.clone(), start.clone());
                 std::thread::spawn(move || {
                     start.wait();
-                    // The flow-0 events, which reach no window, are
-                    // replayed into a private meter by the thread that
-                    // made them.
-                    let unattributed = ServiceMeter::new();
                     for i in 0..600u64 {
-                        let event = |meter: &ServiceMeter, flow| match i % 9 {
-                            0 => meter.record_sns_publish(flow, 1 + i % 4),
-                            1 => meter.record_sns_delivery(flow, i),
-                            2 => meter.record_sqs_call(flow, i % 5, i % 2 == 0),
-                            3 => meter.record_s3_put(flow, i * 3),
-                            4 => meter.record_s3_get(flow, i * 7),
-                            5 => meter.record_s3_list(flow),
-                            6 => meter.record_direct_punch(flow, i % 4 != 0),
-                            7 => meter.record_direct_send(flow, 1 + i % 3, i * 11),
-                            _ => meter.record_weight_send(flow, 1 + i % 2, i * 13),
-                        };
                         let flow = (t + i) % 3;
-                        event(&m, flow);
-                        if flow == 0 {
-                            event(&unattributed, 0);
+                        match i % 9 {
+                            0 => m.record_sns_publish(flow, 1 + i % 4),
+                            1 => m.record_sns_delivery(flow, i),
+                            2 => m.record_sqs_call(flow, i % 5, i % 2 == 0),
+                            3 => m.record_s3_put(flow, i * 3),
+                            4 => m.record_s3_get(flow, i * 7),
+                            5 => m.record_s3_list(flow),
+                            6 => m.record_direct_punch(flow, i % 4 != 0),
+                            7 => m.record_direct_send(flow, 1 + i % 3, i * 11),
+                            _ => m.record_weight_send(flow, 1 + i % 2, i * 13),
                         }
                     }
-                    unattributed.snapshot()
                 })
             })
             .collect();
-        let mut expected = MeterSnapshot::default();
         for r in recorders {
-            expected = expected.plus(&r.join().expect("recorder"));
+            r.join().expect("recorder");
         }
         stop.store(true, Ordering::Release);
         let released = releaser.join().expect("releaser");
-        expected = expected
+        let expected = m
+            .unattributed()
             .plus(&released)
             .plus(&m.flow_snapshot(1))
             .plus(&m.flow_snapshot(2));

@@ -280,9 +280,14 @@ impl ObjectStore {
         }
     }
 
-    /// Total object count in a bucket (diagnostics/tests).
-    pub fn object_count(&self, bucket: &str) -> usize {
-        self.buckets.lock().get(bucket).map_or(0, |b| b.len())
+    /// Objects under `prefix` in a bucket (`""` counts them all; leak
+    /// audits).
+    pub fn object_count(&self, bucket: &str, prefix: &str) -> usize {
+        self.buckets.lock().get(bucket).map_or(0, |b| {
+            b.range::<str, _>((Bound::Included(prefix), Bound::Unbounded))
+                .take_while(|(k, _)| k.starts_with(prefix))
+                .count()
+        })
     }
 }
 
@@ -413,7 +418,7 @@ mod tests {
         s.put("b", "k", &b"v1"[..], &mut clock).expect("put");
         s.put("b", "k", &b"v2"[..], &mut clock).expect("put");
         assert_eq!(&s.get("b", "k", &mut clock).expect("get")[..], b"v2");
-        assert_eq!(s.object_count("b"), 1);
+        assert_eq!(s.object_count("b", ""), 1);
     }
 
     #[test]
@@ -425,7 +430,7 @@ mod tests {
         s.put("b", "1/y", &b"b"[..], &mut clock).expect("put");
         s.put("b", "2/z", &b"c"[..], &mut clock).expect("put");
         s.delete_prefix("b", "1/");
-        assert_eq!(s.object_count("b"), 1);
+        assert_eq!(s.object_count("b", ""), 1);
     }
 
     #[test]

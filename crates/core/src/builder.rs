@@ -218,13 +218,11 @@ mod tests {
             .build();
         // Partitioned artifacts for P=3 and P=1 are already in the
         // artifact bucket; no request has run.
-        let staged = service.env().object_store().object_count(ARTIFACT_BUCKET);
+        let store = service.env().object_store();
+        let staged = store.object_count(ARTIFACT_BUCKET, "");
         assert!(staged > 0, "prewarm must stage artifacts");
         // Preparing again is a no-op.
         service.prepare(3);
-        assert_eq!(
-            service.env().object_store().object_count(ARTIFACT_BUCKET),
-            staged
-        );
+        assert_eq!(store.object_count(ARTIFACT_BUCKET, ""), staged);
     }
 }

@@ -169,7 +169,7 @@ mod tests {
         });
         assert!(env.direct().connection_count() > 0);
         ch.teardown();
-        // Flow 0's billing is global-only, so the meter holds no bucket.
-        env.assert_no_residue();
+        // Flow 0 bills the unattributed window, which is never tracked.
+        assert_eq!(env.residue_report(), Vec::<String>::new());
     }
 }

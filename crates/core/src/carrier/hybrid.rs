@@ -352,15 +352,7 @@ mod tests {
         assert_eq!(env.queue_count(), 3);
         assert_eq!(total_object_count(&env), 2, "two spilled objects");
         ch.teardown();
-        assert_eq!(env.queue_count(), 0);
-        assert_eq!(
-            total_object_count(&env),
-            0,
-            "spilled objects must be deleted"
-        );
-        for t in 0..env.pubsub().n_topics() {
-            assert_eq!(env.pubsub().subscription_count(t), 0);
-        }
+        assert_eq!(env.residue_report(), Vec::<String>::new());
     }
 
     #[test]

@@ -98,7 +98,7 @@ pub use transport::{ChannelRegistry, Transport};
 pub use recommend::{
     channel_variant, fits_instance, recommend_variant, Recommendation, WorkloadProfile,
 };
-pub use service::{FailedAttemptBill, FsdService};
+pub use service::{Bill, FsdService};
 pub use stats::{ChannelStats, ChannelStatsSnapshot};
 pub use warm::TreeKey;
 pub use weight_cache::{WeightCache, WeightCacheStats};

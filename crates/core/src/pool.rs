@@ -281,6 +281,12 @@ impl TreePool {
         state.idle_of(key) + state.in_use.get(&key).copied().unwrap_or(0)
     }
 
+    /// In-service marks over every shape: 0 once no request holds a tree
+    /// (`FsdService::audit`).
+    pub(crate) fn in_use(&self) -> usize {
+        self.state.lock().in_use.values().sum()
+    }
+
     /// Evicts every parked tree of shape `key` (predictor decisions).
     /// Returns how many trees were dropped.
     pub(crate) fn evict_shape(&self, key: TreeKey) -> usize {

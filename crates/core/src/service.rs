@@ -105,25 +105,40 @@ pub struct FsdService {
     weight_cache: Arc<WeightCache>,
     /// Layer-loop buffers every tree's ranks check out per work item.
     workspaces: Arc<WorkspacePool>,
-    /// Bills accrued by request attempts that *failed* (AWS semantics:
-    /// failed calls are billed). `finalize_report` folds each failed
-    /// attempt's flow-scoped meters in here when it releases the flow, so
-    /// the exact partition `global == Σ successful reports + failed bill`
-    /// holds even under retries.
-    failed_bill: Mutex<FailedAttemptBill>,
+    /// The flow windows `finalize_report` harvested, under one lock: the
+    /// sum of every successful report's and the bill of every failed
+    /// attempt (AWS semantics: failed calls are billed). With the meters'
+    /// unattributed windows they partition the global meters exactly —
+    /// what [`FsdService::audit`] checks.
+    bills: Mutex<Harvest>,
 }
 
-/// What failed request attempts have been billed service-wide: the comm
-/// and Lambda meter totals harvested from failed attempts' flows. Together
-/// with the per-request digests of successful reports this partitions the
-/// global meters exactly — "failed attempts are billed; retries may add
-/// calls but never double-count billing".
+/// A comm + Lambda bill: the meter windows of a set of request attempts.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct FailedAttemptBill {
-    /// Comm-service billing harvested from failed attempts' flows.
+pub struct Bill {
+    /// Comm-service billing.
     pub comm: MeterSnapshot,
-    /// Lambda billing harvested from failed attempts' flows.
+    /// Lambda billing.
     pub lambda: LambdaSnapshot,
+}
+
+impl Bill {
+    /// Element-wise sum.
+    fn plus(&self, other: &Bill) -> Bill {
+        Bill {
+            comm: self.comm.plus(&other.comm),
+            lambda: self.lambda.plus(&other.lambda),
+        }
+    }
+}
+
+/// Every harvested flow window, split by how its attempt ended.
+#[derive(Clone, Copy, Default)]
+struct Harvest {
+    /// Σ of the successful reports' `comm` and `lambda`.
+    served: Bill,
+    /// Σ of the failed attempts' windows.
+    failed: Bill,
 }
 
 impl FsdService {
@@ -148,7 +163,7 @@ impl FsdService {
             health: HealthBoard::new(),
             weight_cache: Arc::new(WeightCache::new()),
             workspaces: Arc::default(),
-            failed_bill: Mutex::new(FailedAttemptBill::default()),
+            bills: Mutex::default(),
         }
     }
 
@@ -340,8 +355,9 @@ impl FsdService {
     /// The shared request-teardown tail: deletes the request's input
     /// artifacts, harvests and releases its flow-scoped billing windows
     /// (success or not — a long-lived service must not accrete per-flow
-    /// buckets), and assembles the [`InferenceReport`]. Every instance
-    /// that could still bill `flow` must have been joined by now.
+    /// buckets) into the service's bills, and assembles the
+    /// [`InferenceReport`]. Every instance that could still bill `flow`
+    /// must have been joined by now.
     fn finalize_report(
         &self,
         resolved: Variant,
@@ -358,6 +374,17 @@ impl FsdService {
             Err(FsdError::Comm(_)) => self.health.record(resolved, false),
             Err(_) => {}
         }
+        // Every rank reports and the last one's finish is the latency
+        // (every request arrives at virtual time zero); a run without a
+        // report or an output failed, and is billed as such below.
+        let ran = ran.and_then(|run| {
+            let latency = run.reports.iter().map(|(_, r)| r.finished).max();
+            let latency = latency.ok_or(FsdError::NoWorkerReports)?;
+            if run.final_batches.is_empty() {
+                return Err(FsdError::MissingOutput);
+            }
+            Ok((run, latency))
+        });
         // Per-request input artifacts are dead after the run (success or
         // not); remove them so a long-lived service does not accrete state.
         self.env
@@ -367,23 +394,23 @@ impl FsdService {
         // down; one parked after this request has not yet, so close the
         // request flow's here too (no other tree streams on it).
         self.env.weight_net().close_flow(flow);
-        let comm = self.env.release_flow(flow);
-        let lambda: LambdaSnapshot = self.platform.lambda_meter().release_flow(flow);
-        let run = match ran {
-            Ok(run) => run,
-            Err(e) => {
-                // The attempt failed but its calls were made and billed
-                // (AWS semantics). Its flow window was just harvested —
-                // fold it into the service-wide failed-attempt bill so the
-                // global meters stay exactly partitioned between
-                // successful reports and this accumulator.
-                let mut bill = self.failed_bill.lock();
-                bill.comm = bill.comm.plus(&comm);
-                bill.lambda.invocations += lambda.invocations;
-                bill.lambda.mb_ms += lambda.mb_ms;
-                return Err(e);
-            }
+        let bill = Bill {
+            comm: self.env.release_flow(flow),
+            lambda: self.platform.lambda_meter().release_flow(flow),
         };
+        {
+            // A failed attempt's calls were made and billed (AWS
+            // semantics): its window goes to the failed-attempt bill, a
+            // successful one's to the served sum.
+            let mut bills = self.bills.lock();
+            let sum = if ran.is_ok() {
+                &mut bills.served
+            } else {
+                &mut bills.failed
+            };
+            *sum = sum.plus(&bill);
+        }
+        let (run, latency) = ran?;
         let per_worker: Vec<WorkerReport> = run
             .reports
             .iter()
@@ -396,16 +423,7 @@ impl FsdService {
                 memory_mb: r.memory_mb,
             })
             .collect();
-        // Every request arrives at virtual time zero, so its latency is the
-        // last rank's finish.
-        let latency = per_worker
-            .iter()
-            .map(|w| w.finished)
-            .max()
-            .ok_or(FsdError::NoWorkerReports)?;
-        if run.final_batches.is_empty() {
-            return Err(FsdError::MissingOutput);
-        }
+        let Bill { comm, lambda } = bill;
         let cost_actual = self.cost.actual(&lambda, &comm);
         let cost_predicted = self
             .cost
@@ -656,11 +674,65 @@ impl FsdService {
     }
 
     /// What failed request attempts have been billed so far. Failed
-    /// attempts are billed (as on AWS); this accumulator plus the digests
-    /// of the successful [`InferenceReport`]s partitions the global comm
-    /// and Lambda meters exactly — the invariant the chaos gate asserts.
-    pub fn failed_attempt_bill(&self) -> FailedAttemptBill {
-        *self.failed_bill.lock()
+    /// attempts are billed (as on AWS); this bill, the successful
+    /// [`InferenceReport`]s' windows and the meters' unattributed windows
+    /// partition the global comm and Lambda meters exactly
+    /// ([`FsdService::audit`]).
+    pub fn failed_attempt_bill(&self) -> Bill {
+        self.bills.lock().failed
+    }
+
+    /// The quiescence check: one line per violated invariant, empty when
+    /// clean. Call it only when no request is in flight — a running
+    /// request's resources and open windows read as violations; the
+    /// serving path never calls it. It checks:
+    ///
+    /// * the region's residue ([`CloudEnv::residue_report`]: queues,
+    ///   subscriptions, data-bucket objects, direct connections and
+    ///   frames, weight frames, open comm windows);
+    /// * open Lambda billing windows;
+    /// * staged request inputs left in the artifact bucket;
+    /// * the billing partition, for the comm and the Lambda meter alike:
+    ///   global = unattributed + Σ successful reports + failed-attempt
+    ///   bill;
+    /// * warm-pool trees still marked in service.
+    pub fn audit(&self) -> Vec<String> {
+        let mut found = self.env.residue_report();
+        let (meter, lambda) = (self.env.meter(), self.platform.lambda_meter());
+        let store = self.env.object_store();
+        for (count, what) in [
+            (lambda.tracked_flows(), "open Lambda billing window(s)"),
+            (
+                store.object_count(ARTIFACT_BUCKET, INPUTS),
+                "staged input(s)",
+            ),
+            (
+                self.pool.as_ref().map_or(0, TreePool::in_use),
+                "warm tree(s) still marked in service",
+            ),
+        ] {
+            if count > 0 {
+                found.push(format!("{count} {what}"));
+            }
+        }
+        let bills = *self.bills.lock();
+        let (global, unattributed) = (
+            Bill {
+                comm: meter.snapshot(),
+                lambda: lambda.snapshot(),
+            },
+            Bill {
+                comm: meter.unattributed(),
+                lambda: lambda.unattributed(),
+            },
+        );
+        let parts = unattributed.plus(&bills.served).plus(&bills.failed);
+        if parts != global {
+            found.push(format!(
+                "billing partition: meters {global:?} != unattributed + served + failed {parts:?}"
+            ));
+        }
+        found
     }
 
     /// The fault-plane spelling of "kill worker `rank` of a parked warm
@@ -752,9 +824,12 @@ impl FsdService {
     }
 }
 
+/// Where requests' inputs are staged in the artifact bucket.
+const INPUTS: &str = "inputs/";
+
 /// The staged-input prefix of request `flow` (batch `b` under `…/b{b}`).
 fn input_key(flow: u64) -> String {
-    format!("inputs/req{flow}")
+    format!("{INPUTS}req{flow}")
 }
 
 #[cfg(test)]
@@ -798,12 +873,7 @@ mod tests {
     #[test]
     fn requests_get_distinct_flows_and_clean_up() {
         let (service, inputs, expected) = small_service(3);
-        for variant in [
-            Variant::Queue,
-            Variant::Object,
-            Variant::Hybrid,
-            Variant::Direct,
-        ] {
+        for variant in Variant::ALL {
             let report = service
                 .submit(&InferenceRequest {
                     variant,
@@ -813,23 +883,10 @@ mod tests {
                 })
                 .expect("runs");
             assert_eq!(report.first_output(), &expected);
+            // The teardown removed the request's flow-namespaced state.
+            assert_eq!(service.audit(), Vec::<String>::new(), "{variant}");
         }
-        assert_eq!(service.requests.load(Ordering::Relaxed), 4);
-        // Queue-channel teardown removed the per-request queues and
-        // filter policies.
-        assert_eq!(service.env().queue_count(), 0);
-        assert_eq!(service.env().pubsub().subscription_count(0), 0);
-        // Object-channel teardown removed the flow-namespaced objects.
-        for i in 0..fsd_comm::N_BUCKETS {
-            assert_eq!(
-                service
-                    .env()
-                    .object_store()
-                    .object_count(&fsd_comm::bucket_name(i)),
-                0,
-                "bucket {i} still holds intermediate objects"
-            );
-        }
+        assert_eq!(service.requests.load(Ordering::Relaxed), 6);
     }
 
     #[test]
@@ -874,18 +931,7 @@ mod tests {
         assert!(err < 0.02, "hybrid cost validation off by {err:.3}");
         // Flow-namespaced cleanup: queues, subscriptions and spilled
         // objects are all gone after teardown.
-        assert_eq!(service.env().queue_count(), 0);
-        assert_eq!(service.env().pubsub().subscription_count(0), 0);
-        for i in 0..fsd_comm::N_BUCKETS {
-            assert_eq!(
-                service
-                    .env()
-                    .object_store()
-                    .object_count(&fsd_comm::bucket_name(i)),
-                0,
-                "bucket {i} holds residual spilled objects"
-            );
-        }
+        assert_eq!(service.audit(), Vec::<String>::new());
     }
 
     #[test]
@@ -930,7 +976,7 @@ mod tests {
             assert_eq!(report.workers, 1);
             assert_eq!(report.per_worker[0].memory_mb, fsd_faas::MAX_MEMORY_MB);
             assert_eq!(report.lambda.invocations, invocations, "stream={stream}");
-            service.env().assert_no_residue();
+            assert_eq!(service.audit(), Vec::<String>::new(), "stream={stream}");
         }
     }
 
@@ -1031,9 +1077,7 @@ mod tests {
         assert_eq!((stats.hits, stats.misses, stats.created), (1, 1, 1));
         assert_eq!(stats.idle, 1);
         // Flow-scoped channel resources were torn down on both paths.
-        assert_eq!(service.env().queue_count(), 0);
-        assert_eq!(service.env().meter().tracked_flows(), 0);
-        assert_eq!(service.platform().lambda_meter().tracked_flows(), 0);
+        assert_eq!(service.audit(), Vec::<String>::new());
         // Invalidation drops the parked tree; the next request is cold.
         assert_eq!(service.invalidate_warm_trees(), 1);
         let again = service.submit(&req).expect("post-invalidate run");
@@ -1059,5 +1103,108 @@ mod tests {
             .max()
             .expect("workers");
         assert_eq!(report.latency, last);
+    }
+
+    /// A fresh pooled service that has served one clean request.
+    fn served_once(seed: u64) -> FsdService {
+        let (base, inputs, expected) = small_service(seed);
+        let service = ServiceBuilder::new(base.dnn().clone())
+            .deterministic(seed)
+            .warm_pool(2, u64::MAX)
+            .build();
+        let report = service
+            .submit(&InferenceRequest {
+                variant: Variant::Queue,
+                workers: 2,
+                memory_mb: 1769,
+                inputs,
+            })
+            .expect("runs");
+        assert_eq!(report.first_output(), &expected);
+        assert_eq!(service.audit(), Vec::<String>::new());
+        service
+    }
+
+    #[test]
+    fn the_audit_names_each_planted_violation() {
+        type Plant = fn(&FsdService);
+        let plants: [(&str, Plant); 4] = [
+            ("staged input(s)", |service| {
+                let store = service.env().object_store();
+                store
+                    .put_offline(ARTIFACT_BUCKET, "inputs/req99/b0", &b"x"[..])
+                    .expect("the artifact bucket exists");
+            }),
+            ("open Lambda billing window(s)", |service| {
+                service
+                    .platform()
+                    .lambda_meter()
+                    .record(99, |s| s.mb_ms += 1);
+            }),
+            ("billing partition", |service| {
+                // Billed to a flow no report covers, then released.
+                let meter = service.env().meter();
+                meter.record(99, |s| s.sqs_api_calls += 1);
+                meter.release_flow(99);
+            }),
+            ("warm tree(s) still marked in service", |service| {
+                let key = service.shape(Variant::Queue, 2, 1769);
+                let pool = service.pool.as_ref().expect("warm pool configured");
+                pool.record_created(key, true);
+            }),
+        ];
+        for (named, plant) in plants {
+            let service = served_once(41);
+            plant(&service);
+            let found = service.audit();
+            assert!(found.iter().any(|l| l.contains(named)), "{found:?}");
+        }
+    }
+
+    /// A run that ends without a worker report or without an output is a
+    /// failure, and its already-billed window goes to the failed-attempt
+    /// bill like any other.
+    #[test]
+    fn a_run_without_reports_or_outputs_is_billed_as_a_failure() {
+        let (service, inputs, _) = small_service(42);
+        let req = BatchedRequest {
+            variant: Variant::Queue,
+            workers: 1,
+            memory_mb: 1769,
+            batches: vec![inputs],
+        };
+        let no_output = {
+            let mut run = RunOutput::new(crate::LaunchPath::ColdStart);
+            let report = fsd_faas::InvocationReport {
+                started: VirtualTime::ZERO,
+                finished: VirtualTime::from_micros(5),
+                billed_ms: 1,
+                peak_mem_bytes: 0,
+                memory_mb: 1769,
+            };
+            run.reports.push((0, report));
+            run
+        };
+        let cases = [
+            (
+                RunOutput::new(crate::LaunchPath::ColdStart),
+                FsdError::NoWorkerReports,
+            ),
+            (no_output, FsdError::MissingOutput),
+        ];
+        for (i, (run, error)) in cases.into_iter().enumerate() {
+            let flow = service.stage_request(&req, &service.partition(1));
+            service.env().meter().record(flow, |s| s.sqs_api_calls += 1);
+            service
+                .platform()
+                .lambda_meter()
+                .record(flow, |s| s.mb_ms += 7);
+            let result = service.finalize_report(Variant::Queue, 1, &req, flow, Ok(run));
+            assert_eq!(result.unwrap_err(), error);
+            assert_eq!(service.audit(), Vec::<String>::new(), "{error}");
+            let bill = service.failed_attempt_bill();
+            let n = i as u64 + 1;
+            assert_eq!((bill.comm.sqs_api_calls, bill.lambda.mb_ms), (n, 7 * n));
+        }
     }
 }

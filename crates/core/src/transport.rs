@@ -100,8 +100,7 @@ mod tests {
         assert_eq!(env.queue_count(), 3);
         assert_eq!(env.pubsub().subscription_count(0), 3);
         q.teardown();
-        assert_eq!(env.queue_count(), 0);
-        assert_eq!(env.pubsub().subscription_count(0), 0);
+        assert_eq!(env.residue_report(), Vec::<String>::new());
         let _o = Transport::of(Variant::Object).expect("object").provision(
             &env,
             3,
@@ -126,20 +125,6 @@ mod tests {
             assert_eq!(env.pubsub().subscription_count(t), 4);
         }
         h.teardown();
-        assert_eq!(env.queue_count(), 0, "hybrid queues leaked");
-        for t in 0..env.pubsub().n_topics() {
-            assert_eq!(
-                env.pubsub().subscription_count(t),
-                0,
-                "hybrid subscriptions leaked on topic {t}"
-            );
-        }
-        for i in 0..fsd_comm::N_BUCKETS {
-            assert_eq!(
-                env.object_store().object_count(&fsd_comm::bucket_name(i)),
-                0,
-                "hybrid objects leaked in bucket {i}"
-            );
-        }
+        assert_eq!(env.residue_report(), Vec::<String>::new());
     }
 }

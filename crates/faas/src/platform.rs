@@ -178,8 +178,8 @@ pub struct InvocationReport {
 }
 
 /// Lambda billing: a [`FlowLedger`] of [`LambdaSnapshot`] — a global total
-/// plus per-flow windows (flow 0 is unattributed and only counted in the
-/// total), each event written to both in one critical section.
+/// plus per-flow windows (flow 0's is the unattributed window), each event
+/// written to both in one critical section.
 pub type LambdaMeter = FlowLedger<LambdaSnapshot>;
 
 /// Lambda billing counters (the total or one flow's window).
@@ -189,6 +189,16 @@ pub struct LambdaSnapshot {
     pub invocations: u64,
     /// Total billed MB·milliseconds.
     pub mb_ms: u64,
+}
+
+impl LambdaSnapshot {
+    /// Element-wise sum (aggregating per-flow windows).
+    pub fn plus(&self, other: &LambdaSnapshot) -> LambdaSnapshot {
+        LambdaSnapshot {
+            invocations: self.invocations + other.invocations,
+            mb_ms: self.mb_ms + other.mb_ms,
+        }
+    }
 }
 
 /// The platform: shared cloud environment plus compute model and billing.

@@ -387,6 +387,37 @@ impl<T> SchedState<T> {
         self.passes.len()
     }
 
+    /// The engine's quiescence check: one line per violated invariant,
+    /// empty when every admitted share was released once, nothing is
+    /// queued and every accepted request was accounted for.
+    pub(crate) fn audit(&self) -> Vec<String> {
+        let mut found: Vec<String> = [
+            (self.passes.len(), "pass(es) holding a slot"),
+            (self.pass_of.len(), "member share(s) unreleased"),
+            (self.inflight_model.iter().sum(), "model slot(s) held"),
+            (self.queued(), "request(s) still queued"),
+        ]
+        .into_iter()
+        .filter(|&(n, _)| n > 0)
+        .map(|(n, what)| format!("{n} {what}"))
+        .collect();
+        let s = &self.stats;
+        if s.enqueued != s.completed + s.failed + s.cancelled {
+            found.push(format!(
+                "enqueued {} != completed {} + failed {} + cancelled {}",
+                s.enqueued, s.completed, s.failed, s.cancelled
+            ));
+        }
+        let admitted: u64 = s.admitted.iter().sum();
+        if admitted != s.completed + s.failed + s.retried {
+            found.push(format!(
+                "admitted {admitted} != completed {} + failed {} + retried {}",
+                s.completed, s.failed, s.retried
+            ));
+        }
+        found
+    }
+
     /// The statistics, live fields included.
     pub(crate) fn snapshot(&self) -> SchedStatsSnapshot {
         let us = |v: f64| VirtualTime::from_micros(v.round() as u64);
@@ -448,6 +479,7 @@ mod tests {
         assert!(!state.release(4));
         assert!(!state.release(6));
         assert_eq!(state.inflight(), 1, "the pass holds its slot");
+        assert_eq!(state.audit().len(), 3, "{:?}", state.audit());
         assert!(state.release(5), "the k-th release frees the slot");
         assert_eq!(state.inflight(), 0);
         assert_eq!(state.inflight_model, vec![0, 0]);
@@ -456,6 +488,7 @@ mod tests {
         assert_eq!(state.inflight(), 0);
         assert_eq!(state.stats.max_inflight, 1);
         assert_eq!(state.stats.max_inflight_per_model, vec![0, 1]);
+        assert_eq!(state.audit(), Vec::<String>::new());
     }
 
     #[test]

@@ -571,4 +571,20 @@ impl Scheduler {
     pub fn stats(&self) -> SchedStatsSnapshot {
         self.core.state.lock().snapshot()
     }
+
+    /// The quiescence check: one line per violated invariant, empty when
+    /// clean. Call it once every ticket is harvested and the scheduler is
+    /// drained. It checks the admission engine — no pass holds a slot,
+    /// nothing is queued, `enqueued == completed + failed + cancelled` and
+    /// `Σ admitted == completed + failed + retried` — and then every
+    /// registered model's [`FsdService::audit`], each line prefixed with
+    /// the model's name.
+    pub fn audit(&self) -> Vec<String> {
+        let mut found = self.core.state.lock().audit();
+        for model in &self.core.models {
+            let lines = model.service.audit().into_iter();
+            found.extend(lines.map(|line| format!("{}: {line}", model.name)));
+        }
+        found
+    }
 }

@@ -63,7 +63,7 @@ fn wrap_serves_a_request_end_to_end() {
     assert_eq!(stats.enqueued, 1);
     assert_eq!(stats.completed, 1);
     assert_eq!(stats.admitted.iter().sum::<u64>(), 1);
-    assert_eq!(stats.inflight, 0);
+    assert_eq!(sched.audit(), Vec::<String>::new());
 }
 
 #[test]
@@ -83,6 +83,7 @@ fn unknown_model_is_rejected() {
             name: "ghost".into()
         }
     );
+    assert_eq!(sched.audit(), Vec::<String>::new());
 }
 
 #[test]
@@ -124,8 +125,7 @@ fn shutdown_rejects_new_and_cancels_queued_tickets() {
     let stats = sched.stats();
     assert_eq!(stats.completed, completed);
     assert_eq!(stats.cancelled, cancelled);
-    assert_eq!(stats.queued, 0);
-    assert_eq!(stats.inflight, 0);
+    assert_eq!(sched.audit(), Vec::<String>::new());
 }
 
 #[test]
@@ -178,6 +178,7 @@ fn an_empty_request_gets_no_coalescing_shape() {
     assert_eq!((stats.coalitions, stats.coalesced), (1, 2));
     assert_eq!((stats.cold_starts, stats.warm_hits), (1, 1));
     assert_eq!(stats.failed, 1);
+    assert_eq!(sched.audit(), Vec::<String>::new());
 }
 
 #[test]
@@ -206,6 +207,7 @@ fn full_queue_rejects_with_retry_hint() {
     for t in [t1, t2, t3] {
         t.wait().expect("runs");
     }
+    assert_eq!(sched.audit(), Vec::<String>::new());
 }
 
 #[test]
@@ -234,6 +236,7 @@ fn global_cap_is_never_exceeded() {
         stats.max_inflight
     );
     assert_eq!(stats.completed, 6);
+    assert_eq!(sched.audit(), Vec::<String>::new());
 }
 
 #[test]
@@ -275,6 +278,7 @@ fn admission_path_routes_through_the_warm_pool() {
     assert_eq!(stats.cold_starts, 1);
     let pool = svc.warm_pool_stats().expect("pool enabled");
     assert_eq!((pool.hits, pool.misses), (1, 1));
+    assert_eq!(sched.audit(), Vec::<String>::new());
 }
 
 #[test]
@@ -316,6 +320,7 @@ fn weighted_fifo_interleaves_classes_deterministically() {
     let log = sched.admission_log();
     assert_eq!(log, vec![1, 7, 2, 3, 8, 4, 5, 9, 6, 10, 11, 12]);
     assert_eq!(sched.stats().max_inflight, 1);
+    assert_eq!(sched.audit(), Vec::<String>::new());
 }
 
 #[test]
@@ -377,6 +382,7 @@ fn interactive_preempts_batch_coalition_and_followers_coalesce() {
     assert_eq!(stats.coalesced, 2);
     assert_eq!(stats.max_inflight, 1, "a coalition holds one slot");
     assert_eq!(stats.completed, 4);
+    assert_eq!(sched.audit(), Vec::<String>::new());
 }
 
 #[test]
@@ -397,6 +403,7 @@ fn retry_hint_jitter_is_banded_and_seeded() {
             .collect();
         sched.dispatch();
         parked.wait().expect("parked request runs");
+        assert_eq!(sched.audit(), Vec::<String>::new());
         hints
     };
     // Before any completion the blended EWMA is unseeded, so the base
@@ -483,6 +490,7 @@ fn retry_hint_tightens_after_warm_hits() {
     assert!(stats.ewma_warm_latency > VirtualTime::ZERO);
     assert_eq!(stats.cold_starts, 1);
     assert_eq!(stats.warm_hits, 5);
+    assert_eq!(sched.audit(), Vec::<String>::new());
 }
 
 #[test]
@@ -530,7 +538,7 @@ fn retry_budget_recovers_an_injected_instance_crash() {
     assert_eq!(stats.failed, 0, "recovered attempts are not failures");
     assert_eq!(stats.failed_by, [0; FailureCause::COUNT]);
     assert_eq!(stats.completed, 2);
-    assert_eq!(stats.inflight, 0, "retry must not leak a slot");
+    assert_eq!(sched.audit(), Vec::<String>::new());
 }
 
 #[test]
@@ -591,8 +599,8 @@ fn a_retried_coalition_member_returns_its_share_before_readmission() {
     let stats = sched.stats();
     assert_eq!(stats.retried, 1);
     assert_eq!(stats.completed, 4);
-    assert_eq!(stats.inflight, 0, "retry must not leak a slot");
     assert_eq!(stats.max_inflight, 1);
+    assert_eq!(sched.audit(), Vec::<String>::new());
 }
 
 #[test]
@@ -631,5 +639,6 @@ fn a_zeroed_config_still_serves() {
         submitter.join().expect("submitter thread");
         assert_eq!(report.first_output(), &expected);
         assert_eq!(sched.global_cap(), cfg.global_cap.max(1));
+        assert_eq!(sched.audit(), Vec::<String>::new());
     }
 }

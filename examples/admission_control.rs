@@ -95,6 +95,7 @@ fn main() {
         stats.max_inflight,
         sched.global_cap(),
     );
-    assert_eq!(stats.queued, 0);
-    assert_eq!(stats.inflight, 0);
+    // Drained, the scheduler and its service audit clean: every slot
+    // released, nothing leaked, every billed call accounted for.
+    assert_eq!(sched.audit(), Vec::<String>::new());
 }

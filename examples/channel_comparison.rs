@@ -82,4 +82,5 @@ fn main() {
     println!("the spill threshold, and direct pays only the one-time hole-punch");
     println!("handshakes — zero per-message API cost, the paper's §IV-C bands");
     println!("extended with the FMI direct-exchange transport.");
+    assert_eq!(service.audit(), Vec::<String>::new());
 }

@@ -56,6 +56,7 @@ fn main() {
     for predictive in [false, true] {
         let sched = fresh_scheduler(predictive);
         let report = replay(&sched, "m", &arrivals);
+        assert_eq!(sched.audit(), Vec::<String>::new());
         let (sum_us, n) = report
             .outcomes
             .iter()

@@ -135,4 +135,8 @@ fn main() {
         distributed.cost_actual.total()
     );
     println!("\nboth paths match the serial ground truth bit-for-bit ✓");
+
+    // 8. Quiescent, the service audits clean: nothing leaked and every
+    //    billed call is accounted for.
+    assert_eq!(service.audit(), Vec::<String>::new());
 }

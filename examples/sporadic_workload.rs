@@ -86,4 +86,7 @@ fn main() {
         total_latency_ms / queries as f64
     );
     assert!(total_cost < always_on_daily);
+    for service in &services {
+        assert_eq!(service.audit(), Vec::<String>::new());
+    }
 }

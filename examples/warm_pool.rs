@@ -65,4 +65,5 @@ fn main() {
         "pool: {} hits / {} misses, {} created, {} idle",
         stats.hits, stats.misses, stats.created, stats.idle
     );
+    assert_eq!(service.audit(), Vec::<String>::new());
 }

@@ -123,7 +123,7 @@ proptest! {
         prop_assert_eq!(snap.s3_put_requests, keys.len() as u64);
         prop_assert_eq!(snap.s3_get_requests, keys.len() as u64);
         prop_assert_eq!(snap.s3_put_bytes, (keys.len() * body.len()) as u64);
-        prop_assert_eq!(store.object_count(&bucket), keys.len());
+        prop_assert_eq!(store.object_count(&bucket, ""), keys.len());
     }
 
     #[test]
@@ -180,10 +180,7 @@ proptest! {
         prop_assert_eq!(merged, sent);
         // Teardown leaves the region exactly as found, on every transport.
         channel.teardown();
-        prop_assert_eq!(env.queue_count(), 0);
-        for i in 0..fsd_inference::comm::N_BUCKETS {
-            prop_assert_eq!(env.object_store().object_count(&bucket_name(i)), 0);
-        }
+        prop_assert_eq!(env.residue_report(), Vec::<String>::new());
     }
 
     #[test]

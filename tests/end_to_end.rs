@@ -48,12 +48,7 @@ fn serial_variant_matches_ground_truth() {
     assert_eq!(report.comm.sqs_api_calls, 0);
     assert_eq!(report.comm.s3_put_requests, 0);
     // Its one-rank tree's channel provisions nothing and leaves nothing.
-    let env = service.env();
-    assert_eq!(env.queue_count(), 0);
-    for t in 0..env.pubsub().n_topics() {
-        assert_eq!(env.pubsub().subscription_count(t), 0, "topic {t}");
-    }
-    env.assert_no_residue();
+    assert_eq!(service.audit(), Vec::<String>::new());
 }
 
 #[test]
@@ -82,6 +77,7 @@ fn queue_variant_matches_ground_truth_at_various_p() {
         );
         assert!(report.comm.sqs_api_calls > 0, "queue run must poll");
     }
+    assert_eq!(service.audit(), Vec::<String>::new());
 }
 
 #[test]
@@ -108,6 +104,7 @@ fn object_variant_matches_ground_truth_at_various_p() {
         // Queue services untouched by the object channel.
         assert_eq!(report.comm.sns_publish_requests, 0);
     }
+    assert_eq!(service.audit(), Vec::<String>::new());
 }
 
 #[test]
@@ -139,6 +136,7 @@ fn hybrid_variant_matches_ground_truth_at_various_p() {
             "hybrid receivers poll queues, never LIST"
         );
     }
+    assert_eq!(service.audit(), Vec::<String>::new());
 }
 
 /// The CI channel matrix runs this suite once per transport, selecting the
@@ -168,18 +166,7 @@ fn env_selected_variant_matches_ground_truth() {
         assert_eq!(report.variant, variant);
     }
     // Whatever the transport held on the region is gone after teardown.
-    assert_eq!(service.env().queue_count(), 0, "{variant} leaked queues");
-    assert_eq!(service.env().pubsub().subscription_count(0), 0);
-    for i in 0..fsd_inference::comm::N_BUCKETS {
-        assert_eq!(
-            service
-                .env()
-                .object_store()
-                .object_count(&fsd_inference::comm::bucket_name(i)),
-            0,
-            "{variant} leaked objects in bucket {i}"
-        );
-    }
+    assert_eq!(service.audit(), Vec::<String>::new(), "{variant}");
 }
 
 #[test]
@@ -212,6 +199,7 @@ fn all_variants_agree_with_each_other() {
         .expect("object");
     assert_eq!(serial.first_output(), queue.first_output());
     assert_eq!(queue.first_output(), object.first_output());
+    assert_eq!(service.audit(), Vec::<String>::new());
 }
 
 #[test]
@@ -246,6 +234,8 @@ fn random_partitioning_still_correct_but_ships_more() {
         hgp.client.s3_bytes_put,
         rp.client.s3_bytes_put
     );
+    assert_eq!(hgp_service.audit(), Vec::<String>::new());
+    assert_eq!(rp_service.audit(), Vec::<String>::new());
 }
 
 #[test]
@@ -299,6 +289,7 @@ fn serial_oom_on_oversized_model() {
         }
         other => panic!("expected OOM, got {other:?}"),
     }
+    assert_eq!(service.audit(), Vec::<String>::new());
 }
 
 #[test]
@@ -326,6 +317,7 @@ fn timeout_kills_underprovisioned_runs() {
         Err(FsdError::Timeout { .. }) => {}
         other => panic!("expected timeout, got {other:?}"),
     }
+    assert_eq!(service.audit(), Vec::<String>::new());
 }
 
 #[test]
@@ -351,6 +343,7 @@ fn cost_model_validation_predicted_vs_actual() {
             report.cost_actual.total()
         );
     }
+    assert_eq!(service.audit(), Vec::<String>::new());
 }
 
 #[test]
@@ -376,6 +369,7 @@ fn report_latency_covers_all_workers() {
     }
     assert!(report.per_sample_ms() > 0.0);
     assert!(report.work_done > 0);
+    assert_eq!(service.audit(), Vec::<String>::new());
 }
 
 #[test]
@@ -404,6 +398,7 @@ fn deterministic_reruns_under_deterministic_config() {
     assert_eq!(r1.first_output(), r2.first_output());
     assert_eq!(r1.work_done, r2.work_done);
     assert_eq!(r1.client.s3_puts, r2.client.s3_puts);
+    assert_eq!(service.audit(), Vec::<String>::new());
 }
 
 #[test]
@@ -416,6 +411,7 @@ fn service_recommendation_follows_model_size() {
     // Serial is forced for P <= 1 regardless of size.
     let rec1 = service.recommend(1, 8);
     assert_eq!(rec1.variant, Variant::Serial);
+    assert_eq!(service.audit(), Vec::<String>::new());
 }
 
 #[test]
@@ -435,6 +431,7 @@ fn auto_variant_runs_the_recommended_path() {
         .expect("auto runs");
     assert_eq!(report.variant, service.recommend(4, 8).variant);
     assert_eq!(report.first_output(), &expected);
+    assert_eq!(service.audit(), Vec::<String>::new());
 }
 
 #[test]
@@ -473,6 +470,7 @@ fn larger_batches_cost_more_but_amortize_per_sample() {
         big.per_sample_ms(),
         small.per_sample_ms()
     );
+    assert_eq!(service.audit(), Vec::<String>::new());
 }
 
 /// The modelled footprint of one fixed P=8 request per transport, pinned
@@ -520,6 +518,7 @@ fn modelled_footprint_of_a_fixed_request_is_pinned_per_transport() {
         );
         assert_eq!(got, pinned, "{variant}");
     }
+    assert_eq!(service.audit(), Vec::<String>::new());
 }
 
 /// Taken at `921aed7` (three runs, identical).

@@ -55,6 +55,7 @@ fn batched_outputs_match_per_batch_ground_truth() {
         assert_eq!(report.samples, 16 + 24 + 32);
         assert_eq!(report.first_output(), &report.outputs[0]);
     }
+    assert_eq!(service.audit(), Vec::<String>::new());
 }
 
 #[test]
@@ -93,6 +94,7 @@ fn batching_amortizes_launch_and_weight_loads() {
         together.latency.as_secs_f64(),
         separate_latency
     );
+    assert_eq!(service.audit(), Vec::<String>::new());
 }
 
 #[test]
@@ -117,6 +119,7 @@ fn single_batch_request_is_equivalent_to_submit() {
     assert_eq!(single.first_output(), batched.first_output());
     assert_eq!(single.outputs.len(), 1);
     assert_eq!(batched.outputs.len(), 1);
+    assert_eq!(service.audit(), Vec::<String>::new());
 }
 
 #[test]
@@ -129,4 +132,5 @@ fn empty_batch_list_is_a_structured_error() {
         batches: vec![],
     });
     assert_eq!(res.unwrap_err(), FsdError::EmptyRequest);
+    assert_eq!(service.audit(), Vec::<String>::new());
 }

@@ -66,8 +66,13 @@ fn fresh_scheduler(predictive: bool) -> Scheduler {
     SchedulerBuilder::new(cfg).model("m", service).build()
 }
 
+/// Replays the bursty trace on a fresh scheduler, which must then audit
+/// clean.
 fn run(predictive: bool) -> FleetReplayReport {
-    replay(&fresh_scheduler(predictive), "m", &bursty_trace())
+    let sched = fresh_scheduler(predictive);
+    let report = replay(&sched, "m", &bursty_trace());
+    assert_eq!(sched.audit(), Vec::<String>::new());
+    report
 }
 
 #[test]
@@ -168,7 +173,9 @@ fn rejected_flood_arrivals_do_not_inflate_prewarm_targets() {
             .manual()
             .predictive(PredictorConfig::default().window(8).max_warm(8));
         let sched = SchedulerBuilder::new(cfg).model("m", service).build();
-        replay(&sched, "m", &trace::flood(n, 4, SEED))
+        let report = replay(&sched, "m", &trace::flood(n, 4, SEED));
+        assert_eq!(sched.audit(), Vec::<String>::new());
+        report
     };
     let small = run_flood(16);
     let large = run_flood(48);
@@ -254,4 +261,5 @@ fn quiescence_evicts_prewarmed_trees_on_drain_ticks() {
         "quiescent traffic must converge to zero pre-warms"
     );
     assert!(sched.stats().predictor_evicted >= 1);
+    assert_eq!(sched.audit(), Vec::<String>::new());
 }

@@ -310,6 +310,7 @@ proptest! {
             .submit(&InferenceRequest { variant, workers: parts, memory_mb: 1536, inputs })
             .expect("run succeeds");
         prop_assert_eq!(report.first_output(), &expected);
+        prop_assert_eq!(service.audit(), Vec::<String>::new());
     }
 }
 
@@ -344,7 +345,7 @@ proptest! {
         block in sparse_rows_strategy(24, 16),
         seed in 1u64..500,
     ) {
-        use fsd_inference::comm::{bucket_name, CloudConfig, CloudEnv};
+        use fsd_inference::comm::{CloudConfig, CloudEnv};
         prop_assume!(!block.is_empty());
         let wire = codec::encoded_size(&block);
         // spill iff serialized size > threshold: at and one-under stay
@@ -385,16 +386,13 @@ proptest! {
             let (merged_q, merged_h) = (merge(got_q), merge(got_h));
             prop_assert_eq!(&merged_h, &merged_q, "hybrid diverged from queue");
             prop_assert_eq!(&merged_h, &block, "delivery lost rows");
-            // Flow-namespaced cleanup holds for spilled flows too.
+            // Flow-namespaced cleanup holds for spilled flows too (the
+            // billing windows are the service's to release).
             queue.teardown();
             hybrid.teardown();
-            prop_assert_eq!(env.queue_count(), 0);
-            for t in 0..env.pubsub().n_topics() {
-                prop_assert_eq!(env.pubsub().subscription_count(t), 0);
-            }
-            for i in 0..fsd_inference::comm::N_BUCKETS {
-                prop_assert_eq!(env.object_store().object_count(&bucket_name(i)), 0);
-            }
+            env.release_flow(1);
+            env.release_flow(2);
+            prop_assert_eq!(env.residue_report(), Vec::<String>::new());
         }
     }
 }
@@ -559,8 +557,9 @@ proptest! {
                     Err(e) => Err(e.to_string()),
                 });
             }
-            // Fault or not, every flow released its namespaced state.
-            service.env().assert_no_residue();
+            // Fault or not, every flow released its namespaced state and
+            // was billed once.
+            assert_eq!(service.audit(), Vec::<String>::new());
             Ok((
                 outcomes,
                 service.env().meter().snapshot(),
@@ -661,22 +660,9 @@ proptest! {
         prop_assert_eq!(stats.total_rejected(), rejections);
         prop_assert_eq!(stats.completed, accepted);
         prop_assert_eq!(stats.failed, 0);
-        prop_assert_eq!(stats.queued, 0);
-        prop_assert_eq!(stats.inflight, 0);
 
-        // Rejected requests leave nothing behind: no queues, subscriptions,
-        // intermediate objects or per-flow meter buckets survive the drain.
-        prop_assert_eq!(service.env().queue_count(), 0, "leaked queues");
-        for t in 0..service.env().pubsub().n_topics() {
-            prop_assert_eq!(service.env().pubsub().subscription_count(t), 0,
-                "leaked filter policies on topic {}", t);
-        }
-        for i in 0..fsd_inference::comm::N_BUCKETS {
-            prop_assert_eq!(
-                service.env().object_store().object_count(&fsd_inference::comm::bucket_name(i)),
-                0, "leaked objects in bucket {}", i);
-        }
-        prop_assert_eq!(service.env().meter().tracked_flows(), 0, "leaked comm flows");
-        prop_assert_eq!(service.platform().lambda_meter().tracked_flows(), 0, "leaked lambda flows");
+        // Rejected requests leave nothing behind, and every admitted one
+        // released its slot and its flow.
+        prop_assert_eq!(sched.audit(), Vec::<String>::new());
     }
 }

@@ -2,14 +2,16 @@
 //! capacity is released, the cloud region must hold **zero** per-request
 //! residue — no queues, no filter-policy subscriptions, no objects in the
 //! data buckets, no tracked billing flows, no parked trees, no tracked
-//! lambda flows. `CloudEnv::assert_no_residue` is the runtime twin of the
-//! `teardown-pair` static lint: the lint proves every `create_*` has a
-//! teardown on the public surface; this suite proves the teardowns are
-//! actually called.
+//! lambda flows. `FsdService::audit` (over `CloudEnv::residue_report`) is
+//! the runtime twin of the `teardown-pair` static lint: the lint proves
+//! every `create_*` has a teardown on the public surface; this suite
+//! proves the teardowns are actually called, and that the region's
+//! residue report sees what it claims to.
 //!
 //! The audit requires quiescence, so every test drains its service before
 //! auditing.
 
+use fsd_inference::comm::{CloudConfig, CloudEnv};
 use fsd_inference::core::{FsdService, InferenceRequest, ServiceBuilder, Variant};
 use fsd_inference::model::{generate_dnn, generate_inputs, DnnSpec, InputSpec};
 use fsd_sparse::SparseRows;
@@ -33,18 +35,9 @@ fn service_for(seed: u64) -> (FsdService, SparseRows) {
     (ServiceBuilder::new(dnn).deterministic(seed).build(), inputs)
 }
 
-fn audit(service: &FsdService, label: &str) {
-    let residue = service.env().residue_report();
-    assert!(
-        residue.is_empty(),
-        "{label}: cloud residue after teardown: {}",
-        residue.join("; ")
-    );
-    assert_eq!(
-        service.platform().lambda_meter().tracked_flows(),
-        0,
-        "{label}: lambda meter still tracks per-flow buckets"
-    );
+/// A bare region for the residue report's own sensitivity checks.
+fn region() -> Arc<CloudEnv> {
+    CloudEnv::new(CloudConfig::deterministic(1))
 }
 
 #[test]
@@ -70,8 +63,7 @@ fn every_variant_leaves_zero_residue() {
                 inputs,
             })
             .unwrap_or_else(|e| panic!("{variant}: {e}"));
-        audit(&service, &variant.to_string());
-        service.env().assert_no_residue();
+        assert_eq!(service.audit(), Vec::<String>::new(), "{variant}");
     }
 }
 
@@ -88,7 +80,7 @@ fn repeated_requests_accumulate_no_residue() {
             })
             .unwrap_or_else(|e| panic!("rep {rep}: {e}"));
     }
-    audit(&service, "3 repeated queue requests");
+    assert_eq!(service.audit(), Vec::<String>::new());
 }
 
 #[test]
@@ -115,14 +107,13 @@ fn warm_pool_release_leaves_zero_residue() {
     service.invalidate_warm_trees();
     let stats = service.warm_pool_stats().expect("pool enabled");
     assert_eq!(stats.idle, 0, "parked trees survived invalidation");
-    audit(&service, "warm pool after invalidate");
+    assert_eq!(service.audit(), Vec::<String>::new());
 }
 
 #[test]
 fn audit_detects_planted_leaks() {
     // Sensitivity check: a checker that cannot fail proves nothing.
-    let (service, _) = service_for(99);
-    let env = service.env();
+    let env = region();
 
     let _q = env.queue("leak-probe");
     let report = env.residue_report();
@@ -148,7 +139,7 @@ fn audit_detects_planted_leaks() {
     );
     env.object_store()
         .delete_prefix(&fsd_inference::comm::bucket_name(0), "");
-    env.assert_no_residue();
+    assert_eq!(env.residue_report(), Vec::<String>::new());
 
     let mut clock = fsd_inference::comm::VClock::default();
     clock.set_flow(77);
@@ -164,7 +155,7 @@ fn audit_detects_planted_leaks() {
     // The send billed on flow 77, opening a per-flow meter bucket — the
     // audit counts that as residue too, so release it like teardown would.
     env.meter().release_flow(77);
-    env.assert_no_residue();
+    assert_eq!(env.residue_report(), Vec::<String>::new());
 }
 
 #[test]
@@ -173,8 +164,7 @@ fn audit_detects_leaked_weight_stream_state() {
     // adds: frames parked in a flow's mailboxes. (Cache blocks cannot
     // outlive their generation: an invalidation drops them in the same
     // critical section that bumps it.)
-    let (service, _) = service_for(98);
-    let env = service.env();
+    let env = region();
 
     // A streamed launch that died between send and drain leaves its
     // frames parked; the audit must see them.
@@ -198,7 +188,7 @@ fn audit_detects_leaked_weight_stream_state() {
     // billed on flow 88, so release that window like teardown would).
     assert_eq!(env.weight_net().close_flow(88), 1);
     env.meter().release_flow(88);
-    env.assert_no_residue();
+    assert_eq!(env.residue_report(), Vec::<String>::new());
 }
 
 #[test]
@@ -225,16 +215,15 @@ fn streamed_requests_leave_zero_residue() {
     // invalidation releases both, after which the region audits clean.
     service.invalidate_warm_trees();
     assert_eq!(service.weight_cache().len(), 0);
-    audit(&service, "streamed requests after invalidate");
-    service.env().assert_no_residue();
+    assert_eq!(service.audit(), Vec::<String>::new());
 }
 
 #[test]
 fn remove_bucket_is_create_buckets_teardown_twin() {
     // The teardown-pair lint demands create_bucket/remove_bucket; prove the
     // pair actually round-trips.
-    let (service, _) = service_for(5);
-    let store = service.env().object_store();
+    let env = region();
+    let store = env.object_store();
     store.create_bucket("transient");
     let mut clock = fsd_inference::comm::VClock::default();
     store

@@ -128,17 +128,24 @@ fn fresh_pooled_scheduler(seed: u64, cfg: SchedulerConfig) -> Scheduler {
         .build()
 }
 
-/// Replays `trace` three times against fresh schedulers; asserts the runs
-/// are identical and returns the (canonical) first report.
+/// Replays `trace` three times against fresh schedulers; asserts each
+/// audits clean and the runs are identical, and returns the (canonical)
+/// first report.
 fn replay_thrice(seed: u64, cfg: SchedulerConfig, trace: &[Arrival]) -> FleetReplayReport {
     replay_thrice_with(|| fresh_scheduler(seed, cfg), trace)
 }
 
 /// [`replay_thrice`] over an arbitrary scheduler factory.
 fn replay_thrice_with(fresh: impl Fn() -> Scheduler, trace: &[Arrival]) -> FleetReplayReport {
-    let first = replay(&fresh(), "m", trace);
+    let audited = || {
+        let sched = fresh();
+        let report = replay(&sched, "m", trace);
+        assert_eq!(sched.audit(), Vec::<String>::new());
+        report
+    };
+    let first = audited();
     for run in 1..3 {
-        let again = replay(&fresh(), "m", trace);
+        let again = audited();
         assert_eq!(
             first.admission_groups, again.admission_groups,
             "run {run}: admission order diverged"
@@ -178,8 +185,6 @@ fn assert_invariants(report: &FleetReplayReport, cfg: &SchedulerConfig) {
         report.stats.admitted.iter().sum::<u64>(),
         "admitted requests must all be harvested"
     );
-    assert_eq!(report.stats.queued, 0);
-    assert_eq!(report.stats.inflight, 0);
 }
 
 #[test]
@@ -253,6 +258,8 @@ fn auto_under_the_scheduler_routes_like_sequential_and_matches_outputs() {
     sched.shutdown();
     sched.drain();
     assert_eq!(sched.stats().completed, 6);
+    assert_eq!(sequential_service.audit(), Vec::<String>::new());
+    assert_eq!(sched.audit(), Vec::<String>::new());
 }
 
 #[test]
@@ -335,10 +342,10 @@ fn replays_need_manual_dispatch_but_not_admission_recording() {
         let sched = fresh_scheduler(29, cfg);
         let first = replay(&sched, "m", &replayed);
         let second = replay(&sched, "m", &replayed);
-        done.send((first, second, sched.admission_log()))
+        done.send((first, second, sched.admission_log(), sched.audit()))
             .expect("test waits");
     });
-    let (first, second, log) = finished
+    let (first, second, log, audit) = finished
         .recv_timeout(std::time::Duration::from_secs(120))
         .expect("a manual replay must finish");
     for report in [&first, &second] {
@@ -352,9 +359,13 @@ fn replays_need_manual_dispatch_but_not_admission_recording() {
     assert_eq!(log.len(), 8, "the record holds both replays");
     assert_eq!(log[..4], first.admission_groups.concat()[..]);
     assert_eq!(log[4..], second.admission_groups.concat()[..]);
-    let fresh = replay(&fresh_scheduler(29, cfg), "m", &trace);
+    let sched = fresh_scheduler(29, cfg);
+    let fresh = replay(&sched, "m", &trace);
     assert_eq!(first.admission_groups, fresh.admission_groups);
     assert_eq!(first.outcomes, fresh.outcomes);
+    assert_eq!(audit, Vec::<String>::new());
+    assert_eq!(sched.audit(), Vec::<String>::new());
+    assert_eq!(auto.audit(), Vec::<String>::new());
 }
 
 #[test]

@@ -70,16 +70,6 @@ fn launch_fingerprint(r: &InferenceReport) -> impl PartialEq + std::fmt::Debug {
     )
 }
 
-fn assert_clean(service: &FsdService, what: &str) {
-    service.env().assert_no_residue();
-    assert_eq!(service.env().meter().tracked_flows(), 0, "{what}");
-    assert_eq!(
-        service.platform().lambda_meter().tracked_flows(),
-        0,
-        "{what}"
-    );
-}
-
 /// There is one launch path: a pool-less request, a pooled cold miss and
 /// member 0 of a pool-less coalition all launch a tree for their own flow
 /// and must be indistinguishable — on every transport, in both launch
@@ -158,7 +148,7 @@ fn warm_hits_skip_launch_and_match_cold_outputs_on_both_channels() {
                     );
                 }
                 for service in [&poolless, &pooled, &coalition] {
-                    assert_clean(service, &what);
+                    assert_eq!(service.audit(), Vec::<String>::new(), "{what}");
                 }
             }
         }
@@ -191,6 +181,7 @@ fn warm_p50_is_strictly_below_cold_p50_under_the_deterministic_clock() {
     // The deterministic clock makes every sample of a path identical.
     assert_eq!(cold_us.first(), cold_us.last());
     assert_eq!(warm_us.first(), warm_us.last());
+    assert_eq!(service.audit(), Vec::<String>::new());
 }
 
 #[test]
@@ -217,6 +208,7 @@ fn idle_ttl_evicts_parked_trees() {
         LaunchPath::ColdStart,
         "an evicted tree cannot serve a warm hit"
     );
+    assert_eq!(service.audit(), Vec::<String>::new());
 }
 
 #[test]
@@ -242,6 +234,7 @@ fn full_shelf_evicts_the_lru_shape_instead_of_rejecting_the_checkin() {
         service.submit(&queue_req).expect("queue again").launch,
         LaunchPath::ColdStart
     );
+    assert_eq!(service.audit(), Vec::<String>::new());
 }
 
 #[test]
@@ -275,6 +268,7 @@ fn lru_under_pressure_evicts_the_least_recently_used_shape() {
         LaunchPath::ColdStart,
         "the LRU shape was evicted"
     );
+    assert_eq!(service.audit(), Vec::<String>::new());
 }
 
 #[test]
@@ -326,12 +320,10 @@ fn dead_worker_evicts_the_tree_without_wedging_the_scheduler() {
         let sstats = sched.stats();
         assert_eq!(sstats.failed, 1);
         assert_eq!(sstats.completed, 2);
-        assert_eq!(sstats.inflight, 0);
-        // Even the failed request released its billing windows.
-        assert_eq!(service.env().meter().tracked_flows(), 0);
-        assert_eq!(service.platform().lambda_meter().tracked_flows(), 0);
         sched.shutdown();
         sched.drain();
+        // Even the failed request released its billing windows.
+        assert_eq!(sched.audit(), Vec::<String>::new());
     });
 }
 
@@ -366,9 +358,9 @@ fn the_first_error_a_request_reports_is_the_root_cause() {
             let refused = poolless.submit(&request(&inputs, Variant::Queue, 8));
             assert_eq!(op_of(refused), "instance", "rep {rep}: refused launch");
         }
-        for service in [&*pooled, &poolless] {
-            assert_clean(service, "failed requests release everything");
-        }
+        // Failed requests release everything.
+        assert_eq!(pooled.audit(), Vec::<String>::new());
+        assert_eq!(poolless.audit(), Vec::<String>::new());
     });
 }
 
@@ -427,8 +419,7 @@ fn billing_stays_per_flow_disjoint_across_tree_reuse() {
     assert_eq!(after.invocations, before.invocations);
     assert_eq!(after.mb_ms - before.mb_ms, windows_mb_ms);
     // Nothing leaked: all flow windows were released at teardown.
-    assert_eq!(service.env().meter().tracked_flows(), 0);
-    assert_eq!(service.platform().lambda_meter().tracked_flows(), 0);
+    assert_eq!(service.audit(), Vec::<String>::new());
     let stats = service.warm_pool_stats().expect("pool enabled");
     assert_eq!(stats.hits, 4);
     assert_eq!(stats.misses, 0);
@@ -458,7 +449,7 @@ fn serial_requests_check_out_their_one_rank_tree() {
         (1, 1, 1, 1)
     );
     assert_eq!(service.warm_idle_trees(Variant::Serial, 8, 512), 1);
-    assert_clean(&service, "serial warm hit");
+    assert_eq!(service.audit(), Vec::<String>::new());
 }
 
 #[test]
@@ -480,6 +471,6 @@ fn a_killed_serial_tree_is_discarded_and_the_next_request_cold_launches() {
         let recovered = service.submit(&serial()).expect("a fresh tree serves");
         assert_eq!(recovered.launch, LaunchPath::ColdStart);
         assert_eq!(recovered.first_output(), &expected);
-        assert_clean(&service, "after a killed serial tree");
+        assert_eq!(service.audit(), Vec::<String>::new());
     });
 }

@@ -107,15 +107,8 @@ fn streamed_cold_start_is_bit_identical_and_faster_than_independent_loads() {
             cold_eager.latency
         );
         // No leaked per-request state on either service.
-        for (label, service) in [("eager", &eager), ("streamed", &streamed)] {
-            service.env().assert_no_residue();
-            assert_eq!(service.env().meter().tracked_flows(), 0, "{label} P={p}");
-            assert_eq!(
-                service.platform().lambda_meter().tracked_flows(),
-                0,
-                "{label} P={p}"
-            );
-        }
+        assert_eq!(eager.audit(), Vec::<String>::new(), "eager P={p}");
+        assert_eq!(streamed.audit(), Vec::<String>::new(), "streamed P={p}");
     }
 }
 
@@ -125,22 +118,10 @@ fn forwarded_frames_bill_to_the_requesting_flow_and_partition_exactly() {
     let report = streamed.submit(&request(&inputs, 4)).expect("cold run");
     assert_eq!(report.first_output(), &expected);
     // Every frame the fabric carried was billed inside this request's flow
-    // window: the global meters grew by exactly the report's share and the
-    // failed-attempt accumulator stayed empty.
-    let global = streamed.env().meter().snapshot();
-    let failed = streamed.failed_attempt_bill();
+    // window: the global meter is exactly the report's share.
     assert!(report.comm.weight_frames > 0);
-    assert_eq!(
-        global.weight_frames,
-        report.comm.weight_frames + failed.comm.weight_frames
-    );
-    assert_eq!(
-        global.weight_bytes,
-        report.comm.weight_bytes + failed.comm.weight_bytes
-    );
-    assert_eq!(failed.comm.weight_frames, 0);
-    assert_eq!(streamed.env().meter().tracked_flows(), 0);
-    streamed.env().assert_no_residue();
+    assert_eq!(streamed.env().snapshot(), report.comm);
+    assert_eq!(streamed.audit(), Vec::<String>::new());
 }
 
 #[test]
@@ -210,8 +191,7 @@ fn shared_cache_serves_repeat_cold_starts_until_invalidated() {
         "the post-invalidate run must re-populate from object storage"
     );
     service.invalidate_warm_trees();
-    service.env().assert_no_residue();
-    assert_eq!(service.env().meter().tracked_flows(), 0);
+    assert_eq!(service.audit(), Vec::<String>::new());
 }
 
 #[test]
@@ -244,12 +224,9 @@ fn mid_stream_fault_falls_back_to_cache_without_extra_fetches_or_billing() {
         );
         // The request succeeded, so nothing landed in the failed-attempt bill
         // and the flow windows all closed.
-        let failed = faulted.failed_attempt_bill();
-        assert_eq!(failed.lambda.invocations, 0);
-        assert_eq!(failed.comm.weight_frames, 0);
-        assert_eq!(faulted.env().meter().tracked_flows(), 0);
-        assert_eq!(faulted.platform().lambda_meter().tracked_flows(), 0);
-        faulted.env().assert_no_residue();
+        assert_eq!(faulted.failed_attempt_bill(), Default::default());
+        assert_eq!(clean.audit(), Vec::<String>::new());
+        assert_eq!(faulted.audit(), Vec::<String>::new());
     });
 }
 
@@ -274,13 +251,11 @@ fn refused_rank_launch_fails_the_request_cleanly_and_recovers() {
         );
         // The failed attempt was billed (AWS semantics) into the accumulator.
         assert!(streamed.failed_attempt_bill().lambda.invocations > 0);
-        assert_eq!(streamed.env().meter().tracked_flows(), 0);
-        assert_eq!(streamed.platform().lambda_meter().tracked_flows(), 0);
-        streamed.env().assert_no_residue();
+        assert_eq!(streamed.audit(), Vec::<String>::new());
         // The fault was one-shot: the next request streams normally.
         let recovered = streamed.submit(&request(&inputs, 4)).expect("recovers");
         assert_eq!(recovered.first_output(), &expected);
-        streamed.env().assert_no_residue();
+        assert_eq!(streamed.audit(), Vec::<String>::new());
     });
 }
 
@@ -329,8 +304,7 @@ fn concurrent_streamed_requests_survive_cache_invalidation_races() {
     // invalidate leaves the cache empty and the region residue-free.
     service.invalidate_warm_trees();
     assert_eq!(service.weight_cache().len(), 0);
-    assert_eq!(service.env().meter().tracked_flows(), 0);
-    service.env().assert_no_residue();
+    assert_eq!(service.audit(), Vec::<String>::new());
 }
 
 /// One streamed P = 8 Queue cold start (branching 4: rank 1 relays for
@@ -377,7 +351,7 @@ fn streamed_relay_footprint_is_pinned_for_cold_and_warm_caches() {
         assert_eq!(report.first_output(), &expected, "{cache}");
         assert_eq!(streamed_footprint(&report), pinned, "{cache}");
     }
-    service.env().assert_no_residue();
+    assert_eq!(service.audit(), Vec::<String>::new());
 }
 
 /// Taken at `5d0ea8e` (three runs, identical), before the multicast
@@ -410,7 +384,10 @@ fn interior_relay_fault_falls_back_below_it_with_gets_exactly_once() {
                 .weight_streaming(true)
                 .build()
         };
-        let clean = build(None).submit(&request(&inputs, 8)).expect("clean run");
+        let clean_service = build(None);
+        let clean = clean_service
+            .submit(&request(&inputs, 8))
+            .expect("clean run");
         // P = 8, branching 4: rank 0 sends to ranks 1–4, rank 1 forwards
         // to ranks 5–7. Under this plan the one injected fault is rank 1's
         // first forward (`w5/owned` to hop 5; checked once, on every
@@ -436,7 +413,8 @@ fn interior_relay_fault_falls_back_below_it_with_gets_exactly_once() {
             "the fallback must not double-fetch any artifact"
         );
         assert!(report.comm.weight_frames < clean.comm.weight_frames);
-        faulted.env().assert_no_residue();
+        assert_eq!(clean_service.audit(), Vec::<String>::new());
+        assert_eq!(faulted.audit(), Vec::<String>::new());
     });
 }
 
@@ -488,10 +466,11 @@ fn twin_streamed_prewarms_on_the_unattributed_flow_both_serve() {
                     assert_eq!(report.first_output(), &expected);
                 }
             });
-            assert_eq!(service.env().weight_net().undrained_frames(), 0);
+            // Parked, the twins hold no frame and no in-service mark.
+            assert_eq!(service.audit(), Vec::<String>::new(), "round {round}");
         }
         service.invalidate_warm_trees();
-        service.env().assert_no_residue();
+        assert_eq!(service.audit(), Vec::<String>::new());
     });
 }
 
