@@ -43,17 +43,22 @@ impl Carrier for DirectCarrier {
         core.env.direct().close_flow(core.flow);
     }
 
-    fn frame(&self, cx: &Cx, ctx: &mut WorkerCtx, sends: &Sends) -> Vec<Vec<(u32, Frame)>> {
+    fn frame(
+        &self,
+        cx: &Cx,
+        ctx: &mut WorkerCtx,
+        sends: &Sends,
+    ) -> Result<Vec<Vec<(u32, Frame)>>, FaasError> {
         let frames = sends.iter().map(|(target, rows)| {
             // An empty send ships a 0-byte frame, uncharged.
             let body = if rows.is_empty() {
-                Vec::new()
+                Frame::from([])
             } else {
-                cx.encode(ctx, rows)
+                cx.encode(ctx, rows, &[], |wire| Frame::from(wire))
             };
-            (*target, body.into())
+            (*target, body)
         });
-        vec![frames.collect()]
+        Ok(vec![frames.collect()])
     }
 
     /// The punch is the only fallible step; a retried send re-attempts it.

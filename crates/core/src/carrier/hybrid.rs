@@ -34,12 +34,15 @@
 //! message stamp ≥ PUT stamp) always finds the object visible.
 
 use super::queue::chunk_bodies;
-use super::{Arrival, Carrier, Core, Cx, ObjectCarrier, Opened, QueueCarrier, Sends, Wire};
+use super::{
+    frame_field, Arrival, Carrier, Core, Cx, ObjectCarrier, Opened, QueueCarrier, Sends, Wire,
+};
 use fsd_comm::{quota, Message, VClock};
 use fsd_faas::{FaasError, WorkerCtx};
 use fsd_sparse::bytes::{DecodeError, Reader};
 use fsd_sparse::codec;
 use std::cmp::Ordering;
+use std::sync::Arc;
 
 const FRAME_INLINE: u8 = 0x00;
 const FRAME_POINTER: u8 = 0x01;
@@ -53,22 +56,16 @@ enum Frame<'a> {
     Pointer { key: &'a str, payload_len: u64 },
 }
 
-/// Frames an inline payload: `[0x00][body]`.
-fn frame_inline(body: Vec<u8>) -> Vec<u8> {
-    let mut framed = Vec::with_capacity(1 + body.len());
-    framed.push(FRAME_INLINE);
-    framed.extend_from_slice(&body);
-    framed
-}
-
 /// Frames a pointer record: `[0x01][key_len u32][key][payload_len u64]`.
-fn frame_pointer(key: &str, payload_len: u64) -> Vec<u8> {
+/// A key too long for its length field fails the send.
+fn frame_pointer(key: &str, payload_len: u64) -> Result<Vec<u8>, FaasError> {
+    let key_len = frame_field(key.len(), "pointer key length")?;
     let mut framed = Vec::with_capacity(1 + 4 + key.len() + 8);
     framed.push(FRAME_POINTER);
-    framed.extend_from_slice(&(key.len() as u32).to_le_bytes());
+    framed.extend_from_slice(&key_len.to_le_bytes());
     framed.extend_from_slice(key.as_bytes());
     framed.extend_from_slice(&payload_len.to_le_bytes());
-    framed
+    Ok(framed)
 }
 
 /// Parses a framed body (strict: truncated or unknown frames, and bytes
@@ -124,13 +121,19 @@ impl Carrier for HybridCarrier {
 
     /// The whole block spills when its serialized size exceeds the
     /// threshold; otherwise it is chunked inline exactly like the queue
-    /// carrier's. An inline chunk that still cannot fit one publish message
-    /// (a single giant row) falls back to spilling just that chunk.
-    fn frame(&self, cx: &Cx, ctx: &mut WorkerCtx, sends: &Sends) -> Vec<Vec<HybridParcel>> {
+    /// carrier's, each chunk compressed straight in behind its tag byte.
+    /// An inline chunk that still cannot fit one publish message (a single
+    /// giant row) falls back to spilling just that chunk.
+    fn frame(
+        &self,
+        cx: &Cx,
+        ctx: &mut WorkerCtx,
+        sends: &Sends,
+    ) -> Result<Vec<Vec<HybridParcel>>, FaasError> {
         let mut puts = Vec::new();
         let mut frames = Vec::with_capacity(sends.len());
         for (target, rows) in sends {
-            let mut spill = |chunk_idx: usize, body: Vec<u8>| {
+            let mut spill = |chunk_idx: usize, body: Arc<[u8]>| {
                 let suffix = format!(".c{chunk_idx}.dat");
                 let put = self.object.object(cx, *target, &suffix, body);
                 let pointer = frame_pointer(&put.key, put.body.len() as u64);
@@ -139,22 +142,22 @@ impl Carrier for HybridCarrier {
             };
             let spills = !rows.is_empty() && codec::encoded_size(rows) > cx.opts.spill_threshold;
             let framed = if spills {
-                vec![spill(0, cx.encode(ctx, rows))]
+                vec![spill(0, cx.encode(ctx, rows, &[], |wire| Arc::from(wire)))?]
             } else {
-                let bodies = chunk_bodies(cx, ctx, rows, 1).into_iter().enumerate();
-                let framed = bodies.map(|(i, body)| {
-                    if body.len() + 1 > quota::MAX_PUBLISH_BYTES {
-                        spill(i, body)
+                let inline = chunk_bodies(cx, ctx, rows, &[FRAME_INLINE]);
+                let framed = inline.into_iter().enumerate().map(|(i, framed)| {
+                    if framed.len() > quota::MAX_PUBLISH_BYTES {
+                        spill(i, Arc::from(&framed[1..]))
                     } else {
-                        frame_inline(body)
+                        Ok(framed)
                     }
                 });
-                framed.collect()
+                framed.collect::<Result<_, _>>()?
             };
             frames.push((*target, framed));
         }
-        let publishes = self.queue.batches(cx, frames).into_iter();
-        vec![puts, publishes.map(HybridParcel::Publish).collect()]
+        let publishes = self.queue.batches(cx, frames)?.into_iter();
+        Ok(vec![puts, publishes.map(HybridParcel::Publish).collect()])
     }
 
     fn put(&self, cx: &Cx, lane: &mut VClock, parcel: &HybridParcel) -> Result<(), FaasError> {
@@ -205,11 +208,12 @@ mod tests {
 
     #[test]
     fn frames_roundtrip() {
-        match parse_frame(&frame_inline(vec![1, 2, 3])).expect("inline") {
+        match parse_frame(&[FRAME_INLINE, 1, 2, 3]).expect("inline") {
             Frame::Inline(b) => assert_eq!(b, &[1, 2, 3]),
             _ => panic!("wrong frame"),
         }
-        match parse_frame(&frame_pointer("f1/L0/1/0_1.c0.dat", 99)).expect("pointer") {
+        let pointer = frame_pointer("f1/L0/1/0_1.c0.dat", 99).expect("fits");
+        match parse_frame(&pointer).expect("pointer") {
             Frame::Pointer { key, payload_len } => {
                 assert_eq!(key, "f1/L0/1/0_1.c0.dat");
                 assert_eq!(payload_len, 99);
@@ -222,12 +226,13 @@ mod tests {
     }
 
     /// The exact bytes of both frames: a pointer record's size is billed
-    /// as a publish, so a changed byte would move hybrid latencies.
+    /// as a publish, so a changed byte would move hybrid latencies. (An
+    /// inline frame is the tag byte, then the wire body.)
     #[test]
     fn frame_formats_are_locked() {
-        assert_eq!(frame_inline(vec![7, 8, 9]), vec![0, 7, 8, 9]);
+        assert_eq!(FRAME_INLINE, 0);
         assert_eq!(
-            frame_pointer("f1/L0/1/0_1.c0.dat", 300),
+            frame_pointer("f1/L0/1/0_1.c0.dat", 300).expect("fits"),
             vec![
                 1, 18, 0, 0, 0, 102, 49, 47, 76, 48, 47, 49, 47, 48, 95, 49, 46, 99, 48, 46, 100,
                 97, 116, 44, 1, 0, 0, 0, 0, 0, 0
@@ -237,7 +242,7 @@ mod tests {
 
     #[test]
     fn pointer_prefixes_are_refused_and_no_mutation_panics() {
-        let frame = frame_pointer("f3/L2/1/0_1.c0.dat", 70_000);
+        let frame = frame_pointer("f3/L2/1/0_1.c0.dat", 70_000).expect("fits");
         for cut in 0..frame.len() {
             assert!(parse_frame(&frame[..cut]).is_err(), "prefix {cut} parsed");
         }

@@ -16,8 +16,15 @@
 //!   re-checks its limits and asks again); once the tag completes, the
 //!   whole arrival set is sorted by stamp, *settled* (the billed receive
 //!   sequence is reconstructed from the stamps alone) and opened +
-//!   decoded — so per-request timing and billing never depend on how
-//!   real threads happened to batch the arrivals, or on how late they ran.
+//!   decoded ([`Core::decode`]) — so per-request timing and billing never
+//!   depend on how real threads happened to batch the arrivals, or on how
+//!   late they ran.
+//!
+//! Both ends work in [`FrameBufs`] the calling rank takes from its
+//! service's [`FramePool`] for one frame: a frame is serialized,
+//! compressed and inflated in reused buffers and index tables, so the
+//! only allocations per frame are the body the fabric keeps and,
+//! received, the block it decodes to.
 //!
 //! A [`Carrier`] supplies only what differs between transports: its
 //! service resources, its framing, one put, one raw take, its settle
@@ -31,6 +38,7 @@ use crate::retry::RetryPolicy;
 use crate::stats::ChannelStats;
 use fsd_comm::{CloudEnv, CommError, VClock, VirtualTime};
 use fsd_faas::{FaasError, WorkerCtx};
+use fsd_sparse::compress::LzTables;
 use fsd_sparse::{codec, compress, SparseRows};
 use parking_lot::Mutex;
 use std::cmp::Ordering;
@@ -66,38 +74,114 @@ pub(crate) struct Core {
     pub(crate) n_workers: u32,
     pub(crate) opts: ChannelOptions,
     pub(crate) stats: ChannelStats,
+    /// Where [`Core::encode`] and [`Core::decode`] take their buffers.
+    frames: Arc<FramePool>,
+}
+
+/// The buffers one frame is built or read in. They grow to the largest
+/// frame they have served.
+#[derive(Default)]
+struct FrameBufs {
+    /// A block's codec bytes: serialized into before compression,
+    /// inflated into before decoding.
+    plain: Vec<u8>,
+    /// The frame being built: a carrier's prefix, then the wire body.
+    wire: Vec<u8>,
+    lz: LzTables,
+}
+
+/// A service's idle [`FrameBufs`]. A rank takes a set for one frame and
+/// gives it back after, so the sets are as many as the frames ever built
+/// or read at once — not one per rank, request or parked instance — and
+/// each has grown to the frames before it.
+#[derive(Default)]
+pub(crate) struct FramePool {
+    idle: Mutex<Vec<FrameBufs>>,
+}
+
+impl FramePool {
+    /// Idle sets kept; one given back beyond that is freed.
+    const MAX_IDLE: usize = 16;
+
+    /// Runs `f` on an idle set, or a new one, and gives the set back.
+    fn with<T>(&self, f: impl FnOnce(&mut FrameBufs) -> T) -> T {
+        let mut bufs = self.idle.lock().pop().unwrap_or_default();
+        let out = f(&mut bufs);
+        let mut idle = self.idle.lock();
+        if idle.len() < Self::MAX_IDLE {
+            idle.push(bufs);
+        }
+        out
+    }
 }
 
 impl Core {
-    /// Serializes (and optionally compresses) a block, charging the
-    /// worker. Returns the wire body.
-    pub(crate) fn encode(&self, ctx: &mut WorkerCtx, rows: &SparseRows) -> Vec<u8> {
-        let encoded = codec::encode(rows);
-        ctx.charge_bytes(encoded.len() as u64, ENCODE_BPS);
-        self.stats
-            .add(|s| s.bytes_precompress += encoded.len() as u64);
-        if self.opts.compression {
-            let compressed = compress::compress(&encoded);
-            ctx.charge_bytes(encoded.len() as u64, COMPRESS_BPS);
-            compressed
-        } else {
-            encoded
+    fn new(
+        env: &Arc<CloudEnv>,
+        n_workers: u32,
+        opts: ChannelOptions,
+        flow: u64,
+        frames: &Arc<FramePool>,
+    ) -> Core {
+        Core {
+            env: env.clone(),
+            flow,
+            n_workers,
+            opts,
+            stats: ChannelStats::new(),
+            frames: frames.clone(),
         }
+    }
+
+    /// Serializes (and optionally compresses) a block behind `prefix`,
+    /// charging the worker, and hands the frame — `prefix`, then the wire
+    /// body — to `keep`, which copies out what the fabric stores.
+    pub(crate) fn encode<T>(
+        &self,
+        ctx: &mut WorkerCtx,
+        rows: &SparseRows,
+        prefix: &[u8],
+        keep: impl FnOnce(&[u8]) -> T,
+    ) -> T {
+        self.frames.with(|FrameBufs { plain, wire, lz }| {
+            wire.clear();
+            wire.extend_from_slice(prefix);
+            let encoded = if self.opts.compression {
+                plain.clear();
+                codec::encode_into(rows, plain);
+                compress::compress_into(plain, wire, lz);
+                plain.len()
+            } else {
+                codec::encode_into(rows, wire);
+                wire.len() - prefix.len()
+            } as u64;
+            ctx.charge_bytes(encoded, ENCODE_BPS);
+            self.stats.add(|s| s.bytes_precompress += encoded);
+            if self.opts.compression {
+                ctx.charge_bytes(encoded, COMPRESS_BPS);
+            }
+            keep(wire)
+        })
     }
 
     /// Decodes a wire body produced by [`Core::encode`], charging the
     /// worker.
     fn decode(&self, ctx: &mut WorkerCtx, body: &[u8]) -> Result<SparseRows, FaasError> {
         ctx.charge_bytes(body.len() as u64, DECODE_BPS);
-        let inflated;
-        let encoded = if self.opts.compression {
-            inflated =
-                compress::decompress(body).map_err(|e| FaasError::comm("decompress", "", e))?;
-            &inflated[..]
-        } else {
-            body
+        let mut rows = SparseRows::default();
+        let mut decode = |encoded: &[u8]| {
+            codec::decode_into(encoded, &mut rows).map_err(|e| FaasError::comm("decode", "", e))
         };
-        codec::decode(encoded).map_err(|e| FaasError::comm("decode", "", e))
+        if self.opts.compression {
+            self.frames.with(|bufs| {
+                compress::decompress_into(body, &mut bufs.plain)
+                    .map_err(|e| FaasError::comm("decompress", "", e))?;
+                decode(&bufs.plain)
+            })?;
+        } else {
+            decode(body)?;
+        }
+        Ok(rows)
     }
 
     /// Runs one **idempotent** service op under the retry policy (a
@@ -116,6 +200,13 @@ impl Core {
         self.stats.add(|s| s.retries += retries);
         res.map_err(|e| FaasError::comm(op, resource(), e))
     }
+}
+
+/// `n` as a `u32` frame field (a chunk count, a key length), or a
+/// `"frame"` error that fails the send — never a silent wrap.
+pub(crate) fn frame_field(n: usize, field: &'static str) -> Result<u32, FaasError> {
+    u32::try_from(n)
+        .map_err(|_| FaasError::comm("frame", field, format!("{n} does not fit a u32 field")))
 }
 
 /// One channel call as the carrier sees it: the shared state plus the tag
@@ -189,7 +280,12 @@ pub(crate) trait Carrier: Send + Sync + Sized + 'static {
     fn release(&self, core: &Core);
     /// Frames `sends` into parcels, as lane pools that run one after the
     /// other (a pool's slowest lane joins before the next pool starts).
-    fn frame(&self, cx: &Cx, ctx: &mut WorkerCtx, sends: &Sends) -> Vec<Vec<Self::Parcel>>;
+    fn frame(
+        &self,
+        cx: &Cx,
+        ctx: &mut WorkerCtx,
+        sends: &Sends,
+    ) -> Result<Vec<Vec<Self::Parcel>>, FaasError>;
     /// Ships one parcel on a lane clock and counts it.
     fn put(&self, cx: &Cx, lane: &mut VClock, parcel: &Self::Parcel) -> Result<(), FaasError>;
     /// Raw take for `(cx.rank, cx.tag)`: waits, untimed, until a producer
@@ -238,22 +334,18 @@ pub(crate) struct Engine<C: Carrier> {
 }
 
 impl<C: Carrier> Engine<C> {
-    /// Builds the channel for one request. Queue/topic/bucket
-    /// infrastructure is pre-created offline in the paper and carries no
-    /// idle cost, so set-up is not billed.
+    /// Builds the channel for one request, its frames built and read in
+    /// buffers from `frames`. Queue/topic/bucket infrastructure is
+    /// pre-created offline in the paper and carries no idle cost, so
+    /// set-up is not billed.
     pub(crate) fn bind(
         env: &Arc<CloudEnv>,
         n_workers: u32,
         opts: ChannelOptions,
         flow: u64,
+        frames: &Arc<FramePool>,
     ) -> Arc<dyn FsiChannel> {
-        let core = Core {
-            env: env.clone(),
-            flow,
-            n_workers,
-            opts,
-            stats: ChannelStats::new(),
-        };
+        let core = Core::new(env, n_workers, opts, flow, frames);
         Arc::new(Engine {
             carrier: C::bind(&core),
             core,
@@ -297,7 +389,7 @@ impl<C: Carrier> FsiChannel for Engine<C> {
         // over the modeled thread pool. Lane clocks inherit the worker's
         // flow so the ops bill to the request; the caller's clock joins the
         // slowest lane.
-        for pool in self.carrier.frame(&cx, ctx, sends) {
+        for pool in self.carrier.frame(&cx, ctx, sends)? {
             let lane0 = VClock::starting_at(ctx.now()).with_flow(ctx.clock_mut().flow());
             let mut lanes = [lane0; SEND_THREADS];
             for (i, parcel) in pool.iter().enumerate() {

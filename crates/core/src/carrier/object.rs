@@ -41,12 +41,12 @@ impl ObjectCarrier {
     }
 
     /// The object `{src}_{target}{suffix}` under `target`'s prefix.
-    pub(crate) fn object(&self, cx: &Cx, target: u32, suffix: &str, body: Vec<u8>) -> ObjectPut {
+    pub(crate) fn object(&self, cx: &Cx, target: u32, suffix: &str, body: Arc<[u8]>) -> ObjectPut {
         let prefix = Self::prefix_for(cx, target);
         ObjectPut {
             bucket: self.bucket_for(target),
             key: format!("{prefix}{}_{target}{suffix}", cx.rank),
-            body: body.into(),
+            body,
         }
     }
 
@@ -96,16 +96,22 @@ impl Carrier for ObjectCarrier {
         }
     }
 
-    fn frame(&self, cx: &Cx, ctx: &mut WorkerCtx, sends: &Sends) -> Vec<Vec<ObjectPut>> {
+    fn frame(
+        &self,
+        cx: &Cx,
+        ctx: &mut WorkerCtx,
+        sends: &Sends,
+    ) -> Result<Vec<Vec<ObjectPut>>, FaasError> {
         let puts = sends.iter().map(|(target, rows)| {
             if rows.is_empty() && cx.opts.nul_markers {
                 // Algorithm 2 line 5: a 0-byte marker instead of data.
-                self.object(cx, *target, ".nul", Vec::new())
+                self.object(cx, *target, ".nul", Arc::from([]))
             } else {
-                self.object(cx, *target, ".dat", cx.encode(ctx, rows))
+                let body = cx.encode(ctx, rows, &[], |wire| Arc::from(wire));
+                self.object(cx, *target, ".dat", body)
             }
         });
-        vec![puts.collect()]
+        Ok(vec![puts.collect()])
     }
 
     /// A faulted PUT bills but stores nothing, so it is retried.

@@ -12,15 +12,16 @@
 //! source is complete. Early messages for later tags (a fast sender already
 //! one layer ahead) are stashed by the engine, never dropped.
 
-use super::{Arrival, Carrier, Core, Cx, Opened, Sends, Wire};
+use super::{frame_field, Arrival, Carrier, Core, Cx, Opened, Sends, Wire};
 use fsd_comm::{quota, topic_name, Message, MessageAttributes, SqsQueue, VClock, VirtualTime};
 use fsd_faas::{FaasError, WorkerCtx};
 use fsd_sparse::SparseRows;
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::sync::Arc;
 
 /// Target nonzeros per byte string — the NNZ packing heuristic.
-const CHUNK_NNZ: usize = 28_000;
+pub(super) const CHUNK_NNZ: usize = 28_000;
 
 /// One queue per worker, named by flow and rank and subscribed to every
 /// topic with a `(flow, rank)` filter policy.
@@ -38,32 +39,39 @@ fn queue_name(flow: u64, infix: &str, rank: u32) -> String {
     format!("fsd-f{flow}-{infix}{rank}")
 }
 
-/// Builds the byte-string bodies for one target: NNZ heuristic first, then
-/// a hard re-split while a body plus `frame_overhead` bytes of framing
+/// Builds the framed bodies for one target, each `prefix` and then a wire
+/// body: NNZ heuristic first, then a hard re-split while a framed body
 /// would exceed the publish cap (rare: compression underperformed the
-/// heuristic). A single row that still does not fit is returned as is. An
-/// empty send still announces itself with one tiny message so the
-/// receiver's tracker can complete the source.
+/// heuristic). A single row that still does not fit is returned as is. A
+/// block the heuristic would not cut is encoded in place rather than
+/// cloned into a one-chunk split. An empty send still announces itself
+/// with one tiny message so the receiver's tracker can complete the
+/// source.
 pub(crate) fn chunk_bodies(
     cx: &Cx,
     ctx: &mut WorkerCtx,
     rows: &SparseRows,
-    frame_overhead: usize,
+    prefix: &[u8],
 ) -> Vec<Vec<u8>> {
-    if rows.is_empty() {
-        return vec![cx.encode(ctx, rows)];
-    }
     let mut bodies = Vec::new();
-    let mut pending: Vec<SparseRows> = rows.split_by_nnz(CHUNK_NNZ);
-    while let Some(chunk) = pending.pop() {
-        let body = cx.encode(ctx, &chunk);
-        if body.len() + frame_overhead > quota::MAX_PUBLISH_BYTES && chunk.n_rows() > 1 {
+    let mut pending: Vec<SparseRows> = if rows.nnz() <= CHUNK_NNZ {
+        Vec::new()
+    } else {
+        rows.split_by_nnz(CHUNK_NNZ)
+    };
+    let mut chunk = pending.pop().map_or(Cow::Borrowed(rows), Cow::Owned);
+    loop {
+        let body = cx.encode(ctx, &chunk, prefix, <[u8]>::to_vec);
+        if body.len() > quota::MAX_PUBLISH_BYTES && chunk.n_rows() > 1 {
             pending.extend(chunk.split_by_nnz((chunk.nnz() / 2).max(1)));
-            continue;
+        } else {
+            bodies.push(body);
         }
-        bodies.push(body);
+        match pending.pop() {
+            Some(next) => chunk = Cow::Owned(next),
+            None => return bodies,
+        }
     }
-    bodies
 }
 
 impl QueueCarrier {
@@ -87,7 +95,11 @@ impl QueueCarrier {
     /// Wraps each target's bodies (Xsend_list in Algorithm 1) in messages
     /// and packs them greedily into publish batches (≤ 10 messages,
     /// ≤ 256 KiB — or one message per publish with packing disabled).
-    pub(crate) fn batches(&self, cx: &Cx, bodies: Vec<(u32, Vec<Vec<u8>>)>) -> Vec<Vec<Message>> {
+    pub(crate) fn batches(
+        &self,
+        cx: &Cx,
+        bodies: Vec<(u32, Vec<Vec<u8>>)>,
+    ) -> Result<Vec<Vec<Message>>, FaasError> {
         let max_batch = if cx.opts.packing {
             quota::MAX_BATCH_MESSAGES
         } else {
@@ -102,7 +114,7 @@ impl QueueCarrier {
                 source: cx.rank,
                 target,
                 layer: cx.code,
-                total_chunks: bodies.len() as u32,
+                total_chunks: frame_field(bodies.len(), "total_chunks")?,
                 batch: 0,
             };
             for body in bodies {
@@ -120,7 +132,7 @@ impl QueueCarrier {
         if !cur.is_empty() {
             batches.push(cur);
         }
-        batches
+        Ok(batches)
     }
 }
 
@@ -147,10 +159,15 @@ impl Carrier for QueueCarrier {
         }
     }
 
-    fn frame(&self, cx: &Cx, ctx: &mut WorkerCtx, sends: &Sends) -> Vec<Vec<Vec<Message>>> {
+    fn frame(
+        &self,
+        cx: &Cx,
+        ctx: &mut WorkerCtx,
+        sends: &Sends,
+    ) -> Result<Vec<Vec<Vec<Message>>>, FaasError> {
         let chunked =
-            |(target, rows): &(u32, SparseRows)| (*target, chunk_bodies(cx, ctx, rows, 0));
-        vec![self.batches(cx, sends.iter().map(chunked).collect())]
+            |(target, rows): &(u32, SparseRows)| (*target, chunk_bodies(cx, ctx, rows, &[]));
+        Ok(vec![self.batches(cx, sends.iter().map(chunked).collect())?])
     }
 
     fn put(&self, cx: &Cx, lane: &mut VClock, batch: &Vec<Message>) -> Result<(), FaasError> {

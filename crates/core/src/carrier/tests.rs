@@ -1,13 +1,16 @@
 //! What every built-in transport must do, checked once over all four, and
 //! the helpers the carrier-specific tests share.
 
-use super::{Carrier, Engine};
+use super::queue::{chunk_bodies, CHUNK_NNZ};
+use super::{
+    frame_field, Carrier, Core, Cx, Engine, FramePool, QueueCarrier, COMPRESS_BPS, ENCODE_BPS,
+};
 use crate::channel::{barrier, reduce, ChannelOptions, FsiChannel, RecvTracker, Tag};
 use crate::engine::Variant;
 use crate::transport::Transport;
-use fsd_comm::{bucket_name, CloudConfig, CloudEnv, VirtualTime};
+use fsd_comm::{bucket_name, quota, CloudConfig, CloudEnv, VirtualTime};
 use fsd_faas::{ComputeModel, FaasError, FaasPlatform, FunctionConfig, WorkerCtx};
-use fsd_sparse::SparseRows;
+use fsd_sparse::{codec, compress, SparseRows};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -79,7 +82,7 @@ pub(super) fn bind<C: Carrier>(
     n_workers: u32,
     opts: ChannelOptions,
 ) -> Arc<dyn FsiChannel> {
-    Engine::<C>::bind(env, n_workers, opts, 0)
+    Engine::<C>::bind(env, n_workers, opts, 0, &Arc::default())
 }
 
 fn merged(blocks: Vec<(u32, SparseRows)>, width: usize) -> SparseRows {
@@ -288,4 +291,182 @@ fn tags_that_do_not_fit_surface_as_comm_errors() {
             );
         }
     }
+}
+
+/// [`chunk_bodies`] as it was before a block that fits one chunk was
+/// encoded in place: split first, whatever the block's size, and each
+/// chunk serialized and compressed into fresh buffers.
+fn chunk_bodies_split_first(
+    cx: &Cx,
+    ctx: &mut WorkerCtx,
+    rows: &SparseRows,
+    prefix: &[u8],
+) -> Vec<Vec<u8>> {
+    let encode = |ctx: &mut WorkerCtx, rows: &SparseRows| {
+        let encoded = codec::encode(rows);
+        ctx.charge_bytes(encoded.len() as u64, ENCODE_BPS);
+        cx.stats
+            .add(|s| s.bytes_precompress += encoded.len() as u64);
+        let body = if cx.opts.compression {
+            let compressed = compress::compress(&encoded);
+            ctx.charge_bytes(encoded.len() as u64, COMPRESS_BPS);
+            compressed
+        } else {
+            encoded
+        };
+        [prefix, &body].concat()
+    };
+    if rows.is_empty() {
+        return vec![encode(ctx, rows)];
+    }
+    let mut bodies = Vec::new();
+    let mut pending: Vec<SparseRows> = rows.split_by_nnz(CHUNK_NNZ);
+    while let Some(chunk) = pending.pop() {
+        let body = encode(ctx, &chunk);
+        if body.len() > quota::MAX_PUBLISH_BYTES && chunk.n_rows() > 1 {
+            pending.extend(chunk.split_by_nnz((chunk.nnz() / 2).max(1)));
+            continue;
+        }
+        bodies.push(body);
+    }
+    bodies
+}
+
+/// `n_rows` rows of `per_row` seeded entries each over `width` columns.
+fn seeded_rows(width: u32, n_rows: u32, per_row: u32, seed: u64) -> SparseRows {
+    let mut state = seed;
+    let mut next = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state
+    };
+    let mut id = 0u32;
+    let rows = (0..n_rows).map(|_| {
+        id += 1 + (next() % 64) as u32;
+        let stride = width / per_row;
+        let cols: Vec<u32> = (0..per_row)
+            .map(|k| k * stride + (next() % u64::from(stride)) as u32)
+            .collect();
+        let vals = cols
+            .iter()
+            .map(|_| f32::from_bits(next() as u32 >> 2))
+            .collect();
+        (id, cols, vals)
+    });
+    SparseRows::from_rows(width as usize, rows)
+}
+
+#[test]
+fn chunks_encoded_in_place_equal_the_split_first_chunks() {
+    // Bodies, the worker clock after the encode charges, and the
+    // pre-compression byte count, with and without compression and a
+    // hybrid tag byte. The last block fits one chunk by nonzeros, but its
+    // incompressible body passes the publish cap and is re-split.
+    let mut one = SparseRows::new(8);
+    one.push_row(5, &[3], &[1.5]);
+    let mut just_over = seeded_rows(256, 280, 100, 3);
+    just_over.push_row(100_000, &[7], &[2.0]);
+    let oversize = seeded_rows(1 << 30, CHUNK_NNZ as u32, 1, 4);
+    let blocks = [
+        SparseRows::new(8),
+        one,
+        seeded_rows(256, 280, 100, 2),
+        just_over,
+        oversize,
+    ];
+    assert_eq!(
+        blocks.iter().map(SparseRows::nnz).collect::<Vec<_>>(),
+        [0, 1, CHUNK_NNZ, CHUNK_NNZ + 1, CHUNK_NNZ]
+    );
+    for (b, rows) in blocks.iter().enumerate() {
+        for compression in [true, false] {
+            for prefix in [&[][..], &[0x00][..]] {
+                let run = |split_first: bool| {
+                    let env = CloudEnv::new(CloudConfig::deterministic(71));
+                    let opts = ChannelOptions {
+                        compression,
+                        ..ChannelOptions::default()
+                    };
+                    let core = Core::new(&env, 2, opts, 0, &Arc::default());
+                    let rows = rows.clone();
+                    with_ctx(env, move |ctx| {
+                        let cx = Cx {
+                            core: &core,
+                            tag: Tag::Layer(0),
+                            code: 0,
+                            rank: 1,
+                        };
+                        let bodies = if split_first {
+                            chunk_bodies_split_first(&cx, ctx, &rows, prefix)
+                        } else {
+                            chunk_bodies(&cx, ctx, &rows, prefix)
+                        };
+                        let precompress = core.stats.snapshot().bytes_precompress;
+                        Ok((bodies, ctx.now(), precompress))
+                    })
+                };
+                let (in_place, split_first) = (run(false), run(true));
+                let at = format!("block {b}, compression {compression}, prefix {prefix:?}");
+                assert!(in_place == split_first, "{at}");
+                let want_chunks = if b >= 3 { 2 } else { 1 };
+                assert_eq!(in_place.0.len(), want_chunks, "{at}");
+            }
+        }
+    }
+}
+
+#[test]
+fn frame_fields_past_u32_fail_the_send_instead_of_wrapping() {
+    // The queue's `total_chunks` and the hybrid pointer's key length.
+    for field in ["total_chunks", "pointer key length"] {
+        assert_eq!(frame_field(u32::MAX as usize, field).ok(), Some(u32::MAX));
+        match frame_field(u32::MAX as usize + 1, field) {
+            Err(FaasError::Comm(failure)) => {
+                assert_eq!((failure.op, failure.resource.as_str()), ("frame", field));
+            }
+            other => panic!("{field}: expected a frame error, got {other:?}"),
+        }
+    }
+}
+
+#[test]
+fn frames_are_built_and_read_in_buffers_a_bounded_pool_keeps() {
+    // A frame's buffers go back to the service's pool, grown, after the
+    // send and after the receive, for any later channel to take.
+    let env = CloudEnv::new(CloudConfig::deterministic(81));
+    let pool = Arc::new(FramePool::default());
+    let ch = Engine::<QueueCarrier>::bind(&env, 2, ChannelOptions::default(), 0, &pool);
+    let sent = rows(&[3, 8]);
+    let (ch2, sent2) = (ch.clone(), sent.clone());
+    with_ctx(env.clone(), move |ctx| {
+        ch2.send_layer(ctx, Tag::Layer(0), 0, &[(1, sent2)])
+    });
+    let grown = |pool: &FramePool| {
+        let idle = pool.idle.lock();
+        (
+            idle.len(),
+            idle.iter().map(|b| b.plain.capacity()).sum::<usize>(),
+        )
+    };
+    let (sets, plain) = grown(&pool);
+    assert_eq!(sets, 1);
+    assert!(plain > 0);
+    let ch2 = ch.clone();
+    let got = with_ctx(env.clone(), move |ctx| {
+        let mut tracker = RecvTracker::expecting([0u32]);
+        ch2.receive_all(ctx, Tag::Layer(0), 1, &mut tracker)
+    });
+    assert_eq!(got[0].1, sent);
+    assert_eq!(grown(&pool), (sets, plain), "the receive reused the set");
+    ch.teardown();
+    // Twenty frames in flight at once take twenty sets; of those given
+    // back, the ones beyond the bound are freed.
+    fn in_flight(pool: &FramePool, frames: usize) {
+        if frames > 0 {
+            pool.with(|_| in_flight(pool, frames - 1));
+        }
+    }
+    in_flight(&pool, FramePool::MAX_IDLE + 4);
+    assert_eq!(pool.idle.lock().len(), FramePool::MAX_IDLE);
 }

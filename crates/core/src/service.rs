@@ -23,6 +23,7 @@
 //! tree ([`FsdService::tree_key`]).
 
 use crate::artifacts::{stage_inputs, stage_partitioned_model, ARTIFACT_BUCKET};
+use crate::carrier::FramePool;
 use crate::cost::CostModel;
 use crate::engine::{
     BatchedRequest, EngineConfig, InferenceReport, InferenceRequest, Variant, WorkerReport,
@@ -105,6 +106,8 @@ pub struct FsdService {
     weight_cache: Arc<WeightCache>,
     /// Layer-loop buffers every tree's ranks check out per work item.
     workspaces: Arc<WorkspacePool>,
+    /// The buffers every request's channel builds and reads frames in.
+    frames: Arc<FramePool>,
     /// The flow windows `finalize_report` harvested, under one lock: the
     /// sum of every successful report's and the bill of every failed
     /// attempt (AWS semantics: failed calls are billed). With the meters'
@@ -163,6 +166,7 @@ impl FsdService {
             health: HealthBoard::new(),
             weight_cache: Arc::new(WeightCache::new()),
             workspaces: Arc::default(),
+            frames: Arc::default(),
             bills: Mutex::default(),
         }
     }
@@ -540,7 +544,8 @@ impl FsdService {
                 slot.insert(self.new_tree(key, flow)?)
             }
         };
-        let channel = transport.provision(&self.env, key.workers, self.cfg.channel, flow);
+        let channel =
+            transport.channel(&self.env, key.workers, self.cfg.channel, flow, &self.frames);
         // One control-plane hop routes a request into a resident tree.
         let dispatch_at =
             VirtualTime::from_micros(self.env.jitter().apply(self.env.latency().lambda_invoke_us));

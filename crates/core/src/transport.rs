@@ -4,16 +4,21 @@
 //! new variant fails to compile (and the `variant-exhaustive` lint) here
 //! until its carrier is wired in.
 
-use crate::carrier::{DirectCarrier, Engine, HybridCarrier, ObjectCarrier, QueueCarrier};
+use crate::carrier::{
+    DirectCarrier, Engine, FramePool, HybridCarrier, ObjectCarrier, QueueCarrier,
+};
 use crate::channel::{ChannelOptions, FsiChannel};
 use crate::engine::Variant;
 use fsd_comm::CloudEnv;
 use std::sync::Arc;
 
+/// [`Engine::bind`] over one carrier.
+type Bind = fn(&Arc<CloudEnv>, u32, ChannelOptions, u64, &Arc<FramePool>) -> Arc<dyn FsiChannel>;
+
 /// One built-in transport: the channel engine over a variant's carrier.
 #[derive(Clone, Copy)]
 pub struct Transport {
-    bind: fn(&Arc<CloudEnv>, u32, ChannelOptions, u64) -> Arc<dyn FsiChannel>,
+    bind: Bind,
 }
 
 impl Transport {
@@ -44,7 +49,20 @@ impl Transport {
         opts: ChannelOptions,
         flow: u64,
     ) -> Arc<dyn FsiChannel> {
-        (self.bind)(env, n_workers, opts, flow)
+        self.channel(env, n_workers, opts, flow, &Arc::default())
+    }
+
+    /// [`Transport::provision`], building and reading frames in buffers
+    /// from `frames`.
+    pub(crate) fn channel(
+        self,
+        env: &Arc<CloudEnv>,
+        n_workers: u32,
+        opts: ChannelOptions,
+        flow: u64,
+        frames: &Arc<FramePool>,
+    ) -> Arc<dyn FsiChannel> {
+        (self.bind)(env, n_workers, opts, flow, frames)
     }
 }
 

@@ -6,6 +6,17 @@
 //! payloads — followed by raw little-endian `f32` values, written and read
 //! through the shared [`crate::bytes`] reader. The encoded buffer is
 //! typically further shrunk by [`crate::compress`].
+//!
+//! **The `_into` forms.** [`encode`] and [`decode`] allocate their result;
+//! [`encode_into`] appends to a buffer the caller owns and [`decode_into`]
+//! replaces the content of a block the caller owns, so a sender that frames
+//! many blocks serializes each into the same buffer. The channel engine
+//! (`fsd_core`'s carriers) keeps such buffers in a per-service pool and
+//! takes one per frame. [`decode_into`] sizes the block once, to what the bytes left
+//! in the buffer can hold — every row takes at least 2 of them and every
+//! entry at least 5 — so the row count the header claims is believed only
+//! up to that bound; it then appends each row's columns and values
+//! straight onto the block's buffers.
 
 use crate::bytes::{
     ascending_len, put_ascending, put_f32s, put_varint, varint_len, DecodeError, Reader,
@@ -17,28 +28,31 @@ use crate::rows::SparseRows;
 /// where `id_delta` is the gap from the previous id (first id raw) and
 /// the `col_delta`s are the row's columns as one ascending run.
 pub fn encode(block: &SparseRows) -> Vec<u8> {
+    let mut out = Vec::new();
+    encode_into(block, &mut out);
+    out
+}
+
+/// [`encode`], appended to `out` (whose capacity is reused).
+pub fn encode_into(block: &SparseRows, out: &mut Vec<u8>) {
     // Ids/cols are strictly increasing, so deltas (minus 1 for subsequent
     // entries) stay small; estimate ~2.5 bytes/entry + 4 bytes/value.
-    let mut out = Vec::with_capacity(16 + block.nnz() * 7 + block.n_rows() * 4);
-    put_varint(&mut out, block.width() as u64);
-    put_varint(&mut out, block.n_rows() as u64);
+    out.reserve(16 + block.nnz() * 7 + block.n_rows() * 4);
+    put_varint(out, block.width() as u64);
+    put_varint(out, block.n_rows() as u64);
     let mut prev_id = 0u32;
     for (i, (id, cols, vals)) in block.iter().enumerate() {
-        put_varint(
-            &mut out,
-            u64::from(if i == 0 { id } else { id - prev_id - 1 }),
-        );
+        put_varint(out, u64::from(if i == 0 { id } else { id - prev_id - 1 }));
         prev_id = id;
-        put_varint(&mut out, cols.len() as u64);
-        put_ascending(&mut out, cols);
-        put_f32s(&mut out, vals);
+        put_varint(out, cols.len() as u64);
+        put_ascending(out, cols);
+        put_f32s(out, vals);
     }
-    out
 }
 
 /// Deserializes a buffer produced by [`encode`].
 pub fn decode(buf: &[u8]) -> Result<SparseRows, DecodeError> {
-    let mut block = SparseRows::new(0);
+    let mut block = SparseRows::default();
     decode_into(buf, &mut block)?;
     Ok(block)
 }
@@ -50,10 +64,12 @@ pub fn decode_into(buf: &[u8], block: &mut SparseRows) -> Result<(), DecodeError
     let mut r = Reader::new(buf);
     let width = r.varint_u32()? as usize;
     let n_rows = r.varint_u32()?;
-    block.clear(width);
+    // The header is untrusted: room is reserved for what the bytes left
+    // can hold — a row takes ≥ 2 (id delta, count), an entry ≥ 5 (column,
+    // value) — so a claim of 2^32 rows reserves nothing it cannot fill.
+    let rows = (n_rows as usize).min(r.remaining() / 2);
+    block.clear_for(width, rows, (r.remaining() - 2 * rows) / 5);
     let mut prev_id: Option<u32> = None;
-    let mut cols: Vec<u32> = Vec::new();
-    let mut vals: Vec<f32> = Vec::new();
     for _ in 0..n_rows {
         let delta = r.varint_u32()?;
         let id = match prev_id {
@@ -66,14 +82,14 @@ pub fn decode_into(buf: &[u8], block: &mut SparseRows) -> Result<(), DecodeError
         prev_id = Some(id);
         // Each nonzero still needs ≥ 1 column byte and 4 value bytes.
         let nnz = r.count(5)?;
-        cols.clear();
-        r.ascending_into(nnz, &mut cols)?;
-        if cols.last().is_some_and(|&c| c as usize >= width) {
-            return Err(DecodeError::Corrupt("column out of range"));
-        }
-        vals.clear();
-        r.f32s_into(nnz, &mut vals)?;
-        block.push_row(id, &cols, &vals);
+        block.try_push_row(id, |cols, vals| {
+            r.ascending_into(nnz, cols)?;
+            // Earlier rows' columns passed this check already.
+            if cols.last().is_some_and(|&c| c as usize >= width) {
+                return Err(DecodeError::Corrupt("column out of range"));
+            }
+            r.f32s_into(nnz, vals)
+        })?;
     }
     r.finish()
 }
@@ -228,6 +244,43 @@ mod tests {
             decode(&[4, 1, 0, 2, 0, 0, 0, 0, 0]),
             Err(DecodeError::Truncated)
         );
+    }
+
+    #[test]
+    fn a_hostile_header_cannot_size_an_allocation() {
+        // A real 3-row block whose header claims u32::MAX rows.
+        let mut lying = vec![172, 2];
+        put_varint(&mut lying, u64::from(u32::MAX));
+        lying.extend_from_slice(&encode(&block())[3..]);
+        let mut claims_max_nnz = vec![4, 1, 0];
+        put_varint(&mut claims_max_nnz, u64::from(u32::MAX));
+        let mut rows_of_nothing = vec![4];
+        put_varint(&mut rows_of_nothing, u64::from(u32::MAX));
+        rows_of_nothing.extend([0; 64]);
+        for (buf, err) in [
+            (lying, DecodeError::Truncated),
+            (claims_max_nnz, DecodeError::Truncated),
+            (vec![4, 1, 0, 2, 0, 0, 0, 0, 0], DecodeError::Truncated),
+            (rows_of_nothing, DecodeError::Truncated),
+        ] {
+            let mut into = SparseRows::default();
+            assert_eq!(decode_into(&buf, &mut into), Err(err), "{buf:?}");
+            // Every row is ≥ 2 bytes and every entry ≥ 5, so the block
+            // reserves at most ~8 bytes per frame byte.
+            assert!(
+                into.capacity_bytes() <= 8 * buf.len() + 64,
+                "{} B reserved for a {}-byte frame",
+                into.capacity_bytes(),
+                buf.len()
+            );
+        }
+    }
+
+    #[test]
+    fn encode_into_appends() {
+        let mut out = vec![0xEE];
+        encode_into(&block(), &mut out);
+        assert_eq!((out[0], &out[1..]), (0xEE, &encode(&block())[..]));
     }
 
     #[test]

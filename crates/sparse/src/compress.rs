@@ -27,6 +27,20 @@
 //! frame; on the sub-2 KB frames of a cold launch that cost more than the
 //! search.)
 //!
+//! **The `_into` forms.** [`compress`] and [`decompress`] allocate their
+//! output and, for [`compress`], its index. [`compress_into`] appends the
+//! frame to a buffer the caller owns (the hybrid carrier writes its tag
+//! byte first) and indexes in [`LzTables`] the caller owns;
+//! [`decompress_into`] replaces the content of a buffer the caller owns.
+//! The channel engine (`fsd_core`'s carriers) keeps such sets in a
+//! per-service pool and takes one per frame, so a frame allocates no index
+//! and no scratch output. A reused head table is refilled to the frame's own bucket count.
+//! A reused chain ring is not cleared at all, and need not be: it is
+//! indexed with the frame's own mask, and the ring argument (at the
+//! search) shows that no slot is read before this frame has written it,
+//! so what an earlier frame left there is never seen. Either way the frame
+//! is byte-identical to [`compress`]'s.
+//!
 //! Frame format:
 //! `magic 'L','Z' | raw_len varint | { token }*` where a token is either
 //! `0x00, len varint, bytes` (literal run) or `0x01, len-4 varint, dist
@@ -79,18 +93,35 @@ fn match_len(data: &[u8], c: usize, i: usize, max_len: usize) -> usize {
     l
 }
 
+/// The match index [`compress_into`] builds a frame's search in: the head
+/// table and the chain ring. Kept across frames, it is refilled or
+/// overwritten rather than allocated per frame (module doc).
+#[derive(Default)]
+pub struct LzTables {
+    head: Vec<u32>,
+    chain: Vec<u32>,
+}
+
 /// Compresses `data`. The output is never more than a few bytes per 2^12
 /// input bytes larger than `data` (incompressible input degrades to literal
 /// runs with varint framing).
 pub fn compress(data: &[u8]) -> Vec<u8> {
-    compress_below(data, POSITION_LIMIT)
+    let mut out = Vec::new();
+    compress_into(data, &mut out, &mut LzTables::default());
+    out
 }
 
-/// [`compress`], indexing and searching only positions below `limit`:
+/// [`compress`], appended to `out`, searching through `tables` (both
+/// reused across calls; the frame does not depend on what they held).
+pub fn compress_into(data: &[u8], out: &mut Vec<u8>, tables: &mut LzTables) {
+    compress_below(data, POSITION_LIMIT, out, tables);
+}
+
+/// [`compress_into`], indexing and searching only positions below `limit`:
 /// whatever lies at or past it (and is not covered by a match that started
 /// before it) goes out as literals. Frames shorter than `limit` do not
 /// depend on it.
-fn compress_below(data: &[u8], limit: usize) -> Vec<u8> {
+fn compress_below(data: &[u8], limit: usize, out: &mut Vec<u8>, tables: &mut LzTables) {
     // The frame-sized index (module doc): at least one bucket per input
     // byte, up to 2^HASH_BITS. A full-size table shares no bucket, so it
     // gets a copy of the search without the bucket-mate check.
@@ -100,20 +131,28 @@ fn compress_below(data: &[u8], limit: usize) -> Vec<u8> {
         .trailing_zeros()
         .clamp(4, HASH_BITS);
     match HASH_BITS - bits {
-        0 => lz::<false>(data, limit, 0),
-        shift => lz::<true>(data, limit, shift),
+        0 => lz::<false>(data, limit, 0, out, tables),
+        shift => lz::<true>(data, limit, shift, out, tables),
     }
 }
 
 /// The LZ pass of [`compress_below`] over a head table of
 /// `2^(HASH_BITS - shift)` buckets, each shared by `2^shift` hashes when
 /// `SHARED`.
-fn lz<const SHARED: bool>(data: &[u8], limit: usize, shift: u32) -> Vec<u8> {
-    let mut out = Vec::with_capacity(data.len() / 2 + 16);
+fn lz<const SHARED: bool>(
+    data: &[u8],
+    limit: usize,
+    shift: u32,
+    out: &mut Vec<u8>,
+    tables: &mut LzTables,
+) {
+    out.reserve(data.len() / 2 + 16);
     out.extend_from_slice(&MAGIC);
-    put_varint(&mut out, data.len() as u64);
+    put_varint(out, data.len() as u64);
 
-    let mut head = vec![EMPTY; 1 << (HASH_BITS - shift)];
+    let head = &mut tables.head;
+    head.clear();
+    head.resize(1 << (HASH_BITS - shift), EMPTY);
     // `chain[p & mask]` is the previous position in `p`'s bucket, kept in
     // a ring of `WINDOW` entries. The ring is exact, not a heuristic: the
     // search at `i` follows `chain[c]` only for candidates that passed the
@@ -121,9 +160,13 @@ fn lz<const SHARED: bool>(data: &[u8], limit: usize, shift: u32) -> Vec<u8> {
     // `WINDOW` distinct slots, and the one position that shares a slot with
     // the oldest of them is `i` itself, indexed after the search. A
     // candidate is always an indexed position, so its slot was written
-    // before it is read, whatever it held at first.
+    // before it is read, whatever it held at first — an earlier frame's
+    // positions included, so a reused ring is never cleared.
     let mask = data.len().next_power_of_two().min(WINDOW) - 1;
-    let mut chain = vec![0u32; mask + 1];
+    if tables.chain.len() <= mask {
+        tables.chain.resize(mask + 1, 0);
+    }
+    let chain = &mut tables.chain[..=mask];
     // One past the last position that has MIN_MATCH bytes to hash and a
     // `u32` form that cannot alias `EMPTY`.
     let indexable = (data.len() + 1).saturating_sub(MIN_MATCH).min(limit);
@@ -175,10 +218,10 @@ fn lz<const SHARED: bool>(data: &[u8], limit: usize, shift: u32) -> Vec<u8> {
         chain[i & mask] = head[h >> shift];
         head[h >> shift] = i as u32;
         if best_len >= MIN_MATCH {
-            flush_literals(&mut out, lit_start, i);
+            flush_literals(out, lit_start, i);
             out.push(0x01);
-            put_varint(&mut out, (best_len - MIN_MATCH) as u64);
-            put_varint(&mut out, best_dist as u64);
+            put_varint(out, (best_len - MIN_MATCH) as u64);
+            put_varint(out, best_dist as u64);
             // Index the skipped positions so later matches can reference them.
             for j in i + 1..(i + best_len).min(indexable) {
                 let b = hash4(&data[j..]) >> shift;
@@ -191,13 +234,21 @@ fn lz<const SHARED: bool>(data: &[u8], limit: usize, shift: u32) -> Vec<u8> {
             i += 1;
         }
     }
-    flush_literals(&mut out, lit_start, data.len());
-    out
+    flush_literals(out, lit_start, data.len());
 }
 
 /// Decompresses a buffer produced by [`compress`].
 pub fn decompress(buf: &[u8]) -> Result<Vec<u8>, DecodeError> {
+    let mut out = Vec::new();
+    decompress_into(buf, &mut out)?;
+    Ok(out)
+}
+
+/// [`decompress`] into `out`, whose content it replaces and whose capacity
+/// it reuses (after an error `out` holds a prefix of the output).
+pub fn decompress_into(buf: &[u8], out: &mut Vec<u8>) -> Result<(), DecodeError> {
     const LENGTH_MISMATCH: DecodeError = DecodeError::Corrupt("length mismatch");
+    out.clear();
     let mut r = Reader::new(buf);
     if r.take(2) != Ok(&MAGIC[..]) {
         return Err(DecodeError::Corrupt("bad magic"));
@@ -210,7 +261,7 @@ pub fn decompress(buf: &[u8]) -> Result<Vec<u8>, DecodeError> {
         .ok()
         .filter(|&n| n <= r.remaining().saturating_mul(MAX_MATCH))
         .ok_or(LENGTH_MISMATCH)?;
-    let mut out = Vec::with_capacity(raw_len);
+    out.reserve(raw_len);
     // A token's length, refused as soon as it would carry the output past
     // the declared `raw_len` — before a single byte of it is expanded.
     let token_len = |out: &Vec<u8>, len: u64, extra: usize| {
@@ -223,20 +274,23 @@ pub fn decompress(buf: &[u8]) -> Result<Vec<u8>, DecodeError> {
     while r.remaining() > 0 {
         match r.u8()? {
             0x00 => {
-                let len = token_len(&out, r.varint()?, 0)?;
+                let len = token_len(out, r.varint()?, 0)?;
                 out.extend_from_slice(r.take(len)?);
             }
             0x01 => {
-                let len = token_len(&out, r.varint()?, MIN_MATCH)?;
+                let len = token_len(out, r.varint()?, MIN_MATCH)?;
                 let dist = usize::try_from(r.varint()?)
                     .ok()
                     .filter(|&d| d != 0 && d <= out.len())
                     .ok_or(DecodeError::Corrupt("match distance out of range"))?;
-                let start = out.len() - dist;
-                // Overlapping copies are the LZ77 RLE idiom; copy byte-wise.
-                for k in 0..len {
-                    let b = out[start + k];
-                    out.push(b);
+                // An overlapping match (`dist < len`) is the LZ77 RLE
+                // idiom: its source repeats with period `dist`, so it is
+                // copied in runs of a whole number of periods, each as
+                // long as what is already written from `start` on.
+                let (start, end) = (out.len() - dist, out.len() + len);
+                while out.len() < end {
+                    let run = (end - out.len()).min(out.len() - start);
+                    out.extend_from_within(start..start + run);
                 }
             }
             _ => return Err(DecodeError::Corrupt("unknown token")),
@@ -245,7 +299,7 @@ pub fn decompress(buf: &[u8]) -> Result<Vec<u8>, DecodeError> {
     if out.len() != raw_len {
         return Err(LENGTH_MISMATCH);
     }
-    Ok(out)
+    Ok(())
 }
 
 /// The compressor this module shipped before its match search was
@@ -417,6 +471,67 @@ mod tests {
     }
 
     #[test]
+    fn reused_tables_and_buffers_equal_the_reference_frame_for_frame() {
+        // One table set, one output buffer and one inflate buffer for 250
+        // frames: a sweep up across both sides of every head-table size
+        // step (2^4 … 2^15 buckets) and of the 2^16 window and ring size,
+        // the same sweep down, then seeded lengths from 16 B to 128 KiB.
+        // Some frames are written behind a tag byte or two.
+        let mut rng = Rng::new(0x2E05E);
+        let sweep: Vec<usize> = (3..=17)
+            .flat_map(|k| [(1usize << k) - 1, 1 << k, (1 << k) + 1])
+            .collect();
+        let mut lengths = sweep.clone();
+        lengths.extend(sweep.iter().rev());
+        lengths.extend((0..160).map(|_| {
+            let k = 4 + rng.below(13);
+            (1 << k) + rng.below(1 << k)
+        }));
+        let (mut tables, mut out, mut inflated) = (LzTables::default(), Vec::new(), Vec::new());
+        let mut dirty = 0;
+        for (n, len) in lengths.into_iter().enumerate() {
+            let data = mixed_input(&mut rng, len);
+            let prefix = n % 3;
+            out.clear();
+            out.extend(std::iter::repeat_n(0xA5, prefix));
+            compress_into(&data, &mut out, &mut tables);
+            assert!(
+                out[prefix..] == compress_reference(&data)[..],
+                "frame {n} (len {len}) differs"
+            );
+            dirty += usize::from(inflated.len() > len);
+            decompress_into(&out[prefix..], &mut inflated).expect("ok");
+            assert!(inflated == data, "frame {n} (len {len})");
+        }
+        assert!(
+            dirty > 100,
+            "only {dirty} frames inflated over a larger one"
+        );
+    }
+
+    #[test]
+    fn a_hostile_raw_length_sizes_no_allocation() {
+        // A frame of `n` bytes after its header expands to at most
+        // `n × MAX_MATCH`: a claim past that is refused as today, before
+        // anything is reserved, and one at the bound reserves only that.
+        let body = [0x00, 1, b'a'];
+        let bound = (body.len() * MAX_MATCH) as u64;
+        for (claim, reserved) in [(u64::MAX, false), (bound + 1, false), (bound, true)] {
+            let mut frame = MAGIC.to_vec();
+            put_varint(&mut frame, claim);
+            frame.extend(body);
+            let mut out = Vec::new();
+            assert_eq!(
+                decompress_into(&frame, &mut out),
+                Err(DecodeError::Corrupt("length mismatch")),
+                "claim {claim}"
+            );
+            assert_eq!(out.capacity() > 0, reserved, "claim {claim}");
+            assert!(out.capacity() <= MAX_MATCH * frame.len(), "claim {claim}");
+        }
+    }
+
+    #[test]
     fn bucket_mates_with_another_hash_do_not_use_up_the_chain() {
         // `[T][w1]…[w40][T]`, 168 bytes, so a 2^8-bucket head table. Every
         // `w` shares T's bucket but not its full hash: the search from the
@@ -445,16 +560,22 @@ mod tests {
         assert!(frame.ends_with(&tail), "{frame:?}");
     }
 
+    fn frame_below(data: &[u8], limit: usize) -> Vec<u8> {
+        let mut out = Vec::new();
+        compress_below(data, limit, &mut out, &mut LzTables::default());
+        out
+    }
+
     #[test]
     fn positions_at_the_limit_are_neither_indexed_nor_searched() {
         // In production the limit is u32::MAX — the first position whose
         // `u32` form would alias `EMPTY` — and only a ≥ 4 GiB input reaches
         // it; a small limit shows the same cut.
         let data: Vec<u8> = b"0123456789abcdef".repeat(64);
-        assert_eq!(compress_below(&data, usize::MAX), compress(&data));
-        assert_eq!(compress_below(&data, data.len()), compress(&data));
+        assert_eq!(frame_below(&data, usize::MAX), compress(&data));
+        assert_eq!(frame_below(&data, data.len()), compress(&data));
         for limit in [0, 1, 16, 17, 40, 500, data.len() - 2] {
-            let frame = compress_below(&data, limit);
+            let frame = frame_below(&data, limit);
             assert_eq!(decompress(&frame).expect("ok"), data, "limit {limit}");
             // Nothing at or past the limit starts a match or is matched
             // against.
@@ -476,7 +597,7 @@ mod tests {
             }
         }
         // With nothing indexable the frame is one literal run.
-        let literal = compress_below(&data, 0);
+        let literal = frame_below(&data, 0);
         assert_eq!(literal.len(), 2 + 2 + 1 + 2 + data.len());
     }
 

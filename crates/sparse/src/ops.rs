@@ -54,6 +54,10 @@ impl ColMajorBlock {
             next[c] += next[c - 1];
         }
         let nnz = next[w.cols()];
+        // Columns that hold an entry: `in_ids` and `indptr` are sized to
+        // them once (a block is kept per layer, so `w.cols()` slots would
+        // stay resident for nothing).
+        let used = next.windows(2).filter(|at| at[1] > at[0]).count();
         let mut out_rows = vec![0u32; nnz];
         let mut weights = vec![0f32; nnz];
         for (local, &gid) in owned.iter().enumerate() {
@@ -65,8 +69,9 @@ impl ColMajorBlock {
                 *at += 1;
             }
         }
-        let mut in_ids = Vec::new();
-        let mut indptr = vec![0usize];
+        let mut in_ids = Vec::with_capacity(used);
+        let mut indptr = Vec::with_capacity(used + 1);
+        indptr.push(0);
         let mut start = 0usize;
         for (c, &end) in next[..w.cols()].iter().enumerate() {
             if end > start {
@@ -562,6 +567,19 @@ mod tests {
                 assert_eq!(got.out_rows, want.out_rows, "{what}");
                 assert_eq!(bits(&got.weights), bits(&want.weights), "{what}");
             }
+        }
+    }
+
+    #[test]
+    fn from_layer_sizes_its_column_index_once_to_the_columns_used() {
+        // Columns 0, 3 and 7 of 64 hold entries; column 0 is the first
+        // one the index must count.
+        let w = CsrMatrix::from_triplets(4, 64, [(0, 0, 1.0), (1, 7, 2.0), (3, 3, 4.0)])
+            .expect("valid");
+        for owned in [&[0u32, 1, 2, 3][..], &[1, 3], &[2], &[]] {
+            let block = ColMajorBlock::from_layer(&w, owned);
+            assert_eq!(block.in_ids.capacity(), block.in_ids.len(), "{owned:?}");
+            assert_eq!(block.indptr.capacity(), block.indptr.len(), "{owned:?}");
         }
     }
 

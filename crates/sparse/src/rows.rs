@@ -73,12 +73,53 @@ impl SparseRows {
 
     /// Empties the block for reuse at `width`, keeping its buffers.
     pub fn clear(&mut self, width: usize) {
+        self.clear_for(width, 0, 0);
+    }
+
+    /// Empties the block for reuse at `width`, with room for `rows` rows
+    /// holding `nnz` entries reserved before anything is written.
+    pub(crate) fn clear_for(&mut self, width: usize, rows: usize, nnz: usize) {
         self.width = width;
         self.ids.clear();
+        self.ids.reserve(rows);
         self.indptr.clear();
+        self.indptr.reserve(rows + 1);
         self.indptr.push(0);
         self.indices.clear();
+        self.indices.reserve(nnz);
         self.values.clear();
+        self.values.reserve(nnz);
+    }
+
+    /// Appends row `id`, whose entries `fill` appends straight onto the
+    /// block's column and value buffers (columns strictly increasing and
+    /// `< width`, one value per column). If `fill` fails, whatever it
+    /// appended is dropped and the block is left as it was.
+    pub(crate) fn try_push_row<E>(
+        &mut self,
+        id: u32,
+        fill: impl FnOnce(&mut Vec<u32>, &mut Vec<f32>) -> Result<(), E>,
+    ) -> Result<(), E> {
+        debug_assert!(self.ids.last().is_none_or(|&last| id > last));
+        let base = self.indices.len();
+        if let Err(e) = fill(&mut self.indices, &mut self.values) {
+            self.indices.truncate(base);
+            self.values.truncate(base);
+            return Err(e);
+        }
+        debug_assert_eq!(self.indices.len(), self.values.len());
+        self.ids.push(id);
+        self.indptr.push(self.indices.len());
+        Ok(())
+    }
+
+    /// Bytes reserved by the block's buffers, used or not.
+    #[cfg(test)]
+    pub(crate) fn capacity_bytes(&self) -> usize {
+        self.ids.capacity() * 4
+            + self.indptr.capacity() * std::mem::size_of::<usize>()
+            + self.indices.capacity() * 4
+            + self.values.capacity() * 4
     }
 
     /// Appends row `id` by letting `fill` write its entries straight into
