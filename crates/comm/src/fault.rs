@@ -250,6 +250,7 @@ impl FaultPlane {
     }
 
     /// Installs a targeted fault schedule.
+    // fsd_lint::allow(orphan-pub): integration-test fault-injection surface
     pub fn inject(&self, fault: TargetedFault) {
         self.targeted.lock().push(TargetedState {
             fault,

@@ -63,12 +63,6 @@ impl ServiceBuilder {
         self
     }
 
-    /// Sets the launch-tree branching factor.
-    pub fn branching(mut self, branching: usize) -> ServiceBuilder {
-        self.cfg.branching = branching;
-        self
-    }
-
     /// Sets the partitioning seed.
     pub fn seed(mut self, seed: u64) -> ServiceBuilder {
         self.cfg.seed = seed;
@@ -197,10 +191,10 @@ mod tests {
         let service = ServiceBuilder::new(dnn(1))
             .config(EngineConfig {
                 scheme: PartitionScheme::Block,
+                branching: 2,
                 ..EngineConfig::default()
             })
             .deterministic(9)
-            .branching(2)
             .serial_memory_mb(512)
             .build();
         assert_eq!(service.config().branching, 2);

@@ -34,6 +34,7 @@
 //! and object carriers behind a size predicate and a 1-byte frame tag.
 
 use crate::channel::{ChannelOptions, FsiChannel, RecvTracker, Tag};
+use crate::recycle::Recycler;
 use crate::retry::RetryPolicy;
 use crate::stats::ChannelStats;
 use fsd_comm::{CloudEnv, CommError, VClock, VirtualTime};
@@ -81,7 +82,7 @@ pub(crate) struct Core {
 /// The buffers one frame is built or read in. They grow to the largest
 /// frame they have served.
 #[derive(Default)]
-struct FrameBufs {
+pub(crate) struct FrameBufs {
     /// A block's codec bytes: serialized into before compression,
     /// inflated into before decoding.
     plain: Vec<u8>,
@@ -94,26 +95,7 @@ struct FrameBufs {
 /// gives it back after, so the sets are as many as the frames ever built
 /// or read at once — not one per rank, request or parked instance — and
 /// each has grown to the frames before it.
-#[derive(Default)]
-pub(crate) struct FramePool {
-    idle: Mutex<Vec<FrameBufs>>,
-}
-
-impl FramePool {
-    /// Idle sets kept; one given back beyond that is freed.
-    const MAX_IDLE: usize = 16;
-
-    /// Runs `f` on an idle set, or a new one, and gives the set back.
-    fn with<T>(&self, f: impl FnOnce(&mut FrameBufs) -> T) -> T {
-        let mut bufs = self.idle.lock().pop().unwrap_or_default();
-        let out = f(&mut bufs);
-        let mut idle = self.idle.lock();
-        if idle.len() < Self::MAX_IDLE {
-            idle.push(bufs);
-        }
-        out
-    }
-}
+pub(crate) type FramePool = Recycler<FrameBufs>;
 
 impl Core {
     fn new(

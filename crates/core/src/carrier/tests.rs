@@ -443,7 +443,7 @@ fn frames_are_built_and_read_in_buffers_a_bounded_pool_keeps() {
         ch2.send_layer(ctx, Tag::Layer(0), 0, &[(1, sent2)])
     });
     let grown = |pool: &FramePool| {
-        let idle = pool.idle.lock();
+        let idle = pool.idle();
         (
             idle.len(),
             idle.iter().map(|b| b.plain.capacity()).sum::<usize>(),
@@ -468,5 +468,5 @@ fn frames_are_built_and_read_in_buffers_a_bounded_pool_keeps() {
         }
     }
     in_flight(&pool, FramePool::MAX_IDLE + 4);
-    assert_eq!(pool.idle.lock().len(), FramePool::MAX_IDLE);
+    assert_eq!(pool.idle().len(), FramePool::MAX_IDLE);
 }

@@ -73,6 +73,7 @@ mod error;
 mod health;
 mod pool;
 mod recommend;
+mod recycle;
 mod retry;
 mod service;
 mod stats;

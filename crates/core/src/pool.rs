@@ -18,6 +18,12 @@
 //! deterministic under a deterministic request sequence — the property
 //! every load-replay test relies on.
 //!
+//! **Live trees.** Every tree launched while a pool is configured carries a
+//! [`Live`] guard from [`TreePool::record_created`] until it drops, so a
+//! shape's live count — parked or serving — is kept by the trees
+//! themselves, under a lock of its own that a dropping tree takes outside
+//! the shelf lock.
+//!
 //! **Invalidation.** [`TreePool::invalidate`] bumps the pool generation
 //! and shuts every parked tree down; a tree in service at the bump is
 //! shut down at its checkin instead of parked. Call it when the model's
@@ -27,6 +33,7 @@
 use crate::warm::{TreeKey, WorkerTree};
 use parking_lot::Mutex;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Builder-facing pool configuration.
 #[derive(Debug, Clone, Copy)]
@@ -92,38 +99,32 @@ struct Parked {
     parked_at_tick: u64,
 }
 
-/// Everything the pool knows, under its one lock: a read such as
-/// [`TreePool::live_of`] sees parked and in-service trees at one instant.
+/// The shelf, the tick clock and the counters, under the shelf lock.
 #[derive(Default)]
 struct PoolState {
     tick: u64,
     generation: u64,
     shelf: Vec<Parked>,
-    /// Trees currently checked out (or cold-launched for a request),
-    /// per shape — the predictor counts these toward a shape's standing
-    /// so a burst's own checkouts don't trigger redundant pre-warms.
-    in_use: HashMap<TreeKey, usize>,
     /// The counters; `idle` is filled in by [`TreePool::stats`].
     stats: WarmPoolStats,
 }
 
-impl PoolState {
-    fn mark_in_use(&mut self, key: TreeKey) {
-        *self.in_use.entry(key).or_insert(0) += 1;
-    }
+/// Trees alive per shape: launched, not yet dropped (a shape keeps its
+/// entry, at 0, once its last tree is gone).
+type LiveCounts = Arc<Mutex<HashMap<TreeKey, usize>>>;
 
-    /// Drops one in-service mark for `key` (checkin or discard).
-    fn release_in_use(&mut self, key: TreeKey) {
-        if let Some(n) = self.in_use.get_mut(&key) {
+/// One tree's place in its pool's live count. The tree carries it and
+/// gives it back when it drops, after its instances have joined.
+pub(crate) struct Live {
+    key: TreeKey,
+    counts: LiveCounts,
+}
+
+impl Drop for Live {
+    fn drop(&mut self) {
+        if let Some(n) = self.counts.lock().get_mut(&self.key) {
             *n -= 1;
-            if *n == 0 {
-                self.in_use.remove(&key);
-            }
         }
-    }
-
-    fn idle_of(&self, key: TreeKey) -> usize {
-        self.shelf.iter().filter(|p| p.tree.key() == key).count()
     }
 }
 
@@ -132,6 +133,7 @@ impl PoolState {
 pub(crate) struct TreePool {
     cfg: WarmPoolConfig,
     state: Mutex<PoolState>,
+    live: LiveCounts,
 }
 
 impl TreePool {
@@ -139,6 +141,7 @@ impl TreePool {
         TreePool {
             cfg,
             state: Mutex::new(PoolState::default()),
+            live: LiveCounts::default(),
         }
     }
 
@@ -175,23 +178,20 @@ impl TreePool {
                     None
                 }
             };
-            if picked.is_some() {
-                state.mark_in_use(key);
-            }
             (picked, expired)
         };
         shut_down(expired);
         picked
     }
 
-    /// Records a newly created tree (cold launch or pre-warm). A tree
-    /// launched for a request is `in_use` from birth (checked-out trees
-    /// are marked by `checkout` itself).
-    pub(crate) fn record_created(&self, key: TreeKey, in_use: bool) {
-        let mut state = self.state.lock();
-        state.stats.created += 1;
-        if in_use {
-            state.mark_in_use(key);
+    /// Records a newly created tree (cold launch or pre-warm) and returns
+    /// the guard that counts it live until the tree drops.
+    pub(crate) fn record_created(&self, key: TreeKey) -> Live {
+        self.state.lock().stats.created += 1;
+        *self.live.lock().entry(key).or_insert(0) += 1;
+        Live {
+            key,
+            counts: self.live.clone(),
         }
     }
 
@@ -199,15 +199,10 @@ impl TreePool {
     /// stale. A full shelf no longer rejects the newcomer: a parked tree
     /// of the least-recently-used *shape* is evicted to make room, because
     /// the tree being checked in just served traffic and is therefore the
-    /// hottest tree of its shape. A tree that served a request holds an
-    /// in-service mark (`in_use`) and drops it here; a pre-warm holds none,
-    /// so parking it leaves the marks of running requests alone.
-    pub(crate) fn checkin(&self, tree: WorkerTree, in_use: bool) {
+    /// hottest tree of its shape.
+    pub(crate) fn checkin(&self, tree: WorkerTree) {
         let retired = {
             let mut state = self.state.lock();
-            if in_use {
-                state.release_in_use(tree.key());
-            }
             if tree.is_poisoned() {
                 state.stats.discarded_poisoned += 1;
                 Some(tree)
@@ -257,19 +252,16 @@ impl TreePool {
 
     /// Discards a tree without parking it (failed request teardown).
     pub(crate) fn discard(&self, mut tree: WorkerTree) {
-        {
-            let mut state = self.state.lock();
-            state.release_in_use(tree.key());
-            if tree.is_poisoned() {
-                state.stats.discarded_poisoned += 1;
-            }
+        if tree.is_poisoned() {
+            self.state.lock().stats.discarded_poisoned += 1;
         }
         tree.shutdown();
     }
 
     /// Parked trees currently matching `key` (predictor sizing input).
     pub(crate) fn idle_of(&self, key: TreeKey) -> usize {
-        self.state.lock().idle_of(key)
+        let state = self.state.lock();
+        state.shelf.iter().filter(|p| p.tree.key() == key).count()
     }
 
     /// Trees of shape `key` that exist at all — parked or serving a
@@ -277,14 +269,15 @@ impl TreePool {
     /// target against *this* count, so checkouts by the burst's own
     /// requests don't look like missing capacity.
     pub(crate) fn live_of(&self, key: TreeKey) -> usize {
-        let state = self.state.lock();
-        state.idle_of(key) + state.in_use.get(&key).copied().unwrap_or(0)
+        self.live.lock().get(&key).copied().unwrap_or(0)
     }
 
-    /// In-service marks over every shape: 0 once no request holds a tree
-    /// (`FsdService::audit`).
+    /// Live trees that are not parked, over every shape: 0 once no
+    /// request holds a tree (`FsdService::audit`).
     pub(crate) fn in_use(&self) -> usize {
-        self.state.lock().in_use.values().sum()
+        let parked = self.state.lock().shelf.len();
+        let live: usize = self.live.lock().values().sum();
+        live.saturating_sub(parked)
     }
 
     /// Evicts every parked tree of shape `key` (predictor decisions).

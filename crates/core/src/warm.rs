@@ -39,6 +39,7 @@
 use crate::artifacts::{load_worker_artifacts, WorkerArtifacts};
 use crate::channel::FsiChannel;
 use crate::engine::{LaunchPath, Variant};
+use crate::pool::{Live, TreePool};
 use crate::weight_cache::WeightCache;
 use crate::worker::{run_batches, RunOutput, WorkerOutput, WorkspacePool};
 use fsd_comm::{CloudEnv, VirtualTime};
@@ -339,6 +340,8 @@ pub(crate) struct WorkerTree {
     /// after an abort) have no receiver left.
     launch_flow: u64,
     hops: Range<usize>,
+    /// The pool's count of this tree, given back when the tree drops.
+    live: Option<Live>,
 }
 
 impl WorkerTree {
@@ -355,11 +358,13 @@ impl WorkerTree {
     /// pick queued work items up when they are ready. A refused
     /// coordinator or rank 0 fails the launch (whatever did start is
     /// joined); any other refused rank surfaces from the next
-    /// [`WorkerTree::run`].
+    /// [`WorkerTree::run`]. With a `pool`, the tree carries the pool's
+    /// current generation and, once launched, a place in the pool's live
+    /// count ([`TreePool::record_created`]) until it drops.
     pub(crate) fn launch(
         platform: &Arc<FaasPlatform>,
         key: TreeKey,
-        generation: u64,
+        pool: Option<&TreePool>,
         params: TreeParams,
         flow: u64,
     ) -> Result<WorkerTree, FaasError> {
@@ -395,9 +400,9 @@ impl WorkerTree {
         };
         // Built before anything is invoked: dropping it on a failed launch
         // joins whatever did start.
-        let tree = WorkerTree {
+        let mut tree = WorkerTree {
             key,
-            generation,
+            generation: pool.map_or(0, TreePool::generation),
             controls,
             kills,
             poison: shared.poison.clone(),
@@ -406,8 +411,10 @@ impl WorkerTree {
             joined: false,
             launch_flow: flow,
             hops,
+            live: None,
         };
         shared.seed(platform)?;
+        tree.live = pool.map(|pool| pool.record_created(key));
         Ok(tree)
     }
 

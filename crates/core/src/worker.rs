@@ -18,11 +18,11 @@
 use crate::artifacts::{load_input_share_into, WorkerArtifacts};
 use crate::channel::{barrier, reduce, FsiChannel, RecvTracker, Tag};
 use crate::engine::LaunchPath;
+use crate::recycle::Recycler;
 use crate::stats::ChannelStatsSnapshot;
 use fsd_faas::{FaasError, InvocationReport, WorkerCtx};
 use fsd_model::DnnSpec;
 use fsd_sparse::{LayerAccumulator, SparseRows};
-use parking_lot::Mutex;
 use std::sync::Arc;
 
 /// What one instance produced for one request's batches.
@@ -109,34 +109,21 @@ pub(crate) struct Workspace {
     sends: Vec<(u32, SparseRows)>,
 }
 
-/// A service's idle [`Workspace`]s. A rank checks one out per work item, so
-/// what stays allocated is bounded by the ranks *running*, not by the
-/// instances parked in warm trees.
-#[derive(Default)]
-pub(crate) struct WorkspacePool {
-    idle: Mutex<Vec<Workspace>>,
-}
-
-impl WorkspacePool {
-    /// Idle workspaces kept; one checked in beyond that is freed.
-    const MAX_IDLE: usize = 16;
-
-    fn checkout(&self) -> Workspace {
-        self.idle.lock().pop().unwrap_or_else(|| Workspace {
+impl Default for Workspace {
+    fn default() -> Workspace {
+        Workspace {
             acc: LayerAccumulator::new(0, 0),
             x: SparseRows::new(0),
             next: SparseRows::new(0),
             sends: Vec::new(),
-        })
-    }
-
-    fn checkin(&self, ws: Workspace) {
-        let mut idle = self.idle.lock();
-        if idle.len() < Self::MAX_IDLE {
-            idle.push(ws);
         }
     }
 }
+
+/// A service's idle [`Workspace`]s. A rank checks one out per work item, so
+/// what stays allocated is bounded by the ranks *running*, not by the
+/// instances parked in warm trees.
+pub(crate) type WorkspacePool = Recycler<Workspace>;
 
 /// Runs every batch of one request through an already-loaded worker: per
 /// batch, the layer loop of Algorithms 1 & 2 followed by a barrier + reduce
@@ -155,8 +142,8 @@ pub(crate) fn run_batches(
     input_key: &str,
     batch_widths: &[usize],
 ) -> Result<WorkerOutput, FaasError> {
-    // A failed item drops its workspace instead of checking it in.
-    let mut ws = workspaces.checkout();
+    // A failed item drops its workspace instead of giving it back.
+    let mut ws = workspaces.take();
     let Workspace {
         acc,
         x,
@@ -236,7 +223,7 @@ pub(crate) fn run_batches(
         }
         ctx.track_free(x.mem_bytes() + art.owned.len() * width * 4);
     }
-    workspaces.checkin(ws);
+    workspaces.give(ws);
     Ok(WorkerOutput {
         final_batches: if rank == 0 { Some(final_batches) } else { None },
         artifact_gets,

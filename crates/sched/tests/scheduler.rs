@@ -522,7 +522,7 @@ fn retry_budget_recovers_an_injected_instance_crash() {
         .expect("accepted")
         .wait()
         .expect("cold run parks a tree");
-    assert!(svc.inject_fault(FsdService::warm_worker_fault(Variant::Queue, 2, 1769, 1)));
+    assert!(svc.kill_warm_worker(Variant::Queue, 2, 1769, 1));
     // Without a budget the crash surfaces; with one, the scheduler
     // re-admits at the class head and the rerun cold-starts cleanly.
     let report = sched
@@ -574,7 +574,7 @@ fn a_retried_coalition_member_returns_its_share_before_readmission() {
         .expect("accepted");
     assert_eq!(sched.dispatch(), vec![vec![1]]);
     parker.wait().expect("cold run parks a tree");
-    assert!(svc.inject_fault(FsdService::warm_worker_fault(Variant::Queue, 2, 1769, 1)));
+    assert!(svc.kill_warm_worker(Variant::Queue, 2, 1769, 1));
     let mut tickets: Vec<Ticket> = (0..3)
         .map(|_| {
             sched

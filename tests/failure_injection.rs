@@ -6,7 +6,7 @@
 mod common;
 
 use fsd_inference::comm::{CloudConfig, LatencyModel, VirtualTime};
-use fsd_inference::core::{InferenceRequest, ServiceBuilder, Variant};
+use fsd_inference::core::{EngineConfig, InferenceRequest, ServiceBuilder, Variant};
 use fsd_inference::model::{generate_dnn, generate_inputs, DnnSpec, InputSpec};
 use std::sync::Arc;
 
@@ -294,7 +294,7 @@ fn crash_mid_coalition_fails_one_member_and_finishes_the_rest() {
         // A warm-tree instance dying *mid-coalition* must fail only the member
         // it was serving; the tree is discarded and the remaining members
         // finish on a fresh launch.
-        use fsd_inference::core::{BatchedRequest, FsdService};
+        use fsd_inference::core::BatchedRequest;
 
         let spec = DnnSpec {
             neurons: 96,
@@ -323,7 +323,7 @@ fn crash_mid_coalition_fails_one_member_and_finishes_the_rest() {
             .submit_batched(&req())
             .expect("cold run parks the tree");
         assert!(
-            service.inject_fault(FsdService::warm_worker_fault(Variant::Queue, 2, 1769, 1)),
+            service.kill_warm_worker(Variant::Queue, 2, 1769, 1),
             "a parked tree must match the injection shape"
         );
 
@@ -374,9 +374,12 @@ fn cold_start_skew_does_not_break_early_layers() {
     let mut cloud = CloudConfig::deterministic(34);
     cloud.latency.lambda_cold_start_us = 5_000_000; // 5 s cold starts
     let service = ServiceBuilder::new(dnn)
+        .config(EngineConfig {
+            branching: 1, // a chain: maximal start-time skew
+            ..EngineConfig::default()
+        })
         .deterministic(34)
         .cloud(cloud)
-        .branching(1) // a chain: maximal start-time skew
         .build();
     let report = service
         .submit(&InferenceRequest {

@@ -289,7 +289,7 @@ fn dead_worker_evicts_the_tree_without_wedging_the_scheduler() {
             .wait()
             .expect("cold run parks the tree");
         assert!(
-            service.inject_fault(FsdService::warm_worker_fault(Variant::Queue, 3, 1769, 1)),
+            service.kill_warm_worker(Variant::Queue, 3, 1769, 1),
             "a parked tree must match the injection shape"
         );
         // The next matching request loses worker 1 mid-request: the request
@@ -346,12 +346,12 @@ fn the_first_error_a_request_reports_is_the_root_cause() {
             pooled
                 .submit(&request(&inputs, Variant::Queue, 3))
                 .expect("cold run parks the tree");
-            assert!(pooled.inject_fault(FsdService::warm_worker_fault(Variant::Queue, 3, 1769, 1)));
+            assert!(pooled.kill_warm_worker(Variant::Queue, 3, 1769, 1));
             let killed = pooled.submit(&request(&inputs, Variant::Queue, 3));
             assert_eq!(op_of(killed), "instance", "rep {rep}: killed rank");
             // A launch refused two levels down the cascade (rank 6 is a child
             // of rank 1 at P=8, b=4): rank 0 only ever hears of it second-hand.
-            poolless.inject_fault(TargetedFault::first(
+            poolless.env().faults().inject(TargetedFault::first(
                 ApiClass::InstanceLaunch,
                 "fsd-worker-6",
             ));
@@ -459,7 +459,7 @@ fn a_killed_serial_tree_is_discarded_and_the_next_request_cold_launches() {
         let serial = || request(&inputs, Variant::Serial, 1);
         service.submit(&serial()).expect("cold run parks the tree");
         assert!(
-            service.inject_fault(FsdService::warm_worker_fault(Variant::Serial, 1, 1769, 0)),
+            service.kill_warm_worker(Variant::Serial, 1, 1769, 0),
             "the parked one-rank tree must match the injection shape"
         );
         service
