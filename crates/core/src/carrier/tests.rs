@@ -158,8 +158,10 @@ fn barrier_and_reduce_work_over_every_transport() {
                 VirtualTime::ZERO,
                 move |ctx| {
                     barrier(ch.as_ref(), ctx, m, 3, 0)?;
-                    let mine = rows(&[m * 10]);
-                    reduce(ch.as_ref(), ctx, m, 3, &mine, 0)
+                    let mut mine = rows(&[m * 10]);
+                    let out = reduce(ch.as_ref(), ctx, m, 3, &mut mine, 0)?;
+                    assert_eq!(mine, rows(&[m * 10]), "reduce hands the block back");
+                    Ok(out)
                 },
             ));
         }

@@ -249,12 +249,15 @@ pub fn barrier(
 /// Reduce to worker 0 (paper line `reduce(P_0, x^L_m)`): every worker ships
 /// its final rows for batch `batch` to the root, which merges them — in one
 /// pass, into an exact-capacity block — into the inference result.
+///
+/// A sender's block is moved into its send slice and back, not copied, so
+/// `mine` holds the same rows when this returns, sent or not.
 pub fn reduce(
     channel: &dyn FsiChannel,
     ctx: &mut WorkerCtx,
     me: u32,
     n_workers: u32,
-    mine: &SparseRows,
+    mine: &mut SparseRows,
     batch: u32,
 ) -> Result<Option<SparseRows>, FaasError> {
     if n_workers <= 1 {
@@ -263,12 +266,15 @@ pub fn reduce(
     if me == 0 {
         let mut tracker = RecvTracker::expecting(1..n_workers);
         let blocks = channel.receive_all(ctx, Tag::Reduce(batch), 0, &mut tracker)?;
-        let parts: Vec<&SparseRows> = std::iter::once(mine)
+        let parts: Vec<&SparseRows> = std::iter::once(&*mine)
             .chain(blocks.iter().map(|(_, block)| block))
             .collect();
         Ok(Some(SparseRows::merge_all(&parts)))
     } else {
-        channel.send_layer(ctx, Tag::Reduce(batch), me, &[(0, mine.clone())])?;
+        let mut slice = [(0, std::mem::take(mine))];
+        let sent = channel.send_layer(ctx, Tag::Reduce(batch), me, &slice);
+        *mine = std::mem::take(&mut slice[0].1);
+        sent?;
         Ok(None)
     }
 }

@@ -15,6 +15,10 @@
 use crate::csr::CsrMatrix;
 use crate::rows::SparseRows;
 
+/// Cells per lane group of [`LayerAccumulator::finalize_into`], whose
+/// activations are computed in one vectorised pass.
+const LANES: usize = 16;
+
 /// A worker's weight partition for one layer, stored column-major.
 ///
 /// Maps each *global* input row id `j` (a column of the original `W`) to the
@@ -142,7 +146,19 @@ impl ColMajorBlock {
 /// nonzero sum as it is and turns no `+0.0` cell (cells start at `+0.0` and
 /// a round-to-nearest sum is `-0.0` only when both terms are) into anything
 /// else — so no `z != 0.0` test downstream changes either. This holds for
-/// finite weights, which is what layers hold.
+/// finite weights, which is what layers hold. A row holding all `width`
+/// columns is already its own dense row: its fan-out reads `vals`
+/// straight, the same products in the same order, with no densify.
+///
+/// **Exact-size `finalize`.** Per row, a vectorised pass counts the cells
+/// that survive (`z != 0` and `y > 0`), exactly that many slots are
+/// appended, and cells `0..=last survivor` are compacted into them: each
+/// cell's column and `y` are stored at a cursor that counts the survivors
+/// before it, so a cell that does not survive is overwritten by the next
+/// one stored, and the last survivor's store is the last one. The row
+/// holds the surviving cells in column order with the `y` the reference
+/// computes — the same test, the same `clamp(z + bias, 0, clip)`, the same
+/// bits — and a row without one is not recorded.
 pub struct LayerAccumulator {
     width: usize,
     n_rows: usize,
@@ -196,7 +212,10 @@ impl LayerAccumulator {
         for x in parts {
             assert_eq!(x.width(), self.width, "activation width mismatch");
         }
-        let width = self.width;
+        let LayerAccumulator {
+            width, data, dense, ..
+        } = self;
+        let width = *width;
         let mut work = 0u64;
         // Both id lists are sorted; walk them together instead of binary
         // searching per row (x blocks are usually dense in w's needed set).
@@ -215,23 +234,30 @@ impl LayerAccumulator {
             let e = w.indptr[wpos + 1];
             let fanout = w.out_rows[s..e].iter().zip(&w.weights[s..e]);
             if cols.len() >= width / 4 {
-                for (&c, &v) in cols.iter().zip(vals) {
-                    self.dense[c as usize] = v;
-                }
+                // A full row (columns `0..width`) is its own dense row.
+                let full = cols.len() == width;
+                let row: &[f32] = if full {
+                    vals
+                } else {
+                    for (&c, &v) in cols.iter().zip(vals) {
+                        dense[c as usize] = v;
+                    }
+                    dense
+                };
                 for (&out_row, &wt) in fanout {
                     let base = out_row as usize * width;
-                    let dst = &mut self.data[base..base + width];
-                    for (d, &v) in dst.iter_mut().zip(&self.dense) {
+                    let dst = &mut data[base..base + width];
+                    for (d, &v) in dst.iter_mut().zip(row) {
                         *d += wt * v;
                     }
                 }
-                for &c in cols {
-                    self.dense[c as usize] = 0.0;
+                if !full {
+                    dense.fill(0.0);
                 }
             } else {
                 for (&out_row, &wt) in fanout {
                     let base = out_row as usize * width;
-                    let dst = &mut self.data[base..base + width];
+                    let dst = &mut data[base..base + width];
                     for (&c, &v) in cols.iter().zip(vals) {
                         dst[c as usize] += wt * v;
                     }
@@ -258,21 +284,51 @@ impl LayerAccumulator {
     pub fn finalize_into(&self, owned: &[u32], bias: f32, clip: f32, out: &mut SparseRows) -> u64 {
         assert_eq!(owned.len(), self.n_rows, "owned ids/rows mismatch");
         out.clear(self.width);
+        // The benchmark's sparse convention: the bias is added where
+        // `z != 0`, so a sample absent from a row stays absent.
+        let activate = |z: f32| {
+            let y = (z + bias).clamp(0.0, clip);
+            (y, (z != 0.0) & (y > 0.0))
+        };
+        let (mut ys, mut keeps) = ([0.0f32; LANES], [0u32; LANES]);
         for (&gid, row) in owned.iter().zip(self.data.chunks_exact(self.width.max(1))) {
-            // The benchmark's sparse convention: the bias is added where
-            // `z != 0`, so a sample absent from a row stays absent.
-            // Branch-free compaction: every cell is stored, and the cursor
-            // moves on only past the ones that survive.
-            out.push_row_with(gid, |cols, vals| {
-                let mut kept = 0usize;
-                for (c, &z) in row.iter().enumerate() {
-                    let y = (z + bias).clamp(0.0, clip);
-                    cols[kept] = c as u32;
-                    vals[kept] = y;
-                    kept += usize::from((z != 0.0) & (y > 0.0));
+            // A vectorised count; a row without a survivor is not recorded.
+            let kept = row.iter().map(|&z| u32::from(activate(z).1)).sum::<u32>() as usize;
+            if kept == 0 {
+                continue;
+            }
+            let last = row
+                .iter()
+                .rposition(|&z| activate(z).1)
+                .expect("a counted survivor");
+            // Branch-free compaction: every cell up to the last survivor is
+            // stored, and the cursor moves on only past the ones that
+            // survive, so it stays below `kept` until that last store. A
+            // full lane group's activations are computed in one vectorised
+            // pass before its cells are stored.
+            let (cols, vals) = out.push_row_exact(gid, kept);
+            let (mut c, mut k) = (0u32, 0usize);
+            let mut groups = row[..=last].chunks_exact(LANES);
+            for lanes in &mut groups {
+                let lanes: &[f32; LANES] = lanes.try_into().expect("a full lane group");
+                for i in 0..LANES {
+                    let (y, keep) = activate(lanes[i]);
+                    (ys[i], keeps[i]) = (y, u32::from(keep));
                 }
-                kept
-            });
+                for i in 0..LANES {
+                    cols[k] = c;
+                    vals[k] = ys[i];
+                    k += keeps[i] as usize;
+                    c += 1;
+                }
+            }
+            for &z in groups.remainder() {
+                let (y, keep) = activate(z);
+                cols[k] = c;
+                vals[k] = y;
+                k += usize::from(keep);
+                c += 1;
+            }
         }
         (self.n_rows * self.width) as u64
     }
@@ -439,17 +495,37 @@ mod tests {
         CsrMatrix::from_triplets(N_OUT, N_IN as usize, trips).expect("valid")
     }
 
-    /// Rows for about three quarters of the input ids, each column present
-    /// with probability `density` %; values include negatives and `-0.0`.
-    fn random_rows(rng: &mut Rng, width: usize, density: usize) -> SparseRows {
+    /// How many columns each row of [`random_rows`] holds.
+    #[derive(Clone, Copy, Debug)]
+    enum Fill {
+        /// Each column present with this probability, in %.
+        Density(usize),
+        /// Exactly this many columns, picked at random.
+        Exactly(usize),
+    }
+
+    /// Rows for about three quarters of the input ids, holding columns as
+    /// `fill` says; values include negatives and `-0.0`.
+    fn random_rows(rng: &mut Rng, width: usize, fill: Fill) -> SparseRows {
         let mut x = SparseRows::new(width);
         for id in 0..N_IN {
             if rng.below(4) == 0 {
                 continue;
             }
-            let cols: Vec<u32> = (0..width as u32)
-                .filter(|_| rng.below(100) < density)
-                .collect();
+            let cols: Vec<u32> = match fill {
+                Fill::Density(density) => (0..width as u32)
+                    .filter(|_| rng.below(100) < density)
+                    .collect(),
+                Fill::Exactly(n) => {
+                    let mut all: Vec<u32> = (0..width as u32).collect();
+                    for k in 0..n {
+                        all.swap(k, k + rng.below(width - k));
+                    }
+                    all.truncate(n);
+                    all.sort_unstable();
+                    all
+                }
+            };
             let vals: Vec<f32> = cols
                 .iter()
                 .map(|_| [1.0f32, -1.0, 2.0, -2.0, 0.5, -0.0][rng.below(6)])
@@ -472,19 +548,26 @@ mod tests {
         }
     }
 
+    /// The kernels against their `#[cfg(test)]` references on widths that
+    /// end a lane group early, exactly and late; on rows on both sides of
+    /// the dense-row switch (`width / 4`) and full rows; with a positive
+    /// bias over planted `-0.0` / `+0.0` cells and cancelled sums; and
+    /// `finalize_into` into a block that last held a larger one.
     #[test]
     fn kernels_equal_their_references_bit_for_bit() {
         let mut rng = Rng::new(22);
         let owned: Vec<u32> = (0..N_OUT as u32).map(|r| r * 5 + 2).collect();
-        let mut recycled = SparseRows::new(3);
-        for width in [1usize, 7, 8, 32, 256] {
-            for density in [0usize, 3, 10, 24, 26, 50, 90, 100] {
+        for width in [1usize, 7, 8, 15, 16, 17, 32, 33, 255, 256] {
+            let densities = [0usize, 3, 10, 24, 26, 50, 90, 100].map(Fill::Density);
+            let counts = [(width / 4).saturating_sub(1), width / 4, width - 1, width];
+            let larger = random_rows(&mut rng, 2 * width + 9, Fill::Density(90));
+            for fill in densities.into_iter().chain(counts.map(Fill::Exactly)) {
                 let w = random_layer(&mut rng);
                 let block = ColMajorBlock::from_layer(&w, &(0..N_OUT as u32).collect::<Vec<_>>());
-                let x = random_rows(&mut rng, width, density);
-                let what = format!("width {width}, density {density} %");
+                let x = random_rows(&mut rng, width, fill);
+                let what = format!("width {width}, {fill:?}");
 
-                // Dense-row path == scatter path.
+                // Dense-row and full-row paths == scatter path.
                 let mut old = LayerAccumulator::new(N_OUT, width);
                 let mut new = LayerAccumulator::new(N_OUT, width);
                 let work = old.accumulate_reference(&block, &x);
@@ -511,17 +594,19 @@ mod tests {
                 assert_eq!(bits(split.as_slice()), bits(old.as_slice()), "{what}");
 
                 // `finalize` == its reference, also into a used buffer, on
-                // what was accumulated plus a few planted `-0.0` cells.
-                for k in 0..new.data.len().min(5) {
+                // what was accumulated (cancelled sums are `+0.0`) plus an
+                // eighth of the cells planted as `-0.0` or `+0.0`.
+                for k in 0..new.data.len().div_ceil(8) {
                     let cell = rng.below(new.data.len());
                     new.data[cell] = if k % 2 == 0 { -0.0 } else { 0.0 };
                 }
-                for (bias, clip) in [(-0.75f32, 2.0f32), (0.0, 32.0), (0.5, 1.0)] {
+                for (bias, clip) in [(-0.75f32, 2.0f32), (0.0, 32.0), (0.5, 1.0), (3.0, 4.0)] {
                     let (expect, units) = new.finalize_reference(&owned, bias, clip);
                     let (got, got_units) = new.finalize(&owned, bias, clip);
                     assert_eq!(got_units, units, "{what}");
                     assert_same_block(&got, &expect, &what);
                     assert_eq!(got, expect, "{what}");
+                    let mut recycled = larger.clone();
                     assert_eq!(new.finalize_into(&owned, bias, clip, &mut recycled), units);
                     assert_same_block(&recycled, &expect, &what);
                     assert_eq!(recycled, expect, "{what}");

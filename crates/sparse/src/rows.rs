@@ -122,26 +122,21 @@ impl SparseRows {
             + self.values.capacity() * 4
     }
 
-    /// Appends row `id` by letting `fill` write its entries straight into
-    /// `width` spare slots at the end of the block; `fill` returns how many
-    /// leading slots it kept (columns strictly increasing, as everywhere).
-    /// A row that keeps nothing is not recorded at all.
-    pub(crate) fn push_row_with(
-        &mut self,
-        id: u32,
-        fill: impl FnOnce(&mut [u32], &mut [f32]) -> usize,
-    ) {
+    /// Appends row `id` with exactly `n` entries (`n > 0`) and returns
+    /// its column and value slots, every one of which the caller fills
+    /// (columns strictly increasing and `< width`, as everywhere).
+    pub(crate) fn push_row_exact(&mut self, id: u32, n: usize) -> (&mut [u32], &mut [f32]) {
+        debug_assert!(n > 0 && n <= self.width);
         debug_assert!(self.ids.last().is_none_or(|&last| id > last));
         let base = self.indices.len();
-        self.indices.resize(base + self.width, 0);
-        self.values.resize(base + self.width, 0.0);
-        let kept = fill(&mut self.indices[base..], &mut self.values[base..]);
-        self.indices.truncate(base + kept);
-        self.values.truncate(base + kept);
-        if kept > 0 {
-            self.ids.push(id);
-            self.indptr.push(base + kept);
-        }
+        self.indices.resize(base + n, 0);
+        self.values.resize(base + n, 0.0);
+        self.ids.push(id);
+        self.indptr.push(base + n);
+        (
+            &mut self.indices[base..base + n],
+            &mut self.values[base..base + n],
+        )
     }
 
     /// Number of columns (batch width).
