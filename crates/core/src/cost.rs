@@ -119,19 +119,20 @@ impl CostModel {
     }
 
     /// **Predicted** cost from client-side channel statistics plus the
-    /// engine's own accounting of invocations and artifact reads.
+    /// engine's own accounting of invocations and artifact reads. Input
+    /// staging is written with `put_offline` and billed to nobody, so it
+    /// has no term here.
     pub fn predicted(
         &self,
         lambda: &LambdaSnapshot,
         client: &ChannelStatsSnapshot,
         artifact_gets: u64,
-        input_staging_puts: u64,
     ) -> CostBreakdown {
         CostBreakdown {
             compute: self.lambda_cost(lambda),
             comms: self.queue_comms(client.sns_billed, client.bytes_sent, client.sqs_calls)
                 + self.object_comms(
-                    client.s3_puts + input_staging_puts,
+                    client.s3_puts,
                     client.s3_gets + artifact_gets,
                     client.s3_lists,
                 ),

@@ -9,7 +9,7 @@ use crate::cost::CostBreakdown;
 use fsd_comm::{CloudConfig, MeterSnapshot, VirtualTime};
 use fsd_faas::{ComputeModel, LambdaSnapshot, MAX_MEMORY_MB};
 use fsd_partition::PartitionScheme;
-use fsd_sparse::SparseRows;
+use fsd_sparse::{codec, SparseRows};
 
 use crate::stats::ChannelStatsSnapshot;
 
@@ -198,6 +198,18 @@ pub struct BatchedRequest {
     pub memory_mb: u32,
     /// The successive input batches.
     pub batches: Vec<SparseRows>,
+}
+
+impl BatchedRequest {
+    /// Wire bytes per row of the first batch (`None` without a batch): the
+    /// payload estimate `Auto` resolves on. The service's execution path
+    /// and the scheduler's intake both read it here, so the coalescing and
+    /// prediction shapes are the tree the request runs on.
+    pub fn est_bytes_per_row(&self) -> Option<usize> {
+        self.batches
+            .first()
+            .map(|first| codec::encoded_size(first) / first.n_rows().max(1))
+    }
 }
 
 /// Per-worker runtime facts extracted from invocation reports.

@@ -72,9 +72,7 @@ impl FsdService {
             .collect();
         let Bill { comm, lambda } = bill;
         let cost_actual = self.cost.actual(&lambda, &comm);
-        let cost_predicted = self
-            .cost
-            .predicted(&lambda, &run.client, run.artifact_gets, 0);
+        let cost_predicted = self.cost.predicted(&lambda, &run.client, run.artifact_gets);
         Ok(InferenceReport {
             variant: resolved,
             workers: p,

@@ -4,7 +4,6 @@ use super::FsdService;
 use crate::engine::{BatchedRequest, Variant};
 use crate::recommend::{self, Recommendation, WorkloadProfile};
 use crate::warm::TreeKey;
-use fsd_sparse::codec;
 
 impl FsdService {
     /// Recommends a variant for this model at parallelism `p`, from the
@@ -81,9 +80,8 @@ impl FsdService {
             workers: req.workers,
             memory_mb: req.memory_mb,
         };
-        let first = &req.batches[0];
-        let est_bytes_per_row = codec::encoded_size(first) / first.n_rows().max(1);
-        self.tree_key(requested, est_bytes_per_row)
+        let est = req.est_bytes_per_row().expect("a non-empty request");
+        self.tree_key(requested, est)
     }
 
     /// [`FsdService::tree_key`] of a shape named by its parts, with the

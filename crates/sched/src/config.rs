@@ -103,20 +103,6 @@ impl Default for BatchingConfig {
     }
 }
 
-impl BatchingConfig {
-    /// Sets the coalescing window (virtual time).
-    pub fn window(mut self, window: VirtualTime) -> BatchingConfig {
-        self.window = window;
-        self
-    }
-
-    /// Sets the maximum coalition size (clamped to ≥ 1).
-    pub fn max_batch(mut self, max_batch: usize) -> BatchingConfig {
-        self.max_batch = max_batch;
-        self
-    }
-}
-
 /// Scheduler tuning knobs. [`SchedulerBuilder::build`](crate::SchedulerBuilder::build)
 /// clamps every count and weight to ≥ 1, however it was set.
 #[derive(Debug, Clone, Copy)]
@@ -386,14 +372,13 @@ mod tests {
             (row_nnz_for(hi / 2), Variant::Queue),
             (row_nnz_for(2 * hi), Variant::Hybrid),
         ] {
-            let inputs = inputs_with(k);
-            let est = fsd_sparse::codec::encoded_size(&inputs) / inputs.n_rows().max(1);
             let req = BatchedRequest {
                 variant: Variant::Auto,
                 workers: 3,
                 memory_mb: 1769,
-                batches: vec![inputs],
+                batches: vec![inputs_with(k)],
             };
+            let est = req.est_bytes_per_row().expect("one batch");
             let planned = svc.resolve(Variant::Auto, 3, est);
             assert_eq!(planned, expected_side, "est {est} landed off-band");
             let report = svc.submit_batched(&req).expect("auto runs");

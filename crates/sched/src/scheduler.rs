@@ -217,19 +217,15 @@ impl SchedulerCore {
         seqs
     }
 
-    /// Spawns one executor thread per admitted pass: a singleton runs
-    /// [`FsdService::submit_batched`], a coalition runs
+    /// Spawns one executor thread per admitted pass, which runs it through
     /// [`FsdService::submit_coalesced`] — one tree pass, one report per
-    /// member under its own flow id.
+    /// member under its own flow id (a singleton is a one-member pass).
     fn spawn(self: &Arc<Self>, admitted: Vec<Pass<Arc<TicketShared>>>) {
         for pass in admitted {
             let core = self.clone();
             let service = self.models[pass.members[0].model].service.clone();
             std::thread::spawn(move || {
-                let results = match pass.reqs.as_slice() {
-                    [req] => vec![service.submit_batched(req)],
-                    reqs => service.submit_coalesced(reqs),
-                };
+                let results = service.submit_coalesced(&pass.reqs);
                 // Completion bookkeeping first, then deliver the results:
                 // a manual-mode harvester must observe consistent counters.
                 let mut state = core.state.lock();
@@ -460,11 +456,7 @@ impl Scheduler {
                 workers: req.workers,
                 memory_mb: req.memory_mb,
             };
-            let est = req
-                .batches
-                .first()
-                .map(|first| fsd_sparse::codec::encoded_size(first) / first.n_rows().max(1));
-            (requested, est)
+            (requested, req.est_bytes_per_row())
         });
         let shared = Arc::new(TicketShared::default());
         let seq = self.core.state.lock().enqueue(

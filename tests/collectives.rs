@@ -17,11 +17,6 @@ fn channel(env: &Arc<CloudEnv>, variant: Variant, p: u32) -> Arc<dyn FsiChannel>
         .provision(env, p, ChannelOptions::default(), 0)
 }
 
-/// The channel the CI matrix selected.
-fn selected_channel(env: &Arc<CloudEnv>, p: u32) -> Arc<dyn FsiChannel> {
-    channel(env, common::test_variant(), p)
-}
-
 fn rows_for(rank: u32) -> SparseRows {
     SparseRows::from_rows(
         4,
@@ -33,13 +28,12 @@ fn rows_for(rank: u32) -> SparseRows {
     )
 }
 
-/// Runs barrier+reduce on `p` workers over `channel`; returns the root's
-/// merged rows and each worker's finish time.
-fn run_collective(
-    env: Arc<CloudEnv>,
-    channel: Arc<dyn FsiChannel>,
-    p: u32,
-) -> (SparseRows, Vec<VirtualTime>) {
+/// Runs barrier+reduce on `p` workers over `variant`'s channel in a region
+/// seeded `seed`; returns the root's merged rows and each worker's finish
+/// time.
+fn run_collective(variant: Variant, seed: u64, p: u32) -> (SparseRows, Vec<VirtualTime>) {
+    let env = CloudEnv::new(CloudConfig::deterministic(seed));
+    let channel = channel(&env, variant, p);
     let platform = FaasPlatform::new(env, ComputeModel::default());
     let mut handles = Vec::new();
     for m in 0..p {
@@ -51,76 +45,48 @@ fn run_collective(
                 // Stagger arrival: worker m "computes" for m units first.
                 ctx.charge_work(m as u64 * 100_000_000);
                 barrier(channel.as_ref(), ctx, m, p, 0)?;
-                let after_barrier = ctx.now();
-                let out = reduce(channel.as_ref(), ctx, m, p, &mut rows_for(m), 0)?;
-                Ok((out, after_barrier))
+                reduce(channel.as_ref(), ctx, m, p, &mut rows_for(m), 0)
             },
         ));
     }
     let mut root_rows = None;
     let mut finishes = Vec::new();
     for h in handles {
-        let ((out, after_barrier), report) = h.join().expect("worker ok");
+        let (out, report) = h
+            .join()
+            .unwrap_or_else(|e| panic!("{variant} P={p}: worker failed: {e}"));
         if let Some(rows) = out {
-            assert!(root_rows.is_none(), "only the root may hold the reduction");
+            assert!(
+                root_rows.is_none(),
+                "{variant} P={p}: only the root may hold the reduction"
+            );
             root_rows = Some(rows);
         }
         finishes.push(report.finished);
-        let _ = after_barrier;
     }
-    (root_rows.expect("root produced output"), finishes)
+    let rows = root_rows.unwrap_or_else(|| panic!("{variant} P={p}: the root holds no output"));
+    (rows, finishes)
 }
 
-#[test]
-fn reduce_collects_every_workers_rows_queue() {
-    for p in [2u32, 4, 7] {
-        let env = CloudEnv::new(CloudConfig::deterministic(p as u64));
-        let ch = channel(&env, Variant::Queue, p);
-        let (rows, _) = run_collective(env, ch, p);
-        let expected_ids: Vec<u32> = (0..p).map(|m| m * 5).collect();
-        assert_eq!(rows.ids(), &expected_ids[..], "queue P={p}");
-        for m in 0..p {
-            assert_eq!(
-                rows.row_by_id(m * 5).expect("present").1[0],
-                m as f32 + 1.0,
-                "queue P={p} worker {m} values"
-            );
-        }
+/// Asserts the root's reduction over `variant` at `p` workers holds every
+/// worker's row, in id order, with that worker's values.
+fn assert_reduces_every_row(variant: Variant, seed: u64, p: u32) {
+    let (rows, _) = run_collective(variant, seed, p);
+    let expected_ids: Vec<u32> = (0..p).map(|m| m * 5).collect();
+    assert_eq!(rows.ids(), &expected_ids[..], "{variant} P={p}");
+    for m in 0..p {
+        let (_, vals) = rows
+            .row_by_id(m * 5)
+            .unwrap_or_else(|| panic!("{variant} P={p}: worker {m}'s row is missing"));
+        assert_eq!(vals[0], m as f32 + 1.0, "{variant} P={p} worker {m} values");
     }
 }
 
-#[test]
-fn reduce_collects_every_workers_rows_object() {
-    for p in [2u32, 5] {
-        let env = CloudEnv::new(CloudConfig::deterministic(100 + p as u64));
-        let ch = channel(&env, Variant::Object, p);
-        let (rows, _) = run_collective(env, ch, p);
-        assert_eq!(rows.n_rows(), p as usize, "object P={p}");
-    }
-}
-
-#[test]
-fn reduce_collects_every_workers_rows_env_variant() {
-    // The CI channel matrix points this at each transport in turn.
-    for p in [2u32, 4] {
-        let env = CloudEnv::new(CloudConfig::deterministic(500 + p as u64));
-        let ch = selected_channel(&env, p);
-        let (rows, _) = run_collective(env, ch, p);
-        let expected_ids: Vec<u32> = (0..p).map(|m| m * 5).collect();
-        assert_eq!(
-            rows.ids(),
-            &expected_ids[..],
-            "{} P={p}",
-            common::test_variant()
-        );
-    }
-}
-
-#[test]
-fn consecutive_barrier_rounds_env_variant() {
-    let p = 3u32;
-    let env = CloudEnv::new(CloudConfig::deterministic(600));
-    let ch = selected_channel(&env, p);
+/// Runs `rounds` consecutive barriers on `p` workers over `variant`'s
+/// channel; every worker must pass every round.
+fn run_barrier_rounds(variant: Variant, seed: u64, p: u32, rounds: u32) {
+    let env = CloudEnv::new(CloudConfig::deterministic(seed));
+    let ch = channel(&env, variant, p);
     let platform = FaasPlatform::new(env, ComputeModel::default());
     let mut handles = Vec::new();
     for m in 0..p {
@@ -129,7 +95,7 @@ fn consecutive_barrier_rounds_env_variant() {
             FunctionConfig::worker(format!("w{m}"), 1024),
             VirtualTime::ZERO,
             move |ctx| {
-                for round in 0..4 {
+                for round in 0..rounds {
                     barrier(ch.as_ref(), ctx, m, p, round)?;
                 }
                 Ok(())
@@ -137,7 +103,40 @@ fn consecutive_barrier_rounds_env_variant() {
         ));
     }
     for h in handles {
-        h.join().expect("all rounds complete");
+        h.join()
+            .unwrap_or_else(|e| panic!("{variant}: every round completes: {e}"));
+    }
+}
+
+#[test]
+fn reduce_collects_every_workers_rows_queue() {
+    for p in [2u32, 4, 7] {
+        assert_reduces_every_row(Variant::Queue, p as u64, p);
+    }
+}
+
+#[test]
+fn reduce_collects_every_workers_rows_object() {
+    for p in [2u32, 5] {
+        assert_reduces_every_row(Variant::Object, 100 + p as u64, p);
+    }
+}
+
+#[test]
+fn reduce_collects_every_workers_rows_env_variant() {
+    // Every channel transport in turn, so a new transport joins this test
+    // without an edit.
+    for variant in common::channel_variants() {
+        for p in [2u32, 4, 5, 7] {
+            assert_reduces_every_row(variant, 500 + p as u64, p);
+        }
+    }
+}
+
+#[test]
+fn consecutive_barrier_rounds_env_variant() {
+    for variant in common::channel_variants() {
+        run_barrier_rounds(variant, 600, 3, 4);
     }
 }
 
@@ -146,18 +145,18 @@ fn barrier_synchronizes_staggered_workers() {
     // Workers arrive at the barrier seconds apart (staggered compute);
     // nobody passes it until the slowest arrives, so finish times cluster.
     let p = 4u32;
-    let env = CloudEnv::new(CloudConfig::deterministic(200));
-    let ch = channel(&env, Variant::Queue, p);
-    let (_, finishes) = run_collective(env, ch, p);
-    let min = finishes.iter().min().expect("non-empty").as_secs_f64();
-    let max = finishes.iter().max().expect("non-empty").as_secs_f64();
-    // Worker compute stagger was (p-1) * 0.4 s ≈ 1.2 s; post-barrier spread
-    // must be far smaller than that.
-    assert!(
-        max - min < 1.0,
-        "barrier failed to synchronize: finish spread {:.2}s",
-        max - min
-    );
+    for variant in common::channel_variants() {
+        let (_, finishes) = run_collective(variant, 200, p);
+        let min = finishes.iter().min().expect("non-empty").as_secs_f64();
+        let max = finishes.iter().max().expect("non-empty").as_secs_f64();
+        // Worker compute stagger was (p-1) * 0.4 s ≈ 1.2 s; post-barrier
+        // spread must be far smaller than that.
+        assert!(
+            max - min < 1.0,
+            "{variant}: barrier failed to synchronize: finish spread {:.2}s",
+            max - min
+        );
+    }
 }
 
 #[test]
@@ -185,25 +184,5 @@ fn single_worker_collectives_are_noops() {
 
 #[test]
 fn consecutive_barrier_rounds_do_not_collide() {
-    let p = 3u32;
-    let env = CloudEnv::new(CloudConfig::deterministic(400));
-    let ch = channel(&env, Variant::Queue, p);
-    let platform = FaasPlatform::new(env, ComputeModel::default());
-    let mut handles = Vec::new();
-    for m in 0..p {
-        let ch = ch.clone();
-        handles.push(platform.invoke(
-            FunctionConfig::worker(format!("w{m}"), 1024),
-            VirtualTime::ZERO,
-            move |ctx| {
-                for round in 0..5 {
-                    barrier(ch.as_ref(), ctx, m, p, round)?;
-                }
-                Ok(ctx.now())
-            },
-        ));
-    }
-    for h in handles {
-        h.join().expect("all rounds complete");
-    }
+    run_barrier_rounds(Variant::Queue, 400, 3, 5);
 }

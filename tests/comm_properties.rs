@@ -5,7 +5,7 @@
 use fsd_inference::comm::{
     bucket_name, quota, CloudConfig, CloudEnv, Message, MessageAttributes, VClock, VirtualTime,
 };
-use fsd_inference::core::{ChannelOptions, RecvTracker, Tag, Transport};
+use fsd_inference::core::{ChannelOptions, RecvTracker, Tag, Transport, Variant};
 use fsd_inference::faas::{ComputeModel, FaasError, FaasPlatform, FunctionConfig, WorkerCtx};
 use fsd_inference::sparse::SparseRows;
 use proptest::prelude::*;
@@ -13,8 +13,10 @@ use std::sync::Arc;
 
 mod common;
 
-/// Runs `body` inside one simulated worker invocation.
+/// Runs `body` inside one simulated worker invocation on `variant`'s
+/// channel.
 fn with_ctx<T: Send + 'static>(
+    variant: Variant,
     env: Arc<CloudEnv>,
     body: impl FnOnce(&mut WorkerCtx) -> Result<T, FaasError> + Send + 'static,
 ) -> T {
@@ -22,7 +24,7 @@ fn with_ctx<T: Send + 'static>(
     platform
         .invoke(FunctionConfig::worker("t", 2048), VirtualTime::ZERO, body)
         .join()
-        .expect("test body ok")
+        .unwrap_or_else(|e| panic!("{variant}: {e}"))
         .0
 }
 
@@ -146,15 +148,14 @@ proptest! {
     fn selected_channel_conserves_arbitrary_payloads(
         seed in 1u64..1000,
         rows in proptest::collection::vec((0u32..64, 1usize..40), 1..6),
+        variant in common::any_channel_variant(),
     ) {
-        // The CI channel matrix points this at queue, object and hybrid in
-        // turn: arbitrary per-row payloads must arrive bit-identically,
-        // whatever transport (and, for hybrid, whatever spill decisions)
-        // carried them.
+        // Arbitrary per-row payloads must arrive bit-identically, whatever
+        // transport (and, for hybrid, whatever spill decisions) carried
+        // them.
         let env = CloudEnv::new(CloudConfig::deterministic(seed));
-        let variant = common::test_variant();
         let channel = Transport::of(variant)
-            .expect("channel variant")
+            .unwrap_or_else(|| panic!("no transport for {variant}"))
             .provision(&env, 2, ChannelOptions { spill_threshold: 512, ..ChannelOptions::default() }, 0);
         let mut sent = SparseRows::new(64);
         for (pos, &(id_off, nnz)) in rows.iter().enumerate() {
@@ -165,11 +166,11 @@ proptest! {
         }
         let sent2 = sent.clone();
         let ch_send = channel.clone();
-        with_ctx(env.clone(), move |ctx| {
+        with_ctx(variant, env.clone(), move |ctx| {
             ch_send.send_layer(ctx, Tag::Layer(0), 0, &[(1, sent2)])
         });
         let ch_recv = channel.clone();
-        let got = with_ctx(env.clone(), move |ctx| {
+        let got = with_ctx(variant, env.clone(), move |ctx| {
             let mut tracker = RecvTracker::expecting([0u32]);
             ch_recv.receive_all(ctx, Tag::Layer(0), 1, &mut tracker)
         });
@@ -177,10 +178,11 @@ proptest! {
         for (_, block) in got {
             merged.merge(&block);
         }
-        prop_assert_eq!(merged, sent);
+        prop_assert_eq!(&merged, &sent, "{}: received {:?}, sent {:?}", variant, merged, sent);
         // Teardown leaves the region exactly as found, on every transport.
         channel.teardown();
-        prop_assert_eq!(env.residue_report(), Vec::<String>::new());
+        let residue = env.residue_report();
+        prop_assert!(residue.is_empty(), "{}: residue {:?}", variant, residue);
     }
 
     #[test]

@@ -4,27 +4,24 @@
 #![allow(dead_code)]
 
 use fsd_inference::core::Variant;
+use proptest::prelude::Strategy;
 use std::sync::mpsc::{channel, RecvTimeoutError};
 use std::time::Duration;
 
-/// The channel variant under test, selected by the `FSD_TEST_VARIANT`
-/// environment variable (any `Variant::channel_name`; default `queue`).
-/// The CI channel-matrix job sets it per matrix leg, so the same suites
-/// exercise every transport.
-///
-/// # Panics
-/// On an unrecognized value — a misconfigured matrix leg must fail loudly,
-/// not silently test the default transport.
-pub fn test_variant() -> Variant {
-    let name = std::env::var("FSD_TEST_VARIANT")
-        .unwrap_or_default()
-        .to_ascii_lowercase();
-    if name.is_empty() {
-        return Variant::Queue;
-    }
-    Variant::from_channel_name(&name).unwrap_or_else(|| {
-        panic!("FSD_TEST_VARIANT={name:?}: expected queue | object | hybrid | direct")
-    })
+/// Every channel transport, in [`Variant::ALL`] order: each variant but
+/// Serial (a one-rank tree that never sends) and Auto (which resolves into
+/// another variant first). The suites iterate this, so a new transport
+/// joins every one of them without an edit.
+pub fn channel_variants() -> impl Iterator<Item = Variant> {
+    Variant::ALL
+        .into_iter()
+        .filter(|v| !matches!(v, Variant::Serial | Variant::Auto))
+}
+
+/// A proptest strategy drawing one of [`channel_variants`].
+pub fn any_channel_variant() -> impl Strategy<Value = Variant> {
+    let all: Vec<Variant> = channel_variants().collect();
+    (0..all.len()).prop_map(move |i| all[i])
 }
 
 /// How long a liveness test may run before [`watchdog`] fails it: far

@@ -139,34 +139,34 @@ fn hybrid_variant_matches_ground_truth_at_various_p() {
     assert_eq!(service.audit(), Vec::<String>::new());
 }
 
-/// The CI channel matrix runs this suite once per transport, selecting the
-/// variant with `FSD_TEST_VARIANT` — ground truth, per-worker reporting
-/// and flow-scoped cleanup must hold identically on every channel.
+/// Ground truth, per-worker reporting and flow-scoped cleanup hold
+/// identically on every channel transport.
 #[test]
-fn env_selected_variant_matches_ground_truth() {
-    let variant = common::test_variant();
+fn every_channel_matches_ground_truth() {
     let spec = small_spec(15);
     let (service, inputs) = service_for(&spec, 15);
     let expected = service.dnn().serial_inference(&inputs);
-    for p in [2u32, 4] {
-        let report = service
-            .submit(&InferenceRequest {
-                variant,
-                workers: p,
-                memory_mb: 1536,
-                inputs: inputs.clone(),
-            })
-            .unwrap_or_else(|e| panic!("{variant} P={p}: {e}"));
-        assert_eq!(
-            report.first_output(),
-            &expected,
-            "{variant} P={p} output mismatch"
-        );
-        assert_eq!(report.per_worker.len(), p as usize);
-        assert_eq!(report.variant, variant);
+    for variant in common::channel_variants() {
+        for p in [2u32, 4] {
+            let report = service
+                .submit(&InferenceRequest {
+                    variant,
+                    workers: p,
+                    memory_mb: 1536,
+                    inputs: inputs.clone(),
+                })
+                .unwrap_or_else(|e| panic!("{variant} P={p}: {e}"));
+            assert_eq!(
+                report.first_output(),
+                &expected,
+                "{variant} P={p} output mismatch"
+            );
+            assert_eq!(report.per_worker.len(), p as usize, "{variant} P={p}");
+            assert_eq!(report.variant, variant, "{variant} P={p}");
+        }
+        // Whatever the transport held on the region is gone after teardown.
+        assert_eq!(service.audit(), Vec::<String>::new(), "{variant}");
     }
-    // Whatever the transport held on the region is gone after teardown.
-    assert_eq!(service.audit(), Vec::<String>::new(), "{variant}");
 }
 
 #[test]
@@ -492,6 +492,13 @@ fn modelled_footprint_of_a_fixed_request_is_pinned_per_transport() {
     let inputs = generate_inputs(spec.neurons, &InputSpec::scaled(32, 22));
     let expected = dnn.serial_inference(&inputs);
     let service = ServiceBuilder::new(dnn).deterministic(22).build();
+    assert!(
+        PINNED_FOOTPRINTS
+            .iter()
+            .map(|&(v, _)| v)
+            .eq(common::channel_variants()),
+        "every channel transport pins its footprint, in `Variant::ALL` order"
+    );
     for (variant, pinned) in PINNED_FOOTPRINTS {
         let report = service
             .submit(&InferenceRequest {

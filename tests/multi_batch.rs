@@ -8,6 +8,8 @@ use fsd_inference::core::{
 use fsd_inference::model::{generate_dnn, generate_inputs, DnnSpec, InputSpec};
 use std::sync::Arc;
 
+mod common;
+
 fn setup(seed: u64) -> (FsdService, Vec<fsd_inference::sparse::SparseRows>) {
     let spec = DnnSpec {
         neurons: 96,
@@ -39,7 +41,7 @@ fn batched_outputs_match_per_batch_ground_truth() {
         .iter()
         .map(|b| service.dnn().serial_inference(b))
         .collect();
-    for variant in [Variant::Queue, Variant::Object, Variant::Serial] {
+    for variant in common::channel_variants().chain([Variant::Serial]) {
         let report = service
             .submit_batched(&BatchedRequest {
                 variant,
@@ -52,8 +54,8 @@ fn batched_outputs_match_per_batch_ground_truth() {
         for (b, exp) in expected.iter().enumerate() {
             assert_eq!(&report.outputs[b], exp, "{variant}: batch {b} mismatch");
         }
-        assert_eq!(report.samples, 16 + 24 + 32);
-        assert_eq!(report.first_output(), &report.outputs[0]);
+        assert_eq!(report.samples, 16 + 24 + 32, "{variant}");
+        assert_eq!(report.first_output(), &report.outputs[0], "{variant}");
     }
     assert_eq!(service.audit(), Vec::<String>::new());
 }
@@ -133,4 +135,54 @@ fn empty_batch_list_is_a_structured_error() {
     });
     assert_eq!(res.unwrap_err(), FsdError::EmptyRequest);
     assert_eq!(service.audit(), Vec::<String>::new());
+}
+
+/// The scheduler runs every admitted pass, a singleton included, through
+/// `submit_coalesced`: on a one-member slice it must be `submit_batched`,
+/// number for number, on every channel transport.
+#[test]
+fn one_member_coalesced_pass_equals_submit_batched() {
+    for variant in common::channel_variants() {
+        let (alone, batches) = setup(25);
+        let (coalesced, _) = setup(25);
+        let req = BatchedRequest {
+            variant,
+            workers: 3,
+            memory_mb: 1769,
+            batches,
+        };
+        let single = alone
+            .submit_batched(&req)
+            .unwrap_or_else(|e| panic!("{variant}: submit_batched: {e}"));
+        let mut members = coalesced.submit_coalesced(std::slice::from_ref(&req));
+        assert_eq!(members.len(), 1, "{variant}: one result per member");
+        let member = members
+            .pop()
+            .expect("one member")
+            .unwrap_or_else(|e| panic!("{variant}: submit_coalesced: {e}"));
+        assert_eq!(member.outputs, single.outputs, "{variant}");
+        assert_eq!(member.latency, single.latency, "{variant}");
+        assert_eq!(member.comm, single.comm, "{variant}");
+        assert_eq!(member.lambda, single.lambda, "{variant}");
+        assert_eq!(member.work_done, single.work_done, "{variant}");
+        assert_eq!(member.launch, single.launch, "{variant}");
+
+        let empty = BatchedRequest {
+            batches: vec![],
+            ..req
+        };
+        assert_eq!(
+            alone.submit_batched(&empty).unwrap_err(),
+            FsdError::EmptyRequest,
+            "{variant}"
+        );
+        let errors: Vec<_> = coalesced
+            .submit_coalesced(std::slice::from_ref(&empty))
+            .into_iter()
+            .map(Result::unwrap_err)
+            .collect();
+        assert_eq!(errors, [FsdError::EmptyRequest], "{variant}");
+        assert_eq!(alone.audit(), Vec::<String>::new(), "{variant}");
+        assert_eq!(coalesced.audit(), Vec::<String>::new(), "{variant}");
+    }
 }

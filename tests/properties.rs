@@ -10,6 +10,8 @@ use fsd_inference::partition::{partition_model, CommPlan, Hypergraph, PartitionS
 use fsd_inference::sparse::{codec, compress, CsrMatrix, SparseRows};
 use proptest::prelude::*;
 
+mod common;
+
 /// Strategy: a sparse row block with sorted ids/cols.
 fn sparse_rows_strategy(max_rows: usize, width: usize) -> impl Strategy<Value = SparseRows> {
     let row = (0u32..width as u32, -100.0f32..100.0);
@@ -295,22 +297,21 @@ proptest! {
         neurons in 48usize..96,
         parts in 2u32..5,
         seed in 0u64..1000,
-        variant_idx in 0usize..4,
+        variant in common::any_channel_variant(),
     ) {
-        use fsd_inference::core::{InferenceRequest, ServiceBuilder, Variant};
+        use fsd_inference::core::{InferenceRequest, ServiceBuilder};
         use std::sync::Arc;
         let spec = DnnSpec { neurons, layers: 3, nnz_per_row: 6, bias: -0.25, clip: 32.0, seed };
         let dnn = Arc::new(generate_dnn(&spec));
         let inputs = generate_inputs(neurons, &InputSpec::scaled(12, seed));
         let expected = dnn.serial_inference(&inputs);
         let service = ServiceBuilder::new(dnn).deterministic(seed).build();
-        let variant =
-            [Variant::Queue, Variant::Object, Variant::Hybrid, Variant::Direct][variant_idx];
         let report = service
             .submit(&InferenceRequest { variant, workers: parts, memory_mb: 1536, inputs })
-            .expect("run succeeds");
-        prop_assert_eq!(report.first_output(), &expected);
-        prop_assert_eq!(service.audit(), Vec::<String>::new());
+            .unwrap_or_else(|e| panic!("{variant}: {e}"));
+        prop_assert_eq!(report.first_output(), &expected, "{variant} P={parts}: output mismatch");
+        let audit = service.audit();
+        prop_assert!(audit.is_empty(), "{variant}: audit {audit:?}");
     }
 }
 
@@ -514,11 +515,11 @@ proptest! {
     fn chaos_replays_are_bit_identical_and_conserve_payloads(
         fault_seed in 0u64..1000,
         model_seed in 0u64..100,
-        variant_idx in 0usize..4,
+        variant in common::any_channel_variant(),
         parts in 2u32..4,
     ) {
         use fsd_inference::comm::{CloudConfig, FaultPlan};
-        use fsd_inference::core::{InferenceRequest, ServiceBuilder, Variant};
+        use fsd_inference::core::{InferenceRequest, ServiceBuilder};
         use std::sync::Arc;
 
         let spec = DnnSpec {
@@ -527,8 +528,6 @@ proptest! {
         let dnn = Arc::new(generate_dnn(&spec));
         let inputs = generate_inputs(spec.neurons, &InputSpec::scaled(8, model_seed));
         let expected = dnn.serial_inference(&inputs);
-        let variant =
-            [Variant::Queue, Variant::Object, Variant::Hybrid, Variant::Direct][variant_idx];
 
         let replay = || -> Result<_, String> {
             let cloud = CloudConfig::deterministic(model_seed)
@@ -550,7 +549,7 @@ proptest! {
                         // Conservation: faults may delay or re-send, but
                         // what arrives is exactly the oracle's answer.
                         if report.first_output() != &expected {
-                            return Err("surviving run corrupted payload".into());
+                            return Err(format!("{variant}: surviving run corrupted payload"));
                         }
                         Ok((report.latency, report.comm, report.lambda))
                     }
@@ -559,7 +558,7 @@ proptest! {
             }
             // Fault or not, every flow released its namespaced state and
             // was billed once.
-            assert_eq!(service.audit(), Vec::<String>::new());
+            assert_eq!(service.audit(), Vec::<String>::new(), "{variant}");
             Ok((
                 outcomes,
                 service.env().meter().snapshot(),
@@ -571,8 +570,8 @@ proptest! {
         let a = replay()?;
         let b = replay()?;
         let c = replay()?;
-        prop_assert_eq!(&a, &b, "replay 2 diverged from replay 1");
-        prop_assert_eq!(&b, &c, "replay 3 diverged from replay 2");
+        prop_assert_eq!(&a, &b, "{variant}: replay 2 diverged from replay 1");
+        prop_assert_eq!(&b, &c, "{variant}: replay 3 diverged from replay 2");
     }
 }
 

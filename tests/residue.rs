@@ -42,17 +42,7 @@ fn region() -> Arc<CloudEnv> {
 
 #[test]
 fn every_variant_leaves_zero_residue() {
-    for (i, variant) in [
-        Variant::Serial,
-        Variant::Queue,
-        Variant::Object,
-        Variant::Hybrid,
-        Variant::Direct,
-        Variant::Auto,
-    ]
-    .into_iter()
-    .enumerate()
-    {
+    for (i, variant) in Variant::ALL.into_iter().enumerate() {
         let (service, inputs) = service_for(10 + i as u64);
         let workers = if variant == Variant::Serial { 1 } else { 3 };
         service

@@ -88,12 +88,7 @@ fn warm_hits_skip_launch_and_match_cold_outputs_on_both_channels() {
         if pool { b.warm_pool(4, u64::MAX) } else { b }.build()
     };
     for stream in [false, true] {
-        for variant in [
-            Variant::Queue,
-            Variant::Object,
-            Variant::Hybrid,
-            Variant::Direct,
-        ] {
+        for variant in common::channel_variants() {
             for p in [1u32, 3, 8] {
                 let what = format!("{variant} P={p} stream={stream}");
                 let req = request(&inputs, variant, p);
