@@ -20,7 +20,7 @@
 //! | `retry-idempotent` | a `RetryPolicy` `.run(..)` closure — or one handed to the channel engine's `.retried(..)` wrapper around it — must not call non-idempotent channel ops (`take_visible`, `settle_receives`, `enqueue`) — a retried attempt repeats its calls, so only idempotent ops may sit inside one |
 //! | `real-wait` | in non-test `crates/{comm,core,faas,sched}/src`, real time (`wait_for(`, `wait_until(`, `sleep(`, `Instant::now`) never appears — every effect settles from virtual stamps and every wait is untimed, ended by a notify (a raw receive's by its producer's post or its tree's poison) |
 //! | `byte-reader` | in non-test `crates/{sparse,core,comm}/src`, `from_le_bytes` and any `fn` whose name contains `varint` appear only in `crates/sparse/src/bytes.rs` — every byte format decodes through its one bounds-checked `Reader` |
-//! | `orphan-pub` | every bare-`pub` `fn`/`const`/`static` of non-test library code (`crates/*/src` outside `src/bin/`) is named by another file's non-test code — library, bin or example; tests, comments and `use` lines do not count |
+//! | `orphan-pub` | every bare-`pub` `fn`/`const`/`static` of non-test library code (`crates/*/src` outside `src/bin/`) is named by another file's non-test code — library, bin or example; tests, comments and `use` lines do not count, and a `fn` is named only call-shaped (`name(`, `name::<`, `::name`) |
 //!
 //! Escape hatch: a comment containing `fsd_lint::allow(lint-name): reason`
 //! (optionally a comma-separated list of lints) suppresses those lints on the
@@ -1176,22 +1176,37 @@ fn lint_byte_reader(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
 /// A bare-`pub` `fn`, `const` or `static` of library code that no other
 /// file names outside tests, comments and `use` lines has no caller, so it
 /// is deleted, made private or made `#[cfg(test)]`. Types are not indexed:
-/// signatures keep them reachable. The match is by name, so it errs toward
-/// silence — any same-named identifier in a caller file counts.
+/// signatures keep them reachable. A `const` or `static` is named by any
+/// same-named identifier. A `fn` is named only where the name is
+/// call-shaped — `name(`, `name::<` or `::name` (a path, so `Type::name`
+/// passed as a value counts) — so a field of the same name no longer
+/// keeps a method alive. The receiver's type is not resolved, so a
+/// same-named method of another type still counts.
 fn lint_orphan_pub(files: &[FileCtx<'_>], out: &mut Vec<Finding>) {
-    // Each identifier a caller names, with the indices of the files naming it.
+    // Each identifier a caller names, and each it names call-shaped, with
+    // the indices of the files naming it.
     let mut named: BTreeMap<&str, BTreeSet<usize>> = BTreeMap::new();
+    let mut called: BTreeMap<&str, BTreeSet<usize>> = BTreeMap::new();
     for (f, file) in files.iter().enumerate() {
         if is_test_file(file.path) {
             continue;
         }
+        let toks = &file.toks;
+        let sym = |k: usize, c: char| toks.get(k).is_some_and(|t| t.is_sym(c));
         let mut in_use = false;
-        for (t, &test) in file.toks.iter().zip(&file.test) {
+        for (k, (t, &test)) in toks.iter().zip(&file.test).enumerate() {
             in_use |= t.is_word("use");
             if in_use {
                 in_use = !t.is_sym(';');
             } else if t.kind == Kind::Word && !test {
                 named.entry(&t.text).or_default().insert(f);
+                let defines = k >= 1 && toks[k - 1].is_word("fn");
+                let call_shaped = sym(k + 1, '(')
+                    || (sym(k + 1, ':') && sym(k + 2, ':') && sym(k + 3, '<'))
+                    || (k >= 2 && sym(k - 1, ':') && sym(k - 2, ':'));
+                if call_shaped && !defines {
+                    called.entry(&t.text).or_default().insert(f);
+                }
             }
         }
     }
@@ -1227,10 +1242,11 @@ fn lint_orphan_pub(files: &[FileCtx<'_>], out: &mut Vec<Finding>) {
             let Some(name) = toks.get(j + 1).filter(|t| t.kind == Kind::Word) else {
                 continue;
             };
-            let called = named
+            let index = if kind.is_word("fn") { &called } else { &named };
+            let is_named = index
                 .get(name.text.as_str())
                 .is_some_and(|callers| callers.iter().any(|&g| g != f));
-            if !called {
+            if !is_named {
                 file.push(
                     out,
                     toks[i].line,

@@ -12,3 +12,14 @@ pub static NAMED_BY_A_PUB_USE: u32 = 2;
 pub const fn named_only_here() -> u32 {
     NAMED_BY_A_COMMENT + NAMED_BY_A_PUB_USE
 }
+
+pub struct Window {
+    pub span: u32,
+}
+
+impl Window {
+    // Another file reads the field `span`; nothing calls the method.
+    pub fn span(&self) -> u32 {
+        self.span
+    }
+}

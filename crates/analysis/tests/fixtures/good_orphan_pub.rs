@@ -21,3 +21,13 @@ pub fn inspected_by_integration_tests() {}
 
 #[cfg(test)]
 pub fn test_helper() {}
+
+// Call-shaped uses in another file: `.name(`, `Type::name` as a value and
+// a turbofish call.
+impl Shape {
+    pub fn called_as_a_method(&self) {}
+
+    pub fn passed_as_a_value(&self) {}
+
+    pub fn called_with_a_turbofish<T>(&self) {}
+}

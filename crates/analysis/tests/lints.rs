@@ -252,7 +252,8 @@ fn orphan_pub_flags_items_only_tests_comments_and_reexports_name() {
             "pub use crate::fixture::NAMED_BY_A_PUB_USE;\n\
              // NAMED_BY_A_COMMENT\n\
              #[cfg(test)]\n\
-             mod tests {\n    fn t() { super::named_by_a_cfg_test_block(); }\n}\n",
+             mod tests {\n    fn t() { super::named_by_a_cfg_test_block(); }\n}\n\
+             fn read(w: &Window) -> u32 { w.span }\n",
         ),
         (
             "crates/core/src/carrier/tests.rs",
@@ -266,7 +267,7 @@ fn orphan_pub_flags_items_only_tests_comments_and_reexports_name() {
         .collect();
     assert_eq!(
         out,
-        [2, 4, 6, 8, 10, 12].map(|line| (lib.to_string(), lint, line))
+        [2, 4, 6, 8, 10, 12, 22].map(|line| (lib.to_string(), lint, line))
     );
 }
 
@@ -282,7 +283,12 @@ fn orphan_pub_counts_bins_examples_and_other_library_files() {
         ("examples/demo.rs", "fn main() { named_by_an_example(); }"),
         (
             "crates/sched/src/caller.rs",
-            "fn f() -> u32 { NAMED_BY_A_LIBRARY_FILE }",
+            "fn f() -> u32 { NAMED_BY_A_LIBRARY_FILE }\n\
+             fn g(s: &Shape) {\n\
+                 s.called_as_a_method();\n\
+                 [s].map(Shape::passed_as_a_value);\n\
+                 s.called_with_a_turbofish::<u32>();\n\
+             }",
         ),
         ("tests/it.rs", "pub fn test_files_are_not_indexed() {}"),
     ];

@@ -294,7 +294,9 @@ mod tests {
         };
         // Don't generate 2G nonzeros — construct a fake via mem estimate:
         // instead verify the check directly with a small dnn and a tiny box.
-        assert!(spec.weight_bytes() > 16 * (1 << 30));
+        // CSR: 8 bytes per nonzero plus an 8-byte row pointer per row.
+        let csr_bytes = spec.total_nnz() * 8 + spec.layers * (spec.neurons + 1) * 8;
+        assert!(csr_bytes > 16 * (1 << 30));
         let (dnn, inputs) = setup();
         let tiny = InstanceType {
             name: "tiny",

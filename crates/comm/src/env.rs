@@ -136,11 +136,6 @@ impl CloudEnv {
         self.region.meter.snapshot()
     }
 
-    /// Convenience: the billing events attributed to one request flow.
-    pub fn flow_snapshot(&self, flow: u64) -> MeterSnapshot {
-        self.region.meter.flow_snapshot(flow)
-    }
-
     /// Convenience: removes a flow's billing bucket, returning its final
     /// window (request teardown).
     pub fn release_flow(&self, flow: u64) -> MeterSnapshot {

@@ -215,11 +215,19 @@ impl ObjectStore {
     /// Reconstructs — deterministically, from virtual stamps alone — the
     /// continuous-rescan LIST sequence a consumer starting at `clock`
     /// would have issued until every object with the given availability
-    /// stamps had surfaced: objects already visible cost one productive
-    /// scan, objects stamped in the virtual future cost
-    /// `ceil(gap / scan_interval)` rescans (back-to-back scanning at the
-    /// LIST round trip by default) before the productive one. Bills every
-    /// scan and advances the clock through the sequence; returns the
+    /// stamps had surfaced. The stamps are taken in ascending order, one
+    /// group at a time:
+    ///
+    /// * when the earliest unsurfaced stamp lies in the virtual future,
+    ///   the empty rescans before it are billed as `floor(gap /
+    ///   scan_interval)` LISTs (`scan_interval` defaults to the LIST round
+    ///   trip), and the clock then jumps to that stamp — to the object's
+    ///   landing instant, not to the next scan boundary;
+    /// * one productive scan follows: it surfaces every object stamped at
+    ///   or before the clock, is billed, and advances the clock by one
+    ///   LIST round trip.
+    ///
+    /// No stamps still cost the one scan that proved it. Returns the
     /// number of billed LISTs.
     pub fn settle_scans(
         &self,

@@ -69,13 +69,6 @@ impl ServiceBuilder {
         self
     }
 
-    /// Sets the FSD-Inf-Serial instance memory (tests lower it to exercise
-    /// OOM paths; the paper uses Lambda's maximum).
-    pub fn serial_memory_mb(mut self, memory_mb: u32) -> ServiceBuilder {
-        self.cfg.serial_memory_mb = memory_mb;
-        self
-    }
-
     /// Enables λScale-style cold-start weight streaming
     /// ([`EngineConfig::stream_weights`]): cold tree launches provision
     /// instances flat straight from the control plane (no coordinator
@@ -192,10 +185,10 @@ mod tests {
             .config(EngineConfig {
                 scheme: PartitionScheme::Block,
                 branching: 2,
+                serial_memory_mb: 512,
                 ..EngineConfig::default()
             })
             .deterministic(9)
-            .serial_memory_mb(512)
             .build();
         assert_eq!(service.config().branching, 2);
         assert_eq!(service.config().seed, 9);

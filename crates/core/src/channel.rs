@@ -9,7 +9,9 @@
 //! their size-switched hybrid, and punched direct links.
 //!
 //! Collectives (`barrier`, `reduce`) are built on the same primitives using
-//! reserved tags, exactly as the paper layers them on its channels.
+//! reserved tags, exactly as the paper layers them on its channels. The
+//! worker loop closes each batch with `reduce` alone; `barrier` is not on
+//! the inference path.
 
 use fsd_comm::quota;
 use fsd_faas::{FaasError, WorkerCtx};
@@ -222,6 +224,11 @@ pub trait FsiChannel: Send + Sync {
 /// Barrier across all `n_workers` (paper line `barrier(P_all)`): everyone
 /// reports to worker 0, which releases everyone. Built on the channel's own
 /// primitives so it is exactly as serverless as the data path.
+///
+/// A standalone public collective, off the inference path: the worker
+/// loop does not call it, because per-(batch, layer) tags already keep
+/// batches apart and the root's [`reduce`] already waits for every rank.
+/// The `machine` bench's barrier probe still calls it.
 pub fn barrier(
     channel: &dyn FsiChannel,
     ctx: &mut WorkerCtx,

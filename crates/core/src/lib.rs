@@ -24,8 +24,9 @@
 //!   λScale-style cold starts where rank 0 fetches each weight block once
 //!   and multicasts it down the launch-tree topology, with per-layer lazy
 //!   decode and a process-wide [`WeightCache`];
-//! * **collectives** — [`channel::barrier`] / [`channel::reduce`] built on
-//!   the same serverless primitives;
+//! * **collectives** — [`channel::reduce`] closes every batch and
+//!   [`channel::barrier`] is a standalone collective, both built on the same
+//!   serverless primitives;
 //! * **cost model** (Section IV) — [`cost::CostModel`] with actual
 //!   (service-metered) vs predicted (client-metered) breakdowns;
 //! * **design recommendations** (Section IV-C) — [`recommend_variant`],

@@ -182,7 +182,8 @@ impl FsdService {
 
     /// Runs several successive batches through one worker tree (paper
     /// Fig. 1): the tree is launched once, weights are loaded once, and a
-    /// barrier + reduce closes each batch.
+    /// reduce to rank 0 closes each batch (no per-batch barrier: the tags
+    /// keep batches apart).
     pub fn submit_batched(&self, req: &BatchedRequest) -> Result<InferenceReport, FsdError> {
         if req.batches.is_empty() {
             return Err(FsdError::EmptyRequest);

@@ -7,8 +7,10 @@
 //! "Batch 1 … Batch n, SYNC"), per layer, a worker sends its owed rows,
 //! computes the local product to overlap communication with computation,
 //! receives and accumulates inbound rows until its receive map is
-//! satisfied, and applies the activation. A barrier + reduce per batch
-//! delivers that batch's result to rank 0. Launching the tree and loading
+//! satisfied, and applies the activation. A reduce per batch delivers that
+//! batch's result to rank 0; the paper's per-batch SYNC barrier is not run,
+//! because layer tags are unique per (batch, layer) and the root's reduce
+//! already waits for every rank. Launching the tree and loading
 //! weight/map artifacts happen once per instance in `warm.rs` and amortize
 //! across batches and requests — the data-parallel batch processing the
 //! paper builds in. FSD-Inf-Serial is the one-rank tree: its send and
@@ -16,7 +18,7 @@
 //! loop runs with every communication step removed.
 
 use crate::artifacts::{load_input_share_into, WorkerArtifacts};
-use crate::channel::{barrier, reduce, FsiChannel, RecvTracker, Tag};
+use crate::channel::{reduce, FsiChannel, RecvTracker, Tag};
 use crate::engine::LaunchPath;
 use crate::recycle::Recycler;
 use crate::stats::ChannelStatsSnapshot;
@@ -126,10 +128,13 @@ impl Default for Workspace {
 pub(crate) type WorkspacePool = Recycler<Workspace>;
 
 /// Runs every batch of one request through an already-loaded worker: per
-/// batch, the layer loop of Algorithms 1 & 2 followed by a barrier + reduce
-/// to rank 0. A keep-alive instance runs *exactly* this per work item,
-/// so outputs are bit-identical between a tree's first (cold) request and
-/// every later (warm) one by construction.
+/// batch, the layer loop of Algorithms 1 & 2 followed by a reduce to rank 0.
+/// No barrier closes a batch: a non-root rank ships its block and goes
+/// straight on to the next batch. Nothing of batch b + 1 can be mistaken
+/// for batch b, since every layer's tag is unique per (batch, layer) and
+/// the engine holds back frames of other tags. A keep-alive instance runs
+/// *exactly* this per work item, so outputs are bit-identical between a
+/// tree's first (cold) request and every later (warm) one by construction.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_batches(
     ctx: &mut WorkerCtx,
@@ -215,10 +220,9 @@ pub(crate) fn run_batches(
             ctx.check_limits()?;
         }
 
-        // --- synchronize and reduce this batch to rank 0 ----------------
-        let round = tag_field(b as u128, "R")?;
-        barrier(channel.as_ref(), ctx, rank, n_workers, round)?;
-        if let Some(out) = reduce(channel.as_ref(), ctx, rank, n_workers, x, round)? {
+        // --- reduce this batch to rank 0 ---------------------------------
+        let batch = tag_field(b as u128, "R")?;
+        if let Some(out) = reduce(channel.as_ref(), ctx, rank, n_workers, x, batch)? {
             final_batches.push(out);
         }
         ctx.track_free(x.mem_bytes() + art.owned.len() * width * 4);

@@ -73,7 +73,7 @@ impl FunctionConfig {
     }
 
     /// Memory limit in bytes.
-    pub fn memory_bytes(&self) -> usize {
+    fn memory_bytes(&self) -> usize {
         self.memory_mb as usize * 1024 * 1024
     }
 }

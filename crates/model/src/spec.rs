@@ -72,11 +72,6 @@ impl DnnSpec {
     pub fn total_nnz(&self) -> usize {
         self.neurons * self.nnz_per_row * self.layers
     }
-
-    /// Estimated in-memory weight bytes (CSR: 8 per nnz + indptr).
-    pub fn weight_bytes(&self) -> usize {
-        self.total_nnz() * 8 + self.layers * (self.neurons + 1) * 8
-    }
 }
 
 /// Parameters of a synthetic inference input batch.
@@ -157,8 +152,8 @@ mod tests {
     }
 
     #[test]
-    fn weight_bytes_scale_with_n() {
-        assert!(DnnSpec::paper(4096, 0).weight_bytes() > DnnSpec::paper(1024, 0).weight_bytes());
-        assert!(DnnSpec::scaled(1024, 0).weight_bytes() < DnnSpec::paper(1024, 0).weight_bytes());
+    fn nnz_scales_with_n() {
+        assert!(DnnSpec::paper(4096, 0).total_nnz() > DnnSpec::paper(1024, 0).total_nnz());
+        assert!(DnnSpec::scaled(1024, 0).total_nnz() < DnnSpec::paper(1024, 0).total_nnz());
     }
 }

@@ -63,7 +63,7 @@ impl Partition {
     }
 
     /// Per-part load under the given vertex weights.
-    pub fn loads(&self, weights: &[u32]) -> Vec<u64> {
+    fn loads(&self, weights: &[u32]) -> Vec<u64> {
         let mut loads = vec![0u64; self.n_parts];
         for (v, &p) in self.assignment.iter().enumerate() {
             loads[p as usize] += weights[v] as u64;

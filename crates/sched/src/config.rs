@@ -262,7 +262,7 @@ impl SchedStatsSnapshot {
 mod tests {
     use super::*;
     use crate::{Scheduler, DEFAULT_MODEL};
-    use fsd_core::{BatchedRequest, ServiceBuilder};
+    use fsd_core::{BatchedRequest, EngineConfig, ServiceBuilder};
     use fsd_model::DnnSpec;
     use std::sync::Arc;
 
@@ -310,8 +310,11 @@ mod tests {
         let dnn = Arc::new(fsd_model::generate_dnn(&spec));
         let svc = Arc::new(
             ServiceBuilder::new(dnn.clone())
+                .config(EngineConfig {
+                    serial_memory_mb: 1,
+                    ..EngineConfig::default()
+                })
                 .deterministic(41)
-                .serial_memory_mb(1)
                 .build(),
         );
         assert_ne!(

@@ -222,6 +222,7 @@ impl CsrMatrix {
 
     /// Densifies into a row-major `rows x cols` buffer. Test/reference use
     /// only: allocates `rows * cols` floats.
+    #[cfg(test)]
     pub fn to_dense(&self) -> Vec<f32> {
         let mut out = vec![0f32; self.rows * self.cols];
         for (r, cols, vals) in self.iter_rows() {

@@ -165,6 +165,7 @@ impl SparseRows {
 
     /// The global ids present in this block.
     #[inline]
+    // fsd_lint::allow(orphan-pub): integration tests inspect a block's ids
     pub fn ids(&self) -> &[u32] {
         &self.ids
     }
@@ -224,25 +225,6 @@ impl SparseRows {
                 out.push_row(gid, cols, vals);
             }
         }
-    }
-
-    /// Count of nonzeros that `extract` would ship for `wanted` — the NNZ
-    /// heuristic used to size pub-sub byte strings before serializing.
-    pub fn extract_nnz(&self, wanted: &[u32]) -> usize {
-        let mut pos = 0usize;
-        let mut total = 0usize;
-        for &id in wanted {
-            while pos < self.ids.len() && self.ids[pos] < id {
-                pos += 1;
-            }
-            if pos == self.ids.len() {
-                break;
-            }
-            if self.ids[pos] == id {
-                total += self.indptr[pos + 1] - self.indptr[pos];
-            }
-        }
-        total
     }
 
     /// Merges another block into this one. Ids may interleave but must not
@@ -362,6 +344,7 @@ impl SparseRows {
 
     /// Densifies to a `n x width` row-major buffer where row order follows
     /// `order` (global ids; absent rows are zero). Test/reference use only.
+    #[cfg(test)]
     pub fn to_dense(&self, order: &[u32]) -> Vec<f32> {
         let mut out = vec![0f32; order.len() * self.width];
         for (i, &id) in order.iter().enumerate() {
@@ -447,14 +430,6 @@ mod tests {
         let b = block();
         assert!(b.extract(&[]).is_empty());
         assert!(b.extract(&[100, 200]).is_empty());
-    }
-
-    #[test]
-    fn extract_nnz_matches_extract() {
-        let b = block();
-        for wanted in [&[2u32, 9][..], &[1, 5, 7], &[], &[2, 5, 9]] {
-            assert_eq!(b.extract_nnz(wanted), b.extract(wanted).nnz());
-        }
     }
 
     #[test]

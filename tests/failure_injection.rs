@@ -232,8 +232,11 @@ fn breaker_trips_degrades_auto_and_recovers_via_half_open_probes() {
     // A Serial instance too small for any model, so Auto recommends a
     // transport — the tiny per-pair volume lands in the Direct band.
     let service = ServiceBuilder::new(dnn)
+        .config(EngineConfig {
+            serial_memory_mb: 0,
+            ..EngineConfig::default()
+        })
         .deterministic(36)
-        .serial_memory_mb(0)
         .build();
     let request = |variant| BatchedRequest {
         variant,

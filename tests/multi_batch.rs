@@ -1,9 +1,11 @@
 //! Multi-batch requests (paper Fig. 1: "Batch 1 … Batch n, SYNC"): one
 //! worker tree processes successive batches, with launch and weight loads
-//! amortized and a barrier + reduce closing each batch.
+//! amortized and a reduce closing each batch. There is no SYNC barrier: a
+//! rank that has shipped its block goes straight on to the next batch, so
+//! only the per-(batch, layer) tags keep two batches' frames apart.
 
 use fsd_inference::core::{
-    BatchedRequest, FsdError, FsdService, InferenceRequest, ServiceBuilder, Variant,
+    BatchedRequest, EngineConfig, FsdError, FsdService, InferenceRequest, ServiceBuilder, Variant,
 };
 use fsd_inference::model::{generate_dnn, generate_inputs, DnnSpec, InputSpec};
 use std::sync::Arc;
@@ -58,6 +60,52 @@ fn batched_outputs_match_per_batch_ground_truth() {
         assert_eq!(report.first_output(), &report.outputs[0], "{variant}");
     }
     assert_eq!(service.audit(), Vec::<String>::new());
+}
+
+/// Ranks of a chain launch start one cold start apart, and no barrier
+/// holds a rank at the end of a batch, so the ranks move through the
+/// batches out of step. Every batch must still equal its own ground
+/// truth: a frame of batch b + 1 is never read as one of batch b, and
+/// none is left behind.
+#[test]
+fn ranks_running_batches_apart_never_cross_them() {
+    common::watchdog(|| {
+        let spec = DnnSpec {
+            neurons: 96,
+            layers: 2,
+            nnz_per_row: 8,
+            bias: -0.25,
+            clip: 32.0,
+            seed: 26,
+        };
+        let dnn = Arc::new(generate_dnn(&spec));
+        let batches: Vec<_> = (0..5)
+            .map(|b| generate_inputs(spec.neurons, &InputSpec::scaled(8 + 4 * b, 26 + b as u64)))
+            .collect();
+        let expected: Vec<_> = batches.iter().map(|b| dnn.serial_inference(b)).collect();
+        let service = ServiceBuilder::new(dnn)
+            .config(EngineConfig {
+                branching: 1, // a chain: the widest start-time skew
+                ..EngineConfig::default()
+            })
+            .deterministic(26)
+            .build();
+        for variant in common::channel_variants() {
+            let report = service
+                .submit_batched(&BatchedRequest {
+                    variant,
+                    workers: 8,
+                    memory_mb: 1769,
+                    batches: batches.clone(),
+                })
+                .unwrap_or_else(|e| panic!("{variant}: {e}"));
+            assert_eq!(report.outputs.len(), expected.len(), "{variant}");
+            for (b, (got, exp)) in report.outputs.iter().zip(&expected).enumerate() {
+                assert_eq!(got, exp, "{variant}: batch {b} mismatch");
+            }
+            assert_eq!(service.audit(), Vec::<String>::new(), "{variant}");
+        }
+    });
 }
 
 #[test]
