@@ -231,8 +231,8 @@ fn maps_mem(send: &LayerMaps, recv: &LayerMaps) -> usize {
 }
 
 /// Retry-wrapped artifact GET against an arbitrary clock, returning the
-/// encoded bytes without charging decode time. The streaming source uses
-/// this with its pipelined fetch-slot clocks; decode is charged by
+/// encoded bytes without charging decode time. The streaming source runs
+/// it on the lanes of its [`crate::lanes::Lanes`]; decode is charged by
 /// whichever instance actually decodes.
 pub(crate) fn fetch_encoded(
     env: &CloudEnv,
@@ -334,6 +334,10 @@ pub(crate) fn assemble_streamed(
 /// Loads a distributed worker's artifacts, charging GET latencies, decode
 /// work and resident memory against the FaaS context, part by part: GET,
 /// then decode, then track.
+///
+/// The GETs run one after another on the worker's own clock, not on its
+/// lanes: this load is the eager cold start the `cold_start` bench gates
+/// a streamed start against (ROADMAP item 21).
 ///
 /// `cache` selects the GET. `None` GETs every object (retry-wrapped).
 /// `Some` reads cache-first — a resident block costs no GET and no

@@ -6,19 +6,21 @@
 //!
 //! * **send** — the carrier *frames* each target's rows into parcels,
 //!   calling back into [`Core::encode`] (serialize + compress + charge the
-//!   worker); the engine then *puts* every parcel over one modeled lane
-//!   pool (lane clocks, slowest-lane join), each
-//!   put running under the retry policy ([`Core::retried`]);
+//!   worker); the engine then *puts* every parcel on the worker's
+//!   [`Lanes`] (earliest-free lane, slowest-lane join), each put running
+//!   under the retry policy ([`Core::retried`]);
 //! * **receive** — a raw *take* of new arrivals with **no billing and no
 //!   clock movement**, stashed per `(receiver, tag)` while the tracker
 //!   fills (a round with nothing new for the tag — an aborted take, or
 //!   a queue take of other tags' messages — is empty: the caller
 //!   re-checks its limits and asks again); once the tag completes, the
 //!   whole arrival set is sorted by stamp, *settled* (the billed receive
-//!   sequence is reconstructed from the stamps alone) and opened +
-//!   decoded ([`Core::decode`]) — so per-request timing and billing never
-//!   depend on how real threads happened to batch the arrivals, or on how
-//!   late they ran.
+//!   sequence is reconstructed from the stamps alone), then each arrival
+//!   is opened on the same kind of lane pool — a GET of a stored body
+//!   overlaps the others; an inline body moves no lane — and decoded
+//!   ([`Core::decode`]) on the worker once its lane has landed — so
+//!   per-request timing and billing never depend on how real threads
+//!   happened to batch the arrivals, or on how late they ran.
 //!
 //! Both ends work in [`FrameBufs`] the calling rank takes from its
 //! service's [`FramePool`] for one frame: a frame is serialized,
@@ -34,6 +36,7 @@
 //! and object carriers behind a size predicate and a 1-byte frame tag.
 
 use crate::channel::{ChannelOptions, FsiChannel, RecvTracker, Tag};
+use crate::lanes::Lanes;
 use crate::recycle::Recycler;
 use crate::retry::RetryPolicy;
 use crate::stats::ChannelStats;
@@ -55,10 +58,6 @@ pub(crate) use direct::DirectCarrier;
 pub(crate) use hybrid::HybridCarrier;
 pub(crate) use object::ObjectCarrier;
 pub(crate) use queue::QueueCarrier;
-
-/// Modeled sender-side thread pool width (the paper multi-threads message
-/// construction and publication).
-const SEND_THREADS: usize = 8;
 
 /// Single-thread payload-processing throughputs (bytes/second on one full
 /// vCPU) — the CPU property behind the paper's serialization/compression
@@ -278,8 +277,9 @@ pub(crate) trait Carrier: Send + Sync + Sized + 'static {
     fn order(a: &Arrival<Self::Body>, b: &Arrival<Self::Body>) -> Ordering;
     /// Reconstructs and bills the receive sequence that collected `raw`.
     fn settle(&self, cx: &Cx, clock: &mut VClock, raw: &[Arrival<Self::Body>]);
-    /// The wire payload behind `body`.
-    fn open<'a>(&self, cx: &Cx, clock: &mut VClock, body: &'a Self::Body) -> Opened<'a>;
+    /// The wire payload behind `body`; a fetch runs on `lane`, an inline
+    /// body leaves it where it is.
+    fn open<'a>(&self, cx: &Cx, lane: &mut VClock, body: &'a Self::Body) -> Opened<'a>;
 }
 
 /// Per-`(receiver, tag)` buffer of raw arrivals awaiting the tag's
@@ -368,18 +368,13 @@ impl<C: Carrier> FsiChannel for Engine<C> {
         }
         let cx = self.call(tag, src)?;
         // Bodies first (single-threaded CPU work), then each pool's puts
-        // over the modeled thread pool. Lane clocks inherit the worker's
-        // flow so the ops bill to the request; the caller's clock joins the
-        // slowest lane.
+        // over the worker's lanes; the caller's clock joins the slowest.
         for pool in self.carrier.frame(&cx, ctx, sends)? {
-            let lane0 = VClock::starting_at(ctx.now()).with_flow(ctx.clock_mut().flow());
-            let mut lanes = [lane0; SEND_THREADS];
-            for (i, parcel) in pool.iter().enumerate() {
-                self.carrier
-                    .put(&cx, &mut lanes[i % SEND_THREADS], parcel)?;
+            let mut lanes = Lanes::fork(ctx.clock_mut());
+            for parcel in &pool {
+                self.carrier.put(&cx, lanes.next(), parcel)?;
             }
-            let slowest = lanes.iter().map(|c| c.now()).max().expect("≥1 lane");
-            ctx.clock_mut().observe(slowest);
+            ctx.clock_mut().observe(lanes.slowest());
         }
         Ok(())
     }
@@ -434,9 +429,15 @@ impl<C: Carrier> FsiChannel for Engine<C> {
         if !C::DECODE_BEFORE_SETTLE {
             self.carrier.settle(&cx, ctx.clock_mut(), &raw);
         }
+        // Every open starts on a lane forked here; the worker waits for
+        // each body's landing, then decodes it while later GETs fly.
+        let mut lanes = Lanes::fork(ctx.clock_mut());
         let mut out = Vec::new();
         for a in &raw {
-            let rows = match self.carrier.open(&cx, ctx.clock_mut(), &a.body)? {
+            let lane = lanes.next();
+            let opened = self.carrier.open(&cx, lane, &a.body);
+            ctx.clock_mut().observe(lane.now());
+            let rows = match opened? {
                 None => continue,
                 Some(Wire::Inline(body)) => cx.decode(ctx, body)?,
                 Some(Wire::Fetched(body)) => cx.decode(ctx, &body)?,

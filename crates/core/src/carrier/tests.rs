@@ -472,3 +472,89 @@ fn frames_are_built_and_read_in_buffers_a_bounded_pool_keeps() {
     in_flight(&pool, FramePool::MAX_IDLE + 4);
     assert_eq!(pool.idle().len(), FramePool::MAX_IDLE);
 }
+
+#[test]
+fn an_object_receive_overlaps_its_gets_on_the_lane_pool() {
+    // Seven sources each store one identical block for rank 0 at the same
+    // instant. The receiver arrives after all of them: one productive
+    // LIST, then seven GETs forked together on seven lanes. It waits one
+    // GET round trip, not seven, plus a decode per block.
+    use super::{ObjectCarrier, DECODE_BPS};
+    let env = CloudEnv::new(CloudConfig::deterministic(91));
+    let ch = bind::<ObjectCarrier>(&env, 8, ChannelOptions::default());
+    for src in 1..8u32 {
+        let ch = ch.clone();
+        with_ctx(env.clone(), move |ctx| {
+            ch.send_layer(ctx, Tag::Layer(0), src, &[(0, rows(&[3]))])
+        });
+    }
+    let body = env.snapshot().s3_put_bytes as usize / 7;
+    let ch2 = ch.clone();
+    let (entered, left, blocks) = with_ctx(env.clone(), move |ctx| {
+        ctx.clock_mut().advance_micros(10_000_000);
+        let entered = ctx.now();
+        let mut tracker = RecvTracker::expecting(1..8u32);
+        let got = ch2.receive_all(ctx, Tag::Layer(0), 0, &mut tracker)?;
+        Ok((entered, ctx.now(), got.len()))
+    });
+    assert_eq!(blocks, 7);
+    let latency = env.latency();
+    let decode = (body as f64 / DECODE_BPS * 1e6).round() as u64;
+    let get = latency.s3_get_total_us(body);
+    assert_eq!(
+        left.as_micros() - entered.as_micros(),
+        latency.s3_list_us + get + 7 * decode,
+        "one LIST, one GET round trip, seven decodes (serial GETs: {} µs more)",
+        6 * get
+    );
+    let snap = env.snapshot();
+    assert_eq!(
+        (
+            snap.s3_put_requests,
+            snap.s3_get_requests,
+            snap.s3_list_requests
+        ),
+        (7, 7, 1)
+    );
+    let stats = ch.stats().snapshot();
+    assert_eq!((stats.s3_puts, stats.s3_gets, stats.s3_lists), (7, 7, 1));
+}
+
+#[test]
+fn a_ninth_parcel_rides_the_earliest_free_lane() {
+    // Rank 0 stores one object for each of nine targets in one lane pool:
+    // the first (on lane 0) is large, the other eight small. Eight lanes
+    // take the first eight parcels; the ninth queues behind a small one
+    // — lane 1, the lowest of the seven that came free first — and lands
+    // long before the large parcel does, not behind it on lane 0.
+    use super::ObjectCarrier;
+    let env = CloudEnv::new(CloudConfig::deterministic(92));
+    let ch = bind::<ObjectCarrier>(&env, 10, ChannelOptions::default());
+    let mut sends = vec![(1u32, big_rows(4 << 20))];
+    sends.extend((2..10u32).map(|target| (target, rows(&[target]))));
+    let done = with_ctx(env.clone(), move |ctx| {
+        ch.send_layer(ctx, Tag::Layer(0), 0, &sends)?;
+        Ok(ctx.now())
+    });
+    // Target `t`'s object is the only one in bucket `t` (ten buckets).
+    let landed = |target: usize| {
+        let found = env
+            .object_store()
+            .scan_keys(&bucket_name(target), "", 0)
+            .expect("bucket exists");
+        assert_eq!(found.len(), 1);
+        found[0].1
+    };
+    let small = landed(2);
+    assert!(
+        (3..9).all(|t| landed(t) == small),
+        "lanes 1..7 start together"
+    );
+    let (large, ninth) = (landed(1), landed(9));
+    assert!(
+        small < ninth && ninth < large,
+        "{small} < {ninth} < {large}"
+    );
+    assert_eq!(done, large, "the sender joins its slowest lane");
+    assert_eq!(env.snapshot().s3_put_requests, 9);
+}

@@ -30,6 +30,14 @@ pub enum FsdError {
     },
     /// A communication or codec operation failed.
     Comm(CommFailure),
+    /// A worker instance panicked: a bug in the engine, surfaced as the
+    /// request's failure instead of hanging its peers.
+    Panic {
+        /// The instance's function name.
+        instance: String,
+        /// The panic's message.
+        detail: String,
+    },
     /// The request carried no batches.
     EmptyRequest,
     /// The run completed but the root worker produced no final output
@@ -72,6 +80,9 @@ impl std::fmt::Display for FsdError {
                 write!(f, "worker timed out: ran {elapsed}, limit {limit}")
             }
             FsdError::Comm(failure) => write!(f, "communication failure: {failure}"),
+            FsdError::Panic { instance, detail } => {
+                write!(f, "worker {instance} panicked: {detail}")
+            }
             FsdError::EmptyRequest => write!(f, "request carried no batches"),
             FsdError::MissingOutput => write!(f, "root worker returned no final output"),
             FsdError::NoWorkerReports => write!(f, "run produced no worker reports"),
@@ -100,6 +111,7 @@ impl From<FaasError> for FsdError {
             },
             FaasError::Timeout { elapsed, limit } => FsdError::Timeout { elapsed, limit },
             FaasError::Comm(failure) => FsdError::Comm(failure),
+            FaasError::Panic { instance, detail } => FsdError::Panic { instance, detail },
         }
     }
 }

@@ -72,6 +72,7 @@ pub mod cost;
 mod engine;
 mod error;
 mod health;
+mod lanes;
 mod pool;
 mod recommend;
 mod recycle;

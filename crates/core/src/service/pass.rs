@@ -4,6 +4,7 @@
 use super::stage::input_key;
 use super::{Bill, FsdService};
 use crate::artifacts::ARTIFACT_BUCKET;
+use crate::channel::FsiChannel;
 use crate::engine::{BatchedRequest, InferenceReport, Variant, WorkerReport};
 use crate::error::FsdError;
 use crate::pool::WarmPoolStats;
@@ -12,6 +13,7 @@ use crate::warm::{TreeKey, TreeParams, WorkItem, WorkerTree};
 use crate::worker::RunOutput;
 use fsd_comm::VirtualTime;
 use fsd_faas::FaasError;
+use std::sync::Arc;
 
 impl FsdService {
     /// The shared request-teardown tail: deletes the request's input
@@ -110,7 +112,8 @@ impl FsdService {
         let mut tree: Option<WorkerTree> = None;
         for (i, req) in reqs.iter().enumerate() {
             let flow = self.stage_request(req, &partition);
-            let ran = self.run_member(transport, key, req, flow, &mut tree);
+            let channel = || transport.channel(&self.env, p, self.cfg.channel, flow, &self.frames);
+            let ran = self.run_member(key, req, flow, &mut tree, channel);
             let rest = &reqs[i + 1..];
             if let Some(tree) = tree.take_if(|_| rest.is_empty()) {
                 self.release_tree(tree, false);
@@ -129,7 +132,8 @@ impl FsdService {
     }
 
     /// Runs one member of a pass on the tree in `slot`, acquiring it first
-    /// if the slot is empty. A member that lands on a resident tree — a
+    /// if the slot is empty, over the data channel `channel` provisions
+    /// once the tree is in hand. A member that lands on a resident tree — a
     /// pool checkout, or one an earlier member of the pass left in the
     /// slot — is `warm`: one control-plane hop, billed under its own flow.
     /// Only the member whose flow launched the tree pays the launch bill.
@@ -138,11 +142,11 @@ impl FsdService {
     /// a torn-down channel.
     fn run_member(
         &self,
-        transport: Transport,
         key: TreeKey,
         req: &BatchedRequest,
         flow: u64,
         slot: &mut Option<WorkerTree>,
+        channel: impl FnOnce() -> Arc<dyn FsiChannel>,
     ) -> Result<RunOutput, FsdError> {
         let mut warm = true;
         if slot.is_none() {
@@ -155,8 +159,7 @@ impl FsdService {
                 slot.insert(self.new_tree(key, flow)?)
             }
         };
-        let channel =
-            transport.channel(&self.env, key.workers, self.cfg.channel, flow, &self.frames);
+        let channel = channel();
         // One control-plane hop routes a request into a resident tree.
         let dispatch_at =
             VirtualTime::from_micros(self.env.jitter().apply(self.env.latency().lambda_invoke_us));
@@ -306,6 +309,91 @@ mod tests {
     use crate::engine::InferenceRequest;
     use fsd_model::{generate_dnn, generate_inputs, DnnSpec, InputSpec};
     use std::sync::Arc;
+
+    /// A data channel on which rank `rank` panics as it sends its first
+    /// layer, so its peers wait in `receive_all` for frames that never
+    /// come.
+    struct PanicsOnSend {
+        inner: Arc<dyn FsiChannel>,
+        rank: u32,
+    }
+
+    impl FsiChannel for PanicsOnSend {
+        fn stats(&self) -> &crate::stats::ChannelStats {
+            self.inner.stats()
+        }
+
+        fn teardown(&self) {
+            self.inner.teardown()
+        }
+
+        fn send_layer(
+            &self,
+            ctx: &mut fsd_faas::WorkerCtx,
+            tag: crate::channel::Tag,
+            src: u32,
+            sends: &[(u32, fsd_sparse::SparseRows)],
+        ) -> Result<(), FaasError> {
+            assert_ne!(src, self.rank, "planted panic");
+            self.inner.send_layer(ctx, tag, src, sends)
+        }
+
+        fn receive_round(
+            &self,
+            ctx: &mut fsd_faas::WorkerCtx,
+            tag: crate::channel::Tag,
+            me: u32,
+            tracker: &mut crate::channel::RecvTracker,
+        ) -> Result<Vec<(u32, fsd_sparse::SparseRows)>, FaasError> {
+            self.inner.receive_round(ctx, tag, me, tracker)
+        }
+    }
+
+    #[test]
+    fn a_panicking_rank_fails_its_request_instead_of_hanging_it() {
+        let (base, inputs, _) = small_service(29);
+        let service = Arc::new(
+            ServiceBuilder::new(base.dnn.clone())
+                .deterministic(29)
+                .warm_pool(2, u64::MAX)
+                .build(),
+        );
+        let svc = service.clone();
+        let (done, outcome) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let req = BatchedRequest {
+                variant: Variant::Queue,
+                workers: 4,
+                memory_mb: 1769,
+                batches: vec![inputs],
+            };
+            let key = svc.key_of(&req);
+            let flow = svc.stage_request(&req, &svc.partition(4));
+            let mut slot = None;
+            let ran = svc.run_member(key, &req, flow, &mut slot, || {
+                let transport = Transport::of(Variant::Queue).expect("queue");
+                let inner = transport.channel(&svc.env, 4, svc.cfg.channel, flow, &svc.frames);
+                Arc::new(PanicsOnSend { inner, rank: 2 })
+            });
+            assert!(slot.is_none(), "a failed member's tree leaves the pass");
+            let _ = done.send(svc.finalize_report(key.variant, 4, &req, flow, ran));
+        });
+        // Without the catch, rank 2's peers wait for its frames forever.
+        let res = outcome
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .expect("the request failed instead of hanging");
+        match res {
+            Err(FsdError::Panic { instance, detail }) => {
+                assert_eq!(instance, "fsd-worker-2");
+                assert!(detail.contains("planted panic"), "{detail}");
+            }
+            other => panic!("expected the rank's panic, got {other:?}"),
+        }
+        let stats = service.warm_pool_stats().expect("pool");
+        let live = service.warm_live_trees(Variant::Queue, 4, 1769);
+        assert_eq!((stats.discarded_poisoned, stats.idle, live), (1, 0, 0));
+        assert_eq!(service.audit(), Vec::<String>::new());
+    }
 
     #[test]
     fn a_runtime_prewarm_leaves_a_running_requests_mark_alone() {

@@ -26,12 +26,14 @@
 //! check), and the per-request data channel namespaces all service traffic
 //! by the request's flow. Parked (idle) time is never billed.
 //!
-//! Failure containment: a dying instance reports its error to the tree
-//! owner and *then* raises the tree's poison flag, which also wakes every
-//! receiver parked in a fabric wait of the region; a peer waiting for the
-//! dead instance's frames returns empty-handed, and every peer fails fast
-//! at its next limit check, so the first error the owner collects is the
-//! root cause, and the tree is discarded instead of parked.
+//! Failure containment: a dying instance — one whose body returned an
+//! error or panicked ([`FaasError::Panic`]) — reports its error to the
+//! tree owner and *then* raises the tree's poison flag, which also wakes
+//! every receiver parked in a fabric wait of the region; a peer waiting
+//! for the dead instance's frames returns empty-handed, and every peer
+//! fails fast at its next limit check, so the first error the owner
+//! collects is the root cause, and the tree is discarded instead of
+//! parked.
 //!
 //! [`WorkerCtx::begin_request`]: fsd_faas::WorkerCtx::begin_request
 //! [`WorkerCtx::finish_request`]: fsd_faas::WorkerCtx::finish_request
@@ -46,6 +48,7 @@ use fsd_comm::{CloudEnv, VirtualTime};
 use fsd_faas::{launch, FaasError, FaasPlatform, FunctionConfig, Invocation, InvocationReport};
 use fsd_model::DnnSpec;
 use std::ops::Range;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel as mpsc_channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
@@ -177,7 +180,15 @@ impl ServeShared {
             .for_flow(self.launch_flow)
             .keep_alive();
         let shared = self.clone();
-        let inv = platform.invoke(cfg, at, move |ctx| serve_worker(ctx, rank, shared));
+        let inv = platform.invoke(cfg, at, move |ctx| {
+            // A panic is a death like any other: caught here, it reports
+            // and poisons, so no peer waits on this rank forever.
+            let served = catch_unwind(AssertUnwindSafe(|| serve_worker(ctx, rank, &shared)));
+            served.unwrap_or_else(|payload| {
+                let e = FaasError::panic(ctx.config().name.clone(), payload.as_ref());
+                Err(shared.fail(rank, e))
+            })
+        });
         let refused = inv.launch_error();
         let _ = self.handles.send(inv);
         refused.map_or(Ok(()), |e| Err(self.fail(rank, e)))
@@ -222,7 +233,7 @@ impl ServeShared {
 fn serve_worker(
     ctx: &mut fsd_faas::WorkerCtx,
     rank: u32,
-    shared: ServeShared,
+    shared: &ServeShared,
 ) -> Result<(), FaasError> {
     let params = &shared.params;
     let p = params.n_workers;
@@ -273,7 +284,7 @@ fn serve_worker(
 
     // --- the serve loop: park until the control channel closes -----------
     while let Ok(item) = control.recv() {
-        match serve_item(ctx, rank, &shared, &mut art, &item) {
+        match serve_item(ctx, rank, shared, &mut art, &item) {
             Ok(done) => {
                 let _ = shared.results.send((rank, Ok(done)));
             }

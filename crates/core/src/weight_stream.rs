@@ -32,13 +32,13 @@
 //!
 //! # Timing model
 //!
-//! The source pipelines its GETs over [`FETCH_SLOTS`] concurrent
-//! connections (each a forked [`VClock`]) and serializes outbound
-//! transfers on a single forward-lane clock, observing each block's fetch
-//! completion before sending it. Sends are asynchronous to the source's
-//! own compute — wire time rides on the frame stamps that receivers (and
-//! the source's own lazy decodes) observe, and forwarded bytes are billed
-//! to the forwarding flow by the fabric itself. The manifest is ordered
+//! The source pipelines its GETs over its [`Lanes`] (each fetch on the
+//! earliest-free lane) and serializes outbound transfers on a single
+//! forward-lane clock, observing each block's fetch completion before
+//! sending it. Sends are asynchronous to the source's own compute — wire
+//! time rides on the frame stamps that receivers (and the source's own
+//! lazy decodes) observe, and forwarded bytes are billed to the
+//! forwarding flow by the fabric itself. The manifest is ordered
 //! maps-first (every rank can assemble early), then *layer-major* across
 //! ranks, so every rank's layer 0 arrives before any rank's layer 1 and
 //! first-layer compute overlaps later-layer transfer tree-wide.
@@ -64,17 +64,13 @@
 use crate::artifacts::{
     assemble_streamed, fetch_encoded, load_worker_artifacts, Part, PartStore, WorkerArtifacts,
 };
+use crate::lanes::Lanes;
 use crate::warm::TreeParams;
 use crate::weight_cache::WeightCache;
 use fsd_comm::{VClock, VirtualTime, WeightNet, WeightPayload};
 use fsd_faas::launch::{children_of, hop_toward};
 use fsd_faas::{FaasError, WorkerCtx};
 use std::sync::Arc;
-
-/// Concurrent GET connections the multicast source pipelines its
-/// artifact fetches over (each is an independently-advancing clock; a
-/// fetch lands on the earliest-free one).
-const FETCH_SLOTS: usize = 8;
 
 /// The per-worker entry point of a streamed cold launch whose ranks read
 /// the mailboxes `hops..hops + P`: rank 0 runs the multicast source,
@@ -185,7 +181,7 @@ impl Relay<'_> {
     }
 
     /// Rank 0's items: every rank's parts, each fetched once (cache-first,
-    /// on the earliest-free fetch slot) and inserted into the cache before
+    /// on the earliest-free lane) and inserted into the cache before
     /// it is relayed. Returns the GETs issued.
     fn source(
         &mut self,
@@ -202,7 +198,7 @@ impl Relay<'_> {
         // layer-1+ transfer tree-wide.
         let maps = (0..p).flat_map(|m| [Part::Owned, Part::Send, Part::Recv].map(|part| (part, m)));
         let layers = (0..n_layers).flat_map(|k| (0..p).map(move |m| (Part::Layer(k), m)));
-        let mut slots = [self.lane; FETCH_SLOTS];
+        let mut lanes = Lanes::fork(&self.lane);
         let mut n_gets = 0u64;
         for (part, m) in maps.chain(layers) {
             if m != 0 && !self.live {
@@ -213,20 +209,15 @@ impl Relay<'_> {
                 // Resident process memory: no GET, no transfer, no wait.
                 Some(body) => (body, VirtualTime::ZERO),
                 None => {
-                    let slot = slots
-                        .iter_mut()
-                        .enumerate()
-                        .min_by_key(|(i, c)| (c.now(), *i))
-                        .map(|(_, c)| c)
-                        .expect("FETCH_SLOTS > 0");
-                    let body = fetch_encoded(&env, slot, &key).inspect_err(|_| {
+                    let lane = lanes.next();
+                    let body = fetch_encoded(&env, lane, &key).inspect_err(|_| {
                         // The source itself is dead; its descendants must
                         // not wait on a stream that will never finish.
                         self.finish(false);
                     })?;
                     n_gets += 1;
                     cache.insert_block(&key, body.clone(), generation);
-                    (body, slot.now())
+                    (body, lane.now())
                 }
             };
             self.block(ctx, m as usize, &key, body, available_at);

@@ -123,6 +123,14 @@ pub enum FaasError {
     },
     /// A communication-layer failure surfaced to the function.
     Comm(CommFailure),
+    /// The function body panicked — a bug in the code it runs, not a
+    /// simulated fault — and whoever ran it caught the unwind.
+    Panic {
+        /// The instance's function name.
+        instance: String,
+        /// The panic's message.
+        detail: String,
+    },
 }
 
 impl FaasError {
@@ -137,6 +145,19 @@ impl FaasError {
             resource: resource.into(),
             detail: detail.to_string(),
         })
+    }
+
+    /// A [`FaasError::Panic`] of `instance` from a caught unwind's payload.
+    pub fn panic(instance: impl Into<String>, payload: &(dyn std::any::Any + Send)) -> FaasError {
+        let detail = payload
+            .downcast_ref::<&str>()
+            .map(|s| s.to_string())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_else(|| "non-string panic payload".into());
+        FaasError::Panic {
+            instance: instance.into(),
+            detail,
+        }
     }
 }
 
@@ -156,6 +177,9 @@ impl std::fmt::Display for FaasError {
                 write!(f, "function timed out: ran {elapsed}, limit {limit}")
             }
             FaasError::Comm(failure) => write!(f, "communication failure: {failure}"),
+            FaasError::Panic { instance, detail } => {
+                write!(f, "instance {instance} panicked: {detail}")
+            }
         }
     }
 }
@@ -216,8 +240,10 @@ pub struct Invocation<T> {
 
 impl<T> Invocation<T> {
     /// Waits for the instance and returns its output and billing report.
-    /// A panic inside the function body is propagated as a panic here —
-    /// it is a bug in the engine, not a simulated fault.
+    /// A panic the function body did not catch itself is propagated as a
+    /// panic here — it is a bug in the engine, not a simulated fault (a
+    /// worker tree's instances catch theirs and fail with
+    /// [`FaasError::Panic`]).
     pub fn join(self) -> Result<(T, InvocationReport), FaasError> {
         self.handle.join().expect("function instance panicked")
     }

@@ -28,8 +28,9 @@ pub enum FailureCause {
     /// A worker exceeded its runtime limit. **Not** retryable — the rerun
     /// would compute the same too-long answer and burn the bill twice.
     Timeout,
-    /// Everything else (OOM, config errors, empty requests). Not
-    /// retryable: deterministic failures of the request itself.
+    /// Everything else (OOM, config errors, empty requests, a panicking
+    /// worker). Not retryable: deterministic failures of the request
+    /// itself, or a bug a retry would only hit again.
     Other,
 }
 
