@@ -28,10 +28,14 @@
 //! [`ObjectStore::settle_scans`], [`DirectNet::settle_recv`]) then
 //! reconstructs, from the stamps alone, the call sequence the paper's
 //! receive loops (Alg. 1 long-poll + delete, Alg. 2 prefix rescan) would
-//! have issued, bills it and advances the clock through it. A receive
-//! bills and moves a clock only in `settle_*` — a take that comes back
-//! empty bills nothing — so billing and virtual time are functions of the
-//! workload, never of thread timing.
+//! have issued, bills it and advances the clock through it — except the
+//! queue's `DeleteMessageBatch` calls, which nothing downstream waits for:
+//! they run on a background clock forked from the receiver's, and the
+//! settle returns the instant the last one lands for the caller to join
+//! before its billing window closes. A receive bills and moves a clock
+//! only in `settle_*` — a take that comes back empty bills nothing — so
+//! billing and virtual time are functions of the workload, never of
+//! thread timing.
 //!
 //! ```
 //! use fsd_comm::{bucket_name, CloudConfig, CloudEnv, VClock};

@@ -11,7 +11,9 @@
 //!   a receive returns as soon as the earliest message lands and takes
 //!   everything visible at that instant, an empty response costs the full
 //!   wait `W`, and every productive receive is followed by its
-//!   `DeleteMessageBatch`;
+//!   `DeleteMessageBatch`, which runs behind the consumer: the settle
+//!   bills it and reports when the last one lands, but the consumer's
+//!   clock moves on from the poll's return;
 //! * **short polling** (`W = 0`, subset-of-servers sampling) is not
 //!   modelled: the paper's analysis found it strictly worse, and nothing
 //!   in the system selects it;
@@ -134,9 +136,16 @@ impl SqsQueue {
     /// would have issued to collect messages with the given
     /// `(availability stamp, body bytes)` set, billing every receive
     /// (including empty timeout rounds while a stamp is still in the
-    /// virtual future) and one `DeleteMessageBatch` per productive round,
-    /// and advancing the clock through the whole sequence. Returns the
-    /// number of billed SQS calls.
+    /// virtual future) and one `DeleteMessageBatch` per productive round.
+    ///
+    /// The receives advance `clock`; the deletes do not. Nothing the
+    /// consumer does next needs a delete's acknowledgement, so every
+    /// delete — its injected-fault retries included — runs on one
+    /// background clock forked from `clock`: it starts when its poll
+    /// returns, or when the previous delete lands if that is later. Returns
+    /// `(billed SQS calls, instant the last delete lands)`; with no
+    /// productive round the instant is where `clock` started. The caller
+    /// joins that instant before its billing window closes.
     ///
     /// Because the stamp set of a request's layer is a pure function of
     /// the workload, so is everything this bills — regardless of how real
@@ -146,11 +155,12 @@ impl SqsQueue {
         clock: &mut VClock,
         wait_secs: f64,
         taken: &[(VirtualTime, usize)],
-    ) -> u64 {
+    ) -> (u64, VirtualTime) {
         let latency = self.region.latency;
         let wait_us = VirtualTime::from_secs_f64(wait_secs).as_micros().max(1);
         let mut msgs: Vec<(VirtualTime, usize)> = taken.to_vec();
         msgs.sort_unstable();
+        let mut deletes = *clock;
         let mut calls = 0u64;
         let mut i = 0usize;
         while i < msgs.len() {
@@ -178,14 +188,20 @@ impl SqsQueue {
                 i += 1;
             }
             self.bill(clock, n, false, latency.sqs_poll_total_us(batch_bytes));
-            // Injected delete failure: the `DeleteMessageBatch` is billed
-            // and retried for the same batch (idempotent).
-            calls += self.bill_faults(clock, ApiClass::QueueDelete, false, latency.sqs_delete_us);
-            // Algorithm 1 line 15: delete the polled batch.
-            self.bill(clock, 0, false, latency.sqs_delete_us);
+            // Algorithm 1 line 15: delete the polled batch, behind the
+            // consumer. An injected delete failure is billed and retried
+            // for the same batch (idempotent).
+            deletes.observe(clock.now());
+            calls += self.bill_faults(
+                &mut deletes,
+                ApiClass::QueueDelete,
+                false,
+                latency.sqs_delete_us,
+            );
+            self.bill(&mut deletes, 0, false, latency.sqs_delete_us);
             calls += 2;
         }
-        calls
+        (calls, deletes.now())
     }
 
     /// Drops all queue state (teardown of a removed queue).
@@ -232,7 +248,7 @@ mod tests {
             .iter()
             .map(|m| (m.available_at, m.message.len()))
             .collect();
-        let calls = q.settle_receives(clock, wait_secs, &taken);
+        let (calls, _) = q.settle_receives(clock, wait_secs, &taken);
         (got, calls)
     }
 
@@ -250,7 +266,7 @@ mod tests {
         // However the 25 were physically taken, the settled sequence is
         // three receives of ≤ 10, each with its delete.
         let mut clock = VClock::default();
-        let calls = q.settle_receives(&mut clock, 1.0, &[(VirtualTime::ZERO, 1); 25]);
+        let (calls, _) = q.settle_receives(&mut clock, 1.0, &[(VirtualTime::ZERO, 1); 25]);
         assert_eq!(calls, 6);
         assert_eq!(q.region.meter.snapshot().sqs_messages, 25);
     }
@@ -297,7 +313,8 @@ mod tests {
         assert_eq!(got[0].message.body, b"now");
         assert_eq!(calls, 2, "one receive + its delete");
         assert_eq!(q.region.meter.snapshot().sqs_empty_polls, 0);
-        // No wait: only the two round trips elapse.
+        // No wait: only the poll's round trip elapses; its delete runs
+        // behind the consumer.
         assert!(clock.now() >= start.plus_micros(8_000));
         assert!(clock.now() < start.plus_micros(1_000_000));
     }
@@ -320,6 +337,75 @@ mod tests {
             (s.sqs_api_calls, s.sqs_empty_polls, s.sqs_messages),
             (4, 1, 1)
         );
+    }
+
+    /// Stamps in ms → the settle's `(calls, worker clock, last delete)`,
+    /// all in µs, from a clock starting at zero.
+    fn settle_ms(q: &SqsQueue, stamps_ms: &[u64]) -> (u64, u64, u64) {
+        let taken: Vec<(VirtualTime, usize)> = stamps_ms
+            .iter()
+            .map(|&ms| (VirtualTime::from_micros(ms * 1_000), 1))
+            .collect();
+        let mut clock = VClock::default();
+        let (calls, deleted_at) = q.settle_receives(&mut clock, 1.0, &taken);
+        (calls, clock.now().as_micros(), deleted_at.as_micros())
+    }
+
+    #[test]
+    fn deletes_run_behind_the_worker_and_report_their_landing() {
+        let q = queue();
+        let lat = q.region.latency;
+        let (poll, delete) = (lat.sqs_poll_total_us(1), lat.sqs_delete_us);
+        // Two productive rounds: 0 ms, and 20 ms — past the first poll's
+        // return and its delete's landing.
+        let (calls, worker, deleted_at) = settle_ms(&q, &[0, 20]);
+        // The worker ends at the second poll's return; the reported
+        // instant is that poll's delete landing behind it.
+        assert_eq!(worker, 20_000 + poll);
+        assert_eq!(deleted_at, worker + delete);
+        // The serial settle's meter: two receives, two deletes, two
+        // messages, no empty poll.
+        let s = q.region.meter.snapshot();
+        assert_eq!(calls, 4);
+        assert_eq!(
+            (s.sqs_api_calls, s.sqs_empty_polls, s.sqs_messages),
+            (4, 0, 2)
+        );
+    }
+
+    #[test]
+    fn an_earlier_poll_can_take_fewer_messages_and_add_a_round() {
+        let q = queue();
+        let lat = q.region.latency;
+        let (poll, delete) = (lat.sqs_poll_total_us(1), lat.sqs_delete_us);
+        // Serially the second poll started after the first delete (13 ms)
+        // and took both 10 and 12 in two rounds. Now it starts at 10 ms,
+        // takes only 10, and 12 needs a third round.
+        let (calls, worker, deleted_at) = settle_ms(&q, &[0, 10, 12]);
+        assert_eq!(calls, 6, "three receives, three deletes");
+        assert_eq!(worker, 10_000 + 2 * poll);
+        assert_eq!(deleted_at, worker + delete);
+        let s = q.region.meter.snapshot();
+        assert_eq!((s.sqs_api_calls, s.sqs_messages), (6, 3));
+    }
+
+    #[test]
+    fn a_failed_delete_is_rebilled_behind_the_worker() {
+        let clean = queue();
+        let faulted = queue();
+        faulted
+            .region
+            .faults
+            .inject(TargetedFault::first(ApiClass::QueueDelete, "q-test"));
+        let (calls, worker, deleted_at) = settle_ms(&faulted, &[0]);
+        let (clean_calls, clean_worker, clean_deleted_at) = settle_ms(&clean, &[0]);
+        // The retry costs a call and a delete round trip, on the
+        // background clock only.
+        let delete = clean.region.latency.sqs_delete_us;
+        assert_eq!((calls, clean_calls), (3, 2));
+        assert_eq!(worker, clean_worker);
+        assert_eq!(deleted_at, clean_deleted_at + delete);
+        assert_eq!(faulted.region.meter.snapshot().sqs_api_calls, 3);
     }
 
     #[test]

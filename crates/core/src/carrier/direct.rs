@@ -103,9 +103,9 @@ impl Carrier for DirectCarrier {
         (a.stamp, a.src).cmp(&(b.stamp, b.src))
     }
 
-    fn settle(&self, cx: &Cx, clock: &mut VClock, raw: &[Arrival<Frame>]) {
+    fn settle(&self, cx: &Cx, ctx: &mut WorkerCtx, raw: &[Arrival<Frame>]) {
         let stamps: Vec<VirtualTime> = raw.iter().map(|a| a.stamp).collect();
-        cx.env.direct().settle_recv(clock, &stamps);
+        cx.env.direct().settle_recv(ctx.clock_mut(), &stamps);
     }
 
     fn open<'a>(&self, _cx: &Cx, _clock: &mut VClock, body: &'a Frame) -> Opened<'a> {

@@ -175,8 +175,8 @@ impl Carrier for HybridCarrier {
         QueueCarrier::order(a, b)
     }
 
-    fn settle(&self, cx: &Cx, clock: &mut VClock, raw: &[Arrival<Vec<u8>>]) {
-        self.queue.settle(cx, clock, raw);
+    fn settle(&self, cx: &Cx, ctx: &mut WorkerCtx, raw: &[Arrival<Vec<u8>>]) {
+        self.queue.settle(cx, ctx, raw);
     }
 
     fn open<'a>(&self, cx: &Cx, clock: &mut VClock, body: &'a Vec<u8>) -> Opened<'a> {

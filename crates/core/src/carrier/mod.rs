@@ -15,7 +15,9 @@
 //!   a queue take of other tags' messages — is empty: the caller
 //!   re-checks its limits and asks again); once the tag completes, the
 //!   whole arrival set is sorted by stamp, *settled* (the billed receive
-//!   sequence is reconstructed from the stamps alone), then each arrival
+//!   sequence is reconstructed from the stamps alone; a queue's deletes
+//!   run behind the worker, which joins the last of them only when its
+//!   billing window closes), then each arrival
 //!   is opened on the same kind of lane pool — a GET of a stored body
 //!   overlaps the others; an inline body moves no lane — and decoded
 //!   ([`Core::decode`]) on the worker once its lane has landed — so
@@ -275,8 +277,11 @@ pub(crate) trait Carrier: Send + Sync + Sized + 'static {
     fn take(&self, cx: &Cx, known: usize) -> Result<Vec<Arrival<Self::Body>>, FaasError>;
     /// Deterministic processing order of a completed set.
     fn order(a: &Arrival<Self::Body>, b: &Arrival<Self::Body>) -> Ordering;
-    /// Reconstructs and bills the receive sequence that collected `raw`.
-    fn settle(&self, cx: &Cx, clock: &mut VClock, raw: &[Arrival<Self::Body>]);
+    /// Reconstructs and bills the receive sequence that collected `raw`,
+    /// advancing the worker's clock through it; a call that runs behind
+    /// the worker (a queue's deletes) is handed to
+    /// [`WorkerCtx::observe_background`] instead.
+    fn settle(&self, cx: &Cx, ctx: &mut WorkerCtx, raw: &[Arrival<Self::Body>]);
     /// The wire payload behind `body`; a fetch runs on `lane`, an inline
     /// body leaves it where it is.
     fn open<'a>(&self, cx: &Cx, lane: &mut VClock, body: &'a Self::Body) -> Opened<'a>;
@@ -427,7 +432,7 @@ impl<C: Carrier> FsiChannel for Engine<C> {
         let mut raw = inbox.raw;
         raw.sort_unstable_by(C::order);
         if !C::DECODE_BEFORE_SETTLE {
-            self.carrier.settle(&cx, ctx.clock_mut(), &raw);
+            self.carrier.settle(&cx, ctx, &raw);
         }
         // Every open starts on a lane forked here; the worker waits for
         // each body's landing, then decodes it while later GETs fly.
@@ -447,7 +452,7 @@ impl<C: Carrier> FsiChannel for Engine<C> {
             }
         }
         if C::DECODE_BEFORE_SETTLE {
-            self.carrier.settle(&cx, ctx.clock_mut(), &raw);
+            self.carrier.settle(&cx, ctx, &raw);
         }
         Ok(out)
     }

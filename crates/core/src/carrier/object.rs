@@ -150,9 +150,12 @@ impl Carrier for ObjectCarrier {
         (a.stamp, &a.body).cmp(&(b.stamp, &b.body))
     }
 
-    fn settle(&self, cx: &Cx, clock: &mut VClock, raw: &[Arrival<String>]) {
+    fn settle(&self, cx: &Cx, ctx: &mut WorkerCtx, raw: &[Arrival<String>]) {
         let stamps: Vec<VirtualTime> = raw.iter().map(|a| a.stamp).collect();
-        let scans = cx.env.object_store().settle_scans(clock, None, &stamps);
+        let scans = cx
+            .env
+            .object_store()
+            .settle_scans(ctx.clock_mut(), None, &stamps);
         cx.stats.add(|s| s.s3_lists += scans);
     }
 

@@ -201,11 +201,13 @@ impl Carrier for QueueCarrier {
         (a.stamp, a.src, a.body.len()).cmp(&(b.stamp, b.src, b.body.len()))
     }
 
-    fn settle(&self, cx: &Cx, clock: &mut VClock, raw: &[Arrival<Vec<u8>>]) {
+    fn settle(&self, cx: &Cx, ctx: &mut WorkerCtx, raw: &[Arrival<Vec<u8>>]) {
         let billing: Vec<(VirtualTime, usize)> =
             raw.iter().map(|a| (a.stamp, a.body.len())).collect();
         let queue = &self.queues[cx.rank as usize];
-        let rounds = queue.settle_receives(clock, cx.opts.long_poll_secs, &billing);
+        let (rounds, deleted_at) =
+            queue.settle_receives(ctx.clock_mut(), cx.opts.long_poll_secs, &billing);
+        ctx.observe_background(deleted_at);
         cx.stats.add(|s| s.sqs_calls += rounds);
     }
 

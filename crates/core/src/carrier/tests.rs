@@ -558,3 +558,38 @@ fn a_ninth_parcel_rides_the_earliest_free_lane() {
     assert_eq!(done, large, "the sender joins its slowest lane");
     assert_eq!(env.snapshot().s3_put_requests, 9);
 }
+
+#[test]
+fn a_window_that_ends_on_a_queue_receive_waits_for_its_last_delete() {
+    // The root of a two-rank reduce ends its window on a receive: one
+    // productive poll, whose delete runs behind the worker. The worker
+    // leaves the reduce at the poll's return; the window closes, and is
+    // billed, when the delete lands.
+    for (seed, variant) in [(31, Variant::Queue), (32, Variant::Hybrid)] {
+        let env = CloudEnv::new(CloudConfig::deterministic(seed));
+        let ch = provision(variant, &env, 2, ChannelOptions::default(), 0);
+        let platform = FaasPlatform::new(env.clone(), ComputeModel::default());
+        let ranks: Vec<_> = (0..2u32)
+            .map(|m| {
+                let ch = ch.clone();
+                let cfg = FunctionConfig::worker(format!("w{m}"), 2048);
+                platform.invoke(cfg, VirtualTime::ZERO, move |ctx| {
+                    let mut mine = rows(&[m]);
+                    reduce(ch.as_ref(), ctx, m, 2, &mut mine, 0)?;
+                    Ok(ctx.now())
+                })
+            })
+            .collect();
+        let mut reports = ranks.into_iter().map(|r| r.join().expect("rank ok"));
+        let (left, root) = reports.next().expect("root");
+        let delete = env.latency().sqs_delete_us;
+        assert_eq!(root.finished, left.plus_micros(delete), "{variant}");
+        let window = root.finished.as_micros() - root.started.as_micros();
+        assert_eq!(root.billed_ms, window.div_ceil(1000), "{variant}");
+        assert_eq!(
+            env.snapshot().sqs_api_calls,
+            2,
+            "{variant}: one poll, one delete"
+        );
+    }
+}

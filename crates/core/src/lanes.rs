@@ -4,10 +4,15 @@
 //! construction and publication, and λScale pipelines a loader's GETs over
 //! several connections. Every such path — the channel engine's puts and
 //! receive-side GETs and the multicast source's fetches — runs through
-//! the same [`Lanes`]: [`LANES`] virtual clocks
-//! forked from the caller's clock. A call takes the earliest-free lane
-//! (lowest index on ties) and advances only that lane; the caller then
-//! observes the lane it waits for, or [`Lanes::slowest`] at a join.
+//! the same [`Lanes`]. One overlapped call does not: a queue receive's
+//! `DeleteMessageBatch` calls run one after another on a background clock
+//! of their own, joined only when the billing window closes
+//! (`fsd_comm::SqsQueue::settle_receives`).
+//!
+//! A pool is [`LANES`] virtual clocks forked from the caller's clock. A
+//! call takes the earliest-free lane (lowest index on ties) and advances
+//! only that lane; the caller then observes the lane it waits for, or
+//! [`Lanes::slowest`] at a join.
 //!
 //! Lanes are clocks only — no thread, no allocation — so overlapping
 //! calls changes when things happen in virtual time, never what is sent,

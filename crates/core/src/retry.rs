@@ -15,11 +15,13 @@
 //! * object `put` — a failed PUT bills but stores nothing;
 //! * object `get` — a pure read.
 //!
-//! Queue **receives are never wrapped here**: redelivery of an unsettled
-//! message is the visibility-timeout machinery's job, and the channels'
-//! `settle_receives` path already reconstructs the billed poll sequence —
-//! including fault-injected unproductive rounds — deterministically. The
-//! `retry-idempotent` lint (`fsd-analysis`) enforces this allowlist.
+//! Queue **receives and deletes are never wrapped here**: redelivery of an
+//! unsettled message is the visibility-timeout machinery's job, and the
+//! channels' `settle_receives` path already reconstructs the billed poll
+//! sequence — including fault-injected unproductive rounds, and each
+//! faulted delete re-billed on the background clock its deletes run on —
+//! deterministically. The `retry-idempotent` lint (`fsd-analysis`)
+//! enforces this allowlist.
 //!
 //! **Determinism.** Backoff jitter is a pure hash of the clock's
 //! `(flow, now, attempt)`, so a replay under the same fault seed sleeps the

@@ -340,6 +340,7 @@ impl FaasPlatform {
                 cfg,
                 clock,
                 started,
+                background: started,
                 mem_bytes: 0,
                 peak_mem_bytes: 0,
                 abort: None,
@@ -376,6 +377,10 @@ pub struct WorkerCtx {
     cfg: FunctionConfig,
     clock: VClock,
     started: VirtualTime,
+    /// When the last call still running behind the worker lands (the
+    /// watermark [`WorkerCtx::observe_background`] raises); the request
+    /// window does not close before it.
+    background: VirtualTime,
     mem_bytes: usize,
     peak_mem_bytes: usize,
     /// Cooperative abort: when the flag is raised (a peer instance of the
@@ -411,27 +416,41 @@ impl WorkerCtx {
         &mut self.clock
     }
 
+    /// Records a call that runs behind the worker — billed, but nothing
+    /// the worker does next waits for it — and lands at `at`. The clock
+    /// does not move; [`WorkerCtx::finish_request`] joins the latest such
+    /// instant before it closes the window.
+    pub fn observe_background(&mut self, at: VirtualTime) {
+        self.background = self.background.max(at);
+    }
+
     /// Opens a fresh request window on a kept-alive instance: the clock
     /// jumps onto the new request's own virtual timeline at `at`, all
     /// subsequent metered calls bill to `flow`, and the timeout/billing
     /// window restarts. Peak-memory tracking restarts from the currently
-    /// resident bytes (the warm instance keeps its loaded weights).
+    /// resident bytes (the warm instance keeps its loaded weights), and
+    /// the background watermark from `at`.
     pub fn begin_request(&mut self, flow: u64, at: VirtualTime) {
         self.clock = VClock::starting_at(at).with_flow(flow);
         self.cfg.flow = flow;
         self.started = at;
+        self.background = at;
         self.peak_mem_bytes = self.mem_bytes;
     }
 
     /// Closes the current request window — the one billing-window close,
-    /// which the platform also runs when a one-shot function exits:
-    /// re-checks the limits (a window that crossed its memory or runtime
-    /// limit in its last step fails, unbilled), then bills the window's
-    /// MB-milliseconds (ceiled, at least 1 ms) to the window's flow and
-    /// returns its [`InvocationReport`]. On a kept-alive instance this is
-    /// the *only* duration billing and exit check (the platform skips
-    /// both); the window opened at launch covers cold start → now.
+    /// which the platform also runs when a one-shot function exits: first
+    /// waits for every call still running behind the worker (the clock
+    /// joins the [`WorkerCtx::observe_background`] watermark, so the
+    /// billed time and the reported `finished` cover them), re-checks the
+    /// limits (a window that crossed its memory or runtime limit in its
+    /// last step fails, unbilled), then bills the window's MB-milliseconds
+    /// (ceiled, at least 1 ms) to the window's flow and returns its
+    /// [`InvocationReport`]. On a kept-alive instance this is the *only*
+    /// duration billing and exit check (the platform skips both); the
+    /// window opened at launch covers cold start → now.
     pub fn finish_request(&mut self) -> Result<InvocationReport, FaasError> {
+        self.clock.observe(self.background);
         self.check_limits()?;
         let finished = self.clock.now();
         let elapsed_ms = ((finished
@@ -836,6 +855,36 @@ mod tests {
             80 * 1024 * 1024,
             "peak restarts from the resident weights"
         );
+    }
+
+    #[test]
+    fn finish_request_joins_the_background_watermark() {
+        let p = platform();
+        let (reports, _) = p
+            .invoke(
+                FunctionConfig::worker("bg", 1000).keep_alive(),
+                VirtualTime::ZERO,
+                |ctx| {
+                    ctx.begin_request(3, VirtualTime::from_micros(10_000));
+                    // A call lands 40 ms behind the worker; the clock stays.
+                    ctx.observe_background(VirtualTime::from_micros(50_000));
+                    ctx.observe_background(VirtualTime::from_micros(20_000));
+                    assert_eq!(ctx.now(), VirtualTime::from_micros(10_000));
+                    let joined = ctx.finish_request()?;
+                    // The next window starts with no call behind it.
+                    ctx.begin_request(4, VirtualTime::from_micros(10_000));
+                    let fresh = ctx.finish_request()?;
+                    Ok((joined, fresh))
+                },
+            )
+            .join()
+            .expect("ok");
+        let (joined, fresh) = reports;
+        assert_eq!(joined.finished, VirtualTime::from_micros(50_000));
+        assert_eq!(joined.billed_ms, 40);
+        assert_eq!(p.lambda_meter().flow_snapshot(3).mb_ms, 40 * 1000);
+        assert_eq!(fresh.finished, VirtualTime::from_micros(10_000));
+        assert_eq!(fresh.billed_ms, 1);
     }
 
     #[test]

@@ -82,7 +82,11 @@ proptest! {
             prop_assert!(msgs.len() <= quota::MAX_BATCH_MESSAGES);
             let taken: Vec<(VirtualTime, usize)> =
                 msgs.iter().map(|m| (m.available_at, m.message.len())).collect();
-            billed += q.settle_receives(&mut clock, 1.0, &taken);
+            let (calls, deleted_at) = q.settle_receives(&mut clock, 1.0, &taken);
+            // Each take is productive, so its last delete lands behind the
+            // poll that returned it.
+            prop_assert!(deleted_at > clock.now());
+            billed += calls;
             takes += 1;
             for m in msgs {
                 got.push((m.message.attributes.source, m.message.body));

@@ -406,15 +406,17 @@ fn streamed_relay_footprint_is_pinned_for_cold_and_warm_caches() {
 /// Taken at `5d0ea8e` (three runs, identical), before the multicast
 /// source and the receivers shared one relay loop. Re-taken when batches
 /// stopped ending in a barrier: `frames`, `bytes`, `gets` and every rank's
-/// peak kept their values; only the finish times moved.
+/// peak kept their values; only the finish times moved. Re-taken, with
+/// the same result, when a queue receive's deletes moved behind the
+/// worker.
 const PINNED_RELAY_FOOTPRINTS: [(&str, &str); 2] = [
     (
         "cold cache",
-        "latency_us=771085 frames=67 bytes=11658 gets=56 ranks=[771085:5016 723056:4748 723055:4968 723055:4840 723057:4936 723056:4740 723060:4984 710063:5060]",
+        "latency_us=746085 frames=67 bytes=11658 gets=56 ranks=[746085:5016 698056:4748 698055:4968 698055:4840 698057:4936 698056:4740 698060:4984 690063:5060]",
     ),
     (
         "warm cache",
-        "latency_us=771085 frames=67 bytes=11658 gets=8 ranks=[771085:5016 723056:4748 723055:4968 723055:4840 723057:4936 723056:4740 723060:4984 710063:5060]",
+        "latency_us=746085 frames=67 bytes=11658 gets=8 ranks=[746085:5016 698056:4748 698055:4968 698055:4840 698057:4936 698056:4740 698060:4984 690063:5060]",
     ),
 ];
 
