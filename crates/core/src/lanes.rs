@@ -3,11 +3,13 @@
 //! A worker overlaps its service calls: the paper multi-threads message
 //! construction and publication, and λScale pipelines a loader's GETs over
 //! several connections. Every such path — the channel engine's puts and
-//! receive-side GETs and the multicast source's fetches — runs through
-//! the same [`Lanes`]. One overlapped call does not: a queue receive's
-//! `DeleteMessageBatch` calls run one after another on a background clock
-//! of their own, joined only when the billing window closes
-//! (`fsd_comm::SqsQueue::settle_receives`).
+//! receive-side GETs, the multicast source's fetches and a launcher's
+//! Invokes (`warm::ServeShared::invoke_ranks`: the coordinator's, a
+//! cascade parent's children, the control plane's flat launch) — runs
+//! through the same [`Lanes`]. One overlapped call does not: a queue
+//! receive's `DeleteMessageBatch` calls run one after another on a
+//! background clock of their own, joined only when the billing window
+//! closes (`fsd_comm::SqsQueue::settle_receives`).
 //!
 //! A pool is [`LANES`] virtual clocks forked from the caller's clock. A
 //! call takes the earliest-free lane (lowest index on ties) and advances

@@ -6,6 +6,11 @@
 //! `launch_rounds(P, b)` rounds, or, with `stream_weights`, flat
 //! controller-driven provisioning — each of which loads its weight/map
 //! artifacts once and then parks in a serve loop on a control channel.
+//! Every Invoke of a launch — the coordinator's, a cascade parent's, the
+//! control plane's — rides its issuer's lane pool (`crate::lanes`): a
+//! launcher issues all its children at once, `LANES` per Invoke round
+//! trip, and each child starts one round trip plus one cold start after
+//! its call is issued.
 //! Requests are routed into the tree as [`WorkItem`]s, each carrying its
 //! own flow id, input prefix and a freshly provisioned (flow-namespaced)
 //! data channel.
@@ -41,10 +46,11 @@
 use crate::artifacts::{load_worker_artifacts, WorkerArtifacts};
 use crate::channel::FsiChannel;
 use crate::engine::{LaunchPath, Variant};
+use crate::lanes::Lanes;
 use crate::pool::{Live, TreePool};
 use crate::weight_cache::WeightCache;
 use crate::worker::{run_batches, RunOutput, WorkerOutput, WorkspacePool};
-use fsd_comm::{CloudEnv, VirtualTime};
+use fsd_comm::{CloudEnv, VClock, VirtualTime};
 use fsd_faas::{launch, FaasError, FaasPlatform, FunctionConfig, Invocation, InvocationReport};
 use fsd_model::DnnSpec;
 use std::ops::Range;
@@ -165,11 +171,11 @@ impl ServeShared {
         e
     }
 
-    /// Invokes keep-alive instance `rank` at virtual time `at` and hands
-    /// its join handle to the tree owner. A refused launch (an injected
-    /// Invoke fault, known synchronously) is returned *and* reported as
-    /// the rank's death, so peers unwedge instead of polling collectives
-    /// for an instance that never existed.
+    /// Invokes keep-alive instance `rank` with the call issued at virtual
+    /// time `at` and hands its join handle to the tree owner. A refused
+    /// launch (an injected Invoke fault, known synchronously) is returned
+    /// *and* reported as the rank's death, so peers unwedge instead of
+    /// polling collectives for an instance that never existed.
     fn spawn_rank(
         &self,
         platform: &Arc<FaasPlatform>,
@@ -194,26 +200,44 @@ impl ServeShared {
         refused.map_or(Ok(()), |e| Err(self.fail(rank, e)))
     }
 
+    /// Invokes `ranks` in order, each on the next free lane of one
+    /// [`Lanes`] pool forked at `issued`: a rank is spawned at the instant
+    /// its call is issued ([`FaasPlatform::invoke`] adds the round trip and
+    /// the cold start), and its lane is then busy for one jittered Invoke
+    /// round trip. Every rank is invoked, even after one is refused.
+    /// Returns the instant the last lane comes free — where an issuer that
+    /// is a Lambda function joins — and the first refusal with its rank.
+    fn invoke_ranks(
+        &self,
+        platform: &Arc<FaasPlatform>,
+        issued: VirtualTime,
+        ranks: impl IntoIterator<Item = u32>,
+    ) -> (VirtualTime, Result<(), (u32, FaasError)>) {
+        let env = platform.env();
+        let mut lanes = Lanes::fork(&VClock::starting_at(issued));
+        let mut refused = Ok(());
+        for rank in ranks {
+            let lane = lanes.next();
+            let spawned = self.spawn_rank(platform, rank, lane.now());
+            lane.advance_micros(env.jitter().apply(env.latency().lambda_invoke_us));
+            refused = refused.and(spawned.map_err(|e| (rank, e)));
+        }
+        (lanes.slowest(), refused)
+    }
+
     /// Starts the launch in the shape `params.stream` selects (see
     /// [`WorkerTree::launch`]). Consumes this copy of the plumbing: the
     /// tree owner joins instances until the last sender is gone.
     fn seed(self, platform: &Arc<FaasPlatform>) -> Result<(), FaasError> {
         if self.params.stream {
-            let env = platform.env();
-            let mut at = VirtualTime::ZERO;
-            let mut root = Ok(());
-            for rank in 0..self.params.n_workers {
-                if rank > 0 {
-                    let lat = env.latency().lambda_invoke_us;
-                    at = at.plus_micros(env.jitter().apply(lat));
-                }
-                let spawned = self.spawn_rank(platform, rank, at);
-                if rank == 0 {
-                    // No multicast source: a refused root fails the launch.
-                    root = spawned;
-                }
-            }
-            return root;
+            // The always-on control plane issues `LANES` Invokes per round
+            // trip; it bills no time, so nothing joins its lanes.
+            let ranks = 0..self.params.n_workers;
+            return match self.invoke_ranks(platform, VirtualTime::ZERO, ranks).1 {
+                // No multicast source: a refused root fails the launch.
+                Err((0, e)) => Err(e),
+                _ => Ok(()),
+            };
         }
         let platform_c = platform.clone();
         let coordinator = platform.invoke(
@@ -221,7 +245,10 @@ impl ServeShared {
             VirtualTime::ZERO,
             move |ctx| {
                 ctx.charge_work(10_000); // request parsing
-                self.spawn_rank(&platform_c, 0, ctx.now())
+                let (joined, refused) = self.invoke_ranks(&platform_c, ctx.now(), [0]);
+                // The coordinator pays its Invoke's round trip.
+                ctx.clock_mut().observe(joined);
+                refused.map_err(|(_, e)| e)
             },
         );
         coordinator.join().map(|_| ())
@@ -240,23 +267,20 @@ fn serve_worker(
     // A dying peer must be able to unwedge this instance mid-receive.
     ctx.set_abort(shared.poison.flag.clone());
 
-    // --- worker_invoke_children(): the hierarchical launch. Streamed
-    // launches are provisioned flat — their tree carries weight state,
-    // not invocations — so no instance launches children there.
-    let mut launched = Ok(());
+    // --- worker_invoke_children(): the hierarchical launch, the children
+    // Invoked over the lanes, `LANES` per round trip; the parent joins
+    // the last round trip. Streamed launches are provisioned flat — their tree carries
+    // weight state, not invocations — so no instance launches children
+    // there.
     if !params.stream {
-        let platform = ctx.platform().clone();
-        for child in launch::children_of(rank as usize, params.branching, p as usize) {
-            // The (async) Invoke API call costs the parent one round trip.
-            let lat = ctx.env().latency().lambda_invoke_us;
-            let jittered = ctx.env().jitter().apply(lat);
-            ctx.clock_mut().advance_micros(jittered);
-            launched = launched.and(shared.spawn_rank(&platform, child as u32, ctx.now()));
-        }
+        let children = launch::children_of(rank as usize, params.branching, p as usize);
+        let children = children.into_iter().map(|c| c as u32);
+        let (joined, refused) = shared.invoke_ranks(ctx.platform(), ctx.now(), children);
+        ctx.clock_mut().observe(joined);
+        // The subtree below a refused child will never exist and the
+        // collectives could only wedge: die now, before loading anything.
+        refused.map_err(|(_, e)| e)?;
     }
-    // The subtree below a refused child will never exist and the
-    // collectives could only wedge: die now, before loading anything.
-    launched?;
 
     let control = shared
         .controls
@@ -359,11 +383,12 @@ impl WorkerTree {
     /// Launches a tree billed to `flow`, in one of two shapes. The
     /// **cascade** (the paper's launch): a coordinator function invokes
     /// rank 0 and every rank invokes its `children_of` — `1 + P`
-    /// invocations over `launch_rounds(P, b)` rounds. **Flat**
-    /// (`params.stream`, FaaSNet-style): the always-on control plane
-    /// dispatches every rank itself, one sequential API round trip apart —
-    /// no coordinator to cold-start first, `P` invocations — and the tree
-    /// topology multicasts weights instead of invocations.
+    /// invocations over `launch_rounds(P, b)` rounds, each round up to
+    /// `LANES` overlapped Invokes. **Flat** (`params.stream`,
+    /// FaaSNet-style): the always-on control plane dispatches every rank
+    /// itself over one lane pool — no coordinator to cold-start first, `P`
+    /// invocations, `LANES` of them per round trip — and the tree topology
+    /// multicasts weights instead of invocations.
     ///
     /// Returns as soon as the launch is seeded; instances still booting
     /// pick queued work items up when they are ready. A refused

@@ -3,20 +3,24 @@
 //! FSD-Inference launches `P` workers as a b-ary tree: the coordinator
 //! invokes worker 0; every worker derives its children from its own rank
 //! and invokes them before starting compute. Launch latency is therefore
-//! `O(log_b P)` invocation rounds instead of `O(P)` for a central loop —
-//! the paper reports this beats both a single launch loop and Lambada's
-//! two-level scheme. Ranks are assigned deterministically so each instance
-//! can compute its own position with no coordination.
+//! `O(log_b P)` invocation rounds instead of `O(P)` for a chain — the paper
+//! reports this beats both a single launch loop and Lambada's two-level
+//! scheme. A round is not one Invoke per child: the launcher overlaps up to
+//! `LANES` (8) Invokes on its connection pool (`fsd_core`'s lane pool), so
+//! a round costs `ceil(children / LANES)` Invoke round trips plus one cold
+//! start, and a central loop over up to `LANES` children is a single
+//! round trip.
+//! Ranks are assigned deterministically so each instance can compute its
+//! own position with no coordination.
 //!
 //! # Degenerate branching
 //!
 //! `branching = 1` is **documented, supported behavior**: the "tree"
 //! degrades to a serial invocation chain (`rank r` launches only
-//! `rank r + 1`), so [`launch_rounds`]`(P, 1) == P` — the central-loop
-//! cost the paper compares against. Callers that care about launch
-//! latency (notably the warm pool's cold-start fallback) assert this
-//! equivalence rather than silently paying `O(P)` rounds. `branching = 0`
-//! is rejected: a node with no children could never populate the tree.
+//! `rank r + 1`), so [`launch_rounds`]`(P, 1) == P` — the serial-launch
+//! cost the paper compares against, and `ablation_launch`'s worst case.
+//! `branching = 0` is rejected: a node with no children could never
+//! populate the tree.
 
 /// Children of `rank` in a `branching`-ary tree over `0..total`.
 /// With `branching = 1` this is the serial chain `[rank + 1]` (see the

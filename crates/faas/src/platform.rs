@@ -288,9 +288,11 @@ impl FaasPlatform {
         &self.meter
     }
 
-    /// Invokes `cfg` asynchronously at virtual time `at`. The instance
-    /// suffers the invoke round trip plus a cold start before `body` runs
-    /// with a [`WorkerCtx`]. Returns immediately with an [`Invocation`].
+    /// Invokes `cfg` asynchronously; `at` is the virtual instant the
+    /// Invoke call is issued. The instance suffers the invoke round trip
+    /// plus a cold start from `at` before `body` runs with a
+    /// [`WorkerCtx`]. Returns immediately with an [`Invocation`]; the
+    /// issuer's own wait for the call is the caller's to model.
     // fsd_lint::allow(billing-pair): the launch window has no
     // begin_request — it opens when the instance's `WorkerCtx` is built.
     pub fn invoke<T, F>(
