@@ -5,7 +5,7 @@
 //! and width, so the deterministic clock still yields a real latency
 //! distribution) are served through a pooled service; before each *cold*
 //! sample the pool is invalidated (the parked tree is dropped, forcing
-//! the full coordinator + cold start + `launch_rounds(P, b)` +
+//! the full coordinator + cold start + launch-tree +
 //! weight-load bill), while the matching *warm* sample routes the same
 //! inputs into the parked tree. The run asserts warm p50 strictly below
 //! cold p50, prints both distributions, and emits `BENCH_warm_pool.json`

@@ -184,13 +184,13 @@ mod tests {
         let service = ServiceBuilder::new(dnn(1))
             .config(EngineConfig {
                 scheme: PartitionScheme::Block,
-                branching: 2,
+                branching: Some(2),
                 serial_memory_mb: 512,
                 ..EngineConfig::default()
             })
             .deterministic(9)
             .build();
-        assert_eq!(service.config().branching, 2);
+        assert_eq!(service.config().branching, Some(2));
         assert_eq!(service.config().seed, 9);
         assert_eq!(service.config().scheme, PartitionScheme::Block);
         assert_eq!(service.config().serial_memory_mb, 512);

@@ -6,8 +6,9 @@
 
 use crate::channel::ChannelOptions;
 use crate::cost::CostBreakdown;
+use crate::lanes::LANES;
 use fsd_comm::{CloudConfig, MeterSnapshot, VirtualTime};
-use fsd_faas::{ComputeModel, LambdaSnapshot, MAX_MEMORY_MB};
+use fsd_faas::{launch, ComputeModel, LambdaSnapshot, MAX_MEMORY_MB};
 use fsd_partition::PartitionScheme;
 use fsd_sparse::{codec, SparseRows};
 
@@ -91,9 +92,10 @@ impl std::fmt::Display for Variant {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LaunchPath {
     /// The request paid the full launch bill: coordinator invoke + cold
-    /// start, the hierarchical `launch_rounds(P, b)` tree invocations and
-    /// per-worker weight loads (every request of a service without a warm
-    /// pool, and a pool miss — Serial's one-rank tree included). With
+    /// start, the launch tree's invocations
+    /// ([`EngineConfig::launch_fanout`]) and per-worker weight loads
+    /// (every request of a service without a warm pool, and a pool miss —
+    /// Serial's one-rank tree included). With
     /// [`EngineConfig::stream_weights`] the bill shrinks — instances are
     /// provisioned flat and weights are multicast/cached instead of
     /// independently fetched — but the path still reports `ColdStart`.
@@ -122,8 +124,11 @@ pub struct EngineConfig {
     pub compute: ComputeModel,
     /// Channel tuning (threads, long-poll wait, compression, chunking).
     pub channel: ChannelOptions,
-    /// Launch-tree branching factor.
-    pub branching: usize,
+    /// Fan-out of the eager launch tree. `None` (the default) picks it
+    /// per tree with [`EngineConfig::launch_fanout`]; `Some(b)` forces a
+    /// `b`-ary tree (`Some(1)` is the serial chain). The streamed launch
+    /// is flat whatever this says.
+    pub branching: Option<usize>,
     /// Partitioning scheme for distributed variants.
     pub scheme: PartitionScheme,
     /// Seed for partitioning.
@@ -134,9 +139,9 @@ pub struct EngineConfig {
     /// λScale-style cold-start weight streaming: when `true`, a cold tree
     /// launch provisions all `P` instances flat (FaaSNet-style — the tree
     /// distributes *state*, not invocations), rank 0 fetches every
-    /// partition's weight blocks once and multicasts them down the launch
-    /// tree over the weight fabric, descendants decode layers lazily as
-    /// compute reaches them (execute-while-load), and fetched blocks are
+    /// partition's weight blocks once and multicasts them down a 4-ary
+    /// relay tree over the weight fabric, descendants decode layers lazily
+    /// as compute reaches them (execute-while-load), and fetched blocks are
     /// kept in the service-wide [`crate::WeightCache`]. `false` (the
     /// default) keeps the original independent per-worker loads — and
     /// their bit-stable timing — untouched.
@@ -149,7 +154,7 @@ impl Default for EngineConfig {
             cloud: CloudConfig::default(),
             compute: ComputeModel::default(),
             channel: ChannelOptions::default(),
-            branching: 4,
+            branching: None,
             scheme: PartitionScheme::Hgp,
             seed: 0,
             serial_memory_mb: MAX_MEMORY_MB,
@@ -166,6 +171,22 @@ impl EngineConfig {
             seed,
             ..EngineConfig::default()
         }
+    }
+
+    /// The eager launch's fan-out for a tree of `workers` ranks: the
+    /// [`EngineConfig::branching`] override, or else
+    /// [`launch::best_fanout`] over the worker's lane pool and the
+    /// region's Invoke round trip and cold start (flat up to P = 81).
+    pub fn launch_fanout(&self, workers: u32) -> usize {
+        self.branching.unwrap_or_else(|| {
+            let lat = &self.cloud.latency;
+            launch::best_fanout(
+                workers as usize,
+                LANES,
+                lat.lambda_invoke_us,
+                lat.lambda_cold_start_us,
+            )
+        })
     }
 }
 

@@ -23,7 +23,7 @@
 use fsd_comm::{VClock, VirtualTime};
 
 /// Concurrent connections one worker keeps to the cloud services.
-pub(crate) const LANES: usize = 8;
+pub const LANES: usize = 8;
 
 /// [`LANES`] lane clocks, each carrying the forking clock's flow so the
 /// calls made on it bill to the caller's request.

@@ -94,6 +94,7 @@ pub use engine::{
 };
 pub use error::FsdError;
 pub use health::{BreakerState, HealthSnapshot, TransportHealthSnapshot};
+pub use lanes::LANES;
 pub use pool::{WarmPoolConfig, WarmPoolStats};
 pub use retry::RetryPolicy;
 pub use transport::{ChannelRegistry, Transport};

@@ -200,7 +200,7 @@ impl FsdService {
     pub(super) fn new_tree(&self, key: TreeKey, flow: u64) -> Result<WorkerTree, FaasError> {
         let params = TreeParams {
             n_workers: key.workers,
-            branching: self.cfg.branching,
+            branching: self.cfg.launch_fanout(key.workers),
             memory_mb: key.memory_mb,
             model_key: self.model_key.clone(),
             spec: *self.dnn.spec(),

@@ -2,10 +2,11 @@
 //!
 //! A [`WorkerTree`] is `P` keep-alive instances (FSD-Inf-Serial: one)
 //! ([`FunctionConfig::keep_alive`]) brought up by one launch — the paper's
-//! coordinator → hierarchical `worker_invoke_children` cascade of
-//! `launch_rounds(P, b)` rounds, or, with `stream_weights`, flat
-//! controller-driven provisioning — each of which loads its weight/map
-//! artifacts once and then parks in a serve loop on a control channel.
+//! coordinator → `worker_invoke_children` cascade (flat from rank 0 up to
+//! P = 81, see [`fsd_faas::launch::best_fanout`]), or, with
+//! `stream_weights`, flat controller-driven provisioning — each of which
+//! loads its weight/map artifacts once and then parks in a serve loop on a
+//! control channel.
 //! Every Invoke of a launch — the coordinator's, a cascade parent's, the
 //! control plane's — rides its issuer's lane pool (`crate::lanes`): a
 //! launcher issues all its children at once, `LANES` per Invoke round
@@ -84,6 +85,10 @@ pub struct TreeKey {
 #[derive(Clone)]
 pub(crate) struct TreeParams {
     pub n_workers: u32,
+    /// The eager cascade's fan-out, resolved once per tree
+    /// ([`crate::EngineConfig::launch_fanout`]); a streamed launch is flat
+    /// and its weight relay has its own
+    /// ([`crate::weight_stream::RELAY_FANOUT`]).
     pub branching: usize,
     pub memory_mb: u32,
     pub model_key: String,
@@ -383,12 +388,12 @@ impl WorkerTree {
     /// Launches a tree billed to `flow`, in one of two shapes. The
     /// **cascade** (the paper's launch): a coordinator function invokes
     /// rank 0 and every rank invokes its `children_of` — `1 + P`
-    /// invocations over `launch_rounds(P, b)` rounds, each round up to
-    /// `LANES` overlapped Invokes. **Flat** (`params.stream`,
-    /// FaaSNet-style): the always-on control plane dispatches every rank
-    /// itself over one lane pool — no coordinator to cold-start first, `P`
-    /// invocations, `LANES` of them per round trip — and the tree topology
-    /// multicasts weights instead of invocations.
+    /// invocations, each launcher overlapping up to `LANES` Invokes per
+    /// round trip (`fsd_faas::launch::launch_span`). **Flat**
+    /// (`params.stream`, FaaSNet-style): the always-on control plane
+    /// dispatches every rank itself over one lane pool — no coordinator to
+    /// cold-start first, `P` invocations, `LANES` of them per round trip —
+    /// and the tree topology multicasts weights instead of invocations.
     ///
     /// Returns as soon as the launch is seeded; instances still booting
     /// pick queued work items up when they are ready. A refused

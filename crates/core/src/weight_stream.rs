@@ -5,7 +5,7 @@
 //! *multicast source*: it fetches every partition's artifact objects from
 //! object storage exactly once (through the service-wide
 //! [`crate::WeightCache`], so repeat launches skip even that) and pushes
-//! the encoded blocks down the launch tree over the
+//! the encoded blocks down a [`RELAY_FANOUT`]-ary relay tree over the
 //! [`fsd_comm::WeightNet`] fabric. Layer blocks stay encoded until compute
 //! first touches them
 //! ([`crate::artifacts::WorkerArtifacts::ensure_layer`]) — λScale's
@@ -72,6 +72,11 @@ use fsd_faas::launch::{children_of, hop_toward};
 use fsd_faas::{FaasError, WorkerCtx};
 use std::sync::Arc;
 
+/// Fan-out of the weight relay tree. Independent of the eager launch's
+/// fan-out: a relay parent puts every forwarded block on its own link, so
+/// its best fan-out depends on link bandwidth, not Invoke concurrency.
+pub(crate) const RELAY_FANOUT: usize = 4;
+
 /// The per-worker entry point of a streamed cold launch whose ranks read
 /// the mailboxes `hops..hops + P`: rank 0 runs the multicast source,
 /// every other rank drains (and relays) its stream. Returns artifacts
@@ -89,9 +94,8 @@ pub(crate) fn stream_load(
         net: env.weight_net(),
         lane: *ctx.clock_mut(),
         rank: rank as usize,
-        branching: params.branching,
         hops,
-        children: children_of(rank as usize, params.branching, p as usize),
+        children: children_of(rank as usize, RELAY_FANOUT, p as usize),
         live: true,
         own: PartStore::new(model, p, rank, n_layers),
     };
@@ -124,7 +128,6 @@ struct Relay<'a> {
     /// stall this worker's compute, and vice versa.
     lane: VClock,
     rank: usize,
-    branching: usize,
     /// First hop of this launch's mailbox namespace.
     hops: usize,
     children: Vec<usize>,
@@ -151,7 +154,7 @@ impl Relay<'_> {
             // A block cannot leave before it has arrived; the lane then
             // serializes the outbound transfer.
             self.lane.observe(available_at);
-            let hop = self.hops + hop_toward(self.rank, dst, self.branching);
+            let hop = self.hops + hop_toward(self.rank, dst, RELAY_FANOUT);
             if self
                 .net
                 .send_block(&mut self.lane, hop, dst, key, body)

@@ -1,26 +1,33 @@
-//! The hierarchical launch tree (`worker_invoke_children`).
+//! The launch tree (`worker_invoke_children`).
 //!
 //! FSD-Inference launches `P` workers as a b-ary tree: the coordinator
 //! invokes worker 0; every worker derives its children from its own rank
-//! and invokes them before starting compute. Launch latency is therefore
-//! `O(log_b P)` invocation rounds instead of `O(P)` for a chain — the paper
-//! reports this beats both a single launch loop and Lambada's two-level
-//! scheme. A round is not one Invoke per child: the launcher overlaps up to
-//! `LANES` (8) Invokes on its connection pool (`fsd_core`'s lane pool), so
-//! a round costs `ceil(children / LANES)` Invoke round trips plus one cold
-//! start, and a central loop over up to `LANES` children is a single
-//! round trip.
-//! Ranks are assigned deterministically so each instance can compute its
-//! own position with no coordination.
+//! and invokes them before starting compute. Ranks are assigned
+//! deterministically so each instance can compute its own position with
+//! no coordination.
+//!
+//! The paper reports that this `O(log_b P)` tree beats a single launch
+//! loop — which holds when a launcher issues its Invokes one after
+//! another. Here a launcher overlaps up to `connections` Invokes (8, the
+//! lanes of `fsd_core`'s connection pool), so one level costs
+//! `ceil(children / connections)` Invoke round trips plus one cold start,
+//! and every extra level pays a full round trip plus a cold start.
+//! [`launch_span`] walks that rule over a tree and [`best_fanout`] picks
+//! the fan-out it finds fastest: with the default 30 ms round trip and
+//! 250 ms cold start, rank 0 invoking every rank itself (`b = P − 1`) wins
+//! up to P = 81 with 8 connections, and up to P = 11 with serial Invokes.
+//! Past that the winner is still nearly flat: rank 0 invokes all but the
+//! last few ranks, and rank 1, up since the first lane round, invokes
+//! those (b = 73 at P = 82).
 //!
 //! # Degenerate branching
 //!
 //! `branching = 1` is **documented, supported behavior**: the "tree"
 //! degrades to a serial invocation chain (`rank r` launches only
-//! `rank r + 1`), so [`launch_rounds`]`(P, 1) == P` — the serial-launch
-//! cost the paper compares against, and `ablation_launch`'s worst case.
-//! `branching = 0` is rejected: a node with no children could never
-//! populate the tree.
+//! `rank r + 1`), so [`launch_span`] counts `P − 1` round trips — the
+//! serial-launch cost the paper compares against, and `ablation_launch`'s
+//! worst case. `branching = 0` is rejected: a node with no children could
+//! never populate the tree.
 
 /// Children of `rank` in a `branching`-ary tree over `0..total`.
 /// With `branching = 1` this is the serial chain `[rank + 1]` (see the
@@ -40,17 +47,6 @@ fn parent_of(rank: usize, branching: usize) -> Option<usize> {
     } else {
         Some((rank - 1) / branching)
     }
-}
-
-/// Depth of `rank` in the tree (root = 0).
-fn depth_of(rank: usize, branching: usize) -> usize {
-    let mut d = 0;
-    let mut r = rank;
-    while let Some(p) = parent_of(r, branching) {
-        r = p;
-        d += 1;
-    }
-    d
 }
 
 /// The child of `from` through which frames for `dst` travel: `dst`'s
@@ -74,17 +70,41 @@ pub fn hop_toward(from: usize, dst: usize, branching: usize) -> usize {
     }
 }
 
-/// Number of sequential invocation rounds to populate the whole tree —
-/// the launch critical path (tree height + 1 initial invocation).
-///
-/// Documented edge cases: `launch_rounds(0, b) == 0` (an empty tree
-/// launches nothing), and `launch_rounds(P, 1) == P` (unary branching is
-/// a serial loop — see the module docs on degenerate branching).
-pub fn launch_rounds(total: usize, branching: usize) -> usize {
-    if total == 0 {
-        return 0;
+/// Walks a `branching`-ary launch of `total` ranks, timed from rank 0's
+/// start. A launcher overlaps `connections` Invokes, so its child `i`
+/// (0-based among its siblings) starts `i / connections + 1` round trips
+/// plus one cold start after it. Returns the instant (µs) the last rank
+/// starts and the Invoke round trips on that critical path. That is also
+/// when every rank is ready to load: a launcher joins its slowest lane
+/// first, but that lane frees one cold start before its last child starts.
+pub fn launch_span(
+    total: usize,
+    branching: usize,
+    connections: usize,
+    rtt_us: u64,
+    cold_us: u64,
+) -> (u64, usize) {
+    assert!(connections >= 1, "a launcher needs a connection");
+    // Each rank's (start, round trips to it); a parent precedes its
+    // children in rank order.
+    let mut start = vec![(0u64, 0usize); total];
+    for rank in 0..total {
+        let (at, trips) = start[rank];
+        for (i, child) in children_of(rank, branching, total).into_iter().enumerate() {
+            let rounds = i / connections + 1;
+            start[child] = (at + rounds as u64 * rtt_us + cold_us, trips + rounds);
+        }
     }
-    1 + depth_of(total - 1, branching)
+    start.into_iter().max().unwrap_or((0, 0))
+}
+
+/// The smallest fan-out `b ∈ 1..=max(total − 1, 1)` whose
+/// [`launch_span`] starts the last rank soonest. `b = total − 1` is the
+/// flat loop: rank 0 invokes every other rank itself.
+pub fn best_fanout(total: usize, connections: usize, rtt_us: u64, cold_us: u64) -> usize {
+    (1..=total.saturating_sub(1).max(1))
+        .min_by_key(|&b| launch_span(total, b, connections, rtt_us, cold_us).0)
+        .expect("the range holds at least b = 1")
 }
 
 #[cfg(test)]
@@ -133,22 +153,85 @@ mod tests {
         assert!(seen.iter().all(|&s| s), "unreached ranks exist");
     }
 
+    const RTT: u64 = 30_000;
+    const COLD: u64 = 250_000;
+
     #[test]
-    fn depth_and_rounds() {
-        assert_eq!(depth_of(0, 2), 0);
-        assert_eq!(depth_of(1, 2), 1);
-        assert_eq!(depth_of(6, 2), 2);
-        assert_eq!(launch_rounds(1, 4), 1);
-        assert_eq!(launch_rounds(62, 4), 1 + depth_of(61, 4));
-        // Tree launch must be exponentially better than a serial loop.
-        assert!(launch_rounds(62, 4) <= 4);
-        assert_eq!(launch_rounds(0, 4), 0);
+    fn spans_count_round_trips_per_lane_round_and_cold_starts_per_level() {
+        assert_eq!(launch_span(0, 4, 8, RTT, COLD), (0, 0));
+        assert_eq!(launch_span(1, 4, 8, RTT, COLD), (0, 0));
+        // b = 4, P = 12: two levels of one round trip each.
+        assert_eq!(launch_span(12, 4, 8, RTT, COLD), (2 * (RTT + COLD), 2));
+        // The flat loop at P = 12 issues 11 Invokes over two lane rounds.
+        assert_eq!(launch_span(12, 11, 8, RTT, COLD), (2 * RTT + COLD, 2));
+        // Serial Invokes: the eleventh child waits for ten earlier ones.
+        assert_eq!(launch_span(12, 11, 1, RTT, COLD), (11 * RTT + COLD, 11));
+        // Without a cold start a launcher's join ties its last child's
+        // start.
+        assert_eq!(launch_span(3, 2, 1, RTT, 0), (2 * RTT, 2));
     }
 
     #[test]
     fn unary_tree_degenerates_to_chain() {
         assert_eq!(children_of(3, 1, 10), vec![4]);
-        assert_eq!(launch_rounds(10, 1), 10);
+        assert_eq!(launch_span(10, 1, 8, RTT, COLD), (9 * (RTT + COLD), 9));
+    }
+
+    /// The instant the last rank is ready to load, simulated on explicit
+    /// lane clocks: each launcher's next Invoke takes its earliest-free
+    /// lane, and the launcher is ready once its slowest lane is free.
+    fn simulate(total: usize, b: usize, connections: usize) -> u64 {
+        let mut start = vec![0u64; total];
+        let mut last = 0;
+        for rank in 0..total {
+            let mut lanes = vec![start[rank]; connections];
+            for child in children_of(rank, b, total) {
+                let lane = lanes.iter_mut().min().expect("connections ≥ 1");
+                start[child] = *lane + RTT + COLD;
+                *lane += RTT;
+            }
+            last = last.max(*lanes.iter().max().expect("connections ≥ 1"));
+        }
+        last
+    }
+
+    #[test]
+    fn best_fanout_is_the_brute_force_argmin_over_every_fanout() {
+        for connections in [1, 8] {
+            for total in 1..=128 {
+                // Fan-outs past P − 1 are all the flat loop.
+                let spans: Vec<u64> = (1..=total + 1)
+                    .map(|b| simulate(total, b, connections))
+                    .collect();
+                // The walk's last start is the simulated last ready.
+                for (b, &span) in (1..).zip(&spans) {
+                    assert_eq!(launch_span(total, b, connections, RTT, COLD).0, span);
+                }
+                let best = spans.iter().min().expect("non-empty");
+                let argmin = 1 + spans.iter().position(|s| s == best).expect("present");
+                assert_eq!(
+                    best_fanout(total, connections, RTT, COLD),
+                    argmin,
+                    "P = {total}, connections = {connections}"
+                );
+            }
+        }
+        assert_eq!(best_fanout(1, 8, RTT, COLD), 1);
+    }
+
+    #[test]
+    fn the_flat_loop_wins_until_the_crossover() {
+        let flat_until = |connections| {
+            (1..=128)
+                .find(|&p| best_fanout(p, connections, RTT, COLD) < p.saturating_sub(1))
+                .expect("a tree wins somewhere below 128")
+                - 1
+        };
+        assert_eq!(flat_until(8), 81);
+        assert_eq!(flat_until(1), 11);
+        // The eager launch of the `cold_launch` and `cold_start` shapes.
+        assert_eq!(best_fanout(8, 8, RTT, COLD), 7);
+        assert_eq!(best_fanout(4, 8, RTT, COLD), 3);
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! ```
 //!
 //! Every request of a pool-less service pays the full launch bill —
-//! coordinator invoke + cold start, `launch_rounds(P, b)` hierarchical
-//! tree invocations, per-worker weight loads. With
+//! coordinator invoke + cold start, the launch tree's Invoke rounds
+//! (`fsd_faas::launch::launch_span`), per-worker weight loads. With
 //! `ServiceBuilder::warm_pool(max, ttl)`, the tree a request launches
 //! stays parked (weights resident, instances in a serve loop) and the
 //! next request of the same `(variant, P, memory)` shape is routed

@@ -542,22 +542,26 @@ fn modelled_footprint_of_a_fixed_request_is_pinned_per_transport() {
 /// its children in one round trip): every `latency_us` moved; queue's and
 /// hybrid's `calls` fell 403 → 369 (the ranks start together, so a poll
 /// finds more of a layer's frames at once); `work`, `peaks`, `bytes` and
-/// `pre` kept their values.
+/// `pre` kept their values. Re-taken when the eager launch became flat
+/// from rank 0 at P = 8 (`EngineConfig::launch_fanout`): every
+/// `latency_us` fell by 272–300 ms (ranks 5–7 start one level sooner);
+/// queue's and hybrid's `calls` fell 369 → 345; `work`, `peaks`, `bytes`
+/// and `pre` kept their values.
 const PINNED_FOOTPRINTS: [(Variant, &str); 4] = [
     (
         Variant::Queue,
-        "work=186475 latency_us=1709572 peaks=[32320, 33656, 33008, 34892, 33344, 32312, 32468, 33268] bytes=176136 calls=369 pre=111899",
+        "work=186475 latency_us=1437524 peaks=[32320, 33656, 33008, 34892, 33344, 32312, 32468, 33268] bytes=176136 calls=345 pre=111899",
     ),
     (
         Variant::Object,
-        "work=186475 latency_us=1811405 peaks=[32320, 33656, 33008, 34892, 33344, 32312, 32468, 33268] bytes=278096 calls=713 pre=111861",
+        "work=186475 latency_us=1511544 peaks=[32320, 33656, 33008, 34892, 33344, 32312, 32468, 33268] bytes=278096 calls=713 pre=111861",
     ),
     (
         Variant::Hybrid,
-        "work=186475 latency_us=1709639 peaks=[32320, 33656, 33008, 34892, 33344, 32312, 32468, 33268] bytes=176462 calls=369 pre=111899",
+        "work=186475 latency_us=1437592 peaks=[32320, 33656, 33008, 34892, 33344, 32312, 32468, 33268] bytes=176462 calls=345 pre=111899",
     ),
     (
         Variant::Direct,
-        "work=186475 latency_us=1361232 peaks=[32320, 33656, 33008, 34892, 33344, 32312, 32468, 33268] bytes=176003 calls=406 pre=111861",
+        "work=186475 latency_us=1081239 peaks=[32320, 33656, 33008, 34892, 33344, 32312, 32468, 33268] bytes=176003 calls=406 pre=111861",
     ),
 ];

@@ -378,7 +378,7 @@ fn cold_start_skew_does_not_break_early_layers() {
     cloud.latency.lambda_cold_start_us = 5_000_000; // 5 s cold starts
     let service = ServiceBuilder::new(dnn)
         .config(EngineConfig {
-            branching: 1, // a chain: maximal start-time skew
+            branching: Some(1), // a chain: maximal start-time skew
             ..EngineConfig::default()
         })
         .deterministic(34)

@@ -1,7 +1,8 @@
 //! Launch timing in a jitter-free region: every Invoke rides its issuer's
 //! lane pool, so a launcher starts up to eight children in one round trip,
 //! and each child starts one Invoke round trip plus one cold start after
-//! its call is issued.
+//! its call is issued. The eager launch's default fan-out is flat from
+//! rank 0 at these sizes (`fsd_faas::launch::best_fanout`).
 
 mod common;
 
@@ -15,8 +16,9 @@ use std::sync::Arc;
 const SEED: u64 = 71;
 
 /// A jitter-free service over a small model; `stream` picks the flat
-/// control-plane launch over the paper's cascade (branching 4).
-fn service(stream: bool) -> FsdService {
+/// control-plane launch over the cascade, whose fan-out `branching`
+/// overrides.
+fn service(stream: bool, branching: Option<usize>) -> FsdService {
     let spec = DnnSpec {
         neurons: 96,
         layers: 2,
@@ -26,7 +28,7 @@ fn service(stream: bool) -> FsdService {
         seed: SEED,
     };
     let mut cfg = EngineConfig::deterministic(SEED);
-    cfg.branching = 4;
+    cfg.branching = branching;
     ServiceBuilder::new(Arc::new(generate_dnn(&spec)))
         .config(cfg)
         .weight_streaming(stream)
@@ -64,7 +66,7 @@ fn rtt_and_launch(service: &FsdService) -> (u64, u64) {
 
 #[test]
 fn a_flat_launch_of_eight_starts_every_rank_at_once() {
-    let service = service(true);
+    let service = service(true, Some(4));
     let (_, launch) = rtt_and_launch(&service);
     let report = service.submit(&request(8)).expect("streamed cold start");
     assert_eq!(starts(&report), vec![launch; 8]);
@@ -73,7 +75,7 @@ fn a_flat_launch_of_eight_starts_every_rank_at_once() {
 
 #[test]
 fn a_flat_launch_past_the_lanes_starts_the_ninth_rank_one_round_trip_later() {
-    let service = service(true);
+    let service = service(true, Some(4));
     let (rtt, launch) = rtt_and_launch(&service);
     let report = service.submit(&request(12)).expect("streamed cold start");
     let mut expected = vec![launch; 8];
@@ -84,7 +86,7 @@ fn a_flat_launch_past_the_lanes_starts_the_ninth_rank_one_round_trip_later() {
 
 #[test]
 fn a_cascade_starts_each_level_one_launch_after_its_parent() {
-    let service = service(false);
+    let service = service(false, Some(4));
     let (_, launch) = rtt_and_launch(&service);
     let report = service.submit(&request(8)).expect("cascade cold start");
     let starts = starts(&report);
@@ -101,7 +103,7 @@ fn a_cascade_starts_each_level_one_launch_after_its_parent() {
 #[test]
 fn a_refused_child_fails_the_launch_and_its_siblings_are_still_invoked() {
     common::watchdog(|| {
-        let service = service(false);
+        let service = service(false, Some(4));
         // Rank 2 is the second of rank 0's four children at P = 8, b = 4.
         service
             .env()
@@ -117,4 +119,44 @@ fn a_refused_child_fails_the_launch_and_its_siblings_are_still_invoked() {
         assert_eq!(service.failed_attempt_bill().lambda.invocations, 9);
         assert_eq!(service.audit(), Vec::<String>::new());
     });
+}
+
+#[test]
+fn the_default_eager_launch_of_eight_starts_every_rank_one_launch_after_rank_0() {
+    let service = service(false, None);
+    let (_, launch) = rtt_and_launch(&service);
+    let report = service.submit(&request(8)).expect("eager cold start");
+    let starts = starts(&report);
+    let root = starts[0];
+    let mut expected = vec![root];
+    expected.extend([root + launch; 7]);
+    assert_eq!(starts, expected);
+    assert_eq!(service.audit(), Vec::<String>::new());
+}
+
+#[test]
+fn the_default_eager_launch_past_the_lanes_starts_ranks_9_to_11_one_round_trip_later() {
+    let service = service(false, None);
+    let (rtt, launch) = rtt_and_launch(&service);
+    let report = service.submit(&request(12)).expect("eager cold start");
+    let starts = starts(&report);
+    // Rank 0 issues its 11 Invokes over two lane rounds.
+    let root = starts[0];
+    let mut expected = vec![root];
+    expected.extend([root + launch; 8]);
+    expected.extend([root + launch + rtt; 3]);
+    assert_eq!(starts, expected);
+    assert_eq!(service.audit(), Vec::<String>::new());
+}
+
+#[test]
+fn a_unary_override_still_launches_a_chain() {
+    let service = service(false, Some(1));
+    let (_, launch) = rtt_and_launch(&service);
+    let report = service.submit(&request(4)).expect("chain cold start");
+    let starts = starts(&report);
+    let root = starts[0];
+    let expected: Vec<u64> = (0..4).map(|depth| root + depth * launch).collect();
+    assert_eq!(starts, expected);
+    assert_eq!(service.audit(), Vec::<String>::new());
 }

@@ -85,7 +85,7 @@ fn ranks_running_batches_apart_never_cross_them() {
         let expected: Vec<_> = batches.iter().map(|b| dnn.serial_inference(b)).collect();
         let service = ServiceBuilder::new(dnn)
             .config(EngineConfig {
-                branching: 1, // a chain: the widest start-time skew
+                branching: Some(1), // a chain: the widest start-time skew
                 ..EngineConfig::default()
             })
             .deterministic(26)
