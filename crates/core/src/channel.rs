@@ -8,10 +8,11 @@
 //! carriers: pub-sub/queueing (Algorithm 1), object storage (Algorithm 2),
 //! their size-switched hybrid, and punched direct links.
 //!
-//! Collectives (`barrier`, `reduce`) are built on the same primitives using
-//! reserved tags, exactly as the paper layers them on its channels. The
-//! worker loop closes each batch with `reduce` alone; `barrier` is not on
-//! the inference path.
+//! The `barrier` collective is built on the same primitives using reserved
+//! tags, exactly as the paper layers it on its channels. It is not on the
+//! inference path, and neither is the paper's closing reduce: a batch ends
+//! with its last layer, and each rank hands its own final rows back with
+//! its work-item result instead of shipping them to rank 0 (`worker.rs`).
 
 use fsd_comm::quota;
 use fsd_faas::{FaasError, WorkerCtx};
@@ -56,7 +57,7 @@ impl Default for ChannelOptions {
 
 /// Message class carried in the `layer` attribute / key segment.
 ///
-/// Layers use their index; collectives use reserved values well above any
+/// Layers use their index; the barrier uses reserved values well above any
 /// real layer count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Tag {
@@ -66,25 +67,21 @@ pub enum Tag {
     BarrierArrive(u32),
     /// Barrier round `r`: release (root → workers).
     BarrierRelease(u32),
-    /// Output reduction for batch `b` (worker → root).
-    Reduce(u32),
 }
 
 const TAG_BARRIER_ARRIVE: u32 = 0xFFFF_0000;
 const TAG_BARRIER_RELEASE: u32 = 0xFFFE_0000;
-const TAG_REDUCE: u32 = 0xFFFD_0000;
 
 impl Tag {
     /// Encodes into the 32-bit attribute field. Control tags carry 16 bits
-    /// of round/batch and layers must stay below the lowest control base;
+    /// of round and layers must stay below the lowest control base;
     /// a value that does not fit is an error (surfaced by the channel's
     /// `send_layer`/`receive_round`), never a silent alias of another tag.
     pub fn encode(self) -> Result<u32, FaasError> {
         let (base, value, limit) = match self {
-            Tag::Layer(k) => (0, k, TAG_REDUCE),
+            Tag::Layer(k) => (0, k, TAG_BARRIER_RELEASE),
             Tag::BarrierArrive(r) => (TAG_BARRIER_ARRIVE, r, 1 << 16),
             Tag::BarrierRelease(r) => (TAG_BARRIER_RELEASE, r, 1 << 16),
-            Tag::Reduce(b) => (TAG_REDUCE, b, 1 << 16),
         };
         if value >= limit {
             return Err(FaasError::comm(
@@ -101,7 +98,6 @@ impl Tag {
         match v & 0xFFFF_0000 {
             TAG_BARRIER_ARRIVE => Tag::BarrierArrive(v & 0xFFFF),
             TAG_BARRIER_RELEASE => Tag::BarrierRelease(v & 0xFFFF),
-            TAG_REDUCE => Tag::Reduce(v & 0xFFFF),
             _ => Tag::Layer(v),
         }
     }
@@ -112,7 +108,6 @@ impl Tag {
             Tag::Layer(k) => format!("L{k}"),
             Tag::BarrierArrive(r) => format!("BA{r}"),
             Tag::BarrierRelease(r) => format!("BR{r}"),
-            Tag::Reduce(b) => format!("RED{b}"),
         }
     }
 }
@@ -227,7 +222,7 @@ pub trait FsiChannel: Send + Sync {
 ///
 /// A standalone public collective, off the inference path: the worker
 /// loop does not call it, because per-(batch, layer) tags already keep
-/// batches apart and the root's [`reduce`] already waits for every rank.
+/// batches apart and the tree already waits for every rank's result.
 /// The `machine` bench's barrier probe still calls it.
 pub fn barrier(
     channel: &dyn FsiChannel,
@@ -253,39 +248,6 @@ pub fn barrier(
     Ok(())
 }
 
-/// Reduce to worker 0 (paper line `reduce(P_0, x^L_m)`): every worker ships
-/// its final rows for batch `batch` to the root, which merges them — in one
-/// pass, into an exact-capacity block — into the inference result.
-///
-/// A sender's block is moved into its send slice and back, not copied, so
-/// `mine` holds the same rows when this returns, sent or not.
-pub fn reduce(
-    channel: &dyn FsiChannel,
-    ctx: &mut WorkerCtx,
-    me: u32,
-    n_workers: u32,
-    mine: &mut SparseRows,
-    batch: u32,
-) -> Result<Option<SparseRows>, FaasError> {
-    if n_workers <= 1 {
-        return Ok(Some(mine.clone()));
-    }
-    if me == 0 {
-        let mut tracker = RecvTracker::expecting(1..n_workers);
-        let blocks = channel.receive_all(ctx, Tag::Reduce(batch), 0, &mut tracker)?;
-        let parts: Vec<&SparseRows> = std::iter::once(&*mine)
-            .chain(blocks.iter().map(|(_, block)| block))
-            .collect();
-        Ok(Some(SparseRows::merge_all(&parts)))
-    } else {
-        let mut slice = [(0, std::mem::take(mine))];
-        let sent = channel.send_layer(ctx, Tag::Reduce(batch), me, &slice);
-        *mine = std::mem::take(&mut slice[0].1);
-        sent?;
-        Ok(None)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -298,8 +260,7 @@ mod tests {
             Tag::BarrierArrive(0),
             Tag::BarrierArrive(7),
             Tag::BarrierRelease(7),
-            Tag::Reduce(0),
-            Tag::Reduce(3),
+            Tag::BarrierRelease(65_535),
         ] {
             assert_eq!(Tag::decode(tag.encode().expect("fits")), tag, "{tag:?}");
         }
@@ -307,12 +268,7 @@ mod tests {
 
     #[test]
     fn tag_key_segments_are_distinct() {
-        let tags = [
-            Tag::Layer(3),
-            Tag::BarrierArrive(3),
-            Tag::BarrierRelease(3),
-            Tag::Reduce(3),
-        ];
+        let tags = [Tag::Layer(3), Tag::BarrierArrive(3), Tag::BarrierRelease(3)];
         let mut segs: Vec<String> = tags.iter().map(|t| t.key_segment()).collect();
         segs.sort();
         segs.dedup();
@@ -321,16 +277,15 @@ mod tests {
 
     #[test]
     fn tags_that_do_not_fit_are_errors_not_aliases() {
-        // 16 bits of round/batch: 65 535 round-trips, 65 536 used to alias 0.
-        let last = Tag::Reduce(65_535);
+        // 16 bits of round: 65 535 round-trips, 65 536 used to alias 0.
+        let last = Tag::BarrierArrive(65_535);
         assert_eq!(Tag::decode(last.encode().expect("fits")), last);
         for tag in [
-            Tag::Reduce(65_536),
             Tag::BarrierArrive(65_536),
             Tag::BarrierRelease(u32::MAX),
             Tag::Layer(0xFFFF_0001),
-            // Below the old assert's bound, but decodes as `Reduce(5)`.
-            Tag::Layer(0xFFFD_0005),
+            // Would decode as `BarrierRelease(5)`.
+            Tag::Layer(0xFFFE_0005),
         ] {
             let err = tag.encode().expect_err("must not fit");
             assert!(
@@ -338,7 +293,7 @@ mod tests {
                 "{err}"
             );
         }
-        let top = Tag::Layer(0xFFFC_FFFF);
+        let top = Tag::Layer(0xFFFD_FFFF);
         assert_eq!(Tag::decode(top.encode().expect("fits")), top);
     }
 

@@ -24,9 +24,9 @@
 //!   λScale-style cold starts where rank 0 fetches each weight block once
 //!   and multicasts it down the launch-tree topology, with per-layer lazy
 //!   decode and a process-wide [`WeightCache`];
-//! * **collectives** — [`channel::reduce`] closes every batch and
-//!   [`channel::barrier`] is a standalone collective, both built on the same
-//!   serverless primitives;
+//! * **collectives** — [`channel::barrier`] is a standalone collective built
+//!   on the same serverless primitives; no collective closes a batch, since
+//!   every rank returns its own output rows with its result;
 //! * **cost model** (Section IV) — [`cost::CostModel`] with actual
 //!   (service-metered) vs predicted (client-metered) breakdowns;
 //! * **design recommendations** (Section IV-C) — [`recommend_variant`],
@@ -87,7 +87,7 @@ pub mod wire;
 pub mod worker;
 
 pub use builder::ServiceBuilder;
-pub use channel::{barrier, reduce, ChannelOptions, FsiChannel, RecvTracker, Tag};
+pub use channel::{barrier, ChannelOptions, FsiChannel, RecvTracker, Tag};
 pub use engine::{
     BatchedRequest, EngineConfig, InferenceReport, InferenceRequest, LaunchPath, Variant,
     WorkerReport,

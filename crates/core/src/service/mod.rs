@@ -181,9 +181,10 @@ impl FsdService {
     }
 
     /// Runs several successive batches through one worker tree (paper
-    /// Fig. 1): the tree is launched once, weights are loaded once, and a
-    /// reduce to rank 0 closes each batch (no per-batch barrier: the tags
-    /// keep batches apart).
+    /// Fig. 1): the tree is launched once and weights are loaded once. No
+    /// barrier or reduce closes a batch: the tags keep batches apart, and
+    /// every rank hands its own output rows back with its result, which the
+    /// tree merges per batch once all ranks have reported.
     pub fn submit_batched(&self, req: &BatchedRequest) -> Result<InferenceReport, FsdError> {
         if req.batches.is_empty() {
             return Err(FsdError::EmptyRequest);

@@ -516,6 +516,7 @@ impl WorkerTree {
         }
         // Arrival order races across real threads; rank order is canonical.
         run.reports.sort_unstable_by_key(|(rank, _)| *rank);
+        run.merge_parts();
         run.client = item.channel.stats().snapshot();
         Ok(run)
     }

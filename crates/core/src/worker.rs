@@ -7,18 +7,19 @@
 //! "Batch 1 … Batch n, SYNC"), per layer, a worker sends its owed rows,
 //! computes the local product to overlap communication with computation,
 //! receives and accumulates inbound rows until its receive map is
-//! satisfied, and applies the activation. A reduce per batch delivers that
-//! batch's result to rank 0; the paper's per-batch SYNC barrier is not run,
-//! because layer tags are unique per (batch, layer) and the root's reduce
-//! already waits for every rank. Launching the tree and loading
-//! weight/map artifacts happen once per instance in `warm.rs` and amortize
-//! across batches and requests — the data-parallel batch processing the
-//! paper builds in. FSD-Inf-Serial is the one-rank tree: its send and
-//! receive maps are empty and its collectives return at once, so the same
+//! satisfied, and applies the activation. Neither the paper's per-batch
+//! SYNC barrier nor its closing `reduce(P_0, x^L_m)` runs: layer tags are
+//! unique per (batch, layer), and each rank hands its own final rows back
+//! with its work-item result, which the tree merges once every rank has
+//! reported (`WorkerTree::collect` already waits for all of them).
+//! Launching the tree and loading weight/map artifacts happen once per
+//! instance in `warm.rs` and amortize across batches and requests — the
+//! data-parallel batch processing the paper builds in. FSD-Inf-Serial is
+//! the one-rank tree: its send and receive maps are empty, so the same
 //! loop runs with every communication step removed.
 
 use crate::artifacts::{load_input_share_into, WorkerArtifacts};
-use crate::channel::{reduce, FsiChannel, RecvTracker, Tag};
+use crate::channel::{FsiChannel, RecvTracker, Tag};
 use crate::engine::LaunchPath;
 use crate::recycle::Recycler;
 use crate::stats::ChannelStatsSnapshot;
@@ -29,8 +30,9 @@ use std::sync::Arc;
 
 /// What one instance produced for one request's batches.
 pub struct WorkerOutput {
-    /// Final activations per batch (root only, after each reduce).
-    pub final_batches: Option<Vec<SparseRows>>,
+    /// This rank's own final rows `x^L`, one block per batch. Every rank
+    /// returns its part; the tree merges the parts once all have reported.
+    pub final_rows: Vec<SparseRows>,
     /// Artifact GETs this instance issued for the request.
     pub artifact_gets: u64,
     /// Kernel work units this instance charged.
@@ -40,8 +42,11 @@ pub struct WorkerOutput {
 /// What one whole run — every instance of a tree — hands the service to
 /// assemble an `InferenceReport` from.
 pub(crate) struct RunOutput {
-    /// Rank 0's final activations per batch.
+    /// The final activations per batch: every rank's rows, merged.
     pub final_batches: Vec<SparseRows>,
+    /// `(rank, final rows per batch)` of each absorbed instance, until
+    /// [`RunOutput::merge_parts`] merges them into `final_batches`.
+    parts: Vec<(u32, Vec<SparseRows>)>,
     /// `(rank, report)` in rank order.
     pub reports: Vec<(u32, InvocationReport)>,
     /// Artifact GETs across all instances.
@@ -59,6 +64,7 @@ impl RunOutput {
     pub(crate) fn new(launch: LaunchPath) -> RunOutput {
         RunOutput {
             final_batches: Vec::new(),
+            parts: Vec::new(),
             reports: Vec::new(),
             artifact_gets: 0,
             work_done: 0,
@@ -72,28 +78,37 @@ impl RunOutput {
         self.reports.push((rank, report));
         self.artifact_gets += out.artifact_gets;
         self.work_done += out.work_done;
-        if rank == 0 {
-            self.final_batches = out.final_batches.unwrap_or_default();
-        }
+        self.parts.push((rank, out.final_rows));
+    }
+
+    /// Once every instance is absorbed: merges each batch's parts, in rank
+    /// order, with one [`SparseRows::merge_all`]. The ranks own disjoint
+    /// rows and the merge emits them in ascending id, so the result is the
+    /// serial layer loop's, whatever order the instances reported in.
+    pub(crate) fn merge_parts(&mut self) {
+        self.parts.sort_unstable_by_key(|(rank, _)| *rank);
+        let batches = self.parts.first().map_or(0, |(_, rows)| rows.len());
+        self.final_batches = (0..batches)
+            .map(|b| {
+                let parts: Vec<&SparseRows> = self.parts.iter().map(|(_, rows)| &rows[b]).collect();
+                SparseRows::merge_all(&parts)
+            })
+            .collect();
+        self.parts.clear();
     }
 }
 
 /// Batch-aware layer tag: tags must be distinct across batches so early
 /// arrivals stash correctly and object keys never collide with a previous
-/// batch's persisted files.
+/// batch's persisted files. An index past 32 bits is [`Tag::encode`]'s
+/// `"tag"` error — never a silent wrap onto an earlier tag.
 fn layer_tag(spec: &DnnSpec, batch: usize, k: usize) -> Result<Tag, FaasError> {
     let index = batch as u128 * spec.layers as u128 + k as u128;
-    tag_field(index, "L").map(Tag::Layer)
-}
-
-/// `value` as a 32-bit tag field, or [`Tag::encode`]'s `"tag"` error —
-/// never a silent wrap onto an earlier tag.
-fn tag_field(value: u128, segment: &str) -> Result<u32, FaasError> {
-    u32::try_from(value).map_err(|_| {
+    u32::try_from(index).map(Tag::Layer).map_err(|_| {
         FaasError::comm(
             "tag",
-            format!("{segment}{value}"),
-            format!("{value} does not fit the tag field"),
+            format!("L{index}"),
+            format!("{index} does not fit the tag field"),
         )
     })
 }
@@ -128,13 +143,14 @@ impl Default for Workspace {
 pub(crate) type WorkspacePool = Recycler<Workspace>;
 
 /// Runs every batch of one request through an already-loaded worker: per
-/// batch, the layer loop of Algorithms 1 & 2 followed by a reduce to rank 0.
-/// No barrier closes a batch: a non-root rank ships its block and goes
-/// straight on to the next batch. Nothing of batch b + 1 can be mistaken
-/// for batch b, since every layer's tag is unique per (batch, layer) and
-/// the engine holds back frames of other tags. A keep-alive instance runs
-/// *exactly* this per work item, so outputs are bit-identical between a
-/// tree's first (cold) request and every later (warm) one by construction.
+/// batch, the layer loop of Algorithms 1 & 2, after which the rank keeps
+/// its own `x^L` rows for its result and goes straight on to the next
+/// batch; no barrier or reduce closes a batch. Nothing of batch b + 1 can
+/// be mistaken for batch b, since every layer's tag is unique per
+/// (batch, layer) and the engine holds back frames of other tags. A
+/// keep-alive instance runs *exactly* this per work item, so outputs are
+/// bit-identical between a tree's first (cold) request and every later
+/// (warm) one by construction.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_batches(
     ctx: &mut WorkerCtx,
@@ -157,7 +173,7 @@ pub(crate) fn run_batches(
     } = &mut ws;
     let mut artifact_gets = 0u64;
     let mut work_done = 0u64;
-    let mut final_batches: Vec<SparseRows> = Vec::new();
+    let mut final_rows: Vec<SparseRows> = Vec::with_capacity(batch_widths.len());
     for (b, &width) in batch_widths.iter().enumerate() {
         load_input_share_into(ctx, &format!("{input_key}/b{b}"), n_workers, rank, x)?;
         artifact_gets += 1;
@@ -220,16 +236,15 @@ pub(crate) fn run_batches(
             ctx.check_limits()?;
         }
 
-        // --- reduce this batch to rank 0 ---------------------------------
-        let batch = tag_field(b as u128, "R")?;
-        if let Some(out) = reduce(channel.as_ref(), ctx, rank, n_workers, x, batch)? {
-            final_batches.push(out);
-        }
+        // The block leaves the memory model with the batch: the result it
+        // rides back in is not a rank's working set. It is copied out so
+        // the workspace keeps its buffers for the next batch.
+        final_rows.push(x.clone());
         ctx.track_free(x.mem_bytes() + art.owned.len() * width * 4);
     }
     workspaces.give(ws);
     Ok(WorkerOutput {
-        final_batches: if rank == 0 { Some(final_batches) } else { None },
+        final_rows,
         artifact_gets,
         work_done,
     })

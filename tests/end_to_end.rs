@@ -546,22 +546,28 @@ fn modelled_footprint_of_a_fixed_request_is_pinned_per_transport() {
 /// from rank 0 at P = 8 (`EngineConfig::launch_fanout`): every
 /// `latency_us` fell by 272–300 ms (ranks 5–7 start one level sooner);
 /// queue's and hybrid's `calls` fell 369 → 345; `work`, `peaks`, `bytes`
-/// and `pre` kept their values.
+/// and `pre` kept their values. Re-taken when the channel reduce left the
+/// request (each rank returns its own final rows with its result): `work`
+/// and `peaks` kept their values; the seven reduce frames left `calls`
+/// (queue and hybrid 345 → 334, object 713 → 699, direct 406 → 399),
+/// `bytes` and `pre` (111 899 → 92 761 on the queue-fed carriers,
+/// 111 861 → 92 723 on object and direct); every `latency_us` fell, by
+/// 63 ms on the queue-fed carriers, 60 ms on object and 1.6 ms on direct.
 const PINNED_FOOTPRINTS: [(Variant, &str); 4] = [
     (
         Variant::Queue,
-        "work=186475 latency_us=1437524 peaks=[32320, 33656, 33008, 34892, 33344, 32312, 32468, 33268] bytes=176136 calls=345 pre=111899",
+        "work=186475 latency_us=1374219 peaks=[32320, 33656, 33008, 34892, 33344, 32312, 32468, 33268] bytes=161941 calls=334 pre=92761",
     ),
     (
         Variant::Object,
-        "work=186475 latency_us=1511544 peaks=[32320, 33656, 33008, 34892, 33344, 32312, 32468, 33268] bytes=278096 calls=713 pre=111861",
+        "work=186475 latency_us=1451319 peaks=[32320, 33656, 33008, 34892, 33344, 32312, 32468, 33268] bytes=249706 calls=699 pre=92723",
     ),
     (
         Variant::Hybrid,
-        "work=186475 latency_us=1437592 peaks=[32320, 33656, 33008, 34892, 33344, 32312, 32468, 33268] bytes=176462 calls=345 pre=111899",
+        "work=186475 latency_us=1374269 peaks=[32320, 33656, 33008, 34892, 33344, 32312, 32468, 33268] bytes=162260 calls=334 pre=92761",
     ),
     (
         Variant::Direct,
-        "work=186475 latency_us=1081239 peaks=[32320, 33656, 33008, 34892, 33344, 32312, 32468, 33268] bytes=176003 calls=406 pre=111861",
+        "work=186475 latency_us=1079654 peaks=[32320, 33656, 33008, 34892, 33344, 32312, 32468, 33268] bytes=161808 calls=399 pre=92723",
     ),
 ];

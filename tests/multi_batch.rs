@@ -1,13 +1,16 @@
 //! Multi-batch requests (paper Fig. 1: "Batch 1 … Batch n, SYNC"): one
 //! worker tree processes successive batches, with launch and weight loads
-//! amortized and a reduce closing each batch. There is no SYNC barrier: a
-//! rank that has shipped its block goes straight on to the next batch, so
-//! only the per-(batch, layer) tags keep two batches' frames apart.
+//! amortized. Neither a SYNC barrier nor a reduce closes a batch: a rank
+//! keeps its own final rows for its result and goes straight on to the
+//! next batch, so only the per-(batch, layer) tags keep two batches'
+//! frames apart, and the tree merges the ranks' rows once all reported.
 
 use fsd_inference::core::{
     BatchedRequest, EngineConfig, FsdError, FsdService, InferenceRequest, ServiceBuilder, Variant,
 };
 use fsd_inference::model::{generate_dnn, generate_inputs, DnnSpec, InputSpec};
+use fsd_inference::partition::CommPlan;
+use fsd_inference::sparse::SparseRows;
 use std::sync::Arc;
 
 mod common;
@@ -106,6 +109,80 @@ fn ranks_running_batches_apart_never_cross_them() {
             assert_eq!(service.audit(), Vec::<String>::new(), "{variant}");
         }
     });
+}
+
+/// A batch ends with its last layer: every rank hands its own `x^L` rows
+/// back with its result and the tree merges them. Over every transport at
+/// P ∈ {2, 3, 8}, a two-batch request of unequal widths must equal the
+/// serial oracle per batch, and its meters must carry exactly the layer
+/// frames its `CommPlan` implies — one per (source, target) pair, layer
+/// and batch — and nothing after the last layer. The second batch is so
+/// sparse that some ranks' final blocks are empty while others are not,
+/// so the merge sees empty and full parts of one width.
+#[test]
+fn a_batch_ends_with_its_last_layer_and_each_rank_returns_its_own_rows() {
+    let spec = DnnSpec {
+        neurons: 96,
+        layers: 3,
+        nnz_per_row: 6,
+        bias: -0.3,
+        clip: 32.0,
+        seed: 27,
+    };
+    let dnn = Arc::new(generate_dnn(&spec));
+    let sparse = InputSpec {
+        batch: 3,
+        active_region: 0.1,
+        density: 0.1,
+        seed: 28,
+    };
+    let batches = vec![
+        generate_inputs(spec.neurons, &InputSpec::scaled(20, 27)),
+        generate_inputs(spec.neurons, &sparse),
+    ];
+    assert_ne!(batches[0].width(), batches[1].width());
+    let expected: Vec<SparseRows> = batches.iter().map(|b| dnn.serial_inference(b)).collect();
+    let service = ServiceBuilder::new(dnn.clone()).deterministic(27).build();
+    let mut saw_empty_part = false;
+    for p in [2u32, 3, 8] {
+        let partition = service.partition(p);
+        let plan = CommPlan::build(&dnn, &partition);
+        let frames = batches.len() as u64 * plan.total_pairs();
+        // A rank none of whose owned rows is in the sparse batch's output
+        // returned an empty block for it.
+        let empty = (0..p)
+            .filter(|&r| {
+                let owned = partition.owned(r);
+                owned.iter().all(|&id| expected[1].row_by_id(id).is_none())
+            })
+            .count();
+        saw_empty_part |= 0 < empty && empty < p as usize;
+        for variant in common::channel_variants() {
+            let report = service
+                .submit_batched(&BatchedRequest {
+                    variant,
+                    workers: p,
+                    memory_mb: 1769,
+                    batches: batches.clone(),
+                })
+                .unwrap_or_else(|e| panic!("{variant} P={p}: {e}"));
+            assert_eq!(report.outputs, expected, "{variant} P={p}");
+            let c = &report.comm;
+            assert_eq!(
+                c.sqs_messages + c.s3_put_requests + c.direct_messages,
+                frames,
+                "{variant} P={p}: one frame per plan pair, layer and batch"
+            );
+            if variant == Variant::Object {
+                assert_eq!(c.s3_put_requests, frames, "P={p}");
+            }
+        }
+    }
+    assert!(
+        saw_empty_part,
+        "some rank's last-layer block is empty while another's is not"
+    );
+    assert_eq!(service.audit(), Vec::<String>::new());
 }
 
 #[test]

@@ -412,15 +412,19 @@ fn streamed_relay_footprint_is_pinned_for_cold_and_warm_caches() {
 /// the flat launch at once: all eight ranks now start together, so the
 /// finish times fell and the source's cold-cache GETs reach the critical
 /// path (the warm-cache row finishes 42 900 µs sooner); `frames`, `bytes`,
-/// `gets` and every peak kept their values.
+/// `gets` and every peak kept their values. Re-taken when the channel
+/// reduce left the request: rank 0 no longer waits for the other ranks'
+/// final blocks, so its finish fell to the others' (cold cache 597 079 →
+/// 534 057 µs, warm cache 554 179 → 499 150 µs) and ranks 1–7 finish
+/// sooner too; `frames`, `bytes`, `gets` and every peak kept their values.
 const PINNED_RELAY_FOOTPRINTS: [(&str, &str); 2] = [
     (
         "cold cache",
-        "latency_us=597079 frames=67 bytes=11658 gets=56 ranks=[597079:5016 541058:4748 541057:4968 541058:4840 541059:4936 541064:4740 541065:4984 541061:5060]",
+        "latency_us=534057 frames=67 bytes=11658 gets=56 ranks=[534052:5016 534051:4748 534051:4968 534051:4840 534052:4936 534057:4740 534054:4984 534055:5060]",
     ),
     (
         "warm cache",
-        "latency_us=554179 frames=67 bytes=11658 gets=8 ranks=[554179:5016 506156:4748 506154:4968 498156:4840 506157:4936 504060:4740 504065:4984 504062:5060]",
+        "latency_us=499150 frames=67 bytes=11658 gets=8 ranks=[499149:5016 499149:4748 499148:4968 491149:4840 499150:4936 497053:4740 497054:4984 497056:5060]",
     ),
 ];
 
