@@ -85,14 +85,20 @@ impl LatencyModel {
         (bytes as u128 * 1_000_000 / bps as u128) as u64
     }
 
+    /// Time `bytes` of body take at the S3 stream rate, without any
+    /// request's first-byte latency.
+    pub fn s3_body_us(&self, bytes: usize) -> u64 {
+        Self::transfer_us(bytes, self.s3_bandwidth_bps)
+    }
+
     /// S3 PUT duration for a body of `bytes`.
     pub fn s3_put_total_us(&self, bytes: usize) -> u64 {
-        self.s3_put_us + Self::transfer_us(bytes, self.s3_bandwidth_bps)
+        self.s3_put_us + self.s3_body_us(bytes)
     }
 
     /// S3 GET duration for a body of `bytes`.
     pub fn s3_get_total_us(&self, bytes: usize) -> u64 {
-        self.s3_get_us + Self::transfer_us(bytes, self.s3_bandwidth_bps)
+        self.s3_get_us + self.s3_body_us(bytes)
     }
 
     /// SNS publish duration for a batch totalling `bytes`.

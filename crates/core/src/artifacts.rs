@@ -8,7 +8,9 @@
 //! exactly this weight read — FSD-Inf-Serial's one rank loads the 1-way
 //! partition, i.e. the whole model). A worker's artifact set is [`Part`]:
 //! staging writes it, the eager loader GETs it, and a streamed cold start
-//! (`weight_stream`) multicasts it into a [`PartStore`].
+//! (`weight_stream`) multicasts it into a [`PartStore`]. A request's input
+//! shares are encoded here too; the service stages the ones that do not
+//! ride a warm dispatch ([`load_input_share_into`]).
 
 use crate::retry::RetryPolicy;
 use crate::weight_cache::WeightCache;
@@ -88,26 +90,23 @@ pub(crate) fn stage_partitioned_model(
     }
 }
 
-/// Stages an input batch as one share per worker of `partition`.
-pub(crate) fn stage_inputs(
-    env: &CloudEnv,
-    input_key: &str,
-    inputs: &SparseRows,
-    partition: &Partition,
-) {
-    env.object_store().create_bucket(ARTIFACT_BUCKET);
+/// Rank `m`'s share of an input batch, encoded as it is staged or
+/// dispatched, for each rank `m` of `partition` in order.
+pub(crate) fn encode_input_shares<'a>(
+    inputs: &'a SparseRows,
+    partition: &'a Partition,
+) -> impl Iterator<Item = Vec<u8>> + 'a {
+    (0..partition.n_parts() as u32).map(|m| codec::encode(&inputs.extract(partition.owned(m))))
+}
+
+/// Stages rank `m`'s encoded share of one `p`-way input batch under
+/// `input_key`, where [`load_input_share_into`] GETs it.
+pub(crate) fn stage_input_share(env: &CloudEnv, input_key: &str, p: u32, m: u32, share: Vec<u8>) {
     let store = env.object_store();
-    let p = partition.n_parts() as u32;
-    for m in 0..p {
-        let share = inputs.extract(partition.owned(m));
-        store
-            .put_offline(
-                ARTIFACT_BUCKET,
-                &input_worker_key(input_key, p, m),
-                codec::encode(&share),
-            )
-            .expect("bucket exists");
-    }
+    store.create_bucket(ARTIFACT_BUCKET);
+    store
+        .put_offline(ARTIFACT_BUCKET, &input_worker_key(input_key, p, m), share)
+        .expect("bucket exists");
 }
 
 /// One layer's weight block: decoded and ready, or still the encoded
@@ -123,7 +122,7 @@ enum LayerSlot {
 }
 
 /// Everything one distributed worker loads before inference starts
-/// (inputs are fetched separately, per batch — see
+/// (inputs arrive separately, per batch — see
 /// [`load_input_share_into`]).
 pub(crate) struct WorkerArtifacts {
     /// Global row ids this worker owns (sorted).
@@ -397,19 +396,38 @@ pub(crate) fn load_worker_artifacts(
 }
 
 /// Loads one worker's share of one input batch into a block whose buffers
-/// are reused (a GET + decode, tracked against the FaaS memory model).
+/// are reused, and returns whether it issued a GET. A share that rode the
+/// rank's dispatch (`inline`) is read from there: its body time is charged
+/// at the S3 stream rate, as the same bytes reach the instance, but no
+/// GET's first-byte latency, request or artifact count. Any other share is
+/// GET from where the service staged it under `input_key`. Either way the
+/// decode and the decoded block are charged to the instance.
 pub(crate) fn load_input_share_into(
     ctx: &mut WorkerCtx,
     input_key: &str,
     p: u32,
     m: u32,
+    inline: Option<&[u8]>,
     inputs: &mut SparseRows,
-) -> Result<(), FaasError> {
+) -> Result<bool, FaasError> {
     let env = ctx.env().clone();
-    let body = fetch_encoded(&env, ctx.clock_mut(), &input_worker_key(input_key, p, m))?;
-    decode(ctx, &body, "inputs", |b| codec::decode_into(b, inputs))?;
+    let fetched;
+    let body = match inline {
+        Some(body) => {
+            let body_us = env.latency().s3_body_us(body.len());
+            ctx.clock_mut().advance_micros(env.jitter().apply(body_us));
+            body
+        }
+        None => {
+            let key = input_worker_key(input_key, p, m);
+            fetched = fetch_encoded(&env, ctx.clock_mut(), &key)?;
+            &fetched[..]
+        }
+    };
+    decode(ctx, body, "inputs", |b| codec::decode_into(b, inputs))?;
     ctx.track_alloc(inputs.mem_bytes());
-    ctx.check_limits()
+    ctx.check_limits()?;
+    Ok(inline.is_none())
 }
 
 #[cfg(test)]
@@ -442,8 +460,11 @@ mod tests {
     fn staged_worker_artifacts_roundtrip() {
         let (env, dnn, part, plan, inputs) = setup();
         stage_partitioned_model(&env, "m1", &dnn, &part, &plan);
-        stage_inputs(&env, "i1", &inputs, &part);
-        let platform = FaasPlatform::new(env, ComputeModel::default());
+        let shares: Vec<Vec<u8>> = encode_input_shares(&inputs, &part).collect();
+        for (m, share) in shares.iter().enumerate() {
+            stage_input_share(&env, "i1", 4, m as u32, share.clone());
+        }
+        let platform = FaasPlatform::new(env.clone(), ComputeModel::default());
         for m in 0..4u32 {
             let part = part.clone();
             let plan = plan.clone();
@@ -455,7 +476,7 @@ mod tests {
                     move |ctx| {
                         let art = load_worker_artifacts(ctx, "m1", 4, m, 3, 64, None)?;
                         let mut share = SparseRows::new(0);
-                        load_input_share_into(ctx, "i1", 4, m, &mut share)?;
+                        assert!(load_input_share_into(ctx, "i1", 4, m, None, &mut share)?);
                         assert_eq!(art.owned, part.owned(m));
                         assert_eq!(art.weights.len(), 3);
                         assert_eq!(art.send.len(), 3);
@@ -469,6 +490,40 @@ mod tests {
                 .join()
                 .expect("load ok");
             assert!(art >= 6);
+        }
+        // A share that rides the dispatch decodes to the same block and
+        // GETs nothing; the staged copy of the same share costs exactly one
+        // GET's first byte more, so both pay the same body time and decode.
+        let gets = env.meter().snapshot().s3_get_requests;
+        let first_byte = env.latency().s3_get_us;
+        for (m, body) in shares.into_iter().enumerate() {
+            let expected = inputs.extract(part.owned(m as u32));
+            let load = |inline: bool| {
+                let (body, expected) = (body.clone(), expected.clone());
+                platform
+                    .invoke(
+                        FunctionConfig::worker("w", 1769),
+                        VirtualTime::ZERO,
+                        move |ctx| {
+                            let mut share = SparseRows::new(0);
+                            let inline = inline.then_some(&body[..]);
+                            let got =
+                                load_input_share_into(ctx, "i1", 4, m as u32, inline, &mut share)?;
+                            assert_eq!(share, expected);
+                            Ok((got, ctx.now()))
+                        },
+                    )
+                    .join()
+                    .expect("load ok")
+                    .0
+            };
+            let (inline_got, inline_at) = load(true);
+            assert!(!inline_got);
+            assert_eq!(env.meter().snapshot().s3_get_requests, gets + m as u64);
+            let (staged_got, staged_at) = load(false);
+            assert!(staged_got);
+            assert_eq!(env.meter().snapshot().s3_get_requests, gets + m as u64 + 1);
+            assert_eq!(staged_at.as_micros() - inline_at.as_micros(), first_byte);
         }
     }
 

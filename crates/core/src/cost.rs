@@ -121,7 +121,9 @@ impl CostModel {
     /// **Predicted** cost from client-side channel statistics plus the
     /// engine's own accounting of invocations and artifact reads. Input
     /// staging is written with `put_offline` and billed to nobody, so it
-    /// has no term here.
+    /// has no term of its own: a staged share is one GET counted in
+    /// `artifact_gets` when its rank reads it, and a share that rides a
+    /// warm dispatch issues no GET at all.
     pub fn predicted(
         &self,
         lambda: &LambdaSnapshot,

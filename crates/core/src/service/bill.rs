@@ -200,7 +200,8 @@ mod tests {
             (no_output, FsdError::MissingOutput),
         ];
         for (i, (run, error)) in cases.into_iter().enumerate() {
-            let flow = service.stage_request(&req, &service.partition(1));
+            let flow = service.open_flow();
+            service.stage_request(&req, &service.partition(1), flow, false);
             service.env().meter().record(flow, |s| s.sqs_api_calls += 1);
             service
                 .platform()

@@ -13,6 +13,7 @@ use crate::warm::{TreeKey, TreeParams, WorkItem, WorkerTree};
 use crate::worker::RunOutput;
 use fsd_comm::VirtualTime;
 use fsd_faas::FaasError;
+use fsd_partition::Partition;
 use std::sync::Arc;
 
 impl FsdService {
@@ -111,9 +112,9 @@ impl FsdService {
         let mut results = Vec::with_capacity(reqs.len());
         let mut tree: Option<WorkerTree> = None;
         for (i, req) in reqs.iter().enumerate() {
-            let flow = self.stage_request(req, &partition);
+            let flow = self.open_flow();
             let channel = || transport.channel(&self.env, p, self.cfg.channel, flow, &self.frames);
-            let ran = self.run_member(key, req, flow, &mut tree, channel);
+            let ran = self.run_member(key, req, flow, &partition, &mut tree, channel);
             let rest = &reqs[i + 1..];
             if let Some(tree) = tree.take_if(|_| rest.is_empty()) {
                 self.release_tree(tree, false);
@@ -135,8 +136,11 @@ impl FsdService {
     /// if the slot is empty, over the data channel `channel` provisions
     /// once the tree is in hand. A member that lands on a resident tree — a
     /// pool checkout, or one an earlier member of the pass left in the
-    /// slot — is `warm`: one control-plane hop, billed under its own flow.
-    /// Only the member whose flow launched the tree pays the launch bill.
+    /// slot — is `warm`: one control-plane hop, billed under its own flow,
+    /// whose Invokes carry the input shares that fit them. Only the member
+    /// whose flow launched the tree pays the launch bill. Inputs are
+    /// delivered once the tree is in hand, since whether it is warm decides
+    /// which shares are staged (`FsdService::stage_request`).
     /// On failure the tree is taken out of the slot and discarded (joined)
     /// *before* the member's channel is torn down, so no straggler touches
     /// a torn-down channel.
@@ -145,6 +149,7 @@ impl FsdService {
         key: TreeKey,
         req: &BatchedRequest,
         flow: u64,
+        partition: &Partition,
         slot: &mut Option<WorkerTree>,
         channel: impl FnOnce() -> Arc<dyn FsiChannel>,
     ) -> Result<RunOutput, FsdError> {
@@ -159,6 +164,7 @@ impl FsdService {
                 slot.insert(self.new_tree(key, flow)?)
             }
         };
+        let inline = self.stage_request(req, partition, flow, warm);
         let channel = channel();
         // One control-plane hop routes a request into a resident tree.
         let dispatch_at =
@@ -167,6 +173,7 @@ impl FsdService {
             warm,
             flow,
             input_key: input_key(flow),
+            inline,
             batch_widths: req.batches.iter().map(|b| b.width()).collect(),
             channel: channel.clone(),
             dispatch_at,
@@ -368,9 +375,9 @@ mod tests {
                 batches: vec![inputs],
             };
             let key = svc.key_of(&req);
-            let flow = svc.stage_request(&req, &svc.partition(4));
+            let flow = svc.open_flow();
             let mut slot = None;
-            let ran = svc.run_member(key, &req, flow, &mut slot, || {
+            let ran = svc.run_member(key, &req, flow, &svc.partition(4), &mut slot, || {
                 let transport = Transport::of(Variant::Queue).expect("queue");
                 let inner = transport.channel(&svc.env, 4, svc.cfg.channel, flow, &svc.frames);
                 Arc::new(PanicsOnSend { inner, rank: 2 })

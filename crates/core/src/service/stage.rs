@@ -1,8 +1,11 @@
-//! Offline staging (paper §III) and the request's staged inputs.
+//! Offline staging (paper §III) and the delivery of each request's
+//! inputs: in its warm dispatch where they fit, staged for a GET where not.
 
 use super::FsdService;
-use crate::artifacts::{stage_inputs, stage_partitioned_model};
+use crate::artifacts::{encode_input_shares, stage_input_share, stage_partitioned_model};
 use crate::engine::BatchedRequest;
+use crate::warm::InlineShares;
+use fsd_faas::MAX_ASYNC_PAYLOAD_BYTES;
 use fsd_partition::{partition_model, CommPlan, Partition};
 use std::collections::HashMap;
 use std::sync::atomic::Ordering;
@@ -54,18 +57,54 @@ impl FsdService {
         );
     }
 
-    /// Accepts a request: allocates its flow id — which namespaces
+    /// Accepts a request: allocates its flow id, which namespaces
     /// everything the request touches and is its billing window on every
-    /// meter (offline staging uses unbilled writes and never shows up) —
-    /// and stages its input batches under [`input_key`].
-    pub(super) fn stage_request(&self, req: &BatchedRequest, partition: &Partition) -> u64 {
-        let flow = self.requests.fetch_add(1, Ordering::Relaxed) + 1;
+    /// meter (offline staging uses unbilled writes and never shows up).
+    pub(super) fn open_flow(&self) -> u64 {
+        self.requests.fetch_add(1, Ordering::Relaxed) + 1
+    }
+
+    /// Delivers request `flow`'s input batches, one encoded share per rank
+    /// of `partition`, and returns the shares that ride the dispatch (see
+    /// [`crate::warm::WorkItem::inline`]). A `warm` item's share rides its
+    /// rank's Invoke while the rank's payload stays within
+    /// [`MAX_ASYNC_PAYLOAD_BYTES`]; every other share — all of a cold
+    /// item's, whose ranks a launcher that never held the input starts —
+    /// is staged under [`input_key`] for the rank to GET.
+    pub(super) fn stage_request(
+        &self,
+        req: &BatchedRequest,
+        partition: &Partition,
+        flow: u64,
+        warm: bool,
+    ) -> InlineShares {
+        let p = partition.n_parts();
+        let mut room = vec![if warm { MAX_ASYNC_PAYLOAD_BYTES } else { 0 }; p];
+        let mut inline = vec![Vec::with_capacity(req.batches.len()); p];
         for (b, batch) in req.batches.iter().enumerate() {
             let key = format!("{}/b{b}", input_key(flow));
-            stage_inputs(&self.env, &key, batch, partition);
+            for (m, share) in encode_input_shares(batch, partition).enumerate() {
+                let rode = if rides(&mut room[m], share.len()) {
+                    Some(share.into())
+                } else {
+                    stage_input_share(&self.env, &key, p as u32, m as u32, share);
+                    None
+                };
+                inline[m].push(rode);
+            }
         }
-        flow
+        inline.into()
     }
+}
+
+/// Whether a share of `len` bytes fits a dispatch with `room` bytes of
+/// payload left, taking its bytes out of `room` if it does.
+fn rides(room: &mut usize, len: usize) -> bool {
+    let fits = len <= *room;
+    if fits {
+        *room -= len;
+    }
+    fits
 }
 
 /// Where requests' inputs are staged in the artifact bucket.
@@ -100,6 +139,48 @@ mod tests {
             assert_eq!(report.workers, 1);
             assert_eq!(report.first_output(), &expected);
         }
+    }
+
+    #[test]
+    fn a_share_of_exactly_the_payload_cap_rides_and_one_byte_more_is_staged() {
+        let mut room = MAX_ASYNC_PAYLOAD_BYTES;
+        assert!(!rides(&mut room, MAX_ASYNC_PAYLOAD_BYTES + 1));
+        assert_eq!(
+            room, MAX_ASYNC_PAYLOAD_BYTES,
+            "a staged share takes no room"
+        );
+        assert!(rides(&mut room, MAX_ASYNC_PAYLOAD_BYTES));
+        assert_eq!(room, 0);
+        assert!(!rides(&mut room, 1), "a full dispatch carries nothing more");
+    }
+
+    #[test]
+    fn a_warm_items_small_shares_ride_and_a_cold_items_are_staged() {
+        let (service, inputs, _) = small_service(8);
+        let req = BatchedRequest {
+            variant: Variant::Queue,
+            workers: 3,
+            memory_mb: 1769,
+            batches: vec![inputs.clone(), inputs],
+        };
+        let partition = service.partition(3);
+        let store = service.env.object_store();
+        let staged = |flow| {
+            let prefix = format!("{}/", input_key(flow));
+            store.object_count(crate::artifacts::ARTIFACT_BUCKET, &prefix)
+        };
+        let flow = service.open_flow();
+        let warm = service.stage_request(&req, &partition, flow, true);
+        assert!(warm
+            .iter()
+            .all(|rank| rank.len() == 2 && rank.iter().all(Option::is_some)));
+        assert_eq!((warm.len(), staged(flow)), (3, 0));
+        let flow = service.open_flow();
+        let cold = service.stage_request(&req, &partition, flow, false);
+        assert!(cold
+            .iter()
+            .all(|rank| rank.len() == 2 && rank.iter().all(Option::is_none)));
+        assert_eq!((cold.len(), staged(flow)), (3, 6));
     }
 
     #[test]

@@ -13,8 +13,8 @@
 //! trip, and each child starts one round trip plus one cold start after
 //! its call is issued.
 //! Requests are routed into the tree as [`WorkItem`]s, each carrying its
-//! own flow id, input prefix and a freshly provisioned (flow-namespaced)
-//! data channel.
+//! own flow id, input prefix, the input shares that ride its dispatch and
+//! a freshly provisioned (flow-namespaced) data channel.
 //!
 //! A cold request is merely the first item on a tree it launched itself
 //! (`warm = false`): the instances stay on their launch timeline, so that
@@ -114,6 +114,13 @@ pub(crate) struct WorkItem {
     pub flow: u64,
     /// Staged input prefix (batch `b` under `{input_key}/b{b}`).
     pub input_key: String,
+    /// The input shares that ride the dispatch: `inline[m][b]` is rank
+    /// `m`'s encoded share of batch `b`, or `None` where the share is
+    /// staged under `input_key` instead — every share of a cold item, and
+    /// any that would overflow its rank's Invoke payload
+    /// ([`fsd_faas::MAX_ASYNC_PAYLOAD_BYTES`]). The service decides; a rank
+    /// reads whichever it is given.
+    pub inline: InlineShares,
     /// Width of each successive batch.
     pub batch_widths: Vec<usize>,
     /// The request-scoped data channel (provisioned for `flow`).
@@ -123,6 +130,10 @@ pub(crate) struct WorkItem {
     /// arrival.
     pub dispatch_at: VirtualTime,
 }
+
+/// Per rank, per batch: the encoded input share a [`WorkItem`] carries, if
+/// it rides the dispatch.
+pub(crate) type InlineShares = Arc<[Vec<Option<Arc<[u8]>>>]>;
 
 type WorkResult = (u32, Result<(WorkerOutput, InvocationReport), FaasError>);
 
@@ -342,17 +353,7 @@ fn serve_item(
         // A routed request: jump onto its timeline, one control hop in.
         ctx.begin_request(item.flow, item.dispatch_at);
     }
-    let mut out = run_batches(
-        ctx,
-        &item.channel,
-        rank,
-        shared.params.n_workers,
-        &shared.params.spec,
-        art,
-        &shared.params.workspaces,
-        &item.input_key,
-        &item.batch_widths,
-    )?;
+    let mut out = run_batches(ctx, item, rank, &shared.params, art)?;
     if !item.warm {
         // The creating request also pays the launch-time loads.
         out.artifact_gets += art.n_gets;

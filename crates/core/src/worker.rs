@@ -17,16 +17,22 @@
 //! data-parallel batch processing the paper builds in. FSD-Inf-Serial is
 //! the one-rank tree: its send and receive maps are empty, so the same
 //! loop runs with every communication step removed.
+//!
+//! A batch starts from the rank's input share. The paper's workers read it
+//! from object storage; here a warm item carries each share that fits its
+//! rank's Invoke payload, so the rank decodes it from the dispatch, and
+//! only a cold item's shares, or a share too large to ride, are GET
+//! (`load_input_share_into`).
 
 use crate::artifacts::{load_input_share_into, WorkerArtifacts};
-use crate::channel::{FsiChannel, RecvTracker, Tag};
+use crate::channel::{RecvTracker, Tag};
 use crate::engine::LaunchPath;
 use crate::recycle::Recycler;
 use crate::stats::ChannelStatsSnapshot;
+use crate::warm::{TreeParams, WorkItem};
 use fsd_faas::{FaasError, InvocationReport, WorkerCtx};
 use fsd_model::DnnSpec;
 use fsd_sparse::{LayerAccumulator, SparseRows};
-use std::sync::Arc;
 
 /// What one instance produced for one request's batches.
 pub struct WorkerOutput {
@@ -143,7 +149,8 @@ impl Default for Workspace {
 pub(crate) type WorkspacePool = Recycler<Workspace>;
 
 /// Runs every batch of one request through an already-loaded worker: per
-/// batch, the layer loop of Algorithms 1 & 2, after which the rank keeps
+/// batch, the rank's input share (from `item`'s dispatch or a GET), then
+/// the layer loop of Algorithms 1 & 2, after which the rank keeps
 /// its own `x^L` rows for its result and goes straight on to the next
 /// batch; no barrier or reduce closes a batch. Nothing of batch b + 1 can
 /// be mistaken for batch b, since every layer's tag is unique per
@@ -151,20 +158,16 @@ pub(crate) type WorkspacePool = Recycler<Workspace>;
 /// keep-alive instance runs *exactly* this per work item, so outputs are
 /// bit-identical between a tree's first (cold) request and every later
 /// (warm) one by construction.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn run_batches(
     ctx: &mut WorkerCtx,
-    channel: &Arc<dyn FsiChannel>,
+    item: &WorkItem,
     rank: u32,
-    n_workers: u32,
-    spec: &DnnSpec,
+    params: &TreeParams,
     art: &mut WorkerArtifacts,
-    workspaces: &WorkspacePool,
-    input_key: &str,
-    batch_widths: &[usize],
 ) -> Result<WorkerOutput, FaasError> {
+    let (channel, spec) = (&item.channel, &params.spec);
     // A failed item drops its workspace instead of giving it back.
-    let mut ws = workspaces.take();
+    let mut ws = params.workspaces.take();
     let Workspace {
         acc,
         x,
@@ -173,10 +176,12 @@ pub(crate) fn run_batches(
     } = &mut ws;
     let mut artifact_gets = 0u64;
     let mut work_done = 0u64;
-    let mut final_rows: Vec<SparseRows> = Vec::with_capacity(batch_widths.len());
-    for (b, &width) in batch_widths.iter().enumerate() {
-        load_input_share_into(ctx, &format!("{input_key}/b{b}"), n_workers, rank, x)?;
-        artifact_gets += 1;
+    let mut final_rows: Vec<SparseRows> = Vec::with_capacity(item.batch_widths.len());
+    for (b, &width) in item.batch_widths.iter().enumerate() {
+        let key = format!("{}/b{b}", item.input_key);
+        let inline = item.inline[rank as usize][b].as_deref();
+        let got = load_input_share_into(ctx, &key, params.n_workers, rank, inline, x)?;
+        artifact_gets += u64::from(got);
         acc.reshape(art.owned.len(), width);
         ctx.track_alloc(art.owned.len() * width * 4);
         ctx.check_limits()?;
@@ -242,7 +247,7 @@ pub(crate) fn run_batches(
         final_rows.push(x.clone());
         ctx.track_free(x.mem_bytes() + art.owned.len() * width * 4);
     }
-    workspaces.give(ws);
+    params.workspaces.give(ws);
     Ok(WorkerOutput {
         final_rows,
         artifact_gets,

@@ -16,6 +16,11 @@ pub const MAX_MEMORY_MB: u32 = 10_240;
 /// Maximum function runtime (15 minutes) at the time of the paper.
 pub const MAX_TIMEOUT_SECS: f64 = 900.0;
 
+/// Largest request payload an asynchronous (`Event`) Invoke — the call
+/// `LatencyModel::lambda_invoke_us` times — accepts, at the time of the
+/// paper (256 KB).
+pub const MAX_ASYNC_PAYLOAD_BYTES: usize = 256 * 1024;
+
 /// Converts work units to simulated seconds given an instance size.
 #[derive(Debug, Clone, Copy)]
 pub struct ComputeModel {

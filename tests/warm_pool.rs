@@ -5,14 +5,15 @@
 
 mod common;
 
-use fsd_inference::comm::{ApiClass, TargetedFault};
+use fsd_inference::comm::{ApiClass, TargetedFault, VirtualTime};
 use fsd_inference::core::{
     BatchedRequest, FsdError, FsdService, InferenceReport, InferenceRequest, LaunchPath,
     ServiceBuilder, Variant,
 };
-use fsd_inference::model::{generate_dnn, generate_inputs, DnnSpec, InputSpec};
+use fsd_inference::faas::MAX_ASYNC_PAYLOAD_BYTES;
+use fsd_inference::model::{generate_dnn, generate_inputs, DnnSpec, InputSpec, SparseDnn};
 use fsd_inference::sched::{Priority, Scheduler, SchedulerConfig};
-use fsd_sparse::SparseRows;
+use fsd_sparse::{codec, SparseRows};
 use std::sync::Arc;
 
 fn spec(seed: u64) -> DnnSpec {
@@ -468,4 +469,158 @@ fn a_killed_serial_tree_is_discarded_and_the_next_request_cold_launches() {
         assert_eq!(recovered.first_output(), &expected);
         assert_eq!(service.audit(), Vec::<String>::new());
     });
+}
+
+/// The S3 GETs a request issued outside its data channel: the input shares
+/// its ranks fetched, plus the weight artifacts on a tree's cold start.
+fn artifact_gets(r: &InferenceReport) -> u64 {
+    r.comm.s3_get_requests - r.client.s3_gets
+}
+
+/// Runs `batches` on `service` and checks what must hold however the
+/// inputs arrived: outputs equal the serial oracle, the client-side cost
+/// prediction equals the bill.
+fn run_checked(
+    service: &FsdService,
+    dnn: &SparseDnn,
+    variant: Variant,
+    workers: u32,
+    batches: &[SparseRows],
+) -> InferenceReport {
+    let what = format!("{variant} P={workers} × {} batches", batches.len());
+    let report = service
+        .submit_batched(&BatchedRequest {
+            variant,
+            workers,
+            memory_mb: 1769,
+            batches: batches.to_vec(),
+        })
+        .unwrap_or_else(|e| panic!("{what}: {e}"));
+    let expected: Vec<SparseRows> = batches.iter().map(|b| dnn.serial_inference(b)).collect();
+    assert_eq!(report.outputs, expected, "{what}");
+    assert_eq!(report.cost_predicted, report.cost_actual, "{what}");
+    report
+}
+
+/// A warm request's input shares ride its dispatch: every rank starts at
+/// the dispatch instant and no input GET is billed, for one batch or
+/// several. A tree's cold first request was launched by a rank that never
+/// held the input, so it still GETs one share per rank.
+#[test]
+fn warm_input_shares_ride_the_dispatch_on_every_transport() {
+    let seed = 57;
+    let spec = spec(seed);
+    let dnn = Arc::new(generate_dnn(&spec));
+    let batch = |i: u64| generate_inputs(spec.neurons, &InputSpec::scaled(10, seed + i));
+    let p = 4;
+    for variant in common::channel_variants() {
+        let service = ServiceBuilder::new(dnn.clone())
+            .deterministic(seed)
+            .warm_pool(2, u64::MAX)
+            .build();
+        let dispatch = VirtualTime::from_micros(service.env().latency().lambda_invoke_us);
+        let cold = run_checked(&service, &dnn, variant, p, &[batch(0)]);
+        assert_eq!(cold.launch, LaunchPath::ColdStart, "{variant}");
+        // Each rank GETs its owned ids, layers and two maps, then its share.
+        let weights = u64::from(p) * (spec.layers as u64 + 3);
+        assert_eq!(artifact_gets(&cold), weights + u64::from(p), "{variant}");
+        for batches in [vec![batch(1)], vec![batch(2), batch(3), batch(4)]] {
+            let warm = run_checked(&service, &dnn, variant, p, &batches);
+            let what = format!("{variant} × {} batches", batches.len());
+            assert_eq!(warm.launch, LaunchPath::WarmHit, "{what}");
+            assert_eq!(
+                artifact_gets(&warm),
+                0,
+                "{what}: an input share was fetched"
+            );
+            if variant == Variant::Direct {
+                assert_eq!(warm.comm.s3_get_requests, 0, "{what}");
+            }
+            assert!(
+                warm.per_worker.iter().all(|w| w.started == dispatch),
+                "{what}: {:?}",
+                warm.per_worker
+            );
+        }
+        assert_eq!(service.audit(), Vec::<String>::new(), "{variant}");
+    }
+}
+
+/// Each rank's encoded share of `batch` on `service`'s `p`-way partition.
+fn share_sizes(service: &FsdService, p: u32, batch: &SparseRows) -> Vec<usize> {
+    let partition = service.partition(p);
+    (0..p)
+        .map(|m| codec::encoded_size(&batch.extract(partition.owned(m))))
+        .collect()
+}
+
+/// A share too large for an asynchronous Invoke's payload is staged and
+/// GET as before, while its peers' shares that fit still ride: on every
+/// transport (where the partition splits the batch unevenly, so one rank's
+/// share is over the cap and its peer's is not) and on Serial's one rank.
+#[test]
+fn a_share_over_the_invoke_payload_cap_is_staged_and_fetched() {
+    let seed = 58;
+    let spec = DnnSpec {
+        layers: 2,
+        ..DnnSpec::scaled(1024, seed)
+    };
+    let dnn = Arc::new(generate_dnn(&spec));
+    for variant in common::channel_variants().chain([Variant::Serial]) {
+        let p = if variant == Variant::Serial { 1 } else { 2 };
+        let service = ServiceBuilder::new(dnn.clone())
+            .deterministic(seed)
+            .warm_pool(2, u64::MAX)
+            .build();
+        let batch = generate_inputs(1024, &InputSpec::scaled(500 * p as usize, seed));
+        let sizes = share_sizes(&service, p, &batch);
+        let over = sizes
+            .iter()
+            .filter(|&&n| n > MAX_ASYNC_PAYLOAD_BYTES)
+            .count() as u64;
+        assert_eq!(
+            over, 1,
+            "{variant}: one share must be over the cap: {sizes:?}"
+        );
+        let batches = [batch];
+        let cold = run_checked(&service, &dnn, variant, p, &batches);
+        assert_eq!(cold.launch, LaunchPath::ColdStart, "{variant}");
+        let weights = u64::from(p) * (spec.layers as u64 + 3);
+        assert_eq!(artifact_gets(&cold), weights + u64::from(p), "{variant}");
+        let warm = run_checked(&service, &dnn, variant, p, &batches);
+        assert_eq!(warm.launch, LaunchPath::WarmHit, "{variant}");
+        assert_eq!(artifact_gets(&warm), over, "{variant}: {sizes:?}");
+        assert_eq!(service.audit(), Vec::<String>::new(), "{variant}");
+    }
+}
+
+/// The cap bounds a rank's whole dispatch, not each share: of two shares
+/// that each fit but not together, the first rides and the second is
+/// fetched.
+#[test]
+fn a_ranks_shares_ride_only_while_its_payload_fits() {
+    let seed = 59;
+    let spec = DnnSpec {
+        layers: 2,
+        ..DnnSpec::scaled(1024, seed)
+    };
+    let dnn = Arc::new(generate_dnn(&spec));
+    let service = ServiceBuilder::new(dnn.clone())
+        .deterministic(seed)
+        .warm_pool(2, u64::MAX)
+        .build();
+    let half = |i: u64| generate_inputs(1024, &InputSpec::scaled(260, seed + i));
+    let batches = [half(0), half(1)];
+    let sizes: Vec<usize> = batches.iter().map(codec::encoded_size).collect();
+    assert!(
+        sizes.iter().all(|&n| n <= MAX_ASYNC_PAYLOAD_BYTES)
+            && sizes.iter().sum::<usize>() > MAX_ASYNC_PAYLOAD_BYTES,
+        "each share must fit alone but not both together: {sizes:?}"
+    );
+    let cold = run_checked(&service, &dnn, Variant::Serial, 1, &batches);
+    assert_eq!(cold.launch, LaunchPath::ColdStart);
+    let warm = run_checked(&service, &dnn, Variant::Serial, 1, &batches);
+    assert_eq!(warm.launch, LaunchPath::WarmHit);
+    assert_eq!(artifact_gets(&warm), 1, "only the second share is fetched");
+    assert_eq!(service.audit(), Vec::<String>::new());
 }
