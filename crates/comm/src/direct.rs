@@ -78,7 +78,7 @@ impl DirectNet {
         let fault = region
             .faults
             .check(ApiClass::DirectPunch, flow, clock.now(), &resource);
-        region.elapse(clock, region.latency.direct_punch_us);
+        clock.advance_micros(region.latency.direct_punch_us);
         region.meter.record_direct_punch(flow, fault.is_none());
         if let Some(kind) = fault {
             return Err(kind.to_error(format!("direct:punch {resource}")));
@@ -109,7 +109,7 @@ impl DirectNet {
         self.punch(clock, src, dst)?;
         let body = body.into();
         let region = &self.region;
-        region.elapse(clock, region.latency.direct_send_total_us(body.len()));
+        clock.advance_micros(region.latency.direct_send_total_us(body.len()));
         let flow = clock.flow();
         region.meter.record_direct_send(flow, 1, body.len() as u64);
         let frame = DirectFrame {
@@ -143,8 +143,7 @@ impl DirectNet {
         for s in stamps {
             clock.observe(*s);
         }
-        self.region
-            .elapse(clock, self.region.latency.direct_latency_us);
+        clock.advance_micros(self.region.latency.direct_latency_us);
     }
 
     /// Tears down everything the flow holds: punched connections and

@@ -2,13 +2,12 @@
 
 use crate::direct::DirectNet;
 use crate::fault::{FaultPlan, FaultPlane};
-use crate::latency::{Jitter, LatencyModel};
+use crate::latency::LatencyModel;
 use crate::meter::{MeterSnapshot, ServiceMeter};
 use crate::object::ObjectStore;
 use crate::pubsub::PubSub;
 use crate::queue::SqsQueue;
 use crate::stream::WeightNet;
-use crate::time::VClock;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -26,7 +25,8 @@ pub const N_BUCKETS: usize = 10;
 pub struct CloudConfig {
     /// Service latency/bandwidth model.
     pub latency: LatencyModel,
-    /// Seed for the deterministic jitter stream.
+    /// Seed of the scheduler's `retry_after` hints, the only draw the
+    /// region seeds (fault plans carry their own [`FaultPlan::seed`]).
     pub seed: u64,
     /// Optional seeded fault-injection plan (chaos testing). `None`
     /// draws nothing and adds no overhead.
@@ -34,10 +34,10 @@ pub struct CloudConfig {
 }
 
 impl CloudConfig {
-    /// Jitter-free configuration for deterministic tests and validation.
+    /// The default region under `seed`. Every region is deterministic;
+    /// this only seeds it.
     pub fn deterministic(seed: u64) -> CloudConfig {
         CloudConfig {
-            latency: LatencyModel::deterministic(),
             seed,
             ..CloudConfig::default()
         }
@@ -51,12 +51,11 @@ impl CloudConfig {
 }
 
 /// What every service of a region shares: the billing meter, the latency
-/// model, the jitter stream and the fault plane.
+/// model and the fault plane.
 #[derive(Clone)]
 pub(crate) struct Region {
     pub(crate) meter: Arc<ServiceMeter>,
     pub(crate) latency: LatencyModel,
-    pub(crate) jitter: Arc<Jitter>,
     pub(crate) faults: Arc<FaultPlane>,
 }
 
@@ -65,22 +64,15 @@ impl Region {
         Region {
             meter: Arc::new(ServiceMeter::new()),
             latency: config.latency,
-            jitter: Arc::new(Jitter::new(config.seed, config.latency.jitter)),
             faults: Arc::new(FaultPlane::new(config.faults)),
         }
     }
 
-    /// A jitter-free region with no fault plan (standalone service tests;
+    /// A default region with no fault plan (standalone service tests;
     /// targeted faults can still be injected on `faults`).
     #[cfg(test)]
     pub(crate) fn deterministic() -> Region {
         Region::new(&CloudConfig::deterministic(1))
-    }
-
-    /// The one way a service call takes virtual time: advances `clock` by
-    /// `base_us` under a fresh jitter draw.
-    pub(crate) fn elapse(&self, clock: &mut VClock, base_us: u64) {
-        clock.advance_micros(self.jitter.apply(base_us));
     }
 }
 
@@ -140,11 +132,6 @@ impl CloudEnv {
     /// window (request teardown).
     pub fn release_flow(&self, flow: u64) -> MeterSnapshot {
         self.region.meter.release_flow(flow)
-    }
-
-    /// The deterministic jitter stream (shared by FaaS timing too).
-    pub fn jitter(&self) -> &Arc<Jitter> {
-        &self.region.jitter
     }
 
     /// The region's fault-injection plane (inert unless a plan or a
@@ -264,6 +251,7 @@ pub fn bucket_name(i: usize) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::time::VClock;
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::time::Duration;
 

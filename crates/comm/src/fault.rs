@@ -22,7 +22,6 @@
 //! it is meant for sequential test scenarios, not for races between
 //! concurrent flows.
 
-use crate::latency::splitmix;
 use crate::message::CommError;
 use crate::time::VirtualTime;
 use parking_lot::Mutex;
@@ -122,8 +121,7 @@ impl FaultKind {
 /// [`FaultPlane`] instead.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultPlan {
-    /// Seed of the decision hash chain (independent of the latency
-    /// jitter seed so fault schedules can vary while timing stays fixed).
+    /// Seed of the decision hash chain.
     pub seed: u64,
     /// Per-op probability of a transient failure, `[0, 1]`, indexed by
     /// [`ApiClass::index`].
@@ -310,8 +308,11 @@ impl FaultPlane {
 
 /// One step of the splitmix64 finalizer — the repo-wide deterministic
 /// hash (also used for retry-backoff and hint jitter outside this crate).
-pub fn mix64(z: u64) -> u64 {
-    splitmix(z)
+pub fn mix64(mut z: u64) -> u64 {
+    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
 }
 
 /// Uniform `[0, 1)` from a 64-bit hash.
@@ -334,11 +335,11 @@ fn resource_salt(resource: &str) -> u64 {
 /// failed attempt bills latency (and backoff) onto the caller's clock, so
 /// `now` differs on the next attempt.
 fn decision_unit(seed: u64, class: ApiClass, flow: u64, now: VirtualTime, resource: &str) -> f64 {
-    let mut z = splitmix(seed ^ 0xD1B5_4A32_D192_ED03);
-    z = splitmix(z ^ (class.index() as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-    z = splitmix(z ^ flow.rotate_left(17));
-    z = splitmix(z ^ now.as_micros());
-    z = splitmix(z ^ resource_salt(resource));
+    let mut z = mix64(seed ^ 0xD1B5_4A32_D192_ED03);
+    z = mix64(z ^ (class.index() as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+    z = mix64(z ^ flow.rotate_left(17));
+    z = mix64(z ^ now.as_micros());
+    z = mix64(z ^ resource_salt(resource));
     unit_from(z)
 }
 

@@ -3,10 +3,8 @@
 //! Figures are round-trip latencies observed from inside a Lambda-class
 //! container in the same region as the services, per published measurements
 //! and the ranges reported in the serverless-analytics literature (Lambada,
-//! Starling, PyWren). Each call site draws a deterministic jitter factor so
-//! runs are reproducible per seed but not artificially smooth.
-
-use std::sync::atomic::{AtomicU64, Ordering};
+//! Starling, PyWren). Every call takes exactly its modelled duration, so a
+//! request's virtual latency is a function of its workload alone.
 
 /// Latency/throughput parameters, in microseconds and bytes/second.
 #[derive(Debug, Clone, Copy)]
@@ -41,8 +39,6 @@ pub struct LatencyModel {
     pub direct_latency_us: u64,
     /// Direct-exchange per-connection bandwidth, bytes/second.
     pub direct_bandwidth_bps: u64,
-    /// Relative jitter half-width (0.2 = ±20 %); 0 disables jitter.
-    pub jitter: f64,
 }
 
 impl Default for LatencyModel {
@@ -62,21 +58,11 @@ impl Default for LatencyModel {
             direct_punch_us: 40_000,
             direct_latency_us: 700,
             direct_bandwidth_bps: 160_000_000,
-            jitter: 0.15,
         }
     }
 }
 
 impl LatencyModel {
-    /// A model with no jitter — bit-identical timing across runs, used by
-    /// the deterministic tests and cost-model validation.
-    pub fn deterministic() -> LatencyModel {
-        LatencyModel {
-            jitter: 0.0,
-            ..LatencyModel::default()
-        }
-    }
-
     /// Transfer time for `bytes` at `bps`, in microseconds.
     fn transfer_us(bytes: usize, bps: u64) -> u64 {
         if bps == 0 {
@@ -118,50 +104,6 @@ impl LatencyModel {
     }
 }
 
-/// Deterministic jitter source: a seeded counter hashed per draw, producing
-/// factors in `[1 − j, 1 + j]`. Thread-safe and allocation-free.
-#[derive(Debug)]
-pub struct Jitter {
-    state: AtomicU64,
-    half_width: f64,
-}
-
-impl Jitter {
-    /// Creates a jitter source; `half_width` typically comes from
-    /// [`LatencyModel::jitter`].
-    pub fn new(seed: u64, half_width: f64) -> Jitter {
-        Jitter {
-            state: AtomicU64::new(seed | 1),
-            half_width,
-        }
-    }
-
-    /// Applies a fresh jitter factor to a duration in microseconds.
-    pub fn apply(&self, us: u64) -> u64 {
-        if self.half_width == 0.0 {
-            return us;
-        }
-        let u = self.unit() * 2.0 - 1.0; // uniform in [-1, 1)
-        let factor = 1.0 + u * self.half_width;
-        (us as f64 * factor).round().max(0.0) as u64
-    }
-
-    /// A fresh deterministic uniform draw in `[0, 1)`.
-    fn unit(&self) -> f64 {
-        let n = self
-            .state
-            .fetch_add(0x9E37_79B9_7F4A_7C15, Ordering::Relaxed);
-        (splitmix(n) >> 11) as f64 / (1u64 << 53) as f64
-    }
-}
-
-pub(crate) fn splitmix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -175,50 +117,9 @@ mod tests {
 
     #[test]
     fn totals_include_base_and_body() {
-        let m = LatencyModel::deterministic();
+        let m = LatencyModel::default();
         assert_eq!(m.s3_put_total_us(0), m.s3_put_us);
         assert!(m.s3_put_total_us(10_000_000) > m.s3_put_us + 100_000);
         assert!(m.sns_publish_total_us(256 * 1024) > m.sns_publish_us);
-    }
-
-    #[test]
-    fn zero_jitter_is_identity() {
-        let j = Jitter::new(1, 0.0);
-        for us in [0u64, 1, 1000, 123_456] {
-            assert_eq!(j.apply(us), us);
-        }
-    }
-
-    #[test]
-    fn jitter_stays_in_band_and_varies() {
-        let j = Jitter::new(7, 0.2);
-        let mut distinct = std::collections::HashSet::new();
-        for _ in 0..200 {
-            let v = j.apply(10_000);
-            assert!((8_000..=12_000).contains(&v), "jittered {v} outside ±20%");
-            distinct.insert(v);
-        }
-        assert!(distinct.len() > 50, "jitter barely varies");
-    }
-
-    #[test]
-    fn unit_draws_cover_the_interval() {
-        let j = Jitter::new(9, 0.0);
-        let draws: Vec<f64> = (0..1000).map(|_| j.unit()).collect();
-        assert!(draws.iter().all(|&u| (0.0..1.0).contains(&u)));
-        let below = draws.iter().filter(|&&u| u < 0.5).count();
-        assert!(
-            (350..650).contains(&below),
-            "unit() heavily skewed: {below}/1000 below 0.5"
-        );
-    }
-
-    #[test]
-    fn jitter_is_deterministic_per_seed() {
-        let a = Jitter::new(42, 0.1);
-        let b = Jitter::new(42, 0.1);
-        let va: Vec<u64> = (0..20).map(|_| a.apply(5_000)).collect();
-        let vb: Vec<u64> = (0..20).map(|_| b.apply(5_000)).collect();
-        assert_eq!(va, vb);
     }
 }

@@ -5,7 +5,7 @@
 //! ([`SqsQueue`]), S3-like object storage ([`ObjectStore`]), FMI-style
 //! direct exchange ([`DirectNet`]) and λScale-style weight multicast
 //! ([`WeightNet`]) — all sharing one billing meter ([`ServiceMeter`]) and a
-//! deterministic latency/jitter model ([`LatencyModel`]). The meter is a
+//! deterministic latency model ([`LatencyModel`]). The meter is a
 //! [`FlowLedger`]: a total and one window per request flow, both written
 //! by each event in one critical section; the Lambda meter in `fsd-faas`
 //! is the same ledger over its own counters.
@@ -67,7 +67,7 @@ pub use env::{bucket_name, CloudConfig, CloudEnv, N_BUCKETS, N_TOPICS};
 pub use fault::{
     mix64, unit_from, ApiClass, FaultKind, FaultPlan, FaultPlane, FaultStatsSnapshot, TargetedFault,
 };
-pub use latency::{Jitter, LatencyModel};
+pub use latency::LatencyModel;
 pub use mailbox::install_abort;
 pub use message::{quota, CommError, Message, MessageAttributes, QueuedMessage};
 pub use meter::{FlowLedger, MeterSnapshot, ServiceMeter};

@@ -86,7 +86,7 @@ impl ObjectStore {
         let fault = region
             .faults
             .check(ApiClass::ObjectPut, clock.flow(), clock.now(), key);
-        region.elapse(clock, region.latency.s3_put_total_us(len));
+        clock.advance_micros(region.latency.s3_put_total_us(len));
         // Injected PUT failure: billed and the round trip elapses (AWS
         // bills failed requests), but nothing is stored.
         if let Some(kind) = fault {
@@ -162,8 +162,7 @@ impl ObjectStore {
     /// found nothing: only the first-byte round trip elapses.
     fn bill_get(&self, clock: &mut VClock, bytes: usize) {
         self.region.meter.record_s3_get(clock.flow(), bytes as u64);
-        self.region
-            .elapse(clock, self.region.latency.s3_get_total_us(bytes));
+        clock.advance_micros(self.region.latency.s3_get_total_us(bytes));
     }
 
     /// Raw scan for the deterministic channel receive path: waits while no
@@ -209,7 +208,7 @@ impl ObjectStore {
     /// [`ObjectStore::settle_scans`].
     pub(crate) fn empty_scan(&self, clock: &mut VClock) {
         self.region.meter.record_s3_list(clock.flow());
-        self.region.elapse(clock, self.region.latency.s3_list_us);
+        clock.advance_micros(self.region.latency.s3_list_us);
     }
 
     /// Reconstructs — deterministically, from virtual stamps alone — the

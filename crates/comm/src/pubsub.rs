@@ -101,7 +101,6 @@ impl PubSub {
         let Region {
             meter,
             latency,
-            jitter,
             faults,
         } = &self.region;
         let fault = faults.check(
@@ -111,8 +110,7 @@ impl PubSub {
             &topic_name(topic),
         );
         meter.record_sns_publish(clock.flow(), billed);
-        self.region
-            .elapse(clock, latency.sns_publish_total_us(total));
+        clock.advance_micros(latency.sns_publish_total_us(total));
         // Injected publish failure: the API call is billed and takes the
         // full round trip (AWS bills failed requests), but nothing is
         // delivered — the batch is all-or-nothing, so a retry republishes
@@ -126,7 +124,7 @@ impl PubSub {
         let subs = t.read();
         for msg in messages {
             if let Some(queue) = subs.get(&(msg.attributes.flow, msg.attributes.target)) {
-                let mut delay = jitter.apply(latency.sns_delivery_us);
+                let mut delay = latency.sns_delivery_us;
                 // Injected delivery fault: SNS retries queue delivery
                 // internally, so the message is *delayed*, never lost — a
                 // lost delivery after a successful publish would be

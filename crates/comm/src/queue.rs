@@ -45,7 +45,7 @@ pub struct SqsQueue {
 }
 
 impl SqsQueue {
-    /// Creates a queue bound to an environment's meter/latency/jitter.
+    /// Creates a queue bound to a region's meter, latency model and fault plane.
     pub(crate) fn new(name: String, region: Region) -> SqsQueue {
         SqsQueue {
             name,
@@ -101,7 +101,7 @@ impl SqsQueue {
         self.region
             .meter
             .record_sqs_call(clock.flow(), messages, empty);
-        self.region.elapse(clock, rtt_us);
+        clock.advance_micros(rtt_us);
     }
 
     /// Bills one empty long poll (timeout after the full wait `W`): the

@@ -102,7 +102,7 @@ impl WeightNet {
         let fault = region
             .faults
             .check(ApiClass::WeightStream, flow, clock.now(), key);
-        region.elapse(clock, region.latency.direct_send_total_us(body.len()));
+        clock.advance_micros(region.latency.direct_send_total_us(body.len()));
         if let Some(kind) = fault {
             return Err(kind.to_error(format!("weight-stream:{key}")));
         }
@@ -142,8 +142,7 @@ impl WeightNet {
     }
 
     fn send_control(&self, clock: &mut VClock, hop: usize, payload: WeightPayload) {
-        self.region
-            .elapse(clock, self.region.latency.direct_latency_us);
+        clock.advance_micros(self.region.latency.direct_latency_us);
         self.post(clock, hop, hop, payload, 0);
     }
 

@@ -414,8 +414,8 @@ pub(crate) fn load_input_share_into(
     let fetched;
     let body = match inline {
         Some(body) => {
-            let body_us = env.latency().s3_body_us(body.len());
-            ctx.clock_mut().advance_micros(env.jitter().apply(body_us));
+            ctx.clock_mut()
+                .advance_micros(env.latency().s3_body_us(body.len()));
             body
         }
         None => {

@@ -80,8 +80,9 @@ impl ServiceBuilder {
         self
     }
 
-    /// Convenience: jitter-free region and partitioning seeded with `seed`
-    /// (the deterministic setup every test and validation run uses).
+    /// Convenience: seeds the region ([`CloudConfig::deterministic`]) and
+    /// the partitioning with `seed`. Every region is deterministic; this
+    /// only pins the seeds, as every test and validation run does.
     pub fn deterministic(mut self, seed: u64) -> ServiceBuilder {
         self.cfg.cloud = CloudConfig::deterministic(seed);
         self.cfg.seed = seed;

@@ -164,7 +164,9 @@ impl Default for EngineConfig {
 }
 
 impl EngineConfig {
-    /// Jitter-free configuration for tests and validation runs.
+    /// The default configuration with the region
+    /// ([`CloudConfig::deterministic`]) and the partitioning seeded with
+    /// `seed`. Every region is deterministic; this only pins the seeds.
     pub fn deterministic(seed: u64) -> EngineConfig {
         EngineConfig {
             cloud: CloudConfig::deterministic(seed),

@@ -167,8 +167,7 @@ impl FsdService {
         let inline = self.stage_request(req, partition, flow, warm);
         let channel = channel();
         // One control-plane hop routes a request into a resident tree.
-        let dispatch_at =
-            VirtualTime::from_micros(self.env.jitter().apply(self.env.latency().lambda_invoke_us));
+        let dispatch_at = VirtualTime::from_micros(self.env.latency().lambda_invoke_us);
         let ran = tree.run(WorkItem {
             warm,
             flow,

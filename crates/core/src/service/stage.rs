@@ -71,6 +71,10 @@ impl FsdService {
     /// [`MAX_ASYNC_PAYLOAD_BYTES`]; every other share — all of a cold
     /// item's, whose ranks a launcher that never held the input starts —
     /// is staged under [`input_key`] for the rank to GET.
+    ///
+    /// The cap is taken against a share's raw encoded bytes, which assumes
+    /// a binary-safe Invoke payload. A JSON event would carry the share
+    /// base64-encoded at 4/3 its size, so there the raw cap is 192 KiB.
     pub(super) fn stage_request(
         &self,
         req: &BatchedRequest,

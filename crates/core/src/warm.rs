@@ -219,8 +219,8 @@ impl ServeShared {
     /// Invokes `ranks` in order, each on the next free lane of one
     /// [`Lanes`] pool forked at `issued`: a rank is spawned at the instant
     /// its call is issued ([`FaasPlatform::invoke`] adds the round trip and
-    /// the cold start), and its lane is then busy for one jittered Invoke
-    /// round trip. Every rank is invoked, even after one is refused.
+    /// the cold start), and its lane is then busy for one Invoke round
+    /// trip. Every rank is invoked, even after one is refused.
     /// Returns the instant the last lane comes free — where an issuer that
     /// is a Lambda function joins — and the first refusal with its rank.
     fn invoke_ranks(
@@ -235,7 +235,7 @@ impl ServeShared {
         for rank in ranks {
             let lane = lanes.next();
             let spawned = self.spawn_rank(platform, rank, lane.now());
-            lane.advance_micros(env.jitter().apply(env.latency().lambda_invoke_us));
+            lane.advance_micros(env.latency().lambda_invoke_us);
             refused = refused.and(spawned.map_err(|e| (rank, e)));
         }
         (lanes.slowest(), refused)

@@ -325,17 +325,16 @@ impl FaasPlatform {
         let launch_fault = launch_error.clone();
         let platform = self.clone();
         let handle = std::thread::spawn(move || {
-            let jitter = platform.env.jitter();
             let lat = platform.env.latency();
             let mut clock = VClock::starting_at(at);
             // The instance's clock carries the flow, so every metered
             // service call this function makes bills to its request.
             clock.set_flow(cfg.flow);
-            clock.advance_micros(jitter.apply(lat.lambda_invoke_us));
+            clock.advance_micros(lat.lambda_invoke_us);
             if let Some(err) = launch_fault {
                 return Err(err);
             }
-            clock.advance_micros(jitter.apply(lat.lambda_cold_start_us));
+            clock.advance_micros(lat.lambda_cold_start_us);
             let started = clock.now();
             let mut ctx = WorkerCtx {
                 platform: platform.clone(),

@@ -377,31 +377,36 @@ fn report_latency_covers_all_workers() {
 
 #[test]
 fn deterministic_reruns_under_deterministic_config() {
-    // Latency components driven by virtual time must reproduce across runs
-    // (thread scheduling may alter poll batching; outputs and core compute
-    // must not change).
+    // The modelled ledger is a function of the workload alone: twenty
+    // fresh services under the default config give one latency and one
+    // bill per transport, whatever order the threads ran in.
     let spec = small_spec(10);
-    let (service, inputs) = service_for(&spec, 10);
-    let r1 = service
-        .submit(&InferenceRequest {
-            variant: Variant::Object,
-            workers: 4,
-            memory_mb: 1536,
-            inputs: inputs.clone(),
-        })
-        .expect("first run");
-    let r2 = service
-        .submit(&InferenceRequest {
-            variant: Variant::Object,
-            workers: 4,
-            memory_mb: 1536,
-            inputs,
-        })
-        .expect("second run");
-    assert_eq!(r1.first_output(), r2.first_output());
-    assert_eq!(r1.work_done, r2.work_done);
-    assert_eq!(r1.client.s3_puts, r2.client.s3_puts);
-    assert_eq!(service.audit(), Vec::<String>::new());
+    let dnn = Arc::new(generate_dnn(&spec));
+    let inputs = generate_inputs(spec.neurons, &InputSpec::scaled(24, 10));
+    let expected = dnn.serial_inference(&inputs);
+    let shapes = common::channel_variants()
+        .map(|v| (v, 8))
+        .chain([(Variant::Serial, 1)]);
+    for (variant, workers) in shapes {
+        let run = || {
+            let service = ServiceBuilder::new(dnn.clone()).build();
+            let report = service
+                .submit(&InferenceRequest {
+                    variant,
+                    workers,
+                    memory_mb: 1769,
+                    inputs: inputs.clone(),
+                })
+                .unwrap_or_else(|e| panic!("{variant}: {e}"));
+            assert_eq!(report.first_output(), &expected, "{variant}");
+            assert_eq!(service.audit(), Vec::<String>::new(), "{variant}");
+            (report.latency, report.comm, report.lambda)
+        };
+        let first = run();
+        for _ in 1..20 {
+            assert_eq!(run(), first, "{variant}: (latency, comm, lambda)");
+        }
+    }
 }
 
 #[test]

@@ -1,4 +1,4 @@
-//! Launch timing in a jitter-free region: every Invoke rides its issuer's
+//! Launch timing in a deterministic region: every Invoke rides its issuer's
 //! lane pool, so a launcher starts up to eight children in one round trip,
 //! and each child starts one Invoke round trip plus one cold start after
 //! its call is issued. The eager launch's default fan-out is flat from
@@ -15,7 +15,7 @@ use std::sync::Arc;
 
 const SEED: u64 = 71;
 
-/// A jitter-free service over a small model; `stream` picks the flat
+/// A seeded service over a small model; `stream` picks the flat
 /// control-plane launch over the cascade, whose fan-out `branching`
 /// overrides.
 fn service(stream: bool, branching: Option<usize>) -> FsdService {
