@@ -33,6 +33,7 @@ pub const GATED: &[(&str, &[(&str, Direction)])] = &[
         &[
             ("bursty_mean_latency_us", Direction::LowerIsBetter),
             ("fleet_throughput_rps", Direction::HigherIsBetter),
+            ("fleet_cost_uusd_per_req", Direction::LowerIsBetter),
         ],
     ),
     (

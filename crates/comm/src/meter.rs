@@ -142,25 +142,54 @@ pub struct MeterSnapshot {
 impl MeterSnapshot {
     /// Element-wise sum (aggregating per-flow windows).
     pub fn plus(&self, other: &MeterSnapshot) -> MeterSnapshot {
-        MeterSnapshot {
-            sns_publish_requests: self.sns_publish_requests + other.sns_publish_requests,
-            sns_publish_batches: self.sns_publish_batches + other.sns_publish_batches,
-            sns_delivered_bytes: self.sns_delivered_bytes + other.sns_delivered_bytes,
-            sqs_api_calls: self.sqs_api_calls + other.sqs_api_calls,
-            sqs_empty_polls: self.sqs_empty_polls + other.sqs_empty_polls,
-            sqs_messages: self.sqs_messages + other.sqs_messages,
-            s3_put_requests: self.s3_put_requests + other.s3_put_requests,
-            s3_get_requests: self.s3_get_requests + other.s3_get_requests,
-            s3_list_requests: self.s3_list_requests + other.s3_list_requests,
-            s3_put_bytes: self.s3_put_bytes + other.s3_put_bytes,
-            s3_get_bytes: self.s3_get_bytes + other.s3_get_bytes,
-            direct_punches: self.direct_punches + other.direct_punches,
-            direct_punch_failures: self.direct_punch_failures + other.direct_punch_failures,
-            direct_messages: self.direct_messages + other.direct_messages,
-            direct_bytes: self.direct_bytes + other.direct_bytes,
-            weight_frames: self.weight_frames + other.weight_frames,
-            weight_bytes: self.weight_bytes + other.weight_bytes,
+        let (mut sum, mut other) = (*self, *other);
+        for (a, b) in sum.counters_mut().into_iter().zip(other.counters_mut()) {
+            *a += *b;
         }
+        sum
+    }
+
+    /// Every counter, in declaration order: the one list element-wise
+    /// arithmetic over a window walks.
+    pub fn counters_mut(&mut self) -> [&mut u64; 17] {
+        let MeterSnapshot {
+            sns_publish_requests,
+            sns_publish_batches,
+            sns_delivered_bytes,
+            sqs_api_calls,
+            sqs_empty_polls,
+            sqs_messages,
+            s3_put_requests,
+            s3_get_requests,
+            s3_list_requests,
+            s3_put_bytes,
+            s3_get_bytes,
+            direct_punches,
+            direct_punch_failures,
+            direct_messages,
+            direct_bytes,
+            weight_frames,
+            weight_bytes,
+        } = self;
+        [
+            sns_publish_requests,
+            sns_publish_batches,
+            sns_delivered_bytes,
+            sqs_api_calls,
+            sqs_empty_polls,
+            sqs_messages,
+            s3_put_requests,
+            s3_get_requests,
+            s3_list_requests,
+            s3_put_bytes,
+            s3_get_bytes,
+            direct_punches,
+            direct_punch_failures,
+            direct_messages,
+            direct_bytes,
+            weight_frames,
+            weight_bytes,
+        ]
     }
 }
 

@@ -63,6 +63,14 @@ impl CostBreakdown {
         self.compute + self.comms
     }
 
+    /// Both terms scaled by `share` (a fused member's part of its item).
+    pub(crate) fn scaled(&self, share: f64) -> CostBreakdown {
+        CostBreakdown {
+            compute: self.compute * share,
+            comms: self.comms * share,
+        }
+    }
+
     /// Relative difference of totals (validation metric).
     pub fn relative_error(&self, other: &CostBreakdown) -> f64 {
         let a = self.total();

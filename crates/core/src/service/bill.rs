@@ -1,5 +1,6 @@
-//! The §IV bill: every attempt's flow windows, harvested once, and the
-//! quiescence audit that checks they partition the global meters.
+//! The §IV bill: every attempt's flow windows, harvested once, the
+//! apportioning of a fused work item's window among its members, and the
+//! quiescence audit that checks the windows partition the global meters.
 
 use super::stage::INPUTS;
 use super::FsdService;
@@ -25,6 +26,31 @@ impl Bill {
             lambda: self.lambda.plus(&other.lambda),
         }
     }
+}
+
+/// Splits every counter of `window` that `counters` lists by `shares`
+/// (summing to more than 0): each part gets the floor of its share, and
+/// the units left over go one each to the earliest parts, so the parts sum
+/// to the window exactly.
+pub(super) fn apportion<S: Copy + Default, const N: usize>(
+    mut window: S,
+    shares: &[u64],
+    counters: fn(&mut S) -> [&mut u64; N],
+) -> Vec<S> {
+    let total = u128::from(shares.iter().sum::<u64>());
+    let mut parts = vec![S::default(); shares.len()];
+    for (k, counter) in counters(&mut window).into_iter().enumerate() {
+        let mut left = *counter;
+        for (part, &share) in parts.iter_mut().zip(shares) {
+            let floor = (u128::from(*counter) * u128::from(share) / total) as u64;
+            *counters(part)[k] = floor;
+            left -= floor;
+        }
+        for part in &mut parts[..left as usize] {
+            *counters(part)[k] += 1;
+        }
+    }
+    parts
 }
 
 /// Every harvested flow window, split by how its attempt ended.
@@ -128,6 +154,23 @@ mod tests {
     use crate::warm::WorkerTree;
     use crate::worker::RunOutput;
     use fsd_comm::VirtualTime;
+
+    #[test]
+    fn apportioned_parts_take_their_floors_and_the_earliest_the_rest() {
+        let window = LambdaSnapshot {
+            invocations: 10,
+            mb_ms: 22,
+        };
+        let split = |shares: &[u64]| {
+            let parts = apportion(window, shares, LambdaSnapshot::counters_mut);
+            let field = |f: fn(&LambdaSnapshot) -> u64| parts.iter().map(f).collect::<Vec<_>>();
+            (field(|p| p.invocations), field(|p| p.mb_ms))
+        };
+        assert_eq!(split(&[1, 1, 1]), (vec![4, 3, 3], vec![8, 7, 7]));
+        assert_eq!(split(&[4, 5, 6, 7]), (vec![2, 3, 2, 3], vec![4, 5, 6, 7]));
+        assert_eq!(split(&[0, 3]), (vec![0, 10], vec![0, 22]));
+        assert_eq!(split(&[5]), (vec![10], vec![22]));
+    }
 
     #[test]
     fn the_audit_names_each_planted_violation() {

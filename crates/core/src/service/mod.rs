@@ -19,8 +19,10 @@
 //! There is one launch path (`run_pass`): acquire a worker tree — a
 //! warm-pool checkout, else a launch billed to the request — run the
 //! request on it as one work item, release the tree. Without a pool the
-//! tree simply lives for that one item. FSD-Inf-Serial is the one-rank
-//! tree ([`FsdService::tree_key`]).
+//! tree simply lives for that one item. A coalition's members ride that
+//! path fused: their samples side by side in one work item, its report
+//! split back per member. FSD-Inf-Serial is the one-rank tree
+//! ([`FsdService::tree_key`]).
 //!
 //! A request's steps live in one file each, all `impl FsdService`:
 //! `stage` (offline partitioning and staging, §III, and the request's
@@ -194,23 +196,24 @@ impl FsdService {
             .expect("one result per member")
     }
 
-    /// Runs several *shape-compatible* requests through **one** worker-tree
-    /// pass (cross-request continuous batching): the tree is acquired once
-    /// — a warm-pool checkout, or a single cold launch billed to the first
-    /// member's flow — and every member then runs as its own flow-scoped
-    /// work item on the resident tree. Per-member inputs, data channels,
-    /// billing windows and reports stay exactly as disjoint as sequential
-    /// [`FsdService::submit_batched`] calls (the meters bucket each
-    /// member's events under its own flow id), but members after the first
-    /// pay one control-plane hop ([`crate::LaunchPath::WarmHit`]) instead
-    /// of the launch bill. Results are returned in member order.
+    /// Runs several *shape-compatible* requests as **one** forward pass
+    /// (cross-request continuous batching). The tree is acquired once — a
+    /// warm-pool checkout, or a cold launch the head rides alone — and
+    /// members with equal batch counts then ride one fused work item (one
+    /// flow, channel and dispatch), their samples side by side, so a warm
+    /// coalition bills the calls of one lone request at the fused width.
+    /// Each member gets its own report, in member order: its columns of the
+    /// item's outputs (bit-identical to a [`FsdService::submit_batched`]
+    /// run), the item's latency and launch path, and the item's window and
+    /// costs apportioned by sample share, summing to the window exactly.
     ///
     /// Members must all run on the same tree ([`FsdService::tree_key`]) —
     /// the scheduler's coalition formation guarantees this. If any member
     /// does not, or is empty, the whole set falls back to sequential
-    /// `submit_batched` calls. A member failure mid-pass discards the
-    /// (possibly poisoned) tree, reports the error for that member only,
-    /// and finishes the remaining members on the sequential path.
+    /// `submit_batched` calls. A failed item discards the (possibly
+    /// poisoned) tree and bills its window as a failed attempt; a lone
+    /// member reports the error, while a fused item's members rerun alone
+    /// on the sequential path, as do all members not yet run.
     pub fn submit_coalesced(
         &self,
         reqs: &[BatchedRequest],

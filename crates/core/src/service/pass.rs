@@ -1,6 +1,7 @@
 //! The one launch path — a pass of work items over one worker tree — and
 //! the warm-pool façade.
 
+use super::bill::apportion;
 use super::stage::input_key;
 use super::{Bill, FsdService};
 use crate::artifacts::ARTIFACT_BUCKET;
@@ -8,12 +9,15 @@ use crate::channel::FsiChannel;
 use crate::engine::{BatchedRequest, InferenceReport, Variant, WorkerReport};
 use crate::error::FsdError;
 use crate::pool::WarmPoolStats;
+use crate::stats::ChannelStatsSnapshot;
 use crate::transport::Transport;
 use crate::warm::{TreeKey, TreeParams, WorkItem, WorkerTree};
 use crate::worker::RunOutput;
-use fsd_comm::VirtualTime;
-use fsd_faas::FaasError;
+use fsd_comm::{MeterSnapshot, VirtualTime};
+use fsd_faas::{FaasError, LambdaSnapshot};
 use fsd_partition::Partition;
+use fsd_sparse::SparseRows;
+use std::borrow::Cow;
 use std::sync::Arc;
 
 impl FsdService {
@@ -94,13 +98,20 @@ impl FsdService {
     }
 
     /// The one launch path. Runs `reqs` — all resolved to shape `key`, at
-    /// least one — back to back on one worker tree: acquire it for the
-    /// first member (pool checkout, else a launch billed to that member's
-    /// flow), run each member as one [`WorkItem`], release the tree (pool
-    /// check-in or discard; without a pool, drop — which joins every
-    /// instance) and only then close the last member's flow window, so no
-    /// instance can bill a released flow. A pool-less single request is
-    /// the degenerate pass: a tree that lives for one work item.
+    /// least one — on one worker tree: a pool checkout, else a launch billed
+    /// to the first member's flow. The members ride as few work items as
+    /// [`work_items`] allows: each item is one flow, one channel and one
+    /// dispatch, whose members' samples ride [`fuse`]d side by side, and
+    /// its report is split back into one per member ([`split_report`]). The
+    /// tree is released after the last item (pool check-in or discard;
+    /// without a pool, drop — which joins every instance), and only then is
+    /// that item's flow window closed, so no instance can bill a released
+    /// flow. A pool-less single request is the degenerate pass: a tree that
+    /// lives for one work item.
+    ///
+    /// A failed item discards the (possibly poisoned) tree. A lone member
+    /// reports the error; a fused item's members, and every member not yet
+    /// run, then run alone, each on a tree of its own.
     pub(super) fn run_pass(
         &self,
         key: TreeKey,
@@ -109,40 +120,54 @@ impl FsdService {
         let transport = Transport::of(key.variant).expect("a tree shape's variant has a transport");
         let p = key.workers;
         let partition = self.partition(p);
-        let mut results = Vec::with_capacity(reqs.len());
-        let mut tree: Option<WorkerTree> = None;
-        for (i, req) in reqs.iter().enumerate() {
+        let mut tree = self.pool.as_ref().and_then(|pool| pool.checkout(key));
+        let items = work_items(reqs, tree.is_none());
+        let mut results: Vec<Option<Result<InferenceReport, FsdError>>> =
+            reqs.iter().map(|_| None).collect();
+        for (i, item) in items.iter().enumerate() {
+            let members: Vec<&BatchedRequest> = item.iter().map(|&m| &reqs[m]).collect();
+            let fused = fuse(&members);
             let flow = self.open_flow();
             let channel = || transport.channel(&self.env, p, self.cfg.channel, flow, &self.frames);
-            let ran = self.run_member(key, req, flow, &partition, &mut tree, channel);
-            let rest = &reqs[i + 1..];
-            if let Some(tree) = tree.take_if(|_| rest.is_empty()) {
+            let ran = self.run_member(key, &fused, flow, &partition, &mut tree, channel);
+            if let Some(tree) = tree.take_if(|_| i + 1 == items.len()) {
                 self.release_tree(tree, false);
             }
-            let failed = ran.is_err();
-            results.push(self.finalize_report(key.variant, p, req, flow, ran));
-            if failed {
-                // The tree is gone (never reuse a possibly poisoned one):
-                // this member reports the error, the rest run sequentially,
-                // each on a tree of its own.
-                results.extend(rest.iter().map(|r| self.submit_batched(r)));
-                break;
+            match self.finalize_report(key.variant, p, &fused, flow, ran) {
+                Ok(report) => {
+                    for (&m, part) in item.iter().zip(split_report(report, &members)) {
+                        results[m] = Some(Ok(part));
+                    }
+                }
+                // A lone member reports its error; a fused item's members
+                // rerun below.
+                Err(e) => {
+                    if let [m] = item[..] {
+                        results[m] = Some(Err(e));
+                    }
+                    break;
+                }
             }
         }
         results
+            .into_iter()
+            .zip(reqs)
+            .map(|(done, req)| done.unwrap_or_else(|| self.submit_batched(req)))
+            .collect()
     }
 
-    /// Runs one member of a pass on the tree in `slot`, acquiring it first
-    /// if the slot is empty, over the data channel `channel` provisions
-    /// once the tree is in hand. A member that lands on a resident tree — a
-    /// pool checkout, or one an earlier member of the pass left in the
-    /// slot — is `warm`: one control-plane hop, billed under its own flow,
-    /// whose Invokes carry the input shares that fit them. Only the member
-    /// whose flow launched the tree pays the launch bill. Inputs are
-    /// delivered once the tree is in hand, since whether it is warm decides
-    /// which shares are staged (`FsdService::stage_request`).
+    /// Runs one work item of a pass on the tree in `slot`, launching one
+    /// billed to `flow` first if the slot is empty, over the data channel
+    /// `channel` provisions once the tree is in hand. An item that lands on
+    /// a resident tree — a pool checkout, or one an earlier item of the
+    /// pass left in the slot — is `warm`: one control-plane hop, billed
+    /// under its own flow, whose Invokes carry the input shares that fit
+    /// them. Only the item whose flow launched the tree pays the launch
+    /// bill. Inputs are delivered once the tree is in hand, since whether
+    /// it is warm decides which shares are staged
+    /// (`FsdService::stage_request`).
     /// On failure the tree is taken out of the slot and discarded (joined)
-    /// *before* the member's channel is torn down, so no straggler touches
+    /// *before* the item's channel is torn down, so no straggler touches
     /// a torn-down channel.
     fn run_member(
         &self,
@@ -153,16 +178,10 @@ impl FsdService {
         slot: &mut Option<WorkerTree>,
         channel: impl FnOnce() -> Arc<dyn FsiChannel>,
     ) -> Result<RunOutput, FsdError> {
-        let mut warm = true;
-        if slot.is_none() {
-            *slot = self.pool.as_ref().and_then(|pool| pool.checkout(key));
-        }
+        let warm = slot.is_some();
         let tree = match slot {
             Some(tree) => tree,
-            None => {
-                warm = false;
-                slot.insert(self.new_tree(key, flow)?)
-            }
+            None => slot.insert(self.new_tree(key, flow)?),
         };
         let inline = self.stage_request(req, partition, flow, warm);
         let channel = channel();
@@ -180,7 +199,7 @@ impl FsdService {
         if ran.is_err() {
             self.release_tree(slot.take().expect("the tree that just ran"), true);
         }
-        // Release the member's queues/subscriptions/objects — error or not.
+        // Release the item's queues/subscriptions/objects — error or not.
         channel.teardown();
         Ok(ran?)
     }
@@ -305,6 +324,95 @@ impl FsdService {
             .as_ref()
             .is_some_and(|pool| pool.arm_kill(key, rank))
     }
+}
+
+/// A pass's work items, as member indices in member order. Members with
+/// equal batch counts ride one item, in order of first appearance, except
+/// a head that must `launch` the tree: it rides alone, as a lone request
+/// would, so no follower's latency includes the launch.
+fn work_items(reqs: &[BatchedRequest], launch: bool) -> Vec<Vec<usize>> {
+    let mut items: Vec<Vec<usize>> = Vec::new();
+    for (m, req) in reqs.iter().enumerate() {
+        let batches = req.batches.len();
+        let fellow = items
+            .iter_mut()
+            .skip(usize::from(launch))
+            .find(|item| reqs[item[0]].batches.len() == batches);
+        match fellow {
+            Some(item) => item.push(m),
+            None => items.push(vec![m]),
+        }
+    }
+    items
+}
+
+/// The one request a work item's `members` ride: its batch `b` is the
+/// members' batch `b` side by side along the sample axis
+/// ([`SparseRows::concat_columns`]). A lone member rides as it is.
+fn fuse<'a>(members: &[&'a BatchedRequest]) -> Cow<'a, BatchedRequest> {
+    let head = members[0];
+    if members.len() == 1 {
+        return Cow::Borrowed(head);
+    }
+    let batches = (0..head.batches.len())
+        .map(|b| {
+            let parts: Vec<&SparseRows> = members.iter().map(|m| &m.batches[b]).collect();
+            SparseRows::concat_columns(&parts)
+        })
+        .collect();
+    Cow::Owned(BatchedRequest {
+        variant: head.variant,
+        workers: head.workers,
+        memory_mb: head.memory_mb,
+        batches,
+    })
+}
+
+/// One report per member of a fused work item, from the item's `report`
+/// (a lone member's is the item's). A member's outputs are its own columns
+/// of the item's; its latency, per-worker facts and launch path are the
+/// item's; every counter of the item's window ([`apportion`]ed) and its
+/// costs are split by sample share, so the members' bills sum to the
+/// window exactly. Members without a sample between them share evenly.
+fn split_report(mut report: InferenceReport, members: &[&BatchedRequest]) -> Vec<InferenceReport> {
+    if let [_] = members {
+        return vec![report];
+    }
+    let samples: Vec<u64> = members
+        .iter()
+        .map(|m| m.batches.iter().map(|b| b.width() as u64).sum())
+        .collect();
+    let shares = match report.samples {
+        0 => vec![1; members.len()],
+        _ => samples.clone(),
+    };
+    let mut outputs: Vec<Vec<SparseRows>> = vec![Vec::new(); members.len()];
+    for (b, fused) in std::mem::take(&mut report.outputs).iter().enumerate() {
+        let widths: Vec<usize> = members.iter().map(|m| m.batches[b].width()).collect();
+        for (mine, part) in outputs.iter_mut().zip(fused.split_columns(&widths)) {
+            mine.push(part);
+        }
+    }
+    let comm = apportion(report.comm, &shares, MeterSnapshot::counters_mut);
+    let lambda = apportion(report.lambda, &shares, LambdaSnapshot::counters_mut);
+    let client = apportion(report.client, &shares, ChannelStatsSnapshot::counters_mut);
+    let work_done = apportion(report.work_done, &shares, |w| [w]);
+    let total = shares.iter().sum::<u64>() as f64;
+    outputs
+        .into_iter()
+        .enumerate()
+        .map(|(i, outputs)| InferenceReport {
+            comm: comm[i],
+            lambda: lambda[i],
+            client: client[i],
+            cost_actual: report.cost_actual.scaled(shares[i] as f64 / total),
+            cost_predicted: report.cost_predicted.scaled(shares[i] as f64 / total),
+            outputs,
+            samples: samples[i] as usize,
+            work_done: work_done[i],
+            ..report.clone()
+        })
+        .collect()
 }
 
 #[cfg(test)]

@@ -51,6 +51,44 @@ pub struct ChannelStatsSnapshot {
     pub retries: u64,
 }
 
+impl ChannelStatsSnapshot {
+    /// Every counter, in declaration order.
+    pub(crate) fn counters_mut(&mut self) -> [&mut u64; 14] {
+        let ChannelStatsSnapshot {
+            sns_billed,
+            sns_batches,
+            messages,
+            bytes_sent,
+            sqs_calls,
+            s3_puts,
+            s3_gets,
+            s3_lists,
+            s3_bytes_put,
+            bytes_precompress,
+            direct_punches,
+            direct_msgs,
+            direct_bytes,
+            retries,
+        } = self;
+        [
+            sns_billed,
+            sns_batches,
+            messages,
+            bytes_sent,
+            sqs_calls,
+            s3_puts,
+            s3_gets,
+            s3_lists,
+            s3_bytes_put,
+            bytes_precompress,
+            direct_punches,
+            direct_msgs,
+            direct_bytes,
+            retries,
+        ]
+    }
+}
+
 impl ChannelStats {
     /// Fresh zeroed stats.
     pub fn new() -> ChannelStats {

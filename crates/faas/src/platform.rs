@@ -223,6 +223,12 @@ impl LambdaSnapshot {
             mb_ms: self.mb_ms + other.mb_ms,
         }
     }
+
+    /// Every counter, in declaration order.
+    pub fn counters_mut(&mut self) -> [&mut u64; 2] {
+        let LambdaSnapshot { invocations, mb_ms } = self;
+        [invocations, mb_ms]
+    }
 }
 
 /// The platform: shared cloud environment plus compute model and billing.

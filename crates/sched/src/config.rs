@@ -76,12 +76,13 @@ pub fn derive_model_cap(service: &FsdService) -> usize {
 ///
 /// When set, admission coalesces compatible queued requests — same model,
 /// same resolved `(variant, P, memory_mb)` shape via [`FsdService::resolve`]
-/// — into **one** multi-batch tree pass ([`FsdService::submit_coalesced`]):
-/// the coalition holds a single concurrency slot, its first member pays at
-/// most one launch, and every other member lands warm on the resident
-/// tree. Billing stays disjoint per member flow, and a batch **never spans
-/// priority classes**; while Interactive traffic waits, a Batch head is
-/// admitted alone (Interactive preempts the window close).
+/// — into **one** forward pass ([`FsdService::submit_coalesced`]): the
+/// coalition holds a single concurrency slot, its first member pays at
+/// most one launch, and the other members' samples ride one fused work
+/// item on the resident tree, whose bill is apportioned to them by
+/// samples. A batch **never spans priority classes**; while Interactive
+/// traffic waits, a Batch head is admitted alone (Interactive preempts
+/// the window close).
 #[derive(Debug, Clone, Copy)]
 pub struct BatchingConfig {
     /// Coalescing window in virtual time: a queued request joins the

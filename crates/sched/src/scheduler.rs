@@ -218,8 +218,8 @@ impl SchedulerCore {
     }
 
     /// Spawns one executor thread per admitted pass, which runs it through
-    /// [`FsdService::submit_coalesced`] — one tree pass, one report per
-    /// member under its own flow id (a singleton is a one-member pass).
+    /// [`FsdService::submit_coalesced`] — one forward pass, one report per
+    /// member (a singleton is a one-member pass).
     fn spawn(self: &Arc<Self>, admitted: Vec<Pass<Arc<TicketShared>>>) {
         for pass in admitted {
             let core = self.clone();

@@ -4,7 +4,7 @@
 //! bookkeeping, retries and backpressure hints. The admission engine's own
 //! decisions are unit-tested without a service in `src/admission.rs`.
 
-use fsd_comm::VirtualTime;
+use fsd_comm::{ApiClass, TargetedFault, VirtualTime};
 use fsd_core::{BatchedRequest, FsdError, FsdService, LaunchPath, ServiceBuilder, Variant};
 use fsd_model::{generate_dnn, generate_inputs, DnnSpec, InputSpec};
 use fsd_sched::{
@@ -568,13 +568,17 @@ fn a_retried_coalition_member_returns_its_share_before_readmission() {
             .batched(BatchingConfig::default()),
     );
     let req = request(&inputs, Variant::Queue, 2);
-    // Seq 1 parks a tree; arm a kill on one of its workers.
+    // Seq 1 parks a tree; arm a kill on one of its workers, and refuse the
+    // next instance launch.
     let parker = sched
         .enqueue_default(Priority::Interactive, req.clone())
         .expect("accepted");
     assert_eq!(sched.dispatch(), vec![vec![1]]);
     parker.wait().expect("cold run parks a tree");
     assert!(svc.kill_warm_worker(Variant::Queue, 2, 1769, 1));
+    svc.env()
+        .faults()
+        .inject(TargetedFault::first(ApiClass::InstanceLaunch, ""));
     let mut tickets: Vec<Ticket> = (0..3)
         .map(|_| {
             sched
@@ -582,10 +586,10 @@ fn a_retried_coalition_member_returns_its_share_before_readmission() {
                 .expect("accepted")
         })
         .collect();
-    // The coalition lands on the armed tree: its head loses the
-    // instance and is requeued, the followers finish. Harvesting them
-    // returns the last two shares, so the head's rerun can take the
-    // one slot.
+    // The coalition's fused item lands on the armed tree and loses the
+    // instance, so each member reruns alone: the head's launch is refused
+    // and it is requeued, the followers finish. Harvesting them returns
+    // the last two shares, so the head's retry can take the one slot.
     assert_eq!(sched.dispatch(), vec![vec![2, 3, 4]]);
     let head = tickets.remove(0);
     for follower in tickets {

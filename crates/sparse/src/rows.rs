@@ -305,6 +305,66 @@ impl SparseRows {
         out
     }
 
+    /// Places `parts` side by side along the column (sample) axis: part
+    /// `k`'s columns follow those of parts `0..k`, and a row holds every
+    /// part's entries of that id. The width is the parts' summed width.
+    pub fn concat_columns(parts: &[&SparseRows]) -> SparseRows {
+        let width = parts.iter().map(|p| p.width).sum();
+        let mut out = SparseRows::new(width);
+        let mut cursors = vec![0usize; parts.len()];
+        loop {
+            let next = parts
+                .iter()
+                .zip(&cursors)
+                .filter_map(|(part, &c)| part.ids.get(c))
+                .min();
+            let Some(&id) = next else {
+                return out;
+            };
+            let mut offset = 0u32;
+            for (part, cursor) in parts.iter().zip(&mut cursors) {
+                if part.ids.get(*cursor) == Some(&id) {
+                    let (_, cols, vals) = part.row_at(*cursor);
+                    out.indices.extend(cols.iter().map(|&c| c + offset));
+                    out.values.extend_from_slice(vals);
+                    *cursor += 1;
+                }
+                offset += part.width as u32;
+            }
+            out.ids.push(id);
+            out.indptr.push(out.indices.len());
+        }
+    }
+
+    /// The inverse of [`SparseRows::concat_columns`]: cuts the block into
+    /// consecutive column ranges of `widths` (which must sum to the width),
+    /// each renumbered from column 0. A row keeps only the parts it has
+    /// entries in, as a layer's output drops a row with none.
+    pub fn split_columns(&self, widths: &[usize]) -> Vec<SparseRows> {
+        assert_eq!(
+            widths.iter().sum::<usize>(),
+            self.width,
+            "split widths must sum to the block's width"
+        );
+        let mut parts: Vec<SparseRows> = widths.iter().map(|&w| SparseRows::new(w)).collect();
+        for (id, mut cols, mut vals) in self.iter() {
+            let mut offset = 0u32;
+            for part in &mut parts {
+                let end = offset + part.width as u32;
+                let n = cols.partition_point(|&c| c < end);
+                if n > 0 {
+                    part.ids.push(id);
+                    part.indices.extend(cols[..n].iter().map(|&c| c - offset));
+                    part.values.extend_from_slice(&vals[..n]);
+                    part.indptr.push(part.indices.len());
+                }
+                (cols, vals) = (&cols[n..], &vals[n..]);
+                offset = end;
+            }
+        }
+        parts
+    }
+
     /// Splits this block into chunks of at most `max_nnz` stored entries
     /// (whole rows only; a single row larger than `max_nnz` becomes its own
     /// chunk). Used to pack pub-sub byte strings under the payload quota.
@@ -499,6 +559,47 @@ mod tests {
     fn merge_all_rejects_duplicates() {
         let b = SparseRows::from_rows(4, [(5u32, vec![0u32], vec![1.0f32])]);
         SparseRows::merge_all(&[&block(), &SparseRows::new(4), &b]);
+    }
+
+    #[test]
+    fn concat_columns_places_parts_side_by_side_and_split_undoes_it() {
+        // Row 5 is active in `block()` only, row 7 in `other` only; `empty`
+        // holds no rows and `none` has no columns at all.
+        let other = SparseRows::from_rows(
+            3,
+            [
+                (2u32, vec![1u32], vec![7.0f32]),
+                (7, vec![0, 2], vec![8.0, 9.0]),
+            ],
+        );
+        let (empty, none) = (SparseRows::new(2), SparseRows::new(0));
+        let parts = [&block(), &empty, &none, &other];
+        let fused = SparseRows::concat_columns(&parts);
+        assert_eq!(fused.width(), 9);
+        assert_eq!(fused.ids(), &[2, 5, 7, 9]);
+        let row = |id| fused.row_by_id(id).expect("row present");
+        assert_eq!(row(2), (&[0u32, 3, 7][..], &[1.0f32, 2.0, 7.0][..]));
+        assert_eq!(row(5), (&[1u32][..], &[3.0f32][..]));
+        assert_eq!(row(7), (&[6u32, 8][..], &[8.0f32, 9.0][..]));
+        assert_eq!(row(9), (&[0u32, 1, 2][..], &[4.0f32, 5.0, 6.0][..]));
+        let split = fused.split_columns(&[4, 2, 0, 3]);
+        assert_eq!(split, [block(), empty, none, other]);
+    }
+
+    #[test]
+    fn concat_and_split_of_nothing() {
+        assert_eq!(SparseRows::concat_columns(&[]), SparseRows::new(0));
+        let lone = SparseRows::concat_columns(&[&block()]);
+        assert_eq!(lone, block());
+        assert_eq!(lone.split_columns(&[4]), [block()]);
+        let zeros = SparseRows::new(0).split_columns(&[0, 0]);
+        assert_eq!(zeros, [SparseRows::new(0), SparseRows::new(0)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "must sum")]
+    fn split_columns_rejects_widths_that_miss_the_width() {
+        block().split_columns(&[1, 2]);
     }
 
     #[test]

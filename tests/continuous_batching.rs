@@ -1,17 +1,29 @@
 //! Continuous-batching acceptance: cross-request coalescing must change
-//! *scheduling* without changing *semantics*. A coalesced pass has to
-//! produce bit-identical outputs to sequential execution, meter every
-//! member under its own flow (billing partitions the global meters
-//! exactly), replay bit-identically, keep Interactive traffic ahead of
-//! fat Batch coalitions, and — at shutdown — cancel still-queued tickets
-//! promptly instead of hanging them.
+//! *cost and scheduling* without changing *semantics*. A coalition's
+//! members ride one fused work item — their samples side by side in one
+//! batch, one flow, one channel, one dispatch — so a warm coalition bills
+//! the calls of one lone request at the fused width. Each member still
+//! gets its own outputs, bit-identical to sequential execution, and its
+//! own report: the item's latency and launch path, and the item's window
+//! apportioned by samples, so the members' bills sum to it exactly and
+//! billing still partitions the global meters. Replays stay
+//! bit-identical, Interactive traffic stays ahead of fat Batch coalitions,
+//! and shutdown cancels still-queued tickets promptly instead of hanging
+//! them.
 
-use fsd_inference::core::{BatchedRequest, FsdError, LaunchPath, ServiceBuilder, Variant};
+mod common;
+
+use fsd_inference::comm::MeterSnapshot;
+use fsd_inference::core::{
+    BatchedRequest, FsdError, FsdService, InferenceReport, LaunchPath, ServiceBuilder, Variant,
+};
+use fsd_inference::faas::LambdaSnapshot;
 use fsd_inference::model::{generate_dnn, generate_inputs, DnnSpec, InputSpec};
 use fsd_inference::sched::harness::replay;
 use fsd_inference::sched::{
     trace, Arrival, BatchingConfig, Priority, Scheduler, SchedulerBuilder, SchedulerConfig,
 };
+use fsd_inference::sparse::SparseRows;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::Duration;
@@ -105,6 +117,182 @@ fn coalesced_billing_partitions_the_global_meters() {
         (comm.unattributed(), lambda.unattributed()),
         Default::default()
     );
+}
+
+/// Every channel transport plus Serial, the one-rank tree.
+fn fused_variants() -> impl Iterator<Item = Variant> {
+    common::channel_variants().chain([Variant::Serial])
+}
+
+/// A deterministic P = 2 service of `variant` whose warm pool holds one
+/// parked tree of the shape, so a pass's checkout hits.
+fn parked_service(dnn: &Arc<fsd_inference::model::SparseDnn>, variant: Variant) -> FsdService {
+    ServiceBuilder::new(dnn.clone())
+        .deterministic(39)
+        .warm_pool(2, u64::MAX)
+        .prewarm_tree(variant, 2, 1769)
+        .build()
+}
+
+/// `members` P = 2 requests of `variant`, member `i` of width `4 + i`,
+/// with `batches(i)` batches each.
+fn members_of(
+    variant: Variant,
+    members: usize,
+    batches: impl Fn(usize) -> usize,
+) -> Vec<BatchedRequest> {
+    (0..members)
+        .map(|i| BatchedRequest {
+            variant,
+            workers: 2,
+            memory_mb: 1769,
+            batches: (0..batches(i))
+                .map(|b| {
+                    generate_inputs(72, &InputSpec::scaled(4 + i, 39 + 8 * i as u64 + b as u64))
+                })
+                .collect(),
+        })
+        .collect()
+}
+
+/// The service's global comm and Lambda meters.
+fn meters(service: &FsdService) -> (MeterSnapshot, LambdaSnapshot) {
+    let (comm, lambda) = (service.env().meter(), service.platform().lambda_meter());
+    (comm.snapshot(), lambda.snapshot())
+}
+
+/// The billed calls the fused-item checks compare.
+fn calls(comm: &MeterSnapshot) -> [u64; 5] {
+    [
+        comm.s3_put_requests,
+        comm.s3_list_requests,
+        comm.sqs_api_calls,
+        comm.sns_publish_requests,
+        comm.direct_messages,
+    ]
+}
+
+fn runs(results: Vec<Result<InferenceReport, FsdError>>) -> Vec<InferenceReport> {
+    results
+        .into_iter()
+        .map(|r| r.expect("member runs"))
+        .collect()
+}
+
+#[test]
+fn a_warm_coalition_bills_one_lone_requests_calls() {
+    let dnn = Arc::new(generate_dnn(&spec(39)));
+    for variant in fused_variants() {
+        let reqs = members_of(variant, 4, |_| 1);
+        let coalition = parked_service(&dnn, variant);
+        let members = runs(coalition.submit_coalesced(&reqs));
+        let inputs: Vec<&SparseRows> = reqs.iter().map(|r| &r.batches[0]).collect();
+        let lone = parked_service(&dnn, variant)
+            .submit_batched(&BatchedRequest {
+                batches: vec![SparseRows::concat_columns(&inputs)],
+                ..reqs[0].clone()
+            })
+            .expect("lone request runs");
+        assert_eq!(lone.samples, 4 + 5 + 6 + 7);
+        let mut summed = [0; 5];
+        for m in &members {
+            assert_eq!(m.launch, LaunchPath::WarmHit, "{variant}");
+            for (sum, n) in summed.iter_mut().zip(calls(&m.comm)) {
+                *sum += n;
+            }
+        }
+        assert_eq!(summed, calls(&lone.comm), "{variant}");
+        assert_eq!(coalition.audit(), Vec::<String>::new(), "{variant}");
+    }
+}
+
+#[test]
+fn fused_members_split_the_items_window_exactly_and_pay_one_rate_per_sample() {
+    let dnn = Arc::new(generate_dnn(&spec(39)));
+    for variant in fused_variants() {
+        let reqs = members_of(variant, 4, |_| 1);
+        let service = parked_service(&dnn, variant);
+        let members = runs(service.submit_coalesced(&reqs));
+        // One item ran, on the parked tree: beside the pre-warm's
+        // unattributed launch, everything the meters counted is its
+        // window, and the members' windows sum to it field by field.
+        let (comm, lambda) = (service.env().meter(), service.platform().lambda_meter());
+        let launch = (comm.unattributed(), lambda.unattributed());
+        let summed = members.iter().fold(launch, |(comm, lambda), m| {
+            (comm.plus(&m.comm), lambda.plus(&m.lambda))
+        });
+        assert_eq!(summed, meters(&service), "{variant}");
+        // Work done and costs are split the same way.
+        let work: u64 = members.iter().map(|m| m.work_done).sum();
+        assert!(work > 0, "{variant}");
+        let rate = members[0].per_sample_cost();
+        assert!(rate > 0.0, "{variant}");
+        for (i, m) in members.iter().enumerate() {
+            assert_eq!(m.samples, 4 + i, "{variant}");
+            // Equal up to the rounding of one f64 scale and division.
+            let off = (m.per_sample_cost() - rate).abs() / rate;
+            assert!(off < 1e-12, "{variant} member {i}: off by {off:e}");
+            assert_eq!(m.latency, members[0].latency, "{variant}");
+        }
+        assert_eq!(service.audit(), Vec::<String>::new(), "{variant}");
+    }
+}
+
+#[test]
+fn members_of_unequal_batch_counts_ride_one_item_per_count() {
+    let dnn = Arc::new(generate_dnn(&spec(39)));
+    for variant in fused_variants() {
+        // Members 0 and 2 carry one batch, 1 and 3 two.
+        let reqs = members_of(variant, 4, |i| 1 + i % 2);
+        let service = parked_service(&dnn, variant);
+        let members = runs(service.submit_coalesced(&reqs));
+        for (m, req) in members.iter().zip(&reqs) {
+            assert_eq!(m.outputs.len(), req.batches.len(), "{variant}");
+            for (out, x) in m.outputs.iter().zip(&req.batches) {
+                assert_eq!(out, &dnn.serial_inference(x), "{variant}");
+            }
+        }
+        // Two items, each at one latency; the two-batch item runs longer.
+        assert_eq!(members[0].latency, members[2].latency, "{variant}");
+        assert_eq!(members[1].latency, members[3].latency, "{variant}");
+        assert!(members[1].latency > members[0].latency, "{variant}");
+        let stats = service.warm_pool_stats().expect("pool");
+        assert_eq!(
+            (stats.hits, stats.misses),
+            (1, 0),
+            "one checkout: {stats:?}"
+        );
+        assert_eq!(service.audit(), Vec::<String>::new(), "{variant}");
+    }
+}
+
+#[test]
+fn a_cold_coalitions_head_rides_the_launch_alone() {
+    let dnn = Arc::new(generate_dnn(&spec(39)));
+    for variant in fused_variants() {
+        let reqs = members_of(variant, 4, |_| 1);
+        let service = ServiceBuilder::new(dnn.clone()).deterministic(39).build();
+        let members = runs(service.submit_coalesced(&reqs));
+        let launches: Vec<LaunchPath> = members.iter().map(|m| m.launch).collect();
+        assert_eq!(
+            launches,
+            [
+                LaunchPath::ColdStart,
+                LaunchPath::WarmHit,
+                LaunchPath::WarmHit,
+                LaunchPath::WarmHit
+            ],
+            "{variant}"
+        );
+        // The followers ride one item on the resident tree: one latency,
+        // with no launch in it.
+        assert!(members[1..].iter().all(|m| m.latency == members[1].latency));
+        assert!(members[1].latency < members[0].latency, "{variant}");
+        for (m, req) in members.iter().zip(&reqs) {
+            assert_eq!(m.first_output(), &dnn.serial_inference(&req.batches[0]));
+        }
+        assert_eq!(service.audit(), Vec::<String>::new(), "{variant}");
+    }
 }
 
 /// A manual-dispatch scheduler with continuous batching over a fresh

@@ -7,6 +7,7 @@ mod common;
 use fsd_inference::comm::{CloudConfig, LatencyModel, VirtualTime};
 use fsd_inference::core::{EngineConfig, InferenceRequest, ServiceBuilder, Variant};
 use fsd_inference::model::{generate_dnn, generate_inputs, DnnSpec, InputSpec};
+use fsd_inference::sparse::SparseRows;
 use std::sync::Arc;
 
 #[test]
@@ -252,12 +253,12 @@ fn breaker_trips_degrades_auto_and_recovers_via_half_open_probes() {
 }
 
 #[test]
-fn crash_mid_coalition_fails_one_member_and_finishes_the_rest() {
+fn crash_mid_fused_item_fails_no_member() {
     common::watchdog(|| {
-        // A warm-tree instance dying *mid-coalition* must fail only the member
-        // it was serving; the tree is discarded and the remaining members
-        // finish on a fresh launch.
-        use fsd_inference::core::BatchedRequest;
+        // A warm-tree instance dying mid fused item fails the item, not its
+        // members: the poisoned tree is discarded, the item's window is
+        // billed as a failed attempt, and each member reruns alone.
+        use fsd_inference::core::{BatchedRequest, Bill};
 
         let spec = DnnSpec {
             neurons: 96,
@@ -268,53 +269,64 @@ fn crash_mid_coalition_fails_one_member_and_finishes_the_rest() {
             seed: 37,
         };
         let dnn = Arc::new(generate_dnn(&spec));
-        let inputs = generate_inputs(spec.neurons, &InputSpec::scaled(8, 37));
-        let expected = dnn.serial_inference(&inputs);
-        let service = ServiceBuilder::new(dnn)
+        let inputs: Vec<_> = (0..3u64)
+            .map(|i| generate_inputs(spec.neurons, &InputSpec::scaled(8, 37 + i)))
+            .collect();
+        let service = ServiceBuilder::new(dnn.clone())
             .deterministic(37)
             .warm_pool(2, u64::MAX)
             .build();
-        let req = || BatchedRequest {
+        let req = |x: &SparseRows| BatchedRequest {
             variant: Variant::Queue,
             workers: 2,
             memory_mb: 1769,
-            batches: vec![inputs.clone()],
+            batches: vec![x.clone()],
         };
         // Park a tree, then arm a mid-request kill on its rank 1 through the
         // unified fault surface.
         service
-            .submit_batched(&req())
+            .submit_batched(&req(&inputs[0]))
             .expect("cold run parks the tree");
         assert!(
             service.kill_warm_worker(Variant::Queue, 2, 1769, 1),
             "a parked tree must match the injection shape"
         );
+        assert_eq!(service.failed_attempt_bill(), Bill::default());
+        let meters = || {
+            let (comm, lambda) = (service.env().meter(), service.platform().lambda_meter());
+            (comm.snapshot(), lambda.snapshot())
+        };
+        let before = meters();
 
-        let results = service.submit_coalesced(&[req(), req(), req()]);
+        let reqs: Vec<BatchedRequest> = inputs.iter().map(req).collect();
+        let results = service.submit_coalesced(&reqs);
         assert_eq!(results.len(), 3);
-        let failed: Vec<usize> = results
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| r.is_err())
-            .map(|(i, _)| i)
-            .collect();
-        assert_eq!(
-            failed,
-            vec![0],
-            "exactly the member served by the dying instance fails: {results:?}"
-        );
-        for (i, r) in results.iter().enumerate().skip(1) {
+        for (i, (r, x)) in results.iter().zip(&inputs).enumerate() {
             let report = r
                 .as_ref()
-                .unwrap_or_else(|e| panic!("member {i} wedged: {e}"));
-            assert_eq!(report.first_output(), &expected, "member {i} wrong output");
+                .unwrap_or_else(|e| panic!("member {i} failed: {e}"));
+            assert_eq!(
+                report.first_output(),
+                &dnn.serial_inference(x),
+                "member {i} wrong output"
+            );
         }
         let stats = service.warm_pool_stats().expect("pool enabled");
         assert_eq!(stats.discarded_poisoned, 1, "{stats:?}");
-        // The poisoned tree is never re-shelved; the surviving members park
+        // The poisoned tree is never re-shelved; the solo reruns park
         // exactly one fresh replacement.
         assert_eq!(stats.idle, 1, "{stats:?}");
-        // Success or failure, every member released its flow-scoped state.
+        // The dead item ran warm under its own flow, and what its window
+        // billed is the failed-attempt bill: with the members' solo windows
+        // it is everything the meters counted since the kill was armed.
+        let failed = service.failed_attempt_bill();
+        assert_eq!(failed.lambda.invocations, 0, "a warm item launches nothing");
+        let billed = results.iter().flatten().fold(
+            (before.0.plus(&failed.comm), before.1.plus(&failed.lambda)),
+            |(comm, lambda), r| (comm.plus(&r.comm), lambda.plus(&r.lambda)),
+        );
+        assert_eq!(billed, meters());
+        // Success or failure, every attempt released its flow-scoped state.
         assert_eq!(service.audit(), Vec::<String>::new());
     });
 }

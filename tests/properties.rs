@@ -166,6 +166,42 @@ proptest! {
             prop_assert!(vals.iter().all(|&v| v > 0.0 && v <= spec.clip));
         }
     }
+
+    /// What a fused coalition rests on: samples never interact, so the
+    /// blocks inferred side by side, split back by width, are each block's
+    /// own inference, bit for bit. A row's fill decides the kernel's
+    /// dense-row path (`cols.len() >= width / 4`), which then adds
+    /// `wt × 0.0` into the other blocks' cells; the mixed densities here
+    /// pin that doing so never changes a kept value.
+    #[test]
+    fn serial_inference_of_fused_blocks_splits_into_each_blocks_own(
+        neurons in 32usize..96,
+        seed in 0u64..1000,
+        blocks in proptest::collection::vec((1usize..24, 0.02f32..0.9), 1..6),
+    ) {
+        let spec = DnnSpec { neurons, layers: 3, nnz_per_row: 6, bias: -0.25, clip: 32.0, seed };
+        let dnn = generate_dnn(&spec);
+        let xs: Vec<SparseRows> = blocks
+            .iter()
+            .enumerate()
+            .map(|(i, &(batch, density))| {
+                let input = InputSpec { batch, density, ..InputSpec::scaled(batch, seed + i as u64) };
+                generate_inputs(neurons, &input)
+            })
+            .collect();
+        let widths: Vec<usize> = xs.iter().map(SparseRows::width).collect();
+        let fused = SparseRows::concat_columns(&xs.iter().collect::<Vec<_>>());
+        let split = dnn.serial_inference(&fused).split_columns(&widths);
+        for (k, (x, part)) in xs.iter().zip(&split).enumerate() {
+            let own = dnn.serial_inference(x);
+            prop_assert_eq!(part.ids(), own.ids(), "block {}", k);
+            for ((_, pc, pv), (_, oc, ov)) in part.iter().zip(own.iter()) {
+                prop_assert_eq!(pc, oc, "block {}", k);
+                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                prop_assert_eq!(bits(pv), bits(ov), "block {}", k);
+            }
+        }
+    }
 }
 
 /// Up to three seeded one-byte edits of `valid`: each overwrites, deletes
