@@ -10,7 +10,7 @@ use crate::lanes::LANES;
 use fsd_comm::{CloudConfig, MeterSnapshot, VirtualTime};
 use fsd_faas::{launch, ComputeModel, LambdaSnapshot, MAX_MEMORY_MB};
 use fsd_partition::PartitionScheme;
-use fsd_sparse::{codec, SparseRows};
+use fsd_sparse::SparseRows;
 
 use crate::stats::ChannelStatsSnapshot;
 
@@ -192,7 +192,7 @@ impl EngineConfig {
     }
 }
 
-/// One inference request.
+/// One inference request: a one-batch [`BatchedRequest`].
 #[derive(Debug, Clone)]
 pub struct InferenceRequest {
     /// Execution variant ([`Variant::Auto`] routes per request).
@@ -208,31 +208,24 @@ pub struct InferenceRequest {
 }
 
 /// A request carrying several successive batches, processed by one worker
-/// tree with a SYNC between batches (paper Fig. 1) — launch and weight
-/// loads amortize across the batches.
+/// tree (paper Fig. 1) — launch and weight loads amortize across the
+/// batches. No barrier separates them: the tags keep batches apart.
 #[derive(Debug, Clone)]
 pub struct BatchedRequest {
     /// Execution variant ([`Variant::Auto`] routes per request).
     pub variant: Variant,
-    /// Worker count `P` (Serial runs one rank whatever is asked).
+    /// Worker count `P` (Serial runs one rank whatever is asked). `0`
+    /// runs one rank under the requested variant. A `P` above the model's
+    /// neuron count runs `P` ranks, the ones no row is partitioned to
+    /// empty: they still launch, and bill their instance time.
     pub workers: u32,
-    /// Per-worker memory MB (Serial runs at
-    /// [`EngineConfig::serial_memory_mb`]).
+    /// Per-worker memory MB, within Lambda's 128–10 240 or refused with
+    /// `FsdError::InvalidRequest`; Serial runs (and is checked) at
+    /// [`EngineConfig::serial_memory_mb`] instead.
     pub memory_mb: u32,
-    /// The successive input batches.
+    /// The successive input batches; none is refused with
+    /// `FsdError::EmptyRequest`. A width-0 batch returns an empty block.
     pub batches: Vec<SparseRows>,
-}
-
-impl BatchedRequest {
-    /// Wire bytes per row of the first batch (`None` without a batch): the
-    /// payload estimate `Auto` resolves on. The service's execution path
-    /// and the scheduler's intake both read it here, so the coalescing and
-    /// prediction shapes are the tree the request runs on.
-    pub fn est_bytes_per_row(&self) -> Option<usize> {
-        self.batches
-            .first()
-            .map(|first| codec::encoded_size(first) / first.n_rows().max(1))
-    }
 }
 
 /// Per-worker runtime facts extracted from invocation reports.

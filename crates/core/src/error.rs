@@ -3,7 +3,7 @@
 //! Everything a request can die of is enumerated here: the two FaaS limits
 //! the paper designs against, structured communication failures (wrapping
 //! [`CommFailure`] rather than a formatted string), and the service-level
-//! conditions (empty request, missing output, scheduler admission). Deep engine
+//! conditions (a refused request, missing output, scheduler admission). Deep engine
 //! plumbing keeps using [`fsd_faas::FaasError`] — function bodies run under
 //! the FaaS platform and must speak its error type — and the service maps
 //! it at the boundary via `From`.
@@ -40,6 +40,18 @@ pub enum FsdError {
     },
     /// The request carried no batches.
     EmptyRequest,
+    /// A request field (or the setting Serial runs on in its place) is
+    /// outside what the platform can run; nothing was staged or billed.
+    InvalidRequest {
+        /// The field: `memory_mb`, or `serial_memory_mb` for Serial.
+        field: &'static str,
+        /// The value it carried.
+        value: u32,
+        /// The smallest value allowed.
+        min: u32,
+        /// The largest value allowed.
+        max: u32,
+    },
     /// The run completed but the root worker produced no final output
     /// (an engine invariant violation, surfaced instead of masked).
     MissingOutput,
@@ -84,6 +96,12 @@ impl std::fmt::Display for FsdError {
                 write!(f, "worker {instance} panicked: {detail}")
             }
             FsdError::EmptyRequest => write!(f, "request carried no batches"),
+            FsdError::InvalidRequest {
+                field,
+                value,
+                min,
+                max,
+            } => write!(f, "{field} {value} outside [{min}, {max}]"),
             FsdError::MissingOutput => write!(f, "root worker returned no final output"),
             FsdError::NoWorkerReports => write!(f, "run produced no worker reports"),
             FsdError::Overloaded { retry_after } => {
@@ -160,6 +178,13 @@ mod tests {
     #[test]
     fn displays_are_informative() {
         assert!(FsdError::EmptyRequest.to_string().contains("no batches"));
+        let invalid = FsdError::InvalidRequest {
+            field: "memory_mb",
+            value: 64,
+            min: 128,
+            max: 10_240,
+        };
+        assert_eq!(invalid.to_string(), "memory_mb 64 outside [128, 10240]");
         assert!(FsdError::MissingOutput
             .to_string()
             .contains("no final output"));

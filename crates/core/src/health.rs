@@ -16,7 +16,8 @@ use parking_lot::Mutex;
 const EWMA_ALPHA: f64 = 0.2;
 /// Error-rate level that trips a closed breaker.
 const TRIP_THRESHOLD: f64 = 0.5;
-/// Number of routing consults an open breaker waits before probing.
+/// Number of routing consults an open breaker waits before probing; an
+/// `Auto` request makes one, where it runs (`FsdService::key_of`).
 const OPEN_COOLDOWN: u32 = 4;
 /// Consecutive half-open successes required to close the breaker.
 const PROBE_SUCCESSES: u32 = 2;
@@ -27,7 +28,7 @@ pub enum BreakerState {
     /// Healthy: requests route normally.
     Closed,
     /// Tripped: `Auto` routing avoids this transport while the cooldown
-    /// drains (one tick per routing consult).
+    /// drains (one tick per `Auto` request routed, whatever fronts it).
     Open,
     /// Probing: traffic is admitted again; enough consecutive successes
     /// close the breaker, any failure re-opens it.

@@ -22,14 +22,14 @@
 //! tree simply lives for that one item. A coalition's members ride that
 //! path fused: their samples side by side in one work item, its report
 //! split back per member. FSD-Inf-Serial is the one-rank tree
-//! ([`FsdService::tree_key`]).
+//! ([`FsdService::tree_of`]).
 //!
 //! A request's steps live in one file each, all `impl FsdService`:
 //! `stage` (offline partitioning and staging, §III, and the request's
-//! staged inputs), `route` (the §IV-C variant choice and the tree shape
-//! it runs on), `pass` (the launch path and the warm-pool façade) and
-//! `bill` (the §IV bill: flow windows harvested per attempt, and the
-//! quiescence audit).
+//! staged inputs), `route` (the door: the §IV-C variant choice and the
+//! tree a request runs on, or its refusal), `pass` (the launch path and
+//! the warm-pool façade) and `bill` (the §IV bill: flow windows harvested
+//! per attempt, and the quiescence audit).
 
 use crate::carrier::FramePool;
 use crate::cost::CostModel;
@@ -37,6 +37,7 @@ use crate::engine::{BatchedRequest, EngineConfig, InferenceReport, InferenceRequ
 use crate::error::FsdError;
 use crate::health::{HealthBoard, HealthSnapshot};
 use crate::pool::{TreePool, WarmPoolConfig};
+use crate::warm::TreeKey;
 use crate::weight_cache::WeightCache;
 use crate::worker::WorkspacePool;
 use fsd_comm::CloudEnv;
@@ -187,11 +188,14 @@ impl FsdService {
     /// barrier or reduce closes a batch: the tags keep batches apart, and
     /// every rank hands its own output rows back with its result, which the
     /// tree merges per batch once all ranks have reported.
+    /// A request [`FsdService::tree_of`] refuses stages and bills nothing.
     pub fn submit_batched(&self, req: &BatchedRequest) -> Result<InferenceReport, FsdError> {
-        if req.batches.is_empty() {
-            return Err(FsdError::EmptyRequest);
-        }
-        self.run_pass(self.key_of(req), std::slice::from_ref(req))
+        self.run_alone(self.key_of(req)?, req)
+    }
+
+    /// Runs `req` as a one-member pass on the tree `key`.
+    fn run_alone(&self, key: TreeKey, req: &BatchedRequest) -> Result<InferenceReport, FsdError> {
+        self.run_pass(key, std::slice::from_ref(req))
             .pop()
             .expect("one result per member")
     }
@@ -207,23 +211,25 @@ impl FsdService {
     /// run), the item's latency and launch path, and the item's window and
     /// costs apportioned by sample share, summing to the window exactly.
     ///
-    /// Members must all run on the same tree ([`FsdService::tree_key`]) —
-    /// the scheduler's coalition formation guarantees this. If any member
-    /// does not, or is empty, the whole set falls back to sequential
-    /// `submit_batched` calls. A failed item discards the (possibly
-    /// poisoned) tree and bills its window as a failed attempt; a lone
-    /// member reports the error, while a fused item's members rerun alone
-    /// on the sequential path, as do all members not yet run.
+    /// Each member passes the door once, as in `submit_batched`. Members
+    /// must all run on one tree — a scheduler coalition shares its
+    /// [`FsdService::tree_of`] shape — else each runs alone on its own (a
+    /// refused one returns its error). A failed item discards the
+    /// (possibly poisoned) tree and bills its window as a failed attempt;
+    /// a lone member reports the error, while a fused item's members rerun
+    /// alone on the sequential path, as do all members not yet run.
     pub fn submit_coalesced(
         &self,
         reqs: &[BatchedRequest],
     ) -> Vec<Result<InferenceReport, FsdError>> {
-        let shape_of = |r: &BatchedRequest| (!r.batches.is_empty()).then(|| self.key_of(r));
-        match reqs.first().and_then(shape_of) {
-            Some(key) if reqs[1..].iter().all(|r| shape_of(r) == Some(key)) => {
-                self.run_pass(key, reqs)
-            }
-            _ => reqs.iter().map(|r| self.submit_batched(r)).collect(),
+        let keys: Vec<_> = reqs.iter().map(|r| self.key_of(r)).collect();
+        match keys.first() {
+            Some(&Ok(key)) if keys.iter().all(|k| *k == Ok(key)) => self.run_pass(key, reqs),
+            _ => reqs
+                .iter()
+                .zip(keys)
+                .map(|(req, key)| self.run_alone(key?, req))
+                .collect(),
         }
     }
 }

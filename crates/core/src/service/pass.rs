@@ -2,6 +2,7 @@
 //! the warm-pool façade.
 
 use super::bill::apportion;
+use super::route::provisionable;
 use super::stage::input_key;
 use super::{Bill, FsdService};
 use crate::artifacts::ARTIFACT_BUCKET;
@@ -238,10 +239,10 @@ impl FsdService {
 
     /// Launches a warm tree for `(variant, workers, memory_mb)` ahead of
     /// traffic and parks it in the pool, so the *first* matching request
-    /// is already a [`crate::LaunchPath::WarmHit`]. The shape is keyed by
-    /// [`FsdService::tree_key`] (`prewarm_tree(Serial, 4, 1769)` parks the
-    /// one-rank Serial tree). The launch runs on the unattributed flow (0),
-    /// mirroring offline staging.
+    /// is already a [`crate::LaunchPath::WarmHit`]. The shape is keyed and
+    /// checked as [`FsdService::tree_of`] does a request's
+    /// (`prewarm_tree(Serial, 4, 1769)` parks the one-rank Serial tree).
+    /// The launch runs on the unattributed flow (0), as offline staging.
     ///
     /// # Panics
     /// If the service was built without `warm_pool` — a configuration bug.
@@ -255,7 +256,7 @@ impl FsdService {
             .pool
             .as_ref()
             .expect("prewarm_tree requires ServiceBuilder::warm_pool");
-        let key = self.shape(variant, workers, memory_mb);
+        let key = provisionable(self.shape(variant, workers, memory_mb))?;
         self.prepare(key.workers);
         pool.checkin(self.new_tree(key, 0)?);
         Ok(())
@@ -279,7 +280,7 @@ impl FsdService {
     }
 
     /// Parked warm trees currently matching `(variant, workers, memory)`
-    /// (keyed by [`FsdService::tree_key`]). 0 without a pool.
+    /// (keyed as [`FsdService::tree_of`] keys requests). 0 without a pool.
     // fsd_lint::allow(orphan-pub): integration-test inspection surface (per-shape shelf)
     pub fn warm_idle_trees(&self, variant: Variant, workers: u32, memory_mb: u32) -> usize {
         let key = self.shape(variant, workers, memory_mb);
@@ -305,11 +306,11 @@ impl FsdService {
     }
 
     /// Arms the kill switch of worker `rank` on one *parked* tree of shape
-    /// `(variant, workers, memory_mb)` (keyed by [`FsdService::tree_key`]),
-    /// so the next request routed into it loses the instance mid-request
-    /// (failure injection / chaos). Returns whether a tree was armed:
-    /// `false` without a pool or with no parked tree of the shape. Comm-
-    /// plane faults go to the region's plane instead
+    /// `(variant, workers, memory_mb)` (keyed as [`FsdService::tree_of`]
+    /// keys requests), so the next request routed into it loses the
+    /// instance mid-request (failure injection / chaos). Returns whether a
+    /// tree was armed: `false` without a pool or with no parked tree of the
+    /// shape. Comm-plane faults go to the region's plane instead
     /// (`env().faults().inject`).
     // fsd_lint::allow(orphan-pub): integration-test fault-injection surface
     pub fn kill_warm_worker(
@@ -481,7 +482,7 @@ mod tests {
                 memory_mb: 1769,
                 batches: vec![inputs],
             };
-            let key = svc.key_of(&req);
+            let key = svc.key_of(&req).expect("a valid request");
             let flow = svc.open_flow();
             let mut slot = None;
             let ran = svc.run_member(key, &req, flow, &svc.partition(4), &mut slot, || {

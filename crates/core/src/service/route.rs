@@ -1,9 +1,13 @@
-//! The §IV-C variant choice and the worker-tree shape a request runs on.
+//! The §IV-C variant choice, the worker-tree shape a request runs on, and
+//! the door that decides it or refuses the request.
 
 use super::FsdService;
 use crate::engine::{BatchedRequest, Variant};
+use crate::error::FsdError;
 use crate::recommend::{self, Recommendation, WorkloadProfile};
 use crate::warm::TreeKey;
+use fsd_faas::{MAX_MEMORY_MB, MIN_MEMORY_MB};
+use fsd_sparse::codec;
 
 impl FsdService {
     /// Recommends a variant for this model at parallelism `p`, from the
@@ -43,20 +47,45 @@ impl FsdService {
         }
     }
 
-    /// The worker tree a request asking for shape `requested` runs on,
-    /// with `est_bytes_per_row` the wire-bytes-per-row estimate
-    /// [`Variant::Auto`] resolves by ([`FsdService::resolve`]). A channel
-    /// variant runs on `requested.workers` ranks (at least one) of
-    /// `requested.memory_mb`; FSD-Inf-Serial — one instance holding the
-    /// whole model — is the one-rank tree at
-    /// [`EngineConfig::serial_memory_mb`], whatever `P` and memory were
-    /// asked for. The execution path, the scheduler's coalescing key and
-    /// predictor, pre-warms and fault targeting all key trees through
-    /// here, so a parked tree is always the one its requests check out.
-    ///
-    /// [`EngineConfig::serial_memory_mb`]: crate::EngineConfig::serial_memory_mb
-    pub fn tree_key(&self, requested: TreeKey, est_bytes_per_row: usize) -> TreeKey {
-        let variant = self.resolve(requested.variant, requested.workers, est_bytes_per_row);
+    /// The door every request passes once, on every path: the tree `req`
+    /// runs on before any breaker steers it, or its typed refusal —
+    /// [`FsdError::EmptyRequest`] without a batch, [`FsdError::InvalidRequest`]
+    /// for a tree memory outside [`MIN_MEMORY_MB`]`..=`[`MAX_MEMORY_MB`]
+    /// (for Serial, `EngineConfig::serial_memory_mb`). `Auto` resolves on
+    /// the first batch's wire bytes per row, a proxy for the activations
+    /// the layers will exchange, and may stage that `P`'s partition
+    /// (offline, unbilled, once per `P`).
+    pub fn tree_of(&self, req: &BatchedRequest) -> Result<TreeKey, FsdError> {
+        let first = req.batches.first().ok_or(FsdError::EmptyRequest)?;
+        let est = codec::encoded_size(first) / first.n_rows().max(1);
+        provisionable(self.tree_key(req.variant, req.workers, req.memory_mb, est))
+    }
+
+    /// Where `req` runs: its [`FsdService::tree_of`], an `Auto` request's
+    /// transport degraded past an open breaker — the one breaker consult a
+    /// request makes, whatever fronts the service.
+    pub(super) fn key_of(&self, req: &BatchedRequest) -> Result<TreeKey, FsdError> {
+        let mut key = self.tree_of(req)?;
+        if req.variant == Variant::Auto {
+            key.variant = self.health.degrade(key.variant);
+        }
+        Ok(key)
+    }
+
+    /// The tree of a shape named by its parts, on the a-priori
+    /// bytes-per-row estimate (pool inspection, eviction and pre-warms).
+    pub(super) fn shape(&self, variant: Variant, workers: u32, memory_mb: u32) -> TreeKey {
+        self.tree_key(variant, workers, memory_mb, self.est_bytes_per_row())
+    }
+
+    /// The tree a request for `(variant, workers, memory_mb)` runs on, `Auto`
+    /// resolved on `est` wire bytes per row: a channel variant on `workers`
+    /// ranks (at least one) of `memory_mb`; FSD-Inf-Serial — one instance
+    /// holding the whole model — on the one-rank tree at
+    /// `EngineConfig::serial_memory_mb`, whatever was asked for. Every tree
+    /// is keyed here, so a parked tree is the one its requests check out.
+    fn tree_key(&self, variant: Variant, workers: u32, memory_mb: u32, est: usize) -> TreeKey {
+        let variant = self.resolve(variant, workers, est);
         if variant == Variant::Serial {
             return TreeKey {
                 variant,
@@ -66,53 +95,20 @@ impl FsdService {
         }
         TreeKey {
             variant,
-            workers: requested.workers.max(1),
-            memory_mb: requested.memory_mb,
+            workers: workers.max(1),
+            memory_mb,
         }
     }
 
-    /// [`FsdService::tree_key`] of a non-empty request; `Auto` resolves on
-    /// its first batch's wire bytes per row, a proxy for the intermediate
-    /// activations the layers will exchange.
-    pub(super) fn key_of(&self, req: &BatchedRequest) -> TreeKey {
-        let requested = TreeKey {
-            variant: req.variant,
-            workers: req.workers,
-            memory_mb: req.memory_mb,
-        };
-        let est = req.est_bytes_per_row().expect("a non-empty request");
-        self.tree_key(requested, est)
-    }
-
-    /// [`FsdService::tree_key`] of a shape named by its parts, with the
-    /// a-priori bytes-per-row estimate (the pool's inspection, eviction
-    /// and pre-warm calls).
-    pub(super) fn shape(&self, variant: Variant, workers: u32, memory_mb: u32) -> TreeKey {
-        let requested = TreeKey {
-            variant,
-            workers,
-            memory_mb,
-        };
-        self.tree_key(requested, self.est_bytes_per_row())
-    }
-
-    /// The single §IV-C resolution point: resolves a (possibly
-    /// [`Variant::Auto`]) variant for `workers` ranks and an estimated
-    /// wire-bytes-per-row. Explicit variants pass through unchanged. The
-    /// execution path and the scheduler's intake ([`FsdService::tree_key`])
-    /// and its admission-cap derivation all route through here, so caps
-    /// and execution can never disagree on where a request runs.
+    /// The single §IV-C resolution point, a pure function of the model and
+    /// its arguments: [`Variant::Auto`] becomes the recommendation for
+    /// `workers` ranks and an estimated wire-bytes-per-row; explicit
+    /// variants pass through. Tree keys and the scheduler's admission-cap
+    /// derivation all route through here, so caps and execution can never
+    /// disagree on where a request runs.
     pub fn resolve(&self, variant: Variant, workers: u32, est_bytes_per_row: usize) -> Variant {
         match variant {
-            // Auto routing consults the circuit breakers: a recommendation
-            // whose transport is tripped open degrades to a healthy
-            // fallback (direct → hybrid → queue → object; hybrid → queue →
-            // object; queue ↔ object). Explicit
-            // variants pass through — the caller asked for that transport
-            // and gets its errors.
-            Variant::Auto => self
-                .health
-                .degrade(self.recommend(workers.max(1), est_bytes_per_row).variant),
+            Variant::Auto => self.recommend(workers.max(1), est_bytes_per_row).variant,
             v @ (Variant::Serial
             | Variant::Queue
             | Variant::Object
@@ -128,6 +124,24 @@ impl FsdService {
     pub fn est_bytes_per_row(&self) -> usize {
         self.dnn.spec().nnz_per_row.max(1) * 8
     }
+}
+
+/// `key`, or the refusal of a tree memory Lambda cannot provision.
+pub(super) fn provisionable(key: TreeKey) -> Result<TreeKey, FsdError> {
+    if (MIN_MEMORY_MB..=MAX_MEMORY_MB).contains(&key.memory_mb) {
+        return Ok(key);
+    }
+    let field = if key.variant == Variant::Serial {
+        "serial_memory_mb"
+    } else {
+        "memory_mb"
+    };
+    Err(FsdError::InvalidRequest {
+        field,
+        value: key.memory_mb,
+        min: MIN_MEMORY_MB,
+        max: MAX_MEMORY_MB,
+    })
 }
 
 #[cfg(test)]

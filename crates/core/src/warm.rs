@@ -68,8 +68,8 @@ static NEXT_HOP: AtomicUsize = AtomicUsize::new(0);
 /// The shape a worker tree serves: requests match on the resolved variant,
 /// worker count and per-worker memory. `Ord` gives predictors and pool
 /// policies a canonical shape order for deterministic iteration.
-/// `FsdService::tree_key` maps a requested shape to the tree it runs on;
-/// a Serial tree is `{ Serial, 1, EngineConfig::serial_memory_mb }`.
+/// `FsdService::tree_of` maps a request to the tree it runs on; a Serial
+/// tree is `{ Serial, 1, EngineConfig::serial_memory_mb }`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TreeKey {
     /// Resolved variant — never `Auto`, which resolves before a tree is

@@ -26,22 +26,21 @@ const EWMA_ALPHA: f64 = 0.2;
 /// A request's admission bookkeeping — everything the engine reads — and
 /// the caller's handle `T` to resolve it by.
 pub(crate) struct Member<T> {
-    ticket: T,
+    pub(crate) ticket: T,
+    /// Assigned by [`SchedState::enqueue`].
     pub(crate) seq: u64,
-    priority: Priority,
+    pub(crate) priority: Priority,
     pub(crate) model: usize,
     /// Stamped virtual arrival instant; the continuous-batching window is
     /// measured between these.
-    arrival: VirtualTime,
-    /// The resolved coalescing shape, stamped after acceptance
-    /// ([`SchedState::set_shape`]): `Some(key)` may join a coalition of the
-    /// same key; `None` (an empty request, or not yet resolved) always
-    /// dispatches solo.
-    shape: Option<TreeKey>,
+    pub(crate) arrival: VirtualTime,
+    /// The tree it runs on while every breaker is closed
+    /// (`FsdService::tree_of`): it may join a coalition of the same shape.
+    pub(crate) shape: TreeKey,
     /// Remaining retry budget: a retryable failure with budget left
     /// re-enters its class queue at the head instead of resolving the
     /// ticket.
-    retries_left: u32,
+    pub(crate) retries_left: u32,
 }
 
 /// One accepted, not-yet-admitted request.
@@ -117,23 +116,19 @@ impl<T> SchedState<T> {
         }
     }
 
-    /// Queues a request of `model` at the back of its class and returns
-    /// its sequence number, or refuses it: [`FsdError::ShuttingDown`] once
-    /// shut down, [`FsdError::Overloaded`] with a `retry_after` hint when
-    /// the class queue is full.
+    /// Queues `member`'s request at the back of its class and returns its
+    /// sequence number, or refuses it: [`FsdError::ShuttingDown`] once shut
+    /// down, [`FsdError::Overloaded`] with a `retry_after` hint when the
+    /// class queue is full.
     pub(crate) fn enqueue(
         &mut self,
-        ticket: T,
-        priority: Priority,
-        model: usize,
-        arrival: VirtualTime,
-        retries_left: u32,
+        mut member: Member<T>,
         req: BatchedRequest,
     ) -> Result<u64, FsdError> {
         if self.shutting_down {
             return Err(FsdError::ShuttingDown);
         }
-        let class = priority.index();
+        let class = member.priority.index();
         if self.queues[class].len() >= self.cfg.queue_capacity {
             self.stats.rejected[class] += 1;
             let retry_after = retry::retry_after(
@@ -147,31 +142,9 @@ impl<T> SchedState<T> {
         }
         self.stats.enqueued += 1;
         let seq = self.stats.enqueued; // the n-th accepted request is seq n
-        let member = Member {
-            ticket,
-            seq,
-            priority,
-            model,
-            arrival,
-            shape: None,
-            retries_left,
-        };
+        member.seq = seq;
         self.queues[class].push_back(Pending { member, req });
         Ok(seq)
-    }
-
-    /// Stamps an accepted request's resolved coalescing shape onto its
-    /// queue entry, searched from the back where it was pushed. A request
-    /// admission already took out of the queue dispatched solo — correct
-    /// either way.
-    pub(crate) fn set_shape(&mut self, priority: Priority, seq: u64, shape: Option<TreeKey>) {
-        if let Some(pending) = self.queues[priority.index()]
-            .iter_mut()
-            .rev()
-            .find(|p| p.member.seq == seq)
-        {
-            pending.member.shape = shape;
-        }
     }
 
     /// Admits as many queued execution passes as the caps allow, in
@@ -222,30 +195,28 @@ impl<T> SchedState<T> {
                 reqs: vec![head.req],
             };
             // Coalesce compatible followers behind the head: same model,
-            // same resolved shape, arrivals within the window — and never
-            // across classes. Fairness rule: while Interactive traffic
-            // waits, a Batch head is admitted *alone* (Interactive
-            // preempts the window close; a fat Batch coalition must not
-            // widen ahead of latency-sensitive work).
-            if let Some(batching) = self.cfg.batching {
-                let interactive_waiting = winner == Priority::Batch.index()
-                    && !self.queues[Priority::Interactive.index()].is_empty();
-                if let (Some(key), false) = (shape, interactive_waiting) {
-                    let window = batching.window.as_micros();
-                    let queue = &mut self.queues[winner];
-                    let mut i = 0;
-                    while i < queue.len() && pass.members.len() < batching.max_batch {
-                        let m = &queue[i].member;
-                        let joins = m.model == model
-                            && m.shape == Some(key)
-                            && m.arrival.as_micros().abs_diff(head_arrival) <= window;
-                        if joins {
-                            let joined = queue.remove(i).expect("scanned index in bounds");
-                            pass.members.push(joined.member);
-                            pass.reqs.push(joined.req);
-                        } else {
-                            i += 1;
-                        }
+            // same shape, arrivals within the window — and never across
+            // classes. Fairness rule: while Interactive traffic waits, a
+            // Batch head is admitted *alone* (Interactive preempts the
+            // window close; a fat Batch coalition must not widen ahead of
+            // latency-sensitive work).
+            let interactive_waiting = winner == Priority::Batch.index()
+                && !self.queues[Priority::Interactive.index()].is_empty();
+            if let (Some(batching), false) = (self.cfg.batching, interactive_waiting) {
+                let window = batching.window.as_micros();
+                let queue = &mut self.queues[winner];
+                let mut i = 0;
+                while i < queue.len() && pass.members.len() < batching.max_batch {
+                    let m = &queue[i].member;
+                    let joins = m.model == model
+                        && m.shape == shape
+                        && m.arrival.as_micros().abs_diff(head_arrival) <= window;
+                    if joins {
+                        let joined = queue.remove(i).expect("scanned index in bounds");
+                        pass.members.push(joined.member);
+                        pass.reqs.push(joined.req);
+                    } else {
+                        i += 1;
                     }
                 }
             }
@@ -453,15 +424,27 @@ mod tests {
     /// Queues one request of `model` (no service behind it: the engine
     /// never runs what it admits).
     fn enqueue(state: &mut SchedState<()>, priority: Priority, model: usize) -> u64 {
-        let req = BatchedRequest {
+        let shape = TreeKey {
             variant: Variant::Serial,
             workers: 1,
             memory_mb: 1769,
+        };
+        let req = BatchedRequest {
+            variant: shape.variant,
+            workers: shape.workers,
+            memory_mb: shape.memory_mb,
             batches: Vec::new(),
         };
-        state
-            .enqueue((), priority, model, VirtualTime::ZERO, 0, req)
-            .expect("queue has room")
+        let member = Member {
+            ticket: (),
+            seq: 0,
+            priority,
+            model,
+            arrival: VirtualTime::ZERO,
+            shape,
+            retries_left: 0,
+        };
+        state.enqueue(member, req).expect("queue has room")
     }
 
     fn seqs(passes: Vec<Pass<()>>) -> Vec<Vec<u64>> {

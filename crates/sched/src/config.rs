@@ -75,8 +75,8 @@ pub fn derive_model_cap(service: &FsdService) -> usize {
 /// ([`SchedulerConfig::batched`]).
 ///
 /// When set, admission coalesces compatible queued requests — same model,
-/// same resolved `(variant, P, memory_mb)` shape via [`FsdService::resolve`]
-/// — into **one** forward pass ([`FsdService::submit_coalesced`]): the
+/// same intake tree [`FsdService::tree_of`] — into **one** forward pass
+/// ([`FsdService::submit_coalesced`]): the
 /// coalition holds a single concurrency slot, its first member pays at
 /// most one launch, and the other members' samples ride one fused work
 /// item on the resident tree, whose bill is apportioned to them by
@@ -184,7 +184,7 @@ impl SchedulerConfig {
     }
 
     /// Enables cross-request continuous batching: admission coalesces
-    /// compatible queued requests (same model and resolved shape, arrivals
+    /// compatible queued requests (same model and intake shape, arrivals
     /// within `batching.window`) into one multi-batch tree pass holding a
     /// single concurrency slot. See [`BatchingConfig`] for the fairness
     /// and billing rules.
@@ -382,9 +382,8 @@ mod tests {
                 memory_mb: 1769,
                 batches: vec![inputs_with(k)],
             };
-            let est = req.est_bytes_per_row().expect("one batch");
-            let planned = svc.resolve(Variant::Auto, 3, est);
-            assert_eq!(planned, expected_side, "est {est} landed off-band");
+            let planned = svc.tree_of(&req).expect("valid").variant;
+            assert_eq!(planned, expected_side, "k {k} landed off-band");
             let report = svc.submit_batched(&req).expect("auto runs");
             assert_eq!(
                 report.variant, planned,

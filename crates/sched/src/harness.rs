@@ -8,10 +8,11 @@
 //! per-request report are pure functions of `(trace, scheduler config,
 //! models)` — bar the latency EWMAs, which executor threads fold in real
 //! finishing order, so the report zeroes them. Execution itself still
-//! fans out over real threads (each admitted request launches its own
-//! coordinator + worker tree), which is exactly what makes the replay a
-//! *load* test rather than a unit test: up to `global_cap` whole worker
-//! trees run concurrently while the driver's bookkeeping stays serial.
+//! fans out over real threads (each admitted pass runs on a worker tree —
+//! a warm-pool checkout, else one it launches), which is exactly what
+//! makes the replay a *load* test rather than a unit test: up to
+//! `global_cap` whole worker trees run concurrently while the driver's
+//! bookkeeping stays serial.
 //!
 //! Driver protocol, per arrival-instant group (arrivals sharing one
 //! virtual timestamp):
@@ -43,7 +44,8 @@ pub struct RunDigest {
     /// Launch path the run took (warm hit vs cold start) — part of the
     /// deterministic contract: replays must route requests identically.
     pub launch: LaunchPath,
-    /// End-to-end virtual latency in microseconds.
+    /// Virtual service latency (µs): the request's work item from dispatch
+    /// to its last rank's finish, without the time queued before it.
     pub latency_us: u64,
     /// FNV-1a digest over every output batch's wire encoding.
     pub output_digest: u64,

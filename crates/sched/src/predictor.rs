@@ -104,8 +104,8 @@ pub struct Predictor {
     cfg: PredictorConfig,
     /// Total arrivals observed (the predictor's event clock).
     seq: u64,
-    /// The most recent `cfg.window` arrivals; `None` marks an empty
-    /// request, which runs no tree but still advances the window.
+    /// The most recent `cfg.window` arrivals; `None` marks an arrival
+    /// that claims no tree but still advances the window.
     window: VecDeque<Option<TreeKey>>,
     /// Last arrival seq per shape ever seen (bounded by distinct shapes).
     last_seen: BTreeMap<TreeKey, u64>,
@@ -127,9 +127,9 @@ impl Predictor {
         }
     }
 
-    /// Records one arrival (`None` for an empty request, which runs no
-    /// worker tree — it advances the event clock without competing for
-    /// warm capacity) and returns the updated decision set.
+    /// Records one arrival (`None` for one that claims no worker tree — it
+    /// advances the event clock without competing for warm capacity; the
+    /// scheduler feeds only shapes) and returns the updated decision set.
     pub fn observe(&mut self, shape: Option<TreeKey>) -> Vec<PrewarmDecision> {
         self.seq += 1;
         self.window.push_back(shape);

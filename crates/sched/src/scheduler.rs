@@ -1,17 +1,14 @@
 //! The admission-controlled scheduler: intake, tickets, the predictor glue
-//! and the executor threads around the admission engine
-//! (`admission.rs`).
+//! and the executor threads around the admission engine (`admission.rs`,
+//! which documents the caps, the class order and coalescing).
 //!
-//! All intake goes through [`Scheduler::enqueue`], which either accepts a
-//! request into a **bounded** per-class queue (returning a [`Ticket`]) or
-//! rejects it with [`FsdError::Overloaded`]. Admission moves requests from
-//! the queues into execution under two caps — global in-flight and
-//! per-model in-flight — choosing between backlogged priority classes by
-//! smooth weighted round-robin (strict FIFO within a class, head-of-line
-//! per class so the admission order is a pure function of the enqueue
-//! sequence). Each admitted pass runs on its own executor thread, which
-//! folds the results back into the engine before delivering them. The two
-//! modes differ only in who pumps admission:
+//! All intake goes through [`Scheduler::enqueue`], which passes a request
+//! through its service's door ([`FsdService::tree_of`]) once, before the
+//! state lock: the door refuses it with a typed error, or fixes the tree
+//! it runs on, which it queues with (a full class queue rejects it with
+//! [`FsdError::Overloaded`]). No breaker is consulted at intake. Each
+//! admitted pass runs on its own executor thread, which folds the results
+//! back into the engine before delivering them. Who pumps admission:
 //!
 //! * **manual** (deterministic harnesses): the driver calls
 //!   [`Scheduler::dispatch`], and [`Ticket::wait`] releases the ticket's
@@ -26,16 +23,21 @@
 //!   executor releases the delivered tickets' shares on their behalf and
 //!   then pumps.
 
-use crate::admission::{Pass, SchedState};
+use crate::admission::{Member, Pass, SchedState};
 use crate::config::{
     derive_model_cap, BatchingConfig, Priority, SchedStatsSnapshot, SchedulerConfig,
 };
 use crate::predictor::{Predictor, PrewarmDecision};
 use fsd_comm::VirtualTime;
-use fsd_core::{BatchedRequest, FsdError, FsdService, InferenceReport, TreeKey};
+use fsd_core::{BatchedRequest, FsdError, FsdService, InferenceReport};
+use fsd_faas::FaasError;
 use parking_lot::{Condvar, Mutex};
 use std::collections::HashMap;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::Arc;
+
+/// How an executor runs an admitted pass: one result per member.
+type PassFn = fn(&FsdService, &[BatchedRequest]) -> Vec<Result<InferenceReport, FsdError>>;
 
 /// A registered model.
 struct ModelEntry {
@@ -128,22 +130,6 @@ struct SchedulerCore {
 }
 
 impl SchedulerCore {
-    /// Feeds one **accepted** arrival's resolved shape to the model's
-    /// predictor and applies the resulting decision set (pre-warms +
-    /// evictions). Runs on the enqueueing thread — in manual mode that is
-    /// the harness driver, so pool mutations stay totally ordered and
-    /// replays deterministic. Rejected arrivals never reach this method:
-    /// a flood of `Overloaded` rejections must not inflate pre-warm
-    /// targets.
-    fn drive_predictor(&self, model: usize, resolved: Option<TreeKey>) {
-        let Some(predictor) = &self.predictors[model] else {
-            return;
-        };
-        let mut predictor = predictor.lock();
-        let decisions = predictor.observe(resolved);
-        self.apply_decisions(model, &decisions, true);
-    }
-
     /// Re-applies every predictive model's *standing* decisions, evictions
     /// only — the drain tick. Pre-warm top-ups are deliberately excluded:
     /// between arrivals, parked counts dip while requests hold trees, and
@@ -213,19 +199,26 @@ impl SchedulerCore {
             .iter()
             .map(|pass| pass.members.iter().map(|m| m.seq).collect())
             .collect();
-        self.spawn(admitted);
+        self.spawn(admitted, FsdService::submit_coalesced);
         seqs
     }
 
     /// Spawns one executor thread per admitted pass, which runs it through
-    /// [`FsdService::submit_coalesced`] — one forward pass, one report per
-    /// member (a singleton is a one-member pass).
-    fn spawn(self: &Arc<Self>, admitted: Vec<Pass<Arc<TicketShared>>>) {
+    /// `run` — [`FsdService::submit_coalesced`]: one forward pass, one
+    /// report per member (a singleton is a one-member pass). A panicking
+    /// pass is a bug, contained here: each of its members fails with
+    /// [`FsdError::Panic`] (not retried), and the pass still completes, so
+    /// its slot is released and its tickets resolve.
+    fn spawn(self: &Arc<Self>, admitted: Vec<Pass<Arc<TicketShared>>>, run: PassFn) {
         for pass in admitted {
             let core = self.clone();
             let service = self.models[pass.members[0].model].service.clone();
             std::thread::spawn(move || {
-                let results = service.submit_coalesced(&pass.reqs);
+                let ran = panic::catch_unwind(AssertUnwindSafe(|| run(&service, &pass.reqs)));
+                let results = ran.unwrap_or_else(|payload| {
+                    let failure = FsdError::from(FaasError::panic("fsd-sched-executor", &*payload));
+                    pass.reqs.iter().map(|_| Err(failure.clone())).collect()
+                });
                 // Completion bookkeeping first, then deliver the results:
                 // a manual-mode harvester must observe consistent counters.
                 let mut state = core.state.lock();
@@ -242,7 +235,7 @@ impl SchedulerCore {
                 };
                 drop(state);
                 core.idle.notify_all();
-                core.spawn(follow_up);
+                core.spawn(follow_up, run);
 
                 for (ticket, result) in deliver {
                     ticket.resolve(result);
@@ -376,10 +369,10 @@ impl Scheduler {
             .map(|&i| &self.core.models[i].service)
     }
 
-    /// Accepts a request into `model`'s intake, or rejects it with
-    /// [`FsdError::Overloaded`] (class queue full) /
-    /// [`FsdError::ShuttingDown`] (drain in progress) /
-    /// [`FsdError::UnknownModel`] (no such registration).
+    /// Accepts a request into `model`'s intake, or refuses it with
+    /// [`FsdError::UnknownModel`] (no such registration), the door's
+    /// typed refusal ([`FsdService::tree_of`]), [`FsdError::ShuttingDown`]
+    /// (drain in progress) or [`FsdError::Overloaded`] (class queue full).
     pub fn enqueue(
         &self,
         model: &str,
@@ -440,51 +433,31 @@ impl Scheduler {
             .ok_or_else(|| FsdError::UnknownModel {
                 name: model.to_string(),
             })?;
-        // Capture the arrival's shape before the request moves into the
-        // queue: the per-row payload estimate is pure computation (no
-        // staging), cheap even on the backpressure fast path; the
-        // potentially expensive `Auto` resolution runs only after
-        // acceptance and outside the scheduler lock. An empty request has
-        // no estimate and so no shape: it fails with `EmptyRequest`,
-        // advances the predictor's clock without claiming warm capacity,
-        // and never coalesces.
-        let need_shape =
-            self.core.predictors[model_idx].is_some() || self.core.cfg.batching.is_some();
-        let shape = need_shape.then(|| {
-            let requested = TreeKey {
-                variant: req.variant,
-                workers: req.workers,
-                memory_mb: req.memory_mb,
-            };
-            (requested, req.est_bytes_per_row())
-        });
+        // The door, before the lock: a refused request is never queued,
+        // counted or billed, and an accepted one carries the shape it
+        // coalesces and is predicted by.
+        let shape = self.core.models[model_idx].service.tree_of(&req)?;
         let shared = Arc::new(TicketShared::default());
-        let seq = self.core.state.lock().enqueue(
-            shared.clone(),
+        let member = Member {
+            ticket: shared.clone(),
+            seq: 0,
             priority,
-            model_idx,
+            model: model_idx,
             arrival,
-            max_retries,
-            req,
-        )?;
-        // Resolve the shape — the tree the request will run on, through
-        // the same `FsdService::tree_key` the execution path uses, so
-        // predicted and coalescing shapes always match the trees requests
-        // actually run on — only for *accepted* requests (resolution may
-        // stage partitions, and rejected arrivals must never inflate
-        // pre-warm targets), then feed the
-        // predictor — pre-warm *before* admission, so trees predicted for
-        // this arrival's burst are parked by the time the request (and its
-        // burst peers) are admitted; in manual mode the same ordering
-        // holds trivially, enqueues precede the driver's dispatch call —
-        // and stamp the coalescing shape back onto the queued entry.
-        if let Some((requested, est)) = shape {
-            let service = &self.core.models[model_idx].service;
-            let resolved = est.map(|est| service.tree_key(requested, est));
-            self.core.drive_predictor(model_idx, resolved);
-            if self.core.cfg.batching.is_some() {
-                self.core.state.lock().set_shape(priority, seq, resolved);
-            }
+            shape,
+            retries_left: max_retries,
+        };
+        let seq = self.core.state.lock().enqueue(member, req)?;
+        // Feed the predictor *accepted* arrivals only (a flood of rejections
+        // must not inflate pre-warm targets), on the enqueueing thread — in
+        // manual mode the driver, so pool mutations stay totally ordered —
+        // and pre-warm *before* admission, so trees predicted for this
+        // arrival's burst are parked by the time its requests are admitted.
+        // The predictor stays locked while its decisions apply.
+        if let Some(predictor) = &self.core.predictors[model_idx] {
+            let mut predictor = predictor.lock();
+            let decisions = predictor.observe(Some(shape));
+            self.core.apply_decisions(model_idx, &decisions, true);
         }
         // Auto mode pumps on every enqueue.
         if !self.core.cfg.manual_dispatch {
@@ -578,5 +551,80 @@ impl Scheduler {
             found.extend(lines.map(|line| format!("{}: {line}", model.name)));
         }
         found
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::FailureCause;
+    use fsd_core::{ServiceBuilder, Variant};
+    use fsd_model::{generate_dnn, generate_inputs, DnnSpec, InputSpec};
+    use std::time::Duration;
+
+    /// The pass an executor runs in place of `submit_coalesced`: a bug.
+    fn planted(_: &FsdService, _: &[BatchedRequest]) -> Vec<Result<InferenceReport, FsdError>> {
+        panic!("planted pass panic")
+    }
+
+    #[test]
+    fn a_panicking_pass_fails_its_members_and_frees_its_slot() {
+        let spec = DnnSpec {
+            neurons: 32,
+            layers: 2,
+            nnz_per_row: 4,
+            bias: -0.25,
+            clip: 32.0,
+            seed: 5,
+        };
+        let dnn = Arc::new(generate_dnn(&spec));
+        let inputs = generate_inputs(spec.neurons, &InputSpec::scaled(4, 5));
+        let service = Arc::new(ServiceBuilder::new(dnn).deterministic(5).build());
+        let cfg = SchedulerConfig::default()
+            .manual()
+            .batched(BatchingConfig::default());
+        let sched = Scheduler::wrap(service, cfg);
+        let req = BatchedRequest {
+            variant: Variant::Queue,
+            workers: 2,
+            memory_mb: 1769,
+            batches: vec![inputs],
+        };
+        // Two members of one coalition, each with a retry budget the panic
+        // must not spend.
+        let tickets: Vec<Ticket> = (0..2)
+            .map(|_| {
+                sched
+                    .enqueue_with_retries(DEFAULT_MODEL, Priority::Batch, req.clone(), 3)
+                    .expect("accepted")
+            })
+            .collect();
+        let admitted = sched.core.state.lock().dispatch();
+        assert_eq!(admitted.len(), 1, "one coalition");
+        sched.core.spawn(admitted, planted);
+        let (done, results) = std::sync::mpsc::channel();
+        for ticket in tickets {
+            let done = done.clone();
+            std::thread::spawn(move || {
+                let _ = done.send(ticket.wait());
+            });
+        }
+        for _ in 0..2 {
+            let result = results
+                .recv_timeout(Duration::from_secs(10))
+                .expect("the ticket resolves");
+            match result {
+                Err(FsdError::Panic { instance, detail }) => {
+                    assert_eq!(instance, "fsd-sched-executor");
+                    assert!(detail.contains("planted pass panic"), "{detail}");
+                }
+                other => panic!("expected the pass's panic, got {other:?}"),
+            }
+        }
+        let stats = sched.stats();
+        assert_eq!((stats.failed, stats.retried), (2, 0));
+        assert_eq!(stats.failed_by[FailureCause::Other.index()], 2);
+        assert_eq!(sched.inflight(), 0);
+        assert_eq!(sched.audit(), Vec::<String>::new());
     }
 }

@@ -130,10 +130,10 @@ fn shutdown_rejects_new_and_cancels_queued_tickets() {
 
 #[test]
 fn an_empty_request_gets_no_coalescing_shape() {
-    // An empty request runs no tree whatever its variant — it fails
-    // with `EmptyRequest` — so it must neither join a coalition nor
-    // split one: its valid neighbours coalesce around it and it runs
-    // alone.
+    // An empty request runs no tree whatever its variant, so it has no
+    // shape: the door refuses it at `enqueue` with `EmptyRequest`, before
+    // it is queued or counted, and it can neither join a coalition nor
+    // split one — its valid neighbours coalesce as if it never came.
     let (svc, inputs, expected) = service(18);
     let sched = Scheduler::wrap(
         svc,
@@ -142,27 +142,21 @@ fn an_empty_request_gets_no_coalescing_shape() {
             .global_cap(1)
             .batched(BatchingConfig::default()),
     );
+    let head = sched
+        .enqueue_default(Priority::Batch, request(&inputs, Variant::Queue, 2))
+        .expect("accepted");
     let empty = BatchedRequest {
         batches: Vec::new(),
         ..request(&inputs, Variant::Queue, 2)
     };
-    let mut tickets = [
-        request(&inputs, Variant::Queue, 2),
-        empty,
-        request(&inputs, Variant::Queue, 2),
-    ]
-    .map(|req| {
-        sched
-            .enqueue_default(Priority::Batch, req)
-            .expect("accepted")
-    })
-    .into_iter();
-    let (head, empty, follower) = (
-        tickets.next().expect("three tickets"),
-        tickets.next().expect("three tickets"),
-        tickets.next().expect("three tickets"),
+    assert_eq!(
+        sched.enqueue_default(Priority::Batch, empty).unwrap_err(),
+        FsdError::EmptyRequest
     );
-    assert_eq!(sched.dispatch(), vec![vec![1, 3]]);
+    let follower = sched
+        .enqueue_default(Priority::Batch, request(&inputs, Variant::Queue, 2))
+        .expect("accepted");
+    assert_eq!(sched.dispatch(), vec![vec![1, 2]]);
     let head = head.wait().expect("the coalition head runs");
     let follower = follower.wait().expect("the follower runs");
     assert_eq!(head.first_output(), &expected);
@@ -172,12 +166,10 @@ fn an_empty_request_gets_no_coalescing_shape() {
         (LaunchPath::ColdStart, LaunchPath::WarmHit),
         "the follower lands on the head's tree"
     );
-    assert_eq!(sched.dispatch(), vec![vec![2]]);
-    assert_eq!(empty.wait().unwrap_err(), FsdError::EmptyRequest);
     let stats = sched.stats();
     assert_eq!((stats.coalitions, stats.coalesced), (1, 2));
     assert_eq!((stats.cold_starts, stats.warm_hits), (1, 1));
-    assert_eq!(stats.failed, 1);
+    assert_eq!((stats.enqueued, stats.failed), (2, 0));
     assert_eq!(sched.audit(), Vec::<String>::new());
 }
 

@@ -9,7 +9,9 @@
 //! drained by weighted FIFO, a global in-flight cap, a per-model cap
 //! derived from the paper's §IV-C channel-load rules, and **bounded**
 //! queues that reject with `FsdError::Overloaded { retry_after }` instead
-//! of buffering without bound.
+//! of buffering without bound. A request no Lambda could run (64 MB
+//! workers) is refused at the door with a typed
+//! `FsdError::InvalidRequest` before it is queued, counted or billed.
 
 use fsd_inference::core::{BatchedRequest, FsdError, FsdService, ServiceBuilder, Variant};
 use fsd_inference::model::{generate_dnn, generate_inputs, DnnSpec, InputSpec};
@@ -74,7 +76,23 @@ fn main() {
         }
     }
 
-    // 4. Harvest. Every accepted request completes; priorities shaped who
+    // 4. A request Lambda cannot run — 64 MB workers, under its 128 MB
+    //    floor — is refused at the door with a typed error, before the
+    //    queues see it: it takes no queue place and bills nothing.
+    let too_small = BatchedRequest {
+        variant: Variant::Queue,
+        workers: 2,
+        memory_mb: 64,
+        batches: vec![generate_inputs(spec.neurons, &InputSpec::scaled(8, 99))],
+    };
+    match sched.enqueue_default(Priority::Interactive, too_small) {
+        Err(e @ FsdError::InvalidRequest { .. }) => println!("64 MB request: REFUSED — {e}"),
+        other => panic!("expected a typed refusal, got {other:?}"),
+    }
+    let enqueued = sched.stats().enqueued;
+    assert_eq!(enqueued, tickets.len() as u64, "a refusal is not counted");
+
+    // 5. Harvest. Every accepted request completes; priorities shaped who
     //    went first, the caps bounded how many ran at once.
     for (i, ticket) in tickets {
         let report = ticket.wait().expect("accepted request runs");
@@ -84,7 +102,7 @@ fn main() {
         );
     }
 
-    // 5. Graceful shutdown: stop intake, wait for the backlog.
+    // 6. Graceful shutdown: stop intake, wait for the backlog.
     sched.shutdown();
     sched.drain();
     let stats = sched.stats();

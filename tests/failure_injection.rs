@@ -169,13 +169,19 @@ fn scheduler_failed_request_releases_slot_and_does_not_wedge_the_queue() {
     });
 }
 
-#[test]
-fn breaker_trips_degrades_auto_and_recovers_via_half_open_probes() {
-    // The transport scoreboard end to end: targeted NAT-punch refusals
-    // fail enough direct requests to trip its breaker, Auto routing
-    // degrades direct → hybrid while the breaker is open, and once the
-    // cooldown drains the half-open probes run on direct again and close
-    // it.
+/// A service whose direct transport's breaker was just tripped, an `Auto`
+/// request that recommends direct, and that request's serial output.
+/// Targeted NAT-punch refusals fail five explicit-direct requests, each at
+/// its first pairwise punch by a *permanent* fault (never retried — a
+/// clean terminal communication failure); the explicit variant surfaces
+/// the error instead of being rerouted.
+fn tripped_direct(
+    warm_pool: bool,
+) -> (
+    fsd_inference::core::FsdService,
+    fsd_inference::core::BatchedRequest,
+    SparseRows,
+) {
     use fsd_inference::comm::{ApiClass, TargetedFault};
     use fsd_inference::core::{BatchedRequest, BreakerState, FsdError};
 
@@ -192,25 +198,22 @@ fn breaker_trips_degrades_auto_and_recovers_via_half_open_probes() {
     let expected = dnn.serial_inference(&inputs);
     // A Serial instance too small for any model, so Auto recommends a
     // transport — the tiny per-pair volume lands in the Direct band.
-    let service = ServiceBuilder::new(dnn)
+    let mut builder = ServiceBuilder::new(dnn)
         .config(EngineConfig {
             serial_memory_mb: 0,
             ..EngineConfig::default()
         })
-        .deterministic(36)
-        .build();
+        .deterministic(36);
+    if warm_pool {
+        builder = builder.warm_pool(4, u64::MAX);
+    }
+    let service = builder.build();
     let request = |variant| BatchedRequest {
         variant,
         workers: 3,
         memory_mb: 1769,
         batches: vec![inputs.clone()],
     };
-    let auto_req = request(Variant::Auto);
-
-    // Trip the direct transport: five explicit-direct requests, each
-    // refused at its first pairwise punch by a targeted *permanent* fault
-    // (never retried — a clean terminal communication failure). The
-    // explicit variant surfaces the error instead of being rerouted.
     for i in 0..5 {
         service
             .env()
@@ -226,7 +229,19 @@ fn breaker_trips_degrades_auto_and_recovers_via_half_open_probes() {
     assert!(snap.direct.error_rate > 0.5, "{snap:?}");
     // Failed attempts are billed — the service accounted their meters.
     assert!(service.failed_attempt_bill().lambda.invocations > 0);
+    (service, request(Variant::Auto), expected)
+}
 
+#[test]
+fn breaker_trips_degrades_auto_and_recovers_via_half_open_probes() {
+    // The transport scoreboard end to end: targeted NAT-punch refusals
+    // fail enough direct requests to trip its breaker, Auto routing
+    // degrades direct → hybrid while the breaker is open, and once the
+    // cooldown drains the half-open probes run on direct again and close
+    // it.
+    use fsd_inference::core::BreakerState;
+
+    let (service, auto_req, expected) = tripped_direct(false);
     // While open (cooldown = 4 consults), Auto degrades direct → hybrid
     // and keeps serving correct results on the healthy transport.
     for i in 0..3 {
@@ -250,6 +265,89 @@ fn breaker_trips_degrades_auto_and_recovers_via_half_open_probes() {
     assert_eq!(snap.direct.error_rate, 0.0, "recovery forgives history");
     // Failure or not, every request released its flow state.
     assert_eq!(service.audit(), Vec::<String>::new());
+}
+
+#[test]
+fn auto_requests_consult_the_breakers_once_whatever_fronts_the_service() {
+    // Each consult ticks an open breaker's cooldown, so a request that
+    // consulted twice — once at intake, once where it runs — would drain
+    // it twice as fast. Whatever sits in front of the service, five Auto
+    // requests after the trip run three degraded and two probes.
+    use fsd_inference::core::BreakerState;
+    use fsd_inference::sched::SchedulerConfig;
+    use fsd_inference::sched::{BatchingConfig, PredictorConfig, Priority, Scheduler};
+
+    let route = [
+        Variant::Hybrid,
+        Variant::Hybrid,
+        Variant::Hybrid,
+        Variant::Direct,
+        Variant::Direct,
+    ];
+    let closed = |service: &fsd_inference::core::FsdService, what: &str| {
+        let snap = service.health_snapshot();
+        assert_eq!(snap.direct.state, BreakerState::Closed, "{what}: {snap:?}");
+        assert_eq!(service.audit(), Vec::<String>::new(), "{what}");
+    };
+
+    let (service, auto_req, expected) = tripped_direct(false);
+    let ran: Vec<Variant> = (0..5)
+        .map(|_| {
+            let report = service.submit_batched(&auto_req).expect("runs");
+            assert_eq!(report.first_output(), &expected);
+            report.variant
+        })
+        .collect();
+    assert_eq!(ran, route, "submit_batched");
+    closed(&service, "submit_batched");
+
+    let manual = SchedulerConfig::default().manual();
+    for (what, cfg, warm_pool) in [
+        ("plain scheduler", manual, false),
+        (
+            "batching scheduler",
+            manual.batched(BatchingConfig::default()),
+            false,
+        ),
+        (
+            "predictive scheduler",
+            manual.predictive(PredictorConfig::default()),
+            true,
+        ),
+    ] {
+        let (service, auto_req, expected) = tripped_direct(warm_pool);
+        let service = Arc::new(service);
+        let sched = Scheduler::wrap(service.clone(), cfg);
+        // One at a time, so the consults happen in arrival order; the
+        // batching scheduler takes all five as one coalition.
+        let batching = what.starts_with("batching");
+        let mut tickets = Vec::new();
+        let mut ran = Vec::new();
+        for _ in 0..5 {
+            let ticket = sched
+                .enqueue_default(Priority::Interactive, auto_req.clone())
+                .expect("accepted");
+            tickets.push(ticket);
+            if !batching {
+                sched.dispatch();
+                let report = tickets.pop().expect("ticket").wait().expect("runs");
+                assert_eq!(report.first_output(), &expected, "{what}");
+                ran.push(report.variant);
+            }
+        }
+        if batching {
+            assert_eq!(sched.dispatch(), vec![vec![1, 2, 3, 4, 5]], "{what}");
+            for ticket in tickets {
+                let report = ticket.wait().expect("runs");
+                assert_eq!(report.first_output(), &expected, "{what}");
+                ran.push(report.variant);
+            }
+        }
+        assert_eq!(ran, route, "{what}");
+        closed(&service, what);
+        sched.dispatch();
+        assert_eq!(sched.audit(), Vec::<String>::new(), "{what}");
+    }
 }
 
 #[test]
