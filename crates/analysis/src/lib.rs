@@ -20,6 +20,7 @@
 //! | `retry-idempotent` | a `RetryPolicy` `.run(..)` closure — or one handed to the channel engine's `.retried(..)` wrapper around it — must not call non-idempotent channel ops (`take_visible`, `settle_receives`, `enqueue`) — a retried attempt repeats its calls, so only idempotent ops may sit inside one |
 //! | `real-wait` | in non-test `crates/{comm,core,faas,sched}/src`, real time (`wait_for(`, `wait_until(`, `sleep(`, `Instant::now`) never appears — every effect settles from virtual stamps and every wait is untimed, ended by a notify (a raw receive's by its producer's post or its tree's poison) |
 //! | `byte-reader` | in non-test `crates/{sparse,core,comm}/src`, `from_le_bytes` and any `fn` whose name contains `varint` appear only in `crates/sparse/src/bytes.rs` — every byte format decodes through its one bounds-checked `Reader` |
+//! | `std-lock` | in non-test `crates/{comm,core,faas,sched}/src`, no `std::sync::{Mutex, RwLock, Condvar}` — by path or in a (brace) import — so every lock goes through the `parking_lot` shim, the one place a lock can be instrumented or its interleaving replayed; `std::sync::mpsc` channels stay allowed until the executor's own channels move behind the shim (ROADMAP item 2) |
 //! | `orphan-pub` | every bare-`pub` `fn`/`const`/`static` of non-test library code (`crates/*/src` outside `src/bin/`) is named by another file's non-test code — library, bin or example; tests, comments and `use` lines do not count, and a `fn` is named only call-shaped (`name(`, `name::<`, `::name`) |
 //!
 //! Escape hatch: a comment containing `fsd_lint::allow(lint-name): reason`
@@ -57,11 +58,14 @@ const LINT_REAL_TIME: &str = "real-wait";
 /// Lint name: a byte decoder outside the shared `fsd_sparse::bytes` reader.
 const LINT_BYTE_READER: &str = "byte-reader";
 
+/// Lint name: a `std::sync` lock in the comm, core, faas or sched crates.
+const LINT_STD_LOCK: &str = "std-lock";
+
 /// Lint name: a public item no other file's non-test code names.
 const LINT_ORPHAN_PUB: &str = "orphan-pub";
 
 /// Every lint this binary knows about, in diagnostic-name form.
-const ALL_LINTS: [&str; 10] = [
+const ALL_LINTS: [&str; 11] = [
     LINT_VARIANT_EXHAUSTIVE,
     LINT_BILLING_PAIR,
     LINT_RAW_CHANNEL_NAME,
@@ -71,6 +75,7 @@ const ALL_LINTS: [&str; 10] = [
     LINT_RETRY_IDEMPOTENT,
     LINT_REAL_TIME,
     LINT_BYTE_READER,
+    LINT_STD_LOCK,
     LINT_ORPHAN_PUB,
 ];
 
@@ -1101,11 +1106,7 @@ fn lint_retry_idempotent(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
 /// faas or sched crates would make a result depend on thread timing
 /// again, or hide a missed notify behind a poll.
 fn lint_real_wait(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
-    let path = ctx.path;
-    let scoped = ["comm", "core", "faas", "sched"]
-        .iter()
-        .any(|c| path.starts_with(&format!("crates/{c}/src/")));
-    if !scoped {
+    if !in_serving_stack(ctx.path) {
         return;
     }
     let toks = &ctx.toks;
@@ -1132,6 +1133,13 @@ fn lint_real_wait(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
             );
         }
     }
+}
+
+/// Whether `path` is in the comm, core, faas or sched crates' sources.
+fn in_serving_stack(path: &str) -> bool {
+    ["comm", "core", "faas", "sched"]
+        .iter()
+        .any(|c| path.starts_with(&format!("crates/{c}/src/")))
 }
 
 /// Lint 9: `byte-reader`.
@@ -1171,7 +1179,63 @@ fn lint_byte_reader(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
     }
 }
 
-/// Lint 10: `orphan-pub`.
+/// Lint 10: `std-lock`.
+///
+/// Every lock of the serving stack is the `parking_lot` shim's: one lock
+/// type, poison-free, and the one place a lock can be instrumented or its
+/// interleavings replayed. A `std::sync::{Mutex, RwLock, Condvar}` —
+/// named by path, or imported directly in a `std::sync::{..}` group — is a
+/// lock outside it. `std::sync::mpsc` and the atomics are not locks.
+fn lint_std_lock(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
+    if !in_serving_stack(ctx.path) {
+        return;
+    }
+    let toks = &ctx.toks;
+    let is_lock = |t: &Tok| matches!(t.text.as_str(), "Mutex" | "RwLock" | "Condvar");
+    let path_sep = |i: usize| toks[i].is_sym(':') && toks[i + 1].is_sym(':');
+    for i in 0..toks.len().saturating_sub(5) {
+        if ctx.test[i] || !toks[i].is_word("std") || !path_sep(i + 1) {
+            continue;
+        }
+        if !toks[i + 3].is_word("sync") || !path_sep(i + 4) {
+            continue;
+        }
+        let Some(next) = toks.get(i + 6) else {
+            continue;
+        };
+        let mut locks = Vec::new();
+        if next.kind == Kind::Word && is_lock(next) {
+            locks.push(next);
+        } else if next.is_sym('{') {
+            // Only the group's own members: a nested group belongs to a
+            // submodule (`mpsc::{..}`, `atomic::{..}`).
+            let close = matching_close(toks, i + 6);
+            let mut depth = 0usize;
+            for t in toks.get(i + 7..close).unwrap_or_default() {
+                if t.is_sym('{') {
+                    depth += 1;
+                } else if t.is_sym('}') {
+                    depth -= 1;
+                } else if depth == 0 && t.kind == Kind::Word && is_lock(t) {
+                    locks.push(t);
+                }
+            }
+        }
+        for t in locks {
+            ctx.push(
+                out,
+                t.line,
+                LINT_STD_LOCK,
+                format!(
+                    "`std::sync::{}` in the serving stack; lock through the `parking_lot` shim",
+                    t.text
+                ),
+            );
+        }
+    }
+}
+
+/// Lint 11: `orphan-pub`.
 ///
 /// A bare-`pub` `fn`, `const` or `static` of library code that no other
 /// file names outside tests, comments and `use` lines has no caller, so it
@@ -1316,6 +1380,7 @@ pub fn lint_files(files: &[(String, String)]) -> Vec<Finding> {
         lint_retry_idempotent(ctx, &mut out);
         lint_real_wait(ctx, &mut out);
         lint_byte_reader(ctx, &mut out);
+        lint_std_lock(ctx, &mut out);
     }
     lint_orphan_pub(&ctxs, &mut out);
     out.sort();

@@ -221,6 +221,34 @@ fn byte_reader_keeps_byte_decoding_in_the_shared_reader() {
 }
 
 #[test]
+fn std_lock_keeps_every_serving_stack_lock_in_the_shim() {
+    let bad = include_str!("fixtures/bad_std_lock.rs");
+    for path in [
+        "crates/comm/src/fixture.rs",
+        "crates/core/src/warm.rs",
+        "crates/faas/src/fixture.rs",
+        "crates/sched/src/scheduler.rs",
+    ] {
+        assert_eq!(
+            findings(bad, path),
+            vec![
+                ("std-lock", 1),
+                ("std-lock", 2),
+                ("std-lock", 2),
+                ("std-lock", 5)
+            ],
+            "{path} is in scope"
+        );
+    }
+    // Test modules, the shim and other crates are exempt.
+    assert_eq!(findings(bad, "crates/core/src/carrier/tests.rs"), vec![]);
+    assert_eq!(findings(bad, "crates/shims/parking_lot/src/lib.rs"), vec![]);
+    assert_eq!(findings(bad, "crates/bench/src/fixture.rs"), vec![]);
+    let good = include_str!("fixtures/good_std_lock.rs");
+    assert_eq!(findings(good, "crates/core/src/warm.rs"), vec![]);
+}
+
+#[test]
 fn allow_comment_silences_only_the_named_line() {
     let src = include_str!("fixtures/allow_escape_hatch.rs");
     // The documented panic! is silenced; the undocumented unwrap is not.

@@ -25,8 +25,10 @@ pub const N_BUCKETS: usize = 10;
 pub struct CloudConfig {
     /// Service latency/bandwidth model.
     pub latency: LatencyModel,
-    /// Seed of the scheduler's `retry_after` hints, the only draw the
-    /// region seeds (fault plans carry their own [`FaultPlan::seed`]).
+    /// Seed of the jitter on the scheduler's `retry_after` hints, the only
+    /// draw the region seeds (fault plans carry their own
+    /// [`FaultPlan::seed`]). It fixes the jitter, not the hint: the hint's
+    /// latency term comes from EWMAs folded in real completion order.
     pub seed: u64,
     /// Optional seeded fault-injection plan (chaos testing). `None`
     /// draws nothing and adds no overhead.

@@ -54,8 +54,18 @@ impl Part {
     }
 }
 
-fn input_worker_key(input: &str, p: u32, m: u32) -> String {
-    format!("{input}/p{p}/w{m}")
+/// Where requests' inputs are staged in the artifact bucket.
+pub(crate) const INPUTS: &str = "inputs/";
+
+/// The prefix every staged input share of request `flow` lies under.
+pub(crate) fn input_prefix(flow: u64) -> String {
+    format!("{INPUTS}req{flow}/")
+}
+
+/// Where rank `m`'s share of batch `b` of request `flow` is staged for a
+/// `p`-way tree.
+pub(crate) fn input_share_key(flow: u64, b: usize, p: u32, m: u32) -> String {
+    format!("{}b{b}/p{p}/w{m}", input_prefix(flow))
 }
 
 /// Stages the partitioned model for `P = partition.n_parts()` workers:
@@ -99,13 +109,13 @@ pub(crate) fn encode_input_shares<'a>(
     (0..partition.n_parts() as u32).map(|m| codec::encode(&inputs.extract(partition.owned(m))))
 }
 
-/// Stages rank `m`'s encoded share of one `p`-way input batch under
-/// `input_key`, where [`load_input_share_into`] GETs it.
-pub(crate) fn stage_input_share(env: &CloudEnv, input_key: &str, p: u32, m: u32, share: Vec<u8>) {
+/// Stages an encoded input share under `key` (an [`input_share_key`]),
+/// where [`load_input_share_into`] GETs it.
+pub(crate) fn stage_input_share(env: &CloudEnv, key: &str, share: Vec<u8>) {
     let store = env.object_store();
     store.create_bucket(ARTIFACT_BUCKET);
     store
-        .put_offline(ARTIFACT_BUCKET, &input_worker_key(input_key, p, m), share)
+        .put_offline(ARTIFACT_BUCKET, key, share)
         .expect("bucket exists");
 }
 
@@ -400,13 +410,11 @@ pub(crate) fn load_worker_artifacts(
 /// rank's dispatch (`inline`) is read from there: its body time is charged
 /// at the S3 stream rate, as the same bytes reach the instance, but no
 /// GET's first-byte latency, request or artifact count. Any other share is
-/// GET from where the service staged it under `input_key`. Either way the
-/// decode and the decoded block are charged to the instance.
+/// GET from `key` (an [`input_share_key`]), where the service staged it.
+/// Either way the decode and the decoded block are charged to the instance.
 pub(crate) fn load_input_share_into(
     ctx: &mut WorkerCtx,
-    input_key: &str,
-    p: u32,
-    m: u32,
+    key: &str,
     inline: Option<&[u8]>,
     inputs: &mut SparseRows,
 ) -> Result<bool, FaasError> {
@@ -419,8 +427,7 @@ pub(crate) fn load_input_share_into(
             body
         }
         None => {
-            let key = input_worker_key(input_key, p, m);
-            fetched = fetch_encoded(&env, ctx.clock_mut(), &key)?;
+            fetched = fetch_encoded(&env, ctx.clock_mut(), key)?;
             &fetched[..]
         }
     };
@@ -462,7 +469,7 @@ mod tests {
         stage_partitioned_model(&env, "m1", &dnn, &part, &plan);
         let shares: Vec<Vec<u8>> = encode_input_shares(&inputs, &part).collect();
         for (m, share) in shares.iter().enumerate() {
-            stage_input_share(&env, "i1", 4, m as u32, share.clone());
+            stage_input_share(&env, &input_share_key(1, 0, 4, m as u32), share.clone());
         }
         let platform = FaasPlatform::new(env.clone(), ComputeModel::default());
         for m in 0..4u32 {
@@ -476,7 +483,8 @@ mod tests {
                     move |ctx| {
                         let art = load_worker_artifacts(ctx, "m1", 4, m, 3, 64, None)?;
                         let mut share = SparseRows::new(0);
-                        assert!(load_input_share_into(ctx, "i1", 4, m, None, &mut share)?);
+                        let key = input_share_key(1, 0, 4, m);
+                        assert!(load_input_share_into(ctx, &key, None, &mut share)?);
                         assert_eq!(art.owned, part.owned(m));
                         assert_eq!(art.weights.len(), 3);
                         assert_eq!(art.send.len(), 3);
@@ -507,8 +515,8 @@ mod tests {
                         move |ctx| {
                             let mut share = SparseRows::new(0);
                             let inline = inline.then_some(&body[..]);
-                            let got =
-                                load_input_share_into(ctx, "i1", 4, m as u32, inline, &mut share)?;
+                            let key = input_share_key(1, 0, 4, m as u32);
+                            let got = load_input_share_into(ctx, &key, inline, &mut share)?;
                             assert_eq!(share, expected);
                             Ok((got, ctx.now()))
                         },

@@ -20,7 +20,7 @@ pub struct ServiceBuilder {
     dnn: Arc<SparseDnn>,
     cfg: EngineConfig,
     prewarm: Vec<u32>,
-    warm_pool: Option<WarmPoolConfig>,
+    warm_pool: WarmPoolConfig,
     prewarm_trees: Vec<(Variant, u32, u32)>,
 }
 
@@ -33,7 +33,7 @@ impl ServiceBuilder {
             dnn,
             cfg: EngineConfig::default(),
             prewarm: Vec::new(),
-            warm_pool: None,
+            warm_pool: WarmPoolConfig::new(0, u64::MAX),
             prewarm_trees: Vec::new(),
         }
     }
@@ -104,9 +104,10 @@ impl ServiceBuilder {
     /// tree that sits out `idle_ttl` subsequent requests is evicted — the
     /// pool clock ticks once per checkout, of any variant, Serial's
     /// one-rank tree included (`u64::MAX` never evicts). `max_trees = 0`
-    /// disables the pool.
+    /// is a shelf that holds no trees — every tree is retired after its
+    /// request, as in a service built without this call.
     pub fn warm_pool(mut self, max_trees: usize, idle_ttl: u64) -> ServiceBuilder {
-        self.warm_pool = Some(WarmPoolConfig::new(max_trees, idle_ttl));
+        self.warm_pool = WarmPoolConfig::new(max_trees, idle_ttl);
         self
     }
 
@@ -119,7 +120,7 @@ impl ServiceBuilder {
     /// `warm_pool(max, ttl)` when a predictive scheduler fronts the
     /// service.
     pub fn auto_warm_pool(mut self, shapes: usize, burst_depth: usize) -> ServiceBuilder {
-        self.warm_pool = Some(WarmPoolConfig::auto(shapes, burst_depth));
+        self.warm_pool = WarmPoolConfig::auto(shapes, burst_depth);
         self
     }
 
@@ -141,12 +142,12 @@ impl ServiceBuilder {
     /// worker count and launching every pre-warmed tree.
     ///
     /// # Panics
-    /// If `prewarm_tree` was used without an *enabled* `warm_pool`
-    /// (`max_trees ≥ 1`), or a pre-warm launch fails (a build-time
+    /// If `prewarm_tree` was used without a `warm_pool` whose shelf holds
+    /// trees (`max_trees ≥ 1`), or a pre-warm launch fails (a build-time
     /// configuration bug, not a request error).
     pub fn build(self) -> FsdService {
         assert!(
-            self.prewarm_trees.is_empty() || self.warm_pool.is_some_and(|w| w.max_trees > 0),
+            self.prewarm_trees.is_empty() || self.warm_pool.max_trees > 0,
             "prewarm_tree requires an enabled warm_pool (max_trees >= 1)"
         );
         let service = FsdService::assemble(self.dnn, self.cfg, self.warm_pool);

@@ -217,7 +217,9 @@ pub struct BatchedRequest {
     /// Worker count `P` (Serial runs one rank whatever is asked). `0`
     /// runs one rank under the requested variant. A `P` above the model's
     /// neuron count runs `P` ranks, the ones no row is partitioned to
-    /// empty: they still launch, and bill their instance time.
+    /// empty: they still launch, and bill their instance time. A `P` past
+    /// Lambda's default regional concurrency (`fsd_faas::MAX_CONCURRENCY`)
+    /// is refused with `FsdError::InvalidRequest`, whatever the variant.
     pub workers: u32,
     /// Per-worker memory MB, within Lambda's 128–10 240 or refused with
     /// `FsdError::InvalidRequest`; Serial runs (and is checked) at

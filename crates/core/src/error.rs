@@ -43,7 +43,8 @@ pub enum FsdError {
     /// A request field (or the setting Serial runs on in its place) is
     /// outside what the platform can run; nothing was staged or billed.
     InvalidRequest {
-        /// The field: `memory_mb`, or `serial_memory_mb` for Serial.
+        /// The field: `workers`, `memory_mb`, or `serial_memory_mb` for
+        /// Serial.
         field: &'static str,
         /// The value it carried.
         value: u32,

@@ -7,7 +7,15 @@
 //! parks. The shelf is bounded (`max_trees`) — a checkin that would
 //! overflow it evicts a parked tree of the **least-recently-used shape**
 //! to make room (the incoming tree is always the hottest, so it parks) —
-//! and parked trees age out after `idle_ttl` pool ticks.
+//! and parked trees age out after `idle_ttl` pool ticks. Every service
+//! has a pool: one built without `warm_pool`, or with `max_trees = 0`, has
+//! a shelf that holds no trees, so every checkout misses and every checkin
+//! retires the tree.
+//!
+//! **Retirement.** A tree is shut down one way: it is dropped, and its
+//! `Drop` joins every instance. Whatever leaves the shelf — a poisoned or
+//! stale checkin, a checkin to a shelf that holds no trees, an LRU, TTL,
+//! shape or stale eviction — is dropped after the shelf lock is released.
 //!
 //! **Time base.** Requests run on private virtual timelines, so there is
 //! no global virtual "now" to age idle trees against. The pool instead
@@ -18,15 +26,14 @@
 //! deterministic under a deterministic request sequence — the property
 //! every load-replay test relies on.
 //!
-//! **Live trees.** Every tree launched while a pool is configured carries a
-//! [`Live`] guard from [`TreePool::record_created`] until it drops, so a
-//! shape's live count — parked or serving — is kept by the trees
-//! themselves, under a lock of its own that a dropping tree takes outside
-//! the shelf lock.
+//! **Live trees.** Every launched tree carries a [`Live`] guard from
+//! [`TreePool::record_created`] until it drops, so a shape's live count —
+//! parked or serving — is kept by the trees themselves, under a lock of
+//! its own that a dropping tree takes outside the shelf lock.
 //!
 //! **Invalidation.** [`TreePool::invalidate`] bumps the pool generation
-//! and shuts every parked tree down; a tree in service at the bump is
-//! shut down at its checkin instead of parked. Call it when the model's
+//! and drops every parked tree; a tree in service at the bump is dropped
+//! at its checkin instead of parked. Call it when the model's
 //! staged artifacts change — a warm tree keeps its weights resident, so it
 //! must never serve a request for newer weights.
 
@@ -38,8 +45,8 @@ use std::sync::Arc;
 /// Builder-facing pool configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct WarmPoolConfig {
-    /// Maximum parked (idle) trees across all shapes; `0` disables the
-    /// pool entirely.
+    /// Maximum parked (idle) trees across all shapes; `0` is a shelf that
+    /// holds no trees, so every tree is retired after its request.
     pub max_trees: usize,
     /// Idle ticks (subsequent checkout attempts) after which a parked tree
     /// is evicted. `u64::MAX` never evicts.
@@ -88,7 +95,7 @@ pub struct WarmPoolStats {
     pub evicted_shape: u64,
     /// Parked trees dropped by a generation bump.
     pub evicted_stale: u64,
-    /// Poisoned trees discarded at checkin (a worker died).
+    /// Poisoned trees retired at checkin (a worker died).
     pub discarded_poisoned: u64,
     /// Currently parked trees.
     pub idle: usize,
@@ -129,7 +136,7 @@ impl Drop for Live {
 }
 
 /// The pool itself; owned by the service, shared by all request threads.
-/// Trees leave the lock before they are shut down.
+/// Trees leave the lock before they are dropped.
 pub(crate) struct TreePool {
     cfg: WarmPoolConfig,
     state: Mutex<PoolState>,
@@ -143,6 +150,11 @@ impl TreePool {
             state: Mutex::new(PoolState::default()),
             live: LiveCounts::default(),
         }
+    }
+
+    /// Whether the shelf can park a tree at all (`max_trees > 0`).
+    pub(crate) fn holds_trees(&self) -> bool {
+        self.cfg.max_trees > 0
     }
 
     /// The current pool generation (new trees must carry it).
@@ -161,7 +173,7 @@ impl TreePool {
             let PoolState { shelf, stats, .. } = &mut *state;
             // Age out expired trees first, keeping the survivors. No stale
             // tree is ever parked: `invalidate` drains the shelf under this
-            // lock and `checkin` shuts a stale tree down instead.
+            // lock and `checkin` retires a stale tree instead.
             let expired: Vec<Parked> = shelf
                 .extract_if(.., |parked| {
                     now_tick.saturating_sub(parked.parked_at_tick) > self.cfg.idle_ttl
@@ -180,7 +192,7 @@ impl TreePool {
             };
             (picked, expired)
         };
-        shut_down(expired);
+        drop(expired);
         picked
     }
 
@@ -195,11 +207,13 @@ impl TreePool {
         }
     }
 
-    /// Returns a tree to the shelf — or shuts it down if it is poisoned or
-    /// stale. A full shelf no longer rejects the newcomer: a parked tree
-    /// of the least-recently-used *shape* is evicted to make room, because
-    /// the tree being checked in just served traffic and is therefore the
-    /// hottest tree of its shape.
+    /// Returns a tree to the shelf — or retires it if it is poisoned (its
+    /// run failed) or stale, or if the shelf holds no trees. A full shelf
+    /// does not reject the newcomer: a parked tree of the
+    /// least-recently-used *shape* is evicted to make room, because the
+    /// tree being checked in just served traffic and is therefore the
+    /// hottest tree of its shape. The retired tree is dropped, joining its
+    /// instances, once the shelf lock is released.
     pub(crate) fn checkin(&self, tree: WorkerTree) {
         let retired = {
             let mut state = self.state.lock();
@@ -208,6 +222,8 @@ impl TreePool {
                 Some(tree)
             } else if tree.generation() != state.generation {
                 state.stats.evicted_stale += 1;
+                Some(tree)
+            } else if !self.holds_trees() {
                 Some(tree)
             } else {
                 let victim = (state.shelf.len() >= self.cfg.max_trees).then(|| {
@@ -223,9 +239,7 @@ impl TreePool {
                 victim
             }
         };
-        if let Some(mut tree) = retired {
-            tree.shutdown();
-        }
+        drop(retired);
     }
 
     /// Index of the oldest parked tree of the least-recently-used shape.
@@ -248,14 +262,6 @@ impl TreePool {
             .iter()
             .position(|p| p.tree.key() == victim_key)
             .expect("victim shape is on the shelf")
-    }
-
-    /// Discards a tree without parking it (failed request teardown).
-    pub(crate) fn discard(&self, mut tree: WorkerTree) {
-        if tree.is_poisoned() {
-            self.state.lock().stats.discarded_poisoned += 1;
-        }
-        tree.shutdown();
     }
 
     /// Parked trees currently matching `key` (predictor sizing input).
@@ -292,12 +298,10 @@ impl TreePool {
             state.stats.evicted_shape += evicted.len() as u64;
             evicted
         };
-        let n = evicted.len();
-        shut_down(evicted);
-        n
+        evicted.len()
     }
 
-    /// Bumps the generation and eagerly shuts every parked tree down.
+    /// Bumps the generation and eagerly drops every parked tree.
     /// Returns how many trees were dropped.
     pub(crate) fn invalidate(&self) -> usize {
         let drained = {
@@ -307,9 +311,7 @@ impl TreePool {
             state.stats.evicted_stale += drained.len() as u64;
             drained
         };
-        let n = drained.len();
-        shut_down(drained);
-        n
+        drained.len()
     }
 
     /// Arms the kill switch of `rank` on one parked tree of shape `key`
@@ -332,13 +334,6 @@ impl TreePool {
             idle: state.shelf.len(),
             ..state.stats
         }
-    }
-}
-
-/// Shuts down trees that have already left the pool's lock.
-fn shut_down(parked: Vec<Parked>) {
-    for mut p in parked {
-        p.tree.shutdown();
     }
 }
 

@@ -2,10 +2,8 @@
 //! apportioning of a fused work item's window among its members, and the
 //! quiescence audit that checks the windows partition the global meters.
 
-use super::stage::INPUTS;
 use super::FsdService;
-use crate::artifacts::ARTIFACT_BUCKET;
-use crate::pool::TreePool;
+use crate::artifacts::{ARTIFACT_BUCKET, INPUTS};
 use fsd_comm::MeterSnapshot;
 use fsd_faas::LambdaSnapshot;
 
@@ -104,7 +102,8 @@ impl FsdService {
     /// * the billing partition, for the comm and the Lambda meter alike:
     ///   global = unattributed + Σ successful reports + failed-attempt
     ///   bill;
-    /// * warm-pool trees alive but neither parked nor dropped.
+    /// * trees alive but neither parked nor dropped, whether or not the
+    ///   shelf holds trees.
     pub fn audit(&self) -> Vec<String> {
         let mut found = self.env.residue_report();
         let (meter, lambda) = (self.env.meter(), self.platform.lambda_meter());
@@ -115,10 +114,7 @@ impl FsdService {
                 store.object_count(ARTIFACT_BUCKET, INPUTS),
                 "staged input(s)",
             ),
-            (
-                self.pool.as_ref().map_or(0, TreePool::in_use),
-                "warm tree(s) still in service",
-            ),
+            (self.pool.in_use(), "tree(s) still in service"),
         ] {
             if count > 0 {
                 found.push(format!("{count} {what}"));
@@ -198,16 +194,22 @@ mod tests {
                 meter.release_flow(99);
                 None
             }),
-            ("warm tree(s) still in service", |service| {
+            ("tree(s) still in service", |service| {
                 let key = service.shape(Variant::Queue, 2, 1769);
                 Some(service.new_tree(key, 0).expect("launches"))
             }),
         ];
-        for (named, plant) in plants {
-            let service = served_once(41);
-            let _held = plant(&service);
-            let found = service.audit();
-            assert!(found.iter().any(|l| l.contains(named)), "{found:?}");
+        // A held tree is reported whether or not the shelf holds trees.
+        for pooled in [true, false] {
+            for (named, plant) in plants {
+                let service = served_once(41, pooled);
+                let _held = plant(&service);
+                let found = service.audit();
+                assert!(
+                    found.iter().any(|l| l.contains(named)),
+                    "pooled={pooled}: {found:?}"
+                );
+            }
         }
     }
 

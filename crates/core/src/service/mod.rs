@@ -18,9 +18,10 @@
 //!
 //! There is one launch path (`run_pass`): acquire a worker tree — a
 //! warm-pool checkout, else a launch billed to the request — run the
-//! request on it as one work item, release the tree. Without a pool the
-//! tree simply lives for that one item. A coalition's members ride that
-//! path fused: their samples side by side in one work item, its report
+//! request on it as one work item, check the tree back in. Every service
+//! has a pool; one whose shelf holds no trees (built without `warm_pool`)
+//! retires every tree at its checkin, so the tree lives for that one item.
+//! A coalition's members ride that path fused: their samples side by side in one work item, its report
 //! split back per member. FSD-Inf-Serial is the one-rank tree
 //! ([`FsdService::tree_of`]).
 //!
@@ -89,9 +90,10 @@ pub struct FsdService {
     stage_lock: Mutex<()>,
     /// Request counter; its successor is the request's flow id.
     requests: AtomicU64,
-    /// The warm-tree pool (`ServiceBuilder::warm_pool`); without one every
-    /// request's tree lives for that request only.
-    pool: Option<TreePool>,
+    /// The warm-tree pool (`ServiceBuilder::warm_pool`): the one owner of
+    /// every tree between requests. Without `warm_pool` its shelf holds no
+    /// trees, so every request's tree lives for that request only.
+    pool: TreePool,
     /// Per-transport error-rate scoreboard + circuit breakers; drives
     /// graceful degradation of [`crate::Variant::Auto`] routing.
     health: HealthBoard,
@@ -115,7 +117,7 @@ impl FsdService {
     pub(crate) fn assemble(
         dnn: Arc<SparseDnn>,
         cfg: EngineConfig,
-        warm: Option<WarmPoolConfig>,
+        warm: WarmPoolConfig,
     ) -> FsdService {
         let env = CloudEnv::new(cfg.cloud);
         let platform = FaasPlatform::new(env.clone(), cfg.compute);
@@ -129,7 +131,7 @@ impl FsdService {
             state: RwLock::default(),
             stage_lock: Mutex::new(()),
             requests: AtomicU64::new(0),
-            pool: warm.filter(|w| w.max_trees > 0).map(TreePool::new),
+            pool: TreePool::new(warm),
             health: HealthBoard::new(),
             weight_cache: Arc::new(WeightCache::new()),
             workspaces: Arc::default(),
@@ -214,8 +216,8 @@ impl FsdService {
     /// Each member passes the door once, as in `submit_batched`. Members
     /// must all run on one tree — a scheduler coalition shares its
     /// [`FsdService::tree_of`] shape — else each runs alone on its own (a
-    /// refused one returns its error). A failed item discards the
-    /// (possibly poisoned) tree and bills its window as a failed attempt;
+    /// refused one returns its error). A failed item retires its
+    /// (poisoned) tree and bills its window as a failed attempt;
     /// a lone member reports the error, while a fused item's members rerun
     /// alone on the sequential path, as do all members not yet run.
     pub fn submit_coalesced(
@@ -264,13 +266,17 @@ mod fixtures {
         )
     }
 
-    /// A fresh pooled service that has served one clean request.
-    pub(super) fn served_once(seed: u64) -> FsdService {
+    /// A fresh service that has served one clean request: pooled, or
+    /// built without `warm_pool`.
+    pub(super) fn served_once(seed: u64, pooled: bool) -> FsdService {
         let (base, inputs, expected) = small_service(seed);
-        let service = ServiceBuilder::new(base.dnn().clone())
-            .deterministic(seed)
-            .warm_pool(2, u64::MAX)
-            .build();
+        let builder = ServiceBuilder::new(base.dnn().clone()).deterministic(seed);
+        let service = if pooled {
+            builder.warm_pool(2, u64::MAX)
+        } else {
+            builder
+        }
+        .build();
         let report = service
             .submit(&InferenceRequest {
                 variant: Variant::Queue,

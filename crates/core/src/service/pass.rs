@@ -2,10 +2,8 @@
 //! the warm-pool façade.
 
 use super::bill::apportion;
-use super::route::provisionable;
-use super::stage::input_key;
 use super::{Bill, FsdService};
-use crate::artifacts::ARTIFACT_BUCKET;
+use crate::artifacts::{input_prefix, ARTIFACT_BUCKET};
 use crate::channel::FsiChannel;
 use crate::engine::{BatchedRequest, InferenceReport, Variant, WorkerReport};
 use crate::error::FsdError;
@@ -59,10 +57,10 @@ impl FsdService {
         // not); remove them so a long-lived service does not accrete state.
         self.env
             .object_store()
-            .delete_prefix(ARTIFACT_BUCKET, &format!("{}/", input_key(flow)));
-        // A streamed tree closes its own weight mailboxes when it shuts
-        // down; one parked after this request has not yet, so close the
-        // request flow's here too (no other tree streams on it).
+            .delete_prefix(ARTIFACT_BUCKET, &input_prefix(flow));
+        // A streamed tree closes its own weight mailboxes when it drops;
+        // one parked after this request has not yet, so close the request
+        // flow's here too (no other tree streams on it).
         self.env.weight_net().close_flow(flow);
         let bill = self.harvest_flow(flow, ran.is_ok());
         let (run, latency) = ran?;
@@ -104,15 +102,15 @@ impl FsdService {
     /// [`work_items`] allows: each item is one flow, one channel and one
     /// dispatch, whose members' samples ride [`fuse`]d side by side, and
     /// its report is split back into one per member ([`split_report`]). The
-    /// tree is released after the last item (pool check-in or discard;
-    /// without a pool, drop — which joins every instance), and only then is
-    /// that item's flow window closed, so no instance can bill a released
-    /// flow. A pool-less single request is the degenerate pass: a tree that
-    /// lives for one work item.
+    /// tree is checked in after the last item — parked, or retired (dropped,
+    /// which joins every instance) on a shelf that holds no trees — and
+    /// only then is that item's flow window closed, so no instance can bill
+    /// a released flow. A single request on a shelf that holds no trees is
+    /// the degenerate pass: a tree that lives for one work item.
     ///
-    /// A failed item discards the (possibly poisoned) tree. A lone member
-    /// reports the error; a fused item's members, and every member not yet
-    /// run, then run alone, each on a tree of its own.
+    /// A failed item poisons its tree, and its checkin retires it. A lone
+    /// member reports the error; a fused item's members, and every member
+    /// not yet run, then run alone, each on a tree of its own.
     pub(super) fn run_pass(
         &self,
         key: TreeKey,
@@ -121,7 +119,7 @@ impl FsdService {
         let transport = Transport::of(key.variant).expect("a tree shape's variant has a transport");
         let p = key.workers;
         let partition = self.partition(p);
-        let mut tree = self.pool.as_ref().and_then(|pool| pool.checkout(key));
+        let mut tree = self.pool.checkout(key);
         let items = work_items(reqs, tree.is_none());
         let mut results: Vec<Option<Result<InferenceReport, FsdError>>> =
             reqs.iter().map(|_| None).collect();
@@ -132,7 +130,7 @@ impl FsdService {
             let channel = || transport.channel(&self.env, p, self.cfg.channel, flow, &self.frames);
             let ran = self.run_member(key, &fused, flow, &partition, &mut tree, channel);
             if let Some(tree) = tree.take_if(|_| i + 1 == items.len()) {
-                self.release_tree(tree, false);
+                self.pool.checkin(tree);
             }
             match self.finalize_report(key.variant, p, &fused, flow, ran) {
                 Ok(report) => {
@@ -167,9 +165,9 @@ impl FsdService {
     /// bill. Inputs are delivered once the tree is in hand, since whether
     /// it is warm decides which shares are staged
     /// (`FsdService::stage_request`).
-    /// On failure the tree is taken out of the slot and discarded (joined)
-    /// *before* the item's channel is torn down, so no straggler touches
-    /// a torn-down channel.
+    /// On failure the (poisoned) tree is taken out of the slot and checked
+    /// in, which retires it — joins every instance — *before* the item's
+    /// channel is torn down, so no straggler touches a torn-down channel.
     fn run_member(
         &self,
         key: TreeKey,
@@ -191,30 +189,18 @@ impl FsdService {
         let ran = tree.run(WorkItem {
             warm,
             flow,
-            input_key: input_key(flow),
             inline,
             batch_widths: req.batches.iter().map(|b| b.width()).collect(),
             channel: channel.clone(),
             dispatch_at,
         });
         if ran.is_err() {
-            self.release_tree(slot.take().expect("the tree that just ran"), true);
+            self.pool
+                .checkin(slot.take().expect("the tree that just ran"));
         }
         // Release the item's queues/subscriptions/objects — error or not.
         channel.teardown();
         Ok(ran?)
-    }
-
-    /// Retires a tree its pass is done with. Without a pool it is dropped,
-    /// which joins every instance; with one it is parked for the next
-    /// request of its shape — or, after a `failed` run, discarded (never
-    /// reuse a possibly poisoned tree).
-    fn release_tree(&self, tree: WorkerTree, failed: bool) {
-        match &self.pool {
-            None => drop(tree),
-            Some(pool) if failed => pool.discard(tree),
-            Some(pool) => pool.checkin(tree),
-        }
     }
 
     /// Launches a tree of shape `key` billed to `flow`: a request's own
@@ -234,7 +220,7 @@ impl FsdService {
             cache: self.weight_cache.clone(),
             workspaces: self.workspaces.clone(),
         };
-        WorkerTree::launch(&self.platform, key, self.pool.as_ref(), params, flow)
+        WorkerTree::launch(&self.platform, key, &self.pool, params, flow)
     }
 
     /// Launches a warm tree for `(variant, workers, memory_mb)` ahead of
@@ -245,72 +231,76 @@ impl FsdService {
     /// The launch runs on the unattributed flow (0), as offline staging.
     ///
     /// # Panics
-    /// If the service was built without `warm_pool` — a configuration bug.
+    /// If the service's shelf holds no trees (built without `warm_pool`, or
+    /// with `max_trees = 0`) — a configuration bug.
     pub fn prewarm_tree(
         &self,
         variant: Variant,
         workers: u32,
         memory_mb: u32,
     ) -> Result<(), FsdError> {
-        let pool = self
-            .pool
-            .as_ref()
-            .expect("prewarm_tree requires ServiceBuilder::warm_pool");
-        let key = provisionable(self.shape(variant, workers, memory_mb))?;
+        assert!(
+            self.pool.holds_trees(),
+            "prewarm_tree requires ServiceBuilder::warm_pool"
+        );
+        let key = self.provisionable(variant, workers, memory_mb, self.est_bytes_per_row())?;
         self.prepare(key.workers);
-        pool.checkin(self.new_tree(key, 0)?);
+        self.pool.checkin(self.new_tree(key, 0)?);
         Ok(())
     }
 
-    /// Warm-pool counters, if a pool is configured.
+    /// Warm-pool counters; `None` when the shelf holds no trees.
     pub fn warm_pool_stats(&self) -> Option<WarmPoolStats> {
-        self.pool.as_ref().map(|p| p.stats())
+        self.pool.holds_trees().then(|| self.pool.stats())
     }
 
     /// Invalidates every warm tree (generation bump + eager shutdown).
     /// Call after re-staging model weights: a warm tree keeps its weights
     /// resident and must never serve requests for newer artifacts.
-    /// Returns how many parked trees were dropped; 0 without a pool.
+    /// Returns how many parked trees were dropped; 0 when the shelf holds
+    /// no trees.
     pub fn invalidate_warm_trees(&self) -> usize {
         // The shared weight cache holds blocks of the same staged model the
         // warm trees loaded: a redeploy that obsoletes the trees obsoletes
         // the cached blocks with them.
         self.weight_cache.invalidate();
-        self.pool.as_ref().map_or(0, |p| p.invalidate())
+        self.pool.invalidate()
     }
 
     /// Parked warm trees currently matching `(variant, workers, memory)`
-    /// (keyed as [`FsdService::tree_of`] keys requests). 0 without a pool.
+    /// (keyed as [`FsdService::tree_of`] keys requests). 0 when the shelf
+    /// holds no trees.
     // fsd_lint::allow(orphan-pub): integration-test inspection surface (per-shape shelf)
     pub fn warm_idle_trees(&self, variant: Variant, workers: u32, memory_mb: u32) -> usize {
         let key = self.shape(variant, workers, memory_mb);
-        self.pool.as_ref().map_or(0, |p| p.idle_of(key))
+        self.pool.idle_of(key)
     }
 
     /// Warm trees of the shape that exist at all — parked *or* currently
-    /// serving a request. 0 without a pool. Predictors top a shape up to
+    /// serving a request (on a shelf that holds no trees, the ones serving).
+    /// Predictors top a shape up to
     /// its burst target against this count: a burst's own checkouts must
     /// not read as missing capacity, or every in-flight request would
     /// trigger a redundant pre-warm.
     pub fn warm_live_trees(&self, variant: Variant, workers: u32, memory_mb: u32) -> usize {
         let key = self.shape(variant, workers, memory_mb);
-        self.pool.as_ref().map_or(0, |p| p.live_of(key))
+        self.pool.live_of(key)
     }
 
     /// Evicts every parked warm tree of one shape (predictor decisions:
     /// traffic of this shape has gone quiet). Returns how many trees were
-    /// dropped; 0 without a pool.
+    /// dropped; 0 when the shelf holds no trees.
     pub fn evict_warm_trees(&self, variant: Variant, workers: u32, memory_mb: u32) -> usize {
         let key = self.shape(variant, workers, memory_mb);
-        self.pool.as_ref().map_or(0, |p| p.evict_shape(key))
+        self.pool.evict_shape(key)
     }
 
     /// Arms the kill switch of worker `rank` on one *parked* tree of shape
     /// `(variant, workers, memory_mb)` (keyed as [`FsdService::tree_of`]
     /// keys requests), so the next request routed into it loses the
     /// instance mid-request (failure injection / chaos). Returns whether a
-    /// tree was armed: `false` without a pool or with no parked tree of the
-    /// shape. Comm-plane faults go to the region's plane instead
+    /// tree was armed: `false` with no parked tree of the shape (always, on
+    /// a shelf that holds no trees). Comm-plane faults go to the region's plane instead
     /// (`env().faults().inject`).
     // fsd_lint::allow(orphan-pub): integration-test fault-injection surface
     pub fn kill_warm_worker(
@@ -321,9 +311,7 @@ impl FsdService {
         rank: u32,
     ) -> bool {
         let key = self.shape(variant, workers, memory_mb);
-        self.pool
-            .as_ref()
-            .is_some_and(|pool| pool.arm_kill(key, rank))
+        self.pool.arm_kill(key, rank)
     }
 }
 
@@ -519,7 +507,7 @@ mod tests {
             .build();
         let (v, p, mb) = (Variant::Queue, 2, 1769);
         let key = service.shape(v, p, mb);
-        let pool = service.pool.as_ref().expect("warm pool configured");
+        let pool = &service.pool;
         // Live trees are the parked ones plus the ones held here.
         let check = |running: usize, what: &str| {
             let parked = service.warm_idle_trees(v, p, mb);
@@ -539,8 +527,8 @@ mod tests {
         check(2, "checkout");
         pool.checkin(held.pop().expect("held"));
         check(1, "check-in");
-        pool.discard(held.pop().expect("held"));
-        check(0, "discard");
+        drop(held.pop().expect("held"));
+        check(0, "drop a held tree");
         assert_eq!(service.warm_live_trees(v, p, mb), 1);
         held.push(service.new_tree(key, 0).expect("launches"));
         assert_eq!(service.evict_warm_trees(v, p, mb), 1);
@@ -566,6 +554,47 @@ mod tests {
         assert!(!pooled.kill_warm_worker(Variant::Queue, 3, 1769, 1));
         assert!(!pooled.kill_warm_worker(Variant::Object, 2, 1769, 1));
         assert!(pooled.kill_warm_worker(Variant::Queue, 2, 1769, 1));
+    }
+
+    #[test]
+    fn a_shelf_that_holds_no_trees_retires_every_tree() {
+        let (poolless, inputs, expected) = small_service(31);
+        let zero = ServiceBuilder::new(poolless.dnn.clone())
+            .deterministic(31)
+            .warm_pool(0, u64::MAX)
+            .build();
+        let (v, p, mb) = (Variant::Queue, 2, 1769);
+        let req = BatchedRequest {
+            variant: v,
+            workers: p,
+            memory_mb: mb,
+            batches: vec![inputs],
+        };
+        for service in [&*poolless, &zero] {
+            let cold = service.submit_batched(&req).expect("runs");
+            assert_eq!(cold.launch, crate::LaunchPath::ColdStart);
+            assert_eq!(cold.first_output(), &expected);
+            // A failed request: rank 1 panics as it sends.
+            let key = service.key_of(&req).expect("a valid request");
+            let flow = service.open_flow();
+            let mut slot = None;
+            let ran = service.run_member(key, &req, flow, &service.partition(p), &mut slot, || {
+                let transport = Transport::of(v).expect("queue");
+                let inner =
+                    transport.channel(&service.env, p, service.cfg.channel, flow, &service.frames);
+                Arc::new(PanicsOnSend { inner, rank: 1 })
+            });
+            assert!(slot.is_none(), "a failed member's tree leaves the pass");
+            let failed = service.finalize_report(v, p, &req, flow, ran);
+            assert!(matches!(failed, Err(FsdError::Panic { .. })), "{failed:?}");
+            // Nothing was parked: the next request is cold again.
+            let again = service.submit_batched(&req).expect("runs");
+            assert_eq!(again.launch, crate::LaunchPath::ColdStart);
+            assert_eq!(service.warm_pool_stats(), None);
+            assert_eq!(service.warm_live_trees(v, p, mb), 0);
+            assert!(!service.kill_warm_worker(v, p, mb, 1));
+            assert_eq!(service.audit(), Vec::<String>::new());
+        }
     }
 
     #[test]

@@ -6,7 +6,7 @@ use crate::engine::{BatchedRequest, Variant};
 use crate::error::FsdError;
 use crate::recommend::{self, Recommendation, WorkloadProfile};
 use crate::warm::TreeKey;
-use fsd_faas::{MAX_MEMORY_MB, MIN_MEMORY_MB};
+use fsd_faas::{MAX_CONCURRENCY, MAX_MEMORY_MB, MIN_MEMORY_MB};
 use fsd_sparse::codec;
 
 impl FsdService {
@@ -50,15 +50,54 @@ impl FsdService {
     /// The door every request passes once, on every path: the tree `req`
     /// runs on before any breaker steers it, or its typed refusal —
     /// [`FsdError::EmptyRequest`] without a batch, [`FsdError::InvalidRequest`]
-    /// for a tree memory outside [`MIN_MEMORY_MB`]`..=`[`MAX_MEMORY_MB`]
-    /// (for Serial, `EngineConfig::serial_memory_mb`). `Auto` resolves on
-    /// the first batch's wire bytes per row, a proxy for the activations
-    /// the layers will exchange, and may stage that `P`'s partition
-    /// (offline, unbilled, once per `P`).
+    /// for a worker count past [`MAX_CONCURRENCY`] or a tree memory outside
+    /// [`MIN_MEMORY_MB`]`..=`[`MAX_MEMORY_MB`] (`provisionable`). `Auto`
+    /// resolves on the first batch's wire bytes per row, a proxy for the
+    /// activations the layers will exchange, and may stage that `P`'s
+    /// partition (offline, unbilled, once per `P`).
     pub fn tree_of(&self, req: &BatchedRequest) -> Result<TreeKey, FsdError> {
         let first = req.batches.first().ok_or(FsdError::EmptyRequest)?;
         let est = codec::encoded_size(first) / first.n_rows().max(1);
-        provisionable(self.tree_key(req.variant, req.workers, req.memory_mb, est))
+        self.provisionable(req.variant, req.workers, req.memory_mb, est)
+    }
+
+    /// The tree of `(variant, workers, memory_mb)`, `Auto` resolved on `est`
+    /// wire bytes per row, or the refusal of a tree Lambda cannot
+    /// provision: `workers` past [`MAX_CONCURRENCY`] — refused before
+    /// `Auto` resolves, so no resolution partitions the model that many
+    /// ways — or a tree memory outside [`MIN_MEMORY_MB`]`..=`[`MAX_MEMORY_MB`]
+    /// (for Serial, `EngineConfig::serial_memory_mb`). Requests and
+    /// pre-warms pass it alike.
+    pub(super) fn provisionable(
+        &self,
+        variant: Variant,
+        workers: u32,
+        memory_mb: u32,
+        est: usize,
+    ) -> Result<TreeKey, FsdError> {
+        if workers > MAX_CONCURRENCY {
+            return Err(FsdError::InvalidRequest {
+                field: "workers",
+                value: workers,
+                min: 0,
+                max: MAX_CONCURRENCY,
+            });
+        }
+        let key = self.tree_key(variant, workers, memory_mb, est);
+        if (MIN_MEMORY_MB..=MAX_MEMORY_MB).contains(&key.memory_mb) {
+            return Ok(key);
+        }
+        let field = if key.variant == Variant::Serial {
+            "serial_memory_mb"
+        } else {
+            "memory_mb"
+        };
+        Err(FsdError::InvalidRequest {
+            field,
+            value: key.memory_mb,
+            min: MIN_MEMORY_MB,
+            max: MAX_MEMORY_MB,
+        })
     }
 
     /// Where `req` runs: its [`FsdService::tree_of`], an `Auto` request's
@@ -124,24 +163,6 @@ impl FsdService {
     pub fn est_bytes_per_row(&self) -> usize {
         self.dnn.spec().nnz_per_row.max(1) * 8
     }
-}
-
-/// `key`, or the refusal of a tree memory Lambda cannot provision.
-pub(super) fn provisionable(key: TreeKey) -> Result<TreeKey, FsdError> {
-    if (MIN_MEMORY_MB..=MAX_MEMORY_MB).contains(&key.memory_mb) {
-        return Ok(key);
-    }
-    let field = if key.variant == Variant::Serial {
-        "serial_memory_mb"
-    } else {
-        "memory_mb"
-    };
-    Err(FsdError::InvalidRequest {
-        field,
-        value: key.memory_mb,
-        min: MIN_MEMORY_MB,
-        max: MAX_MEMORY_MB,
-    })
 }
 
 #[cfg(test)]

@@ -2,7 +2,9 @@
 //! inputs: in its warm dispatch where they fit, staged for a GET where not.
 
 use super::FsdService;
-use crate::artifacts::{encode_input_shares, stage_input_share, stage_partitioned_model};
+use crate::artifacts::{
+    encode_input_shares, input_share_key, stage_input_share, stage_partitioned_model,
+};
 use crate::engine::BatchedRequest;
 use crate::warm::InlineShares;
 use fsd_faas::MAX_ASYNC_PAYLOAD_BYTES;
@@ -70,7 +72,7 @@ impl FsdService {
     /// rank's Invoke while the rank's payload stays within
     /// [`MAX_ASYNC_PAYLOAD_BYTES`]; every other share — all of a cold
     /// item's, whose ranks a launcher that never held the input starts —
-    /// is staged under [`input_key`] for the rank to GET.
+    /// is staged under its [`input_share_key`] for the rank to GET.
     ///
     /// The cap is taken against a share's raw encoded bytes, which assumes
     /// a binary-safe Invoke payload. A JSON event would carry the share
@@ -86,12 +88,12 @@ impl FsdService {
         let mut room = vec![if warm { MAX_ASYNC_PAYLOAD_BYTES } else { 0 }; p];
         let mut inline = vec![Vec::with_capacity(req.batches.len()); p];
         for (b, batch) in req.batches.iter().enumerate() {
-            let key = format!("{}/b{b}", input_key(flow));
             for (m, share) in encode_input_shares(batch, partition).enumerate() {
                 let rode = if rides(&mut room[m], share.len()) {
                     Some(share.into())
                 } else {
-                    stage_input_share(&self.env, &key, p as u32, m as u32, share);
+                    let key = input_share_key(flow, b, p as u32, m as u32);
+                    stage_input_share(&self.env, &key, share);
                     None
                 };
                 inline[m].push(rode);
@@ -109,14 +111,6 @@ fn rides(room: &mut usize, len: usize) -> bool {
         *room -= len;
     }
     fits
-}
-
-/// Where requests' inputs are staged in the artifact bucket.
-pub(super) const INPUTS: &str = "inputs/";
-
-/// The staged-input prefix of request `flow` (batch `b` under `…/b{b}`).
-pub(super) fn input_key(flow: u64) -> String {
-    format!("{INPUTS}req{flow}")
 }
 
 #[cfg(test)]
@@ -170,7 +164,7 @@ mod tests {
         let partition = service.partition(3);
         let store = service.env.object_store();
         let staged = |flow| {
-            let prefix = format!("{}/", input_key(flow));
+            let prefix = crate::artifacts::input_prefix(flow);
             store.object_count(crate::artifacts::ARTIFACT_BUCKET, &prefix)
         };
         let flow = service.open_flow();

@@ -13,7 +13,7 @@
 //! trip, and each child starts one round trip plus one cold start after
 //! its call is issued.
 //! Requests are routed into the tree as [`WorkItem`]s, each carrying its
-//! own flow id, input prefix, the input shares that ride its dispatch and
+//! own flow id, the input shares that ride its dispatch and
 //! a freshly provisioned (flow-namespaced) data channel.
 //!
 //! A cold request is merely the first item on a tree it launched itself
@@ -22,9 +22,10 @@
 //! bill — invocations, launch rounds, weight loads. Every later item
 //! (`warm = true`) jumps onto its own timeline one control-plane hop after
 //! arrival and pays none of it (λScale-style request routing into
-//! model-loaded instances). Without a warm pool the tree is dropped — and
-//! every instance joined — after that first item; with one it is parked
-//! for the next request of its shape.
+//! model-loaded instances). After its last item a tree is checked in to
+//! the service's pool, which parks it for the next request of its shape or
+//! retires it. A tree retires one way: it is dropped, and its `Drop`
+//! closes the control channels and joins every instance.
 //!
 //! Billing stays per-flow disjoint across reuse: every work item opens its
 //! own metering window on the instance ([`WorkerCtx::begin_request`] /
@@ -38,8 +39,8 @@
 //! every receiver parked in a fabric wait of the region; a peer waiting
 //! for the dead instance's frames returns empty-handed, and every peer
 //! fails fast at its next limit check, so the first error the owner
-//! collects is the root cause, and the tree is discarded instead of
-//! parked.
+//! collects is the root cause, and the tree is retired at its checkin
+//! instead of parked.
 //!
 //! [`WorkerCtx::begin_request`]: fsd_faas::WorkerCtx::begin_request
 //! [`WorkerCtx::finish_request`]: fsd_faas::WorkerCtx::finish_request
@@ -54,11 +55,12 @@ use crate::worker::{run_batches, RunOutput, WorkerOutput, WorkspacePool};
 use fsd_comm::{CloudEnv, VClock, VirtualTime};
 use fsd_faas::{launch, FaasError, FaasPlatform, FunctionConfig, Invocation, InvocationReport};
 use fsd_model::DnnSpec;
+use parking_lot::Mutex;
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel as mpsc_channel, Receiver, Sender};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// The next unused weight-stream hop. Each streamed launch takes `P`
 /// consecutive hops for its mailboxes (see `weight_stream`), so two trees
@@ -112,11 +114,9 @@ pub(crate) struct WorkItem {
     pub warm: bool,
     /// The request's flow id (billing + channel namespacing).
     pub flow: u64,
-    /// Staged input prefix (batch `b` under `{input_key}/b{b}`).
-    pub input_key: String,
     /// The input shares that ride the dispatch: `inline[m][b]` is rank
     /// `m`'s encoded share of batch `b`, or `None` where the share is
-    /// staged under `input_key` instead — every share of a cold item, and
+    /// staged under its [`crate::artifacts::input_share_key`] instead — every share of a cold item, and
     /// any that would overflow its rank's Invoke payload
     /// ([`fsd_faas::MAX_ASYNC_PAYLOAD_BYTES`]). The service decides; a rank
     /// reads whichever it is given.
@@ -301,7 +301,6 @@ fn serve_worker(
     let control = shared
         .controls
         .lock()
-        .expect("control slots lock")
         .get_mut(rank as usize)
         .and_then(Option::take)
         .expect("each rank takes its control receiver exactly once");
@@ -364,9 +363,9 @@ fn serve_item(
 /// `P` keep-alive instances parked in serve loops.
 ///
 /// Launched for a request (or a pre-warm), driven with
-/// [`WorkerTree::run`], and eventually [`WorkerTree::shutdown`] — also
-/// invoked on drop, so a finished, evicted or discarded tree never leaks
-/// its instance threads.
+/// [`WorkerTree::run`], and checked in to its pool. Dropping it — the one
+/// way a tree is shut down — joins every instance, so a retired tree never
+/// leaks its instance threads.
 pub(crate) struct WorkerTree {
     key: TreeKey,
     generation: u64,
@@ -375,7 +374,6 @@ pub(crate) struct WorkerTree {
     poison: Poison,
     results: Receiver<WorkResult>,
     handles: Receiver<Invocation<()>>,
-    joined: bool,
     /// Launch flow and weight-stream mailboxes for teardown: once every
     /// instance has joined, any weight frames still parked in them (e.g.
     /// after an abort) have no receiver left.
@@ -400,13 +398,13 @@ impl WorkerTree {
     /// pick queued work items up when they are ready. A refused
     /// coordinator or rank 0 fails the launch (whatever did start is
     /// joined); any other refused rank surfaces from the next
-    /// [`WorkerTree::run`]. With a `pool`, the tree carries the pool's
-    /// current generation and, once launched, a place in the pool's live
-    /// count ([`TreePool::record_created`]) until it drops.
+    /// [`WorkerTree::run`]. The tree carries the `pool`'s current
+    /// generation and, once launched, a place in the pool's live count
+    /// ([`TreePool::record_created`]) until it drops.
     pub(crate) fn launch(
         platform: &Arc<FaasPlatform>,
         key: TreeKey,
-        pool: Option<&TreePool>,
+        pool: &TreePool,
         params: TreeParams,
         flow: u64,
     ) -> Result<WorkerTree, FaasError> {
@@ -444,19 +442,18 @@ impl WorkerTree {
         // joins whatever did start.
         let mut tree = WorkerTree {
             key,
-            generation: pool.map_or(0, TreePool::generation),
+            generation: pool.generation(),
             controls,
             kills,
             poison: shared.poison.clone(),
             results,
             handles,
-            joined: false,
             launch_flow: flow,
             hops,
             live: None,
         };
         shared.seed(platform)?;
-        tree.live = pool.map(|pool| pool.record_created(key));
+        tree.live = Some(pool.record_created(key));
         Ok(tree)
     }
 
@@ -487,7 +484,7 @@ impl WorkerTree {
     /// Routes one request into the tree and collects every instance's
     /// result. The first error collected — the root cause, see
     /// `ServeShared::fail` — is returned immediately; peers unwedge
-    /// through the poison and the tree must be discarded.
+    /// through the poison, and the poisoned tree is retired at its checkin.
     pub(crate) fn run(&mut self, item: WorkItem) -> Result<RunOutput, FaasError> {
         let ran = self.collect(&item);
         if ran.is_err() {
@@ -521,16 +518,15 @@ impl WorkerTree {
         run.client = item.channel.stats().snapshot();
         Ok(run)
     }
+}
 
-    /// Closes the control channels and joins every instance. Safe to call
-    /// more than once. A poisoned tree's stragglers are woken out of their
-    /// receives and exit through the abort in their limit checks, so this
-    /// returns even after a failure.
-    pub(crate) fn shutdown(&mut self) {
-        if self.joined {
-            return;
-        }
-        self.joined = true;
+impl Drop for WorkerTree {
+    /// Closes the control channels and joins every instance. A poisoned
+    /// tree's stragglers are woken out of their receives and exit through
+    /// the abort in their limit checks, so this returns even after a
+    /// failure. The tree's place in its pool's live count is given back
+    /// after, as the fields drop.
+    fn drop(&mut self) {
         // Stop serve loops (they exit once queued items are drained)…
         self.controls.clear();
         // …and make sure nothing can stay parked in a receive.
@@ -550,11 +546,5 @@ impl WorkerTree {
         for hop in self.hops.clone() {
             net.close_hop(self.launch_flow, hop);
         }
-    }
-}
-
-impl Drop for WorkerTree {
-    fn drop(&mut self) {
-        self.shutdown();
     }
 }

@@ -24,7 +24,7 @@
 //! only a cold item's shares, or a share too large to ride, are GET
 //! (`load_input_share_into`).
 
-use crate::artifacts::{load_input_share_into, WorkerArtifacts};
+use crate::artifacts::{input_share_key, load_input_share_into, WorkerArtifacts};
 use crate::channel::{RecvTracker, Tag};
 use crate::engine::LaunchPath;
 use crate::recycle::Recycler;
@@ -178,9 +178,9 @@ pub(crate) fn run_batches(
     let mut work_done = 0u64;
     let mut final_rows: Vec<SparseRows> = Vec::with_capacity(item.batch_widths.len());
     for (b, &width) in item.batch_widths.iter().enumerate() {
-        let key = format!("{}/b{b}", item.input_key);
+        let key = input_share_key(item.flow, b, params.n_workers, rank);
         let inline = item.inline[rank as usize][b].as_deref();
-        let got = load_input_share_into(ctx, &key, params.n_workers, rank, inline, x)?;
+        let got = load_input_share_into(ctx, &key, inline, x)?;
         artifact_gets += u64::from(got);
         acc.reshape(art.owned.len(), width);
         ctx.track_alloc(art.owned.len() * width * 4);

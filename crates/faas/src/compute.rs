@@ -13,6 +13,10 @@ const MB_PER_VCPU: f64 = 1769.0;
 pub const MIN_MEMORY_MB: u32 = 128;
 pub const MAX_MEMORY_MB: u32 = 10_240;
 
+/// Lambda's default regional concurrency: the most instances one account
+/// runs at once, so the widest worker tree a request can ask for.
+pub const MAX_CONCURRENCY: u32 = 1_000;
+
 /// Maximum function runtime (15 minutes) at the time of the paper.
 pub const MAX_TIMEOUT_SECS: f64 = 900.0;
 

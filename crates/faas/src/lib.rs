@@ -37,7 +37,8 @@ pub mod launch;
 mod platform;
 
 pub use compute::{
-    ComputeModel, MAX_ASYNC_PAYLOAD_BYTES, MAX_MEMORY_MB, MAX_TIMEOUT_SECS, MIN_MEMORY_MB,
+    ComputeModel, MAX_ASYNC_PAYLOAD_BYTES, MAX_CONCURRENCY, MAX_MEMORY_MB, MAX_TIMEOUT_SECS,
+    MIN_MEMORY_MB,
 };
 pub use platform::{
     CommFailure, FaasError, FaasPlatform, FunctionConfig, Invocation, InvocationReport,

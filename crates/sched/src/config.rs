@@ -244,7 +244,9 @@ pub struct SchedStatsSnapshot {
     pub max_inflight_per_model: Vec<usize>,
     /// Smoothed observed request latency (virtual time), blended across
     /// launch paths by the observed warm/cold mix — what `retry_after`
-    /// hints are computed from.
+    /// hints are computed from. Executor threads fold completions in the
+    /// order they really finish, so identically seeded runs can differ
+    /// here; fleet replays report it as zero.
     pub ewma_latency: VirtualTime,
     /// Smoothed latency of cold-start completions only.
     pub ewma_cold_latency: VirtualTime,

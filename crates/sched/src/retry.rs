@@ -78,9 +78,12 @@ impl FailureCause {
 /// into the cold estimate ([`DEFAULT_LATENCY_US`] before the first
 /// completion). A seeded ±[`RETRY_HINT_JITTER`] factor decorrelates the
 /// herd (every client of one overload burst would otherwise be told the
-/// same return instant) while staying a pure function of the region `seed`
-/// and the rejection count `draw` — identically seeded replays hint
-/// bit-identically.
+/// same return instant); the jitter is a pure function of the region
+/// `seed` and the rejection count `draw`. The hint as a whole is not: its
+/// `latency_us` comes from EWMAs that executor threads fold in the order
+/// completions really finish, so identically seeded replays can hint
+/// differently (which is why `harness::replay_fleet` zeroes the EWMAs in
+/// its report).
 pub(crate) fn retry_after(
     backlog: usize,
     global_cap: usize,

@@ -7,7 +7,7 @@
 use fsd_inference::core::{
     BatchedRequest, EngineConfig, FsdError, FsdService, ServiceBuilder, Variant,
 };
-use fsd_inference::faas::{MAX_MEMORY_MB, MIN_MEMORY_MB};
+use fsd_inference::faas::{MAX_CONCURRENCY, MAX_MEMORY_MB, MIN_MEMORY_MB};
 use fsd_inference::model::{generate_dnn, generate_inputs, DnnSpec, InputSpec};
 use fsd_inference::sched::{BatchingConfig, Priority, Scheduler, SchedulerConfig, DEFAULT_MODEL};
 use fsd_inference::sparse::SparseRows;
@@ -167,6 +167,38 @@ fn an_out_of_range_memory_is_refused_at_enqueue() {
         assert_eq!(sched.inflight(), 0);
         assert_eq!(sched.audit(), Vec::<String>::new());
     }
+}
+
+#[test]
+fn a_tree_past_the_regional_concurrency_is_refused_at_the_door() {
+    let service = Arc::new(ServiceBuilder::new(dnn(5)).deterministic(5).build());
+    let refusal = FsdError::InvalidRequest {
+        field: "workers",
+        value: 100_000,
+        min: 0,
+        max: MAX_CONCURRENCY,
+    };
+    let wide = || request(Variant::Queue, 100_000, 1769, 1);
+    assert_eq!(
+        service.submit_batched(&wide()).expect_err("refused"),
+        refusal
+    );
+    let sched = Scheduler::wrap(service.clone(), SchedulerConfig::default());
+    assert_eq!(
+        sched
+            .enqueue(DEFAULT_MODEL, Priority::Interactive, wide())
+            .expect_err("refused at intake"),
+        refusal
+    );
+    assert_eq!(sched.stats().enqueued, 0, "a refusal is not counted");
+    assert_eq!(sched.audit(), Vec::<String>::new());
+    // Whatever the variant: `Auto` is refused before it resolves (so it
+    // never partitions the model that many ways), and Serial too.
+    for variant in [Variant::Auto, Variant::Serial] {
+        let req = BatchedRequest { variant, ..wide() };
+        assert_eq!(service.tree_of(&req), Err(refusal.clone()), "{variant}");
+    }
+    assert_nothing_billed(&service);
 }
 
 #[test]
